@@ -1,7 +1,7 @@
 //! Application 4: ELL sparse matrix–vector multiplication from the LAMA
 //! library (paper Sect. 4.1/4.3.4, Figs. 10–11).
 //!
-//! **Substitution** (per DESIGN.md): the Boeing/pwtk matrix (stiffness
+//! **Substitution**: the Boeing/pwtk matrix (stiffness
 //! matrix of a pressurized wind tunnel, 217 918 rows, 11.5 M non-zeros) is
 //! not shipped; [`EllMatrix::pwtk_like`] generates a banded symmetric
 //! matrix with the same row-population statistics (mean ≈ 53 nnz/row,

@@ -2,7 +2,7 @@
 //! (AOD) retrieval from hyperspectral observations (paper Sect. 4.1/4.3.3,
 //! Figs. 8–9).
 //!
-//! **Substitution** (per DESIGN.md): the MODIS/Aqua granule and the
+//! **Substitution**: the MODIS/Aqua granule and the
 //! proprietary retrieval code are unavailable; we generate a synthetic
 //! multi-band tile whose per-pixel filter has (a) a data-dependent inner
 //! iteration (the retrieval's convergence loop), and (b) a spatially

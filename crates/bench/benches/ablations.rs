@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
+//! Ablation benches for the design choices the paper calls out:
 //!
 //! * **A1** — treating `malloc` as pure (the accidental init-loop
 //!   parallelization behind Fig. 3);

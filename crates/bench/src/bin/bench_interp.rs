@@ -13,6 +13,9 @@
 //! BENCH_QUICK=1 ...         # smaller sizes, 1 rep (CI smoke)
 //! ```
 //!
+//! Every gate is evaluated **before** the entry is appended, and the
+//! entry is stamped with `gates_passed` and the names of the
+//! `failed_gates`, so a failing run is recorded as failing.
 //! The run exits non-zero when the bytecode VM fails to beat the
 //! resolved engine on the dispatch-bound `varaccess` case, or when the
 //! pool-routed runtime fails to beat spawn-per-region threads on the
@@ -296,6 +299,28 @@ fn num(v: f64) -> Value {
     Value::Num(v)
 }
 
+/// Gate verdicts of one run, collected so that the trajectory entry can
+/// be stamped with them before it is written.
+#[derive(Default)]
+struct Gates {
+    /// Names of the gates that failed, in evaluation order.
+    failed: Vec<String>,
+}
+
+impl Gates {
+    /// Record one gate: print its measurement line, prefixed `FAIL:` when
+    /// `ok` is false. A NaN measurement compares false, so a missing case
+    /// fails its gate.
+    fn check(&mut self, name: String, ok: bool, line: String) {
+        if ok {
+            eprintln!("{line}");
+        } else {
+            eprintln!("FAIL: {line}");
+            self.failed.push(name);
+        }
+    }
+}
+
 /// Thread count of every parallel variant — also recorded in each
 /// trajectory entry, so the two can never drift apart.
 const BENCH_THREADS: usize = 4;
@@ -316,8 +341,14 @@ fn main() {
     let region_count = if quick { 100 } else { 600 };
     let arr_n = if quick { 256 } else { 1024 };
     let arr_iters = if quick { 40 } else { 400 };
-    let fut_fib = if quick { 21 } else { 27 };
-    let tree_depth = if quick { 15 } else { 19 };
+    // The futures cases keep their full size in quick mode: the gate
+    // asks whether pure calls run *in parallel*, and a run of a few
+    // milliseconds is shorter than the OS scheduler's own balancing
+    // period (a woken worker first lands on its waker's CPU and only a
+    // later tick spreads the two), so it would time thread placement,
+    // not the runtime. ~50–150 ms per run is past that.
+    let fut_fib = 27;
+    let tree_depth = 19;
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -782,6 +813,176 @@ fn main() {
         );
     }
 
+    // Gates are evaluated *before* the entry is written, and the entry
+    // carries their verdict (`gates_passed`, `failed_gates`): a failing
+    // run is still recorded — it is a data point — but never as a good
+    // one. The process exits non-zero after the write.
+    let mut gates = Gates::default();
+
+    // CI smoke: the VM must beat the resolved engine where dispatch
+    // dominates; a regression here fails the build. The floors *rose*
+    // when the tier-3.5 optimizer landed (pre-optimizer the varaccess
+    // gate was 1.0×; measured post-optimizer quick-mode ratios sit well
+    // above these, the slack absorbs shared-runner noise). A missing
+    // case yields no entry and fails via `required`.
+    const TIER_FLOORS: &[(&str, f64)] = &[("varaccess", 1.5), ("matmul64", 1.3), ("arraysum", 1.3)];
+    for (name, floor) in TIER_FLOORS {
+        let s = tier_speedups
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, s)| *s)
+            .unwrap_or(f64::NAN);
+        gates.check(
+            format!("tier_floor:{name}"),
+            s >= *floor,
+            format!("{name} bytecode speedup vs resolved: {s:.2}x (floor {floor:.2}x)"),
+        );
+    }
+    // The optimizer itself must pay for its dispatch savings: optimized
+    // bytecode may not lose to the raw lowering on the A/B cases. The
+    // dispatch-bound cases get a tight floor (small tolerance for
+    // wall-clock noise on shared runners); matmul64 is bound by counted
+    // float ops and the memo machinery, so its optimizer win is ~1.0× in
+    // the noise band — its floor only catches a catastrophic regression.
+    const OPT_FLOORS: &[(&str, f64)] =
+        &[("varaccess", 0.95), ("matmul64", 0.80), ("arraysum", 0.95)];
+    for (name, floor) in OPT_FLOORS {
+        let s = opt_speedups
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, s)| *s)
+            .unwrap_or(f64::NAN);
+        gates.check(
+            format!("opt_floor:{name}"),
+            s >= *floor,
+            format!("{name} optimizer speedup vs --no-opt: {s:.2}x (floor {floor:.2}x)"),
+        );
+    }
+
+    // CI smoke: the always-on dataflow-lint pass must stay cheap — under
+    // 5% of the end-to-end matmul64 lowering. (The race-verdict tier
+    // pays for itself by letting the engines skip the dynamic race
+    // pre-pass; the lints are pure overhead and get the hard gate.)
+    let lint_frac = matmul_lint_secs / matmul_compile_secs;
+    gates.check(
+        "lint_share".to_string(),
+        lint_frac < 0.05,
+        format!(
+            "matmul64 compile {:.0}us, analysis {:.0}us, lint {:.0}us = {:.1}% (cap 5%)",
+            matmul_compile_secs * 1e6,
+            matmul_analysis_secs * 1e6,
+            matmul_lint_secs * 1e6,
+            lint_frac * 100.0
+        ),
+    );
+
+    // CI smoke: the pooled runtime must beat spawn-per-region where
+    // region-launch overhead dominates — the persistent-pool routing is
+    // a perf claim, and this gate keeps it true.
+    gates.check(
+        "pool_vs_spawn:region_heavy".to_string(),
+        pool_speedup >= 1.0,
+        format!(
+            "region_heavy pooled speedup vs spawn-per-region: {pool_speedup:.2}x (floor 1.00x)"
+        ),
+    );
+
+    // CI smoke: pure-call futures must actually parallelize the two
+    // divide-and-conquer benchmarks — statement-level sites
+    // (fib_futures) and expression-level sites over the work-stealing
+    // deques (treesum_expr). The bar depends on the host's CPU budget —
+    // the subsystem cannot conjure cores: ≥ 2× on ≥ 4 CPUs, ≥ 1× on
+    // 2–3 CPUs (four threads share them), and on a single CPU the
+    // number is recorded but not gated.
+    let required = match host_cpus {
+        0..=1 => None,
+        2..=3 => Some(1.0),
+        _ => Some(2.0),
+    };
+    for (case, speedup) in [
+        ("fib_futures", futures_speedup),
+        ("treesum_expr", treesum_speedup),
+    ] {
+        match required {
+            Some(bar) => gates.check(
+                format!("futures_vs_seq:{case}"),
+                speedup >= bar,
+                format!(
+                    "{case} speedup with futures on 4 threads: {speedup:.2}x \
+                     (gate {bar:.1}x, {host_cpus} CPUs)"
+                ),
+            ),
+            None => eprintln!(
+                "{case} speedup with futures on 4 threads: {speedup:.2}x \
+                 (not gated: single-CPU host)"
+            ),
+        }
+    }
+
+    // CI smoke: the schedule-aware lowering must beat the literal
+    // skeletons. Single-threaded matmul gets the hard floor (the
+    // AffineFor index streams and hoisted bounds shave dispatches even
+    // with no parallelism in play); heat's stencil is load-bound, so
+    // its single-threaded floor only catches a real regression. The
+    // parallel legs additionally exercise the fused regions (fewer join
+    // barriers) but depend on the host's CPU budget, so they relax to
+    // "recorded, not gated" on a single-CPU runner.
+    const POLY_SEQ_FLOORS: &[(&str, f64)] = &[("matmul128_poly", 1.15), ("heat_poly", 0.95)];
+    for (name, floor) in POLY_SEQ_FLOORS {
+        let s = poly_seq_speedups
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, s)| *s)
+            .unwrap_or(f64::NAN);
+        gates.check(
+            format!("poly_vs_literal:{name}"),
+            s >= *floor,
+            format!("{name} poly speedup vs literal (1 thread): {s:.2}x (floor {floor:.2}x)"),
+        );
+    }
+    for (name, s) in &poly_par_speedups {
+        if host_cpus < 2 {
+            eprintln!(
+                "{name} poly speedup vs literal (4 threads): {s:.2}x (not gated: single-CPU host)"
+            );
+        } else {
+            gates.check(
+                format!("poly_vs_literal_par4:{name}"),
+                *s >= 0.95,
+                format!("{name} poly speedup vs literal (4 threads): {s:.2}x (floor 0.95x)"),
+            );
+        }
+    }
+    // CI smoke: the transform itself must stay cheap — the bounded
+    // Fourier–Motzkin elimination caps the constraint blow-up, and this
+    // gate pins the resulting compile-time budget: the polyhedral share
+    // of the chain compile stays under 250 ms even on the 128³ nest.
+    const POLY_COMPILE_CAP_SECS: f64 = 0.25;
+    for (name, delta) in &poly_compile_deltas {
+        gates.check(
+            format!("poly_compile_cap:{name}"),
+            *delta < POLY_COMPILE_CAP_SECS,
+            format!(
+                "{name} polyhedral compile share: {:.1} ms (cap {:.0} ms)",
+                delta * 1e3,
+                POLY_COMPILE_CAP_SECS * 1e3
+            ),
+        );
+    }
+
+    // CI smoke: a live trace session must stay cheap — every probe is
+    // one branch plus a buffered append, so a traced run may cost at
+    // most 15% over the probes-off run. (The probes-*off* cost has no
+    // separate gate: it is folded into the tier floors above.)
+    const TRACED_CEILING: f64 = 1.15;
+    for (name, ratio) in &traced_ratios {
+        gates.check(
+            format!("traced_ceiling:{name}"),
+            *ratio <= TRACED_CEILING,
+            format!("{name} traced-vs-untraced ratio: {ratio:.3}x (ceiling {TRACED_CEILING:.2}x)"),
+        );
+    }
+
     let unix_time = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_secs())
@@ -802,6 +1003,14 @@ fn main() {
         ("threads".to_string(), num(BENCH_THREADS as f64)),
         ("host_cpus".to_string(), num(host_cpus as f64)),
         ("quick".to_string(), Value::Bool(quick)),
+        (
+            "gates_passed".to_string(),
+            Value::Bool(gates.failed.is_empty()),
+        ),
+        (
+            "failed_gates".to_string(),
+            Value::Array(gates.failed.iter().cloned().map(Value::Str).collect()),
+        ),
         // Static-analysis share of the matmul64 chain compile (the race
         // verdict + lint pass runs on every compile, so its wall time is
         // part of the trajectory).
@@ -858,199 +1067,12 @@ fn main() {
     let json = serde_json::to_string_pretty(&doc).expect("render json");
     std::fs::write(&out_path, json + "\n").expect("write BENCH_interp.json");
     println!("wrote {out_path}");
-
-    // CI smoke: the VM must beat the resolved engine where dispatch
-    // dominates; a regression here fails the build. The floors *rose*
-    // when the tier-3.5 optimizer landed (pre-optimizer the varaccess
-    // gate was 1.0×; measured post-optimizer quick-mode ratios sit well
-    // above these, the slack absorbs shared-runner noise). A missing
-    // case yields no entry and fails via `required`.
-    const TIER_FLOORS: &[(&str, f64)] = &[("varaccess", 1.5), ("matmul64", 1.3), ("arraysum", 1.3)];
-    for (name, floor) in TIER_FLOORS {
-        let s = tier_speedups
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| *s)
-            .unwrap_or(f64::NAN);
-        if s.is_nan() || s < *floor {
-            eprintln!(
-                "FAIL: bytecode VM speedup vs resolved on {name} is {s:.2}x \
-                 (floor {floor:.2}x)"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("{name} bytecode speedup vs resolved: {s:.2}x (floor {floor:.2}x)");
-    }
-    // The optimizer itself must pay for its dispatch savings: optimized
-    // bytecode may not lose to the raw lowering on the A/B cases. The
-    // dispatch-bound cases get a tight floor (small tolerance for
-    // wall-clock noise on shared runners); matmul64 is bound by counted
-    // float ops and the memo machinery, so its optimizer win is ~1.0× in
-    // the noise band — its floor only catches a catastrophic regression.
-    const OPT_FLOORS: &[(&str, f64)] =
-        &[("varaccess", 0.95), ("matmul64", 0.80), ("arraysum", 0.95)];
-    for (name, floor) in OPT_FLOORS {
-        let s = opt_speedups
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| *s)
-            .unwrap_or(f64::NAN);
-        if s.is_nan() || s < *floor {
-            eprintln!(
-                "FAIL: optimized bytecode vs --no-opt on {name} is {s:.2}x \
-                 (floor {floor:.2}x)"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("{name} optimizer speedup vs --no-opt: {s:.2}x (floor {floor:.2}x)");
-    }
-
-    // CI smoke: the always-on dataflow-lint pass must stay cheap — under
-    // 5% of the end-to-end matmul64 lowering. (The race-verdict tier
-    // pays for itself by letting the engines skip the dynamic race
-    // pre-pass; the lints are pure overhead and get the hard gate.)
-    let lint_frac = matmul_lint_secs / matmul_compile_secs;
-    if lint_frac >= 0.05 {
+    if !gates.failed.is_empty() {
         eprintln!(
-            "FAIL: always-on lint pass is {:.1}% of the matmul64 compile \
-             ({:.0}us of {:.0}us; cap 5%)",
-            lint_frac * 100.0,
-            matmul_lint_secs * 1e6,
-            matmul_compile_secs * 1e6
+            "bench_interp: {} gate(s) failed (recorded in the entry): {}",
+            gates.failed.len(),
+            gates.failed.join(", ")
         );
         std::process::exit(1);
-    }
-    eprintln!(
-        "matmul64 compile {:.0}us, analysis {:.0}us, lint share {:.1}% (cap 5%)",
-        matmul_compile_secs * 1e6,
-        matmul_analysis_secs * 1e6,
-        lint_frac * 100.0
-    );
-
-    // CI smoke: the pooled runtime must beat spawn-per-region where
-    // region-launch overhead dominates — the persistent-pool routing is
-    // a perf claim, and this gate keeps it true.
-    if pool_speedup.is_nan() || pool_speedup < 1.0 {
-        eprintln!(
-            "FAIL: pooled runtime not faster than spawn-per-region on \
-             region_heavy (speedup {pool_speedup:.2}x < 1.0x)"
-        );
-        std::process::exit(1);
-    }
-    eprintln!("region_heavy pooled speedup vs spawn-per-region: {pool_speedup:.2}x");
-
-    // CI smoke: pure-call futures must actually parallelize the two
-    // divide-and-conquer benchmarks — statement-level sites
-    // (fib_futures) and expression-level sites over the work-stealing
-    // deques (treesum_expr). The bar depends on the host's CPU budget —
-    // the subsystem cannot conjure cores: ≥ 2× on ≥ 4 CPUs (full runs;
-    // quick-mode problem sizes are too small to amortize spawn overhead
-    // at full margin, so the bar drops to 1.1×), ≥ 1× on 2–3 CPUs, and
-    // on a single CPU the number is recorded but not gated.
-    let required = match (host_cpus, quick) {
-        (0..=1, _) => None,
-        (2..=3, _) => Some(1.0),
-        (_, true) => Some(1.1),
-        (_, false) => Some(2.0),
-    };
-    let gate_futures = |case: &str, speedup: f64| match required {
-        Some(bar) if speedup.is_nan() || speedup < bar => {
-            eprintln!(
-                "FAIL: pure-call futures speedup {speedup:.2}x < {bar:.1}x \
-                 on {case} ({host_cpus} CPUs)"
-            );
-            std::process::exit(1);
-        }
-        Some(bar) => {
-            eprintln!(
-                "{case} speedup with futures on 4 threads: {speedup:.2}x \
-                 (gate {bar:.1}x, {host_cpus} CPUs)"
-            );
-        }
-        None => {
-            eprintln!(
-                "{case} speedup with futures on 4 threads: {speedup:.2}x \
-                 (not gated: single-CPU host)"
-            );
-        }
-    };
-    gate_futures("fib_futures", futures_speedup);
-    gate_futures("treesum_expr", treesum_speedup);
-
-    // CI smoke: the schedule-aware lowering must beat the literal
-    // skeletons. Single-threaded matmul gets the hard floor (the
-    // AffineFor index streams and hoisted bounds shave dispatches even
-    // with no parallelism in play); heat's stencil is load-bound, so
-    // its single-threaded floor only catches a real regression. The
-    // parallel legs additionally exercise the fused regions (fewer join
-    // barriers) but depend on the host's CPU budget, so they relax to
-    // "recorded, not gated" on a single-CPU runner.
-    const POLY_SEQ_FLOORS: &[(&str, f64)] = &[("matmul128_poly", 1.15), ("heat_poly", 0.95)];
-    for (name, floor) in POLY_SEQ_FLOORS {
-        let s = poly_seq_speedups
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| *s)
-            .unwrap_or(f64::NAN);
-        if s.is_nan() || s < *floor {
-            eprintln!(
-                "FAIL: poly-vs-literal speedup on {name} (1 thread) is {s:.2}x \
-                 (floor {floor:.2}x)"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("{name} poly speedup vs literal (1 thread): {s:.2}x (floor {floor:.2}x)");
-    }
-    for (name, s) in &poly_par_speedups {
-        if host_cpus < 2 {
-            eprintln!(
-                "{name} poly speedup vs literal (4 threads): {s:.2}x (not gated: single-CPU host)"
-            );
-        } else if s.is_nan() || *s < 0.95 {
-            eprintln!(
-                "FAIL: poly-vs-literal speedup on {name} (4 threads) is {s:.2}x \
-                 (floor 0.95x)"
-            );
-            std::process::exit(1);
-        } else {
-            eprintln!("{name} poly speedup vs literal (4 threads): {s:.2}x (floor 0.95x)");
-        }
-    }
-    // CI smoke: the transform itself must stay cheap — the bounded
-    // Fourier–Motzkin elimination caps the constraint blow-up, and this
-    // gate pins the resulting compile-time budget: the polyhedral share
-    // of the chain compile stays under 250 ms even on the 128³ nest.
-    const POLY_COMPILE_CAP_SECS: f64 = 0.25;
-    for (name, delta) in &poly_compile_deltas {
-        if *delta >= POLY_COMPILE_CAP_SECS {
-            eprintln!(
-                "FAIL: polyhedral transform adds {:.0} ms to the {name} compile \
-                 (cap {:.0} ms)",
-                delta * 1e3,
-                POLY_COMPILE_CAP_SECS * 1e3
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "{name} polyhedral compile share: {:.1} ms (cap {:.0} ms)",
-            delta * 1e3,
-            POLY_COMPILE_CAP_SECS * 1e3
-        );
-    }
-
-    // CI smoke: a live trace session must stay cheap — every probe is
-    // one branch plus a buffered append, so a traced run may cost at
-    // most 15% over the probes-off run. (The probes-*off* cost has no
-    // separate gate: it is folded into the tier floors above.)
-    const TRACED_CEILING: f64 = 1.15;
-    for (name, ratio) in &traced_ratios {
-        if ratio.is_nan() || *ratio > TRACED_CEILING {
-            eprintln!(
-                "FAIL: traced run on {name} costs {ratio:.3}x the untraced run \
-                 (ceiling {TRACED_CEILING:.2}x)"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("{name} traced-vs-untraced ratio: {ratio:.3}x (ceiling {TRACED_CEILING:.2}x)");
     }
 }

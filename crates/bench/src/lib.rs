@@ -4,7 +4,7 @@
 //! `fig11_lama_speedup`) plus `all_figures` which emits everything at once
 //! (and `--json` for machine-readable output). Criterion benches cover the
 //! pipeline stages, the polyhedral engine, the omprt runtime, the figure
-//! model, and the ablations called out in DESIGN.md.
+//! model, and the ablations (`benches/ablations.rs`).
 
 use apps::Figure;
 

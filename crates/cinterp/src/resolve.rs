@@ -1496,7 +1496,6 @@ impl MemoCache {
 
 #[derive(Clone)]
 struct RShared {
-    prog: Arc<ResolvedProgram>,
     mem: Memory,
     counters: Arc<Counters>,
     globals: Arc<RwLock<Vec<Scalar>>>,
@@ -1521,7 +1520,12 @@ enum PlaceRef {
     Mem(Ptr),
 }
 
-struct RInterp {
+struct RInterp<'p> {
+    /// The program, borrowed for the interpreter's lifetime: the
+    /// statement walk reads it through this plain reference, independent
+    /// of `&mut self`, without touching its reference count. Only a
+    /// spawned future — a `'static` task — clones the `Arc`.
+    prog: &'p Arc<ResolvedProgram>,
     s: RShared,
     frame: Vec<Scalar>,
     depth: usize,
@@ -1576,7 +1580,6 @@ pub(crate) fn run_resolved(
 ) -> RtResult<RunResult> {
     let memo = (opts.memo && prog.any_cacheable).then(|| Arc::new(MemoCache::new(MEMO_CAPACITY)));
     let shared = RShared {
-        prog: Arc::clone(prog),
         mem: Memory::with_limit(opts.max_memory_bytes),
         counters: Arc::new(Counters::new()),
         globals: Arc::new(RwLock::new(vec![Scalar::Uninit; prog.nglobals])),
@@ -1585,7 +1588,7 @@ pub(crate) fn run_resolved(
         opts,
         memo,
     };
-    let mut interp = RInterp::new(shared.clone());
+    let mut interp = RInterp::new(prog, shared.clone());
     for d in &prog.global_decls {
         interp.exec_decl(d)?;
     }
@@ -1629,10 +1632,11 @@ pub(crate) fn run_resolved(
     })
 }
 
-impl RInterp {
-    fn new(s: RShared) -> Self {
+impl<'p> RInterp<'p> {
+    fn new(prog: &'p Arc<ResolvedProgram>, s: RShared) -> Self {
         let fuel_local = if s.fuel.is_some() { 0 } else { u64::MAX };
         RInterp {
+            prog,
             s,
             frame: Vec::new(),
             depth: 0,
@@ -1671,13 +1675,13 @@ impl RInterp {
         }
     }
 
-    fn futures_pool(&mut self) -> Arc<ThreadPool> {
-        if let Some(p) = &self.futures_pool {
-            return Arc::clone(p);
-        }
-        let p = global_pool(self.s.opts.threads);
-        self.futures_pool = Some(Arc::clone(&p));
-        p
+    /// The process-wide pool, fetched once per interpreter and handed
+    /// out by reference (the admission pre-check runs at every spawn
+    /// site and must not bump the pool's reference count).
+    fn futures_pool(&mut self) -> &Arc<ThreadPool> {
+        let threads = self.s.opts.threads;
+        self.futures_pool
+            .get_or_insert_with(|| global_pool(threads))
     }
 
     fn step(&mut self, span: Span) -> RtResult<()> {
@@ -1811,7 +1815,7 @@ impl RInterp {
             RPlaceKind::Local(slot) => Ok(PlaceRef::Slot(*slot)),
             RPlaceKind::Global(idx) => Ok(PlaceRef::Global(*idx)),
             RPlaceKind::Unknown(sym) => Err(RuntimeError::at(
-                format!("unknown variable '{}'", self.s.prog.interner.resolve(*sym)),
+                format!("unknown variable '{}'", self.prog.interner.resolve(*sym)),
                 p.span,
             )),
             RPlaceKind::Index(base, idx) => {
@@ -1842,7 +1846,7 @@ impl RInterp {
                     return Err(RuntimeError::at("member access on non-struct", p.span));
                 };
                 Err(RuntimeError::at(
-                    format!("unknown field '{}'", self.s.prog.interner.resolve(*name)),
+                    format!("unknown field '{}'", self.prog.interner.resolve(*name)),
                     p.span,
                 ))
             }
@@ -1902,7 +1906,7 @@ impl RInterp {
             RExprKind::Local(slot) => Ok(self.frame[*slot as usize]),
             RExprKind::Global(idx) => Ok(self.s.globals.read()[*idx as usize]),
             RExprKind::Unknown(sym) => Err(RuntimeError::at(
-                format!("unknown variable '{}'", self.s.prog.interner.resolve(*sym)),
+                format!("unknown variable '{}'", self.prog.interner.resolve(*sym)),
                 e.span,
             )),
             RExprKind::Unary(op, inner) => self.eval_unary(*op, inner, e.span),
@@ -2229,11 +2233,7 @@ impl RInterp {
             }
             _ => {}
         }
-        // One refcount bump per call frame: a local `Arc` handle lets the
-        // statement walk borrow the program data independently of
-        // `&mut self` (the body outlives every re-entrant borrow below).
-        // The cost is dwarfed by the frame allocation.
-        let prog = Arc::clone(&self.s.prog);
+        let prog: &'p ResolvedProgram = self.prog;
         let func = &prog.funcs[fid as usize];
 
         // Bind (coerced) arguments into a fresh flat frame.
@@ -2282,7 +2282,7 @@ impl RInterp {
         span: Span,
     ) -> RtResult<Scalar> {
         Counters::bump(&self.s.counters.calls);
-        let name_str = self.s.prog.interner.resolve(name);
+        let name_str = self.prog.interner.resolve(name);
         let mut out = String::new();
         match call_builtin(name_str, args, &self.s.mem, &mut out) {
             Some(Ok(v)) => {
@@ -2463,13 +2463,11 @@ impl RInterp {
         // The throttle is the hot case once every worker is busy (the
         // recursion's granularity governor): the hardware-clamped
         // pool-wide pending cap, plus — from a pool worker — its own
-        // exposed-task budget (a handful of relaxed loads either way,
-        // see machine::spawn_capacity) — then the call runs inline
-        // like the original statement.
-        let throttled = futures_on && {
-            let pool = self.futures_pool();
-            !machine::spawn_capacity(&pool, self.s.opts.threads, self.s.opts.steal)
-        };
+        // exposed-task budget (a handful of relaxed loads either way
+        // and no shared write, see machine::spawn_capacity) — then the
+        // call runs inline like the original statement.
+        let (threads, steal) = (self.s.opts.threads, self.s.opts.steal);
+        let throttled = futures_on && !machine::spawn_capacity(self.futures_pool(), threads, steal);
         if !futures_on || throttled {
             // Exactly the original call statement.
             if throttled {
@@ -2479,7 +2477,7 @@ impl RInterp {
             self.store_slot(sp.slot, sp.coerce.apply(v));
             return Ok(());
         }
-        let func = &self.s.prog.funcs[sp.fid as usize];
+        let func = &self.prog.funcs[sp.fid as usize];
         // Memo pre-check: a hit never spawns (mirrors `call_user`'s hit
         // path via the shared key builder).
         if let Some(cache) = &self.s.memo {
@@ -2496,24 +2494,25 @@ impl RInterp {
                 }
             }
         }
-        let pool = self.futures_pool();
+        let prog = Arc::clone(self.prog);
         let shared = self.s.clone();
         let fid = sp.fid;
         let depth = self.depth;
-        // The task owns everything it touches; counters and the memo
-        // cache are shared Arcs, so the child's bookkeeping lands in the
-        // same totals as inline execution would. The child inherits the
-        // spawner's call depth so the stack-overflow guard trips exactly
-        // where the inline call would have.
+        // The task owns everything it touches — its own handle on the
+        // program included; counters and the memo cache are shared Arcs,
+        // so the child's bookkeeping lands in the same totals as inline
+        // execution would. The child inherits the spawner's call depth
+        // so the stack-overflow guard trips exactly where the inline
+        // call would have.
         let vals_kept = vals.clone();
         let task = move || {
-            let mut child = RInterp::new(shared);
+            let mut child = RInterp::new(&prog, shared);
             child.depth = depth;
             let res = child.call_user(fid, &vals, Span::DUMMY);
             child.refund_fuel();
             res
         };
-        let fut = PureFuture::spawn(&pool, self.s.opts.steal, task);
+        let fut = PureFuture::spawn(self.futures_pool(), steal, task);
         Counters::bump(&self.s.counters.futures_spawned);
         if fut.pushed_local() {
             Counters::bump(&self.s.counters.local_pushes);
@@ -2621,6 +2620,7 @@ impl RInterp {
             self.frame.resize(needed, Scalar::Uninit);
         }
         let base_frame = self.frame.clone();
+        let prog = self.prog;
         let shared = self.s.clone();
         let err: Mutex<Option<RuntimeError>> = Mutex::new(None);
         // Trap-drains-siblings: remaining iterations bail at entry once
@@ -2631,7 +2631,7 @@ impl RInterp {
             if failed.load(Ordering::Relaxed) {
                 return;
             }
-            let mut child = RInterp::new(shared.clone());
+            let mut child = RInterp::new(prog, shared.clone());
             child.frame = base_frame.clone();
             child.frame[header.iter_slot as usize] = Scalar::I(lb + k as i64);
             if let Err(e) = child.exec(&header.body) {
@@ -2672,7 +2672,7 @@ impl RInterp {
         // One child interpreter reused across every validated iteration;
         // `clone_from` refills its slot frame in place (reusing the
         // allocation) instead of cloning the base frame per iteration.
-        let mut child = RInterp::new(self.s.clone());
+        let mut child = RInterp::new(self.prog, self.s.clone());
         for k in 0..checked {
             child.frame.clone_from(&base_frame);
             child.frame[header.iter_slot as usize] = Scalar::I(lb + k as i64);

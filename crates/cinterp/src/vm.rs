@@ -164,7 +164,6 @@ impl MemoShard {
 
 #[derive(Clone)]
 struct VmShared {
-    prog: Arc<BytecodeProgram>,
     mem: Memory,
     counters: Arc<Counters>,
     /// Globals live in a lock-free [`GlobalTable`]: NaN-boxed words in
@@ -181,7 +180,14 @@ struct VmShared {
     opts: InterpOptions,
 }
 
-struct Vm {
+struct Vm<'p> {
+    /// The program, **borrowed** for the VM's lifetime: the call path
+    /// (`call_user` → `exec` → `exec_spawn`) reads it through this plain
+    /// reference, so no reference count — one cache line shared by every
+    /// thread of the run — is touched per call. The `Arc` behind it is
+    /// cloned only where a `'static` task needs to own the program: once
+    /// per future actually spawned.
+    prog: &'p Arc<BytecodeProgram>,
     s: VmShared,
     /// Operand stack.
     stack: Vec<Packed>,
@@ -294,13 +300,14 @@ struct VmFutureOut {
 /// and no `Memory` — so this is observationally the inline call, minus
 /// *where* it runs.
 fn run_future_task(
+    prog: Arc<BytecodeProgram>,
     shared: VmShared,
     frozen: Option<Arc<HashMap<MemoKey, Scalar>>>,
     fid: u32,
     args: Vec<Scalar>,
     depth: usize,
 ) -> VmFutureOut {
-    let mut vm = Vm::new(shared);
+    let mut vm = Vm::new(&prog, shared);
     vm.memo = frozen.map(MemoShard::with_frozen);
     vm.depth = depth;
     for a in &args {
@@ -329,7 +336,6 @@ pub(crate) fn run_vm(
     opts: InterpOptions,
 ) -> RtResult<RunResult> {
     let shared = VmShared {
-        prog: Arc::clone(prog),
         mem: Memory::with_limit(opts.max_memory_bytes),
         counters: Arc::new(Counters::new()),
         globals: Arc::new(GlobalTable::new(prog.nglobals)),
@@ -337,7 +343,7 @@ pub(crate) fn run_vm(
         fuel: opts.fuel.map(|f| Arc::new(FuelBudget::new(f))),
         opts,
     };
-    let mut vm = Vm::new(shared.clone());
+    let mut vm = Vm::new(prog, shared.clone());
     vm.memo = (opts.memo && prog.any_cacheable).then(MemoShard::new);
     if opts.profile_pairs {
         vm.pairs = Some(Box::new(PairProfile::new()));
@@ -346,10 +352,8 @@ pub(crate) fn run_vm(
     // Global initialisers run on an (almost always empty) frame —
     // `frame_size` is 0 from the lowerer, but the optimizer may add
     // hoist slots.
-    let prog2 = Arc::clone(prog);
-    vm.arena
-        .resize(prog2.global_code.frame_size, Packed::UNINIT);
-    vm.exec(&prog2.global_code, 0, 0)?;
+    vm.arena.resize(prog.global_code.frame_size, Packed::UNINIT);
+    vm.exec(&prog.global_code, 0, 0)?;
     debug_assert!(vm.stack.is_empty() || vm.stack.len() == 1);
     vm.stack.clear();
     vm.arena.clear();
@@ -394,10 +398,11 @@ pub(crate) fn run_vm(
     })
 }
 
-impl Vm {
-    fn new(s: VmShared) -> Self {
+impl<'p> Vm<'p> {
+    fn new(prog: &'p Arc<BytecodeProgram>, s: VmShared) -> Self {
         let fuel_local = if s.fuel.is_some() { 0 } else { u64::MAX };
         Vm {
+            prog,
             s,
             stack: Vec::with_capacity(32),
             arena: Vec::with_capacity(64),
@@ -464,11 +469,12 @@ impl Vm {
     /// memo view and the parent's spill entries as an immutable prefix
     /// (so spill references inside the frame snapshot stay resolvable).
     fn new_child(
+        prog: &'p Arc<BytecodeProgram>,
         s: VmShared,
         frozen: Option<Arc<HashMap<MemoKey, Scalar>>>,
         spill_prefix: &[Scalar],
     ) -> Self {
-        let mut vm = Vm::new(s);
+        let mut vm = Vm::new(prog, s);
         vm.memo = frozen.map(MemoShard::with_frozen);
         vm.spill = SpillPool::with_entries(spill_prefix.to_vec());
         vm.spill_floor = spill_prefix.len();
@@ -787,7 +793,7 @@ impl Vm {
             }
             _ => {}
         }
-        let prog = Arc::clone(&self.s.prog);
+        let prog: &'p BytecodeProgram = self.prog;
         let func = &prog.funcs[fid as usize];
 
         // Bind (coerced) arguments into a fresh arena frame.
@@ -818,8 +824,8 @@ impl Vm {
         // repeat calls (memo-gated — only live when a key exists).
         if ic != 0 {
             if let Some(key) = &memo_key {
-                if self.icache.len() < self.s.prog.ic_slots {
-                    self.icache.resize(self.s.prog.ic_slots, IcSlot::Cold);
+                if self.icache.len() < prog.ic_slots {
+                    self.icache.resize(prog.ic_slots, IcSlot::Cold);
                 }
                 if let IcSlot::Mono(k, v, misses) = &mut self.icache[ic - 1] {
                     if k == key {
@@ -883,13 +889,13 @@ impl Vm {
         self.s.opts.futures && self.s.opts.threads > 1 && self.track.is_none()
     }
 
-    fn futures_pool(&mut self) -> Arc<ThreadPool> {
-        if let Some(p) = &self.futures_pool {
-            return Arc::clone(p);
-        }
-        let p = global_pool(self.s.opts.threads);
-        self.futures_pool = Some(Arc::clone(&p));
-        p
+    /// The process-wide pool, fetched once per VM and handed out by
+    /// reference: the admission pre-check runs at every spawn site and
+    /// must not bump the pool's reference count.
+    fn futures_pool(&mut self) -> &Arc<ThreadPool> {
+        let threads = self.s.opts.threads;
+        self.futures_pool
+            .get_or_insert_with(|| global_pool(threads))
     }
 
     /// Fold a finished future into this VM: tally, memo inserts, then
@@ -918,10 +924,11 @@ impl Vm {
             // checked before any argument marshalling: the hardware-
             // clamped pool-wide pending cap, plus — from a pool worker
             // — its own exposed-task budget (a handful of relaxed
-            // loads, see machine::spawn_capacity) — then the call runs
-            // inline on this VM like a plain call statement.
-            let pool = self.futures_pool();
-            throttled = !machine::spawn_capacity(&pool, self.s.opts.threads, self.s.opts.steal);
+            // loads and no shared write, see machine::spawn_capacity)
+            // — then the call runs inline on this VM like a plain call
+            // statement.
+            let (threads, steal) = (self.s.opts.threads, self.s.opts.steal);
+            throttled = !machine::spawn_capacity(self.futures_pool(), threads, steal);
         }
         if !self.futures_on() || throttled {
             // Exactly the original call statement: call, coerce, store.
@@ -942,8 +949,7 @@ impl Vm {
             args.push(v.unpack(&self.spill));
         }
         self.stack.truncate(argbase);
-        let prog = Arc::clone(&self.s.prog);
-        let func = &prog.funcs[sp.fid as usize];
+        let func = &self.prog.funcs[sp.fid as usize];
         // Memo pre-check: a hit never spawns (mirrors `call_user`'s hit
         // path via the shared key builder).
         if func.cacheable && self.memo.is_some() {
@@ -959,14 +965,16 @@ impl Vm {
                 }
             }
         }
-        let pool = self.futures_pool();
         let frozen = self.memo.as_mut().map(|m| m.freeze());
+        // The task is `'static`: it owns its handle on the program.
+        let prog = Arc::clone(self.prog);
         let shared = self.s.clone();
         let fid = sp.fid;
         let depth = self.depth;
         let args_kept = args.clone();
-        let task = move || run_future_task(shared, frozen, fid, args, depth);
-        let fut = PureFuture::spawn(&pool, self.s.opts.steal, task);
+        let task = move || run_future_task(prog, shared, frozen, fid, args, depth);
+        let steal = self.s.opts.steal;
+        let fut = PureFuture::spawn(self.futures_pool(), steal, task);
         self.tally.futures_spawned += 1;
         if fut.pushed_local() {
             self.tally.local_pushes += 1;
@@ -1401,7 +1409,7 @@ impl Vm {
                         args.push(v.unpack(&self.spill));
                     }
                     self.stack.truncate(argbase);
-                    let name = self.s.prog.interner.resolve(Symbol(insn.a));
+                    let name = self.prog.interner.resolve(Symbol(insn.a));
                     let mut out = String::new();
                     match call_builtin(name, &args, &self.s.mem, &mut out) {
                         Some(Ok(v)) => {
@@ -1832,7 +1840,8 @@ impl Vm {
         // By default the region runs on the persistent process-wide
         // thread pool (the paper's pinned-worker model); `pool: false`
         // keeps the scoped spawn-per-region substrate for A/B runs.
-        let init = |_tid: usize| Vm::new_child(shared.clone(), frozen.clone(), spill_prefix);
+        let prog = self.prog;
+        let init = |_tid: usize| Vm::new_child(prog, shared.clone(), frozen.clone(), spill_prefix);
         let body = |vm: &mut Vm, k: u64| {
             if failed_ref.load(Ordering::Relaxed) {
                 return;
@@ -1857,10 +1866,11 @@ impl Vm {
                 }
             }
         };
-        // The parent is blocked for the whole region: hand its unused
-        // local fuel back first so the workers see the entire remaining
-        // budget instead of stalling one block short (the parent
-        // re-acquires on its first dispatch after the join).
+        // The parent VM executes nothing for the whole region (its
+        // thread joins the team and runs shares on child VMs): hand its
+        // unused local fuel back first so the workers see the entire
+        // remaining budget instead of stalling one block short (the
+        // parent re-acquires on its first dispatch after the join).
         self.refund_fuel();
         let workers = if self.s.opts.pool {
             parallel_for_state_pooled(n, self.s.opts.threads, r.schedule, init, body)
@@ -1906,7 +1916,7 @@ impl Vm {
         let frame: Vec<Packed> = self.arena[base..base + f.frame_size].to_vec();
         let spill_prefix = self.spill.entries_snapshot();
         let frozen = self.memo.as_mut().map(|m| m.freeze());
-        let mut child = Vm::new_child(self.s.clone(), frozen, &spill_prefix);
+        let mut child = Vm::new_child(self.prog, self.s.clone(), frozen, &spill_prefix);
         // As with the region fork below: the parent is blocked while the
         // child validates, so its unused local fuel belongs to the child.
         self.refund_fuel();

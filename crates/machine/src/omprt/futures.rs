@@ -36,12 +36,15 @@
 //!   becomes a no-op pop. Spawned subtrees therefore stay stealable for
 //!   their whole spawn-to-await window, yet the bottomed-out recursion
 //!   (nobody idle, nothing stolen) pays only push + CAS per call.
-//! * **Helping awaits** — [`PureFuture::wait`] issued *from a pool
-//!   worker* must not block the worker: it claims queued tasks (own
-//!   deque first — usually the awaited future itself, still unstolen —
-//!   then injector, then steals) until its future completes, via
-//!   [`ThreadPool::join_group`]. A fully occupied pool whose workers all
-//!   await nested futures therefore always makes progress.
+//! * **Helping awaits** — [`PureFuture::wait`] never just blocks: the
+//!   awaiter claims queued tasks until its future completes, via
+//!   [`ThreadPool::join_group`] — a pool worker from its own deque first
+//!   (usually the awaited future itself, still unstolen), then the
+//!   injector, then steals; the external caller of the run (thread 0 of
+//!   the team) from the injector, then steals. A fully occupied pool
+//!   whose workers all await nested futures therefore always makes
+//!   progress, and the caller runs a share of the recursion it started
+//!   instead of sleeping through it.
 //! * **Ownership** — the spawned closure owns everything it touches
 //!   (`'static`), so an await abandoned by an unwinding caller leaves a
 //!   detached task that finishes harmlessly; no lifetime erasure is
@@ -71,9 +74,10 @@ pub const SATURATION_FACTOR: usize = 2;
 /// calls never pay spawn overhead once every sibling is busy.
 pub const LOCAL_QUEUE_LIMIT: usize = 8;
 
-/// Sentinel for "executed, but not on a pool worker" (unreachable in
-/// practice — futures only run on pool workers).
-const EXEC_NONE: usize = usize::MAX;
+/// Executor id of a thread that is no pool worker — the external caller
+/// that claimed the task while helping at a join. Also the initial value
+/// (read only after the task ran, so the two never alias).
+const EXEC_EXTERNAL: usize = usize::MAX;
 
 /// Claim states of a future's task: enqueued and up for grabs, claimed
 /// by the worker about to run it, or revoked by the awaiting caller.
@@ -82,9 +86,9 @@ const STATE_CLAIMED: u8 = 1;
 const STATE_CANCELLED: u8 = 2;
 
 /// What one await learned about its future's scheduling: whether the
-/// waiting worker *helped* (executed queued tasks while waiting) and
-/// whether the task was *stolen* (executed by a different worker than
-/// the one that pushed it onto its local deque).
+/// awaiter *helped* (executed queued tasks while waiting) and whether
+/// the task was *stolen* (executed by a different thread than the worker
+/// that pushed it onto its local deque).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FutureReport {
     pub helped: bool,
@@ -138,8 +142,17 @@ fn hardware_width() -> usize {
 /// of `pool` (with `steal` on) is additionally subject to its own
 /// exposed-task budget, which stops any one worker from hoarding offers
 /// nobody takes.
+///
+/// This runs at every spawn site of every thread, and nearly always
+/// answers "inline": it reads one thread-local, this worker's own
+/// exposure counter and the pool's pending counter, and writes nothing
+/// shared — in particular no reference count.
 pub fn spawn_capacity(pool: &ThreadPool, width: usize, steal: bool) -> bool {
-    let hw = hardware_width();
+    capacity_at(hardware_width(), pool, width, steal)
+}
+
+/// [`spawn_capacity`] on a host of `hw` hardware threads.
+fn capacity_at(hw: usize, pool: &ThreadPool, width: usize, steal: bool) -> bool {
     if hw == 1 {
         // A single hardware thread can never run tasks in parallel:
         // every spawn would be a queue round trip for nothing (the
@@ -147,12 +160,8 @@ pub fn spawn_capacity(pool: &ThreadPool, width: usize, steal: bool) -> bool {
         // Spawn sites degrade to plain inline calls.
         return false;
     }
-    if steal {
-        if let Some(depth) = pool.local_depth() {
-            if depth >= LOCAL_QUEUE_LIMIT {
-                return false;
-            }
-        }
+    if steal && pool.local_depth().is_some_and(|d| d >= LOCAL_QUEUE_LIMIT) {
+        return false;
     }
     pool.pending_tasks() < width.clamp(1, hw).saturating_mul(SATURATION_FACTOR)
 }
@@ -171,7 +180,7 @@ impl<T: Send + 'static> PureFuture<T> {
         let group = pool.group();
         let shared = Arc::new(FutureShared {
             state: AtomicU8::new(STATE_QUEUED),
-            executed_by: AtomicUsize::new(EXEC_NONE),
+            executed_by: AtomicUsize::new(EXEC_EXTERNAL),
             cell: Mutex::new(None),
         });
         let pusher = if steal { pool.current_worker() } else { None };
@@ -211,7 +220,7 @@ impl<T: Send + 'static> PureFuture<T> {
             if let Some(h) = &claim_exposure {
                 h.fetch_sub(1, Ordering::Relaxed);
             }
-            let executor = worker_index().unwrap_or(EXEC_NONE);
+            let executor = worker_index().unwrap_or(EXEC_EXTERNAL);
             instrument::instant("future.claim", executor as u64);
             sh.executed_by.store(executor, Ordering::Relaxed);
             *sh.cell.lock() = Some(f());
@@ -275,14 +284,13 @@ impl<T: Send + 'static> PureFuture<T> {
         self.group.is_complete()
     }
 
-    /// Force the future: block (or, from a pool worker, *help* — claim
-    /// queued tasks) until the result is available. Returns the value
-    /// and a [`FutureReport`]: `helped` means the await was issued from
-    /// a pool worker and executed at least one queued task while waiting
+    /// Force the future: *help* — claim queued tasks — until the result
+    /// is available. Returns the value and a [`FutureReport`]: `helped`
+    /// means the await executed at least one queued task while waiting
     /// (an await that merely parked reports `false`); `stolen` means a
-    /// locally-pushed task ended up executed by a *different* worker —
-    /// the deque's steal path actually migrated it. A panic from the
-    /// closure re-raises here.
+    /// locally-pushed task ended up executed by a *different* thread
+    /// (a sibling worker or the helping caller) — the deque's steal path
+    /// actually migrated it. A panic from the closure re-raises here.
     pub fn wait(self) -> (T, FutureReport) {
         // Only a wait that actually has to block (or help) counts toward
         // the await-wait histogram; an already-finished future is free.
@@ -299,10 +307,7 @@ impl<T: Send + 'static> PureFuture<T> {
                 .record(instrument::now_ns().saturating_sub(wait_start_ns));
         }
         let executed = self.shared.executed_by.load(Ordering::Relaxed);
-        let stolen = match self.pusher {
-            Some(p) => executed != EXEC_NONE && executed != p,
-            None => false,
-        };
+        let stolen = self.pusher.is_some_and(|p| executed != p);
         if stolen {
             instrument::instant("future.stolen", executed as u64);
         }
@@ -319,8 +324,24 @@ impl<T: Send + 'static> PureFuture<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::omprt::pool::tests::{announcing_start, block_workers, spin_until_complete};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Spawn `f` and return once a **worker** is running it — the
+    /// external thread claims tasks only inside an await, so a future
+    /// that started before its await began is not on the caller. Tests
+    /// that need "this closure ran on a worker" go through here.
+    fn spawn_on_worker<T, F>(pool: &Arc<ThreadPool>, f: F) -> PureFuture<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let (f, wait_started) = announcing_start(f);
+        let fut = PureFuture::spawn(pool, true, f);
+        wait_started();
+        fut
+    }
 
     #[test]
     fn spawn_and_wait_returns_value() {
@@ -330,24 +351,25 @@ mod tests {
         assert!(!fut.pushed_local());
         let (v, report) = fut.wait();
         assert_eq!(v, 42);
-        assert!(!report.helped);
+        assert!(!report.stolen, "injector submits are never steals");
+
+        // With every worker parked, the await itself must run the call:
+        // the awaiting caller is a thread of the team, not a sleeper.
+        let release = block_workers(&pool);
+        let me = std::thread::current().id();
+        let fut = PureFuture::spawn(&pool, true, move || std::thread::current().id() == me);
+        let (ran_here, report) = fut.wait();
+        assert!(ran_here && report.helped);
         assert!(!report.stolen);
+        drop(release);
     }
 
-    /// The admission policy: a saturated pool (pending at the width
-    /// cap) refuses capacity, and a single-hardware-thread host refuses
-    /// outright — task parallelism cannot win there.
+    /// The admission policy on a 2-wide host: a saturated pool (pending
+    /// at the width cap) refuses capacity.
     #[test]
     fn spawn_capacity_trips_on_saturation() {
         let pool = Arc::new(ThreadPool::new(1, 1, 1));
-        if hardware_width() == 1 {
-            assert!(
-                !spawn_capacity(&pool, 64, true),
-                "1-wide hosts must refuse task parallelism"
-            );
-            return;
-        }
-        assert!(spawn_capacity(&pool, 2, true), "an idle pool has room");
+        assert!(capacity_at(2, &pool, 2, true), "an idle pool has room");
         // Block the lone worker and fill the backlog allowance.
         let gate = Arc::new(AtomicU64::new(0));
         let mut futs = Vec::new();
@@ -361,9 +383,13 @@ mod tests {
             }));
         }
         assert!(
-            !spawn_capacity(&pool, 2, true),
+            !capacity_at(2, &pool, 2, true),
             "a full backlog must refuse capacity"
         );
+        // Width is clamped to the hardware: 64 requested threads on a
+        // 2-wide host expose no more than 2 threads' worth of tasks.
+        assert!(!capacity_at(2, &pool, 64, true));
+        assert!(capacity_at(64, &pool, 64, true));
         gate.store(1, Ordering::Release);
         let total: u64 = futs.into_iter().map(|f| f.wait().0).sum();
         assert_eq!(total, 2 * SATURATION_FACTOR as u64);
@@ -371,12 +397,13 @@ mod tests {
 
     #[test]
     fn nested_await_from_worker_helps() {
-        // One worker: the outer future's await of the inner future can
-        // only complete because the awaiting worker helps (pops the
-        // inner task back off its own deque and runs it).
+        // One worker, and the external thread stays out (it awaits only
+        // once the outer future is done): the outer future's await of
+        // the inner future can only complete because the awaiting worker
+        // helps (pops the inner task back off its own deque and runs it).
         let pool = Arc::new(ThreadPool::new(1, 1, 1));
         let p2 = Arc::clone(&pool);
-        let fut = PureFuture::spawn(&pool, true, move || {
+        let fut = spawn_on_worker(&pool, move || {
             let inner = PureFuture::spawn(&p2, true, || 10u64);
             assert!(inner.pushed_local(), "worker spawns push locally");
             let (v, report) = inner.wait();
@@ -387,6 +414,7 @@ mod tests {
             assert!(!report.stolen, "nobody else could have taken it");
             v + 1
         });
+        spin_until_complete(&fut.group);
         assert_eq!(fut.wait().0, 11);
     }
 
@@ -397,9 +425,10 @@ mod tests {
     fn exposure_budget_caps_worker_spawns() {
         let pool = Arc::new(ThreadPool::new(1, 1, 1));
         let p2 = Arc::clone(&pool);
-        let fut = PureFuture::spawn(&pool, true, move || {
-            // The lone worker is executing *this* closure, so nothing
-            // claims its pushes while it spawns.
+        let fut = spawn_on_worker(&pool, move || {
+            // The lone worker is executing *this* closure and the
+            // external thread is not awaiting yet, so nothing claims its
+            // pushes while it spawns.
             let mut futs = Vec::new();
             for i in 0..LOCAL_QUEUE_LIMIT as u64 {
                 futs.push((i, PureFuture::spawn(&p2, true, move || i * 2)));
@@ -418,6 +447,7 @@ mod tests {
             assert_eq!(p2.local_depth(), Some(0), "awaits restore the budget");
             7u64
         });
+        spin_until_complete(&fut.group);
         assert_eq!(fut.wait().0, 7);
     }
 
@@ -430,9 +460,10 @@ mod tests {
         let ran = Arc::new(AtomicU64::new(0));
         let p2 = Arc::clone(&pool);
         let r2 = Arc::clone(&ran);
-        let outer = PureFuture::spawn(&pool, true, move || {
-            // Locally pushed, never stolen (lone worker is busy right
-            // here): cancel must win, and the closure must never run.
+        let outer = spawn_on_worker(&pool, move || {
+            // Locally pushed, never stolen (the lone worker is busy right
+            // here and the external thread is not awaiting yet): cancel
+            // must win, and the closure must never run.
             let r3 = Arc::clone(&r2);
             let fut = PureFuture::spawn(&p2, true, move || {
                 r3.fetch_add(1, Ordering::Relaxed);
@@ -441,6 +472,7 @@ mod tests {
             let cancelled = fut.cancel().is_ok();
             (cancelled, r2)
         });
+        spin_until_complete(&outer.group);
         let ((cancelled, ran2), _) = outer.wait();
         assert!(cancelled, "unclaimed local future must be revocable");
         // Drain the zombie entry; the closure still must not run.
@@ -469,23 +501,24 @@ mod tests {
         assert_eq!(ok.wait().0, 5);
     }
 
-    /// A future pushed onto a blocked worker's deque is stolen by the
-    /// idle sibling; the report says so, and a panicking stolen task
-    /// still re-raises at the await.
+    /// A future pushed onto a blocked worker's deque is stolen — by the
+    /// idle sibling or by the helping caller, whoever scans first; the
+    /// report says so either way, and a panicking stolen task still
+    /// re-raises at the await.
     #[test]
     fn stolen_future_is_reported_and_its_panic_surfaces() {
         let pool = Arc::new(ThreadPool::new(2, 1, 2));
         let p2 = Arc::clone(&pool);
-        let outcome = PureFuture::spawn(&pool, true, move || {
+        let outcome = spawn_on_worker(&pool, move || {
             let good = PureFuture::spawn(&p2, true, || 21u64);
             let bad = PureFuture::spawn(&p2, true, || -> u64 { panic!("stolen boom") });
             assert!(good.pushed_local() && bad.pushed_local());
-            // Refuse to pop: only the sibling's steals can run them.
+            // Refuse to pop: only steals can run them.
             while !(good.is_ready() && bad.is_ready()) {
                 std::thread::yield_now();
             }
             let (v, report) = good.wait();
-            assert!(report.stolen, "the sibling must have stolen it");
+            assert!(report.stolen, "someone else must have stolen it");
             let panicked = catch_unwind(AssertUnwindSafe(|| bad.wait())).is_err();
             (v, panicked)
         });
@@ -529,5 +562,39 @@ mod tests {
         }
         let pool = Arc::new(ThreadPool::new(2, 1, 2));
         assert_eq!(tree(&pool, 15), 610); // fib(15)
+    }
+
+    /// A future the caller runs while helping may itself spawn and await
+    /// a nested future: the nested await helps on the same thread.
+    #[test]
+    fn caller_run_future_awaits_a_nested_future_without_deadlock() {
+        let pool = Arc::new(ThreadPool::new(1, 1, 1));
+        let release = block_workers(&pool);
+        let p2 = Arc::clone(&pool);
+        let fut = PureFuture::spawn(&pool, true, move || {
+            let inner = PureFuture::spawn(&p2, true, || 10u64);
+            assert!(!inner.pushed_local(), "the caller owns no deque");
+            inner.wait().0 + 1
+        });
+        let (v, report) = fut.wait();
+        assert_eq!(v, 11);
+        assert!(report.helped);
+        drop(release);
+    }
+
+    /// One hardware thread admits nothing — not even on an idle pool,
+    /// from the caller or from a worker, at any requested width.
+    #[test]
+    fn one_hardware_thread_admits_nothing() {
+        let pool = Arc::new(ThreadPool::new(2, 1, 2));
+        let p2 = Arc::clone(&pool);
+        let from_worker = spawn_on_worker(&pool, move || {
+            [1, 2, 64].map(|w| capacity_at(1, &p2, w, true) || capacity_at(1, &p2, w, false))
+        });
+        assert_eq!(from_worker.wait().0, [false; 3]);
+        for width in [1, 2, 64] {
+            assert!(!capacity_at(1, &pool, width, true));
+            assert!(capacity_at(2, &pool, width, true), "the same pool, 2-wide");
+        }
     }
 }

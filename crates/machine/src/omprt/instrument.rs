@@ -543,8 +543,9 @@ mod tests {
         set_enabled(true);
         clear_events();
         // Direct spawn (mechanism, not the capacity-gated policy): the
-        // task is enqueued for a worker, so spawn/claim/await probes
-        // must fire regardless of host width.
+        // task is enqueued and claimed by a worker or by the helping
+        // await, so spawn/claim/await probes must fire regardless of
+        // host width.
         let fut = PureFuture::spawn(&pool, false, || 41 + 1);
         let (v, _report) = fut.wait();
         set_enabled(false);

@@ -44,15 +44,18 @@
 //!   counters are still decremented (a panic must never leave `join`
 //!   waiting forever — stolen tasks included), and the payload re-raises
 //!   on the joining thread.
-//! * A join issued *from a pool worker* (a nested region, a future await)
-//!   does not block the worker: it **helps** — own deque, injector, then
-//!   steals — until its group completes, so a pool of N workers can
-//!   execute arbitrarily nested regions and futures without deadlock.
+//! * A group join **helps** whoever issues it — a pool worker (a nested
+//!   region, a future await: own deque, injector, then steals) or an
+//!   external caller (injector, then steals) — until its group completes.
+//!   A pool of N workers can therefore execute arbitrarily nested regions
+//!   and futures without deadlock, and the caller of a `T`-thread run is
+//!   itself thread 0 of the team: [`global_pool`] sizes the pool at
+//!   `T − 1` workers, so `--threads T` means `T` running threads.
 //! * A group's tasks are all enqueued before its join begins (regions
 //!   submit everything first; each future is a single-task group), so a
-//!   helping joiner that scans *every* queue empty may park on the group
-//!   condvar: the group's outstanding tasks are all in flight on other
-//!   threads, and `finish_one` notifies under the lock.
+//!   joiner — worker or external — that scans *every* queue empty may
+//!   park on the group condvar: the group's outstanding tasks are all in
+//!   flight on other threads, and `finish_one` notifies under the lock.
 //! * Idle workers park on a condvar; every enqueue bumps a `queued`
 //!   counter (`SeqCst`) and wakes sleepers when the sleeper count
 //!   (`SeqCst`) is non-zero — the two total-ordered accesses make the
@@ -62,7 +65,7 @@ use crate::omprt::deque::{Steal, Task, WorkDeque};
 use crate::omprt::instrument;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -72,9 +75,6 @@ use std::thread::JoinHandle;
 type PanicPayload = Box<dyn Any + Send + 'static>;
 
 thread_local! {
-    /// True on threads owned by *any* [`ThreadPool`] — joins from such
-    /// threads must help drain the queues instead of blocking.
-    static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
     /// The owning pool (weak, so a superseded global pool can drop) and
     /// worker index of this thread, when it is a pool worker.
     static WORKER_CTX: RefCell<Option<(Weak<PoolCore>, usize)>> = const { RefCell::new(None) };
@@ -89,7 +89,7 @@ pub struct Placement {
 }
 
 /// Completion state shared by the pool and by each task group: an
-/// outstanding-task counter, a condvar for external joiners, and the first
+/// outstanding-task counter, a condvar for parked joiners, and the first
 /// panic payload caught from a member task.
 struct Completion {
     pending: AtomicUsize,
@@ -125,7 +125,8 @@ impl Completion {
         }
     }
 
-    /// Block until `pending == 0` (external joiners only).
+    /// Block until `pending == 0` without helping (pool-wide `join` and
+    /// `Drop`).
     fn wait(&self) {
         let mut guard = self.lock.lock();
         while self.pending.load(Ordering::Acquire) != 0 {
@@ -155,11 +156,9 @@ impl TaskGroup {
     }
 }
 
-/// True on threads owned by any [`ThreadPool`]. Joins and awaits issued
-/// from such a thread must help drain the queues instead of blocking —
-/// the nested-region / future-await discipline.
+/// True on threads owned by any [`ThreadPool`].
 pub fn on_worker_thread() -> bool {
-    IN_POOL_WORKER.with(|c| c.get())
+    worker_index().is_some()
 }
 
 /// Worker index of the current thread within the pool that owns it (any
@@ -333,7 +332,6 @@ impl PoolCore {
 /// Main loop of worker `index`: claim work; otherwise park on the idle
 /// condvar until an enqueue (or shutdown) wakes it.
 fn worker_loop(core: Arc<PoolCore>, index: usize) {
-    IN_POOL_WORKER.with(|c| c.set(true));
     WORKER_CTX.with(|c| *c.borrow_mut() = Some((Arc::downgrade(&core), index)));
     loop {
         if let Some(task) = core.find_task(Some(index)) {
@@ -435,13 +433,16 @@ impl ThreadPool {
 
     /// Worker index of the current thread **within this pool**, or
     /// `None` when called from an external thread (or a worker of a
-    /// different pool).
+    /// different pool). Spawn admission asks this at every spawn site, so
+    /// it compares allocation addresses instead of upgrading the `Weak`:
+    /// no reference count — a cache line every thread would write — is
+    /// touched. The `Weak` keeps its allocation from being reused, and
+    /// `self.core` is alive, so equal addresses mean the same pool.
     pub fn current_worker(&self) -> Option<usize> {
         WORKER_CTX.with(|c| {
             let b = c.borrow();
             let (weak, i) = b.as_ref()?;
-            let core = weak.upgrade()?;
-            Arc::ptr_eq(&core, &self.core).then_some(*i)
+            std::ptr::eq(weak.as_ptr(), Arc::as_ptr(&self.core)).then_some(*i)
         })
     }
 
@@ -543,50 +544,47 @@ impl ThreadPool {
     }
 
     /// Wait until every task of `group` has completed, without re-raising
-    /// panics. From a pool worker this *helps*: it claims queued tasks —
-    /// own deque, injector, steals; every claim is global progress —
-    /// instead of blocking, so nested regions and futures cannot deadlock
-    /// a fully-occupied pool. Once every queue scans empty, the worker
-    /// parks on the group's condvar rather than burning a core through
-    /// the stragglers' tail: every task of this group was enqueued before
-    /// the join began, so after an all-queues-empty observation the
-    /// group's outstanding tasks are all *in flight* on other threads —
-    /// parking cannot strand a group task in a queue, and `finish_one`
-    /// notifies under the lock. (A worker of a *different* pool helps on
-    /// this pool's injector and deques too — it just has no own deque
-    /// here.)
+    /// panics. The joiner *helps*: it claims queued tasks — own deque
+    /// when it is a worker of this pool, then the injector, then steals;
+    /// every claim is global progress — instead of blocking. Nested
+    /// regions and futures therefore cannot deadlock a fully-occupied
+    /// pool, and an external caller executes its own share of the region
+    /// it forked instead of sleeping through it. Once every queue scans
+    /// empty, the joiner parks on the group's condvar rather than burning
+    /// a core through the stragglers' tail: every task of this group was
+    /// enqueued before the join began, so after an all-queues-empty
+    /// observation the group's outstanding tasks are all *in flight* on
+    /// other threads — parking cannot strand a group task in a queue, and
+    /// `finish_one` notifies under the lock. The argument is the same for
+    /// a worker, for an external thread and for a worker of a *different*
+    /// pool (the latter two just have no own deque here).
     ///
     /// Returns whether this join actually *helped* — executed at least
-    /// one queued task while waiting (always `false` for external,
-    /// non-worker joiners).
+    /// one queued task while waiting.
     pub fn wait_group(&self, group: &TaskGroup) -> bool {
+        let me = self.current_worker();
         let mut helped = false;
-        if IN_POOL_WORKER.with(|c| c.get()) {
-            let me = self.current_worker();
-            let mut idle_polls = 0u32;
-            while group.shared.pending.load(Ordering::Acquire) != 0 {
-                match self.core.find_task(me) {
-                    Some(task) => {
-                        self.core.run_task(task);
-                        helped = true;
-                        idle_polls = 0;
+        let mut idle_polls = 0u32;
+        while group.shared.pending.load(Ordering::Acquire) != 0 {
+            match self.core.find_task(me) {
+                Some(task) => {
+                    self.core.run_task(task);
+                    helped = true;
+                    idle_polls = 0;
+                }
+                None if idle_polls < 64 => {
+                    idle_polls += 1;
+                    std::thread::yield_now();
+                }
+                None => {
+                    let mut guard = group.shared.lock.lock();
+                    if group.shared.pending.load(Ordering::Acquire) != 0 {
+                        group.shared.cv.wait(&mut guard);
                     }
-                    None if idle_polls < 64 => {
-                        idle_polls += 1;
-                        std::thread::yield_now();
-                    }
-                    None => {
-                        let mut guard = group.shared.lock.lock();
-                        if group.shared.pending.load(Ordering::Acquire) != 0 {
-                            group.shared.cv.wait(&mut guard);
-                        }
-                        drop(guard);
-                        idle_polls = 0;
-                    }
+                    drop(guard);
+                    idle_polls = 0;
                 }
             }
-        } else {
-            group.shared.wait();
         }
         helped
     }
@@ -632,37 +630,100 @@ impl Drop for ThreadPool {
 
 /// The process-wide pool behind pooled `parallel_for` variants. Created
 /// lazily on first use and grown (replaced by a larger pool) when a region
-/// requests more threads than the current pool holds; regions hold an
+/// requests more threads than the current pool plus its caller supply;
+/// regions hold an
 /// `Arc`, so a superseded pool drains its in-flight work before its
 /// workers exit. Placement uses the paper machine's 4 × 16 geometry.
 static GLOBAL_POOL: RwLock<Option<Arc<ThreadPool>>> = RwLock::new(None);
 
-/// Shared persistent pool with at least `nthreads` workers.
+/// Shared persistent pool behind an `nthreads`-thread run. The thread
+/// that forks a region or awaits a future is thread 0 of the team (its
+/// join helps, see [`ThreadPool::wait_group`]), so the pool holds at
+/// least `nthreads − 1` workers — and never fewer than one.
 pub fn global_pool(nthreads: usize) -> Arc<ThreadPool> {
-    let nthreads = nthreads.max(1);
+    let workers = nthreads.saturating_sub(1).max(1);
     {
         let g = GLOBAL_POOL.read();
         if let Some(p) = g.as_ref() {
-            if p.len() >= nthreads {
+            if p.len() >= workers {
                 return Arc::clone(p);
             }
         }
     }
     let mut g = GLOBAL_POOL.write();
     if let Some(p) = g.as_ref() {
-        if p.len() >= nthreads {
+        if p.len() >= workers {
             return Arc::clone(p);
         }
     }
-    let p = Arc::new(ThreadPool::new(nthreads, 4, 16));
+    let p = Arc::new(ThreadPool::new(workers, 4, 16));
     *g = Some(Arc::clone(&p));
     p
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::mpsc;
+
+    /// Wrap `f` so that it announces its own start, and return with it a
+    /// function that spins until that announcement.
+    pub(crate) fn announcing_start<T, F>(f: F) -> (impl FnOnce() -> T + Send, impl FnOnce())
+    where
+        F: FnOnce() -> T + Send,
+    {
+        let started = Arc::new(AtomicBool::new(false));
+        let s = Arc::clone(&started);
+        let wrapped = move || {
+            s.store(true, Ordering::Release);
+            f()
+        };
+        let wait_started = move || {
+            while !started.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        };
+        (wrapped, wait_started)
+    }
+
+    /// Submit `f` to `group` and return once a **worker** is running it.
+    /// An external thread claims tasks only inside a join, so a task that
+    /// started before the submitter's join began cannot be on the caller —
+    /// tests that need "this closure ran on a worker" go through here
+    /// instead of assuming the caller sleeps.
+    pub(crate) fn submit_to_worker<F>(pool: &ThreadPool, group: &TaskGroup, f: F)
+    where
+        F: FnOnce() + Send + 'static,
+    {
+        let (f, wait_started) = announcing_start(f);
+        pool.submit_to(group, f);
+        wait_started();
+    }
+
+    /// Park every worker of `pool` on a channel receive; they resume when
+    /// the returned sender is dropped. Until then only a helping joiner
+    /// can execute tasks.
+    pub(crate) fn block_workers(pool: &ThreadPool) -> mpsc::Sender<()> {
+        let (tx, rx) = mpsc::channel::<()>();
+        let rx = Arc::new(std::sync::Mutex::new(rx));
+        let idle = pool.group();
+        for _ in 0..pool.len() {
+            let rx = Arc::clone(&rx);
+            submit_to_worker(pool, &idle, move || {
+                // Errors once the sender is dropped: the release signal.
+                let _ = rx.lock().unwrap().recv();
+            });
+        }
+        tx
+    }
+
+    /// Spin (without joining, so without helping) until `group` is done.
+    pub(crate) fn spin_until_complete(group: &TaskGroup) {
+        while !group.is_complete() {
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn executes_all_tasks() {
@@ -751,20 +812,22 @@ mod tests {
         let counter = Arc::new(AtomicU64::new(0));
         let g1 = pool.group();
         let g2 = pool.group();
+        // A long-running task in another generation must not block g1.
+        // It is pinned to a worker first: the helping join below must not
+        // pick up a task only this thread can release.
+        let gate = Arc::new(AtomicU64::new(0));
+        let gate2 = Arc::clone(&gate);
+        submit_to_worker(&pool, &g2, move || {
+            while gate2.load(Ordering::Acquire) == 0 {
+                std::thread::yield_now();
+            }
+        });
         for _ in 0..10 {
             let c = Arc::clone(&counter);
             pool.submit_to(&g1, move || {
                 c.fetch_add(1, Ordering::Relaxed);
             });
         }
-        // A long-running task in another generation must not block g1.
-        let gate = Arc::new(AtomicU64::new(0));
-        let gate2 = Arc::clone(&gate);
-        pool.submit_to(&g2, move || {
-            while gate2.load(Ordering::Acquire) == 0 {
-                std::thread::yield_now();
-            }
-        });
         pool.join_group(&g1);
         assert_eq!(counter.load(Ordering::Relaxed), 10);
         gate.store(1, Ordering::Release);
@@ -785,7 +848,9 @@ mod tests {
     /// Nested generations on a single-worker pool: without the helping
     /// join this deadlocks (the lone worker would block waiting for a
     /// subtask that can only run on itself). The inner submits land on
-    /// the worker's own deque and its helping join pops them back.
+    /// the worker's own deque and its helping join pops them back. The
+    /// external thread stays out of it (no join until the outer task is
+    /// done), so the worker's own help is the only way through.
     #[test]
     fn nested_group_join_from_worker_helps_instead_of_deadlocking() {
         let pool = Arc::new(ThreadPool::new(1, 1, 1));
@@ -793,7 +858,7 @@ mod tests {
         let result = Arc::new(AtomicU64::new(0));
         let p2 = Arc::clone(&pool);
         let r2 = Arc::clone(&result);
-        pool.submit_to(&outer, move || {
+        submit_to_worker(&pool, &outer, move || {
             let inner = p2.group();
             for _ in 0..4 {
                 let r = Arc::clone(&r2);
@@ -801,9 +866,10 @@ mod tests {
                     r.fetch_add(1, Ordering::Relaxed);
                 });
             }
-            p2.join_group(&inner);
+            assert!(p2.join_group(&inner), "the worker's join must help");
             r2.fetch_add(100, Ordering::Relaxed);
         });
+        spin_until_complete(&outer);
         pool.join_group(&outer);
         assert_eq!(result.load(Ordering::Relaxed), 104);
         assert!(pool.stats().local_pushes >= 4, "{:?}", pool.stats());
@@ -819,7 +885,7 @@ mod tests {
         let done = Arc::new(AtomicU64::new(0));
         let p2 = Arc::clone(&pool);
         let d2 = Arc::clone(&done);
-        pool.submit_to(&outer, move || {
+        submit_to_worker(&pool, &outer, move || {
             let inner = p2.group();
             let d3 = Arc::clone(&d2);
             p2.submit_to(&inner, move || {
@@ -839,7 +905,8 @@ mod tests {
 
     /// Local pushes from a busy worker are stolen by its idle siblings:
     /// one worker floods its own deque while blocked, the others must
-    /// drain it through the steal path.
+    /// drain it through the steal path (the external thread joins only
+    /// afterwards, so every thief is a worker).
     #[test]
     fn idle_workers_steal_from_a_busy_sibling() {
         let pool = Arc::new(ThreadPool::new(4, 1, 4));
@@ -848,7 +915,7 @@ mod tests {
         let executed = Arc::new(AtomicU64::new(0));
         let p2 = Arc::clone(&pool);
         let e2 = Arc::clone(&executed);
-        pool.submit_to(&outer, move || {
+        submit_to_worker(&pool, &outer, move || {
             let inner = p2.group();
             for _ in 0..32 {
                 let e = Arc::clone(&e2);
@@ -864,6 +931,7 @@ mod tests {
             }
             p2.join_group(&inner);
         });
+        spin_until_complete(&outer);
         pool.join_group(&outer);
         assert_eq!(executed.load(Ordering::Relaxed), 32);
         let after = pool.stats();
@@ -875,9 +943,10 @@ mod tests {
     }
 
     /// Regression (work-stealing rework): a panic inside a task that was
-    /// *stolen* from another worker's deque must re-raise at the group
-    /// join — not kill the thief, not hang the owner — and the pool must
-    /// stay fully usable afterwards.
+    /// *stolen* from a worker's deque — by the sibling worker or by the
+    /// helping caller, whoever gets there first — must re-raise at the
+    /// group join — not kill the thief, not hang the owner — and the pool
+    /// must stay fully usable afterwards.
     #[test]
     fn panic_in_stolen_task_reraises_at_join_and_pool_survives() {
         let pool = Arc::new(ThreadPool::new(2, 1, 2));
@@ -885,10 +954,10 @@ mod tests {
         let p2 = Arc::clone(&pool);
         let saw_panic = Arc::new(AtomicU64::new(0));
         let sp = Arc::clone(&saw_panic);
-        pool.submit_to(&outer, move || {
+        submit_to_worker(&pool, &outer, move || {
             let inner = p2.group();
-            // Local push; this worker then refuses to pop, so only the
-            // second worker's steal can run it.
+            // Local push; this worker then refuses to pop, so only a
+            // steal can run it.
             p2.submit_to(&inner, || panic!("stolen boom"));
             while !inner.is_complete() {
                 std::thread::yield_now();
@@ -946,12 +1015,15 @@ mod tests {
 
     #[test]
     fn global_pool_is_shared_and_grows() {
+        // The caller is thread 0 of an n-thread team: n − 1 workers.
         let a = global_pool(2);
-        assert!(a.len() >= 2);
+        assert!(!a.is_empty());
         let b = global_pool(1);
         assert!(Arc::ptr_eq(&a, &b) || !b.is_empty());
-        let c = global_pool(a.len() + 1);
-        assert!(c.len() > a.len());
+        let same = global_pool(a.len() + 1);
+        assert!(same.len() >= a.len());
+        let c = global_pool(same.len() + 2);
+        assert!(c.len() > same.len());
         let group = c.group();
         let counter = Arc::new(AtomicU64::new(0));
         for _ in 0..32 {
@@ -962,5 +1034,98 @@ mod tests {
         }
         c.join_group(&group);
         assert_eq!(counter.load(Ordering::Relaxed), 32);
+    }
+
+    // -- the external joiner is thread 0 of the team -------------------------
+
+    /// With its only worker parked on a channel, a 1-worker pool still
+    /// completes a 2-task group: the external joiner ran the tasks.
+    #[test]
+    fn external_joiner_runs_tasks_when_the_worker_is_blocked() {
+        let pool = ThreadPool::new(1, 1, 1);
+        let release = block_workers(&pool);
+        let g = pool.group();
+        let me = std::thread::current().id();
+        let ran_here = Arc::new(AtomicU64::new(0));
+        for _ in 0..2 {
+            let r = Arc::clone(&ran_here);
+            pool.submit_to(&g, move || {
+                if std::thread::current().id() == me {
+                    r.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        assert!(pool.join_group(&g), "the join must report that it helped");
+        assert_eq!(ran_here.load(Ordering::Relaxed), 2);
+        drop(release);
+        pool.join();
+    }
+
+    /// A panic in a task *run by the caller* surfaces at `join_group` and
+    /// nowhere earlier — `wait_group`, which executes the task on this
+    /// very thread, returns normally — and the pool stays reusable.
+    #[test]
+    fn panic_in_caller_run_task_reraises_at_join_only() {
+        let pool = ThreadPool::new(1, 1, 1);
+        let release = block_workers(&pool);
+        let g = pool.group();
+        let counter = Arc::new(AtomicU64::new(0));
+        pool.submit_to(&g, || panic!("caller boom"));
+        let c = Arc::clone(&counter);
+        pool.submit_to(&g, move || {
+            c.fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(pool.wait_group(&g), "the caller ran both tasks");
+        assert_eq!(
+            counter.load(Ordering::Relaxed),
+            1,
+            "the sibling task still ran"
+        );
+        let payload = catch_unwind(AssertUnwindSafe(|| pool.join_group(&g)))
+            .expect_err("join_group must re-raise the task panic");
+        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("caller boom"));
+        // Consumed: the same group joins cleanly now, and so does a fresh
+        // one — on the caller, then (worker released) on whoever claims it.
+        pool.join_group(&g);
+        let mut release = Some(release);
+        for _ in 0..2 {
+            let g2 = pool.group();
+            let c = Arc::clone(&counter);
+            pool.submit_to(&g2, move || {
+                c.fetch_add(10, Ordering::Relaxed);
+            });
+            pool.join_group(&g2);
+            release.take();
+        }
+        assert_eq!(counter.load(Ordering::Relaxed), 21);
+        pool.join();
+    }
+
+    /// A task the caller runs while helping may itself fork and join a
+    /// nested generation: the nested join helps on the same thread.
+    #[test]
+    fn caller_run_task_joins_a_nested_group_without_deadlock() {
+        let pool = Arc::new(ThreadPool::new(1, 1, 1));
+        let release = block_workers(&pool);
+        let outer = pool.group();
+        let total = Arc::new(AtomicU64::new(0));
+        let p2 = Arc::clone(&pool);
+        let t2 = Arc::clone(&total);
+        pool.submit_to(&outer, move || {
+            let inner = p2.group();
+            for i in 1..=4 {
+                let t = Arc::clone(&t2);
+                p2.submit_to(&inner, move || {
+                    t.fetch_add(i, Ordering::Relaxed);
+                });
+            }
+            assert!(p2.join_group(&inner));
+            t2.fetch_add(100, Ordering::Relaxed);
+        });
+        pool.join_group(&outer);
+        assert_eq!(total.load(Ordering::Relaxed), 110);
+        assert_eq!(pool.stats().local_pushes, 0, "the caller owns no deque");
+        drop(release);
+        pool.join();
     }
 }

@@ -9,7 +9,9 @@
 //! same per-thread work items through the persistent process-wide
 //! [`crate::omprt::pool::ThreadPool`] as one [`TaskGroup`] generation —
 //! the paper's pinned-worker execution model, without a thread spawn per
-//! region. Both substrates assign identical static chunks per `tid` and
+//! region. The forking thread is thread 0 of the team: its join claims
+//! and runs shares like any worker, so an `nthreads` region occupies
+//! `nthreads − 1` pool workers plus its caller. Both substrates assign identical static chunks per `tid` and
 //! share one dynamic/guided claiming loop, so a region's observable
 //! behaviour is independent of the substrate.
 
@@ -195,9 +197,9 @@ where
 /// `join_group` — no thread spawn, and a panic in `init`/`body`
 /// resurfaces here exactly as the scoped variant's `join` would.
 ///
-/// Nested regions are safe on a finite pool: a join issued from a pool
-/// worker helps drain the queue instead of blocking (see
-/// [`ThreadPool::wait_group`]).
+/// The join helps (see [`ThreadPool::wait_group`]): the forking thread
+/// runs shares itself instead of sleeping through the region, and nested
+/// regions are safe on a finite pool for the same reason.
 pub fn parallel_for_state_pooled<S, G, F>(
     n: u64,
     nthreads: usize,

@@ -4,7 +4,7 @@
 //! purec <file.c> [--sica] [--tile N] [--no-poly] [--poly-unmarked]
 //!       [--no-omp] [--dump-schedule] [--run [--threads N]]
 //!       [--engine vm|resolved] [--no-pool] [--no-futures] [--no-steal]
-//!       [--no-opt] [--dump-bytecode] [--profile-pairs] [--pgo]
+//!       [--no-memo] [--no-opt] [--dump-bytecode] [--profile-pairs] [--pgo]
 //!       [--fuel N] [--max-memory BYTES] [--max-depth N]
 //!       [--race-check] [--race-check-cap N] [--infer-pure]
 //!       [--emit-marked] [--no-alloc-pure] [--stats]
@@ -21,6 +21,11 @@
 //! Resource limits (all unlimited by default) turn runaway executions
 //! into structured traps with distinct exit codes: fuel exhaustion → 97,
 //! memory limit → 98, call-depth limit → 99.
+//!
+//! `--no-memo` turns the pure-call memo cache off, so recursive pure
+//! functions do their full work — the configuration in which pure-call
+//! futures (and `--no-futures`, their A/B) can be timed from the command
+//! line; with the cache on, a memoized `fib` finishes before it spawns.
 //!
 //! Observability: `--trace FILE` records compile phases, parallel
 //! regions, future lifecycles, memo/fuel/trap events into a Chrome
@@ -70,6 +75,8 @@ fn usage() -> ! {
          \x20 --no-steal       route worker-spawned futures through the single\n\
          \x20                  shared injector instead of per-worker deques\n\
          \x20                  (pre-work-stealing substrate, A/B comparison)\n\
+         \x20 --no-memo        run without the pure-call memo cache: every pure\n\
+         \x20                  call executes (what futures A/B timings need)\n\
          \x20 --no-opt         run the raw bytecode, skipping the tier-3.5\n\
          \x20                  optimizer (fold/DSE/hoist/fusion A/B comparison)\n\
          \x20 --dump-bytecode  print the bytecode that will run (post-optimizer\n\
@@ -210,6 +217,7 @@ fn main() {
     let mut pool = true;
     let mut futures = true;
     let mut steal = true;
+    let mut memo = true;
     let mut race_check = false;
     let mut race_check_cap: Option<u64> = std::env::var("PUREC_RACE_CHECK_CAP")
         .ok()
@@ -261,6 +269,7 @@ fn main() {
             "--no-pool" => pool = false,
             "--no-futures" => futures = false,
             "--no-steal" => steal = false,
+            "--no-memo" => memo = false,
             "--no-opt" => opt_level = 0,
             "--dump-bytecode" => dump_bytecode = true,
             "--profile-pairs" => profile_pairs = true,
@@ -387,6 +396,7 @@ fn main() {
             pool,
             futures,
             steal,
+            memo,
             fuel,
             max_memory_bytes: max_memory,
             max_call_depth: max_depth,

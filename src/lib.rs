@@ -22,8 +22,10 @@
 //! assert!(!out.text.contains("pure"));
 //! ```
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-vs-measured record of every figure.
+//! See `README.md` for the system inventory and the flag reference,
+//! `BENCHMARK.json` with `purebench/README.md` for the end-to-end and
+//! per-layer measurements, and `BENCH_interp.json` for the interpreter
+//! trajectory `bench_interp` appends to.
 
 pub use apps;
 pub use cfront;
