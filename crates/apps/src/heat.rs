@@ -7,7 +7,7 @@
 //! 4096 × 4096 for 200 steps.
 
 use crate::util::SendPtr;
-use machine::{parallel_for, OmpSchedule};
+use machine::{parallel_for_pooled, OmpSchedule};
 
 /// The heated plate: two buffers, swap after each step.
 #[derive(Debug, Clone)]
@@ -67,7 +67,7 @@ impl Plate {
         {
             let src = &self.cur;
             let dst = SendPtr(self.next.as_mut_ptr());
-            parallel_for((n - 2) as u64, threads, schedule, |row| {
+            parallel_for_pooled((n - 2) as u64, threads, schedule, |row| {
                 let i = row as usize + 1;
                 for j in 1..n - 1 {
                     // SAFETY: row i of `next` is written by iteration i only.

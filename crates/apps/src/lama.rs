@@ -11,7 +11,7 @@
 //! chain parallelize the row loop.
 
 use crate::util::SendPtr;
-use machine::{parallel_for, OmpSchedule};
+use machine::{parallel_for_pooled, OmpSchedule};
 
 /// ELLPACK-R sparse matrix: `rows × rows`, every row padded to `max_nnz`.
 /// Column-major padding as in LAMA: entry `(r, k)` at `k * rows + r`.
@@ -135,7 +135,7 @@ impl EllMatrix {
         let mut y = vec![0.0f32; self.rows];
         {
             let yptr = SendPtr(y.as_mut_ptr());
-            parallel_for(self.rows as u64, threads, schedule, |r| {
+            parallel_for_pooled(self.rows as u64, threads, schedule, |r| {
                 let v = self.ell_dot(r as usize, x);
                 // SAFETY: row r writes y[r] only.
                 unsafe { *yptr.get().add(r as usize) = v };

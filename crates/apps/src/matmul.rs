@@ -8,7 +8,7 @@
 //! the workload characterization used by the simulator at paper scale.
 
 use crate::util::SendPtr;
-use machine::{parallel_for, OmpSchedule};
+use machine::{parallel_for_pooled, OmpSchedule};
 
 /// Row-major square matrix of `f32`.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,7 +101,7 @@ pub fn matmul_par(a: &Matrix, bt: &Matrix, threads: usize, schedule: OmpSchedule
     let mut c = Matrix::zeros(n);
     {
         let cptr = SendPtr(c.data.as_mut_ptr());
-        parallel_for(n as u64, threads, schedule, |i| {
+        parallel_for_pooled(n as u64, threads, schedule, |i| {
             let i = i as usize;
             let row_a = &a.data[i * n..(i + 1) * n];
             for j in 0..n {

@@ -13,7 +13,7 @@
 //! `pure` chain can parallelize the pixel loop.
 
 use crate::util::SendPtr;
-use machine::{parallel_for, OmpSchedule};
+use machine::{parallel_for_pooled, OmpSchedule};
 
 /// Number of spectral bands per pixel.
 pub const BANDS: usize = 7;
@@ -116,7 +116,7 @@ pub fn filter_par(tile: &Tile, threads: usize, schedule: OmpSchedule) -> Vec<f32
     let mut out = vec![0.0f32; n];
     {
         let optr = SendPtr(out.as_mut_ptr());
-        parallel_for(n as u64, threads, schedule, |p| {
+        parallel_for_pooled(n as u64, threads, schedule, |p| {
             let v = retrieve_aod(tile.pixel(p as usize));
             // SAFETY: each pixel writes its own slot.
             unsafe { *optr.get().add(p as usize) = v };

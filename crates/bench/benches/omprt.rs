@@ -3,7 +3,7 @@
 //! assumptions, plus the parallel reference applications at reduced size.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use machine::{parallel_for, OmpSchedule};
+use machine::{parallel_for_pooled, OmpSchedule};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -21,7 +21,7 @@ fn bench_schedules(c: &mut Criterion) {
         g.bench_function(format!("sum_{sched}"), |b| {
             b.iter(|| {
                 let acc = AtomicU64::new(0);
-                parallel_for(n, 4, sched, |i| {
+                parallel_for_pooled(n, 4, sched, |i| {
                     acc.fetch_add(black_box(i), Ordering::Relaxed);
                 });
                 acc.into_inner()

@@ -17,18 +17,19 @@
 //! entry is stamped with `gates_passed` and the names of the
 //! `failed_gates`, so a failing run is recorded as failing.
 //! The run exits non-zero when the bytecode VM fails to beat the
-//! resolved engine on the dispatch-bound `varaccess` case, or when the
-//! pool-routed runtime fails to beat spawn-per-region threads on the
-//! `region_heavy` case (many small parallel regions) — the CI bench
-//! smoke turns a dispatch or region-launch regression into a red build.
+//! resolved engine on the dispatch-bound `varaccess` case — the CI bench
+//! smoke turns a dispatch regression into a red build. The
+//! `region_heavy` case (many small parallel regions) records the
+//! region-launch cost in the trajectory.
 //! The `fib_futures` (statement-level spawn batches) and `treesum_expr`
 //! (expression-level spawns over the work-stealing deques) cases gate
 //! the pure-call futures subsystem: on a host with ≥ 4 CPUs each
 //! memo-off divide-and-conquer benchmark must run ≥ 2× faster with
 //! futures on 4 threads than sequentially (≥ 1× on 2–3 CPUs;
 //! unenforceable and skipped on 1). `treesum_expr` also records the
-//! deque-vs-single-channel A/B (`speedup_steal_vs_channel`) and the
-//! futures run's `local_pushes`/`tasks_stolen` counters. Entries are
+//! futures run's `local_pushes`/`tasks_stolen` counters. Legs that
+//! oversubscribe the host (more threads than CPUs) are recorded, not
+//! gated. Entries are
 //! appended with the git commit, the parallel thread count and the host
 //! CPU count so the trajectory stays attributable.
 
@@ -177,11 +178,9 @@ fn varaccess_source(iters: u64) -> String {
 }
 
 /// Region-heavy workload: many *small* parallel regions inside a
-/// sequential loop — the region-launch overhead microbench. Under the
-/// scoped substrate every region spawns `threads` fresh OS threads;
-/// routed through the persistent pool it submits `threads` tasks to
-/// already-running workers, which is the whole point of the pinned-worker
-/// runtime: the launch cost, not the loop body, dominates here.
+/// sequential loop — the region-launch overhead microbench. Each region
+/// submits `threads` tasks to the already-running workers of the
+/// persistent pool; the launch cost, not the loop body, dominates here.
 fn region_heavy_source(regions: usize, width: usize) -> String {
     format!(
         "int main() {{\n\
@@ -239,8 +238,7 @@ fn fib_futures_source(n: usize) -> String {
 /// tree sum whose recursive calls sit *inside* the `return` expression —
 /// no locals, no statement-level sites. Spawns exist only because the
 /// hoisting pass introduces temps; scaling exists only because the
-/// work-stealing deques migrate the subtrees (the single shared channel
-/// serialized exactly this shape).
+/// work-stealing deques migrate the subtrees.
 fn treesum_source(depth: usize) -> String {
     format!(
         "pure int tsum(int n, int v) {{\n\
@@ -504,12 +502,10 @@ fn main() {
                 ),
             ],
         },
-        // The expression-spawn + work-stealing A/B: memo-off balanced
-        // tree sum whose spawn sites exist only through temp hoisting.
-        // `bytecode_channel` forces every spawn through the shared
-        // injector (the pre-deque substrate); `bytecode_futures` uses
-        // per-worker deques with stealing. Gated below like fib_futures;
-        // the futures run's steal counters are recorded per entry.
+        // The expression-spawn A/B: memo-off balanced tree sum whose
+        // spawn sites exist only through temp hoisting. Gated below like
+        // fib_futures; the futures run's steal counters are recorded
+        // per entry.
         BenchCase {
             name: "treesum_expr",
             program: chain(&treesum_source(tree_depth)),
@@ -533,15 +529,6 @@ fn main() {
                     false,
                 ),
                 (
-                    "bytecode_channel",
-                    InterpOptions {
-                        memo: false,
-                        steal: false,
-                        ..par4
-                    },
-                    false,
-                ),
-                (
                     "bytecode_futures",
                     InterpOptions {
                         memo: false,
@@ -551,30 +538,17 @@ fn main() {
                 ),
             ],
         },
-        // The launch-overhead A/B: same bytecode, same 4 threads, only
-        // the parallel substrate differs (spawn-per-region vs persistent
-        // pool). Gated below: the pooled runtime must win.
+        // Region-launch overhead on 4 threads (recorded, not gated).
         BenchCase {
             name: "region_heavy",
             program: plain(&region_heavy_source(region_count, 64)),
-            variants: vec![
-                (
-                    "bytecode_spawn",
-                    InterpOptions {
-                        pool: false,
-                        ..par4
-                    },
-                    false,
-                ),
-                ("bytecode_pool", par4, false),
-            ],
+            variants: vec![("bytecode_pool", par4, false)],
         },
     ];
 
     let mut bench_values: Vec<Value> = Vec::new();
     let mut tier_speedups: Vec<(String, f64)> = Vec::new();
     let mut opt_speedups: Vec<(String, f64)> = Vec::new();
-    let mut pool_speedup = f64::NAN;
     let mut futures_speedup = f64::NAN;
     let mut treesum_speedup = f64::NAN;
     for case in &cases {
@@ -595,9 +569,9 @@ fn main() {
             }
             exit = Some(run.exit_code);
             times.push((label, secs));
-            // The deque A/B case records where its futures ran: how
-            // many went onto a worker's own deque, and how many of
-            // those a sibling stole (warm-up run's counters).
+            // treesum_expr records where its futures ran: how many went
+            // onto a worker's own deque, and how many of those a
+            // sibling stole (warm-up run's counters).
             if case.name == "treesum_expr" && *label == "bytecode_futures" {
                 fields.push((
                     "local_pushes".to_string(),
@@ -641,13 +615,6 @@ fn main() {
             fields.push(("speedup_opt_vs_noopt".to_string(), num(s)));
             opt_speedups.push((case.name.to_string(), s));
         }
-        if let (Some(spawn), Some(pooled)) = (get("bytecode_spawn"), get("bytecode_pool")) {
-            let s = spawn / pooled;
-            fields.push(("speedup_pool_vs_spawn".to_string(), num(s)));
-            if case.name == "region_heavy" {
-                pool_speedup = s;
-            }
-        }
         if let (Some(sequential), Some(fut)) = (get("bytecode_seq"), get("bytecode_futures")) {
             let s = sequential / fut;
             fields.push(("speedup_futures_vs_seq".to_string(), num(s)));
@@ -657,10 +624,6 @@ fn main() {
             if case.name == "treesum_expr" {
                 treesum_speedup = s;
             }
-        }
-        if let (Some(channel), Some(fut)) = (get("bytecode_channel"), get("bytecode_futures")) {
-            // The single-channel-vs-deque A/B, recorded every entry.
-            fields.push(("speedup_steal_vs_channel".to_string(), num(channel / fut)));
         }
         bench_values.push(Value::Object(fields));
     }
@@ -876,17 +839,6 @@ fn main() {
         ),
     );
 
-    // CI smoke: the pooled runtime must beat spawn-per-region where
-    // region-launch overhead dominates — the persistent-pool routing is
-    // a perf claim, and this gate keeps it true.
-    gates.check(
-        "pool_vs_spawn:region_heavy".to_string(),
-        pool_speedup >= 1.0,
-        format!(
-            "region_heavy pooled speedup vs spawn-per-region: {pool_speedup:.2}x (floor 1.00x)"
-        ),
-    );
-
     // CI smoke: pure-call futures must actually parallelize the two
     // divide-and-conquer benchmarks — statement-level sites
     // (fib_futures) and expression-level sites over the work-stealing
@@ -925,8 +877,9 @@ fn main() {
     // with no parallelism in play); heat's stencil is load-bound, so
     // its single-threaded floor only catches a real regression. The
     // parallel legs additionally exercise the fused regions (fewer join
-    // barriers) but depend on the host's CPU budget, so they relax to
-    // "recorded, not gated" on a single-CPU runner.
+    // barriers) but depend on the host's CPU budget: a leg that
+    // oversubscribes the host (a ~1 ms region on 4 threads over 2 CPUs
+    // times the OS scheduler, not the lowering) is recorded, not gated.
     const POLY_SEQ_FLOORS: &[(&str, f64)] = &[("matmul128_poly", 1.15), ("heat_poly", 0.95)];
     for (name, floor) in POLY_SEQ_FLOORS {
         let s = poly_seq_speedups
@@ -941,9 +894,10 @@ fn main() {
         );
     }
     for (name, s) in &poly_par_speedups {
-        if host_cpus < 2 {
+        if BENCH_THREADS > host_cpus {
             eprintln!(
-                "{name} poly speedup vs literal (4 threads): {s:.2}x (not gated: single-CPU host)"
+                "{name} poly speedup vs literal (4 threads): {s:.2}x \
+                 (not gated: {host_cpus} CPUs)"
             );
         } else {
             gates.check(

@@ -241,10 +241,6 @@ pub(crate) enum Op {
     BrCmpLC,
     /// `0 → _` return `frame[a]` (fused `LoadLocal` + `Ret`).
     RetLocal,
-    /// `0 → 0` `frame[b] = globals[a]` — hoisted loop-invariant global
-    /// load (preheader of a single-entry loop), uncounted like
-    /// `LoadGlobal`.
-    LoadGStore,
     /// `0 → 0` affine loop entry check (once per loop): step tick, branch
     /// count, then `frame[a & 0xFFFF] <lt|le> ub`; jumps to the loop exit
     /// at `b >> 2` when false. `ub` is `frame[a >> 16]`, or
@@ -259,20 +255,6 @@ pub(crate) enum Op {
     /// `IncDecLocal + Jump + Step + BrCmp` with identical counter
     /// effects in identical order.
     AffineNext,
-}
-
-/// Number of opcodes (dimension of the [`crate::opt::PairProfile`] pair
-/// matrix).
-pub(crate) const OP_COUNT: usize = Op::AffineNext as usize + 1;
-
-impl Op {
-    /// Inverse of `op as u8` (valid for every `x < OP_COUNT`).
-    pub(crate) fn from_u8(x: u8) -> Op {
-        debug_assert!((x as usize) < OP_COUNT);
-        // SAFETY: `Op` is `#[repr(u8)]` and fieldless with contiguous
-        // discriminants `0..OP_COUNT`; `x` is range-checked above.
-        unsafe { std::mem::transmute::<u8, Op>(x) }
-    }
 }
 
 /// Mode bits for the `IncDec*` opcodes.
@@ -371,9 +353,6 @@ pub struct BytecodeProgram {
     pub(crate) nglobals: usize,
     pub(crate) interner: Interner,
     pub(crate) any_cacheable: bool,
-    /// Number of monomorphic inline-cache slots the optimizer assigned
-    /// to `CallUser` sites (0 on unoptimized programs).
-    pub(crate) ic_slots: usize,
 }
 
 impl BytecodeProgram {
@@ -416,7 +395,6 @@ impl BytecodeProgram {
             nglobals: prog.nglobals,
             interner: prog.interner.clone(),
             any_cacheable: prog.any_cacheable,
-            ic_slots: 0,
         }
     }
 
@@ -476,12 +454,7 @@ impl BytecodeProgram {
         for f in &self.funcs {
             dump_func(&mut out, f);
         }
-        let _ = writeln!(
-            out,
-            "total {} insns, {} ic slots",
-            self.insn_count(),
-            self.ic_slots
-        );
+        let _ = writeln!(out, "total {} insns", self.insn_count());
         out
     }
 }

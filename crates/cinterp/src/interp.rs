@@ -32,9 +32,9 @@ use crate::value::CounterSnapshot;
 #[cfg(any(test, feature = "legacy-oracle"))]
 use crate::value::{Counters, FuelBudget, Memory, Ptr, RaceAccumulator, Scalar, TrackSets};
 use cfront::ast::*;
-use machine::OmpSchedule;
 #[cfg(any(test, feature = "legacy-oracle"))]
-use machine::{parallel_for, parallel_for_pooled};
+use machine::parallel_for_pooled;
+use machine::OmpSchedule;
 #[cfg(any(test, feature = "legacy-oracle"))]
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
@@ -95,7 +95,7 @@ pub struct InterpOptions {
     /// sequentially, silently doubling runtime on huge trip counts; the
     /// cap keeps `--race-check` usable there at the documented cost of
     /// only validating the first `cap` iterations. `purec
-    /// --race-check-cap N` / `PUREC_RACE_CHECK_CAP` set it.
+    /// --race-check-cap N` sets it.
     pub race_check_cap: Option<u64>,
     /// Abort after this many executed statements (runaway guard).
     pub max_steps: u64,
@@ -123,34 +123,18 @@ pub struct InterpOptions {
     pub memo: bool,
     /// Execution tier for [`Program::run`] / [`Program::run_entry`].
     pub engine: Engine,
-    /// Run parallel regions on the persistent process-wide thread pool
-    /// (the paper's pinned-worker model; default). `false` falls back to
-    /// the scoped spawn-per-region substrate — kept for A/B comparison
-    /// (`purec --no-pool`, `bench_interp`'s region-heavy gate).
-    pub pool: bool,
     /// Run independent verified-pure calls as futures on the worker
     /// pool (see `cinterp::spawn`; default). Only active with more than
     /// one thread — with one, every spawn site executes as the original
     /// inline call. `false` (`purec --no-futures`) keeps the sites
     /// inline for A/B comparison.
     pub futures: bool,
-    /// Route worker-spawned futures through the spawning worker's own
-    /// work-stealing deque (default). `false` (`purec --no-steal`)
-    /// forces every spawn through the pool's single shared injector —
-    /// the pre-deque substrate, kept for A/B comparison.
-    pub steal: bool,
     /// Bytecode optimization level (bytecode engine only): 0 runs the
     /// lowerer's raw output verbatim (`purec --no-opt`), 1 folds
-    /// constants, propagates copies and eliminates dead stores, 2
-    /// (default) adds loop-invariant global-load hoisting,
-    /// superinstruction fusion and monomorphic inline caches on call
-    /// sites. Every level preserves the executed-op counters and error
-    /// behaviour bit-for-bit (see `cinterp::opt`).
+    /// constants, 2 (default) adds superinstruction fusion. Every level
+    /// preserves the executed-op counters and error behaviour
+    /// bit-for-bit (see `cinterp::opt`).
     pub opt_level: u8,
-    /// Record a sampled opcode-pair profile during the run (root VM
-    /// only; returned in [`RunResult::pairs`], rendered by
-    /// `purec --profile-pairs`). Feeds profile-guided fusion.
-    pub profile_pairs: bool,
 }
 
 impl Default for InterpOptions {
@@ -165,11 +149,8 @@ impl Default for InterpOptions {
             max_call_depth: None,
             memo: true,
             engine: Engine::default(),
-            pool: true,
             futures: true,
-            steal: true,
             opt_level: 2,
-            profile_pairs: false,
         }
     }
 }
@@ -192,9 +173,6 @@ pub struct RunResult {
     pub exit_code: i64,
     pub output: String,
     pub counters: CounterSnapshot,
-    /// Sampled opcode-pair profile ([`InterpOptions::profile_pairs`];
-    /// bytecode engine only, `None` otherwise).
-    pub pairs: Option<crate::opt::PairProfile>,
 }
 
 /// Structured resource-governance trap kinds: a run that hit a
@@ -423,25 +401,10 @@ impl Program {
         }
         let mut cache = self.opt_cache.lock().expect("opt cache poisoned");
         Arc::clone(
-            cache.entry(level).or_insert_with(|| {
-                Arc::new(crate::opt::optimize_program(&self.bytecode, level, None))
-            }),
+            cache
+                .entry(level)
+                .or_insert_with(|| Arc::new(crate::opt::optimize_program(&self.bytecode, level))),
         )
-    }
-
-    /// Re-optimize at `level` with a measured opcode-pair profile
-    /// steering the fusion pattern set (`purec --profile-pairs` feedback
-    /// path). Not cached: each profile is specific to one workload.
-    pub fn bytecode_profiled(
-        &self,
-        level: u8,
-        profile: &crate::opt::PairProfile,
-    ) -> Arc<crate::bytecode::BytecodeProgram> {
-        Arc::new(crate::opt::optimize_program(
-            &self.bytecode,
-            level,
-            Some(profile),
-        ))
     }
 
     /// Layout of `strct.field` — offsets are keyed by the `(struct,
@@ -466,24 +429,6 @@ impl Program {
             Engine::Bytecode => crate::vm::run_vm(&self.bytecode_at(opts.opt_level), entry, opts),
             Engine::Resolved => resolve::run_resolved(&self.resolved, entry, opts),
         }
-    }
-
-    /// Run a named entry on the bytecode VM with a measured opcode-pair
-    /// profile steering the superinstruction fusion pattern set — the
-    /// second leg of the `purec --pgo` driver (profile run, then this).
-    /// Uses [`Program::bytecode_profiled`], so the rewritten program is
-    /// workload-specific and deliberately uncached.
-    pub fn run_profiled(
-        &self,
-        entry: &str,
-        opts: InterpOptions,
-        profile: &crate::opt::PairProfile,
-    ) -> RtResult<RunResult> {
-        crate::vm::run_vm(
-            &self.bytecode_profiled(opts.opt_level, profile),
-            entry,
-            opts,
-        )
     }
 
     /// Run `main()` on the resolved-IR engine (the bytecode VM's
@@ -530,7 +475,6 @@ impl Program {
             exit_code: exit.as_i64(),
             output,
             counters,
-            pairs: None,
         })
     }
 }
@@ -1557,11 +1501,7 @@ impl Interp {
             }
             child.refund_fuel();
         };
-        if self.s.opts.pool {
-            parallel_for_pooled(n, self.s.opts.threads, schedule, iteration);
-        } else {
-            parallel_for(n, self.s.opts.threads, schedule, iteration);
-        }
+        parallel_for_pooled(n, self.s.opts.threads, schedule, iteration);
 
         match err.into_inner() {
             Some(e) => Err(e),

@@ -58,7 +58,6 @@ pub use interp::{
     Engine, InterpOptions, Program, RaceVerdict, RunResult, RuntimeError, Trap, VerdictMap,
     DEFAULT_RACE_CHECK_CAP,
 };
-pub use opt::PairProfile;
 pub use resolve::ResolvedProgram;
 pub use trace::{
     chrome_trace_json, counters_json, metrics_json, validate_chrome_trace, TraceData, TraceSession,

@@ -1,53 +1,30 @@
 //! Tier-3.5: the bytecode optimizer.
 //!
 //! Rewrites the flat `Vec<Insn>` arrays produced by [`crate::bytecode`]
-//! between lowering and [`crate::vm`] execution. Three pass families:
+//! between lowering and [`crate::vm`] execution. Two passes — the two
+//! whose removal changes the dispatch count of a benchmark workload:
 //!
-//! * **Level ≥ 1 — fold / copy-propagate / dead-store-eliminate.**
-//!   Block-local constant folding (a folded chain becomes one
-//!   [`Op::ConstFold`] that *compensates* the executed-op counters the
-//!   folded instructions would have bumped), forward copy/constant
-//!   propagation across frame slots (block-local symbolic stack +
-//!   slot facts), and a backward slot-liveness pass over the
-//!   absolute-jump CFG that deletes dead `StoreLocal`s and rewrites
-//!   dead `StoreLocalPop`s to `Pop` (then a cleanup peephole deletes
-//!   `push; Pop` pairs). Every deleted instruction is an *uncounted*
-//!   frame/stack shuffle, so the executed-op counters stay bit-identical
-//!   and fuel (one burn per dispatch) can only go down.
-//! * **Level ≥ 2 — loop-invariant global-load hoisting.** `LoadGlobal`
-//!   inside a single-entry loop that contains no stores to globals, no
-//!   calls and no parallel constructs is loaded once into a fresh frame
-//!   slot in a one-dispatch [`Op::LoadGStore`] preheader and read as
-//!   `LoadLocal` in the loop. Memory loads (`LoadMem` family) are
-//!   *counted* operations and are never hoisted — doing so would change
-//!   the load counter and error timing. The preheader costs one
-//!   dispatch per loop *entry*; the fusion pass below typically wins it
-//!   back in the first iteration (`LoadLocal, LoadLocal, Binary` →
-//!   `BinLL` saves two per iteration).
-//! * **Level ≥ 2 — profile-guided superinstruction fusion + inline
-//!   caches.** Adjacent instruction windows fuse into the `*Store`,
-//!   `BrCmp*`, `LoadIdxLC`/`StoreIdxLC` and `RetLocal` superinstructions
-//!   (each replicating the exact counted effects of its components and
-//!   bumping `insns_fused` by the dispatches it saved). The pattern set
-//!   is chosen by a [`PairProfile`] of sampled hot opcode pairs when one
-//!   is supplied (`purec --profile-pairs`), and defaults to the full set
-//!   — the shapes below are the top measured pairs on the bench suite
-//!   (varaccess / matmul64 / arraysum). Finally each `CallUser` site
-//!   whose callee is cacheable gets a monomorphic inline-cache slot: one
-//!   key compare replaces the memo-shard probe on repeat calls
-//!   (memo-gated, so the differential "counters modulo memo" projection
-//!   is unchanged).
+//! * **Level ≥ 1 — window constant folding, to a fixpoint.**
+//!   Block-local `Const`/`ConstFold` chains feeding `Binary`, unary
+//!   operators and `Coerce` collapse to one [`Op::ConstFold`] that
+//!   *compensates* the executed-op counters the folded instructions
+//!   would have bumped, so the counters stay bit-identical and fuel (one
+//!   burn per dispatch) can only go down.
+//! * **Level ≥ 2 — superinstruction fusion.** Adjacent instruction
+//!   windows fuse into the `BinLL`/`BinLC`, `*Store`, `BrCmp*`,
+//!   `LoadIdxLC`/`StoreIdxLC` and `RetLocal` superinstructions, each
+//!   replicating the exact counted effects of its components and bumping
+//!   `insns_fused` by the dispatches it saved.
 //!
 //! **Invariant:** on the same input, optimized bytecode produces the
 //! same exit code, output, error message and executed-op counters
 //! (`flops`/`int_ops`/`loads`/`stores`/`calls`/`branches`) as the raw
-//! bytecode — only the `insns_folded`/`insns_fused`/`icache_hits`
-//! bookkeeping (zeroed by `CounterSnapshot::without_memo`) differs.
-//! Folding never folds an operation that could fail at runtime
-//! (`Div`/`Rem` by a zero constant, bitwise on float), so error
-//! behaviour survives verbatim.
+//! bytecode — only the `insns_folded`/`insns_fused` bookkeeping (zeroed
+//! by `CounterSnapshot::without_memo`) differs. Folding never folds an
+//! operation that could fail at runtime (`Div`/`Rem` by a zero constant,
+//! bitwise on float), so error behaviour survives verbatim.
 
-use crate::bytecode::{binop_decode, binop_encode, BFunc, BytecodeProgram, Insn, Op, OP_COUNT};
+use crate::bytecode::{binop_decode, BFunc, BytecodeProgram, Insn, Op};
 use crate::value::Scalar;
 use cfront::ast::BinOp;
 
@@ -56,112 +33,12 @@ use cfront::ast::BinOp;
 const MAX_ROUNDS: usize = 8;
 
 // ---------------------------------------------------------------------------
-// Pair profile (hot opcode-pair counters, sampled in the VM)
-// ---------------------------------------------------------------------------
-
-/// Sampled dispatch-pair counts from a profiled run: `counts[prev * N +
-/// cur]` is how many sampled dispatches executed opcode `cur` directly
-/// after `prev`. Recorded by the root VM only (one predictable branch
-/// per dispatch when enabled, one array bump per 16 dispatches), fed
-/// back into [`optimize_program`] to pick the fusion pattern set.
-#[derive(Debug, Clone)]
-pub struct PairProfile {
-    counts: Vec<u64>,
-    prev: u8,
-    tick: u32,
-}
-
-impl Default for PairProfile {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PairProfile {
-    pub fn new() -> Self {
-        PairProfile {
-            counts: vec![0; OP_COUNT * OP_COUNT],
-            prev: 0,
-            tick: 0,
-        }
-    }
-
-    /// One dispatch tick: every 16th records the (previous, current)
-    /// opcode pair.
-    #[inline]
-    pub(crate) fn tick(&mut self, cur: Op) {
-        let cur = cur as u8;
-        self.tick = self.tick.wrapping_add(1);
-        if self.tick & 0xF == 0 {
-            self.counts[self.prev as usize * OP_COUNT + cur as usize] += 1;
-        }
-        self.prev = cur;
-    }
-
-    pub(crate) fn count(&self, prev: Op, cur: Op) -> u64 {
-        self.counts[prev as usize * OP_COUNT + cur as usize]
-    }
-
-    /// The `n` hottest sampled pairs, descending.
-    pub(crate) fn top_pairs(&self, n: usize) -> Vec<(Op, Op, u64)> {
-        let mut pairs: Vec<(Op, Op, u64)> = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                (
-                    Op::from_u8((i / OP_COUNT) as u8),
-                    Op::from_u8((i % OP_COUNT) as u8),
-                    c,
-                )
-            })
-            .collect();
-        pairs.sort_by_key(|&(_, _, c)| std::cmp::Reverse(c));
-        pairs.truncate(n);
-        pairs
-    }
-
-    /// Render the hottest pairs (the `purec --profile-pairs` report).
-    pub fn report(&self, n: usize) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for (a, b, c) in self.top_pairs(n) {
-            let _ = writeln!(out, "{c:>10}  {a:?} -> {b:?}");
-        }
-        out
-    }
-
-    /// Is this pair hot enough to justify a fused opcode? "Hot" means
-    /// among the 16 most-sampled pairs of the profile.
-    fn is_hot(&self, prev: Op, cur: Op) -> bool {
-        let c = self.count(prev, cur);
-        c > 0
-            && self
-                .top_pairs(16)
-                .iter()
-                .any(|&(a, b, _)| a == prev && b == cur)
-    }
-}
-
-/// Should the fusion pattern anchored on `(prev, cur)` be applied?
-/// Without a profile every pattern is on (the default set *is* the
-/// measured hot set of the bench suite).
-fn pattern_enabled(profile: Option<&PairProfile>, prev: Op, cur: Op) -> bool {
-    profile.is_none_or(|p| p.is_hot(prev, cur))
-}
-
-// ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
 
 /// Optimize a freshly-compiled program at `level` (0 = identity,
-/// 1 = fold/copy-prop/DSE, 2 = + hoisting, fusion and inline caches).
-pub(crate) fn optimize_program(
-    prog: &BytecodeProgram,
-    level: u8,
-    profile: Option<&PairProfile>,
-) -> BytecodeProgram {
+/// 1 = constant folding, 2 = + superinstruction fusion).
+pub(crate) fn optimize_program(prog: &BytecodeProgram, level: u8) -> BytecodeProgram {
     let mut out = prog.clone();
     if level == 0 {
         return out;
@@ -171,30 +48,7 @@ pub(crate) fn optimize_program(
         .iter_mut()
         .chain(std::iter::once(&mut out.global_code))
     {
-        optimize_func(f, level, profile);
-    }
-    if level >= 2 {
-        // Monomorphic inline caches: every call site whose callee is
-        // cacheable gets a slot; `CallUser.b` packs `nargs | (ic+1)<<16`.
-        let cacheable: Vec<bool> = out.funcs.iter().map(|f| f.cacheable).collect();
-        let mut ic = 0u32;
-        for f in out
-            .funcs
-            .iter_mut()
-            .chain(std::iter::once(&mut out.global_code))
-        {
-            for insn in &mut f.code {
-                if insn.op == Op::CallUser
-                    && insn.b < 0x1_0000
-                    && cacheable.get(insn.a as usize).copied().unwrap_or(false)
-                    && ic < 0xFFFE
-                {
-                    insn.b |= (ic + 1) << 16;
-                    ic += 1;
-                }
-            }
-        }
-        out.ic_slots = ic as usize;
+        optimize_func(f, level);
     }
     debug_assert!(
         check_targets(&out),
@@ -221,19 +75,14 @@ fn check_targets(prog: &BytecodeProgram) -> bool {
         })
 }
 
-fn optimize_func(f: &mut BFunc, level: u8, profile: Option<&PairProfile>) {
+fn optimize_func(f: &mut BFunc, level: u8) {
     for _ in 0..MAX_ROUNDS {
-        let mut changed = copy_propagate(f);
-        changed |= fold_windows(f);
-        changed |= eliminate_dead_stores(f);
-        changed |= cleanup_push_pop(f);
-        if !changed {
+        if !fold_windows(f) {
             break;
         }
     }
     if level >= 2 {
-        hoist_global_loads(f);
-        fuse_superinstructions(f, profile);
+        fuse_superinstructions(f);
     }
 }
 
@@ -279,14 +128,6 @@ fn ends_block(op: Op) -> bool {
             | Op::OmpRegion
             | Op::AffineHead
             | Op::AffineNext
-    )
-}
-
-/// Does control *stop* here (no fall-through successor)?
-fn is_terminator(op: Op) -> bool {
-    matches!(
-        op,
-        Op::Jump | Op::Ret | Op::RetLocal | Op::Err | Op::MemberUnknownErr | Op::RegionEnd
     )
 }
 
@@ -425,21 +266,6 @@ fn eval_binop(op: BinOp, l: Scalar, r: Scalar) -> Option<(Scalar, u8, u8)> {
         };
         Some((Scalar::I(v), 1, 0))
     }
-}
-
-/// Mirror of a compare under operand swap (`c < x` ⇔ `x > c`), used to
-/// turn `Const ⊕ Local` into the fused `BinLC` shape. Exact for floats
-/// too (a true mirror, not a negation — NaN compares stay false).
-fn mirrored(op: BinOp) -> Option<BinOp> {
-    use BinOp::*;
-    Some(match op {
-        Add | Mul | BitAnd | BitXor | BitOr | Eq | Ne => op,
-        Lt => Gt,
-        Gt => Lt,
-        Le => Ge,
-        Ge => Le,
-        _ => return None,
-    })
 }
 
 /// Find-or-append a constant in the pool, comparing by tagged bit
@@ -622,743 +448,22 @@ fn fold_windows(f: &mut BFunc) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Pass: block-local copy / constant propagation
-// ---------------------------------------------------------------------------
-
-/// What a frame slot is known to hold at this point of the block.
-#[derive(Clone, Copy, PartialEq)]
-enum Fact {
-    /// `frame[slot] == consts[idx]`.
-    Const(u32),
-    /// `frame[slot] == frame[src]` (value copied from `src`).
-    Copy(u32),
-}
-
-/// Symbolic operand-stack entry. The symbolic stack models only the
-/// values this block pushed; pops past its depth reach values pushed by
-/// predecessor blocks (ternaries span blocks) and are simply unknown.
-#[derive(Clone, Copy)]
-enum Sym {
-    Unknown,
-    Const(u32),
-    Slot(u32),
-}
-
-/// Forward walk per basic block rewriting instructions 1:1 (no index
-/// changes): `LoadLocal` of a known-const slot becomes `Const`, loads
-/// of copies are renumbered to the original slot (exposing dead
-/// stores), `BinLL`/`BinLC` with known-const operands fold to
-/// `ConstFold`, and `Local ⊕ Const` shapes collapse to `BinLC`.
-fn copy_propagate(f: &mut BFunc) -> bool {
-    let lead = leaders(f);
-    let mut changed = false;
-    let mut facts: Vec<Option<Fact>> = vec![None; f.frame_size.max(1)];
-    let mut stack: Vec<Sym> = Vec::new();
-    let spawn_slots: Vec<u32> = f.spawns.iter().map(|s| s.slot).collect();
-    let spawn_nargs: Vec<u32> = f.spawns.iter().map(|s| s.nargs).collect();
-
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..f.code.len() {
-        if lead[i] {
-            facts.iter_mut().for_each(|x| *x = None);
-            stack.clear();
-        }
-        let insn = f.code[i];
-
-        // -- rewrites (1:1, applied before the effect update) --------------
-        let resolve = |facts: &[Option<Fact>], slot: u32| -> (u32, Option<u32>) {
-            // (possibly renumbered slot, known const index)
-            match facts.get(slot as usize).copied().flatten() {
-                Some(Fact::Const(c)) => (slot, Some(c)),
-                Some(Fact::Copy(src)) => (src, None),
-                None => (slot, None),
-            }
-        };
-        match insn.op {
-            Op::LoadLocal => {
-                let (slot, konst) = resolve(&facts, insn.a);
-                if let Some(c) = konst {
-                    f.code[i] = Insn {
-                        op: Op::Const,
-                        a: c,
-                        b: 0,
-                    };
-                    changed = true;
-                } else if slot != insn.a {
-                    f.code[i].a = slot;
-                    changed = true;
-                }
-            }
-            Op::BinLL => {
-                let (x, kx) = resolve(&facts, insn.a & 0xFFFF);
-                let (y, ky) = resolve(&facts, insn.a >> 16);
-                let op = binop_decode(insn.b);
-                let folded = match (kx, ky) {
-                    (Some(cx), Some(cy)) => {
-                        eval_binop(op, f.consts[cx as usize], f.consts[cy as usize]).and_then(
-                            |(out, ints, fls)| {
-                                let comp = Comp {
-                                    int_ops: ints as u32,
-                                    flops: fls as u32,
-                                    saved: 0,
-                                };
-                                Some((out, comp.encode()?))
-                            },
-                        )
-                    }
-                    _ => None,
-                };
-                if let Some((out, b)) = folded {
-                    if let Some(cidx) = intern_const(f, out) {
-                        f.code[i] = Insn {
-                            op: Op::ConstFold,
-                            a: cidx,
-                            b,
-                        };
-                        changed = true;
-                    }
-                } else if let (None, Some(cy)) = (kx, ky) {
-                    if cy < 0x1_0000 && x < 0x1_0000 {
-                        f.code[i] = Insn {
-                            op: Op::BinLC,
-                            a: x | (cy << 16),
-                            b: insn.b,
-                        };
-                        changed = true;
-                    }
-                } else if let (Some(cx), None) = (kx, ky) {
-                    if let Some(m) = mirrored(op) {
-                        if cx < 0x1_0000 && y < 0x1_0000 {
-                            f.code[i] = Insn {
-                                op: Op::BinLC,
-                                a: y | (cx << 16),
-                                b: binop_encode(m),
-                            };
-                            changed = true;
-                        }
-                    }
-                } else if (x != insn.a & 0xFFFF || y != insn.a >> 16)
-                    && x < 0x1_0000
-                    && y < 0x1_0000
-                {
-                    f.code[i].a = x | (y << 16);
-                    changed = true;
-                }
-            }
-            Op::BinLC => {
-                let (x, kx) = resolve(&facts, insn.a & 0xFFFF);
-                let cy = insn.a >> 16;
-                let op = binop_decode(insn.b);
-                if let Some(cx) = kx {
-                    if let Some((out, ints, fls)) =
-                        eval_binop(op, f.consts[cx as usize], f.consts[cy as usize])
-                    {
-                        let comp = Comp {
-                            int_ops: ints as u32,
-                            flops: fls as u32,
-                            saved: 0,
-                        };
-                        if let (Some(b), Some(cidx)) = (comp.encode(), intern_const(f, out)) {
-                            f.code[i] = Insn {
-                                op: Op::ConstFold,
-                                a: cidx,
-                                b,
-                            };
-                            changed = true;
-                        }
-                    }
-                } else if x != insn.a & 0xFFFF && x < 0x1_0000 {
-                    f.code[i].a = x | (cy << 16);
-                    changed = true;
-                }
-            }
-            Op::LoadIdxLL | Op::StoreIdxLL | Op::CompoundIdxLL => {
-                let (x, kx) = resolve(&facts, insn.a & 0xFFFF);
-                let (y, ky) = resolve(&facts, insn.a >> 16);
-                // Only renumber copies; a const base/index stays (memory
-                // ops need the slot's packed word semantics anyway).
-                if kx.is_none()
-                    && ky.is_none()
-                    && (x != insn.a & 0xFFFF || y != insn.a >> 16)
-                    && x < 0x1_0000
-                    && y < 0x1_0000
-                {
-                    f.code[i].a = x | (y << 16);
-                    changed = true;
-                }
-            }
-            _ => {}
-        }
-
-        // -- effect update on facts and the symbolic stack -----------------
-        let insn = f.code[i]; // possibly rewritten
-        let kill = |facts: &mut Vec<Option<Fact>>, stack: &mut Vec<Sym>, slot: u32| {
-            if let Some(x) = facts.get_mut(slot as usize) {
-                *x = None;
-            }
-            for x in facts.iter_mut() {
-                if *x == Some(Fact::Copy(slot)) {
-                    *x = None;
-                }
-            }
-            for s in stack.iter_mut() {
-                if let Sym::Slot(y) = s {
-                    if *y == slot {
-                        *s = Sym::Unknown;
-                    }
-                }
-            }
-        };
-        let fact_of = |sym: Sym, slot: u32| -> Option<Fact> {
-            match sym {
-                Sym::Const(c) => Some(Fact::Const(c)),
-                Sym::Slot(src) if src != slot => Some(Fact::Copy(src)),
-                _ => None,
-            }
-        };
-        match insn.op {
-            Op::Step | Op::BumpBranch => {}
-            Op::Const | Op::ConstFold => stack.push(Sym::Const(insn.a)),
-            Op::StrNew | Op::PushUninit | Op::LoadGlobal | Op::AllocStruct => {
-                stack.push(Sym::Unknown)
-            }
-            Op::LoadLocal => stack.push(Sym::Slot(insn.a)),
-            Op::StoreLocal => {
-                let sym = stack.last().copied().unwrap_or(Sym::Unknown);
-                kill(&mut facts, &mut stack, insn.a);
-                if let Some(fact) = fact_of(sym, insn.a) {
-                    facts[insn.a as usize] = Some(fact);
-                }
-            }
-            Op::StoreLocalPop => {
-                let sym = stack.pop().unwrap_or(Sym::Unknown);
-                kill(&mut facts, &mut stack, insn.a);
-                if let Some(fact) = fact_of(sym, insn.a) {
-                    facts[insn.a as usize] = Some(fact);
-                }
-            }
-            Op::StoreGlobal => {}
-            Op::StoreGlobalPop => {
-                stack.pop();
-            }
-            Op::Dup => {
-                let top = stack.last().copied().unwrap_or(Sym::Unknown);
-                stack.push(top);
-            }
-            Op::Pop => {
-                stack.pop();
-            }
-            Op::UnaryNeg
-            | Op::UnaryNot
-            | Op::UnaryBitNot
-            | Op::Truthy
-            | Op::Coerce
-            | Op::DerefLoad
-            | Op::LoadMem
-            | Op::LoadIdxConst
-            | Op::PtrMember => {
-                stack.pop();
-                stack.push(Sym::Unknown);
-            }
-            Op::PtrDeref => {} // pushes the popped value back unchanged
-            Op::Binary | Op::PtrIndex => {
-                stack.pop();
-                stack.pop();
-                stack.push(Sym::Unknown);
-            }
-            Op::BinLL | Op::BinLC | Op::LoadIdxLL | Op::LoadIdxLC => stack.push(Sym::Unknown),
-            Op::StoreIdxLL | Op::StoreIdxLC => {
-                if insn.b == 1 {
-                    stack.pop();
-                }
-            }
-            Op::StoreMem => {
-                // pops ptr and value; pushes the value back when b == 0
-                stack.pop();
-                let v = stack.pop().unwrap_or(Sym::Unknown);
-                if insn.b == 0 {
-                    stack.push(v);
-                }
-            }
-            Op::StoreIdxConst => {
-                stack.pop();
-                stack.pop();
-            }
-            Op::CompoundLocal => {
-                stack.pop();
-                kill(&mut facts, &mut stack, insn.a);
-                if insn.b & 0x100 == 0 {
-                    stack.push(Sym::Unknown);
-                }
-            }
-            Op::CompoundGlobal => {
-                stack.pop();
-                if insn.b & 0x100 == 0 {
-                    stack.push(Sym::Unknown);
-                }
-            }
-            Op::CompoundMem => {
-                stack.pop();
-                stack.pop();
-                if insn.b == 0 {
-                    stack.push(Sym::Unknown);
-                }
-            }
-            Op::CompoundIdxLL => {
-                stack.pop();
-                if insn.b & 0x100 == 0 {
-                    stack.push(Sym::Unknown);
-                }
-            }
-            Op::IncDecLocal => {
-                kill(&mut facts, &mut stack, insn.a);
-                if insn.b & 4 == 0 {
-                    stack.push(Sym::Unknown);
-                }
-            }
-            Op::IncDecGlobal => {
-                if insn.b & 4 == 0 {
-                    stack.push(Sym::Unknown);
-                }
-            }
-            Op::IncDecMem => {
-                stack.pop();
-                if insn.b & 4 == 0 {
-                    stack.push(Sym::Unknown);
-                }
-            }
-            Op::CallUser => {
-                for _ in 0..(insn.b & 0xFFFF) {
-                    stack.pop();
-                }
-                stack.push(Sym::Unknown);
-            }
-            Op::CallBuiltin => {
-                for _ in 0..insn.b {
-                    stack.pop();
-                }
-                stack.push(Sym::Unknown);
-            }
-            Op::Printf => {
-                for _ in 0..insn.b {
-                    stack.pop();
-                }
-                if insn.a == u32::MAX {
-                    stack.pop();
-                }
-                stack.push(Sym::Unknown);
-            }
-            Op::AllocArray => {
-                for _ in 0..insn.a {
-                    stack.pop();
-                }
-                stack.push(Sym::Unknown);
-            }
-            Op::SpawnPure => {
-                for _ in 0..spawn_nargs[insn.a as usize] {
-                    stack.pop();
-                }
-                kill(&mut facts, &mut stack, spawn_slots[insn.a as usize]);
-            }
-            Op::AwaitSlot => kill(&mut facts, &mut stack, insn.a),
-            Op::ConstStore => {
-                kill(&mut facts, &mut stack, insn.b);
-                facts[insn.b as usize] = Some(Fact::Const(insn.a));
-            }
-            Op::BinLLStore | Op::BinLCStore => kill(&mut facts, &mut stack, insn.b >> 16),
-            Op::LoadIdxLLStore => kill(&mut facts, &mut stack, insn.b),
-            Op::LoadGStore => kill(&mut facts, &mut stack, insn.b),
-            // Block enders: the next instruction is a leader and resets
-            // the analysis state.
-            Op::Jump
-            | Op::JumpIfFalse
-            | Op::JumpIfTrue
-            | Op::SkipUnlessPtr
-            | Op::BrCmpLL
-            | Op::BrCmpLC
-            | Op::Ret
-            | Op::RetLocal
-            | Op::Err
-            | Op::MemberUnknownErr
-            | Op::RegionEnd
-            | Op::OmpRegion
-            | Op::AffineHead
-            | Op::AffineNext => {}
-        }
-    }
-    changed
-}
-
-// ---------------------------------------------------------------------------
-// Pass: dead-store elimination (slot liveness over the CFG)
-// ---------------------------------------------------------------------------
-
-/// Backward transfer of one instruction over the slot-liveness set:
-/// `live_before = (live_after − defs) ∪ uses`.
-fn liveness_step(insn: &Insn, live: &mut [bool]) {
-    // Kill pure definitions first.
-    match insn.op {
-        Op::StoreLocal | Op::StoreLocalPop => live[insn.a as usize] = false,
-        Op::ConstStore | Op::LoadGStore | Op::LoadIdxLLStore => live[insn.b as usize] = false,
-        Op::BinLLStore | Op::BinLCStore => live[(insn.b >> 16) as usize] = false,
-        _ => {}
-    }
-    // Then add uses.
-    match insn.op {
-        Op::LoadLocal | Op::RetLocal => live[insn.a as usize] = true,
-        Op::BinLL
-        | Op::LoadIdxLL
-        | Op::StoreIdxLL
-        | Op::CompoundIdxLL
-        | Op::BrCmpLL
-        | Op::BinLLStore
-        | Op::LoadIdxLLStore => {
-            live[(insn.a & 0xFFFF) as usize] = true;
-            live[(insn.a >> 16) as usize] = true;
-        }
-        Op::BinLC | Op::LoadIdxLC | Op::StoreIdxLC | Op::BrCmpLC | Op::BinLCStore => {
-            live[(insn.a & 0xFFFF) as usize] = true;
-        }
-        // Counted read-modify-writes: both a use and a def (never
-        // deleted — they bump executed-op counters).
-        Op::CompoundLocal | Op::IncDecLocal | Op::AwaitSlot => live[insn.a as usize] = true,
-        // Iterator is a read-modify-write like `IncDecLocal`; the upper
-        // half is a slot only when the const bit (`b & 2`) is clear —
-        // a const-pool index must never be marked in the frame set.
-        Op::AffineHead | Op::AffineNext => {
-            live[(insn.a & 0xFFFF) as usize] = true;
-            if insn.b & 2 == 0 {
-                live[(insn.a >> 16) as usize] = true;
-            }
-        }
-        // The whole frame is snapshot into the workers.
-        Op::OmpRegion => live.iter_mut().for_each(|x| *x = true),
-        _ => {}
-    }
-}
-
-/// Use/def slot of a `SpawnPure` (the target slot is written by the
-/// spawn — possibly inline — and must stay observable at the matching
-/// `AwaitSlot`); treated as a use so stores feeding the spawn's frame
-/// template never look dead.
-fn spawn_use(f: &BFunc, insn: &Insn, live: &mut [bool]) {
-    if insn.op == Op::SpawnPure {
-        live[f.spawns[insn.a as usize].slot as usize] = true;
-    }
-}
-
-/// Delete `StoreLocal`s (and rewrite `StoreLocalPop`s to `Pop`) whose
-/// slot is dead: not read on any path to a block exit. Liveness runs
-/// over the absolute-jump CFG with region bodies as separate roots
-/// (their `RegionEnd` exits with nothing live — per-iteration frames
-/// are snapshot copies, so body writes never flow back to the parent).
-fn eliminate_dead_stores(f: &mut BFunc) -> bool {
-    let n = f.code.len();
-    let fs = f.frame_size;
-    if n == 0 || fs == 0 {
-        return false;
-    }
-    let lead = leaders(f);
-    let starts: Vec<usize> = (0..n).filter(|&i| lead[i]).collect();
-    let nb = starts.len();
-    let mut block_of = vec![0usize; n];
-    {
-        let mut cur = 0;
-        for (i, b) in block_of.iter_mut().enumerate() {
-            if cur + 1 < nb && starts[cur + 1] == i {
-                cur += 1;
-            }
-            *b = cur;
-        }
-    }
-    let block_end = |bi: usize| {
-        if bi + 1 < nb {
-            starts[bi + 1] - 1
-        } else {
-            n - 1
-        }
-    };
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); nb];
-    #[allow(clippy::needless_range_loop)]
-    for bi in 0..nb {
-        let e = block_end(bi);
-        let last = f.code[e];
-        if last.op == Op::OmpRegion {
-            // The parent resumes after the region's RegionEnd; body
-            // blocks belong to the workers (separate roots).
-            let after = f.regions[last.a as usize].end as usize + 1;
-            if after < n {
-                succ[bi].push(block_of[after]);
-            }
-            continue;
-        }
-        if let Some(t) = jump_target(&last) {
-            succ[bi].push(block_of[t]);
-        }
-        if !is_terminator(last.op) && e + 1 < n {
-            succ[bi].push(block_of[e + 1]);
-        }
-    }
-
-    // Fixpoint: block live-in sets.
-    let mut live_in: Vec<Vec<bool>> = vec![vec![false; fs]; nb];
-    loop {
-        let mut moved = false;
-        for bi in (0..nb).rev() {
-            let mut live = vec![false; fs];
-            for &sb in &succ[bi] {
-                for (i, v) in live_in[sb].iter().enumerate() {
-                    if *v {
-                        live[i] = true;
-                    }
-                }
-            }
-            for i in (starts[bi]..=block_end(bi)).rev() {
-                liveness_step(&f.code[i], &mut live);
-                spawn_use(f, &f.code[i], &mut live);
-            }
-            if live != live_in[bi] {
-                live_in[bi] = live;
-                moved = true;
-            }
-        }
-        if !moved {
-            break;
-        }
-    }
-
-    // Rewrite: one more backward walk per block with the solved sets.
-    let mut keep = vec![true; n];
-    let mut changed = false;
-    for bi in 0..nb {
-        let mut live = vec![false; fs];
-        for &sb in &succ[bi] {
-            for (i, v) in live_in[sb].iter().enumerate() {
-                if *v {
-                    live[i] = true;
-                }
-            }
-        }
-        for i in (starts[bi]..=block_end(bi)).rev() {
-            let insn = f.code[i];
-            match insn.op {
-                Op::StoreLocal if !live[insn.a as usize] => {
-                    // Peeks: deleting it is stack-neutral.
-                    keep[i] = false;
-                    changed = true;
-                }
-                Op::StoreLocalPop if !live[insn.a as usize] => {
-                    f.code[i] = Insn {
-                        op: Op::Pop,
-                        a: 0,
-                        b: 0,
-                    };
-                    changed = true;
-                }
-                _ => {}
-            }
-            liveness_step(&f.code[i], &mut live);
-            spawn_use(f, &f.code[i], &mut live);
-        }
-    }
-    compact(f, &keep);
-    changed
-}
-
-// ---------------------------------------------------------------------------
-// Pass: push/Pop cleanup peephole
-// ---------------------------------------------------------------------------
-
-/// Delete `[side-effect-free push, Pop]` pairs (the residue DSE leaves
-/// behind when it rewrites a dead `StoreLocalPop` to `Pop`). `ConstFold`
-/// is excluded — it carries counter compensation that must still
-/// execute.
-fn cleanup_push_pop(f: &mut BFunc) -> bool {
-    let lead = leaders(f);
-    let n = f.code.len();
-    let mut keep = vec![true; n];
-    let mut changed = false;
-    let mut i = 0;
-    while i + 1 < n {
-        if keep[i]
-            && !lead[i + 1]
-            && f.code[i + 1].op == Op::Pop
-            && matches!(
-                f.code[i].op,
-                Op::Const | Op::LoadLocal | Op::PushUninit | Op::LoadGlobal | Op::Dup
-            )
-        {
-            keep[i] = false;
-            keep[i + 1] = false;
-            changed = true;
-            i += 2;
-            continue;
-        }
-        i += 1;
-    }
-    compact(f, &keep);
-    changed
-}
-
-// ---------------------------------------------------------------------------
-// Pass: loop-invariant global-load hoisting
-// ---------------------------------------------------------------------------
-
-/// Hoist `LoadGlobal`s out of single-entry loops that provably leave
-/// the global table untouched (no global stores, no calls, no parallel
-/// constructs — a call could store globals transitively). Each hoisted
-/// global costs one fused `LoadGStore` dispatch per loop *entry* and
-/// turns every in-loop read into a `LoadLocal` the fusion pass folds
-/// further. Memory loads are counted and never hoisted.
-fn hoist_global_loads(f: &mut BFunc) -> bool {
-    let n = f.code.len();
-    if n == 0 {
-        return false;
-    }
-    // Natural-loop candidates: one per back-edge target, widest
-    // back-edge span wins.
-    let mut heads: Vec<(usize, usize)> = Vec::new(); // (head, max back-edge pc)
-    for (pc, insn) in f.code.iter().enumerate() {
-        if let Some(t) = jump_target(insn) {
-            if t <= pc {
-                match heads.iter_mut().find(|(h, _)| *h == t) {
-                    Some((_, e)) => *e = (*e).max(pc),
-                    None => heads.push((t, pc)),
-                }
-            }
-        }
-    }
-    if heads.is_empty() {
-        return false;
-    }
-    // Outermost loops first, so a nested LoadGlobal hoists all the way
-    // out in one step and the inner loop then has nothing left to do.
-    heads.sort_by_key(|&(h, e)| std::cmp::Reverse(e - h));
-    let region_ranges: Vec<(usize, usize)> = f
-        .regions
-        .iter()
-        .map(|r| (r.body_start as usize, r.end as usize))
-        .collect();
-
-    let mut insertions: Vec<(usize, Vec<Insn>)> = Vec::new(); // head -> preheader insns
-    let mut changed = false;
-    for (head, end) in heads {
-        // Single entry: no jump from outside the range into its middle.
-        let outside_entry = f.code.iter().enumerate().any(|(pc, insn)| {
-            (pc < head || pc > end) && jump_target(insn).is_some_and(|t| t > head && t <= end)
-        });
-        let banned = f.code[head..=end].iter().any(|insn| {
-            matches!(
-                insn.op,
-                Op::OmpRegion
-                    | Op::RegionEnd
-                    | Op::SpawnPure
-                    | Op::AwaitSlot
-                    | Op::CallUser
-                    | Op::CallBuiltin
-                    | Op::Printf
-                    | Op::StoreGlobal
-                    | Op::StoreGlobalPop
-                    | Op::CompoundGlobal
-                    | Op::IncDecGlobal
-                    | Op::LoadGStore
-            )
-        });
-        let in_region = region_ranges.iter().any(|&(s, e)| s <= end && head <= e);
-        if outside_entry || banned || in_region {
-            continue;
-        }
-        let mut slot_of: Vec<(u32, u32)> = Vec::new(); // global -> tmp slot
-        let mut pre: Vec<Insn> = Vec::new();
-        for i in head..=end {
-            if f.code[i].op == Op::LoadGlobal {
-                let g = f.code[i].a;
-                let tmp = match slot_of.iter().find(|(gg, _)| *gg == g) {
-                    Some(&(_, t)) => t,
-                    None => {
-                        let t = f.frame_size as u32;
-                        f.frame_size += 1;
-                        slot_of.push((g, t));
-                        pre.push(Insn {
-                            op: Op::LoadGStore,
-                            a: g,
-                            b: t,
-                        });
-                        t
-                    }
-                };
-                f.code[i] = Insn {
-                    op: Op::LoadLocal,
-                    a: tmp,
-                    b: 0,
-                };
-                changed = true;
-            }
-        }
-        if !pre.is_empty() {
-            insertions.push((head, pre));
-        }
-    }
-    if insertions.is_empty() {
-        return changed;
-    }
-
-    // One rebuild with dual maps: entries into a hoisted loop run its
-    // preheader (`map_pre`), back edges skip it (`map_insn`).
-    let mut map_pre = vec![0u32; n];
-    let mut map_insn = vec![0u32; n];
-    let mut code: Vec<Insn> = Vec::with_capacity(n + 4);
-    let mut spans = Vec::with_capacity(n + 4);
-    for i in 0..n {
-        map_pre[i] = code.len() as u32;
-        if let Some((_, pre)) = insertions.iter().find(|(h, _)| *h == i) {
-            for &x in pre {
-                code.push(x);
-                spans.push(f.spans[i]);
-            }
-        }
-        map_insn[i] = code.len() as u32;
-        code.push(f.code[i]);
-        spans.push(f.spans[i]);
-    }
-    for p in 0..n {
-        let insn = &mut code[map_insn[p] as usize];
-        if let Some(t) = jump_target(insn) {
-            let new_t = if t <= p { map_insn[t] } else { map_pre[t] };
-            set_jump_target(insn, new_t as usize);
-        }
-    }
-    for r in &mut f.regions {
-        // Loops intersecting regions are banned, so no preheader lands
-        // inside one and both bounds map 1:1.
-        r.body_start = map_insn[r.body_start as usize];
-        r.end = map_insn[r.end as usize];
-    }
-    f.code = code;
-    f.spans = spans;
-    true
-}
-
-// ---------------------------------------------------------------------------
-// Pass: superinstruction fusion (profile-guided)
+// Pass: superinstruction fusion
 // ---------------------------------------------------------------------------
 
 /// Fuse adjacent windows into superinstructions. Runs a few rounds so a
 /// first-round product (`BinLL` formed from loads) can anchor a
 /// second-round pattern (`BinLL` + branch → `BrCmpLL`). Windows never
 /// cross block boundaries: every follower must not be a leader.
-fn fuse_superinstructions(f: &mut BFunc, profile: Option<&PairProfile>) -> bool {
-    let mut any = false;
+fn fuse_superinstructions(f: &mut BFunc) {
     for _ in 0..4 {
-        if !fuse_round(f, profile) {
+        if !fuse_round(f) {
             break;
         }
-        any = true;
     }
-    any
 }
 
-fn fuse_round(f: &mut BFunc, profile: Option<&PairProfile>) -> bool {
+fn fuse_round(f: &mut BFunc) -> bool {
     let lead = leaders(f);
     let n = f.code.len();
     let mut keep = vec![true; n];
@@ -1381,7 +486,6 @@ fn fuse_round(f: &mut BFunc, profile: Option<&PairProfile>) -> bool {
                 && matches!(b2.op, Op::JumpIfFalse | Op::JumpIfTrue)
                 && b1.b <= 0xF
                 && (b2.a as usize) < (1 << 26)
-                && pattern_enabled(profile, b1.op, b2.op)
             {
                 let sense = (b2.op == Op::JumpIfTrue) as u32;
                 let op = if b1.op == Op::BinLL {
@@ -1409,7 +513,6 @@ fn fuse_round(f: &mut BFunc, profile: Option<&PairProfile>) -> bool {
             if matches!(b2.op, Op::JumpIfFalse | Op::JumpIfTrue)
                 && cur.b <= 0xF
                 && (b2.a as usize) < (1 << 26)
-                && pattern_enabled(profile, cur.op, b2.op)
             {
                 let sense = (b2.op == Op::JumpIfTrue) as u32;
                 let op = if cur.op == Op::BinLL {
@@ -1427,11 +530,7 @@ fn fuse_round(f: &mut BFunc, profile: Option<&PairProfile>) -> bool {
                 i += 2;
                 continue;
             }
-            if b2.op == Op::StoreLocalPop
-                && b2.a < 0x1_0000
-                && cur.b <= 0xFF
-                && pattern_enabled(profile, cur.op, Op::StoreLocalPop)
-            {
+            if b2.op == Op::StoreLocalPop && b2.a < 0x1_0000 && cur.b <= 0xFF {
                 let op = if cur.op == Op::BinLL {
                     Op::BinLLStore
                 } else {
@@ -1462,12 +561,8 @@ fn fuse_round(f: &mut BFunc, profile: Option<&PairProfile>) -> bool {
                 && matches!(f.consts[c.a as usize], Scalar::I(_))
             {
                 let fused = match m.op {
-                    Op::LoadMem if pattern_enabled(profile, Op::PtrIndex, Op::LoadMem) => {
-                        Some((Op::LoadIdxLC, 0))
-                    }
-                    Op::StoreMem if pattern_enabled(profile, Op::PtrIndex, Op::StoreMem) => {
-                        Some((Op::StoreIdxLC, m.b))
-                    }
+                    Op::LoadMem => Some((Op::LoadIdxLC, 0)),
+                    Op::StoreMem => Some((Op::StoreIdxLC, m.b)),
                     _ => None,
                 };
                 if let Some((op, b)) = fused {
@@ -1486,8 +581,8 @@ fn fuse_round(f: &mut BFunc, profile: Option<&PairProfile>) -> bool {
             }
         }
 
-        // [LoadLocal, LoadLocal/Const, Binary] → BinLL/BinLC (the shapes
-        // hoisting exposes); [LoadLocal, Ret] → RetLocal.
+        // [LoadLocal, LoadLocal/Const, Binary] → BinLL/BinLC;
+        // [LoadLocal, Ret] → RetLocal.
         if cur.op == Op::LoadLocal && follower(1) {
             let b2 = f.code[i + 1];
             if b2.op == Op::LoadLocal
@@ -1495,7 +590,6 @@ fn fuse_round(f: &mut BFunc, profile: Option<&PairProfile>) -> bool {
                 && f.code[i + 2].op == Op::Binary
                 && cur.a < 0x1_0000
                 && b2.a < 0x1_0000
-                && pattern_enabled(profile, Op::LoadLocal, Op::LoadLocal)
             {
                 f.code[i] = Insn {
                     op: Op::BinLL,
@@ -1513,7 +607,6 @@ fn fuse_round(f: &mut BFunc, profile: Option<&PairProfile>) -> bool {
                 && f.code[i + 2].op == Op::Binary
                 && cur.a < 0x1_0000
                 && b2.a < 0x1_0000
-                && pattern_enabled(profile, Op::LoadLocal, Op::Const)
             {
                 f.code[i] = Insn {
                     op: Op::BinLC,
@@ -1526,7 +619,7 @@ fn fuse_round(f: &mut BFunc, profile: Option<&PairProfile>) -> bool {
                 i += 3;
                 continue;
             }
-            if b2.op == Op::Ret && pattern_enabled(profile, Op::LoadLocal, Op::Ret) {
+            if b2.op == Op::Ret {
                 f.code[i] = Insn {
                     op: Op::RetLocal,
                     a: cur.a,
@@ -1540,11 +633,7 @@ fn fuse_round(f: &mut BFunc, profile: Option<&PairProfile>) -> bool {
         }
 
         // [Const, StoreLocalPop] → ConstStore (declaration inits).
-        if cur.op == Op::Const
-            && follower(1)
-            && f.code[i + 1].op == Op::StoreLocalPop
-            && pattern_enabled(profile, Op::Const, Op::StoreLocalPop)
-        {
+        if cur.op == Op::Const && follower(1) && f.code[i + 1].op == Op::StoreLocalPop {
             f.code[i] = Insn {
                 op: Op::ConstStore,
                 a: cur.a,
@@ -1557,11 +646,7 @@ fn fuse_round(f: &mut BFunc, profile: Option<&PairProfile>) -> bool {
         }
 
         // [LoadIdxLL, StoreLocalPop] → LoadIdxLLStore (`x = a[i]`).
-        if cur.op == Op::LoadIdxLL
-            && follower(1)
-            && f.code[i + 1].op == Op::StoreLocalPop
-            && pattern_enabled(profile, Op::LoadIdxLL, Op::StoreLocalPop)
-        {
+        if cur.op == Op::LoadIdxLL && follower(1) && f.code[i + 1].op == Op::StoreLocalPop {
             f.code[i] = Insn {
                 op: Op::LoadIdxLLStore,
                 a: cur.a,
@@ -1584,7 +669,6 @@ mod tests {
     use super::*;
     use crate::interp::{InterpOptions, Program};
     use cfront::parser::parse;
-    use std::collections::HashSet;
 
     fn program(src: &str) -> Program {
         let r = parse(src);
@@ -1689,7 +773,7 @@ int main() {
     }
 
     #[test]
-    fn dead_stores_are_eliminated() {
+    fn level_one_shrinks_code_and_preserves_result() {
         let src = "\
 int main() {
     int dead = 123;          // never read again after the overwrite
@@ -1730,47 +814,6 @@ int main() {
     }
 
     #[test]
-    fn loop_invariant_global_loads_are_hoisted() {
-        let src = "\
-int scale;
-int main() {
-    scale = 3;
-    int acc = 0;
-    for (int i = 0; i < 100; i++) acc += i * scale;
-    return acc % 251;
-}
-";
-        let prog = assert_equivalent(src);
-        let raw = prog.bytecode_at(0);
-        let opt = prog.bytecode_at(2);
-        assert!(
-            count_op(&opt, Op::LoadGStore) > 0,
-            "expected a hoisted preheader"
-        );
-        assert!(
-            count_op(&opt, Op::LoadGlobal) < count_op(&raw, Op::LoadGlobal),
-            "in-loop LoadGlobal should be replaced by LoadLocal"
-        );
-    }
-
-    #[test]
-    fn calls_and_global_stores_block_hoisting() {
-        // The loop writes the global it reads — hoisting would change the
-        // observed values. The differential check is the real assertion.
-        assert_equivalent(
-            "\
-int g;
-int main() {
-    g = 1;
-    int acc = 0;
-    for (int i = 0; i < 10; i++) { acc += g; g = g + 1; }
-    return acc;
-}
-",
-        );
-    }
-
-    #[test]
     fn optimized_fuel_never_exceeds_raw() {
         let src = "\
 int main() {
@@ -1784,10 +827,7 @@ int main() {
         let f1 = min_fuel(&prog, 1);
         let f2 = min_fuel(&prog, 2);
         assert!(f1 <= f0, "level 1 must not burn more fuel: {f1} vs {f0}");
-        assert!(
-            f2 <= f0,
-            "level 2 must win back the preheader: {f2} vs {f0}"
-        );
+        assert!(f2 <= f0, "level 2 must not burn more fuel: {f2} vs {f0}");
         assert!(f2 < f1, "fusion should save dispatches: {f2} vs {f1}");
     }
 
@@ -1826,98 +866,6 @@ int main() {
         let e2 = prog.run(opts(2)).expect_err("optimized traps");
         assert_eq!(e0.message, e2.message);
         assert_eq!(e0.span, e2.span);
-    }
-
-    #[test]
-    fn empty_profile_disables_fusion_patterns() {
-        let src = "\
-int f(int x) { return x + 1; }
-int main() {
-    int acc = 0;
-    for (int i = 0; i < 32; i++) acc = acc + i;
-    return acc % 251;
-}
-";
-        let prog = program(src);
-        let cold = PairProfile::new();
-        let gated = optimize_program(&prog.bytecode_at(0), 2, Some(&cold));
-        assert_eq!(count_op(&gated, Op::RetLocal), 0);
-        assert_eq!(count_op(&gated, Op::ConstStore), 0);
-        assert_eq!(
-            count_op(&gated, Op::BrCmpLC) + count_op(&gated, Op::BrCmpLL),
-            0
-        );
-        // The ungated default set does fuse this program.
-        let full = prog.bytecode_at(2);
-        assert!(
-            count_op(&full, Op::BrCmpLC) + count_op(&full, Op::BrCmpLL) > 0,
-            "{}",
-            full.dump()
-        );
-    }
-
-    #[test]
-    fn hot_profile_enables_exactly_its_patterns() {
-        let src = "int f(int x) { return x; }\nint main() { int a = 5; return a; }";
-        let prog = program(src);
-        let mut p = PairProfile::new();
-        for _ in 0..512 {
-            p.tick(Op::LoadLocal);
-            p.tick(Op::Ret);
-        }
-        assert!(p.count(Op::LoadLocal, Op::Ret) > 0);
-        let tuned = optimize_program(&prog.bytecode_at(0), 2, Some(&p));
-        assert!(count_op(&tuned, Op::RetLocal) > 0, "{}", tuned.dump());
-        // Patterns the profile never saw stay off.
-        assert_eq!(count_op(&tuned, Op::ConstStore), 0);
-    }
-
-    #[test]
-    fn profiled_run_reports_pairs() {
-        let src = "int main() { int a = 0; for (int i = 0; i < 500; i++) a += i; return a % 7; }";
-        let prog = program(src);
-        let r = prog
-            .run(InterpOptions {
-                profile_pairs: true,
-                ..Default::default()
-            })
-            .expect("runs");
-        let pairs = r.pairs.expect("profile collected");
-        assert!(!pairs.top_pairs(4).is_empty());
-        assert!(!pairs.report(4).is_empty());
-    }
-
-    #[test]
-    fn inline_cache_serves_repeat_pure_calls() {
-        let src = "\
-pure int sq(int x) { return x * x; }
-int main() {
-    int acc = 0;
-    for (int i = 0; i < 50; i++) acc += sq(7);
-    return acc % 251;
-}
-";
-        let r = parse(src);
-        assert!(!r.diags.has_errors(), "{}", r.diags.render_all(src));
-        let set: HashSet<String> = ["sq".to_string()].into_iter().collect();
-        let prog = Program::with_pure_set(&r.unit, &set);
-        assert!(
-            prog.bytecode_at(2).ic_slots > 0,
-            "call site should get an IC slot"
-        );
-        let raw = prog.run(opts(0)).expect("runs");
-        let opt = prog.run(opts(2)).expect("runs");
-        assert_eq!(opt.exit_code, raw.exit_code);
-        assert!(opt.counters.icache_hits > 0, "{:?}", opt.counters);
-        assert_eq!(raw.counters.icache_hits, 0);
-        // Memo off => the cache must stay cold (it is memo-gated).
-        let nomemo = prog
-            .run(InterpOptions {
-                memo: false,
-                ..opts(2)
-            })
-            .expect("runs");
-        assert_eq!(nomemo.counters.icache_hits, 0);
     }
 
     #[test]

@@ -97,7 +97,7 @@ use cfront::ast::*;
 use cfront::intern::{Interner, Symbol};
 use cfront::span::Span;
 use machine::OmpSchedule;
-use machine::{global_pool, parallel_for, parallel_for_pooled, PureFuture, ThreadPool};
+use machine::{global_pool, parallel_for_pooled, PureFuture, ThreadPool};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -1628,7 +1628,6 @@ pub(crate) fn run_resolved(
         exit_code: exit.as_i64(),
         output,
         counters,
-        pairs: None,
     })
 }
 
@@ -2466,8 +2465,8 @@ impl<'p> RInterp<'p> {
         // exposed-task budget (a handful of relaxed loads either way
         // and no shared write, see machine::spawn_capacity) — then the
         // call runs inline like the original statement.
-        let (threads, steal) = (self.s.opts.threads, self.s.opts.steal);
-        let throttled = futures_on && !machine::spawn_capacity(self.futures_pool(), threads, steal);
+        let threads = self.s.opts.threads;
+        let throttled = futures_on && !machine::spawn_capacity(self.futures_pool(), threads);
         if !futures_on || throttled {
             // Exactly the original call statement.
             if throttled {
@@ -2512,7 +2511,7 @@ impl<'p> RInterp<'p> {
             child.refund_fuel();
             res
         };
-        let fut = PureFuture::spawn(self.futures_pool(), steal, task);
+        let fut = PureFuture::spawn(self.futures_pool(), true, task);
         Counters::bump(&self.s.counters.futures_spawned);
         if fut.pushed_local() {
             Counters::bump(&self.s.counters.local_pushes);
@@ -2643,11 +2642,7 @@ impl<'p> RInterp<'p> {
             }
             child.refund_fuel();
         };
-        if self.s.opts.pool {
-            parallel_for_pooled(n, self.s.opts.threads, of.schedule, iteration);
-        } else {
-            parallel_for(n, self.s.opts.threads, of.schedule, iteration);
-        }
+        parallel_for_pooled(n, self.s.opts.threads, of.schedule, iteration);
 
         match err.into_inner() {
             Some(e) => Err(e),

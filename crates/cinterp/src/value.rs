@@ -1005,9 +1005,6 @@ pub struct Tally {
     /// Dispatches eliminated by superinstruction fusion that executed
     /// as part of a fused instruction (tier-3.5 optimizer bookkeeping).
     pub insns_fused: u64,
-    /// Monomorphic inline-cache hits at `CallUser` sites (a hit is also
-    /// counted as a memo hit — the IC is a one-entry per-site memo).
-    pub icache_hits: u64,
 }
 
 impl Tally {
@@ -1033,7 +1030,6 @@ impl Tally {
         self.memo_evictions += other.memo_evictions;
         self.insns_folded += other.insns_folded;
         self.insns_fused += other.insns_fused;
-        self.icache_hits += other.icache_hits;
     }
 
     /// Flush into the shared atomics (once per thread per join point).
@@ -1061,7 +1057,6 @@ impl Tally {
         c.insns_folded
             .fetch_add(self.insns_folded, Ordering::Relaxed);
         c.insns_fused.fetch_add(self.insns_fused, Ordering::Relaxed);
-        c.icache_hits.fetch_add(self.icache_hits, Ordering::Relaxed);
     }
 }
 
@@ -1124,8 +1119,6 @@ pub struct Counters {
     /// Dispatches eliminated by superinstruction fusion, counted as the
     /// fused instructions execute.
     pub insns_fused: AtomicU64,
-    /// Monomorphic inline-cache hits at `CallUser` sites.
-    pub icache_hits: AtomicU64,
     /// Parallel regions whose dynamic race check was skipped because the
     /// static analyzer proved the iterations independent.
     pub race_static_skips: AtomicU64,
@@ -1171,7 +1164,7 @@ impl Counters {
             memo_evictions: self.memo_evictions.load(Ordering::Relaxed),
             insns_folded: self.insns_folded.load(Ordering::Relaxed),
             insns_fused: self.insns_fused.load(Ordering::Relaxed),
-            icache_hits: self.icache_hits.load(Ordering::Relaxed),
+            icache_hits: 0,
             race_static_skips: self.race_static_skips.load(Ordering::Relaxed),
             race_dyn_iters: self.race_dyn_iters.load(Ordering::Relaxed),
         }
@@ -1207,11 +1200,12 @@ pub struct CounterSnapshot {
     /// the hit/miss split, excluded from the differential projection.
     pub memo_evictions: u64,
     /// Tier-3.5 optimizer bookkeeping: dispatches eliminated by folding
-    /// and fusion, and inline-cache hits. Nonzero only on optimized
-    /// bytecode runs — excluded from the differential projection (the
-    /// executed-op counters themselves stay exact under optimization).
+    /// and fusion. Nonzero only on optimized bytecode runs — excluded
+    /// from the differential projection (the executed-op counters
+    /// themselves stay exact under optimization).
     pub insns_folded: u64,
     pub insns_fused: u64,
+    /// Always 0: no producer since PR 13, still read by purebench.
     pub icache_hits: u64,
     /// Race-check bookkeeping (`--race-check` only): regions whose
     /// dynamic pre-pass was skipped on a static Independent verdict, and
@@ -1246,7 +1240,6 @@ impl CounterSnapshot {
             memo_evictions: 0,
             insns_folded: 0,
             insns_fused: 0,
-            icache_hits: 0,
             race_static_skips: 0,
             race_dyn_iters: 0,
             ..*self
@@ -1306,7 +1299,7 @@ mod tests {
     fn parallel_disjoint_writes() {
         let m = Memory::new();
         let p = m.alloc(1024);
-        machine::parallel_for(1024, 8, machine::OmpSchedule::Dynamic(16), |i| {
+        machine::parallel_for_pooled(1024, 8, machine::OmpSchedule::Dynamic(16), |i| {
             m.store(p.offset(i as i64), Scalar::I(i as i64 * 2))
                 .unwrap();
         });
@@ -1408,7 +1401,7 @@ mod tests {
         // others do the same: exercises lock-free reads racing table
         // growth across segment boundaries.
         let m = Memory::new();
-        machine::parallel_for(256, 8, machine::OmpSchedule::Dynamic(4), |i| {
+        machine::parallel_for_pooled(256, 8, machine::OmpSchedule::Dynamic(4), |i| {
             let p = m.alloc(4);
             m.store(p, Scalar::I(i as i64)).unwrap();
             m.store(p.offset(3), Scalar::F(i as f64)).unwrap();
@@ -1475,7 +1468,7 @@ mod tests {
     fn global_rmw_loses_no_updates() {
         let g = Arc::new(GlobalTable::new(1));
         g.store(0, Scalar::I(0));
-        machine::parallel_for(4000, 8, machine::OmpSchedule::Dynamic(1), |_| {
+        machine::parallel_for_pooled(4000, 8, machine::OmpSchedule::Dynamic(1), |_| {
             g.rmw::<()>(0, |old| Ok(Scalar::I(old.as_i64() + 1)))
                 .unwrap();
         });

@@ -15,9 +15,8 @@
 //!   `Vec<Packed>` per VM (extend on call, truncate on return) instead
 //!   of a fresh `Vec` allocation per call; each parallel **worker** owns
 //!   one arena reused across every iteration it executes, and regions
-//!   run on the persistent process-wide thread pool by default
-//!   ([`machine::parallel_for_state_pooled`]; `InterpOptions::pool =
-//!   false` falls back to scoped spawn-per-region threads).
+//!   run on the persistent process-wide thread pool
+//!   ([`machine::parallel_for_state_pooled`]).
 //! * **Thread-local accounting** — executed-operation counters are plain
 //!   [`Tally`] fields flushed into the shared atomics once per worker at
 //!   region join (and once at run end), and the pure-call memo cache is
@@ -38,7 +37,6 @@ use crate::builtins::{call_builtin, format_printf};
 use crate::bytecode::{binop_decode, BFunc, BRegion, BSpawn, BytecodeProgram, Insn, Op};
 use crate::cache::ClockCache;
 use crate::interp::{InterpOptions, RunResult, RuntimeError, Trap};
-use crate::opt::PairProfile;
 use crate::resolve::{Coerce, MemoCache, MemoKey, MEMO_CAPACITY};
 use crate::value::{
     Counters, FuelBudget, GlobalTable, Memory, Packed, Ptr, RaceAccumulator, Scalar, SpillPool,
@@ -48,7 +46,7 @@ use cfront::ast::BinOp;
 use cfront::intern::Symbol;
 use cfront::span::Span;
 use machine::omprt::instrument;
-use machine::{global_pool, parallel_for_state, parallel_for_state_pooled, PureFuture, ThreadPool};
+use machine::{global_pool, parallel_for_state_pooled, PureFuture, ThreadPool};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -216,32 +214,6 @@ struct Vm<'p> {
     pending: PendingFutures,
     /// Cached handle of the process-wide pool (pure-call futures).
     futures_pool: Option<Arc<ThreadPool>>,
-    /// Monomorphic inline caches, one per optimizer-assigned `CallUser`
-    /// site (`BytecodeProgram::ic_slots`); lazily sized on first use.
-    /// Each entry short-circuits the memo-shard probe when the same
-    /// cacheable call repeats with the same arguments (memo-gated: only
-    /// consulted when a memo key exists). A site that keeps missing is
-    /// demoted to [`IcSlot::Poly`] and stops comparing keys entirely —
-    /// a polymorphic site must cost one branch, not a key compare.
-    icache: Vec<IcSlot>,
-    /// Sampled opcode-pair profile (`--profile-pairs`, root VM only).
-    pairs: Option<Box<PairProfile>>,
-}
-
-/// Misses a `Mono` inline-cache entry tolerates before the site is
-/// written off as polymorphic.
-const IC_POLY_LIMIT: u32 = 8;
-
-/// State of one monomorphic inline-cache slot.
-#[derive(Clone)]
-enum IcSlot {
-    /// Never filled.
-    Cold,
-    /// Caches the first observed `(key, value)`; counts misses since.
-    Mono(MemoKey, Scalar, u32),
-    /// Demoted: the site saw `IC_POLY_LIMIT` distinct keys — probing is
-    /// a guaranteed loss, skip it forever.
-    Poly,
 }
 
 /// One in-flight pure call of this VM. `fid`/`args` duplicate what the
@@ -314,7 +286,7 @@ fn run_future_task(
         let p = vm.pack(*a);
         vm.stack.push(p);
     }
-    let value = match vm.call_user(fid, args.len(), 0, Span::DUMMY) {
+    let value = match vm.call_user(fid, args.len(), Span::DUMMY) {
         Ok(()) => {
             let v = vm.pop();
             Ok(vm.unpack(v))
@@ -345,22 +317,15 @@ pub(crate) fn run_vm(
     };
     let mut vm = Vm::new(prog, shared.clone());
     vm.memo = (opts.memo && prog.any_cacheable).then(MemoShard::new);
-    if opts.profile_pairs {
-        vm.pairs = Some(Box::new(PairProfile::new()));
-    }
 
-    // Global initialisers run on an (almost always empty) frame —
-    // `frame_size` is 0 from the lowerer, but the optimizer may add
-    // hoist slots.
-    vm.arena.resize(prog.global_code.frame_size, Packed::UNINIT);
+    // Global initialisers run on an empty frame.
     vm.exec(&prog.global_code, 0, 0)?;
     debug_assert!(vm.stack.is_empty() || vm.stack.len() == 1);
     vm.stack.clear();
-    vm.arena.clear();
 
     let exit = match prog.by_name.get(entry) {
         Some(&fid) => {
-            vm.call_user(fid, 0, 0, Span::DUMMY)?;
+            vm.call_user(fid, 0, Span::DUMMY)?;
             vm.stack.pop().expect("entry result")
         }
         None => {
@@ -394,7 +359,6 @@ pub(crate) fn run_vm(
         exit_code,
         output,
         counters,
-        pairs: vm.pairs.take().map(|p| *p),
     })
 }
 
@@ -416,8 +380,6 @@ impl<'p> Vm<'p> {
             track: None,
             pending: PendingFutures::default(),
             futures_pool: None,
-            icache: Vec::new(),
-            pairs: None,
         }
     }
 
@@ -776,9 +738,7 @@ impl<'p> Vm<'p> {
 
     // -- calls ----------------------------------------------------------------
 
-    /// `ic` is the 1-based inline-cache slot assigned by the optimizer
-    /// (0 = no cache on this call site).
-    fn call_user(&mut self, fid: u32, nargs: usize, ic: usize, span: Span) -> RtResult<()> {
+    fn call_user(&mut self, fid: u32, nargs: usize, span: Span) -> RtResult<()> {
         self.tally.calls += 1;
         match self.s.opts.max_call_depth {
             Some(limit) if self.depth >= limit => {
@@ -820,41 +780,11 @@ impl<'p> Vm<'p> {
         } else {
             None
         };
-        // Inline cache: one key compare instead of a shard probe on
-        // repeat calls (memo-gated — only live when a key exists).
-        if ic != 0 {
-            if let Some(key) = &memo_key {
-                if self.icache.len() < prog.ic_slots {
-                    self.icache.resize(prog.ic_slots, IcSlot::Cold);
-                }
-                if let IcSlot::Mono(k, v, misses) = &mut self.icache[ic - 1] {
-                    if k == key {
-                        let v = *v;
-                        self.tally.memo_hits += 1;
-                        self.tally.icache_hits += 1;
-                        self.probe_memo_hit();
-                        self.arena.truncate(fbase);
-                        let v = self.pack(v);
-                        self.stack.push(v);
-                        return Ok(());
-                    }
-                    *misses += 1;
-                    if *misses >= IC_POLY_LIMIT {
-                        self.icache[ic - 1] = IcSlot::Poly;
-                    }
-                }
-            }
-        }
         if let (Some(shard), Some(key)) = (&mut self.memo, &memo_key) {
             if let Some(v) = shard.get(key) {
                 self.tally.memo_hits += 1;
                 self.probe_memo_hit();
                 self.arena.truncate(fbase);
-                // Fill-once: a monomorphic site caches its first key and
-                // serves every repeat; a `Poly` site never refills.
-                if ic != 0 && matches!(self.icache[ic - 1], IcSlot::Cold) {
-                    self.icache[ic - 1] = IcSlot::Mono(key.clone(), v, 0);
-                }
                 let v = self.pack(v);
                 self.stack.push(v);
                 return Ok(());
@@ -869,9 +799,6 @@ impl<'p> Vm<'p> {
         let result = result?;
         if let Some(key) = memo_key {
             let v = self.unpack(result);
-            if ic != 0 && matches!(self.icache[ic - 1], IcSlot::Cold) {
-                self.icache[ic - 1] = IcSlot::Mono(key.clone(), v, 0);
-            }
             if let Some(shard) = &mut self.memo {
                 if shard.insert(key, v) {
                     self.tally.memo_evictions += 1;
@@ -927,8 +854,8 @@ impl<'p> Vm<'p> {
             // loads and no shared write, see machine::spawn_capacity)
             // — then the call runs inline on this VM like a plain call
             // statement.
-            let (threads, steal) = (self.s.opts.threads, self.s.opts.steal);
-            throttled = !machine::spawn_capacity(self.futures_pool(), threads, steal);
+            let threads = self.s.opts.threads;
+            throttled = !machine::spawn_capacity(self.futures_pool(), threads);
         }
         if !self.futures_on() || throttled {
             // Exactly the original call statement: call, coerce, store.
@@ -936,7 +863,7 @@ impl<'p> Vm<'p> {
                 self.tally.futures_inlined += 1;
                 instrument::instant("future.inline", sp.fid as u64);
             }
-            self.call_user(sp.fid, nargs, 0, span)?;
+            self.call_user(sp.fid, nargs, span)?;
             let v = self.pop();
             let v = self.coerce_packed(sp.coerce, v);
             self.arena[abs] = v;
@@ -973,8 +900,7 @@ impl<'p> Vm<'p> {
         let depth = self.depth;
         let args_kept = args.clone();
         let task = move || run_future_task(prog, shared, frozen, fid, args, depth);
-        let steal = self.s.opts.steal;
-        let fut = PureFuture::spawn(self.futures_pool(), steal, task);
+        let fut = PureFuture::spawn(self.futures_pool(), true, task);
         self.tally.futures_spawned += 1;
         if fut.pushed_local() {
             self.tally.local_pushes += 1;
@@ -1080,9 +1006,6 @@ impl<'p> Vm<'p> {
                 self.refill_fuel(f.spans[pc])?;
             }
             self.fuel_local -= 1;
-            if let Some(pp) = &mut self.pairs {
-                pp.tick(insn.op);
-            }
             match insn.op {
                 Op::Step => self.step_tick(f.spans[pc])?,
                 Op::Const => {
@@ -1391,14 +1314,7 @@ impl<'p> Vm<'p> {
                     self.stack.push(out);
                 }
                 Op::CallUser => {
-                    // `b` packs `nargs | (ic_slot + 1) << 16` — the upper
-                    // half is 0 on unoptimized programs.
-                    self.call_user(
-                        insn.a,
-                        (insn.b & 0xFFFF) as usize,
-                        (insn.b >> 16) as usize,
-                        f.spans[pc],
-                    )?;
+                    self.call_user(insn.a, insn.b as usize, f.spans[pc])?;
                 }
                 Op::CallBuiltin => {
                     self.tally.calls += 1;
@@ -1544,7 +1460,7 @@ impl<'p> Vm<'p> {
                                     let v = self.pack(*a);
                                     self.stack.push(v);
                                 }
-                                self.call_user(p.fid, nargs, 0, span).map(|()| {
+                                self.call_user(p.fid, nargs, span).map(|()| {
                                     let v = self.pop();
                                     let v = self.coerce_packed(p.coerce, v);
                                     self.arena[p.abs] = v;
@@ -1735,11 +1651,6 @@ impl<'p> Vm<'p> {
                         continue;
                     }
                 }
-                Op::LoadGStore => {
-                    let v = self.s.globals.load(insn.a as usize);
-                    let v = self.pack(v);
-                    self.arena[base + insn.b as usize] = v;
-                }
             }
             pc += 1;
             insn = f.code[pc];
@@ -1837,9 +1748,8 @@ impl<'p> Vm<'p> {
         // Each worker owns one child VM — arena, spill pool, tally and
         // memo shard — reused across every iteration that worker
         // executes; the states come back at the join for a single merge.
-        // By default the region runs on the persistent process-wide
-        // thread pool (the paper's pinned-worker model); `pool: false`
-        // keeps the scoped spawn-per-region substrate for A/B runs.
+        // The region runs on the persistent process-wide thread pool
+        // (the paper's pinned-worker model).
         let prog = self.prog;
         let init = |_tid: usize| Vm::new_child(prog, shared.clone(), frozen.clone(), spill_prefix);
         let body = |vm: &mut Vm, k: u64| {
@@ -1872,11 +1782,7 @@ impl<'p> Vm<'p> {
         // remaining budget instead of stalling one block short (the
         // parent re-acquires on its first dispatch after the join).
         self.refund_fuel();
-        let workers = if self.s.opts.pool {
-            parallel_for_state_pooled(n, self.s.opts.threads, r.schedule, init, body)
-        } else {
-            parallel_for_state(n, self.s.opts.threads, r.schedule, init, body)
-        };
+        let workers = parallel_for_state_pooled(n, self.s.opts.threads, r.schedule, init, body);
         for mut w in workers {
             w.refund_fuel();
             self.tally.merge(&w.tally);
@@ -1985,7 +1891,7 @@ mod tests {
     /// from the oracle engines nondeterministically. Now the VM does a
     /// CAS loop on its lock-free global words, and the resolved/legacy
     /// engines hold one write guard across the whole RMW, so the final
-    /// value is exact on every engine, under both parallel substrates.
+    /// value is exact on every engine.
     #[test]
     fn parallel_global_rmw_never_tears() {
         let src = "\
@@ -2002,32 +1908,28 @@ int main() {
         let seq = prog.run(InterpOptions::default()).expect("seq");
         assert_eq!(seq.exit_code, expect, "sequential baseline");
         for rep in 0..4 {
-            for pool in [true, false] {
-                let opts = InterpOptions {
-                    threads: 8,
-                    pool,
-                    ..Default::default()
-                };
-                let vm = prog.run(opts).expect("vm runs");
-                assert_eq!(vm.exit_code, expect, "vm rep={rep} pool={pool}");
-                let resolved = prog
-                    .run(InterpOptions {
-                        engine: Engine::Resolved,
-                        ..opts
-                    })
-                    .expect("resolved runs");
-                assert_eq!(resolved.exit_code, expect, "resolved rep={rep} pool={pool}");
-                let legacy = prog.run_legacy(opts).expect("legacy runs");
-                assert_eq!(legacy.exit_code, expect, "legacy rep={rep} pool={pool}");
-            }
+            let opts = InterpOptions {
+                threads: 8,
+                ..Default::default()
+            };
+            let vm = prog.run(opts).expect("vm runs");
+            assert_eq!(vm.exit_code, expect, "vm rep={rep}");
+            let resolved = prog
+                .run(InterpOptions {
+                    engine: Engine::Resolved,
+                    ..opts
+                })
+                .expect("resolved runs");
+            assert_eq!(resolved.exit_code, expect, "resolved rep={rep}");
+            let legacy = prog.run_legacy(opts).expect("legacy runs");
+            assert_eq!(legacy.exit_code, expect, "legacy rep={rep}");
         }
     }
 
-    /// Pool-routed regions and scoped spawn-per-region regions are
-    /// observably identical on a nested-region program (exit, output,
-    /// counters modulo memo), across engines.
+    /// A nested-region program is observably identical (exit, output,
+    /// counters modulo memo) on 1 and 4 threads and across engines.
     #[test]
-    fn pooled_regions_match_scoped_regions_nested() {
+    fn nested_regions_match_across_threads_and_engines() {
         let src = "\
 int main() {
     int acc = 0;
@@ -2045,27 +1947,21 @@ int main() {
 }
 ";
         let prog = program(src);
-        for threads in [1usize, 4] {
-            let pooled = prog
+        let seq = prog.run(InterpOptions::default()).expect("sequential run");
+        for engine in [Engine::Bytecode, Engine::Resolved] {
+            let par = prog
                 .run(InterpOptions {
-                    threads,
-                    pool: true,
+                    threads: 4,
+                    engine,
                     ..Default::default()
                 })
-                .expect("pooled run");
-            let scoped = prog
-                .run(InterpOptions {
-                    threads,
-                    pool: false,
-                    ..Default::default()
-                })
-                .expect("scoped run");
-            assert_eq!(pooled.exit_code, scoped.exit_code, "threads={threads}");
-            assert_eq!(pooled.output, scoped.output, "threads={threads}");
+                .expect("parallel run");
+            assert_eq!(par.exit_code, seq.exit_code, "{engine:?}");
+            assert_eq!(par.output, seq.output, "{engine:?}");
             assert_eq!(
-                pooled.counters.without_memo(),
-                scoped.counters.without_memo(),
-                "threads={threads}"
+                par.counters.without_memo(),
+                seq.counters.without_memo(),
+                "{engine:?}"
             );
         }
     }

@@ -13,9 +13,7 @@
 //!   its **own deque** (one release fence, no lock, no contention); idle
 //!   siblings steal the oldest entry, which in divide-and-conquer
 //!   recursion is the *largest* pending subtree. External (non-worker)
-//!   spawns go through the pool's injector. `steal = false` forces the
-//!   injector from workers too — the single-queue substrate kept for
-//!   A/B comparison.
+//!   spawns go through the pool's injector.
 //! * **Exposure throttle** — a worker stops spawning once
 //!   [`LOCAL_QUEUE_LIMIT`] of its pushed futures sit unclaimed
 //!   ([`spawn_capacity`], the admission policy the engines consult,
@@ -139,20 +137,19 @@ fn hardware_width() -> usize {
 /// exposing more in-flight tasks than the machine can physically run
 /// buys nothing and costs a queue round trip per task (asking for 4
 /// threads on a 1-core box must not pay 4-way spawn overhead). A worker
-/// of `pool` (with `steal` on) is additionally subject to its own
-/// exposed-task budget, which stops any one worker from hoarding offers
-/// nobody takes.
+/// of `pool` is additionally subject to its own exposed-task budget,
+/// which stops any one worker from hoarding offers nobody takes.
 ///
 /// This runs at every spawn site of every thread, and nearly always
 /// answers "inline": it reads one thread-local, this worker's own
 /// exposure counter and the pool's pending counter, and writes nothing
 /// shared — in particular no reference count.
-pub fn spawn_capacity(pool: &ThreadPool, width: usize, steal: bool) -> bool {
-    capacity_at(hardware_width(), pool, width, steal)
+pub fn spawn_capacity(pool: &ThreadPool, width: usize) -> bool {
+    capacity_at(hardware_width(), pool, width)
 }
 
 /// [`spawn_capacity`] on a host of `hw` hardware threads.
-fn capacity_at(hw: usize, pool: &ThreadPool, width: usize, steal: bool) -> bool {
+fn capacity_at(hw: usize, pool: &ThreadPool, width: usize) -> bool {
     if hw == 1 {
         // A single hardware thread can never run tasks in parallel:
         // every spawn would be a queue round trip for nothing (the
@@ -160,7 +157,7 @@ fn capacity_at(hw: usize, pool: &ThreadPool, width: usize, steal: bool) -> bool 
         // Spawn sites degrade to plain inline calls.
         return false;
     }
-    if steal && pool.local_depth().is_some_and(|d| d >= LOCAL_QUEUE_LIMIT) {
+    if pool.local_depth().is_some_and(|d| d >= LOCAL_QUEUE_LIMIT) {
         return false;
     }
     pool.pending_tasks() < width.clamp(1, hw).saturating_mul(SATURATION_FACTOR)
@@ -171,8 +168,12 @@ impl<T: Send + 'static> PureFuture<T> {
     /// always enqueues; admission *policy* is the caller's, via
     /// [`spawn_capacity`] (the engines consult it before marshalling
     /// arguments and fall back to a plain inline call when it trips).
-    /// `steal = false` (the `--no-steal` A/B) routes the spawn through
-    /// the shared injector instead of the spawning worker's deque.
+    /// `steal = false` routes the spawn through the shared injector
+    /// instead of the spawning worker's deque. Every engine passes
+    /// `true`; the parameter (and `submit_to_shared` under it) survives
+    /// PR 13 only because the frozen `purebench/src/layers.rs` calls
+    /// `PureFuture::spawn(&pool, true, …)` — a later benchmark PR can
+    /// drop it.
     pub fn spawn<F>(pool: &Arc<ThreadPool>, steal: bool, f: F) -> PureFuture<T>
     where
         F: FnOnce() -> T + Send + 'static,
@@ -369,7 +370,7 @@ mod tests {
     #[test]
     fn spawn_capacity_trips_on_saturation() {
         let pool = Arc::new(ThreadPool::new(1, 1, 1));
-        assert!(capacity_at(2, &pool, 2, true), "an idle pool has room");
+        assert!(capacity_at(2, &pool, 2), "an idle pool has room");
         // Block the lone worker and fill the backlog allowance.
         let gate = Arc::new(AtomicU64::new(0));
         let mut futs = Vec::new();
@@ -383,13 +384,13 @@ mod tests {
             }));
         }
         assert!(
-            !capacity_at(2, &pool, 2, true),
+            !capacity_at(2, &pool, 2),
             "a full backlog must refuse capacity"
         );
         // Width is clamped to the hardware: 64 requested threads on a
         // 2-wide host expose no more than 2 threads' worth of tasks.
-        assert!(!capacity_at(2, &pool, 64, true));
-        assert!(capacity_at(64, &pool, 64, true));
+        assert!(!capacity_at(2, &pool, 64));
+        assert!(capacity_at(64, &pool, 64));
         gate.store(1, Ordering::Release);
         let total: u64 = futs.into_iter().map(|f| f.wait().0).sum();
         assert_eq!(total, 2 * SATURATION_FACTOR as u64);
@@ -435,7 +436,7 @@ mod tests {
             }
             assert_eq!(p2.local_depth(), Some(LOCAL_QUEUE_LIMIT));
             assert!(
-                !spawn_capacity(&p2, 64, true),
+                !spawn_capacity(&p2, 64),
                 "a full exposure budget must refuse capacity"
             );
             for (i, f) in futs {
@@ -533,7 +534,7 @@ mod tests {
         let p2 = Arc::clone(&pool);
         let fut = PureFuture::spawn(&pool, false, move || {
             let inner = PureFuture::spawn(&p2, false, || 3u64);
-            assert!(!inner.pushed_local(), "--no-steal must use the injector");
+            assert!(!inner.pushed_local(), "steal = false must use the injector");
             inner.wait().0
         });
         assert_eq!(fut.wait().0, 3);
@@ -548,7 +549,7 @@ mod tests {
                 return n;
             }
             let p = Arc::clone(pool);
-            if spawn_capacity(pool, 2, true) || n > 12 {
+            if spawn_capacity(pool, 2) || n > 12 {
                 let fut = PureFuture::spawn(pool, true, move || tree(&p, n - 1));
                 let right = tree(pool, n - 2);
                 let left = match fut.cancel() {
@@ -588,13 +589,12 @@ mod tests {
     fn one_hardware_thread_admits_nothing() {
         let pool = Arc::new(ThreadPool::new(2, 1, 2));
         let p2 = Arc::clone(&pool);
-        let from_worker = spawn_on_worker(&pool, move || {
-            [1, 2, 64].map(|w| capacity_at(1, &p2, w, true) || capacity_at(1, &p2, w, false))
-        });
+        let from_worker =
+            spawn_on_worker(&pool, move || [1, 2, 64].map(|w| capacity_at(1, &p2, w)));
         assert_eq!(from_worker.wait().0, [false; 3]);
         for width in [1, 2, 64] {
-            assert!(!capacity_at(1, &pool, width, true));
-            assert!(capacity_at(2, &pool, width, true), "the same pool, 2-wide");
+            assert!(!capacity_at(1, &pool, width));
+            assert!(capacity_at(2, &pool, width), "the same pool, 2-wide");
         }
     }
 }

@@ -21,6 +21,4 @@ pub use instrument::{
 };
 pub use pool::{global_pool, on_worker_thread, Placement, PoolStats, TaskGroup, ThreadPool};
 pub use pragma::{parse_omp_parallel_for_clauses, OmpClauses};
-pub use sched::{
-    parallel_for, parallel_for_pooled, parallel_for_state, parallel_for_state_pooled, OmpSchedule,
-};
+pub use sched::{parallel_for_pooled, parallel_for_state_pooled, OmpSchedule};

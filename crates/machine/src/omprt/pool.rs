@@ -510,8 +510,8 @@ impl ThreadPool {
     }
 
     /// [`ThreadPool::submit_to`] forced through the shared injector even
-    /// from a pool worker — the single-queue substrate kept for the
-    /// deque-vs-channel A/B (`purec --no-steal`).
+    /// from a pool worker: what `PureFuture::spawn(_, false, _)` uses
+    /// (see there for why it still exists).
     pub fn submit_to_shared<F: FnOnce() + Send + 'static>(&self, group: &TaskGroup, f: F) {
         self.submit_grouped(group, f, false);
     }
@@ -628,7 +628,7 @@ impl Drop for ThreadPool {
 // Process-wide pool
 // ---------------------------------------------------------------------------
 
-/// The process-wide pool behind pooled `parallel_for` variants. Created
+/// The process-wide pool behind `parallel_for_pooled` regions. Created
 /// lazily on first use and grown (replaced by a larger pool) when a region
 /// requests more threads than the current pool plus its caller supply;
 /// regions hold an

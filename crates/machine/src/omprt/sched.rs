@@ -2,18 +2,13 @@
 //! `guided` — the subset of OpenMP `schedule(...)` clauses the paper's
 //! evaluation uses.
 //!
-//! Each policy comes in two execution substrates: the original *scoped*
-//! form ([`parallel_for`] / [`parallel_for_state`]) spawns fresh OS
-//! threads per region via `std::thread::scope`, and the *pooled* form
-//! ([`parallel_for_pooled`] / [`parallel_for_state_pooled`]) routes the
-//! same per-thread work items through the persistent process-wide
+//! A region ([`parallel_for_pooled`] / [`parallel_for_state_pooled`])
+//! routes its per-thread work items through the persistent process-wide
 //! [`crate::omprt::pool::ThreadPool`] as one [`TaskGroup`] generation —
 //! the paper's pinned-worker execution model, without a thread spawn per
 //! region. The forking thread is thread 0 of the team: its join claims
 //! and runs shares like any worker, so an `nthreads` region occupies
-//! `nthreads − 1` pool workers plus its caller. Both substrates assign identical static chunks per `tid` and
-//! share one dynamic/guided claiming loop, so a region's observable
-//! behaviour is independent of the substrate.
+//! `nthreads − 1` pool workers plus its caller.
 
 use crate::omprt::instrument;
 use crate::omprt::pool::{global_pool, TaskGroup, ThreadPool};
@@ -51,7 +46,7 @@ impl OmpSchedule {
     /// The chunks thread `tid` of `nthreads` executes for `n` iterations
     /// under a *static* policy, as `(start, end)` half-open ranges.
     /// Dynamic/guided schedules are execution-order dependent and handled
-    /// by [`parallel_for`] directly.
+    /// by [`parallel_for_pooled`] directly.
     pub fn static_chunks(&self, n: u64, nthreads: u64, tid: u64) -> Vec<(u64, u64)> {
         assert!(nthreads > 0 && tid < nthreads);
         match *self {
@@ -87,68 +82,6 @@ impl OmpSchedule {
     }
 }
 
-/// Execute `body(i)` for every `i` in `0..n` using `nthreads` OS threads
-/// under the given schedule. The body must be `Sync` (data-race freedom is
-/// the *caller's* obligation — exactly what the purity verification
-/// guarantees for transformed programs).
-pub fn parallel_for<F>(n: u64, nthreads: usize, schedule: OmpSchedule, body: F)
-where
-    F: Fn(u64) + Sync,
-{
-    parallel_for_state(n, nthreads, schedule, |_| (), |(), i| body(i));
-}
-
-/// [`parallel_for`] with **worker-scoped state**: each of the `nthreads`
-/// workers builds one `S` via `init(tid)` before its first iteration,
-/// threads it mutably through every iteration it executes, and hands it
-/// back in the returned `Vec` once the loop joins.
-///
-/// This is the frame/arena handoff the bytecode interpreter relies on: a
-/// worker's private frame arena, operation tally and memo-cache shard
-/// live in `S`, are **reused across all iterations that worker runs**
-/// (no per-iteration allocation), and are merged by the caller exactly
-/// once at the join — turning per-op shared-atomic traffic and memo-lock
-/// contention into a single merge per worker per region.
-///
-/// The returned vector has one entry per worker that was started (a
-/// single entry on the sequential fast path); workers that happened to
-/// execute zero iterations still return their freshly-`init`ed state.
-pub fn parallel_for_state<S, G, F>(
-    n: u64,
-    nthreads: usize,
-    schedule: OmpSchedule,
-    init: G,
-    body: F,
-) -> Vec<S>
-where
-    S: Send,
-    G: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, u64) + Sync,
-{
-    let nthreads = nthreads.max(1);
-    let timer = RegionTimer::start();
-    if nthreads == 1 || n <= 1 {
-        return vec![run_sequential(n, &init, &body)];
-    }
-    let body = &body;
-    let init = &init;
-    let next = AtomicU64::new(0);
-    let next = &next;
-    let mut states = Vec::with_capacity(nthreads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..nthreads)
-            .map(|tid| {
-                scope.spawn(move || worker_share(tid, n, nthreads, schedule, next, init, body))
-            })
-            .collect();
-        for h in handles {
-            states.push(h.join().expect("omprt worker panicked"));
-        }
-    });
-    drop(timer);
-    states
-}
-
 /// RAII fork-to-join stopwatch feeding the `region_duration_ns`
 /// histogram; inert (one branch) when instrumentation is off.
 struct RegionTimer {
@@ -180,8 +113,11 @@ impl Drop for RegionTimer {
     }
 }
 
-/// [`parallel_for`] routed through the persistent process-wide
-/// [`ThreadPool`] instead of spawning OS threads per region.
+/// Execute `body(i)` for every `i` in `0..n` on `nthreads` threads of the
+/// persistent process-wide [`ThreadPool`] under the given schedule. The
+/// body must be `Sync` (data-race freedom is the *caller's* obligation —
+/// exactly what the purity verification guarantees for transformed
+/// programs).
 pub fn parallel_for_pooled<F>(n: u64, nthreads: usize, schedule: OmpSchedule, body: F)
 where
     F: Fn(u64) + Sync,
@@ -189,13 +125,24 @@ where
     parallel_for_state_pooled(n, nthreads, schedule, |_| (), |(), i| body(i));
 }
 
-/// [`parallel_for_state`] routed through the persistent process-wide
-/// [`ThreadPool`]: identical worker-share semantics (same static chunk
-/// assignment per `tid`, same dynamic/guided claiming loop, one `S` per
-/// started worker), but the `nthreads` work items are submitted to the
-/// shared pool as one [`TaskGroup`] generation and joined with
-/// `join_group` — no thread spawn, and a panic in `init`/`body`
-/// resurfaces here exactly as the scoped variant's `join` would.
+/// [`parallel_for_pooled`] with **worker-scoped state**: each of the
+/// `nthreads` workers builds one `S` via `init(tid)` before its first
+/// iteration, threads it mutably through every iteration it executes,
+/// and hands it back in the returned `Vec` once the loop joins.
+///
+/// This is the frame/arena handoff the bytecode interpreter relies on: a
+/// worker's private frame arena, operation tally and memo-cache shard
+/// live in `S`, are **reused across all iterations that worker runs**
+/// (no per-iteration allocation), and are merged by the caller exactly
+/// once at the join — turning per-op shared-atomic traffic and memo-lock
+/// contention into a single merge per worker per region.
+///
+/// The returned vector has one entry per worker that was started (a
+/// single entry on the sequential fast path); workers that happened to
+/// execute zero iterations still return their freshly-`init`ed state.
+/// The `nthreads` work items are submitted to the shared pool as one
+/// [`TaskGroup`] generation and joined with `join_group`; a panic in
+/// `init`/`body` resurfaces at that join.
 ///
 /// The join helps (see [`ThreadPool::wait_group`]): the forking thread
 /// runs shares itself instead of sleeping through the region, and nested
@@ -273,7 +220,7 @@ impl Drop for GroupWaitGuard<'_> {
     }
 }
 
-/// The sequential fast path shared by both substrates.
+/// The sequential fast path (`nthreads == 1` or `n <= 1`).
 fn run_sequential<S, G, F>(n: u64, init: &G, body: &F) -> S
 where
     G: Fn(usize) -> S,
@@ -286,10 +233,8 @@ where
     state
 }
 
-/// One worker's share of a region under `schedule` — the single
-/// implementation both the scoped and the pooled substrate execute, so
-/// chunk assignment (static) and the claiming protocol (dynamic/guided,
-/// via the shared `next` counter) are identical in both.
+/// One worker's share of a region under `schedule`: its static chunks,
+/// or the dynamic/guided claiming loop over the shared `next` counter.
 fn worker_share<S, G, F>(
     tid: usize,
     n: u64,
@@ -304,7 +249,7 @@ where
     F: Fn(&mut S, u64),
 {
     // One span per worker per region: its whole chunk share, on the
-    // thread that executed it (scoped thread or pool worker alike).
+    // thread that executed it (pool worker or the forking caller).
     let _span = instrument::span("region.worker", tid as u64);
     let mut state = init(tid);
     match schedule {
@@ -357,35 +302,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-    fn coverage(schedule: OmpSchedule, n: u64, nthreads: usize) {
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(n, nthreads, schedule, |i| {
-            hits[i as usize].fetch_add(1, Ordering::Relaxed);
-        });
-        for (i, h) in hits.iter().enumerate() {
-            assert_eq!(
-                h.load(Ordering::Relaxed),
-                1,
-                "iteration {i} executed wrong number of times under {schedule}"
-            );
-        }
-    }
-
-    #[test]
-    fn every_schedule_covers_every_iteration_exactly_once() {
-        for sched in [
-            OmpSchedule::Static,
-            OmpSchedule::StaticChunk(3),
-            OmpSchedule::Dynamic(1),
-            OmpSchedule::Dynamic(7),
-            OmpSchedule::Guided(2),
-        ] {
-            for (n, t) in [(0u64, 4usize), (1, 4), (17, 4), (100, 7), (64, 64), (5, 16)] {
-                coverage(sched, n, t);
-            }
-        }
-    }
-
     #[test]
     fn static_chunks_partition_range() {
         for n in [0u64, 1, 7, 64, 100, 4096] {
@@ -437,7 +353,7 @@ mod tests {
     fn parallel_sum_matches_sequential() {
         let n = 10_000u64;
         let total = AtomicU64::new(0);
-        parallel_for(n, 8, OmpSchedule::Dynamic(16), |i| {
+        parallel_for_pooled(n, 8, OmpSchedule::Dynamic(16), |i| {
             total.fetch_add(i, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), n * (n - 1) / 2);
@@ -448,7 +364,7 @@ mod tests {
         // Tail-heavy cost: dynamic,1 must still terminate and cover all.
         let n = 256u64;
         let done = AtomicU64::new(0);
-        parallel_for(n, 8, OmpSchedule::Dynamic(1), |i| {
+        parallel_for_pooled(n, 8, OmpSchedule::Dynamic(1), |i| {
             if i > 240 {
                 std::thread::yield_now();
             }
@@ -458,56 +374,14 @@ mod tests {
     }
 
     #[test]
-    fn state_workers_cover_all_iterations_and_return_states() {
-        for sched in [
-            OmpSchedule::Static,
-            OmpSchedule::StaticChunk(3),
-            OmpSchedule::Dynamic(2),
-            OmpSchedule::Guided(1),
-        ] {
-            let states = parallel_for_state(
-                1000,
-                6,
-                sched,
-                |tid| (tid, 0u64, Vec::new()),
-                |s, i| {
-                    s.1 += i;
-                    s.2.push(i);
-                },
-            );
-            assert_eq!(states.len(), 6, "{sched}");
-            let total: u64 = states.iter().map(|s| s.1).sum();
-            assert_eq!(total, 1000 * 999 / 2, "{sched}");
-            let mut all: Vec<u64> = states.iter().flat_map(|s| s.2.iter().copied()).collect();
-            all.sort_unstable();
-            assert_eq!(all, (0..1000).collect::<Vec<_>>(), "{sched}");
-            // Worker ids are handed through.
-            let mut tids: Vec<usize> = states.iter().map(|s| s.0).collect();
-            tids.sort_unstable();
-            assert_eq!(tids, (0..6).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn state_sequential_fast_path_returns_single_state() {
-        let states = parallel_for_state(10, 1, OmpSchedule::Dynamic(4), |_| 0u64, |s, i| *s += i);
-        assert_eq!(states, vec![45]);
-        // n <= 1 with many threads also stays sequential.
-        let states = parallel_for_state(1, 8, OmpSchedule::Static, |_| 0u64, |s, i| *s += i + 7);
-        assert_eq!(states, vec![7]);
-    }
-
-    #[test]
     fn single_thread_runs_in_order() {
         let order = std::sync::Mutex::new(Vec::new());
-        parallel_for(16, 1, OmpSchedule::Dynamic(4), |i| {
+        parallel_for_pooled(16, 1, OmpSchedule::Dynamic(4), |i| {
             order.lock().unwrap().push(i);
         });
         let o = order.into_inner().unwrap();
         assert_eq!(o, (0..16).collect::<Vec<u64>>());
     }
-
-    // -- pooled substrate ----------------------------------------------------
 
     #[test]
     fn pooled_covers_every_iteration_exactly_once() {
@@ -531,41 +405,43 @@ mod tests {
     }
 
     #[test]
-    fn pooled_state_matches_scoped_state() {
+    fn pooled_state_covers_and_follows_static_chunks() {
         for sched in [
             OmpSchedule::Static,
             OmpSchedule::StaticChunk(3),
             OmpSchedule::Dynamic(2),
             OmpSchedule::Guided(1),
         ] {
-            let run = |pooled: bool| {
-                let init = |tid: usize| (tid, 0u64, Vec::new());
-                let body = |s: &mut (usize, u64, Vec<u64>), i: u64| {
+            let states = parallel_for_state_pooled(
+                1000,
+                6,
+                sched,
+                |tid| (tid, 0u64, Vec::new()),
+                |s, i| {
                     s.1 += i;
                     s.2.push(i);
-                };
-                if pooled {
-                    parallel_for_state_pooled(1000, 6, sched, init, body)
-                } else {
-                    parallel_for_state(1000, 6, sched, init, body)
-                }
-            };
-            for states in [run(false), run(true)] {
-                assert_eq!(states.len(), 6, "{sched}");
-                let total: u64 = states.iter().map(|s| s.1).sum();
-                assert_eq!(total, 1000 * 999 / 2, "{sched}");
-                let mut all: Vec<u64> = states.iter().flat_map(|s| s.2.iter().copied()).collect();
-                all.sort_unstable();
-                assert_eq!(all, (0..1000).collect::<Vec<_>>(), "{sched}");
-                let mut tids: Vec<usize> = states.iter().map(|s| s.0).collect();
-                tids.sort_unstable();
-                assert_eq!(tids, (0..6).collect::<Vec<_>>());
-            }
-            // Static chunk assignment is bit-identical across substrates:
-            // worker `tid` sees exactly the same iterations in the same
-            // order.
+                },
+            );
+            assert_eq!(states.len(), 6, "{sched}");
+            let total: u64 = states.iter().map(|s| s.1).sum();
+            assert_eq!(total, 1000 * 999 / 2, "{sched}");
+            let mut all: Vec<u64> = states.iter().flat_map(|s| s.2.iter().copied()).collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..1000).collect::<Vec<_>>(), "{sched}");
+            // Worker ids are handed through, one state per `tid` in order.
+            let tids: Vec<usize> = states.iter().map(|s| s.0).collect();
+            assert_eq!(tids, (0..6).collect::<Vec<_>>());
+            // Static schedules: worker `tid` sees exactly the iterations
+            // of its `static_chunks`, in order.
             if matches!(sched, OmpSchedule::Static | OmpSchedule::StaticChunk(_)) {
-                assert_eq!(run(false), run(true), "{sched}");
+                for (tid, _, seen) in &states {
+                    let want: Vec<u64> = sched
+                        .static_chunks(1000, 6, *tid as u64)
+                        .into_iter()
+                        .flat_map(|(s, e)| s..e)
+                        .collect();
+                    assert_eq!(seen, &want, "{sched} tid {tid}");
+                }
             }
         }
     }

@@ -3,8 +3,8 @@
 //! ```text
 //! purec <file.c> [--sica] [--tile N] [--no-poly] [--poly-unmarked]
 //!       [--no-omp] [--dump-schedule] [--run [--threads N]]
-//!       [--engine vm|resolved] [--no-pool] [--no-futures] [--no-steal]
-//!       [--no-memo] [--no-opt] [--dump-bytecode] [--profile-pairs] [--pgo]
+//!       [--engine vm|resolved] [--no-futures]
+//!       [--no-memo] [--no-opt] [--dump-bytecode]
 //!       [--fuel N] [--max-memory BYTES] [--max-depth N]
 //!       [--race-check] [--race-check-cap N] [--infer-pure]
 //!       [--emit-marked] [--no-alloc-pure] [--stats]
@@ -32,10 +32,7 @@
 //! trace-event JSON file (open in `chrome://tracing` or Perfetto;
 //! validate with `purec trace-check`). `--stats-json FILE` dumps the
 //! full counter set plus latency histograms and gauges as one JSON
-//! object. `--pgo` is the two-run self-profiling driver: run once
-//! sampling hot opcode pairs, then re-run with the measured profile
-//! steering superinstruction fusion — no manual `--profile-pairs`
-//! round-trip needed.
+//! object.
 
 use purec::chain::{compile, ChainOptions};
 use purec_core::{PcCcOptions, PureSet};
@@ -68,24 +65,14 @@ fn usage() -> ! {
          \x20 --engine E       execution tier for --run: vm (bytecode VM, default)\n\
          \x20                  or resolved (resolved-IR oracle engine)\n\
          \x20 --threads N      omprt threads for --run (default 1)\n\
-         \x20 --no-pool        spawn threads per region instead of using the\n\
-         \x20                  persistent worker pool (A/B comparison)\n\
          \x20 --no-futures     run independent pure calls inline instead of as\n\
          \x20                  futures on the worker pool (A/B comparison)\n\
-         \x20 --no-steal       route worker-spawned futures through the single\n\
-         \x20                  shared injector instead of per-worker deques\n\
-         \x20                  (pre-work-stealing substrate, A/B comparison)\n\
          \x20 --no-memo        run without the pure-call memo cache: every pure\n\
          \x20                  call executes (what futures A/B timings need)\n\
          \x20 --no-opt         run the raw bytecode, skipping the tier-3.5\n\
-         \x20                  optimizer (fold/DSE/hoist/fusion A/B comparison)\n\
+         \x20                  optimizer (fold/fusion A/B comparison)\n\
          \x20 --dump-bytecode  print the bytecode that will run (post-optimizer\n\
          \x20                  unless --no-opt) to stderr\n\
-         \x20 --profile-pairs  sample hot opcode pairs during --run and print\n\
-         \x20                  the profile to stderr (feeds fusion tuning)\n\
-         \x20 --pgo            profile-guided --run: execute once sampling hot\n\
-         \x20                  opcode pairs, then re-run with the measured\n\
-         \x20                  profile steering superinstruction fusion\n\
          \x20 --trace FILE     record a Chrome trace-event JSON file for the\n\
          \x20                  compile + run (phases, parallel regions, future\n\
          \x20                  lifecycles, memo/fuel/trap events)\n\
@@ -95,8 +82,7 @@ fn usage() -> ! {
          \x20                  (loops the static analyzer proves independent skip\n\
          \x20                  the dynamic pre-pass; proven-racy loops are errors)\n\
          \x20 --race-check-cap N  cap the dynamic race pre-pass at N iterations\n\
-         \x20                  (0 = unlimited; default 65536; also settable via\n\
-         \x20                  the PUREC_RACE_CHECK_CAP environment variable)\n\
+         \x20                  (0 = unlimited; default 65536)\n\
          \x20 --infer-pure     treat unannotated functions that pass the PC-CC\n\
          \x20                  rules as verified (widens memo/spawn eligibility)\n\
          \x20 --fuel N         cap executed statements/instructions at N; a run\n\
@@ -214,20 +200,14 @@ fn main() {
     let mut run = false;
     let mut engine = cinterp::Engine::Bytecode;
     let mut threads = 1usize;
-    let mut pool = true;
     let mut futures = true;
-    let mut steal = true;
     let mut memo = true;
     let mut race_check = false;
-    let mut race_check_cap: Option<u64> = std::env::var("PUREC_RACE_CHECK_CAP")
-        .ok()
-        .and_then(|v| v.parse().ok());
+    let mut race_check_cap: Option<u64> = None;
     let mut infer_pure = false;
     let mut stats = false;
     let mut opt_level: u8 = 2;
     let mut dump_bytecode = false;
-    let mut profile_pairs = false;
-    let mut pgo = false;
     let mut trace_path: Option<String> = None;
     let mut stats_json_path: Option<String> = None;
     let mut fuel: Option<u64> = None;
@@ -266,14 +246,10 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
             }
-            "--no-pool" => pool = false,
             "--no-futures" => futures = false,
-            "--no-steal" => steal = false,
             "--no-memo" => memo = false,
             "--no-opt" => opt_level = 0,
             "--dump-bytecode" => dump_bytecode = true,
-            "--profile-pairs" => profile_pairs = true,
-            "--pgo" => pgo = true,
             "--trace" => trace_path = Some(it.next().unwrap_or_else(|| usage())),
             "--stats-json" => stats_json_path = Some(it.next().unwrap_or_else(|| usage())),
             "--race-check" => race_check = true,
@@ -382,26 +358,17 @@ fn main() {
     }
 
     if run {
-        if pgo && engine != cinterp::Engine::Bytecode {
-            eprintln!(
-                "purec: --pgo drives the bytecode VM's superinstruction fusion; use --engine vm"
-            );
-            std::process::exit(2);
-        }
         let interp = cinterp::InterpOptions {
             threads,
             race_check,
             race_check_cap,
             engine,
-            pool,
             futures,
-            steal,
             memo,
             fuel,
             max_memory_bytes: max_memory,
             max_call_depth: max_depth,
             opt_level,
-            profile_pairs,
             ..Default::default()
         };
         // A trace/metrics session brackets compile + run, so pipeline
@@ -412,34 +379,11 @@ fn main() {
             .map_err(purec::chain::ChainError::Compile)
             .and_then(|out| {
                 let program = out.program();
-                let result = if pgo {
-                    // Leg 1 of the self-profiler: sample hot opcode pairs.
-                    // The report prints in the same format as a manual
-                    // `--profile-pairs` run (CI diffs the two).
-                    let profiled = program
-                        .run(cinterp::InterpOptions {
-                            profile_pairs: true,
-                            ..interp
-                        })
-                        .map_err(purec::chain::ChainError::Runtime)?;
-                    let pairs = profiled.pairs.expect("profiling run yields a pair profile");
-                    eprint!(
-                        "purec: hot opcode pairs (sampled, top 12):\n{}",
-                        pairs.report(12)
-                    );
-                    if dump_bytecode {
-                        eprint!("{}", program.bytecode_profiled(opt_level, &pairs).dump());
-                    }
-                    // Leg 2: re-optimized with the measured profile
-                    // steering superinstruction fusion.
-                    program.run_profiled("main", interp, &pairs)
-                } else {
-                    if dump_bytecode {
-                        eprint!("{}", program.bytecode_at(opt_level).dump());
-                    }
-                    program.run(interp)
-                };
-                result
+                if dump_bytecode {
+                    eprint!("{}", program.bytecode_at(opt_level).dump());
+                }
+                program
+                    .run(interp)
                     .map(|result| (out, result))
                     .map_err(purec::chain::ChainError::Runtime)
             });
@@ -455,12 +399,6 @@ fn main() {
         match outcome {
             Ok((out, result)) => {
                 print!("{}", result.output);
-                if let Some(p) = &result.pairs {
-                    eprint!(
-                        "purec: hot opcode pairs (sampled, top 12):\n{}",
-                        p.report(12)
-                    );
-                }
                 let spawn_sites: usize = out
                     .program()
                     .resolved()
@@ -483,7 +421,7 @@ fn main() {
                          memo {{hits: {}, misses: {}, evictions: {}}}; \
                          futures {{spawned: {}, inlined: {}, helped: {}}}; \
                          steals {{local_pushes: {}, tasks_stolen: {}}}; \
-                         opt {{level: {}, folded: {}, fused: {}, icache_hits: {}}}; \
+                         opt {{level: {}, folded: {}, fused: {}}}; \
                          race {{static_skips: {}, dyn_iters: {}}}",
                         out.declared_pure,
                         out.scops_marked,
@@ -511,7 +449,6 @@ fn main() {
                         opt_level,
                         result.counters.insns_folded,
                         result.counters.insns_fused,
-                        result.counters.icache_hits,
                         result.counters.race_static_skips,
                         result.counters.race_dyn_iters,
                     );

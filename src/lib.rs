@@ -40,7 +40,7 @@ pub mod prelude {
     pub use apps::{all_figures, Figure, Series, CORES};
     pub use cfront::{parse, print_unit, Diagnostics};
     pub use cinterp::{InterpOptions, Program, Trap};
-    pub use machine::{parallel_for, Machine, OmpSchedule};
+    pub use machine::{parallel_for_pooled, Machine, OmpSchedule};
     pub use polyhedral::{CodegenOptions, PolyccOptions, SicaParams};
     pub use purec::chain::{compile, compile_and_run, ChainOptions};
     pub use purec_core::{run_pc_cc, PcCcOptions, PureSet};

@@ -151,7 +151,7 @@ proptest! {
             _ => OmpSchedule::Guided(chunk),
         };
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(n, threads, sched, |i| {
+        parallel_for_pooled(n, threads, sched, |i| {
             hits[i as usize].fetch_add(1, Ordering::Relaxed);
         });
         for (i, h) in hits.iter().enumerate() {
@@ -322,14 +322,12 @@ proptest! {
         }
     }
 
-    /// Substrate equivalence: regions routed through the persistent
-    /// thread pool produce bit-identical exit code, output and
-    /// executed-op counters (modulo memo bookkeeping) to the scoped
-    /// spawn-per-region path — and both match the resolved and legacy
-    /// oracles — sequentially and with 4 threads, across all four
-    /// schedules.
+    /// Regions on the persistent thread pool: the VM and the resolved
+    /// engine match the legacy oracle on exit code, output and
+    /// executed-op counters (modulo memo bookkeeping), sequentially and
+    /// with 4 threads, across all four schedules.
     #[test]
-    fn pooled_regions_match_scoped_and_oracles(
+    fn pooled_regions_match_oracles(
         n in 4usize..40,
         c1 in -20i64..50,
         c2 in 1i64..40,
@@ -342,46 +340,28 @@ proptest! {
         prop_assert!(!parsed.diags.has_errors(), "{}", parsed.diags.render_all(&src));
         let prog = Program::new(&parsed.unit);
         for threads in [1usize, 4] {
-            let opt = |pool: bool| InterpOptions { threads, pool, ..Default::default() };
-            let pooled = prog.run(opt(true)).expect("pooled VM runs");
-            let scoped = prog.run(opt(false)).expect("scoped VM runs");
-            prop_assert_eq!(pooled.exit_code, scoped.exit_code, "threads={}", threads);
-            prop_assert_eq!(&pooled.output, &scoped.output, "threads={}", threads);
+            let opts = InterpOptions { threads, ..Default::default() };
+            let vm = prog.run(opts).expect("VM runs");
+            let resolved = prog.run_resolved(opts).expect("resolved runs");
+            let legacy = prog.run_legacy(opts).expect("legacy runs");
+            prop_assert_eq!(vm.exit_code, legacy.exit_code, "threads={}", threads);
+            prop_assert_eq!(&vm.output, &legacy.output, "threads={}", threads);
             prop_assert_eq!(
-                pooled.counters.without_memo(),
-                scoped.counters.without_memo(),
-                "threads={}",
-                threads
-            );
-            let res_pooled = prog.run_resolved(opt(true)).expect("pooled resolved runs");
-            let res_scoped = prog.run_resolved(opt(false)).expect("scoped resolved runs");
-            prop_assert_eq!(res_pooled.exit_code, res_scoped.exit_code, "threads={}", threads);
-            prop_assert_eq!(&res_pooled.output, &res_scoped.output, "threads={}", threads);
-            prop_assert_eq!(
-                res_pooled.counters.without_memo(),
-                res_scoped.counters.without_memo(),
-                "threads={}",
-                threads
-            );
-            let legacy = prog.run_legacy(opt(true)).expect("pooled legacy runs");
-            prop_assert_eq!(pooled.exit_code, legacy.exit_code, "threads={}", threads);
-            prop_assert_eq!(&pooled.output, &legacy.output, "threads={}", threads);
-            prop_assert_eq!(
-                pooled.counters.without_memo(),
+                vm.counters.without_memo(),
                 legacy.counters,
                 "threads={}",
                 threads
             );
-            prop_assert_eq!(res_pooled.exit_code, legacy.exit_code, "threads={}", threads);
+            prop_assert_eq!(resolved.exit_code, legacy.exit_code, "threads={}", threads);
         }
     }
 
     /// Nested parallel regions on the shared pool (a worker joining an
-    /// inner generation helps instead of blocking): pooled == scoped ==
-    /// oracles on observable behaviour, for independently drawn outer
-    /// and inner schedules.
+    /// inner generation helps instead of blocking): VM == resolved ==
+    /// legacy on observable behaviour, for independently drawn outer and
+    /// inner schedules.
     #[test]
-    fn pooled_nested_regions_match_scoped_and_oracles(
+    fn pooled_nested_regions_match_oracles(
         outer in 2usize..8,
         inner in 2usize..8,
         c in 1i64..30,
@@ -393,23 +373,14 @@ proptest! {
         prop_assert!(!parsed.diags.has_errors(), "{}", parsed.diags.render_all(&src));
         let prog = Program::new(&parsed.unit);
         for threads in [1usize, 4] {
-            let opt = |pool: bool| InterpOptions { threads, pool, ..Default::default() };
-            let pooled = prog.run(opt(true)).expect("pooled VM runs");
-            let scoped = prog.run(opt(false)).expect("scoped VM runs");
-            let resolved = prog.run_resolved(opt(true)).expect("resolved runs");
-            let legacy = prog.run_legacy(opt(true)).expect("legacy runs");
-            prop_assert_eq!(pooled.exit_code, scoped.exit_code, "threads={}", threads);
-            prop_assert_eq!(&pooled.output, &scoped.output, "threads={}", threads);
+            let opts = InterpOptions { threads, ..Default::default() };
+            let vm = prog.run(opts).expect("VM runs");
+            let resolved = prog.run_resolved(opts).expect("resolved runs");
+            let legacy = prog.run_legacy(opts).expect("legacy runs");
+            prop_assert_eq!(vm.exit_code, resolved.exit_code, "threads={}", threads);
+            prop_assert_eq!(&vm.output, &resolved.output, "threads={}", threads);
             prop_assert_eq!(
-                pooled.counters.without_memo(),
-                scoped.counters.without_memo(),
-                "threads={}",
-                threads
-            );
-            prop_assert_eq!(pooled.exit_code, resolved.exit_code, "threads={}", threads);
-            prop_assert_eq!(&pooled.output, &resolved.output, "threads={}", threads);
-            prop_assert_eq!(
-                pooled.counters.without_memo(),
+                vm.counters.without_memo(),
                 resolved.counters.without_memo(),
                 "threads={}",
                 threads
@@ -856,8 +827,7 @@ proptest! {
     /// the exit code, output and executed-op counters of the raw
     /// bytecode — which in turn match the resolved and legacy oracles —
     /// sequentially and with 4 threads. Only the `insns_folded` /
-    /// `insns_fused` / `icache_hits` bookkeeping (zeroed by
-    /// `without_memo`) may differ.
+    /// `insns_fused` bookkeeping (zeroed by `without_memo`) may differ.
     #[test]
     fn optimizer_levels_match_raw_and_oracles(
         n in 4usize..40,
@@ -913,8 +883,7 @@ proptest! {
         }
     }
 
-    /// Pure-call futures + memoization + inline caches under the
-    /// optimizer: optimized and raw runs agree on exit code and output
+    /// Pure-call futures + memoization under the optimizer: optimized and raw runs agree on exit code and output
     /// with spawns active (memo on and off), and with memo off they
     /// agree on executed-op counters exactly, sequentially and with 4
     /// threads across schedules.
@@ -977,13 +946,14 @@ proptest! {
                 "threads={}",
                 threads
             );
-            // Memo on: inline caches may serve hits, but never change
-            // what the program computes.
+            // Memo on: hits never change what the program computes, at
+            // either level.
             let raw_memo = prog.run(at(0, true)).expect("raw memoized runs");
             let opt_memo = prog.run(at(2, true)).expect("optimized memoized runs");
             prop_assert_eq!(opt_memo.exit_code, raw.exit_code, "threads={}", threads);
             prop_assert_eq!(&opt_memo.output, &raw.output, "threads={}", threads);
-            prop_assert_eq!(raw_memo.counters.icache_hits, 0);
+            prop_assert_eq!(raw_memo.exit_code, raw.exit_code, "threads={}", threads);
+            prop_assert_eq!(&raw_memo.output, &raw.output, "threads={}", threads);
         }
     }
 
