@@ -20,7 +20,8 @@
 //! resolved engine on the dispatch-bound `varaccess` case — the CI bench
 //! smoke turns a dispatch regression into a red build. The
 //! `region_heavy` case (many small parallel regions) records the
-//! region-launch cost in the trajectory.
+//! region-launch cost in the trajectory, and `malloc_churn` (balanced
+//! `malloc`/`free` pairs, run first) the heap's resident-set cost.
 //! The `fib_futures` (statement-level spawn batches) and `treesum_expr`
 //! (expression-level spawns over the work-stealing deques) cases gate
 //! the pure-call futures subsystem: on a host with ≥ 4 CPUs each
@@ -92,6 +93,18 @@ fn refuse_stale_binary() {
             std::process::exit(3);
         }
     }
+}
+
+/// `key` (`VmRSS` / `VmHWM`) of this process in kB, 0 where `/proc` is
+/// not available.
+fn proc_status_kb(key: &str) -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with(key))?;
+            line.split_whitespace().nth(1)?.parse().ok()
+        })
+        .unwrap_or(0)
 }
 
 struct BenchCase {
@@ -418,6 +431,13 @@ fn main() {
     let matmul_lint_secs = lint_overhead_secs(&matmul_out);
 
     let cases = vec![
+        // Balanced malloc/free pairs with a live set of one block. Runs
+        // first so the process high-water mark it moves is its own.
+        BenchCase {
+            name: "malloc_churn",
+            program: plain(include_str!("../../../../examples/churn.c")),
+            variants: vec![("bytecode", seq, false)],
+        },
         BenchCase {
             name: "varaccess",
             program: plain(&varaccess_source(var_iters)),
@@ -556,6 +576,7 @@ fn main() {
             vec![("name".to_string(), Value::Str(case.name.to_string()))];
         let mut times: Vec<(&str, f64)> = Vec::new();
         let mut exit: Option<i64> = None;
+        let (rss_before, hwm_before) = (proc_status_kb("VmRSS:"), proc_status_kb("VmHWM:"));
         for (label, opts, legacy) in &case.variants {
             let (secs, run) = time_run(&case.program, *opts, *legacy, reps);
             // Every tier must agree on the program's result — a
@@ -597,6 +618,15 @@ fn main() {
         for (label, secs) in &times {
             fields.push((format!("{label}_ms"), num((secs * 1e6).round() / 1e3)));
         }
+        // Resident-set cost of the case (recorded, not gated): what it
+        // left behind, and how far it pushed the process peak — the
+        // latter reads 0 once an earlier case peaked higher.
+        let rss_delta = proc_status_kb("VmRSS:") as f64 - rss_before as f64;
+        fields.push(("rss_delta_kb".to_string(), num(rss_delta)));
+        fields.push((
+            "rss_peak_delta_kb".to_string(),
+            num((proc_status_kb("VmHWM:") - hwm_before) as f64),
+        ));
         let get = |l: &str| times.iter().find(|(x, _)| *x == l).map(|(_, t)| *t);
         if let (Some(legacy), Some(resolved)) = (get("legacy"), get("resolved")) {
             fields.push((

@@ -67,11 +67,7 @@ pub fn call_builtin(
                 .unwrap_or(Scalar::I(0))
                 .as_i64()
                 .max(0);
-            let slots = (bytes as usize).div_ceil(8);
-            match mem.try_alloc(slots) {
-                Ok(p) => Ok(Scalar::P(p)),
-                Err(e) => Err(e),
-            }
+            mem.try_alloc((bytes as usize).div_ceil(8)).map(Scalar::P)
         }
         "calloc" => {
             let n = args
@@ -81,17 +77,11 @@ pub fn call_builtin(
                 .as_i64()
                 .max(0);
             let sz = args.get(1).copied().unwrap_or(Scalar::I(0)).as_i64().max(0);
-            let slots = ((n * sz) as usize).div_ceil(8);
-            let p = match mem.try_alloc(slots) {
-                Ok(p) => p,
-                Err(e) => return Some(Err(e)),
-            };
-            for i in 0..slots {
-                if let Err(e) = mem.store(p.offset(i as i64), Scalar::I(0)) {
-                    return Some(Err(e));
-                }
-            }
-            Ok(Scalar::P(p))
+            // A product beyond i64 saturates: no heap can hold it, so
+            // `try_alloc_zeroed` refuses it as a memory-limit trap.
+            let bytes = n.checked_mul(sz).unwrap_or(i64::MAX);
+            mem.try_alloc_zeroed((bytes as usize).div_ceil(8))
+                .map(Scalar::P)
         }
         "free" => {
             match args.first() {
@@ -257,6 +247,21 @@ mod tests {
         for i in 0..4 {
             assert_eq!(mem.load(p.offset(i)).unwrap(), Scalar::I(0));
         }
+    }
+
+    #[test]
+    fn calloc_product_overflow_is_a_limit_error() {
+        let mem = Memory::new();
+        let mut out = String::new();
+        let huge = Scalar::I(4_000_000_000);
+        let e = call_builtin("calloc", &[huge, huge], &mem, &mut out)
+            .unwrap()
+            .unwrap_err();
+        assert!(e.limit, "{}", e.message);
+        let e = call_builtin("malloc", &[Scalar::I(i64::MAX)], &mem, &mut out)
+            .unwrap()
+            .unwrap_err();
+        assert!(e.limit, "{}", e.message);
     }
 
     #[test]

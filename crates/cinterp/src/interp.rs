@@ -28,7 +28,7 @@
 #[cfg(any(test, feature = "legacy-oracle"))]
 use crate::builtins::{call_builtin, format_printf};
 use crate::resolve::{self, ResolvedProgram};
-use crate::value::CounterSnapshot;
+use crate::value::{CounterSnapshot, HeapStats};
 #[cfg(any(test, feature = "legacy-oracle"))]
 use crate::value::{Counters, FuelBudget, Memory, Ptr, RaceAccumulator, Scalar, TrackSets};
 use cfront::ast::*;
@@ -107,9 +107,10 @@ pub struct InterpOptions {
     /// [`Trap::FuelExhausted`]. The VM meters per dispatched instruction;
     /// the resolved and legacy engines meter per executed statement.
     pub fuel: Option<u64>,
-    /// Ceiling on cumulative heap bytes (`None` = unlimited). The heap
-    /// is retire-don't-free, so the cumulative charge *is* the physical
-    /// footprint; exceeding it traps [`Trap::MemoryLimit`].
+    /// Ceiling on live heap bytes (`None` = unlimited): `free` refunds
+    /// what it releases — at once outside a parallel region, at the
+    /// outermost region's join inside one — so the charge is the heap's
+    /// physical footprint; exceeding it traps [`Trap::MemoryLimit`].
     pub max_memory_bytes: Option<u64>,
     /// Ceiling on user-call nesting depth (`None` = the engines' built-in
     /// guard of 512, reported as a plain "call stack overflow" error).
@@ -173,6 +174,8 @@ pub struct RunResult {
     pub exit_code: i64,
     pub output: String,
     pub counters: CounterSnapshot,
+    /// Heap totals of the run (`purec --stats` prints them).
+    pub heap: HeapStats,
 }
 
 /// Structured resource-governance trap kinds: a run that hit a
@@ -475,6 +478,7 @@ impl Program {
             exit_code: exit.as_i64(),
             output,
             counters,
+            heap: shared.mem.stats(),
         })
     }
 }
@@ -1501,7 +1505,10 @@ impl Interp {
             }
             child.refund_fuel();
         };
-        parallel_for_pooled(n, self.s.opts.threads, schedule, iteration);
+        {
+            let _region = self.s.mem.enter_region();
+            parallel_for_pooled(n, self.s.opts.threads, schedule, iteration);
+        }
 
         match err.into_inner() {
             Some(e) => Err(e),

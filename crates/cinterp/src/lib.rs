@@ -64,6 +64,6 @@ pub use trace::{
     TraceStats,
 };
 pub use value::{
-    CounterSnapshot, Counters, FuelBudget, MemError, Memory, Packed, Ptr, Scalar, SpillPool, Tally,
-    FUEL_BLOCK,
+    CounterSnapshot, Counters, FuelBudget, HeapStats, MemError, Memory, Packed, Ptr, Scalar,
+    SpillPool, Tally, FUEL_BLOCK,
 };

@@ -1628,6 +1628,7 @@ pub(crate) fn run_resolved(
         exit_code: exit.as_i64(),
         output,
         counters,
+        heap: shared.mem.stats(),
     })
 }
 
@@ -2642,7 +2643,10 @@ impl<'p> RInterp<'p> {
             }
             child.refund_fuel();
         };
-        parallel_for_pooled(n, self.s.opts.threads, of.schedule, iteration);
+        {
+            let _region = self.s.mem.enter_region();
+            parallel_for_pooled(n, self.s.opts.threads, of.schedule, iteration);
+        }
 
         match err.into_inner() {
             Some(e) => Err(e),

@@ -6,9 +6,9 @@
 //! the machine model uniform (LP64-slot) without altering any program the
 //! evaluation uses.
 //!
-//! Allocations are append-only and individually `Sync`: verified-pure
-//! parallel loops write *disjoint* slots (that is exactly what the purity
-//! pass + dependence analysis guarantee), so slot accesses go through
+//! Allocations are individually `Sync`: verified-pure parallel loops
+//! write *disjoint* slots (that is exactly what the purity pass +
+//! dependence analysis guarantee), so slot accesses go through
 //! `UnsafeCell` without per-access locking. A race-check mode in the
 //! interpreter validates disjointness on small runs before anything is
 //! executed in parallel.
@@ -19,6 +19,14 @@
 //! `alloc` serializes writers on a mutex that readers never touch. See
 //! the `AppendTable` docs for the publication protocol and its
 //! invariants.
+//!
+//! Allocation **ids** are append-only and never reused; allocation
+//! **storage** is not: `free` gives the slots and the `Box<Allocation>`
+//! back to the host and refunds the byte budget, leaving the id pointing
+//! at one shared tombstone so a dangling `Ptr` keeps failing with the
+//! same diagnostics. Reclamation happens at once when no `omp parallel
+//! for` region is in flight and at the outermost region's join otherwise
+//! — see [`Memory::free`] and [`Memory::enter_region`].
 
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
@@ -98,12 +106,26 @@ pub struct Allocation {
 unsafe impl Sync for Allocation {}
 unsafe impl Send for Allocation {}
 
+/// What the table entry of every reclaimed allocation points at: no
+/// slots, freed flag set, never dropped. `with_alloc`'s freed check and
+/// `free`'s flag swap therefore answer a reclaimed id exactly as they
+/// answered a flagged one.
+static TOMBSTONE: Allocation = Allocation {
+    slots: Vec::new(),
+    freed: AtomicU64::new(1),
+};
+
 impl Allocation {
-    fn new(len: usize) -> Self {
-        Allocation {
-            slots: (0..len).map(|_| UnsafeCell::new(Scalar::Uninit)).collect(),
+    /// `len` slots all holding `fill`; `None` when the host cannot
+    /// supply the storage (absurd sizes included — never a panic).
+    fn try_new(len: usize, fill: Scalar) -> Option<Self> {
+        let mut slots = Vec::new();
+        slots.try_reserve_exact(len).ok()?;
+        slots.resize_with(len, || UnsafeCell::new(fill));
+        Some(Allocation {
+            slots,
             freed: AtomicU64::new(0),
-        }
+        })
     }
 
     pub fn len(&self) -> usize {
@@ -154,9 +176,13 @@ fn locate(i: usize) -> (usize, usize) {
 /// * readers bounds-check against `len` (`Acquire`) **first** — any
 ///   index below it has its segment pointer and slot pointer fully
 ///   published by the corresponding `Release` stores;
-/// * entries are immutable and never removed (the interpreter's
-///   `free` only flips a flag *inside* an [`Allocation`]), so a `&T`
-///   handed out by `get` stays valid until the table is dropped.
+/// * indices are never removed or reused, and an entry is replaced at
+///   most once, by the table's tombstone, through the `unsafe`
+///   [`AppendTable::retire`] — whose caller guarantees no reader can
+///   hold or be fetching the entry — so a `&T` handed out by `get`
+///   stays valid for as long as its holder may use it. A table built
+///   with [`AppendTable::new`] has no tombstone and is append-only (the
+///   global spill table).
 pub(crate) struct AppendTable<T> {
     /// Pointer to the first slot of segment `k` (null until allocated).
     segs: [AtomicPtr<AtomicPtr<T>>; SEG_COUNT],
@@ -164,10 +190,13 @@ pub(crate) struct AppendTable<T> {
     len: AtomicUsize,
     /// Serializes `push` (readers never touch it).
     writer: Mutex<()>,
+    /// The never-dropped entry `retire` swaps in (null: no `retire`).
+    tombstone: *mut T,
 }
 
 // SAFETY: shared access is mediated by the atomics above; `T` itself is
-// only shared by reference.
+// only shared by reference, and `tombstone` is either null or a
+// `&'static T` that is only ever read.
 unsafe impl<T: Send + Sync> Send for AppendTable<T> {}
 unsafe impl<T: Send + Sync> Sync for AppendTable<T> {}
 
@@ -177,7 +206,16 @@ impl<T> AppendTable<T> {
             segs: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
             len: AtomicUsize::new(0),
             writer: Mutex::new(()),
+            tombstone: std::ptr::null_mut(),
         }
+    }
+
+    /// A table whose entries can be [`retire`](Self::retire)d: a retired
+    /// index resolves to `tombstone` from then on.
+    pub(crate) fn with_tombstone(tombstone: &'static T) -> Self {
+        let mut table = Self::new();
+        table.tombstone = tombstone as *const T as *mut T;
+        table
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -219,9 +257,34 @@ impl<T> AppendTable<T> {
         let seg = self.segs[k].load(Ordering::Acquire);
         debug_assert!(!seg.is_null(), "published index without a segment");
         // SAFETY: `i < len` ⇒ the slot's pointer was published before
-        // `len` (Release/Acquire pairing on `len`), and entries are
-        // never freed before the table itself drops.
+        // `len` (Release/Acquire pairing on `len`); it is the boxed
+        // entry, freed only by `retire` (whose contract excludes this
+        // reader) or by the table's drop, or the `'static` tombstone.
         unsafe { Some(&*(*seg.add(off)).load(Ordering::Acquire)) }
+    }
+
+    /// Replace entry `i` with the tombstone and hand back the value it
+    /// held (`None`: out of range or already retired).
+    ///
+    /// # Safety
+    ///
+    /// No reference obtained from `get(i)` may still be in use, and no
+    /// other thread may call `get(i)` while this call runs: the returned
+    /// box is the storage those references point into.
+    pub(crate) unsafe fn retire(&self, i: usize) -> Option<Box<T>> {
+        assert!(!self.tombstone.is_null(), "retire on an append-only table");
+        if i >= self.len.load(Ordering::Acquire) {
+            return None;
+        }
+        let (k, off) = locate(i);
+        let seg = self.segs[k].load(Ordering::Acquire);
+        // SAFETY: `i < len` ⇒ segment and slot are published (as in
+        // `get`); a non-tombstone pointer is the box `push` leaked, and
+        // the caller guarantees nobody else can reach it any more.
+        unsafe {
+            let old = (*seg.add(off)).swap(self.tombstone, Ordering::AcqRel);
+            (old != self.tombstone).then(|| Box::from_raw(old))
+        }
     }
 }
 
@@ -236,12 +299,15 @@ impl<T> Drop for AppendTable<T> {
             let cap = SEG0_CAP << k;
             let start = SEG0_CAP * ((1 << k) - 1);
             // SAFETY: reconstructing exactly the boxed slice `push`
-            // leaked, and the boxed entries published below `len`.
+            // leaked, and the boxed entries published below `len` —
+            // minus the retired ones, whose boxes `retire` already gave
+            // away and whose slots hold the never-dropped tombstone.
             unsafe {
                 let slice = std::slice::from_raw_parts_mut(seg, cap);
                 for (j, slot) in slice.iter_mut().enumerate() {
-                    if start + j < n {
-                        drop(Box::from_raw(*slot.get_mut()));
+                    let entry = *slot.get_mut();
+                    if start + j < n && entry != self.tombstone {
+                        drop(Box::from_raw(entry));
                     }
                 }
                 drop(Box::from_raw(slice as *mut [AtomicPtr<T>]));
@@ -250,24 +316,79 @@ impl<T> Drop for AppendTable<T> {
     }
 }
 
-/// Shared byte accounting behind a [`Memory`] cap: every allocation
-/// charges its slot bytes against one atomic total shared by the whole
-/// execution (parallel regions and futures included). The heap is
-/// retire-don't-free (`free` flips a flag, the [`AppendTable`] reclaims
-/// nothing), so the total is **cumulative**: it is exactly the physical
-/// footprint an alloc bomb grows, and it is never decremented.
-#[derive(Debug)]
-struct MemBudget {
-    used: AtomicU64,
-    cap: u64,
+/// What the clones of a [`Memory`] share besides the table: the byte
+/// accounting and the deferred-reclamation state.
+///
+/// `live` is charged at `try_alloc` and refunded when an allocation's
+/// storage is **reclaimed** (not when `free` is called — the two differ
+/// while a region is in flight), so it is the heap's physical footprint
+/// at every instant and `cap` bounds *live* bytes: a loop of balanced
+/// `malloc`/`free` pairs never accumulates charge. One atomic total is
+/// shared by the whole execution (parallel regions and futures
+/// included).
+struct HeapState {
+    live: AtomicU64,
+    peak: AtomicU64,
+    cap: Option<u64>,
+    frees: AtomicU64,
+    /// `omp parallel for` regions in flight (nesting and concurrent
+    /// inner regions both count). Nonzero ⇒ `free` defers.
+    regions: AtomicUsize,
+    /// Ids freed while `regions > 0`, reclaimed when it returns to 0.
+    retired: Mutex<Vec<u32>>,
+}
+
+/// Whole-run heap totals ([`Memory::stats`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct HeapStats {
+    /// Allocation ids issued (statics and string literals included).
+    pub allocations: u64,
+    /// Successful `free` calls.
+    pub frees: u64,
+    /// High-water mark of live heap bytes.
+    pub peak_live_bytes: u64,
 }
 
 /// The program heap + statics. Cloning the handle shares the memory
-/// (and its byte budget, when one is configured).
+/// (and its byte accounting).
 #[derive(Clone)]
 pub struct Memory {
     allocs: Arc<AppendTable<Allocation>>,
-    budget: Option<Arc<MemBudget>>,
+    heap: Arc<HeapState>,
+}
+
+/// One `omp parallel for` region in flight on a [`Memory`]
+/// ([`Memory::enter_region`]); dropping the outermost one reclaims what
+/// was freed meanwhile.
+#[must_use = "the region ends when the guard drops"]
+pub struct RegionGuard<'m>(&'m Memory);
+
+impl Drop for RegionGuard<'_> {
+    fn drop(&mut self) {
+        let heap = &self.0.heap;
+        // AcqRel: the decrement that reaches 0 must see every worker's
+        // last heap access (ordered before the join that precedes this
+        // drop) before the storage goes away.
+        if heap.regions.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return;
+        }
+        let retired = std::mem::take(&mut *heap.retired.lock());
+        if retired.is_empty() {
+            return;
+        }
+        // Gauges read the footprint the region built up, before it goes.
+        let metrics = machine::omprt::instrument::metrics();
+        metrics.heap_deferred_frees.sample(retired.len() as u64);
+        metrics
+            .heap_live_bytes
+            .sample(heap.live.load(Ordering::Relaxed));
+        for id in retired {
+            // SAFETY: the count just returned to 0, so every region has
+            // joined: the dropping thread is the only one running
+            // program code, and it holds no `&Allocation` here.
+            unsafe { self.0.reclaim(id) };
+        }
+    }
 }
 
 /// Errors surfaced by memory operations (out-of-bounds, use-after-free…).
@@ -305,69 +426,99 @@ impl std::fmt::Display for MemError {
 
 impl Memory {
     pub fn new() -> Self {
-        Memory {
-            allocs: Arc::new(AppendTable::new()),
-            budget: None,
-        }
+        Self::with_limit(None)
     }
 
-    /// A heap whose cumulative allocation footprint is capped at
-    /// `max_bytes` (`None` = unlimited, identical to [`Memory::new`]).
+    /// A heap whose live allocation footprint is capped at `max_bytes`
+    /// (`None` = unlimited).
     pub fn with_limit(max_bytes: Option<u64>) -> Self {
         Memory {
-            allocs: Arc::new(AppendTable::new()),
-            budget: max_bytes.map(|cap| {
-                Arc::new(MemBudget {
-                    used: AtomicU64::new(0),
-                    cap,
-                })
+            allocs: Arc::new(AppendTable::with_tombstone(&TOMBSTONE)),
+            heap: Arc::new(HeapState {
+                live: AtomicU64::new(0),
+                peak: AtomicU64::new(0),
+                cap: max_bytes,
+                frees: AtomicU64::new(0),
+                regions: AtomicUsize::new(0),
+                retired: Mutex::new(Vec::new()),
             }),
         }
     }
 
-    /// Bytes charged so far, when a cap is configured.
+    /// Live bytes charged right now, when a cap is configured.
     pub fn used_bytes(&self) -> Option<u64> {
-        self.budget.as_ref().map(|b| b.used.load(Ordering::Relaxed))
+        self.heap
+            .cap
+            .map(|_| self.heap.live.load(Ordering::Relaxed))
     }
 
     /// The configured byte ceiling, if any.
     pub fn limit_bytes(&self) -> Option<u64> {
-        self.budget.as_ref().map(|b| b.cap)
+        self.heap.cap
     }
 
-    /// Allocate `len` slots; returns a pointer to element 0. Errors when
-    /// the allocation-id space is exhausted — the id is a **checked**
-    /// conversion, so a pathological program gets a diagnostic instead of
-    /// a pointer silently aliasing allocation 0 — or when the configured
-    /// byte ceiling would be exceeded (`MemError::limit`).
+    /// Whole-run totals for `--stats`.
+    pub fn stats(&self) -> HeapStats {
+        HeapStats {
+            allocations: self.allocs.len() as u64,
+            frees: self.heap.frees.load(Ordering::Relaxed),
+            peak_live_bytes: self.heap.peak.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Allocate `len` uninitialised slots; returns a pointer to element
+    /// 0. Errors when the allocation-id space is exhausted — the id is a
+    /// **checked** conversion, so a pathological program gets a
+    /// diagnostic instead of a pointer silently aliasing allocation 0 —
+    /// or, as `MemError::limit`, when the configured byte ceiling would
+    /// be exceeded or the host cannot supply the storage.
     pub fn try_alloc(&self, len: usize) -> Result<Ptr, MemError> {
+        self.alloc_filled(len, Scalar::Uninit)
+    }
+
+    /// [`Memory::try_alloc`] with every slot holding integer 0
+    /// (`calloc`).
+    pub fn try_alloc_zeroed(&self, len: usize) -> Result<Ptr, MemError> {
+        self.alloc_filled(len, Scalar::I(0))
+    }
+
+    fn alloc_filled(&self, len: usize, fill: Scalar) -> Result<Ptr, MemError> {
         let slots = len.max(1);
+        let bytes = (slots as u64).saturating_mul(8);
         #[cfg(feature = "fault-inject")]
         if machine::fault::should_fail_alloc() {
             return Err(MemError::at_limit(format!(
-                "memory limit exceeded: injected allocation failure ({} bytes requested)",
-                (slots as u64).saturating_mul(8)
+                "memory limit exceeded: injected allocation failure ({bytes} bytes requested)"
             )));
         }
-        if let Some(b) = &self.budget {
-            let bytes = (slots as u64).saturating_mul(8);
-            // Optimistic charge; on overshoot the charge is rolled back
-            // so concurrent allocations racing the ceiling do not eat
-            // budget they never got.
-            let before = b.used.fetch_add(bytes, Ordering::Relaxed);
-            if before.saturating_add(bytes) > b.cap {
-                b.used.fetch_sub(bytes, Ordering::Relaxed);
-                return Err(MemError::at_limit(format!(
-                    "memory limit exceeded: requested {bytes} bytes with {before} of {} in use",
-                    b.cap
-                )));
+        let heap = &*self.heap;
+        // Optimistic charge; every failure below rolls it back so
+        // concurrent allocations racing the ceiling do not eat budget
+        // they never got.
+        let before = heap.live.fetch_add(bytes, Ordering::Relaxed);
+        let refused = |e: MemError| {
+            heap.live.fetch_sub(bytes, Ordering::Relaxed);
+            e
+        };
+        if let Some(cap) = heap.cap {
+            if before.saturating_add(bytes) > cap {
+                return Err(refused(MemError::at_limit(format!(
+                    "memory limit exceeded: requested {bytes} bytes with {before} of {cap} in use"
+                ))));
             }
         }
-        let id = self.allocs.push(Allocation::new(slots)).ok_or_else(|| {
-            MemError::new(format!(
-                "allocation id space exhausted ({TABLE_CAPACITY} allocations)"
-            ))
+        let allocation = Allocation::try_new(slots, fill).ok_or_else(|| {
+            refused(MemError::at_limit(format!(
+                "memory limit exceeded: the host cannot supply {bytes} bytes"
+            )))
         })?;
+        let id = self.allocs.push(allocation).ok_or_else(|| {
+            refused(MemError::new(format!(
+                "allocation id space exhausted ({TABLE_CAPACITY} allocations)"
+            )))
+        })?;
+        heap.peak
+            .fetch_max(before.saturating_add(bytes), Ordering::Relaxed);
         Ok(Ptr {
             alloc: id as u32,
             index: 0,
@@ -384,7 +535,27 @@ impl Memory {
             .expect("allocation id space exhausted (u32 ids)")
     }
 
-    /// Mark an allocation freed (slots become inaccessible).
+    /// Mark one `omp parallel for` region in flight until the guard
+    /// drops. Every engine wraps its region launch — for every thread
+    /// count, 1 included — in one of these: while any is alive, `free`
+    /// only flags the allocation and queues its id, because another
+    /// iteration may be mid-access on the same `&Allocation`; the
+    /// outermost guard's drop, after the join, reclaims the queue.
+    pub fn enter_region(&self) -> RegionGuard<'_> {
+        self.heap.regions.fetch_add(1, Ordering::AcqRel);
+        RegionGuard(self)
+    }
+
+    /// Free an allocation: its slots become inaccessible at once, and
+    /// its storage goes back to the host (and its bytes back to the
+    /// budget) now — or, inside a region, at the outermost region's
+    /// join.
+    ///
+    /// Reclaiming at once is sound because code that uses one `Memory`
+    /// from several threads does so under [`Memory::enter_region`]:
+    /// with no region in flight the caller is the only thread running
+    /// program code (pure-call futures run cacheable functions only,
+    /// and those perform no memory operation at all).
     pub fn free(&self, p: Ptr) -> Result<(), MemError> {
         let a = self
             .allocs
@@ -396,12 +567,40 @@ impl Memory {
         if a.freed.swap(1, Ordering::AcqRel) != 0 {
             return Err(MemError::new("double free"));
         }
+        let heap = &*self.heap;
+        heap.frees.fetch_add(1, Ordering::Relaxed);
+        if heap.regions.load(Ordering::Acquire) == 0 {
+            machine::omprt::instrument::metrics()
+                .heap_live_bytes
+                .sample(heap.live.load(Ordering::Relaxed));
+            // SAFETY: no region in flight ⇒ no other thread runs program
+            // code (see above), and `a` is not used past this point.
+            unsafe { self.reclaim(p.alloc) };
+        } else {
+            heap.retired.lock().push(p.alloc);
+        }
         Ok(())
+    }
+
+    /// Give allocation `id`'s storage back and refund its bytes.
+    ///
+    /// # Safety
+    ///
+    /// As [`AppendTable::retire`]: no thread may hold or be fetching a
+    /// reference to the allocation.
+    unsafe fn reclaim(&self, id: u32) {
+        // SAFETY: forwarded to the caller.
+        if let Some(a) = unsafe { self.allocs.retire(id as usize) } {
+            self.heap
+                .live
+                .fetch_sub(8 * a.len() as u64, Ordering::Relaxed);
+        }
     }
 
     /// Resolve `p.alloc` and run `f` — the hot path of every heap access.
     /// Zero locks: the id resolves through [`AppendTable::get`] and the
-    /// freed flag is an atomic load.
+    /// freed flag is an atomic load — set on a freed allocation and on
+    /// the tombstone a reclaimed id resolves to alike.
     #[inline]
     fn with_alloc<R>(
         &self,
@@ -1349,6 +1548,209 @@ mod tests {
         m.try_alloc(1024).unwrap();
         assert_eq!(m.used_bytes(), None);
         assert_eq!(m.limit_bytes(), None);
+    }
+
+    /// Has `p`'s table entry been swapped for the tombstone?
+    fn reclaimed(m: &Memory, p: Ptr) -> bool {
+        std::ptr::eq(
+            m.allocs.get(p.alloc as usize).expect("issued id"),
+            &TOMBSTONE,
+        )
+    }
+
+    /// The four diagnostics a dead allocation must keep giving.
+    fn dead_allocation_messages(m: &Memory, p: Ptr) -> [String; 4] {
+        [
+            m.load(p).unwrap_err().message,
+            m.store(p, Scalar::I(1)).unwrap_err().message,
+            m.free(p).unwrap_err().message,
+            m.free(p.offset(1)).unwrap_err().message,
+        ]
+    }
+
+    #[test]
+    fn free_outside_a_region_reclaims_at_once() {
+        let m = Memory::with_limit(Some(1 << 20));
+        let keep = m.alloc(2);
+        let before = m.used_bytes();
+        let p = m.alloc(32);
+        assert_eq!(m.used_bytes(), Some(16 + 256));
+        m.free(p).unwrap();
+        assert!(reclaimed(&m, p), "storage released by the free itself");
+        assert!(!reclaimed(&m, keep));
+        assert_eq!(m.used_bytes(), before, "bytes refunded");
+        // Ids are never reused: the next allocation gets a fresh one.
+        assert_eq!(m.alloc(1).alloc, p.alloc + 1);
+        assert_eq!(
+            m.stats(),
+            HeapStats {
+                allocations: 3,
+                frees: 1,
+                peak_live_bytes: 16 + 256,
+            }
+        );
+    }
+
+    #[test]
+    fn free_inside_nested_regions_reclaims_at_the_outermost_join() {
+        let m = Memory::with_limit(Some(1 << 20));
+        let p = m.alloc(8);
+        let q = m.alloc(8);
+        let charged = m.used_bytes();
+        let outer = m.enter_region();
+        m.free(p).unwrap();
+        {
+            let _inner = m.enter_region();
+            m.free(q).unwrap();
+        }
+        // Inner join: a sibling of the outer region may still hold either.
+        assert!(!reclaimed(&m, p) && !reclaimed(&m, q));
+        assert_eq!(m.used_bytes(), charged, "no refund while deferred");
+        let flagged = dead_allocation_messages(&m, p);
+        drop(outer);
+        assert!(reclaimed(&m, p) && reclaimed(&m, q));
+        assert_eq!(m.used_bytes(), Some(0));
+        assert_eq!(
+            dead_allocation_messages(&m, p),
+            flagged,
+            "a reclaimed id answers like a flagged one"
+        );
+        assert_eq!(
+            flagged,
+            [
+                "use after free",
+                "use after free",
+                "double free",
+                "free of interior pointer"
+            ]
+        );
+        assert_eq!(m.stats().frees, 2, "failed frees are not counted");
+    }
+
+    #[test]
+    fn balanced_pairs_run_under_a_cap_below_their_cumulative_bytes() {
+        let m = Memory::with_limit(Some(1024));
+        for k in 0..10_000 {
+            let p = m.try_alloc(32).expect("live set is one block");
+            m.store(p, Scalar::I(k)).unwrap();
+            m.free(p).unwrap();
+        }
+        assert_eq!(m.used_bytes(), Some(0));
+        // The same loop inside a region defers every refund: it traps
+        // at the 5th block whatever the thread count.
+        let _region = m.enter_region();
+        for _ in 0..4 {
+            m.free(m.try_alloc(32).unwrap()).unwrap();
+        }
+        assert!(m.try_alloc(32).unwrap_err().limit);
+    }
+
+    #[test]
+    fn absurd_sizes_are_limit_errors_not_panics() {
+        for m in [Memory::new(), Memory::with_limit(Some(1 << 20))] {
+            for len in [usize::MAX, usize::MAX / 8, 1 << 60] {
+                let e = m.try_alloc(len).unwrap_err();
+                assert!(e.limit, "{}", e.message);
+                assert!(m.try_alloc_zeroed(len).unwrap_err().limit);
+            }
+            assert_eq!(m.stats().peak_live_bytes, 0, "refused charges rolled back");
+            assert_eq!(m.try_alloc(1).unwrap().alloc, 0, "no id was issued");
+        }
+    }
+
+    #[test]
+    fn zeroed_allocation_holds_integer_zero() {
+        let m = Memory::new();
+        let p = m.try_alloc_zeroed(5).unwrap();
+        for i in 0..5 {
+            assert_eq!(m.load(p.offset(i)).unwrap(), Scalar::I(0));
+        }
+    }
+
+    #[test]
+    fn append_table_drop_skips_retired_entries() {
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct Counted;
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        static TOMB: Counted = Counted;
+        let t = AppendTable::with_tombstone(&TOMB);
+        for _ in 0..100 {
+            t.push(Counted).unwrap();
+        }
+        for i in (0..100).step_by(3) {
+            // SAFETY: single-threaded, no reference from `get` is held.
+            let entry = unsafe { t.retire(i) };
+            assert!(entry.is_some());
+            assert!(std::ptr::eq(t.get(i).unwrap(), &TOMB));
+        }
+        assert_eq!(DROPS.load(Ordering::Relaxed), 34);
+        // SAFETY: as above.
+        assert!(unsafe { t.retire(0) }.is_none(), "retired once only");
+        assert!(unsafe { t.retire(100) }.is_none(), "out of range");
+        drop(t);
+        assert_eq!(
+            DROPS.load(Ordering::Relaxed),
+            100,
+            "every pushed entry dropped exactly once, the tombstone never"
+        );
+    }
+
+    #[test]
+    fn frees_racing_readers_under_a_region_guard() {
+        // Four threads hammer the live allocations while a fifth frees
+        // the others; nothing is reclaimed until the guard drops.
+        const LIVE: usize = 64;
+        const DOOMED: usize = 512;
+        let m = Memory::with_limit(Some(1 << 30));
+        let live: Vec<Ptr> = (0..LIVE).map(|_| m.alloc(16)).collect();
+        let doomed: Vec<Ptr> = (0..DOOMED).map(|_| m.alloc(16)).collect();
+        let charged = m.used_bytes();
+        let start = std::sync::Barrier::new(5);
+        let region = m.enter_region();
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                let (m, live, doomed, start) = (&m, &live, &doomed, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for round in 0..200i64 {
+                        for (i, &p) in live.iter().enumerate() {
+                            // Slot t of every live allocation is this thread's.
+                            let mine = p.offset(t as i64);
+                            m.store(mine, Scalar::I(round + i as i64)).unwrap();
+                            assert_eq!(m.load(mine).unwrap(), Scalar::I(round + i as i64));
+                        }
+                        // A racing read of a doomed allocation sees its
+                        // slots or the freed flag, never freed storage.
+                        let d = doomed[(round as usize * 7 + t) % DOOMED];
+                        if let Err(e) = m.load(d) {
+                            assert_eq!(e.message, "use after free");
+                        }
+                    }
+                });
+            }
+            let (m, doomed, start) = (&m, &doomed, &start);
+            s.spawn(move || {
+                start.wait();
+                for &p in doomed {
+                    m.free(p).unwrap();
+                }
+            });
+        });
+        assert!(doomed.iter().all(|&p| !reclaimed(&m, p)));
+        assert_eq!(m.used_bytes(), charged);
+        drop(region);
+        assert!(doomed.iter().all(|&p| reclaimed(&m, p)));
+        assert!(live.iter().all(|&p| !reclaimed(&m, p)));
+        assert_eq!(m.used_bytes(), Some((LIVE * 16 * 8) as u64));
+        for (i, &p) in live.iter().enumerate() {
+            for t in 0..4 {
+                assert_eq!(m.load(p.offset(t)).unwrap(), Scalar::I(199 + i as i64));
+            }
+        }
     }
 
     #[test]

@@ -359,6 +359,7 @@ pub(crate) fn run_vm(
         exit_code,
         output,
         counters,
+        heap: shared.mem.stats(),
     })
 }
 
@@ -1782,7 +1783,10 @@ impl<'p> Vm<'p> {
         // remaining budget instead of stalling one block short (the
         // parent re-acquires on its first dispatch after the join).
         self.refund_fuel();
-        let workers = parallel_for_state_pooled(n, self.s.opts.threads, r.schedule, init, body);
+        let workers = {
+            let _region = self.s.mem.enter_region();
+            parallel_for_state_pooled(n, self.s.opts.threads, r.schedule, init, body)
+        };
         for mut w in workers {
             w.refund_fuel();
             self.tally.merge(&w.tally);

@@ -380,6 +380,11 @@ pub struct Metrics {
     pub arena_bytes: Gauge,
     /// Interpreter spill-stack bytes sampled at the region join.
     pub spill_bytes: Gauge,
+    /// Live heap bytes sampled just before storage is released: at each
+    /// `free` outside a region and at the outermost region's join.
+    pub heap_live_bytes: Gauge,
+    /// `free`s a region deferred, sampled when its join reclaims them.
+    pub heap_deferred_frees: Gauge,
 }
 
 static METRICS: Metrics = Metrics {
@@ -393,6 +398,8 @@ static METRICS: Metrics = Metrics {
     exposed_tasks: Gauge::new(),
     arena_bytes: Gauge::new(),
     spill_bytes: Gauge::new(),
+    heap_live_bytes: Gauge::new(),
+    heap_deferred_frees: Gauge::new(),
 };
 
 /// The process-wide [`Metrics`] registry.
@@ -414,6 +421,8 @@ pub fn reset_metrics() {
     m.exposed_tasks.reset();
     m.arena_bytes.reset();
     m.spill_bytes.reset();
+    m.heap_live_bytes.reset();
+    m.heap_deferred_frees.reset();
 }
 
 /// Named snapshot of the whole registry, for `--stats` / `--stats-json`.
@@ -433,6 +442,8 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
             ("exposed_tasks", m.exposed_tasks.snapshot()),
             ("arena_bytes", m.arena_bytes.snapshot()),
             ("spill_bytes", m.spill_bytes.snapshot()),
+            ("heap_live_bytes", m.heap_live_bytes.snapshot()),
+            ("heap_deferred_frees", m.heap_deferred_frees.snapshot()),
         ],
     }
 }

@@ -87,8 +87,8 @@ fn usage() -> ! {
          \x20                  rules as verified (widens memo/spawn eligibility)\n\
          \x20 --fuel N         cap executed statements/instructions at N; a run\n\
          \x20                  that exhausts its fuel traps and exits 97\n\
-         \x20 --max-memory B   cap interpreter memory at B bytes; exceeding the\n\
-         \x20                  cap traps and exits 98\n\
+         \x20 --max-memory B   cap live interpreter memory at B bytes (free gives\n\
+         \x20                  its bytes back); exceeding the cap traps and exits 98\n\
          \x20 --max-depth N    cap the call stack at N frames; exceeding the\n\
          \x20                  cap traps and exits 99\n\
          \x20 --stats          print chain statistics to stderr"
@@ -451,6 +451,10 @@ fn main() {
                         result.counters.insns_fused,
                         result.counters.race_static_skips,
                         result.counters.race_dyn_iters,
+                    );
+                    eprintln!(
+                        "purec: heap: allocations {}, frees {}, peak live bytes {}",
+                        result.heap.allocations, result.heap.frees, result.heap.peak_live_bytes,
                     );
                     // Latency histograms and gauges exist only when a
                     // session ran (--trace / --stats-json alongside).

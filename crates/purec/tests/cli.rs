@@ -30,12 +30,21 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// Write the mixed workload (global, pure call, fold, parallel region,
-/// printf) where the binary can read it.
-fn optmix_path(name: &str) -> String {
+/// Write `source` where the binary can read it.
+fn source_path(name: &str, source: &str) -> String {
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
-    std::fs::write(&path, OPTMIX).expect("write optmix.c");
+    std::fs::write(&path, source).expect("write test program");
     path.to_string_lossy().into_owned()
+}
+
+/// The mixed workload (global, pure call, fold, parallel region, printf).
+fn optmix_path(name: &str) -> String {
+    source_path(name, OPTMIX)
+}
+
+/// A program checked in under `examples/`.
+fn example(name: &str) -> String {
+    format!("{}/../../examples/{name}", env!("CARGO_MANIFEST_DIR"))
 }
 
 #[test]
@@ -84,7 +93,93 @@ fn dump_bytecode_shows_the_two_passes_unless_no_opt() {
 
 #[test]
 fn fuel_exhaustion_exits_97() {
-    let spin = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/spin.c");
-    let out = purec(&[spin, "--run", "--fuel", "1000"]);
+    let out = purec(&[&example("spin.c"), "--run", "--fuel", "1000"]);
     assert_eq!(out.status.code(), Some(97), "{}", stderr(&out));
+}
+
+/// `free` refunds `--max-memory`: the balanced loop cycles 12.8 MB
+/// through a 100 kB cap and still exits with its own code.
+#[test]
+fn balanced_churn_runs_under_a_small_memory_cap() {
+    let churn = example("churn.c");
+    for engine in ["vm", "resolved"] {
+        let out = purec(&[
+            &churn,
+            "--run",
+            "--engine",
+            engine,
+            "--max-memory",
+            "100000",
+        ]);
+        assert_eq!(
+            out.status.code(),
+            Some(25_000 % 101),
+            "{engine}: {}",
+            stderr(&out)
+        );
+    }
+    let out = purec(&[&churn, "--run", "--stats"]);
+    assert!(
+        stderr(&out).contains("heap: allocations 50000, frees 50000, peak live bytes 256"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+/// An allocation no host can satisfy is a memory trap (exit 98), not a
+/// `capacity overflow` panic (exit 101) — capped or not.
+#[test]
+fn absurd_allocation_sizes_exit_98() {
+    let malloc = source_path(
+        "absurd_malloc.c",
+        "int main() { long n = 1000000000; double* a = (double*) malloc(n * n * 8); \
+         a[0] = 1.0; return 0; }",
+    );
+    let calloc = source_path(
+        "absurd_calloc.c",
+        "int main() { int* a = (int*) calloc(4000000000, 4000000000); a[0] = 1; return 0; }",
+    );
+    for src in [&malloc, &calloc] {
+        for extra in [
+            &[][..],
+            &["--max-memory", "1000000"],
+            &["--engine", "resolved"],
+        ] {
+            let mut args = vec![src.as_str(), "--run"];
+            args.extend_from_slice(extra);
+            let out = purec(&args);
+            assert_eq!(out.status.code(), Some(98), "{args:?}: {}", stderr(&out));
+            assert!(stderr(&out).contains("memory limit exceeded"), "{args:?}");
+        }
+    }
+}
+
+/// The pure-scratch idiom (a `pure` callee that mallocs, uses and frees
+/// per-call scratch, called from a parallel loop) prints the same under
+/// every thread count and engine.
+#[test]
+fn scratch_pure_is_independent_of_threads_and_engine() {
+    let src = example("scratch_pure.c");
+    let base = purec(&[&src, "--run", "--threads", "1"]);
+    assert_eq!(String::from_utf8_lossy(&base.stdout), "total=199937\n");
+    for extra in [&["--threads", "4"][..], &["--engine", "resolved"]] {
+        let mut args = vec![src.as_str(), "--run"];
+        args.extend_from_slice(extra);
+        let out = purec(&args);
+        assert_eq!(out.stdout, base.stdout, "{extra:?}");
+        assert_eq!(out.status.code(), base.status.code(), "{extra:?}");
+    }
+}
+
+/// Reclaiming storage does not blunt the diagnostics: reading a freed
+/// block is still a plain runtime error (exit 1) naming the bug.
+#[test]
+fn use_after_free_still_exits_1() {
+    let src = source_path(
+        "uaf.c",
+        "int main() { int* p = (int*) malloc(64); p[0] = 1; free(p); return p[0]; }",
+    );
+    let out = purec(&[&src, "--run"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("use after free"), "{}", stderr(&out));
 }

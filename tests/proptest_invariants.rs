@@ -201,7 +201,9 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Build a generated-but-well-formed C program exercising scalars, arrays,
-/// floats, same-named struct fields, globals, calls and a parallel loop.
+/// floats, same-named struct fields, globals, calls and a parallel loop
+/// whose body calls a `pure` function owning per-call scratch memory
+/// (balanced `malloc`/`free`, so every region defers and then reclaims).
 fn differential_source(n: usize, c1: i64, c2: i64, op1: usize, op2: usize, sched: usize) -> String {
     let ops = ["+", "-", "*", "^", "|", "&"];
     let op1 = ops[op1 % ops.len()];
@@ -219,6 +221,14 @@ fn differential_source(n: usize, c1: i64, c2: i64, op1: usize, op2: usize, sched
          struct s2 {{ int pad[3]; int w; }};\n\
          int helper(int x, int y) {{ int t = x {op1} y; if (t < 0) t = -t; return t % 97; }}\n\
          float fhelper(float x) {{ return x * 0.5f + 3.0f; }}\n\
+         pure int scratch(int x, int m) {{\n\
+             int* s = (int*) malloc(m * sizeof(int));\n\
+             for (int j = 0; j < m; j++) s[j] = (x + j) % 5;\n\
+             int t = 0;\n\
+             for (int j = 0; j < m; j++) t += s[j];\n\
+             free(s);\n\
+             return t;\n\
+         }}\n\
          int main() {{\n\
              int acc = 0;\n\
              g = {c1};\n\
@@ -231,7 +241,7 @@ fn differential_source(n: usize, c1: i64, c2: i64, op1: usize, op2: usize, sched
          #pragma omp parallel for{sched}\n\
              for (int i = 0; i < {n}; i++) {{\n\
                  a[i] = helper(i, {c2}) + (i {op2} {c1});\n\
-                 a[i] += i % 7;\n\
+                 a[i] += i % 7 + scratch(i, 2 + i % 4);\n\
                  b[i] = fhelper(i);\n\
              }}\n\
              for (int i = 0; i < {n}; i++) {{ acc += a[i] % 31; acc += (int) b[i]; }}\n\
@@ -319,6 +329,65 @@ proptest! {
                 "threads={}",
                 threads
             );
+        }
+    }
+
+    /// Dangling pointers fail alike everywhere: use after free, double
+    /// free and interior free — with the block freed sequentially or by
+    /// one iteration *inside* a region and misused after the join, when
+    /// its storage is already reclaimed — give the same error text on
+    /// the VM, the resolved engine and the legacy oracle, sequentially
+    /// and on 4 threads.
+    #[test]
+    fn dangling_pointers_fail_alike_on_every_engine(
+        n in 4usize..40,
+        m in 2usize..9,
+        k in 0usize..40,
+        sched in 0usize..5,
+        fault in 0usize..6,
+    ) {
+        let (freed_in_region, misuse, want) = [
+            (false, "free(v); acc += v[0];", "use after free"),
+            (false, "free(v); free(v);", "double free"),
+            (true, "acc += v[0];", "use after free"),
+            (true, "free(v);", "double free"),
+            (false, "free(v + 1);", "free of interior pointer"),
+            (true, "v[1] = 3;", "use after free"),
+        ][fault];
+        let sched = ["", " schedule(static)", " schedule(static,3)", " schedule(dynamic,2)",
+            " schedule(guided,1)"][sched];
+        let region_free = if freed_in_region {
+            format!("if (i == {}) free(v);", k % n)
+        } else {
+            String::new()
+        };
+        let src = format!(
+            "int main() {{\n\
+                 int acc = 0;\n\
+                 int* v = (int*) malloc({m} * sizeof(int));\n\
+                 int* a = (int*) malloc({n} * sizeof(int));\n\
+                 v[0] = 7;\n\
+             #pragma omp parallel for{sched}\n\
+                 for (int i = 0; i < {n}; i++) {{\n\
+                     a[i] = i * 2;\n\
+                     {region_free}\n\
+                 }}\n\
+                 {misuse}\n\
+                 return acc + a[0];\n\
+             }}"
+        );
+        let parsed = parse(&src);
+        prop_assert!(!parsed.diags.has_errors(), "{}", parsed.diags.render_all(&src));
+        let prog = Program::new(&parsed.unit);
+        for threads in [1usize, 4] {
+            let opts = InterpOptions { threads, ..Default::default() };
+            let vm = prog.run(opts).expect_err("VM rejects the misuse");
+            let resolved = prog.run_resolved(opts).expect_err("resolved rejects the misuse");
+            let legacy = prog.run_legacy(opts).expect_err("legacy rejects the misuse");
+            prop_assert!(vm.message.ends_with(want), "threads={}: {}", threads, vm.message);
+            prop_assert_eq!(&vm.message, &resolved.message, "threads={}", threads);
+            prop_assert_eq!(&vm.message, &legacy.message, "threads={}", threads);
+            prop_assert_eq!(vm.trap, None, "a program bug is not a governance trap");
         }
     }
 

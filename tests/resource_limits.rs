@@ -108,6 +108,80 @@ fn alloc_bomb_traps_on_memory_limit_in_every_engine() {
     assert_traps_everywhere(ALLOC_BOMB, opts, Trap::MemoryLimit, "memory limit exceeded");
 }
 
+/// `free` refunds the budget: 50 000 balanced `malloc(256)`/`free` pairs
+/// (12.8 MB cumulative, 256 bytes live) run to their own exit code under
+/// a 100 kB cap on every engine.
+#[test]
+fn balanced_churn_completes_under_a_cap_below_its_cumulative_bytes() {
+    let prog = program(include_str!("../examples/churn.c"));
+    let opts = InterpOptions {
+        max_memory_bytes: Some(100_000),
+        ..Default::default()
+    };
+    for (name, res) in [
+        ("vm", prog.run(opts)),
+        ("resolved", prog.run_resolved(opts)),
+        ("legacy", prog.run_legacy(opts)),
+    ] {
+        let run = res.unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(run.exit_code, 25_000 % 101, "{name}");
+        assert_eq!(run.heap.frees, 50_000, "{name}");
+        assert_eq!(run.heap.peak_live_bytes, 256, "{name}");
+    }
+}
+
+/// Frees issued inside a region are refunded at its join — never
+/// earlier, whatever the thread count — so a memory trap's verdict does
+/// not depend on `threads`: 8 regions of 64 × 1 KiB scratch complete
+/// under a cap that holds one region's worth and trap under one that
+/// does not, on 1 and on 4 threads, on every engine.
+#[test]
+fn in_region_frees_are_refunded_at_the_join_for_every_thread_count() {
+    let prog = program(
+        "\
+int main() {
+    int* out = (int*) malloc(64 * sizeof(int));
+    for (int r = 0; r < 8; r++) {
+#pragma omp parallel for schedule(dynamic,1)
+        for (int i = 0; i < 64; i++) {
+            int* p = (int*) malloc(128 * sizeof(int));
+            p[0] = i + r;
+            out[i] = p[0];
+            free(p);
+        }
+    }
+    return out[63];
+}",
+    );
+    for threads in [1usize, 4] {
+        for (cap, fits) in [(100_000u64, true), (40_000, false)] {
+            let opts = InterpOptions {
+                threads,
+                max_memory_bytes: Some(cap),
+                ..Default::default()
+            };
+            for (name, res) in [
+                ("vm", prog.run(opts)),
+                ("resolved", prog.run_resolved(opts)),
+                ("legacy", prog.run_legacy(opts)),
+            ] {
+                let at = format!("{name}, threads={threads}, cap={cap}");
+                match res {
+                    Ok(run) => {
+                        assert!(fits, "{at}: one region's scratch exceeds the cap");
+                        assert_eq!(run.exit_code, 63 + 7, "{at}");
+                        assert_eq!(run.heap.peak_live_bytes, 512 + 64 * 1024, "{at}");
+                    }
+                    Err(e) => {
+                        assert!(!fits, "{at}: {e}");
+                        assert_eq!(e.trap, Some(Trap::MemoryLimit), "{at}: {e}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// A would-be 1M-deep recursion becomes a clean `DepthLimit` trap — not
 /// a Rust stack overflow aborting the process. The tree-walking engines
 /// recurse on the Rust stack (double-digit KB per interpreted call in
