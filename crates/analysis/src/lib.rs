@@ -87,6 +87,9 @@ pub struct AnalysisReport {
     /// Functions that could be declared `pure` as written (only
     /// populated when [`AnalysisOptions::infer_pure`] is set).
     pub inferred_pure: Vec<String>,
+    /// Full Fourier–Motzkin elimination passes the dependence tests took
+    /// (see [`polyhedral::DepAnalysis`]) — the pass's exact work count.
+    pub fm_solves: usize,
 }
 
 impl AnalysisReport {

@@ -352,7 +352,8 @@ fn analyze_omp_loop(
         subst_pure_calls_stmt(&mut probe, pure_set, &mut counter);
         match polyhedral::extract_scop(&probe) {
             Ok(scop) => {
-                let deps = polyhedral::analyze(&scop);
+                let polyhedral::DepAnalysis { deps, fm_solves } = polyhedral::analyze(&scop);
+                report.fm_solves += fm_solves;
                 let levels = polyhedral::parallel_levels(&scop, &deps);
                 if !levels.first().copied().unwrap_or(false) {
                     let mut blocking = false;

@@ -71,7 +71,7 @@ fn bench_deps_and_schedule(c: &mut Criterion) {
         b.iter(|| analyze(black_box(&fig2)))
     });
     g.bench_function("analyze_matmul", |b| b.iter(|| analyze(black_box(&matmul))));
-    let deps_fig2 = analyze(&fig2);
+    let deps_fig2 = analyze(&fig2).deps;
     g.bench_function("schedule_fig2_skew_search", |b| {
         b.iter(|| compute_schedule(black_box(&fig2), black_box(&deps_fig2)))
     });

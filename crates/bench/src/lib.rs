@@ -53,7 +53,7 @@ void kernel(float** a) {
         }
     }
     let scop = extract_scop(&found.expect("loop")).expect("scop");
-    let deps = polyhedral::analyze(&scop);
+    let deps = polyhedral::analyze(&scop).deps;
     let transform = compute_schedule(&scop, &deps);
     let _ = analyze;
 

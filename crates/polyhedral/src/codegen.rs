@@ -446,7 +446,7 @@ mod tests {
                  for (int j = 0; j < 4096; j++)\n\
                      C[i][j] = tmpConst_dot_0;\n}",
         );
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
         let g = generate(&scop, &t, CodegenOptions::default()).expect("codegen");
         let out = print_all(&g);
@@ -470,7 +470,7 @@ mod tests {
                  for (int j = 1; j < 63; j++)\n\
                      a[i][j] = a[i - 1][j] + a[i - 1][j + 1];\n}",
         );
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
         assert!(t.skewed);
         let g = generate(&scop, &t, CodegenOptions::default()).expect("codegen");
@@ -496,7 +496,7 @@ mod tests {
                  for (int j = 0; j < 4096; j++)\n\
                      C[i][j] = tmpConst_dot_0;\n}",
         );
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
         let g = generate(
             &scop,
@@ -535,7 +535,7 @@ mod tests {
                  for (int j = 0; j < 64; j++)\n\
                      C[i][j] = tmpConst_dot_0;\n}",
         );
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
         let g = generate(
             &scop,
@@ -556,7 +556,7 @@ mod tests {
         let scop = scop_of(
             "void f(float* a) { float res; for (int i = 0; i < 8; i++) res = res + a[i]; }",
         );
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
         let g = generate(&scop, &t, CodegenOptions::default()).expect("codegen");
         assert!(!g.parallelized);
@@ -568,7 +568,7 @@ mod tests {
     #[test]
     fn parametric_bounds_survive_codegen() {
         let scop = scop_of("void f(int n, float* a) { for (int i = 0; i < n; i++) a[i] = 0; }");
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
         let g = generate(&scop, &t, CodegenOptions::default()).expect("codegen");
         let out = print_all(&g);
@@ -583,7 +583,7 @@ mod tests {
                  for (int j = 0; j < 64; j++)\n\
                      C[i][j] = tmpConst_dot_0;\n}",
         );
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
         for tile in [None, Some(16)] {
             let g = generate(
@@ -649,7 +649,7 @@ mod codegen_proptests {
         #[test]
         fn generated_nest_preserves_trip_count(n in 1i64..40, m in 1i64..40, tile in prop::option::of(2i64..16)) {
             let scop = scop_for(n, m);
-            let deps = analyze(&scop);
+            let deps = analyze(&scop).deps;
             let t = compute_schedule(&scop, &deps);
             let g = generate(
                 &scop,

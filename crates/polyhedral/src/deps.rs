@@ -10,9 +10,9 @@
 //! distances 0 and relies on textual order.
 
 use crate::affine::AffineExpr;
-use crate::fourier_motzkin::bounds_of;
+use crate::fourier_motzkin::DenseSystem;
 use crate::model::{Access, Scop};
-use crate::set::{Constraint, ConstraintSystem};
+use crate::set::Constraint;
 use std::fmt;
 
 /// Kind of data dependence.
@@ -37,8 +37,9 @@ impl fmt::Display for DepKind {
 }
 
 /// Interval bounds of one component of the distance vector
-/// (`dst_level − src_level`). `None` = unbounded / outside the probe
-/// window, i.e. unknown in that direction.
+/// (`dst_level − src_level`), exact up to the conservatism of the solver.
+/// `None` = unbounded, or at/beyond the clamp window, i.e. unknown in
+/// that direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DistBound {
     pub min: Option<i64>,
@@ -107,12 +108,23 @@ impl fmt::Display for Dependence {
     }
 }
 
-/// Probe window for distance bounds (larger values cost more FM probes).
+/// Window the reported distance bounds are clamped to: a bound at or
+/// beyond ±this is reported as unknown (`None`).
 const DIST_PROBE_LIMIT: i64 = 64;
 
+/// The dependences of a SCoP, and the exact work finding them took.
+#[derive(Debug, Clone, Default)]
+pub struct DepAnalysis {
+    pub deps: Vec<Dependence>,
+    /// Full Fourier–Motzkin elimination passes run: one per feasibility
+    /// test, one per distance component of a dependence found.
+    pub fm_solves: usize,
+}
+
 /// Compute all dependences of a SCoP.
-pub fn analyze(scop: &Scop) -> Vec<Dependence> {
-    let mut deps = Vec::new();
+pub fn analyze(scop: &Scop) -> DepAnalysis {
+    let pairs = PairSystems::new(scop);
+    let mut out = DepAnalysis::default();
     let n = scop.stmts.len();
     for src in 0..n {
         for dst in 0..n {
@@ -135,16 +147,18 @@ pub fn analyze(scop: &Scop) -> Vec<Dependence> {
             ] {
                 for a in src_accs.iter() {
                     for b in dst_accs.iter() {
-                        if a.array != b.array || a.indices.len() != b.indices.len() {
-                            continue;
+                        // Accesses of different rank are compared on their
+                        // common subscript prefix: a write to `a[e]` (a row
+                        // pointer) conflicts with every access `a[e][…]`.
+                        if a.array == b.array {
+                            pairs.test_pair(kind, src, dst, a, b, &mut out);
                         }
-                        test_pair(scop, kind, src, dst, a, b, &mut deps);
                     }
                 }
             }
         }
     }
-    deps
+    out
 }
 
 fn src_name(n: &str) -> String {
@@ -155,88 +169,127 @@ fn dst_name(n: &str) -> String {
     format!("{n}__d")
 }
 
-/// Build the base dependence system (domains + subscript equality) for a
-/// pair of accesses; levels are added by the caller.
-fn base_system(scop: &Scop, a: &Access, b: &Access) -> ConstraintSystem {
-    let mut sys = ConstraintSystem::new();
-    sys.extend(&scop.domain_renamed(&|n| src_name(n)));
-    sys.extend(&scop.domain_renamed(&|n| dst_name(n)));
-    let iters: std::collections::BTreeSet<&str> =
-        scop.loops.iter().map(|l| l.name.as_str()).collect();
-    let rename_iters = |e: &AffineExpr, f: &dyn Fn(&str) -> String| {
+/// What every access pair of one SCoP shares, built once.
+struct PairSystems<'a> {
+    scop: &'a Scop,
+    /// The source and the destination iteration domain, indexed over every
+    /// name a pair system can mention.
+    domains: DenseSystem,
+    levels: Vec<Level>,
+}
+
+/// One loop level of a pair system.
+struct Level {
+    /// The distance `d = dst − src`.
+    dist: AffineExpr,
+    /// `d = 0`.
+    same: Constraint,
+    /// `d >= 1`.
+    carried: Constraint,
+}
+
+impl<'a> PairSystems<'a> {
+    fn new(scop: &'a Scop) -> Self {
+        let iters = scop.loops.iter().map(|l| l.name.as_str());
+        let mut domains = DenseSystem::new(
+            iters
+                .flat_map(|n| [src_name(n), dst_name(n)])
+                .chain(scop.params.iter().cloned()),
+        );
+        for rename in [src_name, dst_name] {
+            for c in &scop.domain_renamed(&rename).constraints {
+                domains.push(c);
+            }
+        }
+        let levels = scop
+            .loops
+            .iter()
+            .map(|l| {
+                let dist =
+                    AffineExpr::var(dst_name(&l.name)).sub(&AffineExpr::var(src_name(&l.name)));
+                Level {
+                    same: Constraint::eq0(dist.clone()),
+                    carried: Constraint::ge(&dist, &AffineExpr::constant(1)),
+                    dist,
+                }
+            })
+            .collect();
+        PairSystems {
+            scop,
+            domains,
+            levels,
+        }
+    }
+
+    /// A subscript of one statement instance: iterators renamed through
+    /// `f`, parameters shared.
+    fn instance(&self, e: &AffineExpr, f: fn(&str) -> String) -> AffineExpr {
         e.rename(&|n| {
-            if iters.contains(n) {
+            if self.scop.loops.iter().any(|l| l.name == n) {
                 f(n)
             } else {
                 n.to_string()
             }
         })
-    };
-    for (ia, ib) in a.indices.iter().zip(&b.indices) {
-        let ea = rename_iters(ia, &src_name);
-        let eb = rename_iters(ib, &dst_name);
-        sys.push(Constraint::eq(&ea, &eb));
-    }
-    sys
-}
-
-fn test_pair(
-    scop: &Scop,
-    kind: DepKind,
-    src: usize,
-    dst: usize,
-    a: &Access,
-    b: &Access,
-    out: &mut Vec<Dependence>,
-) {
-    let depth = scop.depth();
-    let diff = |level: usize| {
-        let name = &scop.loops[level].name;
-        AffineExpr::var(dst_name(name)).sub(&AffineExpr::var(src_name(name)))
-    };
-
-    // Carried at level ℓ: d_0..d_{ℓ-1} = 0, d_ℓ >= 1.
-    for level in 0..depth {
-        let mut sys = base_system(scop, a, b);
-        for l in 0..level {
-            sys.push(Constraint::eq0(diff(l)));
-        }
-        sys.push(Constraint::ge(&diff(level), &AffineExpr::constant(1)));
-        if sys.is_satisfiable() {
-            let dist = (0..depth)
-                .map(|l| {
-                    let (min, max) = bounds_of(&sys, &diff(l), DIST_PROBE_LIMIT);
-                    DistBound { min, max }
-                })
-                .collect();
-            out.push(Dependence {
-                kind,
-                src_stmt: src,
-                dst_stmt: dst,
-                array: a.array.clone(),
-                level: Some(level),
-                dist,
-            });
-        }
     }
 
-    // Loop-independent: all distances 0, src textually before dst (or a
-    // write/read pair within the same statement — intra-statement flow is
-    // not a parallelism obstacle and is skipped).
-    if src < dst {
-        let mut sys = base_system(scop, a, b);
-        for l in 0..depth {
-            sys.push(Constraint::eq0(diff(l)));
+    fn test_pair(
+        &self,
+        kind: DepKind,
+        src: usize,
+        dst: usize,
+        a: &Access,
+        b: &Access,
+        out: &mut DepAnalysis,
+    ) {
+        let dep = |level, dist| Dependence {
+            kind,
+            src_stmt: src,
+            dst_stmt: dst,
+            array: a.array.clone(),
+            level,
+            dist,
+        };
+
+        // Both domains + subscript equality; `sys` then grows by one
+        // `d_ℓ = 0` row per level.
+        let mut sys = self.domains.clone();
+        for (ia, ib) in a.indices.iter().zip(&b.indices) {
+            let (ea, eb) = (self.instance(ia, src_name), self.instance(ib, dst_name));
+            sys.push(&Constraint::eq(&ea, &eb));
         }
-        if sys.is_satisfiable() {
-            out.push(Dependence {
-                kind,
-                src_stmt: src,
-                dst_stmt: dst,
-                array: a.array.clone(),
-                level: None,
-                dist: vec![DistBound::exact(0); depth],
-            });
+
+        // Carried at level ℓ: d_0..d_{ℓ-1} = 0, d_ℓ >= 1.
+        for (level, Level { same, carried, .. }) in self.levels.iter().enumerate() {
+            let mut at_level = sys.clone();
+            at_level.push(carried);
+            if at_level.satisfiable(&mut out.fm_solves) {
+                let dist = self
+                    .levels
+                    .iter()
+                    .map(|Level { dist: d, .. }| {
+                        let (min, max) =
+                            at_level.bounds_of(d, DIST_PROBE_LIMIT, &mut out.fm_solves);
+                        #[cfg(test)]
+                        assert_eq!(
+                            (min, max),
+                            at_level.bounds_by_bisection(d, DIST_PROBE_LIMIT),
+                            "projection and the bisection oracle disagree on {d} in {at_level:?}"
+                        );
+                        DistBound { min, max }
+                    })
+                    .collect();
+                out.deps.push(dep(Some(level), dist));
+            }
+            sys.push(same);
+        }
+
+        // Loop-independent: all distances 0, src textually before dst (or a
+        // write/read pair within the same statement — intra-statement flow is
+        // not a parallelism obstacle and is skipped).
+        if src < dst && sys.satisfiable(&mut out.fm_solves) {
+            out.deps
+                .push(dep(None, vec![DistBound::exact(0); self.levels.len()]));
         }
     }
 }
@@ -285,7 +338,7 @@ mod tests {
                  for (int j = 0; j < 64; j++)\n\
                      C[i][j] = tmpConst_dot_0;\n}",
         );
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         assert!(deps.is_empty(), "{deps:?}");
         assert_eq!(parallel_levels(&scop, &deps), vec![true, true]);
     }
@@ -298,7 +351,7 @@ mod tests {
                  for (int j = 1; j < 63; j++)\n\
                      b[i][j] = a[i - 1][j] + a[i + 1][j] + a[i][j - 1] + a[i][j + 1];\n}",
         );
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         assert!(deps.is_empty(), "{deps:?}");
     }
 
@@ -311,7 +364,7 @@ mod tests {
                  for (int j = 1; j < 64; j++)\n\
                      a[i][j] = a[i - 1][j] + a[i][j - 1];\n}",
         );
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         let carried: Vec<Option<usize>> = deps.iter().map(|d| d.level).collect();
         assert!(carried.contains(&Some(0)), "{deps:?}");
         assert!(carried.contains(&Some(1)), "{deps:?}");
@@ -335,13 +388,17 @@ mod tests {
                  for (int j = 1; j < 63; j++)\n\
                      a[i][j] = a[i - 1][j] + a[i - 1][j + 1];\n}",
         );
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         assert!(!deps.is_empty());
         // All carried at level 0 (the i loop), with j-distance min of -1.
         let flows: Vec<&Dependence> = deps.iter().filter(|d| d.kind == DepKind::Flow).collect();
         assert!(flows.iter().all(|d| d.level == Some(0)), "{deps:?}");
-        let has_neg_j = flows.iter().any(|d| d.dist[1].min == Some(-1));
-        assert!(has_neg_j, "{deps:?}");
+        // Pinned: exactly the distance vectors (1,0) and (1,-1).
+        let vectors: Vec<String> = flows
+            .iter()
+            .map(|d| format!("({},{})", d.dist[0], d.dist[1]))
+            .collect();
+        assert_eq!(vectors, ["(1,0)", "(1,-1)"], "{deps:?}");
         // The j loop itself carries nothing → parallel at fixed i.
         assert_eq!(parallel_levels(&scop, &deps), vec![false, true]);
     }
@@ -351,7 +408,7 @@ mod tests {
         let scop = scop_of(
             "void f(float* a) { float res; for (int i = 0; i < 8; i++) res = res + a[i]; }",
         );
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         assert!(deps.iter().any(|d| d.level == Some(0)), "{deps:?}");
         assert_eq!(parallel_levels(&scop, &deps), vec![false]);
     }
@@ -359,7 +416,7 @@ mod tests {
     #[test]
     fn one_dim_shift_distance() {
         let scop = scop_of("void f(float* a) { for (int i = 0; i < 63; i++) a[i] = a[i + 1]; }");
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         // Anti dependence: read a[i+1] then write a[i+1] one iteration later.
         let anti = deps
             .iter()
@@ -380,7 +437,7 @@ mod tests {
                  b[i] = a[i] * 2;\n\
              }\n}",
         );
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         let indep = deps
             .iter()
             .find(|d| d.level.is_none())
@@ -396,9 +453,91 @@ mod tests {
     fn parametric_bounds_still_analyzable() {
         let scop =
             scop_of("void f(int n, float* a) { for (int i = 1; i < n; i++) a[i] = a[i - 1]; }");
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         let flow = deps.iter().find(|d| d.kind == DepKind::Flow).expect("flow");
         assert_eq!(flow.level, Some(0));
         assert!(flow.dist[0].is_exactly(1), "{flow}");
+    }
+
+    #[test]
+    fn accesses_of_different_rank_are_compared_on_their_common_prefix() {
+        // A row-pointer store and an element read through the same table:
+        // iteration i reads the row iteration i-1 installed.
+        let scop = scop_of(
+            "void f(int n, float** a, float** rows, float* x) {\n\
+             for (int i = 1; i < n; i++) {\n\
+                 a[i] = rows[i];\n\
+                 x[i] = a[i - 1][0];\n\
+             }\n}",
+        );
+        let deps = analyze(&scop).deps;
+        let flow = deps
+            .iter()
+            .find(|d| d.kind == DepKind::Flow && d.array == "a")
+            .expect("flow dependence through the row table");
+        assert_eq!((flow.src_stmt, flow.dst_stmt), (0, 1));
+        assert_eq!(flow.level, Some(0));
+        assert!(flow.dist[0].is_exactly(1), "{flow}");
+        assert_eq!(parallel_levels(&scop, &deps), vec![false]);
+    }
+
+    /// Every loop nest of `src` that models as a SCoP once PC-CC has
+    /// replaced the pure calls.
+    fn scops_of_program(src: &str) -> Vec<Scop> {
+        let Ok(pcc) = purec_core::run_pc_cc(src, Default::default()) else {
+            return Vec::new();
+        };
+        let mut scops = Vec::new();
+        for f in pcc.unit.functions() {
+            for s in f.body.iter().flat_map(|b| &b.stmts) {
+                s.walk(&mut |st| {
+                    if matches!(st.kind, StmtKind::For { .. }) {
+                        scops.extend(extract_scop(st));
+                    }
+                });
+            }
+        }
+        scops
+    }
+
+    // `heavy_unit(groups)`: a `compile_heavy`-shaped translation unit.
+    include!("../../../tests/support/heavy_unit.rs");
+
+    #[test]
+    fn projection_equals_bisection_on_every_pair_system_of_the_corpus() {
+        // `test_pair` compares each projected bound with the bisection
+        // oracle in a test build; this drives it over every SCoP of the
+        // checked-in programs, the paper's applications and a
+        // `compile_heavy`-shaped unit.
+        let mut sources = vec![
+            apps::matmul::c_source(8),
+            apps::matmul::c_source_inline(8),
+            apps::heat::c_source(8, 2),
+            apps::satellite::c_source(8, 6),
+            apps::lama::c_source(8, 3),
+            heavy_unit(9),
+        ];
+        let examples = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+        for dir in [".", "schedules", "analysis"] {
+            for entry in std::fs::read_dir(examples.join(dir)).expect("examples directory") {
+                let path = entry.expect("directory entry").path();
+                if path.extension().is_some_and(|e| e == "c") {
+                    sources.push(std::fs::read_to_string(&path).expect("readable example"));
+                }
+            }
+        }
+        let (mut scops, mut bounded) = (0, 0);
+        for src in &sources {
+            for scop in scops_of_program(src) {
+                let deps = analyze(&scop).deps;
+                scops += 1;
+                bounded += deps.iter().filter(|d| d.level.is_some()).count();
+            }
+        }
+        assert!(scops >= 60, "corpus shrank: {scops} SCoPs");
+        assert!(
+            bounded >= 80,
+            "too few carried dependences compared: {bounded}"
+        );
     }
 }

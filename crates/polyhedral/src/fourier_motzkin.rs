@@ -1,187 +1,290 @@
-//! Fourier–Motzkin elimination over rational affine constraint systems,
-//! with a GCD normalization step that catches the common integer-empty
-//! cases (e.g. `2i = 1`).
+//! Fourier–Motzkin elimination over integer affine constraint systems, on
+//! one dense representation, with a GCD normalization step that catches
+//! the common integer-empty cases (e.g. `2i = 1`).
 //!
-//! This is the feasibility engine behind dependence analysis — the role
-//! ISL/Piplib play in the original PluTo stack. All systems arising from
-//! the evaluation programs are small (≤ ~20 constraints, ≤ ~10 variables),
-//! so the classic doubly-exponential worst case is irrelevant in practice;
-//! a constraint-count cap guards against pathological blowup and fails
-//! *conservatively* (reports "satisfiable").
+//! This is the engine behind dependence analysis and loop-bound
+//! generation — the role ISL/Piplib play in the original PluTo stack. A
+//! [`DenseSystem`] is indexed once: column `i` belongs to the `i`-th
+//! variable in name order, and every later step works on `Vec<i64>` rows.
+//! [`DenseSystem::satisfiable`], [`DenseSystem::bounds_of`] and
+//! [`eliminate`] share one combine/normalize step; a distance bound is
+//! *projected* (one elimination pass that keeps the target as a column),
+//! not searched for by repeated feasibility probes.
+//!
+//! All systems arising from the evaluation programs are small (≤ ~20
+//! constraints, ≤ ~10 variables), so the classic doubly-exponential worst
+//! case is irrelevant in practice; a constraint budget guards against
+//! pathological blowup and fails *conservatively* ("satisfiable",
+//! "unbounded").
 
 use crate::affine::AffineExpr;
 use crate::set::{Constraint, ConstraintSystem, Rel};
 
-/// Upper bound on intermediate constraint count; beyond this we give up and
-/// conservatively report satisfiable (⇒ a dependence is assumed).
-const MAX_CONSTRAINTS: usize = 4096;
+/// Constraint budget of one combine step: eliminating a variable that
+/// would leave more than this many constraints aborts instead of blowing
+/// up quadratically per variable (exponentially over a deep nest). The
+/// solver then answers conservatively (a dependence is assumed); codegen
+/// degrades the nest to `Skipped` — mirroring PluTo, which simply refuses
+/// pathological regions.
+pub const ELIMINATE_BUDGET: usize = 4096;
 
-/// Decide whether the system has a rational solution (conservative integer
-/// answer; see module docs).
-pub fn satisfiable(sys: &ConstraintSystem) -> bool {
-    // Normalize: substitute equalities away where possible, then eliminate
-    // remaining variables pairwise.
-    let mut constraints: Vec<Constraint> = sys.constraints.clone();
+/// One constraint: a coefficient per variable in name order, then the
+/// coefficient of the projection target `T` (zero outside
+/// [`DenseSystem::bounds_of`]), then the constant.
+type Row = Vec<i64>;
+
+/// A constraint system with its variables indexed once.
+#[derive(Debug, Clone)]
+pub struct DenseSystem {
+    /// Sorted; a row's column `i` is the coefficient of `vars[i]`.
+    vars: Vec<String>,
+    rows: Vec<(Rel, Row)>,
+}
+
+/// What one elimination pass leaves behind.
+enum Solved {
+    Empty,
+    /// The constraint budget was exceeded.
+    GaveUp,
+    /// Inequalities over `T` alone.
+    Rows(Vec<Row>),
+}
+
+impl DenseSystem {
+    /// An empty system over `vars` (any order, duplicates allowed).
+    pub fn new(vars: impl IntoIterator<Item = String>) -> Self {
+        let mut vars: Vec<String> = vars.into_iter().collect();
+        vars.sort();
+        vars.dedup();
+        DenseSystem {
+            vars,
+            rows: Vec::new(),
+        }
+    }
+
+    pub fn index(sys: &ConstraintSystem) -> Self {
+        let mut dense = DenseSystem::new(sys.vars());
+        for c in &sys.constraints {
+            dense.push(c);
+        }
+        dense
+    }
+
+    fn column(&self, name: &str) -> Option<usize> {
+        self.vars.binary_search_by(|v| v.as_str().cmp(name)).ok()
+    }
+
+    fn row_of(&self, e: &AffineExpr) -> Row {
+        let n = self.vars.len();
+        let mut row = vec![0; n + 2];
+        for (name, &c) in &e.coeffs {
+            let col = self.column(name);
+            row[col.expect("constraint over a variable the system was not indexed with")] = c;
+        }
+        row[n + 1] = e.konst;
+        row
+    }
+
+    fn expr_of(&self, row: &Row) -> AffineExpr {
+        let mut e = AffineExpr::constant(row[self.vars.len() + 1]);
+        for (name, &c) in self.vars.iter().zip(row) {
+            if c != 0 {
+                e.coeffs.insert(name.clone(), c);
+            }
+        }
+        e
+    }
+
+    /// Add a constraint over the indexed variables.
+    pub fn push(&mut self, c: &Constraint) {
+        self.rows.push((c.rel, self.row_of(&c.expr)));
+    }
+
+    /// Decide whether the system has a rational solution (conservative
+    /// integer answer; see module docs). One elimination pass, counted in
+    /// `solves`.
+    pub fn satisfiable(&self, solves: &mut usize) -> bool {
+        !matches!(
+            solve(self.rows.clone(), self.vars.len(), solves),
+            Solved::Empty
+        )
+    }
+
+    /// Conservative integer bounds `(min, max)` of `target` subject to the
+    /// system, clamped to the window `[-limit, limit]`: `None` means
+    /// unbounded in that direction or at/beyond the window's edge. A
+    /// system the pass finds empty, or one that exceeds the constraint
+    /// budget, yields `(None, None)`.
+    ///
+    /// One elimination pass, counted in `solves`: a fresh variable
+    /// `T = target` joins the system, every other variable is projected
+    /// out, and the rows left bound `T`.
+    pub fn bounds_of(
+        &self,
+        target: &AffineExpr,
+        limit: i64,
+        solves: &mut usize,
+    ) -> (Option<i64>, Option<i64>) {
+        let n = self.vars.len();
+        let mut rows = self.rows.clone();
+        let mut t = negated(&self.row_of(target));
+        t[n] = 1;
+        rows.push((Rel::Eq, t));
+        let Solved::Rows(rows) = solve(rows, n, solves) else {
+            return (None, None);
+        };
+        let (mut min, mut max) = (i64::MIN, i64::MAX);
+        for r in &rows {
+            // a·T + k >= 0: T >= ceil(-k / a) for a > 0, T <= floor(k / -a) otherwise.
+            let (a, k) = (r[n], r[n + 1]);
+            if a > 0 {
+                min = min.max(-k.div_euclid(a));
+            } else {
+                max = max.min(k.div_euclid(-a));
+            }
+        }
+        if min > max {
+            return (None, None);
+        }
+        (
+            Some(min).filter(|&m| -limit < m && m <= limit),
+            Some(max).filter(|&m| -limit <= m && m < limit),
+        )
+    }
+}
+
+/// One full pass: substitute equalities away, then eliminate every
+/// program variable (columns `0..n`), keeping column `n`.
+fn solve(mut rows: Vec<(Rel, Row)>, n: usize, solves: &mut usize) -> Solved {
+    *solves += 1;
 
     // Step 1: use equalities with a ±1 coefficient to substitute variables
     // exactly (keeps everything integral), and apply the GCD test to the
     // rest.
-    loop {
-        let mut substituted = false;
-        for idx in 0..constraints.len() {
-            if constraints[idx].rel != Rel::Eq {
+    'substitute: loop {
+        for idx in 0..rows.len() {
+            if rows[idx].0 != Rel::Eq {
                 continue;
             }
-            let expr = constraints[idx].expr.clone();
-            if expr.is_constant() {
-                if expr.konst != 0 {
-                    return false;
+            let eq = &rows[idx].1;
+            let g = coeff_gcd(eq, n);
+            if g == 0 {
+                if eq[n + 1] != 0 {
+                    return Solved::Empty;
                 }
-                constraints.swap_remove(idx);
-                substituted = true;
-                break;
+                rows.swap_remove(idx);
+                continue 'substitute;
             }
             // GCD test: gcd of coefficients must divide the constant.
-            let g = expr.coeffs.values().fold(0i64, |acc, &c| gcd(acc, c.abs()));
-            if g > 1 && expr.konst % g != 0 {
-                return false;
+            if eq[n + 1] % g != 0 {
+                return Solved::Empty;
             }
-            // Find a unit-coefficient variable to substitute.
-            if let Some((name, &c)) = expr.coeffs.iter().find(|(_, c)| c.abs() == 1) {
-                let name = name.clone();
-                // name = -(expr - c*name)/c  ⇒ replacement = (c==1) ? -(rest) : rest
-                let mut rest = expr.clone();
-                rest.coeffs.remove(&name);
-                let replacement = if c == 1 { rest.neg() } else { rest };
-                constraints.swap_remove(idx);
-                for con in &mut constraints {
-                    substitute(&mut con.expr, &name, &replacement);
+            // First unit-coefficient variable in name order: x = ∓(rest).
+            if let Some(p) = eq[..n].iter().position(|c| c.abs() == 1) {
+                let (_, eq) = rows.swap_remove(idx);
+                for (_, row) in &mut rows {
+                    let f = row[p] * eq[p];
+                    if f != 0 {
+                        for (x, e) in row.iter_mut().zip(&eq) {
+                            *x -= f * e;
+                        }
+                    }
                 }
-                substituted = true;
-                break;
+                continue 'substitute;
             }
         }
-        if !substituted {
-            break;
-        }
+        break;
     }
 
     // Step 2: split any remaining equalities into two inequalities.
-    let mut ineqs: Vec<AffineExpr> = Vec::with_capacity(constraints.len());
-    for c in constraints {
-        match c.rel {
-            Rel::Ge => ineqs.push(c.expr),
-            Rel::Eq => {
-                ineqs.push(c.expr.clone());
-                ineqs.push(c.expr.neg());
-            }
-        }
+    let mut ineqs: Vec<Row> = Vec::with_capacity(rows.len());
+    for (rel, row) in rows {
+        let negated = (rel == Rel::Eq).then(|| negated(&row));
+        ineqs.push(row);
+        ineqs.extend(negated);
     }
 
     // Step 3: classic FM elimination of every remaining variable.
     loop {
-        // Trivial checks first.
-        ineqs.retain(|e| !(e.is_constant() && e.konst >= 0));
-        if ineqs.iter().any(|e| e.is_constant() && e.konst < 0) {
-            return false;
+        ineqs.retain(|r| !is_constant(r, n) || r[n + 1] < 0);
+        if ineqs.iter().any(|r| is_constant(r, n)) {
+            return Solved::Empty;
         }
-        let Some(var) = pick_variable(&ineqs) else {
-            return true; // no variables left, all constants were consistent
+        let Some(var) = pick_variable(&ineqs, n) else {
+            return Solved::Rows(ineqs);
         };
+        match combine(ineqs, var, n, 0) {
+            Ok(next) => ineqs = next,
+            Err(_) => return Solved::GaveUp,
+        }
+    }
+}
 
-        let mut lower: Vec<AffineExpr> = Vec::new(); // c > 0: var >= -rest/c
-        let mut upper: Vec<AffineExpr> = Vec::new(); // c < 0: var <= rest/(-c)
-        let mut rest: Vec<AffineExpr> = Vec::new();
-        for e in ineqs.drain(..) {
-            let c = e.coeff(&var);
+/// GCD of a row's coefficients (`T` included, constant excluded); 0 for a
+/// constant row.
+fn coeff_gcd(row: &Row, n: usize) -> i64 {
+    row[..=n].iter().fold(0, |acc, &c| gcd(acc, c))
+}
+
+fn is_constant(row: &Row, n: usize) -> bool {
+    row[..=n].iter().all(|&c| c == 0)
+}
+
+/// Pick the variable whose elimination produces the fewest new
+/// constraints, the first in name order among equals.
+fn pick_variable(ineqs: &[Row], n: usize) -> Option<usize> {
+    let mut pos = vec![0usize; n];
+    let mut neg = vec![0usize; n];
+    for r in ineqs {
+        for (i, &c) in r[..n].iter().enumerate() {
             if c > 0 {
-                lower.push(e);
+                pos[i] += 1;
             } else if c < 0 {
-                upper.push(e);
-            } else {
-                rest.push(e);
-            }
-        }
-
-        if lower.len() * upper.len() + rest.len() > MAX_CONSTRAINTS {
-            return true; // conservative bail-out
-        }
-
-        // Combine every lower with every upper:
-        //   l: a·var + L >= 0 (a>0)  and  u: -b·var + U >= 0 (b>0)
-        //   ⇒ b·L + a·U >= 0.
-        for l in &lower {
-            let a = l.coeff(&var);
-            let mut l_rest = l.clone();
-            l_rest.coeffs.remove(&var);
-            for u in &upper {
-                let b = -u.coeff(&var);
-                let mut u_rest = u.clone();
-                u_rest.coeffs.remove(&var);
-                let combined = normalize(l_rest.scale(b).add(&u_rest.scale(a)));
-                rest.push(combined);
-            }
-        }
-        ineqs = rest;
-    }
-}
-
-/// Divide all coefficients by their GCD (floor the constant — sound for
-/// `>= 0` constraints over integers, and tightens them).
-fn normalize(mut e: AffineExpr) -> AffineExpr {
-    let g = e.coeffs.values().fold(0i64, |acc, &c| gcd(acc, c.abs()));
-    if g > 1 {
-        for c in e.coeffs.values_mut() {
-            *c /= g;
-        }
-        e.konst = e.konst.div_euclid(g);
-    }
-    e
-}
-
-/// Pick the variable whose elimination produces the fewest new constraints.
-fn pick_variable(ineqs: &[AffineExpr]) -> Option<String> {
-    use std::collections::BTreeMap;
-    let mut pos: BTreeMap<&str, usize> = BTreeMap::new();
-    let mut neg: BTreeMap<&str, usize> = BTreeMap::new();
-    for e in ineqs {
-        for (name, &c) in &e.coeffs {
-            if c > 0 {
-                *pos.entry(name).or_default() += 1;
-            } else if c < 0 {
-                *neg.entry(name).or_default() += 1;
+                neg[i] += 1;
             }
         }
     }
-    let mut vars: std::collections::BTreeSet<&str> = pos.keys().copied().collect();
-    vars.extend(neg.keys().copied());
-    vars.into_iter()
-        .min_by_key(|v| {
-            let p = pos.get(v).copied().unwrap_or(0);
-            let n = neg.get(v).copied().unwrap_or(0);
-            p * n
-        })
-        .map(str::to_string)
+    (0..n)
+        .filter(|&i| pos[i] + neg[i] > 0)
+        .min_by_key(|&i| pos[i] * neg[i])
 }
 
-/// Replace `var` by `replacement` in `expr`.
-fn substitute(expr: &mut AffineExpr, var: &str, replacement: &AffineExpr) {
-    let c = expr.coeff(var);
-    if c == 0 {
-        return;
+/// The combine step every caller shares: eliminate column `var` from
+/// `ineqs`. Rows that do not mention it stay, in order; then every lower
+/// bound `a·var + L >= 0` (a > 0) meets every upper bound
+/// `-b·var + U >= 0` (b > 0) as `b·L + a·U >= 0`, divided by its
+/// coefficient GCD with the constant floored (sound for `>= 0` over the
+/// integers, and tighter), tautologies dropped. `Err((lower, upper))`
+/// when the result plus `kept` rows the caller holds aside would exceed
+/// [`ELIMINATE_BUDGET`].
+fn combine(ineqs: Vec<Row>, var: usize, n: usize, kept: usize) -> Result<Vec<Row>, (usize, usize)> {
+    let (mut lower, mut upper, mut rest) = (Vec::new(), Vec::new(), Vec::new());
+    for r in ineqs {
+        match r[var] {
+            0 => rest.push(r),
+            c if c > 0 => lower.push(r),
+            _ => upper.push(r),
+        }
     }
-    expr.coeffs.remove(var);
-    let scaled = replacement.scale(c);
-    let combined = expr.add(&scaled);
-    *expr = combined;
+    if lower.len() * upper.len() + rest.len() + kept > ELIMINATE_BUDGET {
+        return Err((lower.len(), upper.len()));
+    }
+    for l in &lower {
+        for u in &upper {
+            let (a, b) = (l[var], -u[var]);
+            let mut row: Row = l.iter().zip(u).map(|(x, y)| b * x + a * y).collect();
+            let g = coeff_gcd(&row, n);
+            if g > 1 {
+                row[..=n].iter_mut().for_each(|c| *c /= g);
+                row[n + 1] = row[n + 1].div_euclid(g);
+            }
+            if g != 0 || row[n + 1] < 0 {
+                rest.push(row);
+            }
+        }
+    }
+    Ok(rest)
 }
-
-/// Constraint budget for projection: a combine step that would produce
-/// more than this many constraints aborts instead of blowing up
-/// quadratically per eliminated variable (exponentially over a deep
-/// nest). Callers degrade the nest to `Skipped` — mirroring PluTo, which
-/// simply refuses pathological regions.
-pub const ELIMINATE_BUDGET: usize = 4096;
 
 /// Project a variable out of a system (FM elimination keeping the
 /// resulting constraints, for loop-bound generation à la ClooG).
@@ -189,55 +292,37 @@ pub const ELIMINATE_BUDGET: usize = 4096;
 /// pairs so a single code path handles both. Returns `Err` when the
 /// combine step would exceed [`ELIMINATE_BUDGET`] constraints.
 pub fn eliminate(sys: &ConstraintSystem, var: &str) -> Result<ConstraintSystem, String> {
-    let mut ineqs: Vec<AffineExpr> = Vec::new();
+    let dense = DenseSystem::index(sys);
+    let Some(col) = dense.column(var) else {
+        return Ok(sys.clone());
+    };
+    let n = dense.vars.len();
     let mut out = ConstraintSystem::new();
-    for c in &sys.constraints {
-        if c.expr.coeff(var) == 0 {
+    let mut ineqs: Vec<Row> = Vec::new();
+    for (c, (rel, row)) in sys.constraints.iter().zip(dense.rows.iter()) {
+        if row[col] == 0 {
             out.push(c.clone());
             continue;
         }
-        match c.rel {
-            Rel::Ge => ineqs.push(c.expr.clone()),
-            Rel::Eq => {
-                ineqs.push(c.expr.clone());
-                ineqs.push(c.expr.neg());
-            }
+        ineqs.push(row.clone());
+        if *rel == Rel::Eq {
+            ineqs.push(negated(row));
         }
     }
-    let mut lower: Vec<AffineExpr> = Vec::new();
-    let mut upper: Vec<AffineExpr> = Vec::new();
-    for e in ineqs {
-        if e.coeff(var) > 0 {
-            lower.push(e);
-        } else {
-            upper.push(e);
-        }
-    }
-    if lower.len() * upper.len() + out.constraints.len() > ELIMINATE_BUDGET {
-        return Err(format!(
+    let combined = combine(ineqs, col, n, out.len()).map_err(|(lower, upper)| {
+        format!(
             "Fourier-Motzkin budget exceeded eliminating `{var}`: \
-             {} lower x {} upper bounds (cap {ELIMINATE_BUDGET})",
-            lower.len(),
-            upper.len()
-        ));
-    }
-    for l in &lower {
-        let a = l.coeff(var);
-        let mut l_rest = l.clone();
-        l_rest.coeffs.remove(var);
-        for u in &upper {
-            let b = -u.coeff(var);
-            let mut u_rest = u.clone();
-            u_rest.coeffs.remove(var);
-            let combined = normalize(l_rest.scale(b).add(&u_rest.scale(a)));
-            // Skip tautologies.
-            if combined.is_constant() && combined.konst >= 0 {
-                continue;
-            }
-            out.push(Constraint::ge0(combined));
-        }
+             {lower} lower x {upper} upper bounds (cap {ELIMINATE_BUDGET})"
+        )
+    })?;
+    for row in &combined {
+        out.push(Constraint::ge0(dense.expr_of(row)));
     }
     Ok(out)
+}
+
+fn negated(row: &Row) -> Row {
+    row.iter().map(|c| -c).collect()
 }
 
 fn gcd(a: i64, b: i64) -> i64 {
@@ -250,78 +335,73 @@ fn gcd(a: i64, b: i64) -> i64 {
     a
 }
 
-/// Compute conservative integer bounds of `target` subject to `sys`:
-/// returns `(min, max)` where `None` means unbounded in that direction
-/// (or beyond the search window `[-limit, limit]`).
-pub fn bounds_of(
-    sys: &ConstraintSystem,
-    target: &AffineExpr,
-    limit: i64,
-) -> (Option<i64>, Option<i64>) {
-    // Feasibility probes: target <= k / target >= k.
-    let feasible_le = |k: i64| {
-        let mut s = sys.clone();
-        s.push(Constraint::le(target, &AffineExpr::constant(k)));
-        s.is_satisfiable()
-    };
-    let feasible_ge = |k: i64| {
-        let mut s = sys.clone();
-        s.push(Constraint::ge(target, &AffineExpr::constant(k)));
-        s.is_satisfiable()
-    };
-
-    if !sys.is_satisfiable() {
-        return (None, None);
+#[cfg(test)]
+impl DenseSystem {
+    /// The oracle [`DenseSystem::bounds_of`] is tested against: binary
+    /// search on the monotone predicates "a point with `target <= k`
+    /// exists" / "`target >= k` exists", one full solve per probe.
+    pub(crate) fn bounds_by_bisection(
+        &self,
+        target: &AffineExpr,
+        limit: i64,
+    ) -> (Option<i64>, Option<i64>) {
+        let feasible = |c: Constraint| {
+            let mut s = self.clone();
+            s.push(&c);
+            s.satisfiable(&mut 0)
+        };
+        let feasible_le = |k: i64| feasible(Constraint::le(target, &AffineExpr::constant(k)));
+        let feasible_ge = |k: i64| feasible(Constraint::ge(target, &AffineExpr::constant(k)));
+        if !self.satisfiable(&mut 0) {
+            return (None, None);
+        }
+        let min = if feasible_le(-limit) {
+            None // may extend below the window: treat as unbounded
+        } else {
+            let (mut lo, mut hi) = (-limit, limit);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if feasible_le(mid) {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            Some(lo).filter(|&k| feasible_le(k))
+        };
+        let max = if feasible_ge(limit) {
+            None
+        } else {
+            let (mut lo, mut hi) = (-limit, limit);
+            while lo < hi {
+                let mid = lo + (hi - lo + 1) / 2;
+                if feasible_ge(mid) {
+                    lo = mid;
+                } else {
+                    hi = mid - 1;
+                }
+            }
+            Some(lo).filter(|&k| feasible_ge(k))
+        };
+        (min, max)
     }
-
-    // Min: smallest k with target <= k feasible ⇒ binary search on the
-    // predicate "exists point with target <= k" (monotone in k).
-    let min = if feasible_le(-limit) {
-        None // may extend below the window: treat as unbounded
-    } else {
-        let (mut lo, mut hi) = (-limit, limit);
-        // invariant: !feasible_le(lo - 1 ...), search first feasible.
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if feasible_le(mid) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        if feasible_le(lo) {
-            Some(lo)
-        } else {
-            None
-        }
-    };
-
-    let max = if feasible_ge(limit) {
-        None
-    } else {
-        let (mut lo, mut hi) = (-limit, limit);
-        while lo < hi {
-            let mid = lo + (hi - lo + 1) / 2;
-            if feasible_ge(mid) {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        if feasible_ge(lo) {
-            Some(lo)
-        } else {
-            None
-        }
-    };
-
-    (min, max)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::affine::AffineExpr;
+
+    fn satisfiable(sys: &ConstraintSystem) -> bool {
+        sys.is_satisfiable()
+    }
+
+    fn bounds_of(
+        sys: &ConstraintSystem,
+        target: &AffineExpr,
+        limit: i64,
+    ) -> (Option<i64>, Option<i64>) {
+        DenseSystem::index(sys).bounds_of(target, limit, &mut 0)
+    }
 
     fn v(n: &str) -> AffineExpr {
         AffineExpr::var(n)
@@ -476,43 +556,138 @@ mod tests {
         assert_eq!(max, None);
     }
 
-    #[test]
-    fn brute_force_agreement_on_random_small_systems() {
-        // Deterministic pseudo-random small systems; FM must agree with
-        // enumeration whenever enumeration finds a point, and must only
-        // disagree in the conservative direction otherwise.
-        let mut seed = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
+    fn xorshift(mut seed: u64) -> impl FnMut() -> u64 {
+        move || {
             seed ^= seed << 13;
             seed ^= seed >> 7;
             seed ^= seed << 17;
             seed
-        };
-        let vars = ["x".to_string(), "y".to_string()];
-        for _ in 0..200 {
-            let mut sys = ConstraintSystem::new();
-            let n = (next() % 4 + 1) as usize;
-            for _ in 0..n {
-                let a = (next() % 7) as i64 - 3;
-                let b = (next() % 7) as i64 - 3;
-                let c = (next() % 11) as i64 - 5;
-                let mut e = AffineExpr::constant(c);
-                e = e.add(&AffineExpr::term("x", a));
-                e = e.add(&AffineExpr::term("y", b));
-                if next() % 4 == 0 {
-                    sys.push(Constraint::eq0(e));
-                } else {
-                    sys.push(Constraint::ge0(e));
+        }
+    }
+
+    fn names(n: usize) -> Vec<String> {
+        (0..n).map(|x| format!("x{x}")).collect()
+    }
+
+    /// Seeded small systems over `x0..x{nv-1}`: coefficients −3..3,
+    /// constants −5..5, one constraint in four an equality.
+    fn random_system(next: &mut impl FnMut() -> u64, nv: usize) -> ConstraintSystem {
+        let mut sys = ConstraintSystem::new();
+        for _ in 0..next() % 4 + nv as u64 - 1 {
+            let mut e = k((next() % 11) as i64 - 5);
+            for x in 0..nv {
+                e = e.add(&AffineExpr::term(format!("x{x}"), (next() % 7) as i64 - 3));
+            }
+            sys.push(if next().is_multiple_of(4) {
+                Constraint::eq0(e)
+            } else {
+                Constraint::ge0(e)
+            });
+        }
+        sys
+    }
+
+    #[test]
+    fn brute_force_agreement_on_random_small_systems() {
+        // FM must agree with enumeration whenever enumeration finds a
+        // point, and may only disagree in the conservative direction
+        // otherwise (a rational point outside the box or between lattice
+        // points).
+        let mut next = xorshift(0x9E3779B97F4A7C15);
+        for (nv, reach) in [(2, 12), (3, 6)] {
+            for _ in 0..200 {
+                let sys = random_system(&mut next, nv);
+                if !sys.enumerate_points(&names(nv), -reach, reach).is_empty() {
+                    assert!(satisfiable(&sys), "FM must not miss integer point: {sys}");
                 }
             }
-            // Keep the search box generous relative to coefficients.
-            let brute = !sys.enumerate_points(&vars, -12, 12).is_empty();
-            let fm = satisfiable(&sys);
-            if brute {
-                assert!(fm, "FM must not miss integer point: {sys}");
-            }
-            // fm && !brute is allowed only if a rational point exists
-            // outside the box or between lattice points — conservative.
         }
+    }
+
+    #[test]
+    fn projected_bounds_equal_the_bisection_oracle_on_dependence_shaped_systems() {
+        // What `deps` builds: two boxed instances of a 1- or 2-deep nest
+        // (`x0..` source, the rest destination), subscript equalities
+        // `±src ± dst + c = 0`, level rows, and a distance as the target.
+        let mut next = xorshift(0xD1B54A32D192ED03);
+        let mut compared = 0;
+        while compared < 2000 {
+            let depth = 1 + (next() % 2) as usize;
+            let var = |x: usize| v(&format!("x{x}"));
+            let mut sys = DenseSystem::new(names(2 * depth));
+            for x in 0..2 * depth {
+                let lo = (next() % 3) as i64;
+                sys.push(&Constraint::ge(&var(x), &k(lo)));
+                sys.push(&Constraint::le(&var(x), &k(lo + (next() % 12) as i64)));
+            }
+            for _ in 0..1 + next() % 2 {
+                let src = var((next() % depth as u64) as usize);
+                let dst = var(depth + (next() % depth as u64) as usize);
+                let e = src.scale(1 - 2 * (next() % 2) as i64);
+                let e = e.add(&dst.scale(1 - 2 * (next() % 2) as i64));
+                sys.push(&Constraint::eq0(e.add(&k((next() % 7) as i64 - 3))));
+            }
+            let dist = |l: usize| var(depth + l).sub(&var(l));
+            let level = (next() % depth as u64) as usize;
+            for l in 0..level {
+                sys.push(&Constraint::eq0(dist(l)));
+            }
+            sys.push(&Constraint::ge(&dist(level), &k(1)));
+            // Like `deps`, ask for distances only where a dependence exists.
+            if !sys.satisfiable(&mut 0) {
+                continue;
+            }
+            // A narrow window now and then, so the clamp is compared too.
+            let limit = if next().is_multiple_of(4) { 4 } else { 64 };
+            for l in 0..depth {
+                let projected = sys.bounds_of(&dist(l), limit, &mut 0);
+                let bisected = sys.bounds_by_bisection(&dist(l), limit);
+                assert_eq!(projected, bisected, "{sys:?} window {limit}");
+                compared += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn no_integer_point_lies_outside_the_projected_bounds() {
+        // Soundness, independent of the oracle, on systems dependence
+        // analysis never builds (non-unit coefficients, thin polyhedra).
+        // There projection and bisection are two different conservative
+        // answers — a probe with a concrete `k` can round where a
+        // symbolic `T` cannot — so neither is compared with the other.
+        let mut next = xorshift(0x2545F4914F6CDD1D);
+        let mut points_checked = 0;
+        for round in 0..800 {
+            let nv = 2 + round % 2;
+            let sys = random_system(&mut next, nv);
+            let mut dense = DenseSystem::new(names(nv));
+            sys.constraints.iter().for_each(|c| dense.push(c));
+            let target = v("x1").sub(&v("x0"));
+            let (min, max) = dense.bounds_of(&target, 64, &mut 0);
+            for point in sys.enumerate_points(&names(nv), -6, 6) {
+                let t = target.eval(&point).expect("full assignment");
+                assert!(min.is_none_or(|m| m <= t), "{sys}: {t} < min {min:?}");
+                assert!(max.is_none_or(|m| t <= m), "{sys}: {t} > max {max:?}");
+                points_checked += 1;
+            }
+        }
+        assert!(points_checked > 1000, "{points_checked}");
+    }
+
+    #[test]
+    fn bounds_of_clamps_to_the_window_and_counts_one_solve() {
+        let sys = ConstraintSystem::new()
+            .and(Constraint::ge(&v("i"), &k(-70)))
+            .and(Constraint::le(&v("i"), &k(64)));
+        let mut solves = 0;
+        let bounds = DenseSystem::index(&sys).bounds_of(&v("i"), 64, &mut solves);
+        // -70 is below the window and 64 on its edge: both unknown.
+        assert_eq!(bounds, (None, None));
+        assert_eq!(
+            bounds,
+            DenseSystem::index(&sys).bounds_by_bisection(&v("i"), 64)
+        );
+        assert_eq!(solves, 1);
+        assert_eq!(bounds_of(&sys, &v("i"), 100), (Some(-70), Some(64)));
     }
 }

@@ -10,7 +10,7 @@
 //! model — which is exactly the behaviour the paper's evaluation relies on.
 
 use crate::codegen::{generate, CodegenOptions, Generated};
-use crate::deps::analyze;
+use crate::deps::{analyze, DepAnalysis};
 use crate::extract::extract_scop;
 use crate::schedule::{compute_schedule, Transform};
 use crate::sica::{select_tile_size, SicaParams};
@@ -76,6 +76,9 @@ pub struct PolyccReport {
     /// True when any generated code uses the `__pc_*` helpers; the caller
     /// must prepend [`crate::codegen::HELPER_DEFS`].
     pub needs_helpers: bool,
+    /// Full Fourier–Motzkin elimination passes the dependence analyses of
+    /// this run took — the stage's exact work count.
+    pub fm_solves: usize,
     pub diags: Diagnostics,
 }
 
@@ -443,7 +446,8 @@ fn transform_nest(
 ) -> Option<Vec<Stmt>> {
     match extract_scop(loop_stmt) {
         Ok(scop) => {
-            let deps = analyze(&scop);
+            let DepAnalysis { deps, fm_solves } = analyze(&scop);
+            report.fm_solves += fm_solves;
             let transform = compute_schedule(&scop, &deps);
 
             // Resolve codegen options (SICA overrides).
@@ -626,7 +630,7 @@ fn body_stmts(body: &Stmt) -> Vec<Stmt> {
 /// back into the first — such a pair ran first-nest-then-second in the
 /// original program, so the fused interleaving would reverse it. Imperfect
 /// fused bodies (multi-level nests) fail extraction and are refused too.
-fn try_fuse(f1: &Stmt, f2: &Stmt) -> Option<Stmt> {
+fn try_fuse(f1: &Stmt, f2: &Stmt, report: &mut PolyccReport) -> Option<Stmt> {
     let (StmtKind::For { body: b1, .. }, StmtKind::For { body: b2, .. }) = (&f1.kind, &f2.kind)
     else {
         return None;
@@ -649,7 +653,8 @@ fn try_fuse(f1: &Stmt, f2: &Stmt) -> Option<Stmt> {
     );
 
     let scop = extract_scop(&fused).ok()?;
-    let deps = analyze(&scop);
+    let DepAnalysis { deps, fm_solves } = analyze(&scop);
+    report.fm_solves += fm_solves;
     if deps.iter().any(|d| d.src_stmt >= k1 && d.dst_stmt < k1) {
         return None;
     }
@@ -679,7 +684,7 @@ fn fuse_adjacent(stmts: &mut Vec<Stmt>, report: &mut PolyccReport) {
                 _ => false,
             };
         let fused = if headers_match {
-            try_fuse(&stmts[g1.for_idx], &stmts[g2.for_idx])
+            try_fuse(&stmts[g1.for_idx], &stmts[g2.for_idx], report)
         } else {
             None
         };

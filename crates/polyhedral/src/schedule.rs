@@ -380,7 +380,7 @@ mod tests {
                  for (int j = 0; j < 64; j++)\n\
                      C[i][j] = tmpConst_dot_0;\n}",
         );
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
         assert!(t.is_identity());
         assert_eq!(t.parallel, vec![true, true]);
@@ -398,7 +398,7 @@ mod tests {
                  for (int j = 1; j < 63; j++)\n\
                      a[i][j] = a[i - 1][j] + a[i - 1][j + 1];\n}",
         );
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
         assert_eq!(t.matrix[0], vec![1, 0]);
         assert_eq!(t.matrix[1], vec![1, 1]);
@@ -421,7 +421,7 @@ mod tests {
                  for (int j = 1; j < 64; j++)\n\
                      a[i][j] = a[i - 1][j] + a[i][j - 1];\n}",
         );
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
         assert!(t.is_identity());
         assert_eq!(t.band, 2); // rectangular tiling legal: all dists >= 0
@@ -436,7 +436,7 @@ mod tests {
                  for (int j = 1; j < 63; j++)\n\
                      b[i][j] = a[i - 1][j] + a[i + 1][j];\n}",
         );
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
         assert_eq!(t.parallel, vec![true, true]);
     }
@@ -446,7 +446,7 @@ mod tests {
         let scop = scop_of(
             "void f(float* a) { float res; for (int i = 0; i < 8; i++) res = res + a[i]; }",
         );
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
         assert_eq!(t.outermost_parallel(), None);
     }
@@ -536,7 +536,7 @@ mod more_schedule_tests {
                      for (int k = 0; k < 32; k++)\n\
                          c[i][j] = c[i][j] + a[i][k] * b[k][j];\n}",
         );
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
         assert_eq!(t.depth(), 3);
         // i and j carry nothing; k carries the reduction.
@@ -552,7 +552,7 @@ mod more_schedule_tests {
         // a[i] = a[i+1]: anti dep with distance +1 — still non-negative,
         // band covers the loop; it is sequential though.
         let scop = scop_of("void f(float* a) { for (int i = 0; i < 63; i++) a[i] = a[i + 1]; }");
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
         assert_eq!(t.outermost_parallel(), None);
         assert_eq!(t.band, 1);
@@ -561,7 +561,7 @@ mod more_schedule_tests {
     #[test]
     fn long_distance_dependence_bounds() {
         let scop = scop_of("void f(float* a) { for (int i = 8; i < 64; i++) a[i] = a[i - 8]; }");
-        let deps = analyze(&scop);
+        let deps = analyze(&scop).deps;
         let flow = deps
             .iter()
             .find(|d| d.kind == crate::deps::DepKind::Flow)

@@ -120,9 +120,12 @@ impl ConstraintSystem {
         out
     }
 
-    /// Decide satisfiability (conservatively, see module docs).
+    /// Decide satisfiability (conservatively, see module docs). Indexes
+    /// the system by name and runs one elimination pass; a caller with
+    /// many questions about related systems indexes once and works on the
+    /// [`crate::fourier_motzkin::DenseSystem`] itself, as `deps` does.
     pub fn is_satisfiable(&self) -> bool {
-        crate::fourier_motzkin::satisfiable(self)
+        crate::fourier_motzkin::DenseSystem::index(self).satisfiable(&mut 0)
     }
 
     /// Rename every dimension.

@@ -54,6 +54,10 @@ pub struct ChainOutput {
     /// Invariant row pointers strength-reduced out of inner loops
     /// (`T* __pc_rowK = X[e];` hoisted to the level where `e` settles).
     pub rows_hoisted: usize,
+    /// Full Fourier–Motzkin elimination passes of this compile: polycc's
+    /// dependence analyses plus the race analyzer's — the exact work
+    /// count of the two stages (see [`polyhedral::DepAnalysis`]).
+    pub fm_solves: usize,
     /// One human-readable line per region outcome — the transform matrix,
     /// band width and per-region flags — for `--dump-schedule`.
     pub schedules: Vec<String>,
@@ -115,6 +119,7 @@ pub fn compile(source: &str, opts: ChainOptions) -> Result<ChainOutput, Diagnost
         .count();
     let regions_fused = report.fused;
     let rows_hoisted = report.rows_hoisted;
+    let polycc_fm_solves = report.fm_solves;
     let schedules = render_schedules(&report);
 
     // Reinsert placeholders per region with that region's iterator map;
@@ -194,6 +199,7 @@ pub fn compile(source: &str, opts: ChainOptions) -> Result<ChainOutput, Diagnost
         regions_tiled,
         regions_fused,
         rows_hoisted,
+        fm_solves: polycc_fm_solves + report.fm_solves,
         schedules,
         calls_reinserted,
         diags,

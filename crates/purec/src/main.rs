@@ -414,7 +414,7 @@ fn main() {
                 if stats {
                     eprintln!(
                         "purec: verified pure: {:?}; scops {}; transformed {}; parallel {}; \
-                         tiled {}; fused {}; rows hoisted {}; \
+                         tiled {}; fused {}; rows hoisted {}; fm solves {}; \
                          spawn sites {}; exit {}; \
                          ops {{flops: {}, int_ops: {}, loads: {}, stores: {}, calls: {}, \
                          branches: {}}}; \
@@ -430,6 +430,7 @@ fn main() {
                         out.regions_tiled,
                         out.regions_fused,
                         out.rows_hoisted,
+                        out.fm_solves,
                         spawn_sites,
                         result.exit_code,
                         result.counters.flops,
@@ -512,6 +513,7 @@ fn main() {
                                 ("regions_tiled".to_string(), n(out.regions_tiled as u64)),
                                 ("regions_fused".to_string(), n(out.regions_fused as u64)),
                                 ("rows_hoisted".to_string(), n(out.rows_hoisted as u64)),
+                                ("fm_solves".to_string(), n(out.fm_solves as u64)),
                                 ("spawn_sites".to_string(), n(spawn_sites as u64)),
                                 ("analysis_micros".to_string(), n(out.analysis_micros)),
                             ]),
@@ -561,7 +563,8 @@ fn main() {
             if stats {
                 eprintln!(
                     "purec: verified pure: {:?}; scops {}; transformed {}; parallel {}; \
-                     skewed {}; tiled {}; fused {}; rows hoisted {}; calls reinserted {}",
+                     skewed {}; tiled {}; fused {}; rows hoisted {}; fm solves {}; \
+                     calls reinserted {}",
                     out.declared_pure,
                     out.scops_marked,
                     out.regions_transformed,
@@ -570,6 +573,7 @@ fn main() {
                     out.regions_tiled,
                     out.regions_fused,
                     out.rows_hoisted,
+                    out.fm_solves,
                     out.calls_reinserted,
                 );
             }

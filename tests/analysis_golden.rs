@@ -67,6 +67,19 @@ fn racy_loops_are_rejected_with_spanned_errors() {
 }
 
 #[test]
+fn row_pointer_table_updated_in_the_loop_is_a_carried_race() {
+    // A rank-1 store `a[i] = …` against a rank-2 read `a[i - 1][0]`.
+    let outcome = run_corpus_file("rowptr.c", false);
+    assert!(outcome.has_errors(), "rowptr.c must exit non-zero");
+    assert_eq!(outcome.diags.error_count(), 1);
+    let message = &outcome.diags.items()[0].message;
+    assert!(
+        message.contains("flow dependence on 'a' (distance 1)"),
+        "{message}"
+    );
+}
+
+#[test]
 fn reduction_loop_warns_but_passes() {
     let outcome = run_corpus_file("reduction.c", false);
     assert!(!outcome.has_errors(), "reductions are warnings, not errors");

@@ -247,3 +247,22 @@ fn pipeline_rejects_each_purity_violation_class() {
         assert!(err.has_code(*code), "expected {code:?} for:\n{src}");
     }
 }
+
+include!("support/heavy_unit.rs");
+
+/// The polyhedral stage's exact work count: full Fourier–Motzkin
+/// elimination passes per compile (polycc + race analysis). A distance
+/// bound is one projection pass; when it was a bisection of feasibility
+/// probes the same two compiles took 366 and 3 495 passes — a return to
+/// that fails here without a clock.
+#[test]
+fn fm_solves_per_compile_are_pinned() {
+    let matmul = compile(&apps::matmul::c_source_inline(8), ChainOptions::default())
+        .expect("matmul compiles");
+    assert_eq!(matmul.fm_solves, 42);
+    // 363 today; the ceiling leaves room for a new kind of access pair,
+    // not for a second pass per question.
+    let heavy = compile(&heavy_unit(9), ChainOptions::default()).expect("heavy unit compiles");
+    assert_eq!(heavy.regions_skewed, 3, "the stencil groups need skewing");
+    assert!(heavy.fm_solves <= 450, "{} solves", heavy.fm_solves);
+}

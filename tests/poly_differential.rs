@@ -331,6 +331,39 @@ fn matmul_and_heat_poly_match_no_poly() {
     }
 }
 
+/// A pointer table updated inside the loop that reads through it
+/// (`a[i] = rows[i]; x[i] = a[i - 1][0];`): the rank-1 store and the
+/// rank-2 read conflict, so the nest stays sequential and the poly build
+/// prints what the literal build prints at every thread count. (Emitted
+/// under `omp parallel for`, every chunk's first iteration read a row
+/// pointer the previous chunk had not installed yet: 19999400 at 4
+/// threads.)
+#[test]
+fn row_pointer_table_nest_stays_sequential_and_matches_literal() {
+    let src = include_str!("../examples/schedules/rowptr.c").replace("N 64", "N 200000");
+    let (poly, nopoly) = compile_pair(&src);
+    assert!(
+        poly.schedules[2].contains("sequential"),
+        "{:?}",
+        poly.schedules
+    );
+    for threads in [1usize, 4] {
+        let opts = InterpOptions {
+            threads,
+            ..Default::default()
+        };
+        let literal = nopoly.program().run(opts).expect("literal runs");
+        assert_eq!(literal.output, "19999700\n", "threads={threads}");
+        let vm = poly.program().run(opts).expect("poly VM runs");
+        let resolved = poly
+            .program()
+            .run_resolved(opts)
+            .expect("poly resolved runs");
+        assert_eq!(vm.output, literal.output, "threads={threads}");
+        assert_eq!(resolved.output, literal.output, "threads={threads}");
+    }
+}
+
 /// The fused pair in [`poly_source`] collapses into one parallel region:
 /// the literal build launches two `omp` regions where the poly build
 /// launches one (one join barrier saved), with identical output.
