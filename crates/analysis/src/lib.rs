@@ -38,7 +38,6 @@ use cfront::ast::TranslationUnit;
 use cfront::diag::{Code, Diagnostics};
 use cfront::span::Span;
 use purec_core::PureSet;
-use std::collections::HashMap;
 
 /// Three-valued outcome of the static race analysis for one
 /// `#pragma omp parallel for` loop.
@@ -66,15 +65,13 @@ pub struct LoopReport {
     pub verdict: LoopVerdict,
 }
 
-/// What to run. `lints` is on by default; inference notes are opt-in
-/// because they are advisory (`purec check --infer-pure`).
+/// What to run. Race analysis and lints always run; inference notes
+/// are opt-in because they are advisory (`purec check --infer-pure`).
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisOptions {
     /// Emit [`Code::PureInferrable`] / [`Code::PureInferenceBlocked`]
     /// notes for unannotated functions.
     pub infer_pure: bool,
-    /// Skip the dataflow lints (race analysis always runs).
-    pub no_lints: bool,
 }
 
 /// Everything the analyzer produces in one pass.
@@ -90,13 +87,6 @@ pub struct AnalysisReport {
     /// Full Fourier–Motzkin elimination passes the dependence tests took
     /// (see [`polyhedral::DepAnalysis`]) — the pass's exact work count.
     pub fm_solves: usize,
-}
-
-impl AnalysisReport {
-    /// Span → verdict map for the interpreter wiring.
-    pub fn verdict_map(&self) -> HashMap<Span, LoopVerdict> {
-        self.loops.iter().map(|l| (l.span, l.verdict)).collect()
-    }
 }
 
 /// Run the full analysis over a translation unit. `pure_set` is the
@@ -135,11 +125,9 @@ pub fn analyze_unit(
         report.inferred_pure = inf.inferred;
     }
 
-    if !opts.no_lints {
-        for f in unit.functions() {
-            if f.is_definition() {
-                lints::lint_function(f, unit, &mut report.diags);
-            }
+    for f in unit.functions() {
+        if f.is_definition() {
+            lints::lint_function(f, unit, &mut report.diags);
         }
     }
 

@@ -59,7 +59,7 @@ pub struct Figure {
 }
 
 impl Figure {
-    /// Render as an aligned text table (the harness's stdout form).
+    /// Render as an aligned text table (what `examples/figures.rs` prints).
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("== {} — {} ==\n", self.id, self.title));

@@ -43,10 +43,6 @@ impl BaseType {
         }
     }
 
-    pub fn is_floating(&self) -> bool {
-        matches!(self, BaseType::Float | BaseType::Double)
-    }
-
     pub fn is_integer(&self) -> bool {
         matches!(
             self,

@@ -403,12 +403,6 @@ impl BytecodeProgram {
         self.funcs.iter().map(|f| f.code.len()).sum::<usize>() + self.global_code.code.len()
     }
 
-    /// Function names with their flattened instruction counts
-    /// (diagnostics: bench reporting, tests).
-    pub fn functions(&self) -> impl Iterator<Item = (&str, usize)> {
-        self.funcs.iter().map(|f| (f.name.as_str(), f.code.len()))
-    }
-
     /// Human-readable disassembly (the `purec --dump-bytecode` view).
     pub fn dump(&self) -> String {
         use std::fmt::Write;

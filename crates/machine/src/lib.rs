@@ -7,7 +7,7 @@
 //!   programs in parallel;
 //! * [`sim`] — the analytic cost model of the paper's evaluation machine
 //!   (4 × AMD Opteron 6272) and compilers (GCC 7.2 -O2, ICC 16), used by
-//!   the benchmark harness to regenerate every figure's series at paper
+//!   `apps::figures` to regenerate every figure's series at paper
 //!   scale (4096² matrices, 64 cores) where direct execution is
 //!   infeasible.
 

@@ -64,10 +64,6 @@ impl Scop {
         self.loops.len()
     }
 
-    pub fn iter_names(&self) -> Vec<&str> {
-        self.loops.iter().map(|l| l.name.as_str()).collect()
-    }
-
     /// Constraint system of the iteration domain over the iterator names.
     pub fn domain(&self) -> ConstraintSystem {
         let mut sys = ConstraintSystem::new();

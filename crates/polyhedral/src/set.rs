@@ -59,13 +59,6 @@ impl Constraint {
         e.konst -= 1;
         Constraint::ge0(e)
     }
-
-    /// `a > b` over the integers: `a - b - 1 >= 0`.
-    pub fn gt(a: &AffineExpr, b: &AffineExpr) -> Self {
-        let mut e = a.sub(b);
-        e.konst -= 1;
-        Constraint::ge0(e)
-    }
 }
 
 impl fmt::Display for Constraint {

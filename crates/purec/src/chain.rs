@@ -69,9 +69,6 @@ pub struct ChainOutput {
     /// engines skip the dynamic race pre-pass; `Racy` is a hard error
     /// under `--race-check`; `Unknown` falls back to the dynamic check.
     pub verdicts: VerdictMap,
-    /// Wall time of the always-on static analysis pass, in microseconds
-    /// (tracked so the bench harness can assert the pass stays cheap).
-    pub analysis_micros: u64,
 }
 
 /// Run the whole chain on annotated C source.
@@ -165,7 +162,6 @@ pub fn compile(source: &str, opts: ChainOptions) -> Result<ChainOutput, Diagnost
     // hard errors under `--race-check` at run time. (`pure` qualifiers
     // were lowered away above, so the verified set is re-seeded from
     // `declared_pure`.)
-    let t0 = std::time::Instant::now();
     let analysis_span = instrument::span("phase.analysis", 0);
     let mut verified = analysis_seed;
     for name in &pcc.declared_pure {
@@ -173,7 +169,6 @@ pub fn compile(source: &str, opts: ChainOptions) -> Result<ChainOutput, Diagnost
     }
     let report = analysis::analyze_unit(&reparsed.unit, &verified, &AnalysisOptions::default());
     drop(analysis_span);
-    let analysis_micros = t0.elapsed().as_micros() as u64;
     let verdicts: VerdictMap = report
         .loops
         .iter()
@@ -204,7 +199,6 @@ pub fn compile(source: &str, opts: ChainOptions) -> Result<ChainOutput, Diagnost
         calls_reinserted,
         diags,
         verdicts,
-        analysis_micros,
     })
 }
 
@@ -282,6 +276,36 @@ fn reinsert_per_region(
 }
 
 impl ChainOutput {
+    /// The chain's counts as (`--stats-json` key, `--stats` label, value)
+    /// rows: both `--stats` lines and the `chain` object of
+    /// `--stats-json` are rendered from this one table, so they cannot
+    /// disagree on which fields exist.
+    pub fn stats(&self) -> [(&'static str, &'static str, usize); 9] {
+        [
+            ("scops_marked", "scops", self.scops_marked),
+            (
+                "regions_transformed",
+                "transformed",
+                self.regions_transformed,
+            ),
+            (
+                "regions_parallelized",
+                "parallel",
+                self.regions_parallelized,
+            ),
+            ("regions_skewed", "skewed", self.regions_skewed),
+            ("regions_tiled", "tiled", self.regions_tiled),
+            ("regions_fused", "fused", self.regions_fused),
+            ("rows_hoisted", "rows hoisted", self.rows_hoisted),
+            ("fm_solves", "fm solves", self.fm_solves),
+            (
+                "calls_reinserted",
+                "calls reinserted",
+                self.calls_reinserted,
+            ),
+        ]
+    }
+
     /// Purity verdicts in the form the interpreter consumes; delegates to
     /// [`purec_core::verified_pure_set`] (the single statement of the
     /// declared-implies-verified contract).

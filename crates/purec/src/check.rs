@@ -110,7 +110,6 @@ pub fn check_source(source: &str, opts: &CheckOptions) -> CheckOutcome {
         &purity.pure_set,
         &analysis::AnalysisOptions {
             infer_pure: opts.infer_pure,
-            no_lints: false,
         },
     );
     diags.extend(report.diags);

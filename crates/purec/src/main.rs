@@ -34,8 +34,17 @@
 //! full counter set plus latency histograms and gauges as one JSON
 //! object.
 
-use purec::chain::{compile, ChainOptions};
+use purec::chain::{compile, ChainOptions, ChainOutput};
 use purec_core::{PcCcOptions, PureSet};
+
+/// The chain half of a `--stats` line (compile-only and `--run` alike).
+fn chain_stats_line(out: &ChainOutput) -> String {
+    let mut line = format!("verified pure: {:?}", out.declared_pure);
+    for (_, label, value) in out.stats() {
+        line.push_str(&format!("; {label} {value}"));
+    }
+    line
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -413,9 +422,7 @@ fn main() {
                 }
                 if stats {
                     eprintln!(
-                        "purec: verified pure: {:?}; scops {}; transformed {}; parallel {}; \
-                         tiled {}; fused {}; rows hoisted {}; fm solves {}; \
-                         spawn sites {}; exit {}; \
+                        "purec: {}; spawn sites {}; exit {}; \
                          ops {{flops: {}, int_ops: {}, loads: {}, stores: {}, calls: {}, \
                          branches: {}}}; \
                          memo {{hits: {}, misses: {}, evictions: {}}}; \
@@ -423,14 +430,7 @@ fn main() {
                          steals {{local_pushes: {}, tasks_stolen: {}}}; \
                          opt {{level: {}, folded: {}, fused: {}}}; \
                          race {{static_skips: {}, dyn_iters: {}}}",
-                        out.declared_pure,
-                        out.scops_marked,
-                        out.regions_transformed,
-                        out.regions_parallelized,
-                        out.regions_tiled,
-                        out.regions_fused,
-                        out.rows_hoisted,
-                        out.fm_solves,
+                        chain_stats_line(&out),
                         spawn_sites,
                         result.exit_code,
                         result.counters.flops,
@@ -487,6 +487,12 @@ fn main() {
                         .as_ref()
                         .expect("--stats-json always runs a session");
                     let n = |v: u64| serde_json::Value::Num(v as f64);
+                    let mut chain: Vec<(String, serde_json::Value)> = out
+                        .stats()
+                        .into_iter()
+                        .map(|(key, _, value)| (key.to_string(), n(value as u64)))
+                        .collect();
+                    chain.push(("spawn_sites".to_string(), n(spawn_sites as u64)));
                     let root = serde_json::Value::Object(vec![
                         (
                             "exit_code".to_string(),
@@ -498,26 +504,7 @@ fn main() {
                             cinterp::counters_json(&result.counters),
                         ),
                         ("metrics".to_string(), cinterp::metrics_json(&data.metrics)),
-                        (
-                            "chain".to_string(),
-                            serde_json::Value::Object(vec![
-                                ("scops_marked".to_string(), n(out.scops_marked as u64)),
-                                (
-                                    "regions_transformed".to_string(),
-                                    n(out.regions_transformed as u64),
-                                ),
-                                (
-                                    "regions_parallelized".to_string(),
-                                    n(out.regions_parallelized as u64),
-                                ),
-                                ("regions_tiled".to_string(), n(out.regions_tiled as u64)),
-                                ("regions_fused".to_string(), n(out.regions_fused as u64)),
-                                ("rows_hoisted".to_string(), n(out.rows_hoisted as u64)),
-                                ("fm_solves".to_string(), n(out.fm_solves as u64)),
-                                ("spawn_sites".to_string(), n(spawn_sites as u64)),
-                                ("analysis_micros".to_string(), n(out.analysis_micros)),
-                            ]),
-                        ),
+                        ("chain".to_string(), serde_json::Value::Object(chain)),
                         ("dropped_events".to_string(), n(data.dropped)),
                     ]);
                     let rendered = serde_json::to_string_pretty(&root).expect("stats JSON renders");
@@ -561,21 +548,7 @@ fn main() {
                 }
             }
             if stats {
-                eprintln!(
-                    "purec: verified pure: {:?}; scops {}; transformed {}; parallel {}; \
-                     skewed {}; tiled {}; fused {}; rows hoisted {}; fm solves {}; \
-                     calls reinserted {}",
-                    out.declared_pure,
-                    out.scops_marked,
-                    out.regions_transformed,
-                    out.regions_parallelized,
-                    out.regions_skewed,
-                    out.regions_tiled,
-                    out.regions_fused,
-                    out.rows_hoisted,
-                    out.fm_solves,
-                    out.calls_reinserted,
-                );
+                eprintln!("purec: {}", chain_stats_line(&out));
             }
         }
         Err(diags) => {

@@ -156,12 +156,18 @@ fn absurd_allocation_sizes_exit_98() {
 
 /// The pure-scratch idiom (a `pure` callee that mallocs, uses and frees
 /// per-call scratch, called from a parallel loop) prints the same under
-/// every thread count and engine.
+/// every thread count and engine. The example's text runs at a tenth of
+/// its size (20 000 calls, not 200 000): the debug binary is slow.
 #[test]
 fn scratch_pure_is_independent_of_threads_and_engine() {
-    let src = example("scratch_pure.c");
+    let full = std::fs::read_to_string(example("scratch_pure.c")).expect("read example");
+    assert!(full.contains("int n = 20000;"));
+    let src = source_path(
+        "scratch_pure_small.c",
+        &full.replace("int n = 20000;", "int n = 2000;"),
+    );
     let base = purec(&[&src, "--run", "--threads", "1"]);
-    assert_eq!(String::from_utf8_lossy(&base.stdout), "total=199937\n");
+    assert_eq!(String::from_utf8_lossy(&base.stdout), "total=920017\n");
     for extra in [&["--threads", "4"][..], &["--engine", "resolved"]] {
         let mut args = vec![src.as_str(), "--run"];
         args.extend_from_slice(extra);
@@ -182,4 +188,63 @@ fn use_after_free_still_exits_1() {
     let out = purec(&[&src, "--run"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("use after free"), "{}", stderr(&out));
+}
+
+/// The chain's counts are rendered from one table: the compile-only
+/// `--stats` line, the `--run --stats` line and the `chain` object of
+/// `--stats-json` carry the same fields with the same values.
+#[test]
+fn stats_lines_and_stats_json_agree_on_the_chain_fields() {
+    let json_path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("heat_stats.json");
+    let json_arg = json_path.to_string_lossy().into_owned();
+    let compile_only = stderr(&purec(&["--demo", "heat", "--stats"]));
+    let ran = stderr(&purec(&[
+        "--demo",
+        "heat",
+        "--run",
+        "--stats",
+        "--stats-json",
+        &json_arg,
+    ]));
+    let chain_half = compile_only.trim_end();
+    assert!(
+        chain_half.contains("; parallel 3; skewed 0; tiled 0; ")
+            && chain_half.ends_with("; fm solves 30; calls reinserted 3"),
+        "{chain_half}"
+    );
+    assert!(
+        ran.starts_with(&format!("{chain_half}; spawn sites ")),
+        "run line does not start with the compile-only line:\n{ran}"
+    );
+
+    let text = std::fs::read_to_string(&json_path).expect("--stats-json wrote a file");
+    let root: serde_json::Value = serde_json::from_str(&text).expect("stats JSON parses");
+    let chain = root
+        .as_object()
+        .and_then(|o| o.iter().find(|(k, _)| k == "chain"))
+        .and_then(|(_, v)| v.as_object())
+        .expect("chain object");
+    let labels = [
+        ("scops_marked", "scops"),
+        ("regions_transformed", "transformed"),
+        ("regions_parallelized", "parallel"),
+        ("regions_skewed", "skewed"),
+        ("regions_tiled", "tiled"),
+        ("regions_fused", "fused"),
+        ("rows_hoisted", "rows hoisted"),
+        ("fm_solves", "fm solves"),
+        ("calls_reinserted", "calls reinserted"),
+    ];
+    // Field for field, in order: `analysis_micros` is gone and
+    // `spawn_sites` (a property of the lowered program) comes last.
+    let fields: Vec<&str> = chain_half.split("; ").skip(1).collect();
+    assert_eq!(fields.len(), labels.len(), "{chain_half}");
+    assert_eq!(chain.len(), labels.len() + 1, "{text}");
+    for (i, (key, label)) in labels.iter().enumerate() {
+        let (json_key, value) = &chain[i];
+        assert_eq!(json_key, key);
+        let value = value.as_f64().expect("a count");
+        assert_eq!(fields[i], format!("{label} {value}"), "chain.{key}");
+    }
+    assert_eq!(chain[labels.len()].0, "spawn_sites");
 }

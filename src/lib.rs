@@ -24,8 +24,9 @@
 //!
 //! See `README.md` for the system inventory and the flag reference,
 //! `BENCHMARK.json` with `purebench/README.md` for the end-to-end and
-//! per-layer measurements, and `BENCH_interp.json` for the interpreter
-//! trajectory `bench_interp` appends to.
+//! per-layer measurements (`cargo run --release --example figures`
+//! prints the paper's Figs. 3–11); `BENCH_interp.json` is the frozen
+//! interpreter trajectory of PRs 1–10, which nothing appends to.
 
 pub use apps;
 pub use cfront;

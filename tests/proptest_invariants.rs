@@ -391,40 +391,6 @@ proptest! {
         }
     }
 
-    /// Regions on the persistent thread pool: the VM and the resolved
-    /// engine match the legacy oracle on exit code, output and
-    /// executed-op counters (modulo memo bookkeeping), sequentially and
-    /// with 4 threads, across all four schedules.
-    #[test]
-    fn pooled_regions_match_oracles(
-        n in 4usize..40,
-        c1 in -20i64..50,
-        c2 in 1i64..40,
-        op1 in 0usize..6,
-        op2 in 0usize..6,
-        sched in 0usize..5,
-    ) {
-        let src = differential_source(n, c1, c2, op1, op2, sched);
-        let parsed = parse(&src);
-        prop_assert!(!parsed.diags.has_errors(), "{}", parsed.diags.render_all(&src));
-        let prog = Program::new(&parsed.unit);
-        for threads in [1usize, 4] {
-            let opts = InterpOptions { threads, ..Default::default() };
-            let vm = prog.run(opts).expect("VM runs");
-            let resolved = prog.run_resolved(opts).expect("resolved runs");
-            let legacy = prog.run_legacy(opts).expect("legacy runs");
-            prop_assert_eq!(vm.exit_code, legacy.exit_code, "threads={}", threads);
-            prop_assert_eq!(&vm.output, &legacy.output, "threads={}", threads);
-            prop_assert_eq!(
-                vm.counters.without_memo(),
-                legacy.counters,
-                "threads={}",
-                threads
-            );
-            prop_assert_eq!(resolved.exit_code, legacy.exit_code, "threads={}", threads);
-        }
-    }
-
     /// Nested parallel regions on the shared pool (a worker joining an
     /// inner generation helps instead of blocking): VM == resolved ==
     /// legacy on observable behaviour, for independently drawn outer and

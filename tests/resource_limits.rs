@@ -99,6 +99,87 @@ int main() {
     );
 }
 
+/// `fuel` is an exact ruler on one thread: a run completes iff its
+/// budget covers its dispatch count. Each cell below pins that count for
+/// one loop under one build — chain + optimizer, chain raw, `no_poly` +
+/// optimizer, `no_poly` raw — so "the VM got cheaper to dispatch", "the
+/// optimizer pays" and "poly beats literal" are facts a test states
+/// without a clock. A change that lowers a count edits one literal here
+/// and says so; one that raises it fails naming the cell.
+#[test]
+fn dispatch_counts_are_pinned() {
+    fn varaccess(n: u64) -> String {
+        format!(
+            "int main() {{\n\
+                 int a = 0; int b = 1; int c = 2; int d = 3; int e = 4;\n\
+                 for (int i = 0; i < {n}; i++) {{\n\
+                     a = a + b; b = b ^ c; c = c + d;\n\
+                     d = d + e; e = e + a; a = a - d;\n\
+                 }}\n\
+                 return a & 255;\n\
+             }}\n"
+        )
+    }
+    fn arraysum(r: u64) -> String {
+        format!(
+            "int main() {{\n\
+                 int* a = (int*) malloc(64 * sizeof(int));\n\
+                 for (int i = 0; i < 64; i++) a[i] = i * 3 + 1;\n\
+                 int acc = 0;\n\
+                 for (int r = 0; r < {r}; r++) {{\n\
+                     for (int i = 0; i < 64; i++) {{\n\
+                         int v = a[i];\n\
+                         a[i] = v + r;\n\
+                         a[i] += r & 7;\n\
+                         acc = acc + v;\n\
+                     }}\n\
+                 }}\n\
+                 return acc & 255;\n\
+             }}\n"
+        )
+    }
+    fn pin(src: &str, what: &str, no_poly: bool, opt_level: u8, dispatches: u64) {
+        let cell = format!(
+            "{what} {} {}",
+            if no_poly { "no_poly" } else { "chain" },
+            if opt_level == 0 { "raw" } else { "opt" }
+        );
+        let chain = ChainOptions {
+            no_poly,
+            ..Default::default()
+        };
+        let prog = compile(src, chain).expect("chain").program();
+        let with_fuel = |fuel| {
+            prog.run(InterpOptions {
+                threads: 1,
+                opt_level,
+                fuel,
+                ..Default::default()
+            })
+        };
+        let unlimited = with_fuel(None).expect("unlimited run");
+        let exact = with_fuel(Some(dispatches))
+            .unwrap_or_else(|e| panic!("{cell}: more than {dispatches} dispatches: {e}"));
+        assert_eq!(exact.exit_code, unlimited.exit_code, "{cell}");
+        let starved = with_fuel(Some(dispatches - 1))
+            .err()
+            .unwrap_or_else(|| panic!("{cell}: fewer than {dispatches} dispatches"));
+        assert_eq!(starved.trap, Some(Trap::FuelExhausted), "{cell}: {starved}");
+    }
+    for n in [1_000u64, 2_000] {
+        let (src, what) = (varaccess(n), format!("varaccess n={n}"));
+        pin(&src, &what, false, 2, 14 * n + 25);
+        pin(&src, &what, false, 0, 20 * n + 31);
+        pin(&src, &what, true, 2, 17 * n + 27);
+        pin(&src, &what, true, 0, 25 * n + 35);
+    }
+    for (r, opt, raw) in [(10u64, 11_385u64, 13_361u64), (20, 22_365, 26_311)] {
+        let (src, what) = (arraysum(r), format!("arraysum 64x{r}"));
+        pin(&src, &what, false, 2, opt);
+        pin(&src, &what, false, 0, raw);
+    }
+}
+
 #[test]
 fn alloc_bomb_traps_on_memory_limit_in_every_engine() {
     let opts = InterpOptions {
