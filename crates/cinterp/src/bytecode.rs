@@ -5,8 +5,9 @@
 //! *walks trees*: every statement and expression dispatch chases a `Box`
 //! pointer, carries a `Span`, and threads a `Result` through a deep Rust
 //! call stack. This pass flattens each function **once** into a
-//! `Vec<Insn>` — a fixed 12-byte instruction of one opcode and two `u32`
-//! operands — so execution becomes a linear fetch/dispatch loop:
+//! `Vec<Insn>` — a fixed 12-byte instruction of one opcode, a statement
+//! tick flag and two `u32` operands — so execution becomes a linear
+//! fetch/dispatch loop:
 //!
 //! * **No recursion on the hot path** — control flow is absolute `u32`
 //!   jump targets (`Jump`, `JumpIfFalse`, `JumpIfTrue`) instead of
@@ -54,11 +55,28 @@ use std::sync::Arc;
 /// absolute instruction indices; other operands index side tables
 /// (constants, strings, regions, error messages) or carry immediates
 /// (slots, arities, binop codes).
+///
+/// `tick` sits in padding the struct already had (the size stays 12
+/// bytes): when set, the statement tick of a deleted [`Op::Step`] rides
+/// on this instruction — the VM runs the tick, then the instruction, in
+/// one dispatch. Only `crate::opt` sets it; the lowerer never does.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Insn {
     pub(crate) op: Op,
+    pub(crate) tick: bool,
     pub(crate) a: u32,
     pub(crate) b: u32,
+}
+
+impl Insn {
+    pub(crate) fn new(op: Op, a: u32, b: u32) -> Insn {
+        Insn {
+            op,
+            tick: false,
+            a,
+            b,
+        }
+    }
 }
 
 /// Opcodes of the stack VM. Stack effects are noted as `pops → pushes`.
@@ -66,6 +84,9 @@ pub(crate) struct Insn {
 #[repr(u8)]
 pub(crate) enum Op {
     /// Statement boundary: tick the step limit (span = owning statement).
+    /// The raw lowering emits one per statement; at optimization level 2
+    /// most of them are deleted and their tick rides on the following
+    /// instruction ([`Insn::tick`]).
     Step,
     /// `0 → 1` push `consts[a]`.
     Const,
@@ -335,12 +356,29 @@ pub(crate) struct BFunc {
     pub(crate) code: Vec<Insn>,
     /// Source span per instruction (errors and step-limit only).
     pub(crate) spans: Vec<Span>,
+    /// `(pc, span)` of every ticked instruction, sorted by `pc`: the span
+    /// of the `Step` whose tick it carries. Read only when that tick
+    /// traps (step limit, memory ceiling).
+    pub(crate) tick_spans: Vec<(u32, Span)>,
     pub(crate) consts: Vec<Scalar>,
     pub(crate) strings: Vec<Arc<str>>,
     pub(crate) regions: Vec<BRegion>,
     pub(crate) spawns: Vec<BSpawn>,
     pub(crate) errs: Vec<String>,
     pub(crate) cacheable: bool,
+}
+
+impl BFunc {
+    /// Span of the `Step` whose tick instruction `pc` carries (trap path
+    /// only; `pc` must be a ticked instruction).
+    #[cold]
+    pub(crate) fn tick_span(&self, pc: usize) -> Span {
+        let at = self
+            .tick_spans
+            .binary_search_by_key(&(pc as u32), |&(at, _)| at)
+            .expect("ticked instruction has a tick span");
+        self.tick_spans[at].1
+    }
 }
 
 /// A translation unit flattened for the VM (the third execution tier).
@@ -403,7 +441,9 @@ impl BytecodeProgram {
         self.funcs.iter().map(|f| f.code.len()).sum::<usize>() + self.global_code.code.len()
     }
 
-    /// Human-readable disassembly (the `purec --dump-bytecode` view).
+    /// Human-readable disassembly (the `purec --dump-bytecode` view). A
+    /// `+t` before the opcode marks an instruction that carries a
+    /// statement tick; the total line counts them.
     pub fn dump(&self) -> String {
         use std::fmt::Write;
         fn dump_func(out: &mut String, f: &BFunc) {
@@ -436,7 +476,8 @@ impl BytecodeProgram {
                 };
                 let _ = writeln!(
                     out,
-                    "  {pc:>4}: {:<16} {:>6} {:>10}{note}",
+                    "  {pc:>4}: {} {:<16} {:>6} {:>10}{note}",
+                    if insn.tick { "+t" } else { "  " },
                     format!("{:?}", insn.op),
                     insn.a,
                     insn.b
@@ -448,7 +489,18 @@ impl BytecodeProgram {
         for f in &self.funcs {
             dump_func(&mut out, f);
         }
-        let _ = writeln!(out, "total {} insns", self.insn_count());
+        let ticked = self
+            .funcs
+            .iter()
+            .chain(std::iter::once(&self.global_code))
+            .flat_map(|f| &f.code)
+            .filter(|i| i.tick)
+            .count();
+        let _ = writeln!(
+            out,
+            "total {} insns, {ticked} ticked (+t: a statement tick rides on the instruction)",
+            self.insn_count()
+        );
         out
     }
 }
@@ -513,6 +565,7 @@ impl<'a> FnCompiler<'a> {
             frame_size,
             code: self.code,
             spans: self.spans,
+            tick_spans: Vec::new(),
             consts: self.consts,
             strings: self.strings,
             regions: self.regions,
@@ -523,7 +576,7 @@ impl<'a> FnCompiler<'a> {
     }
 
     fn emit(&mut self, op: Op, a: u32, b: u32, span: Span) -> usize {
-        self.code.push(Insn { op, a, b });
+        self.code.push(Insn::new(op, a, b));
         self.spans.push(span);
         self.code.len() - 1
     }
@@ -840,11 +893,7 @@ impl<'a> FnCompiler<'a> {
                 let is_break = matches!(s.kind, RStmtKind::Break);
                 if let Some(frame) = self.loops.last_mut() {
                     let at = self.code.len();
-                    self.code.push(Insn {
-                        op: Op::Jump,
-                        a: 0,
-                        b: 0,
-                    });
+                    self.code.push(Insn::new(Op::Jump, 0, 0));
                     self.spans.push(s.span);
                     if is_break {
                         frame.breaks.push(at);
@@ -856,11 +905,7 @@ impl<'a> FnCompiler<'a> {
                     // ignores the child's Break/Continue flow — the
                     // iteration simply ends.
                     let at = self.code.len();
-                    self.code.push(Insn {
-                        op: Op::Jump,
-                        a: 0,
-                        b: 0,
-                    });
+                    self.code.push(Insn::new(Op::Jump, 0, 0));
                     self.spans.push(s.span);
                     exits.push(at);
                 } else {

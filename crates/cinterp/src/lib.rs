@@ -56,7 +56,7 @@ pub mod vm;
 pub use bytecode::BytecodeProgram;
 pub use interp::{
     Engine, InterpOptions, Program, RaceVerdict, RunResult, RuntimeError, Trap, VerdictMap,
-    DEFAULT_RACE_CHECK_CAP,
+    DEFAULT_RACE_CHECK_CAP, MAX_CALL_DEPTH,
 };
 pub use resolve::ResolvedProgram;
 pub use trace::{

@@ -2,7 +2,8 @@
 //!
 //! Rewrites the flat `Vec<Insn>` arrays produced by [`crate::bytecode`]
 //! between lowering and [`crate::vm`] execution. Two passes — the two
-//! whose removal changes the dispatch count of a benchmark workload:
+//! whose removal changes the dispatch count of a benchmark workload —
+//! and, last at level 2, one rule that moves the statement tick:
 //!
 //! * **Level ≥ 1 — window constant folding, to a fixpoint.**
 //!   Block-local `Const`/`ConstFold` chains feeding `Binary`, unary
@@ -15,6 +16,14 @@
 //!   `LoadIdxLC`/`StoreIdxLC` and `RetLocal` superinstructions, each
 //!   replicating the exact counted effects of its components and bumping
 //!   `insns_fused` by the dispatches it saved.
+//! * **Level ≥ 2, last — tick fusion.** `[Step, X]` becomes `X` with
+//!   [`Insn::tick`] set whenever `X` is neither a block leader nor itself
+//!   a `Step`: the VM runs the statement tick (same `steps` count, same
+//!   compaction and memory-ceiling checks, the deleted `Step`'s span on
+//!   the trap path) and then `X`, in one dispatch, and counts one
+//!   `insns_fused` per fused tick executed. A `Step` in front of a leader
+//!   (loop tops entered from two sides) or in front of another `Step` (a
+//!   block's own tick before its first statement's) stays a dispatch.
 //!
 //! **Invariant:** on the same input, optimized bytecode produces the
 //! same exit code, output, error message and executed-op counters
@@ -83,6 +92,7 @@ fn optimize_func(f: &mut BFunc, level: u8) {
     }
     if level >= 2 {
         fuse_superinstructions(f);
+        fuse_ticks(f);
     }
 }
 
@@ -160,9 +170,10 @@ fn leaders(f: &BFunc) -> Vec<bool> {
 }
 
 /// Remove every instruction whose `keep` flag is false, remapping jump
-/// targets, region descriptors and spans. A dropped index maps to the
-/// next kept instruction (sound: passes only drop instructions that are
-/// no-ops on every path reaching them). Returns whether anything moved.
+/// targets, region descriptors, spans and tick spans. A dropped index
+/// maps to the next kept instruction (sound: passes only drop
+/// instructions whose effect, on every path reaching them, is nothing or
+/// is carried by that next instruction). Returns whether anything moved.
 fn compact(f: &mut BFunc, keep: &[bool]) -> bool {
     let n = f.code.len();
     if keep.iter().all(|&k| k) {
@@ -192,9 +203,13 @@ fn compact(f: &mut BFunc, keep: &[bool]) -> bool {
         }
     }
     for r in &mut f.regions {
-        debug_assert!(keep[r.body_start as usize] && keep[r.end as usize]);
+        debug_assert!(keep[r.end as usize]);
         r.body_start = map[r.body_start as usize];
         r.end = map[r.end as usize];
+    }
+    for (pc, _) in &mut f.tick_spans {
+        debug_assert!(keep[*pc as usize]);
+        *pc = map[*pc as usize];
     }
     f.code = code;
     f.spans = spans;
@@ -206,9 +221,10 @@ fn compact(f: &mut BFunc, keep: &[bool]) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Evaluate `l <op> r` exactly as the VM's `int_binop`/`apply_binop`
-/// would, returning the value and the (int_ops, flops) it would have
-/// counted — or `None` when the operation must stay at runtime (error
-/// paths: division by a zero constant, bitwise on float).
+/// would (the int half *is* the VM's [`crate::vm::int_arith`]), returning
+/// the value and the (int_ops, flops) it would have counted — or `None`
+/// when the operation must stay at runtime (error paths: division by a
+/// zero constant, bitwise on float).
 fn eval_binop(op: BinOp, l: Scalar, r: Scalar) -> Option<(Scalar, u8, u8)> {
     use BinOp::*;
     if !matches!(l, Scalar::I(_) | Scalar::F(_)) || !matches!(r, Scalar::I(_) | Scalar::F(_)) {
@@ -233,37 +249,7 @@ fn eval_binop(op: BinOp, l: Scalar, r: Scalar) -> Option<(Scalar, u8, u8)> {
         };
         Some((out, 0, 1))
     } else {
-        let a = l.as_i64();
-        let b = r.as_i64();
-        let v = match op {
-            Add => a.wrapping_add(b),
-            Sub => a.wrapping_sub(b),
-            Mul => a.wrapping_mul(b),
-            Div => {
-                if b == 0 {
-                    return None;
-                }
-                a.wrapping_div(b)
-            }
-            Rem => {
-                if b == 0 {
-                    return None;
-                }
-                a.wrapping_rem(b)
-            }
-            Shl => a.wrapping_shl(b as u32),
-            Shr => a.wrapping_shr(b as u32),
-            Lt => i64::from(a < b),
-            Gt => i64::from(a > b),
-            Le => i64::from(a <= b),
-            Ge => i64::from(a >= b),
-            Eq => i64::from(a == b),
-            Ne => i64::from(a != b),
-            BitAnd => a & b,
-            BitXor => a ^ b,
-            BitOr => a | b,
-            And | Or => return None,
-        };
+        let v = crate::vm::int_arith(op, l.as_i64(), r.as_i64()).ok()?;
         Some((Scalar::I(v), 1, 0))
     }
 }
@@ -363,11 +349,7 @@ fn fold_windows(f: &mut BFunc) -> bool {
                         saved: 2,
                     });
                     if let (Some(b), Some(cidx)) = (comp.encode(), intern_const(f, out)) {
-                        f.code[i] = Insn {
-                            op: Op::ConstFold,
-                            a: cidx,
-                            b,
-                        };
+                        f.code[i] = Insn::new(Op::ConstFold, cidx, b);
                         keep[i + 1] = false;
                         keep[i + 2] = false;
                         changed = true;
@@ -421,11 +403,7 @@ fn fold_windows(f: &mut BFunc) -> bool {
                         ..Comp::default()
                     });
                     if let (Some(b), Some(cidx)) = (comp.encode(), intern_const(f, out)) {
-                        f.code[i] = Insn {
-                            op: Op::ConstFold,
-                            a: cidx,
-                            b,
-                        };
+                        f.code[i] = Insn::new(Op::ConstFold, cidx, b);
                         keep[i + 1] = false;
                         changed = true;
                         i += 2;
@@ -493,11 +471,7 @@ fn fuse_round(f: &mut BFunc) -> bool {
                 } else {
                     Op::BrCmpLC
                 };
-                f.code[i] = Insn {
-                    op,
-                    a: b1.a,
-                    b: (b2.a << 6) | (1 << 5) | (sense << 4) | b1.b,
-                };
+                f.code[i] = Insn::new(op, b1.a, (b2.a << 6) | (1 << 5) | (sense << 4) | b1.b);
                 keep[i + 1] = false;
                 keep[i + 2] = false;
                 changed = true;
@@ -520,11 +494,7 @@ fn fuse_round(f: &mut BFunc) -> bool {
                 } else {
                     Op::BrCmpLC
                 };
-                f.code[i] = Insn {
-                    op,
-                    a: cur.a,
-                    b: (b2.a << 6) | (sense << 4) | cur.b,
-                };
+                f.code[i] = Insn::new(op, cur.a, (b2.a << 6) | (sense << 4) | cur.b);
                 keep[i + 1] = false;
                 changed = true;
                 i += 2;
@@ -536,11 +506,7 @@ fn fuse_round(f: &mut BFunc) -> bool {
                 } else {
                     Op::BinLCStore
                 };
-                f.code[i] = Insn {
-                    op,
-                    a: cur.a,
-                    b: cur.b | (b2.a << 16),
-                };
+                f.code[i] = Insn::new(op, cur.a, cur.b | (b2.a << 16));
                 keep[i + 1] = false;
                 changed = true;
                 i += 2;
@@ -566,11 +532,7 @@ fn fuse_round(f: &mut BFunc) -> bool {
                     _ => None,
                 };
                 if let Some((op, b)) = fused {
-                    f.code[i] = Insn {
-                        op,
-                        a: cur.a | (c.a << 16),
-                        b,
-                    };
+                    f.code[i] = Insn::new(op, cur.a | (c.a << 16), b);
                     keep[i + 1] = false;
                     keep[i + 2] = false;
                     keep[i + 3] = false;
@@ -591,11 +553,7 @@ fn fuse_round(f: &mut BFunc) -> bool {
                 && cur.a < 0x1_0000
                 && b2.a < 0x1_0000
             {
-                f.code[i] = Insn {
-                    op: Op::BinLL,
-                    a: cur.a | (b2.a << 16),
-                    b: f.code[i + 2].a,
-                };
+                f.code[i] = Insn::new(Op::BinLL, cur.a | (b2.a << 16), f.code[i + 2].a);
                 keep[i + 1] = false;
                 keep[i + 2] = false;
                 changed = true;
@@ -608,11 +566,7 @@ fn fuse_round(f: &mut BFunc) -> bool {
                 && cur.a < 0x1_0000
                 && b2.a < 0x1_0000
             {
-                f.code[i] = Insn {
-                    op: Op::BinLC,
-                    a: cur.a | (b2.a << 16),
-                    b: f.code[i + 2].a,
-                };
+                f.code[i] = Insn::new(Op::BinLC, cur.a | (b2.a << 16), f.code[i + 2].a);
                 keep[i + 1] = false;
                 keep[i + 2] = false;
                 changed = true;
@@ -620,11 +574,7 @@ fn fuse_round(f: &mut BFunc) -> bool {
                 continue;
             }
             if b2.op == Op::Ret {
-                f.code[i] = Insn {
-                    op: Op::RetLocal,
-                    a: cur.a,
-                    b: 0,
-                };
+                f.code[i] = Insn::new(Op::RetLocal, cur.a, 0);
                 keep[i + 1] = false;
                 changed = true;
                 i += 2;
@@ -634,11 +584,7 @@ fn fuse_round(f: &mut BFunc) -> bool {
 
         // [Const, StoreLocalPop] → ConstStore (declaration inits).
         if cur.op == Op::Const && follower(1) && f.code[i + 1].op == Op::StoreLocalPop {
-            f.code[i] = Insn {
-                op: Op::ConstStore,
-                a: cur.a,
-                b: f.code[i + 1].a,
-            };
+            f.code[i] = Insn::new(Op::ConstStore, cur.a, f.code[i + 1].a);
             keep[i + 1] = false;
             changed = true;
             i += 2;
@@ -647,11 +593,7 @@ fn fuse_round(f: &mut BFunc) -> bool {
 
         // [LoadIdxLL, StoreLocalPop] → LoadIdxLLStore (`x = a[i]`).
         if cur.op == Op::LoadIdxLL && follower(1) && f.code[i + 1].op == Op::StoreLocalPop {
-            f.code[i] = Insn {
-                op: Op::LoadIdxLLStore,
-                a: cur.a,
-                b: f.code[i + 1].a,
-            };
+            f.code[i] = Insn::new(Op::LoadIdxLLStore, cur.a, f.code[i + 1].a);
             keep[i + 1] = false;
             changed = true;
             i += 2;
@@ -662,6 +604,32 @@ fn fuse_round(f: &mut BFunc) -> bool {
     }
     compact(f, &keep);
     changed
+}
+
+// ---------------------------------------------------------------------------
+// Pass: tick fusion
+// ---------------------------------------------------------------------------
+
+/// `[Step, X] → X·tick`: delete the dispatch that does nothing but count
+/// and let its tick ride on the next instruction. `X` must not be a
+/// leader — another path would reach it without having passed the `Step`
+/// and gain a tick — and must not be a `Step` (a tick carries one span).
+/// Jump targets and region `body_start`s that pointed at the `Step` land
+/// on `X` through [`compact`], so every path that ticked still ticks
+/// exactly once. Runs once, after the last fusion round: no later window
+/// may separate a ticked instruction from its place.
+fn fuse_ticks(f: &mut BFunc) {
+    let lead = leaders(f);
+    let n = f.code.len();
+    let mut keep = vec![true; n];
+    for i in 0..n.saturating_sub(1) {
+        if f.code[i].op == Op::Step && f.code[i + 1].op != Op::Step && !lead[i + 1] {
+            keep[i] = false;
+            f.code[i + 1].tick = true;
+            f.tick_spans.push((i as u32 + 1, f.spans[i]));
+        }
+    }
+    compact(f, &keep);
 }
 
 #[cfg(test)]
@@ -718,33 +686,47 @@ mod tests {
         prog
     }
 
-    /// Smallest fuel budget at which the program completes (threads=1, so
-    /// the trap point is exact: one unit per dispatched instruction).
-    fn min_fuel(prog: &Program, level: u8) -> u64 {
-        let (mut lo, mut hi) = (1u64, 1 << 22);
+    /// Smallest budget in `1..=hi` under which `completes` holds (it is
+    /// monotone: a run that fits a budget fits every larger one).
+    fn smallest_budget(hi: u64, completes: impl Fn(u64) -> bool) -> u64 {
         assert!(
-            prog.run(InterpOptions {
-                fuel: Some(hi),
-                ..opts(level)
-            })
-            .is_ok(),
+            completes(hi),
             "program does not finish inside the search bound"
         );
+        let (mut lo, mut hi) = (0u64, hi);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let ok = prog
-                .run(InterpOptions {
-                    fuel: Some(mid),
-                    ..opts(level)
-                })
-                .is_ok();
-            if ok {
+            if completes(mid) {
                 hi = mid;
             } else {
                 lo = mid + 1;
             }
         }
         lo
+    }
+
+    /// Smallest fuel budget at which the program completes (threads=1, so
+    /// the trap point is exact: one unit per dispatched instruction).
+    fn min_fuel(prog: &Program, level: u8) -> u64 {
+        smallest_budget(1 << 22, |fuel| {
+            prog.run(InterpOptions {
+                fuel: Some(fuel),
+                ..opts(level)
+            })
+            .is_ok()
+        })
+    }
+
+    /// The statement ticks a run performs (threads = 1): the smallest
+    /// `max_steps` it completes under.
+    fn steps_of(prog: &Program, level: u8) -> u64 {
+        smallest_budget(1 << 20, |max_steps| {
+            prog.run(InterpOptions {
+                max_steps,
+                ..opts(level)
+            })
+            .is_ok()
+        })
     }
 
     #[test]
@@ -905,6 +887,222 @@ int main() {
                 );
             }
         }
+    }
+
+    // -- tick fusion ---------------------------------------------------------
+
+    fn main_of(p: &BytecodeProgram) -> &BFunc {
+        &p.funcs[p.by_name["main"] as usize]
+    }
+
+    /// Every ticked instruction has exactly one tick span and vice versa.
+    fn assert_tick_table_matches(f: &BFunc) {
+        let ticked: Vec<u32> = (0..f.code.len() as u32)
+            .filter(|&pc| f.code[pc as usize].tick)
+            .collect();
+        let table: Vec<u32> = f.tick_spans.iter().map(|&(pc, _)| pc).collect();
+        assert_eq!(ticked, table, "{}", f.name);
+    }
+
+    #[test]
+    fn an_instruction_stays_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<Insn>(), 12);
+    }
+
+    #[test]
+    fn level_two_moves_the_tick_onto_the_statement() {
+        let prog = assert_equivalent(
+            "int main() { int a = 1; int b = 2; a = a + b; b = b ^ a; return a + b; }",
+        );
+        let raw = prog.bytecode_at(0);
+        assert_eq!(count_op(&raw, Op::Step), 5);
+        assert!(raw.funcs.iter().all(|f| f.code.iter().all(|i| !i.tick)));
+        // Level 1 folds constants and leaves every `Step` a dispatch.
+        assert_eq!(count_op(&prog.bytecode_at(1), Op::Step), 5);
+        let opt = prog.bytecode_at(2);
+        assert_eq!(count_op(&opt, Op::Step), 0, "{}", opt.dump());
+        let main = main_of(&opt);
+        assert_eq!(main.code.iter().filter(|i| i.tick).count(), 5);
+        assert_tick_table_matches(main);
+        assert_eq!(steps_of(&prog, 2), steps_of(&prog, 0));
+        // The books balance: what level 2 no longer dispatches, it counts.
+        let r = prog.run(opts(2)).expect("runs");
+        assert_eq!(
+            min_fuel(&prog, 0) - min_fuel(&prog, 2),
+            r.counters.insns_folded + r.counters.insns_fused
+        );
+    }
+
+    /// `if … else …; next`: the jump over the else branch targets the
+    /// `Step` of `next`. After fusion it lands on the ticked instruction,
+    /// so the taken and the fall-through path both tick `next` once.
+    #[test]
+    fn a_jump_to_a_fused_step_lands_on_the_ticked_instruction() {
+        let src = "\
+int main() {
+    int x = 0;
+    int y = 0;
+    for (int i = 0; i < 10; i++) {
+        if (i & 1) x = x + i; else x = x - 1;
+        y = y + x;
+    }
+    return (x + y) & 255;
+}
+";
+        let prog = assert_equivalent(src);
+        let opt = prog.bytecode_at(2);
+        let main = main_of(&opt);
+        assert_tick_table_matches(main);
+        let over_else = main
+            .code
+            .iter()
+            .filter(|i| i.op == Op::Jump)
+            .map(|i| i.a as usize)
+            .find(|&t| main.code[t].op == Op::BinLLStore)
+            .unwrap_or_else(|| panic!("no jump onto `y = y + x`:\n{}", opt.dump()));
+        assert!(main.code[over_else].tick, "{}", opt.dump());
+        assert_ne!(main.code[over_else - 1].op, Op::Step, "{}", opt.dump());
+        assert_eq!(steps_of(&prog, 2), steps_of(&prog, 0));
+    }
+
+    #[test]
+    fn a_region_body_that_began_with_a_step_begins_with_the_ticked_instruction() {
+        let src = "\
+int main() {
+    int* a = (int*) malloc(32 * sizeof(int));
+#pragma omp parallel for
+    for (int i = 0; i < 32; i++) a[i] = i * 3;
+    int acc = 0;
+    for (int i = 0; i < 32; i++) acc += a[i];
+    return acc & 255;
+}
+";
+        let prog = program(src);
+        let raw = prog.bytecode_at(0);
+        let raw_main = main_of(&raw);
+        let body = raw_main.regions[0].body_start as usize;
+        assert_eq!(raw_main.code[body].op, Op::Step);
+        let opt = prog.bytecode_at(2);
+        let main = main_of(&opt);
+        let body = main.regions[0].body_start as usize;
+        assert!(main.code[body].tick, "{}", opt.dump());
+        assert_ne!(main.code[body].op, Op::Step);
+        assert_tick_table_matches(main);
+        for threads in [1usize, 4] {
+            let at = |level| InterpOptions {
+                threads,
+                ..opts(level)
+            };
+            let r0 = prog.run(at(0)).expect("raw runs");
+            let r2 = prog.run(at(2)).expect("optimized runs");
+            assert_eq!(r2.exit_code, r0.exit_code, "threads {threads}");
+            assert_eq!(r2.counters.without_memo(), r0.counters.without_memo());
+        }
+        // Each iteration is one tick on a fresh counter: a cap of zero
+        // traps in the body on both, with the body statement's span.
+        let trap = |level| {
+            prog.run(InterpOptions {
+                max_steps: 0,
+                ..opts(level)
+            })
+            .expect_err("no statement may run")
+        };
+        assert_eq!(trap(2).message, trap(0).message);
+        assert_eq!(trap(2).span, trap(0).span);
+    }
+
+    /// A block's own tick and its first statement's are two `Step`s in a
+    /// row: the second rides on the statement, the first stays a
+    /// dispatch. A `Step` in front of a leader (the top of a `while`,
+    /// entered from above and from the back edge) stays too — fusing it
+    /// would tick every iteration.
+    #[test]
+    fn a_step_before_a_step_or_a_leader_stays() {
+        let src = "\
+int main() {
+    int x = 0;
+    { x = x + 1; }
+    while (x < 9) x = x + 2;
+    return x;
+}
+";
+        let prog = assert_equivalent(src);
+        let opt = prog.bytecode_at(2);
+        let main = main_of(&opt);
+        assert_tick_table_matches(main);
+        let steps: Vec<usize> = (0..main.code.len())
+            .filter(|&pc| main.code[pc].op == Op::Step)
+            .collect();
+        assert_eq!(steps.len(), 2, "{}", opt.dump());
+        // The block's: followed by its first statement, now ticked.
+        let block = steps[0];
+        assert!(main.code[block + 1].tick && main.code[block + 1].op == Op::BinLCStore);
+        // The while statement's: followed by the un-ticked loop top that
+        // the back edge jumps to.
+        let top = steps[1] + 1;
+        assert!(!main.code[top].tick, "{}", opt.dump());
+        assert!(main
+            .code
+            .iter()
+            .any(|i| i.op == Op::Jump && i.a as usize == top));
+        assert_eq!(steps_of(&prog, 2), steps_of(&prog, 0));
+    }
+
+    /// The step limit and the memory ceiling fire at the same statement,
+    /// with the same message **and span**, whether the tick is a `Step`
+    /// dispatch or rides on the statement's first instruction.
+    #[test]
+    fn a_fused_tick_traps_where_the_step_did() {
+        let src = "\
+int main() {
+    int a = 1;
+    int b = 2;
+    for (int i = 0; i < 50; i++) {
+        a = a + b;
+        b = b ^ a;
+    }
+    return a & 255;
+}
+";
+        let prog = program(src);
+        let total = steps_of(&prog, 0);
+        assert_eq!(steps_of(&prog, 2), total);
+        for k in 0..total {
+            let trap = |level| {
+                prog.run(InterpOptions {
+                    max_steps: k,
+                    ..opts(level)
+                })
+                .expect_err("below the step count")
+            };
+            let (e0, e2) = (trap(0), trap(2));
+            assert_eq!(e2.message, e0.message, "max_steps {k}");
+            assert_eq!(e2.span, e0.span, "max_steps {k}");
+        }
+        // An array the heap admits and a frame that tips the total over
+        // the cap: the statement after the allocation traps.
+        let mem_src = "\
+int main() {
+    int* p = (int*) malloc(100 * sizeof(int));
+    int x = 1;
+    x = x + 1;
+    return x;
+}
+";
+        let prog = program(mem_src);
+        let trap = |level| {
+            prog.run(InterpOptions {
+                max_memory_bytes: Some(808),
+                ..opts(level)
+            })
+            .expect_err("frame + heap exceed the cap")
+        };
+        let (e0, e2) = (trap(0), trap(2));
+        assert_eq!(e0.trap, Some(crate::interp::Trap::MemoryLimit));
+        assert!(e0.message.contains("interpreter bytes"), "{}", e0.message);
+        assert_eq!(e2.message, e0.message);
+        assert_eq!(e2.span, e0.span);
+        assert_eq!(e2.trap, e0.trap);
     }
 
     #[test]

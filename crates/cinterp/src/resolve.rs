@@ -2066,7 +2066,7 @@ impl<'p> RInterp<'p> {
                     }
                     other => {
                         Counters::bump(&self.s.counters.int_ops);
-                        Scalar::I(-other.as_i64())
+                        Scalar::I(other.as_i64().wrapping_neg())
                     }
                 })
             }

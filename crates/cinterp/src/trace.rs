@@ -334,7 +334,10 @@ mod tests {
             instrument::instant("test.point", 9);
             let _inner = instrument::span("test.chunk", 0);
         }
-        let data = session.finish();
+        let mut data = session.finish();
+        // Other tests of this binary run programs meanwhile and may hold
+        // a span open across the drain: keep what this test recorded.
+        data.events.retain(|e| e.name.starts_with("test."));
         assert!(data.events.len() >= 5);
         let json = chrome_trace_json(&data);
         let stats = validate_chrome_trace(&json).expect("well-formed");

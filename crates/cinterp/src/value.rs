@@ -684,6 +684,13 @@ const TAG_UNINIT: u64 = 0xFFFD;
 
 const PAYLOAD_MASK: u64 = 0x0000_FFFF_FFFF_FFFF;
 
+#[cfg(test)]
+thread_local! {
+    /// Values this thread has spilled, over all pools (unit tests count
+    /// the spills of a 1-thread run with it).
+    pub(crate) static SPILL_PUSHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Overflow side-pool for [`Scalar`]s that do not fit a packed word
 /// inline: integers beyond 48 bits, pointers with huge alloc ids or
 /// offsets, and float bit patterns that collide with the tag window.
@@ -719,7 +726,27 @@ impl SpillPool {
         }
     }
 
+    /// The slow half of every `pack_*`: out of line, so a packing site
+    /// inlines to the fit test and one call. Not `#[cold]` — a loop whose
+    /// values live past ±2⁴⁷ takes it on every result.
+    #[inline(never)]
     fn spill(&self, v: Scalar) -> Packed {
+        self.push(v)
+    }
+
+    /// [`Self::spill`] for a wide int, which arrives in a register: a
+    /// 24-byte `Scalar` argument travels through the caller's stack and
+    /// is read back with one 16-byte load that no single store can
+    /// forward to — a stall on every result of a wide-int loop.
+    #[inline(never)]
+    fn spill_int(&self, i: i64) -> Packed {
+        self.push(Scalar::I(i))
+    }
+
+    #[inline(always)]
+    fn push(&self, v: Scalar) -> Packed {
+        #[cfg(test)]
+        SPILL_PUSHES.with(|n| n.set(n.get() + 1));
         let mut g = self.entries.borrow_mut();
         let idx = g.len() as u64;
         assert!(idx <= PAYLOAD_MASK, "NaN-box spill pool exhausted");
@@ -729,6 +756,16 @@ impl SpillPool {
 
     fn get(&self, idx: u64) -> Scalar {
         self.entries.borrow()[idx as usize]
+    }
+
+    /// The int behind `v`, when `v` is a spill reference to one: a wide
+    /// int's way back onto the VM's int path.
+    #[inline]
+    pub(crate) fn int_at(&self, v: Packed) -> Option<i64> {
+        match self.entries.borrow()[v.spill_index()?] {
+            Scalar::I(i) => Some(i),
+            _ => None,
+        }
     }
 
     /// Direct entry access (compaction).
@@ -810,7 +847,7 @@ impl Packed {
     pub fn pack_i64(i: i64, pool: &SpillPool) -> Packed {
         match Self::try_inline(Scalar::I(i)) {
             Some(p) => p,
-            None => pool.spill(Scalar::I(i)),
+            None => pool.spill_int(i),
         }
     }
 
@@ -871,10 +908,14 @@ impl Packed {
         }
     }
 
-    /// True when the word is a raw (untagged) float.
+    /// The float, when the word is a raw (untagged) float.
     #[inline]
-    pub fn is_inline_float(self) -> bool {
-        !(TAG_INT..=TAG_UNINIT).contains(&(self.0 >> 48))
+    pub fn as_inline_float(self) -> Option<f64> {
+        if (TAG_INT..=TAG_UNINIT).contains(&(self.0 >> 48)) {
+            None
+        } else {
+            Some(f64::from_bits(self.0))
+        }
     }
 
     /// Index into the spill pool, when this word is a spill reference
@@ -1272,7 +1313,7 @@ pub(crate) fn incdec_with_counters(c: &Counters, old: Scalar, delta: i64) -> Sca
         Scalar::P(p) => Scalar::P(p.offset(delta)),
         other => {
             Counters::bump(&c.int_ops);
-            Scalar::I(other.as_i64() + delta)
+            Scalar::I(other.as_i64().wrapping_add(delta))
         }
     }
 }

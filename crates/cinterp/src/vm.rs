@@ -1,7 +1,7 @@
 //! The bytecode VM: third (and fastest) execution tier.
 //!
 //! Executes the flat instruction arrays produced by [`crate::bytecode`]
-//! over NaN-boxed [`Packed`] operands. Four structural choices give this
+//! over NaN-boxed [`Packed`] operands. Five structural choices give this
 //! tier its speed over the resolved tree-walker:
 //!
 //! * **Flat dispatch** — one `loop { match op }` over a contiguous
@@ -22,6 +22,17 @@
 //!   region join (and once at run end), and the pure-call memo cache is
 //!   a per-worker **shard** over a frozen snapshot of the parent's
 //!   entries, merged at join — no lock traffic inside the loop.
+//! * **A dispatch pays for the statement, not for the bookkeeping** —
+//!   the statement tick rides on the statement's first instruction
+//!   ([`Insn::tick`], set by `crate::opt`) instead of being a dispatch
+//!   of its own; the fast paths (int · int, float · float on `+ − × ÷`,
+//!   the tick's count and compares, `++`, loads and stores) are
+//!   `#[inline(always)]` into the loop, and everything else — mixed
+//!   operands, pointer arithmetic, race tracking, the memory-ceiling
+//!   arithmetic, every error constructor, every arm no inner loop lives
+//!   in — sits behind one `#[inline(never)]` call. An int past ±2⁴⁷ is
+//!   still an int: a spilled `Scalar::I` resolves through the pool to the
+//!   same `int_binop`, and its result is spilled once.
 //!
 //! Observable behaviour (exit code, output, executed-op counters modulo
 //! memo statistics, error messages) is bit-identical to the resolved
@@ -53,6 +64,82 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 type RtResult<T> = Result<T, RuntimeError>;
+
+/// Integer semantics of a binary operator — the one copy behind every
+/// int path of the VM and the optimizer's constant evaluator: wrapping
+/// arithmetic, `Err(message)` for a zero divisor.
+#[inline(always)]
+pub(crate) fn int_arith(op: BinOp, a: i64, b: i64) -> Result<i64, &'static str> {
+    use BinOp::*;
+    Ok(match op {
+        Add => a.wrapping_add(b),
+        Sub => a.wrapping_sub(b),
+        Mul => a.wrapping_mul(b),
+        Div => {
+            if b == 0 {
+                return Err("integer division by zero");
+            }
+            a.wrapping_div(b)
+        }
+        Rem => {
+            if b == 0 {
+                return Err("integer modulo by zero");
+            }
+            a.wrapping_rem(b)
+        }
+        Shl => a.wrapping_shl(b as u32),
+        Shr => a.wrapping_shr(b as u32),
+        Lt => i64::from(a < b),
+        Gt => i64::from(a > b),
+        Le => i64::from(a <= b),
+        Ge => i64::from(a >= b),
+        Eq => i64::from(a == b),
+        Ne => i64::from(a != b),
+        BitAnd => a & b,
+        BitXor => a ^ b,
+        BitOr => a | b,
+        And | Or => unreachable!("lowered to jumps"),
+    })
+}
+
+/// `+1` or `-1` of an `IncDec*` flags word.
+#[inline(always)]
+fn incdec_delta(flags: u32) -> i64 {
+    if flags & 1 != 0 {
+        1
+    } else {
+        -1
+    }
+}
+
+// Error construction never happens on a path worth inlining: one call
+// keeps the `String`, the `format!` machinery and the 40-byte error value
+// out of the dispatch loop's frame.
+
+#[cold]
+#[inline(never)]
+fn error_at(msg: &'static str, span: Span) -> RuntimeError {
+    RuntimeError::at(msg, span)
+}
+
+#[cold]
+#[inline(never)]
+fn memory_limit_error(heap: u64, local: u64, limit: u64, span: Span) -> RuntimeError {
+    RuntimeError::trap_at(
+        Trap::MemoryLimit,
+        format!(
+            "memory limit exceeded: {heap} heap + {local} \
+             interpreter bytes over the {limit}-byte cap"
+        ),
+        span,
+    )
+}
+
+#[cold]
+#[inline(never)]
+fn mem_error(e: crate::value::MemError, span: Span) -> RuntimeError {
+    RuntimeError::from_mem(e, span)
+}
 
 // ---------------------------------------------------------------------------
 // Sharded pure-call memo cache
@@ -504,145 +591,228 @@ impl<'p> Vm<'p> {
 
     // -- memory with tallies --------------------------------------------------
 
-    #[inline]
-    fn mem_load(&mut self, p: Ptr, span: Span) -> RtResult<Packed> {
-        self.tally.loads += 1;
+    /// Race-check bookkeeping of one access. Tracking is on only inside
+    /// [`Self::race_check`]'s validation pass, so the hash-set insert
+    /// stays out of the dispatch loop's code.
+    #[cold]
+    #[inline(never)]
+    fn track_access(&mut self, p: Ptr, write: bool) {
         if let Some(t) = &mut self.track {
-            t.reads.insert((p.alloc, p.index));
-        }
-        match self.s.mem.load(p) {
-            Ok(v) => Ok(self.pack(v)),
-            Err(e) => Err(RuntimeError::from_mem(e, span)),
+            let set = if write { &mut t.writes } else { &mut t.reads };
+            set.insert((p.alloc, p.index));
         }
     }
 
-    #[inline]
-    fn mem_store(&mut self, p: Ptr, v: Packed, span: Span) -> RtResult<()> {
+    #[inline(always)]
+    fn mem_load(&mut self, p: Ptr, span: impl Fn() -> Span) -> RtResult<Packed> {
+        self.tally.loads += 1;
+        if self.track.is_some() {
+            self.track_access(p, false);
+        }
+        match self.s.mem.load(p) {
+            Ok(v) => Ok(self.pack(v)),
+            Err(e) => Err(mem_error(e, span())),
+        }
+    }
+
+    #[inline(always)]
+    fn mem_store(&mut self, p: Ptr, v: Packed, span: impl Fn() -> Span) -> RtResult<()> {
         self.tally.stores += 1;
-        if let Some(t) = &mut self.track {
-            t.writes.insert((p.alloc, p.index));
+        if self.track.is_some() {
+            self.track_access(p, true);
         }
         let v = self.unpack(v);
-        self.s
-            .mem
-            .store(p, v)
-            .map_err(|e| RuntimeError::from_mem(e, span))
+        self.s.mem.store(p, v).map_err(|e| mem_error(e, span()))
     }
 
     /// Packed word → pointer for an indexing operation, with the shared
     /// "indexing a non-pointer value" error (`PtrIndex`, `LoadIdxLL`,
     /// `StoreIdxLL`).
-    #[inline]
-    fn index_ptr(&self, v: Packed, span: Span) -> RtResult<Ptr> {
-        if let Some(p) = v.as_inline_ptr() {
-            return Ok(p);
+    #[inline(always)]
+    fn index_ptr(&self, v: Packed, span: impl Fn() -> Span) -> RtResult<Ptr> {
+        self.expect_ptr(v, "indexing a non-pointer value", span)
+    }
+
+    /// Packed word → pointer; `None` when it holds anything else.
+    #[inline(always)]
+    fn as_ptr(&self, v: Packed) -> Option<Ptr> {
+        v.as_inline_ptr().or_else(|| self.spilled_ptr(v))
+    }
+
+    /// Packed word → pointer, or the error `"{what} {value:?}"`.
+    #[inline(always)]
+    fn expect_ptr(&self, v: Packed, what: &'static str, span: impl Fn() -> Span) -> RtResult<Ptr> {
+        match self.as_ptr(v) {
+            Some(p) => Ok(p),
+            None => Err(self.not_a_pointer(what, v, span())),
         }
+    }
+
+    /// A pointer too big for an inline word; `None` when the word is no
+    /// pointer at all.
+    #[cold]
+    #[inline(never)]
+    fn spilled_ptr(&self, v: Packed) -> Option<Ptr> {
         match self.unpack(v) {
-            Scalar::P(p) => Ok(p),
-            other => Err(RuntimeError::at(
-                format!("indexing a non-pointer value {other:?}"),
-                span,
-            )),
+            Scalar::P(p) => Some(p),
+            _ => None,
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn not_a_pointer(&self, what: &str, v: Packed, span: Span) -> RuntimeError {
+        RuntimeError::at(format!("{what} {:?}", self.unpack(v)), span)
     }
 
     /// Pop a value that the compiler guarantees is a pointer (produced by
     /// a `Ptr*` place instruction).
-    #[inline]
+    #[inline(always)]
     fn pop_ptr(&mut self) -> Ptr {
         let v = self.pop();
-        if let Some(p) = v.as_inline_ptr() {
-            return p;
-        }
-        match self.unpack(v) {
-            Scalar::P(p) => p,
-            other => unreachable!("compiler emitted a non-pointer place: {other:?}"),
-        }
+        self.as_ptr(v)
+            .unwrap_or_else(|| unreachable!("compiler emitted a non-pointer place: {v:?}"))
     }
 
     #[inline]
     fn coerce_packed(&self, c: Coerce, v: Packed) -> Packed {
         match c {
             Coerce::None => v,
-            Coerce::ToFloat => {
-                if let Some(i) = v.as_inline_int() {
-                    return self.pack(Scalar::F(i as f64));
-                }
-                match self.unpack(v) {
-                    Scalar::I(i) => self.pack(Scalar::F(i as f64)),
-                    _ => v,
-                }
-            }
-            Coerce::ToInt => {
-                if v.is_inline_float() {
-                    let f = match self.unpack(v) {
-                        Scalar::F(f) => f,
-                        _ => unreachable!("inline float unpacks to F"),
-                    };
-                    return Packed::pack_i64(f as i64, &self.spill);
-                }
-                match self.unpack(v) {
-                    Scalar::F(f) => Packed::pack_i64(f as i64, &self.spill),
-                    _ => v,
-                }
-            }
+            Coerce::ToFloat => match v.as_inline_int() {
+                Some(i) => Packed::pack_f64(i as f64, &self.spill),
+                None => self.coerce_slow(c, v),
+            },
+            Coerce::ToInt => match v.as_inline_float() {
+                Some(f) => Packed::pack_i64(f as i64, &self.spill),
+                None => self.coerce_slow(c, v),
+            },
+        }
+    }
+
+    /// Coercion of anything but the inline int → float and inline float
+    /// → int cases: spilled numbers convert, everything else passes.
+    #[inline(never)]
+    fn coerce_slow(&self, c: Coerce, v: Packed) -> Packed {
+        match (c, self.unpack(v)) {
+            (Coerce::ToFloat, Scalar::I(i)) => self.pack(Scalar::F(i as f64)),
+            (Coerce::ToInt, Scalar::F(f)) => Packed::pack_i64(f as i64, &self.spill),
+            _ => v,
         }
     }
 
     // -- operators ------------------------------------------------------------
+    //
+    // Fast paths are `#[inline(always)]` and hold only what the common
+    // cases execute: int · int through `int_binop` (inline words, or wide
+    // ints read out of the spill pool), inline float · inline float on
+    // `+ − × ÷`. Everything else — pointers, mixed types, `Null` and
+    // `Uninit` operands, error construction — sits behind one
+    // `#[inline(never)]` call, so the dispatch loop pays no call, no
+    // prologue and no `Result` round trip through memory for the
+    // statement `a = a + b`.
 
-    /// Integer fast path of [`Self::binop`]; both operands are inline
-    /// ints. Mirrors the resolved engine's integer branch bit for bit.
-    #[inline]
-    fn int_binop(&mut self, op: BinOp, a: i64, b: i64, span: Span) -> RtResult<Packed> {
-        use BinOp::*;
-        let out = match op {
-            Add => a.wrapping_add(b),
-            Sub => a.wrapping_sub(b),
-            Mul => a.wrapping_mul(b),
-            Div => {
-                if b == 0 {
-                    return Err(RuntimeError::at("integer division by zero", span));
-                }
-                a.wrapping_div(b)
+    /// Integer operator on two `i64`s, inline or resolved through the
+    /// spill pool alike. Mirrors the resolved engine's integer branch bit
+    /// for bit; a wide result is spilled here, once.
+    #[inline(always)]
+    fn int_binop(
+        &mut self,
+        op: BinOp,
+        a: i64,
+        b: i64,
+        span: impl Fn() -> Span,
+    ) -> RtResult<Packed> {
+        match int_arith(op, a, b) {
+            Ok(out) => {
+                self.tally.int_ops += 1;
+                Ok(Packed::pack_i64(out, &self.spill))
             }
-            Rem => {
-                if b == 0 {
-                    return Err(RuntimeError::at("integer modulo by zero", span));
-                }
-                a.wrapping_rem(b)
-            }
-            Shl => a.wrapping_shl(b as u32),
-            Shr => a.wrapping_shr(b as u32),
-            Lt => i64::from(a < b),
-            Gt => i64::from(a > b),
-            Le => i64::from(a <= b),
-            Ge => i64::from(a >= b),
-            Eq => i64::from(a == b),
-            Ne => i64::from(a != b),
-            BitAnd => a & b,
-            BitXor => a ^ b,
-            BitOr => a | b,
-            And | Or => unreachable!("lowered to jumps"),
-        };
-        self.tally.int_ops += 1;
-        Ok(Packed::pack_i64(out, &self.spill))
+            Err(msg) => Err(error_at(msg, span())),
+        }
     }
 
-    #[inline]
-    fn binop(&mut self, op: BinOp, l: Packed, r: Packed, span: Span) -> RtResult<Packed> {
-        if let (Some(a), Some(b)) = (l.as_inline_int(), r.as_inline_int()) {
-            return self.int_binop(op, a, b, span);
+    /// `v` as an int operand: an inline word, or a wide int (past ±2⁴⁷
+    /// it lives in the spill pool, and is still an int).
+    #[inline(always)]
+    fn int_operand(&self, v: Packed) -> Option<i64> {
+        v.as_inline_int().or_else(|| self.spill.int_at(v))
+    }
+
+    #[inline(always)]
+    fn binop(
+        &mut self,
+        op: BinOp,
+        l: Packed,
+        r: Packed,
+        span: impl Fn() -> Span,
+    ) -> RtResult<Packed> {
+        // Inline ints first, then floats, then wide ints — the three
+        // tests in the order programs meet them, with one copy of the
+        // int operators behind the first and the last.
+        let ints = match (l.as_inline_int(), r.as_inline_int()) {
+            (Some(a), Some(b)) => Some((a, b)),
+            _ => {
+                if let (Some(a), Some(b)) = (l.as_inline_float(), r.as_inline_float()) {
+                    let out = match op {
+                        BinOp::Add => a + b,
+                        BinOp::Sub => a - b,
+                        BinOp::Mul => a * b,
+                        BinOp::Div => a / b,
+                        _ => return self.binop_slow(op, l, r, span()),
+                    };
+                    self.tally.flops += 1;
+                    return Ok(Packed::pack_f64(out, &self.spill));
+                }
+                self.int_operand(l).zip(self.int_operand(r))
+            }
+        };
+        match ints {
+            Some((a, b)) => self.int_binop(op, a, b, span),
+            None => self.binop_slow(op, l, r, span()),
         }
+    }
+
+    #[inline(never)]
+    fn binop_slow(&mut self, op: BinOp, l: Packed, r: Packed, span: Span) -> RtResult<Packed> {
         let lv = self.unpack(l);
         let rv = self.unpack(r);
         let s = self.apply_binop(op, lv, rv, span)?;
         Ok(self.pack(s))
     }
 
+    /// `frame slot <op> constant`, the rhs of the `*LC` forms and of a
+    /// constant affine bound.
+    #[inline(always)]
+    fn binop_const(
+        &mut self,
+        op: BinOp,
+        x: Packed,
+        cv: Scalar,
+        span: impl Fn() -> Span,
+    ) -> RtResult<Packed> {
+        if let (Some(a), Scalar::I(b)) = (self.int_operand(x), cv) {
+            return self.int_binop(op, a, b, span);
+        }
+        self.binop_const_slow(op, x, cv, span())
+    }
+
+    #[inline(never)]
+    fn binop_const_slow(
+        &mut self,
+        op: BinOp,
+        x: Packed,
+        cv: Scalar,
+        span: Span,
+    ) -> RtResult<Packed> {
+        let xv = self.unpack(x);
+        let s = self.apply_binop(op, xv, cv, span)?;
+        Ok(self.pack(s))
+    }
+
     /// General binary-operator semantics — a faithful copy of the
     /// resolved engine's `apply_binop` with tally bumps in place of
     /// shared-atomic bumps.
+    #[inline(never)]
     fn apply_binop(&mut self, op: BinOp, lv: Scalar, rv: Scalar, span: Span) -> RtResult<Scalar> {
         use BinOp::*;
         match (lv, rv, op) {
@@ -701,29 +871,34 @@ impl<'p> Vm<'p> {
             self.tally.flops += 1;
             Ok(out)
         } else {
-            let a = lv.as_i64();
-            let b = rv.as_i64();
-            let packed = self.int_binop(op, a, b, span)?;
-            Ok(self.unpack(packed))
+            let out = int_arith(op, lv.as_i64(), rv.as_i64()).map_err(|msg| error_at(msg, span))?;
+            self.tally.int_ops += 1;
+            Ok(Scalar::I(out))
         }
     }
 
-    /// `++`/`--` value transition (shared by the three `IncDec*` ops).
-    #[inline]
+    /// `++`/`--` value transition (shared by the three `IncDec*` ops and
+    /// `AffineNext`).
+    #[inline(always)]
     fn incdec(&mut self, old: Packed, flags: u32) -> Packed {
-        let delta: i64 = if flags & 1 != 0 { 1 } else { -1 };
-        if let Some(i) = old.as_inline_int() {
-            self.tally.int_ops += 1;
-            return Packed::pack_i64(i + delta, &self.spill);
+        match old.as_inline_int() {
+            Some(i) => {
+                self.tally.int_ops += 1;
+                Packed::pack_i64(i.wrapping_add(incdec_delta(flags)), &self.spill)
+            }
+            None => self.incdec_slow(old, flags),
         }
+    }
+
+    #[inline(never)]
+    fn incdec_slow(&mut self, old: Packed, flags: u32) -> Packed {
         let s = self.unpack(old);
         let new = self.incdec_scalar(s, flags);
         self.pack(new)
     }
 
-    #[inline]
     fn incdec_scalar(&mut self, old: Scalar, flags: u32) -> Scalar {
-        let delta: i64 = if flags & 1 != 0 { 1 } else { -1 };
+        let delta = incdec_delta(flags);
         match old {
             Scalar::F(f) => {
                 self.tally.flops += 1;
@@ -732,7 +907,22 @@ impl<'p> Vm<'p> {
             Scalar::P(p) => Scalar::P(p.offset(delta)),
             other => {
                 self.tally.int_ops += 1;
-                Scalar::I(other.as_i64() + delta)
+                Scalar::I(other.as_i64().wrapping_add(delta))
+            }
+        }
+    }
+
+    /// Arithmetic negate of anything but an inline int.
+    #[inline(never)]
+    fn neg_slow(&mut self, v: Packed) -> Packed {
+        match self.unpack(v) {
+            Scalar::F(f) => {
+                self.tally.flops += 1;
+                self.pack(Scalar::F(-f))
+            }
+            other => {
+                self.tally.int_ops += 1;
+                Packed::pack_i64(other.as_i64().wrapping_neg(), &self.spill)
             }
         }
     }
@@ -917,16 +1107,16 @@ impl<'p> Vm<'p> {
     }
 
     /// One statement/iteration tick: step accounting, spill compaction
-    /// at the safe point, memory ceiling. The body of [`Op::Step`], also
-    /// run once per iteration by `AffineHead`/`AffineNext`.
-    #[inline]
-    fn step_tick(&mut self, span: Span) -> RtResult<()> {
+    /// at the safe point, memory ceiling. Run by [`Op::Step`], by an
+    /// instruction that carries a fused tick ([`Insn::tick`]) and once per
+    /// iteration by `AffineHead`/`AffineNext`. Inline: the count, the
+    /// limit compare and the spill-pressure compare; `span` is only
+    /// evaluated when the tick traps.
+    #[inline(always)]
+    fn step_tick(&mut self, span: impl Fn() -> Span) -> RtResult<()> {
         self.steps += 1;
         if self.steps > self.s.opts.max_steps {
-            return Err(RuntimeError::at(
-                "step limit exceeded (infinite loop?)",
-                span,
-            ));
+            return Err(error_at("step limit exceeded (infinite loop?)", span()));
         }
         // Statement boundaries are compaction safe points: the pool's
         // live set is exactly the spill-tagged words in the arena and
@@ -935,33 +1125,37 @@ impl<'p> Vm<'p> {
         if self.spill.len() - self.spill_floor > 1024 + 4 * live {
             self.compact_spills();
         }
-        // Memory ceiling at statement granularity: heap bytes are
-        // charged exactly at `try_alloc`, while this VM's
-        // arena/stack/spill growth is folded in here (at most one
-        // statement of overshoot).
         if let Some(limit) = self.s.mem.limit_bytes() {
-            let local = 8 * (live + self.spill.len()) as u64;
-            let heap = self.s.mem.used_bytes().unwrap_or(0);
-            if heap.saturating_add(local) > limit {
-                return Err(RuntimeError::trap_at(
-                    Trap::MemoryLimit,
-                    format!(
-                        "memory limit exceeded: {heap} heap + {local} \
-                         interpreter bytes over the {limit}-byte cap"
-                    ),
-                    span,
-                ));
+            if let Some((heap, local)) = self.memory_overshoot(limit, live) {
+                return Err(memory_limit_error(heap, local, limit, span()));
             }
         }
         Ok(())
+    }
+
+    /// Memory ceiling at statement granularity: heap bytes are charged
+    /// exactly at `try_alloc`, while this VM's arena/stack/spill growth is
+    /// folded in here (at most one statement of overshoot). Returns the
+    /// `(heap, interpreter)` bytes when together they exceed `limit`.
+    #[inline(never)]
+    fn memory_overshoot(&self, limit: u64, live: usize) -> Option<(u64, u64)> {
+        let local = 8 * (live + self.spill.len()) as u64;
+        let heap = self.s.mem.used_bytes().unwrap_or(0);
+        (heap.saturating_add(local) > limit).then_some((heap, local))
     }
 
     /// Branch-counted bound check shared by `AffineHead`/`AffineNext`:
     /// `frame[a & 0xFFFF] <lt|le> ub` with the rhs re-read every time
     /// (slot or const per `b & 2`), exactly the counter effects of the
     /// literal loop's condition evaluation.
-    #[inline]
-    fn affine_cond(&mut self, f: &BFunc, base: usize, insn: Insn, span: Span) -> RtResult<bool> {
+    #[inline(always)]
+    fn affine_cond(
+        &mut self,
+        f: &BFunc,
+        base: usize,
+        insn: Insn,
+        span: impl Fn() -> Span + Copy,
+    ) -> RtResult<bool> {
         self.tally.branches += 1;
         let op = if insn.b & 1 != 0 {
             BinOp::Le
@@ -970,14 +1164,7 @@ impl<'p> Vm<'p> {
         };
         let x = self.arena[base + (insn.a & 0xFFFF) as usize];
         let out = if insn.b & 2 != 0 {
-            let cv = f.consts[(insn.a >> 16) as usize];
-            if let (Some(a), Scalar::I(b)) = (x.as_inline_int(), cv) {
-                self.int_binop(op, a, b, span)?
-            } else {
-                let xs = self.unpack(x);
-                let s = self.apply_binop(op, xs, cv, span)?;
-                self.pack(s)
-            }
+            self.binop_const(op, x, f.consts[(insn.a >> 16) as usize], span)?
         } else {
             let y = self.arena[base + (insn.a >> 16) as usize];
             self.binop(op, x, y, span)?
@@ -997,38 +1184,40 @@ impl<'p> Vm<'p> {
     /// A/B against fetching at the top of the loop: ~4-5% faster on the
     /// dispatch-bound varaccess bench, within noise on matmul64 /
     /// arraysum / heat (see README tier-3.5 notes).
+    ///
+    /// What is in this function and what is not decides both its speed
+    /// and its native frame — one `exec` frame per interpreted call. In:
+    /// the arms a loop body executes, with their fast paths inlined
+    /// (`binop`, `int_binop`, `step_tick`, `incdec`, `affine_cond`,
+    /// `mem_load`, `mem_store`, `pop_ptr`). Out, behind one call each:
+    /// every slow path (`binop_slow`, spilled pointers, race tracking,
+    /// the memory-ceiling arithmetic), every error constructor, and the
+    /// arms no inner loop lives in ([`Self::exec_rare`]: strings, printf,
+    /// builtins, allocation, regions, futures, global RMWs, error ops).
     fn exec(&mut self, f: &BFunc, base: usize, mut pc: usize) -> RtResult<Packed> {
         let mut insn = f.code[pc];
         loop {
+            // This instruction's span, looked up only where an arm fails
+            // (`pc` itself is reassigned by the jumping arms).
+            let at = pc;
+            let span = move || f.spans[at];
             // Fuel check: one predictable branch and a decrement per
             // dispatch; refills (and the only shared-atomic traffic)
             // happen once per FUEL_BLOCK dispatches in the cold path.
             if self.fuel_local == 0 {
-                self.refill_fuel(f.spans[pc])?;
+                self.refill_fuel(span())?;
             }
             self.fuel_local -= 1;
+            // A second predictable branch: the statement tick of a
+            // `Step` the optimizer deleted rides on this instruction.
+            if insn.tick {
+                self.tally.insns_fused += 1;
+                self.step_tick(move || f.tick_span(at))?;
+            }
             match insn.op {
-                Op::Step => self.step_tick(f.spans[pc])?,
+                Op::Step => self.step_tick(span)?,
                 Op::Const => {
                     let v = self.pack(f.consts[insn.a as usize]);
-                    self.stack.push(v);
-                }
-                Op::StrNew => {
-                    let s = Arc::clone(&f.strings[insn.a as usize]);
-                    let span = f.spans[pc];
-                    let n = s.chars().count();
-                    let p = self
-                        .s
-                        .mem
-                        .try_alloc(n + 1)
-                        .map_err(|e| RuntimeError::from_mem(e, span))?;
-                    for (i, ch) in s.chars().enumerate() {
-                        let v = self.pack(Scalar::I(ch as i64));
-                        self.mem_store(p.offset(i as i64), v, span)?;
-                    }
-                    let nul = self.pack(Scalar::I(0));
-                    self.mem_store(p.offset(n as i64), nul, span)?;
-                    let v = self.pack(Scalar::P(p));
                     self.stack.push(v);
                 }
                 Op::LoadLocal => {
@@ -1065,23 +1254,14 @@ impl<'p> Vm<'p> {
                 Op::Pop => {
                     self.pop();
                 }
-                Op::PushUninit => self.stack.push(Packed::UNINIT),
                 Op::UnaryNeg => {
                     let v = self.pop();
-                    let out = if let Some(i) = v.as_inline_int() {
-                        self.tally.int_ops += 1;
-                        Packed::pack_i64(-i, &self.spill)
-                    } else {
-                        match self.unpack(v) {
-                            Scalar::F(f) => {
-                                self.tally.flops += 1;
-                                self.pack(Scalar::F(-f))
-                            }
-                            other => {
-                                self.tally.int_ops += 1;
-                                Packed::pack_i64(-other.as_i64(), &self.spill)
-                            }
+                    let out = match v.as_inline_int() {
+                        Some(i) => {
+                            self.tally.int_ops += 1;
+                            Packed::pack_i64(i.wrapping_neg(), &self.spill)
                         }
+                        None => self.neg_slow(v),
                     };
                     self.stack.push(out);
                 }
@@ -1090,158 +1270,81 @@ impl<'p> Vm<'p> {
                     let out = Packed::pack_i64(i64::from(!self.truthy(v)), &self.spill);
                     self.stack.push(out);
                 }
-                Op::UnaryBitNot => {
-                    let v = self.pop();
-                    let out = Packed::pack_i64(!self.to_i64(v), &self.spill);
-                    self.stack.push(out);
-                }
                 Op::DerefLoad => {
                     let v = self.pop();
-                    let p = if let Some(p) = v.as_inline_ptr() {
-                        p
-                    } else {
-                        match self.unpack(v) {
-                            Scalar::P(p) => p,
-                            other => {
-                                return Err(RuntimeError::at(
-                                    format!("dereference of non-pointer {other:?}"),
-                                    f.spans[pc],
-                                ))
-                            }
-                        }
-                    };
-                    let v = self.mem_load(p, f.spans[pc])?;
+                    let p = self.expect_ptr(v, "dereference of non-pointer", span)?;
+                    let v = self.mem_load(p, span)?;
                     self.stack.push(v);
                 }
                 Op::Binary => {
                     let r = self.pop();
                     let l = self.pop();
-                    let out = self.binop(binop_decode(insn.a), l, r, f.spans[pc])?;
+                    let out = self.binop(binop_decode(insn.a), l, r, span)?;
                     self.stack.push(out);
                 }
                 Op::BinLL => {
                     let x = self.arena[base + (insn.a & 0xFFFF) as usize];
                     let y = self.arena[base + (insn.a >> 16) as usize];
-                    let out = self.binop(binop_decode(insn.b), x, y, f.spans[pc])?;
+                    let out = self.binop(binop_decode(insn.b), x, y, span)?;
                     self.stack.push(out);
                 }
                 Op::BinLC => {
                     let x = self.arena[base + (insn.a & 0xFFFF) as usize];
                     let cv = f.consts[(insn.a >> 16) as usize];
-                    let op = binop_decode(insn.b);
-                    let out = if let (Some(a), Scalar::I(b)) = (x.as_inline_int(), cv) {
-                        self.int_binop(op, a, b, f.spans[pc])?
-                    } else {
-                        let xs = self.unpack(x);
-                        let s = self.apply_binop(op, xs, cv, f.spans[pc])?;
-                        self.pack(s)
-                    };
+                    let out = self.binop_const(binop_decode(insn.b), x, cv, span)?;
                     self.stack.push(out);
                 }
                 Op::PtrIndex => {
                     let iv = self.pop();
                     let bv = self.pop();
                     let i = self.to_i64(iv);
-                    let p = self.index_ptr(bv, f.spans[pc])?;
+                    let p = self.index_ptr(bv, span)?;
                     let out = Packed::pack_ptr(p.offset(i), &self.spill);
                     self.stack.push(out);
                 }
                 Op::PtrDeref => {
                     let v = self.pop();
-                    match (v.as_inline_ptr(), self.unpack(v)) {
-                        (Some(_), _) | (_, Scalar::P(_)) => self.stack.push(v),
-                        _ => {
-                            return Err(RuntimeError::at("dereference of non-pointer", f.spans[pc]))
-                        }
+                    if self.as_ptr(v).is_none() {
+                        return Err(error_at("dereference of non-pointer", span()));
                     }
+                    self.stack.push(v);
                 }
                 Op::PtrMember => {
                     let v = self.pop();
-                    let p = if let Some(p) = v.as_inline_ptr() {
-                        p
-                    } else {
-                        match self.unpack(v) {
-                            Scalar::P(p) => p,
-                            _ => {
-                                return Err(RuntimeError::at(
-                                    "member access on non-struct",
-                                    f.spans[pc],
-                                ))
-                            }
-                        }
+                    let Some(p) = self.as_ptr(v) else {
+                        return Err(error_at("member access on non-struct", span()));
                     };
                     let out = Packed::pack_ptr(p.offset(insn.a as i64), &self.spill);
                     self.stack.push(out);
                 }
                 Op::LoadMem => {
                     let p = self.pop_ptr();
-                    let v = self.mem_load(p, f.spans[pc])?;
+                    let v = self.mem_load(p, span)?;
                     self.stack.push(v);
                 }
                 Op::StoreMem => {
                     let p = self.pop_ptr();
                     let v = self.pop();
-                    self.mem_store(p, v, f.spans[pc])?;
+                    self.mem_store(p, v, span)?;
                     if insn.b == 0 {
                         self.stack.push(v);
                     }
                 }
-                Op::LoadIdxConst => {
-                    let p = self.pop_ptr();
-                    let v = self.mem_load(p.offset(insn.a as i64), f.spans[pc])?;
-                    self.stack.push(v);
-                }
-                Op::SkipUnlessPtr => {
-                    let top = *self.stack.last().expect("operand stack underflow");
-                    let is_ptr =
-                        top.as_inline_ptr().is_some() || matches!(self.unpack(top), Scalar::P(_));
-                    if !is_ptr {
-                        self.pop();
-                        pc = insn.a as usize;
-                        insn = f.code[pc];
-                        continue;
-                    }
-                }
-                Op::StoreIdxConst => {
-                    let v = self.pop();
-                    let p = self.pop_ptr();
-                    self.mem_store(p.offset(insn.a as i64), v, f.spans[pc])?;
-                }
                 Op::CompoundLocal => {
                     let rv = self.pop();
                     let old = self.arena[base + insn.a as usize];
-                    let res = self.binop(binop_decode(insn.b & 0xFF), old, rv, f.spans[pc])?;
+                    let res = self.binop(binop_decode(insn.b & 0xFF), old, rv, span)?;
                     self.arena[base + insn.a as usize] = res;
                     if insn.b & 0x100 == 0 {
-                        self.stack.push(res);
-                    }
-                }
-                Op::CompoundGlobal => {
-                    let rv = self.pop();
-                    let rv = self.unpack(rv);
-                    let op = binop_decode(insn.b & 0xFF);
-                    let span = f.spans[pc];
-                    // One atomic RMW — the old read-guard/write-guard
-                    // pair let a concurrent RMW slip between the two and
-                    // lose an update. The CAS may retry `apply_binop`;
-                    // the tally snapshot keeps it counted exactly once.
-                    let globals = Arc::clone(&self.s.globals);
-                    let saved_tally = self.tally;
-                    let (_, res) = globals.rmw(insn.a as usize, |old| {
-                        self.tally = saved_tally;
-                        self.apply_binop(op, old, rv, span)
-                    })?;
-                    if insn.b & 0x100 == 0 {
-                        let res = self.pack(res);
                         self.stack.push(res);
                     }
                 }
                 Op::CompoundMem => {
                     let p = self.pop_ptr();
                     let rv = self.pop();
-                    let old = self.mem_load(p, f.spans[pc])?;
-                    let res = self.binop(binop_decode(insn.a), old, rv, f.spans[pc])?;
-                    self.mem_store(p, res, f.spans[pc])?;
+                    let old = self.mem_load(p, span)?;
+                    let res = self.binop(binop_decode(insn.a), old, rv, span)?;
+                    self.mem_store(p, res, span)?;
                     if insn.b == 0 {
                         self.stack.push(res);
                     }
@@ -1254,25 +1357,11 @@ impl<'p> Vm<'p> {
                         self.stack.push(if insn.b & 2 != 0 { new } else { old });
                     }
                 }
-                Op::IncDecGlobal => {
-                    // Atomic `++`/`--` via CAS (same torn-RMW fix as
-                    // `CompoundGlobal`); tally snapshot absorbs retries.
-                    let globals = Arc::clone(&self.s.globals);
-                    let saved_tally = self.tally;
-                    let (old, new) = globals.rmw(insn.a as usize, |old| {
-                        self.tally = saved_tally;
-                        Ok::<_, RuntimeError>(self.incdec_scalar(old, insn.b))
-                    })?;
-                    if insn.b & 4 == 0 {
-                        let out = self.pack(if insn.b & 2 != 0 { new } else { old });
-                        self.stack.push(out);
-                    }
-                }
                 Op::IncDecMem => {
                     let p = self.pop_ptr();
-                    let old = self.mem_load(p, f.spans[pc])?;
+                    let old = self.mem_load(p, span)?;
                     let new = self.incdec(old, insn.b);
-                    self.mem_store(p, new, f.spans[pc])?;
+                    self.mem_store(p, new, span)?;
                     if insn.b & 4 == 0 {
                         self.stack.push(if insn.b & 2 != 0 { new } else { old });
                     }
@@ -1315,205 +1404,43 @@ impl<'p> Vm<'p> {
                     self.stack.push(out);
                 }
                 Op::CallUser => {
-                    self.call_user(insn.a, insn.b as usize, f.spans[pc])?;
-                }
-                Op::CallBuiltin => {
-                    self.tally.calls += 1;
-                    let nargs = insn.b as usize;
-                    let argbase = self.stack.len() - nargs;
-                    let mut args = Vec::with_capacity(nargs);
-                    for v in &self.stack[argbase..] {
-                        args.push(v.unpack(&self.spill));
-                    }
-                    self.stack.truncate(argbase);
-                    let name = self.prog.interner.resolve(Symbol(insn.a));
-                    let mut out = String::new();
-                    match call_builtin(name, &args, &self.s.mem, &mut out) {
-                        Some(Ok(v)) => {
-                            if !out.is_empty() {
-                                self.s.output.lock().push_str(&out);
-                            }
-                            let v = self.pack(v);
-                            self.stack.push(v);
-                        }
-                        Some(Err(e)) => return Err(RuntimeError::from_mem(e, f.spans[pc])),
-                        None => {
-                            return Err(RuntimeError::at(
-                                format!("call to undefined function '{name}'"),
-                                f.spans[pc],
-                            ))
-                        }
-                    }
-                }
-                Op::Printf => {
-                    let span = f.spans[pc];
-                    let nargs = insn.b as usize;
-                    let argbase = self.stack.len() - nargs;
-                    let mut args = Vec::with_capacity(nargs);
-                    for v in &self.stack[argbase..] {
-                        args.push(v.unpack(&self.spill));
-                    }
-                    self.stack.truncate(argbase);
-                    let fmt: String = if insn.a != u32::MAX {
-                        f.strings[insn.a as usize].to_string()
-                    } else {
-                        let fv = self.pop();
-                        let mut p = match self.unpack(fv) {
-                            Scalar::P(p) => p,
-                            _ => {
-                                return Err(RuntimeError::at("printf format is not a string", span))
-                            }
-                        };
-                        let mut s = String::new();
-                        loop {
-                            let ch = self.mem_load(p, span)?;
-                            match self.unpack(ch) {
-                                Scalar::I(0) => break,
-                                Scalar::I(c) => {
-                                    s.push(char::from_u32(c as u32).unwrap_or('?'));
-                                    p = p.offset(1);
-                                }
-                                _ => break,
-                            }
-                        }
-                        s
-                    };
-                    let rendered = format_printf(&fmt, &args, &self.s.mem);
-                    self.s.output.lock().push_str(&rendered);
-                    let out = Packed::pack_i64(rendered.len() as i64, &self.spill);
-                    self.stack.push(out);
-                }
-                Op::AllocArray => {
-                    let ndims = insn.a as usize;
-                    let dimbase = self.stack.len() - ndims;
-                    let mut dims = Vec::with_capacity(ndims);
-                    for i in 0..ndims {
-                        let v = self.stack[dimbase + i];
-                        dims.push(self.to_i64(v).max(0) as usize);
-                    }
-                    self.stack.truncate(dimbase);
-                    let p = self.alloc_array(&dims, f.spans[pc])?;
-                    let out = self.pack(Scalar::P(p));
-                    self.stack.push(out);
-                }
-                Op::AllocStruct => {
-                    let p = self
-                        .s
-                        .mem
-                        .try_alloc(insn.a as usize)
-                        .map_err(|e| RuntimeError::from_mem(e, f.spans[pc]))?;
-                    let out = self.pack(Scalar::P(p));
-                    self.stack.push(out);
+                    self.call_user(insn.a, insn.b as usize, span())?;
                 }
                 Op::LoadIdxLL => {
                     let bv = self.arena[base + (insn.a & 0xFFFF) as usize];
                     let iv = self.arena[base + (insn.a >> 16) as usize];
                     let i = self.to_i64(iv);
-                    let p = self.index_ptr(bv, f.spans[pc])?;
-                    let v = self.mem_load(p.offset(i), f.spans[pc])?;
+                    let p = self.index_ptr(bv, span)?;
+                    let v = self.mem_load(p.offset(i), span)?;
                     self.stack.push(v);
                 }
                 Op::StoreIdxLL => {
                     let bv = self.arena[base + (insn.a & 0xFFFF) as usize];
                     let iv = self.arena[base + (insn.a >> 16) as usize];
                     let i = self.to_i64(iv);
-                    let p = self.index_ptr(bv, f.spans[pc])?;
+                    let p = self.index_ptr(bv, span)?;
                     let v = if insn.b == 0 {
                         *self.stack.last().expect("operand stack underflow")
                     } else {
                         self.pop()
                     };
-                    self.mem_store(p.offset(i), v, f.spans[pc])?;
+                    self.mem_store(p.offset(i), v, span)?;
                 }
                 Op::CompoundIdxLL => {
                     let rv = self.pop();
                     let bv = self.arena[base + (insn.a & 0xFFFF) as usize];
                     let iv = self.arena[base + (insn.a >> 16) as usize];
                     let i = self.to_i64(iv);
-                    let p = self.index_ptr(bv, f.spans[pc])?.offset(i);
-                    let old = self.mem_load(p, f.spans[pc])?;
-                    let res = self.binop(binop_decode(insn.b & 0xFF), old, rv, f.spans[pc])?;
-                    self.mem_store(p, res, f.spans[pc])?;
+                    let p = self.index_ptr(bv, span)?.offset(i);
+                    let old = self.mem_load(p, span)?;
+                    let res = self.binop(binop_decode(insn.b & 0xFF), old, rv, span)?;
+                    self.mem_store(p, res, span)?;
                     if insn.b & 0x100 == 0 {
                         self.stack.push(res);
                     }
                 }
-                Op::SpawnPure => {
-                    let sp = f.spawns[insn.a as usize];
-                    self.exec_spawn(sp, base, f.spans[pc])?;
-                }
-                Op::AwaitSlot => {
-                    let abs = base + insn.a as usize;
-                    if let Some(pos) = self.pending.0.iter().rposition(|p| p.abs == abs) {
-                        let p = self.pending.0.remove(pos);
-                        let res = match p.fut.cancel() {
-                            Ok(()) => {
-                                // Nobody claimed the task between spawn
-                                // and await: revoke it and run the call
-                                // inline on this VM — the spawn costs
-                                // one push and two CASes, nothing more.
-                                // (Still counted only in futures_spawned;
-                                // futures_inlined is reserved for sites
-                                // the admission throttle bounced.)
-                                let span = f.spans[pc];
-                                let nargs = p.args.len();
-                                for a in &p.args {
-                                    let v = self.pack(*a);
-                                    self.stack.push(v);
-                                }
-                                self.call_user(p.fid, nargs, span).map(|()| {
-                                    let v = self.pop();
-                                    let v = self.coerce_packed(p.coerce, v);
-                                    self.arena[p.abs] = v;
-                                })
-                            }
-                            Err(fut) => {
-                                let (out, report) = fut.wait();
-                                if report.helped {
-                                    self.tally.futures_helped += 1;
-                                    instrument::instant("future.help", p.fid as u64);
-                                }
-                                if report.stolen {
-                                    self.tally.tasks_stolen += 1;
-                                }
-                                self.absorb_future(out, p.abs, p.coerce)
-                            }
-                        };
-                        if let Err(e) = res {
-                            // Drain the batch's (and any outer frame's)
-                            // remaining futures before failing, like the
-                            // resolved engine's exec_await: no task may
-                            // outlive the run on the shared pool.
-                            self.pending.drain();
-                            return Err(e);
-                        }
-                    }
-                    // No entry: the spawn resolved inline (futures off,
-                    // memo hit, or saturation) — the slot is already set.
-                }
-                Op::OmpRegion => {
-                    let r = f.regions[insn.a as usize];
-                    self.region(f, base, &r)?;
-                    pc = r.end as usize + 1;
-                    insn = f.code[pc];
-                    continue;
-                }
                 Op::RegionEnd => return Ok(Packed::ZERO),
                 Op::Ret => return Ok(self.pop()),
-                Op::Err => {
-                    return Err(RuntimeError::at(
-                        f.errs[insn.a as usize].clone(),
-                        f.spans[pc],
-                    ))
-                }
-                Op::MemberUnknownErr => {
-                    let v = self.pop();
-                    let msg = match self.unpack(v) {
-                        Scalar::P(_) => f.errs[insn.a as usize].clone(),
-                        _ => "member access on non-struct".to_string(),
-                    };
-                    return Err(RuntimeError::at(msg, f.spans[pc]));
-                }
 
                 // ---- tier-3.5 superinstructions (emitted only by
                 // `crate::opt`). Each replicates the exact counted
@@ -1535,21 +1462,14 @@ impl<'p> Vm<'p> {
                     self.tally.insns_fused += 1;
                     let x = self.arena[base + (insn.a & 0xFFFF) as usize];
                     let y = self.arena[base + (insn.a >> 16) as usize];
-                    let out = self.binop(binop_decode(insn.b & 0xFF), x, y, f.spans[pc])?;
+                    let out = self.binop(binop_decode(insn.b & 0xFF), x, y, span)?;
                     self.arena[base + (insn.b >> 16) as usize] = out;
                 }
                 Op::BinLCStore => {
                     self.tally.insns_fused += 1;
                     let x = self.arena[base + (insn.a & 0xFFFF) as usize];
                     let cv = f.consts[(insn.a >> 16) as usize];
-                    let op = binop_decode(insn.b & 0xFF);
-                    let out = if let (Some(a), Scalar::I(b)) = (x.as_inline_int(), cv) {
-                        self.int_binop(op, a, b, f.spans[pc])?
-                    } else {
-                        let xs = self.unpack(x);
-                        let s = self.apply_binop(op, xs, cv, f.spans[pc])?;
-                        self.pack(s)
-                    };
+                    let out = self.binop_const(binop_decode(insn.b & 0xFF), x, cv, span)?;
                     self.arena[base + (insn.b >> 16) as usize] = out;
                 }
                 Op::LoadIdxLLStore => {
@@ -1557,8 +1477,8 @@ impl<'p> Vm<'p> {
                     let bv = self.arena[base + (insn.a & 0xFFFF) as usize];
                     let iv = self.arena[base + (insn.a >> 16) as usize];
                     let i = self.to_i64(iv);
-                    let p = self.index_ptr(bv, f.spans[pc])?;
-                    let v = self.mem_load(p.offset(i), f.spans[pc])?;
+                    let p = self.index_ptr(bv, span)?;
+                    let v = self.mem_load(p.offset(i), span)?;
                     self.arena[base + insn.b as usize] = v;
                 }
                 Op::LoadIdxLC => {
@@ -1566,28 +1486,22 @@ impl<'p> Vm<'p> {
                     let bv = self.arena[base + (insn.a & 0xFFFF) as usize];
                     // The fusion pass only forms this with an integer
                     // index constant.
-                    let i = match f.consts[(insn.a >> 16) as usize] {
-                        Scalar::I(x) => x,
-                        other => other.as_i64(),
-                    };
-                    let p = self.index_ptr(bv, f.spans[pc])?;
-                    let v = self.mem_load(p.offset(i), f.spans[pc])?;
+                    let i = f.consts[(insn.a >> 16) as usize].as_i64();
+                    let p = self.index_ptr(bv, span)?;
+                    let v = self.mem_load(p.offset(i), span)?;
                     self.stack.push(v);
                 }
                 Op::StoreIdxLC => {
                     self.tally.insns_fused += 3;
                     let bv = self.arena[base + (insn.a & 0xFFFF) as usize];
-                    let i = match f.consts[(insn.a >> 16) as usize] {
-                        Scalar::I(x) => x,
-                        other => other.as_i64(),
-                    };
-                    let p = self.index_ptr(bv, f.spans[pc])?;
+                    let i = f.consts[(insn.a >> 16) as usize].as_i64();
+                    let p = self.index_ptr(bv, span)?;
                     let v = if insn.b == 0 {
                         *self.stack.last().expect("operand stack underflow")
                     } else {
                         self.pop()
                     };
-                    self.mem_store(p.offset(i), v, f.spans[pc])?;
+                    self.mem_store(p.offset(i), v, span)?;
                 }
                 Op::BrCmpLL => {
                     self.tally.insns_fused += 1 + ((insn.b >> 5) & 1) as u64;
@@ -1596,7 +1510,7 @@ impl<'p> Vm<'p> {
                     }
                     let x = self.arena[base + (insn.a & 0xFFFF) as usize];
                     let y = self.arena[base + (insn.a >> 16) as usize];
-                    let out = self.binop(binop_decode(insn.b & 0xF), x, y, f.spans[pc])?;
+                    let out = self.binop(binop_decode(insn.b & 0xF), x, y, span)?;
                     if self.truthy(out) == ((insn.b >> 4) & 1 == 1) {
                         pc = (insn.b >> 6) as usize;
                         insn = f.code[pc];
@@ -1610,14 +1524,7 @@ impl<'p> Vm<'p> {
                     }
                     let x = self.arena[base + (insn.a & 0xFFFF) as usize];
                     let cv = f.consts[(insn.a >> 16) as usize];
-                    let op = binop_decode(insn.b & 0xF);
-                    let out = if let (Some(a), Scalar::I(b)) = (x.as_inline_int(), cv) {
-                        self.int_binop(op, a, b, f.spans[pc])?
-                    } else {
-                        let xs = self.unpack(x);
-                        let s = self.apply_binop(op, xs, cv, f.spans[pc])?;
-                        self.pack(s)
-                    };
+                    let out = self.binop_const(binop_decode(insn.b & 0xF), x, cv, span)?;
                     if self.truthy(out) == ((insn.b >> 4) & 1 == 1) {
                         pc = (insn.b >> 6) as usize;
                         insn = f.code[pc];
@@ -1630,8 +1537,8 @@ impl<'p> Vm<'p> {
                 }
                 Op::AffineHead => {
                     // Entry check, once per loop: tick + branch + bound.
-                    self.step_tick(f.spans[pc])?;
-                    if !self.affine_cond(f, base, insn, f.spans[pc])? {
+                    self.step_tick(span)?;
+                    if !self.affine_cond(f, base, insn, span)? {
                         pc = (insn.b >> 2) as usize;
                         insn = f.code[pc];
                         continue;
@@ -1645,17 +1552,259 @@ impl<'p> Vm<'p> {
                     let old = self.arena[islot];
                     let new = self.incdec(old, 1);
                     self.arena[islot] = new;
-                    self.step_tick(f.spans[pc])?;
-                    if self.affine_cond(f, base, insn, f.spans[pc])? {
+                    self.step_tick(span)?;
+                    if self.affine_cond(f, base, insn, span)? {
                         pc = (insn.b >> 2) as usize;
                         insn = f.code[pc];
                         continue;
                     }
                 }
+                _ => {
+                    pc = self.exec_rare(f, base, pc, insn)?;
+                    insn = f.code[pc];
+                    continue;
+                }
             }
             pc += 1;
             insn = f.code[pc];
         }
+    }
+
+    /// The arms no inner loop lives in, out of [`Self::exec`]'s way: each
+    /// builds strings, vectors or error values, or calls into the runtime,
+    /// and together they were three quarters of `exec`'s native frame.
+    /// Returns the next `pc`.
+    #[inline(never)]
+    fn exec_rare(&mut self, f: &BFunc, base: usize, pc: usize, insn: Insn) -> RtResult<usize> {
+        let span = f.spans[pc];
+        match insn.op {
+            Op::StrNew => {
+                let s = Arc::clone(&f.strings[insn.a as usize]);
+                let n = s.chars().count();
+                let p = self
+                    .s
+                    .mem
+                    .try_alloc(n + 1)
+                    .map_err(|e| RuntimeError::from_mem(e, span))?;
+                for (i, ch) in s.chars().enumerate() {
+                    let v = self.pack(Scalar::I(ch as i64));
+                    self.mem_store(p.offset(i as i64), v, || span)?;
+                }
+                let nul = self.pack(Scalar::I(0));
+                self.mem_store(p.offset(n as i64), nul, || span)?;
+                let v = self.pack(Scalar::P(p));
+                self.stack.push(v);
+            }
+            Op::PushUninit => self.stack.push(Packed::UNINIT),
+            Op::UnaryBitNot => {
+                let v = self.pop();
+                let out = Packed::pack_i64(!self.to_i64(v), &self.spill);
+                self.stack.push(out);
+            }
+            Op::LoadIdxConst => {
+                let p = self.pop_ptr();
+                let v = self.mem_load(p.offset(insn.a as i64), || span)?;
+                self.stack.push(v);
+            }
+            Op::SkipUnlessPtr => {
+                let top = *self.stack.last().expect("operand stack underflow");
+                if self.as_ptr(top).is_none() {
+                    self.pop();
+                    return Ok(insn.a as usize);
+                }
+            }
+            Op::StoreIdxConst => {
+                let v = self.pop();
+                let p = self.pop_ptr();
+                self.mem_store(p.offset(insn.a as i64), v, || span)?;
+            }
+            Op::CompoundGlobal => {
+                let rv = self.pop();
+                let rv = self.unpack(rv);
+                let op = binop_decode(insn.b & 0xFF);
+                // One atomic RMW — the old read-guard/write-guard
+                // pair let a concurrent RMW slip between the two and
+                // lose an update. The CAS may retry `apply_binop`;
+                // the tally snapshot keeps it counted exactly once.
+                let globals = Arc::clone(&self.s.globals);
+                let saved_tally = self.tally;
+                let (_, res) = globals.rmw(insn.a as usize, |old| {
+                    self.tally = saved_tally;
+                    self.apply_binop(op, old, rv, span)
+                })?;
+                if insn.b & 0x100 == 0 {
+                    let res = self.pack(res);
+                    self.stack.push(res);
+                }
+            }
+            Op::IncDecGlobal => {
+                // Atomic `++`/`--` via CAS (same torn-RMW fix as
+                // `CompoundGlobal`); tally snapshot absorbs retries.
+                let globals = Arc::clone(&self.s.globals);
+                let saved_tally = self.tally;
+                let (old, new) = globals.rmw(insn.a as usize, |old| {
+                    self.tally = saved_tally;
+                    Ok::<_, RuntimeError>(self.incdec_scalar(old, insn.b))
+                })?;
+                if insn.b & 4 == 0 {
+                    let out = self.pack(if insn.b & 2 != 0 { new } else { old });
+                    self.stack.push(out);
+                }
+            }
+            Op::CallBuiltin => {
+                self.tally.calls += 1;
+                let nargs = insn.b as usize;
+                let argbase = self.stack.len() - nargs;
+                let mut args = Vec::with_capacity(nargs);
+                for v in &self.stack[argbase..] {
+                    args.push(v.unpack(&self.spill));
+                }
+                self.stack.truncate(argbase);
+                let name = self.prog.interner.resolve(Symbol(insn.a));
+                let mut out = String::new();
+                match call_builtin(name, &args, &self.s.mem, &mut out) {
+                    Some(Ok(v)) => {
+                        if !out.is_empty() {
+                            self.s.output.lock().push_str(&out);
+                        }
+                        let v = self.pack(v);
+                        self.stack.push(v);
+                    }
+                    Some(Err(e)) => return Err(RuntimeError::from_mem(e, span)),
+                    None => {
+                        return Err(RuntimeError::at(
+                            format!("call to undefined function '{name}'"),
+                            span,
+                        ))
+                    }
+                }
+            }
+            Op::Printf => {
+                let nargs = insn.b as usize;
+                let argbase = self.stack.len() - nargs;
+                let mut args = Vec::with_capacity(nargs);
+                for v in &self.stack[argbase..] {
+                    args.push(v.unpack(&self.spill));
+                }
+                self.stack.truncate(argbase);
+                let fmt: String = if insn.a != u32::MAX {
+                    f.strings[insn.a as usize].to_string()
+                } else {
+                    let fv = self.pop();
+                    let mut p = match self.unpack(fv) {
+                        Scalar::P(p) => p,
+                        _ => return Err(RuntimeError::at("printf format is not a string", span)),
+                    };
+                    let mut s = String::new();
+                    loop {
+                        let ch = self.mem_load(p, || span)?;
+                        match self.unpack(ch) {
+                            Scalar::I(0) => break,
+                            Scalar::I(c) => {
+                                s.push(char::from_u32(c as u32).unwrap_or('?'));
+                                p = p.offset(1);
+                            }
+                            _ => break,
+                        }
+                    }
+                    s
+                };
+                let rendered = format_printf(&fmt, &args, &self.s.mem);
+                self.s.output.lock().push_str(&rendered);
+                let out = Packed::pack_i64(rendered.len() as i64, &self.spill);
+                self.stack.push(out);
+            }
+            Op::AllocArray => {
+                let ndims = insn.a as usize;
+                let dimbase = self.stack.len() - ndims;
+                let mut dims = Vec::with_capacity(ndims);
+                for i in 0..ndims {
+                    let v = self.stack[dimbase + i];
+                    dims.push(self.to_i64(v).max(0) as usize);
+                }
+                self.stack.truncate(dimbase);
+                let p = self.alloc_array(&dims, span)?;
+                let out = self.pack(Scalar::P(p));
+                self.stack.push(out);
+            }
+            Op::AllocStruct => {
+                let p = self
+                    .s
+                    .mem
+                    .try_alloc(insn.a as usize)
+                    .map_err(|e| RuntimeError::from_mem(e, span))?;
+                let out = self.pack(Scalar::P(p));
+                self.stack.push(out);
+            }
+            Op::SpawnPure => {
+                let sp = f.spawns[insn.a as usize];
+                self.exec_spawn(sp, base, span)?;
+            }
+            Op::AwaitSlot => self.await_slot(base + insn.a as usize, span)?,
+            Op::OmpRegion => {
+                let r = f.regions[insn.a as usize];
+                self.region(f, base, &r)?;
+                return Ok(r.end as usize + 1);
+            }
+            Op::Err => return Err(RuntimeError::at(f.errs[insn.a as usize].clone(), span)),
+            Op::MemberUnknownErr => {
+                let v = self.pop();
+                let msg = match self.unpack(v) {
+                    Scalar::P(_) => f.errs[insn.a as usize].clone(),
+                    _ => "member access on non-struct".to_string(),
+                };
+                return Err(RuntimeError::at(msg, span));
+            }
+            other => unreachable!("{other:?} is dispatched by exec"),
+        }
+        Ok(pc + 1)
+    }
+
+    /// Force the future pending on absolute arena slot `abs`, if any
+    /// ([`Op::AwaitSlot`]). No entry: the spawn resolved inline (futures
+    /// off, memo hit, or saturation) — the slot is already set.
+    fn await_slot(&mut self, abs: usize, span: Span) -> RtResult<()> {
+        let Some(pos) = self.pending.0.iter().rposition(|p| p.abs == abs) else {
+            return Ok(());
+        };
+        let p = self.pending.0.remove(pos);
+        let res = match p.fut.cancel() {
+            Ok(()) => {
+                // Nobody claimed the task between spawn and await: revoke
+                // it and run the call inline on this VM — the spawn costs
+                // one push and two CASes, nothing more. (Still counted
+                // only in futures_spawned; futures_inlined is reserved
+                // for sites the admission throttle bounced.)
+                let nargs = p.args.len();
+                for a in &p.args {
+                    let v = self.pack(*a);
+                    self.stack.push(v);
+                }
+                self.call_user(p.fid, nargs, span).map(|()| {
+                    let v = self.pop();
+                    let v = self.coerce_packed(p.coerce, v);
+                    self.arena[p.abs] = v;
+                })
+            }
+            Err(fut) => {
+                let (out, report) = fut.wait();
+                if report.helped {
+                    self.tally.futures_helped += 1;
+                    instrument::instant("future.help", p.fid as u64);
+                }
+                if report.stolen {
+                    self.tally.tasks_stolen += 1;
+                }
+                self.absorb_future(out, p.abs, p.coerce)
+            }
+        };
+        if res.is_err() {
+            // Drain the batch's (and any outer frame's) remaining futures
+            // before failing, like the resolved engine's exec_await: no
+            // task may outlive the run on the shared pool.
+            self.pending.drain();
+        }
+        res
     }
 
     fn alloc_array(&mut self, dims: &[usize], span: Span) -> RtResult<Ptr> {
@@ -1871,6 +2020,7 @@ impl<'p> Vm<'p> {
 #[cfg(test)]
 mod tests {
     use crate::interp::{Engine, InterpOptions, Program};
+    use crate::value::SPILL_PUSHES;
     use cfront::parser::parse;
     use std::collections::HashSet;
 
@@ -1885,6 +2035,167 @@ mod tests {
         assert!(!r.diags.has_errors(), "{}", r.diags.render_all(src));
         let set: HashSet<String> = pure_fns.iter().map(|s| s.to_string()).collect();
         Program::with_pure_set(&r.unit, &set)
+    }
+
+    /// Wide ints stay ints: once `varaccess`'s recurrences pass ±2⁴⁷
+    /// (after ≈ 70 iterations) every operand is a spill-pool reference
+    /// and every result is spilled — once. `compact_spills` rebuilds the
+    /// pool without going through `spill`, so the thread's push count is
+    /// exactly the number of wide results.
+    #[test]
+    fn a_wide_result_is_spilled_once() {
+        let n = 1_000;
+        let src = format!(
+            "int main() {{\n\
+                 int a = 0; int b = 1; int c = 2; int d = 3; int e = 4;\n\
+                 for (int i = 0; i < {n}; i++) {{\n\
+                     a = a + b; b = b ^ c; c = c + d;\n\
+                     d = d + e; e = e + a; a = a - d;\n\
+                 }}\n\
+                 return a & 255;\n\
+             }}\n"
+        );
+        // The same recurrences natively, counting results that do not
+        // fit the 48-bit inline payload.
+        let mut wide = 0u64;
+        let mut count = |v: i64| {
+            wide += u64::from(!(-(1i64 << 47)..1i64 << 47).contains(&v));
+            v
+        };
+        let (mut a, mut b, mut c, mut d, mut e) = (0i64, 1i64, 2i64, 3i64, 4i64);
+        for _ in 0..n {
+            a = count(a.wrapping_add(b));
+            b = count(b ^ c);
+            c = count(c.wrapping_add(d));
+            d = count(d.wrapping_add(e));
+            e = count(e.wrapping_add(a));
+            a = count(a.wrapping_sub(d));
+        }
+        assert!(wide > 5_000, "the loop must live on the wide path: {wide}");
+        let prog = program(&src);
+        for opt_level in [0u8, 2] {
+            let before = SPILL_PUSHES.with(|p| p.get());
+            let run = prog
+                .run(InterpOptions {
+                    opt_level,
+                    ..Default::default()
+                })
+                .expect("runs");
+            let pushes = SPILL_PUSHES.with(|p| p.get()) - before;
+            assert_eq!(run.exit_code, a & 255, "level {opt_level}");
+            assert_eq!(pushes, wide, "level {opt_level}");
+        }
+    }
+
+    /// A zero divisor under a wide dividend — the int path reached
+    /// through the spill pool — fails with the resolved engine's message
+    /// and span, in every instruction form that can carry the operator.
+    #[test]
+    fn wide_division_by_zero_fails_like_the_resolved_engine() {
+        for (what, stmt, want) in [
+            (
+                "Binary",
+                "return (x + 0) / (z + 0);",
+                "integer division by zero",
+            ),
+            ("BinLL", "return x / z;", "integer division by zero"),
+            ("BinLC", "return x % 0;", "integer modulo by zero"),
+            (
+                "BinLLStore",
+                "x = x % z; return x;",
+                "integer modulo by zero",
+            ),
+            (
+                "CompoundLocal",
+                "x /= z; return x;",
+                "integer division by zero",
+            ),
+            (
+                "CompoundIdxLL",
+                "a[i] = x; a[i] %= z; return 0;",
+                "integer modulo by zero",
+            ),
+        ] {
+            let src = format!(
+                "int main() {{\n\
+                     int* a = (int*) malloc(4 * sizeof(int));\n\
+                     int i = 1;\n\
+                     int x = 1;\n\
+                     for (int k = 0; k < 50; k++) x = x * 2;\n\
+                     int z = 0;\n\
+                     {stmt}\n\
+                 }}\n"
+            );
+            let prog = program(&src);
+            let oracle = prog
+                .run(InterpOptions {
+                    engine: Engine::Resolved,
+                    ..Default::default()
+                })
+                .expect_err("resolved traps");
+            assert_eq!(oracle.message, want, "{what}");
+            for opt_level in [0u8, 2] {
+                let e = prog
+                    .run(InterpOptions {
+                        opt_level,
+                        ..Default::default()
+                    })
+                    .expect_err("the VM traps");
+                assert_eq!(e.message, oracle.message, "{what} level {opt_level}");
+                assert_eq!(e.span, oracle.span, "{what} level {opt_level}");
+            }
+        }
+    }
+
+    /// `++`, `--` and unary `-` wrap like `+` and `-` do, in debug and
+    /// release builds alike, on all three engines and both bytecode
+    /// levels (a debug build used to panic with "attempt to add with
+    /// overflow" / "attempt to negate with overflow").
+    #[test]
+    fn incdec_and_negate_wrap_at_the_int64_edges() {
+        for (src, want) in [
+            (
+                "int main() { int x = 9223372036854775807; x++; return x == -9223372036854775807 - 1; }",
+                1,
+            ),
+            (
+                "int main() { int x = -9223372036854775807 - 1; --x; return x == 9223372036854775807; }",
+                1,
+            ),
+            (
+                "int main() { int x = -9223372036854775807 - 1; int y = -x; return y == x; }",
+                1,
+            ),
+            (
+                "int g; int main() { g = 9223372036854775807; g++; return g < 0; }",
+                1,
+            ),
+            (
+                "int main() { int* p = (int*) malloc(8); p[0] = 9223372036854775807; \
+                 p[0]++; return p[0] < 0; }",
+                1,
+            ),
+            (
+                "int main() { return -(-9223372036854775807 - 1) < 0; }",
+                1,
+            ),
+        ] {
+            let prog = program(src);
+            for opt_level in [0u8, 2] {
+                let opts = InterpOptions {
+                    opt_level,
+                    ..Default::default()
+                };
+                let vm = prog.run(opts).expect("VM runs");
+                assert_eq!(vm.exit_code, want, "vm level {opt_level}: {src}");
+                let resolved = prog.run_resolved(opts).expect("resolved runs");
+                let legacy = prog.run_legacy(opts).expect("legacy runs");
+                assert_eq!(resolved.exit_code, want, "resolved: {src}");
+                assert_eq!(legacy.exit_code, want, "legacy: {src}");
+                assert_eq!(vm.counters.without_memo(), resolved.counters.without_memo());
+                assert_eq!(resolved.counters.without_memo(), legacy.counters);
+            }
+        }
     }
 
     /// Hammer a shared global with `+=`, `++` and a float `+=` from a

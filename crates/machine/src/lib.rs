@@ -19,7 +19,7 @@ pub mod sim;
 pub use omprt::{
     global_pool, instrument, on_worker_thread, parallel_for_pooled, parallel_for_state_pooled,
     parse_omp_parallel_for_clauses, spawn_capacity, FutureReport, OmpClauses, OmpSchedule,
-    PoolStats, PureFuture, TaskGroup, ThreadPool, LOCAL_QUEUE_LIMIT, SATURATION_FACTOR,
+    PoolStats, PureFuture, TaskGroup, ThreadPool, LOCAL_QUEUE_LIMIT, SATURATION_FACTOR, STACK_SIZE,
 };
 pub use sim::{
     program_time, region_time, speedup, Compiler, CompilerKind, CostProfile, Machine, Variant,

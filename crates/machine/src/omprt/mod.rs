@@ -19,6 +19,8 @@ pub use futures::{spawn_capacity, FutureReport, PureFuture, LOCAL_QUEUE_LIMIT, S
 pub use instrument::{
     Event, EventKind, GaugeSnapshot, HistSnapshot, Metrics, MetricsSnapshot, SpanGuard,
 };
-pub use pool::{global_pool, on_worker_thread, Placement, PoolStats, TaskGroup, ThreadPool};
+pub use pool::{
+    global_pool, on_worker_thread, Placement, PoolStats, TaskGroup, ThreadPool, STACK_SIZE,
+};
 pub use pragma::{parse_omp_parallel_for_clauses, OmpClauses};
 pub use sched::{parallel_for_pooled, parallel_for_state_pooled, OmpSchedule};

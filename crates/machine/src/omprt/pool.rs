@@ -354,6 +354,16 @@ fn worker_loop(core: Arc<PoolCore>, index: usize) {
     }
 }
 
+/// Native stack of every thread that runs interpreted code: each pool
+/// worker and the thread `purec` runs a program on. The interpreters
+/// recurse on the native stack, one group of frames per interpreted
+/// call, so this constant — not the platform's 2 MB thread default or
+/// the 8 MB main-thread limit — is what bounds the call depth a run can
+/// reach without overflowing (`cinterp::MAX_CALL_DEPTH` is derived from
+/// it). The pages are reserved, not touched: a thread pays for the
+/// depth it uses.
+pub const STACK_SIZE: usize = 64 << 20;
+
 /// Persistent thread pool with deterministic worker → socket placement
 /// and per-worker work-stealing deques.
 pub struct ThreadPool {
@@ -394,7 +404,13 @@ impl ThreadPool {
                 socket,
             });
             let core = Arc::clone(&core);
-            workers.push(std::thread::spawn(move || worker_loop(core, w)));
+            workers.push(
+                std::thread::Builder::new()
+                    .name(format!("omprt-{w}"))
+                    .stack_size(STACK_SIZE)
+                    .spawn(move || worker_loop(core, w))
+                    .expect("spawn pool worker"),
+            );
         }
         ThreadPool {
             core,

@@ -99,7 +99,8 @@ fn usage() -> ! {
          \x20 --max-memory B   cap live interpreter memory at B bytes (free gives\n\
          \x20                  its bytes back); exceeding the cap traps and exits 98\n\
          \x20 --max-depth N    cap the call stack at N frames; exceeding the\n\
-         \x20                  cap traps and exits 99\n\
+         \x20                  cap traps and exits 99 (N above what the native\n\
+         \x20                  stack holds is refused, exit 2)\n\
          \x20 --stats          print chain statistics to stderr"
     );
     std::process::exit(2);
@@ -184,7 +185,21 @@ fn trace_check_mode(args: &[String]) -> ! {
     }
 }
 
+/// The interpreters recurse on the native stack, so the program runs on
+/// a thread with the same explicit stack as the pool's workers instead
+/// of on whatever the main thread was given.
 fn main() {
+    let program = std::thread::Builder::new()
+        .name("purec".to_string())
+        .stack_size(machine::STACK_SIZE)
+        .spawn(cli)
+        .expect("spawn the thread that runs the program");
+    if let Err(panic) = program.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+fn cli() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         usage();
@@ -285,11 +300,20 @@ fn main() {
                 )
             }
             "--max-depth" => {
-                max_depth = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
+                let n: usize = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| usage());
+                if n > cinterp::MAX_CALL_DEPTH {
+                    eprintln!(
+                        "purec: --max-depth {n} is more than the {} MB native stack holds; \
+                         the deepest limit that is sure to trap is {}",
+                        machine::STACK_SIZE >> 20,
+                        cinterp::MAX_CALL_DEPTH
+                    );
+                    std::process::exit(2);
+                }
+                max_depth = Some(n);
             }
             "--stats" => stats = true,
             "--help" | "-h" => usage(),

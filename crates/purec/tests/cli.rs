@@ -89,12 +89,112 @@ fn dump_bytecode_shows_the_two_passes_unless_no_opt() {
     // removed name over the sources stays empty).
     let hoist_op = concat!("LoadG", "Store");
     assert!(!on.contains(hoist_op) && !off.contains(hoist_op));
+
+    // The statement tick rides on the statement: under the default each
+    // of the six statements of the `varaccess` loop body is one ticked
+    // (`+t`) `BinLLStore` and the only `Step` left between `AffineHead`
+    // and `AffineNext` is the block's own (a `Step` in front of a `Step`
+    // stays); `--no-opt` has all seven `Step`s and no tick anywhere.
+    let varaccess = source_path(
+        "varaccess_dump.c",
+        "int main() {\n\
+             int a = 0; int b = 1; int c = 2; int d = 3; int e = 4;\n\
+             for (int i = 0; i < 1000; i++) {\n\
+                 a = a + b; b = b ^ c; c = c + d;\n\
+                 d = d + e; e = e + a; a = a - d;\n\
+             }\n\
+             return a & 255;\n\
+         }\n",
+    );
+    let loop_body = |dump: &str| -> Vec<String> {
+        dump.lines()
+            .skip_while(|l| !l.contains("AffineHead"))
+            .skip(1)
+            .take_while(|l| !l.contains("AffineNext"))
+            .map(str::to_string)
+            .collect()
+    };
+    let count = |body: &[String], what: &str| body.iter().filter(|l| l.contains(what)).count();
+    let on = stderr(&purec(&[&varaccess, "--run", "--dump-bytecode"]));
+    let body = loop_body(&on);
+    assert_eq!(body.len(), 7, "{on}");
+    assert_eq!(count(&body, "+t BinLLStore"), 6, "{on}");
+    assert_eq!(count(&body, " Step "), 1, "{on}");
+    assert!(
+        body[0].contains(" Step "),
+        "the block's tick comes first:\n{on}"
+    );
+    assert!(on.contains("insns, 13 ticked"), "{on}");
+    let off = stderr(&purec(&[
+        &varaccess,
+        "--run",
+        "--dump-bytecode",
+        "--no-opt",
+    ]));
+    let body = loop_body(&off);
+    assert_eq!(count(&body, " Step "), 7, "{off}");
+    assert!(!off.contains("+t "), "{off}");
+    assert!(off.contains("insns, 0 ticked"), "{off}");
 }
 
 #[test]
 fn fuel_exhaustion_exits_97() {
     let out = purec(&[&example("spin.c"), "--run", "--fuel", "1000"]);
     assert_eq!(out.status.code(), Some(97), "{}", stderr(&out));
+}
+
+/// `--max-depth` traps, never aborts: a runaway recursion inside a
+/// parallel region — so pool workers, not only the program's thread, take
+/// it — hits the deepest admissible limit and exits 99 on both engines;
+/// one more is refused at the command line, because the native stack
+/// (`machine::STACK_SIZE`, the same for every thread that runs program
+/// code) is not sure to hold it.
+#[test]
+fn max_depth_traps_at_the_ceiling_and_is_refused_above_it() {
+    let src = source_path(
+        "deep_in_region.c",
+        "int rec(int n) {\n\
+             if (n <= 0) return 0;\n\
+             return 1 + rec(n - 1);\n\
+         }\n\
+         int main() {\n\
+             int* a = (int*) malloc(4 * sizeof(int));\n\
+         #pragma omp parallel for schedule(static,1)\n\
+             for (int i = 0; i < 4; i++) a[i] = rec(1000000);\n\
+             return a[3] % 100;\n\
+         }\n",
+    );
+    let ceiling = cinterp::MAX_CALL_DEPTH.to_string();
+    let above = (cinterp::MAX_CALL_DEPTH + 1).to_string();
+    for engine in ["vm", "resolved"] {
+        let run = |depth: &str| {
+            purec(&[
+                &src,
+                "--run",
+                "--threads",
+                "4",
+                "--engine",
+                engine,
+                "--max-depth",
+                depth,
+            ])
+        };
+        let out = run(&ceiling);
+        assert_eq!(out.status.code(), Some(99), "{engine}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&format!("call depth limit exceeded ({ceiling})")),
+            "{engine}: {}",
+            stderr(&out)
+        );
+        let out = run(&above);
+        assert_eq!(out.status.code(), Some(2), "{engine}: {}", stderr(&out));
+        assert!(out.stdout.is_empty(), "{engine}: must not run the program");
+        assert!(
+            stderr(&out).contains("--max-depth") && stderr(&out).contains(&ceiling),
+            "{engine}: {}",
+            stderr(&out)
+        );
+    }
 }
 
 /// `free` refunds `--max-memory`: the balanced loop cycles 12.8 MB

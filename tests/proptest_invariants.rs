@@ -285,8 +285,117 @@ fn nested_region_source(outer: usize, inner: usize, c: i64, so: usize, si: usize
     )
 }
 
+/// Generated program whose values straddle the NaN-box inline range
+/// (±2⁴⁷): an LCG multiply, shifts, `++`/`--` walking across the
+/// boundary and back, `++` at `INT64_MAX` and unary minus at
+/// `INT64_MIN` (both wrap), wide operands reaching the stack (`Binary`),
+/// frame (`BinLL`/`BinLC` and their `*Store` forms), compound
+/// (`CompoundLocal`, `CompoundIdxLL`) and compare-and-branch (`BrCmpLL`
+/// / `BrCmpLC`) instruction forms, an affine loop whose bound and
+/// iterator are both wide, int ↔ float coercions of wide values, and a
+/// parallel region that reads a wide local through the inherited spill
+/// prefix.
+fn wide_value_source(d: i64, neg: bool, n: usize, sh: u32, inc: i64, sched: usize) -> String {
+    let sched = [
+        "",
+        " schedule(static)",
+        " schedule(static,3)",
+        " schedule(dynamic,2)",
+        " schedule(guided,1)",
+    ][sched % 5];
+    let sign = if neg { "-" } else { "" };
+    format!(
+        "int g;\n\
+         int main() {{\n\
+             int* a = (int*) malloc(8 * sizeof(int));\n\
+             for (int i = 0; i < 8; i++) a[i] = i;\n\
+             int acc = 0;\n\
+             int m = 6364136223846793005;\n\
+             int x = {sign}(140737488355328 + {d});\n\
+             int edge = {sign}140737488355327 - {sign}{n};\n\
+             for (int k = 0; k < 2 * {n}; k++) {{ edge++; acc = acc ^ edge; --edge; edge++; }}\n\
+             for (int k = 0; k < 2 * {n}; k++) {{ edge--; acc = acc + edge; }}\n\
+             int big = 9223372036854775807;\n\
+             big++;\n\
+             acc ^= big;\n\
+             int flipped = -big;\n\
+             acc ^= flipped + 1;\n\
+             for (int k = 0; k < {n}; k++) {{\n\
+                 int j = k & 7;\n\
+                 x = x * m + {inc};\n\
+                 acc = acc + (x >> {sh});\n\
+                 acc ^= x << ({sh} & 7);\n\
+                 a[j] = x;\n\
+                 a[j] += acc;\n\
+                 a[j] -= -x;\n\
+                 if (x < edge) acc = acc + 1;\n\
+                 if (x > 140737488355328) acc = acc - 3;\n\
+                 if (x <= -140737488355329) acc = acc * 3;\n\
+                 x = x + m;\n\
+                 x = x ^ 140737488355328;\n\
+                 acc = acc + x / 7 + x % 1000003;\n\
+                 double f = x;\n\
+                 acc = acc + (int) (f / 1024.0);\n\
+             }}\n\
+             int ub = {sign}140737488355328 + 3;\n\
+             int lo = ub - 6;\n\
+         #pragma affine\n\
+             for (int i = lo; i < ub; i++) acc = acc + i;\n\
+         #pragma affine\n\
+             for (int i = lo; i <= 140737488355330; i++) {{ acc = acc ^ i; if (i > lo + 7) break; }}\n\
+         #pragma omp parallel for{sched}\n\
+             for (int i = 0; i < 8; i++) a[i] = a[i] + x + i * m;\n\
+             for (int i = 0; i < 8; i++) acc ^= a[i];\n\
+             g = acc;\n\
+             g += x;\n\
+             printf(\"acc=%d x=%d g=%d\\n\", acc, x, g);\n\
+             return acc & 127;\n\
+         }}"
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Wide values are in the differential class: on programs that live
+    /// on both sides of the ±2⁴⁷ inline boundary the VM (raw and
+    /// optimized), the resolved engine and the legacy oracle agree on
+    /// exit code, output and executed-op counters, sequentially and on 4
+    /// threads.
+    #[test]
+    fn wide_values_match_across_engines_and_levels(
+        d in -3i64..4,
+        neg in any::<bool>(),
+        n in 1usize..12,
+        sh in 0u32..40,
+        inc in 1i64..1000,
+        sched in 0usize..5,
+    ) {
+        let src = wide_value_source(d, neg, n, sh, inc, sched);
+        let parsed = parse(&src);
+        prop_assert!(!parsed.diags.has_errors(), "{}", parsed.diags.render_all(&src));
+        let prog = Program::new(&parsed.unit);
+        for threads in [1usize, 4] {
+            let at = |opt_level: u8| InterpOptions { threads, opt_level, ..Default::default() };
+            let legacy = prog.run_legacy(at(2)).expect("legacy runs");
+            let resolved = prog.run_resolved(at(2)).expect("resolved runs");
+            prop_assert_eq!(resolved.exit_code, legacy.exit_code, "threads={}", threads);
+            prop_assert_eq!(&resolved.output, &legacy.output, "threads={}", threads);
+            prop_assert_eq!(resolved.counters.without_memo(), legacy.counters, "threads={}", threads);
+            for level in [0u8, 1, 2] {
+                let vm = prog.run(at(level)).expect("VM runs");
+                prop_assert_eq!(vm.exit_code, resolved.exit_code, "threads={} level={}", threads, level);
+                prop_assert_eq!(&vm.output, &resolved.output, "threads={} level={}", threads, level);
+                prop_assert_eq!(
+                    vm.counters.without_memo(),
+                    resolved.counters.without_memo(),
+                    "threads={} level={}",
+                    threads,
+                    level
+                );
+            }
+        }
+    }
 
     /// The three execution tiers are bit-identical — exit code, captured
     /// output and executed-op counters (modulo memo bookkeeping) — on

@@ -99,6 +99,28 @@ int main() {
     );
 }
 
+/// The `--fuel` ruler read from both sides: on one thread the run at
+/// `opt_level` completes — with the unlimited run's exit code — under a
+/// budget of `dispatches`, and traps one unit below.
+fn assert_dispatches(prog: &Program, opt_level: u8, dispatches: u64, cell: &str) {
+    let with_fuel = |fuel| {
+        prog.run(InterpOptions {
+            threads: 1,
+            opt_level,
+            fuel,
+            ..Default::default()
+        })
+    };
+    let unlimited = with_fuel(None).expect("unlimited run");
+    let exact = with_fuel(Some(dispatches))
+        .unwrap_or_else(|e| panic!("{cell}: more than {dispatches} dispatches: {e}"));
+    assert_eq!(exact.exit_code, unlimited.exit_code, "{cell}");
+    let starved = with_fuel(Some(dispatches - 1))
+        .err()
+        .unwrap_or_else(|| panic!("{cell}: fewer than {dispatches} dispatches"));
+    assert_eq!(starved.trap, Some(Trap::FuelExhausted), "{cell}: {starved}");
+}
+
 /// `fuel` is an exact ruler on one thread: a run completes iff its
 /// budget covers its dispatch count. Each cell below pins that count for
 /// one loop under one build — chain + optimizer, chain raw, `no_poly` +
@@ -149,7 +171,74 @@ fn dispatch_counts_are_pinned() {
             ..Default::default()
         };
         let prog = compile(src, chain).expect("chain").program();
-        let with_fuel = |fuel| {
+        assert_dispatches(&prog, opt_level, dispatches, &cell);
+    }
+    for n in [1_000u64, 2_000] {
+        let (src, what) = (varaccess(n), format!("varaccess n={n}"));
+        pin(&src, &what, false, 2, 8 * n + 18);
+        pin(&src, &what, false, 0, 20 * n + 31);
+        pin(&src, &what, true, 2, 10 * n + 19);
+        pin(&src, &what, true, 0, 25 * n + 35);
+    }
+    for (r, opt, raw) in [(10u64, 8_085u64, 13_361u64), (20, 15_835, 26_311)] {
+        let (src, what) = (arraysum(r), format!("arraysum 64x{r}"));
+        pin(&src, &what, false, 2, opt);
+        pin(&src, &what, false, 0, raw);
+    }
+}
+
+/// The optimizer's books balance: every dispatch the default build no
+/// longer makes is counted — `fuel(raw) − fuel(opt) = insns_folded +
+/// insns_fused` (README's *raw = default + folded + fused*), measured
+/// with the `--fuel` ruler on 1 thread over the checked-in programs and
+/// the paper's four applications. The raw count is bisected; the
+/// optimized one is then predicted and checked from both sides.
+#[test]
+fn optimizer_books_balance_over_the_corpus() {
+    let example = |name: &str| {
+        let path = format!("{}/examples/{name}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
+    // Every `.c` under examples/ but spin.c (never ends) and
+    // schedules/fig03_matmul.c (a second per debug-build run; the matmul
+    // demo below is the same nest), with the two long loops cut short.
+    let (scratch, churn) = (example("scratch_pure.c"), example("churn.c"));
+    assert!(scratch.contains("int n = 20000;") && churn.contains("k < 50000;"));
+    let mut corpus: Vec<(String, String)> = [
+        "schedules/fig02_skew.c",
+        "schedules/fig07_heat.c",
+        "schedules/rowptr.c",
+        "analysis/clean.c",
+        "analysis/infer_pure.c",
+        "analysis/racy.c",
+        "analysis/reduction.c",
+        "analysis/rowptr.c",
+        "analysis/uninit.c",
+    ]
+    .iter()
+    .map(|name| (name.to_string(), example(name)))
+    .collect();
+    corpus.push((
+        "scratch_pure.c (n = 200)".to_string(),
+        scratch.replace("int n = 20000;", "int n = 200;"),
+    ));
+    corpus.push((
+        "churn.c (500 pairs)".to_string(),
+        churn.replace("k < 50000;", "k < 500;"),
+    ));
+    corpus.push(("demo matmul 12".to_string(), apps::matmul::c_source(12)));
+    corpus.push(("demo heat 8x3".to_string(), apps::heat::c_source(8, 3)));
+    corpus.push((
+        "demo satellite 6x6".to_string(),
+        apps::satellite::c_source(6, 6),
+    ));
+    corpus.push(("demo lama 32x5".to_string(), apps::lama::c_source(32, 5)));
+
+    for (name, src) in &corpus {
+        let prog = compile(src, ChainOptions::default())
+            .unwrap_or_else(|d| panic!("{name}: {}", d.render_all(src)))
+            .program();
+        let run = |opt_level: u8, fuel: Option<u64>| {
             prog.run(InterpOptions {
                 threads: 1,
                 opt_level,
@@ -157,26 +246,31 @@ fn dispatch_counts_are_pinned() {
                 ..Default::default()
             })
         };
-        let unlimited = with_fuel(None).expect("unlimited run");
-        let exact = with_fuel(Some(dispatches))
-            .unwrap_or_else(|e| panic!("{cell}: more than {dispatches} dispatches: {e}"));
-        assert_eq!(exact.exit_code, unlimited.exit_code, "{cell}");
-        let starved = with_fuel(Some(dispatches - 1))
-            .err()
-            .unwrap_or_else(|| panic!("{cell}: fewer than {dispatches} dispatches"));
-        assert_eq!(starved.trap, Some(Trap::FuelExhausted), "{cell}: {starved}");
-    }
-    for n in [1_000u64, 2_000] {
-        let (src, what) = (varaccess(n), format!("varaccess n={n}"));
-        pin(&src, &what, false, 2, 14 * n + 25);
-        pin(&src, &what, false, 0, 20 * n + 31);
-        pin(&src, &what, true, 2, 17 * n + 27);
-        pin(&src, &what, true, 0, 25 * n + 35);
-    }
-    for (r, opt, raw) in [(10u64, 11_385u64, 13_361u64), (20, 22_365, 26_311)] {
-        let (src, what) = (arraysum(r), format!("arraysum 64x{r}"));
-        pin(&src, &what, false, 2, opt);
-        pin(&src, &what, false, 0, raw);
+        let opt = run(2, None).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let raw = run(0, None).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(raw.exit_code, opt.exit_code, "{name}");
+        assert_eq!(
+            raw.counters.insns_folded + raw.counters.insns_fused,
+            0,
+            "{name}"
+        );
+        // Smallest budget the raw run completes under = its dispatches.
+        let (mut lo, mut hi) = (1u64, 64);
+        while run(0, Some(hi)).is_err() {
+            (lo, hi) = (hi + 1, hi * 4);
+        }
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if run(0, Some(mid)).is_ok() {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        let saved = opt.counters.insns_folded + opt.counters.insns_fused;
+        assert!(saved > 0 && saved < lo, "{name}: raw {lo}, saved {saved}");
+        let cell = format!("{name}: raw {lo} − folded/fused {saved}");
+        assert_dispatches(&prog, 2, lo - saved, &cell);
     }
 }
 
