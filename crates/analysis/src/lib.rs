@@ -99,9 +99,12 @@ pub fn analyze_unit(
 ) -> AnalysisReport {
     let mut report = AnalysisReport::default();
 
+    // `unit` may be the lowered text, where `pure` is gone: what each
+    // pure function reads through a global is re-derived by name.
+    let reads = purec_core::global_reads(unit, pure_set);
     for f in unit.functions() {
         if let Some(body) = &f.body {
-            race::analyze_block(body, pure_set, &mut report);
+            race::analyze_block(body, pure_set, &reads, &mut report);
         }
     }
 

@@ -22,8 +22,9 @@
 //!    (paper Listing 6 is the counterexample for both):
 //!    a name assigned from another pointer's value (`int* q = a;`)
 //!    aliases it, and a verified-pure callee — while unable to *write*
-//!    caller state — may still *read* its pointer arguments, a flow
-//!    dependence against the loop's writes. Any pure-call argument base
+//!    caller state — may still *read* its pointer arguments and any
+//!    global, a flow dependence against the loop's writes. Any base a
+//!    pure call may read ([`purec_core::pure_call_read_bases`])
 //!    that equals or aliases a written base, or any aliasing pair of
 //!    distinct accessed bases with one side written, degrades the
 //!    verdict to `Unknown` ([`Code::RaceUnprovable`]) and leaves the
@@ -43,24 +44,38 @@ use cfront::ast::*;
 use cfront::diag::Code;
 use cfront::span::Span;
 use machine::{parse_omp_parallel_for_clauses, OmpClauses};
-use purec_core::PureSet;
+use purec_core::{GlobalReads, PureSet};
 use std::collections::{HashMap, HashSet};
 
 /// Walk one function body, pairing omp pragmas with their loops the same
 /// way the interpreter's lowering does, and recursing everywhere else.
 /// Alias groups are computed once from the whole body so a `int* q = a;`
 /// at function scope is visible inside every nested loop.
-pub fn analyze_block(b: &Block, pure_set: &PureSet, report: &mut AnalysisReport) {
-    let aliases = collect_alias_groups(b);
-    analyze_block_with(b, pure_set, &aliases, report);
-}
-
-fn analyze_block_with(
+pub fn analyze_block(
     b: &Block,
     pure_set: &PureSet,
-    aliases: &AliasGroups,
+    reads: &GlobalReads,
     report: &mut AnalysisReport,
 ) {
+    let cx = Context {
+        pure_set,
+        reads,
+        aliases: &collect_alias_groups(b),
+    };
+    analyze_block_with(b, cx, report);
+}
+
+/// What holds for a whole function body.
+#[derive(Clone, Copy)]
+struct Context<'a> {
+    /// The verified registry.
+    pure_set: &'a PureSet,
+    /// What each pure function may read through a global.
+    reads: &'a GlobalReads,
+    aliases: &'a AliasGroups,
+}
+
+fn analyze_block_with(b: &Block, cx: Context, report: &mut AnalysisReport) {
     let mut i = 0;
     while i < b.stmts.len() {
         if let StmtKind::Pragma(p) = &b.stmts[i].kind {
@@ -71,41 +86,34 @@ fn analyze_block_with(
                     j += 1;
                 }
                 if j < b.stmts.len() && matches!(b.stmts[j].kind, StmtKind::For { .. }) {
-                    analyze_omp_loop(
-                        pragma_span,
-                        &clauses,
-                        &b.stmts[j],
-                        pure_set,
-                        aliases,
-                        report,
-                    );
-                    recurse(&b.stmts[j], pure_set, aliases, report);
+                    analyze_omp_loop(pragma_span, &clauses, &b.stmts[j], cx, report);
+                    recurse(&b.stmts[j], cx, report);
                     i = j + 1;
                     continue;
                 }
             }
         }
-        recurse(&b.stmts[i], pure_set, aliases, report);
+        recurse(&b.stmts[i], cx, report);
         i += 1;
     }
 }
 
-fn recurse(s: &Stmt, pure_set: &PureSet, aliases: &AliasGroups, report: &mut AnalysisReport) {
+fn recurse(s: &Stmt, cx: Context, report: &mut AnalysisReport) {
     match &s.kind {
-        StmtKind::Block(b) => analyze_block_with(b, pure_set, aliases, report),
+        StmtKind::Block(b) => analyze_block_with(b, cx, report),
         StmtKind::If {
             then_branch,
             else_branch,
             ..
         } => {
-            recurse(then_branch, pure_set, aliases, report);
+            recurse(then_branch, cx, report);
             if let Some(e) = else_branch {
-                recurse(e, pure_set, aliases, report);
+                recurse(e, cx, report);
             }
         }
         StmtKind::While { body, .. }
         | StmtKind::DoWhile { body, .. }
-        | StmtKind::For { body, .. } => recurse(body, pure_set, aliases, report),
+        | StmtKind::For { body, .. } => recurse(body, cx, report),
         _ => {}
     }
 }
@@ -114,8 +122,11 @@ fn analyze_omp_loop(
     pragma_span: Span,
     clauses: &OmpClauses,
     for_stmt: &Stmt,
-    pure_set: &PureSet,
-    aliases: &AliasGroups,
+    Context {
+        pure_set,
+        reads,
+        aliases,
+    }: Context,
     report: &mut AnalysisReport,
 ) {
     // Clause hygiene: the runtime silently ignores what it does not
@@ -221,17 +232,9 @@ fn analyze_omp_loop(
 
     // Calls to anything not verified pure poison the analysis (the paper's
     // point: without `pure`, a call makes the loop non-analyzable).
-    let mut impure_calls: Vec<(String, Span)> = Vec::new();
-    body.walk_exprs(&mut |e| {
-        if let Some((callee, _)) = e.as_direct_call() {
-            if !pure_set.contains(callee) {
-                impure_calls.push((callee.to_string(), e.span));
-            }
-        }
-    });
     let mut seen_callees = HashSet::new();
-    for (callee, span) in impure_calls {
-        if seen_callees.insert(callee.clone()) {
+    for (callee, span) in purec_core::unverified_calls(body, &|name| pure_set.contains(name)) {
+        if seen_callees.insert(callee) {
             report.diags.warning(
                 Code::RaceUnprovable,
                 span,
@@ -270,26 +273,16 @@ fn analyze_omp_loop(
         accessed.extend(written.iter().cloned());
 
         // Screen A: a verified-pure callee may *read* any memory its
-        // pointer arguments reach; if an argument base is (or aliases) a
-        // base the loop writes, that read is a flow dependence the
-        // substituted placeholder erases.
-        let mut flagged: HashSet<(String, String)> = HashSet::new();
+        // pointer arguments reach, and any global; if such a base is (or
+        // aliases) a base the loop writes, that read is a flow dependence
+        // the substituted placeholder erases.
+        let mut flagged: HashSet<(&str, &str)> = HashSet::new();
         body.walk_exprs(&mut |e| {
             if let Some((callee, args)) = e.as_direct_call() {
                 if pure_set.contains(callee) {
-                    let mut arg_idents: HashSet<String> = HashSet::new();
-                    for a in args {
-                        a.walk(&mut |sub| {
-                            if let ExprKind::Ident(n) = &sub.kind {
-                                arg_idents.insert(n.clone());
-                            }
-                        });
-                    }
-                    for b in &arg_idents {
+                    for b in purec_core::pure_call_read_bases(callee, args, reads) {
                         for w in &written {
-                            if aliases.may_alias(b, w)
-                                && flagged.insert((callee.to_string(), b.clone()))
-                            {
+                            if aliases.may_alias(b, w) && flagged.insert((callee, b)) {
                                 report.diags.warning(
                                     Code::RaceUnprovable,
                                     e.span,
@@ -347,9 +340,20 @@ fn analyze_omp_loop(
 
     // Tier 2: memory writes need the dependence test.
     if memory_writes && verdict != LoopVerdict::Racy {
+        // Calls to verified-pure functions become fresh placeholder
+        // reads so the SCoP extractor sees an affine body. A pure callee
+        // cannot write caller-visible state, but it CAN read through its
+        // pointer arguments and globals — reads the placeholder erases;
+        // Screen A above has already downgraded any loop where that
+        // matters.
         let mut probe = for_stmt.clone();
         let mut counter = 0usize;
-        subst_pure_calls_stmt(&mut probe, pure_set, &mut counter);
+        cfront::visit::visit_exprs_mut(&mut probe, &mut |e| {
+            if matches!(e.as_direct_call(), Some((callee, _)) if pure_set.contains(callee)) {
+                counter += 1;
+                e.kind = ExprKind::Ident(format!("__purechk{counter}"));
+            }
+        });
         match polyhedral::extract_scop(&probe) {
             Ok(scop) => {
                 let polyhedral::DepAnalysis { deps, fm_solves } = polyhedral::analyze(&scop);
@@ -856,116 +860,6 @@ fn pointer_value_bases(e: &Expr, out: &mut HashSet<String>) {
         }
         ExprKind::Comma(_, r) => pointer_value_bases(r, out),
         ExprKind::Member { base, .. } => pointer_value_bases(base, out),
-        _ => {}
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pure-call substitution: replace calls to verified-pure functions with
-// fresh placeholder reads so the SCoP extractor sees an affine body.
-// A verified-pure callee cannot write caller-visible state, but it CAN
-// read through its pointer arguments — reads the placeholder erases. The
-// substitution is therefore only dependence-sound in combination with
-// the pure-call-read screen above, which downgrades any loop whose
-// written bases are reachable from a pure call's arguments before this
-// rewrite is consulted.
-// ---------------------------------------------------------------------------
-
-fn subst_pure_calls_stmt(s: &mut Stmt, pure_set: &PureSet, counter: &mut usize) {
-    match &mut s.kind {
-        StmtKind::Decl(d) => {
-            for dec in &mut d.declarators {
-                for dim in &mut dec.array_dims {
-                    subst_pure_calls_expr(dim, pure_set, counter);
-                }
-                if let Some(init) = &mut dec.init {
-                    subst_pure_calls_expr(init, pure_set, counter);
-                }
-            }
-        }
-        StmtKind::Expr(Some(e)) | StmtKind::Return(Some(e)) => {
-            subst_pure_calls_expr(e, pure_set, counter);
-        }
-        StmtKind::Block(b) => {
-            for s in &mut b.stmts {
-                subst_pure_calls_stmt(s, pure_set, counter);
-            }
-        }
-        StmtKind::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            subst_pure_calls_expr(cond, pure_set, counter);
-            subst_pure_calls_stmt(then_branch, pure_set, counter);
-            if let Some(e) = else_branch {
-                subst_pure_calls_stmt(e, pure_set, counter);
-            }
-        }
-        StmtKind::While { cond, body } | StmtKind::DoWhile { body, cond } => {
-            subst_pure_calls_expr(cond, pure_set, counter);
-            subst_pure_calls_stmt(body, pure_set, counter);
-        }
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            match init.as_mut() {
-                ForInit::Decl(d) => {
-                    for dec in &mut d.declarators {
-                        if let Some(i) = &mut dec.init {
-                            subst_pure_calls_expr(i, pure_set, counter);
-                        }
-                    }
-                }
-                ForInit::Expr(Some(e)) => subst_pure_calls_expr(e, pure_set, counter),
-                ForInit::Expr(None) => {}
-            }
-            if let Some(c) = cond {
-                subst_pure_calls_expr(c, pure_set, counter);
-            }
-            if let Some(st) = step {
-                subst_pure_calls_expr(st, pure_set, counter);
-            }
-            subst_pure_calls_stmt(body, pure_set, counter);
-        }
-        _ => {}
-    }
-}
-
-fn subst_pure_calls_expr(e: &mut Expr, pure_set: &PureSet, counter: &mut usize) {
-    if let Some((callee, _)) = e.as_direct_call() {
-        if pure_set.contains(callee) {
-            *counter += 1;
-            e.kind = ExprKind::Ident(format!("__purechk{counter}"));
-            return;
-        }
-    }
-    match &mut e.kind {
-        ExprKind::Unary(_, inner) | ExprKind::Cast(_, inner) | ExprKind::SizeofExpr(inner) => {
-            subst_pure_calls_expr(inner, pure_set, counter)
-        }
-        ExprKind::Binary(_, l, r)
-        | ExprKind::Comma(l, r)
-        | ExprKind::Assign(_, l, r)
-        | ExprKind::Index(l, r) => {
-            subst_pure_calls_expr(l, pure_set, counter);
-            subst_pure_calls_expr(r, pure_set, counter);
-        }
-        ExprKind::Ternary(c, t, f) => {
-            subst_pure_calls_expr(c, pure_set, counter);
-            subst_pure_calls_expr(t, pure_set, counter);
-            subst_pure_calls_expr(f, pure_set, counter);
-        }
-        ExprKind::Call { callee, args } => {
-            subst_pure_calls_expr(callee, pure_set, counter);
-            for a in args {
-                subst_pure_calls_expr(a, pure_set, counter);
-            }
-        }
-        ExprKind::Member { base, .. } => subst_pure_calls_expr(base, pure_set, counter),
         _ => {}
     }
 }

@@ -49,6 +49,8 @@ pub enum Code {
     PurePointerReassigned,
     PureUnknownCallee,
     PureParamWrittenInLoop,
+    /// `static` local in a pure function: state that outlives the call.
+    PureStaticLocal,
     PureRecursionOk, // note-level: self recursion is allowed by the hashset rule
     // Polyhedral extraction.
     PolyNonAffine,

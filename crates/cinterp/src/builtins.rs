@@ -1,125 +1,142 @@
-//! Builtin C functions known to the interpreter: the math library (seeded
-//! pure in the verifier), `malloc`/`calloc`/`free`, `printf`, and the
-//! `__pc_*` codegen helpers (used when the transformed program was not
-//! given their C definitions).
+//! Builtin C functions known to the interpreter, in two parts:
+//!
+//! * the **math table** ([`math_builtin`]): the math library (seeded pure
+//!   in the verifier) and the `__pc_*` codegen helpers (used when the
+//!   transformed program was not given their C definitions). An entry is
+//!   a function over scalars — it receives no [`Memory`] and no output
+//!   buffer, so "const builtin" means *has an entry here*, by
+//!   construction ([`crate::effects`]);
+//! * the four **effectful** builtins `malloc` / `calloc` / `free` /
+//!   `printf`, which [`call_builtin`] handles itself.
 
-use crate::value::{MemError, Memory, Scalar};
+use crate::interp::RuntimeError;
+use crate::value::{Memory, Scalar};
+use cfront::span::Span;
+use parking_lot::Mutex;
 
-/// Result of a builtin call; `None` means "not a builtin".
+/// A math-table entry; `Err` is the engines' own arithmetic error text.
+pub type MathFn = fn(&[Scalar]) -> Result<Scalar, &'static str>;
+
+/// Argument `i` as a float; a missing argument reads as zero.
+fn float_arg(args: &[Scalar], i: usize) -> f64 {
+    args.get(i).copied().unwrap_or(Scalar::F(0.0)).as_f64()
+}
+
+/// Argument `i` as an integer; a missing argument reads as zero.
+fn int_arg(args: &[Scalar], i: usize) -> i64 {
+    args.get(i).copied().unwrap_or(Scalar::I(0)).as_i64()
+}
+
+fn f1(args: &[Scalar], f: fn(f64) -> f64) -> Result<Scalar, &'static str> {
+    Ok(Scalar::F(f(float_arg(args, 0))))
+}
+
+fn f2(args: &[Scalar], f: fn(f64, f64) -> f64) -> Result<Scalar, &'static str> {
+    Ok(Scalar::F(f(float_arg(args, 0), float_arg(args, 1))))
+}
+
+/// Two-argument integer entry; wraps like the engines' `int_arith` and
+/// reports a zero divisor the way `/` does.
+fn i2(args: &[Scalar], f: fn(i64, i64) -> Option<i64>) -> Result<Scalar, &'static str> {
+    f(int_arg(args, 0), int_arg(args, 1))
+        .map(Scalar::I)
+        .ok_or("integer division by zero")
+}
+
+/// The side-effect-free builtins: name → function over scalars.
+pub fn math_builtin(name: &str) -> Option<MathFn> {
+    let f: MathFn = match name {
+        // Double and float variants share f64 slots.
+        "sin" | "sinf" => |a| f1(a, f64::sin),
+        "cos" | "cosf" => |a| f1(a, f64::cos),
+        "tan" | "tanf" => |a| f1(a, f64::tan),
+        "asin" | "asinf" => |a| f1(a, f64::asin),
+        "acos" | "acosf" => |a| f1(a, f64::acos),
+        "atan" | "atanf" => |a| f1(a, f64::atan),
+        "atan2" | "atan2f" => |a| f2(a, f64::atan2),
+        "sinh" => |a| f1(a, f64::sinh),
+        "cosh" => |a| f1(a, f64::cosh),
+        "tanh" => |a| f1(a, f64::tanh),
+        "exp" | "expf" => |a| f1(a, f64::exp),
+        "log" | "logf" => |a| f1(a, f64::ln),
+        "log2" | "log2f" => |a| f1(a, f64::log2),
+        "log10" | "log10f" => |a| f1(a, f64::log10),
+        "sqrt" | "sqrtf" => |a| f1(a, f64::sqrt),
+        "cbrt" => |a| f1(a, f64::cbrt),
+        "pow" | "powf" => |a| f2(a, f64::powf),
+        "fabs" | "fabsf" => |a| f1(a, f64::abs),
+        "floor" | "floorf" => |a| f1(a, f64::floor),
+        "ceil" | "ceilf" => |a| f1(a, f64::ceil),
+        "round" | "roundf" => |a| f1(a, f64::round),
+        "trunc" => |a| f1(a, f64::trunc),
+        "fmod" | "fmodf" => |a| f2(a, |x, y| x % y),
+        "fmin" | "fminf" => |a| f2(a, f64::min),
+        "fmax" | "fmaxf" => |a| f2(a, f64::max),
+        "hypot" => |a| f2(a, f64::hypot),
+        "expm1" => |a| f1(a, f64::exp_m1),
+        "log1p" => |a| f1(a, f64::ln_1p),
+        "copysign" => |a| f2(a, f64::copysign),
+        "abs" | "labs" | "llabs" => |a| Ok(Scalar::I(int_arg(a, 0).wrapping_abs())),
+        // Codegen helpers (fallback when not defined in C).
+        "__pc_floord" => |a| i2(a, |n, d| (d != 0).then(|| n.wrapping_div_euclid(d))),
+        "__pc_ceild" => |a| {
+            i2(a, |n, d| {
+                (d != 0).then(|| n.wrapping_neg().wrapping_div_euclid(d).wrapping_neg())
+            })
+        },
+        "__pc_max" => |a| i2(a, |x, y| Some(x.max(y))),
+        "__pc_min" => |a| i2(a, |x, y| Some(x.min(y))),
+        _ => return None,
+    };
+    Some(f)
+}
+
+/// Call builtin `name`: the math table first, then the four effectful
+/// builtins. A math error carries the engines' own message, a memory
+/// error keeps its trap kind, and a name that is neither is the
+/// "undefined function" error — the same on every engine, at `span`.
 pub fn call_builtin(
     name: &str,
     args: &[Scalar],
     mem: &Memory,
-    output: &mut String,
-) -> Option<Result<Scalar, MemError>> {
-    let f1 = |f: fn(f64) -> f64| -> Result<Scalar, MemError> {
-        Ok(Scalar::F(f(args
-            .first()
-            .copied()
-            .unwrap_or(Scalar::F(0.0))
-            .as_f64())))
-    };
-    let f2 = |f: fn(f64, f64) -> f64| -> Result<Scalar, MemError> {
-        let a = args.first().copied().unwrap_or(Scalar::F(0.0)).as_f64();
-        let b = args.get(1).copied().unwrap_or(Scalar::F(0.0)).as_f64();
-        Ok(Scalar::F(f(a, b)))
-    };
-    Some(match name {
-        // ---- math (double and float variants share f64 slots) -------------
-        "sin" | "sinf" => f1(f64::sin),
-        "cos" | "cosf" => f1(f64::cos),
-        "tan" | "tanf" => f1(f64::tan),
-        "asin" | "asinf" => f1(f64::asin),
-        "acos" | "acosf" => f1(f64::acos),
-        "atan" | "atanf" => f1(f64::atan),
-        "atan2" | "atan2f" => f2(f64::atan2),
-        "sinh" => f1(f64::sinh),
-        "cosh" => f1(f64::cosh),
-        "tanh" => f1(f64::tanh),
-        "exp" | "expf" => f1(f64::exp),
-        "log" | "logf" => f1(f64::ln),
-        "log2" | "log2f" => f1(f64::log2),
-        "log10" | "log10f" => f1(f64::log10),
-        "sqrt" | "sqrtf" => f1(f64::sqrt),
-        "cbrt" => f1(f64::cbrt),
-        "pow" | "powf" => f2(f64::powf),
-        "fabs" | "fabsf" => f1(f64::abs),
-        "floor" | "floorf" => f1(f64::floor),
-        "ceil" | "ceilf" => f1(f64::ceil),
-        "round" | "roundf" => f1(f64::round),
-        "trunc" => f1(f64::trunc),
-        "fmod" | "fmodf" => f2(|a, b| a % b),
-        "fmin" | "fminf" => f2(f64::min),
-        "fmax" | "fmaxf" => f2(f64::max),
-        "hypot" => f2(f64::hypot),
-        "expm1" => f1(f64::exp_m1),
-        "log1p" => f1(f64::ln_1p),
-        "copysign" => f2(f64::copysign),
-        "abs" | "labs" | "llabs" => Ok(Scalar::I(
-            args.first().copied().unwrap_or(Scalar::I(0)).as_i64().abs(),
-        )),
-
-        // ---- allocation (slot model: sizeof(T) == 8 bytes ⇒ /8) -----------
-        "malloc" => {
-            let bytes = args
-                .first()
-                .copied()
-                .unwrap_or(Scalar::I(0))
-                .as_i64()
-                .max(0);
-            mem.try_alloc((bytes as usize).div_ceil(8)).map(Scalar::P)
-        }
-        "calloc" => {
-            let n = args
-                .first()
-                .copied()
-                .unwrap_or(Scalar::I(0))
-                .as_i64()
-                .max(0);
-            let sz = args.get(1).copied().unwrap_or(Scalar::I(0)).as_i64().max(0);
-            // A product beyond i64 saturates: no heap can hold it, so
-            // `try_alloc_zeroed` refuses it as a memory-limit trap.
-            let bytes = n.checked_mul(sz).unwrap_or(i64::MAX);
-            mem.try_alloc_zeroed((bytes as usize).div_ceil(8))
-                .map(Scalar::P)
-        }
-        "free" => {
-            match args.first() {
-                Some(Scalar::P(p)) => match mem.free(*p) {
-                    Ok(()) => Ok(Scalar::I(0)),
-                    Err(e) => Err(e),
-                },
-                Some(Scalar::Null) | None => Ok(Scalar::I(0)), // free(NULL) is a no-op
-                _ => Err(MemError::new("free of non-pointer")),
-            }
-        }
-
-        // ---- I/O ------------------------------------------------------------
+    output: &Mutex<String>,
+    span: Span,
+) -> Result<Scalar, RuntimeError> {
+    if let Some(f) = math_builtin(name) {
+        return f(args).map_err(|message| RuntimeError::at(message, span));
+    }
+    // Slot model: sizeof(T) == 8 bytes ⇒ /8. A negative size is 0.
+    let size_arg = |i: usize| int_arg(args, i).max(0);
+    let slots = |bytes: i64| (bytes as usize).div_ceil(8);
+    match name {
+        "malloc" => mem.try_alloc(slots(size_arg(0))).map(Scalar::P),
+        // A product beyond i64 saturates: no heap can hold it, so
+        // `try_alloc_zeroed` refuses it as a memory-limit trap.
+        "calloc" => mem
+            .try_alloc_zeroed(slots(
+                size_arg(0).checked_mul(size_arg(1)).unwrap_or(i64::MAX),
+            ))
+            .map(Scalar::P),
+        "free" => match args.first() {
+            Some(Scalar::P(p)) => mem.free(*p).map(|()| Scalar::I(0)),
+            Some(Scalar::Null) | None => Ok(Scalar::I(0)), // free(NULL) is a no-op
+            _ => Err(crate::value::MemError::new("free of non-pointer")),
+        },
+        // The engines render `printf` themselves (the format string is
+        // resolved at lower time); only a program whose *entry point* is
+        // named printf lands here.
         "printf" => {
-            // The format string was evaluated to a pointer into a string
-            // allocation by the caller and passed pre-rendered in `output`
-            // by the interpreter; here we only see scalars. The interpreter
-            // handles printf specially; this arm is a fallback.
-            output.push_str("[printf]");
+            output.lock().push_str("[printf]");
             Ok(Scalar::I(0))
         }
-
-        // ---- codegen helpers (fallback when not defined in C) -------------
-        "__pc_floord" => {
-            let n = args[0].as_i64();
-            let d = args[1].as_i64();
-            Ok(Scalar::I(n.div_euclid(d)))
+        _ => {
+            return Err(RuntimeError::at(
+                format!("call to undefined function '{name}'"),
+                span,
+            ))
         }
-        "__pc_ceild" => {
-            let n = args[0].as_i64();
-            let d = args[1].as_i64();
-            Ok(Scalar::I(-((-n).div_euclid(d))))
-        }
-        "__pc_max" => Ok(Scalar::I(args[0].as_i64().max(args[1].as_i64()))),
-        "__pc_min" => Ok(Scalar::I(args[0].as_i64().min(args[1].as_i64()))),
-
-        _ => return None,
-    })
+    }
+    .map_err(|e| RuntimeError::from_mem(e, span))
 }
 
 /// Render a `printf` call given the format string and evaluated arguments.
@@ -195,13 +212,14 @@ pub fn format_printf(fmt: &str, args: &[Scalar], mem: &Memory) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::Trap;
+
+    fn call_in(mem: &Memory, name: &str, args: &[Scalar]) -> Result<Scalar, RuntimeError> {
+        call_builtin(name, args, mem, &Mutex::new(String::new()), Span::DUMMY)
+    }
 
     fn call(name: &str, args: &[Scalar]) -> Scalar {
-        let mem = Memory::new();
-        let mut out = String::new();
-        call_builtin(name, args, &mem, &mut out)
-            .expect("is builtin")
-            .expect("no error")
+        call_in(&Memory::new(), name, args).expect("no error")
     }
 
     #[test]
@@ -225,11 +243,8 @@ mod tests {
     #[test]
     fn malloc_slot_model() {
         let mem = Memory::new();
-        let mut out = String::new();
         // malloc(3 * sizeof(int)) with sizeof == 8 → 24 bytes → 3 slots.
-        let r = call_builtin("malloc", &[Scalar::I(24)], &mem, &mut out)
-            .unwrap()
-            .unwrap();
+        let r = call_in(&mem, "malloc", &[Scalar::I(24)]).unwrap();
         let Scalar::P(p) = r else {
             panic!("not a pointer")
         };
@@ -239,10 +254,7 @@ mod tests {
     #[test]
     fn calloc_zeroes() {
         let mem = Memory::new();
-        let mut out = String::new();
-        let r = call_builtin("calloc", &[Scalar::I(4), Scalar::I(8)], &mem, &mut out)
-            .unwrap()
-            .unwrap();
+        let r = call_in(&mem, "calloc", &[Scalar::I(4), Scalar::I(8)]).unwrap();
         let Scalar::P(p) = r else { panic!() };
         for i in 0..4 {
             assert_eq!(mem.load(p.offset(i)).unwrap(), Scalar::I(0));
@@ -252,24 +264,16 @@ mod tests {
     #[test]
     fn calloc_product_overflow_is_a_limit_error() {
         let mem = Memory::new();
-        let mut out = String::new();
         let huge = Scalar::I(4_000_000_000);
-        let e = call_builtin("calloc", &[huge, huge], &mem, &mut out)
-            .unwrap()
-            .unwrap_err();
-        assert!(e.limit, "{}", e.message);
-        let e = call_builtin("malloc", &[Scalar::I(i64::MAX)], &mem, &mut out)
-            .unwrap()
-            .unwrap_err();
-        assert!(e.limit, "{}", e.message);
+        let e = call_in(&mem, "calloc", &[huge, huge]).unwrap_err();
+        assert_eq!(e.trap, Some(Trap::MemoryLimit), "{}", e.message);
+        let e = call_in(&mem, "malloc", &[Scalar::I(i64::MAX)]).unwrap_err();
+        assert_eq!(e.trap, Some(Trap::MemoryLimit), "{}", e.message);
     }
 
     #[test]
     fn free_null_is_noop() {
-        let mem = Memory::new();
-        let mut out = String::new();
-        let r = call_builtin("free", &[Scalar::Null], &mem, &mut out).unwrap();
-        assert!(r.is_ok());
+        assert!(call_in(&Memory::new(), "free", &[Scalar::Null]).is_ok());
     }
 
     #[test]
@@ -302,9 +306,9 @@ mod tests {
 
     #[test]
     fn unknown_function_is_not_builtin() {
-        let mem = Memory::new();
-        let mut out = String::new();
-        assert!(call_builtin("do_stuff", &[], &mem, &mut out).is_none());
+        let e = call_in(&Memory::new(), "do_stuff", &[]).unwrap_err();
+        assert_eq!(e.message, "call to undefined function 'do_stuff'");
+        assert!(math_builtin("do_stuff").is_none());
     }
 
     #[test]
@@ -314,5 +318,69 @@ mod tests {
         assert_eq!(s, "i=7 f=1.50 %\n");
         let s2 = format_printf("%e", &[Scalar::F(12345.0)], &mem);
         assert!(s2.contains('e'));
+    }
+
+    /// Run `src` on the VM, the resolved engine and the legacy oracle.
+    fn on_every_engine(src: &str) -> [Result<i64, RuntimeError>; 3] {
+        use crate::interp::{InterpOptions, Program};
+        let parsed = cfront::parser::parse(src);
+        assert!(!parsed.diags.has_errors(), "{src}");
+        let prog = Program::new(&parsed.unit);
+        let opts = InterpOptions::default();
+        [
+            prog.run(opts),
+            prog.run_resolved(opts),
+            prog.run_legacy(opts),
+        ]
+        .map(|r| r.map(|ok| ok.exit_code))
+    }
+
+    /// A zero divisor is the engines' own arithmetic error — same message
+    /// and span on all three — never a panic.
+    #[test]
+    fn pc_division_helpers_trap_on_a_zero_divisor() {
+        for src in [
+            "int main() { int d = 0; return __pc_floord(7, d); }",
+            "int main() { int d = 0; return __pc_ceild(7, d); }",
+            // A missing divisor reads as zero.
+            "int main() { return __pc_floord(7); }",
+        ] {
+            let [vm, resolved, legacy] =
+                on_every_engine(src).map(|r| r.expect_err("division by zero must error"));
+            assert_eq!(vm.message, "integer division by zero", "{src}");
+            assert!(!vm.span.is_empty(), "{src}");
+            for other in [resolved, legacy] {
+                assert_eq!(
+                    (&other.message, other.span),
+                    (&vm.message, vm.span),
+                    "{src}"
+                );
+            }
+        }
+    }
+
+    /// Integer entries wrap like the engines' operators, and a missing
+    /// argument reads as zero (the way `f1`/`f2` always did).
+    #[test]
+    fn integer_builtins_wrap_and_tolerate_missing_arguments() {
+        const MIN: &str = "(-9223372036854775807 - 1)";
+        for (src, want) in [
+            (
+                format!("int main() {{ return __pc_floord({MIN}, -1) == {MIN}; }}"),
+                1,
+            ),
+            (
+                format!("int main() {{ return __pc_ceild({MIN}, -1) == {MIN}; }}"),
+                1,
+            ),
+            (format!("int main() {{ return labs({MIN}) == {MIN}; }}"), 1),
+            ("int main() { return __pc_max(3); }".to_string(), 3),
+            ("int main() { return __pc_min(3); }".to_string(), 0),
+            ("int main() { return __pc_max(); }".to_string(), 0),
+        ] {
+            for (engine, got) in on_every_engine(&src).into_iter().enumerate() {
+                assert_eq!(got.ok(), Some(want), "engine {engine}: {src}");
+            }
+        }
     }
 }

@@ -39,6 +39,7 @@
 //! escape a region body jump to its `RegionEnd` — the iteration ends,
 //! mirroring the resolved engine discarding the child's control flow.
 
+use crate::effects::Summary;
 use crate::resolve::{
     Coerce, RDecl, RDeclKind, RExpr, RExprKind, ROmpFor, RPlace, RPlaceKind, RSpawn, RStmt,
     RStmtKind, ResolvedProgram, SlotRef,
@@ -365,7 +366,7 @@ pub(crate) struct BFunc {
     pub(crate) regions: Vec<BRegion>,
     pub(crate) spawns: Vec<BSpawn>,
     pub(crate) errs: Vec<String>,
-    pub(crate) cacheable: bool,
+    pub(crate) summary: Summary,
 }
 
 impl BFunc {
@@ -390,12 +391,11 @@ pub struct BytecodeProgram {
     pub(crate) global_code: BFunc,
     pub(crate) nglobals: usize,
     pub(crate) interner: Interner,
-    pub(crate) any_cacheable: bool,
 }
 
 impl BytecodeProgram {
     /// Flatten a resolved program. Purity verdicts arrive here as the
-    /// resolver's `cacheable` flags — the pipeline's verified-pure set
+    /// resolver's effect summaries — the pipeline's verified-pure set
     /// feeds bytecode lowering through [`crate::resolve::lower_unit`].
     pub fn compile(prog: &ResolvedProgram) -> BytecodeProgram {
         let funcs = prog
@@ -414,7 +414,7 @@ impl BytecodeProgram {
                     prog.interner.resolve(f.name).to_string(),
                     f.params.clone(),
                     f.frame_size,
-                    f.cacheable,
+                    f.summary,
                 )
             })
             .collect();
@@ -425,14 +425,13 @@ impl BytecodeProgram {
         let zero = g.const_idx(Scalar::I(0));
         g.emit(Op::Const, zero, 0, Span::DUMMY);
         g.emit(Op::Ret, 0, 0, Span::DUMMY);
-        let global_code = g.finish("<globals>".to_string(), Vec::new(), 0, false);
+        let global_code = g.finish("<globals>".to_string(), Vec::new(), 0, Summary::default());
         BytecodeProgram {
             funcs,
             by_name: prog.by_name.clone(),
             global_code,
             nglobals: prog.nglobals,
             interner: prog.interner.clone(),
-            any_cacheable: prog.any_cacheable,
         }
     }
 
@@ -453,7 +452,11 @@ impl BytecodeProgram {
                 f.name,
                 f.frame_size,
                 f.code.len(),
-                if f.cacheable { ", cacheable" } else { "" }
+                if f.summary.is_const() {
+                    ", cacheable"
+                } else {
+                    ""
+                }
             );
             for (pc, insn) in f.code.iter().enumerate() {
                 let note = match insn.op {
@@ -556,7 +559,7 @@ impl<'a> FnCompiler<'a> {
         name: String,
         params: Vec<(u32, Coerce)>,
         frame_size: usize,
-        cacheable: bool,
+        summary: Summary,
     ) -> BFunc {
         debug_assert!(self.loops.is_empty() && self.region_exits.is_empty());
         BFunc {
@@ -571,7 +574,7 @@ impl<'a> FnCompiler<'a> {
             regions: self.regions,
             spawns: self.spawns,
             errs: self.errs,
-            cacheable,
+            summary,
         }
     }
 

@@ -338,9 +338,9 @@ impl Program {
     }
 
     /// Prepare a translation unit, passing the names the purity pass
-    /// verified pure. Calls to the const-like subset of those functions
-    /// are memoized by the bytecode and resolved engines (see
-    /// [`crate::resolve`] for the safety argument).
+    /// verified pure. Calls to the const subset of those functions are
+    /// memoized by the bytecode and resolved engines (see
+    /// [`crate::effects`] for the safety argument).
     pub fn with_pure_set(unit: &TranslationUnit, pure_fns: &HashSet<String>) -> Self {
         Self::with_pure_set_and_verdicts(unit, pure_fns, &VerdictMap::new())
     }
@@ -1250,22 +1250,7 @@ impl Interp {
                     }
                 }
             }
-            _ => {
-                let mut out = String::new();
-                match call_builtin(name, args, &self.s.mem, &mut out) {
-                    Some(Ok(v)) => {
-                        if !out.is_empty() {
-                            self.s.output.lock().push_str(&out);
-                        }
-                        Ok(v)
-                    }
-                    Some(Err(e)) => Err(RuntimeError::from_mem(e, span)),
-                    None => Err(RuntimeError::new(
-                        format!("call to undefined function '{name}'"),
-                        span,
-                    )),
-                }
-            }
+            _ => call_builtin(name, args, &self.s.mem, &self.s.output, span),
         }
     }
 

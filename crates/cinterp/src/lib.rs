@@ -31,11 +31,12 @@
 //!    not ship it.
 //!
 //! Purity verdicts from `purec_core` flow through
-//! [`Program::with_pure_set`] into resolved lowering (cacheable-function
-//! analysis) and onward into bytecode lowering, so all memoizing tiers
-//! share one safety argument (see [`resolve`]'s module docs).
+//! [`Program::with_pure_set`] into resolved lowering, where [`effects`]
+//! gives every function one summary (const ⊂ pure ⊂ impure, leaf |
+//! heavy), and onward into bytecode lowering, so all memoizing tiers
+//! share one safety argument (see [`effects`]' module docs).
 //!
-//! On top of the cacheable set, the [`spawn`] pass rewrites batches of
+//! On top of the const set, the [`spawn`] pass rewrites batches of
 //! *independent* verified-pure calls into pure-call **futures**
 //! (`SpawnPure`/`AwaitSlots`), executed by both live tiers on the
 //! persistent worker pool — the paper's automatic parallelization of
@@ -45,6 +46,7 @@
 pub mod builtins;
 pub mod bytecode;
 pub(crate) mod cache;
+pub mod effects;
 pub mod interp;
 pub mod opt;
 pub mod resolve;
@@ -54,6 +56,7 @@ pub mod value;
 pub mod vm;
 
 pub use bytecode::BytecodeProgram;
+pub use effects::{Class, Cost, Summary};
 pub use interp::{
     Engine, InterpOptions, Program, RaceVerdict, RunResult, RuntimeError, Trap, VerdictMap,
     DEFAULT_RACE_CHECK_CAP, MAX_CALL_DEPTH,

@@ -39,32 +39,13 @@
 //! depends only on the arguments, so the second evaluation can be a table
 //! lookup.
 //!
-//! ## Safety argument (why purity ⇒ cacheable)
-//!
 //! Verified purity alone is *not* sufficient for whole-program
-//! memoization: the verifier (matching GCC `pure` semantics) permits
-//! reading global memory and reading through `pure` pointer parameters,
-//! and both can change between non-consecutive calls. The resolver
-//! therefore narrows the cacheable set to functions that are
-//! **const-like** — a fixpoint over the call graph requiring each
-//! function to
-//!
-//! 1. be verified pure by the purity pass (no side effects, proven);
-//! 2. take only by-value scalar parameters and return a scalar (so the
-//!    key `(fn, coerced args)` fully determines the input state and the
-//!    cached value aliases nothing);
-//! 3. reference no globals and perform no memory operation at all (no
-//!    arrays, structs, string literals, derefs, `&`, or allocation), so
-//!    the result cannot observe mutable state and a cache hit cannot skip
-//!    an observable effect;
-//! 4. call only other cacheable functions or allocation-free math
-//!    builtins.
-//!
-//! Under 1–4 a call's value is a pure function of its key, and skipping
-//! the body changes nothing observable except the executed-operation
-//! counters — exactly the `modulo cache hits` caveat the differential
-//! tests allow. Hits and misses are surfaced in
-//! [`crate::value::CounterSnapshot`] as `memo_hits` / `memo_misses`.
+//! memoization (a pure function may read globals and `pure` pointer
+//! parameters, which change between calls), so only functions whose
+//! [`crate::effects::Summary`] is **const** are cached — see
+//! [`crate::effects`] for the lattice and the safety argument. Hits and
+//! misses are surfaced in [`crate::value::CounterSnapshot`] as
+//! `memo_hits` / `memo_misses`.
 //!
 //! The cache is bounded ([`MEMO_CAPACITY`] entries); once full it stops
 //! inserting (no eviction), which keeps hot entries — the recursion base
@@ -89,6 +70,7 @@
 
 use crate::builtins::{call_builtin, format_printf};
 use crate::cache::ClockCache;
+use crate::effects::Summary;
 use crate::interp::{
     parse_omp_parallel_for, InterpOptions, RaceVerdict, RunResult, RuntimeError, Trap, VerdictMap,
 };
@@ -315,7 +297,7 @@ pub(crate) enum RStmtKind {
 pub(crate) struct RSpawn {
     /// Target local slot of the assignment/declaration.
     pub(crate) slot: u32,
-    /// Callee function id (always `cacheable` and `spawn_heavy`).
+    /// Callee function id (always const and heavy).
     pub(crate) fid: u32,
     /// Result coercion of the original declaration/assignment target.
     pub(crate) coerce: Coerce,
@@ -352,12 +334,9 @@ pub(crate) struct RFunc {
     pub(crate) frame_size: usize,
     pub(crate) body: Vec<RStmt>,
     pub(crate) span: Span,
-    /// Participates in pure-call memoization (see module docs).
-    pub(crate) cacheable: bool,
-    /// Worth running as a future: cacheable *and* coarse enough (it
-    /// loops, recurses, or calls a function that does — see
-    /// [`crate::spawn`]'s granularity heuristic).
-    pub(crate) spawn_heavy: bool,
+    /// What a caller may assume about a call (see [`crate::effects`]):
+    /// const functions are memoized, const ∧ heavy ones spawned.
+    pub(crate) summary: Summary,
 }
 
 /// A translation unit lowered for execution.
@@ -382,28 +361,32 @@ pub struct ResolvedProgram {
     /// Struct name → size in slots.
     #[cfg_attr(not(any(test, feature = "legacy-oracle")), allow(dead_code))]
     pub(crate) struct_sizes: HashMap<String, usize>,
-    /// Whether any function is memo-eligible (skips cache setup if not).
-    pub(crate) any_cacheable: bool,
 }
 
 impl ResolvedProgram {
-    /// Names of functions that participate in pure-call memoization.
-    pub fn cacheable_functions(&self) -> Vec<&str> {
+    /// Every function's name and effect summary, in definition order.
+    pub fn summaries(&self) -> impl Iterator<Item = (&str, Summary)> {
         self.funcs
             .iter()
-            .filter(|f| f.cacheable)
-            .map(|f| self.interner.resolve(f.name))
+            .map(|f| (self.interner.resolve(f.name), f.summary))
+    }
+
+    /// Names of the functions whose summary `keep` accepts.
+    pub fn functions_where(&self, keep: fn(Summary) -> bool) -> Vec<&str> {
+        self.summaries()
+            .filter_map(|(name, s)| keep(s).then_some(name))
             .collect()
     }
 
+    /// Names of functions that participate in pure-call memoization.
+    pub fn cacheable_functions(&self) -> Vec<&str> {
+        self.functions_where(Summary::is_const)
+    }
+
     /// Functions the granularity heuristic considers worth spawning
-    /// (cacheable ∧ loops/recurses, transitively).
+    /// (const ∧ loops/recurses, transitively).
     pub fn spawn_heavy_functions(&self) -> Vec<&str> {
-        self.funcs
-            .iter()
-            .filter(|f| f.spawn_heavy)
-            .map(|f| self.interner.resolve(f.name))
-            .collect()
+        self.functions_where(Summary::spawn_heavy)
     }
 
     /// `(function, spawn sites)` for every function containing at least
@@ -605,13 +588,13 @@ impl<'a> Lowerer<'a> {
             field_offsets,
             field_unique,
             struct_sizes,
-            any_cacheable: false,
         };
-        mark_cacheable(&mut prog, pure_fns);
-        prog.any_cacheable = prog.funcs.iter().any(|f| f.cacheable);
-        // Spawn-site analysis runs after cacheability: it consumes the
-        // verified-pure/const-like verdicts and rewrites independent
-        // heavy pure calls into SpawnPure/AwaitSlots batches.
+        let summaries = crate::effects::summarize(&prog.funcs, &prog.interner, pure_fns);
+        for (f, s) in prog.funcs.iter_mut().zip(summaries) {
+            f.summary = s;
+        }
+        // The spawn-site pass consumes the summaries and rewrites
+        // independent heavy const calls into SpawnPure/AwaitSlots batches.
         crate::spawn::analyze(&mut prog);
         prog
     }
@@ -646,8 +629,7 @@ impl<'a> Lowerer<'a> {
             frame_size,
             body: stmts,
             span: f.span,
-            cacheable: false,
-            spawn_heavy: false,
+            summary: Summary::default(),
         }
     }
 
@@ -1145,273 +1127,6 @@ pub fn lower_unit(
 }
 
 // ---------------------------------------------------------------------------
-// Cacheability (memo safety) analysis
-// ---------------------------------------------------------------------------
-
-/// Allocation-free math builtins allowed inside cacheable functions.
-fn is_pure_math_builtin(name: &str) -> bool {
-    matches!(
-        name,
-        "sin"
-            | "sinf"
-            | "cos"
-            | "cosf"
-            | "tan"
-            | "tanf"
-            | "asin"
-            | "asinf"
-            | "acos"
-            | "acosf"
-            | "atan"
-            | "atanf"
-            | "atan2"
-            | "atan2f"
-            | "sinh"
-            | "cosh"
-            | "tanh"
-            | "exp"
-            | "expf"
-            | "log"
-            | "logf"
-            | "log2"
-            | "log2f"
-            | "log10"
-            | "log10f"
-            | "sqrt"
-            | "sqrtf"
-            | "cbrt"
-            | "pow"
-            | "powf"
-            | "fabs"
-            | "fabsf"
-            | "floor"
-            | "floorf"
-            | "ceil"
-            | "ceilf"
-            | "round"
-            | "roundf"
-            | "trunc"
-            | "fmod"
-            | "fmodf"
-            | "fmin"
-            | "fminf"
-            | "fmax"
-            | "fmaxf"
-            | "hypot"
-            | "expm1"
-            | "log1p"
-            | "copysign"
-            | "abs"
-            | "labs"
-            | "llabs"
-            | "__pc_floord"
-            | "__pc_ceild"
-            | "__pc_max"
-            | "__pc_min"
-    )
-}
-
-/// Local (per-function) memo eligibility + called-function collection.
-struct CacheScan<'a> {
-    interner: &'a Interner,
-    ok: bool,
-    calls: Vec<u32>,
-}
-
-impl CacheScan<'_> {
-    fn scan_stmts(&mut self, stmts: &[RStmt]) {
-        for s in stmts {
-            self.scan_stmt(s);
-        }
-    }
-
-    fn scan_stmt(&mut self, s: &RStmt) {
-        if !self.ok {
-            return;
-        }
-        match &s.kind {
-            RStmtKind::Decl(decls) => {
-                for d in decls {
-                    match &d.kind {
-                        // Arrays/structs are memory — not const-like.
-                        RDeclKind::Array { .. } | RDeclKind::Struct { .. } => self.ok = false,
-                        RDeclKind::Scalar { init, .. } => {
-                            if let Some(i) = init {
-                                self.scan_expr(i);
-                            }
-                        }
-                    }
-                }
-            }
-            RStmtKind::Expr(e) => {
-                if let Some(e) = e {
-                    self.scan_expr(e);
-                }
-            }
-            RStmtKind::Block(b) => self.scan_stmts(b),
-            RStmtKind::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                self.scan_expr(cond);
-                self.scan_stmt(then_branch);
-                if let Some(e) = else_branch {
-                    self.scan_stmt(e);
-                }
-            }
-            RStmtKind::While { cond, body } => {
-                self.scan_expr(cond);
-                self.scan_stmt(body);
-            }
-            RStmtKind::DoWhile { body, cond } => {
-                self.scan_stmt(body);
-                self.scan_expr(cond);
-            }
-            RStmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-                ..
-            } => {
-                if let Some(i) = init {
-                    self.scan_stmt(i);
-                }
-                if let Some(c) = cond {
-                    self.scan_expr(c);
-                }
-                if let Some(st) = step {
-                    self.scan_expr(st);
-                }
-                self.scan_stmt(body);
-            }
-            RStmtKind::Return(e) => {
-                if let Some(e) = e {
-                    self.scan_expr(e);
-                }
-            }
-            RStmtKind::Break | RStmtKind::Continue | RStmtKind::Nop => {}
-            // Parallel regions inside cacheable functions are excluded
-            // outright (shared-memory interactions).
-            RStmtKind::OmpFor(_) => self.ok = false,
-            // Spawn sites only exist after this analysis ran (the spawn
-            // rewrite consumes cacheability verdicts); treat them like
-            // the call they stand for, for robustness.
-            RStmtKind::SpawnPure(sp) => {
-                self.calls.push(sp.fid);
-                for a in &sp.args {
-                    self.scan_expr(a);
-                }
-            }
-            RStmtKind::AwaitSlots(_) => {}
-        }
-    }
-
-    fn scan_expr(&mut self, e: &RExpr) {
-        if !self.ok {
-            return;
-        }
-        match &e.kind {
-            RExprKind::Int(_) | RExprKind::Float(_) | RExprKind::Local(_) => {}
-            // Globals and memory constructs break const-likeness.
-            RExprKind::Global(_)
-            | RExprKind::Str(_)
-            | RExprKind::Unknown(_)
-            | RExprKind::AddrOf(_)
-            | RExprKind::Load(_)
-            | RExprKind::Printf { .. }
-            | RExprKind::IndirectCall
-            | RExprKind::InitList(_) => self.ok = false,
-            RExprKind::Unary(op, inner) => {
-                if matches!(op, UnOp::Deref) {
-                    self.ok = false;
-                } else {
-                    self.scan_expr(inner);
-                }
-            }
-            RExprKind::Binary(_, l, r) | RExprKind::Comma(l, r) => {
-                self.scan_expr(l);
-                self.scan_expr(r);
-            }
-            RExprKind::Assign { place, value, .. } => {
-                self.scan_place(place);
-                self.scan_expr(value);
-            }
-            RExprKind::IncDec(_, place) => self.scan_place(place),
-            RExprKind::Ternary(c, t, f) => {
-                self.scan_expr(c);
-                self.scan_expr(t);
-                self.scan_expr(f);
-            }
-            RExprKind::CallUser { fid, args } => {
-                self.calls.push(*fid);
-                for a in args {
-                    self.scan_expr(a);
-                }
-            }
-            RExprKind::CallBuiltin { name, args } => {
-                if !is_pure_math_builtin(self.interner.resolve(*name)) {
-                    self.ok = false;
-                    return;
-                }
-                for a in args {
-                    self.scan_expr(a);
-                }
-            }
-            RExprKind::Cast(_, inner) => self.scan_expr(inner),
-        }
-    }
-
-    fn scan_place(&mut self, p: &RPlace) {
-        match &p.kind {
-            RPlaceKind::Local(_) => {}
-            _ => self.ok = false,
-        }
-    }
-}
-
-/// Compute the cacheable set: verified-pure ∧ scalar-only ∧ closed under
-/// calls (greatest fixpoint, so self/mutual recursion stays cacheable).
-fn mark_cacheable(prog: &mut ResolvedProgram, pure_fns: &HashSet<String>) {
-    if pure_fns.is_empty() {
-        return;
-    }
-    let n = prog.funcs.len();
-    let mut candidate = vec![false; n];
-    let mut calls: Vec<Vec<u32>> = Vec::with_capacity(n);
-    for (i, f) in prog.funcs.iter().enumerate() {
-        let name = prog.interner.resolve(f.name);
-        let verified = pure_fns.contains(name);
-        let scalar_params = f.params.iter().all(|(_, c)| *c != Coerce::None);
-        let mut scan = CacheScan {
-            interner: &prog.interner,
-            ok: true,
-            calls: Vec::new(),
-        };
-        scan.scan_stmts(&f.body);
-        candidate[i] = verified && scalar_params && scan.ok;
-        calls.push(scan.calls);
-    }
-    // Remove candidates that call non-candidates until stable.
-    loop {
-        let mut changed = false;
-        for i in 0..n {
-            if candidate[i] && calls[i].iter().any(|&c| !candidate[c as usize]) {
-                candidate[i] = false;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    for (f, ok) in prog.funcs.iter_mut().zip(candidate) {
-        f.cacheable = ok;
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Memo cache
 // ---------------------------------------------------------------------------
 
@@ -1578,7 +1293,8 @@ pub(crate) fn run_resolved(
     entry: &str,
     opts: InterpOptions,
 ) -> RtResult<RunResult> {
-    let memo = (opts.memo && prog.any_cacheable).then(|| Arc::new(MemoCache::new(MEMO_CAPACITY)));
+    let memo = (opts.memo && prog.summaries().any(|(_, s)| s.is_const()))
+        .then(|| Arc::new(MemoCache::new(MEMO_CAPACITY)));
     let shared = RShared {
         mem: Memory::with_limit(opts.max_memory_bytes),
         counters: Arc::new(Counters::new()),
@@ -1598,22 +1314,7 @@ pub(crate) fn run_resolved(
             // Mirror the tree-walker: unknown entry falls through to the
             // builtin table, then errors.
             Counters::bump(&shared.counters.calls);
-            let mut out = String::new();
-            match call_builtin(entry, &[], &shared.mem, &mut out) {
-                Some(Ok(v)) => {
-                    if !out.is_empty() {
-                        shared.output.lock().push_str(&out);
-                    }
-                    v
-                }
-                Some(Err(e)) => return Err(RuntimeError::from_mem(e, Span::DUMMY)),
-                None => {
-                    return Err(RuntimeError::at(
-                        format!("call to undefined function '{entry}'"),
-                        Span::DUMMY,
-                    ))
-                }
-            }
+            call_builtin(entry, &[], &shared.mem, &shared.output, Span::DUMMY)?
         }
     };
     let output = shared.output.lock().clone();
@@ -1997,7 +1698,9 @@ impl<'p> RInterp<'p> {
                 for a in args {
                     vals.push(self.eval(a)?);
                 }
-                self.call_builtin_by_sym(*name, &vals, e.span)
+                Counters::bump(&self.s.counters.calls);
+                let name = self.prog.interner.resolve(*name);
+                call_builtin(name, &vals, &self.s.mem, &self.s.output, e.span)
             }
             RExprKind::Printf {
                 fmt,
@@ -2242,9 +1945,9 @@ impl<'p> RInterp<'p> {
             frame[slot as usize] = coerce.apply(*v);
         }
 
-        // Pure-call memoization: consult the cache for verified-pure,
-        // const-like functions (see module docs for the safety argument).
-        let memo_key = match (&self.s.memo, func.cacheable) {
+        // Pure-call memoization: consult the cache for const functions
+        // (see `crate::effects` for the safety argument).
+        let memo_key = match (&self.s.memo, func.summary.is_const()) {
             (Some(_), true) => MemoCache::key(fid, &frame[..func.params.len().min(frame.len())]),
             _ => None,
         };
@@ -2273,30 +1976,6 @@ impl<'p> RInterp<'p> {
             cache.insert(key, result);
         }
         Ok(result)
-    }
-
-    fn call_builtin_by_sym(
-        &mut self,
-        name: Symbol,
-        args: &[Scalar],
-        span: Span,
-    ) -> RtResult<Scalar> {
-        Counters::bump(&self.s.counters.calls);
-        let name_str = self.prog.interner.resolve(name);
-        let mut out = String::new();
-        match call_builtin(name_str, args, &self.s.mem, &mut out) {
-            Some(Ok(v)) => {
-                if !out.is_empty() {
-                    self.s.output.lock().push_str(&out);
-                }
-                Ok(v)
-            }
-            Some(Err(e)) => Err(RuntimeError::from_mem(e, span)),
-            None => Err(RuntimeError::at(
-                format!("call to undefined function '{name_str}'"),
-                span,
-            )),
-        }
     }
 
     // -- statements -----------------------------------------------------------
@@ -2481,7 +2160,7 @@ impl<'p> RInterp<'p> {
         // Memo pre-check: a hit never spawns (mirrors `call_user`'s hit
         // path via the shared key builder).
         if let Some(cache) = &self.s.memo {
-            if func.cacheable {
+            if func.summary.is_const() {
                 if let Some(key) =
                     MemoCache::key_for_call(&func.params, func.frame_size, sp.fid, &vals)
                 {

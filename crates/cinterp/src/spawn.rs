@@ -7,7 +7,7 @@
 //! consecutive statements of the shape
 //!
 //! ```c
-//! int a = f(x);      // verified pure, const-like, spawn-worthy
+//! int a = f(x);      // const and heavy (see `crate::effects`)
 //! int b = g(y);      // independent of `a`
 //! use(a, b);         // join point: both results forced here
 //! ```
@@ -21,15 +21,9 @@
 //! call to a local scalar slot (`T a = f(args);` with one declarator, or
 //! `a = f(args);`), and
 //!
-//! * the callee is **cacheable** (verified pure ∧ const-like, see
-//!   [`crate::resolve`]'s safety argument) — such a function reads no
-//!   globals and touches no memory, so running it on another thread at
-//!   the spawn point is observationally identical to running it inline
-//!   at the original call point;
-//! * the callee passes the **granularity heuristic**: it contains a
-//!   loop, participates in a recursion cycle, or (transitively) calls a
-//!   function that does. Straight-line leaves stay inline — a future's
-//!   spawn/join overhead dwarfs them;
+//! * the callee's [`crate::effects::Summary`] is **const ∧ heavy** — the
+//!   lattice, the safety argument and the granularity heuristic are
+//!   stated once, in [`crate::effects`];
 //! * its argument expressions do not mention (read *or* write) the
 //!   target slot of any earlier statement in the same batch — arguments
 //!   are evaluated eagerly by the spawning thread in original program
@@ -55,9 +49,10 @@
 //! an *unconditionally evaluated* position of a statement's expression
 //! (binary operands outside `&&`/`||` right sides and ternary branches,
 //! call arguments, `return` values, `if` conditions, assignment values,
-//! index expressions) and whose arguments are **transparent** (literals,
-//! locals, arithmetic, casts, calls to cacheable functions — no loads,
-//! globals, or side effects) is hoisted into a fresh frame slot:
+//! index expressions) and whose arguments are **transparent**
+//! ([`crate::effects::transparent`]: literals, locals, arithmetic, casts,
+//! calls to const functions — no loads, globals, or side effects) is
+//! hoisted into a fresh frame slot:
 //!
 //! ```c
 //! return f(a) + f(b);   ⇒   t1 = f(a); t2 = f(b); return t1 + t2;
@@ -81,253 +76,31 @@
 //! subexpression's. For programs that do not error, behaviour is
 //! bit-identical — the differential suites assert exactly that.
 
+use crate::effects::{transparent, Summary};
 use crate::resolve::{
-    RDeclKind, RExpr, RExprKind, RPlace, RPlaceKind, RSpawn, RStmt, RStmtKind, ResolvedProgram,
-    SlotRef,
+    Coerce, RDeclKind, RExpr, RExprKind, RPlace, RPlaceKind, RSpawn, RStmt, RStmtKind,
+    ResolvedProgram, SlotRef,
 };
-use cfront::span::Span;
+use cfront::intern::Interner;
 
-/// Run the analysis over a lowered program: compute per-function
-/// spawn-worthiness, hoist expression-level heavy pure calls into
-/// temps, then rewrite every function body (including parallel-region
-/// bodies) into spawn batches.
+/// Run the pass over a lowered program whose functions carry their
+/// summaries: hoist expression-level heavy const calls into temps, then
+/// rewrite every function body (including parallel-region bodies) into
+/// spawn batches.
 pub(crate) fn analyze(prog: &mut ResolvedProgram) {
-    if !prog.any_cacheable {
-        return; // no verified-pure const-like functions ⇒ no sites
+    let summaries: Vec<Summary> = prog.funcs.iter().map(|f| f.summary).collect();
+    if !summaries.iter().any(|s| s.spawn_heavy()) {
+        return; // nothing worth a future ⇒ no sites
     }
-    mark_spawn_heavy(prog);
-    let heavy: Vec<bool> = prog.funcs.iter().map(|f| f.spawn_heavy).collect();
-    if !heavy.iter().any(|&h| h) {
-        return;
-    }
-    let cacheable: Vec<bool> = prog.funcs.iter().map(|f| f.cacheable).collect();
     for f in &mut prog.funcs {
-        let body = std::mem::take(&mut f.body);
         let mut hoister = Hoister {
-            heavy: &heavy,
-            cacheable: &cacheable,
+            summaries: &summaries,
+            interner: &prog.interner,
             next_slot: f.frame_size as u32,
         };
-        let body = hoister.hoist_stmts(body);
+        let body = hoister.hoist_stmts(std::mem::take(&mut f.body));
         f.frame_size = hoister.next_slot as usize;
-        f.body = rewrite_stmts(body, &heavy);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Granularity heuristic
-// ---------------------------------------------------------------------------
-
-/// Collect the user-call targets and loop presence of a statement tree.
-fn scan_calls(stmts: &[RStmt], calls: &mut Vec<u32>, has_loop: &mut bool) {
-    for s in stmts {
-        scan_stmt(s, calls, has_loop);
-    }
-}
-
-fn scan_stmt(s: &RStmt, calls: &mut Vec<u32>, has_loop: &mut bool) {
-    match &s.kind {
-        RStmtKind::Decl(decls) => {
-            for d in decls {
-                match &d.kind {
-                    RDeclKind::Array { dims, init } => {
-                        for e in dims {
-                            scan_expr(e, calls);
-                        }
-                        if let Some(e) = init {
-                            scan_expr(e, calls);
-                        }
-                    }
-                    RDeclKind::Struct { .. } => {}
-                    RDeclKind::Scalar { init, .. } => {
-                        if let Some(e) = init {
-                            scan_expr(e, calls);
-                        }
-                    }
-                }
-            }
-        }
-        RStmtKind::Expr(Some(e)) | RStmtKind::Return(Some(e)) => scan_expr(e, calls),
-        RStmtKind::Expr(None)
-        | RStmtKind::Return(None)
-        | RStmtKind::Break
-        | RStmtKind::Continue
-        | RStmtKind::Nop => {}
-        RStmtKind::Block(b) => scan_calls(b, calls, has_loop),
-        RStmtKind::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            scan_expr(cond, calls);
-            scan_stmt(then_branch, calls, has_loop);
-            if let Some(e) = else_branch {
-                scan_stmt(e, calls, has_loop);
-            }
-        }
-        RStmtKind::While { cond, body } => {
-            *has_loop = true;
-            scan_expr(cond, calls);
-            scan_stmt(body, calls, has_loop);
-        }
-        RStmtKind::DoWhile { body, cond } => {
-            *has_loop = true;
-            scan_stmt(body, calls, has_loop);
-            scan_expr(cond, calls);
-        }
-        RStmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-            ..
-        } => {
-            *has_loop = true;
-            if let Some(i) = init {
-                scan_stmt(i, calls, has_loop);
-            }
-            if let Some(c) = cond {
-                scan_expr(c, calls);
-            }
-            if let Some(st) = step {
-                scan_expr(st, calls);
-            }
-            scan_stmt(body, calls, has_loop);
-        }
-        RStmtKind::OmpFor(of) => {
-            *has_loop = true;
-            if let Ok(h) = &of.header {
-                scan_expr(&h.lb, calls);
-                scan_expr(&h.ub, calls);
-                scan_stmt(&h.body, calls, has_loop);
-            }
-        }
-        RStmtKind::SpawnPure(sp) => {
-            calls.push(sp.fid);
-            for a in &sp.args {
-                scan_expr(a, calls);
-            }
-        }
-        RStmtKind::AwaitSlots(_) => {}
-    }
-}
-
-fn scan_expr(e: &RExpr, calls: &mut Vec<u32>) {
-    match &e.kind {
-        RExprKind::CallUser { fid, args } => {
-            calls.push(*fid);
-            for a in args {
-                scan_expr(a, calls);
-            }
-        }
-        RExprKind::Int(_)
-        | RExprKind::Float(_)
-        | RExprKind::Str(_)
-        | RExprKind::Local(_)
-        | RExprKind::Global(_)
-        | RExprKind::Unknown(_)
-        | RExprKind::IndirectCall => {}
-        RExprKind::Unary(_, inner) | RExprKind::Cast(_, inner) => scan_expr(inner, calls),
-        RExprKind::Binary(_, l, r) | RExprKind::Comma(l, r) => {
-            scan_expr(l, calls);
-            scan_expr(r, calls);
-        }
-        RExprKind::Assign { place, value, .. } => {
-            scan_place_exprs(place, calls);
-            scan_expr(value, calls);
-        }
-        RExprKind::IncDec(_, place) | RExprKind::AddrOf(place) => scan_place_exprs(place, calls),
-        RExprKind::Ternary(c, t, f) => {
-            scan_expr(c, calls);
-            scan_expr(t, calls);
-            scan_expr(f, calls);
-        }
-        RExprKind::CallBuiltin { args, .. } | RExprKind::InitList(args) => {
-            for a in args {
-                scan_expr(a, calls);
-            }
-        }
-        RExprKind::Printf { fmt_expr, args, .. } => {
-            if let Some(f) = fmt_expr {
-                scan_expr(f, calls);
-            }
-            for a in args {
-                scan_expr(a, calls);
-            }
-        }
-        RExprKind::Load(place) => scan_place_exprs(place, calls),
-    }
-}
-
-fn scan_place_exprs(p: &crate::resolve::RPlace, calls: &mut Vec<u32>) {
-    match &p.kind {
-        RPlaceKind::Index(base, idx) => {
-            scan_expr(base, calls);
-            scan_expr(idx, calls);
-        }
-        RPlaceKind::Deref(inner) => scan_expr(inner, calls),
-        RPlaceKind::Member { base, .. } | RPlaceKind::MemberUnknown { base, .. } => {
-            scan_expr(base, calls)
-        }
-        RPlaceKind::Local(_)
-        | RPlaceKind::Global(_)
-        | RPlaceKind::Unknown(_)
-        | RPlaceKind::NotLvalue => {}
-    }
-}
-
-/// Mark each function's `spawn_heavy` flag: cacheable ∧ (has a loop ∨
-/// sits on a call-graph cycle ∨ calls a heavy function), as a least
-/// fixpoint so wrappers around heavy work also qualify.
-fn mark_spawn_heavy(prog: &mut ResolvedProgram) {
-    let n = prog.funcs.len();
-    let mut calls: Vec<Vec<u32>> = Vec::with_capacity(n);
-    let mut base = vec![false; n];
-    for (i, f) in prog.funcs.iter().enumerate() {
-        let mut cs = Vec::new();
-        let mut has_loop = false;
-        scan_calls(&f.body, &mut cs, &mut has_loop);
-        cs.sort_unstable();
-        cs.dedup();
-        base[i] = f.cacheable && has_loop;
-        calls.push(cs);
-    }
-    // Recursion: i is on a cycle iff i is reachable from one of its own
-    // callees (n is small; a DFS per function is fine).
-    for i in 0..n {
-        if base[i] || !prog.funcs[i].cacheable {
-            continue;
-        }
-        let mut seen = vec![false; n];
-        let mut stack: Vec<u32> = calls[i].clone();
-        while let Some(j) = stack.pop() {
-            let j = j as usize;
-            if j == i {
-                base[i] = true;
-                break;
-            }
-            if !seen[j] {
-                seen[j] = true;
-                stack.extend(calls[j].iter().copied());
-            }
-        }
-    }
-    // Propagate heaviness to cacheable callers until stable.
-    let mut heavy = base;
-    loop {
-        let mut changed = false;
-        for i in 0..n {
-            if !heavy[i] && prog.funcs[i].cacheable && calls[i].iter().any(|&c| heavy[c as usize]) {
-                heavy[i] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    for (f, h) in prog.funcs.iter_mut().zip(heavy) {
-        f.spawn_heavy = h;
+        f.body = rewrite_stmts(body, &summaries);
     }
 }
 
@@ -339,8 +112,8 @@ fn mark_spawn_heavy(prog: &mut ResolvedProgram) {
 /// into fresh frame slots so the batch pass below can spawn them. See
 /// the module docs for the soundness argument.
 struct Hoister<'a> {
-    heavy: &'a [bool],
-    cacheable: &'a [bool],
+    summaries: &'a [Summary],
+    interner: &'a Interner,
     /// Next free frame slot of the function being rewritten; becomes
     /// its new `frame_size`.
     next_slot: u32,
@@ -356,20 +129,21 @@ impl Hoister<'_> {
     }
 
     /// Rewrite one statement, appending `[temps…, residual]` to `out`.
-    fn hoist_stmt(&mut self, s: RStmt, out: &mut Vec<RStmt>) {
-        let span = s.span;
-        let kind = match s.kind {
-            RStmtKind::Return(Some(mut e)) => {
-                let written = written_slots(std::slice::from_ref(&e), &[]);
+    fn hoist_stmt(&mut self, mut s: RStmt, out: &mut Vec<RStmt>) {
+        // Local slots the statement's own expressions assign (or bind):
+        // a hoist whose arguments mention one could read a value the
+        // statement changes.
+        let mut written: Vec<u32> = Vec::new();
+        s.each_expr(&mut |root| root.walk(&mut |n| written.extend(n.written_local())));
+        match &mut s.kind {
+            RStmtKind::Return(Some(e)) => {
                 // A lone direct `return f(x);` gains nothing from a
                 // temp (a batch of one never spawns) — hoist only
                 // inside its arguments, like the Expr/Decl arms.
                 let direct = matches!(e.kind, RExprKind::CallUser { .. });
-                self.hoist_expr(&mut e, &written, direct, out);
-                RStmtKind::Return(Some(e))
+                self.hoist_expr(e, &written, direct, out);
             }
-            RStmtKind::Expr(Some(mut e)) => {
-                let written = written_slots(std::slice::from_ref(&e), &[]);
+            RStmtKind::Expr(Some(e)) => {
                 // `slot = f(args)` as a whole is already a batch
                 // candidate — leave the direct value to the batcher and
                 // only hoist from inside the arguments.
@@ -379,38 +153,19 @@ impl Hoister<'_> {
                         if matches!(place.kind, RPlaceKind::Local(_))
                             && matches!(value.kind, RExprKind::CallUser { .. })
                 );
-                self.hoist_expr(&mut e, &written, direct, out);
-                RStmtKind::Expr(Some(e))
+                self.hoist_expr(e, &written, direct, out);
             }
-            RStmtKind::Decl(mut decls) => {
-                let mut written: Vec<u32> = decls
-                    .iter()
-                    .filter_map(|d| match d.target {
-                        SlotRef::Local(slot) => Some(slot),
-                        SlotRef::Global(_) => None,
-                    })
-                    .collect();
-                for d in &decls {
-                    match &d.kind {
-                        RDeclKind::Scalar { init: Some(e), .. } => collect_writes(e, &mut written),
-                        RDeclKind::Array { dims, init } => {
-                            // Array decls are not hoisted from, but
-                            // their writes still poison later inits of
-                            // the same statement.
-                            for e in dims {
-                                collect_writes(e, &mut written);
-                            }
-                            if let Some(e) = init {
-                                collect_writes(e, &mut written);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
+            // Array decls are not hoisted from, but their writes still
+            // poison later inits of the same statement.
+            RStmtKind::Decl(decls) => {
+                written.extend(decls.iter().filter_map(|d| match d.target {
+                    SlotRef::Local(slot) => Some(slot),
+                    SlotRef::Global(_) => None,
+                }));
                 // A single scalar `T slot = f(args);` is the batcher's
                 // own shape — hoist only inside the arguments.
                 let direct = decls.len() == 1;
-                for d in &mut decls {
+                for d in decls {
                     if let RDeclKind::Scalar { init: Some(e), .. } = &mut d.kind {
                         let direct = direct
                             && matches!(d.target, SlotRef::Local(_))
@@ -418,79 +173,16 @@ impl Hoister<'_> {
                         self.hoist_expr(e, &written, direct, out);
                     }
                 }
-                RStmtKind::Decl(decls)
             }
-            RStmtKind::If {
-                mut cond,
-                then_branch,
-                else_branch,
-            } => {
-                // The condition evaluates unconditionally at statement
-                // entry; the branches are separate statements.
-                let written = written_slots(std::slice::from_ref(&cond), &[]);
-                self.hoist_expr(&mut cond, &written, false, out);
-                RStmtKind::If {
-                    cond,
-                    then_branch: Box::new(self.hoist_child(*then_branch)),
-                    else_branch: else_branch.map(|e| Box::new(self.hoist_child(*e))),
-                }
-            }
-            RStmtKind::Block(b) => RStmtKind::Block(self.hoist_stmts(b)),
+            // The condition evaluates unconditionally at statement
+            // entry; the branches are separate statements.
+            RStmtKind::If { cond, .. } => self.hoist_expr(cond, &written, false, out),
             // Loop conditions and steps re-evaluate per iteration — no
             // statement boundary to hoist to; only bodies are rewritten.
-            RStmtKind::While { cond, body } => RStmtKind::While {
-                cond,
-                body: Box::new(self.hoist_child(*body)),
-            },
-            RStmtKind::DoWhile { body, cond } => RStmtKind::DoWhile {
-                body: Box::new(self.hoist_child(*body)),
-                cond,
-            },
-            RStmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-                affine,
-            } => RStmtKind::For {
-                init,
-                cond,
-                step,
-                body: Box::new(self.hoist_child(*body)),
-                affine,
-            },
-            RStmtKind::OmpFor(mut of) => {
-                if let Ok(h) = &mut of.header {
-                    let body = std::mem::replace(
-                        &mut h.body,
-                        RStmt {
-                            kind: RStmtKind::Nop,
-                            span: Span::DUMMY,
-                        },
-                    );
-                    h.body = self.hoist_child(body);
-                }
-                RStmtKind::OmpFor(of)
-            }
-            other => other,
-        };
-        out.push(RStmt { kind, span });
-    }
-
-    /// Rewrite a single-statement child (a branch or loop body),
-    /// wrapping in a block when hoisting produced temps.
-    fn hoist_child(&mut self, s: RStmt) -> RStmt {
-        let span = s.span;
-        let mut buf = Vec::with_capacity(1);
-        self.hoist_stmt(s, &mut buf);
-        if buf.len() == 1 {
-            buf.pop().expect("one statement")
-        } else {
-            RStmt {
-                kind: RStmtKind::Block(buf),
-                span,
-            }
+            _ => {}
         }
+        s.map_bodies(&mut |body| self.hoist_stmts(body));
+        out.push(s);
     }
 
     /// Walk the unconditionally evaluated positions of `e`, replacing
@@ -502,8 +194,10 @@ impl Hoister<'_> {
         match &mut e.kind {
             RExprKind::CallUser { fid, args } => {
                 let hoistable = !direct
-                    && self.heavy.get(*fid as usize).copied().unwrap_or(false)
-                    && args.iter().all(|a| self.transparent(a))
+                    && self.summaries[*fid as usize].spawn_heavy()
+                    && args
+                        .iter()
+                        .all(|a| transparent(a, self.interner, self.summaries))
                     && !args.iter().any(|a| mentions_slot(a, written));
                 if hoistable {
                     let slot = self.next_slot;
@@ -603,128 +297,16 @@ impl Hoister<'_> {
             | RPlaceKind::NotLvalue => {}
         }
     }
-
-    /// Whether evaluating `e` is order-independent and effect-free:
-    /// literals, locals, arithmetic, casts, and calls to cacheable
-    /// functions (which read neither globals nor memory) over such
-    /// operands. Anything that reads mutable state (globals, memory),
-    /// writes, or performs I/O disqualifies — its evaluation cannot be
-    /// moved ahead of the rest of the statement.
-    fn transparent(&self, e: &RExpr) -> bool {
-        match &e.kind {
-            RExprKind::Int(_) | RExprKind::Float(_) | RExprKind::Local(_) => true,
-            RExprKind::Unary(op, inner) => {
-                !matches!(op, cfront::ast::UnOp::Deref) && self.transparent(inner)
-            }
-            RExprKind::Binary(_, l, r) => self.transparent(l) && self.transparent(r),
-            RExprKind::Ternary(c, t, f) => {
-                self.transparent(c) && self.transparent(t) && self.transparent(f)
-            }
-            RExprKind::Cast(_, inner) => self.transparent(inner),
-            RExprKind::CallUser { fid, args } => {
-                self.cacheable.get(*fid as usize).copied().unwrap_or(false)
-                    && args.iter().all(|a| self.transparent(a))
-            }
-            _ => false,
-        }
-    }
-}
-
-/// Local slots assigned (or inc/dec'ed) anywhere in `exprs` — plus the
-/// extra `targets` — used to reject hoists whose arguments could read a
-/// value the statement changes.
-fn written_slots(exprs: &[RExpr], targets: &[u32]) -> Vec<u32> {
-    let mut out = targets.to_vec();
-    for e in exprs {
-        collect_writes(e, &mut out);
-    }
-    out
-}
-
-fn collect_writes(e: &RExpr, out: &mut Vec<u32>) {
-    match &e.kind {
-        RExprKind::Assign { place, value, .. } => {
-            if let RPlaceKind::Local(slot) = place.kind {
-                out.push(slot);
-            }
-            collect_place_writes(place, out);
-            collect_writes(value, out);
-        }
-        RExprKind::IncDec(_, place) => {
-            if let RPlaceKind::Local(slot) = place.kind {
-                out.push(slot);
-            }
-            collect_place_writes(place, out);
-        }
-        RExprKind::AddrOf(place) | RExprKind::Load(place) => collect_place_writes(place, out),
-        RExprKind::Unary(_, inner) | RExprKind::Cast(_, inner) => collect_writes(inner, out),
-        RExprKind::Binary(_, l, r) | RExprKind::Comma(l, r) => {
-            collect_writes(l, out);
-            collect_writes(r, out);
-        }
-        RExprKind::Ternary(c, t, f) => {
-            collect_writes(c, out);
-            collect_writes(t, out);
-            collect_writes(f, out);
-        }
-        RExprKind::CallUser { args, .. }
-        | RExprKind::CallBuiltin { args, .. }
-        | RExprKind::InitList(args) => {
-            for a in args {
-                collect_writes(a, out);
-            }
-        }
-        RExprKind::Printf { fmt_expr, args, .. } => {
-            if let Some(f) = fmt_expr {
-                collect_writes(f, out);
-            }
-            for a in args {
-                collect_writes(a, out);
-            }
-        }
-        RExprKind::Int(_)
-        | RExprKind::Float(_)
-        | RExprKind::Str(_)
-        | RExprKind::Local(_)
-        | RExprKind::Global(_)
-        | RExprKind::Unknown(_)
-        | RExprKind::IndirectCall => {}
-    }
-}
-
-fn collect_place_writes(p: &RPlace, out: &mut Vec<u32>) {
-    match &p.kind {
-        RPlaceKind::Index(base, idx) => {
-            collect_writes(base, out);
-            collect_writes(idx, out);
-        }
-        RPlaceKind::Deref(inner) => collect_writes(inner, out),
-        RPlaceKind::Member { base, .. } | RPlaceKind::MemberUnknown { base, .. } => {
-            collect_writes(base, out)
-        }
-        RPlaceKind::Local(_)
-        | RPlaceKind::Global(_)
-        | RPlaceKind::Unknown(_)
-        | RPlaceKind::NotLvalue => {}
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Batch rewriting
 // ---------------------------------------------------------------------------
 
-/// A spawnable statement, decomposed.
-struct Candidate {
-    slot: u32,
-    fid: u32,
-    coerce: crate::resolve::Coerce,
-    span: Span,
-}
-
 /// Match `T slot = f(args);` (single declarator) or `slot = f(args);`
-/// against a spawn-heavy callee. Returns the decomposition without
-/// consuming the statement.
-fn spawnable(s: &RStmt, heavy: &[bool]) -> Option<Candidate> {
+/// against a heavy const callee: the spawn the statement would become.
+/// The statement is not consumed; the arguments are a copy.
+fn spawnable(s: &RStmt, summaries: &[Summary]) -> Option<RSpawn> {
     let (slot, coerce, init) = match &s.kind {
         RStmtKind::Decl(decls) if decls.len() == 1 => {
             let d = &decls[0];
@@ -752,43 +334,20 @@ fn spawnable(s: &RStmt, heavy: &[bool]) -> Option<Candidate> {
             let RPlaceKind::Local(slot) = place.kind else {
                 return None;
             };
-            (slot, crate::resolve::Coerce::None, value.as_ref())
+            (slot, Coerce::None, value.as_ref())
         }
         _ => return None,
     };
-    let RExprKind::CallUser { fid, args: _ } = &init.kind else {
-        return None;
-    };
-    if !heavy.get(*fid as usize).copied().unwrap_or(false) {
-        return None;
-    }
-    Some(Candidate {
-        slot,
-        fid: *fid,
-        coerce,
-        span: s.span,
-    })
-}
-
-/// The call's argument expressions (valid only after `spawnable`
-/// matched).
-fn spawn_args(s: &RStmt) -> &[RExpr] {
-    let init = match &s.kind {
-        RStmtKind::Decl(decls) => match &decls[0].kind {
-            RDeclKind::Scalar {
-                init: Some(init), ..
-            } => init,
-            _ => unreachable!("spawnable matched a scalar decl"),
-        },
-        RStmtKind::Expr(Some(e)) => match &e.kind {
-            RExprKind::Assign { value, .. } => value,
-            _ => unreachable!("spawnable matched an assignment"),
-        },
-        _ => unreachable!("spawnable matched"),
-    };
     match &init.kind {
-        RExprKind::CallUser { args, .. } => args,
-        _ => unreachable!("spawnable matched a user call"),
+        RExprKind::CallUser { fid, args } if summaries[*fid as usize].spawn_heavy() => {
+            Some(RSpawn {
+                slot,
+                fid: *fid,
+                coerce,
+                args: args.clone(),
+            })
+        }
+        _ => None,
     }
 }
 
@@ -797,212 +356,62 @@ fn spawn_args(s: &RStmt) -> &[RExpr] {
 /// still-pending slot (whose value only lands at the await) is a
 /// dependence that ends the batch.
 fn mentions_slot(e: &RExpr, slots: &[u32]) -> bool {
-    match &e.kind {
-        RExprKind::Local(s) => slots.contains(s),
-        RExprKind::Int(_)
-        | RExprKind::Float(_)
-        | RExprKind::Str(_)
-        | RExprKind::Global(_)
-        | RExprKind::Unknown(_)
-        | RExprKind::IndirectCall => false,
-        RExprKind::Unary(_, inner) | RExprKind::Cast(_, inner) => mentions_slot(inner, slots),
-        RExprKind::Binary(_, l, r) | RExprKind::Comma(l, r) => {
-            mentions_slot(l, slots) || mentions_slot(r, slots)
-        }
-        RExprKind::Assign { place, value, .. } => {
-            place_mentions_slot(place, slots) || mentions_slot(value, slots)
-        }
-        RExprKind::IncDec(_, place) | RExprKind::AddrOf(place) => place_mentions_slot(place, slots),
-        RExprKind::Ternary(c, t, f) => {
-            mentions_slot(c, slots) || mentions_slot(t, slots) || mentions_slot(f, slots)
-        }
-        RExprKind::CallUser { args, .. }
-        | RExprKind::CallBuiltin { args, .. }
-        | RExprKind::InitList(args) => args.iter().any(|a| mentions_slot(a, slots)),
-        RExprKind::Printf { fmt_expr, args, .. } => {
-            fmt_expr.as_ref().is_some_and(|f| mentions_slot(f, slots))
-                || args.iter().any(|a| mentions_slot(a, slots))
-        }
-        RExprKind::Load(place) => place_mentions_slot(place, slots),
-    }
-}
-
-fn place_mentions_slot(p: &crate::resolve::RPlace, slots: &[u32]) -> bool {
-    match &p.kind {
-        RPlaceKind::Local(s) => slots.contains(s),
-        RPlaceKind::Index(base, idx) => mentions_slot(base, slots) || mentions_slot(idx, slots),
-        RPlaceKind::Deref(inner) => mentions_slot(inner, slots),
-        RPlaceKind::Member { base, .. } | RPlaceKind::MemberUnknown { base, .. } => {
-            mentions_slot(base, slots)
-        }
-        RPlaceKind::Global(_) | RPlaceKind::Unknown(_) | RPlaceKind::NotLvalue => false,
-    }
+    let mut hit = false;
+    e.walk(&mut |n| hit |= n.named_local().is_some_and(|s| slots.contains(&s)));
+    hit
 }
 
 /// Rewrite one statement list: batch maximal runs of independent
 /// spawnable statements, recurse into nested statements otherwise.
-fn rewrite_stmts(stmts: Vec<RStmt>, heavy: &[bool]) -> Vec<RStmt> {
+fn rewrite_stmts(stmts: Vec<RStmt>, summaries: &[Summary]) -> Vec<RStmt> {
     let mut out = Vec::with_capacity(stmts.len());
-    let mut stmts: Vec<Option<RStmt>> = stmts.into_iter().map(Some).collect();
-    let mut i = 0;
-    while i < stmts.len() {
-        let s = stmts[i].as_ref().expect("unconsumed");
-        let Some(first) = spawnable(s, heavy) else {
-            let s = stmts[i].take().expect("unconsumed");
-            out.push(rewrite_nested(s, heavy));
-            i += 1;
+    let mut stmts = stmts.into_iter().peekable();
+    while let Some(mut s) = stmts.next() {
+        let Some(first) = spawnable(&s, summaries) else {
+            s.map_bodies(&mut |body| rewrite_stmts(body, summaries));
+            out.push(s);
             continue;
         };
         // Grow the batch while statements stay spawnable and independent
         // of every earlier target in it.
-        let mut batch = vec![first];
-        let mut used = vec![batch[0].slot];
-        let mut j = i + 1;
-        while j < stmts.len() {
-            let sj = stmts[j].as_ref().expect("unconsumed");
-            let Some(cand) = spawnable(sj, heavy) else {
-                break;
-            };
-            if used.contains(&cand.slot) || spawn_args(sj).iter().any(|a| mentions_slot(a, &used)) {
+        let mut slots = vec![first.slot];
+        let mut batch = vec![(first, s)];
+        while let Some(next) = stmts.peek().and_then(|s| spawnable(s, summaries)) {
+            if slots.contains(&next.slot) || next.args.iter().any(|a| mentions_slot(a, &slots)) {
                 break;
             }
-            used.push(cand.slot);
-            batch.push(cand);
-            j += 1;
-        }
-        if batch.len() < 2 {
-            // A lone spawn would be awaited immediately — pure overhead.
-            let s = stmts[i].take().expect("unconsumed");
-            out.push(rewrite_nested(s, heavy));
-            i += 1;
-            continue;
+            slots.push(next.slot);
+            batch.push((next, stmts.next().expect("peeked")));
         }
         // Spawn the first k−1 calls, run the last inline (the spawning
         // thread would otherwise idle at the join), then force the
-        // spawned slots in order.
-        let k = batch.len();
-        let mut await_slots = Vec::with_capacity(k - 1);
-        for (off, cand) in batch.iter().enumerate().take(k - 1) {
-            let stmt = stmts[i + off].take().expect("unconsumed");
-            let args = match take_call_args(stmt) {
-                Some(a) => a,
-                None => unreachable!("spawnable matched a user call"),
-            };
-            await_slots.push(cand.slot);
+        // spawned slots in order. A lone spawn would be awaited
+        // immediately — pure overhead — so a batch of one stays as it is.
+        let (_, tail) = batch.pop().expect("the first candidate");
+        let tail_span = tail.span;
+        slots.pop();
+        out.extend(batch.into_iter().map(|(spawn, s)| RStmt {
+            kind: RStmtKind::SpawnPure(Box::new(spawn)),
+            span: s.span,
+        }));
+        out.push(tail);
+        if !slots.is_empty() {
             out.push(RStmt {
-                kind: RStmtKind::SpawnPure(Box::new(RSpawn {
-                    slot: cand.slot,
-                    fid: cand.fid,
-                    coerce: cand.coerce,
-                    args,
-                })),
-                span: cand.span,
+                kind: RStmtKind::AwaitSlots(slots),
+                span: tail_span,
             });
         }
-        let tail = stmts[i + k - 1].take().expect("unconsumed");
-        let tail_span = tail.span;
-        out.push(tail);
-        out.push(RStmt {
-            kind: RStmtKind::AwaitSlots(await_slots),
-            span: tail_span,
-        });
-        i = j;
     }
     out
 }
 
-/// Destructure a spawnable statement into its call's argument list.
-fn take_call_args(s: RStmt) -> Option<Vec<RExpr>> {
-    let init = match s.kind {
-        RStmtKind::Decl(mut decls) => match decls.pop()?.kind {
-            RDeclKind::Scalar { init, .. } => init?,
-            _ => return None,
-        },
-        RStmtKind::Expr(Some(e)) => match e.kind {
-            RExprKind::Assign { value, .. } => *value,
-            _ => return None,
-        },
-        _ => return None,
-    };
-    match init.kind {
-        RExprKind::CallUser { args, .. } => Some(args),
-        _ => None,
-    }
-}
-
-/// Recurse the rewrite into a statement's nested statement lists.
-fn rewrite_nested(s: RStmt, heavy: &[bool]) -> RStmt {
-    let kind = match s.kind {
-        RStmtKind::Block(b) => RStmtKind::Block(rewrite_stmts(b, heavy)),
-        RStmtKind::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => RStmtKind::If {
-            cond,
-            then_branch: Box::new(rewrite_nested(*then_branch, heavy)),
-            else_branch: else_branch.map(|e| Box::new(rewrite_nested(*e, heavy))),
-        },
-        RStmtKind::While { cond, body } => RStmtKind::While {
-            cond,
-            body: Box::new(rewrite_nested(*body, heavy)),
-        },
-        RStmtKind::DoWhile { body, cond } => RStmtKind::DoWhile {
-            body: Box::new(rewrite_nested(*body, heavy)),
-            cond,
-        },
-        RStmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-            affine,
-        } => RStmtKind::For {
-            init,
-            cond,
-            step,
-            body: Box::new(rewrite_nested(*body, heavy)),
-            affine,
-        },
-        RStmtKind::OmpFor(mut of) => {
-            if let Ok(h) = &mut of.header {
-                let body = std::mem::replace(
-                    &mut h.body,
-                    RStmt {
-                        kind: RStmtKind::Nop,
-                        span: Span::DUMMY,
-                    },
-                );
-                h.body = rewrite_nested(body, heavy);
-            }
-            RStmtKind::OmpFor(of)
-        }
-        other => other,
-    };
-    RStmt { kind, span: s.span }
-}
-
 /// Count the spawn sites in a statement tree (introspection).
 pub(crate) fn count_spawns(stmts: &[RStmt]) -> usize {
-    fn count_stmt(s: &RStmt) -> usize {
-        match &s.kind {
-            RStmtKind::SpawnPure(_) => 1,
-            RStmtKind::Block(b) => count_spawns(b),
-            RStmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => count_stmt(then_branch) + else_branch.as_ref().map_or(0, |e| count_stmt(e)),
-            RStmtKind::While { body, .. } | RStmtKind::DoWhile { body, .. } => count_stmt(body),
-            RStmtKind::For { body, .. } => count_stmt(body),
-            RStmtKind::OmpFor(of) => match &of.header {
-                Ok(h) => count_stmt(&h.body),
-                Err(_) => 0,
-            },
-            _ => 0,
-        }
+    let mut n = 0;
+    for s in stmts {
+        s.walk(&mut |s| n += usize::from(matches!(s.kind, RStmtKind::SpawnPure(_))));
     }
-    stmts.iter().map(count_stmt).sum()
+    n
 }
 
 #[cfg(test)]

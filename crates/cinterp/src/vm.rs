@@ -403,7 +403,7 @@ pub(crate) fn run_vm(
         opts,
     };
     let mut vm = Vm::new(prog, shared.clone());
-    vm.memo = (opts.memo && prog.any_cacheable).then(MemoShard::new);
+    vm.memo = (opts.memo && prog.funcs.iter().any(|f| f.summary.is_const())).then(MemoShard::new);
 
     // Global initialisers run on an empty frame.
     vm.exec(&prog.global_code, 0, 0)?;
@@ -419,22 +419,8 @@ pub(crate) fn run_vm(
             // Mirror the other engines: unknown entry falls through to
             // the builtin table, then errors.
             vm.tally.calls += 1;
-            let mut out = String::new();
-            match call_builtin(entry, &[], &shared.mem, &mut out) {
-                Some(Ok(v)) => {
-                    if !out.is_empty() {
-                        shared.output.lock().push_str(&out);
-                    }
-                    vm.pack(v)
-                }
-                Some(Err(e)) => return Err(RuntimeError::from_mem(e, Span::DUMMY)),
-                None => {
-                    return Err(RuntimeError::at(
-                        format!("call to undefined function '{entry}'"),
-                        Span::DUMMY,
-                    ))
-                }
-            }
+            let v = call_builtin(entry, &[], &shared.mem, &shared.output, Span::DUMMY)?;
+            vm.pack(v)
         }
     };
     let exit_code = vm.to_i64(exit);
@@ -961,7 +947,7 @@ impl<'p> Vm<'p> {
         self.stack.truncate(argbase);
 
         // Pure-call memoization against this worker's shard.
-        let memo_key = if func.cacheable && self.memo.is_some() {
+        let memo_key = if func.summary.is_const() && self.memo.is_some() {
             let nkey = func.params.len().min(func.frame_size);
             let mut scalars = Vec::with_capacity(nkey);
             for v in &self.arena[fbase..fbase + nkey] {
@@ -1070,7 +1056,7 @@ impl<'p> Vm<'p> {
         let func = &self.prog.funcs[sp.fid as usize];
         // Memo pre-check: a hit never spawns (mirrors `call_user`'s hit
         // path via the shared key builder).
-        if func.cacheable && self.memo.is_some() {
+        if func.summary.is_const() && self.memo.is_some() {
             if let Some(key) = MemoCache::key_for_call(&func.params, func.frame_size, sp.fid, &args)
             {
                 if let Some(v) = self.memo.as_mut().and_then(|m| m.get(&key)) {
@@ -1661,23 +1647,9 @@ impl<'p> Vm<'p> {
                 }
                 self.stack.truncate(argbase);
                 let name = self.prog.interner.resolve(Symbol(insn.a));
-                let mut out = String::new();
-                match call_builtin(name, &args, &self.s.mem, &mut out) {
-                    Some(Ok(v)) => {
-                        if !out.is_empty() {
-                            self.s.output.lock().push_str(&out);
-                        }
-                        let v = self.pack(v);
-                        self.stack.push(v);
-                    }
-                    Some(Err(e)) => return Err(RuntimeError::from_mem(e, span)),
-                    None => {
-                        return Err(RuntimeError::at(
-                            format!("call to undefined function '{name}'"),
-                            span,
-                        ))
-                    }
-                }
+                let v = call_builtin(name, &args, &self.s.mem, &self.s.output, span)?;
+                let v = self.pack(v);
+                self.stack.push(v);
             }
             Op::Printf => {
                 let nargs = insn.b as usize;

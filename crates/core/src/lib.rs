@@ -47,7 +47,9 @@ pub use lower::{lower_pure, LowerStats};
 pub use pipeline::{
     finish, run_pc_cc, verified_pure_set, FinishedProgram, PcCcOptions, PcCcOutput,
 };
-pub use purity::{infer_pure, verify_unit, InferenceReport, PurityReport};
-pub use scop::{mark_scops, ScopReport};
+pub use purity::{
+    global_reads, infer_pure, verify_unit, GlobalReads, InferenceReport, PurityReport,
+};
+pub use scop::{mark_scops, pure_call_read_bases, unverified_calls, ScopReport};
 pub use stdfns::{PureSet, ALLOC_FNS, PURE_STDLIB};
 pub use subst::{reinsert_calls, rename_iterators, substitute_calls, SubstMap};

@@ -112,6 +112,7 @@ pub fn run_pc_cc(source: &str, opts: PcCcOptions) -> Result<PcCcOutput, Diagnost
         mut pure_set,
         diags: purity_diags,
         mut declared_pure,
+        mut global_reads,
     } = verify_unit(&unit, opts.seed);
     if purity_diags.has_errors() {
         diags.extend(purity_diags);
@@ -137,6 +138,8 @@ pub fn run_pc_cc(source: &str, opts: PcCcOptions) -> Result<PcCcOutput, Diagnost
             pure_set.insert(name.clone());
             declared_pure.push(name);
         }
+        // The inferred functions' reads were not part of the report.
+        global_reads = crate::purity::global_reads(&unit, &pure_set);
     }
 
     // SCoP marking (includes the Listing-5 caller-side check).
@@ -144,7 +147,7 @@ pub fn run_pc_cc(source: &str, opts: PcCcOptions) -> Result<PcCcOutput, Diagnost
         marked,
         skipped_impure,
         diags: scop_diags,
-    } = mark_scops(&mut unit, &pure_set);
+    } = mark_scops(&mut unit, &pure_set, &global_reads);
     if scop_diags.has_errors() {
         diags.extend(scop_diags);
         return Err(diags);

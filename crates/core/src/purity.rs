@@ -15,13 +15,28 @@
 //!   line 11; Listing 4, line 4);
 //! * `pure` pointers are assign-once and their pointees are immutable;
 //! * `free` may only release memory `malloc`ed in the same function;
-//! * `malloc`/`free`/math builtins are allowed per the seeded registry.
+//! * `malloc`/`free`/math builtins are allowed per the seeded registry;
+//! * a name means what C says it means: bindings live on a scope stack
+//!   pushed at every block and `for`, so a block-scoped `int g` stops
+//!   shadowing the global `g` where its block ends;
+//! * a `static` local is not local: it is state that outlives the call,
+//!   shared by every caller (`PureStaticLocal`);
+//! * what a pure function *reads* through a global is part of its
+//!   interface: `FnChecker` — the one walker that sees every read,
+//!   write and call of a function together with what each name is bound
+//!   to — exports it as [`GlobalReads`], and the caller-side screens
+//!   ([`crate::scop`], `analysis::race`) treat those globals like pointer
+//!   arguments ([`crate::scop::pure_call_read_bases`]).
 
 use crate::stdfns::PureSet;
 use cfront::ast::*;
 use cfront::diag::{Code, Diagnostic, Diagnostics};
 use cfront::span::Span;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
+
+/// Per verified function, the globals it may read — directly or through
+/// the verified functions it calls.
+pub type GlobalReads = HashMap<String, BTreeSet<String>>;
 
 /// Result of verifying a translation unit.
 #[derive(Debug)]
@@ -31,6 +46,8 @@ pub struct PurityReport {
     pub diags: Diagnostics,
     /// Functions declared pure, in source order (verified or not).
     pub declared_pure: Vec<String>,
+    /// What each pure definition may read through a global.
+    pub global_reads: GlobalReads,
 }
 
 impl PurityReport {
@@ -57,26 +74,68 @@ pub fn verify_unit(unit: &TranslationUnit, seed: PureSet) -> PurityReport {
         }
     }
 
-    let globals: HashSet<String> = unit
-        .global_variables()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-
     // Phase 2 — verification of each pure definition.
-    let mut diags = Diagnostics::new();
-    for f in unit.functions() {
-        if f.is_pure && f.is_definition() {
-            let mut checker = FnChecker::new(f, &pure_set, &globals);
-            checker.check();
-            diags.extend(checker.diags);
-        }
-    }
+    let (diags, global_reads) = check_definitions(unit, &pure_set, |f| f.is_pure);
 
     PurityReport {
         pure_set,
         diags,
         declared_pure,
+        global_reads,
+    }
+}
+
+/// [`PurityReport::global_reads`] for a unit whose pure functions are
+/// known only by name — the lowered text, where the `pure` keyword is
+/// gone: every definition `pure` names is walked for what it reads.
+pub fn global_reads(unit: &TranslationUnit, pure: &PureSet) -> GlobalReads {
+    check_definitions(unit, pure, |f| pure.contains(&f.name)).1
+}
+
+fn global_names(unit: &TranslationUnit) -> HashSet<String> {
+    let names = unit.global_variables().into_iter();
+    names.map(str::to_string).collect()
+}
+
+/// Run the checker over every definition `select` picks: the
+/// diagnostics, and what each checked function may read through a global
+/// — directly or through a checked function it calls (a least fixpoint;
+/// a unit's pure functions are few).
+fn check_definitions(
+    unit: &TranslationUnit,
+    pure_set: &PureSet,
+    select: impl Fn(&Function) -> bool,
+) -> (Diagnostics, GlobalReads) {
+    let globals = global_names(unit);
+    let mut diags = Diagnostics::new();
+    let mut reads = GlobalReads::new();
+    let mut calls = Vec::new();
+    for f in unit.functions().filter(|f| f.is_definition() && select(f)) {
+        let mut checker = FnChecker::new(f, pure_set, &globals);
+        checker.check();
+        diags.extend(checker.diags);
+        reads
+            .entry(f.name.clone())
+            .or_default()
+            .extend(checker.reads);
+        calls.push((&f.name, checker.calls));
+    }
+    loop {
+        let mut grew = false;
+        for (name, callees) in &calls {
+            let inherited: Vec<String> = callees
+                .iter()
+                .filter_map(|c| reads.get(c))
+                .flatten()
+                .filter(|g| !reads[*name].contains(*g))
+                .cloned()
+                .collect();
+            grew |= !inherited.is_empty();
+            reads.get_mut(*name).expect("checked").extend(inherited);
+        }
+        if !grew {
+            return (diags, reads);
+        }
     }
 }
 
@@ -105,12 +164,7 @@ pub struct InferenceReport {
 /// calls, so eviction can never turn a failing body into a passing one —
 /// the loop terminates and the survivors are sound.
 pub fn infer_pure(unit: &TranslationUnit, base: &PureSet) -> InferenceReport {
-    let globals: HashSet<String> = unit
-        .global_variables()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-
+    let globals = global_names(unit);
     let candidates: Vec<&Function> = unit
         .functions()
         .filter(|f| f.is_definition() && !f.is_pure && f.name != "main" && !base.contains(&f.name))
@@ -185,46 +239,65 @@ enum Binding {
     Global,
 }
 
+/// A name bound inside the function being checked.
+#[derive(Debug, Clone, Copy)]
+struct Var {
+    binding: Binding,
+    /// Pure pointer that has received its single assignment.
+    assigned: bool,
+    /// Pointer whose value came from `malloc` in this function.
+    malloced: bool,
+}
+
+impl From<Binding> for Var {
+    fn from(binding: Binding) -> Self {
+        Var {
+            binding,
+            assigned: false,
+            malloced: false,
+        }
+    }
+}
+
 struct FnChecker<'a> {
     func: &'a Function,
     pure_set: &'a PureSet,
     globals: &'a HashSet<String>,
-    /// Name → binding, shadowing-aware only to the degree the subset needs
-    /// (innermost declaration wins; the evaluation codes do not shadow).
-    scope: HashMap<String, Binding>,
-    /// Pure pointers that have received their single assignment.
-    pure_assigned: HashSet<String>,
-    /// Local pointers whose value came from `malloc` in this function.
-    malloced: HashSet<String>,
+    /// Innermost scope last: parameters, then one map per open block or
+    /// `for` header.
+    scopes: Vec<HashMap<String, Var>>,
+    /// Globals mentioned anywhere but as the callee of a call.
+    reads: BTreeSet<String>,
+    /// Direct callees.
+    calls: BTreeSet<String>,
     diags: Diagnostics,
 }
 
 impl<'a> FnChecker<'a> {
     fn new(func: &'a Function, pure_set: &'a PureSet, globals: &'a HashSet<String>) -> Self {
-        let mut scope = HashMap::new();
-        let mut pure_assigned = HashSet::new();
+        let mut params = HashMap::new();
         for p in &func.params {
             let Some(name) = &p.name else { continue };
-            let binding = if p.ty.is_pointer() {
-                if p.ty.pure_qual {
-                    // A pure pointer param arrives already bound.
-                    pure_assigned.insert(name.clone());
-                    Binding::PurePtrParam
-                } else {
-                    Binding::PtrParam
+            let var = if !p.ty.is_pointer() {
+                Var::from(Binding::ScalarParam)
+            } else if p.ty.pure_qual {
+                // A pure pointer param arrives already bound.
+                Var {
+                    assigned: true,
+                    ..Var::from(Binding::PurePtrParam)
                 }
             } else {
-                Binding::ScalarParam
+                Var::from(Binding::PtrParam)
             };
-            scope.insert(name.clone(), binding);
+            params.insert(name.clone(), var);
         }
         FnChecker {
             func,
             pure_set,
             globals,
-            scope,
-            pure_assigned,
-            malloced: HashSet::new(),
+            scopes: vec![params],
+            reads: BTreeSet::new(),
+            calls: BTreeSet::new(),
             diags: Diagnostics::new(),
         }
     }
@@ -236,15 +309,36 @@ impl<'a> FnChecker<'a> {
         }
     }
 
+    /// The innermost declaration of `name`, if the function has one.
+    fn var(&self, name: &str) -> Option<&Var> {
+        self.scopes.iter().rev().find_map(|s| s.get(name))
+    }
+
+    fn var_mut(&mut self, name: &str) -> Option<&mut Var> {
+        self.scopes.iter_mut().rev().find_map(|s| s.get_mut(name))
+    }
+
+    /// Anything the function did not declare — a global or an unknown
+    /// identifier — is external.
     fn binding_of(&self, name: &str) -> Binding {
-        if let Some(b) = self.scope.get(name) {
-            *b
-        } else if self.globals.contains(name) {
-            Binding::Global
-        } else {
-            // Unknown identifier — assume external to stay safe.
-            Binding::Global
+        self.var(name).map_or(Binding::Global, |v| v.binding)
+    }
+
+    fn is_malloced(&self, name: &str) -> bool {
+        self.var(name).is_some_and(|v| v.malloced)
+    }
+
+    fn set_malloced(&mut self, name: &str) {
+        if let Some(v) = self.var_mut(name) {
+            v.malloced = true;
         }
+    }
+
+    /// Check `body` inside a scope of its own.
+    fn scoped(&mut self, body: impl FnOnce(&mut Self)) {
+        self.scopes.push(HashMap::new());
+        body(self);
+        self.scopes.pop();
     }
 
     // -- statements ---------------------------------------------------------
@@ -254,50 +348,50 @@ impl<'a> FnChecker<'a> {
             StmtKind::Decl(d) => self.check_declaration(d),
             StmtKind::Expr(Some(e)) => self.check_expr(e),
             StmtKind::Expr(None) => {}
-            StmtKind::Block(b) => {
+            StmtKind::Block(b) => self.scoped(|c| {
                 for s in &b.stmts {
-                    self.check_stmt(s);
+                    c.check_stmt(s);
                 }
-            }
+            }),
             StmtKind::If {
                 cond,
                 then_branch,
                 else_branch,
             } => {
-                self.check_read(cond);
+                self.check_expr(cond);
                 self.check_stmt(then_branch);
                 if let Some(e) = else_branch {
                     self.check_stmt(e);
                 }
             }
             StmtKind::While { cond, body } => {
-                self.check_read(cond);
+                self.check_expr(cond);
                 self.check_stmt(body);
             }
             StmtKind::DoWhile { body, cond } => {
                 self.check_stmt(body);
-                self.check_read(cond);
+                self.check_expr(cond);
             }
             StmtKind::For {
                 init,
                 cond,
                 step,
                 body,
-            } => {
+            } => self.scoped(|c| {
                 match init.as_ref() {
-                    ForInit::Decl(d) => self.check_declaration(d),
-                    ForInit::Expr(Some(e)) => self.check_expr(e),
+                    ForInit::Decl(d) => c.check_declaration(d),
+                    ForInit::Expr(Some(e)) => c.check_expr(e),
                     ForInit::Expr(None) => {}
                 }
-                if let Some(c) = cond {
-                    self.check_read(c);
+                if let Some(cond) = cond {
+                    c.check_expr(cond);
                 }
                 if let Some(s) = step {
-                    self.check_expr(s);
+                    c.check_expr(s);
                 }
-                self.check_stmt(body);
-            }
-            StmtKind::Return(Some(e)) => self.check_read(e),
+                c.check_stmt(body);
+            }),
+            StmtKind::Return(Some(e)) => self.check_expr(e),
             StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => {}
             StmtKind::Pragma(_) => {}
         }
@@ -305,6 +399,17 @@ impl<'a> FnChecker<'a> {
 
     fn check_declaration(&mut self, d: &Declaration) {
         for dec in &d.declarators {
+            if d.storage.iter().any(|k| k == "static") {
+                self.diags.error(
+                    Code::PureStaticLocal,
+                    dec.span,
+                    format!(
+                        "pure function '{}' declares static local '{}' — state that \
+                         outlives the call, shared by every caller",
+                        self.func.name, dec.name
+                    ),
+                );
+            }
             let binding = if dec.is_array() {
                 Binding::LocalAggregate
             } else if dec.ty.is_pointer() {
@@ -318,14 +423,18 @@ impl<'a> FnChecker<'a> {
             } else {
                 Binding::LocalScalar
             };
-            self.scope.insert(dec.name.clone(), binding);
+            let declared = Var {
+                assigned: dec.ty.pure_qual && dec.init.is_some(),
+                ..Var::from(binding)
+            };
+            self.scopes
+                .last_mut()
+                .expect("parameter scope")
+                .insert(dec.name.clone(), declared);
 
             if let Some(init) = &dec.init {
-                self.check_read(init);
+                self.check_expr(init);
                 if dec.ty.is_pointer() && !dec.is_array() {
-                    if dec.ty.pure_qual {
-                        self.pure_assigned.insert(dec.name.clone());
-                    }
                     self.check_pointer_binding(
                         &dec.name,
                         binding,
@@ -340,27 +449,28 @@ impl<'a> FnChecker<'a> {
 
     // -- expressions ---------------------------------------------------------
 
-    /// Check an expression in *read* position: no writes may occur inside,
-    /// but calls still need vetting (and assignments hidden in reads are
-    /// checked as writes).
-    fn check_read(&mut self, e: &Expr) {
-        self.check_expr(e);
-    }
-
-    /// Full expression check: calls, assignments, increments.
+    /// Vet every call, assignment and increment in `e`, and record the
+    /// globals it mentions.
     fn check_expr(&mut self, e: &Expr) {
         match &e.kind {
+            // A target is walked like any other expression first: its
+            // subscripts are reads (and may hide calls or writes).
             ExprKind::Assign(_, lhs, rhs) => {
-                self.check_read(rhs);
+                self.check_expr(rhs);
+                self.check_expr(lhs);
                 self.check_write(lhs, rhs, e.span);
             }
             ExprKind::Unary(op, inner) if op.writes_operand() => {
+                self.check_expr(inner);
                 self.check_write(inner, &Expr::int(1), e.span);
+            }
+            ExprKind::Ident(name) if self.var(name).is_none() && self.globals.contains(name) => {
+                self.reads.insert(name.clone());
             }
             ExprKind::Call { callee, args } => {
                 self.check_call(callee, args, e.span);
                 for a in args {
-                    self.check_read(a);
+                    self.check_expr(a);
                 }
             }
             ExprKind::Unary(_, inner) | ExprKind::Cast(_, inner) | ExprKind::SizeofExpr(inner) => {
@@ -396,6 +506,7 @@ impl<'a> FnChecker<'a> {
         if name == "__initlist" {
             return; // synthetic initializer marker
         }
+        self.calls.insert(name.to_string());
         if !self.pure_set.contains(name) {
             self.diags.error(
                 Code::PureCallsImpure,
@@ -416,7 +527,7 @@ impl<'a> FnChecker<'a> {
     fn check_free(&mut self, args: &[Expr], span: Span) {
         let rooted = args.first().and_then(|a| a.lvalue_root());
         match rooted {
-            Some(name) if self.malloced.contains(name) => {}
+            Some(name) if self.is_malloced(name) => {}
             Some(name) => {
                 self.diags.error(
                     Code::PureFreesForeign,
@@ -485,14 +596,16 @@ impl<'a> FnChecker<'a> {
                         span,
                         format!("pure pointer '{root}' is write-protected (its content cannot be modified)"),
                     );
-                } else if self.pure_assigned.contains(&root) {
+                } else if self.var(&root).is_some_and(|v| v.assigned) {
                     self.diags.error(
                         Code::PurePointerReassigned,
                         span,
                         format!("pure pointer '{root}' may only be assigned once"),
                     );
                 } else {
-                    self.pure_assigned.insert(root.clone());
+                    if let Some(v) = self.var_mut(&root) {
+                        v.assigned = true;
+                    }
                     self.check_pointer_binding(&root, binding, rhs, span, true);
                 }
             }
@@ -533,7 +646,7 @@ impl<'a> FnChecker<'a> {
         // fresh or pure data — always fine.
         if let Some((callee, _)) = stripped.as_direct_call() {
             if callee == "malloc" || callee == "calloc" {
-                self.malloced.insert(lhs_name.to_string());
+                self.set_malloced(lhs_name);
                 return;
             }
             if self.pure_set.contains(callee) {
@@ -607,8 +720,8 @@ impl<'a> FnChecker<'a> {
             }
             _ => {
                 // Local source: propagate malloc provenance.
-                if self.malloced.contains(src_root) {
-                    self.malloced.insert(lhs_name.to_string());
+                if self.is_malloced(src_root) {
+                    self.set_malloced(lhs_name);
                 }
             }
         }
@@ -942,5 +1055,97 @@ mod tests {
         );
         assert!(!report.ok());
         assert!(report.diags.has_code(Code::PurePointerReassigned));
+    }
+
+    // ---- scoping, storage classes, and what a function reads ---------------
+
+    #[test]
+    fn block_scoped_declaration_ends_with_its_block() {
+        let report = verify(
+            "int g;\n\
+             pure int f(int n) { { int g = 1; n = n + g; } g = g + n; return g; }",
+        );
+        assert!(report.diags.has_code(Code::PureGlobalWrite));
+        // A `for` header is a scope too.
+        let report = verify(
+            "int i;\n\
+             pure int f(int n) { for (int i = 0; i < n; i++) n--; i = n; return n; }",
+        );
+        assert!(report.diags.has_code(Code::PureGlobalWrite));
+        // Inside its block the local wins, and reads of it are not reads
+        // of the global.
+        let report = verify(
+            "int g;\n\
+             pure int f(int n) { { int g = 1; g = g + n; n = g; } return n; }",
+        );
+        assert!(report.ok(), "{:?}", report.diags.items());
+        assert!(report.global_reads["f"].is_empty());
+    }
+
+    #[test]
+    fn malloc_provenance_and_assign_once_are_per_declaration() {
+        // The inner `p` was malloced; the parameter `p` was not.
+        let report =
+            verify("pure void f(int* p) { { int* p = (int*) malloc(8); free(p); } free(p); }");
+        assert!(report.diags.has_code(Code::PureFreesForeign));
+        assert_eq!(report.diags.error_count(), 1);
+        // The inner pure pointer was assigned; the outer one not yet.
+        let report = verify(
+            "int* g;\n\
+             pure void f() {\n\
+                 pure int* p;\n\
+                 { pure int* p = (pure int*) g; }\n\
+                 p = (pure int*) g;\n\
+             }",
+        );
+        assert!(report.ok(), "{:?}", report.diags.items());
+    }
+
+    #[test]
+    fn static_locals_are_state() {
+        let report = verify("pure int next(int x) { static int n = 0; n = n + 1; return x + n; }");
+        assert!(report.diags.has_code(Code::PureStaticLocal));
+        // Nor can it be inferred pure.
+        let unit = parse("int next(int x) { static int n = 0; n = n + 1; return x + n; }").unit;
+        let inf = infer_pure(&unit, &PureSet::seeded());
+        assert!(inf.inferred.is_empty());
+        assert_eq!(inf.blocked[0].1.code, Code::PureStaticLocal);
+    }
+
+    #[test]
+    fn assignment_targets_are_walked_like_any_expression() {
+        let report = verify(
+            "int tick(int i);\n\
+             pure int f(int n) { int a[4]; a[tick(n)] = 1; return a[0]; }",
+        );
+        assert!(report.diags.has_code(Code::PureCallsImpure));
+        let report = verify(
+            "int g;\n\
+             pure int f(int n) { int a[4]; a[g++] = n; return a[0]; }",
+        );
+        assert!(report.diags.has_code(Code::PureGlobalWrite));
+    }
+
+    #[test]
+    fn global_reads_are_exported_closed_over_callees() {
+        let src = "int n; int table[8]; int unused;\n\
+             pure int leaf(int i) { return table[i]; }\n\
+             pure int mid(int i) { int t[2]; t[n] = leaf(i); return t[0]; }\n\
+             pure int top(int i) { return mid(i) + top(i - 1); }\n\
+             pure int none(int unused) { return unused; }";
+        let report = verify(src);
+        assert!(report.ok(), "{:?}", report.diags.items());
+        let reads = |f: &str| report.global_reads[f].iter().cloned().collect::<Vec<_>>();
+        assert_eq!(reads("leaf"), ["table"]);
+        assert_eq!(reads("mid"), ["n", "table"]);
+        assert_eq!(reads("top"), ["n", "table"]);
+        assert!(reads("none").is_empty());
+        // The same facts from the names alone (the lowered text).
+        let unit = parse(&src.replace("pure ", "")).unit;
+        let mut pure = PureSet::seeded();
+        for f in ["leaf", "mid", "top", "none"] {
+            pure.insert(f);
+        }
+        assert_eq!(global_reads(&unit, &pure), report.global_reads);
     }
 }

@@ -1,19 +1,68 @@
 //! SCoP marking — the second half of PC-CC (Sect. 3.2/3.4).
 //!
-//! Every `for`-loop nest whose calls are all verified pure is surrounded by
-//! `#pragma scop` / `#pragma endscop`, the markers the polyhedral
-//! transformer consumes. Before marking, the pass runs the caller-side
-//! safety check of Listing 5: if a pointer argument of a pure call is also
-//! the target of an assignment in the same loop nest, the program is
-//! rejected (`PureParamWrittenInLoop`) — the call's result feeding back
-//! into its own input would make the iteration order observable.
+//! Every `for`-loop nest whose calls are all verified pure
+//! ([`unverified_calls`] finds none) is surrounded by `#pragma scop` /
+//! `#pragma endscop`, the markers the polyhedral transformer consumes.
+//! Before marking, the pass runs the caller-side safety check of Listing
+//! 5: if an assignment's target is something a pure call on its
+//! right-hand side may read — it is mentioned in the call's arguments, or
+//! it is a global the callee reads ([`pure_call_read_bases`]) — the
+//! program is rejected (`PureParamWrittenInLoop`): the call's result
+//! feeding back into its own input would make the iteration order
+//! observable.
 //!
 //! The check compares variable *names* only; the alias deception of
 //! Listing 6 is accepted, which the paper documents as a limitation.
 
+use crate::purity::GlobalReads;
 use crate::stdfns::PureSet;
 use cfront::ast::*;
 use cfront::diag::{Code, Diagnostics};
+use cfront::span::Span;
+use std::collections::BTreeSet;
+
+/// The one definition of "all calls verified pure": every call in the
+/// subtree that `is_pure` does not vouch for, as `(callee, span)` — an
+/// indirect call is never vouched for, the synthetic `__initlist` marker
+/// is not a call. Empty means the subtree qualifies.
+pub fn unverified_calls<'a>(
+    stmt: &'a Stmt,
+    is_pure: &dyn Fn(&str) -> bool,
+) -> Vec<(&'a str, Span)> {
+    let mut out = Vec::new();
+    stmt.walk_exprs(&mut |e| {
+        if let ExprKind::Call { callee, .. } = &e.kind {
+            match callee.as_ident() {
+                Some(name) if name == "__initlist" || is_pure(name) => {}
+                Some(name) => out.push((name, e.span)),
+                None => out.push(("(indirect)", e.span)),
+            }
+        }
+    });
+    out
+}
+
+/// The names through which a call to verified-pure `callee` may read
+/// memory its caller can write — reads the placeholder that stands in
+/// for the call hides from the dependence test: every identifier in the
+/// argument list (a pointer the callee dereferences, or a subscript the
+/// argument itself loads) and every global the callee may read.
+pub fn pure_call_read_bases<'a>(
+    callee: &str,
+    args: &'a [Expr],
+    reads: &'a GlobalReads,
+) -> BTreeSet<&'a str> {
+    let mut bases: BTreeSet<&str> = reads
+        .get(callee)
+        .into_iter()
+        .flatten()
+        .map(String::as_str)
+        .collect();
+    for arg in args {
+        arg.walk(&mut |e| bases.extend(e.as_ident()));
+    }
+    bases
+}
 
 /// Outcome of SCoP marking over a translation unit.
 #[derive(Debug, Default)]
@@ -28,21 +77,34 @@ pub struct ScopReport {
 /// Mark parallelization candidates in-place. Returns the report; on error
 /// (`PureParamWrittenInLoop`) the unit is left partially marked and callers
 /// must abort, mirroring the paper's compile error.
-pub fn mark_scops(unit: &mut TranslationUnit, pure_set: &PureSet) -> ScopReport {
+pub fn mark_scops(
+    unit: &mut TranslationUnit,
+    pure_set: &PureSet,
+    reads: &GlobalReads,
+) -> ScopReport {
     let mut report = ScopReport::default();
+    let pure = Verified { pure_set, reads };
     for item in &mut unit.items {
         let Item::Function(f) = item else { continue };
         let Some(body) = &mut f.body else { continue };
-        mark_block(body, pure_set, &mut report);
+        mark_block(body, pure, &mut report);
     }
     report
 }
 
-fn mark_block(block: &mut Block, pure_set: &PureSet, report: &mut ScopReport) {
+/// What the verifier established: which functions are pure, and what
+/// each may read through a global.
+#[derive(Clone, Copy)]
+struct Verified<'a> {
+    pure_set: &'a PureSet,
+    reads: &'a GlobalReads,
+}
+
+fn mark_block(block: &mut Block, pure: Verified, report: &mut ScopReport) {
     let mut i = 0;
     while i < block.stmts.len() {
         if matches!(block.stmts[i].kind, StmtKind::For { .. }) {
-            if loop_nest_is_candidate(&block.stmts[i], pure_set, report) {
+            if loop_nest_is_candidate(&block.stmts[i], pure, report) {
                 let span = block.stmts[i].span;
                 block
                     .stmts
@@ -58,7 +120,7 @@ fn mark_block(block: &mut Block, pure_set: &PureSet, report: &mut ScopReport) {
             // Not a candidate as a whole — descend looking for inner
             // candidates (e.g. a parallelizable loop inside an outer
             // `while`-style driver loop).
-            descend(&mut block.stmts[i], pure_set, report);
+            descend(&mut block.stmts[i], pure, report);
         } else if matches!(
             block.stmts[i].kind,
             StmtKind::Block(_)
@@ -66,127 +128,94 @@ fn mark_block(block: &mut Block, pure_set: &PureSet, report: &mut ScopReport) {
                 | StmtKind::While { .. }
                 | StmtKind::DoWhile { .. }
         ) {
-            descend(&mut block.stmts[i], pure_set, report);
+            descend(&mut block.stmts[i], pure, report);
         }
         i += 1;
     }
 }
 
-fn descend(stmt: &mut Stmt, pure_set: &PureSet, report: &mut ScopReport) {
+fn descend(stmt: &mut Stmt, pure: Verified, report: &mut ScopReport) {
     match &mut stmt.kind {
-        StmtKind::Block(b) => mark_block(b, pure_set, report),
+        StmtKind::Block(b) => mark_block(b, pure, report),
         StmtKind::If {
             then_branch,
             else_branch,
             ..
         } => {
-            descend_body(then_branch, pure_set, report);
+            descend(then_branch, pure, report);
             if let Some(e) = else_branch {
-                descend_body(e, pure_set, report);
+                descend(e, pure, report);
             }
         }
         StmtKind::While { body, .. }
         | StmtKind::DoWhile { body, .. }
-        | StmtKind::For { body, .. } => descend_body(body, pure_set, report),
+        | StmtKind::For { body, .. } => descend(body, pure, report),
         _ => {}
-    }
-}
-
-/// Descend into a loop/branch body; bare statements cannot receive pragma
-/// siblings, so only blocks are explored further.
-fn descend_body(stmt: &mut Stmt, pure_set: &PureSet, report: &mut ScopReport) {
-    match &mut stmt.kind {
-        StmtKind::Block(b) => mark_block(b, pure_set, report),
-        StmtKind::For { .. } => descend(stmt, pure_set, report),
-        _ => descend(stmt, pure_set, report),
     }
 }
 
 /// A loop nest qualifies when every function called anywhere inside is in
 /// the pure registry, and the Listing-5 check passes.
-fn loop_nest_is_candidate(stmt: &Stmt, pure_set: &PureSet, report: &mut ScopReport) -> bool {
-    let mut all_pure = true;
-    let mut any_call = false;
-    stmt.walk_exprs(&mut |e| {
-        if let Some((name, _)) = e.as_direct_call() {
-            if name == "__initlist" {
-                return;
-            }
-            any_call = true;
-            if !pure_set.contains(name) {
-                all_pure = false;
-            }
-        }
-    });
-    let _ = any_call;
-    if !all_pure {
+fn loop_nest_is_candidate(stmt: &Stmt, pure: Verified, report: &mut ScopReport) -> bool {
+    if !unverified_calls(stmt, &|name| pure.pure_set.contains(name)).is_empty() {
         report.skipped_impure += 1;
         return false;
     }
     let errors_before = report.diags.error_count();
-    check_listing5(stmt, pure_set, &mut report.diags);
+    check_listing5(stmt, pure, &mut report.diags);
     // The paper *errors out* on the Listing-5 violation rather than merely
     // skipping the loop; on error the caller aborts the pipeline anyway.
     report.diags.error_count() == errors_before
 }
 
-/// Listing 5: an assignment must not feed a pure call's pointer argument
-/// back into its own target — `array[i] = func(array, i)` makes the call's
-/// input depend on the iteration order. The check is per assignment
-/// statement (the paper's "appears on the left-hand side of an assignment
-/// operator"); writes to the same array in *other* statements of the nest
-/// are the legal double-buffer/copy patterns the evaluation programs use.
-fn check_listing5(stmt: &Stmt, pure_set: &PureSet, diags: &mut Diagnostics) {
+/// Listing 5: an assignment must not feed a pure call's input back into
+/// its own target — `array[i] = func(array, i)` makes the call's input
+/// depend on the iteration order, and so does `g[i] = f(i)` when `f`
+/// reads the global `g`. The check is per assignment statement (the
+/// paper's "appears on the left-hand side of an assignment operator");
+/// writes to the same array in *other* statements of the nest are the
+/// legal double-buffer/copy patterns the evaluation programs use.
+fn check_listing5(stmt: &Stmt, pure: Verified, diags: &mut Diagnostics) {
     stmt.walk_exprs(&mut |e| {
         let ExprKind::Assign(_, lhs, rhs) = &e.kind else {
             return;
         };
-        let Some(lhs_root) = lhs.lvalue_root() else {
+        let Some(target) = lhs.lvalue_root() else {
             return;
         };
-        if is_iterator_like(stmt, lhs_root) {
+        // Iterator variables are incremented by the loop itself; passing
+        // them as scalar arguments is the normal pattern.
+        if is_iterator_like(stmt, target) {
             return;
         }
-        // Find pure calls inside the RHS whose pointer arguments root at
-        // the assignment target.
         rhs.walk(&mut |sub| {
             let Some((name, args)) = sub.as_direct_call() else {
                 return;
             };
-            if !pure_set.contains(name) || name == "__initlist" {
+            if !pure.pure_set.contains(name) || name == "__initlist" {
                 return;
             }
-            for arg in args {
-                let mut inner = arg;
-                while let ExprKind::Cast(_, x) = &inner.kind {
-                    inner = x;
-                }
-                let is_pointerish = matches!(
-                    inner.kind,
-                    ExprKind::Ident(_) | ExprKind::Index(..) | ExprKind::Member { .. }
-                );
-                let Some(root) = inner.lvalue_root() else {
-                    continue;
-                };
-                if is_pointerish && root == lhs_root && !is_iterator_like(stmt, root) {
-                    diags.error(
-                        Code::PureParamWrittenInLoop,
-                        e.span,
-                        format!(
-                            "argument '{root}' of pure function '{name}' is also assigned in \
-                             this loop nest — the call's input depends on the iteration order \
-                             (see paper Listing 5)"
-                        ),
-                    );
-                }
+            if !pure_call_read_bases(name, args, pure.reads).contains(target) {
+                return;
             }
+            let what = match pure.reads.get(name) {
+                Some(globals) if globals.contains(target) => format!("global '{target}' read by"),
+                _ => format!("argument '{target}' of"),
+            };
+            diags.error(
+                Code::PureParamWrittenInLoop,
+                e.span,
+                format!(
+                    "{what} pure function '{name}' is also assigned in \
+                     this loop nest — the call's input depends on the iteration order \
+                     (see paper Listing 5)"
+                ),
+            );
         });
     });
 }
 
 /// Is `name` one of the loop iterators of the nest rooted at `stmt`?
-/// Iterator variables are incremented by the loop itself; passing them as
-/// scalar arguments is the normal pattern (`func(array, i)`).
 fn is_iterator_like(stmt: &Stmt, name: &str) -> bool {
     let mut found = false;
     stmt.walk(&mut |s| {
@@ -237,7 +266,7 @@ mod tests {
         let mut unit = r.unit;
         let purity = verify_unit(&unit, PureSet::seeded());
         assert!(purity.ok(), "{:?}", purity.diags.items());
-        let report = mark_scops(&mut unit, &purity.pure_set);
+        let report = mark_scops(&mut unit, &purity.pure_set, &purity.global_reads);
         (unit, report)
     }
 
@@ -286,7 +315,7 @@ mod tests {
         let mut unit = r.unit;
         let purity = verify_unit(&unit, PureSet::seeded());
         assert!(purity.ok());
-        let report = mark_scops(&mut unit, &purity.pure_set);
+        let report = mark_scops(&mut unit, &purity.pure_set, &purity.global_reads);
         assert!(report.diags.has_code(Code::PureParamWrittenInLoop));
     }
 
@@ -305,7 +334,7 @@ mod tests {
         );
         let mut unit = r.unit;
         let purity = verify_unit(&unit, PureSet::seeded());
-        let report = mark_scops(&mut unit, &purity.pure_set);
+        let report = mark_scops(&mut unit, &purity.pure_set, &purity.global_reads);
         // No error, loop marked — exactly the deception of Listing 6.
         assert!(!report.diags.has_errors());
         assert_eq!(report.marked, 1);
@@ -360,7 +389,7 @@ mod tests {
         );
         let mut unit = r.unit;
         let set = PureSet::seeded_without_alloc();
-        let report = mark_scops(&mut unit, &set);
+        let report = mark_scops(&mut unit, &set, &GlobalReads::new());
         assert_eq!(report.marked, 0);
         assert_eq!(report.skipped_impure, 1);
     }

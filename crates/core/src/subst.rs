@@ -171,7 +171,7 @@ mod tests {
         let mut unit = parse(src).unit;
         let purity = verify_unit(&unit, PureSet::seeded());
         assert!(purity.ok(), "{:?}", purity.diags.items());
-        let scop = mark_scops(&mut unit, &purity.pure_set);
+        let scop = mark_scops(&mut unit, &purity.pure_set, &purity.global_reads);
         assert!(!scop.diags.has_errors());
         let map = substitute_calls(&mut unit, &purity.pure_set);
         (unit, map)

@@ -402,7 +402,9 @@ fn descend(stmt: &mut Stmt, opts: &PolyccOptions, report: &mut PolyccReport) {
 /// pure is routed through the transformer like an implicit SCoP.
 fn maybe_unmarked(stmt: &mut Stmt, opts: &PolyccOptions, report: &mut PolyccReport) {
     if let Some(pure) = &opts.unmarked {
-        if matches!(stmt.kind, StmtKind::For { .. }) && calls_all_pure(stmt, pure) {
+        if matches!(stmt.kind, StmtKind::For { .. })
+            && purec_core::unverified_calls(stmt, &|name| pure.contains(name)).is_empty()
+        {
             let mut child = stmt.clone();
             if let Some(mut new_stmts) = transform_nest(&mut child, opts, report) {
                 finish_block(&mut new_stmts, report);
@@ -420,20 +422,6 @@ fn maybe_unmarked(stmt: &mut Stmt, opts: &PolyccOptions, report: &mut PolyccRepo
         }
     }
     descend(stmt, opts, report)
-}
-
-/// Every called function in the subtree is in the verified-pure set.
-fn calls_all_pure(stmt: &Stmt, pure: &HashSet<String>) -> bool {
-    let mut ok = true;
-    stmt.walk_exprs(&mut |e| {
-        if let ExprKind::Call { callee, .. } = &e.kind {
-            match &callee.kind {
-                ExprKind::Ident(name) if pure.contains(name) => {}
-                _ => ok = false,
-            }
-        }
-    });
-    ok
 }
 
 /// Transform one marked nest. Returns the replacement statements, or `None`

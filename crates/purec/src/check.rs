@@ -1,14 +1,14 @@
 //! `purec check` — run the static analyzer without compiling.
 //!
-//! Preprocess → parse → purity verification → [`analysis::analyze_unit`]
-//! over the source *as written* (hand-authored pragmas included), with
+//! Preprocess → parse → purity verification → the Listing-5 screen of
+//! SCoP marking → [`analysis::analyze_unit`] over the source *as written* (hand-authored pragmas included), with
 //! human-readable or machine-readable (`--json`, one object per line)
 //! output. Exit status 1 iff any error-severity diagnostic fired.
 
 use cfront::diag::{Diagnostics, Severity};
 use cfront::parser::parse;
 use cfront::span::LineMap;
-use purec_core::{verify_unit, PureSet};
+use purec_core::{mark_scops, verify_unit, PureSet};
 use serde_json::Value;
 
 /// Options for one `purec check` invocation.
@@ -104,6 +104,11 @@ pub fn check_source(source: &str, opts: &CheckOptions) -> CheckOutcome {
     // analyzer, and its violations are part of the check output.
     let purity = verify_unit(&parsed.unit, opts.seed.clone());
     diags.extend(purity.diags);
+
+    // The caller-side half of the purity contract (paper Listing 5) is
+    // checked while marking SCoPs; the marks themselves are not needed.
+    let mut marked = parsed.unit.clone();
+    diags.extend(mark_scops(&mut marked, &purity.pure_set, &purity.global_reads).diags);
 
     let report = analysis::analyze_unit(
         &parsed.unit,

@@ -432,13 +432,9 @@ fn cli() {
         match outcome {
             Ok((out, result)) => {
                 print!("{}", result.output);
-                let spawn_sites: usize = out
-                    .program()
-                    .resolved()
-                    .spawn_sites()
-                    .iter()
-                    .map(|(_, n)| n)
-                    .sum();
+                let program = out.program();
+                let resolved = program.resolved();
+                let spawn_sites: usize = resolved.spawn_sites().iter().map(|(_, n)| n).sum();
                 if dump_schedule {
                     for line in &out.schedules {
                         eprintln!("purec: {line}");
@@ -446,7 +442,7 @@ fn cli() {
                 }
                 if stats {
                     eprintln!(
-                        "purec: {}; spawn sites {}; exit {}; \
+                        "purec: {}; spawn sites {}; const {:?}; heavy {:?}; exit {}; \
                          ops {{flops: {}, int_ops: {}, loads: {}, stores: {}, calls: {}, \
                          branches: {}}}; \
                          memo {{hits: {}, misses: {}, evictions: {}}}; \
@@ -456,6 +452,8 @@ fn cli() {
                          race {{static_skips: {}, dyn_iters: {}}}",
                         chain_stats_line(&out),
                         spawn_sites,
+                        resolved.functions_where(|s| s.class == cinterp::Class::Const),
+                        resolved.functions_where(|s| s.cost == cinterp::Cost::Heavy),
                         result.exit_code,
                         result.counters.flops,
                         result.counters.int_ops,
@@ -517,6 +515,19 @@ fn cli() {
                         .map(|(key, _, value)| (key.to_string(), n(value as u64)))
                         .collect();
                     chain.push(("spawn_sites".to_string(), n(spawn_sites as u64)));
+                    // The same summaries the const and heavy sets of
+                    // `--stats` are filtered from.
+                    let functions = resolved
+                        .summaries()
+                        .map(|(name, s)| {
+                            let word = |v: String| serde_json::Value::Str(v.to_lowercase());
+                            let fields = vec![
+                                ("class".to_string(), word(format!("{:?}", s.class))),
+                                ("cost".to_string(), word(format!("{:?}", s.cost))),
+                            ];
+                            (name.to_string(), serde_json::Value::Object(fields))
+                        })
+                        .collect();
                     let root = serde_json::Value::Object(vec![
                         (
                             "exit_code".to_string(),
@@ -529,6 +540,10 @@ fn cli() {
                         ),
                         ("metrics".to_string(), cinterp::metrics_json(&data.metrics)),
                         ("chain".to_string(), serde_json::Value::Object(chain)),
+                        (
+                            "functions".to_string(),
+                            serde_json::Value::Object(functions),
+                        ),
                         ("dropped_events".to_string(), n(data.dropped)),
                     ]);
                     let rendered = serde_json::to_string_pretty(&root).expect("stats JSON renders");

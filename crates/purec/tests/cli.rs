@@ -292,7 +292,9 @@ fn use_after_free_still_exits_1() {
 
 /// The chain's counts are rendered from one table: the compile-only
 /// `--stats` line, the `--run --stats` line and the `chain` object of
-/// `--stats-json` carry the same fields with the same values.
+/// `--stats-json` carry the same fields with the same values. So are the
+/// effect summaries: the `const` / `heavy` sets of the run line and the
+/// `functions` object of `--stats-json`.
 #[test]
 fn stats_lines_and_stats_json_agree_on_the_chain_fields() {
     let json_path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("heat_stats.json");
@@ -347,4 +349,103 @@ fn stats_lines_and_stats_json_agree_on_the_chain_fields() {
         assert_eq!(fields[i], format!("{label} {value}"), "chain.{key}");
     }
     assert_eq!(chain[labels.len()].0, "spawn_sites");
+
+    // One function per cell of the lattice: the two renderings agree on
+    // every one of them.
+    let ran = stderr(&purec(&[
+        &example("effects.c"),
+        "--run",
+        "--stats",
+        "--stats-json",
+        &json_arg,
+    ]));
+    let set = |label: &str| -> String {
+        let from = ran
+            .find(label)
+            .unwrap_or_else(|| panic!("no {label} in:\n{ran}"));
+        let list = &ran[from + label.len()..];
+        list[..list.find(']').expect("a list")].to_string()
+    };
+    let (konst, heavy) = (set("; spawn sites 4; const ["), set("; heavy ["));
+    assert_eq!(
+        konst,
+        r#""twice", "tri", "fib", "is_even", "is_odd", "wrap""#
+    );
+    let text = std::fs::read_to_string(&json_path).expect("--stats-json wrote a file");
+    let root: serde_json::Value = serde_json::from_str(&text).expect("stats JSON parses");
+    let functions = root
+        .as_object()
+        .and_then(|o| o.iter().find(|(k, _)| k == "functions"))
+        .and_then(|(_, v)| v.as_object())
+        .expect("functions object");
+    assert_eq!(functions.len(), 13, "{text}");
+    for (name, summary) in functions {
+        let field = |key: &str| {
+            let fields = summary.as_object().expect("a summary");
+            let (_, v) = fields.iter().find(|(k, _)| k == key).expect(key);
+            v.as_str().expect("a word").to_string()
+        };
+        let quoted = format!("\"{name}\"");
+        assert_eq!(field("class") == "const", konst.contains(&quoted), "{name}");
+        assert_eq!(field("cost") == "heavy", heavy.contains(&quoted), "{name}");
+        assert!(["const", "pure", "impure"].contains(&field("class").as_str()));
+    }
+}
+
+/// The three programs the verifier used to accept (a block-scoped shadow
+/// of a global, a `static` local, Listing 5 through a global) are
+/// refused: `check` exits 1 naming all three rules, and compiling prints
+/// no text at all — no `omp` pragma for their loops reaches stdout.
+#[test]
+fn purity_holes_exit_1_with_the_pure_codes() {
+    let holes = example("analysis/purity_holes.c");
+    let check = purec(&["check", &holes]);
+    assert_eq!(check.status.code(), Some(1));
+    let report = String::from_utf8_lossy(&check.stdout).into_owned();
+    for code in [
+        "PureGlobalWrite",
+        "PureStaticLocal",
+        "PureParamWrittenInLoop",
+    ] {
+        assert!(
+            report.contains(&format!("error[{code}]")),
+            "{code}:\n{report}"
+        );
+    }
+    for args in [
+        vec![holes.as_str()],
+        vec![holes.as_str(), "--run", "--race-check"],
+    ] {
+        let out = purec(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed program text");
+        assert!(
+            stderr(&out).contains("error[PureGlobalWrite]"),
+            "{}",
+            stderr(&out)
+        );
+    }
+    // Its two-statement sibling compiles — and is caught at run time.
+    let feedback = example("analysis/global_feedback.c");
+    let out = purec(&[&feedback, "--run", "--threads", "4", "--race-check"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("race detected"), "{}", stderr(&out));
+}
+
+/// A codegen helper called with a zero divisor is a runtime error of the
+/// program (exit 1), never a panic of `purec` (exit 101).
+#[test]
+fn builtin_arithmetic_errors_exit_1_not_101() {
+    let src = source_path(
+        "floord0.c",
+        "int main() { int d = 0; return __pc_floord(7, d) + __pc_max(3); }",
+    );
+    for engine in ["vm", "resolved"] {
+        let out = purec(&[&src, "--run", "--engine", engine]);
+        assert_eq!(out.status.code(), Some(1), "{engine}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("integer division by zero"),
+            "{engine}"
+        );
+    }
 }

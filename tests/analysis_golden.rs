@@ -218,3 +218,87 @@ fn demo_sources_check_clean_of_errors() {
         );
     }
 }
+
+/// The three shapes the scattered walkers used to verify pure (a
+/// block-scoped shadow of a global, a `static` local, Listing 5 through
+/// a global): each is a spanned `Pure*` error now.
+#[test]
+fn purity_holes_are_rejected_with_spanned_errors() {
+    let outcome = run_corpus_file("purity_holes.c", false);
+    assert_eq!(outcome.diags.error_count(), 3, "{}", outcome.render());
+}
+
+/// Listing 5 through a global, split over two statements: the
+/// per-assignment rule lets it through (as it does Listing 6), so the
+/// verdict must be `Unknown` and the dynamic checker must refuse it.
+#[test]
+fn global_read_feedback_is_unknown_statically_and_a_race_dynamically() {
+    let outcome = run_corpus_file("global_feedback.c", false);
+    assert!(!outcome.has_errors(), "{}", outcome.render());
+    let out = purec::compile(&outcome.text, purec::ChainOptions::default()).expect("compiles");
+    assert_eq!(
+        out.verdicts.values().collect::<Vec<_>>(),
+        [&cinterp::RaceVerdict::Unknown]
+    );
+    let err = out
+        .program()
+        .run(cinterp::InterpOptions {
+            threads: 4,
+            race_check: true,
+            ..Default::default()
+        })
+        .expect_err("the dynamic check must catch the feedback");
+    assert!(err.message.contains("race detected"), "{err}");
+}
+
+include!("support/corpus.rs");
+
+/// `Independent` ⇒ the dynamic race checker finds nothing: for every
+/// checked-in program whose parallel loops the analyzer *all* calls
+/// `Independent`, the same unit rebuilt *without* verdicts and run with
+/// the dynamic check on, cap off, must complete. (At the parent commit
+/// `global_feedback.c` was `Independent` statically and a detected race
+/// dynamically.)
+#[test]
+fn independent_verdicts_agree_with_the_dynamic_checker() {
+    // One region of the scratch workload is enough here.
+    let mut corpus: Vec<(String, String)> = example_programs()
+        .into_iter()
+        .map(|(name, src)| (name, src.replace("int n = 20000;", "int n = 200;")))
+        .collect();
+    corpus.push(("demo matmul".into(), apps::matmul::c_source(12)));
+    corpus.push(("demo heat".into(), apps::heat::c_source(8, 3)));
+    corpus.push(("demo satellite".into(), apps::satellite::c_source(6, 6)));
+    corpus.push(("demo lama".into(), apps::lama::c_source(32, 5)));
+
+    let mut checked = 0;
+    for (name, src) in &corpus {
+        let Ok(out) = purec::compile(src, purec::ChainOptions::default()) else {
+            assert!(name.ends_with("purity_holes.c"), "{name} must compile");
+            continue;
+        };
+        let all_independent = !out.verdicts.is_empty()
+            && out
+                .verdicts
+                .values()
+                .all(|v| *v == cinterp::RaceVerdict::Independent);
+        if !all_independent {
+            continue;
+        }
+        let run = cinterp::Program::with_pure_set(&out.unit, &out.verified_pure_set()).run(
+            cinterp::InterpOptions {
+                threads: 2,
+                race_check: true,
+                race_check_cap: Some(0),
+                ..Default::default()
+            },
+        );
+        let run = run.unwrap_or_else(|e| panic!("{name}: Independent statically, but: {e}"));
+        assert!(
+            run.counters.race_dyn_iters > 0,
+            "{name}: nothing was checked"
+        );
+        checked += 1;
+    }
+    assert!(checked >= 8, "only {checked} programs were all-Independent");
+}

@@ -319,3 +319,81 @@ int main() {
     // With pure: loops parallelized; without: fewer or none.
     assert!(out_with.regions_parallelized >= out_without.regions_parallelized);
 }
+
+// ---------------------------------------------------------------------------
+// Three programs the verifier used to accept: each was verified pure, its
+// loop was parallelized, and runs disagreed with --race-check passing.
+// ---------------------------------------------------------------------------
+
+/// The chain must refuse the program with `code`, so no `omp` pragma for
+/// its loop can reach the emitted text.
+fn chain_rejects_with(src: &str, code: Code) {
+    rejects_with(src, code);
+    match compile(src, ChainOptions::default()) {
+        Ok(out) => panic!("expected a compile error, got:\n{}", out.text),
+        Err(d) => {
+            assert!(d.has_code(code), "{}", d.render_all(src));
+            let at = d.items().iter().find(|i| i.code == code).expect("has code");
+            assert!(!at.span.is_empty(), "{code:?} must be spanned");
+        }
+    }
+}
+
+#[test]
+fn block_scoped_shadow_of_a_global_ends_with_its_block() {
+    chain_rejects_with(
+        "int g;
+pure int f(int n) { { int g = 1; n = n + g; } g = g + n; return g; }
+int main() {
+    int* out = (int*) malloc(64 * sizeof(int));
+    for (int i = 0; i < 64; i++) out[i] = f(i);
+    return out[63];
+}",
+        Code::PureGlobalWrite,
+    );
+    // Shadowing itself stays legal: inside its block the local wins.
+    accepts(
+        "int g;
+pure int f(int n) { { int g = 1; g = g + n; n = g; } return n + g; }
+int main() { return f(1); }",
+    );
+}
+
+#[test]
+fn static_local_in_a_pure_function_rejected() {
+    chain_rejects_with(
+        "pure int next(int x) { static int n = 0; n = n + 1; return x + n; }
+int main() {
+    int out[3];
+    for (int i = 0; i < 3; i++) out[i] = next(1);
+    return out[2];
+}",
+        Code::PureStaticLocal,
+    );
+}
+
+#[test]
+fn listing5_through_a_global_rejected() {
+    chain_rejects_with(
+        "int g[100];
+pure int f(int i) { return g[i - 1] + 1; }
+int main() {
+    g[0] = 0;
+    for (int i = 1; i < 100; i++) g[i] = f(i);
+    return g[99];
+}",
+        Code::PureParamWrittenInLoop,
+    );
+    // Through a verified callee, too: the reads are closed over calls.
+    chain_rejects_with(
+        "int g[100];
+pure int peek(int i) { return g[i - 1]; }
+pure int f(int i) { return peek(i) + 1; }
+int main() {
+    g[0] = 0;
+    for (int i = 1; i < 100; i++) g[i] = f(i);
+    return g[99];
+}",
+        Code::PureParamWrittenInLoop,
+    );
+}
