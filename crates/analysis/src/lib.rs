@@ -102,10 +102,9 @@ pub fn analyze_unit(
     // `unit` may be the lowered text, where `pure` is gone: what each
     // pure function reads through a global is re-derived by name.
     let reads = purec_core::global_reads(unit, pure_set);
+    let globals = polyhedral::IterTypes::of_globals(unit);
     for f in unit.functions() {
-        if let Some(body) = &f.body {
-            race::analyze_block(body, pure_set, &reads, &mut report);
-        }
+        race::analyze_function(f, &globals.in_function(f), pure_set, &reads, &mut report);
     }
 
     if opts.infer_pure {

@@ -42,27 +42,33 @@
 use crate::{AnalysisReport, LoopReport, LoopVerdict};
 use cfront::ast::*;
 use cfront::diag::Code;
+use cfront::omp::{paired_omp_loops, Paired};
 use cfront::span::Span;
 use machine::{parse_omp_parallel_for_clauses, OmpClauses};
+use polyhedral::IterTypes;
 use purec_core::{GlobalReads, PureSet};
 use std::collections::{HashMap, HashSet};
 
 /// Walk one function body, pairing omp pragmas with their loops the same
-/// way the interpreter's lowering does, and recursing everywhere else.
-/// Alias groups are computed once from the whole body so a `int* q = a;`
-/// at function scope is visible inside every nested loop.
-pub fn analyze_block(
-    b: &Block,
+/// way the interpreter's lowering does ([`paired_omp_loops`]), and
+/// recursing everywhere else. Alias groups are computed once from the
+/// whole body so a `int* q = a;` at function scope is visible inside
+/// every nested loop; `types` is the function's integer-iterator table.
+pub fn analyze_function(
+    f: &Function,
+    types: &IterTypes,
     pure_set: &PureSet,
     reads: &GlobalReads,
     report: &mut AnalysisReport,
 ) {
+    let Some(body) = &f.body else { return };
     let cx = Context {
         pure_set,
         reads,
-        aliases: &collect_alias_groups(b),
+        aliases: &collect_alias_groups(body),
+        types,
     };
-    analyze_block_with(b, cx, report);
+    analyze_block_with(body, cx, report);
 }
 
 /// What holds for a whole function body.
@@ -73,28 +79,22 @@ struct Context<'a> {
     /// What each pure function may read through a global.
     reads: &'a GlobalReads,
     aliases: &'a AliasGroups,
+    types: &'a IterTypes<'a>,
 }
 
 fn analyze_block_with(b: &Block, cx: Context, report: &mut AnalysisReport) {
-    let mut i = 0;
-    while i < b.stmts.len() {
-        if let StmtKind::Pragma(p) = &b.stmts[i].kind {
-            if let Some(clauses) = parse_omp_parallel_for_clauses(p) {
-                let pragma_span = b.stmts[i].span;
-                let mut j = i + 1;
-                while j < b.stmts.len() && matches!(&b.stmts[j].kind, StmtKind::Pragma(_)) {
-                    j += 1;
-                }
-                if j < b.stmts.len() && matches!(b.stmts[j].kind, StmtKind::For { .. }) {
-                    analyze_omp_loop(pragma_span, &clauses, &b.stmts[j], cx, report);
-                    recurse(&b.stmts[j], cx, report);
-                    i = j + 1;
-                    continue;
-                }
+    for item in paired_omp_loops(&b.stmts, parse_omp_parallel_for_clauses) {
+        match item {
+            Paired::OmpFor {
+                clauses,
+                pragma,
+                for_stmt,
+            } => {
+                analyze_omp_loop(pragma.span, &clauses, for_stmt, cx, report);
+                recurse(for_stmt, cx, report);
             }
+            Paired::Plain(s) => recurse(s, cx, report),
         }
-        recurse(&b.stmts[i], cx, report);
-        i += 1;
     }
 }
 
@@ -126,6 +126,7 @@ fn analyze_omp_loop(
         pure_set,
         reads,
         aliases,
+        types,
     }: Context,
     report: &mut AnalysisReport,
 ) {
@@ -354,7 +355,7 @@ fn analyze_omp_loop(
                 e.kind = ExprKind::Ident(format!("__purechk{counter}"));
             }
         });
-        match polyhedral::extract_scop(&probe) {
+        match polyhedral::extract_scop(&probe, types) {
             Ok(scop) => {
                 let polyhedral::DepAnalysis { deps, fm_solves } = polyhedral::analyze(&scop);
                 report.fm_solves += fm_solves;
@@ -433,21 +434,7 @@ fn rhs_is_reduction(name: &str, rhs: &Expr) -> bool {
 fn collect_nest_iterators(s: &Stmt, out: &mut HashSet<String>) {
     s.walk(&mut |s| {
         if let StmtKind::For { init, .. } = &s.kind {
-            match init.as_ref() {
-                ForInit::Decl(d) => {
-                    for dec in &d.declarators {
-                        out.insert(dec.name.clone());
-                    }
-                }
-                ForInit::Expr(Some(e)) => {
-                    if let ExprKind::Assign(AssignOp::Assign, lhs, _) = &e.kind {
-                        if let Some(n) = lhs.as_ident() {
-                            out.insert(n.to_string());
-                        }
-                    }
-                }
-                ForInit::Expr(None) => {}
-            }
+            out.extend(init.bound_names().map(String::from));
         }
     });
 }
@@ -556,10 +543,7 @@ fn collect_loop_writes(s: &Stmt, out: &mut LoopWrites) {
             step,
             body,
         } => {
-            let own = match init.as_ref() {
-                ForInit::Decl(d) => d.declarators.first().map(|d| d.name.as_str()),
-                _ => None,
-            };
+            let own = init.bound_names().next();
             if let ForInit::Expr(Some(e)) = init.as_ref() {
                 record(e, out, None);
             }

@@ -141,6 +141,7 @@ pub fn c_source(width: usize, height: usize) -> String {
     format!(
         "#include <stdlib.h>\n\
          #include <stdio.h>\n\
+         #include <math.h>\n\
          \n\
          float* image;\n\
          float* aod;\n\

@@ -26,6 +26,7 @@ pub mod ast;
 pub mod diag;
 pub mod intern;
 pub mod lexer;
+pub mod omp;
 pub mod parser;
 pub mod printer;
 pub mod span;

@@ -40,9 +40,10 @@
 //! mirroring the resolved engine discarding the child's control flow.
 
 use crate::effects::Summary;
+use crate::ops::Coerce;
 use crate::resolve::{
-    Coerce, RDecl, RDeclKind, RExpr, RExprKind, ROmpFor, RPlace, RPlaceKind, RSpawn, RStmt,
-    RStmtKind, ResolvedProgram, SlotRef,
+    RDecl, RDeclKind, RExpr, RExprKind, ROmpFor, RPlace, RPlaceKind, RSpawn, RStmt, RStmtKind,
+    ResolvedProgram, SlotRef,
 };
 use crate::value::Scalar;
 use cfront::ast::{BinOp, UnOp};
@@ -317,6 +318,17 @@ pub(crate) fn binop_encode(op: BinOp) -> u32 {
 #[inline]
 pub(crate) fn binop_decode(code: u32) -> BinOp {
     BINOPS[code as usize]
+}
+
+/// The mode of an [`Op::Coerce`] from its `a` operand (as
+/// `FnCompiler::emit_coerce` wrote it; `Coerce::None` emits nothing).
+#[inline]
+pub(crate) fn coerce_decode(a: u32) -> Coerce {
+    if a == 0 {
+        Coerce::ToFloat
+    } else {
+        Coerce::ToInt
+    }
 }
 
 /// One `#pragma omp parallel for` region, pre-flattened. The parent

@@ -59,9 +59,8 @@
 //! `spawn_heavy` ≡ const ∧ heavy.
 
 use crate::builtins::math_builtin;
-use crate::resolve::{
-    Coerce, RDeclKind, RExpr, RExprKind, RFunc, RPlace, RPlaceKind, RStmt, RStmtKind,
-};
+use crate::ops::Coerce;
+use crate::resolve::{RDeclKind, RExpr, RExprKind, RFunc, RPlace, RPlaceKind, RStmt, RStmtKind};
 use cfront::ast::UnOp;
 use cfront::intern::Interner;
 use std::collections::HashSet;

@@ -27,11 +27,18 @@
 
 #[cfg(any(test, feature = "legacy-oracle"))]
 use crate::builtins::{call_builtin, format_printf};
+#[cfg(any(test, feature = "legacy-oracle"))]
+use crate::ops::{self, Coerce};
 use crate::resolve::{self, ResolvedProgram};
 use crate::value::{CounterSnapshot, HeapStats};
 #[cfg(any(test, feature = "legacy-oracle"))]
 use crate::value::{Counters, FuelBudget, Memory, Ptr, RaceAccumulator, Scalar, TrackSets};
+#[cfg(any(test, feature = "legacy-oracle"))]
+use crate::walk::{Flow, WalkCtx};
 use cfront::ast::*;
+use cfront::omp::HeaderError;
+#[cfg(any(test, feature = "legacy-oracle"))]
+use cfront::omp::{canonical_for, paired_omp_loops, CanonicalFor, Paired};
 #[cfg(any(test, feature = "legacy-oracle"))]
 use machine::parallel_for_pooled;
 use machine::OmpSchedule;
@@ -222,17 +229,12 @@ pub struct RuntimeError {
 }
 
 impl RuntimeError {
-    fn new(message: impl Into<String>, span: cfront::span::Span) -> Self {
+    pub(crate) fn at(message: impl Into<String>, span: cfront::span::Span) -> Self {
         RuntimeError {
             message: message.into(),
             span,
             trap: None,
         }
-    }
-
-    /// Construction hook for the resolved engine (same as `new`).
-    pub(crate) fn at(message: impl Into<String>, span: cfront::span::Span) -> Self {
-        Self::new(message, span)
     }
 
     /// A resource-governance trap.
@@ -261,6 +263,57 @@ impl RuntimeError {
             span,
             trap,
         }
+    }
+}
+
+/// The call-depth rule of every engine, asked with the number of calls
+/// already open: the configured ceiling traps, and without one a fixed
+/// guard of 512 is a plain error. The comparison inlines into each
+/// engine's call path; building the error does not.
+#[inline(always)]
+pub(crate) fn check_call_depth(
+    opts: &InterpOptions,
+    depth: usize,
+    span: cfront::span::Span,
+) -> RtResult<()> {
+    if depth >= opts.max_call_depth.unwrap_or(512) {
+        return Err(call_depth_error(opts.max_call_depth, span));
+    }
+    Ok(())
+}
+
+#[cold]
+#[inline(never)]
+fn call_depth_error(limit: Option<usize>, span: cfront::span::Span) -> RuntimeError {
+    match limit {
+        Some(limit) => RuntimeError::trap_at(
+            Trap::DepthLimit,
+            format!("call depth limit exceeded ({limit})"),
+            span,
+        ),
+        None => RuntimeError::at("call stack overflow", span),
+    }
+}
+
+/// The next block of the run's fuel for one thread's local counter —
+/// the slow path of every engine's statement tick, at most once per
+/// [`crate::value::FUEL_BLOCK`] ticks — or the trap when the budget is
+/// dry. An unlimited run lands here only after 2⁶⁴ ticks.
+#[cold]
+pub(crate) fn next_fuel_block(
+    fuel: &Option<Arc<crate::value::FuelBudget>>,
+    span: cfront::span::Span,
+) -> RtResult<u64> {
+    let Some(budget) = fuel else {
+        return Ok(u64::MAX);
+    };
+    match budget.take_block() {
+        0 => Err(RuntimeError::trap_at(
+            Trap::FuelExhausted,
+            "fuel exhausted",
+            span,
+        )),
+        granted => Ok(granted),
     }
 }
 
@@ -524,87 +577,24 @@ enum Place {
 }
 
 #[cfg(any(test, feature = "legacy-oracle"))]
-enum Flow {
-    Normal,
-    Break,
-    Continue,
-    Return(Scalar),
-}
-
-#[cfg(any(test, feature = "legacy-oracle"))]
 struct Interp {
     s: SharedState,
     frames: Vec<HashMap<String, Scalar>>,
-    steps: u64,
-    /// Locally-held fuel (statements this thread may still execute
-    /// before refilling from the shared budget). `u64::MAX` when no
-    /// budget is configured, so the hot path stays one predictable
-    /// branch plus a decrement.
-    fuel_local: u64,
-    track: Option<TrackSets>,
+    cx: WalkCtx,
 }
 
 #[cfg(any(test, feature = "legacy-oracle"))]
 impl Interp {
     fn new(s: SharedState) -> Self {
-        let fuel_local = if s.fuel.is_some() { 0 } else { u64::MAX };
         Interp {
+            cx: WalkCtx::new(&s.mem, &s.counters, &s.fuel, s.opts.max_steps),
             s,
             frames: vec![HashMap::new()],
-            steps: 0,
-            fuel_local,
-            track: None,
         }
     }
 
     fn frame(&mut self) -> &mut HashMap<String, Scalar> {
         self.frames.last_mut().expect("at least one frame")
-    }
-
-    fn step(&mut self, span: cfront::span::Span) -> RtResult<()> {
-        self.steps += 1;
-        if self.steps > self.s.opts.max_steps {
-            return Err(RuntimeError::new(
-                "step limit exceeded (infinite loop?)",
-                span,
-            ));
-        }
-        if self.fuel_local == 0 {
-            self.refill_fuel(span)?;
-        }
-        self.fuel_local -= 1;
-        Ok(())
-    }
-
-    /// Grab the next fuel block from the shared budget (slow path of
-    /// [`Interp::step`], at most once per [`crate::value::FUEL_BLOCK`]
-    /// statements).
-    #[cold]
-    fn refill_fuel(&mut self, span: cfront::span::Span) -> RtResult<()> {
-        let Some(budget) = &self.s.fuel else {
-            // Unlimited runs only land here after 2^64 statements.
-            self.fuel_local = u64::MAX;
-            return Ok(());
-        };
-        let granted = budget.take_block();
-        if granted == 0 {
-            return Err(RuntimeError::trap_at(
-                Trap::FuelExhausted,
-                "fuel exhausted",
-                span,
-            ));
-        }
-        self.fuel_local = granted;
-        Ok(())
-    }
-
-    /// Hand unused local fuel back to the shared budget — called when a
-    /// region child retires, so a finishing worker's block is available
-    /// to its siblings instead of silently burned.
-    fn refund_fuel(&mut self) {
-        if let Some(budget) = &self.s.fuel {
-            budget.refund(std::mem::take(&mut self.fuel_local));
-        }
     }
 
     // -- declarations ---------------------------------------------------------
@@ -618,21 +608,16 @@ impl Interp {
                     .iter()
                     .map(|e| self.eval(e).map(|v| v.as_i64().max(0) as usize))
                     .collect::<RtResult<_>>()?;
-                Scalar::P(self.alloc_array(&dims, d.span)?)
+                Scalar::P(self.cx.alloc_array(&dims, d.span)?)
             } else if matches!(dec.ty.base, BaseType::Struct(_)) && !dec.ty.is_pointer() {
                 let size = match &dec.ty.base {
                     BaseType::Struct(name) => *self.s.prog.struct_sizes.get(name).unwrap_or(&8),
                     _ => unreachable!(),
                 };
-                Scalar::P(
-                    self.s
-                        .mem
-                        .try_alloc(size)
-                        .map_err(|e| RuntimeError::from_mem(e, d.span))?,
-                )
+                Scalar::P(self.cx.alloc_array(&[size], d.span)?)
             } else if let Some(init) = &dec.init {
                 let v = self.eval(init)?;
-                self.coerce(v, &dec.ty)
+                Coerce::of(&dec.ty).apply(v)
             } else {
                 Scalar::Uninit
             };
@@ -655,81 +640,21 @@ impl Interp {
         Ok(())
     }
 
-    fn alloc_array(&mut self, dims: &[usize], span: cfront::span::Span) -> RtResult<Ptr> {
-        match dims {
-            [] | [_] => self
-                .s
-                .mem
-                .try_alloc(dims.first().copied().unwrap_or(1))
-                .map_err(|e| RuntimeError::from_mem(e, span)),
-            [first, rest @ ..] => {
-                let spine = self
-                    .s
-                    .mem
-                    .try_alloc(*first)
-                    .map_err(|e| RuntimeError::from_mem(e, span))?;
-                for i in 0..*first {
-                    let sub = self.alloc_array(rest, span)?;
-                    self.s
-                        .mem
-                        .store(spine.offset(i as i64), Scalar::P(sub))
-                        .expect("fresh spine in bounds");
-                }
-                Ok(spine)
-            }
-        }
-    }
-
     fn fill_initlist(&mut self, p: Ptr, init: &Expr) -> RtResult<()> {
         if let Some(("__initlist", elems)) = init.as_direct_call() {
             for (i, e) in elems.iter().enumerate() {
                 if let Some(("__initlist", _)) = e.as_direct_call() {
                     // Nested list: descend into row pointer.
-                    if let Scalar::P(row) = self.mem_load(p.offset(i as i64), e.span)? {
+                    if let Scalar::P(row) = self.cx.mem_load(p.offset(i as i64), e.span)? {
                         self.fill_initlist(row, e)?;
                     }
                 } else {
                     let v = self.eval(e)?;
-                    self.mem_store(p.offset(i as i64), v, e.span)?;
+                    self.cx.mem_store(p.offset(i as i64), v, e.span)?;
                 }
             }
         }
         Ok(())
-    }
-
-    fn coerce(&self, v: Scalar, ty: &Type) -> Scalar {
-        if ty.is_pointer() {
-            return v;
-        }
-        match (&ty.base, v) {
-            (BaseType::Float | BaseType::Double, Scalar::I(i)) => Scalar::F(i as f64),
-            (b, Scalar::F(f)) if b.is_integer() => Scalar::I(f as i64),
-            _ => v,
-        }
-    }
-
-    // -- memory with counters ---------------------------------------------------
-
-    fn mem_load(&mut self, p: Ptr, span: cfront::span::Span) -> RtResult<Scalar> {
-        Counters::bump(&self.s.counters.loads);
-        if let Some(t) = &mut self.track {
-            t.reads.insert((p.alloc, p.index));
-        }
-        self.s
-            .mem
-            .load(p)
-            .map_err(|e| RuntimeError::from_mem(e, span))
-    }
-
-    fn mem_store(&mut self, p: Ptr, v: Scalar, span: cfront::span::Span) -> RtResult<()> {
-        Counters::bump(&self.s.counters.stores);
-        if let Some(t) = &mut self.track {
-            t.writes.insert((p.alloc, p.index));
-        }
-        self.s
-            .mem
-            .store(p, v)
-            .map_err(|e| RuntimeError::from_mem(e, span))
     }
 
     // -- name lookup --------------------------------------------------------------
@@ -758,7 +683,7 @@ impl Interp {
                 if self.s.globals.read().contains_key(name) {
                     return Ok(Place::Global(name.clone()));
                 }
-                Err(RuntimeError::new(
+                Err(RuntimeError::at(
                     format!("unknown variable '{name}'"),
                     e.span,
                 ))
@@ -768,7 +693,7 @@ impl Interp {
                 let i = self.eval(idx)?.as_i64();
                 match b {
                     Scalar::P(p) => Ok(Place::Mem(p.offset(i))),
-                    other => Err(RuntimeError::new(
+                    other => Err(RuntimeError::at(
                         format!("indexing a non-pointer value {other:?}"),
                         e.span,
                     )),
@@ -778,13 +703,13 @@ impl Interp {
                 let v = self.eval(inner)?;
                 match v {
                     Scalar::P(p) => Ok(Place::Mem(p)),
-                    _ => Err(RuntimeError::new("dereference of non-pointer", e.span)),
+                    _ => Err(RuntimeError::at("dereference of non-pointer", e.span)),
                 }
             }
             ExprKind::Member { base, member, .. } => {
                 let b = self.eval(base)?;
                 let Scalar::P(p) = b else {
-                    return Err(RuntimeError::new("member access on non-struct", e.span));
+                    return Err(RuntimeError::at("member access on non-struct", e.span));
                 };
                 // Offsets are keyed by (struct, field): the resolver's
                 // type inference pins this access site to its struct via
@@ -796,7 +721,7 @@ impl Interp {
                     None => match self.s.prog.field_unique.get(member) {
                         Some(Some(v)) => *v,
                         Some(None) => {
-                            return Err(RuntimeError::new(
+                            return Err(RuntimeError::at(
                                 format!(
                                     "ambiguous field '{member}' (declared at different \
                                      offsets by multiple structs)"
@@ -805,7 +730,7 @@ impl Interp {
                             ))
                         }
                         None => {
-                            return Err(RuntimeError::new(
+                            return Err(RuntimeError::at(
                                 format!("unknown field '{member}'"),
                                 e.span,
                             ))
@@ -816,7 +741,7 @@ impl Interp {
                 Ok(Place::Mem(p.offset(offset as i64)))
             }
             ExprKind::Cast(_, inner) => self.place(inner),
-            _ => Err(RuntimeError::new("expression is not an lvalue", e.span)),
+            _ => Err(RuntimeError::at("expression is not an lvalue", e.span)),
         }
     }
 
@@ -825,15 +750,15 @@ impl Interp {
             Place::Local(frame, name) => self.frames[*frame]
                 .get(name)
                 .copied()
-                .ok_or_else(|| RuntimeError::new(format!("unknown variable '{name}'"), span)),
+                .ok_or_else(|| RuntimeError::at(format!("unknown variable '{name}'"), span)),
             Place::Global(name) => self
                 .s
                 .globals
                 .read()
                 .get(name)
                 .copied()
-                .ok_or_else(|| RuntimeError::new(format!("unknown variable '{name}'"), span)),
-            Place::Mem(p) => self.mem_load(*p, span),
+                .ok_or_else(|| RuntimeError::at(format!("unknown variable '{name}'"), span)),
+            Place::Mem(p) => self.cx.mem_load(*p, span),
         }
     }
 
@@ -844,7 +769,7 @@ impl Interp {
                     *slot = v;
                     Ok(())
                 }
-                None => Err(RuntimeError::new(
+                None => Err(RuntimeError::at(
                     format!("assignment to undeclared '{name}'"),
                     span,
                 )),
@@ -854,19 +779,13 @@ impl Interp {
                     *slot = v;
                     Ok(())
                 }
-                None => Err(RuntimeError::new(
+                None => Err(RuntimeError::at(
                     format!("assignment to undeclared '{name}'"),
                     span,
                 )),
             },
-            Place::Mem(p) => self.mem_store(*p, v, span),
+            Place::Mem(p) => self.cx.mem_store(*p, v, span),
         }
-    }
-
-    /// `++`/`--` value transition (shared by the global-locked and
-    /// generic place paths; one implementation across engines).
-    fn incdec_value(&self, old: Scalar, delta: i64) -> Scalar {
-        crate::value::incdec_with_counters(&self.s.counters, old, delta)
     }
 
     // -- expressions ----------------------------------------------------------------
@@ -876,22 +795,10 @@ impl Interp {
             ExprKind::IntLit(v) => Ok(Scalar::I(*v)),
             ExprKind::FloatLit { value, .. } => Ok(Scalar::F(*value)),
             ExprKind::CharLit(c) => Ok(Scalar::I(*c as i64)),
-            ExprKind::StrLit(s) => {
-                // One char per slot, NUL-terminated.
-                let p = self
-                    .s
-                    .mem
-                    .try_alloc(s.chars().count() + 1)
-                    .map_err(|err| RuntimeError::from_mem(err, e.span))?;
-                for (i, ch) in s.chars().enumerate() {
-                    self.mem_store(p.offset(i as i64), Scalar::I(ch as i64), e.span)?;
-                }
-                self.mem_store(p.offset(s.chars().count() as i64), Scalar::I(0), e.span)?;
-                Ok(Scalar::P(p))
-            }
+            ExprKind::StrLit(s) => Ok(Scalar::P(self.cx.alloc_str(s, e.span)?)),
             ExprKind::Ident(name) => self
                 .lookup(name)
-                .ok_or_else(|| RuntimeError::new(format!("unknown variable '{name}'"), e.span)),
+                .ok_or_else(|| RuntimeError::at(format!("unknown variable '{name}'"), e.span)),
             ExprKind::Unary(op, inner) => self.eval_unary(*op, inner, e.span),
             ExprKind::Binary(op, l, r) => self.eval_binary(*op, l, r, e.span),
             ExprKind::Assign(op, lhs, rhs) => {
@@ -905,9 +812,9 @@ impl Interp {
                     let globals = Arc::clone(&self.s.globals);
                     let mut g = globals.write();
                     let old = *g.get(name).ok_or_else(|| {
-                        RuntimeError::new(format!("unknown variable '{name}'"), e.span)
+                        RuntimeError::at(format!("unknown variable '{name}'"), e.span)
                     })?;
-                    let result = self.apply_binop(b, old, rv, e.span)?;
+                    let result = self.cx.binop(b, old, rv, e.span)?;
                     *g.get_mut(name).expect("present above") = result;
                     return Ok(result);
                 }
@@ -915,7 +822,7 @@ impl Interp {
                     None => rv,
                     Some(b) => {
                         let old = self.load_place(&place, e.span)?;
-                        self.apply_binop(b, old, rv, e.span)?
+                        self.cx.binop(b, old, rv, e.span)?
                     }
                 };
                 self.store_place(&place, result, e.span)?;
@@ -931,7 +838,7 @@ impl Interp {
             }
             ExprKind::Call { callee, args } => {
                 let Some(name) = callee.as_ident() else {
-                    return Err(RuntimeError::new("indirect calls are unsupported", e.span));
+                    return Err(RuntimeError::at("indirect calls are unsupported", e.span));
                 };
                 let name = name.to_string();
                 if name == "printf" {
@@ -949,7 +856,7 @@ impl Interp {
             }
             ExprKind::Cast(ty, inner) => {
                 let v = self.eval(inner)?;
-                Ok(self.coerce(v, ty))
+                Ok(Coerce::of(ty).apply(v))
             }
             ExprKind::SizeofType(_) => Ok(Scalar::I(8)),
             ExprKind::SizeofExpr(_) => Ok(Scalar::I(8)),
@@ -964,16 +871,7 @@ impl Interp {
         match op {
             UnOp::Neg => {
                 let v = self.eval(inner)?;
-                Ok(match v {
-                    Scalar::F(f) => {
-                        Counters::bump(&self.s.counters.flops);
-                        Scalar::F(-f)
-                    }
-                    other => {
-                        Counters::bump(&self.s.counters.int_ops);
-                        Scalar::I(other.as_i64().wrapping_neg())
-                    }
-                })
+                Ok(self.cx.counted(ops::neg(v)))
             }
             UnOp::Not => {
                 let v = self.eval(inner)?;
@@ -988,8 +886,8 @@ impl Interp {
                 // any expression, e.g. `*(p + 4)`).
                 let v = self.eval(inner)?;
                 match v {
-                    Scalar::P(p) => self.mem_load(p, span),
-                    other => Err(RuntimeError::new(
+                    Scalar::P(p) => self.cx.mem_load(p, span),
+                    other => Err(RuntimeError::at(
                         format!("dereference of non-pointer {other:?}"),
                         span,
                     )),
@@ -999,7 +897,7 @@ impl Interp {
                 let place = self.place(inner)?;
                 match place {
                     Place::Mem(p) => Ok(Scalar::P(p)),
-                    _ => Err(RuntimeError::new(
+                    _ => Err(RuntimeError::at(
                         "address-of is only supported for memory lvalues",
                         span,
                     )),
@@ -1018,15 +916,15 @@ impl Interp {
                     let globals = Arc::clone(&self.s.globals);
                     let mut g = globals.write();
                     let slot = g.get_mut(name).ok_or_else(|| {
-                        RuntimeError::new(format!("unknown variable '{name}'"), span)
+                        RuntimeError::at(format!("unknown variable '{name}'"), span)
                     })?;
                     let old = *slot;
-                    let new = self.incdec_value(old, delta);
+                    let new = self.cx.counted(ops::incdec(old, delta));
                     *slot = new;
                     (old, new)
                 } else {
                     let old = self.load_place(&place, span)?;
-                    let new = self.incdec_value(old, delta);
+                    let new = self.cx.counted(ops::incdec(old, delta));
                     self.store_place(&place, new, span)?;
                     (old, new)
                 };
@@ -1047,154 +945,29 @@ impl Interp {
         span: cfront::span::Span,
     ) -> RtResult<Scalar> {
         // Short-circuit logicals.
-        match op {
-            BinOp::And => {
-                Counters::bump(&self.s.counters.branches);
-                let lv = self.eval(l)?;
-                if !lv.truthy() {
-                    return Ok(Scalar::I(0));
-                }
-                let rv = self.eval(r)?;
-                return Ok(Scalar::I(i64::from(rv.truthy())));
+        if let BinOp::And | BinOp::Or = op {
+            // `&&` is settled by a false left side, `||` by a true one.
+            Counters::bump(&self.s.counters.branches);
+            let settled = op == BinOp::Or;
+            if self.eval(l)?.truthy() == settled {
+                return Ok(Scalar::I(i64::from(settled)));
             }
-            BinOp::Or => {
-                Counters::bump(&self.s.counters.branches);
-                let lv = self.eval(l)?;
-                if lv.truthy() {
-                    return Ok(Scalar::I(1));
-                }
-                let rv = self.eval(r)?;
-                return Ok(Scalar::I(i64::from(rv.truthy())));
-            }
-            _ => {}
+            return Ok(Scalar::I(i64::from(self.eval(r)?.truthy())));
         }
         let lv = self.eval(l)?;
         let rv = self.eval(r)?;
-        self.apply_binop(op, lv, rv, span)
-    }
-
-    fn apply_binop(
-        &mut self,
-        op: BinOp,
-        lv: Scalar,
-        rv: Scalar,
-        span: cfront::span::Span,
-    ) -> RtResult<Scalar> {
-        use BinOp::*;
-        // Pointer arithmetic.
-        match (lv, rv, op) {
-            (Scalar::P(p), i, Add) if !matches!(i, Scalar::P(_)) => {
-                Counters::bump(&self.s.counters.int_ops);
-                return Ok(Scalar::P(p.offset(i.as_i64())));
-            }
-            (i, Scalar::P(p), Add) if !matches!(i, Scalar::P(_)) => {
-                Counters::bump(&self.s.counters.int_ops);
-                return Ok(Scalar::P(p.offset(i.as_i64())));
-            }
-            (Scalar::P(p), i, Sub) if !matches!(i, Scalar::P(_)) => {
-                Counters::bump(&self.s.counters.int_ops);
-                return Ok(Scalar::P(p.offset(-i.as_i64())));
-            }
-            (Scalar::P(a), Scalar::P(b), Sub) => {
-                Counters::bump(&self.s.counters.int_ops);
-                return Ok(Scalar::I(a.index - b.index));
-            }
-            (Scalar::P(a), Scalar::P(b), Eq) => {
-                return Ok(Scalar::I(i64::from(a == b)));
-            }
-            (Scalar::P(a), Scalar::P(b), Ne) => {
-                return Ok(Scalar::I(i64::from(a != b)));
-            }
-            (Scalar::P(_), Scalar::Null, Eq) | (Scalar::Null, Scalar::P(_), Eq) => {
-                return Ok(Scalar::I(0));
-            }
-            (Scalar::P(_), Scalar::Null, Ne) | (Scalar::Null, Scalar::P(_), Ne) => {
-                return Ok(Scalar::I(1));
-            }
-            _ => {}
-        }
-
-        let float = lv.is_float() || rv.is_float();
-        if float {
-            let a = lv.as_f64();
-            let b = rv.as_f64();
-            let out = match op {
-                Add => Scalar::F(a + b),
-                Sub => Scalar::F(a - b),
-                Mul => Scalar::F(a * b),
-                Div => Scalar::F(a / b),
-                Rem => Scalar::F(a % b),
-                Lt => Scalar::I(i64::from(a < b)),
-                Gt => Scalar::I(i64::from(a > b)),
-                Le => Scalar::I(i64::from(a <= b)),
-                Ge => Scalar::I(i64::from(a >= b)),
-                Eq => Scalar::I(i64::from(a == b)),
-                Ne => Scalar::I(i64::from(a != b)),
-                Shl | Shr | BitAnd | BitXor | BitOr => {
-                    return Err(RuntimeError::new("bitwise op on float", span))
-                }
-                And | Or => unreachable!("handled above"),
-            };
-            Counters::bump(&self.s.counters.flops);
-            Ok(out)
-        } else {
-            let a = lv.as_i64();
-            let b = rv.as_i64();
-            let out = match op {
-                Add => Scalar::I(a.wrapping_add(b)),
-                Sub => Scalar::I(a.wrapping_sub(b)),
-                Mul => Scalar::I(a.wrapping_mul(b)),
-                Div => {
-                    if b == 0 {
-                        return Err(RuntimeError::new("integer division by zero", span));
-                    }
-                    Scalar::I(a.wrapping_div(b))
-                }
-                Rem => {
-                    if b == 0 {
-                        return Err(RuntimeError::new("integer modulo by zero", span));
-                    }
-                    Scalar::I(a.wrapping_rem(b))
-                }
-                Shl => Scalar::I(a.wrapping_shl(b as u32)),
-                Shr => Scalar::I(a.wrapping_shr(b as u32)),
-                Lt => Scalar::I(i64::from(a < b)),
-                Gt => Scalar::I(i64::from(a > b)),
-                Le => Scalar::I(i64::from(a <= b)),
-                Ge => Scalar::I(i64::from(a >= b)),
-                Eq => Scalar::I(i64::from(a == b)),
-                Ne => Scalar::I(i64::from(a != b)),
-                BitAnd => Scalar::I(a & b),
-                BitXor => Scalar::I(a ^ b),
-                BitOr => Scalar::I(a | b),
-                And | Or => unreachable!("handled above"),
-            };
-            Counters::bump(&self.s.counters.int_ops);
-            Ok(out)
-        }
+        self.cx.binop(op, lv, rv, span)
     }
 
     fn do_printf(&mut self, args: &[Expr], span: cfront::span::Span) -> RtResult<Scalar> {
         let Some(first) = args.first() else {
-            return Err(RuntimeError::new("printf without format", span));
+            return Err(RuntimeError::at("printf without format", span));
         };
         let fmt = match &first.kind {
             ExprKind::StrLit(s) => s.clone(),
             _ => {
-                // Evaluate to a char pointer and read it back.
                 let v = self.eval(first)?;
-                let Scalar::P(mut p) = v else {
-                    return Err(RuntimeError::new("printf format is not a string", span));
-                };
-                let mut s = String::new();
-                while let Scalar::I(ch) = self.mem_load(p, span)? {
-                    if ch == 0 {
-                        break;
-                    }
-                    s.push(char::from_u32(ch as u32).unwrap_or('?'));
-                    p = p.offset(1);
-                }
-                s
+                self.cx.read_str(v, span)?
             }
         };
         let mut vals = Vec::with_capacity(args.len().saturating_sub(1));
@@ -1217,23 +990,12 @@ impl Interp {
         let func = self.s.prog.functions.get(name).cloned();
         match func {
             Some(f) if f.is_definition() => {
-                match self.s.opts.max_call_depth {
-                    Some(limit) if self.frames.len() > limit => {
-                        return Err(RuntimeError::trap_at(
-                            Trap::DepthLimit,
-                            format!("call depth limit exceeded ({limit})"),
-                            span,
-                        ));
-                    }
-                    None if self.frames.len() > 512 => {
-                        return Err(RuntimeError::new("call stack overflow", span));
-                    }
-                    _ => {}
-                }
+                // `frames[0]` is the outermost scope, not a call.
+                check_call_depth(&self.s.opts, self.frames.len() - 1, span)?;
                 let mut frame = HashMap::with_capacity(f.params.len());
                 for (p, v) in f.params.iter().zip(args) {
                     if let Some(pname) = &p.name {
-                        frame.insert(pname.clone(), self.coerce(*v, &p.ty));
+                        frame.insert(pname.clone(), Coerce::of(&p.ty).apply(*v));
                     }
                 }
                 self.frames.push(frame);
@@ -1246,7 +1008,7 @@ impl Interp {
                     Flow::Return(v) => Ok(v),
                     Flow::Normal => Ok(Scalar::I(0)),
                     Flow::Break | Flow::Continue => {
-                        Err(RuntimeError::new("break/continue outside loop", f.span))
+                        Err(RuntimeError::at("break/continue outside loop", f.span))
                     }
                 }
             }
@@ -1257,7 +1019,7 @@ impl Interp {
     // -- statements -------------------------------------------------------------
 
     fn exec(&mut self, stmt: &Stmt) -> RtResult<Flow> {
-        self.step(stmt.span)?;
+        self.cx.step(stmt.span)?;
         match &stmt.kind {
             StmtKind::Decl(d) => {
                 self.declare(d, false)?;
@@ -1325,7 +1087,7 @@ impl Interp {
                     ForInit::Expr(None) => {}
                 }
                 loop {
-                    self.step(stmt.span)?;
+                    self.cx.step(stmt.span)?;
                     Counters::bump(&self.s.counters.branches);
                     if let Some(c) = cond {
                         if !self.eval(c)?.truthy() {
@@ -1357,95 +1119,34 @@ impl Interp {
 
     /// Execute a block, recognising `#pragma omp parallel for` regions.
     fn exec_block(&mut self, b: &Block) -> RtResult<Flow> {
-        let mut i = 0;
-        while i < b.stmts.len() {
-            if let StmtKind::Pragma(p) = &b.stmts[i].kind {
-                if let Some(schedule) = parse_omp_parallel_for(p) {
-                    // Skip interleaved simd pragmas between omp and for.
-                    let mut j = i + 1;
-                    while j < b.stmts.len() && matches!(&b.stmts[j].kind, StmtKind::Pragma(_)) {
-                        j += 1;
-                    }
-                    if j < b.stmts.len() && matches!(b.stmts[j].kind, StmtKind::For { .. }) {
-                        self.exec_parallel_for(&b.stmts[j], schedule)?;
-                        i = j + 1;
-                        continue;
-                    }
-                }
+        for item in paired_omp_loops(&b.stmts, parse_omp_parallel_for) {
+            match item {
+                Paired::OmpFor {
+                    clauses, for_stmt, ..
+                } => self.exec_parallel_for(for_stmt, clauses)?,
+                Paired::Plain(s) => match self.exec(s)? {
+                    Flow::Normal => {}
+                    other => return Ok(other),
+                },
             }
-            match self.exec(&b.stmts[i])? {
-                Flow::Normal => {}
-                other => return Ok(other),
-            }
-            i += 1;
         }
         Ok(Flow::Normal)
     }
 
     /// Run a `for` loop in parallel under the omprt runtime.
     fn exec_parallel_for(&mut self, for_stmt: &Stmt, schedule: OmpSchedule) -> RtResult<()> {
-        let StmtKind::For {
-            init,
-            cond,
-            step,
+        let CanonicalFor {
+            iter,
+            lb,
+            bound,
+            inclusive,
             body,
-        } = &for_stmt.kind
-        else {
-            return Err(RuntimeError::new("omp pragma without loop", for_stmt.span));
-        };
-
-        // Header: iterator, inclusive bounds, unit stride.
-        let (iter_name, lb) = match init.as_ref() {
-            ForInit::Decl(d) if d.declarators.len() == 1 => {
-                let dec = &d.declarators[0];
-                let init_e = dec.init.as_ref().ok_or_else(|| {
-                    RuntimeError::new("parallel loop iterator lacks init", for_stmt.span)
-                })?;
-                (dec.name.clone(), self.eval(init_e)?.as_i64())
-            }
-            ForInit::Expr(Some(e)) => match &e.kind {
-                ExprKind::Assign(AssignOp::Assign, lhs, rhs) => {
-                    let name = lhs
-                        .as_ident()
-                        .ok_or_else(|| RuntimeError::new("bad parallel loop init", e.span))?;
-                    (name.to_string(), self.eval(rhs)?.as_i64())
-                }
-                _ => return Err(RuntimeError::new("bad parallel loop init", e.span)),
-            },
-            _ => return Err(RuntimeError::new("bad parallel loop init", for_stmt.span)),
-        };
-        let ub_incl = match cond.as_ref().map(|c| &c.kind) {
-            Some(ExprKind::Binary(BinOp::Lt, _, r)) => {
-                let r = r.clone();
-                self.eval(&r)?.as_i64() - 1
-            }
-            Some(ExprKind::Binary(BinOp::Le, _, r)) => {
-                let r = r.clone();
-                self.eval(&r)?.as_i64()
-            }
-            _ => {
-                return Err(RuntimeError::new(
-                    "parallel loop condition must be < or <=",
-                    for_stmt.span,
-                ))
-            }
-        };
-        let unit_step = match step.as_ref().map(|s| &s.kind) {
-            Some(ExprKind::Unary(UnOp::PreInc | UnOp::PostInc, target)) => {
-                target.as_ident() == Some(iter_name.as_str())
-            }
-            Some(ExprKind::Assign(AssignOp::Add, lhs, rhs)) => {
-                lhs.as_ident() == Some(iter_name.as_str())
-                    && matches!(rhs.kind, ExprKind::IntLit(1))
-            }
-            _ => false,
-        };
-        if !unit_step {
-            return Err(RuntimeError::new(
-                "parallel loop must have unit increment",
-                for_stmt.span,
-            ));
-        }
+            ..
+        } = canonical_for(for_stmt)
+            .map_err(|e| RuntimeError::at(omp_header_message(e), for_stmt.span))?;
+        let iter_name = iter.to_string();
+        let lb = self.eval(lb)?.as_i64();
+        let ub_incl = self.eval(bound)?.as_i64() - i64::from(!inclusive);
 
         if ub_incl < lb {
             return Ok(());
@@ -1469,7 +1170,7 @@ impl Interp {
                     Counters::bump(&self.s.counters.race_static_skips);
                 }
                 RaceVerdict::Racy => {
-                    return Err(RuntimeError::new(
+                    return Err(RuntimeError::at(
                         "static race analysis rejected this parallel loop (verdict: racy)",
                         for_stmt.span,
                     ));
@@ -1505,7 +1206,7 @@ impl Interp {
                     *g = Some(e);
                 }
             }
-            child.refund_fuel();
+            child.cx.refund_fuel();
         };
         {
             let _region = self.s.mem.enter_region();
@@ -1540,15 +1241,33 @@ impl Interp {
             child
                 .frame()
                 .insert(iter.to_string(), Scalar::I(lb + k as i64));
-            child.track = Some(TrackSets::default());
+            child.cx.track = Some(TrackSets::default());
             let res = child.exec(body);
-            let t = child.track.take().expect("tracking on");
+            let t = child.cx.track.take().expect("tracking on");
             res?;
             acc.absorb(t)
-                .map_err(|msg| RuntimeError::new(msg, body.span))?;
+                .map_err(|msg| RuntimeError::at(msg, body.span))?;
         }
-        child.refund_fuel();
+        child.cx.refund_fuel();
         Ok(())
+    }
+}
+
+/// The engines' words for a `#pragma omp parallel for` loop whose header
+/// is not canonical (the runtime error raised when the loop is reached).
+pub(crate) fn omp_header_message(e: HeaderError) -> &'static str {
+    use HeaderError::*;
+    match e {
+        NotAFor => "omp pragma without loop",
+        UninitializedIterator => "parallel loop iterator lacks init",
+        MultipleDeclarators | InitNotAssignment | InitTargetNotVariable | NoInit => {
+            "bad parallel loop init"
+        }
+        NoCondition | ConditionNotComparison | ConditionNotLess => {
+            "parallel loop condition must be < or <="
+        }
+        ConditionNotOnIterator(_) => "parallel loop condition must test its iterator",
+        NoStep | NonUnitStep(_) => "parallel loop must have unit increment",
     }
 }
 

@@ -30,6 +30,20 @@
 //!    oracle for the resolved engine. Release builds of the library do
 //!    not ship it.
 //!
+//! ## What the engines share, and what they do not
+//!
+//! The tiers differ in *representation* — lowering, dispatch, frames and
+//! region launch are each engine's own, which is what the differential
+//! tests compare. They do not differ in *meaning*: what an operator, a
+//! unary minus, `++`/`--` and a conversion compute is one table
+//! ([`ops`]) that all three and the optimizer's constant folder call;
+//! which `for` an `omp parallel for` pragma sits on and whether its
+//! header is canonical is `cfront::omp`'s answer; and what a thread of
+//! either tree-walking oracle carries besides its frames — step limit,
+//! fuel, counted and tracked memory access — is one context ([`walk`]).
+//! Agreement between the engines therefore says nothing about `ops`
+//! itself; `tests/gcc_oracle.rs` checks that against a C compiler.
+//!
 //! Purity verdicts from `purec_core` flow through
 //! [`Program::with_pure_set`] into resolved lowering, where [`effects`]
 //! gives every function one summary (const ⊂ pure ⊂ impure, leaf |
@@ -48,12 +62,14 @@ pub mod bytecode;
 pub(crate) mod cache;
 pub mod effects;
 pub mod interp;
+pub(crate) mod ops;
 pub mod opt;
 pub mod resolve;
 pub mod spawn;
 pub mod trace;
 pub mod value;
 pub mod vm;
+pub(crate) mod walk;
 
 pub use bytecode::BytecodeProgram;
 pub use effects::{Class, Cost, Summary};

@@ -33,7 +33,8 @@
 //! operation that could fail at runtime (`Div`/`Rem` by a zero constant,
 //! bitwise on float), so error behaviour survives verbatim.
 
-use crate::bytecode::{binop_decode, BFunc, BytecodeProgram, Insn, Op};
+use crate::bytecode::{binop_decode, coerce_decode, BFunc, BytecodeProgram, Insn, Op};
+use crate::ops::{self, Counted};
 use crate::value::Scalar;
 use cfront::ast::BinOp;
 
@@ -217,41 +218,21 @@ fn compact(f: &mut BFunc, keep: &[bool]) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Constant evaluation (exact VM semantics, minus runtime errors)
+// Constant evaluation
 // ---------------------------------------------------------------------------
 
-/// Evaluate `l <op> r` exactly as the VM's `int_binop`/`apply_binop`
-/// would (the int half *is* the VM's [`crate::vm::int_arith`]), returning
-/// the value and the (int_ops, flops) it would have counted — or `None`
-/// when the operation must stay at runtime (error paths: division by a
-/// zero constant, bitwise on float).
-fn eval_binop(op: BinOp, l: Scalar, r: Scalar) -> Option<(Scalar, u8, u8)> {
-    use BinOp::*;
-    if !matches!(l, Scalar::I(_) | Scalar::F(_)) || !matches!(r, Scalar::I(_) | Scalar::F(_)) {
+/// `l <op> r` on two numeric constants, answered by [`ops::binop`] — the
+/// table the VM's slow half calls — as the value and the counter
+/// compensation; `None` when the operation must stay at runtime (a
+/// non-numeric operand, or an error path: division by a zero constant,
+/// bitwise on float).
+fn eval_binop(op: BinOp, l: Scalar, r: Scalar) -> Option<(Scalar, Comp)> {
+    let numeric = |s| matches!(s, Scalar::I(_) | Scalar::F(_));
+    if !numeric(l) || !numeric(r) {
         return None;
     }
-    if l.is_float() || r.is_float() {
-        let a = l.as_f64();
-        let b = r.as_f64();
-        let out = match op {
-            Add => Scalar::F(a + b),
-            Sub => Scalar::F(a - b),
-            Mul => Scalar::F(a * b),
-            Div => Scalar::F(a / b),
-            Rem => Scalar::F(a % b),
-            Lt => Scalar::I(i64::from(a < b)),
-            Gt => Scalar::I(i64::from(a > b)),
-            Le => Scalar::I(i64::from(a <= b)),
-            Ge => Scalar::I(i64::from(a >= b)),
-            Eq => Scalar::I(i64::from(a == b)),
-            Ne => Scalar::I(i64::from(a != b)),
-            Shl | Shr | BitAnd | BitXor | BitOr | And | Or => return None,
-        };
-        Some((out, 0, 1))
-    } else {
-        let v = crate::vm::int_arith(op, l.as_i64(), r.as_i64()).ok()?;
-        Some((Scalar::I(v), 1, 0))
-    }
+    let (out, counted) = ops::binop(op, l, r).ok()?;
+    Some((out, Comp::of(counted)))
 }
 
 /// Find-or-append a constant in the pool, comparing by tagged bit
@@ -282,6 +263,15 @@ struct Comp {
 }
 
 impl Comp {
+    /// The one executed-op count an [`ops`] result names.
+    fn of(counted: Counted) -> Comp {
+        Comp {
+            int_ops: u32::from(counted == Counted::Int),
+            flops: u32::from(counted == Counted::Float),
+            saved: 0,
+        }
+    }
+
     fn encode(self) -> Option<u32> {
         if self.int_ops > 0xFF || self.flops > 0xFF || self.saved > 0xFFFF {
             return None;
@@ -342,11 +332,10 @@ fn fold_windows(f: &mut BFunc) -> bool {
                 (const_like(f, &f.code[i]), const_like(f, &f.code[i + 1]))
             {
                 let op = binop_decode(f.code[i + 2].a);
-                if let Some((out, ints, fls)) = eval_binop(op, lv, rv) {
-                    let comp = lc.add(rc).add(Comp {
-                        int_ops: ints as u32,
-                        flops: fls as u32,
+                if let Some((out, oc)) = eval_binop(op, lv, rv) {
+                    let comp = lc.add(rc).add(oc).add(Comp {
                         saved: 2,
+                        ..Comp::default()
                     });
                     if let (Some(b), Some(cidx)) = (comp.encode(), intern_const(f, out)) {
                         f.code[i] = Insn::new(Op::ConstFold, cidx, b);
@@ -364,20 +353,10 @@ fn fold_windows(f: &mut BFunc) -> bool {
             if let Some((v, c)) = const_like(f, &f.code[i]) {
                 let next = f.code[i + 1];
                 let folded: Option<(Scalar, Comp)> = match (next.op, v) {
-                    (Op::UnaryNeg, Scalar::I(x)) => Some((
-                        Scalar::I(x.wrapping_neg()),
-                        Comp {
-                            int_ops: 1,
-                            ..Comp::default()
-                        },
-                    )),
-                    (Op::UnaryNeg, Scalar::F(x)) => Some((
-                        Scalar::F(-x),
-                        Comp {
-                            flops: 1,
-                            ..Comp::default()
-                        },
-                    )),
+                    (Op::UnaryNeg, Scalar::I(_) | Scalar::F(_)) => {
+                        let (out, counted) = ops::neg(v);
+                        Some((out, Comp::of(counted)))
+                    }
                     (Op::UnaryNot, Scalar::I(x)) => {
                         Some((Scalar::I(i64::from(x == 0)), Comp::default()))
                     }
@@ -388,13 +367,7 @@ fn fold_windows(f: &mut BFunc) -> bool {
                     (Op::Truthy, Scalar::F(x)) => {
                         Some((Scalar::I(i64::from(x != 0.0)), Comp::default()))
                     }
-                    (Op::Coerce, Scalar::I(x)) if next.a == 0 => {
-                        Some((Scalar::F(x as f64), Comp::default()))
-                    }
-                    (Op::Coerce, Scalar::F(x)) if next.a == 1 => {
-                        Some((Scalar::I(x as i64), Comp::default()))
-                    }
-                    (Op::Coerce, _) => Some((v, Comp::default())),
+                    (Op::Coerce, _) => Some((coerce_decode(next.a).apply(v), Comp::default())),
                     _ => None,
                 };
                 if let Some((out, oc)) = folded {

@@ -72,11 +72,15 @@ use crate::builtins::{call_builtin, format_printf};
 use crate::cache::ClockCache;
 use crate::effects::Summary;
 use crate::interp::{
-    parse_omp_parallel_for, InterpOptions, RaceVerdict, RunResult, RuntimeError, Trap, VerdictMap,
+    check_call_depth, omp_header_message, parse_omp_parallel_for, InterpOptions, RaceVerdict,
+    RunResult, RuntimeError, VerdictMap,
 };
+use crate::ops::{self, Coerce};
 use crate::value::{Counters, FuelBudget, Memory, Ptr, RaceAccumulator, Scalar, TrackSets};
+use crate::walk::{Flow, WalkCtx};
 use cfront::ast::*;
 use cfront::intern::{Interner, Symbol};
+use cfront::omp::{canonical_for, paired_omp_loops, CanonicalFor, Paired};
 use cfront::span::Span;
 use machine::OmpSchedule;
 use machine::{global_pool, parallel_for_pooled, PureFuture, ThreadPool};
@@ -94,40 +98,6 @@ pub const MEMO_CAPACITY: usize = 1 << 16;
 // ---------------------------------------------------------------------------
 // Resolved IR
 // ---------------------------------------------------------------------------
-
-/// Value-coercion performed on declaration init, cast and parameter
-/// binding — the resolved form of [`Type`]-directed `coerce`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Coerce {
-    /// Pointer or otherwise untouched target.
-    None,
-    /// `float` / `double` target: integer values become floats.
-    ToFloat,
-    /// Integer target: float values truncate.
-    ToInt,
-}
-
-impl Coerce {
-    fn of(ty: &Type) -> Coerce {
-        if ty.is_pointer() {
-            return Coerce::None;
-        }
-        match &ty.base {
-            BaseType::Float | BaseType::Double => Coerce::ToFloat,
-            b if b.is_integer() => Coerce::ToInt,
-            _ => Coerce::None,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn apply(self, v: Scalar) -> Scalar {
-        match (self, v) {
-            (Coerce::ToFloat, Scalar::I(i)) => Scalar::F(i as f64),
-            (Coerce::ToInt, Scalar::F(f)) => Scalar::I(f as i64),
-            _ => v,
-        }
-    }
-}
 
 #[derive(Debug, Clone)]
 pub(crate) struct RExpr {
@@ -848,134 +818,74 @@ impl<'a> Lowerer<'a> {
         RStmt { kind, span: s.span }
     }
 
-    /// Lower a block's statements, recognising `#pragma omp parallel for`
-    /// regions exactly like the tree-walker's `exec_block`.
+    /// Lower a block's statements, pairing each `#pragma omp parallel
+    /// for` with its loop ([`paired_omp_loops`]: the tree-walker and the
+    /// static analyzer walk the same pairs).
     fn lower_block_stmts(&mut self, b: &Block) -> Vec<RStmt> {
         self.scopes.push(HashMap::new());
         let mut out = Vec::with_capacity(b.stmts.len());
-        let mut i = 0;
-        while i < b.stmts.len() {
-            if let StmtKind::Pragma(p) = &b.stmts[i].kind {
-                if let Some(schedule) = parse_omp_parallel_for(p) {
-                    let mut j = i + 1;
-                    while j < b.stmts.len() && matches!(&b.stmts[j].kind, StmtKind::Pragma(_)) {
-                        j += 1;
-                    }
-                    if j < b.stmts.len() && matches!(b.stmts[j].kind, StmtKind::For { .. }) {
-                        out.push(self.lower_omp_for(&b.stmts[j], schedule));
-                        i = j + 1;
-                        continue;
-                    }
-                }
-            }
-            out.push(self.lower_stmt(&b.stmts[i]));
-            i += 1;
+        for item in paired_omp_loops(&b.stmts, parse_omp_parallel_for) {
+            out.push(match item {
+                Paired::OmpFor {
+                    clauses, for_stmt, ..
+                } => self.lower_omp_for(for_stmt, clauses),
+                Paired::Plain(s) => self.lower_stmt(s),
+            });
         }
         self.scopes.pop();
         out
     }
 
     fn lower_omp_for(&mut self, for_stmt: &Stmt, schedule: OmpSchedule) -> RStmt {
-        let StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } = &for_stmt.kind
-        else {
-            unreachable!("caller matched a For");
-        };
         let verdict = self
             .verdicts
             .get(&for_stmt.span)
             .copied()
             .unwrap_or_default();
-        let bad = |msg: &str| RStmt {
+        // The header's shape is checked once, at lower time; a loop that
+        // is not canonical is an error when (and if) it is reached.
+        let header = canonical_for(for_stmt)
+            .map_err(|e| omp_header_message(e).to_string())
+            .map(|h| self.lower_omp_header(h));
+        RStmt {
             kind: RStmtKind::OmpFor(Box::new(ROmpFor {
                 schedule,
-                header: Err(msg.to_string()),
+                header,
                 verdict,
                 span: for_stmt.span,
             })),
             span: for_stmt.span,
-        };
-
-        // Header: iterator, bounds, unit stride — mirroring the
-        // tree-walker's shape checks, but performed once at lower time.
-        let (iter_name, lb_expr) = match init.as_ref() {
-            ForInit::Decl(d) if d.declarators.len() == 1 => {
-                let dec = &d.declarators[0];
-                let Some(init_e) = dec.init.as_ref() else {
-                    return bad("parallel loop iterator lacks init");
-                };
-                (dec.name.clone(), init_e)
-            }
-            ForInit::Expr(Some(e)) => match &e.kind {
-                ExprKind::Assign(AssignOp::Assign, lhs, rhs) => {
-                    let Some(name) = lhs.as_ident() else {
-                        return bad("bad parallel loop init");
-                    };
-                    (name.to_string(), rhs.as_ref())
-                }
-                _ => return bad("bad parallel loop init"),
-            },
-            _ => return bad("bad parallel loop init"),
-        };
-        let (ub_expr, ub_inclusive) = match cond.as_ref().map(|c| &c.kind) {
-            Some(ExprKind::Binary(BinOp::Lt, _, r)) => (r.as_ref(), false),
-            Some(ExprKind::Binary(BinOp::Le, _, r)) => (r.as_ref(), true),
-            _ => return bad("parallel loop condition must be < or <="),
-        };
-        let unit_step = match step.as_ref().map(|s| &s.kind) {
-            Some(ExprKind::Unary(UnOp::PreInc | UnOp::PostInc, target)) => {
-                target.as_ident() == Some(iter_name.as_str())
-            }
-            Some(ExprKind::Assign(AssignOp::Add, lhs, rhs)) => {
-                lhs.as_ident() == Some(iter_name.as_str())
-                    && matches!(rhs.kind, ExprKind::IntLit(1))
-            }
-            _ => false,
-        };
-        if !unit_step {
-            return bad("parallel loop must have unit increment");
         }
+    }
 
+    fn lower_omp_header(&mut self, h: CanonicalFor) -> ROmpHeader {
         // Bounds are evaluated in the parent's scope (before the
         // iterator exists).
-        let lb = self.lower_expr(lb_expr);
-        let ub = self.lower_expr(ub_expr);
+        let lb = self.lower_expr(h.lb);
+        let ub = self.lower_expr(h.bound);
 
         // The iterator is a fresh slot shadowing any outer binding: each
         // parallel iteration owns a private copy in its cloned frame
         // (matching the tree-walker seeding the child's top frame).
         self.scopes.push(HashMap::new());
-        let iter_slot = self.declare_local(&iter_name, Type::int(), 0);
+        let iter_slot = self.declare_local(h.iter, Type::int(), 0);
         // An affine marker ahead of the omp header covers the whole nest:
         // inner loops of the generated body lower as affine.
         let affine = std::mem::take(&mut self.pending_affine);
         if affine {
             self.affine_depth += 1;
         }
-        let rbody = self.lower_stmt(body);
+        let body = self.lower_stmt(h.body);
         if affine {
             self.affine_depth -= 1;
         }
         self.scopes.pop();
-
-        RStmt {
-            kind: RStmtKind::OmpFor(Box::new(ROmpFor {
-                schedule,
-                header: Ok(ROmpHeader {
-                    iter_slot,
-                    lb,
-                    ub,
-                    ub_inclusive,
-                    body: rbody,
-                }),
-                verdict,
-                span: for_stmt.span,
-            })),
-            span: for_stmt.span,
+        ROmpHeader {
+            iter_slot,
+            lb,
+            ub,
+            ub_inclusive: h.inclusive,
+            body,
         }
     }
 
@@ -1221,13 +1131,6 @@ struct RShared {
     fuel: Option<Arc<FuelBudget>>,
 }
 
-enum Flow {
-    Normal,
-    Break,
-    Continue,
-    Return(Scalar),
-}
-
 /// Where a resolved lvalue lives at runtime.
 enum PlaceRef {
     Slot(u32),
@@ -1244,11 +1147,7 @@ struct RInterp<'p> {
     s: RShared,
     frame: Vec<Scalar>,
     depth: usize,
-    steps: u64,
-    /// Locally-held fuel (statements left before a shared-budget refill);
-    /// `u64::MAX` when no budget is configured.
-    fuel_local: u64,
-    track: Option<TrackSets>,
+    cx: WalkCtx,
     /// In-flight pure-call futures of this interpreter, keyed by
     /// `(depth, slot)`: the spawn-site analysis guarantees every batch
     /// is awaited before the frame leaves the enclosing block, so on
@@ -1335,44 +1234,14 @@ pub(crate) fn run_resolved(
 
 impl<'p> RInterp<'p> {
     fn new(prog: &'p Arc<ResolvedProgram>, s: RShared) -> Self {
-        let fuel_local = if s.fuel.is_some() { 0 } else { u64::MAX };
         RInterp {
             prog,
+            cx: WalkCtx::new(&s.mem, &s.counters, &s.fuel, s.opts.max_steps),
             s,
             frame: Vec::new(),
             depth: 0,
-            steps: 0,
-            fuel_local,
-            track: None,
             pending: ResPendingList::default(),
             futures_pool: None,
-        }
-    }
-
-    /// Grab the next fuel block from the shared budget (slow path of
-    /// [`RInterp::step`]).
-    #[cold]
-    fn refill_fuel(&mut self, span: Span) -> RtResult<()> {
-        let Some(budget) = &self.s.fuel else {
-            self.fuel_local = u64::MAX;
-            return Ok(());
-        };
-        let granted = budget.take_block();
-        if granted == 0 {
-            return Err(RuntimeError::trap_at(
-                Trap::FuelExhausted,
-                "fuel exhausted",
-                span,
-            ));
-        }
-        self.fuel_local = granted;
-        Ok(())
-    }
-
-    /// Hand unused local fuel back when a region/future child retires.
-    fn refund_fuel(&mut self) {
-        if let Some(budget) = &self.s.fuel {
-            budget.refund(std::mem::take(&mut self.fuel_local));
         }
     }
 
@@ -1385,45 +1254,6 @@ impl<'p> RInterp<'p> {
             .get_or_insert_with(|| global_pool(threads))
     }
 
-    fn step(&mut self, span: Span) -> RtResult<()> {
-        self.steps += 1;
-        if self.steps > self.s.opts.max_steps {
-            return Err(RuntimeError::at(
-                "step limit exceeded (infinite loop?)",
-                span,
-            ));
-        }
-        if self.fuel_local == 0 {
-            self.refill_fuel(span)?;
-        }
-        self.fuel_local -= 1;
-        Ok(())
-    }
-
-    // -- memory with counters -------------------------------------------------
-
-    fn mem_load(&mut self, p: Ptr, span: Span) -> RtResult<Scalar> {
-        Counters::bump(&self.s.counters.loads);
-        if let Some(t) = &mut self.track {
-            t.reads.insert((p.alloc, p.index));
-        }
-        self.s
-            .mem
-            .load(p)
-            .map_err(|e| RuntimeError::from_mem(e, span))
-    }
-
-    fn mem_store(&mut self, p: Ptr, v: Scalar, span: Span) -> RtResult<()> {
-        Counters::bump(&self.s.counters.stores);
-        if let Some(t) = &mut self.track {
-            t.writes.insert((p.alloc, p.index));
-        }
-        self.s
-            .mem
-            .store(p, v)
-            .map_err(|e| RuntimeError::from_mem(e, span))
-    }
-
     // -- declarations ---------------------------------------------------------
 
     fn exec_decl(&mut self, d: &RDecl) -> RtResult<()> {
@@ -1433,18 +1263,13 @@ impl<'p> RInterp<'p> {
                     .iter()
                     .map(|e| self.eval(e).map(|v| v.as_i64().max(0) as usize))
                     .collect::<RtResult<_>>()?;
-                let p = self.alloc_array(&sizes)?;
+                let p = self.cx.alloc_array(&sizes, Span::DUMMY)?;
                 if let Some(init) = init {
                     self.fill_initlist(p, init)?;
                 }
                 Scalar::P(p)
             }
-            RDeclKind::Struct { size } => Scalar::P(
-                self.s
-                    .mem
-                    .try_alloc(*size)
-                    .map_err(|e| RuntimeError::from_mem(e, Span::DUMMY))?,
-            ),
+            RDeclKind::Struct { size } => Scalar::P(self.cx.alloc_array(&[*size], Span::DUMMY)?),
             RDeclKind::Scalar { init, coerce } => match init {
                 Some(e) => {
                     let v = self.eval(e)?;
@@ -1468,41 +1293,16 @@ impl<'p> RInterp<'p> {
         Ok(())
     }
 
-    fn alloc_array(&mut self, dims: &[usize]) -> RtResult<Ptr> {
-        match dims {
-            [] | [_] => self
-                .s
-                .mem
-                .try_alloc(dims.first().copied().unwrap_or(1))
-                .map_err(|e| RuntimeError::from_mem(e, Span::DUMMY)),
-            [first, rest @ ..] => {
-                let spine = self
-                    .s
-                    .mem
-                    .try_alloc(*first)
-                    .map_err(|e| RuntimeError::from_mem(e, Span::DUMMY))?;
-                for i in 0..*first {
-                    let sub = self.alloc_array(rest)?;
-                    self.s
-                        .mem
-                        .store(spine.offset(i as i64), Scalar::P(sub))
-                        .expect("fresh spine in bounds");
-                }
-                Ok(spine)
-            }
-        }
-    }
-
     fn fill_initlist(&mut self, p: Ptr, init: &RExpr) -> RtResult<()> {
         if let RExprKind::InitList(elems) = &init.kind {
             for (i, e) in elems.iter().enumerate() {
                 if matches!(&e.kind, RExprKind::InitList(_)) {
-                    if let Scalar::P(row) = self.mem_load(p.offset(i as i64), e.span)? {
+                    if let Scalar::P(row) = self.cx.mem_load(p.offset(i as i64), e.span)? {
                         self.fill_initlist(row, e)?;
                     }
                 } else {
                     let v = self.eval(e)?;
-                    self.mem_store(p.offset(i as i64), v, e.span)?;
+                    self.cx.mem_store(p.offset(i as i64), v, e.span)?;
                 }
             }
         }
@@ -1555,18 +1355,12 @@ impl<'p> RInterp<'p> {
         }
     }
 
-    /// `++`/`--` value transition (shared by the global-locked and
-    /// generic place paths; one implementation across engines).
-    fn incdec_value(&self, old: Scalar, delta: i64) -> Scalar {
-        crate::value::incdec_with_counters(&self.s.counters, old, delta)
-    }
-
     #[inline]
     fn load_place(&mut self, place: &PlaceRef, span: Span) -> RtResult<Scalar> {
         match place {
             PlaceRef::Slot(slot) => Ok(self.frame[*slot as usize]),
             PlaceRef::Global(idx) => Ok(self.s.globals.read()[*idx as usize]),
-            PlaceRef::Mem(p) => self.mem_load(*p, span),
+            PlaceRef::Mem(p) => self.cx.mem_load(*p, span),
         }
     }
 
@@ -1581,7 +1375,7 @@ impl<'p> RInterp<'p> {
                 self.s.globals.write()[*idx as usize] = v;
                 Ok(())
             }
-            PlaceRef::Mem(p) => self.mem_store(*p, v, span),
+            PlaceRef::Mem(p) => self.cx.mem_store(*p, v, span),
         }
     }
 
@@ -1591,19 +1385,7 @@ impl<'p> RInterp<'p> {
         match &e.kind {
             RExprKind::Int(v) => Ok(Scalar::I(*v)),
             RExprKind::Float(v) => Ok(Scalar::F(*v)),
-            RExprKind::Str(s) => {
-                let n = s.chars().count();
-                let p = self
-                    .s
-                    .mem
-                    .try_alloc(n + 1)
-                    .map_err(|err| RuntimeError::from_mem(err, e.span))?;
-                for (i, ch) in s.chars().enumerate() {
-                    self.mem_store(p.offset(i as i64), Scalar::I(ch as i64), e.span)?;
-                }
-                self.mem_store(p.offset(n as i64), Scalar::I(0), e.span)?;
-                Ok(Scalar::P(p))
-            }
+            RExprKind::Str(s) => Ok(Scalar::P(self.cx.alloc_str(s, e.span)?)),
             RExprKind::Local(slot) => Ok(self.frame[*slot as usize]),
             RExprKind::Global(idx) => Ok(self.s.globals.read()[*idx as usize]),
             RExprKind::Unknown(sym) => Err(RuntimeError::at(
@@ -1625,7 +1407,7 @@ impl<'p> RInterp<'p> {
                     let globals = Arc::clone(&self.s.globals);
                     let mut g = globals.write();
                     let old = g[idx];
-                    let result = self.apply_binop(*b, old, rv, e.span)?;
+                    let result = self.cx.binop(*b, old, rv, e.span)?;
                     g[idx] = result;
                     return Ok(result);
                 }
@@ -1633,7 +1415,7 @@ impl<'p> RInterp<'p> {
                     None => rv,
                     Some(b) => {
                         let old = self.load_place(&pref, e.span)?;
-                        self.apply_binop(*b, old, rv, e.span)?
+                        self.cx.binop(*b, old, rv, e.span)?
                     }
                 };
                 self.store_place(&pref, result, e.span)?;
@@ -1653,12 +1435,12 @@ impl<'p> RInterp<'p> {
                     let globals = Arc::clone(&self.s.globals);
                     let mut g = globals.write();
                     let old = g[idx];
-                    let new = self.incdec_value(old, delta);
+                    let new = self.cx.counted(ops::incdec(old, delta));
                     g[idx] = new;
                     (old, new)
                 } else {
                     let old = self.load_place(&pref, e.span)?;
-                    let new = self.incdec_value(old, delta);
+                    let new = self.cx.counted(ops::incdec(old, delta));
                     self.store_place(&pref, new, e.span)?;
                     (old, new)
                 };
@@ -1711,18 +1493,7 @@ impl<'p> RInterp<'p> {
                     (Some(s), _) => s.to_string(),
                     (None, Some(first)) => {
                         let v = self.eval(first)?;
-                        let Scalar::P(mut p) = v else {
-                            return Err(RuntimeError::at("printf format is not a string", e.span));
-                        };
-                        let mut s = String::new();
-                        while let Scalar::I(ch) = self.mem_load(p, e.span)? {
-                            if ch == 0 {
-                                break;
-                            }
-                            s.push(char::from_u32(ch as u32).unwrap_or('?'));
-                            p = p.offset(1);
-                        }
-                        s
+                        self.cx.read_str(v, e.span)?
                     }
                     (None, None) => return Err(RuntimeError::at("printf without format", e.span)),
                 };
@@ -1762,16 +1533,7 @@ impl<'p> RInterp<'p> {
         match op {
             UnOp::Neg => {
                 let v = self.eval(inner)?;
-                Ok(match v {
-                    Scalar::F(f) => {
-                        Counters::bump(&self.s.counters.flops);
-                        Scalar::F(-f)
-                    }
-                    other => {
-                        Counters::bump(&self.s.counters.int_ops);
-                        Scalar::I(other.as_i64().wrapping_neg())
-                    }
-                })
+                Ok(self.cx.counted(ops::neg(v)))
             }
             UnOp::Not => {
                 let v = self.eval(inner)?;
@@ -1784,7 +1546,7 @@ impl<'p> RInterp<'p> {
             UnOp::Deref => {
                 let v = self.eval(inner)?;
                 match v {
-                    Scalar::P(p) => self.mem_load(p, span),
+                    Scalar::P(p) => self.cx.mem_load(p, span),
                     other => Err(RuntimeError::at(
                         format!("dereference of non-pointer {other:?}"),
                         span,
@@ -1799,143 +1561,25 @@ impl<'p> RInterp<'p> {
     }
 
     fn eval_binary(&mut self, op: BinOp, l: &RExpr, r: &RExpr, span: Span) -> RtResult<Scalar> {
-        match op {
-            BinOp::And => {
-                Counters::bump(&self.s.counters.branches);
-                let lv = self.eval(l)?;
-                if !lv.truthy() {
-                    return Ok(Scalar::I(0));
-                }
-                let rv = self.eval(r)?;
-                return Ok(Scalar::I(i64::from(rv.truthy())));
+        if let BinOp::And | BinOp::Or = op {
+            // `&&` is settled by a false left side, `||` by a true one.
+            Counters::bump(&self.s.counters.branches);
+            let settled = op == BinOp::Or;
+            if self.eval(l)?.truthy() == settled {
+                return Ok(Scalar::I(i64::from(settled)));
             }
-            BinOp::Or => {
-                Counters::bump(&self.s.counters.branches);
-                let lv = self.eval(l)?;
-                if lv.truthy() {
-                    return Ok(Scalar::I(1));
-                }
-                let rv = self.eval(r)?;
-                return Ok(Scalar::I(i64::from(rv.truthy())));
-            }
-            _ => {}
+            return Ok(Scalar::I(i64::from(self.eval(r)?.truthy())));
         }
         let lv = self.eval(l)?;
         let rv = self.eval(r)?;
-        self.apply_binop(op, lv, rv, span)
-    }
-
-    fn apply_binop(&mut self, op: BinOp, lv: Scalar, rv: Scalar, span: Span) -> RtResult<Scalar> {
-        use BinOp::*;
-        match (lv, rv, op) {
-            (Scalar::P(p), i, Add) if !matches!(i, Scalar::P(_)) => {
-                Counters::bump(&self.s.counters.int_ops);
-                return Ok(Scalar::P(p.offset(i.as_i64())));
-            }
-            (i, Scalar::P(p), Add) if !matches!(i, Scalar::P(_)) => {
-                Counters::bump(&self.s.counters.int_ops);
-                return Ok(Scalar::P(p.offset(i.as_i64())));
-            }
-            (Scalar::P(p), i, Sub) if !matches!(i, Scalar::P(_)) => {
-                Counters::bump(&self.s.counters.int_ops);
-                return Ok(Scalar::P(p.offset(-i.as_i64())));
-            }
-            (Scalar::P(a), Scalar::P(b), Sub) => {
-                Counters::bump(&self.s.counters.int_ops);
-                return Ok(Scalar::I(a.index - b.index));
-            }
-            (Scalar::P(a), Scalar::P(b), Eq) => {
-                return Ok(Scalar::I(i64::from(a == b)));
-            }
-            (Scalar::P(a), Scalar::P(b), Ne) => {
-                return Ok(Scalar::I(i64::from(a != b)));
-            }
-            (Scalar::P(_), Scalar::Null, Eq) | (Scalar::Null, Scalar::P(_), Eq) => {
-                return Ok(Scalar::I(0));
-            }
-            (Scalar::P(_), Scalar::Null, Ne) | (Scalar::Null, Scalar::P(_), Ne) => {
-                return Ok(Scalar::I(1));
-            }
-            _ => {}
-        }
-
-        let float = lv.is_float() || rv.is_float();
-        if float {
-            let a = lv.as_f64();
-            let b = rv.as_f64();
-            let out = match op {
-                Add => Scalar::F(a + b),
-                Sub => Scalar::F(a - b),
-                Mul => Scalar::F(a * b),
-                Div => Scalar::F(a / b),
-                Rem => Scalar::F(a % b),
-                Lt => Scalar::I(i64::from(a < b)),
-                Gt => Scalar::I(i64::from(a > b)),
-                Le => Scalar::I(i64::from(a <= b)),
-                Ge => Scalar::I(i64::from(a >= b)),
-                Eq => Scalar::I(i64::from(a == b)),
-                Ne => Scalar::I(i64::from(a != b)),
-                Shl | Shr | BitAnd | BitXor | BitOr => {
-                    return Err(RuntimeError::at("bitwise op on float", span))
-                }
-                And | Or => unreachable!("handled above"),
-            };
-            Counters::bump(&self.s.counters.flops);
-            Ok(out)
-        } else {
-            let a = lv.as_i64();
-            let b = rv.as_i64();
-            let out = match op {
-                Add => Scalar::I(a.wrapping_add(b)),
-                Sub => Scalar::I(a.wrapping_sub(b)),
-                Mul => Scalar::I(a.wrapping_mul(b)),
-                Div => {
-                    if b == 0 {
-                        return Err(RuntimeError::at("integer division by zero", span));
-                    }
-                    Scalar::I(a.wrapping_div(b))
-                }
-                Rem => {
-                    if b == 0 {
-                        return Err(RuntimeError::at("integer modulo by zero", span));
-                    }
-                    Scalar::I(a.wrapping_rem(b))
-                }
-                Shl => Scalar::I(a.wrapping_shl(b as u32)),
-                Shr => Scalar::I(a.wrapping_shr(b as u32)),
-                Lt => Scalar::I(i64::from(a < b)),
-                Gt => Scalar::I(i64::from(a > b)),
-                Le => Scalar::I(i64::from(a <= b)),
-                Ge => Scalar::I(i64::from(a >= b)),
-                Eq => Scalar::I(i64::from(a == b)),
-                Ne => Scalar::I(i64::from(a != b)),
-                BitAnd => Scalar::I(a & b),
-                BitXor => Scalar::I(a ^ b),
-                BitOr => Scalar::I(a | b),
-                And | Or => unreachable!("handled above"),
-            };
-            Counters::bump(&self.s.counters.int_ops);
-            Ok(out)
-        }
+        self.cx.binop(op, lv, rv, span)
     }
 
     // -- calls ----------------------------------------------------------------
 
     fn call_user(&mut self, fid: u32, args: &[Scalar], span: Span) -> RtResult<Scalar> {
         Counters::bump(&self.s.counters.calls);
-        match self.s.opts.max_call_depth {
-            Some(limit) if self.depth >= limit => {
-                return Err(RuntimeError::trap_at(
-                    Trap::DepthLimit,
-                    format!("call depth limit exceeded ({limit})"),
-                    span,
-                ));
-            }
-            None if self.depth >= 512 => {
-                return Err(RuntimeError::at("call stack overflow", span));
-            }
-            _ => {}
-        }
+        check_call_depth(&self.s.opts, self.depth, span)?;
         let prog: &'p ResolvedProgram = self.prog;
         let func = &prog.funcs[fid as usize];
 
@@ -2003,7 +1647,7 @@ impl<'p> RInterp<'p> {
             self.exec_await(slots)?;
             return Ok(Flow::Normal);
         }
-        self.step(stmt.span)?;
+        self.cx.step(stmt.span)?;
         match &stmt.kind {
             RStmtKind::Decl(decls) => {
                 for d in decls {
@@ -2080,7 +1724,7 @@ impl<'p> RInterp<'p> {
                     }
                 }
                 loop {
-                    self.step(stmt.span)?;
+                    self.cx.step(stmt.span)?;
                     Counters::bump(&self.s.counters.branches);
                     if let Some(c) = cond {
                         if !self.eval(c)?.truthy() {
@@ -2138,7 +1782,7 @@ impl<'p> RInterp<'p> {
         for a in &sp.args {
             vals.push(self.eval(a)?);
         }
-        let futures_on = self.s.opts.futures && self.s.opts.threads > 1 && self.track.is_none();
+        let futures_on = self.s.opts.futures && self.s.opts.threads > 1 && self.cx.track.is_none();
         // The throttle is the hot case once every worker is busy (the
         // recursion's granularity governor): the hardware-clamped
         // pool-wide pending cap, plus — from a pool worker — its own
@@ -2188,7 +1832,7 @@ impl<'p> RInterp<'p> {
             let mut child = RInterp::new(&prog, shared);
             child.depth = depth;
             let res = child.call_user(fid, &vals, Span::DUMMY);
-            child.refund_fuel();
+            child.cx.refund_fuel();
             res
         };
         let fut = PureFuture::spawn(self.futures_pool(), true, task);
@@ -2320,7 +1964,7 @@ impl<'p> RInterp<'p> {
                     *g = Some(e);
                 }
             }
-            child.refund_fuel();
+            child.cx.refund_fuel();
         };
         {
             let _region = self.s.mem.enter_region();
@@ -2354,14 +1998,14 @@ impl<'p> RInterp<'p> {
         for k in 0..checked {
             child.frame.clone_from(&base_frame);
             child.frame[header.iter_slot as usize] = Scalar::I(lb + k as i64);
-            child.track = Some(TrackSets::default());
+            child.cx.track = Some(TrackSets::default());
             let res = child.exec(&header.body);
-            let t = child.track.take().expect("tracking on");
+            let t = child.cx.track.take().expect("tracking on");
             res?;
             acc.absorb(t)
                 .map_err(|msg| RuntimeError::at(msg, header.body.span))?;
         }
-        child.refund_fuel();
+        child.cx.refund_fuel();
         Ok(())
     }
 }

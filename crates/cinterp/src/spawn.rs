@@ -77,9 +77,10 @@
 //! bit-identical — the differential suites assert exactly that.
 
 use crate::effects::{transparent, Summary};
+use crate::ops::Coerce;
 use crate::resolve::{
-    Coerce, RDeclKind, RExpr, RExprKind, RPlace, RPlaceKind, RSpawn, RStmt, RStmtKind,
-    ResolvedProgram, SlotRef,
+    RDeclKind, RExpr, RExprKind, RPlace, RPlaceKind, RSpawn, RStmt, RStmtKind, ResolvedProgram,
+    SlotRef,
 };
 use cfront::intern::Interner;
 

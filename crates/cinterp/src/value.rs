@@ -482,6 +482,25 @@ impl Memory {
         self.alloc_filled(len, Scalar::I(0))
     }
 
+    /// A declared array in the nested spine-of-pointers layout: `T a[2][3]`
+    /// is two slots of pointers to three-slot rows; no dimension at all
+    /// is one slot.
+    pub fn try_alloc_array(&self, dims: &[usize]) -> Result<Ptr, MemError> {
+        match dims {
+            [] => self.try_alloc(1),
+            [n] => self.try_alloc(*n),
+            [first, rest @ ..] => {
+                let spine = self.try_alloc(*first)?;
+                for i in 0..*first {
+                    let sub = self.try_alloc_array(rest)?;
+                    self.store(spine.offset(i as i64), Scalar::P(sub))
+                        .expect("fresh spine in bounds");
+                }
+                Ok(spine)
+            }
+        }
+    }
+
     fn alloc_filled(&self, len: usize, fill: Scalar) -> Result<Ptr, MemError> {
         let slots = len.max(1);
         let bytes = (slots as u64).saturating_mul(8);
@@ -1297,24 +1316,6 @@ impl Tally {
         c.insns_folded
             .fetch_add(self.insns_folded, Ordering::Relaxed);
         c.insns_fused.fetch_add(self.insns_fused, Ordering::Relaxed);
-    }
-}
-
-/// `++`/`--` value transition with shared-counter accounting — the single
-/// implementation behind the resolved and legacy engines' inc/dec on any
-/// place (the bytecode VM's `incdec_scalar` is the [`Tally`]-accounted
-/// analogue of the same transition).
-pub(crate) fn incdec_with_counters(c: &Counters, old: Scalar, delta: i64) -> Scalar {
-    match old {
-        Scalar::F(f) => {
-            Counters::bump(&c.flops);
-            Scalar::F(f + delta as f64)
-        }
-        Scalar::P(p) => Scalar::P(p.offset(delta)),
-        other => {
-            Counters::bump(&c.int_ops);
-            Scalar::I(other.as_i64().wrapping_add(delta))
-        }
     }
 }
 

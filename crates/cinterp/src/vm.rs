@@ -45,10 +45,15 @@
 //! memo for exactly this reason).
 
 use crate::builtins::{call_builtin, format_printf};
-use crate::bytecode::{binop_decode, BFunc, BRegion, BSpawn, BytecodeProgram, Insn, Op};
+use crate::bytecode::{
+    binop_decode, coerce_decode, BFunc, BRegion, BSpawn, BytecodeProgram, Insn, Op,
+};
 use crate::cache::ClockCache;
-use crate::interp::{InterpOptions, RunResult, RuntimeError, Trap};
-use crate::resolve::{Coerce, MemoCache, MemoKey, MEMO_CAPACITY};
+use crate::interp::{
+    check_call_depth, next_fuel_block, InterpOptions, RunResult, RuntimeError, Trap,
+};
+use crate::ops::{self, Coerce, Counted};
+use crate::resolve::{MemoCache, MemoKey, MEMO_CAPACITY};
 use crate::value::{
     Counters, FuelBudget, GlobalTable, Memory, Packed, Ptr, RaceAccumulator, Scalar, SpillPool,
     Tally, TrackSets,
@@ -65,9 +70,11 @@ use std::sync::Arc;
 
 type RtResult<T> = Result<T, RuntimeError>;
 
-/// Integer semantics of a binary operator — the one copy behind every
-/// int path of the VM and the optimizer's constant evaluator: wrapping
-/// arithmetic, `Err(message)` for a zero divisor.
+/// Integer semantics of a binary operator: wrapping arithmetic,
+/// `Err(message)` for a zero divisor. The VM's inline int paths call it
+/// directly; it is also the integer half of [`ops::binop`], which every
+/// other route (the slow halves here, the two oracles, the constant
+/// folder) answers through.
 #[inline(always)]
 pub(crate) fn int_arith(op: BinOp, a: i64, b: i64) -> Result<i64, &'static str> {
     use BinOp::*;
@@ -457,26 +464,13 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Grab the next fuel block from the shared budget (slow path of the
-    /// dispatch loop, at most once per [`crate::value::FUEL_BLOCK`]
-    /// dispatches).
+    /// Slow path of the dispatch loop's tick ([`next_fuel_block`]).
     #[cold]
     fn refill_fuel(&mut self, span: Span) -> RtResult<()> {
-        let Some(budget) = &self.s.fuel else {
-            // Unlimited runs only land here after 2^64 dispatches.
-            self.fuel_local = u64::MAX;
-            return Ok(());
-        };
-        let granted = budget.take_block();
-        if granted == 0 {
-            return Err(RuntimeError::trap_at(
-                Trap::FuelExhausted,
-                "fuel exhausted",
-                span,
-            ));
+        self.fuel_local = next_fuel_block(&self.s.fuel, span)?;
+        if self.s.fuel.is_some() {
+            instrument::instant("fuel.refill", self.fuel_local);
         }
-        instrument::instant("fuel.refill", granted);
-        self.fuel_local = granted;
         Ok(())
     }
 
@@ -679,10 +673,9 @@ impl<'p> Vm<'p> {
     /// → int cases: spilled numbers convert, everything else passes.
     #[inline(never)]
     fn coerce_slow(&self, c: Coerce, v: Packed) -> Packed {
-        match (c, self.unpack(v)) {
-            (Coerce::ToFloat, Scalar::I(i)) => self.pack(Scalar::F(i as f64)),
-            (Coerce::ToInt, Scalar::F(f)) => Packed::pack_i64(f as i64, &self.spill),
-            _ => v,
+        match c.convert(self.unpack(v)) {
+            Some(out) => self.pack(out),
+            None => v,
         }
     }
 
@@ -698,8 +691,8 @@ impl<'p> Vm<'p> {
     // statement `a = a + b`.
 
     /// Integer operator on two `i64`s, inline or resolved through the
-    /// spill pool alike. Mirrors the resolved engine's integer branch bit
-    /// for bit; a wide result is spilled here, once.
+    /// spill pool alike ([`int_arith`], the table [`ops::binop`] calls);
+    /// a wide result is spilled here, once.
     #[inline(always)]
     fn int_binop(
         &mut self,
@@ -795,71 +788,23 @@ impl<'p> Vm<'p> {
         Ok(self.pack(s))
     }
 
-    /// General binary-operator semantics — a faithful copy of the
-    /// resolved engine's `apply_binop` with tally bumps in place of
-    /// shared-atomic bumps.
+    /// Book an [`ops`] result on this VM's tally.
+    #[inline]
+    fn counted(&mut self, (v, counted): (Scalar, Counted)) -> Scalar {
+        match counted {
+            Counted::None => {}
+            Counted::Int => self.tally.int_ops += 1,
+            Counted::Float => self.tally.flops += 1,
+        }
+        v
+    }
+
+    /// [`ops::binop`] with this VM's error type and tally.
     #[inline(never)]
     fn apply_binop(&mut self, op: BinOp, lv: Scalar, rv: Scalar, span: Span) -> RtResult<Scalar> {
-        use BinOp::*;
-        match (lv, rv, op) {
-            (Scalar::P(p), i, Add) if !matches!(i, Scalar::P(_)) => {
-                self.tally.int_ops += 1;
-                return Ok(Scalar::P(p.offset(i.as_i64())));
-            }
-            (i, Scalar::P(p), Add) if !matches!(i, Scalar::P(_)) => {
-                self.tally.int_ops += 1;
-                return Ok(Scalar::P(p.offset(i.as_i64())));
-            }
-            (Scalar::P(p), i, Sub) if !matches!(i, Scalar::P(_)) => {
-                self.tally.int_ops += 1;
-                return Ok(Scalar::P(p.offset(-i.as_i64())));
-            }
-            (Scalar::P(a), Scalar::P(b), Sub) => {
-                self.tally.int_ops += 1;
-                return Ok(Scalar::I(a.index - b.index));
-            }
-            (Scalar::P(a), Scalar::P(b), Eq) => {
-                return Ok(Scalar::I(i64::from(a == b)));
-            }
-            (Scalar::P(a), Scalar::P(b), Ne) => {
-                return Ok(Scalar::I(i64::from(a != b)));
-            }
-            (Scalar::P(_), Scalar::Null, Eq) | (Scalar::Null, Scalar::P(_), Eq) => {
-                return Ok(Scalar::I(0));
-            }
-            (Scalar::P(_), Scalar::Null, Ne) | (Scalar::Null, Scalar::P(_), Ne) => {
-                return Ok(Scalar::I(1));
-            }
-            _ => {}
-        }
-
-        let float = lv.is_float() || rv.is_float();
-        if float {
-            let a = lv.as_f64();
-            let b = rv.as_f64();
-            let out = match op {
-                Add => Scalar::F(a + b),
-                Sub => Scalar::F(a - b),
-                Mul => Scalar::F(a * b),
-                Div => Scalar::F(a / b),
-                Rem => Scalar::F(a % b),
-                Lt => Scalar::I(i64::from(a < b)),
-                Gt => Scalar::I(i64::from(a > b)),
-                Le => Scalar::I(i64::from(a <= b)),
-                Ge => Scalar::I(i64::from(a >= b)),
-                Eq => Scalar::I(i64::from(a == b)),
-                Ne => Scalar::I(i64::from(a != b)),
-                Shl | Shr | BitAnd | BitXor | BitOr => {
-                    return Err(RuntimeError::at("bitwise op on float", span))
-                }
-                And | Or => unreachable!("lowered to jumps"),
-            };
-            self.tally.flops += 1;
-            Ok(out)
-        } else {
-            let out = int_arith(op, lv.as_i64(), rv.as_i64()).map_err(|msg| error_at(msg, span))?;
-            self.tally.int_ops += 1;
-            Ok(Scalar::I(out))
+        match ops::binop(op, lv, rv) {
+            Ok(out) => Ok(self.counted(out)),
+            Err(msg) => Err(error_at(msg, span)),
         }
     }
 
@@ -878,58 +823,22 @@ impl<'p> Vm<'p> {
 
     #[inline(never)]
     fn incdec_slow(&mut self, old: Packed, flags: u32) -> Packed {
-        let s = self.unpack(old);
-        let new = self.incdec_scalar(s, flags);
+        let new = self.counted(ops::incdec(self.unpack(old), incdec_delta(flags)));
         self.pack(new)
-    }
-
-    fn incdec_scalar(&mut self, old: Scalar, flags: u32) -> Scalar {
-        let delta = incdec_delta(flags);
-        match old {
-            Scalar::F(f) => {
-                self.tally.flops += 1;
-                Scalar::F(f + delta as f64)
-            }
-            Scalar::P(p) => Scalar::P(p.offset(delta)),
-            other => {
-                self.tally.int_ops += 1;
-                Scalar::I(other.as_i64().wrapping_add(delta))
-            }
-        }
     }
 
     /// Arithmetic negate of anything but an inline int.
     #[inline(never)]
     fn neg_slow(&mut self, v: Packed) -> Packed {
-        match self.unpack(v) {
-            Scalar::F(f) => {
-                self.tally.flops += 1;
-                self.pack(Scalar::F(-f))
-            }
-            other => {
-                self.tally.int_ops += 1;
-                Packed::pack_i64(other.as_i64().wrapping_neg(), &self.spill)
-            }
-        }
+        let out = self.counted(ops::neg(self.unpack(v)));
+        self.pack(out)
     }
 
     // -- calls ----------------------------------------------------------------
 
     fn call_user(&mut self, fid: u32, nargs: usize, span: Span) -> RtResult<()> {
         self.tally.calls += 1;
-        match self.s.opts.max_call_depth {
-            Some(limit) if self.depth >= limit => {
-                return Err(RuntimeError::trap_at(
-                    Trap::DepthLimit,
-                    format!("call depth limit exceeded ({limit})"),
-                    span,
-                ));
-            }
-            None if self.depth >= 512 => {
-                return Err(RuntimeError::at("call stack overflow", span));
-            }
-            _ => {}
-        }
+        check_call_depth(&self.s.opts, self.depth, span)?;
         let prog: &'p BytecodeProgram = self.prog;
         let func = &prog.funcs[fid as usize];
 
@@ -1354,12 +1263,7 @@ impl<'p> Vm<'p> {
                 }
                 Op::Coerce => {
                     let v = self.pop();
-                    let mode = if insn.a == 0 {
-                        Coerce::ToFloat
-                    } else {
-                        Coerce::ToInt
-                    };
-                    let out = self.coerce_packed(mode, v);
+                    let out = self.coerce_packed(coerce_decode(insn.a), v);
                     self.stack.push(out);
                 }
                 Op::Jump => {
@@ -1630,7 +1534,7 @@ impl<'p> Vm<'p> {
                 let saved_tally = self.tally;
                 let (old, new) = globals.rmw(insn.a as usize, |old| {
                     self.tally = saved_tally;
-                    Ok::<_, RuntimeError>(self.incdec_scalar(old, insn.b))
+                    Ok::<_, RuntimeError>(self.counted(ops::incdec(old, incdec_delta(insn.b))))
                 })?;
                 if insn.b & 4 == 0 {
                     let out = self.pack(if insn.b & 2 != 0 { new } else { old });
@@ -1695,7 +1599,11 @@ impl<'p> Vm<'p> {
                     dims.push(self.to_i64(v).max(0) as usize);
                 }
                 self.stack.truncate(dimbase);
-                let p = self.alloc_array(&dims, span)?;
+                let p = self
+                    .s
+                    .mem
+                    .try_alloc_array(&dims)
+                    .map_err(|e| RuntimeError::from_mem(e, span))?;
                 let out = self.pack(Scalar::P(p));
                 self.stack.push(out);
             }
@@ -1777,31 +1685,6 @@ impl<'p> Vm<'p> {
             self.pending.drain();
         }
         res
-    }
-
-    fn alloc_array(&mut self, dims: &[usize], span: Span) -> RtResult<Ptr> {
-        match dims {
-            [] | [_] => self
-                .s
-                .mem
-                .try_alloc(dims.first().copied().unwrap_or(1))
-                .map_err(|e| RuntimeError::from_mem(e, span)),
-            [first, rest @ ..] => {
-                let spine = self
-                    .s
-                    .mem
-                    .try_alloc(*first)
-                    .map_err(|e| RuntimeError::from_mem(e, span))?;
-                for i in 0..*first {
-                    let sub = self.alloc_array(rest, span)?;
-                    self.s
-                        .mem
-                        .store(spine.offset(i as i64), Scalar::P(sub))
-                        .expect("fresh spine in bounds");
-                }
-                Ok(spine)
-            }
-        }
     }
 
     // -- parallel regions -----------------------------------------------------

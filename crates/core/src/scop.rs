@@ -220,21 +220,7 @@ fn is_iterator_like(stmt: &Stmt, name: &str) -> bool {
     let mut found = false;
     stmt.walk(&mut |s| {
         if let StmtKind::For { init, step, .. } = &s.kind {
-            match init.as_ref() {
-                ForInit::Decl(d) => {
-                    if d.declarators.iter().any(|dec| dec.name == name) {
-                        found = true;
-                    }
-                }
-                ForInit::Expr(Some(e)) => {
-                    if let ExprKind::Assign(_, lhs, _) = &e.kind {
-                        if lhs.as_ident() == Some(name) {
-                            found = true;
-                        }
-                    }
-                }
-                ForInit::Expr(None) => {}
-            }
+            found |= init.bound_names().any(|n| n == name);
             if let Some(se) = step {
                 let mut root = None;
                 match &se.kind {

@@ -1,6 +1,8 @@
 //! Loop code generation from a transformed iteration space — the ClooG
 //! stage of the PluTo stack, plus the pragma insertion the paper's chain
-//! relies on (`#pragma omp parallel for private(...)`, Listing 8).
+//! relies on (`#pragma omp parallel for`, Listing 8; the listing's
+//! `private(...)` clause is implied by declaring each iterator in its
+//! own for-init).
 //!
 //! Bounds are derived by successive Fourier–Motzkin projection of the
 //! t-space domain: for each new iterator (outermost first) the constraints
@@ -323,13 +325,13 @@ pub fn generate(
             ));
         }
         if Some(lvl) == omp_level {
-            let privates: Vec<String> = order[lvl + 1..].to_vec();
-            let pragma = if privates.is_empty() {
-                "pragma omp parallel for".to_string()
-            } else {
-                format!("pragma omp parallel for private({})", privates.join(", "))
-            };
-            wrapped.push(Stmt::new(StmtKind::Pragma(pragma), Span::DUMMY));
+            // No `private(...)`: every inner iterator is declared in its
+            // own for-init, which makes it private already — and naming a
+            // variable not yet declared is an error to a C compiler.
+            wrapped.push(Stmt::new(
+                StmtKind::Pragma("pragma omp parallel for".to_string()),
+                Span::DUMMY,
+            ));
         }
         if wrapped.is_empty() {
             current = for_stmt;
@@ -412,7 +414,7 @@ int __pc_min(int a, int b) { return a < b ? a : b; }
 mod tests {
     use super::*;
     use crate::deps::analyze;
-    use crate::extract::extract_scop;
+    use crate::extract::{extract_scop, IterTypes};
     use crate::schedule::compute_schedule;
     use cfront::parser::parse;
     use cfront::printer::print_stmt;
@@ -431,7 +433,7 @@ mod tests {
                 }
             }
         }
-        extract_scop(&found.expect("for")).expect("scop")
+        extract_scop(&found.expect("for"), &IterTypes::default()).expect("scop")
     }
 
     fn print_all(g: &Generated) -> String {
@@ -451,11 +453,14 @@ mod tests {
         let g = generate(&scop, &t, CodegenOptions::default()).expect("codegen");
         let out = print_all(&g);
         assert!(g.parallelized);
+        // The pragma sits on the t1 loop; t2 is private by being declared
+        // in its own for-init, not by a clause.
         assert!(
-            out.contains("#pragma omp parallel for private(t2)"),
+            out.contains("#pragma omp parallel for\nfor (int t1 = 0; t1 <= 4095; t1++)"),
             "{out}"
         );
-        assert!(out.contains("for (int t1 = 0; t1 <= 4095; t1++)"), "{out}");
+        assert!(out.contains("for (int t2 = 0; t2 <= 4095; t2++)"), "{out}");
+        assert!(!out.contains("private("), "{out}");
         assert!(out.contains("C[t1][t2] = tmpConst_dot_0;"), "{out}");
         // Iterator map points i→t1, j→t2.
         assert_eq!(cfront::printer::print_expr(&g.iter_map["i"]), "t1");
@@ -522,9 +527,10 @@ mod tests {
         assert!(out.contains("32 * t1t"), "{out}");
         // Parallel pragma lands on the outermost (tile) loop.
         assert!(
-            out.contains("#pragma omp parallel for private(t2t, t1, t2)"),
+            out.contains("#pragma omp parallel for\nfor (int t1t = "),
             "{out}"
         );
+        assert!(!out.contains("private("), "{out}");
     }
 
     #[test]
@@ -611,7 +617,7 @@ mod tests {
 mod codegen_proptests {
     use super::*;
     use crate::deps::analyze;
-    use crate::extract::extract_scop;
+    use crate::extract::{extract_scop, IterTypes};
     use crate::schedule::compute_schedule;
     use cfront::parser::parse;
     use proptest::prelude::*;
@@ -640,7 +646,7 @@ mod codegen_proptests {
                 }
             }
         }
-        extract_scop(&found.unwrap()).unwrap()
+        extract_scop(&found.unwrap(), &IterTypes::default()).unwrap()
     }
 
     proptest! {

@@ -309,7 +309,7 @@ pub fn parallel_levels(scop: &Scop, deps: &[Dependence]) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extract::extract_scop;
+    use crate::extract::{extract_scop, IterTypes};
     use cfront::ast::{Stmt, StmtKind};
     use cfront::parser::parse;
 
@@ -327,7 +327,7 @@ mod tests {
                 }
             }
         }
-        extract_scop(&found.expect("for loop")).expect("scop")
+        extract_scop(&found.expect("for loop"), &IterTypes::default()).expect("scop")
     }
 
     #[test]
@@ -488,11 +488,13 @@ mod tests {
             return Vec::new();
         };
         let mut scops = Vec::new();
+        let globals = IterTypes::of_globals(&pcc.unit);
         for f in pcc.unit.functions() {
+            let types = globals.in_function(f);
             for s in f.body.iter().flat_map(|b| &b.stmts) {
                 s.walk(&mut |st| {
                     if matches!(st.kind, StmtKind::For { .. }) {
-                        scops.extend(extract_scop(st));
+                        scops.extend(extract_scop(st, &types));
                     }
                 });
             }

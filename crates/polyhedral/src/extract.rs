@@ -11,24 +11,19 @@ use crate::affine::AffineExpr;
 use crate::model::{Access, LoopDim, PolyStmt, Scop};
 use cfront::ast::*;
 use cfront::diag::{Code, Diagnostics};
-use std::collections::BTreeSet;
+use cfront::omp::{canonical_for, CanonicalFor, HeaderError};
+use std::collections::{BTreeSet, HashMap};
 
 /// Try to extract a SCoP from a for-statement. On failure, diagnostics
 /// explain why (non-affine bound, unsupported statement form, …).
-pub fn extract_scop(for_stmt: &Stmt) -> Result<Scop, Diagnostics> {
+pub fn extract_scop(for_stmt: &Stmt, types: &IterTypes) -> Result<Scop, Diagnostics> {
     let mut diags = Diagnostics::new();
     let mut loops: Vec<LoopDim> = Vec::new();
     let mut cur = for_stmt;
 
     // Peel the perfect nest.
-    while let StmtKind::For {
-        init,
-        cond,
-        step,
-        body,
-    } = &cur.kind
-    {
-        match extract_loop_dim(init, cond.as_ref(), step.as_ref()) {
+    while let StmtKind::For { body, .. } = &cur.kind {
+        match extract_loop_dim(cur, types) {
             Ok(dim) => loops.push(dim),
             Err(msg) => {
                 diags.error(Code::PolyNonAffine, cur.span, msg);
@@ -108,83 +103,134 @@ fn innermost_statements(body: &Stmt) -> Vec<&Stmt> {
     }
 }
 
-/// Parse `for (init; cond; step)` into a unit-stride [`LoopDim`].
-fn extract_loop_dim(
-    init: &ForInit,
-    cond: Option<&Expr>,
-    step: Option<&Expr>,
-) -> Result<LoopDim, String> {
-    // Iterator + lower bound.
-    let (name, lb) = match init {
-        ForInit::Decl(d) => {
-            if d.declarators.len() != 1 {
-                return Err("multiple declarators in loop init".into());
-            }
-            let dec = &d.declarators[0];
-            let init_expr = dec
-                .init
-                .as_ref()
-                .ok_or("loop iterator lacks an initial value")?;
-            let lb = AffineExpr::from_ast(init_expr)
-                .ok_or_else(|| format!("non-affine lower bound for '{}'", dec.name))?;
-            (dec.name.clone(), lb)
-        }
-        ForInit::Expr(Some(e)) => match &e.kind {
-            ExprKind::Assign(AssignOp::Assign, lhs, rhs) => {
-                let name = lhs
-                    .as_ident()
-                    .ok_or("loop init must assign a simple variable")?;
-                let lb = AffineExpr::from_ast(rhs)
-                    .ok_or_else(|| format!("non-affine lower bound for '{name}'"))?;
-                (name.to_string(), lb)
-            }
-            _ => return Err("unsupported loop init expression".into()),
-        },
-        ForInit::Expr(None) => return Err("loop without init is not affine".into()),
-    };
+/// Which names may stand for an integer loop iterator when a `for` init
+/// *assigns* rather than declares (`int i; … for (i = 0; …)`): those
+/// whose every declaration — among the unit's globals, the function's
+/// parameters and its locals at any depth — is a plain integer.
+/// Scope-blind on purpose: one pointer, array or floating declaration of
+/// the name anywhere in the function disqualifies it, and a name never
+/// seen declared is not admitted. The empty table admits only iterators
+/// declared in their own `for` init, whose type is in hand.
+#[derive(Debug, Default)]
+pub struct IterTypes<'g> {
+    /// Name → "every declaration seen of it is a plain integer".
+    names: HashMap<String, bool>,
+    /// The unit's table, when this one is a function's.
+    globals: Option<&'g IterTypes<'g>>,
+}
 
-    // Upper bound from the condition.
-    let cond = cond.ok_or("loop without condition is not affine")?;
-    let ub = match &cond.kind {
-        ExprKind::Binary(op, l, r) => {
-            let lname = l.as_ident();
-            if lname != Some(name.as_str()) {
-                return Err(format!("loop condition must test iterator '{name}'"));
-            }
-            let bound = AffineExpr::from_ast(r)
-                .ok_or_else(|| format!("non-affine upper bound for '{name}'"))?;
-            match op {
-                BinOp::Lt => bound.sub(&AffineExpr::constant(1)),
-                BinOp::Le => bound,
-                _ => return Err("only < / <= loop conditions are supported".into()),
+impl<'g> IterTypes<'g> {
+    pub fn of_globals(unit: &TranslationUnit) -> Self {
+        let mut types = IterTypes::default();
+        for item in &unit.items {
+            if let Item::Decl(d) = item {
+                types.declare(d);
             }
         }
-        _ => return Err("unsupported loop condition".into()),
-    };
-
-    // Unit positive stride.
-    let step = step.ok_or("loop without step")?;
-    let unit = match &step.kind {
-        ExprKind::Unary(UnOp::PreInc | UnOp::PostInc, inner) => {
-            inner.as_ident() == Some(name.as_str())
-        }
-        ExprKind::Assign(AssignOp::Add, lhs, rhs) => {
-            lhs.as_ident() == Some(name.as_str()) && matches!(rhs.kind, ExprKind::IntLit(1))
-        }
-        ExprKind::Assign(AssignOp::Assign, lhs, rhs) => {
-            // i = i + 1
-            lhs.as_ident() == Some(name.as_str())
-                && AffineExpr::from_ast(rhs)
-                    .map(|e| e.coeff(&name) == 1 && e.konst == 1 && e.coeffs.len() == 1)
-                    .unwrap_or(false)
-        }
-        _ => false,
-    };
-    if !unit {
-        return Err(format!("loop over '{name}' must have unit stride"));
+        types
     }
 
-    Ok(LoopDim { name, lb, ub })
+    /// One function's parameters and locals, over this table (the
+    /// globals).
+    pub fn in_function(&'g self, f: &Function) -> IterTypes<'g> {
+        let mut types = IterTypes {
+            names: HashMap::new(),
+            globals: Some(self),
+        };
+        for p in &f.params {
+            if let Some(name) = &p.name {
+                types.note(name, integer_scalar(&p.ty, &[]));
+            }
+        }
+        for s in f.body.iter().flat_map(|b| &b.stmts) {
+            s.walk(&mut |s| match &s.kind {
+                StmtKind::Decl(d) => types.declare(d),
+                StmtKind::For { init, .. } => {
+                    if let ForInit::Decl(d) = init.as_ref() {
+                        types.declare(d);
+                    }
+                }
+                _ => {}
+            });
+        }
+        types
+    }
+
+    fn declare(&mut self, d: &Declaration) {
+        for dec in &d.declarators {
+            self.note(&dec.name, integer_scalar(&dec.ty, &dec.array_dims));
+        }
+    }
+
+    fn note(&mut self, name: &str, integer: bool) {
+        match self.names.get_mut(name) {
+            Some(all) => *all &= integer,
+            None => {
+                self.names.insert(name.to_string(), integer);
+            }
+        }
+    }
+
+    fn admits(&self, name: &str) -> bool {
+        let global = self.globals.and_then(|g| g.names.get(name));
+        let mut seen = self.names.get(name).into_iter().chain(global);
+        seen.next()
+            .is_some_and(|first| *first && seen.all(|ok| *ok))
+    }
+}
+
+fn integer_scalar(ty: &Type, array_dims: &[Expr]) -> bool {
+    !ty.is_pointer() && ty.base.is_integer() && array_dims.is_empty()
+}
+
+/// One `for` of the nest as a unit-stride [`LoopDim`]: a canonical
+/// header ([`canonical_for`], rendered here in the extractor's words)
+/// over an integer iterator, with both bounds affine.
+fn extract_loop_dim(stmt: &Stmt, types: &IterTypes) -> Result<LoopDim, String> {
+    let CanonicalFor {
+        iter,
+        declared,
+        lb,
+        bound,
+        inclusive,
+        ..
+    } = canonical_for(stmt).map_err(|e| match e {
+        HeaderError::NotAFor => "not a for-loop nest".to_string(),
+        HeaderError::MultipleDeclarators => "multiple declarators in loop init".into(),
+        HeaderError::UninitializedIterator => "loop iterator lacks an initial value".into(),
+        HeaderError::InitNotAssignment => "unsupported loop init expression".into(),
+        HeaderError::InitTargetNotVariable => "loop init must assign a simple variable".into(),
+        HeaderError::NoInit => "loop without init is not affine".into(),
+        HeaderError::NoCondition => "loop without condition is not affine".into(),
+        HeaderError::ConditionNotComparison => "unsupported loop condition".into(),
+        HeaderError::ConditionNotOnIterator(i) => {
+            format!("loop condition must test iterator '{i}'")
+        }
+        HeaderError::ConditionNotLess => "only < / <= loop conditions are supported".into(),
+        HeaderError::NoStep => "loop without step".into(),
+        HeaderError::NonUnitStep(i) => format!("loop over '{i}' must have unit stride"),
+    })?;
+    let integer = match declared {
+        Some(ty) => integer_scalar(ty, &[]),
+        None => types.admits(iter),
+    };
+    if !integer {
+        return Err(format!("loop iterator '{iter}' is not an integer variable"));
+    }
+    let lb =
+        AffineExpr::from_ast(lb).ok_or_else(|| format!("non-affine lower bound for '{iter}'"))?;
+    let bound = AffineExpr::from_ast(bound)
+        .ok_or_else(|| format!("non-affine upper bound for '{iter}'"))?;
+    let ub = if inclusive {
+        bound
+    } else {
+        bound.sub(&AffineExpr::constant(1))
+    };
+    Ok(LoopDim {
+        name: iter.to_string(),
+        lb,
+        ub,
+    })
 }
 
 /// Extract reads/writes of one innermost statement.
@@ -390,7 +436,7 @@ mod tests {
                  for (int j = 0; j < 4096; ++j)\n\
                      C[i][j] = tmpConst_dot_0;\n}",
         );
-        let scop = extract_scop(&s).expect("scop");
+        let scop = extract_scop(&s, &IterTypes::default()).expect("scop");
         assert_eq!(scop.depth(), 2);
         assert_eq!(scop.loops[0].name, "i");
         assert_eq!(scop.loops[1].ub, AffineExpr::constant(4095));
@@ -409,7 +455,7 @@ mod tests {
     #[test]
     fn extracts_parametric_bounds() {
         let s = first_for("void f(int n, float* a) { for (int i = 0; i <= n - 1; i++) a[i] = 0; }");
-        let scop = extract_scop(&s).unwrap();
+        let scop = extract_scop(&s, &IterTypes::default()).unwrap();
         assert_eq!(scop.depth(), 1);
         assert!(scop.params.contains("n"));
         assert_eq!(scop.constant_trip_count(), None);
@@ -423,7 +469,7 @@ mod tests {
                  for (int j = 1; j < 63; j++)\n\
                      b[i][j] = a[i - 1][j] + a[i + 1][j] + a[i][j - 1] + a[i][j + 1];\n}",
         );
-        let scop = extract_scop(&s).unwrap();
+        let scop = extract_scop(&s, &IterTypes::default()).unwrap();
         let reads: Vec<String> = scop.stmts[0].reads.iter().map(|a| a.to_string()).collect();
         assert!(reads.contains(&"a[i - 1][j]".to_string()), "{reads:?}");
         assert!(reads.contains(&"a[i][j + 1]".to_string()), "{reads:?}");
@@ -433,7 +479,7 @@ mod tests {
     #[test]
     fn compound_assignment_reads_target() {
         let s = first_for("void f(float* r) { for (int i = 0; i < 8; i++) r[0] += i; }");
-        let scop = extract_scop(&s).unwrap();
+        let scop = extract_scop(&s, &IterTypes::default()).unwrap();
         let st = &scop.stmts[0];
         assert_eq!(st.writes[0].to_string(), "r[0]");
         assert!(st.reads.iter().any(|a| a.to_string() == "r[0]"));
@@ -444,7 +490,7 @@ mod tests {
         let s = first_for(
             "void f(float* a) { float res; for (int i = 0; i < 8; i++) res = res + a[i]; }",
         );
-        let scop = extract_scop(&s).unwrap();
+        let scop = extract_scop(&s, &IterTypes::default()).unwrap();
         let st = &scop.stmts[0];
         assert!(st
             .writes
@@ -456,14 +502,14 @@ mod tests {
     #[test]
     fn rejects_non_affine_subscript() {
         let s = first_for("void f(float* a) { for (int i = 0; i < 8; i++) a[i * i] = 0; }");
-        let err = extract_scop(&s).unwrap_err();
+        let err = extract_scop(&s, &IterTypes::default()).unwrap_err();
         assert!(err.has_code(Code::PolyNonAffine) || err.has_code(Code::PolyUnsupported));
     }
 
     #[test]
     fn rejects_non_unit_stride() {
         let s = first_for("void f(float* a) { for (int i = 0; i < 8; i += 2) a[i] = 0; }");
-        assert!(extract_scop(&s).is_err());
+        assert!(extract_scop(&s, &IterTypes::default()).is_err());
     }
 
     #[test]
@@ -476,7 +522,7 @@ mod tests {
              }\n}",
         );
         // Two innermost statements where one is a for → unsupported form.
-        assert!(extract_scop(&s).is_err());
+        assert!(extract_scop(&s, &IterTypes::default()).is_err());
     }
 
     #[test]
@@ -489,7 +535,7 @@ mod tests {
                      b[i][j] = a[i][j] * 2;\n\
                  }\n}",
         );
-        let scop = extract_scop(&s).unwrap();
+        let scop = extract_scop(&s, &IterTypes::default()).unwrap();
         assert_eq!(scop.stmts.len(), 2);
         assert_eq!(scop.stmts[1].id, 1);
     }
@@ -501,20 +547,20 @@ mod tests {
         // inside the pure function).
         let s =
             first_for("void f(float* a, int* idx) { for (int i = 0; i < 8; i++) a[idx[i]] = 0; }");
-        assert!(extract_scop(&s).is_err());
+        assert!(extract_scop(&s, &IterTypes::default()).is_err());
     }
 
     #[test]
     fn pointer_deref_is_zero_index() {
         let s = first_for("void f(float* p) { for (int i = 0; i < 8; i++) *p = i; }");
-        let scop = extract_scop(&s).unwrap();
+        let scop = extract_scop(&s, &IterTypes::default()).unwrap();
         assert_eq!(scop.stmts[0].writes[0].to_string(), "p[0]");
     }
 
     #[test]
     fn le_condition_inclusive_bound() {
         let s = first_for("void f(float* a) { for (int i = 0; i <= 7; i++) a[i] = 0; }");
-        let scop = extract_scop(&s).unwrap();
+        let scop = extract_scop(&s, &IterTypes::default()).unwrap();
         assert_eq!(scop.loops[0].ub, AffineExpr::constant(7));
     }
 }

@@ -26,7 +26,7 @@ pub mod sica;
 pub use affine::AffineExpr;
 pub use codegen::{generate, CodegenOptions, Generated, HELPER_DEFS};
 pub use deps::{analyze, parallel_levels, DepAnalysis, DepKind, Dependence, DistBound};
-pub use extract::extract_scop;
+pub use extract::{extract_scop, IterTypes};
 pub use model::{Access, LoopDim, PolyStmt, Scop};
 pub use polycc::{run_polycc, PolyccOptions, PolyccReport, RegionOutcome};
 pub use schedule::{compute_schedule, Transform};

@@ -11,11 +11,12 @@
 
 use crate::codegen::{generate, CodegenOptions, Generated};
 use crate::deps::{analyze, DepAnalysis};
-use crate::extract::extract_scop;
+use crate::extract::{extract_scop, IterTypes};
 use crate::schedule::{compute_schedule, Transform};
 use crate::sica::{select_tile_size, SicaParams};
 use cfront::ast::*;
 use cfront::diag::Diagnostics;
+use cfront::omp::for_after_pragmas;
 use cfront::printer::{print_expr, print_stmt};
 use cfront::visit::visit_exprs_mut;
 use std::collections::{HashMap, HashSet};
@@ -135,10 +136,16 @@ impl PolyccReport {
 pub fn run_polycc(unit: &mut TranslationUnit, opts: PolyccOptions) -> PolyccReport {
     let mut report = PolyccReport::default();
     let rows = row_pointer_globals(unit);
+    let globals = IterTypes::of_globals(unit);
     for item in &mut unit.items {
         let Item::Function(f) = item else { continue };
+        let types = globals.in_function(f);
         let Some(body) = &mut f.body else { continue };
-        process_block(body, &opts, &mut report);
+        let cx = Cx {
+            opts: &opts,
+            types: &types,
+        };
+        process_block(body, cx, &mut report);
     }
     // Strength-reduce after all regions settle: transformed nests are
     // identifiable by their affine markers wherever they ended up, so a
@@ -151,6 +158,15 @@ pub fn run_polycc(unit: &mut TranslationUnit, opts: PolyccOptions) -> PolyccRepo
         }
     }
     report
+}
+
+/// What the region walk carries down one function body.
+#[derive(Clone, Copy)]
+struct Cx<'a> {
+    opts: &'a PolyccOptions,
+    /// Which assigned (not declared) iterators of this function are
+    /// integers.
+    types: &'a IterTypes<'a>,
 }
 
 /// Recursive sweep that applies [`hoist_rows`] to every statement list in
@@ -229,7 +245,7 @@ fn carry_schedule(stmts: &mut [Stmt], user_pragma: &str) {
 /// `[omp-pragma, for]` pairs, the paper's input form — in a block and
 /// replace them with transformed code, then fuse and bound-hoist the
 /// resulting nests.
-fn process_block(block: &mut Block, opts: &PolyccOptions, report: &mut PolyccReport) {
+fn process_block(block: &mut Block, cx: Cx, report: &mut PolyccReport) {
     let mut i = 0;
     while i < block.stmts.len() {
         let is_scop_open = matches!(
@@ -266,7 +282,7 @@ fn process_block(block: &mut Block, opts: &PolyccOptions, report: &mut PolyccRep
 
             let mut loop_stmt = block.stmts[i + 1].clone();
             let snapshot = (report.regions.len(), report.needs_helpers);
-            let replacement = transform_nest(&mut loop_stmt, opts, report);
+            let replacement = transform_nest(&mut loop_stmt, cx, report);
             let parallelized = matches!(
                 report.regions.last(),
                 Some(RegionOutcome::Transformed {
@@ -295,7 +311,7 @@ fn process_block(block: &mut Block, opts: &PolyccOptions, report: &mut PolyccRep
                     });
                     block.stmts.drain(i..i + 3);
                     block.stmts.insert(i, loop_stmt);
-                    descend(&mut block.stmts[i], opts, report);
+                    descend(&mut block.stmts[i], cx, report);
                     i += 1;
                 }
                 (Some(stmts), None) => {
@@ -327,7 +343,7 @@ fn process_block(block: &mut Block, opts: &PolyccOptions, report: &mut PolyccRep
             };
             let mut loop_stmt = block.stmts[i + 1].clone();
             let snapshot = (report.regions.len(), report.needs_helpers);
-            let replacement = transform_nest(&mut loop_stmt, opts, report);
+            let replacement = transform_nest(&mut loop_stmt, cx, report);
             let parallelized = matches!(
                 report.regions.last(),
                 Some(RegionOutcome::Transformed {
@@ -351,7 +367,7 @@ fn process_block(block: &mut Block, opts: &PolyccOptions, report: &mut PolyccRep
                     report.regions.push(RegionOutcome::Skipped {
                         reason: "user-parallel nest not auto-parallelized; kept literal".into(),
                     });
-                    descend(&mut block.stmts[i + 1], opts, report);
+                    descend(&mut block.stmts[i + 1], cx, report);
                     i += 2;
                 }
                 None => {
@@ -364,7 +380,7 @@ fn process_block(block: &mut Block, opts: &PolyccOptions, report: &mut PolyccRep
         }
 
         // Recurse into nested structures.
-        descend(&mut block.stmts[i], opts, report);
+        descend(&mut block.stmts[i], cx, report);
         i += 1;
     }
     finish_block(&mut block.stmts, report);
@@ -377,22 +393,22 @@ fn finish_block(stmts: &mut Vec<Stmt>, report: &mut PolyccReport) {
     hoist_bounds(stmts, report);
 }
 
-fn descend(stmt: &mut Stmt, opts: &PolyccOptions, report: &mut PolyccReport) {
+fn descend(stmt: &mut Stmt, cx: Cx, report: &mut PolyccReport) {
     match &mut stmt.kind {
-        StmtKind::Block(b) => process_block(b, opts, report),
+        StmtKind::Block(b) => process_block(b, cx, report),
         StmtKind::If {
             then_branch,
             else_branch,
             ..
         } => {
-            maybe_unmarked(then_branch, opts, report);
+            maybe_unmarked(then_branch, cx, report);
             if let Some(e) = else_branch {
-                maybe_unmarked(e, opts, report);
+                maybe_unmarked(e, cx, report);
             }
         }
         StmtKind::While { body, .. }
         | StmtKind::DoWhile { body, .. }
-        | StmtKind::For { body, .. } => maybe_unmarked(body, opts, report),
+        | StmtKind::For { body, .. } => maybe_unmarked(body, cx, report),
         _ => {}
     }
 }
@@ -400,13 +416,13 @@ fn descend(stmt: &mut Stmt, opts: &PolyccOptions, report: &mut PolyccReport) {
 /// `--poly-unmarked`: a bare-body `for` nest (no surrounding block, so it
 /// could never have received scop markers) whose calls are all verified
 /// pure is routed through the transformer like an implicit SCoP.
-fn maybe_unmarked(stmt: &mut Stmt, opts: &PolyccOptions, report: &mut PolyccReport) {
-    if let Some(pure) = &opts.unmarked {
+fn maybe_unmarked(stmt: &mut Stmt, cx: Cx, report: &mut PolyccReport) {
+    if let Some(pure) = &cx.opts.unmarked {
         if matches!(stmt.kind, StmtKind::For { .. })
             && purec_core::unverified_calls(stmt, &|name| pure.contains(name)).is_empty()
         {
             let mut child = stmt.clone();
-            if let Some(mut new_stmts) = transform_nest(&mut child, opts, report) {
+            if let Some(mut new_stmts) = transform_nest(&mut child, cx, report) {
                 finish_block(&mut new_stmts, report);
                 *stmt = Stmt::new(
                     StmtKind::Block(Block {
@@ -421,18 +437,15 @@ fn maybe_unmarked(stmt: &mut Stmt, opts: &PolyccOptions, report: &mut PolyccRepo
             return;
         }
     }
-    descend(stmt, opts, report)
+    descend(stmt, cx, report)
 }
 
 /// Transform one marked nest. Returns the replacement statements, or `None`
 /// to keep the original loop (possibly with transformed children, already
 /// rewritten in-place through `loop_stmt`).
-fn transform_nest(
-    loop_stmt: &mut Stmt,
-    opts: &PolyccOptions,
-    report: &mut PolyccReport,
-) -> Option<Vec<Stmt>> {
-    match extract_scop(loop_stmt) {
+fn transform_nest(loop_stmt: &mut Stmt, cx: Cx, report: &mut PolyccReport) -> Option<Vec<Stmt>> {
+    let Cx { opts, types } = cx;
+    match extract_scop(loop_stmt, types) {
         Ok(scop) => {
             let DepAnalysis { deps, fm_solves } = analyze(&scop);
             report.fm_solves += fm_solves;
@@ -497,21 +510,21 @@ fn transform_nest(
             let StmtKind::For { body, .. } = &mut loop_stmt.kind else {
                 return None;
             };
-            transform_children(body, opts, report);
+            transform_children(body, cx, report);
             None
         }
     }
 }
 
 /// Recursively attempt every child for-nest of a body.
-fn transform_children(body: &mut Stmt, opts: &PolyccOptions, report: &mut PolyccReport) {
+fn transform_children(body: &mut Stmt, cx: Cx, report: &mut PolyccReport) {
     match &mut body.kind {
         StmtKind::Block(b) => {
             let mut i = 0;
             while i < b.stmts.len() {
                 if matches!(b.stmts[i].kind, StmtKind::For { .. }) {
                     let mut child = b.stmts[i].clone();
-                    if let Some(new_stmts) = transform_nest(&mut child, opts, report) {
+                    if let Some(new_stmts) = transform_nest(&mut child, cx, report) {
                         b.stmts.remove(i);
                         let count = new_stmts.len();
                         for (off, s) in new_stmts.into_iter().enumerate() {
@@ -523,7 +536,7 @@ fn transform_children(body: &mut Stmt, opts: &PolyccOptions, report: &mut Polycc
                         b.stmts[i] = child; // children may have changed
                     }
                 } else {
-                    descend(&mut b.stmts[i], opts, report);
+                    descend(&mut b.stmts[i], cx, report);
                 }
                 i += 1;
             }
@@ -531,7 +544,7 @@ fn transform_children(body: &mut Stmt, opts: &PolyccOptions, report: &mut Polycc
         }
         StmtKind::For { .. } => {
             let mut child = body.clone();
-            if let Some(mut new_stmts) = transform_nest(&mut child, opts, report) {
+            if let Some(mut new_stmts) = transform_nest(&mut child, cx, report) {
                 finish_block(&mut new_stmts, report);
                 // Single-statement body replaced by a block.
                 *body = Stmt::new(
@@ -640,7 +653,9 @@ fn try_fuse(f1: &Stmt, f2: &Stmt, report: &mut PolyccReport) -> Option<Stmt> {
         f1.span,
     );
 
-    let scop = extract_scop(&fused).ok()?;
+    // Both nests are generated code: every iterator is declared in its
+    // own for-init.
+    let scop = extract_scop(&fused, &IterTypes::default()).ok()?;
     let DepAnalysis { deps, fm_solves } = analyze(&scop);
     report.fm_solves += fm_solves;
     if deps.iter().any(|d| d.src_stmt >= k1 && d.dst_stmt < k1) {
@@ -845,21 +860,17 @@ fn hoist_in_body(body: &mut Stmt, span: cfront::span::Span, report: &mut PolyccR
             let mut i = 0;
             while i < b.stmts.len() {
                 // A run of pragmas directly above a For belongs to it.
-                let mut j = i;
-                while j < b.stmts.len() && matches!(b.stmts[j].kind, StmtKind::Pragma(_)) {
-                    j += 1;
+                let Some(j) = for_after_pragmas(&b.stmts, i) else {
+                    i += 1;
+                    continue;
+                };
+                let mut decls = Vec::new();
+                hoist_for(&mut b.stmts[j], &mut decls, report);
+                let n = decls.len();
+                for (off, d) in decls.into_iter().enumerate() {
+                    b.stmts.insert(i + off, d);
                 }
-                if j < b.stmts.len() && matches!(b.stmts[j].kind, StmtKind::For { .. }) {
-                    let mut decls = Vec::new();
-                    hoist_for(&mut b.stmts[j], &mut decls, report);
-                    let n = decls.len();
-                    for (off, d) in decls.into_iter().enumerate() {
-                        b.stmts.insert(i + off, d);
-                    }
-                    i = j + n + 1;
-                } else {
-                    i = j + 1;
-                }
+                i = j + n + 1;
             }
         }
         StmtKind::For { .. } => {
@@ -974,11 +985,7 @@ fn collect_nested_row_refs(
 
 fn for_iter_names(stmt: &Stmt, out: &mut HashSet<String>) {
     if let StmtKind::For { init, .. } = &stmt.kind {
-        if let ForInit::Decl(d) = init.as_ref() {
-            for dd in &d.declarators {
-                out.insert(dd.name.clone());
-            }
-        }
+        out.extend(init.bound_names().map(String::from));
     }
 }
 
@@ -1149,9 +1156,10 @@ int main() {
         let out = print_unit(&unit);
         assert!(!out.contains("pragma scop"), "{out}");
         assert!(
-            out.contains("#pragma omp parallel for private(t2)"),
+            out.contains("#pragma omp parallel for\n    for (int t1 = 0; t1 <= 4095; t1++)"),
             "{out}"
         );
+        assert!(!out.contains("private("), "{out}");
         // The invariant row `C[t1]` is strength-reduced out of the inner
         // loop; the store goes through the hoisted pointer.
         assert!(out.contains("float* __pc_row1 = C[t1];"), "{out}");

@@ -351,7 +351,7 @@ pub fn invert_unimodular(m: &[Vec<i64>]) -> Option<Vec<Vec<i64>>> {
 mod tests {
     use super::*;
     use crate::deps::analyze;
-    use crate::extract::extract_scop;
+    use crate::extract::{extract_scop, IterTypes};
     use cfront::ast::{Stmt, StmtKind};
     use cfront::parser::parse;
 
@@ -369,7 +369,7 @@ mod tests {
                 }
             }
         }
-        extract_scop(&found.expect("for")).expect("scop")
+        extract_scop(&found.expect("for"), &IterTypes::default()).expect("scop")
     }
 
     #[test]
@@ -505,7 +505,7 @@ mod tests {
 mod more_schedule_tests {
     use super::*;
     use crate::deps::analyze;
-    use crate::extract::extract_scop;
+    use crate::extract::{extract_scop, IterTypes};
     use cfront::ast::{Stmt, StmtKind};
     use cfront::parser::parse;
 
@@ -523,7 +523,7 @@ mod more_schedule_tests {
                 }
             }
         }
-        extract_scop(&found.expect("for")).expect("scop")
+        extract_scop(&found.expect("for"), &IterTypes::default()).expect("scop")
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub fn select_tile_size(scop: &Scop, band: usize, p: SicaParams) -> Option<i64> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extract::extract_scop;
+    use crate::extract::{extract_scop, IterTypes};
     use cfront::ast::{Stmt, StmtKind};
     use cfront::parser::parse;
 
@@ -87,7 +87,7 @@ mod tests {
                 }
             }
         }
-        extract_scop(&found.expect("for")).expect("scop")
+        extract_scop(&found.expect("for"), &IterTypes::default()).expect("scop")
     }
 
     #[test]

@@ -449,3 +449,47 @@ fn builtin_arithmetic_errors_exit_1_not_101() {
         );
     }
 }
+
+/// An `omp parallel for` whose condition does not test its iterator is
+/// refused when the engine reaches it (C would loop forever; both
+/// engines used to read the bound, ignore the left side and run five
+/// iterations).
+#[test]
+fn omp_loop_condition_must_test_its_iterator() {
+    let src = source_path(
+        "omp_wrong_iter.c",
+        "int main() {\n    int s = 0;\n    int j = 0;\n#pragma omp parallel for\n    \
+         for (int i = 0; j < 5; i++) s = 5;\n    printf(\"s=%d\\n\", s);\n    return 0;\n}\n",
+    );
+    for engine in ["vm", "resolved"] {
+        let out = purec(&[&src, "--run", "--engine", engine]);
+        assert_eq!(out.status.code(), Some(1), "{engine}: {}", stderr(&out));
+        assert!(out.stdout.is_empty(), "{engine} ran the loop");
+        assert!(
+            stderr(&out).contains("parallel loop condition must test its iterator"),
+            "{engine}: {}",
+            stderr(&out)
+        );
+    }
+}
+
+/// `i = i + 1` is a unit step to the engines as it is to polycc and the
+/// analyzer (with `--no-poly` the engine meets the user's own header).
+#[test]
+fn omp_loop_step_may_be_spelled_i_equals_i_plus_1() {
+    let src = source_path(
+        "omp_long_step.c",
+        "int main() {\n    int* a = (int*) malloc(8 * sizeof(int));\n#pragma omp parallel for\n    \
+         for (int i = 0; i < 8; i = i + 1) a[i] = i * i;\n    \
+         printf(\"last=%d\\n\", a[7]);\n    return 0;\n}\n",
+    );
+    for engine in ["vm", "resolved"] {
+        for poly in [&[][..], &["--no-poly"]] {
+            let mut args = vec![src.as_str(), "--run", "--engine", engine, "--threads", "4"];
+            args.extend_from_slice(poly);
+            let out = purec(&args);
+            assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+            assert_eq!(out.stdout, b"last=49\n", "{args:?}");
+        }
+    }
+}

@@ -110,6 +110,15 @@ fn clean_file_produces_zero_diagnostics() {
     assert!(outcome.diags.is_empty(), "{}", outcome.render());
 }
 
+/// Pointer walks are left sequential, not miscompiled: nothing for the
+/// checker to say (at the parent commit it said nothing either, about a
+/// program polycc had just turned into `for (int t1 = a; …)`).
+#[test]
+fn pointer_walks_produce_zero_diagnostics() {
+    let outcome = run_corpus_file("pointer_walk.c", false);
+    assert!(outcome.diags.is_empty(), "{}", outcome.render());
+}
+
 #[test]
 fn clean_parallel_loop_gets_independent_verdict() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/analysis/clean.c");

@@ -232,12 +232,21 @@ int main(int argc, char** argv) {
         "{}",
         out.text
     );
-    // Parallel pragma with privatized inner iterator, renamed t1/t2.
+    // Parallel pragma on the outer loop, iterators renamed t1/t2; the
+    // inner one is private by its for-init declaration (Listing 8 says
+    // `private(t2)` because PluTo declares `int t1, t2;` up front).
     assert!(
-        out.text.contains("#pragma omp parallel for private(t2)"),
+        out.text
+            .contains("#pragma omp parallel for\n    for (int t1 = 0; t1 <= 63; t1++)"),
         "{}",
         out.text
     );
+    assert!(
+        out.text.contains("for (int t2 = 0; t2 <= 63; t2++)"),
+        "{}",
+        out.text
+    );
+    assert!(!out.text.contains("private("), "{}", out.text);
     // The store keeps Listing 8's call, with the invariant row pointer
     // strength-reduced out of the inner loop by the backend.
     assert!(

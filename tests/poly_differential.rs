@@ -364,6 +364,63 @@ fn row_pointer_table_nest_stays_sequential_and_matches_literal() {
     }
 }
 
+/// Iterating pointers beside their indexed twin
+/// (`examples/analysis/pointer_walk.c`): `for (p = a; p < a + n; p++)
+/// *q++ = sq(*p)` with the end tested by `<`, `<=` and `!=` prints the
+/// twin's digest on all three engines, poly and literal, at 1 and 4
+/// threads. (`<` on two pointers compared "truthiness", so the walk ran
+/// zero times on every engine alike; and polycc took `p` for an integer
+/// iterator and emitted `for (int t1 = a; …) … *t1`.)
+#[test]
+fn pointer_walks_match_their_indexed_twin_on_every_engine() {
+    let src = include_str!("../examples/analysis/pointer_walk.c");
+    let (poly, nopoly) = compile_pair(src);
+    for walk in [
+        "for (p = a; p < a + n; p++)",
+        "for (p = a; p <= a + n - 1; p++)",
+        "for (p = a; p != a + n; p++)",
+    ] {
+        assert!(
+            poly.text.contains(walk),
+            "{walk} must stay as written:\n{}",
+            poly.text
+        );
+    }
+    assert!(!poly.text.contains("int t1 = a"), "{}", poly.text);
+    let digest = "95515";
+    let expected = ["indexed", "lt     ", "le     ", "ne     "]
+        .map(|form| format!("{form} {digest}\n"))
+        .concat();
+    for (build, out) in [("poly", &poly), ("literal", &nopoly)] {
+        let prog = out.program();
+        for threads in [1usize, 4] {
+            // The legacy oracle has no memo cache: a hit on `sq` would
+            // skip the multiply it counts.
+            let opts = InterpOptions {
+                threads,
+                memo: false,
+                ..Default::default()
+            };
+            let cell = format!("{build}, {threads} threads");
+            let vm = prog.run(opts).unwrap_or_else(|e| panic!("{cell}: {e}"));
+            assert_eq!(vm.output, expected, "{cell}");
+            assert_eq!(vm.exit_code, 0, "{cell}");
+            for (engine, run) in [
+                ("resolved", prog.run_resolved(opts)),
+                ("legacy", prog.run_legacy(opts)),
+            ] {
+                let run = run.unwrap_or_else(|e| panic!("{cell}, {engine}: {e}"));
+                assert_eq!(run.output, expected, "{cell}, {engine}");
+                assert_eq!(
+                    run.counters.without_memo(),
+                    vm.counters.without_memo(),
+                    "{cell}, {engine}"
+                );
+            }
+        }
+    }
+}
+
 /// The fused pair in [`poly_source`] collapses into one parallel region:
 /// the literal build launches two `omp` regions where the poly build
 /// launches one (one join barrier saved), with identical output.

@@ -210,6 +210,7 @@ fn optimizer_books_balance_over_the_corpus() {
         "schedules/rowptr.c",
         "analysis/clean.c",
         "analysis/infer_pure.c",
+        "analysis/pointer_walk.c",
         "analysis/racy.c",
         "analysis/reduction.c",
         "analysis/rowptr.c",
