@@ -264,6 +264,15 @@ pub(crate) enum Op {
     BrCmpLC,
     /// `0 → _` return `frame[a]` (fused `LoadLocal` + `Ret`).
     RetLocal,
+    /// `nargs → 0` entry of the inlined leaf call `inlines[a]`: what
+    /// [`Op::CallUser`] does before the callee's first instruction —
+    /// count the call, check the call depth (with the call's span), pop
+    /// the arguments and bind them, coerced by the callee's parameters,
+    /// into the callee's frame — except that the frame is a run of this
+    /// function's own slots and the callee's body follows in this code.
+    /// Counts one `insns_fused`: the callee's `Ret`, which the inlined
+    /// body no longer dispatches.
+    InlineCall,
     /// `0 → 0` affine loop entry check (once per loop): step tick, branch
     /// count, then `frame[a & 0xFFFF] <lt|le> ub`; jumps to the loop exit
     /// at `b >> 2` when false. `ub` is `frame[a >> 16]`, or
@@ -360,6 +369,20 @@ pub(crate) struct BSpawn {
     pub(crate) coerce: Coerce,
 }
 
+/// One inlined leaf call (operand table of [`Op::InlineCall`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BInline {
+    pub(crate) fid: u32,
+    pub(crate) nargs: u32,
+    /// Where the callee's frame sits in the caller's: callee slot `s` is
+    /// caller slot `slot_base + s`.
+    pub(crate) slot_base: u32,
+    /// Inlined calls open around this one. The callee of a real call
+    /// runs one level deeper than its caller; the depth check of a call
+    /// nested in an inlined body has to ask as if that were still so.
+    pub(crate) depth: u32,
+}
+
 /// One function flattened to bytecode.
 #[derive(Clone)]
 pub(crate) struct BFunc {
@@ -377,8 +400,13 @@ pub(crate) struct BFunc {
     pub(crate) strings: Vec<Arc<str>>,
     pub(crate) regions: Vec<BRegion>,
     pub(crate) spawns: Vec<BSpawn>,
+    /// Filled by `crate::opt` only; the lowerer inlines nothing.
+    pub(crate) inlines: Vec<BInline>,
     pub(crate) errs: Vec<String>,
     pub(crate) summary: Summary,
+    /// The body is exactly one `return` statement — with
+    /// [`crate::effects::Cost::Leaf`], the shape a call is inlined on.
+    pub(crate) one_return: bool,
 }
 
 impl BFunc {
@@ -422,12 +450,20 @@ impl BytecodeProgram {
                 let zero = c.const_idx(Scalar::I(0));
                 c.emit(Op::Const, zero, 0, f.span);
                 c.emit(Op::Ret, 0, 0, f.span);
-                c.finish(
+                let mut b = c.finish(
                     prog.interner.resolve(f.name).to_string(),
                     f.params.clone(),
                     f.frame_size,
                     f.summary,
-                )
+                );
+                b.one_return = matches!(
+                    f.body.as_slice(),
+                    [RStmt {
+                        kind: RStmtKind::Return(_),
+                        ..
+                    }]
+                );
+                b
             })
             .collect();
         let mut g = FnCompiler::new(prog);
@@ -452,24 +488,47 @@ impl BytecodeProgram {
         self.funcs.iter().map(|f| f.code.len()).sum::<usize>() + self.global_code.code.len()
     }
 
+    /// How many [`Op::InlineCall`] sites name each function, by id (all
+    /// zero below optimization level 2).
+    pub(crate) fn inline_sites(&self) -> Vec<usize> {
+        let mut sites = vec![0; self.funcs.len()];
+        for ic in self.funcs.iter().flat_map(|f| &f.inlines) {
+            sites[ic.fid as usize] += 1;
+        }
+        sites
+    }
+
+    /// Names of the functions at least one call of which runs as its
+    /// body in the caller's code, in definition order.
+    pub fn inlined_functions(&self) -> Vec<&str> {
+        let sites = self.inline_sites();
+        let named = self.funcs.iter().zip(sites);
+        named
+            .filter_map(|(f, n)| (n > 0).then_some(f.name.as_str()))
+            .collect()
+    }
+
     /// Human-readable disassembly (the `purec --dump-bytecode` view). A
-    /// `+t` before the opcode marks an instruction that carries a
-    /// statement tick; the total line counts them.
+    /// function's header says what a call to it costs — `const` (its
+    /// class), `memoized` (const ∧ heavy: the memo cache is probed),
+    /// `inlined at N sites`. A `+t` before the opcode marks an
+    /// instruction that carries a statement tick; the total line counts
+    /// them.
     pub fn dump(&self) -> String {
         use std::fmt::Write;
-        fn dump_func(out: &mut String, f: &BFunc) {
-            let _ = writeln!(
-                out,
-                "fn {} (frame {}, {} insns{})",
-                f.name,
-                f.frame_size,
-                f.code.len(),
-                if f.summary.is_const() {
-                    ", cacheable"
-                } else {
-                    ""
-                }
-            );
+        let dump_func = |out: &mut String, f: &BFunc, sites: usize| {
+            let mut header = format!("frame {}, {} insns", f.frame_size, f.code.len());
+            if f.summary.is_const() {
+                header.push_str(", const");
+            }
+            if f.summary.spawn_heavy() {
+                header.push_str(", memoized");
+            }
+            if sites > 0 {
+                let plural = if sites == 1 { "" } else { "s" };
+                let _ = write!(header, ", inlined at {sites} site{plural}");
+            }
+            let _ = writeln!(out, "fn {} ({header})", f.name);
             for (pc, insn) in f.code.iter().enumerate() {
                 let note = match insn.op {
                     Op::Const | Op::ConstFold => {
@@ -487,6 +546,17 @@ impl BytecodeProgram {
                     Op::AffineHead | Op::AffineNext if insn.b & 2 != 0 => {
                         format!("  ; ub {:?}", f.consts[(insn.a >> 16) as usize])
                     }
+                    Op::InlineCall => {
+                        let ic = f.inlines[insn.a as usize];
+                        let callee = &self.funcs[ic.fid as usize];
+                        format!(
+                            "  ; {}({} args) in frame[{}..{}]",
+                            callee.name,
+                            ic.nargs,
+                            ic.slot_base,
+                            ic.slot_base as usize + callee.frame_size
+                        )
+                    }
                     _ => String::new(),
                 };
                 let _ = writeln!(
@@ -498,11 +568,11 @@ impl BytecodeProgram {
                     insn.b
                 );
             }
-        }
+        };
         let mut out = String::new();
-        dump_func(&mut out, &self.global_code);
-        for f in &self.funcs {
-            dump_func(&mut out, f);
+        dump_func(&mut out, &self.global_code, 0);
+        for (f, sites) in self.funcs.iter().zip(self.inline_sites()) {
+            dump_func(&mut out, f, sites);
         }
         let ticked = self
             .funcs
@@ -585,8 +655,10 @@ impl<'a> FnCompiler<'a> {
             strings: self.strings,
             regions: self.regions,
             spawns: self.spawns,
+            inlines: Vec::new(),
             errs: self.errs,
             summary,
+            one_return: false,
         }
     }
 

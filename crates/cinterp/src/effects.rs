@@ -53,10 +53,18 @@
 //! # Cost: leaf | heavy
 //!
 //! A function is [`Cost::Heavy`] when it contains a loop (or a parallel
-//! region), sits on a call-graph cycle, or calls a heavy function — the
-//! granularity heuristic of the spawn-site pass: straight-line leaves
-//! stay inline because a future's spawn/join overhead dwarfs them.
-//! `spawn_heavy` ≡ const ∧ heavy.
+//! region), sits on a call-graph cycle, or calls a heavy function. The
+//! cost decides what a call is worth, wherever that is asked:
+//!
+//! * **`spawn_heavy` ≡ const ∧ heavy** is the one admission predicate of
+//!   the memo cache *and* of the spawn-site pass. A mechanism pays only
+//!   where its overhead is small against the work it saves: a future's
+//!   spawn/join and a cache probe both dwarf a straight-line leaf (a hit
+//!   on the paper's one-multiply `mult` cost several times the multiply).
+//! * **Leaf** with a body of exactly one `return` is the shape the
+//!   bytecode optimizer inlines (`crate::opt`) — whatever its class,
+//!   since inlining reorders nothing. Leaf ⇒ acyclic, so the expansion
+//!   terminates.
 
 use crate::builtins::math_builtin;
 use crate::ops::Coerce;
@@ -67,7 +75,7 @@ use std::collections::HashSet;
 
 /// What the purity verifier and the lowered body together allow a caller
 /// to assume about a function (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Class {
     /// Value depends on the scalar arguments alone.
     Const,
@@ -79,7 +87,7 @@ pub enum Class {
 }
 
 /// Coarse size of a call, for granularity decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Cost {
     /// Straight-line, and so is everything it calls.
     #[default]
@@ -89,20 +97,23 @@ pub enum Cost {
 }
 
 /// The one effect-and-cost record of a function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Summary {
     pub class: Class,
     pub cost: Cost,
 }
 
 impl Summary {
-    /// Participates in pure-call memoization.
+    /// Value depends on the arguments alone: the class memoization and
+    /// futures need (whether they pay is [`Self::spawn_heavy`]).
     #[inline]
     pub fn is_const(self) -> bool {
         self.class == Class::Const
     }
 
-    /// Worth running as a future: const and coarse enough.
+    /// Worth a memo probe or a future: const, and coarse enough for the
+    /// mechanism's overhead to be small against the body it saves. The
+    /// one admission predicate of the memo cache and the spawn pass.
     #[inline]
     pub fn spawn_heavy(self) -> bool {
         self.is_const() && self.cost == Cost::Heavy

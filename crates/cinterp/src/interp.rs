@@ -127,9 +127,10 @@ pub struct InterpOptions {
     /// [`machine::STACK_SIZE`], can overflow it before the limit fires
     /// (`purec` refuses the first and provides the second).
     pub max_call_depth: Option<usize>,
-    /// Memoize calls to verified-pure, const-like functions (bytecode
-    /// and resolved engines; inert unless the program was built with a
-    /// pure set — see [`Program::with_pure_set`]).
+    /// Memoize calls to verified-pure functions that are const *and*
+    /// heavy (bytecode and resolved engines; inert unless the program was
+    /// built with a pure set — see [`Program::with_pure_set`] — and holds
+    /// such a function). `false` is `purec --no-memo`, the memo A/B.
     pub memo: bool,
     /// Execution tier for [`Program::run`] / [`Program::run_entry`].
     pub engine: Engine,
@@ -140,8 +141,9 @@ pub struct InterpOptions {
     /// inline for A/B comparison.
     pub futures: bool,
     /// Bytecode optimization level (bytecode engine only): 0 runs the
-    /// lowerer's raw output verbatim (`purec --no-opt`), 1 folds
-    /// constants, 2 (default) adds superinstruction fusion. Every level
+    /// lowerer's raw output verbatim (`purec --no-opt`, also the inlining
+    /// A/B), 1 folds constants, 2 (default) inlines one-`return` leaf
+    /// calls first and adds superinstruction and tick fusion. Every level
     /// preserves the executed-op counters and error behaviour
     /// bit-for-bit (see `cinterp::opt`).
     pub opt_level: u8,

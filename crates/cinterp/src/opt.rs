@@ -1,10 +1,27 @@
 //! Tier-3.5: the bytecode optimizer.
 //!
 //! Rewrites the flat `Vec<Insn>` arrays produced by [`crate::bytecode`]
-//! between lowering and [`crate::vm`] execution. Two passes — the two
+//! between lowering and [`crate::vm`] execution. Three passes — the ones
 //! whose removal changes the dispatch count of a benchmark workload —
 //! and, last at level 2, one rule that moves the statement tick:
 //!
+//! * **Level ≥ 2, first — leaf-call inlining.** A `CallUser` whose callee
+//!   is [`Cost::Leaf`] with a body of exactly one `return <expr>` becomes
+//!   that expression in the caller's code, transitively over such callees
+//!   up to [`MAX_INLINE_INSNS`] instructions a body (leaf ⇒ acyclic, so
+//!   it terminates). In place of the call stands [`Op::InlineCall`], which
+//!   *compensates* what the call did besides running the body: `calls +=
+//!   1`, the call-depth check (asked `depth + enclosing inlined calls`,
+//!   with the call's span — a leaf called at `--max-depth` still traps),
+//!   and the binding of the arguments, coerced by the callee's
+//!   parameters, into a run of fresh caller slots; it counts one
+//!   `insns_fused`, the callee's `Ret`. The callee's `Step` comes along,
+//!   so `steps` and the step-limit trap land where they did, and every
+//!   instruction keeps its span, so an error inside the body is the
+//!   callee's. Nothing is reordered: the pass needs shape, not purity.
+//!   It runs first so that folding and fusion see through the former
+//!   call (`LoadIdxLL, LoadIdxLL, CallUser(mult)` ends as two loads
+//!   feeding one ticked multiply). Neither oracle engine inlines.
 //! * **Level ≥ 1 — window constant folding, to a fixpoint.**
 //!   Block-local `Const`/`ConstFold` chains feeding `Binary`, unary
 //!   operators and `Coerce` collapse to one [`Op::ConstFold`] that
@@ -26,14 +43,20 @@
 //!   block's own tick before its first statement's) stays a dispatch.
 //!
 //! **Invariant:** on the same input, optimized bytecode produces the
-//! same exit code, output, error message and executed-op counters
+//! same exit code, output, error message — call-depth, step-limit and
+//! fuel traps included — and executed-op counters
 //! (`flops`/`int_ops`/`loads`/`stores`/`calls`/`branches`) as the raw
 //! bytecode — only the `insns_folded`/`insns_fused` bookkeeping (zeroed
-//! by `CounterSnapshot::without_memo`) differs. Folding never folds an
-//! operation that could fail at runtime (`Div`/`Rem` by a zero constant,
-//! bitwise on float), so error behaviour survives verbatim.
+//! by `CounterSnapshot::without_memo`) differs, and it balances: *raw
+//! dispatches = optimized dispatches + folded + fused*. Folding never
+//! folds an operation that could fail at runtime (`Div`/`Rem` by a zero
+//! constant, bitwise on float), so error behaviour survives verbatim.
+//! One quantity does move: an inlined callee's frame is part of its
+//! caller's for the caller's whole life, so the *interpreter bytes* a
+//! memory-ceiling trap reports can differ by those slots.
 
-use crate::bytecode::{binop_decode, coerce_decode, BFunc, BytecodeProgram, Insn, Op};
+use crate::bytecode::{binop_decode, coerce_decode, BFunc, BInline, BytecodeProgram, Insn, Op};
+use crate::effects::Cost;
 use crate::ops::{self, Counted};
 use crate::value::Scalar;
 use cfront::ast::BinOp;
@@ -42,17 +65,34 @@ use cfront::ast::BinOp;
 /// the code or changes no instruction, so this is a safety net).
 const MAX_ROUNDS: usize = 8;
 
+/// Longest body — callees already expanded into it — that is inlined at
+/// a call site. `stencil_avg` of the heat application is 13 instructions;
+/// past a few dozen the call's own cost (four dispatches and a frame) is
+/// small against the body's and copying it per site only grows the code.
+const MAX_INLINE_INSNS: usize = 48;
+
 // ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
 
 /// Optimize a freshly-compiled program at `level` (0 = identity,
-/// 1 = constant folding, 2 = + superinstruction fusion).
+/// 1 = constant folding, 2 = leaf-call inlining first, then folding,
+/// superinstruction and tick fusion).
 pub(crate) fn optimize_program(prog: &BytecodeProgram, level: u8) -> BytecodeProgram {
-    let mut out = prog.clone();
     if level == 0 {
-        return out;
+        return prog.clone();
     }
+    let mut out = BytecodeProgram {
+        funcs: if level >= 2 {
+            inline_leaf_calls(&prog.funcs)
+        } else {
+            prog.funcs.clone()
+        },
+        by_name: prog.by_name.clone(),
+        global_code: prog.global_code.clone(),
+        nglobals: prog.nglobals,
+        interner: prog.interner.clone(),
+    };
     for f in out
         .funcs
         .iter_mut()
@@ -75,9 +115,10 @@ fn check_targets(prog: &BytecodeProgram) -> bool {
         .chain(std::iter::once(&prog.global_code))
         .all(|f| {
             f.code.len() == f.spans.len()
-                && f.code
-                    .iter()
-                    .all(|i| jump_target(i).is_none_or(|t| t < f.code.len()))
+                && f.code.iter().all(|i| {
+                    jump_target(i).is_none_or(|t| t < f.code.len())
+                        && (i.op != Op::InlineCall || (i.a as usize) < f.inlines.len())
+                })
                 && f.regions.iter().all(|r| {
                     (r.body_start as usize) < f.code.len()
                         && f.code[r.end as usize].op == Op::RegionEnd
@@ -215,6 +256,242 @@ fn compact(f: &mut BFunc, keep: &[bool]) -> bool {
     f.code = code;
     f.spans = spans;
     true
+}
+
+// ---------------------------------------------------------------------------
+// Pass: leaf-call inlining
+// ---------------------------------------------------------------------------
+
+/// What moving an instruction out of its function — into another frame,
+/// another constant pool, another place in the code — has to rewrite.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Reloc {
+    /// Nothing: operands are immediates, global or program-wide indices.
+    Plain,
+    /// `a` indexes the constant pool.
+    Const,
+    /// `a` is a frame slot.
+    Slot,
+    /// `a` packs two frame slots.
+    SlotPair,
+    /// `a` packs a frame slot and a constant index.
+    SlotConst,
+    /// An absolute jump target ([`jump_target`]).
+    Jump,
+    /// `a` indexes the inline table.
+    Inline,
+    /// Not movable: a call that would stay a call (its depth check counts
+    /// real frames), a return, side tables the pass does not merge
+    /// (strings, messages, regions, spawns), and everything only a later
+    /// pass emits.
+    Fixed,
+}
+
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
+fn reloc_of(op: Op) -> Reloc {
+    match op {
+        Op::Step
+        | Op::LoadGlobal
+        | Op::StoreGlobal
+        | Op::StoreGlobalPop
+        | Op::Dup
+        | Op::Pop
+        | Op::PushUninit
+        | Op::UnaryNeg
+        | Op::UnaryNot
+        | Op::UnaryBitNot
+        | Op::DerefLoad
+        | Op::Binary
+        | Op::PtrIndex
+        | Op::PtrDeref
+        | Op::PtrMember
+        | Op::LoadMem
+        | Op::StoreMem
+        | Op::LoadIdxConst
+        | Op::StoreIdxConst
+        | Op::CompoundGlobal
+        | Op::CompoundMem
+        | Op::IncDecGlobal
+        | Op::IncDecMem
+        | Op::Coerce
+        | Op::BumpBranch
+        | Op::Truthy
+        | Op::CallBuiltin => Reloc::Plain,
+        Op::Const => Reloc::Const,
+        Op::LoadLocal
+        | Op::StoreLocal
+        | Op::StoreLocalPop
+        | Op::CompoundLocal
+        | Op::IncDecLocal => Reloc::Slot,
+        Op::BinLL | Op::LoadIdxLL | Op::StoreIdxLL | Op::CompoundIdxLL => Reloc::SlotPair,
+        Op::BinLC => Reloc::SlotConst,
+        Op::Jump | Op::JumpIfFalse | Op::JumpIfTrue | Op::SkipUnlessPtr => Reloc::Jump,
+        Op::InlineCall => Reloc::Inline,
+        Op::CallUser
+        | Op::Ret
+        | Op::StrNew
+        | Op::Printf
+        | Op::AllocArray
+        | Op::AllocStruct
+        | Op::OmpRegion
+        | Op::SpawnPure
+        | Op::AwaitSlot
+        | Op::RegionEnd
+        | Op::Err
+        | Op::MemberUnknownErr
+        | Op::ConstFold
+        | Op::ConstStore
+        | Op::BinLLStore
+        | Op::BinLCStore
+        | Op::LoadIdxLLStore
+        | Op::LoadIdxLC
+        | Op::StoreIdxLC
+        | Op::BrCmpLL
+        | Op::BrCmpLC
+        | Op::RetLocal
+        | Op::AffineHead
+        | Op::AffineNext => Reloc::Fixed,
+    }
+}
+
+/// The part of an (expanded) function that a call site receives in place
+/// of the call: the `Step` of its one `return` and the expression, up to
+/// but without the `Ret`. `None` when the function is not inlined: not a
+/// leaf, not one `return`, too long, or holding an instruction that
+/// cannot move — a leaf callee that stayed a call included.
+fn inline_body(f: &BFunc) -> Option<&[Insn]> {
+    if f.summary.cost != Cost::Leaf || !f.one_return {
+        return None;
+    }
+    // `Step <expr> Ret`, then the fall-off-the-end `Const 0; Ret`.
+    let body = &f.code[..f.code.len().checked_sub(3)?];
+    (f.code[body.len()].op == Op::Ret
+        && body.len() <= MAX_INLINE_INSNS
+        && body.iter().all(|i| reloc_of(i.op) != Reloc::Fixed))
+    .then_some(body)
+}
+
+/// Replace every call of a leaf whose body is one `return <expr>` by that
+/// body, transitively: [`Op::InlineCall`] (the call's count, depth check
+/// and argument binding), then the callee's code on a run of fresh
+/// caller slots. Nothing is reordered — arguments are evaluated where
+/// they were, the callee's `Step` ticks where it did, every instruction
+/// keeps its span — so the pass asks for shape, not purity.
+fn inline_leaf_calls(raw: &[BFunc]) -> Vec<BFunc> {
+    let mut done: Vec<Option<BFunc>> = vec![None; raw.len()];
+    for fid in 0..raw.len() {
+        expand(raw, &mut done, fid);
+    }
+    done.into_iter()
+        .map(|f| f.expect("expand() fills in every function it is called on"))
+        .collect()
+}
+
+/// Expand function `fid`, its inlinable callees first. Those are leaves,
+/// and a leaf calls only leaves, none of them on a cycle: the recursion
+/// is over an acyclic graph.
+fn expand(raw: &[BFunc], done: &mut [Option<BFunc>], fid: usize) {
+    if done[fid].is_some() {
+        return;
+    }
+    for insn in &raw[fid].code {
+        let callee = insn.a as usize;
+        if insn.op == Op::CallUser && raw[callee].summary.cost == Cost::Leaf {
+            expand(raw, done, callee);
+        }
+    }
+    done[fid] = Some(expand_calls(&raw[fid], done));
+}
+
+/// Copy `f`, replacing each call of an inlinable (already expanded)
+/// callee by [`Op::InlineCall`] and the callee's body.
+fn expand_calls(f: &BFunc, done: &[Option<BFunc>]) -> BFunc {
+    // Every site's callee frame starts at the caller's first free slot:
+    // two sites are live together only when one is nested in the other's
+    // body, and then the inner one sits inside the callee's own (already
+    // expanded) frame.
+    let slot_base = f.frame_size;
+    let mut out = BFunc {
+        code: Vec::with_capacity(f.code.len()),
+        spans: Vec::with_capacity(f.code.len()),
+        ..f.clone()
+    };
+    // Where each of `f`'s instructions lands, and which of the new
+    // instructions are `f`'s own (their jump targets go through `map`;
+    // a spliced body's are placed as it is copied).
+    let mut map = Vec::with_capacity(f.code.len() + 1);
+    let mut own = Vec::with_capacity(f.code.len());
+    for (pc, &insn) in f.code.iter().enumerate() {
+        map.push(out.code.len() as u32);
+        let site = (insn.op == Op::CallUser)
+            .then(|| done[insn.a as usize].as_ref())
+            .flatten()
+            .and_then(|callee| Some((callee, inline_body(callee)?)))
+            // The packed operand forms address 16-bit slots and constants.
+            .filter(|(callee, _)| {
+                slot_base + callee.frame_size <= 0x1_0000
+                    && out.consts.len() + callee.consts.len() <= 0x1_0000
+            });
+        let Some((callee, body)) = site else {
+            own.push(out.code.len());
+            out.code.push(insn);
+            out.spans.push(f.spans[pc]);
+            continue;
+        };
+        out.frame_size = out.frame_size.max(slot_base + callee.frame_size);
+        // The callee's own inlined calls come along, one level deeper.
+        let inline_base = out.inlines.len() as u32;
+        out.inlines.push(BInline {
+            fid: insn.a,
+            nargs: insn.b,
+            slot_base: slot_base as u32,
+            depth: 0,
+        });
+        out.inlines.extend(callee.inlines.iter().map(|ic| BInline {
+            slot_base: ic.slot_base + slot_base as u32,
+            depth: ic.depth + 1,
+            ..*ic
+        }));
+        out.code.push(Insn::new(Op::InlineCall, inline_base, 0));
+        out.spans.push(f.spans[pc]);
+        let body_start = out.code.len() as u32;
+        for (&insn, &span) in body.iter().zip(&callee.spans) {
+            let mut insn = insn;
+            let slot = |s: u32| s + slot_base as u32;
+            let mut constant = |c: u32| {
+                intern_const(&mut out, callee.consts[c as usize]).expect("pools hold numbers")
+            };
+            match reloc_of(insn.op) {
+                Reloc::Plain => {}
+                Reloc::Const => insn.a = constant(insn.a),
+                Reloc::Slot => insn.a = slot(insn.a),
+                Reloc::SlotPair => insn.a = slot(insn.a & 0xFFFF) | slot(insn.a >> 16) << 16,
+                Reloc::SlotConst => insn.a = slot(insn.a & 0xFFFF) | constant(insn.a >> 16) << 16,
+                Reloc::Jump => insn.a += body_start,
+                Reloc::Inline => insn.a += inline_base + 1,
+                Reloc::Fixed => unreachable!(
+                    "inline_body admitted an instruction that cannot move: {:?}",
+                    insn.op
+                ),
+            }
+            out.code.push(insn);
+            out.spans.push(span);
+        }
+    }
+    map.push(out.code.len() as u32);
+    for at in own {
+        if let Some(t) = jump_target(&out.code[at]) {
+            set_jump_target(&mut out.code[at], map[t] as usize);
+        }
+    }
+    for r in &mut out.regions {
+        r.body_start = map[r.body_start as usize];
+        r.end = map[r.end as usize];
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1076,6 +1353,273 @@ int main() {
         assert_eq!(e2.message, e0.message);
         assert_eq!(e2.span, e0.span);
         assert_eq!(e2.trap, e0.trap);
+    }
+
+    // -- leaf-call inlining --------------------------------------------------
+
+    fn func<'a>(p: &'a BytecodeProgram, name: &str) -> &'a BFunc {
+        &p.funcs[p.by_name[name] as usize]
+    }
+
+    fn ops_of(f: &BFunc, op: Op) -> usize {
+        f.code.iter().filter(|i| i.op == op).count()
+    }
+
+    /// The same trap — message, span, kind — from the raw bytecode, the
+    /// optimized bytecode and the resolved engine.
+    fn assert_same_trap(prog: &Program, o: InterpOptions) -> crate::interp::RuntimeError {
+        let at = |level| InterpOptions {
+            opt_level: level,
+            ..o
+        };
+        let e0 = prog.run(at(0)).expect_err("raw traps");
+        let e2 = prog.run(at(2)).expect_err("optimized traps");
+        let er = prog.run_resolved(o).expect_err("resolved traps");
+        for e in [&e2, &er] {
+            assert_eq!(e.message, e0.message);
+            assert_eq!(e.span, e0.span);
+            assert_eq!(e.trap, e0.trap);
+        }
+        e0
+    }
+
+    /// The paper's inner loop: `res += mult(a[i], b[i])`. The call becomes
+    /// `InlineCall` plus the callee's ticked multiply; the counters, the
+    /// step count and the books come out as the call left them.
+    #[test]
+    fn the_papers_leaf_call_is_its_body() {
+        let src = "\
+float mult(float a, float b) { return a * b; }
+float dot(float* a, float* b, int n) {
+    float res = 0.0f;
+    for (int i = 0; i < n; i++) res += mult(a[i], b[i]);
+    return res;
+}
+int main() {
+    float* a = (float*) malloc(16 * sizeof(float));
+    float* b = (float*) malloc(16 * sizeof(float));
+    for (int i = 0; i < 16; i++) { a[i] = i; b[i] = 16 - i; }
+    return (int) dot(a, b, 16) % 251;
+}
+";
+        let prog = assert_equivalent(src);
+        let raw = prog.bytecode_at(0);
+        assert_eq!(ops_of(func(&raw, "dot"), Op::CallUser), 1);
+        assert!(raw.funcs.iter().all(|f| f.inlines.is_empty()));
+        // Level 1 folds; only level 2 inlines.
+        assert_eq!(ops_of(func(&prog.bytecode_at(1), "dot"), Op::CallUser), 1);
+        let opt = prog.bytecode_at(2);
+        let dot = func(&opt, "dot");
+        assert_eq!(ops_of(dot, Op::CallUser), 0, "{}", opt.dump());
+        assert_eq!(ops_of(dot, Op::InlineCall), 1, "{}", opt.dump());
+        assert_eq!(opt.inlined_functions(), vec!["mult"]);
+        // The callee's frame is two fresh slots past the caller's own.
+        let raw_frame = func(&raw, "dot").frame_size;
+        assert_eq!(dot.frame_size, raw_frame + 2);
+        assert_eq!(dot.inlines[0].slot_base as usize, raw_frame);
+        // The callee's `Step` came along and rides on its multiply.
+        let at = dot
+            .code
+            .iter()
+            .position(|i| i.op == Op::InlineCall)
+            .unwrap();
+        assert!(dot.code[at + 1].tick && dot.code[at + 1].op == Op::BinLL);
+        assert_tick_table_matches(dot);
+        assert_eq!(steps_of(&prog, 2), steps_of(&prog, 0));
+        let r = prog.run(opts(2)).expect("runs");
+        assert_eq!(
+            min_fuel(&prog, 0) - min_fuel(&prog, 2),
+            r.counters.insns_folded + r.counters.insns_fused
+        );
+    }
+
+    /// Inlining is transitive over leaves, and the depth check of a call
+    /// nested in an inlined body asks as if the enclosing calls were open
+    /// frames: every `max_call_depth` traps (or not) on the same call.
+    #[test]
+    fn nested_leaves_inline_and_keep_their_depth() {
+        let src = "\
+int h(int x) { return x + 1; }
+int g(int x) { return h(x) * 2; }
+int f(int x, int y) { return g(x) + h(y); }
+int main() { return f(3, 4); }
+";
+        let prog = assert_equivalent(src);
+        let opt = prog.bytecode_at(2);
+        let main = main_of(&opt);
+        assert_eq!(ops_of(main, Op::CallUser), 0, "{}", opt.dump());
+        let depths: Vec<(u32, u32)> = main.inlines.iter().map(|i| (i.fid, i.depth)).collect();
+        let id = |name: &str| opt.by_name[name];
+        assert_eq!(
+            depths,
+            vec![(id("f"), 0), (id("g"), 1), (id("h"), 2), (id("h"), 1)]
+        );
+        // `g`'s frame sits after `f`'s, `h`'s after `g`'s; the second `h`
+        // reuses the slot the first `g` has left.
+        let bases: Vec<u32> = main.inlines.iter().map(|i| i.slot_base).collect();
+        assert_eq!(bases, vec![0, 2, 3, 2]);
+        assert_eq!(main.frame_size, 4);
+        assert_eq!(prog.run(opts(2)).unwrap().exit_code, 13);
+        // main is depth 0; f needs 1 open frame, g 2, h 3.
+        for cap in 1..=3 {
+            let e = assert_same_trap(
+                &prog,
+                InterpOptions {
+                    max_call_depth: Some(cap),
+                    ..Default::default()
+                },
+            );
+            assert_eq!(e.trap, Some(crate::interp::Trap::DepthLimit), "cap {cap}");
+        }
+        let o = InterpOptions {
+            max_call_depth: Some(4),
+            ..Default::default()
+        };
+        assert_eq!(prog.run(o).unwrap().exit_code, 13);
+    }
+
+    /// What is not one `return` of a leaf stays a call — and so does a
+    /// leaf that calls one, because a real call inside an inlined body
+    /// would run one frame shallower than it did.
+    #[test]
+    fn only_the_one_return_leaf_shape_is_inlined() {
+        let src = "\
+int two(int x) { int t = x * 2; return t + 1; }
+int over_two(int x) { return two(x) + 1; }
+int loops(int n) { int s = 0; for (int i = 0; i < n; i++) s += i; return s; }
+int over_loops(int n) { return loops(n) + 1; }
+int rec(int n) { return n <= 0 ? 0 : 1 + rec(n - 1); }
+int big(int x) {
+    return x+1+x+2+x+3+x+4+x+5+x+6+x+7+x+8+x+9+x+10+x+11+x+12+x+13+x+14+x+15+x+16+x+17;
+}
+int tern(int x) { return x > 2 ? x * 3 : -x; }
+int main() { return two(1) + over_two(2) + over_loops(3) + rec(4) + big(5) + tern(6) + tern(1); }
+";
+        let prog = assert_equivalent(src);
+        let opt = prog.bytecode_at(2);
+        assert_eq!(opt.inlined_functions(), vec!["tern"], "{}", opt.dump());
+        assert!(func(&opt, "big").code.len() - 3 > MAX_INLINE_INSNS);
+        // The ternary's jumps moved with it: both arms land past the body.
+        assert_eq!(ops_of(main_of(&opt), Op::CallUser), 5, "{}", opt.dump());
+    }
+
+    /// An error inside an inlined body is the callee's, at the callee's
+    /// span; the statement tick of its `return` traps with that span too.
+    #[test]
+    fn an_inlined_body_fails_where_the_callee_did() {
+        let src = "\
+int ratio(int a, int b) { return a / b; }
+int main() {
+    int s = 0;
+    for (int i = 3; i >= 0; i--) s += ratio(12, i);
+    return s;
+}
+";
+        let prog = program(src);
+        assert_eq!(prog.bytecode_at(2).inlined_functions(), vec!["ratio"]);
+        let e = assert_same_trap(&prog, InterpOptions::default());
+        assert_eq!(e.message, "integer division by zero");
+        assert_eq!(&src[e.span.start as usize..e.span.end as usize], "a / b");
+        let total = steps_of(&prog_without_trap(), 0);
+        assert_eq!(steps_of(&prog_without_trap(), 2), total);
+        for k in 0..total {
+            assert_same_trap(
+                &prog_without_trap(),
+                InterpOptions {
+                    max_steps: k,
+                    ..Default::default()
+                },
+            );
+        }
+        fn prog_without_trap() -> Program {
+            program(
+                "int ratio(int a, int b) { return a / b; }\n\
+                 int main() { int s = 0; for (int i = 3; i > 0; i--) s += ratio(12, i); return s; }",
+            )
+        }
+    }
+
+    /// Binding is the call's binding: arguments once and in order, the
+    /// parameter coercions, `Uninit` for a missing argument, extra ones
+    /// dropped, a parameter the body writes, the return coercion.
+    #[test]
+    fn inlined_arguments_bind_like_call_arguments() {
+        let src = "\
+int calls;
+int g() { calls = calls + 1; return 10 * calls; }
+int first(int a, int b) { return a; }
+int pair(int a, int b) { return a * 100 + b; }
+int lonely(int a, int b) { return a + 1; }
+int bump(int x) { return x++ + x; }
+float half(int x) { return x / 2; }
+int t(float x) { return x * 2.5f; }
+int seeded = 40;
+int from_global = 2;
+int main() {
+    int i = 1;
+    int p = pair(i++, g());
+    int f = first(i++, g());
+    printf(\"%d %d %d %d\\n\", p, f, i, calls);
+    printf(\"%d %d\\n\", lonely(4), first(1, 2, 3));
+    printf(\"%d %.2f %d\\n\", bump(5), half(7), t(1.5f));
+    return seeded + from_global;
+}
+";
+        let prog = assert_equivalent(src);
+        let opt = prog.bytecode_at(2);
+        assert_eq!(
+            opt.inlined_functions(),
+            vec!["first", "pair", "lonely", "bump", "half", "t"]
+        );
+        let r = prog.run(opts(2)).expect("runs");
+        assert_eq!(r.output, "110 2 3 2\n5 1\n11 3.00 3\n");
+        let resolved = prog.run_resolved(opts(2)).expect("runs");
+        assert_eq!(resolved.output, r.output);
+        assert_eq!(resolved.counters.without_memo(), r.counters.without_memo());
+    }
+
+    /// Global initialisers run on an empty frame: a leaf called from one
+    /// stays a call.
+    #[test]
+    fn global_initialisers_keep_their_calls() {
+        let src = "\
+int sq(int x) { return x * x; }
+int nine = sq(3);
+int main() { return nine + sq(2); }
+";
+        let prog = assert_equivalent(src);
+        let opt = prog.bytecode_at(2);
+        assert_eq!(ops_of(&opt.global_code, Op::CallUser), 1);
+        assert_eq!(ops_of(main_of(&opt), Op::InlineCall), 1);
+        assert_eq!(prog.run(opts(2)).unwrap().exit_code, 13);
+    }
+
+    /// Inside a parallel region the callee's slots are part of the frame
+    /// each iteration copies.
+    #[test]
+    fn inlined_calls_in_a_region_agree_across_threads_and_levels() {
+        let src = "\
+int mix(int a, int b) { return a * 31 + (b ^ 5); }
+int main() {
+    int* v = (int*) malloc(64 * sizeof(int));
+#pragma omp parallel for
+    for (int i = 0; i < 64; i++) v[i] = mix(i, mix(i + 1, 2));
+    int acc = 0;
+    for (int i = 0; i < 64; i++) acc += v[i] % 97;
+    return acc % 251;
+}
+";
+        let prog = program(src);
+        assert_eq!(ops_of(main_of(&prog.bytecode_at(2)), Op::InlineCall), 2);
+        let raw = prog.run(opts(0)).expect("raw runs");
+        assert_eq!(raw.exit_code, 3070 % 251);
+        for threads in [1usize, 4] {
+            let o = prog
+                .run(InterpOptions { threads, ..opts(2) })
+                .expect("optimized runs");
+            assert_eq!(o.exit_code, raw.exit_code, "threads {threads}");
+            assert_eq!(o.counters.without_memo(), raw.counters.without_memo());
+        }
     }
 
     #[test]

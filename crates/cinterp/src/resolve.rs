@@ -29,27 +29,38 @@
 //!   driver starts from pre-parsed bounds instead of re-inspecting the
 //!   AST.
 //!
-//! # Pure-call memoization
+//! # What a const call costs: three outcomes, one record
 //!
-//! On top of the resolved IR sits a bounded memo cache for calls to
-//! functions the `purec_core::purity` pass **verified** pure. This is the
-//! paper's contract made into a runtime win: per the `pure`/`c_ffi_pure`
-//! optimization rule, *consecutive calls to a pure function with equal
-//! arguments may be eliminated* — verified purity means the result
-//! depends only on the arguments, so the second evaluation can be a table
-//! lookup.
+//! Per the `pure`/`c_ffi_const` rule a call whose value depends on its
+//! arguments alone may be removed or replaced "regardless of any
+//! operations in between". Verified purity alone does not give that (a
+//! pure function may read globals and `pure` pointer parameters, which
+//! change between calls), so the licence is the **const** class of
+//! [`crate::effects::Summary`]; what is done with it is decided by the
+//! same record's cost (the memo cache and the spawn pass of every engine
+//! ask one predicate, [`crate::effects::Summary::spawn_heavy`]):
 //!
-//! Verified purity alone is *not* sufficient for whole-program
-//! memoization (a pure function may read globals and `pure` pointer
-//! parameters, which change between calls), so only functions whose
-//! [`crate::effects::Summary`] is **const** are cached — see
-//! [`crate::effects`] for the lattice and the safety argument. Hits and
-//! misses are surfaced in [`crate::value::CounterSnapshot`] as
-//! `memo_hits` / `memo_misses`.
+//! * **Leaf, one `return`** — the call is its body. The bytecode
+//!   optimizer replaces it by the callee's expression in the caller's
+//!   code (`crate::opt`, level ≥ 2; shape, not purity: a pure or impure
+//!   leaf is inlined just the same). This engine and the legacy oracle
+//!   never inline — that is what makes them oracles for it.
+//! * **Const ∧ heavy** — memoized, and spawnable as a future. The body
+//!   loops or recurses, so a cache probe is small against the work a hit
+//!   saves: the second evaluation with equal arguments is a table lookup.
+//!   Hits, misses and evictions are surfaced in
+//!   [`crate::value::CounterSnapshot`] as `memo_hits` / `memo_misses` /
+//!   `memo_evictions`; a program without such a function allocates no
+//!   cache at all.
+//! * **Everything else** — a plain call. A const leaf is *not* memoized:
+//!   a probe costs more than the one multiply of the paper's `mult`.
 //!
-//! The cache is bounded ([`MEMO_CAPACITY`] entries); once full it stops
-//! inserting (no eviction), which keeps hot entries — the recursion base
-//! cases that dominate e.g. `fib` — resident.
+//! The cache is bounded ([`MEMO_CAPACITY`] entries) and recycles: at
+//! capacity a CLOCK sweep evicts an entry that was not hit since the hand
+//! last passed it, so hot entries — the recursion base cases that
+//! dominate e.g. `fib` — stay resident and one-shot keys make room
+//! ([`crate::cache`], which also holds the key: a `Copy` value, built
+//! without allocating, compared whole on every hit).
 //!
 //! # Scoping: one deliberate divergence from the oracle
 //!
@@ -69,7 +80,7 @@
 //! exact behaviours.
 
 use crate::builtins::{call_builtin, format_printf};
-use crate::cache::ClockCache;
+use crate::cache::{ClockCache, MemoKey, MEMO_KEY_WORDS};
 use crate::effects::Summary;
 use crate::interp::{
     check_call_depth, omp_header_message, parse_omp_parallel_for, InterpOptions, RaceVerdict,
@@ -305,7 +316,8 @@ pub(crate) struct RFunc {
     pub(crate) body: Vec<RStmt>,
     pub(crate) span: Span,
     /// What a caller may assume about a call (see [`crate::effects`]):
-    /// const functions are memoized, const ∧ heavy ones spawned.
+    /// const ∧ heavy functions are memoized and spawned, one-`return`
+    /// leaves inlined by the bytecode optimizer.
     pub(crate) summary: Summary,
 }
 
@@ -348,13 +360,14 @@ impl ResolvedProgram {
             .collect()
     }
 
-    /// Names of functions that participate in pure-call memoization.
+    /// Names of the const functions — the class a call may be memoized
+    /// *on*; which of them are is [`Self::spawn_heavy_functions`].
     pub fn cacheable_functions(&self) -> Vec<&str> {
         self.functions_where(Summary::is_const)
     }
 
-    /// Functions the granularity heuristic considers worth spawning
-    /// (const ∧ loops/recurses, transitively).
+    /// Functions worth a memo probe or a future (const ∧ loops/recurses,
+    /// transitively): the one admission predicate of both.
     pub fn spawn_heavy_functions(&self) -> Vec<&str> {
         self.functions_where(Summary::spawn_heavy)
     }
@@ -1040,10 +1053,6 @@ pub fn lower_unit(
 // Memo cache
 // ---------------------------------------------------------------------------
 
-/// Hashable key for one memoized call: function id + tagged bit patterns
-/// of the (coerced) scalar arguments.
-pub(crate) type MemoKey = (u32, Vec<(u8, u64)>);
-
 pub(crate) struct MemoCache {
     map: Mutex<ClockCache<MemoKey, Scalar>>,
 }
@@ -1071,31 +1080,16 @@ impl MemoCache {
         vals: &[Scalar],
     ) -> Option<MemoKey> {
         let nkey = params.len().min(frame_size);
-        let mut keyvals = vec![Scalar::Uninit; nkey];
-        for (i, &(slot, co)) in params.iter().enumerate() {
-            if i >= vals.len() {
-                break;
-            }
+        let mut keyvals = [Scalar::Uninit; MEMO_KEY_WORDS];
+        if nkey > keyvals.len() {
+            return None;
+        }
+        for (&(slot, co), v) in params.iter().zip(vals) {
             if (slot as usize) < nkey {
-                keyvals[slot as usize] = co.apply(vals[i]);
+                keyvals[slot as usize] = co.apply(*v);
             }
         }
-        Self::key(fid, &keyvals)
-    }
-
-    pub(crate) fn key(fid: u32, frame_args: &[Scalar]) -> Option<MemoKey> {
-        let mut parts = Vec::with_capacity(frame_args.len());
-        for v in frame_args {
-            match v {
-                Scalar::I(i) => parts.push((0u8, *i as u64)),
-                Scalar::F(f) => parts.push((1u8, f.to_bits())),
-                Scalar::Uninit => parts.push((2u8, 0)),
-                // Pointers/null never appear for cacheable functions
-                // (scalar-only params), but stay conservative.
-                _ => return None,
-            }
-        }
-        Some((fid, parts))
+        MemoKey::new(fid, keyvals[..nkey].iter().copied())
     }
 
     fn get(&self, key: &MemoKey) -> Option<Scalar> {
@@ -1192,7 +1186,7 @@ pub(crate) fn run_resolved(
     entry: &str,
     opts: InterpOptions,
 ) -> RtResult<RunResult> {
-    let memo = (opts.memo && prog.summaries().any(|(_, s)| s.is_const()))
+    let memo = (opts.memo && prog.summaries().any(|(_, s)| s.spawn_heavy()))
         .then(|| Arc::new(MemoCache::new(MEMO_CAPACITY)));
     let shared = RShared {
         mem: Memory::with_limit(opts.max_memory_bytes),
@@ -1589,10 +1583,14 @@ impl<'p> RInterp<'p> {
             frame[slot as usize] = coerce.apply(*v);
         }
 
-        // Pure-call memoization: consult the cache for const functions
-        // (see `crate::effects` for the safety argument).
-        let memo_key = match (&self.s.memo, func.summary.is_const()) {
-            (Some(_), true) => MemoCache::key(fid, &frame[..func.params.len().min(frame.len())]),
+        // Pure-call memoization: consult the cache for const ∧ heavy
+        // functions (see `crate::effects` for the safety argument and
+        // the admission rule).
+        let memo_key = match (&self.s.memo, func.summary.spawn_heavy()) {
+            (Some(_), true) => {
+                let nkey = func.params.len().min(frame.len());
+                MemoKey::new(fid, frame[..nkey].iter().copied())
+            }
             _ => None,
         };
         if let (Some(cache), Some(key)) = (&self.s.memo, &memo_key) {
@@ -1802,18 +1800,17 @@ impl<'p> RInterp<'p> {
         }
         let func = &self.prog.funcs[sp.fid as usize];
         // Memo pre-check: a hit never spawns (mirrors `call_user`'s hit
-        // path via the shared key builder).
+        // path via the shared key builder; a spawn site's callee is const
+        // ∧ heavy by construction, which is the memo's admission rule).
+        debug_assert!(func.summary.spawn_heavy());
         if let Some(cache) = &self.s.memo {
-            if func.summary.is_const() {
-                if let Some(key) =
-                    MemoCache::key_for_call(&func.params, func.frame_size, sp.fid, &vals)
-                {
-                    if let Some(v) = cache.get(&key) {
-                        Counters::bump(&self.s.counters.calls);
-                        Counters::bump(&self.s.counters.memo_hits);
-                        self.store_slot(sp.slot, sp.coerce.apply(v));
-                        return Ok(());
-                    }
+            if let Some(key) = MemoCache::key_for_call(&func.params, func.frame_size, sp.fid, &vals)
+            {
+                if let Some(v) = cache.get(&key) {
+                    Counters::bump(&self.s.counters.calls);
+                    Counters::bump(&self.s.counters.memo_hits);
+                    self.store_slot(sp.slot, sp.coerce.apply(v));
+                    return Ok(());
                 }
             }
         }

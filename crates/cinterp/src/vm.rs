@@ -48,12 +48,12 @@ use crate::builtins::{call_builtin, format_printf};
 use crate::bytecode::{
     binop_decode, coerce_decode, BFunc, BRegion, BSpawn, BytecodeProgram, Insn, Op,
 };
-use crate::cache::ClockCache;
+use crate::cache::{ClockCache, MemoKey, MemoMap};
 use crate::interp::{
     check_call_depth, next_fuel_block, InterpOptions, RunResult, RuntimeError, Trap,
 };
 use crate::ops::{self, Coerce, Counted};
-use crate::resolve::{MemoCache, MemoKey, MEMO_CAPACITY};
+use crate::resolve::{MemoCache, MEMO_CAPACITY};
 use crate::value::{
     Counters, FuelBudget, GlobalTable, Memory, Packed, Ptr, RaceAccumulator, Scalar, SpillPool,
     Tally, TrackSets,
@@ -64,7 +64,6 @@ use cfront::span::Span;
 use machine::omprt::instrument;
 use machine::{global_pool, parallel_for_state_pooled, PureFuture, ThreadPool};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -165,19 +164,19 @@ pub(crate) const SHARD_CAPACITY: usize = MEMO_CAPACITY / 4;
 /// worker's shard; entering a region freezes the parent's merged view
 /// for the children.
 pub(crate) struct MemoShard {
-    frozen: Arc<HashMap<MemoKey, Scalar>>,
+    frozen: Arc<MemoMap<MemoKey, Scalar>>,
     local: ClockCache<MemoKey, Scalar>,
 }
 
 impl MemoShard {
     fn new() -> Self {
         MemoShard {
-            frozen: Arc::new(HashMap::new()),
+            frozen: Arc::new(MemoMap::default()),
             local: ClockCache::new(SHARD_CAPACITY),
         }
     }
 
-    fn with_frozen(frozen: Arc<HashMap<MemoKey, Scalar>>) -> Self {
+    fn with_frozen(frozen: Arc<MemoMap<MemoKey, Scalar>>) -> Self {
         MemoShard {
             frozen,
             local: ClockCache::new(SHARD_CAPACITY),
@@ -204,7 +203,7 @@ impl MemoShard {
     /// The local shard's resident entries, cloned out for a region-join
     /// or future-join merge into another shard.
     fn local_entries(&self) -> Vec<(MemoKey, Scalar)> {
-        self.local.iter().map(|(k, v)| (k.clone(), *v)).collect()
+        self.local.iter().map(|(k, v)| (*k, *v)).collect()
     }
 
     /// Merged read-only snapshot handed to parallel children (region
@@ -217,14 +216,14 @@ impl MemoShard {
     /// counts). Amortized, each entry is cloned O(1) times. The frozen
     /// map is capped at [`MEMO_CAPACITY`]: promotion past the cap drops
     /// the excess (best-effort, like sibling-shard invisibility).
-    fn freeze(&mut self) -> Arc<HashMap<MemoKey, Scalar>> {
+    fn freeze(&mut self) -> Arc<MemoMap<MemoKey, Scalar>> {
         if self.local.len() * 4 > self.frozen.len() + 64 {
             let mut merged = (*self.frozen).clone();
             for (k, v) in self.local.iter() {
                 if merged.len() >= MEMO_CAPACITY {
                     break;
                 }
-                merged.insert(k.clone(), *v);
+                merged.insert(*k, *v);
             }
             self.frozen = Arc::new(merged);
             self.local = ClockCache::new(SHARD_CAPACITY);
@@ -368,7 +367,7 @@ struct VmFutureOut {
 fn run_future_task(
     prog: Arc<BytecodeProgram>,
     shared: VmShared,
-    frozen: Option<Arc<HashMap<MemoKey, Scalar>>>,
+    frozen: Option<Arc<MemoMap<MemoKey, Scalar>>>,
     fid: u32,
     args: Vec<Scalar>,
     depth: usize,
@@ -410,7 +409,8 @@ pub(crate) fn run_vm(
         opts,
     };
     let mut vm = Vm::new(prog, shared.clone());
-    vm.memo = (opts.memo && prog.funcs.iter().any(|f| f.summary.is_const())).then(MemoShard::new);
+    vm.memo =
+        (opts.memo && prog.funcs.iter().any(|f| f.summary.spawn_heavy())).then(MemoShard::new);
 
     // Global initialisers run on an empty frame.
     vm.exec(&prog.global_code, 0, 0)?;
@@ -501,7 +501,7 @@ impl<'p> Vm<'p> {
     fn new_child(
         prog: &'p Arc<BytecodeProgram>,
         s: VmShared,
-        frozen: Option<Arc<HashMap<MemoKey, Scalar>>>,
+        frozen: Option<Arc<MemoMap<MemoKey, Scalar>>>,
         spill_prefix: &[Scalar],
     ) -> Self {
         let mut vm = Vm::new(prog, s);
@@ -855,14 +855,14 @@ impl<'p> Vm<'p> {
         }
         self.stack.truncate(argbase);
 
-        // Pure-call memoization against this worker's shard.
-        let memo_key = if func.summary.is_const() && self.memo.is_some() {
+        // Pure-call memoization against this worker's shard: const ∧
+        // heavy callees only (a probe costs more than a leaf's body), the
+        // key built in place from the bound parameter slots.
+        let memo_key = if func.summary.spawn_heavy() && self.memo.is_some() {
             let nkey = func.params.len().min(func.frame_size);
-            let mut scalars = Vec::with_capacity(nkey);
-            for v in &self.arena[fbase..fbase + nkey] {
-                scalars.push(v.unpack(&self.spill));
-            }
-            MemoCache::key(fid, &scalars)
+            let spill = &self.spill;
+            let bound = self.arena[fbase..fbase + nkey].iter();
+            MemoKey::new(fid, bound.map(|v| v.unpack(spill)))
         } else {
             None
         };
@@ -892,6 +892,34 @@ impl<'p> Vm<'p> {
             }
         }
         self.stack.push(result);
+        Ok(())
+    }
+
+    /// Entry of an inlined leaf call ([`Op::InlineCall`]): everything
+    /// [`Self::call_user`] does before the callee's first instruction,
+    /// with the callee's frame a run of the caller's own slots — the call
+    /// is counted, the depth checked as if the enclosing inlined calls
+    /// were open frames, the arguments popped and bound through the
+    /// callee's parameter coercions, every other callee slot reset to
+    /// what a fresh frame holds. One call away from the dispatch loop: its
+    /// locals would otherwise widen every `exec` frame.
+    #[inline(never)]
+    fn enter_inlined(&mut self, f: &BFunc, base: usize, pc: usize) -> RtResult<()> {
+        let ic = &f.inlines[f.code[pc].a as usize];
+        self.tally.calls += 1;
+        self.tally.insns_fused += 1;
+        check_call_depth(&self.s.opts, self.depth + ic.depth as usize, f.spans[pc])?;
+        let prog: &'p BytecodeProgram = self.prog;
+        let callee = &prog.funcs[ic.fid as usize];
+        let fbase = base + ic.slot_base as usize;
+        let argbase = self.stack.len() - ic.nargs as usize;
+        // A fresh frame reads `Uninit` wherever no argument lands.
+        self.arena[fbase..fbase + callee.frame_size].fill(Packed::UNINIT);
+        for (&(slot, co), i) in callee.params.iter().zip(argbase..self.stack.len()) {
+            let v = self.coerce_packed(co, self.stack[i]);
+            self.arena[fbase + slot as usize] = v;
+        }
+        self.stack.truncate(argbase);
         Ok(())
     }
 
@@ -964,18 +992,18 @@ impl<'p> Vm<'p> {
         self.stack.truncate(argbase);
         let func = &self.prog.funcs[sp.fid as usize];
         // Memo pre-check: a hit never spawns (mirrors `call_user`'s hit
-        // path via the shared key builder).
-        if func.summary.is_const() && self.memo.is_some() {
-            if let Some(key) = MemoCache::key_for_call(&func.params, func.frame_size, sp.fid, &args)
-            {
-                if let Some(v) = self.memo.as_mut().and_then(|m| m.get(&key)) {
-                    self.tally.calls += 1;
-                    self.tally.memo_hits += 1;
-                    self.probe_memo_hit();
-                    let pv = self.pack(sp.coerce.apply(v));
-                    self.arena[abs] = pv;
-                    return Ok(());
-                }
+        // path via the shared key builder; a spawn site's callee is const
+        // ∧ heavy by construction, which is the memo's admission rule).
+        debug_assert!(func.summary.spawn_heavy());
+        if let Some(shard) = &mut self.memo {
+            let key = MemoCache::key_for_call(&func.params, func.frame_size, sp.fid, &args);
+            if let Some(v) = key.and_then(|key| shard.get(&key)) {
+                self.tally.calls += 1;
+                self.tally.memo_hits += 1;
+                self.probe_memo_hit();
+                let pv = self.pack(sp.coerce.apply(v));
+                self.arena[abs] = pv;
+                return Ok(());
             }
         }
         let frozen = self.memo.as_mut().map(|m| m.freeze());
@@ -1449,6 +1477,9 @@ impl<'p> Vm<'p> {
                         continue;
                     }
                 }
+                // Emitted only by `crate::opt`'s inliner; last, so the arms
+                // above sit where they sat before it existed.
+                Op::InlineCall => self.enter_inlined(f, base, pc)?,
                 _ => {
                     pc = self.exec_rare(f, base, pc, insn)?;
                     insn = f.code[pc];
@@ -1890,6 +1921,66 @@ mod tests {
         assert!(!r.diags.has_errors(), "{}", r.diags.render_all(src));
         let set: HashSet<String> = pure_fns.iter().map(|s| s.to_string()).collect();
         Program::with_pure_set(&r.unit, &set)
+    }
+
+    /// A fixed key sequence through one shard life cycle — a hot set, a
+    /// `freeze`, twice the shard capacity of cold keys on the child, one
+    /// `absorb`, then the hot set and both ends of the cold range again —
+    /// with its hits, misses and evictions written down from the build
+    /// whose key was `(u32, Vec<(u8, u64)>)` under SipHash: CLOCK, the
+    /// capacities, `freeze`'s promotion rule and `absorb`'s or-insert
+    /// rule decide them; the key representation and the hasher must not.
+    #[test]
+    fn memo_counts_of_a_fixed_key_sequence_are_pinned() {
+        use super::{MemoKey, MemoShard, SHARD_CAPACITY};
+        use crate::value::Scalar;
+        #[derive(Default)]
+        struct Counts {
+            hits: u64,
+            misses: u64,
+            evictions: u64,
+        }
+        impl Counts {
+            fn probe(&mut self, shard: &mut MemoShard, k: i64) {
+                let args = [Scalar::I(k), Scalar::F(k as f64 / 2.0)];
+                let key = MemoKey::new(7, args.into_iter()).expect("scalar arguments");
+                match shard.get(&key) {
+                    Some(v) => {
+                        assert_eq!(v, Scalar::I(k * 3), "a hit returns its own key's value");
+                        self.hits += 1;
+                    }
+                    None => {
+                        self.misses += 1;
+                        self.evictions += u64::from(shard.insert(key, Scalar::I(k * 3)));
+                    }
+                }
+            }
+        }
+        const HOT: i64 = 256;
+        let cold = 2 * SHARD_CAPACITY as i64;
+        let mut c = Counts::default();
+        let mut parent = MemoShard::new();
+        for _ in 0..3 {
+            for k in 0..HOT {
+                c.probe(&mut parent, k);
+            }
+        }
+        let mut child = MemoShard::with_frozen(parent.freeze());
+        for k in 0..cold {
+            c.probe(&mut child, 1_000_000 + k);
+            if k % 8 == 0 {
+                c.probe(&mut child, k % HOT);
+            }
+        }
+        c.evictions += parent.absorb(child.local_entries());
+        for k in 0..HOT {
+            c.probe(&mut parent, k);
+        }
+        for k in (cold - 64..cold).chain(0..64) {
+            c.probe(&mut parent, 1_000_000 + k);
+        }
+        // As counted at 1d30a2c.
+        assert_eq!((c.hits, c.misses, c.evictions), (4928, 33088, 16448));
     }
 
     /// Wide ints stay ints: once `varaccess`'s recurrences pass ±2⁴⁷

@@ -415,9 +415,8 @@ fn cli() {
                 if dump_bytecode {
                     eprint!("{}", program.bytecode_at(opt_level).dump());
                 }
-                program
-                    .run(interp)
-                    .map(|result| (out, result))
+                let run = program.run(interp);
+                run.map(|result| (out, program, result))
                     .map_err(purec::chain::ChainError::Runtime)
             });
         // Switch the probes off and export before deciding the exit
@@ -430,11 +429,18 @@ fn cli() {
             }
         }
         match outcome {
-            Ok((out, result)) => {
+            Ok((out, program, result)) => {
                 print!("{}", result.output);
-                let program = out.program();
+                // What the `Program` that ran decided: summaries and spawn
+                // sites from its lowered form, inlined calls from the
+                // bytecode it executed (the oracle engine inlines nothing).
                 let resolved = program.resolved();
                 let spawn_sites: usize = resolved.spawn_sites().iter().map(|(_, n)| n).sum();
+                let executed = match engine {
+                    cinterp::Engine::Bytecode => program.bytecode_at(opt_level),
+                    cinterp::Engine::Resolved => program.bytecode_at(0),
+                };
+                let inlined = executed.inlined_functions();
                 if dump_schedule {
                     for line in &out.schedules {
                         eprintln!("purec: {line}");
@@ -442,7 +448,8 @@ fn cli() {
                 }
                 if stats {
                     eprintln!(
-                        "purec: {}; spawn sites {}; const {:?}; heavy {:?}; exit {}; \
+                        "purec: {}; spawn sites {}; const {:?}; heavy {:?}; memoized {:?}; \
+                         inlined {:?}; exit {}; \
                          ops {{flops: {}, int_ops: {}, loads: {}, stores: {}, calls: {}, \
                          branches: {}}}; \
                          memo {{hits: {}, misses: {}, evictions: {}}}; \
@@ -454,6 +461,8 @@ fn cli() {
                         spawn_sites,
                         resolved.functions_where(|s| s.class == cinterp::Class::Const),
                         resolved.functions_where(|s| s.cost == cinterp::Cost::Heavy),
+                        resolved.spawn_heavy_functions(),
+                        inlined,
                         result.exit_code,
                         result.counters.flops,
                         result.counters.int_ops,
@@ -515,15 +524,23 @@ fn cli() {
                         .map(|(key, _, value)| (key.to_string(), n(value as u64)))
                         .collect();
                     chain.push(("spawn_sites".to_string(), n(spawn_sites as u64)));
-                    // The same summaries the const and heavy sets of
-                    // `--stats` are filtered from.
+                    // The same summaries and the same inlined set the
+                    // lists of `--stats` are filtered from.
                     let functions = resolved
                         .summaries()
                         .map(|(name, s)| {
                             let word = |v: String| serde_json::Value::Str(v.to_lowercase());
+                            let call = if inlined.contains(&name) {
+                                "inlined"
+                            } else if s.spawn_heavy() {
+                                "memoized"
+                            } else {
+                                "plain"
+                            };
                             let fields = vec![
                                 ("class".to_string(), word(format!("{:?}", s.class))),
                                 ("cost".to_string(), word(format!("{:?}", s.cost))),
+                                ("call".to_string(), word(call.to_string())),
                             ];
                             (name.to_string(), serde_json::Value::Object(fields))
                         })

@@ -293,8 +293,9 @@ fn use_after_free_still_exits_1() {
 /// The chain's counts are rendered from one table: the compile-only
 /// `--stats` line, the `--run --stats` line and the `chain` object of
 /// `--stats-json` carry the same fields with the same values. So are the
-/// effect summaries: the `const` / `heavy` sets of the run line and the
-/// `functions` object of `--stats-json`.
+/// effect summaries and what they decide: the `const` / `heavy` /
+/// `memoized` / `inlined` sets of the run line and the `functions` object
+/// of `--stats-json`.
 #[test]
 fn stats_lines_and_stats_json_agree_on_the_chain_fields() {
     let json_path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("heat_stats.json");
@@ -367,10 +368,15 @@ fn stats_lines_and_stats_json_agree_on_the_chain_fields() {
         list[..list.find(']').expect("a list")].to_string()
     };
     let (konst, heavy) = (set("; spawn sites 4; const ["), set("; heavy ["));
+    let (memoized, inlined) = (set("; memoized ["), set("; inlined ["));
     assert_eq!(
         konst,
         r#""twice", "tri", "fib", "is_even", "is_odd", "wrap""#
     );
+    // Memoized is const ∧ heavy; inlining asks for shape, not purity:
+    // the const leaf and the three pure-not-const one-`return` leaves.
+    assert_eq!(memoized, r#""tri", "fib", "is_even", "is_odd", "wrap""#);
+    assert_eq!(inlined, r#""twice", "scaled", "first", "via_scaled""#);
     let text = std::fs::read_to_string(&json_path).expect("--stats-json wrote a file");
     let root: serde_json::Value = serde_json::from_str(&text).expect("stats JSON parses");
     let functions = root
@@ -389,6 +395,161 @@ fn stats_lines_and_stats_json_agree_on_the_chain_fields() {
         assert_eq!(field("class") == "const", konst.contains(&quoted), "{name}");
         assert_eq!(field("cost") == "heavy", heavy.contains(&quoted), "{name}");
         assert!(["const", "pure", "impure"].contains(&field("class").as_str()));
+        let call = match (inlined.contains(&quoted), memoized.contains(&quoted)) {
+            (true, false) => "inlined",
+            (false, true) => "memoized",
+            (false, false) => "plain",
+            (true, true) => panic!("{name}: a heavy function is never inlined"),
+        };
+        assert_eq!(field("call"), call, "{name}");
+    }
+    // Neither oracle inlines: the resolved engine's line says so.
+    let ran = stderr(&purec(&[
+        &example("effects.c"),
+        "--run",
+        "--stats",
+        "--engine",
+        "resolved",
+    ]));
+    assert!(ran.contains("; inlined []; exit 45; "), "{ran}");
+}
+
+/// An inlined leaf call traps where the call did, says what the call said
+/// and costs the counters what the call cost — on the default bytecode,
+/// on `--no-opt` (which inlines nothing) and on the resolved engine, at 1
+/// and 4 threads.
+#[test]
+fn an_inlined_call_traps_and_prints_like_the_call() {
+    // Every configuration of one program agrees on exit code, stdout and
+    // the `purec:` error line; returns them.
+    let agree = |name: &str, source: &str, extra: &[&str]| -> (Option<i32>, String, String) {
+        let src = source_path(name, source);
+        let mut seen: Option<(Option<i32>, String, String)> = None;
+        for config in [&[][..], &["--no-opt"], &["--engine", "resolved"]] {
+            for threads in ["1", "4"] {
+                let mut args = vec![src.as_str(), "--run", "--threads", threads];
+                args.extend_from_slice(config);
+                args.extend_from_slice(extra);
+                let out = purec(&args);
+                let error = stderr(&out).lines().next().unwrap_or("").to_string();
+                let got = (
+                    out.status.code(),
+                    String::from_utf8_lossy(&out.stdout).into_owned(),
+                    error,
+                );
+                match &seen {
+                    None => seen = Some(got),
+                    Some(first) => assert_eq!(&got, first, "{name} {args:?}"),
+                }
+            }
+        }
+        seen.expect("six runs")
+    };
+
+    // A leaf called exactly at the depth cap: `down(5)` opens six frames
+    // under `main`'s, and `sq` is called from the deepest.
+    let deep = "pure int sq(int x) { return x * x; }\n\
+                int down(int n) { if (n == 0) return sq(3); return down(n - 1); }\n\
+                int main() { printf(\"%d\\n\", down(5)); return 0; }\n";
+    let (code, out, err) = agree("inline_depth7.c", deep, &["--max-depth", "7"]);
+    assert_eq!((code, out.as_str()), (Some(99), ""), "{err}");
+    assert!(err.contains("call depth limit exceeded (7)"), "{err}");
+    let (code, out, _) = agree("inline_depth8.c", deep, &["--max-depth", "8"]);
+    assert_eq!((code, out.as_str()), (Some(0), "9\n"));
+    let dump = stderr(&purec(&[
+        &source_path("inline_depth_dump.c", deep),
+        "--run",
+        "--dump-bytecode",
+    ]));
+    assert!(
+        dump.contains("fn sq (frame 1, 4 insns, const, inlined at 1 site)"),
+        "{dump}"
+    );
+
+    // A division by zero inside the inlined body is the callee's error,
+    // at the callee's span.
+    let (code, _, err) = agree(
+        "inline_div0.c",
+        "int ratio(int a, int b) { return a / b; }\n\
+         int main() { int z = 0; return ratio(7, z); }\n",
+        &[],
+    );
+    assert_eq!(code, Some(1));
+    assert!(err.contains("integer division by zero"), "{err}");
+
+    // Arguments are evaluated once, left to right, also when the callee
+    // ignores one; a missing argument reads as uninitialized, exactly as
+    // the call read it; parameters and the return value coerce.
+    let (code, out, _) = agree(
+        "inline_args.c",
+        "int calls;\n\
+         int g() { calls = calls + 1; return 10 * calls; }\n\
+         int first(int a, int b) { return a; }\n\
+         int pair(int a, int b) { return a * 100 + b; }\n\
+         int lonely(int a, int b) { return a + 1; }\n\
+         float half(int x) { return x / 2; }\n\
+         int t(float x) { return x * 2.5f; }\n\
+         int main() {\n\
+             int i = 1;\n\
+             int p = pair(i++, g());\n\
+             int f = first(i++, g());\n\
+             printf(\"%d %d %d %d\\n\", p, f, i, calls);\n\
+             printf(\"%d\\n\", lonely(4));\n\
+             printf(\"%.2f %d\\n\", half(7), t(1.5f));\n\
+             return 0;\n\
+         }\n",
+        &[],
+    );
+    assert_eq!(code, Some(0));
+    assert_eq!(out, "110 2 3 2\n5\n3.00 3\n");
+
+    // Inside a parallel loop the callee's slots live in the frame every
+    // iteration copies: same output at 1 and 4 threads.
+    let (code, out, _) = agree(
+        "inline_region.c",
+        "pure int mix(int a, int b) { return a * 31 + (b ^ 5); }\n\
+         int main() {\n\
+             int* v = (int*) malloc(64 * sizeof(int));\n\
+         #pragma omp parallel for\n\
+             for (int i = 0; i < 64; i++) v[i] = mix(i, mix(i + 1, 2));\n\
+             int acc = 0;\n\
+             for (int i = 0; i < 64; i++) acc += v[i] % 97;\n\
+             printf(\"acc=%d\\n\", acc);\n\
+             return 0;\n\
+         }\n",
+        &[],
+    );
+    assert_eq!((code, out.as_str()), (Some(0), "acc=3070\n"));
+}
+
+/// `--fuel` is exact on one thread: one unit short of what a run with
+/// inlined calls burns exits 97 — on both bytecode levels, each against
+/// its own count.
+#[test]
+fn fuel_one_short_of_an_inlined_run_exits_97() {
+    let src = source_path(
+        "inline_fuel.c",
+        "pure int sq(int x) { return x * x; }\n\
+         int main() { int s = 0; for (int i = 0; i < 50; i++) s += sq(i); return s % 100; }\n",
+    );
+    for level in [&[][..], &["--no-opt"]] {
+        let run = |fuel: u64| {
+            let fuel = fuel.to_string();
+            let mut args = vec![src.as_str(), "--run", "--fuel", &fuel];
+            args.extend_from_slice(level);
+            purec(&args).status.code()
+        };
+        let (mut lo, mut hi) = (0u64, 10_000u64);
+        assert_eq!(run(hi), Some(25), "{level:?}");
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if run(mid) == Some(25) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        assert_eq!(run(lo - 1), Some(97), "{level:?} fuel {}", lo - 1);
     }
 }
 

@@ -354,6 +354,194 @@ fn wide_value_source(d: i64, neg: bool, n: usize, sh: u32, inc: i64, sched: usiz
     )
 }
 
+/// A seeded program of single-`return` leaf functions three levels deep
+/// (the inliner's whole input language): 1–6 parameters each — `int`,
+/// `float`, `int*`, `float*` — read zero to a few times, int/float
+/// mixes with casts, a ternary, nested leaf calls, now and then a `/`
+/// whose divisor can be zero; called from a sequential and from a
+/// parallel loop. (No call is an argument short: the legacy oracle binds
+/// parameters by name and calls that an unknown variable — `opt.rs` and
+/// `tests/cli.rs` compare that case on the engines that agree on it.) The seed only picks shapes: every
+/// program terminates, and the only runtime error it can raise is a
+/// division by zero.
+fn leaf_program(seed: u64) -> String {
+    struct Gen(u64);
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+    #[derive(Clone, Copy, PartialEq)]
+    enum Ty {
+        Int,
+        Float,
+        IntPtr,
+        FloatPtr,
+    }
+    impl Ty {
+        fn c(self) -> &'static str {
+            match self {
+                Ty::Int => "int",
+                Ty::Float => "float",
+                Ty::IntPtr => "int*",
+                Ty::FloatPtr => "float*",
+            }
+        }
+    }
+    struct Leaf {
+        name: String,
+        ret: Ty,
+        params: Vec<Ty>,
+    }
+    /// An expression over the parameters `scope` (named `a0`, `a1`, …) and
+    /// calls to `callees`.
+    fn expr(g: &mut Gen, scope: &[Ty], callees: &[Leaf], depth: u32) -> String {
+        let scalar = |g: &mut Gen| -> String {
+            let k = g.below(scope.len() as u64) as usize;
+            match (scope[k], g.below(3)) {
+                (Ty::Int | Ty::Float, 0 | 1) => format!("a{k}"),
+                (Ty::IntPtr | Ty::FloatPtr, 0 | 1) => format!("a{k}[{}]", g.below(4)),
+                (_, _) if g.below(2) == 0 => format!("{}", g.below(9)),
+                _ => format!("{}.5f", g.below(4)),
+            }
+        };
+        if depth == 0 {
+            return scalar(g);
+        }
+        match g.below(12) {
+            0..=4 => {
+                let op = ["+", "-", "*", "+", "<"][g.below(5) as usize];
+                let (l, r) = (
+                    expr(g, scope, callees, depth - 1),
+                    expr(g, scope, callees, depth - 1),
+                );
+                format!("({l} {op} {r})")
+            }
+            5 => {
+                let (l, r) = (expr(g, scope, callees, depth - 1), scalar(g));
+                format!("({l} / ({r} - {}))", g.below(3))
+            }
+            6 => {
+                let c = expr(g, scope, callees, depth - 1);
+                let (t, e) = (expr(g, scope, callees, depth - 1), scalar(g));
+                format!("({c} ? {t} : {e})")
+            }
+            7 => {
+                let cast = ["(int)", "(float)", "-"][g.below(3) as usize];
+                format!("({cast} {})", expr(g, scope, callees, depth - 1))
+            }
+            8..=10 if !callees.is_empty() => {
+                let f = &callees[g.below(callees.len() as u64) as usize];
+                let mut args = Vec::new();
+                for &want in &f.params {
+                    let arg = match want {
+                        Ty::Int | Ty::Float => expr(g, scope, callees, depth - 1),
+                        // A pointer of the right type from the scope, or
+                        // the call is not made.
+                        ptr => match scope.iter().position(|&t| t == ptr) {
+                            Some(k) => format!("a{k}"),
+                            None => return scalar(g),
+                        },
+                    };
+                    args.push(arg);
+                }
+                format!("{}({})", f.name, args.join(", "))
+            }
+            _ => scalar(g),
+        }
+    }
+    let mut g = Gen(seed);
+    let mut out = String::new();
+    let mut leaves: Vec<Leaf> = Vec::new();
+    for level in 0..3 {
+        let first = leaves.len();
+        for k in 0..2 {
+            let nparams = 1 + g.below(6) as usize;
+            let params: Vec<Ty> = (0..nparams)
+                .map(|_| {
+                    [
+                        Ty::Int,
+                        Ty::Int,
+                        Ty::Float,
+                        Ty::Float,
+                        Ty::IntPtr,
+                        Ty::FloatPtr,
+                    ][g.below(6) as usize]
+                })
+                .collect();
+            let ret = if g.below(2) == 0 { Ty::Int } else { Ty::Float };
+            // A level calls the levels below it: nesting two deep.
+            let body = expr(&mut g, &params, &leaves[..first], 3);
+            let name = format!("l{level}_{k}");
+            let sig: Vec<String> = params
+                .iter()
+                .enumerate()
+                .map(|(i, t)| format!("{} a{i}", t.c()))
+                .collect();
+            out.push_str(&format!(
+                "{} {name}({}) {{ return {body}; }}\n",
+                ret.c(),
+                sig.join(", ")
+            ));
+            leaves.push(Leaf { name, ret, params });
+        }
+    }
+    // `main` sees `i`, `ia[i % 8]`, `fa[i % 8]`, `ia` and `fa`.
+    let call = |g: &mut Gen, f: &Leaf| -> String {
+        let args: Vec<String> = f
+            .params
+            .iter()
+            .map(|t| match (t, g.below(2)) {
+                (Ty::Int, 0) => "i".to_string(),
+                (Ty::Int, _) => "ia[i % 8]".to_string(),
+                (Ty::Float, 0) => "fa[i % 8]".to_string(),
+                (Ty::Float, _) => format!("i * 0.25f + {}", g.below(3)),
+                (Ty::IntPtr, _) => "ia".to_string(),
+                (Ty::FloatPtr, _) => "fa".to_string(),
+            })
+            .collect();
+        let cast = if f.ret == Ty::Float { "(int) " } else { "" };
+        format!("{cast}{}({})", f.name, args.join(", "))
+    };
+    let n = 6 + g.below(20);
+    let seq: Vec<String> = (0..3)
+        .map(|_| {
+            let f = &leaves[g.below(6) as usize];
+            call(&mut g, f)
+        })
+        .collect();
+    let par: Vec<String> = (0..2)
+        .map(|_| {
+            let f = &leaves[2 + g.below(4) as usize];
+            call(&mut g, f)
+        })
+        .collect();
+    out.push_str(&format!(
+        "int main() {{\n\
+             int* ia = (int*) malloc(8 * sizeof(int));\n\
+             float* fa = (float*) malloc(8 * sizeof(float));\n\
+             for (int i = 0; i < 8; i++) {{ ia[i] = i * 3 - 4; fa[i] = i * 0.5f + 1.0f; }}\n\
+             int acc = 0;\n\
+             for (int i = 0; i < {n}; i++) acc += ({}) % 1000 + ({}) % 7 - ({}) % 3;\n\
+             int* out = (int*) malloc({n} * sizeof(int));\n\
+         #pragma omp parallel for schedule(dynamic,2)\n\
+             for (int i = 0; i < {n}; i++) out[i] = ({}) % 1000 + ({}) % 5;\n\
+             for (int i = 0; i < {n}; i++) acc += out[i];\n\
+             printf(\"acc=%d\\n\", acc);\n\
+             return (acc % 100 + 100) % 100;\n\
+         }}\n",
+        seq[0], seq[1], seq[2], par[0], par[1]
+    ));
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -843,6 +1031,71 @@ proptest! {
                 .expect("inferred memoized VM runs");
             prop_assert_eq!(memo.exit_code, base.exit_code, "threads={}", threads);
             prop_assert_eq!(&memo.output, &base.output, "threads={}", threads);
+        }
+    }
+
+    /// Generated leaves through the differential class, memo **on**: the
+    /// default bytecode (every called leaf inlined), the raw bytecode and
+    /// both oracles (which inline nothing) agree on exit code, output,
+    /// error text and executed-op counters, at 1 and 4 threads. A leaf is
+    /// never memoized, so — no function here being const ∧ heavy — no
+    /// engine probes the cache and the "modulo cache hits" caveat is not
+    /// needed: the counters are compared whole.
+    #[test]
+    fn generated_leaves_match_across_levels_and_oracles(seed in any::<u64>()) {
+        let src = leaf_program(seed);
+        let parsed = parse(&src);
+        prop_assert!(!parsed.diags.has_errors(), "{}\n{}", parsed.diags.render_all(&src), src);
+        // Every leaf is handed over as verified pure: the scalar ones are
+        // const (and would have been memoized before admission asked for
+        // heavy), the pointer ones pure.
+        let pure: std::collections::HashSet<String> = parsed
+            .unit
+            .functions()
+            .filter(|f| f.name != "main")
+            .map(|f| f.name.clone())
+            .collect();
+        let prog = Program::with_pure_set(&parsed.unit, &pure);
+        prop_assert!(prog.resolved().spawn_heavy_functions().is_empty());
+        let inlined = prog.bytecode_at(2).inlined_functions().len();
+        prop_assert!(inlined >= 2, "{} inlined in\n{}", inlined, src);
+        for threads in [1usize, 4] {
+            let at = |opt_level: u8| InterpOptions { threads, opt_level, ..Default::default() };
+            let legacy = prog.run_legacy(at(2));
+            for (engine, run) in [
+                ("vm", prog.run(at(2))),
+                ("vm raw", prog.run(at(0))),
+                ("resolved", prog.run_resolved(at(2))),
+            ] {
+                match (&run, &legacy) {
+                    (Ok(run), Ok(legacy)) => {
+                        prop_assert_eq!(run.exit_code, legacy.exit_code, "{} threads={}\n{}", engine, threads, src);
+                        prop_assert_eq!(&run.output, &legacy.output, "{} threads={}\n{}", engine, threads, src);
+                        prop_assert_eq!(run.counters.memo_hits + run.counters.memo_misses, 0);
+                        prop_assert_eq!(
+                            run.counters.without_memo(),
+                            legacy.counters,
+                            "{} threads={}\n{}",
+                            engine,
+                            threads,
+                            src
+                        );
+                    }
+                    (Err(run), Err(legacy)) => {
+                        prop_assert_eq!(&run.message, &legacy.message, "{} threads={}\n{}", engine, threads, src);
+                        prop_assert_eq!(&run.message, "integer division by zero");
+                    }
+                    _ => prop_assert!(
+                        false,
+                        "{} threads={}: {:?} against the oracle's {:?}\n{}",
+                        engine,
+                        threads,
+                        run.as_ref().map(|r| r.exit_code),
+                        legacy.as_ref().map(|r| r.exit_code),
+                        src
+                    ),
+                }
+            }
         }
     }
 

@@ -187,6 +187,63 @@ fn dispatch_counts_are_pinned() {
     }
 }
 
+/// The paper's inner loop, `res += mult(a[i], b[i])`, on the same ruler.
+/// With the call a call it cost seven dispatches an element (`LoadIdxLL,
+/// LoadIdxLL, CallUser, BinLL·tick, Ret, CompoundLocal, AffineNext`) and
+/// the memo probe on top: the program below — a six-dispatch init loop
+/// and the dot product — ran in 13·n + 29 with the memo off at 1d30a2c.
+/// Inlined it is six (the call and its `Ret` become one `InlineCall`),
+/// 12·n + 29 for the program, and the memo is not asked about a leaf, so
+/// memo-on and memo-off are the same run (the parent's memo-on run was
+/// shorter, 2 875 at n = 256: fifteen distinct keys, and a hit skipped
+/// the body it cost more than). `--no-opt` inlines nothing and keeps the
+/// raw count, 16·n + 44.
+#[test]
+fn the_papers_leaf_call_costs_six_dispatches_an_element() {
+    fn dot(n: u64) -> String {
+        format!(
+            "pure float mult(float a, float b) {{ return a * b; }}\n\
+             pure float dot(pure float* a, pure float* b, int n) {{\n\
+                 float res = 0.0f;\n\
+                 for (int i = 0; i < n; i++) res += mult(a[i], b[i]);\n\
+                 return res;\n\
+             }}\n\
+             int main() {{\n\
+                 float* a = (float*) malloc({n} * sizeof(float));\n\
+                 float* b = (float*) malloc({n} * sizeof(float));\n\
+                 for (int i = 0; i < {n}; i++) {{ a[i] = i % 5; b[i] = i % 3; }}\n\
+                 return (int) dot((pure float*) a, (pure float*) b, {n}) % 251;\n\
+             }}\n"
+        )
+    }
+    for n in [256u64, 512] {
+        let out = compile(&dot(n), ChainOptions::default()).expect("chain");
+        let prog = out.program();
+        assert_eq!(prog.resolved().cacheable_functions(), vec!["mult"]);
+        let opt = prog.bytecode_at(2);
+        assert_eq!(opt.inlined_functions(), vec!["mult"]);
+        for memo in [true, false] {
+            let run = |opt_level: u8, fuel: Option<u64>| {
+                prog.run(InterpOptions {
+                    opt_level,
+                    fuel,
+                    memo,
+                    ..Default::default()
+                })
+            };
+            for (opt_level, dispatches) in [(2, 12 * n + 29), (0, 16 * n + 44)] {
+                let cell = format!("dot n={n} memo={memo} level {opt_level}");
+                let done = run(opt_level, Some(dispatches))
+                    .unwrap_or_else(|e| panic!("{cell}: more than {dispatches}: {e}"));
+                assert_eq!(done.counters.memo_hits + done.counters.memo_misses, 0);
+                let starved = run(opt_level, Some(dispatches - 1)).err();
+                let starved = starved.unwrap_or_else(|| panic!("{cell}: fewer than {dispatches}"));
+                assert_eq!(starved.trap, Some(Trap::FuelExhausted), "{cell}");
+            }
+        }
+    }
+}
+
 /// The optimizer's books balance: every dispatch the default build no
 /// longer makes is counted — `fuel(raw) − fuel(opt) = insns_folded +
 /// insns_fused` (README's *raw = default + folded + fused*), measured
