@@ -344,6 +344,10 @@ pub(crate) fn coerce_decode(a: u32) -> Coerce {
 /// evaluates `lb`/`ub` inline before the `OmpRegion` instruction; workers
 /// execute `[body_start, end)` once per iteration with the iteration
 /// index in `iter_slot`.
+///
+/// `work` is what the VM's admission rule reads at launch: a region of
+/// `n` iterations whose `n × work` is below [`crate::REGION_INLINE_WORK`]
+/// runs on the caller (see `Vm::region`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BRegion {
     pub(crate) schedule: OmpSchedule,
@@ -355,6 +359,15 @@ pub(crate) struct BRegion {
     /// Static race verdict (Unknown when no analysis ran).
     pub(crate) verdict: crate::interp::RaceVerdict,
     pub(crate) span: Span,
+    /// The body statement's span: where the dynamic race check reports.
+    pub(crate) body_span: Span,
+    /// Dispatches one iteration of the body takes at most, `end −
+    /// body_start`, when the body is straight-line: every jump in it is
+    /// forward and it holds no `CallUser`, `OmpRegion`, `SpawnPure` or
+    /// `AwaitSlot`. `None` (unbounded) otherwise — an inner loop, a user
+    /// call or a nested region. Set by [`BFunc::size_regions`] wherever
+    /// the region's final range is fixed.
+    pub(crate) work: Option<u32>,
 }
 
 /// One pure-call spawn site, pre-flattened (operand table of
@@ -419,6 +432,22 @@ impl BFunc {
             .binary_search_by_key(&(pc as u32), |&(at, _)| at)
             .expect("ticked instruction has a tick span");
         self.tick_spans[at].1
+    }
+
+    /// Compute every region's [`BRegion::work`] from the code as it now
+    /// stands: at the end of lowering, and again after the optimizer has
+    /// relocated the code.
+    pub(crate) fn size_regions(&mut self) {
+        for r in &mut self.regions {
+            let (start, end) = (r.body_start as usize, r.end as usize);
+            let straight = self.code[start..end].iter().enumerate().all(|(k, insn)| {
+                !matches!(
+                    insn.op,
+                    Op::CallUser | Op::OmpRegion | Op::SpawnPure | Op::AwaitSlot
+                ) && crate::opt::jump_target(insn).is_none_or(|t| t > start + k)
+            });
+            r.work = straight.then_some(r.end - r.body_start);
+        }
     }
 }
 
@@ -644,7 +673,7 @@ impl<'a> FnCompiler<'a> {
         summary: Summary,
     ) -> BFunc {
         debug_assert!(self.loops.is_empty() && self.region_exits.is_empty());
-        BFunc {
+        let mut f = BFunc {
             name,
             params,
             frame_size,
@@ -659,7 +688,9 @@ impl<'a> FnCompiler<'a> {
             errs: self.errs,
             summary,
             one_return: false,
-        }
+        };
+        f.size_regions();
+        f
     }
 
     fn emit(&mut self, op: Op, a: u32, b: u32, span: Span) -> usize {
@@ -1045,6 +1076,8 @@ impl<'a> FnCompiler<'a> {
             end: 0,
             verdict: of.verdict,
             span: of.span,
+            body_span: header.body.span,
+            work: None,
         });
         let omp_at = self.emit(Op::OmpRegion, region_idx, 0, of.span);
         // The body compiles with a *fresh* loop context: a break inside

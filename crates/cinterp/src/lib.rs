@@ -86,3 +86,4 @@ pub use value::{
     CounterSnapshot, Counters, FuelBudget, HeapStats, MemError, Memory, Packed, Ptr, Scalar,
     SpillPool, Tally, FUEL_BLOCK,
 };
+pub use vm::REGION_INLINE_WORK;

@@ -99,6 +99,7 @@ pub(crate) fn optimize_program(prog: &BytecodeProgram, level: u8) -> BytecodePro
         .chain(std::iter::once(&mut out.global_code))
     {
         optimize_func(f, level);
+        f.size_regions();
     }
     debug_assert!(
         check_targets(&out),
@@ -143,7 +144,7 @@ fn optimize_func(f: &mut BFunc, level: u8) {
 // ---------------------------------------------------------------------------
 
 /// Absolute jump target carried by an instruction, if any.
-fn jump_target(insn: &Insn) -> Option<usize> {
+pub(crate) fn jump_target(insn: &Insn) -> Option<usize> {
     match insn.op {
         Op::Jump | Op::JumpIfFalse | Op::JumpIfTrue | Op::SkipUnlessPtr => Some(insn.a as usize),
         Op::BrCmpLL | Op::BrCmpLC => Some((insn.b >> 6) as usize),

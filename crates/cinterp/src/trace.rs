@@ -319,6 +319,8 @@ pub fn counters_json(c: &crate::CounterSnapshot) -> Value {
         ("insns_fused".to_string(), n(c.insns_fused)),
         ("race_static_skips".to_string(), n(c.race_static_skips)),
         ("race_dyn_iters".to_string(), n(c.race_dyn_iters)),
+        ("regions_forked".to_string(), n(c.regions_forked)),
+        ("regions_inline".to_string(), n(c.regions_inline)),
     ])
 }
 
@@ -413,6 +415,6 @@ mod tests {
         let fields = v.as_object().unwrap().len();
         // One JSON field per CounterSnapshot counter that has a producer
         // (`icache_hits` has none); bump both together.
-        assert_eq!(fields, 18, "counters_json drifted from CounterSnapshot");
+        assert_eq!(fields, 20, "counters_json drifted from CounterSnapshot");
     }
 }

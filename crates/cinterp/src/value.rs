@@ -1366,6 +1366,11 @@ pub struct Counters {
     /// Iterations executed by the dynamic race check (the O(n) pre-pass;
     /// zero when every checked region was statically proven).
     pub race_dyn_iters: AtomicU64,
+    /// Regions the VM handed to the scheduler at `--threads`, and regions
+    /// too small to repay a fork that it ran on the caller
+    /// (`crate::REGION_INLINE_WORK`).
+    pub regions_forked: AtomicU64,
+    pub regions_inline: AtomicU64,
 }
 
 impl Counters {
@@ -1408,6 +1413,8 @@ impl Counters {
             icache_hits: 0,
             race_static_skips: self.race_static_skips.load(Ordering::Relaxed),
             race_dyn_iters: self.race_dyn_iters.load(Ordering::Relaxed),
+            regions_forked: self.regions_forked.load(Ordering::Relaxed),
+            regions_inline: self.regions_inline.load(Ordering::Relaxed),
         }
     }
 }
@@ -1454,6 +1461,12 @@ pub struct CounterSnapshot {
     /// differential projection like the other bookkeeping stats.
     pub race_static_skips: u64,
     pub race_dyn_iters: u64,
+    /// The VM's launch decision per region — forked, or run on the caller
+    /// because its work is below `crate::REGION_INLINE_WORK`. Zero on the
+    /// oracles, which fork every region: excluded from the differential
+    /// projection.
+    pub regions_forked: u64,
+    pub regions_inline: u64,
 }
 
 impl CounterSnapshot {
@@ -1483,6 +1496,8 @@ impl CounterSnapshot {
             insns_fused: 0,
             race_static_skips: 0,
             race_dyn_iters: 0,
+            regions_forked: 0,
+            regions_inline: 0,
             ..*self
         }
     }

@@ -34,6 +34,16 @@
 //!   still an int: a spilled `Scalar::I` resolves through the pool to the
 //!   same `int_binop`, and its result is spilled once.
 //!
+//! One policy lives here and nowhere else: **a region forks only when its
+//! work can repay the fork.** Lowering gives every region a per-iteration
+//! dispatch bound (`BRegion::work`: the body's length when it is
+//! straight-line, unbounded otherwise); at launch a region of `n`
+//! iterations with `n × work` below [`REGION_INLINE_WORK`] runs on the
+//! caller — the `--threads 1` path, OpenMP `if` semantics — and every
+//! other region goes to the scheduler at `--threads`. The oracles fork
+//! every region; the choice changes no observable but
+//! `regions_forked`/`regions_inline` and the trace's worker spans.
+//!
 //! Observable behaviour (exit code, output, executed-op counters modulo
 //! memo statistics, error messages) is bit-identical to the resolved
 //! engine, which serves as this tier's differential oracle exactly as the
@@ -68,6 +78,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 type RtResult<T> = Result<T, RuntimeError>;
+
+/// The work, in dispatches (`n × BRegion::work`), below which a region
+/// runs on the caller instead of forking. Break-even is where the work
+/// the other `T − 1` threads take off the caller, `work × (T − 1)/T`,
+/// pays for the launch: `launch ÷ ns per dispatch × T/(T − 1)`. On a
+/// 2-CPU x86-64 host the pool's bare launch (`region_launch_us`) is
+/// 2.3 µs, and a VM fork adds a child VM per worker, the frame copy and
+/// the join's merge — ≈ 8 µs in all — at ≈ 9 ns a dispatch: 900
+/// dispatches, × 2 at T = 2, ≈ 1 800. Measured there, a 4-dispatch body
+/// loses on two threads at 256 iterations and breaks even at about 512:
+/// 2 048 dispatches.
+pub const REGION_INLINE_WORK: u64 = 2048;
 
 /// Integer semantics of a binary operator: wrapping arithmetic,
 /// `Err(message)` for a zero divisor. The VM's inline int paths call it
@@ -1733,6 +1755,9 @@ impl<'p> Vm<'p> {
             return Ok(());
         }
         let n = (ub_incl - lb + 1) as u64;
+        let inline = r
+            .work
+            .is_some_and(|w| n.saturating_mul(u64::from(w)) < REGION_INLINE_WORK);
         // The region span covers verdict, fork, every chunk and the join
         // (its guard closes on the trap path too); per-worker chunk
         // spans are emitted by the scheduler under it.
@@ -1784,8 +1809,8 @@ impl<'p> Vm<'p> {
         // Each worker owns one child VM — arena, spill pool, tally and
         // memo shard — reused across every iteration that worker
         // executes; the states come back at the join for a single merge.
-        // The region runs on the persistent process-wide thread pool
-        // (the paper's pinned-worker model).
+        // A forked region runs on the persistent process-wide thread pool
+        // (the paper's pinned-worker model), an inline one on this thread.
         let prog = self.prog;
         let init = |_tid: usize| Vm::new_child(prog, shared.clone(), frozen.clone(), spill_prefix);
         let body = |vm: &mut Vm, k: u64| {
@@ -1818,9 +1843,16 @@ impl<'p> Vm<'p> {
         // remaining budget instead of stalling one block short (the
         // parent re-acquires on its first dispatch after the join).
         self.refund_fuel();
+        let threads = if inline {
+            Counters::bump(&self.s.counters.regions_inline);
+            1
+        } else {
+            Counters::bump(&self.s.counters.regions_forked);
+            self.s.opts.threads
+        };
         let workers = {
             let _region = self.s.mem.enter_region();
-            parallel_for_state_pooled(n, self.s.opts.threads, r.schedule, init, body)
+            parallel_for_state_pooled(n, threads, r.schedule, init, body)
         };
         for mut w in workers {
             w.refund_fuel();
@@ -1887,7 +1919,7 @@ impl<'p> Vm<'p> {
                 break;
             }
             if let Err(msg) = acc.absorb(t) {
-                result = Err(RuntimeError::at(msg, r.span));
+                result = Err(RuntimeError::at(msg, r.body_span));
                 break;
             }
         }

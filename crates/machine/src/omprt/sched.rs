@@ -9,6 +9,14 @@
 //! region. The forking thread is thread 0 of the team: its join claims
 //! and runs shares like any worker, so an `nthreads` region occupies
 //! `nthreads − 1` pool workers plus its caller.
+//!
+//! The caller decides a region's width and the scheduler never
+//! second-guesses it: `nthreads` is honoured as given (1, or `n <= 1`,
+//! is the sequential path), with no size heuristic of its own. Whether a
+//! region is worth forking is policy of the caller that knows what an
+//! iteration costs — the bytecode VM runs a region whose work is below
+//! `cinterp::REGION_INLINE_WORK` at width 1 — while the `region_launch_us`
+//! probe and the native references call these functions directly.
 
 use crate::omprt::instrument;
 use crate::omprt::pool::{global_pool, TaskGroup, ThreadPool};

@@ -241,6 +241,54 @@ fn carry_schedule(stmts: &mut [Stmt], user_pragma: &str) {
     visit(stmts, clause);
 }
 
+/// The text of `s` if it is a user `omp parallel for` header.
+fn omp_header(s: &Stmt) -> Option<String> {
+    match &s.kind {
+        StmtKind::Pragma(p) if is_omp_parallel_for(p) => Some(p.clone()),
+        _ => None,
+    }
+}
+
+/// What replaces the nest `loop_stmt`, and whether it consumed the user's
+/// `omp parallel for` header `user_omp` directly above it. A parallelized
+/// replacement takes the header's place, carrying its schedule clause, so
+/// the output never holds two pragmas in front of one loop; a
+/// replacement the user asserted parallel that stayed sequential is
+/// dropped for the literal nest, so parallelism is never silently lost.
+fn place_nest(
+    mut loop_stmt: Stmt,
+    user_omp: Option<&str>,
+    cx: Cx,
+    report: &mut PolyccReport,
+) -> (Vec<Stmt>, bool) {
+    let snapshot = (report.regions.len(), report.needs_helpers);
+    let Some(mut stmts) = transform_nest(&mut loop_stmt, cx, report) else {
+        // Children may have been transformed in place.
+        return (vec![loop_stmt], false);
+    };
+    let Some(pragma) = user_omp else {
+        return (stmts, false);
+    };
+    let parallelized = matches!(
+        report.regions.last(),
+        Some(RegionOutcome::Transformed {
+            parallelized: true,
+            ..
+        })
+    );
+    if parallelized {
+        carry_schedule(&mut stmts, pragma);
+        return (stmts, true);
+    }
+    report.regions.truncate(snapshot.0);
+    report.needs_helpers = snapshot.1;
+    report.regions.push(RegionOutcome::Skipped {
+        reason: "user-parallel nest not auto-parallelized; kept literal".into(),
+    });
+    descend(&mut loop_stmt, cx, report);
+    (vec![loop_stmt], false)
+}
+
 /// Find `[scop-pragma, for, endscop-pragma]` triples — and unmarked
 /// `[omp-pragma, for]` pairs, the paper's input form — in a block and
 /// replace them with transformed code, then fuse and bound-hoist the
@@ -269,113 +317,29 @@ fn process_block(block: &mut Block, cx: Cx, report: &mut PolyccReport) {
             }
 
             // A user `omp parallel for` header directly above the markers
-            // belongs to this nest: consume it (its schedule clause carries
-            // over) instead of leaving a duplicate pragma on the output.
-            let user_omp = if i > 0 {
-                match &block.stmts[i - 1].kind {
-                    StmtKind::Pragma(p) if is_omp_parallel_for(p) => Some(p.clone()),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-
-            let mut loop_stmt = block.stmts[i + 1].clone();
-            let snapshot = (report.regions.len(), report.needs_helpers);
-            let replacement = transform_nest(&mut loop_stmt, cx, report);
-            let parallelized = matches!(
-                report.regions.last(),
-                Some(RegionOutcome::Transformed {
-                    parallelized: true,
-                    ..
-                })
-            );
-            match (replacement, user_omp) {
-                (Some(mut stmts), Some(pragma)) if parallelized => {
-                    carry_schedule(&mut stmts, &pragma);
-                    block.stmts.drain(i - 1..i + 3);
-                    let count = stmts.len();
-                    for (off, s) in stmts.into_iter().enumerate() {
-                        block.stmts.insert(i - 1 + off, s);
-                    }
-                    i = i - 1 + count;
-                }
-                (Some(_), Some(_)) => {
-                    // The user asserted parallelism but the legality-checked
-                    // schedule stayed sequential: keep the literal omp nest
-                    // rather than silently serializing it.
-                    report.regions.truncate(snapshot.0);
-                    report.needs_helpers = snapshot.1;
-                    report.regions.push(RegionOutcome::Skipped {
-                        reason: "user-parallel nest not auto-parallelized; kept literal".into(),
-                    });
-                    block.stmts.drain(i..i + 3);
-                    block.stmts.insert(i, loop_stmt);
-                    descend(&mut block.stmts[i], cx, report);
-                    i += 1;
-                }
-                (Some(stmts), None) => {
-                    block.stmts.drain(i..i + 3);
-                    let count = stmts.len();
-                    for (off, s) in stmts.into_iter().enumerate() {
-                        block.stmts.insert(i + off, s);
-                    }
-                    i += count;
-                }
-                (None, _) => {
-                    block.stmts.drain(i..i + 3);
-                    block.stmts.insert(i, loop_stmt);
-                    i += 1;
-                }
-            }
+            // belongs to this nest.
+            let user_omp = i.checked_sub(1).and_then(|h| omp_header(&block.stmts[h]));
+            let loop_stmt = block.stmts[i + 1].clone();
+            let (stmts, consumed) = place_nest(loop_stmt, user_omp.as_deref(), cx, report);
+            let from = if consumed { i - 1 } else { i };
+            let count = stmts.len();
+            block.stmts.splice(from..i + 3, stmts);
+            i = from + count;
             continue;
         }
 
         // Unmarked `omp parallel for` nest: treat it as an implicit SCoP.
-        let is_unmarked_omp = matches!(
-            &block.stmts[i].kind,
-            StmtKind::Pragma(p) if is_omp_parallel_for(p)
-        ) && i + 1 < block.stmts.len()
-            && matches!(block.stmts[i + 1].kind, StmtKind::For { .. });
-        if is_unmarked_omp {
-            let StmtKind::Pragma(pragma) = block.stmts[i].kind.clone() else {
-                unreachable!("matched a pragma");
-            };
-            let mut loop_stmt = block.stmts[i + 1].clone();
-            let snapshot = (report.regions.len(), report.needs_helpers);
-            let replacement = transform_nest(&mut loop_stmt, cx, report);
-            let parallelized = matches!(
-                report.regions.last(),
-                Some(RegionOutcome::Transformed {
-                    parallelized: true,
-                    ..
-                })
-            );
-            match replacement {
-                Some(mut stmts) if parallelized => {
-                    carry_schedule(&mut stmts, &pragma);
-                    block.stmts.drain(i..i + 2);
-                    let count = stmts.len();
-                    for (off, s) in stmts.into_iter().enumerate() {
-                        block.stmts.insert(i + off, s);
-                    }
-                    i += count;
-                }
-                Some(_) => {
-                    report.regions.truncate(snapshot.0);
-                    report.needs_helpers = snapshot.1;
-                    report.regions.push(RegionOutcome::Skipped {
-                        reason: "user-parallel nest not auto-parallelized; kept literal".into(),
-                    });
-                    descend(&mut block.stmts[i + 1], cx, report);
-                    i += 2;
-                }
-                None => {
-                    // Children may have been transformed in place.
-                    block.stmts[i + 1] = loop_stmt;
-                    i += 2;
-                }
-            }
+        let next_is_for = matches!(
+            block.stmts.get(i + 1).map(|s| &s.kind),
+            Some(StmtKind::For { .. })
+        );
+        if let Some(pragma) = omp_header(&block.stmts[i]).filter(|_| next_is_for) {
+            let loop_stmt = block.stmts[i + 1].clone();
+            let (stmts, consumed) = place_nest(loop_stmt, Some(&pragma), cx, report);
+            let from = if consumed { i } else { i + 1 };
+            let count = stmts.len();
+            block.stmts.splice(from..i + 2, stmts);
+            i = from + count;
             continue;
         }
 
@@ -523,22 +487,19 @@ fn transform_children(body: &mut Stmt, cx: Cx, report: &mut PolyccReport) {
             let mut i = 0;
             while i < b.stmts.len() {
                 if matches!(b.stmts[i].kind, StmtKind::For { .. }) {
-                    let mut child = b.stmts[i].clone();
-                    if let Some(new_stmts) = transform_nest(&mut child, cx, report) {
-                        b.stmts.remove(i);
-                        let count = new_stmts.len();
-                        for (off, s) in new_stmts.into_iter().enumerate() {
-                            b.stmts.insert(i + off, s);
-                        }
-                        i += count;
-                        continue;
-                    } else {
-                        b.stmts[i] = child; // children may have changed
-                    }
+                    // A user header above a nested nest is consumed like
+                    // one above a top-level nest (`process_block`).
+                    let user_omp = i.checked_sub(1).and_then(|h| omp_header(&b.stmts[h]));
+                    let child = b.stmts[i].clone();
+                    let (stmts, consumed) = place_nest(child, user_omp.as_deref(), cx, report);
+                    let from = if consumed { i - 1 } else { i };
+                    let count = stmts.len();
+                    b.stmts.splice(from..=i, stmts);
+                    i = from + count;
                 } else {
                     descend(&mut b.stmts[i], cx, report);
+                    i += 1;
                 }
-                i += 1;
             }
             finish_block(&mut b.stmts, report);
         }
@@ -1377,6 +1338,34 @@ int main() {
             "user pragma must be consumed, not duplicated: {out}"
         );
         assert!(out.contains("schedule(dynamic, 4)"), "{out}");
+    }
+
+    #[test]
+    fn user_omp_pragma_inside_a_sequential_loop_is_consumed_too() {
+        // The outer `r` loop is no SCoP (its body holds a pragma), so the
+        // inner nest is transformed as a child: its user header goes the
+        // same way as one above a top-level nest. Two pragmas in front of
+        // one `for` is text GCC rejects.
+        let src = "\
+int main() {
+    float a[64];
+#pragma scop
+    for (int r = 0; r < 10; r++) {
+#pragma omp parallel for schedule(dynamic,4)
+        for (int i = 0; i < 64; i++) a[i] = a[i] + 1.0;
+    }
+#pragma endscop
+    return 0;
+}
+";
+        let (unit, report) = run(src, PolyccOptions::default());
+        assert_eq!(report.parallelized_count(), 1);
+        let out = print_unit(&unit);
+        assert_eq!(out.matches("omp parallel for").count(), 1, "{out}");
+        assert!(
+            out.contains("#pragma omp parallel for schedule(dynamic,4)\n"),
+            "{out}"
+        );
     }
 
     #[test]

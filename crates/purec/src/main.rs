@@ -456,7 +456,8 @@ fn cli() {
                          futures {{spawned: {}, inlined: {}, helped: {}}}; \
                          steals {{local_pushes: {}, tasks_stolen: {}}}; \
                          opt {{level: {}, folded: {}, fused: {}}}; \
-                         race {{static_skips: {}, dyn_iters: {}}}",
+                         race {{static_skips: {}, dyn_iters: {}}}; \
+                         regions {{forked: {}, inline: {}}}",
                         chain_stats_line(&out),
                         spawn_sites,
                         resolved.functions_where(|s| s.class == cinterp::Class::Const),
@@ -483,6 +484,8 @@ fn cli() {
                         result.counters.insns_fused,
                         result.counters.race_static_skips,
                         result.counters.race_dyn_iters,
+                        result.counters.regions_forked,
+                        result.counters.regions_inline,
                     );
                     eprintln!(
                         "purec: heap: allocations {}, frees {}, peak live bytes {}",

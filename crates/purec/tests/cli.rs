@@ -351,6 +351,50 @@ fn stats_lines_and_stats_json_agree_on_the_chain_fields() {
     }
     assert_eq!(chain[labels.len()].0, "spawn_sites");
 
+    // The run's counters likewise: every `group {field: value}` of the
+    // run line is the `counters` object's `prefix + field`, and together
+    // they are all of it.
+    let counters = root
+        .as_object()
+        .and_then(|o| o.iter().find(|(k, _)| k == "counters"))
+        .and_then(|(_, v)| v.as_object())
+        .expect("counters object");
+    let mut compared = 0;
+    for (group, prefix) in [
+        ("ops", ""),
+        ("memo", "memo_"),
+        ("futures", "futures_"),
+        ("steals", ""),
+        ("opt", "insns_"),
+        ("race", "race_"),
+        ("regions", "regions_"),
+    ] {
+        let from = ran
+            .find(&format!("; {group} {{"))
+            .unwrap_or_else(|| panic!("no {group} group in:\n{ran}"));
+        let body = &ran[from + group.len() + 4..];
+        for field in body[..body.find('}').expect("a group")].split(", ") {
+            let (name, value) = field.split_once(": ").expect("name: value");
+            if group == "opt" && name == "level" {
+                continue; // the run's setting, not a counter
+            }
+            let key = format!("{prefix}{name}");
+            let (_, json) = counters
+                .iter()
+                .find(|(k, _)| *k == key)
+                .unwrap_or_else(|| panic!("no counters.{key} in {text}"));
+            assert_eq!(
+                json.as_f64().map(|v| v.to_string()),
+                Some(value.to_string())
+            );
+            compared += 1;
+        }
+    }
+    assert_eq!(compared, counters.len(), "{text}");
+    // Heat's 32 row-initialisation regions are too small to fork; its 20
+    // stencil and copy regions hold an inner loop and do.
+    assert!(ran.contains("; regions {forked: 20, inline: 32}"), "{ran}");
+
     // One function per cell of the lattice: the two renderings agree on
     // every one of them.
     let ran = stderr(&purec(&[
@@ -520,6 +564,61 @@ fn an_inlined_call_traps_and_prints_like_the_call() {
         &[],
     );
     assert_eq!((code, out.as_str()), (Some(0), "acc=3070\n"));
+}
+
+/// A region too small to fork runs on the caller and says nothing of it:
+/// a division by zero at its 37th iteration exits 1 with the same stdout
+/// and the same `purec:` error line, span included, on the VM at 1, 2 and
+/// 4 threads and on the resolved engine, which forks every region.
+#[test]
+fn an_inline_region_traps_and_prints_like_the_region() {
+    let src = source_path(
+        "inline_region_div0.c",
+        "int main() {\n\
+             int* a = (int*) malloc(64 * sizeof(int));\n\
+             printf(\"before\\n\");\n\
+         #pragma omp parallel for\n\
+             for (int i = 0; i < 64; i++) a[i] = 6400 / (i - 37);\n\
+             printf(\"after %d\\n\", a[0]);\n\
+             return 0;\n\
+         }\n",
+    );
+    let mut seen: Option<(Option<i32>, Vec<u8>, String)> = None;
+    for engine in ["vm", "resolved"] {
+        for threads in ["1", "2", "4"] {
+            let args = [&src, "--run", "--engine", engine, "--threads", threads];
+            let out = purec(&args);
+            let error = stderr(&out).lines().next().unwrap_or("").to_string();
+            let got = (out.status.code(), out.stdout, error);
+            match &seen {
+                None => seen = Some(got),
+                Some(first) => assert_eq!(&got, first, "{args:?}"),
+            }
+        }
+    }
+    let (code, stdout, error) = seen.expect("six runs");
+    assert_eq!((code, stdout.as_slice()), (Some(1), &b""[..]));
+    assert!(error.contains("integer division by zero"), "{error}");
+    // ...and the VM did run it inline.
+    let stats = stderr(&purec(&[
+        &source_path(
+            "inline_region_ok.c",
+            "int main() {\n\
+                 int* a = (int*) malloc(64 * sizeof(int));\n\
+             #pragma omp parallel for\n\
+                 for (int i = 0; i < 64; i++) a[i] = 6400 / (i + 1);\n\
+                 return a[63];\n\
+             }\n",
+        ),
+        "--run",
+        "--threads",
+        "2",
+        "--stats",
+    ]));
+    assert!(
+        stats.contains("; regions {forked: 0, inline: 1}"),
+        "{stats}"
+    );
 }
 
 /// `--fuel` is exact on one thread: one unit short of what a run with

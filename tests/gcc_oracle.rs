@@ -2,8 +2,9 @@
 //! compiler whose product goes to a C compiler; the three engines share
 //! one definition of what an operator means (`cinterp::ops`), so their
 //! agreeing with each other says nothing about that meaning. This does:
-//! for the four demo applications, the pointer-walk program and an
-//! operator table, the **emitted text** builds with
+//! for the four demo applications, the pointer-walk program, an
+//! operator table and a user region nested in a sequential loop, the
+//! **emitted text** builds with
 //! `cc -std=c11 -O1 -fopenmp`, prints the VM's stdout and returns its
 //! exit code at `OMP_NUM_THREADS` 1 and 2 — and so does the **original
 //! source** with the keyword defined away (paper Sect. 3: dropping
@@ -50,6 +51,26 @@ int main() {
     printf("step  %d %d %ld %f %d %d\n", i, j, w, f, (int)(p - a), (int)(e - a));
     free(a);
     return (i + j) % 7;
+}
+"#;
+
+/// A user `omp parallel for` nested in a sequential loop: the chain must
+/// emit one pragma in front of the loop, with the user's clause, or GCC
+/// stops at "for statement expected before '#pragma'".
+const NESTED_OMP: &str = r#"#include <stdio.h>
+#include <stdlib.h>
+
+int main() {
+    double* a = (double*) malloc(64 * sizeof(double));
+    for (int i = 0; i < 64; i++) a[i] = i;
+    for (int r = 0; r < 10; r++) {
+#pragma omp parallel for schedule(dynamic,4)
+        for (int i = 0; i < 64; i++) a[i] = a[i] + 1.0;
+    }
+    double acc = 0;
+    for (int i = 0; i < 64; i++) acc = acc + a[i];
+    printf("acc=%.1f\n", acc);
+    return 0;
 }
 "#;
 
@@ -105,7 +126,7 @@ fn emitted_text_and_original_source_agree_with_the_vm_under_cc() {
         return;
     }
     let pointer_walk = include_str!("../examples/analysis/pointer_walk.c");
-    let programs: [(&str, String, Option<&str>); 6] = [
+    let programs: [(&str, String, Option<&str>); 7] = [
         (
             "matmul",
             apps::matmul::c_source(64),
@@ -120,6 +141,7 @@ fn emitted_text_and_original_source_agree_with_the_vm_under_cc() {
         ("lama", apps::lama::c_source(256, 9), Some("spmv=855.050\n")),
         ("pointer_walk", pointer_walk.to_string(), None),
         ("operator_table", OPERATOR_TABLE.to_string(), None),
+        ("nested_omp", NESTED_OMP.to_string(), Some("acc=2656.0\n")),
     ];
     for (name, source, recorded) in programs {
         let chain = compile(&source, ChainOptions::default())

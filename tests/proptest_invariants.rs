@@ -203,7 +203,9 @@ proptest! {
 /// Build a generated-but-well-formed C program exercising scalars, arrays,
 /// floats, same-named struct fields, globals, calls and a parallel loop
 /// whose body calls a `pure` function owning per-call scratch memory
-/// (balanced `malloc`/`free`, so every region defers and then reclaims).
+/// (balanced `malloc`/`free`, so every region defers and then reclaims),
+/// then a straight-line parallel loop too small to fork (the VM runs it
+/// on the caller; the oracles fork it).
 fn differential_source(n: usize, c1: i64, c2: i64, op1: usize, op2: usize, sched: usize) -> String {
     let ops = ["+", "-", "*", "^", "|", "&"];
     let op1 = ops[op1 % ops.len()];
@@ -244,6 +246,8 @@ fn differential_source(n: usize, c1: i64, c2: i64, op1: usize, op2: usize, sched
                  a[i] += i % 7 + scratch(i, 2 + i % 4);\n\
                  b[i] = fhelper(i);\n\
              }}\n\
+         #pragma omp parallel for{sched}\n\
+             for (int i = 0; i < {n}; i++) a[i] = (a[i] {op1} {c2}) % 1000 + (i < {c1} && g > 0);\n\
              for (int i = 0; i < {n}; i++) {{ acc += a[i] % 31; acc += (int) b[i]; }}\n\
              acc += p.w * 10 + q.w + g;\n\
              printf(\"acc=%d g=%d\\n\", acc, g);\n\
@@ -1208,6 +1212,181 @@ proptest! {
                 threads
             );
         }
+    }
+}
+
+/// What a run shows: exit code, stdout, executed-op counters (modulo the
+/// bookkeeping) and the heap's totals — or the error's message, span and
+/// trap kind.
+type Observed = Result<
+    (i64, String, cinterp::CounterSnapshot, u64, u64),
+    (String, cfront::span::Span, Option<Trap>),
+>;
+
+fn observe(run: Result<cinterp::RunResult, cinterp::RuntimeError>) -> Observed {
+    run.map(|r| {
+        let heap = (r.heap.frees, r.heap.peak_live_bytes);
+        (
+            r.exit_code,
+            r.output,
+            r.counters.without_memo(),
+            heap.0,
+            heap.1,
+        )
+    })
+    .map_err(|e| (e.message, e.span, e.trap))
+}
+
+/// A region too small to repay a fork runs on the caller — and shows
+/// nothing of it: the VM at 1, 2 and 4 threads and the resolved engine
+/// (which forks every region) at the same counts agree on every
+/// observable, traps included. Each program is run with its trigger off
+/// (where the VM must report the region inline) and on.
+#[test]
+fn an_inline_region_is_observably_the_region() {
+    let check = |what: &str, src: &str, opts: InterpOptions| -> Observed {
+        let parsed = parse(src);
+        assert!(
+            !parsed.diags.has_errors(),
+            "{}",
+            parsed.diags.render_all(src)
+        );
+        let prog = Program::new(&parsed.unit);
+        let vm1 = prog.run(InterpOptions { threads: 1, ..opts });
+        if let Ok(r) = &vm1 {
+            assert!(r.counters.regions_inline > 0, "{what}: nothing ran inline");
+        }
+        let want = observe(vm1);
+        for threads in [1usize, 2, 4] {
+            let at = InterpOptions { threads, ..opts };
+            assert_eq!(observe(prog.run(at)), want, "{what}: vm, threads={threads}");
+            let resolved = observe(prog.run_resolved(at));
+            assert_eq!(resolved, want, "{what}: resolved, threads={threads}");
+        }
+        want
+    };
+    let plain = InterpOptions::default();
+
+    // A division by zero at iteration 37 of 64.
+    let div = |k: i64| {
+        format!(
+            "int main() {{\n\
+                 int* a = (int*) malloc(64 * sizeof(int));\n\
+             #pragma omp parallel for\n\
+                 for (int i = 0; i < 64; i++) a[i] = 6400 / (i - {k});\n\
+                 printf(\"%d\\n\", a[63]);\n\
+                 return a[0] % 100;\n\
+             }}\n"
+        )
+    };
+    assert!(check("div", &div(70), plain).is_ok());
+    let (msg, _, trap) = check("div by zero", &div(37), plain).unwrap_err();
+    assert!(
+        msg.contains("integer division by zero") && trap.is_none(),
+        "{msg}"
+    );
+
+    // A `malloc` past `--max-memory` inside the region; a `free` there is
+    // reclaimed at the join, so the region's peak is all 16 blocks.
+    let scratch = "int main() {\n\
+                       int* a = (int*) malloc(16 * sizeof(int));\n\
+                   #pragma omp parallel for\n\
+                       for (int i = 0; i < 16; i++) {\n\
+                           int* p = (int*) malloc(1024);\n\
+                           p[0] = i * i;\n\
+                           a[i] = p[0];\n\
+                           free(p);\n\
+                       }\n\
+                       return a[15] % 100;\n\
+                   }\n";
+    let capped = |cap| InterpOptions {
+        max_memory_bytes: Some(cap),
+        ..plain
+    };
+    let (code, _, _, frees, peak) = check("scratch", scratch, capped(1 << 20)).unwrap();
+    assert_eq!((code, frees, peak), (25, 16, 128 + 16 * 1024));
+    let (msg, _, trap) = check("scratch capped", scratch, capped(8 * 1024)).unwrap_err();
+    assert_eq!(trap, Some(Trap::MemoryLimit), "{msg}");
+
+    // `--race-check` on an Unknown verdict (no analysis ran): the dynamic
+    // check runs before the inline region does, and catches the race.
+    let race = |rhs: &str| {
+        format!(
+            "int main() {{\n\
+                 int* a = (int*) malloc(32 * sizeof(int));\n\
+                 for (int i = 0; i < 32; i++) a[i] = i;\n\
+             #pragma omp parallel for\n\
+                 for (int i = 0; i < 32; i++) a[i] = {rhs};\n\
+                 return a[31] % 100;\n\
+             }}\n"
+        )
+    };
+    let checked = InterpOptions {
+        race_check: true,
+        ..plain
+    };
+    assert!(check("race-free", &race("a[i] + 1"), checked).is_ok());
+    let (msg, _, _) = check("racy", &race("a[(i + 1) % 32] + 1"), checked).unwrap_err();
+    assert!(msg.contains("race detected"), "{msg}");
+
+    // A tiny region inside a forked one (its body holds the region): 8
+    // inline launches under one fork, and a trap from the inner one.
+    let nested = |k: i64| {
+        format!(
+            "int main() {{\n\
+                 int* a = (int*) malloc(64 * sizeof(int));\n\
+             #pragma omp parallel for schedule(dynamic,1)\n\
+                 for (int i = 0; i < 8; i++) {{\n\
+             #pragma omp parallel for\n\
+                     for (int j = 0; j < 8; j++) a[i * 8 + j] = 640 / (i * 8 + j - {k});\n\
+                 }}\n\
+                 int acc = 0;\n\
+                 for (int i = 0; i < 64; i++) acc += a[i];\n\
+                 printf(\"acc=%d\\n\", acc);\n\
+                 return 0;\n\
+             }}\n"
+        )
+    };
+    assert!(check("nested", &nested(99), plain).is_ok());
+    let parsed = parse(&nested(99));
+    let vm = Program::new(&parsed.unit).run(plain).expect("nested runs");
+    let decisions = (vm.counters.regions_forked, vm.counters.regions_inline);
+    assert_eq!(decisions, (1, 8));
+    let (msg, _, _) = check("nested trap", &nested(45), plain).unwrap_err();
+    assert!(msg.contains("integer division by zero"), "{msg}");
+}
+
+/// `--fuel` stays an exact ruler across an inline region at every thread
+/// count: the parent hands its unused grant back before the region's
+/// sequential child runs, so five 400-iteration regions complete under
+/// 10 042 — the count of the same program on one thread before regions
+/// could run inline — and trap one unit below, on 1, 2 and 4 threads.
+/// (Forked, the same run needed 13 131 on two threads: each worker holds
+/// a grant of its own.)
+#[test]
+fn fuel_one_short_of_an_inline_region_traps_at_every_thread_count() {
+    let src = "int main() {\n\
+                   int* a = (int*) malloc(400 * sizeof(int));\n\
+                   for (int r = 0; r < 5; r++) {\n\
+               #pragma omp parallel for\n\
+                       for (int i = 0; i < 400; i++) a[i] = a[i] + i * r;\n\
+                   }\n\
+                   return a[399] % 100;\n\
+               }\n";
+    let parsed = parse(src);
+    let prog = Program::new(&parsed.unit);
+    let run = |threads: usize, fuel: u64| {
+        prog.run(InterpOptions {
+            threads,
+            fuel: Some(fuel),
+            ..Default::default()
+        })
+    };
+    for threads in [1usize, 2, 4] {
+        let done = run(threads, 10_042).unwrap_or_else(|e| panic!("threads={threads}: {e}"));
+        assert_eq!(done.counters.regions_inline, 5, "threads={threads}");
+        let short = run(threads, 10_041).expect_err("one unit short");
+        assert_eq!(short.trap, Some(Trap::FuelExhausted), "threads={threads}");
     }
 }
 

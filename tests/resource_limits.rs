@@ -187,6 +187,90 @@ fn dispatch_counts_are_pinned() {
     }
 }
 
+/// Which regions fork is decided per launch from the trip count and the
+/// body's dispatch bound (`n × work < cinterp::REGION_INLINE_WORK` runs
+/// on the caller), so the split is an exact count, the same at every
+/// thread count. Predicted before the first run:
+/// * `region_churn`'s program (3 000 regions of 64 four-dispatch
+///   iterations, after one 64-iteration two-dispatch initialisation
+///   region): all 3 001 inline;
+/// * `--demo matmul`: its 64 row-initialisation regions inline, the
+///   product (an inner loop) forks;
+/// * `--demo heat`: 32 initialisation regions inline, all 20 stencil and
+///   copy regions (inner loops) fork;
+/// * a 64-iteration region holding an inner loop, a user call that stays a
+///   call, or a nested region forks — the nested region's 64 two-iteration
+///   launches run inline;
+/// * a four-dispatch body forks at 512 iterations (2 048 dispatches, the
+///   constant) and runs inline at 511.
+#[test]
+fn region_launch_decisions_are_pinned() {
+    fn regions(src: &str, threads: usize) -> (u64, u64) {
+        let prog = compile(src, ChainOptions::default())
+            .unwrap_or_else(|d| panic!("{}", d.render_all(src)))
+            .program();
+        let run = prog
+            .run(InterpOptions {
+                threads,
+                ..Default::default()
+            })
+            .unwrap_or_else(|e| panic!("{e}\n{src}"));
+        (run.counters.regions_forked, run.counters.regions_inline)
+    }
+    fn churn(regions: u64, width: u64) -> String {
+        format!(
+            "int main() {{\n\
+                 double* a = (double*) malloc({width} * sizeof(double));\n\
+                 for (int i = 0; i < {width}; i++) a[i] = i;\n\
+                 for (int r = 0; r < {regions}; r++) {{\n\
+             #pragma omp parallel for schedule(static)\n\
+                     for (int i = 0; i < {width}; i++) a[i] = a[i] + 1.0;\n\
+                 }}\n\
+                 return ((int) a[0]) % 251;\n\
+             }}\n"
+        )
+    }
+    let body = |stmt: &str| {
+        format!(
+            "int twice(int x) {{ int y = x; return 2 * y; }}\n\
+             int main() {{\n\
+                 int* a = (int*) malloc(128 * sizeof(int));\n\
+             #pragma omp parallel for\n\
+                 for (int i = 0; i < 64; i++) {{ {stmt} }}\n\
+                 return a[7] % 251;\n\
+             }}\n"
+        )
+    };
+    assert_eq!(cinterp::REGION_INLINE_WORK, 2048);
+    let cells = [
+        ("region_churn", churn(3000, 64), (0, 3001)),
+        ("demo matmul", apps::matmul::c_source(64), (1, 64)),
+        ("demo heat", apps::heat::c_source(32, 10), (20, 32)),
+        (
+            "inner loop",
+            body("int s = 0; for (int k = 0; k < i % 3; k++) s += k; a[i] = s;"),
+            (1, 0),
+        ),
+        ("user call", body("a[i] = twice(i);"), (1, 0)),
+        (
+            "nested region",
+            body(
+                "\n#pragma omp parallel for\n\
+                 for (int j = 0; j < 2; j++) a[2 * i + j] = j;\n",
+            ),
+            (1, 64),
+        ),
+        // Past the initialisation region (1 inline either way).
+        ("work 2 048", churn(1, 512), (1, 1)),
+        ("work 2 044", churn(1, 511), (0, 2)),
+    ];
+    for (what, src, want) in &cells {
+        for threads in [1, 2] {
+            assert_eq!(regions(src, threads), *want, "{what}, threads={threads}");
+        }
+    }
+}
+
 /// The paper's inner loop, `res += mult(a[i], b[i])`, on the same ruler.
 /// With the call a call it cost seven dispatches an element (`LoadIdxLL,
 /// LoadIdxLL, CallUser, BinLL·tick, Ret, CompoundLocal, AffineNext`) and
