@@ -1,7 +1,11 @@
 //! # analysis — static race & purity analyzer (`purec check`)
 //!
-//! Runs between parsing and lowering, over the same AST the interpreter
-//! executes, and produces [`cfront::diag::Diagnostic`]s with stable codes:
+//! Runs over one translation unit and produces
+//! [`cfront::diag::Diagnostic`]s with stable codes. `purec check` gives
+//! it the source as written; the chain gives it the unit polycc
+//! transformed, with the pure calls reinserted and before invariant rows
+//! are hoisted, so every loop is judged by the subscripts the transform
+//! produced:
 //!
 //! 1. **Static race detection** ([`race`]) for `#pragma omp parallel for`
 //!    bodies. Variables are classified iteration-private (loop iterators,
@@ -55,11 +59,15 @@ pub enum LoopVerdict {
     Unknown,
 }
 
-/// Per-loop result, keyed by the span of the `for` statement (the same
-/// span the interpreter's lowering sees, so verdicts survive the
-/// reparse boundary of the chain).
+/// Per-loop result, keyed by the span of the `for` statement in the
+/// analyzed unit. The chain analyzes the unit before polycc hoists rows
+/// and prints it, so its spans are not those the engines see: it hands
+/// each verdict to the loop at the same position of
+/// [`race::for_each_omp_loop`] in the same function of the reparsed unit.
 #[derive(Debug, Clone)]
 pub struct LoopReport {
+    /// The function the loop is in.
+    pub function: String,
     /// Span of the `for` statement under the pragma.
     pub span: Span,
     pub verdict: LoopVerdict,

@@ -3,7 +3,9 @@
 //! Mirrors the interpreter's pragma/loop pairing exactly (a pragma that
 //! parses as `omp parallel for`, optionally followed by more pragmas,
 //! then a `for` statement), so every loop the engines would run in
-//! parallel gets a verdict, keyed by the `for` statement's span.
+//! parallel gets a verdict, keyed by the `for` statement's span. That
+//! walk, [`for_each_omp_loop`], is also how the chain hands each verdict
+//! to the same loop of the unit it reparses from the printed text.
 //!
 //! Per loop, the analysis is a two-tier ladder:
 //!
@@ -49,9 +51,8 @@ use polyhedral::IterTypes;
 use purec_core::{GlobalReads, PureSet};
 use std::collections::{HashMap, HashSet};
 
-/// Walk one function body, pairing omp pragmas with their loops the same
-/// way the interpreter's lowering does ([`paired_omp_loops`]), and
-/// recursing everywhere else. Alias groups are computed once from the
+/// Judge every `omp parallel for` loop of one function body, in
+/// [`for_each_omp_loop`] order. Alias groups are computed once from the
 /// whole body so a `int* q = a;` at function scope is visible inside
 /// every nested loop; `types` is the function's integer-iterator table.
 pub fn analyze_function(
@@ -63,17 +64,21 @@ pub fn analyze_function(
 ) {
     let Some(body) = &f.body else { return };
     let cx = Context {
+        function: &f.name,
         pure_set,
         reads,
         aliases: &collect_alias_groups(body),
         types,
     };
-    analyze_block_with(body, cx, report);
+    for_each_omp_loop(body, &mut |pragma, clauses, for_stmt| {
+        analyze_omp_loop(pragma.span, clauses, for_stmt, cx, report)
+    });
 }
 
 /// What holds for a whole function body.
 #[derive(Clone, Copy)]
 struct Context<'a> {
+    function: &'a str,
     /// The verified registry.
     pure_set: &'a PureSet,
     /// What each pure function may read through a global.
@@ -82,7 +87,12 @@ struct Context<'a> {
     types: &'a IterTypes<'a>,
 }
 
-fn analyze_block_with(b: &Block, cx: Context, report: &mut AnalysisReport) {
+/// Call `f(pragma, clauses, for_stmt)` for every `omp parallel for` loop
+/// of a function body: every statement list is paired the way the
+/// interpreter's lowering pairs it ([`paired_omp_loops`]), and a loop
+/// comes before the loops nested in it. The chain carries verdicts across
+/// print → reparse by position in this order.
+pub fn for_each_omp_loop<'a>(b: &'a Block, f: &mut dyn FnMut(&'a Stmt, &OmpClauses, &'a Stmt)) {
     for item in paired_omp_loops(&b.stmts, parse_omp_parallel_for_clauses) {
         match item {
             Paired::OmpFor {
@@ -90,30 +100,30 @@ fn analyze_block_with(b: &Block, cx: Context, report: &mut AnalysisReport) {
                 pragma,
                 for_stmt,
             } => {
-                analyze_omp_loop(pragma.span, &clauses, for_stmt, cx, report);
-                recurse(for_stmt, cx, report);
+                f(pragma, &clauses, for_stmt);
+                recurse(for_stmt, f);
             }
-            Paired::Plain(s) => recurse(s, cx, report),
+            Paired::Plain(s) => recurse(s, f),
         }
     }
 }
 
-fn recurse(s: &Stmt, cx: Context, report: &mut AnalysisReport) {
+fn recurse<'a>(s: &'a Stmt, f: &mut dyn FnMut(&'a Stmt, &OmpClauses, &'a Stmt)) {
     match &s.kind {
-        StmtKind::Block(b) => analyze_block_with(b, cx, report),
+        StmtKind::Block(b) => for_each_omp_loop(b, f),
         StmtKind::If {
             then_branch,
             else_branch,
             ..
         } => {
-            recurse(then_branch, cx, report);
+            recurse(then_branch, f);
             if let Some(e) = else_branch {
-                recurse(e, cx, report);
+                recurse(e, f);
             }
         }
         StmtKind::While { body, .. }
         | StmtKind::DoWhile { body, .. }
-        | StmtKind::For { body, .. } => recurse(body, cx, report),
+        | StmtKind::For { body, .. } => recurse(body, f),
         _ => {}
     }
 }
@@ -123,6 +133,7 @@ fn analyze_omp_loop(
     clauses: &OmpClauses,
     for_stmt: &Stmt,
     Context {
+        function,
         pure_set,
         reads,
         aliases,
@@ -146,11 +157,6 @@ fn analyze_omp_loop(
             format!("unknown schedule kind '{k}' degrades to schedule(static)"),
         );
     }
-
-    // Undo hoisted row-pointer copies so the screens and the dependence
-    // test see the original subscript streams (`p[j]` → `base[i][j]`).
-    let resolved = resolve_pointer_copies(for_stmt);
-    let for_stmt = resolved.as_ref().unwrap_or(for_stmt);
 
     let mut verdict = LoopVerdict::Independent;
     let downgrade = |v: &mut LoopVerdict, to: LoopVerdict| {
@@ -310,7 +316,8 @@ fn analyze_omp_loop(
         }
 
         // Screen B: two distinct base names that may hold the same
-        // pointer value (`int* q = a;`) defeat the per-name dependence
+        // pointer value (`int* q = a;`, or `p = a; q = a;` where neither
+        // was assigned from the other) defeat the per-name dependence
         // test whenever one of them is written.
         let mut pair_flagged: HashSet<(String, String)> = HashSet::new();
         for w in &written {
@@ -326,10 +333,11 @@ fn analyze_omp_loop(
                             Code::RaceUnprovable,
                             for_stmt.span,
                             format!(
-                                "cannot prove independence: '{w}' and '{o}' may alias (one \
-                                 was assigned from the other's value), defeating the \
-                                 per-name dependence test; falling back to the dynamic \
-                                 race check"
+                                "cannot prove independence: '{w}' and '{o}' may alias (a \
+                                 chain of assignments joins both pointer values to the common \
+                                 root '{}'), defeating the per-name dependence test; falling \
+                                 back to the dynamic race check",
+                                aliases.find(w)
                             ),
                         );
                     }
@@ -411,6 +419,7 @@ fn analyze_omp_loop(
     }
 
     report.loops.push(LoopReport {
+        function: function.to_string(),
         span: for_stmt.span,
         verdict,
     });
@@ -448,299 +457,6 @@ fn collect_body_decls(s: &Stmt, out: &mut HashSet<String>) {
             }
         }
     });
-}
-
-// ---------------------------------------------------------------------------
-// Row-pointer copy propagation: substitute single-assignment pointer
-// locals (`T* p = base[i];`) back into their uses before analysis. The
-// polyhedral stage hoists exactly this shape out of inner loops; without
-// the substitution the per-name dependence test loses the subscript
-// stream behind `p` and the alias screen flags `p` against its own base,
-// demoting nests that were provably independent before the hoist.
-// ---------------------------------------------------------------------------
-
-/// `base[e1][e2]…` chains over a plain identifier, with side-effect-free
-/// subscripts — the only initializer shape whose value can be re-derived
-/// at every use site.
-fn stable_lvalue_path(e: &Expr, subscript_ids: &mut HashSet<String>) -> Option<String> {
-    match &e.kind {
-        ExprKind::Ident(n) => Some(n.clone()),
-        ExprKind::Index(base, sub) => {
-            if !side_effect_free(sub) {
-                return None;
-            }
-            sub.walk(&mut |s| {
-                if let ExprKind::Ident(n) = &s.kind {
-                    subscript_ids.insert(n.clone());
-                }
-            });
-            stable_lvalue_path(base, subscript_ids)
-        }
-        _ => None,
-    }
-}
-
-fn side_effect_free(e: &Expr) -> bool {
-    let mut ok = true;
-    e.walk(&mut |s| match &s.kind {
-        ExprKind::Call { .. } | ExprKind::Assign(..) => ok = false,
-        ExprKind::Unary(op, _) if op.writes_operand() => ok = false,
-        _ => {}
-    });
-    ok
-}
-
-/// Writes inside the loop, split by what they can invalidate. A for
-/// header's update of its *own* declared iterator is iteration structure,
-/// not a body write — the copies under it re-execute each iteration.
-#[derive(Default)]
-struct LoopWrites {
-    /// Names assigned / inc-dec'd / address-taken directly.
-    direct: HashSet<String>,
-    /// Bases stored through exactly one subscript (`X[e] = …` moves a
-    /// row; `X[a][b] = …` does not).
-    row: HashSet<String>,
-}
-
-fn collect_loop_writes(s: &Stmt, out: &mut LoopWrites) {
-    let record = |e: &Expr, out: &mut LoopWrites, skip: Option<&str>| {
-        e.walk(&mut |w| {
-            let target = match &w.kind {
-                ExprKind::Assign(_, lhs, _) => Some(&**lhs),
-                ExprKind::Unary(op, inner) if op.writes_operand() => Some(&**inner),
-                ExprKind::Unary(UnOp::AddrOf, inner) => {
-                    // Escaped addresses defeat the value-tracking
-                    // entirely: root through every subscript level.
-                    let mut bases = HashSet::new();
-                    pointer_value_bases(inner, &mut bases);
-                    for b in bases {
-                        out.direct.insert(b.clone());
-                        out.row.insert(b);
-                    }
-                    None
-                }
-                _ => None,
-            };
-            if let Some(t) = target {
-                match &t.kind {
-                    ExprKind::Ident(n) if Some(n.as_str()) != skip => {
-                        out.direct.insert(n.clone());
-                    }
-                    ExprKind::Index(b, _) => {
-                        if let ExprKind::Ident(n) = &b.kind {
-                            out.row.insert(n.clone());
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        });
-    };
-    match &s.kind {
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            let own = init.bound_names().next();
-            if let ForInit::Expr(Some(e)) = init.as_ref() {
-                record(e, out, None);
-            }
-            if let Some(c) = cond {
-                record(c, out, own);
-            }
-            if let Some(st) = step {
-                record(st, out, own);
-            }
-            collect_loop_writes(body, out);
-        }
-        StmtKind::Block(b) => {
-            for s in &b.stmts {
-                collect_loop_writes(s, out);
-            }
-        }
-        StmtKind::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            record(cond, out, None);
-            collect_loop_writes(then_branch, out);
-            if let Some(e) = else_branch {
-                collect_loop_writes(e, out);
-            }
-        }
-        StmtKind::While { cond, body } | StmtKind::DoWhile { cond, body } => {
-            record(cond, out, None);
-            collect_loop_writes(body, out);
-        }
-        StmtKind::Decl(d) => {
-            for dec in &d.declarators {
-                if let Some(init) = &dec.init {
-                    record(init, out, None);
-                }
-            }
-        }
-        StmtKind::Expr(Some(e)) | StmtKind::Return(Some(e)) => record(e, out, None),
-        _ => {}
-    }
-}
-
-struct PointerCopy {
-    name: String,
-    init: Expr,
-    /// Nest iterators in scope at the declaration point.
-    scope: HashSet<String>,
-}
-
-fn collect_pointer_copies(s: &Stmt, scope: &mut Vec<String>, out: &mut Vec<PointerCopy>) {
-    match &s.kind {
-        StmtKind::Decl(d) => {
-            // Single-declarator statements only: removal stays trivial.
-            if let [dec] = d.declarators.as_slice() {
-                if !dec.ty.ptr.is_empty() && dec.array_dims.is_empty() {
-                    if let Some(init) = &dec.init {
-                        let mut subs = HashSet::new();
-                        if stable_lvalue_path(init, &mut subs).is_some() {
-                            out.push(PointerCopy {
-                                name: dec.name.clone(),
-                                init: init.clone(),
-                                scope: scope.iter().cloned().collect(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        StmtKind::For { init, body, .. } => {
-            let mut pushed = 0;
-            if let ForInit::Decl(d) = init.as_ref() {
-                for dec in &d.declarators {
-                    scope.push(dec.name.clone());
-                    pushed += 1;
-                }
-            }
-            collect_pointer_copies(body, scope, out);
-            scope.truncate(scope.len() - pushed);
-        }
-        StmtKind::Block(b) => {
-            for s in &b.stmts {
-                collect_pointer_copies(s, scope, out);
-            }
-        }
-        StmtKind::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            collect_pointer_copies(then_branch, scope, out);
-            if let Some(e) = else_branch {
-                collect_pointer_copies(e, scope, out);
-            }
-        }
-        StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
-            collect_pointer_copies(body, scope, out);
-        }
-        _ => {}
-    }
-}
-
-/// Substitute every sound pointer copy back into its uses and drop the
-/// declarations, returning the rewritten loop — or `None` when the loop
-/// holds no such copy (the common case; avoids the clone).
-fn resolve_pointer_copies(for_stmt: &Stmt) -> Option<Stmt> {
-    let mut cands = Vec::new();
-    collect_pointer_copies(for_stmt, &mut Vec::new(), &mut cands);
-    if cands.is_empty() {
-        return None;
-    }
-    let mut writes = LoopWrites::default();
-    collect_loop_writes(for_stmt, &mut writes);
-    let mut all_iters: HashSet<String> = HashSet::new();
-    for_stmt.walk(&mut |s| {
-        if let StmtKind::For { init, .. } = &s.kind {
-            if let ForInit::Decl(d) = init.as_ref() {
-                for dec in &d.declarators {
-                    all_iters.insert(dec.name.clone());
-                }
-            }
-        }
-    });
-    let cand_names: HashSet<String> = cands.iter().map(|c| c.name.clone()).collect();
-    let sound: Vec<&PointerCopy> = cands
-        .iter()
-        .filter(|c| {
-            let mut subs = HashSet::new();
-            let base = stable_lvalue_path(&c.init, &mut subs).expect("pre-screened");
-            // The copy itself must stay single-assignment, its base's
-            // rows must not move, its subscripts must be stable between
-            // declaration and use (an iterator qualifies only when the
-            // copy lives inside that iterator's loop), and chains of
-            // copies are left alone.
-            !writes.direct.contains(&c.name)
-                && !writes.direct.contains(&base)
-                && !writes.row.contains(&base)
-                && !cand_names.contains(&base)
-                && subs.iter().all(|id| {
-                    !writes.direct.contains(id)
-                        && (!all_iters.contains(id) || c.scope.contains(id))
-                        && !cand_names.contains(id)
-                })
-        })
-        .collect();
-    if sound.is_empty() {
-        return None;
-    }
-    let mut resolved = for_stmt.clone();
-    for c in &sound {
-        cfront::visit::visit_exprs_mut(&mut resolved, &mut |e| {
-            if matches!(&e.kind, ExprKind::Ident(n) if *n == c.name) {
-                let span = e.span;
-                *e = c.init.clone();
-                // keep original use-site spans for diagnostics
-                fn respan(e: &mut Expr, span: Span) {
-                    e.span = span;
-                    if let ExprKind::Index(b, s) = &mut e.kind {
-                        respan(b, span);
-                        respan(s, span);
-                    }
-                }
-                respan(e, span);
-            }
-        });
-    }
-    let resolved_names: HashSet<&str> = sound.iter().map(|c| c.name.as_str()).collect();
-    fn drop_decls(s: &mut Stmt, names: &HashSet<&str>) {
-        match &mut s.kind {
-            StmtKind::Block(b) => {
-                b.stmts.retain(|s| {
-                    !matches!(&s.kind, StmtKind::Decl(d)
-                        if matches!(d.declarators.as_slice(),
-                            [dec] if names.contains(dec.name.as_str())))
-                });
-                for s in &mut b.stmts {
-                    drop_decls(s, names);
-                }
-            }
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                drop_decls(then_branch, names);
-                if let Some(e) = else_branch {
-                    drop_decls(e, names);
-                }
-            }
-            StmtKind::While { body, .. }
-            | StmtKind::DoWhile { body, .. }
-            | StmtKind::For { body, .. } => drop_decls(body, names),
-            _ => {}
-        }
-    }
-    drop_decls(&mut resolved, &resolved_names);
-    Some(resolved)
 }
 
 // ---------------------------------------------------------------------------
@@ -785,6 +501,10 @@ fn collect_alias_groups(b: &Block) -> AliasGroups {
     let join = |g: &mut AliasGroups, name: &str, rhs: &Expr| {
         let mut bases = HashSet::new();
         pointer_value_bases(rhs, &mut bases);
+        // In name order, so a group's root (which diagnostics name) does
+        // not depend on hash order.
+        let mut bases: Vec<String> = bases.into_iter().collect();
+        bases.sort_unstable();
         for base in &bases {
             g.union(name, base);
         }

@@ -456,7 +456,18 @@ impl Expr {
 
     /// Visit this expression and all sub-expressions, outside-in.
     pub fn walk<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
-        f(self);
+        self.walk_pruned(&mut |e| {
+            f(e);
+            true
+        });
+    }
+
+    /// [`Expr::walk`] that goes below a node only when `f` returns true
+    /// for it.
+    pub fn walk_pruned<'a>(&'a self, f: &mut dyn FnMut(&'a Expr) -> bool) {
+        if !f(self) {
+            return;
+        }
         match &self.kind {
             ExprKind::IntLit(_)
             | ExprKind::FloatLit { .. }
@@ -465,32 +476,28 @@ impl Expr {
             | ExprKind::Ident(_)
             | ExprKind::SizeofType(_) => {}
             ExprKind::Unary(_, e) | ExprKind::Cast(_, e) | ExprKind::SizeofExpr(e) => {
-                e.walk(f);
+                e.walk_pruned(f);
             }
-            ExprKind::Binary(_, l, r) | ExprKind::Comma(l, r) => {
-                l.walk(f);
-                r.walk(f);
-            }
-            ExprKind::Assign(_, l, r) => {
-                l.walk(f);
-                r.walk(f);
+            ExprKind::Binary(_, l, r) | ExprKind::Comma(l, r) | ExprKind::Assign(_, l, r) => {
+                l.walk_pruned(f);
+                r.walk_pruned(f);
             }
             ExprKind::Ternary(c, t, e) => {
-                c.walk(f);
-                t.walk(f);
-                e.walk(f);
+                c.walk_pruned(f);
+                t.walk_pruned(f);
+                e.walk_pruned(f);
             }
             ExprKind::Call { callee, args } => {
-                callee.walk(f);
+                callee.walk_pruned(f);
                 for a in args {
-                    a.walk(f);
+                    a.walk_pruned(f);
                 }
             }
             ExprKind::Index(b, i) => {
-                b.walk(f);
-                i.walk(f);
+                b.walk_pruned(f);
+                i.walk_pruned(f);
             }
-            ExprKind::Member { base, .. } => base.walk(f),
+            ExprKind::Member { base, .. } => base.walk_pruned(f),
         }
     }
 
@@ -618,21 +625,30 @@ impl Stmt {
 
     /// Visit every expression contained in this statement subtree.
     pub fn walk_exprs<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
+        self.walk_exprs_pruned(&mut |e| {
+            f(e);
+            true
+        });
+    }
+
+    /// [`Stmt::walk_exprs`] that goes below an expression only when `f`
+    /// returns true for it.
+    pub fn walk_exprs_pruned<'a>(&'a self, f: &mut dyn FnMut(&'a Expr) -> bool) {
         self.walk(&mut |s| match &s.kind {
             StmtKind::Decl(d) => {
                 for dec in &d.declarators {
                     for dim in &dec.array_dims {
-                        dim.walk(f);
+                        dim.walk_pruned(f);
                     }
                     if let Some(init) = &dec.init {
-                        init.walk(f);
+                        init.walk_pruned(f);
                     }
                 }
             }
-            StmtKind::Expr(Some(e)) | StmtKind::Return(Some(e)) => e.walk(f),
+            StmtKind::Expr(Some(e)) | StmtKind::Return(Some(e)) => e.walk_pruned(f),
             StmtKind::If { cond, .. }
             | StmtKind::While { cond, .. }
-            | StmtKind::DoWhile { cond, .. } => cond.walk(f),
+            | StmtKind::DoWhile { cond, .. } => cond.walk_pruned(f),
             StmtKind::For {
                 init, cond, step, ..
             } => {
@@ -640,18 +656,18 @@ impl Stmt {
                     ForInit::Decl(d) => {
                         for dec in &d.declarators {
                             if let Some(i) = &dec.init {
-                                i.walk(f);
+                                i.walk_pruned(f);
                             }
                         }
                     }
-                    ForInit::Expr(Some(e)) => e.walk(f),
+                    ForInit::Expr(Some(e)) => e.walk_pruned(f),
                     ForInit::Expr(None) => {}
                 }
                 if let Some(c) = cond {
-                    c.walk(f);
+                    c.walk_pruned(f);
                 }
                 if let Some(s2) = step {
-                    s2.walk(f);
+                    s2.walk_pruned(f);
                 }
             }
             _ => {}

@@ -77,22 +77,31 @@ pub fn collect_symbols(unit: &TranslationUnit, interner: &mut Interner) {
 /// Walk every expression in a statement subtree with a mutable closure.
 /// Traversal is outside-in; the closure may rewrite nodes in place.
 pub fn visit_exprs_mut(stmt: &mut Stmt, f: &mut dyn FnMut(&mut Expr)) {
+    visit_exprs_mut_pruned(stmt, &mut |e| {
+        f(e);
+        true
+    });
+}
+
+/// [`visit_exprs_mut`] that goes below an expression only when `f`
+/// returns true for it (after any rewrite `f` made).
+pub fn visit_exprs_mut_pruned(stmt: &mut Stmt, f: &mut dyn FnMut(&mut Expr) -> bool) {
     match &mut stmt.kind {
         StmtKind::Decl(d) => {
             for dec in &mut d.declarators {
                 for dim in &mut dec.array_dims {
-                    visit_expr_mut(dim, f);
+                    visit_expr_mut_pruned(dim, f);
                 }
                 if let Some(init) = &mut dec.init {
-                    visit_expr_mut(init, f);
+                    visit_expr_mut_pruned(init, f);
                 }
             }
         }
-        StmtKind::Expr(Some(e)) | StmtKind::Return(Some(e)) => visit_expr_mut(e, f),
+        StmtKind::Expr(Some(e)) | StmtKind::Return(Some(e)) => visit_expr_mut_pruned(e, f),
         StmtKind::Expr(None) | StmtKind::Return(None) => {}
         StmtKind::Block(b) => {
             for s in &mut b.stmts {
-                visit_exprs_mut(s, f);
+                visit_exprs_mut_pruned(s, f);
             }
         }
         StmtKind::If {
@@ -100,19 +109,19 @@ pub fn visit_exprs_mut(stmt: &mut Stmt, f: &mut dyn FnMut(&mut Expr)) {
             then_branch,
             else_branch,
         } => {
-            visit_expr_mut(cond, f);
-            visit_exprs_mut(then_branch, f);
+            visit_expr_mut_pruned(cond, f);
+            visit_exprs_mut_pruned(then_branch, f);
             if let Some(e) = else_branch {
-                visit_exprs_mut(e, f);
+                visit_exprs_mut_pruned(e, f);
             }
         }
         StmtKind::While { cond, body } => {
-            visit_expr_mut(cond, f);
-            visit_exprs_mut(body, f);
+            visit_expr_mut_pruned(cond, f);
+            visit_exprs_mut_pruned(body, f);
         }
         StmtKind::DoWhile { body, cond } => {
-            visit_exprs_mut(body, f);
-            visit_expr_mut(cond, f);
+            visit_exprs_mut_pruned(body, f);
+            visit_expr_mut_pruned(cond, f);
         }
         StmtKind::For {
             init,
@@ -124,20 +133,20 @@ pub fn visit_exprs_mut(stmt: &mut Stmt, f: &mut dyn FnMut(&mut Expr)) {
                 ForInit::Decl(d) => {
                     for dec in &mut d.declarators {
                         if let Some(i) = &mut dec.init {
-                            visit_expr_mut(i, f);
+                            visit_expr_mut_pruned(i, f);
                         }
                     }
                 }
-                ForInit::Expr(Some(e)) => visit_expr_mut(e, f),
+                ForInit::Expr(Some(e)) => visit_expr_mut_pruned(e, f),
                 ForInit::Expr(None) => {}
             }
             if let Some(c) = cond {
-                visit_expr_mut(c, f);
+                visit_expr_mut_pruned(c, f);
             }
             if let Some(s) = step {
-                visit_expr_mut(s, f);
+                visit_expr_mut_pruned(s, f);
             }
-            visit_exprs_mut(body, f);
+            visit_exprs_mut_pruned(body, f);
         }
         StmtKind::Break | StmtKind::Continue | StmtKind::Pragma(_) => {}
     }
@@ -145,7 +154,18 @@ pub fn visit_exprs_mut(stmt: &mut Stmt, f: &mut dyn FnMut(&mut Expr)) {
 
 /// Walk an expression tree with a mutable closure, outside-in.
 pub fn visit_expr_mut(e: &mut Expr, f: &mut dyn FnMut(&mut Expr)) {
-    f(e);
+    visit_expr_mut_pruned(e, &mut |e| {
+        f(e);
+        true
+    });
+}
+
+/// [`visit_expr_mut`] that goes below a node only when `f` returns true
+/// for it.
+fn visit_expr_mut_pruned(e: &mut Expr, f: &mut dyn FnMut(&mut Expr) -> bool) {
+    if !f(e) {
+        return;
+    }
     match &mut e.kind {
         ExprKind::IntLit(_)
         | ExprKind::FloatLit { .. }
@@ -154,28 +174,28 @@ pub fn visit_expr_mut(e: &mut Expr, f: &mut dyn FnMut(&mut Expr)) {
         | ExprKind::Ident(_)
         | ExprKind::SizeofType(_) => {}
         ExprKind::Unary(_, inner) | ExprKind::Cast(_, inner) | ExprKind::SizeofExpr(inner) => {
-            visit_expr_mut(inner, f)
+            visit_expr_mut_pruned(inner, f)
         }
         ExprKind::Binary(_, l, r) | ExprKind::Comma(l, r) | ExprKind::Assign(_, l, r) => {
-            visit_expr_mut(l, f);
-            visit_expr_mut(r, f);
+            visit_expr_mut_pruned(l, f);
+            visit_expr_mut_pruned(r, f);
         }
         ExprKind::Ternary(c, t, els) => {
-            visit_expr_mut(c, f);
-            visit_expr_mut(t, f);
-            visit_expr_mut(els, f);
+            visit_expr_mut_pruned(c, f);
+            visit_expr_mut_pruned(t, f);
+            visit_expr_mut_pruned(els, f);
         }
         ExprKind::Call { callee, args } => {
-            visit_expr_mut(callee, f);
+            visit_expr_mut_pruned(callee, f);
             for a in args {
-                visit_expr_mut(a, f);
+                visit_expr_mut_pruned(a, f);
             }
         }
         ExprKind::Index(b, i) => {
-            visit_expr_mut(b, f);
-            visit_expr_mut(i, f);
+            visit_expr_mut_pruned(b, f);
+            visit_expr_mut_pruned(i, f);
         }
-        ExprKind::Member { base, .. } => visit_expr_mut(base, f),
+        ExprKind::Member { base, .. } => visit_expr_mut_pruned(base, f),
     }
 }
 

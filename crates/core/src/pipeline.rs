@@ -189,7 +189,7 @@ pub fn finish(
     iter_map: &HashMap<String, cfront::ast::Expr>,
     system_includes: &[String],
 ) -> FinishedProgram {
-    let calls_reinserted = reinsert_calls(&mut unit, subst, iter_map);
+    let calls_reinserted = reinsert_calls(&mut unit, subst, |_| Some(iter_map));
     let lower_stats = lower_pure(&mut unit);
     let body = print_unit(&unit);
     let text = postprocess(&body, system_includes);

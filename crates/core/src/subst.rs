@@ -118,13 +118,14 @@ fn substitute_in_stmt(stmt: &mut Stmt, pure_set: &PureSet, map: &mut SubstMap) {
 }
 
 /// Reinsert the stored calls, applying an iterator renaming to every stored
-/// argument. `iter_map` maps an original iterator name (e.g. `i`) to its
+/// argument. `iter_map(placeholder)` is the renaming of the placeholder's
+/// region: it maps an original iterator name (e.g. `i`) to its
 /// replacement expression in the transformed code (e.g. `t1`, or a tile
-/// expression like `32 * t1 + t3`).
-pub fn reinsert_calls(
+/// expression like `32 * t1 + t3`); `None` keeps the call as stored.
+pub fn reinsert_calls<'m>(
     unit: &mut TranslationUnit,
     map: &SubstMap,
-    iter_map: &HashMap<String, Expr>,
+    iter_map: impl Fn(&str) -> Option<&'m HashMap<String, Expr>>,
 ) -> usize {
     let mut replaced = 0;
     for item in &mut unit.items {
@@ -137,7 +138,9 @@ pub fn reinsert_calls(
                     return;
                 };
                 let mut call = original.clone();
-                rename_iterators(&mut call, iter_map);
+                if let Some(iter_map) = iter_map(name) {
+                    rename_iterators(&mut call, iter_map);
+                }
                 *e = call;
                 replaced += 1;
             });
@@ -220,7 +223,7 @@ mod tests {
         let mut iter_map = HashMap::new();
         iter_map.insert("i".to_string(), parse_expr_str("t1").unwrap());
         iter_map.insert("j".to_string(), parse_expr_str("t2").unwrap());
-        let n = reinsert_calls(&mut unit, &map, &iter_map);
+        let n = reinsert_calls(&mut unit, &map, |_| Some(&iter_map));
         assert_eq!(n, 1);
         let out = print_unit(&unit);
         assert!(
@@ -236,7 +239,7 @@ mod tests {
         let mut iter_map = HashMap::new();
         iter_map.insert("i".to_string(), parse_expr_str("32 * t1 + t3").unwrap());
         iter_map.insert("j".to_string(), parse_expr_str("32 * t2 + t4").unwrap());
-        reinsert_calls(&mut unit, &map, &iter_map);
+        reinsert_calls(&mut unit, &map, |_| Some(&iter_map));
         let out = print_unit(&unit);
         assert!(out.contains("A[32 * t1 + t3]"), "{out}");
     }
@@ -256,7 +259,7 @@ mod tests {
         assert_eq!(map.len(), 1);
         let mut iter_map = HashMap::new();
         iter_map.insert("i".to_string(), parse_expr_str("t1").unwrap());
-        reinsert_calls(&mut unit, &map, &iter_map);
+        reinsert_calls(&mut unit, &map, |_| Some(&iter_map));
         let out = print_unit(&unit);
         assert!(
             out.contains("a[i] = f(g(t1));") || out.contains("= f(g(t1))"),

@@ -28,7 +28,9 @@ pub use codegen::{generate, CodegenOptions, Generated, HELPER_DEFS};
 pub use deps::{analyze, parallel_levels, DepAnalysis, DepKind, Dependence, DistBound};
 pub use extract::{extract_scop, IterTypes};
 pub use model::{Access, LoopDim, PolyStmt, Scop};
-pub use polycc::{run_polycc, PolyccOptions, PolyccReport, RegionOutcome};
+pub use polycc::{
+    hoist_row_pointers, run_polycc, transform_regions, PolyccOptions, PolyccReport, RegionOutcome,
+};
 pub use schedule::{compute_schedule, Transform};
 pub use set::{Constraint, ConstraintSystem, Rel};
 pub use sica::{select_tile_size, SicaParams};

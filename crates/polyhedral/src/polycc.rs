@@ -18,7 +18,7 @@ use cfront::ast::*;
 use cfront::diag::Diagnostics;
 use cfront::omp::for_after_pragmas;
 use cfront::printer::{print_expr, print_stmt};
-use cfront::visit::visit_exprs_mut;
+use cfront::visit::{visit_exprs_mut_pruned, visit_stmts_mut};
 use std::collections::{HashMap, HashSet};
 
 /// Marker pragma prepended to every transformed nest. It survives the
@@ -132,10 +132,18 @@ impl PolyccReport {
     }
 }
 
-/// Run the polyhedral stage over a marked translation unit.
+/// Run the polyhedral stage over a marked translation unit: the two
+/// halves, [`transform_regions`] then [`hoist_row_pointers`], back to back.
 pub fn run_polycc(unit: &mut TranslationUnit, opts: PolyccOptions) -> PolyccReport {
+    let mut report = transform_regions(unit, opts);
+    hoist_row_pointers(unit, &mut report);
+    report
+}
+
+/// The first half of the stage: model, schedule and replace every marked
+/// region (fusing and bound-hoisting the results).
+pub fn transform_regions(unit: &mut TranslationUnit, opts: PolyccOptions) -> PolyccReport {
     let mut report = PolyccReport::default();
-    let rows = row_pointer_globals(unit);
     let globals = IterTypes::of_globals(unit);
     for item in &mut unit.items {
         let Item::Function(f) = item else { continue };
@@ -147,17 +155,35 @@ pub fn run_polycc(unit: &mut TranslationUnit, opts: PolyccOptions) -> PolyccRepo
         };
         process_block(body, cx, &mut report);
     }
-    // Strength-reduce after all regions settle: transformed nests are
-    // identifiable by their affine markers wherever they ended up, so a
-    // whole-unit sweep avoids threading state through the region walk.
-    if !rows.is_empty() {
-        for item in &mut unit.items {
-            let Item::Function(f) = item else { continue };
-            let Some(body) = &mut f.body else { continue };
-            hoist_rows_block(body, &rows, &mut report);
+    report
+}
+
+/// The second half of the stage: strength-reduce invariant rows out of
+/// every transformed nest, counted in `report.rows_hoisted`. Transformed
+/// nests are identifiable by their affine markers wherever they ended up,
+/// so a whole-unit sweep needs no state from the region walk. A call's
+/// arguments are opaque to every walk of the hoist: the pure calls were
+/// `tmpConst_*` placeholders while the regions were transformed, and the
+/// hoist emits the same text on either side of their reinsertion.
+pub fn hoist_row_pointers(unit: &mut TranslationUnit, report: &mut PolyccReport) {
+    let rows = row_pointer_globals(unit);
+    if rows.is_empty() {
+        return;
+    }
+    // Every statement list of every body: markers can sit at any block
+    // depth (e.g. spatial nests transformed inside a rejected time loop).
+    for item in &mut unit.items {
+        let Item::Function(f) = item else { continue };
+        let Some(body) = &mut f.body else { continue };
+        hoist_rows(&mut body.stmts, &rows, report);
+        for s in &mut body.stmts {
+            visit_stmts_mut(s, &mut |s| {
+                if let StmtKind::Block(b) = &mut s.kind {
+                    hoist_rows(&mut b.stmts, &rows, report);
+                }
+            });
         }
     }
-    report
 }
 
 /// What the region walk carries down one function body.
@@ -167,36 +193,6 @@ struct Cx<'a> {
     /// Which assigned (not declared) iterators of this function are
     /// integers.
     types: &'a IterTypes<'a>,
-}
-
-/// Recursive sweep that applies [`hoist_rows`] to every statement list in
-/// a function body (markers can sit at any block depth — e.g. spatial
-/// nests transformed inside a rejected time loop).
-fn hoist_rows_block(b: &mut Block, rows: &HashMap<String, Type>, report: &mut PolyccReport) {
-    hoist_rows(&mut b.stmts, rows, report);
-    for s in &mut b.stmts {
-        hoist_rows_stmt(s, rows, report);
-    }
-}
-
-fn hoist_rows_stmt(s: &mut Stmt, rows: &HashMap<String, Type>, report: &mut PolyccReport) {
-    match &mut s.kind {
-        StmtKind::Block(b) => hoist_rows_block(b, rows, report),
-        StmtKind::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            hoist_rows_stmt(then_branch, rows, report);
-            if let Some(e) = else_branch {
-                hoist_rows_stmt(e, rows, report);
-            }
-        }
-        StmtKind::While { body, .. }
-        | StmtKind::DoWhile { body, .. }
-        | StmtKind::For { body, .. } => hoist_rows_stmt(body, rows, report),
-        _ => {}
-    }
 }
 
 /// Is this pragma text a user `#pragma omp parallel for` header?
@@ -873,11 +869,17 @@ fn row_pointer_globals(unit: &TranslationUnit) -> HashMap<String, Type> {
     rows
 }
 
+/// Descend below `e` unless it is a call: the row hoist leaves call
+/// arguments alone (see [`hoist_row_pointers`]).
+fn outside_calls(e: &Expr) -> bool {
+    !matches!(e.kind, ExprKind::Call { .. })
+}
+
 /// Bases whose rows may move inside this nest: assigned directly, written
 /// through a one-level subscript, inc/decremented, or address-taken.
 fn row_unsafe_bases(nest: &Stmt) -> HashSet<String> {
     let mut bad = HashSet::new();
-    nest.walk_exprs(&mut |e| {
+    nest.walk_exprs_pruned(&mut |e| {
         let target = match &e.kind {
             ExprKind::Assign(_, lhs, _) => match &lhs.kind {
                 ExprKind::Ident(n) => Some(n.as_str()),
@@ -896,6 +898,7 @@ fn row_unsafe_bases(nest: &Stmt) -> HashSet<String> {
         if let Some(n) = target {
             bad.insert(n.to_string());
         }
+        outside_calls(e)
     });
     bad
 }
@@ -908,7 +911,7 @@ fn collect_row_refs(
     bad: &HashSet<String>,
     out: &mut Vec<(String, Expr)>,
 ) {
-    stmt.walk_exprs(&mut |e| {
+    stmt.walk_exprs_pruned(&mut |e| {
         if let ExprKind::Index(row_ref, _) = &e.kind {
             if let ExprKind::Index(xb, sub) = &row_ref.kind {
                 if let ExprKind::Ident(x) = &xb.kind {
@@ -921,6 +924,7 @@ fn collect_row_refs(
                 }
             }
         }
+        outside_calls(e)
     });
 }
 
@@ -989,10 +993,11 @@ fn hoist_rows_for(
         let row_ty = rows[x].clone();
         report.rows_hoisted += 1;
         let name = format!("__pc_row{}", report.rows_hoisted);
-        visit_exprs_mut(body, &mut |e| {
+        visit_exprs_mut_pruned(body, &mut |e| {
             if print_expr(e) == key {
                 *e = Expr::new(ExprKind::Ident(name.clone()), e.span);
             }
+            outside_calls(e)
         });
         let span = row_ref.span;
         decls.push(Stmt::new(
@@ -1052,9 +1057,6 @@ fn hoist_rows_in_body(
 /// invariant row pointers load once at the level where their subscript
 /// settles instead of once per inner iteration.
 fn hoist_rows(stmts: &mut [Stmt], rows: &HashMap<String, Type>, report: &mut PolyccReport) {
-    if rows.is_empty() {
-        return;
-    }
     let mut i = 0;
     while i < stmts.len() {
         let Some(g) = group_at(stmts, i) else {
@@ -1498,6 +1500,32 @@ int main() {
             out.contains("__pc_row1[t2] = __pc_row2[t2] + 1.0f;"),
             "{out}"
         );
+    }
+
+    #[test]
+    fn row_hoist_leaves_call_arguments_alone() {
+        // The chain hoists after the pure calls are back: `X[i][j]` is
+        // the call's business, exactly as when the call was a
+        // placeholder, while the store's row `Y[i]` still settles at the
+        // outer level.
+        let src = "\
+float **X, **Y;
+float f(float x);
+int main() {
+#pragma affine
+    for (int i = 0; i < 8; i++)
+        for (int j = 0; j < 8; j++)
+            Y[i][j] = f(X[i][j]);
+    return 0;
+}
+";
+        let mut unit = parse(src).unit;
+        let mut report = PolyccReport::default();
+        hoist_row_pointers(&mut unit, &mut report);
+        assert_eq!(report.rows_hoisted, 1);
+        let out = print_unit(&unit);
+        assert!(out.contains("float* __pc_row1 = Y[i];"), "{out}");
+        assert!(out.contains("__pc_row1[j] = f(X[i][j]);"), "{out}");
     }
 
     #[test]

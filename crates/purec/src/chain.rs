@@ -2,8 +2,10 @@
 //!
 //! ```text
 //! source ─PC-PrePro/GCC-E─► purec_core::run_pc_cc   (verify + mark + subst)
-//!        ─polycc──────────► polyhedral::run_polycc  (analyze + transform)
+//!        ─polycc──────────► polyhedral::transform_regions (analyze + transform)
 //!        ─PC-CC⁻¹─────────► reinsert calls (adapted iterators)
+//!        ─race analysis───► analysis::analyze_unit  (one verdict per loop)
+//!        ─polycc──────────► polyhedral::hoist_row_pointers
 //!        ─lower───────────► pure → const / removed
 //!        ─PC-PosPro───────► system includes restored
 //! ```
@@ -12,13 +14,15 @@
 //! *run* it: the lowered unit executes on the interpreter with the omprt
 //! parallel runtime.
 
-use analysis::{AnalysisOptions, LoopVerdict};
+use analysis::{AnalysisOptions, LoopReport, LoopVerdict};
 use cfront::ast::TranslationUnit;
 use cfront::diag::Diagnostics;
 use cfront::parser::parse;
 use cinterp::{InterpOptions, Program, RaceVerdict, RunResult, RuntimeError, VerdictMap};
-use polyhedral::{run_polycc, PolyccOptions, PolyccReport, RegionOutcome, HELPER_DEFS};
-use purec_core::{finish, run_pc_cc, PcCcOptions, SubstMap};
+use polyhedral::{
+    hoist_row_pointers, transform_regions, PolyccOptions, PolyccReport, RegionOutcome, HELPER_DEFS,
+};
+use purec_core::{finish, run_pc_cc, PcCcOptions};
 use std::collections::HashMap;
 
 /// Options for a full chain run.
@@ -81,26 +85,25 @@ pub fn compile(source: &str, opts: ChainOptions) -> Result<ChainOutput, Diagnost
     use cinterp::trace::instrument;
 
     // PC-PrePro + GCC-E + PC-CC.
-    let analysis_seed = opts.pc_cc.seed.clone();
     let parse_span = instrument::span("phase.parse", source.len() as u64);
     let pcc = run_pc_cc(source, opts.pc_cc)?;
     drop(parse_span);
     let mut diags = pcc.diags;
     let mut unit = pcc.unit;
 
-    // polycc.
+    // polycc, first half: model, schedule and replace the regions.
     let opt_span = instrument::span("phase.opt", 0);
-    let report = if opts.no_poly {
+    let mut report = if opts.no_poly {
         PolyccReport::default()
     } else {
         let mut polycc_opts = opts.polycc;
         if opts.poly_unmarked {
             polycc_opts.unmarked = Some(purec_core::verified_pure_set(&pcc.declared_pure));
         }
-        run_polycc(&mut unit, polycc_opts)
+        transform_regions(&mut unit, polycc_opts)
     };
     drop(opt_span);
-    diags.extend(report.diags.clone());
+    diags.extend(std::mem::take(&mut report.diags));
 
     let regions_transformed = report.transformed_count();
     let regions_parallelized = report.parallelized_count();
@@ -109,24 +112,38 @@ pub fn compile(source: &str, opts: ChainOptions) -> Result<ChainOutput, Diagnost
         .iter()
         .filter(|r| matches!(r, RegionOutcome::Transformed { skewed: true, .. }))
         .count();
-    let regions_tiled = report
-        .regions
-        .iter()
-        .filter(|r| matches!(r, RegionOutcome::Transformed { tiled: true, .. }))
-        .count();
+    let regions_tiled = report.tiled_count();
     let regions_fused = report.fused;
-    let rows_hoisted = report.rows_hoisted;
-    let polycc_fm_solves = report.fm_solves;
     let schedules = render_schedules(&report);
 
     // Reinsert placeholders per region with that region's iterator map;
     // anything not covered by a transformed region maps identically.
     let lower_span = instrument::span("phase.lower", 0);
     let per_placeholder = report.placeholder_iter_maps();
-    let calls_reinserted = reinsert_per_region(&mut unit, &pcc.subst, &per_placeholder);
+    let calls_reinserted =
+        purec_core::reinsert_calls(&mut unit, &pcc.subst, |p| per_placeholder.get(p));
+    drop(lower_span);
+
+    // Static race analysis + lints, on the transformed unit with its pure
+    // calls back and before any row is hoisted: each loop is judged once,
+    // by the subscripts the transform produced, not through the
+    // `__pc_rowK` pointers that rename them below. The diagnostics are
+    // advisory at compile time; Racy verdicts only become hard errors
+    // under `--race-check` at run time.
+    let analysis_span = instrument::span("phase.analysis", 0);
+    let analysis = analysis::analyze_unit(&unit, &pcc.pure_set, &AnalysisOptions::default());
+    drop(analysis_span);
+    diags.extend(analysis.diags);
+
+    // polycc, second half: strength-reduce invariant rows.
+    if !opts.no_poly {
+        let _opt_span = instrument::span("phase.opt", 0);
+        hoist_row_pointers(&mut unit, &mut report);
+    }
 
     // Lowering + PC-PosPro (via purec_core::finish with an empty global
     // map — all placeholders were already handled above).
+    let lower_span = instrument::span("phase.lower", 0);
     let finished = finish(unit, &pcc.subst, &HashMap::new(), &pcc.system_includes);
 
     // Prepend helper definitions when tiled codegen used floord/ceild.
@@ -147,7 +164,8 @@ pub fn compile(source: &str, opts: ChainOptions) -> Result<ChainOutput, Diagnost
         finished.text
     };
 
-    // The final text must be standard C: reparse to prove it.
+    // Reparse the final text: that builds the unit the engines run, with
+    // the spans their lowering keys verdicts by.
     let reparsed = parse(&text);
     drop(lower_span);
     if reparsed.diags.has_errors() {
@@ -155,33 +173,7 @@ pub fn compile(source: &str, opts: ChainOptions) -> Result<ChainOutput, Diagnost
         d.extend(reparsed.diags);
         return Err(d);
     }
-
-    // Static race analysis + lints over the reparsed unit — the same AST
-    // the engines execute, so verdict spans survive into lowering. The
-    // diagnostics are advisory at compile time; Racy verdicts only become
-    // hard errors under `--race-check` at run time. (`pure` qualifiers
-    // were lowered away above, so the verified set is re-seeded from
-    // `declared_pure`.)
-    let analysis_span = instrument::span("phase.analysis", 0);
-    let mut verified = analysis_seed;
-    for name in &pcc.declared_pure {
-        verified.insert(name.clone());
-    }
-    let report = analysis::analyze_unit(&reparsed.unit, &verified, &AnalysisOptions::default());
-    drop(analysis_span);
-    let verdicts: VerdictMap = report
-        .loops
-        .iter()
-        .map(|l| {
-            let v = match l.verdict {
-                LoopVerdict::Independent => RaceVerdict::Independent,
-                LoopVerdict::Racy => RaceVerdict::Racy,
-                LoopVerdict::Unknown => RaceVerdict::Unknown,
-            };
-            (l.span, v)
-        })
-        .collect();
-    diags.extend(report.diags);
+    let verdicts = carry_verdicts(&analysis.loops, &reparsed.unit);
 
     Ok(ChainOutput {
         text,
@@ -193,13 +185,47 @@ pub fn compile(source: &str, opts: ChainOptions) -> Result<ChainOutput, Diagnost
         regions_skewed,
         regions_tiled,
         regions_fused,
-        rows_hoisted,
-        fm_solves: polycc_fm_solves + report.fm_solves,
+        rows_hoisted: report.rows_hoisted,
+        fm_solves: report.fm_solves + analysis.fm_solves,
         schedules,
         calls_reinserted,
         diags,
         verdicts,
     })
+}
+
+/// Give each analyzed loop's verdict to the loop at the same position of
+/// [`analysis::race::for_each_omp_loop`] in the same function of the
+/// reparsed unit, whose spans the engines key verdicts by. Neither row
+/// hoisting nor printing adds, drops or moves a pragma–loop pair; should
+/// a function's loop counts still disagree, all its loops are `Unknown`.
+fn carry_verdicts(loops: &[LoopReport], unit: &TranslationUnit) -> VerdictMap {
+    let mut judged: HashMap<&str, Vec<LoopVerdict>> = HashMap::new();
+    for l in loops {
+        judged.entry(&l.function).or_default().push(l.verdict);
+    }
+    let mut verdicts = VerdictMap::new();
+    for f in unit.functions() {
+        let Some(body) = &f.body else { continue };
+        let mut spans = Vec::new();
+        analysis::race::for_each_omp_loop(body, &mut |_, _, for_stmt| spans.push(for_stmt.span));
+        let judged = judged
+            .get(f.name.as_str())
+            .filter(|v| v.len() == spans.len());
+        for (k, span) in spans.into_iter().enumerate() {
+            let verdict = judged.map_or(LoopVerdict::Unknown, |v| v[k]);
+            verdicts.insert(span, race_verdict(verdict));
+        }
+    }
+    verdicts
+}
+
+fn race_verdict(v: LoopVerdict) -> RaceVerdict {
+    match v {
+        LoopVerdict::Independent => RaceVerdict::Independent,
+        LoopVerdict::Racy => RaceVerdict::Racy,
+        LoopVerdict::Unknown => RaceVerdict::Unknown,
+    }
 }
 
 /// Render one summary line per region outcome for `--dump-schedule`.
@@ -241,38 +267,6 @@ fn render_schedules(report: &PolyccReport) -> Vec<String> {
             RegionOutcome::Skipped { reason } => format!("region {k}: skipped ({reason})"),
         })
         .collect()
-}
-
-/// Reinsert substituted calls region by region, adapting iterators with
-/// each region's own map.
-fn reinsert_per_region(
-    unit: &mut TranslationUnit,
-    subst: &SubstMap,
-    per_placeholder: &HashMap<String, HashMap<String, cfront::ast::Expr>>,
-) -> usize {
-    use cfront::visit::visit_exprs_mut;
-    let mut replaced = 0;
-    for item in &mut unit.items {
-        let cfront::ast::Item::Function(f) = item else {
-            continue;
-        };
-        let Some(body) = &mut f.body else { continue };
-        for stmt in &mut body.stmts {
-            visit_exprs_mut(stmt, &mut |e| {
-                let Some(name) = e.as_ident() else { return };
-                let Some(original) = subst.get(name) else {
-                    return;
-                };
-                let mut call = original.clone();
-                if let Some(iter_map) = per_placeholder.get(name) {
-                    purec_core::rename_iterators(&mut call, iter_map);
-                }
-                *e = call;
-                replaced += 1;
-            });
-        }
-    }
-    replaced
 }
 
 impl ChainOutput {

@@ -237,27 +237,54 @@ fn purity_holes_are_rejected_with_spanned_errors() {
     assert_eq!(outcome.diags.error_count(), 3, "{}", outcome.render());
 }
 
+/// Listing 6 with two copies of the array's pointer: neither copy was
+/// assigned from the other, only both from `array`.
+const TWO_COPIES: &str = "\
+int array[100];
+int main() {
+    int* p = array;
+    int* q = array;
+#pragma omp parallel for
+    for (int i = 1; i < 100; i++)
+        p[i] = q[i - 1] + 1;
+    return p[99];
+}
+";
+
 /// Listing 5 through a global, split over two statements: the
 /// per-assignment rule lets it through (as it does Listing 6), so the
-/// verdict must be `Unknown` and the dynamic checker must refuse it.
+/// verdict must be `Unknown` and the dynamic checker must refuse it. The
+/// same holds for [`TWO_COPIES`], whose warning names the root that
+/// joins the two names.
 #[test]
 fn global_read_feedback_is_unknown_statically_and_a_race_dynamically() {
     let outcome = run_corpus_file("global_feedback.c", false);
     assert!(!outcome.has_errors(), "{}", outcome.render());
-    let out = purec::compile(&outcome.text, purec::ChainOptions::default()).expect("compiles");
-    assert_eq!(
-        out.verdicts.values().collect::<Vec<_>>(),
-        [&cinterp::RaceVerdict::Unknown]
+    let copies = check_source(TWO_COPIES, &CheckOptions::default());
+    let messages: Vec<&str> = copies.diags.items().iter().map(|d| &*d.message).collect();
+    assert!(
+        matches!(messages[..], [m] if m.contains(
+            "'p' and 'q' may alias (a chain of assignments joins both pointer values to the common root 'array')"
+        )),
+        "{messages:?}"
     );
-    let err = out
-        .program()
-        .run(cinterp::InterpOptions {
-            threads: 4,
-            race_check: true,
-            ..Default::default()
-        })
-        .expect_err("the dynamic check must catch the feedback");
-    assert!(err.message.contains("race detected"), "{err}");
+    for src in [outcome.text.as_str(), TWO_COPIES] {
+        let out = purec::compile(src, purec::ChainOptions::default()).expect("compiles");
+        assert_eq!(
+            out.verdicts.values().collect::<Vec<_>>(),
+            [&cinterp::RaceVerdict::Unknown],
+            "{src}"
+        );
+        let err = out
+            .program()
+            .run(cinterp::InterpOptions {
+                threads: 4,
+                race_check: true,
+                ..Default::default()
+            })
+            .expect_err("the dynamic check must catch the feedback");
+        assert!(err.message.contains("race detected"), "{err}");
+    }
 }
 
 include!("support/corpus.rs");
