@@ -1,10 +1,17 @@
 //! Runtime values and the shared memory model of the interpreter.
 //!
-//! Memory is slot-based: every scalar occupies one [`Scalar`] slot and
+//! Memory is slot-based: every scalar occupies one 8-byte heap cell and
 //! `sizeof(T) == 8` for every scalar type, so `malloc(3 * sizeof(int))`
-//! yields three slots and pointer arithmetic is element-wise. This keeps
+//! yields three cells and pointer arithmetic is element-wise. This keeps
 //! the machine model uniform (LP64-slot) without altering any program the
 //! evaluation uses.
+//!
+//! A cell holds the same NaN-boxed word ([`Packed`]) as the bytecode VM's
+//! frames and the [`GlobalTable`]: one codec, [`Packed::try_inline`],
+//! decides what fits a word everywhere. Frames, globals and the heap
+//! differ only in where a too-wide value goes — the VM's [`SpillPool`],
+//! the globals' shared overflow table, and for a heap cell its
+//! allocation's own side table, one entry per cell (see [`Allocation`]).
 //!
 //! Allocations are individually `Sync`: verified-pure parallel loops
 //! write *disjoint* slots (that is exactly what the purity pass +
@@ -14,23 +21,24 @@
 //! executed in parallel.
 //!
 //! The allocation *table* itself is a lock-free segmented array
-//! ([`AppendTable`]): `load`/`store`/`with_alloc` resolve an allocation
-//! id with three `Acquire` loads and **zero** lock acquisitions, while
-//! `alloc` serializes writers on a mutex that readers never touch. See
-//! the `AppendTable` docs for the publication protocol and its
-//! invariants.
+//! ([`AppendTable`]): `load`/`store` resolve an allocation id with three
+//! `Acquire` loads and **zero** lock acquisitions, while `alloc`
+//! serializes writers on a mutex that readers never touch. See the
+//! `AppendTable` docs for the publication protocol and its invariants.
 //!
 //! Allocation **ids** are append-only and never reused; allocation
-//! **storage** is not: `free` gives the slots and the `Box<Allocation>`
-//! back to the host and refunds the byte budget, leaving the id pointing
-//! at one shared tombstone so a dangling `Ptr` keeps failing with the
-//! same diagnostics. Reclamation happens at once when no `omp parallel
-//! for` region is in flight and at the outermost region's join otherwise
-//! — see [`Memory::free`] and [`Memory::enter_region`].
+//! **storage** is not: `free` gives the cells, the side table and the
+//! `Box<Allocation>` back to the host and refunds the byte budget,
+//! leaving the id pointing at one shared tombstone so a dangling `Ptr`
+//! keeps failing with the same diagnostics. Reclamation happens at once
+//! when no `omp parallel for` region is in flight and at the outermost
+//! region's join otherwise — see [`Memory::free`] and
+//! [`Memory::enter_region`].
 
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::collections::HashSet;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -94,37 +102,109 @@ impl Scalar {
     }
 }
 
-/// One allocation: a fixed-size vector of slots with interior mutability.
+/// One heap cell: a NaN-boxed [`Packed`] word.
+type Cell = UnsafeCell<u64>;
+
+/// One entry of an allocation's side table: the 64 bits of the wide
+/// value of the cell with the same index that its spill word has no room
+/// for (see [`wide_parts`]), uninitialised until that cell's first wide
+/// store.
+type SideEntry = UnsafeCell<MaybeUninit<u64>>;
+
+/// Bytes one heap cell takes, and what `--max-memory` charges a slot:
+/// the cap is the cells' physical size (a wide value's side entry is
+/// bounded by the allocation's length, freed with it and not charged).
+const CELL_BYTES: u64 = std::mem::size_of::<Cell>() as u64;
+
+/// What kind of wide value a cell's spill word announces: bits 32–33 of
+/// its payload. A pointer keeps its alloc id in bits 0–31.
+const WIDE_KIND: u64 = 3 << 32;
+const WIDE_INT: u64 = 0;
+const WIDE_FLOAT: u64 = 1 << 32;
+const WIDE_PTR: u64 = 2 << 32;
+
+/// A wide value as its cell's spill word and its side entry: the int's or
+/// float's 64 bits, or a pointer's index, go to the entry.
+fn wide_parts(v: Scalar) -> (u64, u64) {
+    let spill = TAG_SPILL << 48;
+    match v {
+        Scalar::I(i) => (spill | WIDE_INT, i as u64),
+        Scalar::F(f) => (spill | WIDE_FLOAT, f.to_bits()),
+        Scalar::P(p) => (spill | WIDE_PTR | u64::from(p.alloc), p.index as u64),
+        Scalar::Null | Scalar::Uninit => unreachable!("null and uninit always fit a word"),
+    }
+}
+
+/// The wide value a cell's spill word and its side entry make up.
+fn wide_value(word: Packed, entry: u64) -> Scalar {
+    match word.0 & WIDE_KIND {
+        WIDE_INT => Scalar::I(entry as i64),
+        WIDE_FLOAT => Scalar::F(f64::from_bits(entry)),
+        _ => Scalar::P(Ptr {
+            alloc: word.0 as u32,
+            index: entry as i64,
+        }),
+    }
+}
+
+/// One allocation: a fixed-size vector of 8-byte cells with interior
+/// mutability.
+///
+/// A value that does not fit a word inline (an int past ±2⁴⁷, a pointer
+/// with alloc id ≥ 2²⁴ or |index| ≥ 2²³, a tag-window NaN) goes to the
+/// allocation's **side table**, a dense array of one 8-byte entry per
+/// cell: the cell holds a spill word naming the value's kind, and the
+/// entry the 64 bits the word has no room for. The protocol:
+///
+/// * the table is one null pointer until the first wide store, which
+///   allocates all `len` entries, uninitialised, and publishes them
+///   with a compare-and-swap (a racing first store frees its own copy
+///   and uses the winner's);
+/// * a wide store writes the slot's entry *before* the cell's spill
+///   word, so whoever reads the word finds its entry;
+/// * entries are never removed before the allocation is reclaimed — a
+///   cell that goes back to an inline value leaves its entry unread
+///   until the slot's next wide store overwrites it — so no store grows
+///   the table past `len` entries;
+/// * the table is dropped with the `Box<Allocation>`.
+///
+/// Entries are accessed like cells, without a lock, under the same
+/// distinct-slots argument.
 pub struct Allocation {
-    slots: Vec<UnsafeCell<Scalar>>,
+    slots: Vec<Cell>,
     freed: AtomicU64,
+    /// The side table's first entry (`slots.len()` of them), or null.
+    side: AtomicPtr<SideEntry>,
 }
 
 // SAFETY: concurrent access to *distinct* slots is sound; access to the
 // same slot from multiple threads without synchronization is excluded by
 // the purity/dependence verification (and validated by race-check mode).
+// A side entry belongs to its slot and is accessed only with it.
 unsafe impl Sync for Allocation {}
 unsafe impl Send for Allocation {}
 
 /// What the table entry of every reclaimed allocation points at: no
-/// slots, freed flag set, never dropped. `with_alloc`'s freed check and
-/// `free`'s flag swap therefore answer a reclaimed id exactly as they
-/// answered a flagged one.
+/// slots, freed flag set, never dropped. The freed check of every access
+/// and `free`'s flag swap therefore answer a reclaimed id exactly as
+/// they answered a flagged one.
 static TOMBSTONE: Allocation = Allocation {
     slots: Vec::new(),
     freed: AtomicU64::new(1),
+    side: AtomicPtr::new(std::ptr::null_mut()),
 };
 
 impl Allocation {
-    /// `len` slots all holding `fill`; `None` when the host cannot
+    /// `len` cells all holding `fill`; `None` when the host cannot
     /// supply the storage (absurd sizes included — never a panic).
-    fn try_new(len: usize, fill: Scalar) -> Option<Self> {
+    fn try_new(len: usize, fill: Packed) -> Option<Self> {
         let mut slots = Vec::new();
         slots.try_reserve_exact(len).ok()?;
-        slots.resize_with(len, || UnsafeCell::new(fill));
+        slots.resize_with(len, || UnsafeCell::new(fill.0));
         Some(Allocation {
             slots,
             freed: AtomicU64::new(0),
+            side: AtomicPtr::new(std::ptr::null_mut()),
         })
     }
 
@@ -138,6 +218,163 @@ impl Allocation {
 
     pub fn is_freed(&self) -> bool {
         self.freed.load(Ordering::Acquire) != 0
+    }
+
+    /// The word in cell `i` (`i < len`, checked by the caller).
+    #[inline(always)]
+    fn word(&self, i: usize) -> Packed {
+        // SAFETY: see the `Sync` justification above.
+        Packed(unsafe { *self.slots[i].get() })
+    }
+
+    #[inline(always)]
+    fn set_word(&self, i: usize, w: u64) {
+        // SAFETY: see the `Sync` justification above.
+        unsafe { *self.slots[i].get() = w };
+    }
+
+    /// The side table, once the first wide store has published it.
+    fn side(&self) -> Option<&[SideEntry]> {
+        let side = self.side.load(Ordering::Acquire);
+        // SAFETY: a non-null `side` is the boxed slice of `slots.len()`
+        // entries that `side_table` published; only `drop` frees it.
+        (!side.is_null()).then(|| unsafe { std::slice::from_raw_parts(side, self.slots.len()) })
+    }
+
+    /// The value of cell `i`, side entry included.
+    fn value(&self, i: usize) -> Scalar {
+        let w = self.word(i);
+        w.decode(|_| self.side_value(i, w))
+    }
+
+    /// The wide value of cell `i`, whose spill word is `w`.
+    #[inline]
+    fn side_value(&self, i: usize, w: Packed) -> Scalar {
+        let side = self
+            .side()
+            .expect("the side table of a spill-tagged cell is published before the cell's word");
+        // SAFETY: see the `Sync` justification above; the entry was
+        // written before the cell's spill word, so it is initialised.
+        wide_value(w, unsafe { (*side[i].get()).assume_init() })
+    }
+
+    /// Cell `i`'s wide value (`w` is its spill word), handed to `wide`.
+    /// Out of line, like [`Allocation::store_wide`]: the VM's dispatch
+    /// loop keeps only the inline-word path.
+    #[inline(never)]
+    fn load_wide(&self, i: usize, w: Packed, wide: impl FnOnce(Scalar) -> Packed) -> Packed {
+        wide(self.side_value(i, w))
+    }
+
+    /// Store the value `wide` reads from the VM word `w` into cell `i`.
+    #[inline(never)]
+    fn store_wide(
+        &self,
+        i: usize,
+        w: Packed,
+        wide: impl FnOnce(Packed) -> Scalar,
+    ) -> Result<(), MemError> {
+        self.set_value(i, wide(w))
+    }
+
+    /// Store `v` into cell `i`: inline when it fits a word, else through
+    /// the side table, entry first. Fails only when the host cannot
+    /// supply the table.
+    fn set_value(&self, i: usize, v: Scalar) -> Result<(), MemError> {
+        match Packed::try_inline(v) {
+            Some(w) => self.set_word(i, w.0),
+            None => {
+                let side = match self.side() {
+                    Some(side) => side,
+                    None => self.side_table()?,
+                };
+                let (word, entry) = wide_parts(v);
+                // SAFETY: see the `Sync` justification above.
+                unsafe { *side[i].get() = MaybeUninit::new(entry) };
+                self.set_word(i, word);
+            }
+        }
+        Ok(())
+    }
+
+    /// Create and publish the side table (the first wide store).
+    #[cold]
+    #[inline(never)]
+    fn side_table(&self) -> Result<&[SideEntry], MemError> {
+        let len = self.slots.len();
+        let mut entries: Vec<SideEntry> = Vec::new();
+        if entries.try_reserve_exact(len).is_err() {
+            let bytes = len.saturating_mul(std::mem::size_of::<SideEntry>());
+            return Err(MemError::at_limit(format!(
+                "memory limit exceeded: the host cannot supply {bytes} bytes"
+            )));
+        }
+        // Entries start uninitialised (see `SideEntry`).
+        entries.resize_with(len, || UnsafeCell::new(MaybeUninit::uninit()));
+        let fresh = Box::into_raw(entries.into_boxed_slice()).cast::<SideEntry>();
+        if self
+            .side
+            .compare_exchange(
+                std::ptr::null_mut(),
+                fresh,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
+            .is_err()
+        {
+            // SAFETY: `fresh` lost the race and was never published.
+            drop(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(fresh, len)) });
+        }
+        Ok(self
+            .side()
+            .expect("a side table is published by the allocation's first wide store"))
+    }
+}
+
+impl Drop for Allocation {
+    fn drop(&mut self) {
+        let side = *self.side.get_mut();
+        if !side.is_null() {
+            // SAFETY: the boxed slice of `slots.len()` entries that
+            // `side_table` published; nothing else can reach it once the
+            // allocation is being dropped.
+            let len = self.slots.len();
+            drop(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(side, len)) });
+        }
+    }
+}
+
+/// Which access failed, for the out-of-bounds message.
+#[derive(Clone, Copy)]
+enum Access {
+    Load,
+    Store,
+}
+
+// Error construction is off every access's inlined fast path.
+
+#[cold]
+#[inline(never)]
+fn invalid_allocation(id: u32) -> MemError {
+    MemError::new(format!("invalid allocation {id}"))
+}
+
+#[cold]
+#[inline(never)]
+fn use_after_free() -> MemError {
+    MemError::new("use after free")
+}
+
+#[cold]
+#[inline(never)]
+fn bad_index(index: i64, len: usize, access: Access) -> MemError {
+    let what = match access {
+        Access::Load => "load",
+        Access::Store => "store",
+    };
+    match usize::try_from(index) {
+        Err(_) => MemError::new(format!("negative index {index}")),
+        Ok(idx) => MemError::new(format!("{what} out of bounds at index {idx} (len {len})")),
     }
 }
 
@@ -473,13 +710,13 @@ impl Memory {
     /// or, as `MemError::limit`, when the configured byte ceiling would
     /// be exceeded or the host cannot supply the storage.
     pub fn try_alloc(&self, len: usize) -> Result<Ptr, MemError> {
-        self.alloc_filled(len, Scalar::Uninit)
+        self.alloc_filled(len, Packed::UNINIT)
     }
 
     /// [`Memory::try_alloc`] with every slot holding integer 0
     /// (`calloc`).
     pub fn try_alloc_zeroed(&self, len: usize) -> Result<Ptr, MemError> {
-        self.alloc_filled(len, Scalar::I(0))
+        self.alloc_filled(len, Packed::ZERO)
     }
 
     /// A declared array in the nested spine-of-pointers layout: `T a[2][3]`
@@ -501,9 +738,9 @@ impl Memory {
         }
     }
 
-    fn alloc_filled(&self, len: usize, fill: Scalar) -> Result<Ptr, MemError> {
+    fn alloc_filled(&self, len: usize, fill: Packed) -> Result<Ptr, MemError> {
         let slots = len.max(1);
-        let bytes = (slots as u64).saturating_mul(8);
+        let bytes = (slots as u64).saturating_mul(CELL_BYTES);
         #[cfg(feature = "fault-inject")]
         if machine::fault::should_fail_alloc() {
             return Err(MemError::at_limit(format!(
@@ -612,59 +849,81 @@ impl Memory {
         if let Some(a) = unsafe { self.allocs.retire(id as usize) } {
             self.heap
                 .live
-                .fetch_sub(8 * a.len() as u64, Ordering::Relaxed);
+                .fetch_sub(CELL_BYTES * a.len() as u64, Ordering::Relaxed);
         }
     }
 
-    /// Resolve `p.alloc` and run `f` — the hot path of every heap access.
-    /// Zero locks: the id resolves through [`AppendTable::get`] and the
-    /// freed flag is an atomic load — set on a freed allocation and on
-    /// the tombstone a reclaimed id resolves to alike.
-    #[inline]
-    fn with_alloc<R>(
-        &self,
-        p: Ptr,
-        f: impl FnOnce(&Allocation) -> Result<R, MemError>,
-    ) -> Result<R, MemError> {
-        let a = self
-            .allocs
-            .get(p.alloc as usize)
-            .ok_or_else(|| MemError::new(format!("invalid allocation {}", p.alloc)))?;
+    /// Resolve `p` to its allocation and cell index — the hot path of
+    /// every heap access, inlined into it. Zero locks: the id resolves
+    /// through [`AppendTable::get`] and the freed flag is an atomic load
+    /// (set on a freed allocation and on the tombstone a reclaimed id
+    /// resolves to alike); every error is built out of line.
+    #[inline(always)]
+    fn cell(&self, p: Ptr, access: Access) -> Result<(&Allocation, usize), MemError> {
+        let Some(a) = self.allocs.get(p.alloc as usize) else {
+            return Err(invalid_allocation(p.alloc));
+        };
         if a.is_freed() {
-            return Err(MemError::new("use after free"));
+            return Err(use_after_free());
         }
-        f(a)
+        match usize::try_from(p.index) {
+            Ok(i) if i < a.slots.len() => Ok((a, i)),
+            _ => Err(bad_index(p.index, a.len(), access)),
+        }
     }
 
     pub fn load(&self, p: Ptr) -> Result<Scalar, MemError> {
-        self.with_alloc(p, |a| {
-            let idx = usize::try_from(p.index)
-                .map_err(|_| MemError::new(format!("negative index {}", p.index)))?;
-            let cell = a.slots.get(idx).ok_or_else(|| {
-                MemError::new(format!(
-                    "load out of bounds at index {idx} (len {})",
-                    a.len()
-                ))
-            })?;
-            // SAFETY: see `Allocation`'s Sync justification.
-            Ok(unsafe { *cell.get() })
-        })
+        let (a, i) = self.cell(p, Access::Load)?;
+        Ok(a.value(i))
     }
 
     pub fn store(&self, p: Ptr, v: Scalar) -> Result<(), MemError> {
-        self.with_alloc(p, |a| {
-            let idx = usize::try_from(p.index)
-                .map_err(|_| MemError::new(format!("negative index {}", p.index)))?;
-            let cell = a.slots.get(idx).ok_or_else(|| {
-                MemError::new(format!(
-                    "store out of bounds at index {idx} (len {})",
-                    a.len()
-                ))
-            })?;
-            // SAFETY: see `Allocation`'s Sync justification.
-            unsafe { *cell.get() = v };
-            Ok(())
+        let (a, i) = self.cell(p, Access::Store)?;
+        a.set_value(i, v)
+    }
+
+    /// The word in `p`'s cell, as the VM's operand stack holds it: an
+    /// inline word as it is, and a wide value (a spill-tagged cell) as
+    /// `wide` files it in the caller's own overflow storage. Either way
+    /// the pointer is resolved once.
+    ///
+    /// Inlined into the VM's dispatch loop in optimised builds. In
+    /// unoptimised ones it stays a call: there every inlined copy would
+    /// keep its own temporaries in `Vm::exec`'s frame, one frame per
+    /// interpreted call.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    pub(crate) fn load_word(
+        &self,
+        p: Ptr,
+        wide: impl FnOnce(Scalar) -> Packed,
+    ) -> Result<Packed, MemError> {
+        let (a, i) = self.cell(p, Access::Load)?;
+        let w = a.word(i);
+        Ok(match w.spill_index() {
+            None => w,
+            Some(_) => a.load_wide(i, w, wide),
         })
+    }
+
+    /// Store `w` into `p`'s cell: an inline word as it is, and a
+    /// reference into the caller's overflow storage as the value `wide`
+    /// reads from it, which goes to the side table. Inlined as
+    /// [`Memory::load_word`] is.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    pub(crate) fn store_word(
+        &self,
+        p: Ptr,
+        w: Packed,
+        wide: impl FnOnce(Packed) -> Scalar,
+    ) -> Result<(), MemError> {
+        let (a, i) = self.cell(p, Access::Store)?;
+        match w.spill_index() {
+            None => {
+                a.set_word(i, w.0);
+                Ok(())
+            }
+            Some(_) => a.store_wide(i, w, wide),
+        }
     }
 
     pub fn alloc_len(&self, p: Ptr) -> Option<usize> {
@@ -890,13 +1149,22 @@ impl Packed {
 
     #[inline]
     pub fn unpack(self, pool: &SpillPool) -> Scalar {
+        self.decode(|idx| pool.get(idx))
+    }
+
+    /// The one decoder: the value of an inline word, and
+    /// `spilled(payload)` for a spill reference — the only part the VM's
+    /// pool, the globals' table and a heap cell's side table answer
+    /// differently.
+    #[inline(always)]
+    fn decode(self, spilled: impl FnOnce(u64) -> Scalar) -> Scalar {
         match self.0 >> 48 {
             TAG_INT => Scalar::I(((self.0 << 16) as i64) >> 16),
             TAG_PTR => Scalar::P(Ptr {
                 alloc: ((self.0 >> 24) & 0xFF_FFFF) as u32,
                 index: ((self.0 << 40) as i64) >> 40,
             }),
-            TAG_SPILL => pool.get(self.0 & PAYLOAD_MASK),
+            TAG_SPILL => spilled(self.0 & PAYLOAD_MASK),
             TAG_NULL => Scalar::Null,
             TAG_UNINIT => Scalar::Uninit,
             _ => Scalar::F(f64::from_bits(self.0)),
@@ -959,9 +1227,10 @@ impl Packed {
     /// value needs overflow storage. This is the **single home** of the
     /// inline-fit predicates (48-bit int range, NaN tag window, 24/24-bit
     /// pointer payload): `pack_i64`/`pack_f64`/`pack_ptr` route through
-    /// it and only add the per-VM [`SpillPool`] fallback, while
-    /// [`GlobalTable`] pairs it with its *shared* overflow table — so the
-    /// two spill paths can never disagree on what fits inline.
+    /// it and only add the per-VM [`SpillPool`] fallback, [`GlobalTable`]
+    /// pairs it with its *shared* overflow table and a heap cell with its
+    /// allocation's side table — so the three spill paths can never
+    /// disagree on what fits inline.
     #[inline]
     fn try_inline(v: Scalar) -> Option<Packed> {
         match v {
@@ -1034,16 +1303,12 @@ impl GlobalTable {
 
     #[inline]
     fn unpack_word(&self, bits: u64) -> Scalar {
-        if bits >> 48 == TAG_SPILL {
+        Packed(bits).decode(|idx| {
             *self
                 .spill
-                .get((bits & PAYLOAD_MASK) as usize)
+                .get(idx as usize)
                 .expect("published global spill index")
-        } else {
-            // Non-spill words carry no pool references; unpacking against
-            // a fresh empty pool is exact (and allocation-free).
-            Packed(bits).unpack(&SpillPool::new())
-        }
+        })
     }
 
     #[inline]
@@ -1589,6 +1854,10 @@ mod tests {
         assert_eq!(m.limit_bytes(), Some(64));
     }
 
+    // A heap cell is one NaN-boxed word, and the cap charges exactly its
+    // physical size.
+    const _: () = assert!(CELL_BYTES == 8, "a heap cell is an 8-byte word");
+
     #[test]
     fn memory_cap_charges_slot_bytes() {
         // len is rounded up to one slot minimum and charged at 8 bytes a
@@ -1623,6 +1892,149 @@ mod tests {
             m.free(p).unwrap_err().message,
             m.free(p.offset(1)).unwrap_err().message,
         ]
+    }
+
+    /// `p`'s side table: its first entry, null before the first wide
+    /// store.
+    fn side_table_of(m: &Memory, p: Ptr) -> *const SideEntry {
+        let a = m.allocs.get(p.alloc as usize).expect("issued id");
+        a.side.load(Ordering::Acquire)
+    }
+
+    /// The raw word in `p`'s cell.
+    fn cell_word(m: &Memory, p: Ptr) -> u64 {
+        let (a, i) = m.cell(p, Access::Load).expect("a live cell");
+        a.word(i).bits()
+    }
+
+    #[test]
+    fn changing_wide_values_keep_one_side_entry_per_slot() {
+        let m = Memory::new();
+        let p = m.alloc(4);
+        m.store(p.offset(1), Scalar::I(7)).unwrap();
+        assert!(
+            side_table_of(&m, p).is_null(),
+            "inline values need no side table"
+        );
+        m.store(p, Scalar::I(1 << 47)).unwrap();
+        let table = side_table_of(&m, p);
+        assert!(!table.is_null(), "the first wide store creates the table");
+        for k in 0..10_000i64 {
+            let v = match k % 6 {
+                0 => Scalar::I((1 << 47) + k),
+                1 => Scalar::I(-(1 << 47) - 1 - k),
+                2 => Scalar::P(Ptr {
+                    alloc: 3,
+                    index: (1 << 23) + k,
+                }),
+                3 => Scalar::F(f64::from_bits(0xFFF9_0000_0000_0000 | k as u64)),
+                4 => Scalar::P(Ptr {
+                    alloc: u32::MAX - k as u32,
+                    index: -k,
+                }),
+                // Back to an inline value: the slot's entry stays, and
+                // the next wide store overwrites it.
+                _ => Scalar::I(k),
+            };
+            m.store(p, v).unwrap();
+            let back = m.load(p).unwrap();
+            assert!(scalar_identical(back, v), "{v:?} read back as {back:?}");
+            assert_eq!(m.load(p.offset(1)).unwrap(), Scalar::I(7));
+        }
+        assert_eq!(side_table_of(&m, p), table, "the table never moves");
+        m.store(p, Scalar::I(1 << 50)).unwrap();
+        let wide_cells = (0..4)
+            .filter(|&i| cell_word(&m, p.offset(i)) >> 48 == TAG_SPILL)
+            .count();
+        assert_eq!(wide_cells, 1, "one slot, one entry");
+        let flagged = {
+            let _region = m.enter_region();
+            m.free(p).unwrap();
+            assert_eq!(
+                side_table_of(&m, p),
+                table,
+                "a flagged cell keeps its table"
+            );
+            dead_allocation_messages(&m, p)
+        };
+        assert!(
+            reclaimed(&m, p),
+            "the join drops the allocation and its table"
+        );
+        assert!(side_table_of(&m, p).is_null());
+        assert_eq!(dead_allocation_messages(&m, p), flagged);
+        assert_eq!(
+            flagged,
+            [
+                "use after free",
+                "use after free",
+                "double free",
+                "free of interior pointer"
+            ]
+        );
+    }
+
+    #[test]
+    fn racing_first_wide_stores_share_one_side_table() {
+        let m = Memory::new();
+        let p = m.alloc(4);
+        let a = m.allocs.get(p.alloc as usize).expect("issued id");
+        // Two first wide stores that both found no table: the second's
+        // compare-and-swap loses, and it must file its value in the
+        // first one's table.
+        let winner = a.side_table().expect("a small table").as_ptr();
+        let loser = a.side_table().expect("a small table").as_ptr();
+        assert_eq!(loser, winner);
+        assert_eq!(side_table_of(&m, p), winner);
+        a.set_value(1, Scalar::I(1 << 60))
+            .expect("a published table");
+        assert_eq!(m.load(p.offset(1)).unwrap(), Scalar::I(1 << 60));
+    }
+
+    #[test]
+    fn words_round_trip_and_spill_words_name_the_side_table() {
+        let m = Memory::new();
+        let pool = SpillPool::new();
+        let p = m.alloc(2);
+        let w = Packed::pack_f64(-0.0, &pool);
+        m.store_word(p, w, |_| unreachable!("inline")).unwrap();
+        assert_eq!(m.load_word(p, |_| unreachable!("inline")).unwrap(), w);
+        assert_eq!(m.load(p).unwrap().as_f64().to_bits(), (-0.0f64).to_bits());
+        // A pool reference is filed by value, and comes back as a
+        // reference into whatever pool the reader hands in.
+        let min = Packed::pack_i64(i64::MIN, &pool);
+        m.store_word(p.offset(1), min, |w| w.unpack(&pool)).unwrap();
+        m.store(p, Scalar::I(i64::MAX)).unwrap();
+        assert_eq!(cell_word(&m, p.offset(1)), TAG_SPILL << 48 | WIDE_INT);
+        assert_eq!(m.load(p.offset(1)).unwrap(), Scalar::I(i64::MIN));
+        let reader = SpillPool::new();
+        let back = m
+            .load_word(p.offset(1), |v| Packed::pack(v, &reader))
+            .unwrap();
+        assert_eq!(back.unpack(&reader), Scalar::I(i64::MIN));
+        assert_eq!(
+            m.load(p).unwrap(),
+            Scalar::I(i64::MAX),
+            "entries are indexed by slot"
+        );
+        assert_eq!(
+            m.load_word(p.offset(2), |_| unreachable!())
+                .unwrap_err()
+                .message,
+            "load out of bounds at index 2 (len 2)"
+        );
+        assert_eq!(
+            m.store_word(p.offset(-1), min, |_| unreachable!())
+                .unwrap_err()
+                .message,
+            "negative index -1"
+        );
+        assert_eq!(
+            m.store(p.offset(5), Scalar::I(1 << 60))
+                .unwrap_err()
+                .message,
+            "store out of bounds at index 5 (len 2)"
+        );
     }
 
     #[test]

@@ -535,8 +535,9 @@ impl<'p> Vm<'p> {
 
     /// Compact the spill pool down to its live entries. Sound only at a
     /// statement boundary (or region entry): every live spill reference
-    /// is then a word in `arena` or `stack` — region frame snapshots,
-    /// memo entries, globals and `Memory` all hold unpacked `Scalar`s.
+    /// is then a word in `arena` or `stack` — region frame snapshots and
+    /// memo entries hold unpacked `Scalar`s, and the spill words of
+    /// globals and heap cells refer to their own overflow tables.
     /// The inherited `spill_floor` prefix is kept verbatim (a parallel
     /// child's frame template references it by index every iteration).
     fn compact_spills(&mut self) {
@@ -605,26 +606,36 @@ impl<'p> Vm<'p> {
         }
     }
 
+    /// A heap cell's word onto the operand stack: heap cells hold the
+    /// same NaN-boxed words as frames, so only a spill-tagged cell (a wide
+    /// value in its allocation's side table) converts, into this VM's
+    /// spill pool.
     #[inline(always)]
     fn mem_load(&mut self, p: Ptr, span: impl Fn() -> Span) -> RtResult<Packed> {
         self.tally.loads += 1;
         if self.track.is_some() {
             self.track_access(p, false);
         }
-        match self.s.mem.load(p) {
-            Ok(v) => Ok(self.pack(v)),
-            Err(e) => Err(mem_error(e, span())),
-        }
+        let pool = &self.spill;
+        self.s
+            .mem
+            .load_word(p, |v| Packed::pack(v, pool))
+            .map_err(|e| mem_error(e, span()))
     }
 
+    /// An operand-stack word into a heap cell; a word referring to this
+    /// VM's spill pool goes to the allocation's side table instead.
     #[inline(always)]
     fn mem_store(&mut self, p: Ptr, v: Packed, span: impl Fn() -> Span) -> RtResult<()> {
         self.tally.stores += 1;
         if self.track.is_some() {
             self.track_access(p, true);
         }
-        let v = self.unpack(v);
-        self.s.mem.store(p, v).map_err(|e| mem_error(e, span()))
+        let pool = &self.spill;
+        self.s
+            .mem
+            .store_word(p, v, |w| w.unpack(pool))
+            .map_err(|e| mem_error(e, span()))
     }
 
     /// Packed word → pointer for an indexing operation, with the shared

@@ -277,6 +277,34 @@ fn scratch_pure_is_independent_of_threads_and_engine() {
     }
 }
 
+/// Heap cells are 8-byte words, and what a word cannot carry inline (ints
+/// past ±2⁴⁷, pointers with an index past 2²³) lives in the allocation's
+/// side table: written by a parallel region and read after its join, the
+/// example's wide ints, far pointers and `-0.0` print the same on every
+/// path.
+#[test]
+fn wide_heap_values_are_independent_of_threads_optimizer_and_engine() {
+    let src = example("wide_heap.c");
+    let base = purec(&[&src, "--run"]);
+    assert_eq!(
+        String::from_utf8_lossy(&base.stdout),
+        "wide[0]=-18014398509481984 wide[255]=17873661021126401 mix=8178864779180441472\n\
+         offsets=32640 negative_zeros=256\n"
+    );
+    assert_eq!(base.status.code(), Some(10));
+    for extra in [
+        &["--threads", "4"][..],
+        &["--no-opt"],
+        &["--engine", "resolved"],
+    ] {
+        let mut args = vec![src.as_str(), "--run"];
+        args.extend_from_slice(extra);
+        let out = purec(&args);
+        assert_eq!(out.stdout, base.stdout, "{extra:?}");
+        assert_eq!(out.status.code(), base.status.code(), "{extra:?}");
+    }
+}
+
 /// Reclaiming storage does not blunt the diagnostics: reading a freed
 /// block is still a plain runtime error (exit 1) naming the bug.
 #[test]

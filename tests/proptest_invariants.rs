@@ -358,6 +358,92 @@ fn wide_value_source(d: i64, neg: bool, n: usize, sh: u32, inc: i64, sched: usiz
     )
 }
 
+/// Wide values written from a parallel region: every iteration stores a
+/// wide int (past ±2⁴⁷ for all but a few `i`) and a far pointer (index
+/// past 2²³) into its own two cells of one shared allocation, and a
+/// sequential tail reads them back, subtracts the offsets and counts the
+/// cells that do not hold what their iteration wrote (`bad`). `n` is
+/// large enough for the VM to fork the region at 4 threads.
+fn wide_region_source(n: usize, d: i64, neg: bool, sched: usize) -> String {
+    let sched = [
+        "",
+        " schedule(static)",
+        " schedule(static,3)",
+        " schedule(dynamic,2)",
+        " schedule(guided,1)",
+    ][sched % 5];
+    let sign = if neg { "-" } else { "" };
+    format!(
+        "int main() {{\n\
+             int m = 6364136223846793005;\n\
+             int* base = (int*) malloc(4 * sizeof(int));\n\
+             int** cells = (int**) malloc(2 * {n} * sizeof(int*));\n\
+         #pragma omp parallel for{sched}\n\
+             for (int i = 0; i < {n}; i++) {{\n\
+                 cells[2 * i] = (int*) ({sign}140737488355328 + {d} + i * m);\n\
+                 cells[2 * i + 1] = base + (1 << 24) + i;\n\
+             }}\n\
+             int acc = 0;\n\
+             int bad = 0;\n\
+             for (int i = 0; i < {n}; i++) {{\n\
+                 int w = (int) cells[2 * i] - i * m;\n\
+                 int off = cells[2 * i + 1] - base - (1 << 24);\n\
+                 if (w != {sign}140737488355328 + {d}) bad = bad + 1;\n\
+                 if (off != i) bad = bad + 1;\n\
+                 acc = acc * 3 + w + off * 7;\n\
+             }}\n\
+             printf(\"acc=%d bad=%d\\n\", acc, bad);\n\
+             return acc & 127;\n\
+         }}\n"
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Heap cells written wide from inside a region (each value in its
+    /// allocation's side table) read back alike on every engine: the VM
+    /// at levels 0–2, the resolved engine and the legacy oracle agree on
+    /// exit code, output and executed-op counters at 1 and 4 threads,
+    /// under each of the five schedules.
+    #[test]
+    fn wide_cells_written_in_a_region_match_across_engines(
+        n in 200usize..400,
+        d in -3i64..4,
+        neg in any::<bool>(),
+    ) {
+        for sched in 0..5 {
+            let src = wide_region_source(n, d, neg, sched);
+            let parsed = parse(&src);
+            prop_assert!(!parsed.diags.has_errors(), "{}", parsed.diags.render_all(&src));
+            let prog = Program::new(&parsed.unit);
+            for threads in [1usize, 4] {
+                let at = |opt_level: u8| InterpOptions { threads, opt_level, ..Default::default() };
+                let legacy = prog.run_legacy(at(2)).expect("legacy runs");
+                let resolved = prog.run_resolved(at(2)).expect("resolved runs");
+                prop_assert!(legacy.output.ends_with(" bad=0\n"), "{}", legacy.output);
+                prop_assert_eq!(resolved.exit_code, legacy.exit_code, "threads={} sched={}", threads, sched);
+                prop_assert_eq!(&resolved.output, &legacy.output, "threads={} sched={}", threads, sched);
+                prop_assert_eq!(resolved.counters.without_memo(), legacy.counters, "threads={} sched={}", threads, sched);
+                for level in [0u8, 1, 2] {
+                    let vm = prog.run(at(level)).expect("VM runs");
+                    prop_assert_eq!(vm.counters.regions_forked, 1, "the region forks");
+                    prop_assert_eq!(vm.exit_code, resolved.exit_code, "threads={} sched={} level={}", threads, sched, level);
+                    prop_assert_eq!(&vm.output, &resolved.output, "threads={} sched={} level={}", threads, sched, level);
+                    prop_assert_eq!(
+                        vm.counters.without_memo(),
+                        resolved.counters.without_memo(),
+                        "threads={} sched={} level={}",
+                        threads,
+                        sched,
+                        level
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// A seeded program of single-`return` leaf functions three levels deep
 /// (the inliner's whole input language): 1–6 parameters each — `int`,
 /// `float`, `int*`, `float*` — read zero to a few times, int/float
