@@ -38,9 +38,8 @@
 pub mod lints;
 pub mod race;
 
-use cfront::ast::TranslationUnit;
+use cfront::ast::{LoopId, TranslationUnit};
 use cfront::diag::{Code, Diagnostics};
-use cfront::span::Span;
 use purec_core::PureSet;
 
 /// Three-valued outcome of the static race analysis for one
@@ -59,17 +58,14 @@ pub enum LoopVerdict {
     Unknown,
 }
 
-/// Per-loop result, keyed by the span of the `for` statement in the
-/// analyzed unit. The chain analyzes the unit before polycc hoists rows
-/// and prints it, so its spans are not those the engines see: it hands
-/// each verdict to the loop at the same position of
-/// [`race::for_each_omp_loop`] in the same function of the reparsed unit.
+/// Per-loop result. The chain numbers the unit's loops before it analyzes
+/// them, and row hoisting and `pure` lowering move loops without renumbering
+/// them, so `id` names the same loop in the unit the engines lower.
 #[derive(Debug, Clone)]
 pub struct LoopReport {
-    /// The function the loop is in.
-    pub function: String,
-    /// Span of the `for` statement under the pragma.
-    pub span: Span,
+    /// The `for` statement's [`LoopId`] (`LoopId::NONE` in a unit that was
+    /// never numbered).
+    pub id: LoopId,
     pub verdict: LoopVerdict,
 }
 

@@ -176,6 +176,7 @@ fn stmt_events(s: &Stmt, out: &mut Vec<(String, Event)>) {
             cond,
             step,
             body,
+            ..
         } => {
             match init.as_ref() {
                 ForInit::Decl(d) => decl_events(d, out),

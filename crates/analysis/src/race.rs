@@ -3,9 +3,7 @@
 //! Mirrors the interpreter's pragma/loop pairing exactly (a pragma that
 //! parses as `omp parallel for`, optionally followed by more pragmas,
 //! then a `for` statement), so every loop the engines would run in
-//! parallel gets a verdict, keyed by the `for` statement's span. That
-//! walk, [`for_each_omp_loop`], is also how the chain hands each verdict
-//! to the same loop of the unit it reparses from the printed text.
+//! parallel gets a verdict, keyed by the `for` statement's [`LoopId`].
 //!
 //! Per loop, the analysis is a two-tier ladder:
 //!
@@ -64,7 +62,6 @@ pub fn analyze_function(
 ) {
     let Some(body) = &f.body else { return };
     let cx = Context {
-        function: &f.name,
         pure_set,
         reads,
         aliases: &collect_alias_groups(body),
@@ -78,7 +75,6 @@ pub fn analyze_function(
 /// What holds for a whole function body.
 #[derive(Clone, Copy)]
 struct Context<'a> {
-    function: &'a str,
     /// The verified registry.
     pure_set: &'a PureSet,
     /// What each pure function may read through a global.
@@ -90,9 +86,8 @@ struct Context<'a> {
 /// Call `f(pragma, clauses, for_stmt)` for every `omp parallel for` loop
 /// of a function body: every statement list is paired the way the
 /// interpreter's lowering pairs it ([`paired_omp_loops`]), and a loop
-/// comes before the loops nested in it. The chain carries verdicts across
-/// print → reparse by position in this order.
-pub fn for_each_omp_loop<'a>(b: &'a Block, f: &mut dyn FnMut(&'a Stmt, &OmpClauses, &'a Stmt)) {
+/// comes before the loops nested in it.
+fn for_each_omp_loop<'a>(b: &'a Block, f: &mut dyn FnMut(&'a Stmt, &OmpClauses, &'a Stmt)) {
     for item in paired_omp_loops(&b.stmts, parse_omp_parallel_for_clauses) {
         match item {
             Paired::OmpFor {
@@ -133,7 +128,6 @@ fn analyze_omp_loop(
     clauses: &OmpClauses,
     for_stmt: &Stmt,
     Context {
-        function,
         pure_set,
         reads,
         aliases,
@@ -418,11 +412,11 @@ fn analyze_omp_loop(
         }
     }
 
-    report.loops.push(LoopReport {
-        function: function.to_string(),
-        span: for_stmt.span,
-        verdict,
-    });
+    let id = match for_stmt.kind {
+        StmtKind::For { id, .. } => id,
+        _ => LoopId::NONE,
+    };
+    report.loops.push(LoopReport { id, verdict });
 }
 
 /// `x = x op e` / `x = e op x` with an arithmetic/bitwise `op`.

@@ -554,6 +554,17 @@ pub struct Block {
     pub span: Span,
 }
 
+/// Names one `for` statement of a translation unit across the stages that
+/// move it, so a fact about the loop (its race verdict) can follow it from
+/// the analysis to the engines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct LoopId(pub u32);
+
+impl LoopId {
+    /// The id of a loop in a unit that was never numbered.
+    pub const NONE: LoopId = LoopId(0);
+}
+
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stmt {
     pub kind: StmtKind,
@@ -584,6 +595,13 @@ pub enum StmtKind {
         cond: Option<Expr>,
         step: Option<Expr>,
         body: Box<Stmt>,
+        /// The loop's number in its unit ([`crate::visit::number_loops`]);
+        /// `LoopId::NONE` until the unit is numbered.
+        id: LoopId,
+        /// Built by polycc's code generator: the header is canonical and its
+        /// bounds are fixed on entry, so the bytecode tier may run the loop
+        /// on its fused affine opcodes. The flag is not printed.
+        affine: bool,
     },
     Return(Option<Expr>),
     Break,

@@ -35,8 +35,8 @@ pub mod visit;
 
 pub use ast::{
     AssignOp, BaseType, BinOp, Block, Declaration, Declarator, Expr, ExprKind, ForInit, Function,
-    Item, Param, PtrLevel, Stmt, StmtKind, StructDef, StructField, TranslationUnit, Type, Typedef,
-    UnOp,
+    Item, LoopId, Param, PtrLevel, Stmt, StmtKind, StructDef, StructField, TranslationUnit, Type,
+    Typedef, UnOp,
 };
 pub use diag::{Code, Diagnostic, Diagnostics, Severity};
 pub use intern::{Interner, Symbol};

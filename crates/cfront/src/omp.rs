@@ -57,6 +57,7 @@ pub fn canonical_for(stmt: &Stmt) -> Result<CanonicalFor<'_>, HeaderError<'_>> {
         cond,
         step,
         body,
+        ..
     } = &stmt.kind
     else {
         return Err(HeaderError::NotAFor);

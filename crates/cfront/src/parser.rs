@@ -849,6 +849,8 @@ impl Parser {
                 cond,
                 step,
                 body,
+                id: LoopId::NONE,
+                affine: false,
             },
             start.to(end),
         )

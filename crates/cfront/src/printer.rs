@@ -280,6 +280,7 @@ impl Printer {
                 cond,
                 step,
                 body,
+                ..
             } => {
                 self.pad(level);
                 self.out.push_str("for (");

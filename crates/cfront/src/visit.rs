@@ -128,6 +128,7 @@ pub fn visit_exprs_mut_pruned(stmt: &mut Stmt, f: &mut dyn FnMut(&mut Expr) -> b
             cond,
             step,
             body,
+            ..
         } => {
             match init.as_mut() {
                 ForInit::Decl(d) => {
@@ -223,6 +224,25 @@ pub fn visit_stmts_mut(stmt: &mut Stmt, f: &mut dyn FnMut(&mut Stmt)) {
         | StmtKind::DoWhile { body, .. }
         | StmtKind::For { body, .. } => visit_stmts_mut(body, f),
         _ => {}
+    }
+}
+
+/// Number every `for` of the unit 1, 2, … in item order, outside-in. The
+/// passes that run afterwards move loops but never clone them, so each id
+/// keeps naming one loop.
+pub fn number_loops(unit: &mut TranslationUnit) {
+    let mut next = 0;
+    for item in &mut unit.items {
+        let Item::Function(f) = item else { continue };
+        let Some(body) = &mut f.body else { continue };
+        for s in &mut body.stmts {
+            visit_stmts_mut(s, &mut |s| {
+                if let StmtKind::For { id, .. } = &mut s.kind {
+                    next += 1;
+                    *id = LoopId(next);
+                }
+            });
+        }
     }
 }
 

@@ -1,9 +1,7 @@
 //! Builtin C functions known to the interpreter, in two parts:
 //!
 //! * the **math table** ([`math_builtin`]): the math library (seeded pure
-//!   in the verifier) and the `__pc_*` codegen helpers (used when the
-//!   transformed program was not given their C definitions). An entry is
-//!   a function over scalars — it receives no [`Memory`] and no output
+//!   in the verifier). An entry is a function over scalars — it receives no [`Memory`] and no output
 //!   buffer, so "const builtin" means *has an entry here*, by
 //!   construction ([`crate::effects`]);
 //! * the four **effectful** builtins `malloc` / `calloc` / `free` /
@@ -14,8 +12,8 @@ use crate::value::{Memory, Scalar};
 use cfront::span::Span;
 use parking_lot::Mutex;
 
-/// A math-table entry; `Err` is the engines' own arithmetic error text.
-pub type MathFn = fn(&[Scalar]) -> Result<Scalar, &'static str>;
+/// A math-table entry.
+pub type MathFn = fn(&[Scalar]) -> Scalar;
 
 /// Argument `i` as a float; a missing argument reads as zero.
 fn float_arg(args: &[Scalar], i: usize) -> f64 {
@@ -27,20 +25,12 @@ fn int_arg(args: &[Scalar], i: usize) -> i64 {
     args.get(i).copied().unwrap_or(Scalar::I(0)).as_i64()
 }
 
-fn f1(args: &[Scalar], f: fn(f64) -> f64) -> Result<Scalar, &'static str> {
-    Ok(Scalar::F(f(float_arg(args, 0))))
+fn f1(args: &[Scalar], f: fn(f64) -> f64) -> Scalar {
+    Scalar::F(f(float_arg(args, 0)))
 }
 
-fn f2(args: &[Scalar], f: fn(f64, f64) -> f64) -> Result<Scalar, &'static str> {
-    Ok(Scalar::F(f(float_arg(args, 0), float_arg(args, 1))))
-}
-
-/// Two-argument integer entry; wraps like the engines' `int_arith` and
-/// reports a zero divisor the way `/` does.
-fn i2(args: &[Scalar], f: fn(i64, i64) -> Option<i64>) -> Result<Scalar, &'static str> {
-    f(int_arg(args, 0), int_arg(args, 1))
-        .map(Scalar::I)
-        .ok_or("integer division by zero")
+fn f2(args: &[Scalar], f: fn(f64, f64) -> f64) -> Scalar {
+    Scalar::F(f(float_arg(args, 0), float_arg(args, 1)))
 }
 
 /// The side-effect-free builtins: name → function over scalars.
@@ -76,25 +66,16 @@ pub fn math_builtin(name: &str) -> Option<MathFn> {
         "expm1" => |a| f1(a, f64::exp_m1),
         "log1p" => |a| f1(a, f64::ln_1p),
         "copysign" => |a| f2(a, f64::copysign),
-        "abs" | "labs" | "llabs" => |a| Ok(Scalar::I(int_arg(a, 0).wrapping_abs())),
-        // Codegen helpers (fallback when not defined in C).
-        "__pc_floord" => |a| i2(a, |n, d| (d != 0).then(|| n.wrapping_div_euclid(d))),
-        "__pc_ceild" => |a| {
-            i2(a, |n, d| {
-                (d != 0).then(|| n.wrapping_neg().wrapping_div_euclid(d).wrapping_neg())
-            })
-        },
-        "__pc_max" => |a| i2(a, |x, y| Some(x.max(y))),
-        "__pc_min" => |a| i2(a, |x, y| Some(x.min(y))),
+        "abs" | "labs" | "llabs" => |a| Scalar::I(int_arg(a, 0).wrapping_abs()),
         _ => return None,
     };
     Some(f)
 }
 
 /// Call builtin `name`: the math table first, then the four effectful
-/// builtins. A math error carries the engines' own message, a memory
-/// error keeps its trap kind, and a name that is neither is the
-/// "undefined function" error — the same on every engine, at `span`.
+/// builtins. A memory error keeps its trap kind, and a name that is
+/// neither is the "undefined function" error — the same on every engine,
+/// at `span`.
 pub fn call_builtin(
     name: &str,
     args: &[Scalar],
@@ -103,7 +84,7 @@ pub fn call_builtin(
     span: Span,
 ) -> Result<Scalar, RuntimeError> {
     if let Some(f) = math_builtin(name) {
-        return f(args).map_err(|message| RuntimeError::at(message, span));
+        return Ok(f(args));
     }
     // Slot model: sizeof(T) == 8 bytes ⇒ /8. A negative size is 0.
     let size_arg = |i: usize| int_arg(args, i).max(0);
@@ -277,34 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn pc_helpers_floor_and_ceil_division() {
-        assert_eq!(
-            call("__pc_floord", &[Scalar::I(7), Scalar::I(2)]),
-            Scalar::I(3)
-        );
-        assert_eq!(
-            call("__pc_floord", &[Scalar::I(-7), Scalar::I(2)]),
-            Scalar::I(-4)
-        );
-        assert_eq!(
-            call("__pc_ceild", &[Scalar::I(7), Scalar::I(2)]),
-            Scalar::I(4)
-        );
-        assert_eq!(
-            call("__pc_ceild", &[Scalar::I(-7), Scalar::I(2)]),
-            Scalar::I(-3)
-        );
-        assert_eq!(
-            call("__pc_max", &[Scalar::I(3), Scalar::I(9)]),
-            Scalar::I(9)
-        );
-        assert_eq!(
-            call("__pc_min", &[Scalar::I(3), Scalar::I(9)]),
-            Scalar::I(3)
-        );
-    }
-
-    #[test]
     fn unknown_function_is_not_builtin() {
         let e = call_in(&Memory::new(), "do_stuff", &[]).unwrap_err();
         assert_eq!(e.message, "call to undefined function 'do_stuff'");
@@ -335,27 +288,17 @@ mod tests {
         .map(|r| r.map(|ok| ok.exit_code))
     }
 
-    /// A zero divisor is the engines' own arithmetic error — same message
+    /// A builtin's error is the engines' own runtime error — same message
     /// and span on all three — never a panic.
     #[test]
-    fn pc_division_helpers_trap_on_a_zero_divisor() {
-        for src in [
-            "int main() { int d = 0; return __pc_floord(7, d); }",
-            "int main() { int d = 0; return __pc_ceild(7, d); }",
-            // A missing divisor reads as zero.
-            "int main() { return __pc_floord(7); }",
-        ] {
-            let [vm, resolved, legacy] =
-                on_every_engine(src).map(|r| r.expect_err("division by zero must error"));
-            assert_eq!(vm.message, "integer division by zero", "{src}");
-            assert!(!vm.span.is_empty(), "{src}");
-            for other in [resolved, legacy] {
-                assert_eq!(
-                    (&other.message, other.span),
-                    (&vm.message, vm.span),
-                    "{src}"
-                );
-            }
+    fn builtin_errors_match_on_every_engine() {
+        let src = "int main() { free(3); return 0; }";
+        let [vm, resolved, legacy] =
+            on_every_engine(src).map(|r| r.expect_err("free of a non-pointer must error"));
+        assert!(vm.message.contains("free of non-pointer"), "{}", vm.message);
+        assert!(!vm.span.is_empty());
+        for other in [resolved, legacy] {
+            assert_eq!((&other.message, other.span), (&vm.message, vm.span));
         }
     }
 
@@ -365,18 +308,9 @@ mod tests {
     fn integer_builtins_wrap_and_tolerate_missing_arguments() {
         const MIN: &str = "(-9223372036854775807 - 1)";
         for (src, want) in [
-            (
-                format!("int main() {{ return __pc_floord({MIN}, -1) == {MIN}; }}"),
-                1,
-            ),
-            (
-                format!("int main() {{ return __pc_ceild({MIN}, -1) == {MIN}; }}"),
-                1,
-            ),
             (format!("int main() {{ return labs({MIN}) == {MIN}; }}"), 1),
-            ("int main() { return __pc_max(3); }".to_string(), 3),
-            ("int main() { return __pc_min(3); }".to_string(), 0),
-            ("int main() { return __pc_max(); }".to_string(), 0),
+            ("int main() { return labs(); }".to_string(), 0),
+            ("int main() { return abs(-3); }".to_string(), 3),
         ] {
             for (engine, got) in on_every_engine(&src).into_iter().enumerate() {
                 assert_eq!(got.ok(), Some(want), "engine {engine}: {src}");

@@ -68,7 +68,7 @@ pub enum Engine {
 /// (the default for regions the analyzer never saw) falls back to the
 /// dynamic check. Produced by `crates/analysis` and plumbed in via
 /// [`Program::with_pure_set_and_verdicts`], keyed by the `for`
-/// statement's span.
+/// statement's [`LoopId`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RaceVerdict {
     /// Statically proven: iteration access sets are disjoint.
@@ -81,8 +81,17 @@ pub enum RaceVerdict {
     Unknown,
 }
 
-/// Map from a parallel `for` statement's span to its static verdict.
-pub type VerdictMap = HashMap<cfront::span::Span, RaceVerdict>;
+/// Map from a parallel `for` statement's id to its static verdict.
+pub type VerdictMap = HashMap<LoopId, RaceVerdict>;
+
+/// The static verdict of the parallel loop `for_stmt`: `Unknown` when the
+/// analysis never judged it.
+pub(crate) fn loop_verdict(verdicts: &VerdictMap, for_stmt: &Stmt) -> RaceVerdict {
+    match for_stmt.kind {
+        StmtKind::For { id, .. } => verdicts.get(&id).copied().unwrap_or_default(),
+        _ => RaceVerdict::Unknown,
+    }
+}
 
 /// Default ceiling on dynamic race-check iterations (see
 /// [`InterpOptions::race_check_cap`]).
@@ -361,7 +370,7 @@ struct ProgramData {
     struct_sizes: HashMap<String, usize>,
     #[cfg(any(test, feature = "legacy-oracle"))]
     global_decls: Vec<Declaration>,
-    /// Static race verdicts keyed by `for`-statement span (the legacy
+    /// Static race verdicts keyed by loop id (the legacy
     /// tree-walker looks regions up here; the resolved/bytecode engines
     /// carry the verdict in their lowered region descriptors).
     #[cfg(any(test, feature = "legacy-oracle"))]
@@ -401,7 +410,7 @@ impl Program {
     }
 
     /// [`Program::with_pure_set`] plus static race verdicts for `omp
-    /// parallel for` regions, keyed by the `for` statement's span in
+    /// parallel for` regions, keyed by the `for` statement's id in
     /// `unit`. Under [`InterpOptions::race_check`] every engine consumes
     /// the verdict: Independent skips the O(n) dynamic pre-pass, Racy is
     /// a hard error before the region runs, Unknown (or an absent entry)
@@ -988,7 +997,7 @@ impl Interp {
         span: cfront::span::Span,
     ) -> RtResult<Scalar> {
         Counters::bump(&self.s.counters.calls);
-        // User definitions shadow builtins (e.g. __pc_* helper C sources).
+        // User definitions shadow builtins.
         let func = self.s.prog.functions.get(name).cloned();
         match func {
             Some(f) if f.is_definition() => {
@@ -1080,6 +1089,7 @@ impl Interp {
                 cond,
                 step,
                 body,
+                ..
             } => {
                 match init.as_ref() {
                     ForInit::Decl(d) => self.declare(d, false)?,
@@ -1160,14 +1170,7 @@ impl Interp {
         // before any iteration runs, Unknown falls back to the dynamic
         // check.
         if self.s.opts.race_check {
-            match self
-                .s
-                .prog
-                .verdicts
-                .get(&for_stmt.span)
-                .copied()
-                .unwrap_or_default()
-            {
+            match loop_verdict(&self.s.prog.verdicts, for_stmt) {
                 RaceVerdict::Independent => {
                     Counters::bump(&self.s.counters.race_static_skips);
                 }
@@ -1568,15 +1571,6 @@ int main() {
         assert!(r.counters.flops >= 200, "{:?}", r.counters);
         // main + 100 × mult.
         assert!(r.counters.calls >= 101, "{:?}", r.counters);
-    }
-
-    #[test]
-    fn pc_helper_definitions_in_c_shadow_builtins() {
-        let src = "\
-int __pc_max(int a, int b) { return a > b ? a : b; }
-int main() { return __pc_max(3, 9); }
-";
-        assert_eq!(run_src(src).exit_code, 9);
     }
 
     #[test]

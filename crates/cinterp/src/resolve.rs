@@ -83,8 +83,8 @@ use crate::builtins::{call_builtin, format_printf};
 use crate::cache::{ClockCache, MemoKey, MEMO_KEY_WORDS};
 use crate::effects::Summary;
 use crate::interp::{
-    check_call_depth, omp_header_message, parse_omp_parallel_for, InterpOptions, RaceVerdict,
-    RunResult, RuntimeError, VerdictMap,
+    check_call_depth, loop_verdict, omp_header_message, parse_omp_parallel_for, InterpOptions,
+    RaceVerdict, RunResult, RuntimeError, VerdictMap,
 };
 use crate::ops::{self, Coerce};
 use crate::value::{Counters, FuelBudget, Memory, Ptr, RaceAccumulator, Scalar, TrackSets};
@@ -248,10 +248,9 @@ pub(crate) enum RStmtKind {
         cond: Option<RExpr>,
         step: Option<RExpr>,
         body: Box<RStmt>,
-        /// Loop belongs to a polycc-generated affine nest (announced by a
-        /// `#pragma affine` marker): the bytecode tier may lower it with
-        /// the fused `AffineHead`/`AffineNext` opcodes. The resolved-IR
-        /// engine executes it exactly like any other `for`.
+        /// polycc built the loop (its `affine` flag): the bytecode tier
+        /// may lower it with the fused `AffineHead`/`AffineNext` opcodes.
+        /// The resolved-IR engine executes it exactly like any other `for`.
         affine: bool,
     },
     Return(Option<RExpr>),
@@ -422,18 +421,12 @@ pub(crate) struct Lowerer<'a> {
     field_fallback: HashMap<String, Option<FieldInfo>>,
     globals: HashMap<String, VarInfo>,
     nglobals: u32,
-    /// Static race verdicts keyed by `for`-statement span.
+    /// Static race verdicts keyed by loop id.
     verdicts: &'a VerdictMap,
     // Per-function state:
     scopes: Vec<HashMap<String, VarInfo>>,
     next_slot: u32,
     member_table: HashMap<(u32, u32), (usize, bool)>,
-    /// A `#pragma affine` marker was just lowered: the next `for` (or omp
-    /// `for`) heads a polycc-generated affine nest.
-    pending_affine: bool,
-    /// Depth of affine nests currently being lowered — every `for` inside
-    /// one is itself part of the generated nest.
-    affine_depth: u32,
 }
 
 impl<'a> Lowerer<'a> {
@@ -513,8 +506,6 @@ impl<'a> Lowerer<'a> {
             scopes: Vec::new(),
             next_slot: 0,
             member_table: HashMap::new(),
-            pending_affine: false,
-            affine_depth: 0,
         }
     }
 
@@ -751,23 +742,10 @@ impl<'a> Lowerer<'a> {
     // -- statements ----------------------------------------------------------
 
     fn lower_stmt(&mut self, s: &Stmt) -> RStmt {
-        // Only a `for` directly after the marker consumes it; anything
-        // else voids it so unrelated later loops are not tagged.
-        if !matches!(s.kind, StmtKind::Pragma(_) | StmtKind::For { .. }) {
-            self.pending_affine = false;
-        }
         let kind = match &s.kind {
             StmtKind::Decl(d) => RStmtKind::Decl(self.lower_declaration(d, false)),
             StmtKind::Expr(Some(e)) => RStmtKind::Expr(Some(self.lower_expr(e))),
-            StmtKind::Expr(None) => RStmtKind::Nop,
-            StmtKind::Pragma(p) => {
-                // polycc's nest marker (kept in the printed C as a no-op
-                // pragma so all engines see identical source).
-                if p.trim() == "pragma affine" {
-                    self.pending_affine = true;
-                }
-                RStmtKind::Nop
-            }
+            StmtKind::Expr(None) | StmtKind::Pragma(_) => RStmtKind::Nop,
             StmtKind::Block(b) => RStmtKind::Block(self.lower_block_stmts(b)),
             StmtKind::If {
                 cond,
@@ -791,8 +769,9 @@ impl<'a> Lowerer<'a> {
                 cond,
                 step,
                 body,
+                affine,
+                ..
             } => {
-                let affine = std::mem::take(&mut self.pending_affine) || self.affine_depth > 0;
                 // The iterator's scope spans init, cond, step and body.
                 self.scopes.push(HashMap::new());
                 let rinit = match init.as_ref() {
@@ -808,20 +787,14 @@ impl<'a> Lowerer<'a> {
                 };
                 let rcond = cond.as_ref().map(|c| self.lower_expr(c));
                 let rstep = step.as_ref().map(|st| self.lower_expr(st));
-                if affine {
-                    self.affine_depth += 1;
-                }
                 let rbody = Box::new(self.lower_stmt(body));
-                if affine {
-                    self.affine_depth -= 1;
-                }
                 self.scopes.pop();
                 RStmtKind::For {
                     init: rinit,
                     cond: rcond,
                     step: rstep,
                     body: rbody,
-                    affine,
+                    affine: *affine,
                 }
             }
             StmtKind::Return(e) => RStmtKind::Return(e.as_ref().map(|e| self.lower_expr(e))),
@@ -850,11 +823,7 @@ impl<'a> Lowerer<'a> {
     }
 
     fn lower_omp_for(&mut self, for_stmt: &Stmt, schedule: OmpSchedule) -> RStmt {
-        let verdict = self
-            .verdicts
-            .get(&for_stmt.span)
-            .copied()
-            .unwrap_or_default();
+        let verdict = loop_verdict(self.verdicts, for_stmt);
         // The header's shape is checked once, at lower time; a loop that
         // is not canonical is an error when (and if) it is reached.
         let header = canonical_for(for_stmt)
@@ -882,16 +851,7 @@ impl<'a> Lowerer<'a> {
         // (matching the tree-walker seeding the child's top frame).
         self.scopes.push(HashMap::new());
         let iter_slot = self.declare_local(h.iter, Type::int(), 0);
-        // An affine marker ahead of the omp header covers the whole nest:
-        // inner loops of the generated body lower as affine.
-        let affine = std::mem::take(&mut self.pending_affine);
-        if affine {
-            self.affine_depth += 1;
-        }
         let body = self.lower_stmt(h.body);
-        if affine {
-            self.affine_depth -= 1;
-        }
         self.scopes.pop();
         ROmpHeader {
             iter_slot,

@@ -377,6 +377,7 @@ impl<'a> FnChecker<'a> {
                 cond,
                 step,
                 body,
+                ..
             } => self.scoped(|c| {
                 match init.as_ref() {
                     ForInit::Decl(d) => c.check_declaration(d),

@@ -257,10 +257,11 @@ pub fn generate(
     // Which levels are parallel / vectorizable?
     let level_parallel = |lvl: usize| -> bool {
         if tiled {
-            // Tile loops first (parallel iff their band dim is parallel),
-            // then point loops (parallel within a tile iff dim parallel).
+            // Tile loops first (parallel iff no dependence moves along
+            // their band dim), then point loops (parallel within a tile
+            // iff dim parallel).
             if lvl < n {
-                transform.parallel[lvl]
+                transform.tile_parallel[lvl]
             } else {
                 transform.parallel[lvl - n]
             }
@@ -311,6 +312,8 @@ pub fn generate(
                     Span::DUMMY,
                 )),
                 body: Box::new(current),
+                id: LoopId::NONE,
+                affine: true,
             },
             Span::DUMMY,
         );
@@ -395,19 +398,29 @@ fn fold_minmax(mut exprs: Vec<Expr>, helper: &str, needs_helpers: &mut bool) -> 
     })
 }
 
-/// C definitions of the codegen helpers, prepended by the driver when
-/// [`Generated::needs_helpers`] is set.
+/// C definitions of the codegen helpers, which polycc puts first in the
+/// unit when [`Generated::needs_helpers`] is set. Written as the printer
+/// prints them.
 pub const HELPER_DEFS: &str = "\
 int __pc_floord(int n, int d) {
-    if (n >= 0) return n / d;
+    if (n >= 0)
+        return n / d;
     return -((-n + d - 1) / d);
 }
+
 int __pc_ceild(int n, int d) {
-    if (n >= 0) return (n + d - 1) / d;
-    return -((-n) / d);
+    if (n >= 0)
+        return (n + d - 1) / d;
+    return -(-n / d);
 }
-int __pc_max(int a, int b) { return a > b ? a : b; }
-int __pc_min(int a, int b) { return a < b ? a : b; }
+
+int __pc_max(int a, int b) {
+    return a > b ? a : b;
+}
+
+int __pc_min(int a, int b) {
+    return a < b ? a : b;
+}
 ";
 
 #[cfg(test)]
@@ -418,6 +431,13 @@ mod tests {
     use crate::schedule::compute_schedule;
     use cfront::parser::parse;
     use cfront::printer::print_stmt;
+
+    #[test]
+    fn helper_defs_print_as_written() {
+        let parsed = parse(HELPER_DEFS);
+        assert!(!parsed.diags.has_errors());
+        assert_eq!(cfront::printer::print_unit(&parsed.unit), HELPER_DEFS);
+    }
 
     fn scop_of(src: &str) -> Scop {
         let unit = parse(src).unit;

@@ -24,7 +24,7 @@ pub mod set;
 pub mod sica;
 
 pub use affine::AffineExpr;
-pub use codegen::{generate, CodegenOptions, Generated, HELPER_DEFS};
+pub use codegen::{generate, CodegenOptions, Generated};
 pub use deps::{analyze, parallel_levels, DepAnalysis, DepKind, Dependence, DistBound};
 pub use extract::{extract_scop, IterTypes};
 pub use model::{Access, LoopDim, PolyStmt, Scop};

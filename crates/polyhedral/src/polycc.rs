@@ -9,8 +9,8 @@
 //! and recurses into its children, transforming every inner nest it *can*
 //! model — which is exactly the behaviour the paper's evaluation relies on.
 
-use crate::codegen::{generate, CodegenOptions, Generated};
-use crate::deps::{analyze, DepAnalysis};
+use crate::codegen::{generate, CodegenOptions, Generated, HELPER_DEFS};
+use crate::deps::{analyze, parallel_levels, DepAnalysis};
 use crate::extract::{extract_scop, IterTypes};
 use crate::schedule::{compute_schedule, Transform};
 use crate::sica::{select_tile_size, SicaParams};
@@ -18,14 +18,8 @@ use cfront::ast::*;
 use cfront::diag::Diagnostics;
 use cfront::omp::for_after_pragmas;
 use cfront::printer::{print_expr, print_stmt};
-use cfront::visit::{visit_exprs_mut_pruned, visit_stmts_mut};
+use cfront::visit::visit_exprs_mut_pruned;
 use std::collections::{HashMap, HashSet};
-
-/// Marker pragma prepended to every transformed nest. It survives the
-/// print → reparse round trip as a plain `#pragma affine` statement, which
-/// the interpreter's lowering reads to enable schedule-aware (hoisted-bound,
-/// single-dispatch) loop execution for the nest.
-pub const AFFINE_MARKER: &str = "pragma affine";
 
 /// Options for the whole polyhedral stage.
 #[derive(Debug, Clone, Default)]
@@ -74,8 +68,8 @@ pub struct PolyccReport {
     /// Invariant row pointers hoisted to `__pc_row*` temporaries out of
     /// inner loops (strength reduction of two-level subscript streams).
     pub rows_hoisted: usize,
-    /// True when any generated code uses the `__pc_*` helpers; the caller
-    /// must prepend [`crate::codegen::HELPER_DEFS`].
+    /// True when any generated code uses the `__pc_*` helpers, whose
+    /// definitions [`transform_regions`] then puts first in the unit.
     pub needs_helpers: bool,
     /// Full Fourier–Motzkin elimination passes the dependence analyses of
     /// this run took — the stage's exact work count.
@@ -141,7 +135,9 @@ pub fn run_polycc(unit: &mut TranslationUnit, opts: PolyccOptions) -> PolyccRepo
 }
 
 /// The first half of the stage: model, schedule and replace every marked
-/// region (fusing and bound-hoisting the results).
+/// region (fusing and bound-hoisting the results). Every loop of a
+/// replacement is built `affine`; when one calls a `__pc_*` helper, the
+/// helpers' definitions ([`HELPER_DEFS`]) become the unit's first items.
 pub fn transform_regions(unit: &mut TranslationUnit, opts: PolyccOptions) -> PolyccReport {
     let mut report = PolyccReport::default();
     let globals = IterTypes::of_globals(unit);
@@ -155,12 +151,16 @@ pub fn transform_regions(unit: &mut TranslationUnit, opts: PolyccOptions) -> Pol
         };
         process_block(body, cx, &mut report);
     }
+    if report.needs_helpers {
+        let helpers = cfront::parser::parse(HELPER_DEFS).unit.items;
+        unit.items.splice(0..0, helpers);
+    }
     report
 }
 
 /// The second half of the stage: strength-reduce invariant rows out of
 /// every transformed nest, counted in `report.rows_hoisted`. Transformed
-/// nests are identifiable by their affine markers wherever they ended up,
+/// nests are identifiable by their `affine` flag wherever they ended up,
 /// so a whole-unit sweep needs no state from the region walk. A call's
 /// arguments are opaque to every walk of the hoist: the pure calls were
 /// `tmpConst_*` placeholders while the regions were transformed, and the
@@ -170,18 +170,39 @@ pub fn hoist_row_pointers(unit: &mut TranslationUnit, report: &mut PolyccReport)
     if rows.is_empty() {
         return;
     }
-    // Every statement list of every body: markers can sit at any block
-    // depth (e.g. spatial nests transformed inside a rejected time loop).
     for item in &mut unit.items {
         let Item::Function(f) = item else { continue };
         let Some(body) = &mut f.body else { continue };
-        hoist_rows(&mut body.stmts, &rows, report);
-        for s in &mut body.stmts {
-            visit_stmts_mut(s, &mut |s| {
-                if let StmtKind::Block(b) = &mut s.kind {
-                    hoist_rows(&mut b.stmts, &rows, report);
+        hoist_rows_below(&mut body.stmts, &rows, report);
+    }
+}
+
+/// [`hoist_rows`] on this list and on every list below it outside the
+/// transformed nests: nests can sit at any block depth (e.g. spatial nests
+/// transformed inside a rejected time loop), and the loops inside a nest
+/// are its own.
+fn hoist_rows_below(stmts: &mut [Stmt], rows: &HashMap<String, Type>, report: &mut PolyccReport) {
+    hoist_rows(stmts, rows, report);
+    for s in stmts {
+        match &mut s.kind {
+            StmtKind::For { affine: true, .. } => {}
+            StmtKind::Block(b) => hoist_rows_below(&mut b.stmts, rows, report),
+            StmtKind::If {
+                then_branch,
+                else_branch,
+                ..
+            } => {
+                hoist_rows_below(std::slice::from_mut(&mut **then_branch), rows, report);
+                if let Some(e) = else_branch {
+                    hoist_rows_below(std::slice::from_mut(&mut **e), rows, report);
                 }
-            });
+            }
+            StmtKind::While { body, .. }
+            | StmtKind::DoWhile { body, .. }
+            | StmtKind::For { body, .. } => {
+                hoist_rows_below(std::slice::from_mut(&mut **body), rows, report)
+            }
+            _ => {}
         }
     }
 }
@@ -422,7 +443,7 @@ fn transform_nest(loop_stmt: &mut Stmt, cx: Cx, report: &mut PolyccReport) -> Op
 
             match generate(&scop, &transform, cg) {
                 Ok(Generated {
-                    mut stmts,
+                    stmts,
                     iter_map,
                     parallelized,
                     tiled,
@@ -439,11 +460,6 @@ fn transform_nest(loop_stmt: &mut Stmt, cx: Cx, report: &mut PolyccReport) -> Op
                         placeholders,
                         transform,
                     });
-                    // Tag the nest for schedule-aware lowering on the VM.
-                    stmts.insert(
-                        0,
-                        Stmt::new(StmtKind::Pragma(AFFINE_MARKER.into()), loop_stmt.span),
-                    );
                     Some(stmts)
                 }
                 Err(diags) => {
@@ -523,38 +539,18 @@ fn transform_children(body: &mut Stmt, cx: Cx, report: &mut PolyccReport) {
 // Fusion: merge adjacent compatible transformed nests
 // ---------------------------------------------------------------------------
 
-fn is_affine_marker(s: &Stmt) -> bool {
-    matches!(&s.kind, StmtKind::Pragma(p) if p.trim() == AFFINE_MARKER)
-}
-
-/// One transformed-nest group in a statement list: the affine marker,
-/// an optional pragma (the generated `omp parallel for` header), and the
-/// loop itself.
+/// One transformed-nest group in a statement list: the run of generated
+/// pragmas (the `omp parallel for` header, if any) and the `affine` loop
+/// they sit on.
 struct NestGroup {
     start: usize,
-    pragma: Option<String>,
     for_idx: usize,
 }
 
 fn group_at(stmts: &[Stmt], i: usize) -> Option<NestGroup> {
-    if i >= stmts.len() || !is_affine_marker(&stmts[i]) {
-        return None;
-    }
-    let mut j = i + 1;
-    let mut pragma = None;
-    if let Some(StmtKind::Pragma(p)) = stmts.get(j).map(|s| &s.kind) {
-        pragma = Some(p.clone());
-        j += 1;
-    }
-    if j < stmts.len() && matches!(stmts[j].kind, StmtKind::For { .. }) {
-        Some(NestGroup {
-            start: i,
-            pragma,
-            for_idx: j,
-        })
-    } else {
-        None
-    }
+    let for_idx = for_after_pragmas(stmts, i)?;
+    matches!(stmts[for_idx].kind, StmtKind::For { affine: true, .. })
+        .then_some(NestGroup { start: i, for_idx })
 }
 
 /// Canonical text of a For header (body emptied), for header equality.
@@ -586,9 +582,13 @@ fn body_stmts(body: &Stmt) -> Vec<Stmt> {
 /// Legality-checked fusion of two same-header nests: model the fused nest
 /// and refuse if any dependence points from a statement of the second nest
 /// back into the first — such a pair ran first-nest-then-second in the
-/// original program, so the fused interleaving would reverse it. Imperfect
-/// fused bodies (multi-level nests) fail extraction and are refused too.
-fn try_fuse(f1: &Stmt, f2: &Stmt, report: &mut PolyccReport) -> Option<Stmt> {
+/// original program, so the fused interleaving would reverse it. Fused
+/// `parallel` nests must stay parallel: a dependence the fusion carries
+/// across iterations of the outer loop (the second nest reading in
+/// iteration `t` what the first wrote in iteration 0) refuses it too.
+/// Imperfect fused bodies (multi-level nests) fail extraction and are
+/// refused as well.
+fn try_fuse(f1: &Stmt, f2: &Stmt, parallel: bool, report: &mut PolyccReport) -> Option<Stmt> {
     let (StmtKind::For { body: b1, .. }, StmtKind::For { body: b2, .. }) = (&f1.kind, &f2.kind)
     else {
         return None;
@@ -618,6 +618,9 @@ fn try_fuse(f1: &Stmt, f2: &Stmt, report: &mut PolyccReport) -> Option<Stmt> {
     if deps.iter().any(|d| d.src_stmt >= k1 && d.dst_stmt < k1) {
         return None;
     }
+    if parallel && !parallel_levels(&scop, &deps)[0] {
+        return None;
+    }
     Some(fused)
 }
 
@@ -635,7 +638,8 @@ fn fuse_adjacent(stmts: &mut Vec<Stmt>, report: &mut PolyccReport) {
             i = g1.for_idx + 1;
             continue;
         };
-        let headers_match = g1.pragma == g2.pragma
+        let (p1, p2) = (&stmts[g1.start..g1.for_idx], &stmts[g2.start..g2.for_idx]);
+        let headers_match = p1.iter().map(|s| &s.kind).eq(p2.iter().map(|s| &s.kind))
             && match (
                 for_header_key(&stmts[g1.for_idx]),
                 for_header_key(&stmts[g2.for_idx]),
@@ -644,7 +648,10 @@ fn fuse_adjacent(stmts: &mut Vec<Stmt>, report: &mut PolyccReport) {
                 _ => false,
             };
         let fused = if headers_match {
-            try_fuse(&stmts[g1.for_idx], &stmts[g2.for_idx], report)
+            let parallel = p1
+                .iter()
+                .any(|s| matches!(&s.kind, StmtKind::Pragma(p) if is_omp_parallel_for(p)));
+            try_fuse(&stmts[g1.for_idx], &stmts[g2.for_idx], parallel, report)
         } else {
             None
         };
@@ -1053,7 +1060,7 @@ fn hoist_rows_in_body(
     }
 }
 
-/// Strength-reduce every transformed (affine-marked) nest in this list:
+/// Strength-reduce every transformed (`affine`) nest in this list:
 /// invariant row pointers load once at the level where their subscript
 /// settles instead of once per inner iteration.
 fn hoist_rows(stmts: &mut [Stmt], rows: &HashMap<String, Type>, report: &mut PolyccReport) {
@@ -1092,6 +1099,7 @@ mod tests {
     use super::*;
     use cfront::parser::parse;
     use cfront::printer::print_unit;
+    use cfront::visit::visit_stmts_mut;
 
     fn run(src: &str, opts: PolyccOptions) -> (TranslationUnit, PolyccReport) {
         let mut unit = parse(src).unit;
@@ -1252,16 +1260,55 @@ int main() {
         assert!(out.contains("b[0] = a[0];"), "{out}");
     }
 
+    /// `affine` flags of every `for` in the unit, outside-in.
+    fn affine_flags(unit: &TranslationUnit) -> Vec<bool> {
+        let mut flags = Vec::new();
+        for f in unit.functions() {
+            for s in f.body.iter().flat_map(|b| &b.stmts) {
+                s.walk(&mut |s| {
+                    if let StmtKind::For { affine, .. } = s.kind {
+                        flags.push(affine);
+                    }
+                });
+            }
+        }
+        flags
+    }
+
     #[test]
-    fn transformed_nests_carry_affine_marker() {
+    fn every_generated_loop_is_affine() {
         let (unit, report) = run(MARKED_MATMUL, PolyccOptions::default());
         assert_eq!(report.transformed_count(), 1);
+        assert_eq!(affine_flags(&unit), [true, true]);
+        // The flag is not text: the printed nest reparses as plain loops.
         let out = print_unit(&unit);
-        assert!(out.contains("#pragma affine"), "{out}");
-        // The marker must sit directly above the nest's pragma run so the
-        // lowering can pair it with the loop after a print → reparse trip.
-        let reparsed = cfront::parser::parse(&out);
-        assert!(!reparsed.diags.has_errors(), "marker must reparse: {out}");
+        assert!(!out.contains("affine"), "{out}");
+        assert_eq!(affine_flags(&parse(&out).unit), [false, false]);
+        // A loop polycc leaves alone stays plain.
+        let src = "int main() { float a[8]; for (int i = 0; i < 8; i++) a[i] = i; return 0; }";
+        assert_eq!(affine_flags(&run(src, PolyccOptions::default()).0), [false]);
+    }
+
+    #[test]
+    fn fusion_that_would_carry_a_dependence_is_refused() {
+        // Every iteration of the second nest reads `a[0]`, which iteration
+        // 0 of the first writes: fused, the `omp parallel for` would race.
+        let src = "\
+int main() {
+    float a[32], b[32];
+#pragma scop
+    for (int i = 0; i < 32; i++) a[i] = i;
+#pragma endscop
+#pragma scop
+    for (int j = 0; j < 32; j++) b[j] = a[0];
+#pragma endscop
+    return 0;
+}
+";
+        let (unit, report) = run(src, PolyccOptions::default());
+        assert_eq!((report.parallelized_count(), report.fused), (2, 0));
+        let out = print_unit(&unit);
+        assert_eq!(out.matches("#pragma omp parallel for").count(), 2, "{out}");
     }
 
     #[test]
@@ -1385,8 +1432,8 @@ int main() {
         let (unit, report) = run(src, PolyccOptions::default());
         assert_eq!(report.transformed_count(), 1);
         assert_eq!(report.parallelized_count(), 1);
+        assert_eq!(affine_flags(&unit), [true]);
         let out = print_unit(&unit);
-        assert!(out.contains("#pragma affine"), "{out}");
         assert!(out.contains("t1"), "nest must be rewritten: {out}");
     }
 
@@ -1410,8 +1457,7 @@ int main(int argc) {
         };
         let (unit, report) = run(src, opts);
         assert_eq!(report.transformed_count(), 1);
-        let out = print_unit(&unit);
-        assert!(out.contains("#pragma affine"), "{out}");
+        assert_eq!(affine_flags(&unit), [true]);
         // Without the flag the same nest stays literal.
         let (_, off) = run(src, PolyccOptions::default());
         assert_eq!(off.transformed_count(), 0);
@@ -1512,7 +1558,6 @@ int main() {
 float **X, **Y;
 float f(float x);
 int main() {
-#pragma affine
     for (int i = 0; i < 8; i++)
         for (int j = 0; j < 8; j++)
             Y[i][j] = f(X[i][j]);
@@ -1520,6 +1565,15 @@ int main() {
 }
 ";
         let mut unit = parse(src).unit;
+        // Hand the nest to the hoist as if polycc had built it.
+        let Some(Item::Function(main)) = unit.items.last_mut() else {
+            panic!("main is the last item");
+        };
+        visit_stmts_mut(&mut main.body.as_mut().unwrap().stmts[0], &mut |s| {
+            if let StmtKind::For { affine, .. } = &mut s.kind {
+                *affine = true;
+            }
+        });
         let mut report = PolyccReport::default();
         hoist_row_pointers(&mut unit, &mut report);
         assert_eq!(report.rows_hoisted, 1);
@@ -1533,7 +1587,7 @@ int main() {
         // `A[j] = spare` can retarget any row of `A` mid-nest, so the
         // two-level stream `A[i][j]` must keep reloading its row — the
         // base is disqualified for the whole nest even though the nest
-        // still transforms (sequentially, marker and all).
+        // still transforms (sequentially).
         let src = "\
 float **A;
 float *spare;

@@ -24,6 +24,12 @@ pub struct Transform {
     pub matrix: Vec<Vec<i64>>,
     /// `parallel[k]`: no unresolved dependence is carried by dimension `k`.
     pub parallel: Vec<bool>,
+    /// `tile_parallel[k]`: no dependence moves along dimension `k` at all,
+    /// so the tile loop of `k` may run its tiles in parallel. A dependence
+    /// that an outer dimension carries can still cross from one tile of
+    /// `k` to the next when both ends lie in one tile of the outer
+    /// dimension, which is all `parallel[k]` rules out for a point loop.
+    pub tile_parallel: Vec<bool>,
     /// Outermost `band` dimensions are mutually permutable (tilable).
     pub band: usize,
     /// True when the matrix is not the identity (a skew/interchange was
@@ -38,6 +44,7 @@ impl Transform {
                 .map(|i| (0..n).map(|j| i64::from(i == j)).collect())
                 .collect(),
             parallel,
+            tile_parallel: Vec::new(),
             band,
             skewed: false,
         }
@@ -95,6 +102,20 @@ pub fn interval_dot(h: &[i64], d: &[DistBound]) -> (Option<i64>, Option<i64>) {
 /// (with per-level parallelism under the original order) when no better
 /// legal band is found — the identity is always legal.
 pub fn compute_schedule(scop: &Scop, deps: &[Dependence]) -> Transform {
+    let mut t = choose_schedule(scop, deps);
+    t.tile_parallel = t
+        .matrix
+        .iter()
+        .map(|h| {
+            deps.iter()
+                .filter(|d| d.level.is_some())
+                .all(|d| interval_dot(h, &d.dist) == (Some(0), Some(0)))
+        })
+        .collect();
+    t
+}
+
+fn choose_schedule(scop: &Scop, deps: &[Dependence]) -> Transform {
     let n = scop.depth();
     if n == 0 {
         return Transform::identity(0, vec![], 0);
@@ -192,6 +213,7 @@ pub fn compute_schedule(scop: &Scop, deps: &[Dependence]) -> Transform {
     Transform {
         matrix: rows,
         parallel,
+        tile_parallel: Vec::new(),
         band: n,
         skewed,
     }
@@ -408,6 +430,9 @@ mod tests {
         // everything, level 1 is NOT all-zero ⇒ sequential outer, and the
         // inner is not parallel either (distance varies 0..1).
         assert!(!t.parallel[0]);
+        // Both distances move along both hyperplanes, so neither tile loop
+        // may run its tiles in parallel.
+        assert_eq!(t.tile_parallel, vec![false, false]);
     }
 
     #[test]
@@ -439,6 +464,7 @@ mod tests {
         let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
         assert_eq!(t.parallel, vec![true, true]);
+        assert_eq!(t.tile_parallel, vec![true, true]);
     }
 
     #[test]

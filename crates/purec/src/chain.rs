@@ -3,24 +3,23 @@
 //! ```text
 //! source ─PC-PrePro/GCC-E─► purec_core::run_pc_cc   (verify + mark + subst)
 //!        ─polycc──────────► polyhedral::transform_regions (analyze + transform)
-//!        ─PC-CC⁻¹─────────► reinsert calls (adapted iterators)
-//!        ─race analysis───► analysis::analyze_unit  (one verdict per loop)
+//!        ─PC-CC⁻¹─────────► reinsert calls (adapted iterators), number loops
+//!        ─race analysis───► analysis::analyze_unit  (one verdict per loop id)
 //!        ─polycc──────────► polyhedral::hoist_row_pointers
-//!        ─lower───────────► pure → const / removed
-//!        ─PC-PosPro───────► system includes restored
+//!        ─lower───────────► pure → const / removed ──► unit ──► engines
+//!        ─PC-PosPro───────► print + system includes ──► text ──► GCC
 //! ```
 //!
 //! The result is standard C with OpenMP pragmas, plus everything needed to
-//! *run* it: the lowered unit executes on the interpreter with the omprt
-//! parallel runtime.
+//! *run* it: the unit the text is printed from executes on the interpreter
+//! with the omprt parallel runtime, and nothing reads the text back.
 
-use analysis::{AnalysisOptions, LoopReport, LoopVerdict};
+use analysis::{AnalysisOptions, LoopVerdict};
 use cfront::ast::TranslationUnit;
 use cfront::diag::Diagnostics;
-use cfront::parser::parse;
 use cinterp::{InterpOptions, Program, RaceVerdict, RunResult, RuntimeError, VerdictMap};
 use polyhedral::{
-    hoist_row_pointers, transform_regions, PolyccOptions, PolyccReport, RegionOutcome, HELPER_DEFS,
+    hoist_row_pointers, transform_regions, PolyccOptions, PolyccReport, RegionOutcome,
 };
 use purec_core::{finish, run_pc_cc, PcCcOptions};
 use std::collections::HashMap;
@@ -41,9 +40,10 @@ pub struct ChainOptions {
 /// Everything the chain produced.
 #[derive(Debug)]
 pub struct ChainOutput {
-    /// Final standard-C text (what would be handed to GCC).
+    /// Final standard-C text (what would be handed to GCC), printed from
+    /// `unit`.
     pub text: String,
-    /// The final unit (directly executable by the interpreter).
+    /// The final unit, which the interpreter executes as it is.
     pub unit: TranslationUnit,
     /// Functions verified pure, in declaration order.
     pub declared_pure: Vec<String>,
@@ -68,9 +68,9 @@ pub struct ChainOutput {
     pub calls_reinserted: usize,
     /// Non-fatal diagnostics accumulated across stages.
     pub diags: Diagnostics,
-    /// Static race verdicts for every `omp parallel for` in the final
-    /// unit, keyed by the `for` statement's span. `Independent` lets the
-    /// engines skip the dynamic race pre-pass; `Racy` is a hard error
+    /// Static race verdicts for every `omp parallel for` in `unit`, keyed
+    /// by the `for` statement's [`cfront::ast::LoopId`]. `Independent` lets
+    /// the engines skip the dynamic race pre-pass; `Racy` is a hard error
     /// under `--race-check`; `Unknown` falls back to the dynamic check.
     pub verdicts: VerdictMap,
 }
@@ -117,11 +117,14 @@ pub fn compile(source: &str, opts: ChainOptions) -> Result<ChainOutput, Diagnost
     let schedules = render_schedules(&report);
 
     // Reinsert placeholders per region with that region's iterator map;
-    // anything not covered by a transformed region maps identically.
+    // anything not covered by a transformed region maps identically. Then
+    // number the loops: the passes below move loops but never clone them,
+    // so an id names one loop from the analysis to the engines.
     let lower_span = instrument::span("phase.lower", 0);
     let per_placeholder = report.placeholder_iter_maps();
     let calls_reinserted =
         purec_core::reinsert_calls(&mut unit, &pcc.subst, |p| per_placeholder.get(p));
+    cfront::visit::number_loops(&mut unit);
     drop(lower_span);
 
     // Static race analysis + lints, on the transformed unit with its pure
@@ -134,6 +137,11 @@ pub fn compile(source: &str, opts: ChainOptions) -> Result<ChainOutput, Diagnost
     let analysis = analysis::analyze_unit(&unit, &pcc.pure_set, &AnalysisOptions::default());
     drop(analysis_span);
     diags.extend(analysis.diags);
+    let verdicts = analysis
+        .loops
+        .iter()
+        .map(|l| (l.id, race_verdict(l.verdict)))
+        .collect();
 
     // polycc, second half: strength-reduce invariant rows.
     if !opts.no_poly {
@@ -145,39 +153,11 @@ pub fn compile(source: &str, opts: ChainOptions) -> Result<ChainOutput, Diagnost
     // map — all placeholders were already handled above).
     let lower_span = instrument::span("phase.lower", 0);
     let finished = finish(unit, &pcc.subst, &HashMap::new(), &pcc.system_includes);
-
-    // Prepend helper definitions when tiled codegen used floord/ceild.
-    let text = if report.needs_helpers {
-        let mut t = String::with_capacity(finished.text.len() + HELPER_DEFS.len());
-        // Keep includes at the very top.
-        let insert_at = finished
-            .text
-            .find("\n\n")
-            .map(|i| i + 2)
-            .filter(|_| finished.text.starts_with("#include"))
-            .unwrap_or(0);
-        t.push_str(&finished.text[..insert_at]);
-        t.push_str(HELPER_DEFS);
-        t.push_str(&finished.text[insert_at..]);
-        t
-    } else {
-        finished.text
-    };
-
-    // Reparse the final text: that builds the unit the engines run, with
-    // the spans their lowering keys verdicts by.
-    let reparsed = parse(&text);
     drop(lower_span);
-    if reparsed.diags.has_errors() {
-        let mut d = diags;
-        d.extend(reparsed.diags);
-        return Err(d);
-    }
-    let verdicts = carry_verdicts(&analysis.loops, &reparsed.unit);
 
     Ok(ChainOutput {
-        text,
-        unit: reparsed.unit,
+        text: finished.text,
+        unit: finished.unit,
         declared_pure: pcc.declared_pure,
         scops_marked: pcc.scops_marked,
         regions_transformed,
@@ -192,32 +172,6 @@ pub fn compile(source: &str, opts: ChainOptions) -> Result<ChainOutput, Diagnost
         diags,
         verdicts,
     })
-}
-
-/// Give each analyzed loop's verdict to the loop at the same position of
-/// [`analysis::race::for_each_omp_loop`] in the same function of the
-/// reparsed unit, whose spans the engines key verdicts by. Neither row
-/// hoisting nor printing adds, drops or moves a pragma–loop pair; should
-/// a function's loop counts still disagree, all its loops are `Unknown`.
-fn carry_verdicts(loops: &[LoopReport], unit: &TranslationUnit) -> VerdictMap {
-    let mut judged: HashMap<&str, Vec<LoopVerdict>> = HashMap::new();
-    for l in loops {
-        judged.entry(&l.function).or_default().push(l.verdict);
-    }
-    let mut verdicts = VerdictMap::new();
-    for f in unit.functions() {
-        let Some(body) = &f.body else { continue };
-        let mut spans = Vec::new();
-        analysis::race::for_each_omp_loop(body, &mut |_, _, for_stmt| spans.push(for_stmt.span));
-        let judged = judged
-            .get(f.name.as_str())
-            .filter(|v| v.len() == spans.len());
-        for (k, span) in spans.into_iter().enumerate() {
-            let verdict = judged.map_or(LoopVerdict::Unknown, |v| v[k]);
-            verdicts.insert(span, race_verdict(verdict));
-        }
-    }
-    verdicts
 }
 
 fn race_verdict(v: LoopVerdict) -> RaceVerdict {
@@ -375,7 +329,7 @@ mod tests {
         let src = apps::matmul::c_source(n);
 
         // Original program, interpreted sequentially.
-        let orig = parse(&src);
+        let orig = cfront::parser::parse(&src);
         // The raw source still has `pure`; strip via the chain's lowering
         // by running the full interpreter on the ORIGINAL through PC-CC
         // with no transformation: simplest honest check is chain-vs-chain

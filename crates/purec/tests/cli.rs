@@ -720,21 +720,15 @@ fn purity_holes_exit_1_with_the_pure_codes() {
     assert!(stderr(&out).contains("race detected"), "{}", stderr(&out));
 }
 
-/// A codegen helper called with a zero divisor is a runtime error of the
-/// program (exit 1), never a panic of `purec` (exit 101).
+/// A builtin's error is a runtime error of the program (exit 1), never a
+/// panic of `purec` (exit 101).
 #[test]
-fn builtin_arithmetic_errors_exit_1_not_101() {
-    let src = source_path(
-        "floord0.c",
-        "int main() { int d = 0; return __pc_floord(7, d) + __pc_max(3); }",
-    );
+fn builtin_errors_exit_1_not_101() {
+    let src = source_path("free3.c", "int main() { free(3); return 0; }");
     for engine in ["vm", "resolved"] {
         let out = purec(&[&src, "--run", "--engine", engine]);
         assert_eq!(out.status.code(), Some(1), "{engine}: {}", stderr(&out));
-        assert!(
-            stderr(&out).contains("integer division by zero"),
-            "{engine}"
-        );
+        assert!(stderr(&out).contains("free of non-pointer"), "{engine}");
     }
 }
 

@@ -22,8 +22,9 @@ int main() {
         for (int j = 0; j < 64; j++)
             a[i][j] = (float)(i + j);
     }
-    // The Fig. 2 kernel: the second hyperplane is the shear [1,1]; the
-    // outer tile loop stays sequential, the inner one runs in parallel.
+    // The Fig. 2 kernel: the second hyperplane is the shear [1,1]. Both
+    // tile loops stay sequential (a dependence crosses from one tile to
+    // the next along each), and the inner point loop runs in parallel.
     // expect: depth=2 schedule=[[1,0] [1,1]] band=2 tiled skewed
     for (int i = 1; i < 64; i++)
         for (int j = 1; j < 63; j++)

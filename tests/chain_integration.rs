@@ -268,22 +268,48 @@ fn fm_solves_per_compile_are_pinned() {
 }
 
 /// The chain judges each loop before polycc hoists invariant rows into
-/// `__pc_rowK` pointers, so every parallel loop it emits for the skewed
-/// Fig. 2 kernel and for `heavy_unit(9)` is `Independent`, and no
-/// diagnostic names a compiler-generated identifier. (Judged on the
-/// hoisted text, they were 1 of 2 and 15 of 18, with a warning that
-/// `__pc_row1` and `__pc_row2` may alias.)
+/// `__pc_rowK` pointers, so every parallel loop it emits for the schedule
+/// corpus, the four applications and `heavy_unit(9)` is `Independent`, and
+/// no diagnostic names a compiler-generated identifier. (Judged on the
+/// hoisted text, the Fig. 2 kernel and `heavy_unit(9)` were 1 of 2 and 15
+/// of 18, with a warning that `__pc_row1` and `__pc_row2` may alias; and
+/// while fusion merged `rowptr.c`'s first two nests, their one loop was
+/// `Racy`.)
 #[test]
 fn every_emitted_parallel_loop_is_independent() {
-    let fig02 = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/examples/schedules/fig02_skew.c"
-    ))
-    .expect("fig02 source");
-    for (name, src, loops) in [
-        ("fig02_skew.c", fig02, 2),
-        ("heavy_unit(9)", heavy_unit(9), 18),
-    ] {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/schedules");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("examples/schedules")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "c"))
+        .collect();
+    files.sort();
+    let mut corpus: Vec<(String, String, usize)> = files
+        .iter()
+        .map(|p| {
+            let name = p
+                .file_name()
+                .expect("file name")
+                .to_string_lossy()
+                .into_owned();
+            let loops = match name.as_str() {
+                "fig02_skew.c" | "fig03_matmul.c" | "rowptr.c" => 2,
+                "fig07_heat.c" => 3,
+                other => panic!("{other}: pin its parallel loop count here"),
+            };
+            let src = std::fs::read_to_string(p).expect("schedule source");
+            (name, src, loops)
+        })
+        .collect();
+    corpus.extend([
+        ("matmul".into(), apps::matmul::c_source(64), 2),
+        ("heat".into(), apps::heat::c_source(32, 10), 3),
+        ("satellite".into(), apps::satellite::c_source(16, 16), 2),
+        ("lama".into(), apps::lama::c_source(256, 9), 1),
+        ("heavy_unit(9)".into(), heavy_unit(9), 18),
+    ]);
+    for (name, src, loops) in corpus {
+        let name = name.as_str();
         let out = compile(&src, ChainOptions::default()).expect(name);
         let emitted = out.text.matches("#pragma omp parallel for").count();
         assert_eq!((emitted, out.verdicts.len()), (loops, loops), "{name}");
@@ -303,4 +329,109 @@ fn every_emitted_parallel_loop_is_independent() {
             .collect();
         assert!(generated.is_empty(), "{name}: {generated:?}");
     }
+}
+
+include!("support/corpus.rs");
+
+/// `unit`'s items as text with every span, loop id and `affine` flag
+/// erased — the three things the printed C does not carry — and without
+/// the `#include` lines, which reparse as pragma items.
+fn erased_items(unit: &cfront::TranslationUnit) -> Vec<String> {
+    fn erase(text: &str, open: &str, close: char) -> String {
+        let mut out = String::with_capacity(text.len());
+        let mut rest = text;
+        while let Some(k) = rest.find(open) {
+            out.push_str(&rest[..k]);
+            out.push('_');
+            let tail = &rest[k + open.len()..];
+            rest = &tail[tail.find(close).expect("closed") + 1..];
+        }
+        out.push_str(rest);
+        out
+    }
+    unit.items
+        .iter()
+        .filter(|i| !matches!(i, cfront::Item::Pragma(p) if p.starts_with("include")))
+        .map(|i| {
+            let text = erase(&format!("{i:?}"), "Span {", '}');
+            erase(&text, "LoopId(", ')').replace("affine: true", "affine: false")
+        })
+        .collect()
+}
+
+/// The text is a view of the unit the engines run: reparsed, it is that
+/// unit again up to spans, loop ids and `affine` flags, over every example
+/// program the chain accepts, the four applications, `heavy_unit(9)`, and
+/// matmul tiled and under SICA (so the `__pc_*` helper items print too).
+/// Every loop of the unit has its own id.
+#[test]
+fn the_text_reparses_to_the_unit_the_engines_run() {
+    let mut tiled = ChainOptions::default();
+    tiled.polycc.codegen.tile = Some(8);
+    let mut sica = ChainOptions::default();
+    sica.polycc.sica = Some(SicaParams::default());
+    let mut inputs: Vec<(String, String, ChainOptions)> = example_programs()
+        .into_iter()
+        .map(|(name, src)| (name, src, ChainOptions::default()))
+        .collect();
+    inputs.extend([
+        (
+            "matmul".into(),
+            apps::matmul::c_source(64),
+            ChainOptions::default(),
+        ),
+        (
+            "heat".into(),
+            apps::heat::c_source(32, 10),
+            ChainOptions::default(),
+        ),
+        (
+            "satellite".into(),
+            apps::satellite::c_source(16, 16),
+            ChainOptions::default(),
+        ),
+        (
+            "lama".into(),
+            apps::lama::c_source(256, 9),
+            ChainOptions::default(),
+        ),
+        (
+            "heavy_unit(9)".into(),
+            heavy_unit(9),
+            ChainOptions::default(),
+        ),
+        ("matmul tile=8".into(), apps::matmul::c_source(64), tiled),
+        ("matmul sica".into(), apps::matmul::c_source(64), sica),
+    ]);
+    let mut checked = 0;
+    for (name, src, opts) in inputs {
+        let Ok(out) = compile(&src, opts) else {
+            continue; // a program the purity check refuses has no text
+        };
+        let reparsed = parse(&out.text);
+        assert!(!reparsed.diags.has_errors(), "{name}: {}", out.text);
+        let (want, got) = (erased_items(&out.unit), erased_items(&reparsed.unit));
+        assert_eq!(want.len(), got.len(), "{name}: item count");
+        for (w, g) in want.iter().zip(&got) {
+            assert_eq!(w, g, "{name}");
+        }
+        let mut ids = Vec::new();
+        for f in out.unit.functions() {
+            for s in f.body.iter().flat_map(|b| &b.stmts) {
+                s.walk(&mut |s| {
+                    if let cfront::StmtKind::For { id, .. } = s.kind {
+                        ids.push(id);
+                    }
+                });
+            }
+        }
+        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        assert_eq!(distinct.len(), ids.len(), "{name}: {ids:?}");
+        assert!(
+            !distinct.contains(&cfront::LoopId::NONE),
+            "{name}: unnumbered loop"
+        );
+        checked += 1;
+    }
+    assert!(checked >= 20, "only {checked} programs compiled");
 }

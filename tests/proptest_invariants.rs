@@ -358,6 +358,23 @@ fn wide_value_source(d: i64, neg: bool, n: usize, sh: u32, inc: i64, sched: usiz
     )
 }
 
+/// Set the `affine` flag, which polycc's code generator sets on the loops
+/// it builds, on each `for` right after a `#pragma affine` line of a
+/// hand-written function body, so the VM runs it on its affine opcodes.
+fn mark_affine(unit: &mut cfront::TranslationUnit) {
+    use cfront::{Item, StmtKind};
+    for item in &mut unit.items {
+        let Item::Function(f) = item else { continue };
+        let Some(body) = &mut f.body else { continue };
+        for k in 1..body.stmts.len() {
+            let marked = matches!(&body.stmts[k - 1].kind, StmtKind::Pragma(p) if p.trim() == "pragma affine");
+            if let StmtKind::For { affine, .. } = &mut body.stmts[k].kind {
+                *affine |= marked;
+            }
+        }
+    }
+}
+
 /// Wide values written from a parallel region: every iteration stores a
 /// wide int (past ±2⁴⁷ for all but a few `i`) and a far pointer (index
 /// past 2²³) into its own two cells of one shared allocation, and a
@@ -650,8 +667,9 @@ proptest! {
         sched in 0usize..5,
     ) {
         let src = wide_value_source(d, neg, n, sh, inc, sched);
-        let parsed = parse(&src);
+        let mut parsed = parse(&src);
         prop_assert!(!parsed.diags.has_errors(), "{}", parsed.diags.render_all(&src));
+        mark_affine(&mut parsed.unit);
         let prog = Program::new(&parsed.unit);
         for threads in [1usize, 4] {
             let at = |opt_level: u8| InterpOptions { threads, opt_level, ..Default::default() };

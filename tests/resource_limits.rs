@@ -175,12 +175,12 @@ fn dispatch_counts_are_pinned() {
     }
     for n in [1_000u64, 2_000] {
         let (src, what) = (varaccess(n), format!("varaccess n={n}"));
-        pin(&src, &what, false, 2, 8 * n + 18);
-        pin(&src, &what, false, 0, 20 * n + 31);
+        pin(&src, &what, false, 2, 8 * n + 17);
+        pin(&src, &what, false, 0, 20 * n + 30);
         pin(&src, &what, true, 2, 10 * n + 19);
         pin(&src, &what, true, 0, 25 * n + 35);
     }
-    for (r, opt, raw) in [(10u64, 8_085u64, 13_361u64), (20, 15_835, 26_311)] {
+    for (r, opt, raw) in [(10u64, 8_085u64, 13_360u64), (20, 15_835, 26_310)] {
         let (src, what) = (arraysum(r), format!("arraysum 64x{r}"));
         pin(&src, &what, false, 2, opt);
         pin(&src, &what, false, 0, raw);
@@ -281,7 +281,10 @@ fn region_launch_decisions_are_pinned() {
 /// memo-on and memo-off are the same run (the parent's memo-on run was
 /// shorter, 2 875 at n = 256: fifteen distinct keys, and a hit skipped
 /// the body it cost more than). `--no-opt` inlines nothing and keeps the
-/// raw count, 16·n + 44.
+/// raw count, 16·n + 44. Without the `#pragma affine` statement in front
+/// of each of the two nests, whose `Step` the optimizer had fused into
+/// the next instruction in `main` but not in `dot`, the counts are
+/// 12·n + 28 and 16·n + 42.
 #[test]
 fn the_papers_leaf_call_costs_six_dispatches_an_element() {
     fn dot(n: u64) -> String {
@@ -315,7 +318,7 @@ fn the_papers_leaf_call_costs_six_dispatches_an_element() {
                     ..Default::default()
                 })
             };
-            for (opt_level, dispatches) in [(2, 12 * n + 29), (0, 16 * n + 44)] {
+            for (opt_level, dispatches) in [(2, 12 * n + 28), (0, 16 * n + 42)] {
                 let cell = format!("dot n={n} memo={memo} level {opt_level}");
                 let done = run(opt_level, Some(dispatches))
                     .unwrap_or_else(|e| panic!("{cell}: more than {dispatches}: {e}"));

@@ -61,17 +61,19 @@ fn check_file(path: &Path) {
             );
         }
     }
-    // Snapshots must stay executable: reparse and run the transformed
-    // text to make sure the pinned schedules describe a live program.
+    // Snapshots must stay executable: run the transformed unit, race
+    // check on, to make sure the pinned schedules describe a live program
+    // whose parallel loops are parallel.
     let (_, run) = compile_and_run(
         &src,
         parse_annotations(&src).0,
         InterpOptions {
             threads: 4,
+            race_check: true,
             ..Default::default()
         },
     )
-    .expect("transformed corpus program runs");
+    .unwrap_or_else(|e| panic!("{}: transformed program fails: {e}", path.display()));
     assert_eq!(run.exit_code, 0, "{}", path.display());
 }
 
