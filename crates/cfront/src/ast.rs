@@ -602,11 +602,17 @@ pub enum StmtKind {
         /// bounds are fixed on entry, so the bytecode tier may run the loop
         /// on its fused affine opcodes. The flag is not printed.
         affine: bool,
+        /// Set by PC-CC on the outermost nest it verified as a SCoP: every
+        /// call in it is pure and it passes the Listing-5 check. polycc
+        /// transforms exactly these nests; lowering clears the flag. The
+        /// printer shows it as `#pragma scop` / `#pragma endscop`.
+        scop: bool,
     },
     Return(Option<Expr>),
     Break,
     Continue,
-    /// `#pragma ...` line kept in statement position (scop markers, OpenMP).
+    /// `#pragma ...` line kept in statement position (OpenMP, or any other
+    /// pragma, printed as written).
     Pragma(String),
 }
 

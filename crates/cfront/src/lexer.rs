@@ -551,9 +551,9 @@ mod tests {
 
     #[test]
     fn directives_capture_line() {
-        let ks = kinds("#pragma scop\nint a;\n#pragma endscop");
-        assert_eq!(ks[0], TokenKind::Directive("pragma scop".into()));
-        assert_eq!(ks[4], TokenKind::Directive("pragma endscop".into()));
+        let ks = kinds("#pragma GCC ivdep\nint a;\n#pragma omp barrier");
+        assert_eq!(ks[0], TokenKind::Directive("pragma GCC ivdep".into()));
+        assert_eq!(ks[4], TokenKind::Directive("pragma omp barrier".into()));
     }
 
     #[test]

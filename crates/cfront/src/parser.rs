@@ -851,6 +851,7 @@ impl Parser {
                 body,
                 id: LoopId::NONE,
                 affine: false,
+                scop: false,
             },
             start.to(end),
         )
@@ -1316,12 +1317,12 @@ mod tests {
     #[test]
     fn parses_pragmas_in_statement_position() {
         let unit = parse_ok(
-            "void f() {\n#pragma scop\nfor (int i = 0; i < 10; i++) ;\n#pragma endscop\n}",
+            "void f() {\n#pragma GCC ivdep\nfor (int i = 0; i < 10; i++) ;\n#pragma omp barrier\n}",
         );
         let f = unit.find_function("f").unwrap();
         let body = f.body.as_ref().unwrap();
-        assert!(matches!(&body.stmts[0].kind, StmtKind::Pragma(p) if p == "pragma scop"));
-        assert!(matches!(&body.stmts[2].kind, StmtKind::Pragma(p) if p == "pragma endscop"));
+        assert!(matches!(&body.stmts[0].kind, StmtKind::Pragma(p) if p == "pragma GCC ivdep"));
+        assert!(matches!(&body.stmts[2].kind, StmtKind::Pragma(p) if p == "pragma omp barrier"));
     }
 
     #[test]

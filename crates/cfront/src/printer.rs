@@ -280,19 +280,19 @@ impl Printer {
                 cond,
                 step,
                 body,
+                scop,
                 ..
             } => {
+                // PC-CC's mark, in the paper's notation.
+                if *scop {
+                    self.out.push_str("#pragma scop\n");
+                }
                 self.pad(level);
                 self.out.push_str("for (");
                 match init.as_ref() {
-                    ForInit::Decl(d) => {
-                        // Inline declaration without trailing newline.
-                        let save = self.out.len();
-                        self.declaration(d, 0);
-                        // `declaration` emits a trailing `;` — keep it as the
-                        // for-init separator.
-                        let _ = save;
-                    }
+                    // `declaration` emits the trailing `;` that separates
+                    // the init from the condition.
+                    ForInit::Decl(d) => self.declaration(d, 0),
                     ForInit::Expr(e) => {
                         if let Some(e) = e {
                             self.expr(e, 0);
@@ -310,6 +310,9 @@ impl Printer {
                 }
                 self.out.push_str(")\n");
                 self.nested_stmt(body, level);
+                if *scop {
+                    self.out.push_str("#pragma endscop\n");
+                }
             }
             StmtKind::Return(e) => {
                 self.pad(level);
@@ -338,13 +341,22 @@ impl Printer {
     }
 
     /// A body statement of if/for/while: blocks print inline, single
-    /// statements print indented one level deeper.
+    /// statements print indented one level deeper, and a SCoP-flagged
+    /// loop prints inside braces.
     fn nested_stmt(&mut self, s: &Stmt, level: usize) {
         match &s.kind {
             StmtKind::Block(b) => {
                 self.pad(level);
                 self.block(b, level);
                 self.out.push('\n');
+            }
+            // The markers need a block to stand in.
+            StmtKind::For { scop: true, .. } => {
+                self.pad(level);
+                self.out.push_str("{\n");
+                self.stmt(s, level + 1);
+                self.pad(level);
+                self.out.push_str("}\n");
             }
             _ => self.stmt(s, level + 1),
         }

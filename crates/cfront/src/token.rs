@@ -256,7 +256,7 @@ pub enum TokenKind {
     CharLit(char),
     Punct(Punct),
     /// A preprocessor line that survived to the parser — in this chain only
-    /// `#pragma ...` lines (`#pragma scop`, OpenMP pragmas). The payload is
+    /// `#pragma ...` lines (OpenMP pragmas and any other). The payload is
     /// the directive text after `#`, e.g. `pragma omp parallel for`.
     Directive(String),
     Eof,

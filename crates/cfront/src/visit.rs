@@ -203,11 +203,22 @@ fn visit_expr_mut_pruned(e: &mut Expr, f: &mut dyn FnMut(&mut Expr) -> bool) {
 /// Walk every statement in a function body with a mutable closure
 /// (outside-in). The closure may rewrite statement kinds in place.
 pub fn visit_stmts_mut(stmt: &mut Stmt, f: &mut dyn FnMut(&mut Stmt)) {
-    f(stmt);
+    visit_stmts_mut_pruned(stmt, &mut |s| {
+        f(s);
+        true
+    });
+}
+
+/// [`visit_stmts_mut`] that goes below a statement only when `f` returns
+/// true for it (after any rewrite `f` made).
+pub fn visit_stmts_mut_pruned(stmt: &mut Stmt, f: &mut dyn FnMut(&mut Stmt) -> bool) {
+    if !f(stmt) {
+        return;
+    }
     match &mut stmt.kind {
         StmtKind::Block(b) => {
             for s in &mut b.stmts {
-                visit_stmts_mut(s, f);
+                visit_stmts_mut_pruned(s, f);
             }
         }
         StmtKind::If {
@@ -215,14 +226,14 @@ pub fn visit_stmts_mut(stmt: &mut Stmt, f: &mut dyn FnMut(&mut Stmt)) {
             else_branch,
             ..
         } => {
-            visit_stmts_mut(then_branch, f);
+            visit_stmts_mut_pruned(then_branch, f);
             if let Some(e) = else_branch {
-                visit_stmts_mut(e, f);
+                visit_stmts_mut_pruned(e, f);
             }
         }
         StmtKind::While { body, .. }
         | StmtKind::DoWhile { body, .. }
-        | StmtKind::For { body, .. } => visit_stmts_mut(body, f),
+        | StmtKind::For { body, .. } => visit_stmts_mut_pruned(body, f),
         _ => {}
     }
 }

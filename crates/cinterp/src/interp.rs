@@ -102,15 +102,15 @@ pub const DEFAULT_RACE_CHECK_CAP: u64 = 1 << 16;
 pub struct InterpOptions {
     /// Threads for `omp parallel for` regions.
     pub threads: usize,
-    /// Validate iteration access-set disjointness (sequentially) before
-    /// running a region in parallel.
+    /// Run a region's first iterations sequentially, validating that
+    /// their access sets (heap cells and global slots) are disjoint, then
+    /// run the rest of the region in parallel.
     pub race_check: bool,
     /// Ceiling on the iterations the dynamic race check executes per
     /// region (`None` = [`DEFAULT_RACE_CHECK_CAP`], `Some(0)` =
-    /// unlimited). The dynamic pre-pass runs the whole region
-    /// sequentially, silently doubling runtime on huge trip counts; the
-    /// cap keeps `--race-check` usable there at the documented cost of
-    /// only validating the first `cap` iterations. `purec
+    /// unlimited). Checked iterations run one at a time, so the cap keeps
+    /// `--race-check` parallel on huge trip counts at the documented
+    /// cost of only validating the first `cap` iterations. `purec
     /// --race-check-cap N` sets it.
     pub race_check_cap: Option<u64>,
     /// Abort after this many executed statements (runaway guard).
@@ -670,13 +670,35 @@ impl Interp {
 
     // -- name lookup --------------------------------------------------------------
 
-    fn lookup(&self, name: &str) -> Option<Scalar> {
+    fn lookup(&mut self, name: &str) -> Option<Scalar> {
         for frame in self.frames.iter().rev() {
             if let Some(v) = frame.get(name) {
                 return Some(*v);
             }
         }
-        self.s.globals.read().get(name).copied()
+        let v = self.s.globals.read().get(name).copied();
+        if v.is_some() {
+            self.track_global(name, false);
+        }
+        v
+    }
+
+    /// Race-check bookkeeping of one access to global `name`, keyed by
+    /// its declaration order like the other engines' global slots.
+    fn track_global(&mut self, name: &str, write: bool) {
+        if self.cx.track.is_none() {
+            return;
+        }
+        let slot = self
+            .s
+            .prog
+            .global_decls
+            .iter()
+            .flat_map(|d| &d.declarators)
+            .position(|d| d.name == name);
+        if let Some(slot) = slot {
+            self.cx.track_global(slot, write);
+        }
     }
 
     // -- lvalues ----------------------------------------------------------------
@@ -762,13 +784,15 @@ impl Interp {
                 .get(name)
                 .copied()
                 .ok_or_else(|| RuntimeError::at(format!("unknown variable '{name}'"), span)),
-            Place::Global(name) => self
-                .s
-                .globals
-                .read()
-                .get(name)
-                .copied()
-                .ok_or_else(|| RuntimeError::at(format!("unknown variable '{name}'"), span)),
+            Place::Global(name) => {
+                self.track_global(name, false);
+                self.s
+                    .globals
+                    .read()
+                    .get(name)
+                    .copied()
+                    .ok_or_else(|| RuntimeError::at(format!("unknown variable '{name}'"), span))
+            }
             Place::Mem(p) => self.cx.mem_load(*p, span),
         }
     }
@@ -785,16 +809,19 @@ impl Interp {
                     span,
                 )),
             },
-            Place::Global(name) => match self.s.globals.write().get_mut(name) {
-                Some(slot) => {
-                    *slot = v;
-                    Ok(())
+            Place::Global(name) => {
+                self.track_global(name, true);
+                match self.s.globals.write().get_mut(name) {
+                    Some(slot) => {
+                        *slot = v;
+                        Ok(())
+                    }
+                    None => Err(RuntimeError::at(
+                        format!("assignment to undeclared '{name}'"),
+                        span,
+                    )),
                 }
-                None => Err(RuntimeError::at(
-                    format!("assignment to undeclared '{name}'"),
-                    span,
-                )),
-            },
+            }
             Place::Mem(p) => self.cx.mem_store(*p, v, span),
         }
     }
@@ -820,6 +847,8 @@ impl Interp {
                     // the whole read-modify-write. The old separate
                     // read()/write() pair let a concurrent RMW interleave
                     // and lose an update.
+                    self.track_global(name, false);
+                    self.track_global(name, true);
                     let globals = Arc::clone(&self.s.globals);
                     let mut g = globals.write();
                     let old = *g.get(name).ok_or_else(|| {
@@ -924,6 +953,8 @@ impl Interp {
                 let (old, new) = if let Place::Global(name) = &place {
                     // `++`/`--` on a global: single write guard across
                     // the RMW (same torn-update fix as compound assign).
+                    self.track_global(name, false);
+                    self.track_global(name, true);
                     let globals = Arc::clone(&self.s.globals);
                     let mut g = globals.write();
                     let slot = g.get_mut(name).ok_or_else(|| {
@@ -1163,12 +1194,18 @@ impl Interp {
         if ub_incl < lb {
             return Ok(());
         }
-        let n = (ub_incl - lb + 1) as u64;
+        let (mut lb, mut n) = (lb, (ub_incl - lb + 1) as u64);
+        // One heap region spans the checked iterations and the launch of
+        // the rest, so their frees are reclaimed at the join as in an
+        // unchecked run.
+        let mem = self.s.mem.clone();
+        let _region = mem.enter_region();
 
         // Optional race check. The static verdict rules first:
         // Independent skips the O(n) dynamic pre-pass, Racy aborts
         // before any iteration runs, Unknown falls back to the dynamic
-        // check.
+        // check, whose validated iterations are the run's first ones:
+        // the region launches the rest.
         if self.s.opts.race_check {
             match loop_verdict(&self.s.prog.verdicts, for_stmt) {
                 RaceVerdict::Independent => {
@@ -1180,7 +1217,14 @@ impl Interp {
                         for_stmt.span,
                     ));
                 }
-                RaceVerdict::Unknown => self.race_check(&iter_name, lb, n, body)?,
+                RaceVerdict::Unknown => {
+                    let checked = self.race_check(&iter_name, lb, n, body)?;
+                    lb += checked as i64;
+                    n -= checked;
+                    if n == 0 {
+                        return Ok(());
+                    }
+                }
             }
         }
 
@@ -1213,10 +1257,7 @@ impl Interp {
             }
             child.cx.refund_fuel();
         };
-        {
-            let _region = self.s.mem.enter_region();
-            parallel_for_pooled(n, self.s.opts.threads, schedule, iteration);
-        }
+        parallel_for_pooled(n, self.s.opts.threads, schedule, iteration);
 
         match err.into_inner() {
             Some(e) => Err(e),
@@ -1224,10 +1265,11 @@ impl Interp {
         }
     }
 
-    /// Sequentially verify that iteration access sets are disjoint
-    /// (write/write and write/read), the dynamic analogue of the paper's
-    /// static guarantee.
-    fn race_check(&mut self, iter: &str, lb: i64, n: u64, body: &Stmt) -> RtResult<()> {
+    /// Run the region's first iterations sequentially, up to the cap,
+    /// verifying that their access sets are disjoint (write/write and
+    /// write/read), the dynamic analogue of the paper's static guarantee,
+    /// and answer how many ran.
+    fn race_check(&mut self, iter: &str, lb: i64, n: u64, body: &Stmt) -> RtResult<u64> {
         let mut acc = RaceAccumulator::new();
         let base_frame = self.frames.last().cloned().unwrap_or_default();
         let checked = n.min(self.s.opts.effective_race_check_cap());
@@ -1254,7 +1296,7 @@ impl Interp {
                 .map_err(|msg| RuntimeError::at(msg, body.span))?;
         }
         child.cx.refund_fuel();
-        Ok(())
+        Ok(checked)
     }
 }
 
@@ -1598,7 +1640,7 @@ int main() {
             Some(OmpSchedule::StaticChunk(4))
         );
         assert_eq!(parse_omp_parallel_for("pragma omp simd"), None);
-        assert_eq!(parse_omp_parallel_for("pragma scop"), None);
+        assert_eq!(parse_omp_parallel_for("pragma GCC ivdep"), None);
     }
 }
 

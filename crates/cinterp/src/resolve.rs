@@ -1313,7 +1313,10 @@ impl<'p> RInterp<'p> {
     fn load_place(&mut self, place: &PlaceRef, span: Span) -> RtResult<Scalar> {
         match place {
             PlaceRef::Slot(slot) => Ok(self.frame[*slot as usize]),
-            PlaceRef::Global(idx) => Ok(self.s.globals.read()[*idx as usize]),
+            PlaceRef::Global(idx) => {
+                self.cx.track_global(*idx as usize, false);
+                Ok(self.s.globals.read()[*idx as usize])
+            }
             PlaceRef::Mem(p) => self.cx.mem_load(*p, span),
         }
     }
@@ -1326,6 +1329,7 @@ impl<'p> RInterp<'p> {
                 Ok(())
             }
             PlaceRef::Global(idx) => {
+                self.cx.track_global(*idx as usize, true);
                 self.s.globals.write()[*idx as usize] = v;
                 Ok(())
             }
@@ -1341,7 +1345,10 @@ impl<'p> RInterp<'p> {
             RExprKind::Float(v) => Ok(Scalar::F(*v)),
             RExprKind::Str(s) => Ok(Scalar::P(self.cx.alloc_str(s, e.span)?)),
             RExprKind::Local(slot) => Ok(self.frame[*slot as usize]),
-            RExprKind::Global(idx) => Ok(self.s.globals.read()[*idx as usize]),
+            RExprKind::Global(idx) => {
+                self.cx.track_global(*idx as usize, false);
+                Ok(self.s.globals.read()[*idx as usize])
+            }
             RExprKind::Unknown(sym) => Err(RuntimeError::at(
                 format!("unknown variable '{}'", self.prog.interner.resolve(*sym)),
                 e.span,
@@ -1358,6 +1365,8 @@ impl<'p> RInterp<'p> {
                     // and lose an update (torn update, diverging from the
                     // VM's CAS-atomic globals).
                     let idx = *idx as usize;
+                    self.cx.track_global(idx, false);
+                    self.cx.track_global(idx, true);
                     let globals = Arc::clone(&self.s.globals);
                     let mut g = globals.write();
                     let old = g[idx];
@@ -1386,6 +1395,8 @@ impl<'p> RInterp<'p> {
                     // `++`/`--` on a global: single write guard across
                     // the RMW (same torn-update fix as compound assign).
                     let idx = *idx as usize;
+                    self.cx.track_global(idx, false);
+                    self.cx.track_global(idx, true);
                     let globals = Arc::clone(&self.s.globals);
                     let mut g = globals.write();
                     let old = g[idx];
@@ -1872,11 +1883,17 @@ impl<'p> RInterp<'p> {
         if ub_incl < lb {
             return Ok(());
         }
-        let n = (ub_incl - lb + 1) as u64;
+        let (mut lb, mut n) = (lb, (ub_incl - lb + 1) as u64);
+        // One heap region spans the checked iterations and the launch of
+        // the rest, so their frees are reclaimed at the join as in an
+        // unchecked run.
+        let mem = self.s.mem.clone();
+        let _region = mem.enter_region();
 
         // Static verdict first: Independent skips the O(n) dynamic
         // pre-pass, Racy aborts before any iteration, Unknown falls back
-        // to the dynamic check.
+        // to the dynamic check, whose validated iterations are the run's
+        // first ones: the region launches the rest.
         if self.s.opts.race_check {
             match of.verdict {
                 RaceVerdict::Independent => {
@@ -1888,7 +1905,14 @@ impl<'p> RInterp<'p> {
                         of.span,
                     ));
                 }
-                RaceVerdict::Unknown => self.race_check(header, lb, n)?,
+                RaceVerdict::Unknown => {
+                    let checked = self.race_check(header, lb, n)?;
+                    lb += checked as i64;
+                    n -= checked;
+                    if n == 0 {
+                        return Ok(());
+                    }
+                }
             }
         }
 
@@ -1923,10 +1947,7 @@ impl<'p> RInterp<'p> {
             }
             child.cx.refund_fuel();
         };
-        {
-            let _region = self.s.mem.enter_region();
-            parallel_for_pooled(n, self.s.opts.threads, of.schedule, iteration);
-        }
+        parallel_for_pooled(n, self.s.opts.threads, of.schedule, iteration);
 
         match err.into_inner() {
             Some(e) => Err(e),
@@ -1934,9 +1955,11 @@ impl<'p> RInterp<'p> {
         }
     }
 
-    /// Sequentially validate that iteration access sets are disjoint — the
-    /// dynamic counterpart of the purity guarantee (same as the oracle).
-    fn race_check(&mut self, header: &ROmpHeader, lb: i64, n: u64) -> RtResult<()> {
+    /// Run the region's first iterations sequentially, up to the cap,
+    /// validating that their access sets are disjoint — the dynamic
+    /// counterpart of the purity guarantee (same as the oracle) — and
+    /// answer how many ran.
+    fn race_check(&mut self, header: &ROmpHeader, lb: i64, n: u64) -> RtResult<u64> {
         let mut acc = RaceAccumulator::new();
         let needed = header.iter_slot as usize + 1;
         if self.frame.len() < needed {
@@ -1963,7 +1986,7 @@ impl<'p> RInterp<'p> {
                 .map_err(|msg| RuntimeError::at(msg, header.body.span))?;
         }
         child.cx.refund_fuel();
-        Ok(())
+        Ok(checked)
     }
 }
 

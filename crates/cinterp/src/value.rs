@@ -1399,11 +1399,46 @@ impl GlobalTable {
 
 /// One iteration's tracked access sets (race-check mode). Every engine
 /// fills one of these per iteration; overlap detection is shared in
-/// [`RaceAccumulator`].
+/// [`RaceAccumulator`]. A heap cell is keyed `(alloc, index)`, a global
+/// slot `(GLOBALS_KEY, slot)`.
 #[derive(Debug, Default)]
 pub(crate) struct TrackSets {
-    pub(crate) reads: HashSet<(u32, i64)>,
-    pub(crate) writes: HashSet<(u32, i64)>,
+    reads: HashSet<(u32, i64)>,
+    writes: HashSet<(u32, i64)>,
+}
+
+/// The allocation id under which global slots are tracked: past every id
+/// the heap's table can hand out, so no pointer aliases a global.
+const GLOBALS_KEY: u32 = u32::MAX;
+const _: () = assert!(TABLE_CAPACITY <= GLOBALS_KEY as usize);
+
+impl TrackSets {
+    /// One access to the heap cell `p`.
+    pub(crate) fn heap(&mut self, p: Ptr, write: bool) {
+        self.insert((p.alloc, p.index), write);
+    }
+
+    /// One access to global slot `slot`.
+    pub(crate) fn global(&mut self, slot: usize, write: bool) {
+        self.insert((GLOBALS_KEY, slot as i64), write);
+    }
+
+    fn insert(&mut self, key: (u32, i64), write: bool) {
+        let set = if write {
+            &mut self.writes
+        } else {
+            &mut self.reads
+        };
+        set.insert(key);
+    }
+}
+
+fn describe_slot((alloc, index): (u32, i64)) -> String {
+    if alloc == GLOBALS_KEY {
+        format!("global slot {index}")
+    } else {
+        format!("slot ({alloc}, {index})")
+    }
 }
 
 /// Accumulates iteration access sets across a parallel region and
@@ -1426,16 +1461,16 @@ impl RaceAccumulator {
         for w in &t.writes {
             if self.writes.contains(w) || self.reads.contains(w) {
                 return Err(format!(
-                    "race detected: slot ({}, {}) accessed by multiple iterations",
-                    w.0, w.1
+                    "race detected: {} accessed by multiple iterations",
+                    describe_slot(*w)
                 ));
             }
         }
         for r in &t.reads {
             if self.writes.contains(r) {
                 return Err(format!(
-                    "race detected: slot ({}, {}) written by one iteration and read by another",
-                    r.0, r.1
+                    "race detected: {} written by one iteration and read by another",
+                    describe_slot(*r)
                 ));
             }
         }

@@ -601,8 +601,16 @@ impl<'p> Vm<'p> {
     #[inline(never)]
     fn track_access(&mut self, p: Ptr, write: bool) {
         if let Some(t) = &mut self.track {
-            let set = if write { &mut t.writes } else { &mut t.reads };
-            set.insert((p.alloc, p.index));
+            t.heap(p, write);
+        }
+    }
+
+    /// [`Self::track_access`] for global slot `slot`.
+    #[cold]
+    #[inline(never)]
+    fn track_global(&mut self, slot: u32, write: bool) {
+        if let Some(t) = &mut self.track {
+            t.global(slot as usize, write);
         }
     }
 
@@ -1181,6 +1189,9 @@ impl<'p> Vm<'p> {
                     self.stack.push(v);
                 }
                 Op::LoadGlobal => {
+                    if self.track.is_some() {
+                        self.track_global(insn.a, false);
+                    }
                     let v = self.s.globals.load(insn.a as usize);
                     let v = self.pack(v);
                     self.stack.push(v);
@@ -1190,6 +1201,9 @@ impl<'p> Vm<'p> {
                     self.arena[base + insn.a as usize] = v;
                 }
                 Op::StoreGlobal => {
+                    if self.track.is_some() {
+                        self.track_global(insn.a, true);
+                    }
                     let v = *self.stack.last().expect("operand stack underflow");
                     let v = self.unpack(v);
                     self.s.globals.store(insn.a as usize, v);
@@ -1199,6 +1213,9 @@ impl<'p> Vm<'p> {
                     self.arena[base + insn.a as usize] = v;
                 }
                 Op::StoreGlobalPop => {
+                    if self.track.is_some() {
+                        self.track_global(insn.a, true);
+                    }
                     let v = self.pop();
                     let v = self.unpack(v);
                     self.s.globals.store(insn.a as usize, v);
@@ -1573,6 +1590,10 @@ impl<'p> Vm<'p> {
                 self.mem_store(p.offset(insn.a as i64), v, || span)?;
             }
             Op::CompoundGlobal => {
+                if self.track.is_some() {
+                    self.track_global(insn.a, false);
+                    self.track_global(insn.a, true);
+                }
                 let rv = self.pop();
                 let rv = self.unpack(rv);
                 let op = binop_decode(insn.b & 0xFF);
@@ -1592,6 +1613,10 @@ impl<'p> Vm<'p> {
                 }
             }
             Op::IncDecGlobal => {
+                if self.track.is_some() {
+                    self.track_global(insn.a, false);
+                    self.track_global(insn.a, true);
+                }
                 // Atomic `++`/`--` via CAS (same torn-RMW fix as
                 // `CompoundGlobal`); tally snapshot absorbs retries.
                 let globals = Arc::clone(&self.s.globals);
@@ -1765,18 +1790,21 @@ impl<'p> Vm<'p> {
         if ub_incl < lb {
             return Ok(());
         }
-        let n = (ub_incl - lb + 1) as u64;
-        let inline = r
-            .work
-            .is_some_and(|w| n.saturating_mul(u64::from(w)) < REGION_INLINE_WORK);
+        let (mut lb, mut n) = (lb, (ub_incl - lb + 1) as u64);
         // The region span covers verdict, fork, every chunk and the join
         // (its guard closes on the trap path too); per-worker chunk
         // spans are emitted by the scheduler under it.
         let _span = instrument::span("region", n);
+        // One heap region spans the checked iterations and the launch of
+        // the rest, so their frees are reclaimed at the join as in an
+        // unchecked run.
+        let mem = self.s.mem.clone();
+        let _region = mem.enter_region();
 
         // Static verdict first: Independent skips the O(n) dynamic
         // pre-pass, Racy aborts before any iteration, Unknown falls back
-        // to the dynamic check.
+        // to the dynamic check, whose validated iterations are the run's
+        // first ones: the region launches the rest.
         if self.s.opts.race_check {
             match r.verdict {
                 crate::interp::RaceVerdict::Independent => {
@@ -1790,10 +1818,20 @@ impl<'p> Vm<'p> {
                 }
                 crate::interp::RaceVerdict::Unknown => {
                     instrument::instant("region.race_check", n);
-                    self.race_check(f, base, r, lb, n)?;
+                    let checked = self.race_check(f, base, r, lb, n)?;
+                    lb += checked as i64;
+                    n -= checked;
+                    if n == 0 {
+                        // The check ran the whole region on this thread.
+                        Counters::bump(&self.s.counters.regions_inline);
+                        return Ok(());
+                    }
                 }
             }
         }
+        let inline = r
+            .work
+            .is_some_and(|w| n.saturating_mul(u64::from(w)) < REGION_INLINE_WORK);
 
         // Compact first so the children inherit only live spill entries
         // (usually none), then snapshot the frame: one flat u64 template
@@ -1861,10 +1899,7 @@ impl<'p> Vm<'p> {
             Counters::bump(&self.s.counters.regions_forked);
             self.s.opts.threads
         };
-        let workers = {
-            let _region = self.s.mem.enter_region();
-            parallel_for_state_pooled(n, threads, r.schedule, init, body)
-        };
+        let workers = parallel_for_state_pooled(n, threads, r.schedule, init, body);
         for mut w in workers {
             w.refund_fuel();
             self.tally.merge(&w.tally);
@@ -1892,11 +1927,19 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Sequentially validate iteration access-set disjointness before a
-    /// parallel run — same dynamic purity check as the other engines.
-    /// One child VM (frame arena, spill pool, memo shard) is reused
-    /// across every validated iteration and merged back once.
-    fn race_check(&mut self, f: &BFunc, base: usize, r: &BRegion, lb: i64, n: u64) -> RtResult<()> {
+    /// Run the region's first iterations sequentially, up to the cap,
+    /// validating that their access sets are disjoint — the same dynamic
+    /// purity check as the other engines — and answer how many ran. One
+    /// child VM (frame arena, spill pool, memo shard) is reused across
+    /// every validated iteration and merged back once.
+    fn race_check(
+        &mut self,
+        f: &BFunc,
+        base: usize,
+        r: &BRegion,
+        lb: i64,
+        n: u64,
+    ) -> RtResult<u64> {
         let mut acc = RaceAccumulator::new();
         if self.spill.len() > self.spill_floor {
             self.compact_spills();
@@ -1913,7 +1956,7 @@ impl<'p> Vm<'p> {
             .counters
             .race_dyn_iters
             .fetch_add(checked, Ordering::Relaxed);
-        let mut result = Ok(());
+        let mut result = Ok(checked);
         for k in 0..checked {
             child.stack.clear();
             child.arena.clear();

@@ -86,10 +86,17 @@ impl WalkCtx {
         }
     }
 
+    /// Race-check bookkeeping of one access to global slot `slot`.
+    pub(crate) fn track_global(&mut self, slot: usize, write: bool) {
+        if let Some(t) = &mut self.track {
+            t.global(slot, write);
+        }
+    }
+
     pub(crate) fn mem_load(&mut self, p: Ptr, span: Span) -> RtResult<Scalar> {
         Counters::bump(&self.counters.loads);
         if let Some(t) = &mut self.track {
-            t.reads.insert((p.alloc, p.index));
+            t.heap(p, false);
         }
         self.mem
             .load(p)
@@ -99,7 +106,7 @@ impl WalkCtx {
     pub(crate) fn mem_store(&mut self, p: Ptr, v: Scalar, span: Span) -> RtResult<()> {
         Counters::bump(&self.counters.stores);
         if let Some(t) = &mut self.track {
-            t.writes.insert((p.alloc, p.index));
+            t.heap(p, true);
         }
         self.mem
             .store(p, v)

@@ -3,8 +3,8 @@
 //! This crate implements the compiler pass of *Pure Functions in C: A Small
 //! Keyword for Automatic Parallelization* (Süß et al.): a semantic analysis
 //! that **verifies** `pure`-marked functions are side-effect-free (unlike
-//! GCC's advisory `__attribute__((pure))`), marks parallelizable loop nests
-//! with `#pragma scop`, substitutes pure calls by constants so a polyhedral
+//! GCC's advisory `__attribute__((pure))`), flags parallelizable loop nests
+//! as SCoPs, substitutes pure calls by constants so a polyhedral
 //! transformer can handle the loops, and finally lowers the extension back
 //! to standard C.
 //!

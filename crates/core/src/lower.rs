@@ -4,12 +4,14 @@
 //! * `pure` pointer qualifiers (parameters, locals, casts) are replaced by
 //!   `const` — similar but weaker semantics;
 //! * the `pure` prefix on functions is removed entirely — C has no
-//!   equivalent keyword (`const` would bind to the return type).
+//!   equivalent keyword (`const` would bind to the return type);
+//! * the SCoP flag PC-CC set on a loop is cleared, so no final text
+//!   carries a `#pragma scop` marker.
 //!
 //! Lowering never changes program behaviour; it only removes the extension.
 
 use cfront::ast::*;
-use cfront::visit::visit_types_mut;
+use cfront::visit::{visit_stmts_mut, visit_types_mut};
 
 /// Statistics from one lowering run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +36,12 @@ pub fn lower_pure(unit: &mut TranslationUnit) -> LowerStats {
                 lower_type(&mut f.ret, &mut stats);
                 if let Some(body) = &mut f.body {
                     for stmt in &mut body.stmts {
-                        visit_types_mut(stmt, &mut |ty| lower_type_cb(ty, &mut stats));
+                        visit_types_mut(stmt, &mut |ty| lower_type(ty, &mut stats));
+                        visit_stmts_mut(stmt, &mut |s| {
+                            if let StmtKind::For { scop, .. } = &mut s.kind {
+                                *scop = false;
+                            }
+                        });
                     }
                 }
             }
@@ -62,10 +69,6 @@ fn lower_type(ty: &mut Type, stats: &mut LowerStats) {
         ty.base_const = true;
         stats.pointers_consted += 1;
     }
-}
-
-fn lower_type_cb(ty: &mut Type, stats: &mut LowerStats) {
-    lower_type(ty, stats);
 }
 
 #[cfg(test)]

@@ -1,11 +1,12 @@
 //! SCoP marking — the second half of PC-CC (Sect. 3.2/3.4).
 //!
 //! Every `for`-loop nest whose calls are all verified pure
-//! ([`unverified_calls`] finds none) is surrounded by `#pragma scop` /
-//! `#pragma endscop`, the markers the polyhedral transformer consumes.
-//! Before marking, the pass runs the caller-side safety check of Listing
-//! 5: if an assignment's target is something a pure call on its
-//! right-hand side may read — it is mentioned in the call's arguments, or
+//! ([`unverified_calls`] finds none) gets its `scop` flag set — the mark
+//! the paper writes as `#pragma scop` / `#pragma endscop`, and the one
+//! the call substitution and the polyhedral transformer read. Before
+//! marking, the pass runs the caller-side safety check of Listing 5: if
+//! an assignment's target is something a pure call on its right-hand
+//! side may read — it is mentioned in the call's arguments, or
 //! it is a global the callee reads ([`pure_call_read_bases`]) — the
 //! program is rejected (`PureParamWrittenInLoop`): the call's result
 //! feeding back into its own input would make the iteration order
@@ -19,6 +20,7 @@ use crate::stdfns::PureSet;
 use cfront::ast::*;
 use cfront::diag::{Code, Diagnostics};
 use cfront::span::Span;
+use cfront::visit::visit_stmts_mut_pruned;
 use std::collections::BTreeSet;
 
 /// The one definition of "all calls verified pure": every call in the
@@ -67,14 +69,16 @@ pub fn pure_call_read_bases<'a>(
 /// Outcome of SCoP marking over a translation unit.
 #[derive(Debug, Default)]
 pub struct ScopReport {
-    /// Number of loop nests that were wrapped in scop pragmas.
+    /// Number of loop nests flagged as SCoPs.
     pub marked: usize,
     /// Number of loop nests skipped because they call impure functions.
     pub skipped_impure: usize,
     pub diags: Diagnostics,
 }
 
-/// Mark parallelization candidates in-place. Returns the report; on error
+/// Flag the outermost candidate nest wherever a `for` sits — a block item
+/// or the bare body of an `if`, `while` or `for` — and look for candidates
+/// inside every loop that is not one. Returns the report; on error
 /// (`PureParamWrittenInLoop`) the unit is left partially marked and callers
 /// must abort, mirroring the paper's compile error.
 pub fn mark_scops(
@@ -87,7 +91,20 @@ pub fn mark_scops(
     for item in &mut unit.items {
         let Item::Function(f) = item else { continue };
         let Some(body) = &mut f.body else { continue };
-        mark_block(body, pure, &mut report);
+        for stmt in &mut body.stmts {
+            visit_stmts_mut_pruned(stmt, &mut |s| {
+                if !matches!(s.kind, StmtKind::For { .. })
+                    || !loop_nest_is_candidate(s, pure, &mut report)
+                {
+                    return true;
+                }
+                if let StmtKind::For { scop, .. } = &mut s.kind {
+                    *scop = true;
+                }
+                report.marked += 1;
+                false
+            });
+        }
     }
     report
 }
@@ -98,60 +115,6 @@ pub fn mark_scops(
 struct Verified<'a> {
     pure_set: &'a PureSet,
     reads: &'a GlobalReads,
-}
-
-fn mark_block(block: &mut Block, pure: Verified, report: &mut ScopReport) {
-    let mut i = 0;
-    while i < block.stmts.len() {
-        if matches!(block.stmts[i].kind, StmtKind::For { .. }) {
-            if loop_nest_is_candidate(&block.stmts[i], pure, report) {
-                let span = block.stmts[i].span;
-                block
-                    .stmts
-                    .insert(i, Stmt::new(StmtKind::Pragma("pragma scop".into()), span));
-                block.stmts.insert(
-                    i + 2,
-                    Stmt::new(StmtKind::Pragma("pragma endscop".into()), span),
-                );
-                report.marked += 1;
-                i += 3;
-                continue;
-            }
-            // Not a candidate as a whole — descend looking for inner
-            // candidates (e.g. a parallelizable loop inside an outer
-            // `while`-style driver loop).
-            descend(&mut block.stmts[i], pure, report);
-        } else if matches!(
-            block.stmts[i].kind,
-            StmtKind::Block(_)
-                | StmtKind::If { .. }
-                | StmtKind::While { .. }
-                | StmtKind::DoWhile { .. }
-        ) {
-            descend(&mut block.stmts[i], pure, report);
-        }
-        i += 1;
-    }
-}
-
-fn descend(stmt: &mut Stmt, pure: Verified, report: &mut ScopReport) {
-    match &mut stmt.kind {
-        StmtKind::Block(b) => mark_block(b, pure, report),
-        StmtKind::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            descend(then_branch, pure, report);
-            if let Some(e) = else_branch {
-                descend(e, pure, report);
-            }
-        }
-        StmtKind::While { body, .. }
-        | StmtKind::DoWhile { body, .. }
-        | StmtKind::For { body, .. } => descend(body, pure, report),
-        _ => {}
-    }
 }
 
 /// A loop nest qualifies when every function called anywhere inside is in
@@ -244,7 +207,21 @@ mod tests {
     use super::*;
     use crate::purity::verify_unit;
     use cfront::parser::parse;
-    use cfront::printer::print_unit;
+
+    /// `scop` flags of every `for` in the unit, outside-in.
+    fn scop_flags(unit: &TranslationUnit) -> Vec<bool> {
+        let mut flags = Vec::new();
+        for f in unit.functions() {
+            for s in f.body.iter().flat_map(|b| &b.stmts) {
+                s.walk(&mut |s| {
+                    if let StmtKind::For { scop, .. } = s.kind {
+                        flags.push(scop);
+                    }
+                });
+            }
+        }
+        flags
+    }
 
     fn run(src: &str) -> (TranslationUnit, ScopReport) {
         let r = parse(src);
@@ -268,11 +245,7 @@ mod tests {
              }");
         assert_eq!(report.marked, 1);
         assert!(!report.diags.has_errors());
-        let out = print_unit(&unit);
-        let scop_pos = out.find("#pragma scop").expect("scop pragma");
-        let for_pos = out.find("for (").expect("loop");
-        let end_pos = out.find("#pragma endscop").expect("endscop pragma");
-        assert!(scop_pos < for_pos && for_pos < end_pos, "{out}");
+        assert_eq!(scop_flags(&unit), [true, false]);
     }
 
     #[test]
@@ -390,9 +363,7 @@ mod tests {
                  return 0;\n\
              }");
         assert_eq!(report.marked, 1);
-        let out = print_unit(&unit);
-        assert_eq!(out.matches("#pragma scop").count(), 1);
-        assert_eq!(out.matches("#pragma endscop").count(), 1);
+        assert_eq!(scop_flags(&unit), [true, false]);
     }
 
     #[test]
@@ -404,7 +375,6 @@ mod tests {
                  return 0;\n\
              }");
         assert_eq!(report.marked, 2);
-        let out = print_unit(&unit);
-        assert_eq!(out.matches("#pragma scop").count(), 2);
+        assert_eq!(scop_flags(&unit), [true, true]);
     }
 }

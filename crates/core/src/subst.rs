@@ -1,7 +1,7 @@
 //! Temporary call substitution (Sect. 3.3, Fig. 1).
 //!
 //! PluTo is unaware of pure functions, so before the polyhedral stage every
-//! pure call inside a `#pragma scop` region is replaced by a "special,
+//! pure call inside a SCoP-flagged nest is replaced by a "special,
 //! unique word" that makes it look like a constant — `fnAB()` becomes
 //! `tmpConst_fnAB` in the paper's figure. After the transformation the
 //! placeholders are swapped back, *adapting* the arguments to the renamed
@@ -9,7 +9,7 @@
 
 use crate::stdfns::PureSet;
 use cfront::ast::*;
-use cfront::visit::{visit_expr_mut, visit_exprs_mut};
+use cfront::visit::{visit_expr_mut, visit_exprs_mut, visit_stmts_mut_pruned};
 use std::collections::HashMap;
 
 /// Map from placeholder identifier to the original call expression.
@@ -47,59 +47,24 @@ impl SubstMap {
     }
 }
 
-/// Replace every pure call inside scop regions with a placeholder
+/// Replace every pure call inside a SCoP-flagged nest with a placeholder
 /// identifier. Returns the substitution map for later reinsertion.
 pub fn substitute_calls(unit: &mut TranslationUnit, pure_set: &PureSet) -> SubstMap {
     let mut map = SubstMap::new();
     for item in &mut unit.items {
         let Item::Function(f) = item else { continue };
         let Some(body) = &mut f.body else { continue };
-        substitute_in_block(body, pure_set, &mut map);
+        for stmt in &mut body.stmts {
+            visit_stmts_mut_pruned(stmt, &mut |s| {
+                if !matches!(s.kind, StmtKind::For { scop: true, .. }) {
+                    return true;
+                }
+                substitute_in_stmt(s, pure_set, &mut map);
+                false
+            });
+        }
     }
     map
-}
-
-fn substitute_in_block(block: &mut Block, pure_set: &PureSet, map: &mut SubstMap) {
-    let mut in_scop = false;
-    for stmt in &mut block.stmts {
-        match &stmt.kind {
-            StmtKind::Pragma(p) if p.trim() == "pragma scop" => {
-                in_scop = true;
-                continue;
-            }
-            StmtKind::Pragma(p) if p.trim() == "pragma endscop" => {
-                in_scop = false;
-                continue;
-            }
-            _ => {}
-        }
-        if in_scop {
-            substitute_in_stmt(stmt, pure_set, map);
-        } else {
-            // Scops may sit in nested blocks too.
-            recurse_blocks(stmt, pure_set, map);
-        }
-    }
-}
-
-fn recurse_blocks(stmt: &mut Stmt, pure_set: &PureSet, map: &mut SubstMap) {
-    match &mut stmt.kind {
-        StmtKind::Block(b) => substitute_in_block(b, pure_set, map),
-        StmtKind::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            recurse_blocks(then_branch, pure_set, map);
-            if let Some(e) = else_branch {
-                recurse_blocks(e, pure_set, map);
-            }
-        }
-        StmtKind::While { body, .. }
-        | StmtKind::DoWhile { body, .. }
-        | StmtKind::For { body, .. } => recurse_blocks(body, pure_set, map),
-        _ => {}
-    }
 }
 
 fn substitute_in_stmt(stmt: &mut Stmt, pure_set: &PureSet, map: &mut SubstMap) {

@@ -413,9 +413,9 @@ int other;
 
     #[test]
     fn pragmas_pass_through() {
-        let out = pp("#pragma scop\nfor (;;) ;\n#pragma endscop\n");
-        assert!(out.text.contains("#pragma scop"));
-        assert!(out.text.contains("#pragma endscop"));
+        let out = pp("#pragma GCC ivdep\nfor (;;) ;\n#pragma omp barrier\n");
+        assert!(out.text.contains("#pragma GCC ivdep"));
+        assert!(out.text.contains("#pragma omp barrier"));
     }
 
     #[test]

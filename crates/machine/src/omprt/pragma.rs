@@ -119,7 +119,7 @@ mod tests {
     #[test]
     fn non_parallel_pragmas_are_none() {
         assert!(parse_omp_parallel_for_clauses("pragma omp simd").is_none());
-        assert!(parse_omp_parallel_for_clauses("pragma scop").is_none());
+        assert!(parse_omp_parallel_for_clauses("pragma GCC ivdep").is_none());
     }
 
     #[test]

@@ -314,6 +314,7 @@ pub fn generate(
                 body: Box::new(current),
                 id: LoopId::NONE,
                 affine: true,
+                scop: false,
             },
             Span::DUMMY,
         );

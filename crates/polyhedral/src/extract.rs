@@ -1,6 +1,6 @@
 //! AST → SCoP extraction (the Clan stage of the PluTo stack).
 //!
-//! Walks a `for`-nest between `#pragma scop` / `#pragma endscop` and builds
+//! Walks a `for`-nest PC-CC flagged as a SCoP and builds
 //! the polyhedral model. Anything outside the affine subset produces a
 //! [`Code::PolyNonAffine`] / [`Code::PolyUnsupported`] diagnostic and the
 //! nest is left untransformed — mirroring PluTo, which simply refuses such

@@ -10,7 +10,8 @@
 //! Fourier–Motzkin ([`fourier_motzkin`]), [`schedule`] searches legal
 //! permutable hyperplane bands (skewing when needed — the paper's Fig. 2),
 //! [`codegen`] emits the transformed nest with OpenMP/SIMD pragmas, and
-//! [`polycc`] drives the whole stage over `#pragma scop` regions.
+//! [`polycc`] drives the whole stage over the loop nests PC-CC flagged as
+//! SCoPs.
 
 pub mod affine;
 pub mod codegen;

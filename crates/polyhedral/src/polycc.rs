@@ -1,9 +1,12 @@
 //! `polycc` — the driver entry of the polyhedral stage (what the PluTo
-//! distribution's `polycc` script does): find `#pragma scop` regions,
+//! distribution's `polycc` script does): find the loop nests PC-CC flagged
+//! as SCoPs (`StmtKind::For { scop: true, .. }`, wherever they sit), then
 //! model, analyze, schedule, and replace them with transformed, annotated
-//! loop nests.
+//! loop nests. A user `omp parallel for` directly above a flagged nest
+//! belongs to it. polycc judges no nest's candidacy itself: an unflagged
+//! loop, a user `#pragma scop` line included, is left as it is.
 //!
-//! Imperfect nests degrade gracefully: if the marked loop itself cannot be
+//! Imperfect nests degrade gracefully: if the flagged loop itself cannot be
 //! modelled (e.g. the heat application's time loop whose body holds two
 //! spatial nests and a pointer swap), the driver keeps the loop sequential
 //! and recurses into its children, transforming every inner nest it *can*
@@ -21,7 +24,8 @@ use cfront::printer::{print_expr, print_stmt};
 use cfront::visit::visit_exprs_mut_pruned;
 use std::collections::{HashMap, HashSet};
 
-/// Options for the whole polyhedral stage.
+/// Options for the whole polyhedral stage: how the flagged nests are
+/// transformed, never which nests are.
 #[derive(Debug, Clone, Default)]
 pub struct PolyccOptions {
     /// Base codegen options (omp / explicit tile).
@@ -29,12 +33,6 @@ pub struct PolyccOptions {
     /// SICA mode: auto-select tile sizes from the cache model and add SIMD
     /// pragmas (overrides `codegen.tile`/`codegen.sica`).
     pub sica: Option<SicaParams>,
-    /// `--poly-unmarked`: also route *bare-body* `for` nests (loops hanging
-    /// directly off `if`/`while`/`for`, where no `#pragma scop` sibling can
-    /// exist) through the polyhedral stage, provided every function they
-    /// call is in this verified-pure set — the precondition for an
-    /// `Independent` race verdict.
-    pub unmarked: Option<HashSet<String>>,
 }
 
 /// What happened to one marked region.
@@ -306,63 +304,24 @@ fn place_nest(
     (vec![loop_stmt], false)
 }
 
-/// Find `[scop-pragma, for, endscop-pragma]` triples — and unmarked
-/// `[omp-pragma, for]` pairs, the paper's input form — in a block and
-/// replace them with transformed code, then fuse and bound-hoist the
-/// resulting nests.
+/// Replace every SCoP-flagged nest of a block with transformed code (a
+/// user `omp parallel for` header directly above the nest belongs to it),
+/// then fuse and bound-hoist the resulting nests.
 fn process_block(block: &mut Block, cx: Cx, report: &mut PolyccReport) {
     let mut i = 0;
     while i < block.stmts.len() {
-        let is_scop_open = matches!(
-            &block.stmts[i].kind,
-            StmtKind::Pragma(p) if p.trim() == "pragma scop"
-        );
-        if is_scop_open {
-            // Expect For at i+1 and endscop at i+2.
-            let ok_shape = i + 2 < block.stmts.len()
-                && matches!(block.stmts[i + 1].kind, StmtKind::For { .. })
-                && matches!(
-                    &block.stmts[i + 2].kind,
-                    StmtKind::Pragma(p) if p.trim() == "pragma endscop"
-                );
-            if !ok_shape {
-                report.regions.push(RegionOutcome::Skipped {
-                    reason: "malformed scop region (pragma without loop)".into(),
-                });
-                i += 1;
-                continue;
-            }
-
-            // A user `omp parallel for` header directly above the markers
-            // belongs to this nest.
-            let user_omp = i.checked_sub(1).and_then(|h| omp_header(&block.stmts[h]));
-            let loop_stmt = block.stmts[i + 1].clone();
-            let (stmts, consumed) = place_nest(loop_stmt, user_omp.as_deref(), cx, report);
-            let from = if consumed { i - 1 } else { i };
-            let count = stmts.len();
-            block.stmts.splice(from..i + 3, stmts);
-            i = from + count;
+        if !matches!(block.stmts[i].kind, StmtKind::For { scop: true, .. }) {
+            descend(&mut block.stmts[i], cx, report);
+            i += 1;
             continue;
         }
-
-        // Unmarked `omp parallel for` nest: treat it as an implicit SCoP.
-        let next_is_for = matches!(
-            block.stmts.get(i + 1).map(|s| &s.kind),
-            Some(StmtKind::For { .. })
-        );
-        if let Some(pragma) = omp_header(&block.stmts[i]).filter(|_| next_is_for) {
-            let loop_stmt = block.stmts[i + 1].clone();
-            let (stmts, consumed) = place_nest(loop_stmt, Some(&pragma), cx, report);
-            let from = if consumed { i } else { i + 1 };
-            let count = stmts.len();
-            block.stmts.splice(from..i + 2, stmts);
-            i = from + count;
-            continue;
-        }
-
-        // Recurse into nested structures.
-        descend(&mut block.stmts[i], cx, report);
-        i += 1;
+        let user_omp = i.checked_sub(1).and_then(|h| omp_header(&block.stmts[h]));
+        let loop_stmt = block.stmts[i].clone();
+        let (stmts, consumed) = place_nest(loop_stmt, user_omp.as_deref(), cx, report);
+        let from = if consumed { i - 1 } else { i };
+        let count = stmts.len();
+        block.stmts.splice(from..=i, stmts);
+        i = from + count;
     }
     finish_block(&mut block.stmts, report);
 }
@@ -382,43 +341,29 @@ fn descend(stmt: &mut Stmt, cx: Cx, report: &mut PolyccReport) {
             else_branch,
             ..
         } => {
-            maybe_unmarked(then_branch, cx, report);
+            process_body(then_branch, cx, report);
             if let Some(e) = else_branch {
-                maybe_unmarked(e, cx, report);
+                process_body(e, cx, report);
             }
         }
         StmtKind::While { body, .. }
         | StmtKind::DoWhile { body, .. }
-        | StmtKind::For { body, .. } => maybe_unmarked(body, cx, report),
+        | StmtKind::For { body, .. } => process_body(body, cx, report),
         _ => {}
     }
 }
 
-/// `--poly-unmarked`: a bare-body `for` nest (no surrounding block, so it
-/// could never have received scop markers) whose calls are all verified
-/// pure is routed through the transformer like an implicit SCoP.
-fn maybe_unmarked(stmt: &mut Stmt, cx: Cx, report: &mut PolyccReport) {
-    if let Some(pure) = &cx.opts.unmarked {
-        if matches!(stmt.kind, StmtKind::For { .. })
-            && purec_core::unverified_calls(stmt, &|name| pure.contains(name)).is_empty()
-        {
-            let mut child = stmt.clone();
-            if let Some(mut new_stmts) = transform_nest(&mut child, cx, report) {
-                finish_block(&mut new_stmts, report);
-                *stmt = Stmt::new(
-                    StmtKind::Block(Block {
-                        stmts: new_stmts,
-                        span: stmt.span,
-                    }),
-                    stmt.span,
-                );
-            } else {
-                *stmt = child; // children may have changed
-            }
-            return;
-        }
+/// The body of an `if`, `while` or `for`. A flagged nest hanging there
+/// bare (`if (c) for …`) is replaced by a block of its transformed code.
+fn process_body(body: &mut Stmt, cx: Cx, report: &mut PolyccReport) {
+    if !matches!(body.kind, StmtKind::For { scop: true, .. }) {
+        return descend(body, cx, report);
     }
-    descend(stmt, cx, report)
+    if let Some(mut stmts) = transform_nest(body, cx, report) {
+        finish_block(&mut stmts, report);
+        let span = body.span;
+        *body = Stmt::new(StmtKind::Block(Block { stmts, span }), span);
+    }
 }
 
 /// Transform one marked nest. Returns the replacement statements, or `None`
@@ -426,6 +371,10 @@ fn maybe_unmarked(stmt: &mut Stmt, cx: Cx, report: &mut PolyccReport) {
 /// rewritten in-place through `loop_stmt`).
 fn transform_nest(loop_stmt: &mut Stmt, cx: Cx, report: &mut PolyccReport) -> Option<Vec<Stmt>> {
     let Cx { opts, types } = cx;
+    // The mark is consumed: a nest kept as it is leaves polycc unflagged.
+    if let StmtKind::For { scop, .. } = &mut loop_stmt.kind {
+        *scop = false;
+    }
     match extract_scop(loop_stmt, types) {
         Ok(scop) => {
             let DepAnalysis { deps, fm_solves } = analyze(&scop);
@@ -486,52 +435,19 @@ fn transform_nest(loop_stmt: &mut Stmt, cx: Cx, report: &mut PolyccReport) -> Op
             let StmtKind::For { body, .. } = &mut loop_stmt.kind else {
                 return None;
             };
-            transform_children(body, cx, report);
-            None
-        }
-    }
-}
-
-/// Recursively attempt every child for-nest of a body.
-fn transform_children(body: &mut Stmt, cx: Cx, report: &mut PolyccReport) {
-    match &mut body.kind {
-        StmtKind::Block(b) => {
-            let mut i = 0;
-            while i < b.stmts.len() {
-                if matches!(b.stmts[i].kind, StmtKind::For { .. }) {
-                    // A user header above a nested nest is consumed like
-                    // one above a top-level nest (`process_block`).
-                    let user_omp = i.checked_sub(1).and_then(|h| omp_header(&b.stmts[h]));
-                    let child = b.stmts[i].clone();
-                    let (stmts, consumed) = place_nest(child, user_omp.as_deref(), cx, report);
-                    let from = if consumed { i - 1 } else { i };
-                    let count = stmts.len();
-                    b.stmts.splice(from..=i, stmts);
-                    i = from + count;
-                } else {
-                    descend(&mut b.stmts[i], cx, report);
-                    i += 1;
+            // The nests directly inside a SCoP are SCoPs too.
+            let children = match &mut body.kind {
+                StmtKind::Block(b) => &mut b.stmts[..],
+                _ => std::slice::from_mut(&mut **body),
+            };
+            for child in children {
+                if let StmtKind::For { scop, .. } = &mut child.kind {
+                    *scop = true;
                 }
             }
-            finish_block(&mut b.stmts, report);
+            process_body(body, cx, report);
+            None
         }
-        StmtKind::For { .. } => {
-            let mut child = body.clone();
-            if let Some(mut new_stmts) = transform_nest(&mut child, cx, report) {
-                finish_block(&mut new_stmts, report);
-                // Single-statement body replaced by a block.
-                *body = Stmt::new(
-                    StmtKind::Block(Block {
-                        stmts: new_stmts,
-                        span: body.span,
-                    }),
-                    body.span,
-                );
-            } else {
-                *body = child;
-            }
-        }
-        _ => {}
     }
 }
 
@@ -1101,20 +1017,28 @@ mod tests {
     use cfront::printer::print_unit;
     use cfront::visit::visit_stmts_mut;
 
+    /// polycc on `src` as PC-CC marked it.
     fn run(src: &str, opts: PolyccOptions) -> (TranslationUnit, PolyccReport) {
-        let mut unit = parse(src).unit;
+        let mut unit = purec_core::run_pc_cc(src, Default::default())
+            .expect("PC-CC accepts the source")
+            .unit;
         let report = run_polycc(&mut unit, opts);
+        (unit, report)
+    }
+
+    /// polycc on `src` as parsed, with no loop marked.
+    fn run_unmarked(src: &str) -> (TranslationUnit, PolyccReport) {
+        let mut unit = parse(src).unit;
+        let report = run_polycc(&mut unit, PolyccOptions::default());
         (unit, report)
     }
 
     const MARKED_MATMUL: &str = "\
 float **A, **Bt, **C;
 int main() {
-#pragma scop
     for (int i = 0; i < 4096; i++)
         for (int j = 0; j < 4096; j++)
             C[i][j] = tmpConst_dot_0;
-#pragma endscop
     return 0;
 }
 ";
@@ -1125,7 +1049,7 @@ int main() {
         assert_eq!(report.transformed_count(), 1);
         assert_eq!(report.parallelized_count(), 1);
         let out = print_unit(&unit);
-        assert!(!out.contains("pragma scop"), "{out}");
+        assert!(!out.contains("scop"), "{out}");
         assert!(
             out.contains("#pragma omp parallel for\n    for (int t1 = 0; t1 <= 4095; t1++)"),
             "{out}"
@@ -1149,7 +1073,6 @@ int main() {
             PolyccOptions {
                 codegen: CodegenOptions::default(),
                 sica: Some(SicaParams::default()),
-                ..Default::default()
             },
         );
         assert_eq!(report.transformed_count(), 1);
@@ -1162,7 +1085,7 @@ int main() {
     #[test]
     fn unmarked_loops_are_untouched() {
         let src = "int main() { float a[8]; for (int i = 0; i < 8; i++) a[i] = i; return 0; }";
-        let (unit, report) = run(src, PolyccOptions::default());
+        let (unit, report) = run_unmarked(src);
         assert_eq!(report.transformed_count(), 0);
         let out = print_unit(&unit);
         assert!(out.contains("for (int i = 0; i < 8; i++)"), "{out}");
@@ -1174,7 +1097,6 @@ int main() {
         let src = "\
 int main() {
     float a[64][64], b[64][64];
-#pragma scop
     for (int t = 0; t < 200; t++) {
         for (int i = 1; i < 63; i++)
             for (int j = 1; j < 63; j++)
@@ -1183,7 +1105,6 @@ int main() {
             for (int j2 = 1; j2 < 63; j2++)
                 a[i2][j2] = b[i2][j2];
     }
-#pragma endscop
     return 0;
 }
 ";
@@ -1201,10 +1122,8 @@ int main() {
         let src = "\
 void f(float* a) {
     float res;
-#pragma scop
     for (int i = 0; i < 64; i++)
         res = res + a[i];
-#pragma endscop
 }
 ";
         let (unit, report) = run(src, PolyccOptions::default());
@@ -1218,11 +1137,9 @@ void f(float* a) {
     fn fig2_region_is_skewed() {
         let src = "\
 void f(float** a) {
-#pragma scop
     for (int i = 1; i < 64; i++)
         for (int j = 1; j < 63; j++)
             a[i][j] = a[i - 1][j] + a[i - 1][j + 1];
-#pragma endscop
 }
 ";
         let (unit, report) = run(src, PolyccOptions::default());
@@ -1241,13 +1158,9 @@ void f(float** a) {
         let src = "\
 int main() {
     float a[32], b[32];
-#pragma scop
     for (int i = 0; i < 32; i++) a[i] = tmpConst_f_0;
-#pragma endscop
     b[0] = a[0];
-#pragma scop
     for (int j = 0; j < 32; j++) b[j] = tmpConst_g_1;
-#pragma endscop
     return 0;
 }
 ";
@@ -1286,7 +1199,7 @@ int main() {
         assert_eq!(affine_flags(&parse(&out).unit), [false, false]);
         // A loop polycc leaves alone stays plain.
         let src = "int main() { float a[8]; for (int i = 0; i < 8; i++) a[i] = i; return 0; }";
-        assert_eq!(affine_flags(&run(src, PolyccOptions::default()).0), [false]);
+        assert_eq!(affine_flags(&run_unmarked(src).0), [false]);
     }
 
     #[test]
@@ -1296,12 +1209,8 @@ int main() {
         let src = "\
 int main() {
     float a[32], b[32];
-#pragma scop
     for (int i = 0; i < 32; i++) a[i] = i;
-#pragma endscop
-#pragma scop
     for (int j = 0; j < 32; j++) b[j] = a[0];
-#pragma endscop
     return 0;
 }
 ";
@@ -1318,12 +1227,8 @@ int main() {
         let src = "\
 int main() {
     float a[32], b[32];
-#pragma scop
     for (int i = 0; i < 32; i++) a[i] = i;
-#pragma endscop
-#pragma scop
     for (int j = 0; j < 32; j++) b[j] = a[j];
-#pragma endscop
     return 0;
 }
 ";
@@ -1346,12 +1251,8 @@ int main() {
         let src = "\
 int main() {
     float a[64], b[64];
-#pragma scop
     for (int i = 1; i < 63; i++) b[i] = a[i - 1] + a[i + 1];
-#pragma endscop
-#pragma scop
     for (int i2 = 1; i2 < 63; i2++) a[i2] = b[i2];
-#pragma endscop
     return 0;
 }
 ";
@@ -1364,16 +1265,14 @@ int main() {
 
     #[test]
     fn user_omp_pragma_is_consumed_and_schedule_carried() {
-        // A user `omp parallel for` header above the markers belongs to the
-        // nest: the replacement must not keep it as a duplicate, and its
+        // A user `omp parallel for` header above a flagged nest belongs to
+        // the nest: the replacement must not keep it as a duplicate, and its
         // schedule clause must carry over to the generated pragma.
         let src = "\
 int main() {
     float a[64];
 #pragma omp parallel for schedule(dynamic, 4)
-#pragma scop
     for (int i = 0; i < 64; i++) a[i] = i;
-#pragma endscop
     return 0;
 }
 ";
@@ -1391,19 +1290,17 @@ int main() {
 
     #[test]
     fn user_omp_pragma_inside_a_sequential_loop_is_consumed_too() {
-        // The outer `r` loop is no SCoP (its body holds a pragma), so the
-        // inner nest is transformed as a child: its user header goes the
+        // The outer `r` loop cannot be modelled (its body holds a pragma),
+        // so the inner nest is transformed as a child: its user header goes the
         // same way as one above a top-level nest. Two pragmas in front of
         // one `for` is text GCC rejects.
         let src = "\
 int main() {
     float a[64];
-#pragma scop
     for (int r = 0; r < 10; r++) {
 #pragma omp parallel for schedule(dynamic,4)
         for (int i = 0; i < 64; i++) a[i] = a[i] + 1.0;
     }
-#pragma endscop
     return 0;
 }
 ";
@@ -1418,9 +1315,9 @@ int main() {
     }
 
     #[test]
-    fn bare_omp_pair_routes_as_implicit_scop() {
+    fn user_omp_pair_is_transformed_once_marked() {
         // The paper's input form — `omp parallel for` with no scop markers —
-        // is routed through the transformer directly.
+        // is transformed once PC-CC has flagged the nest, and only then.
         let src = "\
 int main() {
     float a[128];
@@ -1435,13 +1332,15 @@ int main() {
         assert_eq!(affine_flags(&unit), [true]);
         let out = print_unit(&unit);
         assert!(out.contains("t1"), "nest must be rewritten: {out}");
+        assert_eq!(out.matches("omp parallel for").count(), 1, "{out}");
+        let (_, unmarked) = run_unmarked(src);
+        assert_eq!(unmarked.transformed_count(), 0);
     }
 
     #[test]
-    fn poly_unmarked_routes_bare_body_pure_nest() {
-        // `--poly-unmarked`: a loop hanging directly off an `if` (no block,
-        // so scop markers can never surround it) is still transformed when
-        // every call in it is verified pure.
+    fn bare_body_nest_is_transformed_into_a_block() {
+        // A loop hanging directly off an `if` is flagged like any other
+        // nest, and its replacement becomes the branch's block.
         let src = "\
 int main(int argc) {
     float a[64];
@@ -1451,21 +1350,21 @@ int main(int argc) {
     return 0;
 }
 ";
-        let opts = PolyccOptions {
-            unmarked: Some(HashSet::new()),
-            ..Default::default()
-        };
-        let (unit, report) = run(src, opts);
+        let (unit, report) = run(src, PolyccOptions::default());
         assert_eq!(report.transformed_count(), 1);
         assert_eq!(affine_flags(&unit), [true]);
-        // Without the flag the same nest stays literal.
-        let (_, off) = run(src, PolyccOptions::default());
-        assert_eq!(off.transformed_count(), 0);
+        let out = print_unit(&unit);
+        assert!(
+            out.contains("if (argc > 1)\n    {\n#pragma omp parallel for"),
+            "{out}"
+        );
+        assert!(!out.contains("scop"), "{out}");
     }
 
     #[test]
-    fn poly_unmarked_skips_nests_with_unverified_calls() {
+    fn bare_body_nest_with_an_unverified_call_is_left_alone() {
         let src = "\
+float mystery(int i);
 int main(int argc) {
     float a[64];
     if (argc > 1)
@@ -1474,16 +1373,8 @@ int main(int argc) {
     return 0;
 }
 ";
-        let opts = PolyccOptions {
-            unmarked: Some(HashSet::new()),
-            ..Default::default()
-        };
-        let (_, report) = run(src, opts);
-        assert_eq!(
-            report.transformed_count(),
-            0,
-            "unverified call must block implicit-SCoP routing"
-        );
+        let (_, report) = run(src, PolyccOptions::default());
+        assert_eq!(report.transformed_count(), 0);
     }
 
     #[test]
@@ -1494,11 +1385,9 @@ int main(int argc) {
         let src = "\
 float **A, **Bt, **C;
 int main() {
-#pragma scop
     for (int i = 0; i < 4096; i++)
         for (int j = 0; j < 4096; j++)
             C[i][j] = tmpConst_dot_0;
-#pragma endscop
     return 0;
 }
 ";
@@ -1528,11 +1417,9 @@ int main() {
         let src = "\
 float **A, **B;
 int main() {
-#pragma scop
     for (int i = 0; i < 64; i++)
         for (int j = 0; j < 64; j++)
             B[i][j] = A[i][j] + 1.0f;
-#pragma endscop
     return 0;
 }
 ";
@@ -1592,14 +1479,12 @@ int main() {
 float **A;
 float *spare;
 int main() {
-#pragma scop
     for (int i = 0; i < 64; i++)
         for (int j = 0; j < 64; j++)
         {
             A[i][j] = 1.0f;
             A[j] = spare;
         }
-#pragma endscop
     return 0;
 }
 ";

@@ -29,12 +29,9 @@ use std::collections::HashMap;
 pub struct ChainOptions {
     pub pc_cc: PcCcOptions,
     pub polycc: PolyccOptions,
-    /// Skip the polyhedral stage entirely (`--no-poly`): scop markers stay
-    /// in the text as no-op pragmas and every loop executes literally.
+    /// Skip the polyhedral stage entirely (`--no-poly`): every loop
+    /// executes literally, and lowering clears the SCoP flags PC-CC set.
     pub no_poly: bool,
-    /// Route unmarked bare-body `for` nests whose calls are all verified
-    /// pure through the transformer as implicit SCoPs (`--poly-unmarked`).
-    pub poly_unmarked: bool,
 }
 
 /// Everything the chain produced.
@@ -96,11 +93,7 @@ pub fn compile(source: &str, opts: ChainOptions) -> Result<ChainOutput, Diagnost
     let mut report = if opts.no_poly {
         PolyccReport::default()
     } else {
-        let mut polycc_opts = opts.polycc;
-        if opts.poly_unmarked {
-            polycc_opts.unmarked = Some(purec_core::verified_pure_set(&pcc.declared_pure));
-        }
-        transform_regions(&mut unit, polycc_opts)
+        transform_regions(&mut unit, opts.polycc)
     };
     drop(opt_span);
     diags.extend(std::mem::take(&mut report.diags));
@@ -445,7 +438,6 @@ int main() {
             polycc: PolyccOptions {
                 codegen: polyhedral::CodegenOptions::default(),
                 sica: Some(polyhedral::SicaParams::default()),
-                ..Default::default()
             },
             ..Default::default()
         };

@@ -1,8 +1,8 @@
 //! `purec` — the command-line driver of the extended compiler chain.
 //!
 //! ```text
-//! purec <file.c> [--sica] [--tile N] [--no-poly] [--poly-unmarked]
-//!       [--no-omp] [--dump-schedule] [--run [--threads N]]
+//! purec <file.c> [--sica] [--tile N] [--no-poly] [--no-omp]
+//!       [--dump-schedule] [--run [--threads N]]
 //!       [--engine vm|resolved] [--no-futures]
 //!       [--no-memo] [--no-opt] [--dump-bytecode]
 //!       [--fuel N] [--max-memory BYTES] [--max-depth N]
@@ -60,11 +60,8 @@ fn usage() -> ! {
          options:\n\
          \x20 --sica           enable PluTo-SICA mode (cache tiling + SIMD pragmas)\n\
          \x20 --tile N         explicit rectangular tile size\n\
-         \x20 --tile-size N    alias for --tile\n\
          \x20 --no-poly        skip the polyhedral stage; every loop nest runs\n\
          \x20                  literally (A/B comparison against the fast path)\n\
-         \x20 --poly-unmarked  route unmarked all-pure for nests through the\n\
-         \x20                  transformer as implicit SCoPs\n\
          \x20 --dump-schedule  print one line per region outcome (schedule\n\
          \x20                  matrix, band, parallel/tiled/skewed) to stderr\n\
          \x20 --no-omp         suppress OpenMP pragmas (transform only)\n\
@@ -87,10 +84,11 @@ fn usage() -> ! {
          \x20                  lifecycles, memo/fuel/trap events)\n\
          \x20 --stats-json FILE  dump run counters, latency histograms and\n\
          \x20                  sampled gauges as one JSON object\n\
-         \x20 --race-check     validate iteration independence before parallel runs\n\
-         \x20                  (loops the static analyzer proves independent skip\n\
-         \x20                  the dynamic pre-pass; proven-racy loops are errors)\n\
-         \x20 --race-check-cap N  cap the dynamic race pre-pass at N iterations\n\
+         \x20 --race-check     run a parallel loop's first iterations one at a time,\n\
+         \x20                  checking they touch disjoint memory (loops the static\n\
+         \x20                  analyzer proves independent skip the check; proven-\n\
+         \x20                  racy loops are errors)\n\
+         \x20 --race-check-cap N  check at most N iterations per loop\n\
          \x20                  (0 = unlimited; default 65536)\n\
          \x20 --infer-pure     treat unannotated functions that pass the PC-CC\n\
          \x20                  rules as verified (widens memo/spawn eligibility)\n\
@@ -216,7 +214,6 @@ fn cli() {
     let mut sica = false;
     let mut tile: Option<i64> = None;
     let mut no_poly = false;
-    let mut poly_unmarked = false;
     let mut dump_schedule = false;
     let mut omp = true;
     let mut alloc_pure = true;
@@ -243,7 +240,7 @@ fn cli() {
         match arg.as_str() {
             "--demo" => demo = Some(it.next().unwrap_or_else(|| usage())),
             "--sica" => sica = true,
-            "--tile" | "--tile-size" => {
+            "--tile" => {
                 tile = Some(
                     it.next()
                         .and_then(|v| v.parse().ok())
@@ -251,7 +248,6 @@ fn cli() {
                 )
             }
             "--no-poly" => no_poly = true,
-            "--poly-unmarked" => poly_unmarked = true,
             "--dump-schedule" => dump_schedule = true,
             "--no-omp" => omp = false,
             "--no-alloc-pure" => alloc_pure = false,
@@ -358,15 +354,9 @@ fn cli() {
         },
         polycc: polyhedral::PolyccOptions {
             codegen: polyhedral::CodegenOptions { tile, sica, omp },
-            sica: if sica {
-                Some(polyhedral::SicaParams::default())
-            } else {
-                None
-            },
-            ..Default::default()
+            sica: sica.then(polyhedral::SicaParams::default),
         },
         no_poly,
-        poly_unmarked,
     };
 
     if emit_marked {

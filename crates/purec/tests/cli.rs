@@ -50,7 +50,14 @@ fn example(name: &str) -> String {
 #[test]
 fn removed_flags_are_rejected_with_usage() {
     let src = optmix_path("optmix_removed.c");
-    for flag in ["--no-pool", "--no-steal", "--pgo", "--profile-pairs"] {
+    for flag in [
+        "--no-pool",
+        "--no-steal",
+        "--pgo",
+        "--profile-pairs",
+        "--poly-unmarked",
+        "--tile-size",
+    ] {
         let out = purec(&[&src, "--run", flag]);
         assert_eq!(out.status.code(), Some(2), "{flag}");
         assert!(out.stdout.is_empty(), "{flag} must not run the program");
@@ -774,4 +781,129 @@ fn omp_loop_step_may_be_spelled_i_equals_i_plus_1() {
             assert_eq!(out.stdout, b"last=49\n", "{args:?}");
         }
     }
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// `--emit-marked` stops after PC-CC and prints its unit: each SCoP it
+/// flagged between the paper's markers, a bare-body one inside braces,
+/// and the pure calls as their placeholders.
+#[test]
+fn emit_marked_prints_the_scop_marks() {
+    let src = source_path(
+        "emit_marked.c",
+        "pure int sq(int x) { return x * x; }\n\
+         int main(int argc, char** argv) {\n\
+             int a[16];\n\
+             for (int i = 0; i < 16; i++) a[i] = sq(i);\n\
+             if (argc > 0)\n\
+                 for (int i = 0; i < 16; i++) a[i] = a[i] + 1;\n\
+             return a[15] % 100;\n\
+         }\n",
+    );
+    let out = purec(&[&src, "--emit-marked", "--stats"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert_eq!(
+        stdout(&out),
+        "pure int sq(int x) {\n    return x * x;\n}\n\n\
+         int main(int argc, char** argv) {\n    int a[16];\n\
+         #pragma scop\n    for (int i = 0; i < 16; i++)\n        a[i] = tmpConst_sq_0;\n\
+         #pragma endscop\n    if (argc > 0)\n    {\n\
+         #pragma scop\n        for (int i = 0; i < 16; i++)\n            a[i] = a[i] + 1;\n\
+         #pragma endscop\n    }\n    return a[15] % 100;\n}\n"
+    );
+    assert_eq!(
+        stderr(&out),
+        "purec: 1 pure function(s), 2 scop(s) marked, 1 call(s) substituted\n"
+    );
+    // The compiled text carries no marker, and both nests are parallel.
+    let text = stdout(&purec(&[&src]));
+    assert!(!text.contains("scop"), "{text}");
+    assert_eq!(
+        text.matches("#pragma omp parallel for").count(),
+        2,
+        "{text}"
+    );
+}
+
+/// `--no-alloc-pure` is ablation A1: without `malloc` in the registry,
+/// matmul's allocation calls stay calls in PC-CC's output.
+#[test]
+fn no_alloc_pure_keeps_the_allocations_out_of_the_scops() {
+    let marked = |extra: &[&str]| {
+        let mut args = vec!["--demo", "matmul", "--emit-marked", "--stats"];
+        args.extend(extra);
+        let out = purec(&args);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        (stdout(&out), stderr(&out))
+    };
+    let (with, with_stats) = marked(&[]);
+    let (without, without_stats) = marked(&["--no-alloc-pure"]);
+    assert!(with.contains("A[i] = (float*)tmpConst_malloc_1;"), "{with}");
+    assert!(
+        without.contains("A[i] = (float*)malloc(64 * sizeof(float));"),
+        "{without}"
+    );
+    assert!(
+        with_stats.ends_with("5 call(s) substituted\n"),
+        "{with_stats}"
+    );
+    assert!(
+        without_stats.ends_with("2 call(s) substituted\n"),
+        "{without_stats}"
+    );
+}
+
+/// `--sica` (the PluTo-SICA series of the paper's figures) tiles by the
+/// cache model and adds SIMD pragmas; `--tile N` tiles by hand. Neither
+/// changes what the program prints.
+#[test]
+fn sica_and_tile_transform_without_changing_the_output() {
+    let run = |extra: &[&str]| {
+        let mut args = vec!["--demo", "matmul", "--run"];
+        args.extend(extra);
+        stdout(&purec(&args))
+    };
+    assert_eq!(run(&[]), "checksum=-1514496.0\n");
+    assert_eq!(run(&["--sica"]), run(&[]));
+    assert_eq!(run(&["--tile", "8"]), run(&[]));
+
+    let text = stdout(&purec(&["--demo", "matmul", "--sica"]));
+    assert_eq!(text.matches("#pragma omp simd").count(), 2, "{text}");
+    assert!(text.contains("t1t"), "SICA tiles: {text}");
+
+    let fig02 = example("schedules/fig02_skew.c");
+    let out = purec(&[&fig02, "--tile", "32", "--dump-schedule"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("schedule=[[1,0] [1,1]] band=2 parallel tiled skewed"),
+        "{}",
+        stderr(&out)
+    );
+    let out = purec(&["--demo", "matmul", "--tile", "eight"]);
+    assert_eq!(out.status.code(), Some(2));
+}
+
+/// `--no-omp` keeps the transformation and drops every OpenMP pragma, so
+/// nothing runs as a parallel region.
+#[test]
+fn no_omp_transforms_without_pragmas() {
+    let text = stdout(&purec(&["--demo", "matmul", "--no-omp"]));
+    assert!(!text.contains("#pragma omp"), "{text}");
+    assert!(text.contains("for (int t1 = 0;"), "{text}");
+    let out = purec(&[
+        "--demo",
+        "matmul",
+        "--no-omp",
+        "--run",
+        "--threads",
+        "2",
+        "--stats",
+    ]);
+    assert_eq!(stdout(&out), "checksum=-1514496.0\n");
+    let stats = stderr(&out);
+    assert!(stats.contains("parallel 0;"), "{stats}");
+    assert!(stats.contains("regions {forked: 0, inline: 0}"), "{stats}");
 }

@@ -61,7 +61,6 @@ fn main() {
             polycc: PolyccOptions {
                 codegen: CodegenOptions::default(),
                 sica: Some(SicaParams::default()),
-                ..Default::default()
             },
             ..Default::default()
         },

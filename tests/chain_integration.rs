@@ -148,7 +148,6 @@ fn sica_mode_preserves_semantics() {
         polycc: PolyccOptions {
             codegen: CodegenOptions::default(),
             sica: Some(SicaParams::default()),
-            ..Default::default()
         },
         ..Default::default()
     };

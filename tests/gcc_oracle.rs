@@ -9,7 +9,8 @@
 //! holds no pragma GCC does not know), prints the VM's stdout and returns
 //! its exit code at `OMP_NUM_THREADS` 1 and 2 — and so does the
 //! **original source** with the keyword defined away (paper Sect. 3:
-//! dropping `pure` leaves standard C).
+//! dropping `pure` leaves standard C). The four applications' `--no-poly`
+//! text builds under the same flags: PC-CC's SCoP marks do not reach it.
 //!
 //! Without a `cc` on `PATH` the test prints why and passes (CI and the
 //! verify skill require the compiler). No time is read.
@@ -182,6 +183,54 @@ fn emitted_text_and_original_source_agree_with_the_vm_under_cc() {
         assert_native_matches(
             &original,
             &format!("{name}, original source"),
+            &vm.output,
+            vm.exit_code,
+        );
+    }
+}
+
+/// The literal build is standard C too: the four applications compiled
+/// with `no_poly` carry none of PC-CC's SCoP marks, build with
+/// `-Werror=unknown-pragmas`, and print what the VM prints for them.
+#[test]
+fn no_poly_text_builds_clean_and_agrees_with_the_vm_under_cc() {
+    if Command::new("cc").arg("--version").output().is_err() {
+        println!("gcc_oracle: no `cc` on PATH, nothing compared");
+        return;
+    }
+    let programs = [
+        (
+            "matmul",
+            apps::matmul::c_source(64),
+            "checksum=-1514496.0\n",
+        ),
+        ("heat", apps::heat::c_source(32, 10), "heat=235.007\n"),
+        (
+            "satellite",
+            apps::satellite::c_source(16, 16),
+            "aod=77.091\n",
+        ),
+        ("lama", apps::lama::c_source(256, 9), "spmv=855.050\n"),
+    ];
+    let no_poly = ChainOptions {
+        no_poly: true,
+        ..Default::default()
+    };
+    for (name, source, recorded) in programs {
+        let chain = compile(&source, no_poly.clone())
+            .unwrap_or_else(|d| panic!("{name}: {}", d.render_all(&source)));
+        let vm = chain
+            .program()
+            .run(InterpOptions {
+                threads: 2,
+                ..Default::default()
+            })
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(vm.output, recorded, "{name}");
+        let exe = cc(&chain.text, &format!("gcc_oracle_{name}_no_poly"), false);
+        assert_native_matches(
+            &exe,
+            &format!("{name}, no-poly text"),
             &vm.output,
             vm.exit_code,
         );

@@ -406,3 +406,62 @@ int main() {
         Code::PureParamWrittenInLoop,
     );
 }
+
+/// Listing 5 does not depend on braces: a nest hanging bare off an `if`
+/// is flagged like any other, so its feedback is the same error, at the
+/// same line and column, as in its braced twin.
+#[test]
+fn listing5_in_a_bare_body_is_the_error_of_its_braced_twin() {
+    let bare = "\
+pure int prev(pure int* a, int i) { return a[i - 1]; }
+int main(int c) {
+    int a[16];
+    if (c)
+        for (int i = 1; i < 16; i++)
+            a[i] = prev((pure int*)a, i);
+    return a[15];
+}";
+    let braced = bare
+        .replace("if (c)\n", "if (c) {\n")
+        .replace("    return a[15];", "    }\n    return a[15];");
+    let at = |src: &str| {
+        let d = compile(src, ChainOptions::default()).expect_err("Listing 5 is rejected");
+        let item = d
+            .items()
+            .iter()
+            .find(|i| i.code == Code::PureParamWrittenInLoop)
+            .unwrap_or_else(|| panic!("{}", d.render_all(src)));
+        cfront::span::LineMap::new(src).line_col(item.span.start)
+    };
+    let (b, c) = (at(bare), at(&braced));
+    assert_eq!((b.line, b.col), (6, 13));
+    assert_eq!((b.line, b.col), (c.line, c.col));
+}
+
+/// A SCoP is what PC-CC verified, not what the source says: a
+/// user-written `#pragma scop` around a loop whose call writes a global
+/// is an ordinary pragma. It is printed as written, and the loop is
+/// neither transformed nor parallelized.
+#[test]
+fn a_user_scop_pragma_around_an_impure_call_steers_nothing() {
+    let src = "\
+int counter;
+int bump(int x) { counter = counter + x; return counter; }
+int main() {
+    int a[8];
+#pragma scop
+    for (int i = 0; i < 8; i++)
+        a[i] = bump(i);
+#pragma endscop
+    printf(\"%d %d\\n\", a[3], counter);
+    return 0;
+}";
+    let out = compile(src, ChainOptions::default()).expect("chain");
+    assert!(!out.text.contains("omp parallel for"), "{}", out.text);
+    assert_eq!((out.scops_marked, out.regions_transformed), (0, 0));
+    assert!(out
+        .text
+        .contains("#pragma scop\n    for (int i = 0; i < 8; i++)"));
+    let run = out.program().run(InterpOptions::default()).expect("runs");
+    assert_eq!(run.output, "6 28\n");
+}

@@ -144,16 +144,14 @@ proptest! {
         }
     }
 
-    /// `--poly-unmarked` routes bare pure nests through the transformer
+    /// A bare-body nest is flagged and transformed like any other,
     /// without changing observables relative to the literal build.
     #[test]
-    fn poly_unmarked_matches_no_poly(
+    fn bare_body_nest_matches_no_poly(
         n in 16usize..48,
         c in 1i64..40,
-        flag in any::<bool>(),
     ) {
-        // The nest hangs directly off an `if`, so no scop markers can
-        // surround it: only `--poly-unmarked` can route it.
+        // The nest hangs directly off an `if`.
         let src = format!(
             "int main() {{\n\
                  int* a = (int*) malloc({n} * sizeof(int));\n\
@@ -167,14 +165,7 @@ proptest! {
                  return acc % 113;\n\
              }}"
         );
-        let unmarked = compile(
-            &src,
-            ChainOptions {
-                poly_unmarked: flag,
-                ..Default::default()
-            },
-        )
-        .expect("poly-unmarked chain compiles");
+        let poly = compile(&src, ChainOptions::default()).expect("chain compiles");
         let nopoly = compile(
             &src,
             ChainOptions {
@@ -183,16 +174,14 @@ proptest! {
             },
         )
         .expect("no-poly chain compiles");
-        if flag {
-            prop_assert!(
-                unmarked.regions_transformed >= 1,
-                "bare-body nest must be routed:\n{}",
-                unmarked.text
-            );
-        }
+        prop_assert!(
+            poly.regions_transformed >= 1,
+            "bare-body nest must be transformed:\n{}",
+            poly.text
+        );
         for threads in [1usize, 4] {
             let opts = InterpOptions { threads, memo: false, ..Default::default() };
-            let u = unmarked.program().run(opts).expect("unmarked runs");
+            let u = poly.program().run(opts).expect("poly runs");
             let l = nopoly.program().run(opts).expect("literal runs");
             prop_assert_eq!(u.exit_code, l.exit_code, "threads={}", threads);
             prop_assert_eq!(&u.output, &l.output, "threads={}", threads);

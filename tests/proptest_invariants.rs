@@ -1345,9 +1345,16 @@ fn observe(run: Result<cinterp::RunResult, cinterp::RuntimeError>) -> Observed {
 /// nothing of it: the VM at 1, 2 and 4 threads and the resolved engine
 /// (which forks every region) at the same counts agree on every
 /// observable, traps included. Each program is run with its trigger off
-/// (where the VM must report the region inline) and on.
+/// (where the VM must report the region inline) and on. A resource
+/// trap is compared by its kind and span: its message reports the heap
+/// at the trap (the bytes in use), which depends on which of the
+/// region's frees landed first.
 #[test]
 fn an_inline_region_is_observably_the_region() {
+    let verdict = |o: &Observed| match o {
+        Err((_, span, trap @ Some(_))) => Err((String::new(), *span, *trap)),
+        other => other.clone(),
+    };
     let check = |what: &str, src: &str, opts: InterpOptions| -> Observed {
         let parsed = parse(src);
         assert!(
@@ -1363,9 +1370,14 @@ fn an_inline_region_is_observably_the_region() {
         let want = observe(vm1);
         for threads in [1usize, 2, 4] {
             let at = InterpOptions { threads, ..opts };
-            assert_eq!(observe(prog.run(at)), want, "{what}: vm, threads={threads}");
-            let resolved = observe(prog.run_resolved(at));
-            assert_eq!(resolved, want, "{what}: resolved, threads={threads}");
+            let vm = verdict(&observe(prog.run(at)));
+            assert_eq!(vm, verdict(&want), "{what}: vm, threads={threads}");
+            let resolved = verdict(&observe(prog.run_resolved(at)));
+            assert_eq!(
+                resolved,
+                verdict(&want),
+                "{what}: resolved, threads={threads}"
+            );
         }
         want
     };
@@ -1413,7 +1425,8 @@ fn an_inline_region_is_observably_the_region() {
     assert_eq!(trap, Some(Trap::MemoryLimit), "{msg}");
 
     // `--race-check` on an Unknown verdict (no analysis ran): the dynamic
-    // check runs before the inline region does, and catches the race.
+    // check runs the region's first iterations, up to the cap, and
+    // catches the race; the region runs the rest.
     let race = |rhs: &str| {
         format!(
             "int main() {{\n\
@@ -1429,7 +1442,28 @@ fn an_inline_region_is_observably_the_region() {
         race_check: true,
         ..plain
     };
-    assert!(check("race-free", &race("a[i] + 1"), checked).is_ok());
+    // The validated iterations are the run's, not a rehearsal: checked,
+    // a race-free program is the unchecked one — exit code, output,
+    // executed operations and the heap's frees and peak (the checked
+    // iterations' frees wait for the region's join too) — with every
+    // iteration under the cap, and with a cap that leaves most of them
+    // to the region.
+    let unchecked = check("race-free", &race("a[i] + 1"), plain);
+    assert_eq!(unchecked.as_ref().map(|r| r.0), Ok(32));
+    let scratch_unchecked = check("scratch", scratch, capped(1 << 20));
+    for cap in [None, Some(4)] {
+        let opts = InterpOptions {
+            race_check_cap: cap,
+            ..checked
+        };
+        assert_eq!(check("race-free", &race("a[i] + 1"), opts), unchecked);
+        let opts = InterpOptions {
+            race_check: true,
+            race_check_cap: cap,
+            ..capped(1 << 20)
+        };
+        assert_eq!(check("scratch checked", scratch, opts), scratch_unchecked);
+    }
     let (msg, _, _) = check("racy", &race("a[(i + 1) % 32] + 1"), checked).unwrap_err();
     assert!(msg.contains("race detected"), "{msg}");
 
@@ -1458,6 +1492,44 @@ fn an_inline_region_is_observably_the_region() {
     assert_eq!(decisions, (1, 8));
     let (msg, _, _) = check("nested trap", &nested(45), plain).unwrap_err();
     assert!(msg.contains("integer division by zero"), "{msg}");
+}
+
+/// A scalar global is shared memory too: every engine's dynamic race
+/// check tracks its slot next to the heap cells, so a loop accumulating
+/// into one is a race however the update is spelled, at any thread count.
+#[test]
+fn race_check_sees_scalar_globals() {
+    for update in ["g = g + i", "g += i", "g++"] {
+        let src = format!(
+            "int g;\n\
+             int main() {{\n\
+             #pragma omp parallel for\n\
+                 for (int i = 0; i < 8; i++) {update};\n\
+                 printf(\"%d\\n\", g);\n\
+                 return 0;\n\
+             }}\n"
+        );
+        let prog = Program::new(&parse(&src).unit);
+        for threads in [1, 2] {
+            let opts = InterpOptions {
+                threads,
+                race_check: true,
+                ..Default::default()
+            };
+            for (engine, run) in [
+                ("vm", prog.run(opts)),
+                ("resolved", prog.run_resolved(opts)),
+                ("legacy", prog.run_legacy(opts)),
+            ] {
+                let err = run.expect_err(&format!("{update}: {engine} at {threads}"));
+                assert!(
+                    err.message.contains("race detected: global slot 0"),
+                    "{update}: {engine} at {threads}: {}",
+                    err.message
+                );
+            }
+        }
+    }
 }
 
 /// `--fuel` stays an exact ruler across an inline region at every thread

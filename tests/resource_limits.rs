@@ -177,8 +177,8 @@ fn dispatch_counts_are_pinned() {
         let (src, what) = (varaccess(n), format!("varaccess n={n}"));
         pin(&src, &what, false, 2, 8 * n + 17);
         pin(&src, &what, false, 0, 20 * n + 30);
-        pin(&src, &what, true, 2, 10 * n + 19);
-        pin(&src, &what, true, 0, 25 * n + 35);
+        pin(&src, &what, true, 2, 10 * n + 17);
+        pin(&src, &what, true, 0, 25 * n + 33);
     }
     for (r, opt, raw) in [(10u64, 8_085u64, 13_360u64), (20, 15_835, 26_310)] {
         let (src, what) = (arraysum(r), format!("arraysum 64x{r}"));
