@@ -31,9 +31,9 @@
 //!    shadowed, address-taken, aggregate or control-flow-dependent in a
 //!    way the straight-line walk cannot prove is simply skipped.
 //!
-//! The crate is deliberately independent of `cinterp`: verdicts are
-//! exported as a plain span-keyed map that `purec` converts into the
-//! interpreter's own verdict type when wiring a program.
+//! The crate is deliberately independent of `cinterp`: the verdict type
+//! is `cfront`'s, which both crates share, so `purec` hands the
+//! analyzer's verdicts to the engines as they are.
 
 pub mod lints;
 pub mod race;
@@ -42,21 +42,7 @@ use cfront::ast::{LoopId, TranslationUnit};
 use cfront::diag::{Code, Diagnostics};
 use purec_core::PureSet;
 
-/// Three-valued outcome of the static race analysis for one
-/// `#pragma omp parallel for` loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LoopVerdict {
-    /// Proven race-free: every iteration touches disjoint data. The
-    /// dynamic race check is redundant and may be skipped.
-    Independent,
-    /// Proven racy: a shared scalar write or a level-0-carried array
-    /// dependence. Running this loop in parallel is a checked error.
-    Racy,
-    /// Analysis could not decide (non-affine, impure calls, reduction
-    /// pattern). Fall back to the dynamic check.
-    #[default]
-    Unknown,
-}
+pub use cfront::ast::LoopVerdict;
 
 /// Per-loop result. The chain numbers the unit's loops before it analyzes
 /// them, and row hoisting and `pure` lowering move loops without renumbering

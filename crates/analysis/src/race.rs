@@ -18,17 +18,16 @@
 //!    a fix-it suggesting a `private(...)` clause.
 //! 2. **Memory writes** (through pointers/subscripts) go to the
 //!    polyhedral dependence test. That test assumes distinct base names
-//!    never alias and cannot see through calls, so two screens guard it
-//!    (paper Listing 6 is the counterexample for both):
-//!    a name assigned from another pointer's value (`int* q = a;`)
-//!    aliases it, and a verified-pure callee — while unable to *write*
-//!    caller state — may still *read* its pointer arguments and any
-//!    global, a flow dependence against the loop's writes. Any base a
-//!    pure call may read ([`purec_core::pure_call_read_bases`])
-//!    that equals or aliases a written base, or any aliasing pair of
-//!    distinct accessed bases with one side written, degrades the
-//!    verdict to `Unknown` ([`Code::RaceUnprovable`]) and leaves the
-//!    dynamic check on. Past the screens, calls to verified-pure
+//!    never alias and cannot see through calls, so the loop first runs
+//!    the walk that decides SCoP candidacy too,
+//!    [`purec_core::nest_hazards`] with the function's
+//!    [`purec_core::AliasGroups`] (paper Listing 6 is the counterexample
+//!    it closes): a pure call that may read a base the loop writes, or
+//!    two distinct accessed bases that may alias with one side written,
+//!    degrades the verdict to `Unknown` ([`Code::RaceUnprovable`]) and
+//!    leaves the dynamic check on. Every `omp parallel for` is judged,
+//!    polycc's included, as an independent cross-check of the
+//!    transform. Past the screens, calls to verified-pure
 //!    functions are substituted by fresh placeholder reads, then
 //!    [`polyhedral::extract_scop`] + [`polyhedral::deps::analyze`] +
 //!    [`polyhedral::parallel_levels`] decide. A dependence carried at
@@ -46,8 +45,8 @@ use cfront::omp::{paired_omp_loops, Paired};
 use cfront::span::Span;
 use machine::{parse_omp_parallel_for_clauses, OmpClauses};
 use polyhedral::IterTypes;
-use purec_core::{GlobalReads, PureSet};
-use std::collections::{HashMap, HashSet};
+use purec_core::{AliasGroups, GlobalReads, Hazard, PureSet};
+use std::collections::HashSet;
 
 /// Judge every `omp parallel for` loop of one function body, in
 /// [`for_each_omp_loop`] order. Alias groups are computed once from the
@@ -64,7 +63,7 @@ pub fn analyze_function(
     let cx = Context {
         pure_set,
         reads,
-        aliases: &collect_alias_groups(body),
+        aliases: &AliasGroups::of_function(body),
         types,
     };
     for_each_omp_loop(body, &mut |pragma, clauses, for_stmt| {
@@ -248,96 +247,49 @@ fn analyze_omp_loop(
         downgrade(&mut verdict, LoopVerdict::Unknown);
     }
 
-    // Alias & pure-call-read screens (paper Listing 6): the dependence
-    // test treats distinct base names as disjoint and never sees what a
+    // The model's assumptions (paper Listing 6): the dependence test
+    // treats distinct base names as disjoint and never sees what a
     // callee dereferences, so both holes must be closed *before* it can
     // be trusted. Conservative by construction — these only downgrade to
     // `Unknown`, handing the loop back to the dynamic check.
     if memory_writes && verdict != LoopVerdict::Racy {
-        let mut written: HashSet<String> = HashSet::new();
-        let mut accessed: HashSet<String> = HashSet::new();
-        body.walk_exprs(&mut |e| match &e.kind {
-            ExprKind::Assign(_, lhs, _) if lhs.writes_through_pointer() => {
-                pointer_value_bases(lhs, &mut written);
-            }
-            ExprKind::Unary(op, inner) if op.writes_operand() && inner.writes_through_pointer() => {
-                pointer_value_bases(inner, &mut written);
-            }
-            ExprKind::Index(base, _) => {
-                pointer_value_bases(base, &mut accessed);
-            }
-            ExprKind::Unary(UnOp::Deref, inner) => {
-                pointer_value_bases(inner, &mut accessed);
-            }
-            _ => {}
-        });
-        accessed.extend(written.iter().cloned());
-
-        // Screen A: a verified-pure callee may *read* any memory its
-        // pointer arguments reach, and any global; if such a base is (or
-        // aliases) a base the loop writes, that read is a flow dependence
-        // the substituted placeholder erases.
-        let mut flagged: HashSet<(&str, &str)> = HashSet::new();
-        body.walk_exprs(&mut |e| {
-            if let Some((callee, args)) = e.as_direct_call() {
-                if pure_set.contains(callee) {
-                    for b in purec_core::pure_call_read_bases(callee, args, reads) {
-                        for w in &written {
-                            if aliases.may_alias(b, w) && flagged.insert((callee, b)) {
-                                report.diags.warning(
-                                    Code::RaceUnprovable,
-                                    e.span,
-                                    format!(
-                                        "cannot prove independence: pure call '{callee}' may \
-                                         read memory written by the loop through '{b}'{}; the \
-                                         callee's subscripts are invisible to the dependence \
-                                         test, falling back to the dynamic race check",
-                                        if b == w {
-                                            String::new()
-                                        } else {
-                                            format!(" (aliases '{w}')")
-                                        }
-                                    ),
-                                );
-                            }
+        for hazard in purec_core::nest_hazards(for_stmt, pure_set, reads, aliases) {
+            let (span, message) = match hazard {
+                // Listing 5 is PC-CC's error; its pointer shape is a
+                // call reading what the loop writes too.
+                Hazard::Feedback { .. } => continue,
+                Hazard::CallReadsWritten {
+                    span,
+                    callee,
+                    base,
+                    written,
+                } => (
+                    span,
+                    format!(
+                        "cannot prove independence: pure call '{callee}' may read memory \
+                         written by the loop through '{base}'{}; the callee's subscripts are \
+                         invisible to the dependence test, falling back to the dynamic race \
+                         check",
+                        if base == written {
+                            String::new()
+                        } else {
+                            format!(" (aliases '{written}')")
                         }
-                    }
-                }
-            }
-        });
-        if !flagged.is_empty() {
+                    ),
+                ),
+                Hazard::AliasedPair { written, other } => (
+                    for_stmt.span,
+                    format!(
+                        "cannot prove independence: '{written}' and '{other}' may alias (a \
+                         chain of assignments joins both pointer values to the common root \
+                         '{}'), defeating the per-name dependence test; falling back to the \
+                         dynamic race check",
+                        aliases.find(written)
+                    ),
+                ),
+            };
+            report.diags.warning(Code::RaceUnprovable, span, message);
             downgrade(&mut verdict, LoopVerdict::Unknown);
-        }
-
-        // Screen B: two distinct base names that may hold the same
-        // pointer value (`int* q = a;`, or `p = a; q = a;` where neither
-        // was assigned from the other) defeat the per-name dependence
-        // test whenever one of them is written.
-        let mut pair_flagged: HashSet<(String, String)> = HashSet::new();
-        for w in &written {
-            for o in &accessed {
-                if w != o && aliases.may_alias(w, o) {
-                    let key = if w < o {
-                        (w.clone(), o.clone())
-                    } else {
-                        (o.clone(), w.clone())
-                    };
-                    if pair_flagged.insert(key) {
-                        report.diags.warning(
-                            Code::RaceUnprovable,
-                            for_stmt.span,
-                            format!(
-                                "cannot prove independence: '{w}' and '{o}' may alias (a \
-                                 chain of assignments joins both pointer values to the common \
-                                 root '{}'), defeating the per-name dependence test; falling \
-                                 back to the dynamic race check",
-                                aliases.find(w)
-                            ),
-                        );
-                    }
-                    downgrade(&mut verdict, LoopVerdict::Unknown);
-                }
-            }
         }
     }
 
@@ -347,7 +299,7 @@ fn analyze_omp_loop(
         // reads so the SCoP extractor sees an affine body. A pure callee
         // cannot write caller-visible state, but it CAN read through its
         // pointer arguments and globals — reads the placeholder erases;
-        // Screen A above has already downgraded any loop where that
+        // the hazard walk above has already downgraded any loop where that
         // matters.
         let mut probe = for_stmt.clone();
         let mut counter = 0usize;
@@ -451,113 +403,4 @@ fn collect_body_decls(s: &Stmt, out: &mut HashSet<String>) {
             }
         }
     });
-}
-
-// ---------------------------------------------------------------------------
-// Alias groups: a flow-insensitive union-find over names, joined whenever
-// one name is initialized or assigned from an expression whose pointer
-// value could derive from another (`int* q = a;`, `p = buf + off;`). The
-// polyhedral test keys dependences by base name, so any group with two
-// members makes per-name disjointness unsound for that pair.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Default)]
-pub(crate) struct AliasGroups {
-    parent: HashMap<String, String>,
-}
-
-impl AliasGroups {
-    fn find<'a>(&'a self, name: &'a str) -> &'a str {
-        let mut cur = name;
-        while let Some(p) = self.parent.get(cur) {
-            cur = p;
-        }
-        cur
-    }
-
-    fn union(&mut self, a: &str, b: &str) {
-        let ra = self.find(a).to_string();
-        let rb = self.find(b).to_string();
-        if ra != rb {
-            self.parent.insert(ra, rb);
-        }
-    }
-
-    fn may_alias(&self, a: &str, b: &str) -> bool {
-        a == b || self.find(a) == self.find(b)
-    }
-}
-
-/// Union every declared/assigned name with the pointer-value bases of its
-/// initializer, across the whole function body (deep walk).
-fn collect_alias_groups(b: &Block) -> AliasGroups {
-    let mut g = AliasGroups::default();
-    let join = |g: &mut AliasGroups, name: &str, rhs: &Expr| {
-        let mut bases = HashSet::new();
-        pointer_value_bases(rhs, &mut bases);
-        // In name order, so a group's root (which diagnostics name) does
-        // not depend on hash order.
-        let mut bases: Vec<String> = bases.into_iter().collect();
-        bases.sort_unstable();
-        for base in &bases {
-            g.union(name, base);
-        }
-    };
-    for s in &b.stmts {
-        s.walk(&mut |s| match &s.kind {
-            StmtKind::Decl(d) => {
-                for dec in &d.declarators {
-                    if let Some(init) = &dec.init {
-                        join(&mut g, &dec.name, init);
-                    }
-                }
-            }
-            StmtKind::For { init, .. } => {
-                if let ForInit::Decl(d) = init.as_ref() {
-                    for dec in &d.declarators {
-                        if let Some(init) = &dec.init {
-                            join(&mut g, &dec.name, init);
-                        }
-                    }
-                }
-            }
-            _ => {}
-        });
-        s.walk_exprs(&mut |e| {
-            if let ExprKind::Assign(_, lhs, rhs) = &e.kind {
-                if let Some(name) = lhs.as_ident() {
-                    join(&mut g, name, rhs);
-                }
-            }
-        });
-    }
-    g
-}
-
-/// Names whose pointer value could flow out of `e`: the bases reachable
-/// through casts, unary ops, `+`/`-` arithmetic, subscripts, member
-/// access, ternary arms and comma tails. Over-approximates (a scalar
-/// operand lands in the set too), which only ever costs precision, never
-/// soundness — calls are the one deliberate omission, since `malloc` and
-/// verified-pure callees return values that cannot write-alias caller
-/// state.
-fn pointer_value_bases(e: &Expr, out: &mut HashSet<String>) {
-    match &e.kind {
-        ExprKind::Ident(n) => {
-            out.insert(n.clone());
-        }
-        ExprKind::Cast(_, inner) | ExprKind::Unary(_, inner) => pointer_value_bases(inner, out),
-        ExprKind::Binary(BinOp::Add | BinOp::Sub, l, r) => {
-            pointer_value_bases(l, out);
-            pointer_value_bases(r, out);
-        }
-        ExprKind::Index(base, _) => pointer_value_bases(base, out),
-        ExprKind::Ternary(_, t, f) => {
-            pointer_value_bases(t, out);
-            pointer_value_bases(f, out);
-        }
-        ExprKind::Comma(_, r) => pointer_value_bases(r, out),
-        ExprKind::Member { base, .. } => pointer_value_bases(base, out),
-        _ => {}
-    }
 }

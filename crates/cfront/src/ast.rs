@@ -565,6 +565,26 @@ impl LoopId {
     pub const NONE: LoopId = LoopId(0);
 }
 
+/// Three-valued outcome of the static race analysis for one
+/// `#pragma omp parallel for` loop, keyed by its [`LoopId`]: the
+/// analyzer produces it, and every engine consumes it when the dynamic
+/// race check is on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum LoopVerdict {
+    /// Proven race-free: every iteration touches disjoint data. The
+    /// dynamic race check is redundant and is skipped.
+    Independent,
+    /// Proven racy: a shared scalar write or a level-0-carried array
+    /// dependence. Running this loop in parallel is a checked error: the
+    /// region aborts before its first iteration.
+    Racy,
+    /// Analysis could not decide (non-affine, impure calls, reduction
+    /// pattern, a hazard of the per-name model) — and the default for a
+    /// loop the analysis never saw. The dynamic check is the backstop.
+    #[default]
+    Unknown,
+}
+
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stmt {
     pub kind: StmtKind,

@@ -357,7 +357,7 @@ pub(crate) struct BRegion {
     /// Index of the region's `RegionEnd` instruction.
     pub(crate) end: u32,
     /// Static race verdict (Unknown when no analysis ran).
-    pub(crate) verdict: crate::interp::RaceVerdict,
+    pub(crate) verdict: cfront::ast::LoopVerdict,
     pub(crate) span: Span,
     /// The body statement's span: where the dynamic race check reports.
     pub(crate) body_span: Span,

@@ -61,35 +61,18 @@ pub enum Engine {
     Resolved,
 }
 
-/// Verdict of the static race analysis for one `omp parallel for`
-/// region, consumed by every engine when [`InterpOptions::race_check`]
-/// is on: `Independent` skips the O(n) dynamic pre-pass entirely, `Racy`
-/// aborts the region before running a single iteration, and `Unknown`
-/// (the default for regions the analyzer never saw) falls back to the
-/// dynamic check. Produced by `crates/analysis` and plumbed in via
-/// [`Program::with_pure_set_and_verdicts`], keyed by the `for`
-/// statement's [`LoopId`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RaceVerdict {
-    /// Statically proven: iteration access sets are disjoint.
-    Independent,
-    /// Statically proven racy (e.g. a non-reduction shared scalar write
-    /// or a loop-carried dependence).
-    Racy,
-    /// No proof either way — the dynamic check remains the backstop.
-    #[default]
-    Unknown,
-}
-
-/// Map from a parallel `for` statement's id to its static verdict.
-pub type VerdictMap = HashMap<LoopId, RaceVerdict>;
+/// Map from a parallel `for` statement's id to its static verdict,
+/// consumed by every engine when [`InterpOptions::race_check`] is on.
+/// Produced by `crates/analysis` and plumbed in via
+/// [`Program::with_pure_set_and_verdicts`].
+pub type VerdictMap = HashMap<LoopId, LoopVerdict>;
 
 /// The static verdict of the parallel loop `for_stmt`: `Unknown` when the
 /// analysis never judged it.
-pub(crate) fn loop_verdict(verdicts: &VerdictMap, for_stmt: &Stmt) -> RaceVerdict {
+pub(crate) fn loop_verdict(verdicts: &VerdictMap, for_stmt: &Stmt) -> LoopVerdict {
     match for_stmt.kind {
         StmtKind::For { id, .. } => verdicts.get(&id).copied().unwrap_or_default(),
-        _ => RaceVerdict::Unknown,
+        _ => LoopVerdict::Unknown,
     }
 }
 
@@ -1208,16 +1191,16 @@ impl Interp {
         // the region launches the rest.
         if self.s.opts.race_check {
             match loop_verdict(&self.s.prog.verdicts, for_stmt) {
-                RaceVerdict::Independent => {
+                LoopVerdict::Independent => {
                     Counters::bump(&self.s.counters.race_static_skips);
                 }
-                RaceVerdict::Racy => {
+                LoopVerdict::Racy => {
                     return Err(RuntimeError::at(
                         "static race analysis rejected this parallel loop (verdict: racy)",
                         for_stmt.span,
                     ));
                 }
-                RaceVerdict::Unknown => {
+                LoopVerdict::Unknown => {
                     let checked = self.race_check(&iter_name, lb, n, body)?;
                     lb += checked as i64;
                     n -= checked;

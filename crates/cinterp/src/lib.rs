@@ -74,7 +74,7 @@ pub(crate) mod walk;
 pub use bytecode::BytecodeProgram;
 pub use effects::{Class, Cost, Summary};
 pub use interp::{
-    Engine, InterpOptions, Program, RaceVerdict, RunResult, RuntimeError, Trap, VerdictMap,
+    Engine, InterpOptions, Program, RunResult, RuntimeError, Trap, VerdictMap,
     DEFAULT_RACE_CHECK_CAP, MAX_CALL_DEPTH,
 };
 pub use resolve::ResolvedProgram;

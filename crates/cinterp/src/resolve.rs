@@ -84,7 +84,7 @@ use crate::cache::{ClockCache, MemoKey, MEMO_KEY_WORDS};
 use crate::effects::Summary;
 use crate::interp::{
     check_call_depth, loop_verdict, omp_header_message, parse_omp_parallel_for, InterpOptions,
-    RaceVerdict, RunResult, RuntimeError, VerdictMap,
+    RunResult, RuntimeError, VerdictMap,
 };
 use crate::ops::{self, Coerce};
 use crate::value::{Counters, FuelBudget, Memory, Ptr, RaceAccumulator, Scalar, TrackSets};
@@ -293,7 +293,7 @@ pub(crate) struct ROmpFor {
     /// loop headers, raised when the region executes.
     pub(crate) header: Result<ROmpHeader, String>,
     /// Static race verdict (Unknown when no analysis ran).
-    pub(crate) verdict: RaceVerdict,
+    pub(crate) verdict: LoopVerdict,
     pub(crate) span: Span,
 }
 
@@ -1000,7 +1000,7 @@ impl<'a> Lowerer<'a> {
 /// Lower a translation unit; `pure_fns` are the names the purity pass
 /// verified (empty set ⇒ memoization disabled); `verdicts` carries the
 /// static race analysis results per parallel `for` statement (empty map
-/// ⇒ every region defaults to [`RaceVerdict::Unknown`]).
+/// ⇒ every region defaults to [`LoopVerdict::Unknown`]).
 pub fn lower_unit(
     unit: &TranslationUnit,
     pure_fns: &HashSet<String>,
@@ -1896,16 +1896,16 @@ impl<'p> RInterp<'p> {
         // first ones: the region launches the rest.
         if self.s.opts.race_check {
             match of.verdict {
-                RaceVerdict::Independent => {
+                LoopVerdict::Independent => {
                     Counters::bump(&self.s.counters.race_static_skips);
                 }
-                RaceVerdict::Racy => {
+                LoopVerdict::Racy => {
                     return Err(RuntimeError::at(
                         "static race analysis rejected this parallel loop (verdict: racy)",
                         of.span,
                     ));
                 }
-                RaceVerdict::Unknown => {
+                LoopVerdict::Unknown => {
                     let checked = self.race_check(header, lb, n)?;
                     lb += checked as i64;
                     n -= checked;

@@ -68,7 +68,7 @@ use crate::value::{
     Counters, FuelBudget, GlobalTable, Memory, Packed, Ptr, RaceAccumulator, Scalar, SpillPool,
     Tally, TrackSets,
 };
-use cfront::ast::BinOp;
+use cfront::ast::{BinOp, LoopVerdict};
 use cfront::intern::Symbol;
 use cfront::span::Span;
 use machine::omprt::instrument;
@@ -1807,16 +1807,16 @@ impl<'p> Vm<'p> {
         // first ones: the region launches the rest.
         if self.s.opts.race_check {
             match r.verdict {
-                crate::interp::RaceVerdict::Independent => {
+                LoopVerdict::Independent => {
                     Counters::bump(&self.s.counters.race_static_skips);
                 }
-                crate::interp::RaceVerdict::Racy => {
+                LoopVerdict::Racy => {
                     return Err(RuntimeError::at(
                         "static race analysis rejected this parallel loop (verdict: racy)",
                         r.span,
                     ));
                 }
-                crate::interp::RaceVerdict::Unknown => {
+                LoopVerdict::Unknown => {
                     instrument::instant("region.race_check", n);
                     let checked = self.race_check(f, base, r, lb, n)?;
                     lb += checked as i64;

@@ -15,7 +15,7 @@
 //! | strip system includes | [`cprep`] | PC-PrePro |
 //! | resolve includes/macros | [`cprep`] | GCC -E |
 //! | purity verification | [`purity`] | PC-CC |
-//! | SCoP marking + Listing-5 check | [`scop`] | PC-CC |
+//! | SCoP marking + the model's assumptions (Listing 5) | [`scop`] | PC-CC |
 //! | call substitution | [`subst`] | PC-CC |
 //! | *(polyhedral transform — crate `polyhedral`)* | — | polycc |
 //! | call reinsertion + lowering | [`subst`], [`lower`] | PC-CC |
@@ -50,6 +50,9 @@ pub use pipeline::{
 pub use purity::{
     global_reads, infer_pure, verify_unit, GlobalReads, InferenceReport, PurityReport,
 };
-pub use scop::{mark_scops, pure_call_read_bases, unverified_calls, ScopReport};
+pub use scop::{
+    mark_scops, nest_hazards, pure_call_read_bases, unverified_calls, AliasGroups, Hazard,
+    ScopReport,
+};
 pub use stdfns::{PureSet, ALLOC_FNS, PURE_STDLIB};
 pub use subst::{reinsert_calls, rename_iterators, substitute_calls, SubstMap};

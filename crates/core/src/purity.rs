@@ -24,9 +24,10 @@
 //! * what a pure function *reads* through a global is part of its
 //!   interface: `FnChecker` — the one walker that sees every read,
 //!   write and call of a function together with what each name is bound
-//!   to — exports it as [`GlobalReads`], and the caller-side screens
-//!   ([`crate::scop`], `analysis::race`) treat those globals like pointer
-//!   arguments ([`crate::scop::pure_call_read_bases`]).
+//!   to — exports it as [`GlobalReads`], and the caller-side hazard walk
+//!   ([`crate::scop::nest_hazards`], which SCoP marking and
+//!   `analysis::race` share) treats those globals like pointer arguments
+//!   ([`crate::scop::pure_call_read_bases`]).
 
 use crate::stdfns::PureSet;
 use cfront::ast::*;

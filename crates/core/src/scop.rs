@@ -1,19 +1,34 @@
 //! SCoP marking — the second half of PC-CC (Sect. 3.2/3.4).
 //!
 //! Every `for`-loop nest whose calls are all verified pure
-//! ([`unverified_calls`] finds none) gets its `scop` flag set — the mark
-//! the paper writes as `#pragma scop` / `#pragma endscop`, and the one
-//! the call substitution and the polyhedral transformer read. Before
-//! marking, the pass runs the caller-side safety check of Listing 5: if
-//! an assignment's target is something a pure call on its right-hand
-//! side may read — it is mentioned in the call's arguments, or
-//! it is a global the callee reads ([`pure_call_read_bases`]) — the
-//! program is rejected (`PureParamWrittenInLoop`): the call's result
-//! feeding back into its own input would make the iteration order
-//! observable.
+//! ([`unverified_calls`] finds none) and whose accesses the polyhedral
+//! model can be trusted on ([`nest_hazards`] finds none) gets its `scop`
+//! flag set — the mark the paper writes as `#pragma scop` /
+//! `#pragma endscop`, and the one the call substitution and the
+//! polyhedral transformer read.
 //!
-//! The check compares variable *names* only; the alias deception of
-//! Listing 6 is accepted, which the paper documents as a limitation.
+//! The model keys dependences by base *name* and sees each pure call as
+//! an opaque `tmpConst_*` placeholder, so three things must not happen in
+//! a nest it is handed:
+//!
+//! 1. **Listing 5** — an assignment's target is something a pure call on
+//!    its own right-hand side may read (it is mentioned in the call's
+//!    arguments, or it is a global the callee reads:
+//!    [`pure_call_read_bases`]). The paper rejects the program
+//!    (`PureParamWrittenInLoop`): the call's result feeding back into its
+//!    own input would make the iteration order observable.
+//! 2. **A call reads what the nest writes** — a pure call's read base is,
+//!    or may alias, a base the nest writes through a pointer. The
+//!    placeholder hides that flow dependence, across statements too.
+//! 3. **Two names, one array** — two distinct accessed bases may alias
+//!    ([`AliasGroups`]), and one of them is written: the per-name test
+//!    calls them disjoint. Listing 6 is the paper's example: it deceives
+//!    the per-assignment rule of hazard 1, so it still compiles, but its
+//!    nest is no longer a SCoP.
+//!
+//! Hazards 2 and 3 are not errors: such a nest is simply not a SCoP, and
+//! the nests inside it are judged on their own. The race analyzer
+//! (`analysis::race`) runs the same walk on every `omp parallel for`.
 
 use crate::purity::GlobalReads;
 use crate::stdfns::PureSet;
@@ -21,7 +36,7 @@ use cfront::ast::*;
 use cfront::diag::{Code, Diagnostics};
 use cfront::span::Span;
 use cfront::visit::visit_stmts_mut_pruned;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// The one definition of "all calls verified pure": every call in the
 /// subtree that `is_pure` does not vouch for, as `(callee, span)` — an
@@ -66,6 +81,250 @@ pub fn pure_call_read_bases<'a>(
     bases
 }
 
+/// Which names of one function body may hold the same pointer value: a
+/// flow-insensitive union-find over names, joined whenever one name is
+/// initialized or assigned from an expression whose pointer value could
+/// derive from another (`int* q = a;`, `p = buf + off;`). The dependence
+/// test keys accesses by base name, so any group with two members makes
+/// per-name disjointness unsound for that pair.
+#[derive(Debug, Default)]
+pub struct AliasGroups {
+    parent: HashMap<String, String>,
+}
+
+impl AliasGroups {
+    /// Union every declared or assigned name with the pointer-value bases
+    /// of its initializer, across the whole function body (deep walk).
+    pub fn of_function(body: &Block) -> AliasGroups {
+        let mut g = AliasGroups::default();
+        let mut join = |name: &str, rhs: &Expr| {
+            let mut bases = BTreeSet::new();
+            pointer_value_bases(rhs, &mut bases);
+            // In name order, so a group's root (which diagnostics name)
+            // does not depend on the walk.
+            for base in bases {
+                g.union(name, base);
+            }
+        };
+        for s in &body.stmts {
+            s.walk(&mut |s| {
+                let decl = match &s.kind {
+                    StmtKind::Decl(d) => d,
+                    StmtKind::For { init, .. } => match init.as_ref() {
+                        ForInit::Decl(d) => d,
+                        _ => return,
+                    },
+                    _ => return,
+                };
+                for dec in &decl.declarators {
+                    if let Some(init) = &dec.init {
+                        join(&dec.name, init);
+                    }
+                }
+            });
+            s.walk_exprs(&mut |e| {
+                if let ExprKind::Assign(_, lhs, rhs) = &e.kind {
+                    if let Some(name) = lhs.as_ident() {
+                        join(name, rhs);
+                    }
+                }
+            });
+        }
+        g
+    }
+
+    /// The root of `name`'s group — the name diagnostics cite.
+    pub fn find<'a>(&'a self, name: &'a str) -> &'a str {
+        let mut cur = name;
+        while let Some(p) = self.parent.get(cur) {
+            cur = p;
+        }
+        cur
+    }
+
+    fn union(&mut self, a: &str, b: &str) {
+        let ra = self.find(a).to_string();
+        let rb = self.find(b).to_string();
+        if ra != rb {
+            self.parent.insert(ra, rb);
+        }
+    }
+
+    pub fn may_alias(&self, a: &str, b: &str) -> bool {
+        a == b || self.find(a) == self.find(b)
+    }
+}
+
+/// Names whose pointer value could flow out of `e`: the bases reachable
+/// through casts, unary ops, `+`/`-` arithmetic, subscripts, member
+/// access, ternary arms and comma tails. Over-approximates (a scalar
+/// operand lands in the set too), which only ever costs precision, never
+/// soundness — calls are the one deliberate omission, since `malloc` and
+/// verified-pure callees return values that cannot write-alias caller
+/// state.
+fn pointer_value_bases<'a>(e: &'a Expr, out: &mut BTreeSet<&'a str>) {
+    match &e.kind {
+        ExprKind::Ident(n) => {
+            out.insert(n);
+        }
+        ExprKind::Cast(_, inner) | ExprKind::Unary(_, inner) => pointer_value_bases(inner, out),
+        ExprKind::Binary(BinOp::Add | BinOp::Sub, l, r) => {
+            pointer_value_bases(l, out);
+            pointer_value_bases(r, out);
+        }
+        ExprKind::Index(base, _) => pointer_value_bases(base, out),
+        ExprKind::Ternary(_, t, f) => {
+            pointer_value_bases(t, out);
+            pointer_value_bases(f, out);
+        }
+        ExprKind::Comma(_, r) => pointer_value_bases(r, out),
+        ExprKind::Member { base, .. } => pointer_value_bases(base, out),
+        _ => {}
+    }
+}
+
+/// One way a nest breaks what the per-name dependence model, with pure
+/// calls opaque, assumes (see the module docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Hazard<'a> {
+    /// Listing 5: the assignment at `span` writes `target`, which the
+    /// pure call to `callee` on its own right-hand side may read.
+    Feedback {
+        span: Span,
+        target: &'a str,
+        callee: &'a str,
+    },
+    /// The pure call to `callee` at `span` may read `base`, which is —
+    /// or may alias — `written`, a base the nest writes through a
+    /// pointer. Once per callee and base.
+    CallReadsWritten {
+        span: Span,
+        callee: &'a str,
+        base: &'a str,
+        written: &'a str,
+    },
+    /// `written` (written through a pointer in the nest) and `other`
+    /// (accessed in it) are distinct names that may alias. Once per pair.
+    AliasedPair { written: &'a str, other: &'a str },
+}
+
+/// Every [`Hazard`] of the loop nest `nest`, header included: Listing-5
+/// feedback first, in walk order, then the calls that read what the nest
+/// writes, in walk order, then the aliasing pairs in name order.
+/// `aliases` are the groups of the enclosing function.
+pub fn nest_hazards<'a>(
+    nest: &'a Stmt,
+    pure_set: &PureSet,
+    reads: &'a GlobalReads,
+    aliases: &AliasGroups,
+) -> Vec<Hazard<'a>> {
+    let mut out = Vec::new();
+    let pure_calls = |e: &'a Expr| {
+        e.as_direct_call()
+            .filter(|(name, _)| *name != "__initlist" && pure_set.contains(name))
+    };
+
+    // Iterator variables are written by the loops themselves; passing one
+    // as a scalar argument is the normal pattern, not feedback.
+    let mut iterators: BTreeSet<&str> = BTreeSet::new();
+    nest.walk(&mut |s| {
+        if let StmtKind::For { init, step, .. } = &s.kind {
+            iterators.extend(init.bound_names());
+            match step.as_ref().map(|e| &e.kind) {
+                Some(ExprKind::Unary(op, inner)) if op.writes_operand() => {
+                    iterators.extend(inner.as_ident())
+                }
+                Some(ExprKind::Assign(_, lhs, _)) => iterators.extend(lhs.as_ident()),
+                _ => {}
+            }
+        }
+    });
+
+    // Listing 5, per assignment (the paper's "appears on the left-hand
+    // side of an assignment operator"): writes to the same array in
+    // *other* statements are hazard 2's business.
+    nest.walk_exprs(&mut |e| {
+        let ExprKind::Assign(_, lhs, rhs) = &e.kind else {
+            return;
+        };
+        let Some(target) = lhs.lvalue_root().filter(|t| !iterators.contains(t)) else {
+            return;
+        };
+        rhs.walk(&mut |sub| {
+            if let Some((callee, args)) = pure_calls(sub) {
+                if pure_call_read_bases(callee, args, reads).contains(target) {
+                    out.push(Hazard::Feedback {
+                        span: e.span,
+                        target,
+                        callee,
+                    });
+                }
+            }
+        });
+    });
+
+    // What the nest writes through a pointer, and what it accesses.
+    let mut written: BTreeSet<&str> = BTreeSet::new();
+    let mut accessed: BTreeSet<&str> = BTreeSet::new();
+    nest.walk_exprs(&mut |e| match &e.kind {
+        ExprKind::Assign(_, lhs, _) if lhs.writes_through_pointer() => {
+            pointer_value_bases(lhs, &mut written);
+        }
+        ExprKind::Unary(op, inner) if op.writes_operand() && inner.writes_through_pointer() => {
+            pointer_value_bases(inner, &mut written);
+        }
+        ExprKind::Index(base, _) => pointer_value_bases(base, &mut accessed),
+        ExprKind::Unary(UnOp::Deref, inner) => pointer_value_bases(inner, &mut accessed),
+        _ => {}
+    });
+    if written.is_empty() {
+        return out;
+    }
+    accessed.extend(&written);
+
+    // A pure call may read any memory its pointer arguments reach, and
+    // the globals it reads: a read of a written base is a flow
+    // dependence the placeholder erases.
+    let mut flagged: BTreeSet<(&str, &str)> = BTreeSet::new();
+    nest.walk_exprs(&mut |e| {
+        let Some((callee, args)) = pure_calls(e) else {
+            return;
+        };
+        for base in pure_call_read_bases(callee, args, reads) {
+            // Name the base itself when it is written, else an alias.
+            let hit = written
+                .get(base)
+                .or_else(|| written.iter().find(|w| aliases.may_alias(base, w)));
+            if let Some(&w) = hit {
+                if flagged.insert((callee, base)) {
+                    out.push(Hazard::CallReadsWritten {
+                        span: e.span,
+                        callee,
+                        base,
+                        written: w,
+                    });
+                }
+            }
+        }
+    });
+
+    // Two distinct names that may hold the same pointer value (`int* q =
+    // a;`, or `p = a; q = a;` where neither was assigned from the other)
+    // defeat the per-name test whenever one of them is written.
+    let mut pairs: BTreeSet<(&str, &str)> = BTreeSet::new();
+    for &w in &written {
+        for &o in &accessed {
+            if w != o && aliases.may_alias(w, o) && pairs.insert((w.min(o), w.max(o))) {
+                out.push(Hazard::AliasedPair {
+                    written: w,
+                    other: o,
+                });
+            }
+        }
+    }
+    out
+}
+
 /// Outcome of SCoP marking over a translation unit.
 #[derive(Debug, Default)]
 pub struct ScopReport {
@@ -87,10 +346,14 @@ pub fn mark_scops(
     reads: &GlobalReads,
 ) -> ScopReport {
     let mut report = ScopReport::default();
-    let pure = Verified { pure_set, reads };
     for item in &mut unit.items {
         let Item::Function(f) = item else { continue };
         let Some(body) = &mut f.body else { continue };
+        let pure = Verified {
+            pure_set,
+            reads,
+            aliases: &AliasGroups::of_function(body),
+        };
         for stmt in &mut body.stmts {
             visit_stmts_mut_pruned(stmt, &mut |s| {
                 if !matches!(s.kind, StmtKind::For { .. })
@@ -109,97 +372,52 @@ pub fn mark_scops(
     report
 }
 
-/// What the verifier established: which functions are pure, and what
-/// each may read through a global.
+/// What the verifier established: which functions are pure and what each
+/// may read through a global — and which names of the function at hand
+/// may alias.
 #[derive(Clone, Copy)]
 struct Verified<'a> {
     pure_set: &'a PureSet,
     reads: &'a GlobalReads,
+    aliases: &'a AliasGroups,
 }
 
 /// A loop nest qualifies when every function called anywhere inside is in
-/// the pure registry, and the Listing-5 check passes.
+/// the pure registry and [`nest_hazards`] finds nothing. Listing-5
+/// feedback is an error; the other hazards only disqualify the nest.
 fn loop_nest_is_candidate(stmt: &Stmt, pure: Verified, report: &mut ScopReport) -> bool {
     if !unverified_calls(stmt, &|name| pure.pure_set.contains(name)).is_empty() {
         report.skipped_impure += 1;
         return false;
     }
-    let errors_before = report.diags.error_count();
-    check_listing5(stmt, pure, &mut report.diags);
-    // The paper *errors out* on the Listing-5 violation rather than merely
-    // skipping the loop; on error the caller aborts the pipeline anyway.
-    report.diags.error_count() == errors_before
-}
-
-/// Listing 5: an assignment must not feed a pure call's input back into
-/// its own target — `array[i] = func(array, i)` makes the call's input
-/// depend on the iteration order, and so does `g[i] = f(i)` when `f`
-/// reads the global `g`. The check is per assignment statement (the
-/// paper's "appears on the left-hand side of an assignment operator");
-/// writes to the same array in *other* statements of the nest are the
-/// legal double-buffer/copy patterns the evaluation programs use.
-fn check_listing5(stmt: &Stmt, pure: Verified, diags: &mut Diagnostics) {
-    stmt.walk_exprs(&mut |e| {
-        let ExprKind::Assign(_, lhs, rhs) = &e.kind else {
-            return;
+    let hazards = nest_hazards(stmt, pure.pure_set, pure.reads, pure.aliases);
+    for h in &hazards {
+        let Hazard::Feedback {
+            span,
+            target,
+            callee,
+        } = *h
+        else {
+            continue;
         };
-        let Some(target) = lhs.lvalue_root() else {
-            return;
+        let what = match pure.reads.get(callee) {
+            Some(globals) if globals.contains(target) => format!("global '{target}' read by"),
+            _ => format!("argument '{target}' of"),
         };
-        // Iterator variables are incremented by the loop itself; passing
-        // them as scalar arguments is the normal pattern.
-        if is_iterator_like(stmt, target) {
-            return;
-        }
-        rhs.walk(&mut |sub| {
-            let Some((name, args)) = sub.as_direct_call() else {
-                return;
-            };
-            if !pure.pure_set.contains(name) || name == "__initlist" {
-                return;
-            }
-            if !pure_call_read_bases(name, args, pure.reads).contains(target) {
-                return;
-            }
-            let what = match pure.reads.get(name) {
-                Some(globals) if globals.contains(target) => format!("global '{target}' read by"),
-                _ => format!("argument '{target}' of"),
-            };
-            diags.error(
-                Code::PureParamWrittenInLoop,
-                e.span,
-                format!(
-                    "{what} pure function '{name}' is also assigned in \
-                     this loop nest — the call's input depends on the iteration order \
-                     (see paper Listing 5)"
-                ),
-            );
-        });
-    });
-}
-
-/// Is `name` one of the loop iterators of the nest rooted at `stmt`?
-fn is_iterator_like(stmt: &Stmt, name: &str) -> bool {
-    let mut found = false;
-    stmt.walk(&mut |s| {
-        if let StmtKind::For { init, step, .. } = &s.kind {
-            found |= init.bound_names().any(|n| n == name);
-            if let Some(se) = step {
-                let mut root = None;
-                match &se.kind {
-                    ExprKind::Unary(op, inner) if op.writes_operand() => {
-                        root = inner.as_ident();
-                    }
-                    ExprKind::Assign(_, lhs, _) => root = lhs.as_ident(),
-                    _ => {}
-                }
-                if root == Some(name) {
-                    found = true;
-                }
-            }
-        }
-    });
-    found
+        // The paper *errors out* on the Listing-5 violation rather than
+        // merely skipping the loop; on error the caller aborts the
+        // pipeline anyway.
+        report.diags.error(
+            Code::PureParamWrittenInLoop,
+            span,
+            format!(
+                "{what} pure function '{callee}' is also assigned in \
+                 this loop nest — the call's input depends on the iteration order \
+                 (see paper Listing 5)"
+            ),
+        );
+    }
+    hazards.is_empty()
 }
 
 #[cfg(test)]
@@ -279,9 +497,11 @@ mod tests {
     }
 
     #[test]
-    fn listing6_alias_deceives_the_check() {
-        // Documented limitation: the alias hides the hazard.
-        let r = parse(
+    fn listing6_alias_is_no_error_and_no_scop() {
+        // The alias still slips past Listing 5's per-assignment rule (no
+        // error), but `alias` and `array` are one array to the hazard
+        // walk: the nest is not handed to the per-name model.
+        let (unit, report) = run(
             "pure int func(pure int* a, int idx) { return a[idx - 1] + a[idx]; }\n\
              int main() {\n\
                  int array[100];\n\
@@ -291,12 +511,84 @@ mod tests {
                  return 0;\n\
              }",
         );
-        let mut unit = r.unit;
-        let purity = verify_unit(&unit, PureSet::seeded());
-        let report = mark_scops(&mut unit, &purity.pure_set, &purity.global_reads);
-        // No error, loop marked — exactly the deception of Listing 6.
         assert!(!report.diags.has_errors());
-        assert_eq!(report.marked, 1);
+        assert_eq!((report.marked, report.skipped_impure), (0, 0));
+        assert_eq!(scop_flags(&unit), [false]);
+    }
+
+    #[test]
+    fn a_call_reading_what_another_statement_writes_is_no_scop() {
+        // Listing 5 split over two statements, and the same through a
+        // global the callee reads: no assignment feeds its own call, but
+        // the placeholder would hide the read of `a` / `g`.
+        for src in [
+            "pure int f(pure int* v, int i) { return v[i + 1]; }\n\
+             int main() {\n\
+                 int a[100], b[100];\n\
+                 for (int i = 0; i < 99; i++) { b[i] = f((pure int*)a, i); a[i] = 0; }\n\
+                 return 0;\n\
+             }",
+            "int g[100];\n\
+             pure int f(int i) { return g[i + 1]; }\n\
+             int main() {\n\
+                 int b[100];\n\
+                 for (int i = 0; i < 99; i++) { b[i] = f(i); g[i] = 0; }\n\
+                 return 0;\n\
+             }",
+        ] {
+            let (unit, report) = run(src);
+            assert!(!report.diags.has_errors(), "{src}");
+            assert_eq!(report.marked, 0, "{src}");
+            assert_eq!(scop_flags(&unit), [false], "{src}");
+        }
+    }
+
+    #[test]
+    fn a_hazard_nest_hands_its_inner_nests_to_the_check() {
+        // The heat shape: the time loop's stencil call reads `cur`, which
+        // its copy nest writes — the time loop is no SCoP, each spatial
+        // nest is.
+        let (unit, report) = run("float *cur, *nxt;\n\
+             pure float avg(pure float* r, int j) { return r[j - 1] + r[j + 1]; }\n\
+             int main() {\n\
+                 for (int t = 0; t < 4; t++) {\n\
+                     for (int j = 1; j < 63; j++) nxt[j] = avg((pure float*)cur, j);\n\
+                     for (int j = 1; j < 63; j++) cur[j] = nxt[j];\n\
+                 }\n\
+                 return 0;\n\
+             }");
+        assert_eq!((report.marked, report.skipped_impure), (2, 0));
+        assert_eq!(scop_flags(&unit), [false, true, true]);
+    }
+
+    #[test]
+    fn hazards_are_reported_once_each_in_a_fixed_order() {
+        let r = parse(
+            "int g[64];\n\
+             pure int f(pure int* v, int i) { return v[i] + g[i]; }\n\
+             int main() {\n\
+                 int a[64], b[64];\n\
+                 int* p = a;\n\
+                 for (int i = 0; i < 64; i++) { b[i] = f((pure int*)a, i) + f((pure int*)a, i) + a[i]; p[i] = 1; g[i] = 2; }\n\
+                 return 0;\n\
+             }",
+        );
+        let purity = verify_unit(&r.unit, PureSet::seeded());
+        let f = r.unit.find_function("main").expect("main");
+        let body = f.body.as_ref().expect("a body");
+        let aliases = AliasGroups::of_function(body);
+        assert!(aliases.may_alias("p", "a") && !aliases.may_alias("a", "b"));
+        let nest = &body.stmts[2];
+        let hazards = nest_hazards(nest, &purity.pure_set, &purity.global_reads, &aliases);
+        let names: Vec<String> = hazards
+            .iter()
+            .map(|h| match h {
+                Hazard::Feedback { target, .. } => format!("feedback {target}"),
+                Hazard::CallReadsWritten { base, written, .. } => format!("read {base}~{written}"),
+                Hazard::AliasedPair { written, other } => format!("alias {written}~{other}"),
+            })
+            .collect();
+        assert_eq!(names, ["read a~p", "read g~g", "alias p~a"], "{hazards:?}");
     }
 
     #[test]

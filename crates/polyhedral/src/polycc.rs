@@ -4,23 +4,28 @@
 //! model, analyze, schedule, and replace them with transformed, annotated
 //! loop nests. A user `omp parallel for` directly above a flagged nest
 //! belongs to it. polycc judges no nest's candidacy itself: an unflagged
-//! loop, a user `#pragma scop` line included, is left as it is.
+//! loop, a user `#pragma scop` line included, is left as it is. PC-CC
+//! flags only nests the per-name model can be trusted on
+//! (`purec_core::nest_hazards`: no pure call reads what the nest writes,
+//! no two accessed names alias), so the dependence test is exact on
+//! every nest polycc sees — and polycc moves no nest across another,
+//! since nothing would check what the calls between them read.
 //!
 //! Imperfect nests degrade gracefully: if the flagged loop itself cannot be
-//! modelled (e.g. the heat application's time loop whose body holds two
-//! spatial nests and a pointer swap), the driver keeps the loop sequential
+//! modelled (e.g. an allocation loop whose body holds `malloc` rows and an
+//! init nest), the driver keeps the loop sequential
 //! and recurses into its children, transforming every inner nest it *can*
 //! model — which is exactly the behaviour the paper's evaluation relies on.
 
 use crate::codegen::{generate, CodegenOptions, Generated, HELPER_DEFS};
-use crate::deps::{analyze, parallel_levels, DepAnalysis};
+use crate::deps::{analyze, DepAnalysis};
 use crate::extract::{extract_scop, IterTypes};
 use crate::schedule::{compute_schedule, Transform};
 use crate::sica::{select_tile_size, SicaParams};
 use cfront::ast::*;
 use cfront::diag::Diagnostics;
 use cfront::omp::for_after_pragmas;
-use cfront::printer::{print_expr, print_stmt};
+use cfront::printer::print_expr;
 use cfront::visit::visit_exprs_mut_pruned;
 use std::collections::{HashMap, HashSet};
 
@@ -59,7 +64,8 @@ pub enum RegionOutcome {
 #[derive(Debug, Default)]
 pub struct PolyccReport {
     pub regions: Vec<RegionOutcome>,
-    /// Adjacent compatible nests merged by the fusion pass.
+    /// Always 0: polycc fuses no nests (see `finish_block`). The field
+    /// stays only while purebench's layer table reads it.
     pub fused: usize,
     /// Loop bounds hoisted to `__pc_ub*` temporaries ahead of their nests.
     pub hoisted: usize,
@@ -133,7 +139,7 @@ pub fn run_polycc(unit: &mut TranslationUnit, opts: PolyccOptions) -> PolyccRepo
 }
 
 /// The first half of the stage: model, schedule and replace every marked
-/// region (fusing and bound-hoisting the results). Every loop of a
+/// region (bound-hoisting the results). Every loop of a
 /// replacement is built `affine`; when one calls a `__pc_*` helper, the
 /// helpers' definitions ([`HELPER_DEFS`]) become the unit's first items.
 pub fn transform_regions(unit: &mut TranslationUnit, opts: PolyccOptions) -> PolyccReport {
@@ -306,7 +312,7 @@ fn place_nest(
 
 /// Replace every SCoP-flagged nest of a block with transformed code (a
 /// user `omp parallel for` header directly above the nest belongs to it),
-/// then fuse and bound-hoist the resulting nests.
+/// then bound-hoist the resulting nests.
 fn process_block(block: &mut Block, cx: Cx, report: &mut PolyccReport) {
     let mut i = 0;
     while i < block.stmts.len() {
@@ -326,10 +332,12 @@ fn process_block(block: &mut Block, cx: Cx, report: &mut PolyccReport) {
     finish_block(&mut block.stmts, report);
 }
 
-/// Post-passes over a finished statement list: fuse adjacent compatible
-/// transformed nests, then hoist non-trivial loop bounds.
+/// The post-pass over a finished statement list: hoist the non-trivial
+/// loop bounds of its transformed nests. Each nest stays where it was:
+/// the nests around it were judged apart, and a pure call's reads — a
+/// `tmpConst_*` placeholder to the model — are visible to no test that
+/// could move one across another.
 fn finish_block(stmts: &mut Vec<Stmt>, report: &mut PolyccReport) {
-    fuse_adjacent(stmts, report);
     hoist_bounds(stmts, report);
 }
 
@@ -425,7 +433,7 @@ fn transform_nest(loop_stmt: &mut Stmt, cx: Cx, report: &mut PolyccReport) -> Op
         }
         Err(diags) => {
             // Imperfect / non-affine: keep the loop sequential but try the
-            // children (the heat time loop pattern).
+            // children (a time loop over two sweeps, an allocation loop).
             let reason = diags
                 .items()
                 .first()
@@ -447,138 +455,6 @@ fn transform_nest(loop_stmt: &mut Stmt, cx: Cx, report: &mut PolyccReport) -> Op
             }
             process_body(body, cx, report);
             None
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fusion: merge adjacent compatible transformed nests
-// ---------------------------------------------------------------------------
-
-/// One transformed-nest group in a statement list: the run of generated
-/// pragmas (the `omp parallel for` header, if any) and the `affine` loop
-/// they sit on.
-struct NestGroup {
-    start: usize,
-    for_idx: usize,
-}
-
-fn group_at(stmts: &[Stmt], i: usize) -> Option<NestGroup> {
-    let for_idx = for_after_pragmas(stmts, i)?;
-    matches!(stmts[for_idx].kind, StmtKind::For { affine: true, .. })
-        .then_some(NestGroup { start: i, for_idx })
-}
-
-/// Canonical text of a For header (body emptied), for header equality.
-fn for_header_key(s: &Stmt) -> Option<String> {
-    if !matches!(s.kind, StmtKind::For { .. }) {
-        return None;
-    }
-    let mut shell = s.clone();
-    if let StmtKind::For { body, .. } = &mut shell.kind {
-        **body = Stmt::new(
-            StmtKind::Block(Block {
-                stmts: vec![],
-                span: body.span,
-            }),
-            body.span,
-        );
-    }
-    Some(print_stmt(&shell))
-}
-
-/// A loop body as a flat statement list (unwrapping one Block level).
-fn body_stmts(body: &Stmt) -> Vec<Stmt> {
-    match &body.kind {
-        StmtKind::Block(b) => b.stmts.clone(),
-        _ => vec![body.clone()],
-    }
-}
-
-/// Legality-checked fusion of two same-header nests: model the fused nest
-/// and refuse if any dependence points from a statement of the second nest
-/// back into the first — such a pair ran first-nest-then-second in the
-/// original program, so the fused interleaving would reverse it. Fused
-/// `parallel` nests must stay parallel: a dependence the fusion carries
-/// across iterations of the outer loop (the second nest reading in
-/// iteration `t` what the first wrote in iteration 0) refuses it too.
-/// Imperfect fused bodies (multi-level nests) fail extraction and are
-/// refused as well.
-fn try_fuse(f1: &Stmt, f2: &Stmt, parallel: bool, report: &mut PolyccReport) -> Option<Stmt> {
-    let (StmtKind::For { body: b1, .. }, StmtKind::For { body: b2, .. }) = (&f1.kind, &f2.kind)
-    else {
-        return None;
-    };
-    let first = body_stmts(b1);
-    let k1 = first.len();
-    let mut merged = first;
-    merged.extend(body_stmts(b2));
-
-    let mut fused = f1.clone();
-    let StmtKind::For { body, .. } = &mut fused.kind else {
-        unreachable!("cloned a For");
-    };
-    **body = Stmt::new(
-        StmtKind::Block(Block {
-            stmts: merged,
-            span: f1.span,
-        }),
-        f1.span,
-    );
-
-    // Both nests are generated code: every iterator is declared in its
-    // own for-init.
-    let scop = extract_scop(&fused, &IterTypes::default()).ok()?;
-    let DepAnalysis { deps, fm_solves } = analyze(&scop);
-    report.fm_solves += fm_solves;
-    if deps.iter().any(|d| d.src_stmt >= k1 && d.dst_stmt < k1) {
-        return None;
-    }
-    if parallel && !parallel_levels(&scop, &deps)[0] {
-        return None;
-    }
-    Some(fused)
-}
-
-/// Fuse runs of adjacent transformed nests with textually equal headers
-/// and identical pragmas. Fused parallel nests collapse into a single
-/// `omp` region — one pool launch and one join barrier instead of two.
-fn fuse_adjacent(stmts: &mut Vec<Stmt>, report: &mut PolyccReport) {
-    let mut i = 0;
-    while i < stmts.len() {
-        let Some(g1) = group_at(stmts, i) else {
-            i += 1;
-            continue;
-        };
-        let Some(g2) = group_at(stmts, g1.for_idx + 1) else {
-            i = g1.for_idx + 1;
-            continue;
-        };
-        let (p1, p2) = (&stmts[g1.start..g1.for_idx], &stmts[g2.start..g2.for_idx]);
-        let headers_match = p1.iter().map(|s| &s.kind).eq(p2.iter().map(|s| &s.kind))
-            && match (
-                for_header_key(&stmts[g1.for_idx]),
-                for_header_key(&stmts[g2.for_idx]),
-            ) {
-                (Some(a), Some(b)) => a == b,
-                _ => false,
-            };
-        let fused = if headers_match {
-            let parallel = p1
-                .iter()
-                .any(|s| matches!(&s.kind, StmtKind::Pragma(p) if is_omp_parallel_for(p)));
-            try_fuse(&stmts[g1.for_idx], &stmts[g2.for_idx], parallel, report)
-        } else {
-            None
-        };
-        match fused {
-            Some(f) => {
-                stmts[g1.for_idx] = f;
-                stmts.drain(g1.for_idx + 1..g2.for_idx + 1);
-                report.fused += 1;
-                // Stay on this group: it may fuse with the next one too.
-            }
-            None => i = g1.for_idx + 1,
         }
     }
 }
@@ -679,17 +555,21 @@ fn int_decl(name: &str, init: Expr, span: cfront::span::Span) -> Stmt {
 fn hoist_bounds(stmts: &mut Vec<Stmt>, report: &mut PolyccReport) {
     let mut i = 0;
     while i < stmts.len() {
-        let Some(g) = group_at(stmts, i) else {
+        // A transformed nest: the run of generated pragmas (the `omp
+        // parallel for` header, if any) and the `affine` loop they sit on.
+        let Some(j) = for_after_pragmas(stmts, i)
+            .filter(|&j| matches!(stmts[j].kind, StmtKind::For { affine: true, .. }))
+        else {
             i += 1;
             continue;
         };
         let mut decls = Vec::new();
-        hoist_for(&mut stmts[g.for_idx], &mut decls, report);
+        hoist_for(&mut stmts[j], &mut decls, report);
         let n = decls.len();
         for (off, d) in decls.into_iter().enumerate() {
-            stmts.insert(g.start + off, d);
+            stmts.insert(i + off, d);
         }
-        i = g.for_idx + 1 + n;
+        i = j + 1 + n;
     }
 }
 
@@ -980,18 +860,14 @@ fn hoist_rows_in_body(
 /// invariant row pointers load once at the level where their subscript
 /// settles instead of once per inner iteration.
 fn hoist_rows(stmts: &mut [Stmt], rows: &HashMap<String, Type>, report: &mut PolyccReport) {
-    let mut i = 0;
-    while i < stmts.len() {
-        let Some(g) = group_at(stmts, i) else {
-            i += 1;
+    for nest in stmts {
+        if !matches!(nest.kind, StmtKind::For { affine: true, .. }) {
             continue;
-        };
-        let nest = &mut stmts[g.for_idx];
+        }
         let bad = row_unsafe_bases(nest);
         let mut all_iters = HashSet::new();
         nest.walk(&mut |s| for_iter_names(s, &mut all_iters));
         hoist_rows_for(nest, &HashSet::new(), &all_iters, rows, &bad, report);
-        i = g.for_idx + 1;
     }
 }
 
@@ -1093,7 +969,8 @@ int main() {
 
     #[test]
     fn imperfect_time_loop_transforms_children() {
-        // The heat pattern: marked time loop with two inner nests + copy.
+        // A time loop over two sweeps whose call reads nothing the nest
+        // writes (with one that did, PC-CC would not flag the time loop).
         let src = "\
 int main() {
     float a[64][64], b[64][64];
@@ -1203,27 +1080,9 @@ int main() {
     }
 
     #[test]
-    fn fusion_that_would_carry_a_dependence_is_refused() {
-        // Every iteration of the second nest reads `a[0]`, which iteration
-        // 0 of the first writes: fused, the `omp parallel for` would race.
-        let src = "\
-int main() {
-    float a[32], b[32];
-    for (int i = 0; i < 32; i++) a[i] = i;
-    for (int j = 0; j < 32; j++) b[j] = a[0];
-    return 0;
-}
-";
-        let (unit, report) = run(src, PolyccOptions::default());
-        assert_eq!((report.parallelized_count(), report.fused), (2, 0));
-        let out = print_unit(&unit);
-        assert_eq!(out.matches("#pragma omp parallel for").count(), 2, "{out}");
-    }
-
-    #[test]
-    fn adjacent_producer_consumer_nests_fuse() {
-        // Forward (producer → consumer) deps permit fusion: one omp region,
-        // one join barrier.
+    fn adjacent_nests_are_transformed_apart() {
+        // A producer and its consumer stay two nests, two regions: no pass
+        // moves one nest across another.
         let src = "\
 int main() {
     float a[32], b[32];
@@ -1233,32 +1092,7 @@ int main() {
 }
 ";
         let (unit, report) = run(src, PolyccOptions::default());
-        assert_eq!(report.transformed_count(), 2);
-        assert_eq!(report.fused, 1, "compatible nests must fuse");
-        let out = print_unit(&unit);
-        assert_eq!(
-            out.matches("#pragma omp parallel for").count(),
-            1,
-            "fusion must collapse the two parallel regions into one: {out}"
-        );
-    }
-
-    #[test]
-    fn stencil_copy_pair_refuses_fusion() {
-        // The heat pattern: the copy nest writes `a`, which the stencil nest
-        // reads at i±1. Fusing would feed updated values into later stencil
-        // iterations — a backward dep, so fusion must be refused.
-        let src = "\
-int main() {
-    float a[64], b[64];
-    for (int i = 1; i < 63; i++) b[i] = a[i - 1] + a[i + 1];
-    for (int i2 = 1; i2 < 63; i2++) a[i2] = b[i2];
-    return 0;
-}
-";
-        let (unit, report) = run(src, PolyccOptions::default());
-        assert_eq!(report.transformed_count(), 2);
-        assert_eq!(report.fused, 0, "illegal fusion must be refused");
+        assert_eq!((report.parallelized_count(), report.fused), (2, 0));
         let out = print_unit(&unit);
         assert_eq!(out.matches("#pragma omp parallel for").count(), 2, "{out}");
     }

@@ -14,10 +14,10 @@
 //! *run* it: the unit the text is printed from executes on the interpreter
 //! with the omprt parallel runtime, and nothing reads the text back.
 
-use analysis::{AnalysisOptions, LoopVerdict};
+use analysis::AnalysisOptions;
 use cfront::ast::TranslationUnit;
 use cfront::diag::Diagnostics;
-use cinterp::{InterpOptions, Program, RaceVerdict, RunResult, RuntimeError, VerdictMap};
+use cinterp::{InterpOptions, Program, RunResult, RuntimeError, VerdictMap};
 use polyhedral::{
     hoist_row_pointers, transform_regions, PolyccOptions, PolyccReport, RegionOutcome,
 };
@@ -44,14 +44,13 @@ pub struct ChainOutput {
     pub unit: TranslationUnit,
     /// Functions verified pure, in declaration order.
     pub declared_pure: Vec<String>,
+    /// Nests PC-CC flagged as SCoPs: every call verified pure, and none
+    /// of the hazards of the per-name model ([`purec_core::nest_hazards`]).
     pub scops_marked: usize,
     pub regions_transformed: usize,
     pub regions_parallelized: usize,
     pub regions_skewed: usize,
     pub regions_tiled: usize,
-    /// Adjacent compatible nests merged by the fusion pass (each fusion
-    /// removes one parallel-region join barrier).
-    pub regions_fused: usize,
     /// Invariant row pointers strength-reduced out of inner loops
     /// (`T* __pc_rowK = X[e];` hoisted to the level where `e` settles).
     pub rows_hoisted: usize,
@@ -106,7 +105,6 @@ pub fn compile(source: &str, opts: ChainOptions) -> Result<ChainOutput, Diagnost
         .filter(|r| matches!(r, RegionOutcome::Transformed { skewed: true, .. }))
         .count();
     let regions_tiled = report.tiled_count();
-    let regions_fused = report.fused;
     let schedules = render_schedules(&report);
 
     // Reinsert placeholders per region with that region's iterator map;
@@ -130,11 +128,7 @@ pub fn compile(source: &str, opts: ChainOptions) -> Result<ChainOutput, Diagnost
     let analysis = analysis::analyze_unit(&unit, &pcc.pure_set, &AnalysisOptions::default());
     drop(analysis_span);
     diags.extend(analysis.diags);
-    let verdicts = analysis
-        .loops
-        .iter()
-        .map(|l| (l.id, race_verdict(l.verdict)))
-        .collect();
+    let verdicts = analysis.loops.iter().map(|l| (l.id, l.verdict)).collect();
 
     // polycc, second half: strength-reduce invariant rows.
     if !opts.no_poly {
@@ -157,7 +151,6 @@ pub fn compile(source: &str, opts: ChainOptions) -> Result<ChainOutput, Diagnost
         regions_parallelized,
         regions_skewed,
         regions_tiled,
-        regions_fused,
         rows_hoisted: report.rows_hoisted,
         fm_solves: report.fm_solves + analysis.fm_solves,
         schedules,
@@ -165,14 +158,6 @@ pub fn compile(source: &str, opts: ChainOptions) -> Result<ChainOutput, Diagnost
         diags,
         verdicts,
     })
-}
-
-fn race_verdict(v: LoopVerdict) -> RaceVerdict {
-    match v {
-        LoopVerdict::Independent => RaceVerdict::Independent,
-        LoopVerdict::Racy => RaceVerdict::Racy,
-        LoopVerdict::Unknown => RaceVerdict::Unknown,
-    }
 }
 
 /// Render one summary line per region outcome for `--dump-schedule`.
@@ -221,7 +206,7 @@ impl ChainOutput {
     /// rows: both `--stats` lines and the `chain` object of
     /// `--stats-json` are rendered from this one table, so they cannot
     /// disagree on which fields exist.
-    pub fn stats(&self) -> [(&'static str, &'static str, usize); 9] {
+    pub fn stats(&self) -> [(&'static str, &'static str, usize); 8] {
         [
             ("scops_marked", "scops", self.scops_marked),
             (
@@ -236,7 +221,6 @@ impl ChainOutput {
             ),
             ("regions_skewed", "skewed", self.regions_skewed),
             ("regions_tiled", "tiled", self.regions_tiled),
-            ("regions_fused", "fused", self.regions_fused),
             ("rows_hoisted", "rows hoisted", self.rows_hoisted),
             ("fm_solves", "fm solves", self.fm_solves),
             (

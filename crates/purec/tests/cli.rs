@@ -368,7 +368,6 @@ fn stats_lines_and_stats_json_agree_on_the_chain_fields() {
         ("regions_parallelized", "parallel"),
         ("regions_skewed", "skewed"),
         ("regions_tiled", "tiled"),
-        ("regions_fused", "fused"),
         ("rows_hoisted", "rows hoisted"),
         ("fm_solves", "fm solves"),
         ("calls_reinserted", "calls reinserted"),

@@ -1,8 +1,8 @@
 /* Paper Listing 5 with the array reached by name instead of by argument,
  * split over two statements: `f` reads the global `g` the loop writes, a
  * flow dependence no argument shows. Listing 5's per-assignment rule
- * lets it through (like its pointer twin, Listing 6), so the static
- * verdict must be Unknown and `--race-check` must catch it at run time:
+ * lets it through, but the nest is no SCoP: the pragma stays on the
+ * literal loop, the verdict is Unknown and `--race-check` catches it:
  *
  *   purec examples/analysis/global_feedback.c --run --race-check   (exit 1)
  */

@@ -25,12 +25,11 @@ int main() {
         }
     }
     cur[8][0] = 100.0f;
-    // The time loop carries the boundary reset (a non-assignment
-    // region boundary): reported as its own skipped region...
-    // expect: skipped
+    // The time loop is no SCoP: its stencil call reads cur, which its
+    // copy sweep writes, and the model cannot see inside the call. Both
+    // sweeps are SCoPs of their own, clean 2-d parallel bands: the
+    // stencil writes nxt from cur, the copy writes cur back.
     for (int t = 0; t < 2; t++) {
-        // ...while both sweeps inside it are clean 2-d parallel bands:
-        // the stencil writes nxt from cur, the copy writes cur back.
         // expect: depth=2 band=2 parallel
         for (int i = 1; i < 15; i++)
             for (int j = 1; j < 15; j++)

@@ -184,7 +184,7 @@ fn independent_verdict_skips_dynamic_race_check() {
         assert!(
             out.verdicts
                 .values()
-                .any(|v| *v == cinterp::RaceVerdict::Independent),
+                .any(|v| *v == analysis::LoopVerdict::Independent),
             "no Independent verdict: {:?}",
             out.verdicts
         );
@@ -272,7 +272,7 @@ fn global_read_feedback_is_unknown_statically_and_a_race_dynamically() {
         let out = purec::compile(src, purec::ChainOptions::default()).expect("compiles");
         assert_eq!(
             out.verdicts.values().collect::<Vec<_>>(),
-            [&cinterp::RaceVerdict::Unknown],
+            [&analysis::LoopVerdict::Unknown],
             "{src}"
         );
         let err = out
@@ -290,7 +290,8 @@ fn global_read_feedback_is_unknown_statically_and_a_race_dynamically() {
 include!("support/corpus.rs");
 
 /// `Independent` ⇒ the dynamic race checker finds nothing: for every
-/// checked-in program whose parallel loops the analyzer *all* calls
+/// checked-in program and blind-spot program whose parallel loops the
+/// analyzer *all* calls
 /// `Independent`, the same unit rebuilt *without* verdicts and run with
 /// the dynamic check on, cap off, must complete. (At the parent commit
 /// `global_feedback.c` was `Independent` statically and a detected race
@@ -306,6 +307,11 @@ fn independent_verdicts_agree_with_the_dynamic_checker() {
     corpus.push(("demo heat".into(), apps::heat::c_source(8, 3)));
     corpus.push(("demo satellite".into(), apps::satellite::c_source(6, 6)));
     corpus.push(("demo lama".into(), apps::lama::c_source(32, 5)));
+    corpus.extend(
+        BLIND_SPOT
+            .iter()
+            .map(|&(name, src, ..)| (name.to_string(), src.to_string())),
+    );
 
     let mut checked = 0;
     for (name, src) in &corpus {
@@ -317,7 +323,7 @@ fn independent_verdicts_agree_with_the_dynamic_checker() {
             && out
                 .verdicts
                 .values()
-                .all(|v| *v == cinterp::RaceVerdict::Independent);
+                .all(|v| *v == analysis::LoopVerdict::Independent);
         if !all_independent {
             continue;
         }

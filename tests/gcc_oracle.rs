@@ -7,10 +7,12 @@
 //! and a user region nested in a sequential loop, the **emitted text**
 //! builds with `cc -std=c11 -O1 -fopenmp -Werror=unknown-pragmas` (it
 //! holds no pragma GCC does not know), prints the VM's stdout and returns
-//! its exit code at `OMP_NUM_THREADS` 1 and 2 — and so does the
+//! its exit code at `OMP_NUM_THREADS` 1, 2 and 4 — and so does the
 //! **original source** with the keyword defined away (paper Sect. 3:
 //! dropping `pure` leaves standard C). The four applications' `--no-poly`
 //! text builds under the same flags: PC-CC's SCoP marks do not reach it.
+//! The blind-spot programs, where the model cannot see what a pure call
+//! reads, must print the literal build's output from the emitted text.
 //!
 //! Without a `cc` on `PATH` the test prints why and passes (CI and the
 //! verify skill require the compiler). No time is read.
@@ -106,10 +108,10 @@ fn cc(source: &str, name: &str, define_pure_away: bool) -> PathBuf {
     exe
 }
 
-/// Run a native build at 1 and 2 OpenMP threads against the VM's
+/// Run a native build at 1, 2 and 4 OpenMP threads against the VM's
 /// observables.
 fn assert_native_matches(exe: &Path, what: &str, stdout: &str, exit_code: i64) {
-    for threads in ["1", "2"] {
+    for threads in ["1", "2", "4"] {
         let out = Command::new(exe)
             .env("OMP_NUM_THREADS", threads)
             // 65 tiny regions spin-waiting at each join on a busy host
@@ -236,3 +238,53 @@ fn no_poly_text_builds_clean_and_agrees_with_the_vm_under_cc() {
         );
     }
 }
+
+/// The programs the polyhedral model once compiled wrong, because it
+/// could not see what a pure call reads ([`BLIND_SPOT`]). Each one's
+/// emitted text, built by GCC, prints the VM's output and the `--no-poly`
+/// build's output at every thread count. Its `omp parallel for` count is
+/// pinned, so a nest with a hazard carries no pragma the source did not
+/// have.
+#[test]
+fn blind_spot_text_agrees_with_the_literal_build_under_cc() {
+    if Command::new("cc").arg("--version").output().is_err() {
+        println!("gcc_oracle: no `cc` on PATH, nothing compared");
+        return;
+    }
+    let no_poly = ChainOptions {
+        no_poly: true,
+        ..Default::default()
+    };
+    for (name, source, recorded, loops) in BLIND_SPOT {
+        let stem = name.trim_end_matches(".c").replace('/', "_");
+        for (build, opts) in [
+            ("emitted", ChainOptions::default()),
+            ("no_poly", no_poly.clone()),
+        ] {
+            let chain = compile(source, opts)
+                .unwrap_or_else(|d| panic!("{name}: {}", d.render_all(source)));
+            let pragmas = chain.text.matches("#pragma omp parallel for").count();
+            assert_eq!(
+                pragmas,
+                if build == "emitted" { loops } else { 0 },
+                "{name}, {build}:\n{}",
+                chain.text
+            );
+            for threads in [1, 4] {
+                let vm = chain
+                    .program()
+                    .run(InterpOptions {
+                        threads,
+                        ..Default::default()
+                    })
+                    .unwrap_or_else(|e| panic!("{name}, {build}: {e}"));
+                assert_eq!(vm.output, recorded, "{name}, {build}, {threads} threads");
+            }
+            let exe = cc(&chain.text, &format!("gcc_oracle_{stem}_{build}"), false);
+            let code = i64::from(recorded.trim().parse::<i32>().expect("a number") % 256);
+            assert_native_matches(&exe, &format!("{name}, {build} text"), recorded, code);
+        }
+    }
+}
+
+include!("support/corpus.rs");

@@ -142,7 +142,7 @@ int main() { return 0; }",
 }
 
 // ---------------------------------------------------------------------------
-// Listing 5 / Listing 6 — caller-side safety and its documented limit
+// Listing 5 / Listing 6 — caller-side safety and the model's assumptions
 // ---------------------------------------------------------------------------
 
 const LISTING5: &str = "
@@ -160,9 +160,7 @@ fn listing5_feedback_rejected() {
     rejects_with(LISTING5, Code::PureParamWrittenInLoop);
 }
 
-#[test]
-fn listing6_alias_deceives_static_check_but_dynamic_check_catches_it() {
-    let listing6 = "
+const LISTING6: &str = "
 pure int func(pure int* a, int idx) { return a[idx - 1] + a[idx]; }
 int main() {
     int array[100];
@@ -173,13 +171,25 @@ int main() {
     return array[99];
 }
 ";
-    // Statically accepted — the paper's documented limitation.
-    let out = run_pc_cc(listing6, PcCcOptions::default()).expect("accepted");
-    assert!(out.scops_marked >= 1, "the deceiving loop gets marked");
 
-    // But our dynamic race checker refuses to run it in parallel.
+/// The alias still deceives Listing 5's per-assignment rule — the program
+/// compiles, as in the paper — but not the check of what the model
+/// assumes: the nest is no SCoP, so the chain emits no `omp parallel for`
+/// for it. Put there by hand, the pragma meets the dynamic checker, which
+/// refuses to run the loop in parallel.
+#[test]
+fn listing6_alias_deceives_static_check_but_dynamic_check_catches_it() {
+    let out = run_pc_cc(LISTING6, PcCcOptions::default()).expect("accepted");
+    assert_eq!(out.scops_marked, 0, "the aliasing nest is not a SCoP");
+    let chain = compile(LISTING6, ChainOptions::default()).expect("chain");
+    assert!(!chain.text.contains("omp parallel for"), "{}", chain.text);
+
+    let user_parallel = LISTING6.replace(
+        "    for (int i = 1;",
+        "#pragma omp parallel for\n    for (int i = 1;",
+    );
     let err = purec::compile_and_run(
-        listing6,
+        &user_parallel,
         ChainOptions::default(),
         InterpOptions {
             threads: 4,

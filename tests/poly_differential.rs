@@ -1,6 +1,6 @@
 //! Differential tests for the schedule-aware execution path: programs
-//! compiled through the polyhedral stage (transformed nests, `#pragma
-//! affine` markers, `AffineHead`/`AffineNext` bytecode) must be
+//! compiled through the polyhedral stage (transformed nests, `affine`
+//! loops, `AffineHead`/`AffineNext` bytecode) must be
 //! observably identical to the same source compiled with `--no-poly`
 //! (every nest literal), and — within the poly build — the bytecode VM,
 //! the resolved-IR engine and the legacy tree-walking oracle must agree
@@ -20,8 +20,8 @@ use pure_c::prelude::*;
 
 /// A generated program with a guaranteed-affine `omp parallel for` nest
 /// (routed through the transformer as an implicit SCoP), a second affine
-/// nest reading the first (fusion candidate), verified-pure tree-recursive
-/// calls in spawnable batches, and a printf/exit-code observable.
+/// nest reading the first, verified-pure tree-recursive calls in
+/// spawnable batches, and a printf/exit-code observable.
 fn poly_source(n: usize, c1: i64, c2: i64, m: usize, sched: usize) -> String {
     let sched = [
         "",
@@ -410,46 +410,127 @@ fn pointer_walks_match_their_indexed_twin_on_every_engine() {
     }
 }
 
-/// The fused pair in [`poly_source`] collapses into one parallel region:
-/// the literal build launches two `omp` regions where the poly build
-/// launches one (one join barrier saved), with identical output.
-#[test]
-fn fused_nests_collapse_parallel_regions() {
-    // Just the producer/consumer pair — no other transformable nests, so
-    // the parallel-region count is exactly what fusion determines.
-    let src = "\
-int main() {
-    int* a = (int*) malloc(32 * sizeof(int));
-    int* b = (int*) malloc(32 * sizeof(int));
-#pragma omp parallel for
-    for (int i = 0; i < 32; i++)
-        a[i] = i * 5 + 3;
-#pragma omp parallel for
-    for (int j = 0; j < 32; j++)
-        b[j] = a[j] + j;
-    printf(\"b=%d\\n\", b[31]);
-    return 0;
-}"
-    .to_string();
-    let (poly, nopoly) = compile_pair(&src);
-    assert!(
-        poly.regions_fused >= 1,
-        "adjacent compatible nests must fuse:\n{}",
-        poly.text
-    );
-    assert_eq!(
-        poly.text.matches("#pragma omp parallel for").count(),
-        nopoly.text.matches("#pragma omp parallel for").count() - 1,
-        "fusion must remove one parallel region:\npoly:\n{}\nliteral:\n{}",
-        poly.text,
-        nopoly.text
-    );
-    let opts = InterpOptions {
-        threads: 4,
-        ..Default::default()
-    };
-    let fast = poly.program().run(opts).expect("poly runs");
-    let literal = nopoly.program().run(opts).expect("literal runs");
-    assert_eq!(fast.output, literal.output);
-    assert_eq!(fast.exit_code, literal.exit_code);
+/// Every run of the differential class on one program: the three engines,
+/// the optimizer on and off, the poly and literal builds, one thread and
+/// four. Each must print `stdout`.
+fn assert_whole_class(name: &str, src: &str, stdout: &str) {
+    let (poly, nopoly) = compile_pair(src);
+    for (build, out) in [("poly", &poly), ("literal", &nopoly)] {
+        let prog = out.program();
+        for threads in [1usize, 4] {
+            for opt_level in [0u8, 2] {
+                let opts = InterpOptions {
+                    threads,
+                    opt_level,
+                    ..Default::default()
+                };
+                for (engine, run) in [
+                    ("vm", prog.run(opts)),
+                    ("resolved", prog.run_resolved(opts)),
+                    ("legacy", prog.run_legacy(opts)),
+                ] {
+                    let cell =
+                        format!("{name}: {build}, {engine}, {threads} threads, O{opt_level}");
+                    let run = run.unwrap_or_else(|e| panic!("{cell}: {e}"));
+                    assert_eq!(run.output, stdout, "{cell}:\n{}", out.text);
+                }
+            }
+        }
+    }
 }
+
+/// The programs the model once compiled wrong because it could not see
+/// what a pure call reads ([`BLIND_SPOT`]) run the whole differential
+/// class and print their recorded output everywhere.
+#[test]
+fn blind_spot_programs_agree_across_the_differential_class() {
+    for (name, src, stdout, _) in BLIND_SPOT {
+        assert_whole_class(name, src, stdout);
+    }
+}
+
+/// One member of the generated blind-spot family: a pure call reads the
+/// array `a` at `offset` from its iterator, and `a` is written either by
+/// the nest before the call's (`producer`) or by the call's own nest,
+/// after the call. The read reaches `a` through the call's argument,
+/// through the global the callee reads, or through an alias the writes
+/// go through.
+fn blind_spot_member(seed: &mut u64, producer: bool, offset: i64, reach: &str) -> String {
+    let mut next = |lo: u64, span: u64| {
+        *seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        lo + (*seed >> 33) % span
+    };
+    let (n, k, c) = (next(200, 200), next(2, 7), next(1, 4));
+    let call = match reach {
+        "argument" | "alias" => "f((pure int*)a, i)",
+        _ => "g(i)",
+    };
+    let w = if reach == "alias" { "p" } else { "a" };
+    let nests = if producer {
+        format!(
+            "    for (int i = 1; i <= {n}; i++) {w}[i] = a[i] + i;\n\
+             \x20   for (int i = 1; i <= {n}; i++) b[i] = {call};\n"
+        )
+    } else {
+        format!(
+            "    for (int i = 1; i <= {n}; i++) {{\n\
+             \x20       b[i] = {call};\n\
+             \x20       {w}[i] = b[i] % 1000 + i;\n\
+             \x20   }}\n"
+        )
+    };
+    format!(
+        "int a[{len}];\n\
+         int b[{len}];\n\
+         pure int f(pure int* v, int i) {{ return v[i + {offset}] * {k} + 1; }}\n\
+         pure int g(int i) {{ return a[i + {offset}] * {k} + 1; }}\n\
+         int main() {{\n\
+         \x20   int* p = a;\n\
+         \x20   for (int i = 0; i < {len}; i++) a[i] = i * {c};\n\
+         {nests}\
+         \x20   int s = 0;\n\
+         \x20   for (int i = 1; i <= {n}; i++) s = (s * 31 + b[i]) % 1000003;\n\
+         \x20   printf(\"%d\\n\", s);\n\
+         \x20   return s % 256;\n\
+         }}\n",
+        len = n + 2,
+    )
+}
+
+/// A small generated family around the blind spot, seeded and
+/// deterministic: a producer nest and its consumer, or one nest that
+/// reads and then writes; a pure call reading at offset −1, 0 or +1; the
+/// read reaching its array through an argument, a global or an alias.
+/// Each of the 18 members prints the literal build's output under poly,
+/// at one thread and at four. (With fusion, the three producer members
+/// at offset +1 printed another number at one thread.)
+#[test]
+fn generated_blind_spot_family_matches_no_poly() {
+    let mut seed = 0x5eed_u64;
+    for producer in [true, false] {
+        for offset in [-1i64, 0, 1] {
+            for reach in ["argument", "global", "alias"] {
+                let src = blind_spot_member(&mut seed, producer, offset, reach);
+                let (poly, nopoly) = compile_pair(&src);
+                for threads in [1usize, 4] {
+                    let opts = InterpOptions {
+                        threads,
+                        ..Default::default()
+                    };
+                    let fast = poly.program().run(opts).expect("poly runs");
+                    let literal = nopoly.program().run(opts).expect("literal runs");
+                    assert_eq!(
+                        (&fast.output, fast.exit_code),
+                        (&literal.output, literal.exit_code),
+                        "{threads} threads:\n{src}\npoly text:\n{}",
+                        poly.text
+                    );
+                }
+            }
+        }
+    }
+}
+
+include!("support/corpus.rs");

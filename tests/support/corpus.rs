@@ -1,8 +1,11 @@
-// Shared by `tests/analysis_golden.rs` and `tests/effects_golden.rs`
-// through `include!`.
+// Shared through `include!` by the tests that walk the checked-in
+// programs (`analysis_golden`, `chain_integration`, `effects_golden`) and
+// by those that run the blind-spot programs (`gcc_oracle`,
+// `poly_differential`).
 
 /// Every `.c` file under `examples/`, recursively, as `(path relative to
 /// examples/, source)`, sorted by path.
+#[allow(dead_code)] // not every includer walks both
 fn example_programs() -> Vec<(String, String)> {
     fn collect(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
         for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
@@ -27,3 +30,77 @@ fn example_programs() -> Vec<(String, String)> {
         })
         .collect()
 }
+
+/// The polyhedral model sees a pure call as an opaque placeholder and
+/// keys accesses by name, so it cannot see what the call reads. These
+/// programs once compiled wrong because of that: `(name, source, stdout,
+/// the number of `omp parallel for` loops the chain emits)`. A nest with a
+/// hazard gets no pragma; the other nests keep theirs.
+#[allow(dead_code)]
+const BLIND_SPOT: [(&str, &str, &str, usize); 3] = [
+    // Two adjacent nests: the consumer's call reads `a` one cell ahead
+    // of the producer. Fused, the call read a[i + 1] before the producer
+    // wrote it and the program printed 0, even at one thread.
+    (
+        "blind_spot/fused_feedback.c",
+        "#include <stdio.h>
+pure int f(pure int* v, int i) { return v[i + 1]; }
+int a[101];
+int b[100];
+int main() {
+    for (int i = 0; i < 100; i++) a[i] = i;
+    for (int i = 0; i < 100; i++) b[i] = f((pure int*)a, i);
+    int s = 0;
+    for (int i = 0; i < 100; i++) s += b[i];
+    printf(\"%d\\n\", s);
+    return s % 256;
+}
+",
+        "4950\n",
+        2,
+    ),
+    // Listing 5 over two statements: the call reads a[i + 1], which the
+    // next iteration's second statement overwrites. No assignment feeds
+    // its own call, so Listing 5 passes it. The nest got an `omp parallel
+    // for`, and a GCC build at four threads printed less than 5050.
+    (
+        "blind_spot/cross_statement.c",
+        "#include <stdio.h>
+pure int f(pure int* v, int i) { return v[i + 1]; }
+int a[101];
+int b[100];
+int main() {
+    for (int i = 0; i < 101; i++) a[i] = i;
+    for (int i = 0; i < 100; i++) {
+        b[i] = f((pure int*)a, i);
+        a[i] = 0;
+    }
+    int s = 0;
+    for (int i = 0; i < 100; i++) s += b[i];
+    printf(\"%d\\n\", s);
+    return s % 256;
+}
+",
+        "5050\n",
+        1,
+    ),
+    // Paper Listing 6: Listing 5 through an alias. Each iteration reads
+    // the cell the one before it wrote (a prefix sum).
+    (
+        "blind_spot/listing6.c",
+        "#include <stdio.h>
+pure int func(pure int* a, int idx) { return a[idx - 1] + a[idx]; }
+int array[100];
+int main() {
+    int* alias = array;
+    for (int i = 0; i < 100; i++) array[i] = i;
+    for (int i = 1; i < 100; i++)
+        alias[i] = func((pure int*)array, i);
+    printf(\"%d\\n\", array[99]);
+    return array[99] % 256;
+}
+",
+        "4950\n",
+        1,
+    ),
+];
