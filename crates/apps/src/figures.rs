@@ -14,6 +14,11 @@
 //! Everything else follows from the mechanisms in `machine::sim`
 //! (first-touch NUMA, bandwidth saturation, call overhead, schedule
 //! imbalance, dequeue contention, vectorization policy).
+//!
+//! The PluTo-SICA series of Figs. 4–6 is that model of the paper's tool
+//! (`Variant::pluto_sica`: cache tiling and SIMD pragmas on the modelled
+//! Opteron), not a mode of this chain: `purec` tiles only by hand
+//! (`--tile N`) and emits no `omp simd`.
 
 use machine::{region_time, Compiler, CostProfile, Machine, OmpSchedule, Variant, Workload};
 use serde::{Deserialize, Serialize};

@@ -14,6 +14,7 @@
 use crate::affine::AffineExpr;
 use crate::fourier_motzkin::eliminate;
 use crate::model::Scop;
+use crate::polycc::PolyccOptions;
 use crate::schedule::Transform;
 use crate::set::{Constraint, ConstraintSystem, Rel};
 use cfront::ast::*;
@@ -21,27 +22,6 @@ use cfront::diag::{Code, Diagnostics};
 use cfront::span::Span;
 use cfront::visit::visit_exprs_mut;
 use std::collections::HashMap;
-
-/// Codegen options.
-#[derive(Debug, Clone, Copy)]
-pub struct CodegenOptions {
-    /// Rectangular tile size for the permutable band (requires full band).
-    pub tile: Option<i64>,
-    /// SICA mode: mark the innermost parallel loop for vectorization.
-    pub sica: bool,
-    /// Emit `#pragma omp parallel for` on the outermost parallel loop.
-    pub omp: bool,
-}
-
-impl Default for CodegenOptions {
-    fn default() -> Self {
-        CodegenOptions {
-            tile: None,
-            sica: false,
-            omp: true,
-        }
-    }
-}
 
 /// Generated code plus the iterator adaptation map for call reinsertion.
 #[derive(Debug)]
@@ -73,7 +53,7 @@ fn tile_iter(k: usize) -> String {
 pub fn generate(
     scop: &Scop,
     transform: &Transform,
-    opts: CodegenOptions,
+    opts: PolyccOptions,
 ) -> Result<Generated, Diagnostics> {
     let n = scop.depth();
     let mut diags = Diagnostics::new();
@@ -123,11 +103,14 @@ pub fn generate(
         });
     }
 
-    // Tiling: only across a full permutable band.
-    let tile = match opts.tile {
-        Some(b) if b >= 2 && transform.band == n && n >= 1 => Some(b),
-        _ => None,
-    };
+    // Tiling: only across a full permutable band, and only when one of its
+    // dimensions spans more than one tile — tiling a band that fits in one
+    // tile only wraps it in loops of one iteration.
+    let tile = opts.tile.filter(|b| {
+        (2..=PolyccOptions::MAX_TILE).contains(b)
+            && transform.band == n
+            && (0..n).any(|k| trip_count(scop, transform, k).is_none_or(|len| len > i128::from(*b)))
+    });
     let tiled = tile.is_some();
 
     // Loop order outermost → innermost.
@@ -254,7 +237,7 @@ pub fn generate(
         )
     };
 
-    // Which levels are parallel / vectorizable?
+    // Which levels are parallel?
     let level_parallel = |lvl: usize| -> bool {
         if tiled {
             // Tile loops first (parallel iff no dependence moves along
@@ -269,21 +252,15 @@ pub fn generate(
             transform.parallel[lvl]
         }
     };
-    let omp_level = if opts.omp {
-        (0..order.len()).find(|&l| level_parallel(l))
-    } else {
-        None
+    // The pragma goes on the outermost parallel level with work for two
+    // threads: a level whose constant bounds admit one iteration (the one
+    // tile of a short dimension) is passed over.
+    let single_iteration = |level: &Level| {
+        matches!((&level.lb.kind, &level.ub.kind),
+            (ExprKind::IntLit(lo), ExprKind::IntLit(hi)) if hi <= lo)
     };
-    // SICA: innermost parallel level gets a simd pragma.
-    let simd_level = if opts.sica {
-        (0..order.len())
-            .rev()
-            .find(|&l| level_parallel(l) && Some(l) != omp_level)
-            .or(if omp_level == Some(order.len() - 1) {
-                omp_level
-            } else {
-                None
-            })
+    let omp_level = if opts.omp {
+        (0..order.len()).find(|&l| level_parallel(l) && !single_iteration(&levels[l]))
     } else {
         None
     };
@@ -319,46 +296,39 @@ pub fn generate(
             Span::DUMMY,
         );
 
-        // Wrap with pragmas where needed (pragma + loop become a block so
-        // they stay adjacent when nested under an outer loop).
-        let mut wrapped: Vec<Stmt> = Vec::new();
-        if Some(lvl) == simd_level {
-            wrapped.push(Stmt::new(
-                StmtKind::Pragma("pragma omp simd".to_string()),
-                Span::DUMMY,
-            ));
+        if Some(lvl) != omp_level {
+            current = for_stmt;
+            continue;
         }
-        if Some(lvl) == omp_level {
-            // No `private(...)`: every inner iterator is declared in its
-            // own for-init, which makes it private already — and naming a
-            // variable not yet declared is an error to a C compiler.
-            wrapped.push(Stmt::new(
+        // The pragma and its loop become a block so they stay adjacent
+        // when nested under an outer loop. No `private(...)`: every inner
+        // iterator is declared in its own for-init, which makes it private
+        // already — and naming a variable not yet declared is an error to
+        // a C compiler.
+        let wrapped = vec![
+            Stmt::new(
                 StmtKind::Pragma("pragma omp parallel for".to_string()),
                 Span::DUMMY,
-            ));
+            ),
+            for_stmt,
+        ];
+        if lvl == 0 {
+            // Top level: return the sequence directly.
+            return Ok(Generated {
+                stmts: wrapped,
+                iter_map,
+                parallelized: true,
+                tiled,
+                needs_helpers,
+            });
         }
-        if wrapped.is_empty() {
-            current = for_stmt;
-        } else {
-            wrapped.push(for_stmt);
-            if lvl == 0 {
-                // Top level: return the sequence directly.
-                return Ok(Generated {
-                    stmts: wrapped,
-                    iter_map,
-                    parallelized: omp_level.is_some(),
-                    tiled,
-                    needs_helpers,
-                });
-            }
-            current = Stmt::new(
-                StmtKind::Block(Block {
-                    stmts: wrapped,
-                    span: Span::DUMMY,
-                }),
-                Span::DUMMY,
-            );
-        }
+        current = Stmt::new(
+            StmtKind::Block(Block {
+                stmts: wrapped,
+                span: Span::DUMMY,
+            }),
+            Span::DUMMY,
+        );
     }
 
     Ok(Generated {
@@ -368,6 +338,24 @@ pub fn generate(
         tiled,
         needs_helpers,
     })
+}
+
+/// The number of values new iterator `k` takes when every bound of the
+/// nest is a constant (the nest is a box, and `t_k` a linear form over
+/// it), or `None` when a bound is symbolic. Wide, so that no bound the
+/// source can write overflows it.
+fn trip_count(scop: &Scop, transform: &Transform, k: usize) -> Option<i128> {
+    let (mut lo, mut hi) = (0, 0);
+    for (dim, &m) in scop.loops.iter().zip(&transform.matrix[k]) {
+        if !dim.lb.is_constant() || !dim.ub.is_constant() {
+            return None;
+        }
+        let m = i128::from(m);
+        let (a, b) = (m * i128::from(dim.lb.konst), m * i128::from(dim.ub.konst));
+        lo += a.min(b);
+        hi += a.max(b);
+    }
+    Some(hi - lo + 1)
 }
 
 /// `expr / a` rounded up (`ceil`) or down (`floor`). Unit divisors emit the
@@ -471,7 +459,7 @@ mod tests {
         );
         let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
-        let g = generate(&scop, &t, CodegenOptions::default()).expect("codegen");
+        let g = generate(&scop, &t, PolyccOptions::default()).expect("codegen");
         let out = print_all(&g);
         assert!(g.parallelized);
         // The pragma sits on the t1 loop; t2 is private by being declared
@@ -499,7 +487,7 @@ mod tests {
         let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
         assert!(t.skewed);
-        let g = generate(&scop, &t, CodegenOptions::default()).expect("codegen");
+        let g = generate(&scop, &t, PolyccOptions::default()).expect("codegen");
         let out = print_all(&g);
         // t1 = i ∈ [1,63]; t2 = i + j ∈ [t1+1, t1+62].
         assert!(out.contains("for (int t1 = 1; t1 <= 63; t1++)"), "{out}");
@@ -527,9 +515,8 @@ mod tests {
         let g = generate(
             &scop,
             &t,
-            CodegenOptions {
+            PolyccOptions {
                 tile: Some(32),
-                sica: false,
                 omp: true,
             },
         )
@@ -554,28 +541,60 @@ mod tests {
         assert!(!out.contains("private("), "{out}");
     }
 
-    #[test]
-    fn sica_adds_simd_pragma() {
-        let scop = scop_of(
-            "float** C;\nvoid f() {\n\
-             for (int i = 0; i < 64; i++)\n\
-                 for (int j = 0; j < 64; j++)\n\
-                     C[i][j] = tmpConst_dot_0;\n}",
-        );
-        let deps = analyze(&scop).deps;
-        let t = compute_schedule(&scop, &deps);
-        let g = generate(
-            &scop,
-            &t,
-            CodegenOptions {
-                tile: None,
-                sica: true,
-                omp: true,
-            },
-        )
-        .expect("codegen");
+    fn generate_tiled(src: &str, tile: i64) -> (Generated, String) {
+        let scop = scop_of(src);
+        let t = compute_schedule(&scop, &analyze(&scop).deps);
+        let opts = PolyccOptions {
+            tile: Some(tile),
+            omp: true,
+        };
+        let g = generate(&scop, &t, opts).expect("codegen");
         let out = print_all(&g);
-        assert!(out.contains("#pragma omp simd"), "{out}");
+        (g, out)
+    }
+
+    #[test]
+    fn a_band_within_one_tile_is_not_tiled() {
+        let src = "float** C;\nvoid f() {\n\
+                   for (int i = 0; i < 64; i++)\n\
+                       for (int j = 0; j < 64; j++)\n\
+                           C[i][j] = tmpConst_dot_0;\n}";
+        let (g, out) = generate_tiled(src, 64);
+        assert!(!g.tiled && !g.needs_helpers, "{out}");
+        assert!(
+            out.contains("#pragma omp parallel for\nfor (int t1 = 0; t1 <= 63; t1++)"),
+            "{out}"
+        );
+        // One dimension longer than a tile is enough; a symbolic one too.
+        assert!(generate_tiled(&src.replace("j < 64", "j < 65"), 64).0.tiled);
+        let symbolic = "void f(int n, float* a) { for (int i = 0; i < n; i++) a[i] = 0; }";
+        assert!(generate_tiled(symbolic, 64).0.tiled);
+    }
+
+    #[test]
+    fn the_pragma_passes_over_a_one_tile_loop() {
+        let src = "float** C;\nvoid f() {\n\
+                   for (int i = 0; i < 16; i++)\n\
+                       for (int j = 0; j < 100; j++)\n\
+                           C[i][j] = tmpConst_dot_0;\n}";
+        let (g, out) = generate_tiled(src, 32);
+        assert!(g.tiled && g.parallelized, "{out}");
+        assert!(out.contains("for (int t1t = 0; t1t <= 0; t1t++)"), "{out}");
+        assert!(
+            out.contains("#pragma omp parallel for\n    for (int t2t = 0; t2t <= 3; t2t++)"),
+            "{out}"
+        );
+        assert_eq!(out.matches("#pragma").count(), 1, "{out}");
+    }
+
+    #[test]
+    fn an_edge_outside_the_bound_tiles_nothing() {
+        let src = "void f(int n, float* a) { for (int i = 0; i < n; i++) a[i] = 0; }";
+        for tile in [-4, 0, 1, PolyccOptions::MAX_TILE + 1] {
+            assert!(!generate_tiled(src, tile).0.tiled, "{tile}");
+        }
+        let (g, out) = generate_tiled(src, PolyccOptions::MAX_TILE);
+        assert!(g.tiled, "{out}");
     }
 
     #[test]
@@ -585,7 +604,7 @@ mod tests {
         );
         let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
-        let g = generate(&scop, &t, CodegenOptions::default()).expect("codegen");
+        let g = generate(&scop, &t, PolyccOptions::default()).expect("codegen");
         assert!(!g.parallelized);
         let out = print_all(&g);
         assert!(!out.contains("omp parallel"), "{out}");
@@ -597,7 +616,7 @@ mod tests {
         let scop = scop_of("void f(int n, float* a) { for (int i = 0; i < n; i++) a[i] = 0; }");
         let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
-        let g = generate(&scop, &t, CodegenOptions::default()).expect("codegen");
+        let g = generate(&scop, &t, PolyccOptions::default()).expect("codegen");
         let out = print_all(&g);
         assert!(out.contains("t1 <= n - 1"), "{out}");
     }
@@ -613,16 +632,7 @@ mod tests {
         let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
         for tile in [None, Some(16)] {
-            let g = generate(
-                &scop,
-                &t,
-                CodegenOptions {
-                    tile,
-                    sica: true,
-                    omp: true,
-                },
-            )
-            .expect("codegen");
+            let g = generate(&scop, &t, PolyccOptions { tile, omp: true }).expect("codegen");
             let src = format!("void wrapper() {{\n{}\n}}", print_all(&g));
             let r = parse(&src);
             assert!(
@@ -681,7 +691,7 @@ mod codegen_proptests {
             let g = generate(
                 &scop,
                 &t,
-                CodegenOptions { tile, sica: false, omp: true },
+                PolyccOptions { tile, omp: true },
             )
             .expect("codegen");
             // The generated code must reparse as valid C.

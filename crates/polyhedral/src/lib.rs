@@ -2,16 +2,15 @@
 //!
 //! Substrate crate reproducing the parallelization back end of
 //! *Pure Functions in C* (Süß et al.): the role played by
-//! PluTo + Clan + ClooG + ISL in the original compiler chain, plus the
-//! SICA hardware-aware extension (PluTo-SICA).
+//! PluTo + Clan + ClooG + ISL in the original compiler chain.
 //!
 //! Pipeline: [`extract`] builds the SCoP model from a marked loop nest,
 //! [`deps`] computes dependence polyhedra and distance bounds via
 //! Fourier–Motzkin ([`fourier_motzkin`]), [`schedule`] searches legal
 //! permutable hyperplane bands (skewing when needed — the paper's Fig. 2),
-//! [`codegen`] emits the transformed nest with OpenMP/SIMD pragmas, and
-//! [`polycc`] drives the whole stage over the loop nests PC-CC flagged as
-//! SCoPs.
+//! [`codegen`] emits the transformed (optionally tiled) nest with its
+//! OpenMP pragma, and [`polycc`] drives the whole stage over the loop
+//! nests PC-CC flagged as SCoPs.
 
 pub mod affine;
 pub mod codegen;
@@ -22,10 +21,9 @@ pub mod model;
 pub mod polycc;
 pub mod schedule;
 pub mod set;
-pub mod sica;
 
 pub use affine::AffineExpr;
-pub use codegen::{generate, CodegenOptions, Generated};
+pub use codegen::{generate, Generated};
 pub use deps::{analyze, parallel_levels, DepAnalysis, DepKind, Dependence, DistBound};
 pub use extract::{extract_scop, IterTypes};
 pub use model::{Access, LoopDim, PolyStmt, Scop};
@@ -34,4 +32,3 @@ pub use polycc::{
 };
 pub use schedule::{compute_schedule, Transform};
 pub use set::{Constraint, ConstraintSystem, Rel};
-pub use sica::{select_tile_size, SicaParams};

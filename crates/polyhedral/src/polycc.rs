@@ -17,11 +17,10 @@
 //! and recurses into its children, transforming every inner nest it *can*
 //! model — which is exactly the behaviour the paper's evaluation relies on.
 
-use crate::codegen::{generate, CodegenOptions, Generated, HELPER_DEFS};
+use crate::codegen::{generate, Generated, HELPER_DEFS};
 use crate::deps::{analyze, DepAnalysis};
 use crate::extract::{extract_scop, IterTypes};
 use crate::schedule::{compute_schedule, Transform};
-use crate::sica::{select_tile_size, SicaParams};
 use cfront::ast::*;
 use cfront::diag::Diagnostics;
 use cfront::omp::for_after_pragmas;
@@ -31,13 +30,32 @@ use std::collections::{HashMap, HashSet};
 
 /// Options for the whole polyhedral stage: how the flagged nests are
 /// transformed, never which nests are.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct PolyccOptions {
-    /// Base codegen options (omp / explicit tile).
-    pub codegen: CodegenOptions,
-    /// SICA mode: auto-select tile sizes from the cache model and add SIMD
-    /// pragmas (overrides `codegen.tile`/`codegen.sica`).
-    pub sica: Option<SicaParams>,
+    /// Rectangular tile edge for a full permutable band (`--tile N`),
+    /// honoured when it lies in `2..=`[`Self::MAX_TILE`]. A band none of
+    /// whose dimensions spans more than one tile is left untiled.
+    pub tile: Option<i64>,
+    /// Emit `#pragma omp parallel for` on the outermost parallel loop that
+    /// has work for more than one thread.
+    pub omp: bool,
+}
+
+impl PolyccOptions {
+    /// The largest tile edge `b`. A tiled nest prints the constants `b` and
+    /// `b − 1` and the point-loop bound `b·T + b − 1`, which lies within
+    /// `b − 1` of the loop's own bound; with `b ≤ 2¹⁶` all three fit in C
+    /// `int` for every loop whose bounds lie 2¹⁶ inside `int`'s range.
+    pub const MAX_TILE: i64 = 1 << 16;
+}
+
+impl Default for PolyccOptions {
+    fn default() -> Self {
+        PolyccOptions {
+            tile: None,
+            omp: true,
+        }
+    }
 }
 
 /// What happened to one marked region.
@@ -150,7 +168,7 @@ pub fn transform_regions(unit: &mut TranslationUnit, opts: PolyccOptions) -> Pol
         let types = globals.in_function(f);
         let Some(body) = &mut f.body else { continue };
         let cx = Cx {
-            opts: &opts,
+            opts,
             types: &types,
         };
         process_block(body, cx, &mut report);
@@ -214,7 +232,7 @@ fn hoist_rows_below(stmts: &mut [Stmt], rows: &HashMap<String, Type>, report: &m
 /// What the region walk carries down one function body.
 #[derive(Clone, Copy)]
 struct Cx<'a> {
-    opts: &'a PolyccOptions,
+    opts: PolyccOptions,
     /// Which assigned (not declared) iterators of this function are
     /// integers.
     types: &'a IterTypes<'a>,
@@ -388,17 +406,7 @@ fn transform_nest(loop_stmt: &mut Stmt, cx: Cx, report: &mut PolyccReport) -> Op
             let DepAnalysis { deps, fm_solves } = analyze(&scop);
             report.fm_solves += fm_solves;
             let transform = compute_schedule(&scop, &deps);
-
-            // Resolve codegen options (SICA overrides).
-            let mut cg = opts.codegen;
-            if let Some(p) = opts.sica {
-                cg.sica = true;
-                if cg.tile.is_none() {
-                    cg.tile = select_tile_size(&scop, transform.band, p);
-                }
-            }
-
-            match generate(&scop, &transform, cg) {
+            match generate(&scop, &transform, opts) {
                 Ok(Generated {
                     stmts,
                     iter_map,
@@ -943,22 +951,6 @@ int main() {
     }
 
     #[test]
-    fn sica_mode_tiles_and_vectorizes() {
-        let (unit, report) = run(
-            MARKED_MATMUL,
-            PolyccOptions {
-                codegen: CodegenOptions::default(),
-                sica: Some(SicaParams::default()),
-            },
-        );
-        assert_eq!(report.transformed_count(), 1);
-        let out = print_unit(&unit);
-        assert!(out.contains("t1t"), "sica must tile: {out}");
-        assert!(out.contains("#pragma omp simd"), "{out}");
-        assert!(report.needs_helpers);
-    }
-
-    #[test]
     fn unmarked_loops_are_untouched() {
         let src = "int main() { float a[8]; for (int i = 0; i < 8; i++) a[i] = i; return 0; }";
         let (unit, report) = run_unmarked(src);
@@ -1226,10 +1218,7 @@ int main() {
 }
 ";
         let opts = PolyccOptions {
-            codegen: CodegenOptions {
-                tile: Some(32),
-                ..Default::default()
-            },
+            tile: Some(32),
             ..Default::default()
         };
         let (unit, report) = run(src, opts);

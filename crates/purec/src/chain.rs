@@ -413,21 +413,4 @@ int main() {
         let err = compile(src, ChainOptions::default()).unwrap_err();
         assert!(err.has_code(cfront::diag::Code::PureParamWrittenInLoop));
     }
-
-    #[test]
-    fn sica_chain_tiles_matmul() {
-        let src = apps::matmul::c_source(64);
-        let opts = ChainOptions {
-            pc_cc: PcCcOptions::default(),
-            polycc: PolyccOptions {
-                codegen: polyhedral::CodegenOptions::default(),
-                sica: Some(polyhedral::SicaParams::default()),
-            },
-            ..Default::default()
-        };
-        let out = compile(&src, opts).expect("chain");
-        assert!(out.regions_tiled >= 1, "{}", out.text);
-        assert!(out.text.contains("#pragma omp simd"), "{}", out.text);
-        assert!(out.text.contains("__pc_"), "{}", out.text);
-    }
 }

@@ -1,7 +1,7 @@
 //! `purec` — the command-line driver of the extended compiler chain.
 //!
 //! ```text
-//! purec <file.c> [--sica] [--tile N] [--no-poly] [--no-omp]
+//! purec <file.c> [--tile N] [--no-poly] [--no-omp]
 //!       [--dump-schedule] [--run [--threads N]]
 //!       [--engine vm|resolved] [--no-futures]
 //!       [--no-memo] [--no-opt] [--dump-bytecode]
@@ -58,8 +58,7 @@ fn usage() -> ! {
          trace-check mode: structurally validate a Chrome trace-event file\n\
          \x20 (matched B/E pairs, per-thread monotonic timestamps)\n\
          options:\n\
-         \x20 --sica           enable PluTo-SICA mode (cache tiling + SIMD pragmas)\n\
-         \x20 --tile N         explicit rectangular tile size\n\
+         \x20 --tile N         tile each full band with edge N, 2 <= N <= 65536\n\
          \x20 --no-poly        skip the polyhedral stage; every loop nest runs\n\
          \x20                  literally (A/B comparison against the fast path)\n\
          \x20 --dump-schedule  print one line per region outcome (schedule\n\
@@ -211,7 +210,6 @@ fn cli() {
 
     let mut source_path: Option<String> = None;
     let mut demo: Option<String> = None;
-    let mut sica = false;
     let mut tile: Option<i64> = None;
     let mut no_poly = false;
     let mut dump_schedule = false;
@@ -239,11 +237,11 @@ fn cli() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--demo" => demo = Some(it.next().unwrap_or_else(|| usage())),
-            "--sica" => sica = true,
             "--tile" => {
                 tile = Some(
                     it.next()
                         .and_then(|v| v.parse().ok())
+                        .filter(|n| (2..=polyhedral::PolyccOptions::MAX_TILE).contains(n))
                         .unwrap_or_else(|| usage()),
                 )
             }
@@ -352,10 +350,7 @@ fn cli() {
             infer_pure,
             includes: Default::default(),
         },
-        polycc: polyhedral::PolyccOptions {
-            codegen: polyhedral::CodegenOptions { tile, sica, omp },
-            sica: sica.then(polyhedral::SicaParams::default),
-        },
+        polycc: polyhedral::PolyccOptions { tile, omp },
         no_poly,
     };
 

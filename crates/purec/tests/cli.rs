@@ -855,23 +855,26 @@ fn no_alloc_pure_keeps_the_allocations_out_of_the_scops() {
     );
 }
 
-/// `--sica` (the PluTo-SICA series of the paper's figures) tiles by the
-/// cache model and adds SIMD pragmas; `--tile N` tiles by hand. Neither
-/// changes what the program prints.
+/// `--tile N` tiles by hand without changing what the program prints. A
+/// band that fits in one tile is left as it is: heat's nests are 32 and
+/// 30 long, so `--tile 32` prints the default text (it once put all three
+/// pragmas on `for (int t1t = 0; t1t <= 0; t1t++)`). An edge outside
+/// `2..=65536` is refused like a malformed one: below 2 it tiled nothing,
+/// and above `int` it printed constants a C compiler truncates. `--sica`
+/// is gone.
 #[test]
-fn sica_and_tile_transform_without_changing_the_output() {
+fn tile_transforms_without_changing_the_output() {
     let run = |extra: &[&str]| {
         let mut args = vec!["--demo", "matmul", "--run"];
         args.extend(extra);
         stdout(&purec(&args))
     };
     assert_eq!(run(&[]), "checksum=-1514496.0\n");
-    assert_eq!(run(&["--sica"]), run(&[]));
     assert_eq!(run(&["--tile", "8"]), run(&[]));
+    assert!(stdout(&purec(&["--demo", "matmul", "--tile", "8"])).contains("t1t"));
 
-    let text = stdout(&purec(&["--demo", "matmul", "--sica"]));
-    assert_eq!(text.matches("#pragma omp simd").count(), 2, "{text}");
-    assert!(text.contains("t1t"), "SICA tiles: {text}");
+    let heat = stdout(&purec(&["--demo", "heat"]));
+    assert_eq!(stdout(&purec(&["--demo", "heat", "--tile", "32"])), heat);
 
     let fig02 = example("schedules/fig02_skew.c");
     let out = purec(&[&fig02, "--tile", "32", "--dump-schedule"]);
@@ -881,8 +884,19 @@ fn sica_and_tile_transform_without_changing_the_output() {
         "{}",
         stderr(&out)
     );
-    let out = purec(&["--demo", "matmul", "--tile", "eight"]);
+    for edge in ["eight", "-4", "0", "1", "65537", "1000000000000"] {
+        let out = purec(&["--demo", "matmul", "--tile", edge]);
+        assert_eq!(out.status.code(), Some(2), "--tile {edge}");
+        assert!(out.stdout.is_empty(), "--tile {edge}");
+        assert!(stderr(&out).starts_with("usage: purec"), "--tile {edge}");
+    }
+    for edge in ["2", "65536"] {
+        let out = purec(&["--demo", "matmul", "--tile", edge, "--run"]);
+        assert_eq!(stdout(&out), "checksum=-1514496.0\n", "--tile {edge}");
+    }
+    let out = purec(&["--demo", "matmul", "--sica"]);
     assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).starts_with("usage: purec"));
 }
 
 /// `--no-omp` keeps the transformation and drops every OpenMP pragma, so

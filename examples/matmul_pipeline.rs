@@ -53,22 +53,22 @@ fn main() {
         );
     }
 
-    // The SICA mode tiles the nest and adds SIMD pragmas.
-    let sica = compile(
+    // `--tile 32`: every band with a dimension longer than 32 is tiled —
+    // here only dot's loop over `size`, whose trip count is symbolic.
+    let tiled = compile(
         &source,
         ChainOptions {
-            pc_cc: PcCcOptions::default(),
             polycc: PolyccOptions {
-                codegen: CodegenOptions::default(),
-                sica: Some(SicaParams::default()),
+                tile: Some(32),
+                ..Default::default()
             },
             ..Default::default()
         },
     )
-    .expect("sica chain");
+    .expect("tiled chain");
     println!(
-        "\nSICA mode: {} region(s) tiled, simd pragmas: {}",
-        sica.regions_tiled,
-        sica.text.matches("#pragma omp simd").count()
+        "\n--tile 32: {} region(s) tiled, {} omp parallel for",
+        tiled.regions_tiled,
+        tiled.text.matches("#pragma omp parallel for").count()
     );
 }

@@ -42,7 +42,7 @@ pub mod prelude {
     pub use cfront::{parse, print_unit, Diagnostics};
     pub use cinterp::{InterpOptions, Program, Trap};
     pub use machine::{parallel_for_pooled, Machine, OmpSchedule};
-    pub use polyhedral::{CodegenOptions, PolyccOptions, SicaParams};
+    pub use polyhedral::PolyccOptions;
     pub use purec::chain::{compile, compile_and_run, ChainOptions};
     pub use purec_core::{run_pc_cc, PcCcOptions, PureSet};
 }

@@ -141,33 +141,6 @@ fn race_check_passes_for_all_transformed_apps() {
 }
 
 #[test]
-fn sica_mode_preserves_semantics() {
-    let src = apps::matmul::c_source(20);
-    let opts = ChainOptions {
-        pc_cc: PcCcOptions::default(),
-        polycc: PolyccOptions {
-            codegen: CodegenOptions::default(),
-            sica: Some(SicaParams::default()),
-        },
-        ..Default::default()
-    };
-    let (out, run) = purec::compile_and_run(
-        &src,
-        opts,
-        InterpOptions {
-            threads: 4,
-            ..Default::default()
-        },
-    )
-    .expect("sica chain runs");
-    assert!(out.regions_tiled >= 1);
-    assert_eq!(
-        run.output,
-        format!("checksum={:.1}\n", apps::matmul::c_source_checksum(20))
-    );
-}
-
-#[test]
 fn instruction_counters_show_call_overhead() {
     // The interpreted analogue of the paper's 87.8G vs 47.5G comparison:
     // the pure (extracted-call) heat program executes more calls than an
@@ -271,7 +244,8 @@ fn fm_solves_per_compile_are_pinned() {
 /// corpus, the four applications, `heavy_unit(9)` and the blind-spot
 /// programs is `Independent`, and no diagnostic names a
 /// compiler-generated identifier. The pinned pragma counts say, from the
-/// text, that no nest with a hazard of the model got one. (Judged on the
+/// text, that no nest with a hazard of the model got one, and every
+/// pragma heads a loop with work for two threads. (Judged on the
 /// hoisted text, the Fig. 2 kernel and `heavy_unit(9)` were 1 of 2 and 15
 /// of 18, with a warning that `__pc_row1` and `__pc_row2` may alias; and
 /// while fusion merged `rowptr.c`'s first two nests, their one loop was
@@ -319,6 +293,7 @@ fn every_emitted_parallel_loop_is_independent() {
         let out = compile(&src, ChainOptions::default()).expect(name);
         let emitted = out.text.matches("#pragma omp parallel for").count();
         assert_eq!((emitted, out.verdicts.len()), (loops, loops), "{name}");
+        assert_omp_pragmas_head_loops(name, &out.text);
         assert!(
             out.verdicts
                 .values()
@@ -368,14 +343,12 @@ fn erased_items(unit: &cfront::TranslationUnit) -> Vec<String> {
 /// The text is a view of the unit the engines run: reparsed, it is that
 /// unit again up to spans, loop ids and `affine` flags, over every example
 /// program the chain accepts, the four applications, `heavy_unit(9)`, and
-/// matmul tiled and under SICA (so the `__pc_*` helper items print too).
-/// Every loop of the unit has its own id.
+/// matmul tiled (so the `__pc_*` helper items print too).
+/// Every loop of the unit has its own id, and every pragma heads a loop.
 #[test]
 fn the_text_reparses_to_the_unit_the_engines_run() {
     let mut tiled = ChainOptions::default();
-    tiled.polycc.codegen.tile = Some(8);
-    let mut sica = ChainOptions::default();
-    sica.polycc.sica = Some(SicaParams::default());
+    tiled.polycc.tile = Some(8);
     let mut inputs: Vec<(String, String, ChainOptions)> = example_programs()
         .into_iter()
         .map(|(name, src)| (name, src, ChainOptions::default()))
@@ -407,7 +380,6 @@ fn the_text_reparses_to_the_unit_the_engines_run() {
             ChainOptions::default(),
         ),
         ("matmul tile=8".into(), apps::matmul::c_source(64), tiled),
-        ("matmul sica".into(), apps::matmul::c_source(64), sica),
     ]);
     let mut checked = 0;
     for (name, src, opts) in inputs {
@@ -416,6 +388,7 @@ fn the_text_reparses_to_the_unit_the_engines_run() {
         };
         let reparsed = parse(&out.text);
         assert!(!reparsed.diags.has_errors(), "{name}: {}", out.text);
+        assert_omp_pragmas_head_loops(&name, &out.text);
         let (want, got) = (erased_items(&out.unit), erased_items(&reparsed.unit));
         assert_eq!(want.len(), got.len(), "{name}: item count");
         for (w, g) in want.iter().zip(&got) {

@@ -2,14 +2,16 @@
 //! compiler whose product goes to a C compiler; the three engines share
 //! one definition of what an operator means (`cinterp::ops`), so their
 //! agreeing with each other says nothing about that meaning. This does:
-//! for the four demo applications (matmul also tiled, so the `__pc_*`
-//! helpers are built too), the pointer-walk program, an operator table
-//! and a user region nested in a sequential loop, the **emitted text**
+//! for the four demo applications, the pointer-walk program, an operator
+//! table and a user region nested in a sequential loop, the **emitted text**
 //! builds with `cc -std=c11 -O1 -fopenmp -Werror=unknown-pragmas` (it
 //! holds no pragma GCC does not know), prints the VM's stdout and returns
 //! its exit code at `OMP_NUM_THREADS` 1, 2 and 4 — and so does the
 //! **original source** with the keyword defined away (paper Sect. 3:
-//! dropping `pure` leaves standard C). The four applications' `--no-poly`
+//! dropping `pure` leaves standard C). The four applications and the four
+//! schedule programs build untiled, at `--tile 8` and at `--tile 32` (so
+//! the `__pc_*` helpers are built too), every pragma of that text heading
+//! a loop with work for two threads. The four applications' `--no-poly`
 //! text builds under the same flags: PC-CC's SCoP marks do not reach it.
 //! The blind-spot programs, where the model cannot see what a pure call
 //! reads, must print the literal build's output from the emitted text.
@@ -132,16 +134,9 @@ fn emitted_text_and_original_source_agree_with_the_vm_under_cc() {
         return;
     }
     let pointer_walk = include_str!("../examples/analysis/pointer_walk.c");
-    let mut tiled = ChainOptions::default();
-    tiled.polycc.codegen.tile = Some(8);
-    let programs: [(&str, String, Option<&str>); 8] = [
+    let programs: [(&str, String, Option<&str>); 7] = [
         (
             "matmul",
-            apps::matmul::c_source(64),
-            Some("checksum=-1514496.0\n"),
-        ),
-        (
-            "matmul_tiled",
             apps::matmul::c_source(64),
             Some("checksum=-1514496.0\n"),
         ),
@@ -157,13 +152,8 @@ fn emitted_text_and_original_source_agree_with_the_vm_under_cc() {
         ("nested_omp", NESTED_OMP.to_string(), Some("acc=2656.0\n")),
     ];
     for (name, source, recorded) in programs {
-        let opts = if name == "matmul_tiled" {
-            tiled.clone()
-        } else {
-            ChainOptions::default()
-        };
-        let chain =
-            compile(&source, opts).unwrap_or_else(|d| panic!("{name}: {}", d.render_all(&source)));
+        let chain = compile(&source, ChainOptions::default())
+            .unwrap_or_else(|d| panic!("{name}: {}", d.render_all(&source)));
         let vm = chain
             .program()
             .run(InterpOptions {
@@ -188,6 +178,52 @@ fn emitted_text_and_original_source_agree_with_the_vm_under_cc() {
             &vm.output,
             vm.exit_code,
         );
+    }
+}
+
+/// Tiling is a schedule option, and GCC checks each one: the emitted text
+/// of the four applications and of every `examples/schedules/` program,
+/// untiled, at `--tile 8` and at `--tile 32`, builds under
+/// `-Werror=unknown-pragmas` and prints what the VM prints for it, and
+/// each of its pragmas heads a loop with work for two threads.
+#[test]
+fn every_tiling_builds_and_agrees_with_the_vm_under_cc() {
+    if Command::new("cc").arg("--version").output().is_err() {
+        println!("gcc_oracle: no `cc` on PATH, nothing compared");
+        return;
+    }
+    let mut programs = vec![
+        ("matmul".to_string(), apps::matmul::c_source(64)),
+        ("heat".to_string(), apps::heat::c_source(32, 10)),
+        ("satellite".to_string(), apps::satellite::c_source(16, 16)),
+        ("lama".to_string(), apps::lama::c_source(256, 9)),
+    ];
+    programs.extend(
+        example_programs()
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("schedules")),
+    );
+    assert_eq!(programs.len(), 8, "the four schedule programs");
+    for (name, source) in &programs {
+        for tile in [None, Some(8), Some(32)] {
+            let mut opts = ChainOptions::default();
+            opts.polycc.tile = tile;
+            let what = format!("{name}, tile {tile:?}");
+            let chain = compile(source, opts)
+                .unwrap_or_else(|d| panic!("{what}: {}", d.render_all(source)));
+            assert_omp_pragmas_head_loops(&what, &chain.text);
+            let vm = chain
+                .program()
+                .run(InterpOptions {
+                    threads: 2,
+                    ..Default::default()
+                })
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            let stem = name.trim_end_matches(".c").replace('/', "_");
+            let tile = tile.map_or("untiled".to_string(), |b| format!("tile{b}"));
+            let exe = cc(&chain.text, &format!("gcc_oracle_{stem}_{tile}"), false);
+            assert_native_matches(&exe, &what, &vm.output, vm.exit_code);
+        }
     }
 }
 

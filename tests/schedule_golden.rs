@@ -22,7 +22,7 @@ fn parse_annotations(src: &str) -> (ChainOptions, Vec<String>) {
             for kv in rest.split_whitespace() {
                 match kv.split_once('=') {
                     Some(("tile", v)) => {
-                        opts.polycc.codegen.tile = Some(v.parse().expect("tile value"));
+                        opts.polycc.tile = Some(v.parse().expect("tile value"));
                     }
                     _ => panic!("unknown option {kv:?}"),
                 }

@@ -1,7 +1,8 @@
 // Shared through `include!` by the tests that walk the checked-in
-// programs (`analysis_golden`, `chain_integration`, `effects_golden`) and
-// by those that run the blind-spot programs (`gcc_oracle`,
-// `poly_differential`).
+// programs (`analysis_golden`, `chain_integration`, `effects_golden`), by
+// those that run the blind-spot programs (`gcc_oracle`,
+// `poly_differential`), and by those that read the pragmas of emitted
+// text (`chain_integration`, `gcc_oracle`).
 
 /// Every `.c` file under `examples/`, recursively, as `(path relative to
 /// examples/, source)`, sorted by path.
@@ -104,3 +105,43 @@ int main() {
         1,
     ),
 ];
+
+/// Every `#pragma omp` line of emitted text heads a loop: the next line
+/// is a `for`, never another pragma (GCC stops at "for statement expected
+/// before '#pragma'"), and a `for` with constant bounds has at least two
+/// iterations (a parallel loop of one runs on one thread).
+#[allow(dead_code)]
+fn assert_omp_pragmas_head_loops(what: &str, text: &str) {
+    let mut lines = text.lines().map(str::trim);
+    while let Some(line) = lines.next() {
+        if !line.starts_with("#pragma omp") {
+            continue;
+        }
+        let next = lines.next().unwrap_or_default();
+        assert!(
+            next.starts_with("for ("),
+            "{what}: `{line}` is followed by `{next}`:\n{text}"
+        );
+        if let Some(trips) = constant_trip_count(next) {
+            assert!(
+                trips >= 2,
+                "{what}: `{line}` heads a loop of {trips} iteration(s), `{next}`:\n{text}"
+            );
+        }
+    }
+}
+
+/// The trip count of `for (T i = lo; i < hi; i++)` (or `<=`) when `lo`
+/// and `hi` are integer literals.
+#[allow(dead_code)]
+fn constant_trip_count(header: &str) -> Option<i64> {
+    let mut parts = header.strip_prefix("for (")?.splitn(3, ';');
+    let lo: i64 = parts.next()?.rsplit_once('=')?.1.trim().parse().ok()?;
+    let cond = parts.next()?;
+    let (hi, inclusive) = match cond.split_once("<=") {
+        Some((_, hi)) => (hi, 1),
+        None => (cond.split_once('<')?.1, 0),
+    };
+    let hi: i64 = hi.trim().parse().ok()?;
+    Some(hi - lo + inclusive)
+}
