@@ -618,9 +618,10 @@ pub enum StmtKind {
         /// The loop's number in its unit ([`crate::visit::number_loops`]);
         /// `LoopId::NONE` until the unit is numbered.
         id: LoopId,
-        /// Built by polycc's code generator: the header is canonical and its
-        /// bounds are fixed on entry, so the bytecode tier may run the loop
-        /// on its fused affine opcodes. The flag is not printed.
+        /// Built by polycc's code generator: polycc's note to its own
+        /// post-passes (bound and row hoisting), which touch only the
+        /// nests it built. No engine reads it; the bytecode tier lowers a
+        /// loop by its header's shape. The flag is not printed.
         affine: bool,
         /// Set by PC-CC on the outermost nest it verified as a SCoP: every
         /// call in it is pure and it passes the Listing-5 check. polycc

@@ -277,8 +277,8 @@ pub(crate) enum Op {
     /// count, then `frame[a & 0xFFFF] <lt|le> ub`; jumps to the loop exit
     /// at `b >> 2` when false. `ub` is `frame[a >> 16]`, or
     /// `consts[a >> 16]` when `b & 2`; `b & 1` selects `<=` over `<`.
-    /// Emitted by the lowerer only for polycc-generated (`#pragma
-    /// affine`) canonical loops.
+    /// Emitted by the lowerer for every `for` whose header has the shape
+    /// `FnCompiler::affine_header` accepts, whoever wrote the loop.
     AffineHead,
     /// `0 → 0` fused affine back-edge: increment `frame[a & 0xFFFF]`,
     /// step tick, branch count, re-check the bound; jumps back to the
@@ -743,12 +743,15 @@ impl<'a> FnCompiler<'a> {
         idx
     }
 
-    /// Structural eligibility of a polycc-generated loop for the fused
-    /// [`Op::AffineHead`]/[`Op::AffineNext`] pair: `i < ub` / `i <= ub`
-    /// over a local iterator with a unit `++i`/`i++` step, `ub` a local
-    /// or int literal, all operands fitting the 16-bit packing. Returns
-    /// `(iter_slot, ub_index, ub_is_const, inclusive)`; ineligible loops
-    /// fall back to the literal lowering.
+    /// Whether a `for` lowers to the fused [`Op::AffineHead`]/
+    /// [`Op::AffineNext`] pair, decided by its header's shape alone:
+    /// `i < ub` / `i <= ub` over a local iterator with a unit `++i`/`i++`
+    /// step, `ub` a local or int literal, all operands fitting the 16-bit
+    /// packing. The iterator's type and the body do not matter: the pair
+    /// re-reads the iterator and the bound on every iteration and steps
+    /// the iterator with the literal `++`'s own arithmetic. Returns
+    /// `(iter_slot, ub_index, ub_is_const, inclusive)`; any other header
+    /// gets the literal lowering.
     fn affine_header(
         &mut self,
         cond: &Option<RExpr>,
@@ -947,7 +950,6 @@ impl<'a> FnCompiler<'a> {
                 cond,
                 step,
                 body,
-                affine,
             } => {
                 if let Some(i) = init {
                     match &i.kind {
@@ -960,11 +962,9 @@ impl<'a> FnCompiler<'a> {
                         _ => {}
                     }
                 }
-                if *affine {
-                    if let Some((iter, ub, is_const, le)) = self.affine_header(cond, step) {
-                        self.affine_for(iter, ub, is_const, le, body, s.span);
-                        return;
-                    }
+                if let Some((iter, ub, is_const, le)) = self.affine_header(cond, step) {
+                    self.affine_for(iter, ub, is_const, le, body, s.span);
+                    return;
                 }
                 let top = self.here();
                 // Per-iteration step + branch tick (even with no cond),

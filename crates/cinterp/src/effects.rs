@@ -262,7 +262,6 @@ impl RStmt {
                 cond,
                 step,
                 body,
-                ..
             } => {
                 init.iter().for_each(|i| on_stmt(i));
                 cond.iter().chain(step).for_each(on_expr);

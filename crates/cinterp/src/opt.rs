@@ -1021,19 +1021,24 @@ int main() {
         assert_eq!(prog.run(opts(2)).unwrap().exit_code, 8);
     }
 
+    /// Loops whose header is not canonical (`i += 1`, a `while`) keep the
+    /// literal lowering, whose compare-and-branch the optimizer fuses.
     #[test]
     fn fusion_emits_superinstructions() {
         let src = "\
 int main() {
     int arr[64];
     int acc = 0;
-    for (int i = 0; i < 64; i++) arr[i] = i * 3;
-    for (int i = 0; i < 64; i++) acc = acc + arr[i];
+    for (int i = 0; i < 64; i += 1) arr[i] = i * 3;
+    int i = 0;
+    while (i < 64) { acc = acc + arr[i]; i++; }
     return acc % 251;
 }
 ";
         let prog = assert_equivalent(src);
         let opt = prog.bytecode_at(2);
+        assert_eq!(count_op(&opt, Op::AffineNext), 0, "{}", opt.dump());
+        assert_eq!(count_op(&opt, Op::BrCmpLC), 2, "{}", opt.dump());
         let fused = count_op(&opt, Op::BrCmpLC)
             + count_op(&opt, Op::BrCmpLL)
             + count_op(&opt, Op::BinLLStore)

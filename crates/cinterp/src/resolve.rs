@@ -248,10 +248,6 @@ pub(crate) enum RStmtKind {
         cond: Option<RExpr>,
         step: Option<RExpr>,
         body: Box<RStmt>,
-        /// polycc built the loop (its `affine` flag): the bytecode tier
-        /// may lower it with the fused `AffineHead`/`AffineNext` opcodes.
-        /// The resolved-IR engine executes it exactly like any other `for`.
-        affine: bool,
     },
     Return(Option<RExpr>),
     Break,
@@ -769,7 +765,6 @@ impl<'a> Lowerer<'a> {
                 cond,
                 step,
                 body,
-                affine,
                 ..
             } => {
                 // The iterator's scope spans init, cond, step and body.
@@ -794,7 +789,6 @@ impl<'a> Lowerer<'a> {
                     cond: rcond,
                     step: rstep,
                     body: rbody,
-                    affine: *affine,
                 }
             }
             StmtKind::Return(e) => RStmtKind::Return(e.as_ref().map(|e| self.lower_expr(e))),
@@ -1677,7 +1671,6 @@ impl<'p> RInterp<'p> {
                 cond,
                 step,
                 body,
-                ..
             } => {
                 if let Some(i) = init {
                     match &i.kind {

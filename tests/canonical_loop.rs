@@ -171,3 +171,151 @@ fn extractor_admits_integer_iterators_only() {
     let types = globals.in_function(f);
     assert!(polyhedral::extract_scop(the_loop(&unit), &types).is_ok());
 }
+
+/// The bytecode tier lowers a `for` by its header's shape alone: a local
+/// iterator compared `<` / `<=` against a local or a literal and stepped
+/// by `++` gets the fused `AffineHead`/`AffineNext` pair at every opt
+/// level, whatever the iterator's type, whoever wrote the loop and
+/// whatever the body does to the iterator or the bound (the pair re-reads
+/// both on every iteration). A global iterator or an `i += 1` step keeps
+/// the literal lowering. Either way the VM, raw and optimized, agrees
+/// with the resolved engine and the legacy tree-walker on exit code,
+/// output and executed-op counters.
+#[test]
+fn a_loop_is_lowered_by_its_shape() {
+    // (what, declarations, loop, fused back edge)
+    let rows = [
+        (
+            "char",
+            "char n = 9;",
+            "for (char c = 1; c < n; c++) s = s + c;",
+            true,
+        ),
+        (
+            "short",
+            "short n = 9;",
+            "for (short c = 1; c <= n; ++c) s = s + c;",
+            true,
+        ),
+        (
+            "unsigned char",
+            "unsigned char n = 9;",
+            "for (unsigned char c = 1; c < n; c++) s = s + c;",
+            true,
+        ),
+        (
+            "long",
+            "long n = 9;",
+            "for (long c = 1; c < n; c++) s = s + c;",
+            true,
+        ),
+        (
+            "float",
+            "float n = 6.5;",
+            "for (float f = 0.25; f < n; f++) s = s + (int) (f * 4.0);",
+            true,
+        ),
+        (
+            "double",
+            "double n = 6.5;",
+            "for (double f = 0.5; f <= n; f++) s = s + (int) (f * 2.0);",
+            true,
+        ),
+        (
+            "int*",
+            "int* e = a + 8;",
+            "for (int* p = a; p < e; p++) s = s + *p;",
+            true,
+        ),
+        (
+            "literal bound",
+            "",
+            "for (int i = 0; i < 8; i++) s = s + a[i];",
+            true,
+        ),
+        (
+            "body writes the iterator",
+            "int n = 12;",
+            "for (int i = 0; i < n; i++) { s = s + i; if (i == 3) i = i + 2; }",
+            true,
+        ),
+        (
+            "body writes the bound",
+            "int n = 12;",
+            "for (int i = 0; i < n; i++) { s = s + i; n = n - 1; }",
+            true,
+        ),
+        (
+            "break and continue",
+            "int n = 12;",
+            "for (int i = 0; i < n; i++) { if (i == 2) continue; if (i == 6) break; s = s + i; }",
+            true,
+        ),
+        (
+            "no init",
+            "int n = 9; int i = 2;",
+            "for (; i < n; i++) s = s + i;",
+            true,
+        ),
+        (
+            "global iterator",
+            "int n = 9;",
+            "for (g = 0; g < n; g++) s = s + g;",
+            false,
+        ),
+        (
+            "step i += 1",
+            "int n = 9;",
+            "for (int i = 0; i < n; i += 1) s = s + i;",
+            false,
+        ),
+    ];
+    for (what, decls, the_loop, fused) in rows {
+        let src = format!(
+            "int g;\n\
+             int main() {{\n\
+                 int* a = (int*) malloc(8 * sizeof(int));\n\
+                 for (int k = 0; k < 8; k += 1) a[k] = k * 3 + 1;\n\
+                 int s = 0;\n\
+                 {decls}\n\
+                 {the_loop}\n\
+                 printf(\"s=%d\\n\", s);\n\
+                 return s & 255;\n\
+             }}\n"
+        );
+        let parsed = parse(&src);
+        assert!(
+            !parsed.diags.has_errors(),
+            "{what}: {}",
+            parsed.diags.render_all(&src)
+        );
+        let prog = Program::new(&parsed.unit);
+        for level in [0u8, 2] {
+            let dump = prog.bytecode_at(level).dump();
+            assert_eq!(
+                dump.contains("AffineNext"),
+                fused,
+                "{what} level {level}:\n{dump}"
+            );
+        }
+        let at = |opt_level: u8| InterpOptions {
+            opt_level,
+            ..Default::default()
+        };
+        let legacy = prog.run_legacy(at(2)).expect("legacy runs");
+        let resolved = prog.run_resolved(at(2)).expect("resolved runs");
+        assert_eq!(resolved.exit_code, legacy.exit_code, "{what}");
+        assert_eq!(resolved.output, legacy.output, "{what}");
+        assert_eq!(resolved.counters.without_memo(), legacy.counters, "{what}");
+        for level in [0u8, 2] {
+            let vm = prog.run(at(level)).expect("VM runs");
+            assert_eq!(vm.exit_code, resolved.exit_code, "{what} level {level}");
+            assert_eq!(vm.output, resolved.output, "{what} level {level}");
+            assert_eq!(
+                vm.counters.without_memo(),
+                resolved.counters.without_memo(),
+                "{what} level {level}"
+            );
+        }
+    }
+}

@@ -1,6 +1,6 @@
 //! Differential tests for the schedule-aware execution path: programs
-//! compiled through the polyhedral stage (transformed nests, `affine`
-//! loops, `AffineHead`/`AffineNext` bytecode) must be
+//! compiled through the polyhedral stage (transformed nests, hoisted
+//! bounds and row pointers) must be
 //! observably identical to the same source compiled with `--no-poly`
 //! (every nest literal), and — within the poly build — the bytecode VM,
 //! the resolved-IR engine and the legacy tree-walking oracle must agree
@@ -11,9 +11,12 @@
 //! loads an invariant row once per outer iteration instead of once per
 //! inner one) but never grow; control-flow bookkeeping (int_ops,
 //! branches) may differ because the transformed nest executes a
-//! different — strictly cheaper per iteration — loop skeleton. Fuel only
-//! ever shrinks: a fuel budget sufficient for the literal build is
-//! sufficient for the poly build.
+//! different loop skeleton. Fuel: poly fuel ≤ literal fuel + 3 × the
+//! hoisted-bound declarations (`int __pc_ubK = …;`) the poly build
+//! executes, each three dispatches the literal build does not run
+//! (`tests/resource_limits.rs` pins the four apps against it). Both
+//! builds run every canonical `for` on the same fused back edge, so the
+//! gap is what the transform buys.
 
 use proptest::prelude::*;
 use pure_c::prelude::*;
@@ -188,11 +191,10 @@ proptest! {
         }
     }
 
-    /// Fuel only ever shrinks under the polyhedral stage: the transformed
-    /// nest dispatches once per iteration where the literal loop skeleton
-    /// dispatches several times, so any fuel budget sufficient for the
-    /// literal build is sufficient for the poly build — and a poly fuel
-    /// trap implies the literal build would have trapped too.
+    /// The poly fuel contract with no allowance: these nests hoist no
+    /// bound, so any fuel budget sufficient for the literal build is
+    /// sufficient for the poly build — and a poly fuel trap implies the
+    /// literal build would have trapped too.
     #[test]
     fn poly_fuel_trap_implies_literal_trap(
         n in 16usize..64,

@@ -295,8 +295,9 @@ fn nested_region_source(outer: usize, inner: usize, c: i64, so: usize, si: usize
 /// `INT64_MIN` (both wrap), wide operands reaching the stack (`Binary`),
 /// frame (`BinLL`/`BinLC` and their `*Store` forms), compound
 /// (`CompoundLocal`, `CompoundIdxLL`) and compare-and-branch (`BrCmpLL`
-/// / `BrCmpLC`) instruction forms, an affine loop whose bound and
-/// iterator are both wide, int ↔ float coercions of wide values, and a
+/// / `BrCmpLC`) instruction forms, two canonical loops (on the fused
+/// `AffineHead`/`AffineNext` pair) whose bound and iterator are both
+/// wide, int ↔ float coercions of wide values, and a
 /// parallel region that reads a wide local through the inherited spill
 /// prefix.
 fn wide_value_source(d: i64, neg: bool, n: usize, sh: u32, inc: i64, sched: usize) -> String {
@@ -343,9 +344,7 @@ fn wide_value_source(d: i64, neg: bool, n: usize, sh: u32, inc: i64, sched: usiz
              }}\n\
              int ub = {sign}140737488355328 + 3;\n\
              int lo = ub - 6;\n\
-         #pragma affine\n\
              for (int i = lo; i < ub; i++) acc = acc + i;\n\
-         #pragma affine\n\
              for (int i = lo; i <= 140737488355330; i++) {{ acc = acc ^ i; if (i > lo + 7) break; }}\n\
          #pragma omp parallel for{sched}\n\
              for (int i = 0; i < 8; i++) a[i] = a[i] + x + i * m;\n\
@@ -356,23 +355,6 @@ fn wide_value_source(d: i64, neg: bool, n: usize, sh: u32, inc: i64, sched: usiz
              return acc & 127;\n\
          }}"
     )
-}
-
-/// Set the `affine` flag, which polycc's code generator sets on the loops
-/// it builds, on each `for` right after a `#pragma affine` line of a
-/// hand-written function body, so the VM runs it on its affine opcodes.
-fn mark_affine(unit: &mut cfront::TranslationUnit) {
-    use cfront::{Item, StmtKind};
-    for item in &mut unit.items {
-        let Item::Function(f) = item else { continue };
-        let Some(body) = &mut f.body else { continue };
-        for k in 1..body.stmts.len() {
-            let marked = matches!(&body.stmts[k - 1].kind, StmtKind::Pragma(p) if p.trim() == "pragma affine");
-            if let StmtKind::For { affine, .. } = &mut body.stmts[k].kind {
-                *affine |= marked;
-            }
-        }
-    }
 }
 
 /// Wide values written from a parallel region: every iteration stores a
@@ -667,9 +649,8 @@ proptest! {
         sched in 0usize..5,
     ) {
         let src = wide_value_source(d, neg, n, sh, inc, sched);
-        let mut parsed = parse(&src);
+        let parsed = parse(&src);
         prop_assert!(!parsed.diags.has_errors(), "{}", parsed.diags.render_all(&src));
-        mark_affine(&mut parsed.unit);
         let prog = Program::new(&parsed.unit);
         for threads in [1usize, 4] {
             let at = |opt_level: u8| InterpOptions { threads, opt_level, ..Default::default() };
@@ -1535,10 +1516,9 @@ fn race_check_sees_scalar_globals() {
 /// `--fuel` stays an exact ruler across an inline region at every thread
 /// count: the parent hands its unused grant back before the region's
 /// sequential child runs, so five 400-iteration regions complete under
-/// 10 042 — the count of the same program on one thread before regions
-/// could run inline — and trap one unit below, on 1, 2 and 4 threads.
-/// (Forked, the same run needed 13 131 on two threads: each worker holds
-/// a grant of its own.)
+/// 10 032 — the count of the same program on one thread — and trap one
+/// unit below, on 1, 2 and 4 threads. (Forked, the same run needed more
+/// on two threads: each worker holds a grant of its own.)
 #[test]
 fn fuel_one_short_of_an_inline_region_traps_at_every_thread_count() {
     let src = "int main() {\n\
@@ -1559,9 +1539,9 @@ fn fuel_one_short_of_an_inline_region_traps_at_every_thread_count() {
         })
     };
     for threads in [1usize, 2, 4] {
-        let done = run(threads, 10_042).unwrap_or_else(|e| panic!("threads={threads}: {e}"));
+        let done = run(threads, 10_032).unwrap_or_else(|e| panic!("threads={threads}: {e}"));
         assert_eq!(done.counters.regions_inline, 5, "threads={threads}");
-        let short = run(threads, 10_041).expect_err("one unit short");
+        let short = run(threads, 10_031).expect_err("one unit short");
         assert_eq!(short.trap, Some(Trap::FuelExhausted), "threads={threads}");
     }
 }
