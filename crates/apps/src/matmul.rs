@@ -3,9 +3,9 @@
 //!
 //! `C[i][j] = dot(A[i], Bt[j])` with the dot product extracted into a
 //! `pure` function. Provides the annotated C source fed to the compiler
-//! chain, native Rust reference implementations (sequential, omprt-
-//! parallel, and an MKL-like blocked kernel as the hand-tuned bound), and
-//! the workload characterization used by the simulator at paper scale.
+//! chain, native Rust reference implementations (sequential and omprt-
+//! parallel), and the workload characterization used by the simulator at
+//! paper scale.
 
 use crate::util::SendPtr;
 use machine::{parallel_for_pooled, OmpSchedule};
@@ -111,43 +111,6 @@ pub fn matmul_par(a: &Matrix, bt: &Matrix, threads: usize, schedule: OmpSchedule
                 unsafe { *cptr.get().add(i * n + j) = v };
             }
         });
-    }
-    c
-}
-
-/// MKL-like hand-tuned kernel: cache blocking + 4-way unrolled inner
-/// product; the "professional upper bound" series of Fig. 3.
-pub fn matmul_blocked(a: &Matrix, bt: &Matrix, block: usize) -> Matrix {
-    let n = a.n;
-    let b = block.max(8).min(n.max(8));
-    let mut c = Matrix::zeros(n);
-    for ii in (0..n).step_by(b) {
-        for jj in (0..n).step_by(b) {
-            for i in ii..(ii + b).min(n) {
-                let row_a = &a.data[i * n..(i + 1) * n];
-                for j in jj..(jj + b).min(n) {
-                    let row_b = &bt.data[j * n..(j + 1) * n];
-                    let mut s0 = 0.0f32;
-                    let mut s1 = 0.0f32;
-                    let mut s2 = 0.0f32;
-                    let mut s3 = 0.0f32;
-                    let chunks = n / 4 * 4;
-                    let mut k = 0;
-                    while k < chunks {
-                        s0 += row_a[k] * row_b[k];
-                        s1 += row_a[k + 1] * row_b[k + 1];
-                        s2 += row_a[k + 2] * row_b[k + 2];
-                        s3 += row_a[k + 3] * row_b[k + 3];
-                        k += 4;
-                    }
-                    let mut s = s0 + s1 + s2 + s3;
-                    for kk in chunks..n {
-                        s += row_a[kk] * row_b[kk];
-                    }
-                    c.set(i, j, c.at(i, j) + s);
-                }
-            }
-        }
     }
     c
 }
@@ -292,18 +255,6 @@ mod tests {
         ] {
             let par = matmul_par(&a, &bt, 8, sched);
             assert_eq!(seq.max_abs_diff(&par), 0.0, "schedule {sched}");
-        }
-    }
-
-    #[test]
-    fn blocked_matches_sequential() {
-        let n = 40;
-        let a = Matrix::random(n, 5);
-        let bt = Matrix::random(n, 6);
-        let seq = matmul_seq(&a, &bt);
-        for block in [8, 16, 64] {
-            let blk = matmul_blocked(&a, &bt, block);
-            assert!(seq.max_abs_diff(&blk) < 1e-3, "block {block}");
         }
     }
 

@@ -347,7 +347,7 @@ pub(crate) fn coerce_decode(a: u32) -> Coerce {
 ///
 /// `work` is what the VM's admission rule reads at launch: a region of
 /// `n` iterations whose `n × work` is below [`crate::REGION_INLINE_WORK`]
-/// runs on the caller (see `Vm::region`).
+/// runs on the caller (see `crate::region::launch`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BRegion {
     pub(crate) schedule: OmpSchedule,

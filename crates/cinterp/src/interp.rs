@@ -29,24 +29,22 @@
 use crate::builtins::{call_builtin, format_printf};
 #[cfg(any(test, feature = "legacy-oracle"))]
 use crate::ops::{self, Coerce};
+#[cfg(any(test, feature = "legacy-oracle"))]
+use crate::region::{self, Launch};
 use crate::resolve::{self, ResolvedProgram};
 use crate::value::{CounterSnapshot, HeapStats};
 #[cfg(any(test, feature = "legacy-oracle"))]
-use crate::value::{Counters, FuelBudget, Memory, Ptr, RaceAccumulator, Scalar, TrackSets};
+use crate::value::{Counters, FuelBudget, Memory, Ptr, Scalar, TrackSets};
 #[cfg(any(test, feature = "legacy-oracle"))]
 use crate::walk::{Flow, WalkCtx};
 use cfront::ast::*;
 use cfront::omp::HeaderError;
 #[cfg(any(test, feature = "legacy-oracle"))]
 use cfront::omp::{canonical_for, paired_omp_loops, CanonicalFor, Paired};
-#[cfg(any(test, feature = "legacy-oracle"))]
-use machine::parallel_for_pooled;
 use machine::OmpSchedule;
 #[cfg(any(test, feature = "legacy-oracle"))]
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
-#[cfg(any(test, feature = "legacy-oracle"))]
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Which execution tier [`Program::run`] dispatches to.
@@ -101,10 +99,13 @@ pub struct InterpOptions {
     /// Instruction budget for the whole execution (`None` = unlimited).
     /// One shared pool: parallel regions and pure-call futures drain the
     /// same budget, refilled into engine-local counters in blocks of
-    /// [`crate::value::FUEL_BLOCK`], so a run executes at most
-    /// `fuel + threads × FUEL_BLOCK` units before trapping
-    /// [`Trap::FuelExhausted`]. The VM meters per dispatched instruction;
-    /// the resolved and legacy engines meter per executed statement.
+    /// [`crate::value::FUEL_BLOCK`], so a run with forked regions executes
+    /// at most `fuel + threads × FUEL_BLOCK` units before trapping
+    /// [`Trap::FuelExhausted`]. On one thread the budget is exact on every
+    /// engine: a run completes iff it covers the run's count, because a
+    /// thread launching a region hands its grant back first. The VM
+    /// meters per dispatched instruction; the resolved and legacy engines
+    /// meter per executed statement.
     pub fuel: Option<u64>,
     /// Ceiling on live heap bytes (`None` = unlimited): `free` refunds
     /// what it releases — at once outside a parallel region, at the
@@ -1159,7 +1160,8 @@ impl Interp {
         Ok(Flow::Normal)
     }
 
-    /// Run a `for` loop in parallel under the omprt runtime.
+    /// Launch an `omp parallel for` region ([`region::launch`]); its
+    /// workers are walkers started from an [`LFrame`].
     fn exec_parallel_for(&mut self, for_stmt: &Stmt, schedule: OmpSchedule) -> RtResult<()> {
         let CanonicalFor {
             iter,
@@ -1170,116 +1172,63 @@ impl Interp {
             ..
         } = canonical_for(for_stmt)
             .map_err(|e| RuntimeError::at(omp_header_message(e), for_stmt.span))?;
-        let iter_name = iter.to_string();
-        let lb = self.eval(lb)?.as_i64();
-        let ub_incl = self.eval(bound)?.as_i64() - i64::from(!inclusive);
-
-        if ub_incl < lb {
-            return Ok(());
-        }
-        let (mut lb, mut n) = (lb, (ub_incl - lb + 1) as u64);
-        // One heap region spans the checked iterations and the launch of
-        // the rest, so their frees are reclaimed at the join as in an
-        // unchecked run.
-        let mem = self.s.mem.clone();
-        let _region = mem.enter_region();
-
-        // Optional race check. The static verdict rules first:
-        // Independent skips the O(n) dynamic pre-pass, Racy aborts
-        // before any iteration runs, Unknown falls back to the dynamic
-        // check, whose validated iterations are the run's first ones:
-        // the region launches the rest.
-        if self.s.opts.race_check {
-            match loop_verdict(&self.s.prog.verdicts, for_stmt) {
-                LoopVerdict::Independent => {
-                    Counters::bump(&self.s.counters.race_static_skips);
-                }
-                LoopVerdict::Racy => {
-                    return Err(RuntimeError::at(
-                        "static race analysis rejected this parallel loop (verdict: racy)",
-                        for_stmt.span,
-                    ));
-                }
-                LoopVerdict::Unknown => {
-                    let checked = self.race_check(&iter_name, lb, n, body)?;
-                    lb += checked as i64;
-                    n -= checked;
-                    if n == 0 {
-                        return Ok(());
-                    }
-                }
-            }
-        }
-
-        let base_frame = self.frames.last().cloned().unwrap_or_default();
-        let shared = self.s.clone();
-        let err: Mutex<Option<RuntimeError>> = Mutex::new(None);
-        // Trap-drains-siblings: once any iteration errors, remaining
-        // iterations are skipped (checked lock-free at iteration start)
-        // so a trap unwinds the region promptly instead of letting
-        // siblings burn the rest of their budgets.
-        let failed = AtomicBool::new(false);
-
-        let iteration = |k: u64| {
-            if failed.load(Ordering::Relaxed) {
-                return;
-            }
-            let mut child = Interp::new(shared.clone());
-            child.frames = vec![base_frame.clone()];
-            child
-                .frames
-                .last_mut()
-                .expect("frame")
-                .insert(iter_name.clone(), Scalar::I(lb + k as i64));
-            if let Err(e) = child.exec(body) {
-                failed.store(true, Ordering::Relaxed);
-                let mut g = err.lock();
-                if g.is_none() {
-                    *g = Some(e);
-                }
-            }
-            child.cx.refund_fuel();
+        let launch = Launch {
+            lb: self.eval(lb)?.as_i64(),
+            ub: self.eval(bound)?.as_i64() - i64::from(!inclusive),
+            schedule,
+            verdict: loop_verdict(&self.s.prog.verdicts, for_stmt),
+            span: for_stmt.span,
+            body_span: body.span,
+            work: None,
         };
-        parallel_for_pooled(n, self.s.opts.threads, schedule, iteration);
+        region::launch(self, &launch, |it: &mut Self| LFrame {
+            shared: it.s.clone(),
+            frame: it.frames.last().cloned().unwrap_or_default(),
+            iter,
+            body,
+        })
+    }
+}
 
-        match err.into_inner() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+/// A region's launching frame as the legacy walker's workers start every
+/// iteration from it: the innermost scope, the iterator's name, the body.
+#[cfg(any(test, feature = "legacy-oracle"))]
+struct LFrame<'a> {
+    shared: SharedState,
+    frame: HashMap<String, Scalar>,
+    iter: &'a str,
+    body: &'a Stmt,
+}
+
+#[cfg(any(test, feature = "legacy-oracle"))]
+impl region::Snapshot for LFrame<'_> {
+    type Worker = Interp;
+
+    fn worker(&self) -> Interp {
+        Interp::new(self.shared.clone())
     }
 
-    /// Run the region's first iterations sequentially, up to the cap,
-    /// verifying that their access sets are disjoint (write/write and
-    /// write/read), the dynamic analogue of the paper's static guarantee,
-    /// and answer how many ran.
-    fn race_check(&mut self, iter: &str, lb: i64, n: u64, body: &Stmt) -> RtResult<u64> {
-        let mut acc = RaceAccumulator::new();
-        let base_frame = self.frames.last().cloned().unwrap_or_default();
-        let checked = n.min(self.s.opts.effective_race_check_cap());
-        self.s
-            .counters
-            .race_dyn_iters
-            .fetch_add(checked, Ordering::Relaxed);
-        // One child interpreter reused across every validated iteration;
-        // `clone_from` refills its single frame in place instead of
-        // cloning the whole base frame per iteration.
-        let mut child = Interp::new(self.s.clone());
-        child.frames = vec![base_frame.clone()];
-        for k in 0..checked {
-            child.frames.truncate(1);
-            child.frames[0].clone_from(&base_frame);
-            child
-                .frame()
-                .insert(iter.to_string(), Scalar::I(lb + k as i64));
-            child.cx.track = Some(TrackSets::default());
-            let res = child.exec(body);
-            let t = child.cx.track.take().expect("tracking on");
-            res?;
-            acc.absorb(t)
-                .map_err(|msg| RuntimeError::at(msg, body.span))?;
-        }
-        child.cx.refund_fuel();
-        Ok(checked)
+    fn run(&self, w: &mut Interp, i: i64) -> RtResult<()> {
+        w.frames.truncate(1);
+        w.frames[0].clone_from(&self.frame);
+        w.frames[0].insert(self.iter.to_string(), Scalar::I(i));
+        w.cx.start_iteration();
+        w.exec(self.body).map(drop)
+    }
+}
+
+#[cfg(any(test, feature = "legacy-oracle"))]
+impl region::Worker for Interp {
+    fn env(&self) -> (&InterpOptions, &Arc<Counters>, &Memory) {
+        (&self.s.opts, &self.s.counters, &self.s.mem)
+    }
+
+    fn track(&mut self) -> &mut Option<TrackSets> {
+        &mut self.cx.track
+    }
+
+    fn refund_fuel(&mut self) {
+        self.cx.refund_fuel();
     }
 }
 
@@ -1316,13 +1265,11 @@ mod tests {
     use cfront::parser::parse;
 
     fn run_src(src: &str) -> RunResult {
-        run_src_with(src, InterpOptions::default())
-    }
-
-    fn run_src_with(src: &str, opts: InterpOptions) -> RunResult {
         let r = parse(src);
         assert!(!r.diags.has_errors(), "{}", r.diags.render_all(src));
-        Program::new(&r.unit).run(opts).expect("runs")
+        Program::new(&r.unit)
+            .run(InterpOptions::default())
+            .expect("runs")
     }
 
     #[test]
@@ -1484,102 +1431,6 @@ mod tests {
             ..InterpOptions::default()
         });
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn parallel_for_executes_and_matches_sequential() {
-        let src = "\
-int main() {
-    float* out = (float*) malloc(256 * sizeof(float));
-#pragma omp parallel for
-    for (int i = 0; i < 256; i++)
-        out[i] = i * 2;
-    int total = 0;
-    for (int i = 0; i < 256; i++) total += (int) out[i];
-    return total > 65535 ? 65535 : total % 256;
-}
-";
-        let seq = run_src_with(
-            src,
-            InterpOptions {
-                threads: 1,
-                ..Default::default()
-            },
-        );
-        let par = run_src_with(
-            src,
-            InterpOptions {
-                threads: 8,
-                ..Default::default()
-            },
-        );
-        assert_eq!(seq.exit_code, par.exit_code);
-    }
-
-    #[test]
-    fn parallel_for_with_dynamic_schedule() {
-        let src = "\
-int main() {
-    int* out = (int*) malloc(100 * sizeof(int));
-#pragma omp parallel for private(x) schedule(dynamic,1)
-    for (int i = 0; i < 100; i++)
-        out[i] = i;
-    int acc = 0;
-    for (int i = 0; i < 100; i++) acc += out[i];
-    return acc == 4950 ? 1 : 0;
-}
-";
-        let r = run_src_with(
-            src,
-            InterpOptions {
-                threads: 16,
-                ..Default::default()
-            },
-        );
-        assert_eq!(r.exit_code, 1);
-    }
-
-    #[test]
-    fn race_check_accepts_disjoint_loop() {
-        let src = "\
-int main() {
-    int* a = (int*) malloc(64 * sizeof(int));
-#pragma omp parallel for
-    for (int i = 0; i < 64; i++) a[i] = i;
-    return a[63];
-}
-";
-        let r = run_src_with(
-            src,
-            InterpOptions {
-                threads: 4,
-                race_check: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(r.exit_code, 63);
-    }
-
-    #[test]
-    fn race_check_rejects_carried_dependence() {
-        // a[i] = a[i-1] — the Listing 5 hazard, caught dynamically.
-        let src = "\
-int main() {
-    int* a = (int*) malloc(64 * sizeof(int));
-    a[0] = 1;
-#pragma omp parallel for
-    for (int i = 1; i < 64; i++) a[i] = a[i - 1] + 1;
-    return a[63];
-}
-";
-        let r = parse(src);
-        let err = Program::new(&r.unit).run(InterpOptions {
-            threads: 4,
-            race_check: true,
-            ..Default::default()
-        });
-        assert!(err.is_err(), "race must be detected");
-        assert!(err.unwrap_err().message.contains("race"));
     }
 
     #[test]

@@ -33,14 +33,15 @@
 //! ## What the engines share, and what they do not
 //!
 //! The tiers differ in *representation* — lowering, dispatch, frames and
-//! region launch are each engine's own, which is what the differential
-//! tests compare. They do not differ in *meaning*: what an operator, a
-//! unary minus, `++`/`--` and a conversion compute is one table
-//! ([`ops`]) that all three and the optimizer's constant folder call;
-//! which `for` an `omp parallel for` pragma sits on and whether its
-//! header is canonical is `cfront::omp`'s answer; and what a thread of
-//! either tree-walking oracle carries besides its frames — step limit,
-//! fuel, counted and tracked memory access — is one context ([`walk`]).
+//! per-iteration execution are each engine's own, which is what the
+//! differential tests compare. They do not differ in *meaning*: what an
+//! operator, a unary minus, `++`/`--` and a conversion compute is one
+//! table ([`ops`]) that all three and the optimizer's constant folder
+//! call; which `for` an `omp parallel for` pragma sits on and whether its
+//! header is canonical is `cfront::omp`'s answer; how a region launches
+//! is one protocol ([`region`]); and what a thread of either tree-walking
+//! oracle carries besides its frames — step limit, fuel, counted and
+//! tracked memory access — is one context ([`walk`]).
 //! Agreement between the engines therefore says nothing about `ops`
 //! itself; `tests/gcc_oracle.rs` checks that against a C compiler.
 //!
@@ -64,6 +65,7 @@ pub mod effects;
 pub mod interp;
 pub(crate) mod ops;
 pub mod opt;
+pub(crate) mod region;
 pub mod resolve;
 pub mod spawn;
 pub mod trace;

@@ -87,17 +87,17 @@ use crate::interp::{
     RunResult, RuntimeError, VerdictMap,
 };
 use crate::ops::{self, Coerce};
-use crate::value::{Counters, FuelBudget, Memory, Ptr, RaceAccumulator, Scalar, TrackSets};
+use crate::region::{self, Launch};
+use crate::value::{Counters, FuelBudget, Memory, Ptr, Scalar, TrackSets};
 use crate::walk::{Flow, WalkCtx};
 use cfront::ast::*;
 use cfront::intern::{Interner, Symbol};
 use cfront::omp::{canonical_for, paired_omp_loops, CanonicalFor, Paired};
 use cfront::span::Span;
 use machine::OmpSchedule;
-use machine::{global_pool, parallel_for_pooled, PureFuture, ThreadPool};
+use machine::{global_pool, PureFuture, ThreadPool};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 type RtResult<T> = Result<T, RuntimeError>;
@@ -1126,11 +1126,19 @@ struct ResPending {
 #[derive(Default)]
 struct ResPendingList(Vec<ResPending>);
 
-impl Drop for ResPendingList {
-    fn drop(&mut self) {
+impl ResPendingList {
+    /// Wait out every in-flight future, discarding results (error paths
+    /// only: the run has already failed).
+    fn drain(&mut self) {
         for p in self.0.drain(..) {
             let _ = p.fut.wait();
         }
+    }
+}
+
+impl Drop for ResPendingList {
+    fn drop(&mut self) {
+        self.drain();
     }
 }
 
@@ -1862,124 +1870,80 @@ impl<'p> RInterp<'p> {
         }
     }
 
+    /// Launch an `omp parallel for` region ([`region::launch`]); its
+    /// workers are interpreters started from an [`RFrame`].
     fn exec_omp_for(&mut self, of: &ROmpFor) -> RtResult<()> {
         let header = match &of.header {
             Ok(h) => h,
             Err(msg) => return Err(RuntimeError::at(msg.clone(), of.span)),
         };
-        let lb = self.eval(&header.lb)?.as_i64();
-        let ub_incl = if header.ub_inclusive {
-            self.eval(&header.ub)?.as_i64()
-        } else {
-            self.eval(&header.ub)?.as_i64() - 1
+        let launch = Launch {
+            lb: self.eval(&header.lb)?.as_i64(),
+            ub: self.eval(&header.ub)?.as_i64() - i64::from(!header.ub_inclusive),
+            schedule: of.schedule,
+            verdict: of.verdict,
+            span: of.span,
+            body_span: header.body.span,
+            work: None,
         };
-        if ub_incl < lb {
-            return Ok(());
-        }
-        let (mut lb, mut n) = (lb, (ub_incl - lb + 1) as u64);
-        // One heap region spans the checked iterations and the launch of
-        // the rest, so their frees are reclaimed at the join as in an
-        // unchecked run.
-        let mem = self.s.mem.clone();
-        let _region = mem.enter_region();
-
-        // Static verdict first: Independent skips the O(n) dynamic
-        // pre-pass, Racy aborts before any iteration, Unknown falls back
-        // to the dynamic check, whose validated iterations are the run's
-        // first ones: the region launches the rest.
-        if self.s.opts.race_check {
-            match of.verdict {
-                LoopVerdict::Independent => {
-                    Counters::bump(&self.s.counters.race_static_skips);
-                }
-                LoopVerdict::Racy => {
-                    return Err(RuntimeError::at(
-                        "static race analysis rejected this parallel loop (verdict: racy)",
-                        of.span,
-                    ));
-                }
-                LoopVerdict::Unknown => {
-                    let checked = self.race_check(header, lb, n)?;
-                    lb += checked as i64;
-                    n -= checked;
-                    if n == 0 {
-                        return Ok(());
-                    }
-                }
+        region::launch(self, &launch, |ri: &mut Self| {
+            // The iterator slot may exceed the currently materialised
+            // frame (its declaration lives inside the region).
+            let needed = header.iter_slot as usize + 1;
+            if ri.frame.len() < needed {
+                ri.frame.resize(needed, Scalar::Uninit);
             }
-        }
-
-        // The iterator slot may exceed the currently materialised frame
-        // (its declaration lives inside the region) — grow first so every
-        // child clone has room.
-        let needed = header.iter_slot as usize + 1;
-        if self.frame.len() < needed {
-            self.frame.resize(needed, Scalar::Uninit);
-        }
-        let base_frame = self.frame.clone();
-        let prog = self.prog;
-        let shared = self.s.clone();
-        let err: Mutex<Option<RuntimeError>> = Mutex::new(None);
-        // Trap-drains-siblings: remaining iterations bail at entry once
-        // any iteration errored, so a trap unwinds the region promptly.
-        let failed = AtomicBool::new(false);
-
-        let iteration = |k: u64| {
-            if failed.load(Ordering::Relaxed) {
-                return;
+            RFrame {
+                prog: ri.prog,
+                shared: ri.s.clone(),
+                frame: ri.frame.clone(),
+                header,
             }
-            let mut child = RInterp::new(prog, shared.clone());
-            child.frame = base_frame.clone();
-            child.frame[header.iter_slot as usize] = Scalar::I(lb + k as i64);
-            if let Err(e) = child.exec(&header.body) {
-                failed.store(true, Ordering::Relaxed);
-                let mut g = err.lock();
-                if g.is_none() {
-                    *g = Some(e);
-                }
-            }
-            child.cx.refund_fuel();
-        };
-        parallel_for_pooled(n, self.s.opts.threads, of.schedule, iteration);
+        })
+    }
+}
 
-        match err.into_inner() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+/// A region's launching frame as the resolved engine's workers start
+/// every iteration from it.
+struct RFrame<'a, 'p> {
+    prog: &'p Arc<ResolvedProgram>,
+    shared: RShared,
+    frame: Vec<Scalar>,
+    header: &'a ROmpHeader,
+}
+
+impl<'p> region::Snapshot for RFrame<'_, 'p> {
+    type Worker = RInterp<'p>;
+
+    fn worker(&self) -> RInterp<'p> {
+        RInterp::new(self.prog, self.shared.clone())
     }
 
-    /// Run the region's first iterations sequentially, up to the cap,
-    /// validating that their access sets are disjoint — the dynamic
-    /// counterpart of the purity guarantee (same as the oracle) — and
-    /// answer how many ran.
-    fn race_check(&mut self, header: &ROmpHeader, lb: i64, n: u64) -> RtResult<u64> {
-        let mut acc = RaceAccumulator::new();
-        let needed = header.iter_slot as usize + 1;
-        if self.frame.len() < needed {
-            self.frame.resize(needed, Scalar::Uninit);
+    fn run(&self, w: &mut RInterp<'p>, i: i64) -> RtResult<()> {
+        // `clone_from` refills the slot frame in place, reusing its
+        // allocation.
+        w.frame.clone_from(&self.frame);
+        w.frame[self.header.iter_slot as usize] = Scalar::I(i);
+        w.cx.start_iteration();
+        let res = w.exec(&self.header.body);
+        if res.is_err() {
+            w.pending.drain();
         }
-        let base_frame = self.frame.clone();
-        let checked = n.min(self.s.opts.effective_race_check_cap());
-        self.s
-            .counters
-            .race_dyn_iters
-            .fetch_add(checked, Ordering::Relaxed);
-        // One child interpreter reused across every validated iteration;
-        // `clone_from` refills its slot frame in place (reusing the
-        // allocation) instead of cloning the base frame per iteration.
-        let mut child = RInterp::new(self.prog, self.s.clone());
-        for k in 0..checked {
-            child.frame.clone_from(&base_frame);
-            child.frame[header.iter_slot as usize] = Scalar::I(lb + k as i64);
-            child.cx.track = Some(TrackSets::default());
-            let res = child.exec(&header.body);
-            let t = child.cx.track.take().expect("tracking on");
-            res?;
-            acc.absorb(t)
-                .map_err(|msg| RuntimeError::at(msg, header.body.span))?;
-        }
-        child.cx.refund_fuel();
-        Ok(checked)
+        res.map(drop)
+    }
+}
+
+impl region::Worker for RInterp<'_> {
+    fn env(&self) -> (&InterpOptions, &Arc<Counters>, &Memory) {
+        (&self.s.opts, &self.s.counters, &self.s.mem)
+    }
+
+    fn track(&mut self) -> &mut Option<TrackSets> {
+        &mut self.cx.track
+    }
+
+    fn refund_fuel(&mut self) {
+        self.cx.refund_fuel();
     }
 }
 
@@ -2280,7 +2244,7 @@ int main() {
             assert_eq!(resolved.output, legacy.output, "threads={threads}");
             assert_eq!(
                 resolved.counters.without_memo(),
-                legacy.counters,
+                legacy.counters.without_memo(),
                 "threads={threads}"
             );
         }

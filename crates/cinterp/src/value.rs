@@ -792,8 +792,8 @@ impl Memory {
     }
 
     /// Mark one `omp parallel for` region in flight until the guard
-    /// drops. Every engine wraps its region launch — for every thread
-    /// count, 1 included — in one of these: while any is alive, `free`
+    /// drops. The region protocol (`crate::region::launch`) wraps every
+    /// launch — at every thread count, 1 included — in one of these: while any is alive, `free`
     /// only flags the allocation and queues its id, because another
     /// iteration may be mid-access on the same `&Allocation`; the
     /// outermost guard's drop, after the join, reclaims the queue.
@@ -1442,9 +1442,9 @@ fn describe_slot((alloc, index): (u32, i64)) -> String {
 }
 
 /// Accumulates iteration access sets across a parallel region and
-/// reports the first write/write or write/read overlap — the single
-/// implementation of race-check mode's detection rule, shared by the
-/// bytecode VM, the resolved engine and the legacy oracle.
+/// reports the first write/write or write/read overlap — race-check
+/// mode's detection rule, applied by the one dynamic check every engine
+/// runs (`crate::region`).
 #[derive(Debug, Default)]
 pub(crate) struct RaceAccumulator {
     writes: HashSet<(u32, i64)>,
@@ -1452,10 +1452,6 @@ pub(crate) struct RaceAccumulator {
 }
 
 impl RaceAccumulator {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Fold one iteration's sets in; `Err` carries the diagnostic.
     pub(crate) fn absorb(&mut self, t: TrackSets) -> Result<(), String> {
         for w in &t.writes {
@@ -1666,9 +1662,10 @@ pub struct Counters {
     /// Iterations executed by the dynamic race check (the O(n) pre-pass;
     /// zero when every checked region was statically proven).
     pub race_dyn_iters: AtomicU64,
-    /// Regions the VM handed to the scheduler at `--threads`, and regions
-    /// too small to repay a fork that it ran on the caller
-    /// (`crate::REGION_INLINE_WORK`).
+    /// Region launches handed to the scheduler at `--threads`, and those
+    /// run on the caller: too small to repay a fork
+    /// (`crate::REGION_INLINE_WORK`, VM only) or consumed whole by the
+    /// dynamic race check.
     pub regions_forked: AtomicU64,
     pub regions_inline: AtomicU64,
 }
@@ -1761,10 +1758,10 @@ pub struct CounterSnapshot {
     /// differential projection like the other bookkeeping stats.
     pub race_static_skips: u64,
     pub race_dyn_iters: u64,
-    /// The VM's launch decision per region — forked, or run on the caller
-    /// because its work is below `crate::REGION_INLINE_WORK`. Zero on the
-    /// oracles, which fork every region: excluded from the differential
-    /// projection.
+    /// The launch decision per region — forked, or run on the caller
+    /// because its work is below `crate::REGION_INLINE_WORK` (VM only:
+    /// the oracles fork every launch) or the race check consumed it
+    /// whole. Excluded from the differential projection.
     pub regions_forked: u64,
     pub regions_inline: u64,
 }

@@ -37,11 +37,12 @@
 //! One policy lives here and nowhere else: **a region forks only when its
 //! work can repay the fork.** Lowering gives every region a per-iteration
 //! dispatch bound (`BRegion::work`: the body's length when it is
-//! straight-line, unbounded otherwise); at launch a region of `n`
-//! iterations with `n × work` below [`REGION_INLINE_WORK`] runs on the
-//! caller — the `--threads 1` path, OpenMP `if` semantics — and every
-//! other region goes to the scheduler at `--threads`. The oracles fork
-//! every region; the choice changes no observable but
+//! straight-line, unbounded otherwise), and the launch protocol
+//! ([`region::launch`]) runs a region of `n` iterations with `n × work`
+//! below [`REGION_INLINE_WORK`] on the caller — the `--threads 1` path,
+//! OpenMP `if` semantics — and every other region at `--threads`. The
+//! oracles supply no bound and fork every region; the choice changes no
+//! observable but
 //! `regions_forked`/`regions_inline` and the trace's worker spans.
 //!
 //! Observable behaviour (exit code, output, executed-op counters modulo
@@ -63,18 +64,17 @@ use crate::interp::{
     check_call_depth, next_fuel_block, InterpOptions, RunResult, RuntimeError, Trap,
 };
 use crate::ops::{self, Coerce, Counted};
+use crate::region::{self, Launch, Worker as _};
 use crate::resolve::{MemoCache, MEMO_CAPACITY};
 use crate::value::{
-    Counters, FuelBudget, GlobalTable, Memory, Packed, Ptr, RaceAccumulator, Scalar, SpillPool,
-    Tally, TrackSets,
+    Counters, FuelBudget, GlobalTable, Memory, Packed, Ptr, Scalar, SpillPool, Tally, TrackSets,
 };
-use cfront::ast::{BinOp, LoopVerdict};
+use cfront::ast::BinOp;
 use cfront::intern::Symbol;
 use cfront::span::Span;
 use machine::omprt::instrument;
-use machine::{global_pool, parallel_for_state_pooled, PureFuture, ThreadPool};
+use machine::{global_pool, PureFuture, ThreadPool};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 type RtResult<T> = Result<T, RuntimeError>;
@@ -508,31 +508,6 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Hand unused local fuel back when a region-worker or future child
-    /// retires, so a finishing worker's block stays available to its
-    /// siblings instead of silently burned.
-    fn refund_fuel(&mut self) {
-        if let Some(budget) = &self.s.fuel {
-            budget.refund(std::mem::take(&mut self.fuel_local));
-        }
-    }
-
-    /// Child VM for a parallel region / race check: inherits a frozen
-    /// memo view and the parent's spill entries as an immutable prefix
-    /// (so spill references inside the frame snapshot stay resolvable).
-    fn new_child(
-        prog: &'p Arc<BytecodeProgram>,
-        s: VmShared,
-        frozen: Option<Arc<MemoMap<MemoKey, Scalar>>>,
-        spill_prefix: &[Scalar],
-    ) -> Self {
-        let mut vm = Vm::new(prog, s);
-        vm.memo = frozen.map(MemoShard::with_frozen);
-        vm.spill = SpillPool::with_entries(spill_prefix.to_vec());
-        vm.spill_floor = spill_prefix.len();
-        vm
-    }
-
     /// Compact the spill pool down to its live entries. Sound only at a
     /// statement boundary (or region entry): every live spill reference
     /// is then a word in `arena` or `stack` — region frame snapshots and
@@ -594,8 +569,8 @@ impl<'p> Vm<'p> {
 
     // -- memory with tallies --------------------------------------------------
 
-    /// Race-check bookkeeping of one access. Tracking is on only inside
-    /// [`Self::race_check`]'s validation pass, so the hash-set insert
+    /// Race-check bookkeeping of one access. Tracking is on only during
+    /// the dynamic race check ([`region::launch`]), so the hash-set insert
     /// stays out of the dispatch loop's code.
     #[cold]
     #[inline(never)]
@@ -1778,214 +1753,123 @@ impl<'p> Vm<'p> {
 
     // -- parallel regions -----------------------------------------------------
 
+    /// Launch an `omp parallel for` region ([`region::launch`]); its
+    /// workers are child VMs started from a [`VmFrame`].
     fn region(&mut self, f: &BFunc, base: usize, r: &BRegion) -> RtResult<()> {
         let ubv = self.pop();
         let lbv = self.pop();
-        let lb = self.to_i64(lbv);
-        let ub_incl = if r.ub_inclusive {
-            self.to_i64(ubv)
-        } else {
-            self.to_i64(ubv) - 1
+        let launch = Launch {
+            lb: self.to_i64(lbv),
+            ub: self.to_i64(ubv) - i64::from(!r.ub_inclusive),
+            schedule: r.schedule,
+            verdict: r.verdict,
+            span: r.span,
+            body_span: r.body_span,
+            work: r.work,
         };
-        if ub_incl < lb {
-            return Ok(());
-        }
-        let (mut lb, mut n) = (lb, (ub_incl - lb + 1) as u64);
-        // The region span covers verdict, fork, every chunk and the join
-        // (its guard closes on the trap path too); per-worker chunk
-        // spans are emitted by the scheduler under it.
-        let _span = instrument::span("region", n);
-        // One heap region spans the checked iterations and the launch of
-        // the rest, so their frees are reclaimed at the join as in an
-        // unchecked run.
-        let mem = self.s.mem.clone();
-        let _region = mem.enter_region();
+        region::launch(self, &launch, |vm: &mut Self| {
+            // Compact first so the workers inherit only live spill entries
+            // (usually none), then snapshot the frame: one flat u64
+            // template each worker copies per iteration.
+            if vm.spill.len() > vm.spill_floor {
+                vm.compact_spills();
+            }
+            VmFrame {
+                prog: vm.prog,
+                shared: vm.s.clone(),
+                f,
+                frame: vm.arena[base..base + f.frame_size].to_vec(),
+                spill_prefix: vm.spill.entries_snapshot(),
+                frozen: vm.memo.as_mut().map(|m| m.freeze()),
+                iter_slot: r.iter_slot as usize,
+                body_start: r.body_start as usize,
+            }
+        })
+    }
+}
 
-        // Static verdict first: Independent skips the O(n) dynamic
-        // pre-pass, Racy aborts before any iteration, Unknown falls back
-        // to the dynamic check, whose validated iterations are the run's
-        // first ones: the region launches the rest.
-        if self.s.opts.race_check {
-            match r.verdict {
-                LoopVerdict::Independent => {
-                    Counters::bump(&self.s.counters.race_static_skips);
-                }
-                LoopVerdict::Racy => {
-                    return Err(RuntimeError::at(
-                        "static race analysis rejected this parallel loop (verdict: racy)",
-                        r.span,
-                    ));
-                }
-                LoopVerdict::Unknown => {
-                    instrument::instant("region.race_check", n);
-                    let checked = self.race_check(f, base, r, lb, n)?;
-                    lb += checked as i64;
-                    n -= checked;
-                    if n == 0 {
-                        // The check ran the whole region on this thread.
-                        Counters::bump(&self.s.counters.regions_inline);
-                        return Ok(());
-                    }
-                }
-            }
-        }
-        let inline = r
-            .work
-            .is_some_and(|w| n.saturating_mul(u64::from(w)) < REGION_INLINE_WORK);
+/// A region's launching frame as the VM's workers start every iteration
+/// from it: the frame's words, the spill entries they may name (each
+/// worker's immutable prefix) and a frozen view of the memo shard.
+struct VmFrame<'a, 'p> {
+    prog: &'p Arc<BytecodeProgram>,
+    shared: VmShared,
+    f: &'a BFunc,
+    frame: Vec<Packed>,
+    spill_prefix: Vec<Scalar>,
+    frozen: Option<Arc<MemoMap<MemoKey, Scalar>>>,
+    iter_slot: usize,
+    body_start: usize,
+}
 
-        // Compact first so the children inherit only live spill entries
-        // (usually none), then snapshot the frame: one flat u64 template
-        // each worker memcpys per iteration.
-        if self.spill.len() > self.spill_floor {
-            self.compact_spills();
-        }
-        let frame: Vec<Packed> = self.arena[base..base + f.frame_size].to_vec();
-        let spill_prefix = self.spill.entries_snapshot();
-        let frozen = self.memo.as_mut().map(|m| m.freeze());
-        let shared = self.s.clone();
-        let err: Mutex<Option<RuntimeError>> = Mutex::new(None);
-        // Trap-drains-siblings: remaining iterations bail at entry once
-        // any iteration errored, so a trap unwinds the region promptly
-        // instead of letting siblings burn the rest of their budgets.
-        let failed = AtomicBool::new(false);
-        let frame = &frame;
-        let spill_prefix = &spill_prefix;
-        let err_ref = &err;
-        let failed_ref = &failed;
-        let iter_slot = r.iter_slot as usize;
-        let body_start = r.body_start as usize;
+impl<'p> region::Snapshot for VmFrame<'_, 'p> {
+    type Worker = Vm<'p>;
 
-        // Each worker owns one child VM — arena, spill pool, tally and
-        // memo shard — reused across every iteration that worker
-        // executes; the states come back at the join for a single merge.
-        // A forked region runs on the persistent process-wide thread pool
-        // (the paper's pinned-worker model), an inline one on this thread.
-        let prog = self.prog;
-        let init = |_tid: usize| Vm::new_child(prog, shared.clone(), frozen.clone(), spill_prefix);
-        let body = |vm: &mut Vm, k: u64| {
-            if failed_ref.load(Ordering::Relaxed) {
-                return;
-            }
-            vm.stack.clear();
-            vm.arena.clear();
-            vm.arena.extend_from_slice(frame);
-            vm.spill.truncate(vm.spill_floor);
-            vm.arena[iter_slot] = Packed::pack_i64(lb + k as i64, &vm.spill);
-            vm.steps = 0;
-            vm.depth = 0;
-            if let Err(e) = vm.exec(f, 0, body_start) {
-                failed_ref.store(true, Ordering::Relaxed);
-                // An iteration that failed mid-batch leaves futures in
-                // flight; this worker VM is reused for the next
-                // iteration, whose frame would alias the stale slots —
-                // wait them out now.
-                vm.pending.drain();
-                let mut g = err_ref.lock();
-                if g.is_none() {
-                    *g = Some(e);
-                }
-            }
-        };
-        // The parent VM executes nothing for the whole region (its
-        // thread joins the team and runs shares on child VMs): hand its
-        // unused local fuel back first so the workers see the entire
-        // remaining budget instead of stalling one block short (the
-        // parent re-acquires on its first dispatch after the join).
-        self.refund_fuel();
-        let threads = if inline {
-            Counters::bump(&self.s.counters.regions_inline);
-            1
-        } else {
-            Counters::bump(&self.s.counters.regions_forked);
-            self.s.opts.threads
-        };
-        let workers = parallel_for_state_pooled(n, threads, r.schedule, init, body);
-        for mut w in workers {
-            w.refund_fuel();
-            self.tally.merge(&w.tally);
-            if instrument::enabled() {
-                instrument::metrics()
-                    .arena_bytes
-                    .sample((w.arena.capacity() * std::mem::size_of::<Packed>()) as u64);
-                instrument::metrics()
-                    .spill_bytes
-                    .sample((w.spill.len() * std::mem::size_of::<Scalar>()) as u64);
-            }
-            if let Some(theirs) = w.memo {
-                if let Some(mine) = &mut self.memo {
-                    let evicted = mine.absorb(theirs.local_entries());
-                    if evicted > 0 {
-                        instrument::instant("memo.evict", evicted);
-                    }
-                    self.tally.memo_evictions += evicted;
-                }
-            }
+    /// One child VM — arena, spill pool, tally and memo shard — reused
+    /// across every iteration its thread executes. It inherits the frozen
+    /// memo view, and the parent's spill entries as an immutable prefix
+    /// so the spill references inside the frame stay resolvable.
+    fn worker(&self) -> Vm<'p> {
+        let mut vm = Vm::new(self.prog, self.shared.clone());
+        vm.memo = self.frozen.clone().map(MemoShard::with_frozen);
+        vm.spill = SpillPool::with_entries(self.spill_prefix.clone());
+        vm.spill_floor = self.spill_prefix.len();
+        vm
+    }
+
+    fn run(&self, vm: &mut Vm<'p>, i: i64) -> RtResult<()> {
+        vm.stack.clear();
+        vm.arena.clear();
+        vm.arena.extend_from_slice(&self.frame);
+        vm.spill.truncate(vm.spill_floor);
+        vm.arena[self.iter_slot] = Packed::pack_i64(i, &vm.spill);
+        vm.steps = 0;
+        vm.depth = 0;
+        let res = vm.exec(self.f, 0, self.body_start);
+        if res.is_err() {
+            // An iteration that failed mid-batch leaves futures in
+            // flight, whose slots the next iteration's frame would alias.
+            vm.pending.drain();
         }
-        match err.into_inner() {
-            Some(e) => Err(e),
-            None => Ok(()),
+        res.map(drop)
+    }
+}
+
+impl region::Worker for Vm<'_> {
+    fn env(&self) -> (&InterpOptions, &Arc<Counters>, &Memory) {
+        (&self.s.opts, &self.s.counters, &self.s.mem)
+    }
+
+    fn track(&mut self) -> &mut Option<TrackSets> {
+        &mut self.track
+    }
+
+    /// Hand unused local fuel back (a retiring region worker or future
+    /// child, a launching parent), so it is not silently burned.
+    fn refund_fuel(&mut self) {
+        if let Some(budget) = &self.s.fuel {
+            budget.refund(std::mem::take(&mut self.fuel_local));
         }
     }
 
-    /// Run the region's first iterations sequentially, up to the cap,
-    /// validating that their access sets are disjoint — the same dynamic
-    /// purity check as the other engines — and answer how many ran. One
-    /// child VM (frame arena, spill pool, memo shard) is reused across
-    /// every validated iteration and merged back once.
-    fn race_check(
-        &mut self,
-        f: &BFunc,
-        base: usize,
-        r: &BRegion,
-        lb: i64,
-        n: u64,
-    ) -> RtResult<u64> {
-        let mut acc = RaceAccumulator::new();
-        if self.spill.len() > self.spill_floor {
-            self.compact_spills();
+    /// The one merge of a worker's tally and memo inserts.
+    fn absorb(&mut self, w: Self) {
+        self.tally.merge(&w.tally);
+        if instrument::enabled() {
+            instrument::metrics()
+                .arena_bytes
+                .sample((w.arena.capacity() * std::mem::size_of::<Packed>()) as u64);
+            instrument::metrics()
+                .spill_bytes
+                .sample((w.spill.len() * std::mem::size_of::<Scalar>()) as u64);
         }
-        let frame: Vec<Packed> = self.arena[base..base + f.frame_size].to_vec();
-        let spill_prefix = self.spill.entries_snapshot();
-        let frozen = self.memo.as_mut().map(|m| m.freeze());
-        let mut child = Vm::new_child(self.prog, self.s.clone(), frozen, &spill_prefix);
-        // As with the region fork below: the parent is blocked while the
-        // child validates, so its unused local fuel belongs to the child.
-        self.refund_fuel();
-        let checked = n.min(self.s.opts.effective_race_check_cap());
-        self.s
-            .counters
-            .race_dyn_iters
-            .fetch_add(checked, Ordering::Relaxed);
-        let mut result = Ok(checked);
-        for k in 0..checked {
-            child.stack.clear();
-            child.arena.clear();
-            child.arena.extend_from_slice(&frame);
-            child.spill.truncate(child.spill_floor);
-            child.arena[r.iter_slot as usize] = Packed::pack_i64(lb + k as i64, &child.spill);
-            child.steps = 0;
-            child.depth = 0;
-            child.track = Some(TrackSets::default());
-            let res = child.exec(f, 0, r.body_start as usize);
-            let t = child.track.take().expect("tracking on");
-            if let Err(e) = res {
-                result = Err(e);
-                break;
+        if let (Some(theirs), Some(mine)) = (&w.memo, &mut self.memo) {
+            let evicted = mine.absorb(theirs.local_entries());
+            if evicted > 0 {
+                instrument::instant("memo.evict", evicted);
             }
-            if let Err(msg) = acc.absorb(t) {
-                result = Err(RuntimeError::at(msg, r.body_span));
-                break;
-            }
+            self.tally.memo_evictions += evicted;
         }
-        child.refund_fuel();
-        self.tally.merge(&child.tally);
-        if let Some(theirs) = child.memo.take() {
-            if let Some(mine) = &mut self.memo {
-                let evicted = mine.absorb(theirs.local_entries());
-                self.tally.memo_evictions += evicted;
-            }
-        }
-        result
     }
 }
 

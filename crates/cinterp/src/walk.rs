@@ -77,6 +77,12 @@ impl WalkCtx {
         Ok(())
     }
 
+    /// Start a region iteration on a reused worker: the step limit
+    /// counts from zero, as on a fresh thread.
+    pub(crate) fn start_iteration(&mut self) {
+        self.steps = 0;
+    }
+
     /// Hand unused local fuel back to the shared budget — called when a
     /// region or future child retires, so a finishing worker's block is
     /// available to its siblings instead of silently burned.

@@ -306,7 +306,11 @@ fn a_loop_is_lowered_by_its_shape() {
         let resolved = prog.run_resolved(at(2)).expect("resolved runs");
         assert_eq!(resolved.exit_code, legacy.exit_code, "{what}");
         assert_eq!(resolved.output, legacy.output, "{what}");
-        assert_eq!(resolved.counters.without_memo(), legacy.counters, "{what}");
+        assert_eq!(
+            resolved.counters.without_memo(),
+            legacy.counters.without_memo(),
+            "{what}"
+        );
         for level in [0u8, 2] {
             let vm = prog.run(at(level)).expect("VM runs");
             assert_eq!(vm.exit_code, resolved.exit_code, "{what} level {level}");

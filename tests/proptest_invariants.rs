@@ -423,7 +423,7 @@ proptest! {
                 prop_assert!(legacy.output.ends_with(" bad=0\n"), "{}", legacy.output);
                 prop_assert_eq!(resolved.exit_code, legacy.exit_code, "threads={} sched={}", threads, sched);
                 prop_assert_eq!(&resolved.output, &legacy.output, "threads={} sched={}", threads, sched);
-                prop_assert_eq!(resolved.counters.without_memo(), legacy.counters, "threads={} sched={}", threads, sched);
+                prop_assert_eq!(resolved.counters.without_memo(), legacy.counters.without_memo(), "threads={} sched={}", threads, sched);
                 for level in [0u8, 1, 2] {
                     let vm = prog.run(at(level)).expect("VM runs");
                     prop_assert_eq!(vm.counters.regions_forked, 1, "the region forks");
@@ -658,7 +658,7 @@ proptest! {
             let resolved = prog.run_resolved(at(2)).expect("resolved runs");
             prop_assert_eq!(resolved.exit_code, legacy.exit_code, "threads={}", threads);
             prop_assert_eq!(&resolved.output, &legacy.output, "threads={}", threads);
-            prop_assert_eq!(resolved.counters.without_memo(), legacy.counters, "threads={}", threads);
+            prop_assert_eq!(resolved.counters.without_memo(), legacy.counters.without_memo(), "threads={}", threads);
             for level in [0u8, 1, 2] {
                 let vm = prog.run(at(level)).expect("VM runs");
                 prop_assert_eq!(vm.exit_code, resolved.exit_code, "threads={} level={}", threads, level);
@@ -711,7 +711,7 @@ proptest! {
             prop_assert_eq!(&resolved.output, &legacy.output, "threads={}", threads);
             prop_assert_eq!(
                 resolved.counters.without_memo(),
-                legacy.counters,
+                legacy.counters.without_memo(),
                 "threads={}",
                 threads
             );
@@ -810,7 +810,7 @@ proptest! {
             prop_assert_eq!(&resolved.output, &legacy.output, "threads={}", threads);
             prop_assert_eq!(
                 resolved.counters.without_memo(),
-                legacy.counters,
+                legacy.counters.without_memo(),
                 "threads={}",
                 threads
             );
@@ -1163,7 +1163,7 @@ proptest! {
                         prop_assert_eq!(run.counters.memo_hits + run.counters.memo_misses, 0);
                         prop_assert_eq!(
                             run.counters.without_memo(),
-                            legacy.counters,
+                            legacy.counters.without_memo(),
                             "{} threads={}\n{}",
                             engine,
                             threads,
@@ -1212,9 +1212,9 @@ proptest! {
         prop_assert_eq!(memoized.exit_code, legacy.exit_code);
         // Without memo the VM and the resolved engine are exactly the
         // oracle.
-        prop_assert_eq!(vm_plain.counters.without_memo(), legacy.counters);
+        prop_assert_eq!(vm_plain.counters.without_memo(), legacy.counters.without_memo());
         prop_assert_eq!(vm_plain.counters.memo_hits, 0);
-        prop_assert_eq!(plain.counters.without_memo(), legacy.counters);
+        prop_assert_eq!(plain.counters.without_memo(), legacy.counters.without_memo());
         prop_assert_eq!(plain.counters.memo_hits, 0);
     }
 }
@@ -1544,6 +1544,201 @@ fn fuel_one_short_of_an_inline_region_traps_at_every_thread_count() {
         let short = run(threads, 10_031).expect_err("one unit short");
         assert_eq!(short.trap, Some(Trap::FuelExhausted), "threads={threads}");
     }
+}
+
+/// The oracles hold no idle fuel grant through a region either: the
+/// launching thread hands its grant back before the workers run, so on
+/// one thread the program above completes under its exact statement count
+/// and traps one unit below, on the resolved engine and the legacy walker
+/// alike.
+#[test]
+fn fuel_one_short_of_a_region_traps_on_the_oracles() {
+    let src = "int main() {\n\
+                   int* a = (int*) malloc(400 * sizeof(int));\n\
+                   for (int r = 0; r < 5; r++) {\n\
+               #pragma omp parallel for\n\
+                       for (int i = 0; i < 400; i++) a[i] = a[i] + i * r;\n\
+                   }\n\
+                   return a[399] % 100;\n\
+               }\n";
+    let prog = Program::new(&parse(src).unit);
+    let at = |fuel: u64| InterpOptions {
+        fuel: Some(fuel),
+        ..Default::default()
+    };
+    for (engine, run) in [
+        (
+            "resolved",
+            Program::run_resolved as fn(&Program, InterpOptions) -> _,
+        ),
+        ("legacy", Program::run_legacy),
+    ] {
+        let done = run(&prog, at(2014)).unwrap_or_else(|e| panic!("{engine}: {e}"));
+        assert_eq!(done.exit_code, 90, "{engine}");
+        let short = run(&prog, at(2013)).expect_err("one unit short");
+        assert_eq!(short.trap, Some(Trap::FuelExhausted), "{engine}");
+    }
+}
+
+/// Every engine launches a region through one protocol
+/// (`cinterp::region`): the static verdict, the dynamic race check, the
+/// heap region, the fuel handback and the launch itself. On the three
+/// engines at 1, 4, 8 and 16 threads, each case shows the same exit code
+/// and output, or the same error message and span, and the same
+/// race-check counters; `regions_forked + regions_inline` is the number
+/// of launches (the VM runs some inline, the oracles fork every launch the
+/// check left iterations to).
+#[test]
+fn one_region_protocol_on_every_engine() {
+    // Four launches: a 64-iteration region and three of three iterations.
+    let clean = "int main() {\n\
+                     int* a = (int*) malloc(64 * sizeof(int));\n\
+                 #pragma omp parallel for schedule(dynamic,1)\n\
+                     for (int i = 0; i < 64; i++) a[i] = i * 3;\n\
+                     for (int r = 0; r < 3; r++) {\n\
+                 #pragma omp parallel for\n\
+                         for (int i = 0; i < 3; i++) a[i] = a[i] + r;\n\
+                     }\n\
+                     int acc = 0;\n\
+                     for (int i = 0; i < 64; i++) acc += a[i];\n\
+                     printf(\"acc=%d\\n\", acc);\n\
+                     return acc % 100;\n\
+                 }\n";
+    let racy = "int main() {\n\
+                    int* a = (int*) malloc(64 * sizeof(int));\n\
+                    a[0] = 1;\n\
+                #pragma omp parallel for\n\
+                    for (int i = 1; i < 64; i++) a[i] = a[i - 1] + 1;\n\
+                    return a[63] % 100;\n\
+                }\n";
+    // A division by zero in the third iteration: inside the dynamic check.
+    let trap = "int main() {\n\
+                    int* a = (int*) malloc(64 * sizeof(int));\n\
+                #pragma omp parallel for\n\
+                    for (int i = 0; i < 64; i++) a[i] = 640 / (i - 2);\n\
+                    return a[63] % 100;\n\
+                }\n";
+    type Seen = Result<(i64, String, [u64; 3]), (String, cfront::Span)>;
+    let run = |prog: &Program, opts: InterpOptions| -> Seen {
+        let mut seen = None;
+        for threads in [1usize, 4, 8, 16] {
+            let at = InterpOptions { threads, ..opts };
+            for (engine, run) in [
+                ("vm", prog.run(at)),
+                ("resolved", prog.run_resolved(at)),
+                ("legacy", prog.run_legacy(at)),
+            ] {
+                let got: Seen = run
+                    .map(|r| {
+                        let c = r.counters;
+                        let launches = c.regions_forked + c.regions_inline;
+                        let race = [c.race_static_skips, c.race_dyn_iters, launches];
+                        (r.exit_code, r.output, race)
+                    })
+                    .map_err(|e| (e.message, e.span));
+                let want = seen.get_or_insert_with(|| got.clone());
+                assert_eq!(&got, want, "{engine} at {threads} threads");
+            }
+        }
+        seen.expect("ran")
+    };
+    let with_verdicts = |src: &str| {
+        let mut unit = parse(src).unit;
+        cfront::visit::number_loops(&mut unit);
+        let report = analysis::analyze_unit(
+            &unit,
+            &PureSet::seeded(),
+            &analysis::AnalysisOptions::default(),
+        );
+        let verdicts = report.loops.iter().map(|l| (l.id, l.verdict)).collect();
+        let none = std::collections::HashSet::new();
+        let verdicts_only = Program::with_pure_set_and_verdicts(&unit, &none, &verdicts);
+        (verdicts_only, Program::new(&unit), report.loops)
+    };
+    let checked = |cap| InterpOptions {
+        race_check: true,
+        race_check_cap: cap,
+        ..Default::default()
+    };
+
+    let (independent, unknown, loops) = with_verdicts(clean);
+    assert!(loops
+        .iter()
+        .all(|l| l.verdict == analysis::LoopVerdict::Independent));
+    let counts = |seen: Seen| seen.map(|(_, out, race)| (out, race));
+    let out = || "acc=6057\n".to_string();
+    // Unchecked, and Independent: the check is skipped, four launches.
+    assert_eq!(
+        counts(run(&unknown, Default::default())),
+        Ok((out(), [0, 0, 4]))
+    );
+    assert_eq!(
+        counts(run(&independent, checked(None))),
+        Ok((out(), [4, 0, 4]))
+    );
+    // Unknown: the check consumes every region whole under the default cap
+    // (each counts as a launch run inline); under a cap of 4 it consumes
+    // the three-iteration ones and leaves 60 iterations to the first.
+    assert_eq!(
+        counts(run(&unknown, checked(None))),
+        Ok((out(), [0, 73, 4]))
+    );
+    assert_eq!(
+        counts(run(&unknown, checked(Some(4)))),
+        Ok((out(), [0, 13, 4]))
+    );
+
+    // A `private` clause and a dynamic schedule of one, and a float store
+    // converted back on the read: one launch each, the exit code the same
+    // at every thread count, checked or not.
+    let private_dynamic = "int main() {\n\
+                               int* out = (int*) malloc(100 * sizeof(int));\n\
+                           #pragma omp parallel for private(x) schedule(dynamic,1)\n\
+                               for (int i = 0; i < 100; i++)\n\
+                                   out[i] = i;\n\
+                               int acc = 0;\n\
+                               for (int i = 0; i < 100; i++) acc += out[i];\n\
+                               return acc == 4950 ? 1 : 0;\n\
+                           }\n";
+    let floats = "int main() {\n\
+                      float* out = (float*) malloc(256 * sizeof(float));\n\
+                  #pragma omp parallel for\n\
+                      for (int i = 0; i < 256; i++)\n\
+                          out[i] = i * 2;\n\
+                      int total = 0;\n\
+                      for (int i = 0; i < 256; i++) total += (int) out[i];\n\
+                      return total == 65280 ? 7 : 0;\n\
+                  }\n";
+    for (src, exit, n) in [(private_dynamic, 1, 100), (floats, 7, 256)] {
+        let (_, unknown, _) = with_verdicts(src);
+        let ran = |opts| run(&unknown, opts).map(|(code, _, race)| (code, race));
+        assert_eq!(ran(Default::default()), Ok((exit, [0, 0, 1])));
+        assert_eq!(ran(checked(None)), Ok((exit, [0, n, 1])));
+        assert_eq!(ran(checked(Some(4))), Ok((exit, [0, 4, 1])));
+    }
+
+    // Racy: the static verdict fails before any iteration, at the loop;
+    // the dynamic check finds the race at the body, whether it checks
+    // the first four iterations or all of them.
+    let (racy_verdict, racy_unknown, loops) = with_verdicts(racy);
+    assert!(loops
+        .iter()
+        .all(|l| l.verdict == analysis::LoopVerdict::Racy));
+    let (msg, at_loop) = run(&racy_verdict, checked(None)).unwrap_err();
+    assert!(msg.contains("static race analysis rejected"), "{msg}");
+    let (msg, at_body) = run(&racy_unknown, checked(Some(4))).unwrap_err();
+    assert!(msg.contains("race detected"), "{msg}");
+    assert!(at_loop.start < at_body.start, "{at_loop:?} {at_body:?}");
+    assert_eq!(run(&racy_unknown, checked(None)), Err((msg, at_body)));
+
+    // A trap inside a checked iteration is the region's trap.
+    let (_, trap_unknown, _) = with_verdicts(trap);
+    let (msg, _) = run(&trap_unknown, checked(Some(4))).unwrap_err();
+    assert!(msg.contains("integer division by zero"), "{msg}");
+    assert_eq!(
+        run(&trap_unknown, checked(Some(4))),
+        run(&trap_unknown, Default::default())
+    );
 }
 
 // ---------------------------------------------------------------------------
