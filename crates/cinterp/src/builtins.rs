@@ -121,8 +121,13 @@ pub fn call_builtin(
 }
 
 /// Render a `printf` call given the format string and evaluated arguments.
-/// Supports the conversions used by the evaluation programs:
-/// `%d %ld %u %f %g %e %s %c %%` with optional width/precision digits.
+/// Supports `%d %i %u %x %X %o %f %F %e %E %g %G %c %s %%` with optional
+/// width/precision digits (only the precision is applied) and the `hh`,
+/// `h`, `l`, `ll` and `z` length modifiers. An integer is read as C reads
+/// it: `%u %x %X %o` take its low 32 bits as an `unsigned int`, 64 under
+/// `l`/`ll`/`z`, 16 under `h` and 8 under `hh`; `%hd` and `%hhd` take its
+/// low 16 or 8 bits as signed. Any other conversion prints as written and
+/// still consumes its argument, so the conversions after it read theirs.
 pub fn format_printf(fmt: &str, args: &[Scalar], mem: &Memory) -> String {
     let mut out = String::with_capacity(fmt.len() + 16);
     let mut chars = fmt.chars().peekable();
@@ -137,11 +142,11 @@ pub fn format_printf(fmt: &str, args: &[Scalar], mem: &Memory) -> String {
             out.push(c);
             continue;
         }
-        // Collect flags/width/precision.
+        // Collect flags/width/precision/length.
         let mut spec = String::new();
         let conv = loop {
             match chars.next() {
-                Some(d @ ('0'..='9' | '.' | '-' | '+' | 'l' | 'z')) => spec.push(d),
+                Some(d @ ('0'..='9' | '.' | '-' | '+' | 'h' | 'l' | 'z')) => spec.push(d),
                 Some(conv) => break Some(conv),
                 None => break None,
             }
@@ -152,9 +157,28 @@ pub fn format_printf(fmt: &str, args: &[Scalar], mem: &Memory) -> String {
             break;
         };
         let precision = spec.split('.').nth(1).and_then(|p| p.parse::<usize>().ok());
+        let bits = match (spec.matches('h').count(), spec.contains(['l', 'z'])) {
+            (_, true) => 64,
+            (0, _) => 32,
+            (1, _) => 16,
+            _ => 8,
+        };
+        let unsigned = |v: Scalar| (v.as_i64() as u64) & (u64::MAX >> (64 - bits));
         match conv {
             '%' => out.push('%'),
-            'd' | 'i' | 'u' => out.push_str(&take().as_i64().to_string()),
+            'd' | 'i' => {
+                let v = take().as_i64();
+                let v = if bits < 32 {
+                    v << (64 - bits) >> (64 - bits)
+                } else {
+                    v
+                };
+                out.push_str(&v.to_string());
+            }
+            'u' => out.push_str(&unsigned(take()).to_string()),
+            'x' => out.push_str(&format!("{:x}", unsigned(take()))),
+            'X' => out.push_str(&format!("{:X}", unsigned(take()))),
+            'o' => out.push_str(&format!("{:o}", unsigned(take()))),
             'f' | 'F' => {
                 let p = precision.unwrap_or(6);
                 out.push_str(&format!("{:.*}", p, take().as_f64()));
@@ -182,7 +206,9 @@ pub fn format_printf(fmt: &str, args: &[Scalar], mem: &Memory) -> String {
                 _ => out.push_str("(null)"),
             },
             other => {
+                take();
                 out.push('%');
+                out.push_str(&spec);
                 out.push(other);
             }
         }
@@ -271,6 +297,58 @@ mod tests {
         assert_eq!(s, "i=7 f=1.50 %\n");
         let s2 = format_printf("%e", &[Scalar::F(12345.0)], &mem);
         assert!(s2.contains('e'));
+    }
+
+    fn printf(fmt: &str, args: &[i64]) -> String {
+        let args: Vec<Scalar> = args.iter().map(|&v| Scalar::I(v)).collect();
+        format_printf(fmt, &args, &Memory::new())
+    }
+
+    #[test]
+    fn printf_unsigned_conversions_read_cs_unsigned_int() {
+        // What `gcc -O2` prints for the same call.
+        assert_eq!(
+            printf("%x %d|%o|%X|%u\n", &[255, 7, 8, 255, -1]),
+            "ff 7|10|FF|4294967295\n"
+        );
+        // `int`'s low 32 bits, unless a length modifier says otherwise.
+        assert_eq!(
+            printf("%x %lx %llx", &[-1, -1, -1]),
+            "ffffffff ffffffffffffffff ffffffffffffffff"
+        );
+        assert_eq!(
+            printf("%lu %llu %zu", &[-1, 1 << 40, 5]),
+            "18446744073709551615 1099511627776 5"
+        );
+        assert_eq!(
+            printf("%u %o", &[(1 << 32) + 9, 4_294_967_295]),
+            "9 37777777777"
+        );
+        assert_eq!(
+            printf("%hu %hhu %hx %hhX", &[70_000, 257, -1, 511]),
+            "4464 1 ffff FF"
+        );
+    }
+
+    #[test]
+    fn printf_short_and_char_lengths_wrap_signed_conversions() {
+        assert_eq!(printf("%hd", &[70_000]), "4464");
+        assert_eq!(
+            printf("%hd %hhd %hhi", &[32_768, 200, 127]),
+            "-32768 -56 127"
+        );
+        assert_eq!(
+            printf("%d %ld %lld", &[-5, 1 << 40, -(1 << 40)]),
+            "-5 1099511627776 -1099511627776"
+        );
+    }
+
+    #[test]
+    fn printf_unknown_conversion_consumes_its_argument() {
+        // `%p` is not rendered, but the `%d` after it reads the second
+        // argument, not the first.
+        assert_eq!(printf("%p|%d", &[64, 3]), "%p|3");
+        assert_eq!(printf("%5k %d", &[1, 2]), "%5k 2");
     }
 
     /// Run `src` on the VM, the resolved engine and the legacy oracle.

@@ -86,15 +86,6 @@ impl AffineExpr {
         }
     }
 
-    /// Rename a dimension (used when relating two statement instances:
-    /// `i` → `i'`).
-    pub fn rename(&self, f: &dyn Fn(&str) -> String) -> AffineExpr {
-        AffineExpr {
-            coeffs: self.coeffs.iter().map(|(n, c)| (f(n), *c)).collect(),
-            konst: self.konst,
-        }
-    }
-
     /// All dimension names referenced.
     pub fn vars(&self) -> impl Iterator<Item = &str> {
         self.coeffs.keys().map(String::as_str)
@@ -306,14 +297,5 @@ mod tests {
         assert_eq!(e.eval(&env), Some(8));
         env.remove("j");
         assert_eq!(e.eval(&env), None);
-    }
-
-    #[test]
-    fn rename_moves_coefficients() {
-        let e = aff("i + 2 * j").unwrap();
-        let r = e.rename(&|n| format!("{n}_dst"));
-        assert_eq!(r.coeff("i_dst"), 1);
-        assert_eq!(r.coeff("j_dst"), 2);
-        assert_eq!(r.coeff("i"), 0);
     }
 }

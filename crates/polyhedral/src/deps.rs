@@ -12,7 +12,7 @@
 use crate::affine::AffineExpr;
 use crate::fourier_motzkin::DenseSystem;
 use crate::model::{Access, Scop};
-use crate::set::Constraint;
+use crate::set::Rel;
 use std::fmt;
 
 /// Kind of data dependence.
@@ -123,35 +123,23 @@ pub struct DepAnalysis {
 
 /// Compute all dependences of a SCoP.
 pub fn analyze(scop: &Scop) -> DepAnalysis {
-    let pairs = PairSystems::new(scop);
+    let (pairs, mut sys) = PairSystems::new(scop);
     let mut out = DepAnalysis::default();
     let n = scop.stmts.len();
     for src in 0..n {
         for dst in 0..n {
             for (kind, src_accs, dst_accs) in [
-                (
-                    DepKind::Flow,
-                    &scop.stmts[src].writes,
-                    &scop.stmts[dst].reads,
-                ),
-                (
-                    DepKind::Anti,
-                    &scop.stmts[src].reads,
-                    &scop.stmts[dst].writes,
-                ),
-                (
-                    DepKind::Output,
-                    &scop.stmts[src].writes,
-                    &scop.stmts[dst].writes,
-                ),
+                (DepKind::Flow, &pairs.writes[src], &pairs.reads[dst]),
+                (DepKind::Anti, &pairs.reads[src], &pairs.writes[dst]),
+                (DepKind::Output, &pairs.writes[src], &pairs.writes[dst]),
             ] {
-                for a in src_accs.iter() {
-                    for b in dst_accs.iter() {
+                for a in src_accs {
+                    for b in dst_accs {
                         // Accesses of different rank are compared on their
                         // common subscript prefix: a write to `a[e]` (a row
                         // pointer) conflicts with every access `a[e][…]`.
-                        if a.array == b.array {
-                            pairs.test_pair(kind, src, dst, a, b, &mut out);
+                        if a.access.array == b.access.array {
+                            pairs.test_pair(&mut sys, kind, src, dst, a, b, &mut out);
                         }
                     }
                 }
@@ -169,119 +157,165 @@ fn dst_name(n: &str) -> String {
     format!("{n}__d")
 }
 
-/// What every access pair of one SCoP shares, built once.
-struct PairSystems<'a> {
-    scop: &'a Scop,
-    /// The source and the destination iteration domain, indexed over every
-    /// name a pair system can mention.
-    domains: DenseSystem,
-    levels: Vec<Level>,
+/// One access with its subscripts as rows of the pair system: once over
+/// the source instance's iterators, once over the destination's.
+struct AccessRows<'a> {
+    access: &'a Access,
+    src: Vec<i64>,
+    dst: Vec<i64>,
 }
 
-/// One loop level of a pair system.
-struct Level {
-    /// The distance `d = dst − src`.
-    dist: AffineExpr,
-    /// `d = 0`.
-    same: Constraint,
-    /// `d >= 1`.
-    carried: Constraint,
+/// What every access pair of one SCoP shares, built once: the column of
+/// every name, every access's subscript rows and every level's distance
+/// row. The system itself (the two renamed domains) is handed out beside
+/// it; a pair appends its rows to it and truncates them again.
+struct PairSystems<'a> {
+    /// Integers per row of the system.
+    width: usize,
+    /// Per statement, in access order: its writes and its reads.
+    writes: Vec<Vec<AccessRows<'a>>>,
+    reads: Vec<Vec<AccessRows<'a>>>,
+    /// Per loop level, the distance `d = dst − src` as a row.
+    dists: Vec<Vec<i64>>,
 }
 
 impl<'a> PairSystems<'a> {
-    fn new(scop: &'a Scop) -> Self {
+    fn new(scop: &'a Scop) -> (Self, DenseSystem) {
         let iters = scop.loops.iter().map(|l| l.name.as_str());
-        let mut domains = DenseSystem::new(
+        let mut sys = DenseSystem::new(
             iters
                 .flat_map(|n| [src_name(n), dst_name(n)])
                 .chain(scop.params.iter().cloned()),
         );
-        for rename in [src_name, dst_name] {
-            for c in &scop.domain_renamed(&rename).constraints {
-                domains.push(c);
-            }
-        }
-        let levels = scop
+        let width = sys.width();
+        let column = |name: &str| {
+            sys.column(name)
+                .expect("an iterator or a parameter of the SCoP")
+        };
+        let src_cols: Vec<usize> = scop
             .loops
             .iter()
+            .map(|l| column(&src_name(&l.name)))
+            .collect();
+        let dst_cols: Vec<usize> = scop
+            .loops
+            .iter()
+            .map(|l| column(&dst_name(&l.name)))
+            .collect();
+        // A row of `e` in one instance: iterators in that instance's
+        // columns, parameters shared.
+        let row = |e: &AffineExpr, cols: &[usize], out: &mut Vec<i64>| {
+            let start = out.len();
+            out.resize(start + width, 0);
+            for (name, &c) in &e.coeffs {
+                let col = match scop.loops.iter().position(|l| &l.name == name) {
+                    Some(l) => cols[l],
+                    None => column(name),
+                };
+                out[start + col] = c;
+            }
+            out[start + width - 1] = e.konst;
+        };
+        let instances = |accesses: &'a [Access]| -> Vec<AccessRows<'a>> {
+            accesses
+                .iter()
+                .map(|access| {
+                    let (mut src, mut dst) = (Vec::new(), Vec::new());
+                    for e in &access.indices {
+                        row(e, &src_cols, &mut src);
+                        row(e, &dst_cols, &mut dst);
+                    }
+                    AccessRows { access, src, dst }
+                })
+                .collect()
+        };
+        let writes = scop.stmts.iter().map(|s| instances(&s.writes)).collect();
+        let reads = scop.stmts.iter().map(|s| instances(&s.reads)).collect();
+        // `Scop::domain` per instance: `it - lb >= 0`, `ub - it >= 0` per
+        // loop, outermost first.
+        let mut domain_rows = Vec::new();
+        for cols in [&src_cols, &dst_cols] {
+            for (dim, &it) in scop.loops.iter().zip(cols) {
+                let lb = domain_rows.len();
+                row(&dim.lb, cols, &mut domain_rows);
+                domain_rows[lb..].iter_mut().for_each(|c| *c = -*c);
+                domain_rows[lb + it] += 1;
+                let ub = domain_rows.len();
+                row(&dim.ub, cols, &mut domain_rows);
+                domain_rows[ub + it] -= 1;
+            }
+        }
+        let dists = (0..scop.depth())
             .map(|l| {
-                let dist =
-                    AffineExpr::var(dst_name(&l.name)).sub(&AffineExpr::var(src_name(&l.name)));
-                Level {
-                    same: Constraint::eq0(dist.clone()),
-                    carried: Constraint::ge(&dist, &AffineExpr::constant(1)),
-                    dist,
-                }
+                let mut d = vec![0; width];
+                d[dst_cols[l]] = 1;
+                d[src_cols[l]] = -1;
+                d
             })
             .collect();
-        PairSystems {
-            scop,
-            domains,
-            levels,
+        for r in domain_rows.chunks_exact(width) {
+            sys.push_row(Rel::Ge, r.iter().copied());
         }
+        let pairs = PairSystems {
+            width,
+            writes,
+            reads,
+            dists,
+        };
+        (pairs, sys)
     }
 
-    /// A subscript of one statement instance: iterators renamed through
-    /// `f`, parameters shared.
-    fn instance(&self, e: &AffineExpr, f: fn(&str) -> String) -> AffineExpr {
-        e.rename(&|n| {
-            if self.scop.loops.iter().any(|l| l.name == n) {
-                f(n)
-            } else {
-                n.to_string()
-            }
-        })
-    }
-
+    #[allow(clippy::too_many_arguments)]
     fn test_pair(
         &self,
+        sys: &mut DenseSystem,
         kind: DepKind,
         src: usize,
         dst: usize,
-        a: &Access,
-        b: &Access,
+        a: &AccessRows,
+        b: &AccessRows,
         out: &mut DepAnalysis,
     ) {
         let dep = |level, dist| Dependence {
             kind,
             src_stmt: src,
             dst_stmt: dst,
-            array: a.array.clone(),
+            array: a.access.array.clone(),
             level,
             dist,
         };
+        let w = self.width;
 
-        // Both domains + subscript equality; `sys` then grows by one
+        // Both domains + subscript equality; the system then grows by one
         // `d_ℓ = 0` row per level.
-        let mut sys = self.domains.clone();
-        for (ia, ib) in a.indices.iter().zip(&b.indices) {
-            let (ea, eb) = (self.instance(ia, src_name), self.instance(ib, dst_name));
-            sys.push(&Constraint::eq(&ea, &eb));
+        let domains = sys.len();
+        for (ea, eb) in a.src.chunks_exact(w).zip(b.dst.chunks_exact(w)) {
+            sys.push_row(Rel::Eq, ea.iter().zip(eb).map(|(x, y)| x - y));
         }
 
         // Carried at level ℓ: d_0..d_{ℓ-1} = 0, d_ℓ >= 1.
-        for (level, Level { same, carried, .. }) in self.levels.iter().enumerate() {
-            let mut at_level = sys.clone();
-            at_level.push(carried);
-            if at_level.satisfiable(&mut out.fm_solves) {
+        for (level, d) in self.dists.iter().enumerate() {
+            let carried = d[..w - 1].iter().copied().chain([-1]);
+            sys.push_row(Rel::Ge, carried);
+            if sys.satisfiable(&mut out.fm_solves) {
                 let dist = self
-                    .levels
+                    .dists
                     .iter()
-                    .map(|Level { dist: d, .. }| {
-                        let (min, max) =
-                            at_level.bounds_of(d, DIST_PROBE_LIMIT, &mut out.fm_solves);
+                    .map(|d| {
+                        let (min, max) = sys.bounds_of(d, DIST_PROBE_LIMIT, &mut out.fm_solves);
                         #[cfg(test)]
                         assert_eq!(
                             (min, max),
-                            at_level.bounds_by_bisection(d, DIST_PROBE_LIMIT),
-                            "projection and the bisection oracle disagree on {d} in {at_level:?}"
+                            sys.bounds_by_bisection(d, DIST_PROBE_LIMIT),
+                            "projection and the bisection oracle disagree on {d:?} in {sys:?}"
                         );
                         DistBound { min, max }
                     })
                     .collect();
                 out.deps.push(dep(Some(level), dist));
             }
-            sys.push(same);
+            sys.truncate(sys.len() - 1);
+            sys.push_row(Rel::Eq, d.iter().copied());
         }
 
         // Loop-independent: all distances 0, src textually before dst (or a
@@ -289,8 +323,9 @@ impl<'a> PairSystems<'a> {
         // not a parallelism obstacle and is skipped).
         if src < dst && sys.satisfiable(&mut out.fm_solves) {
             out.deps
-                .push(dep(None, vec![DistBound::exact(0); self.levels.len()]));
+                .push(dep(None, vec![DistBound::exact(0); self.dists.len()]));
         }
+        sys.truncate(domains);
     }
 }
 

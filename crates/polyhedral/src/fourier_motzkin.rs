@@ -1,15 +1,26 @@
 //! Fourier–Motzkin elimination over integer affine constraint systems, on
-//! one dense representation, with a GCD normalization step that catches
-//! the common integer-empty cases (e.g. `2i = 1`).
+//! flat integer rows, with a GCD normalization step that catches the
+//! common integer-empty cases (e.g. `2i = 1`).
 //!
 //! This is the engine behind dependence analysis and loop-bound
 //! generation — the role ISL/Piplib play in the original PluTo stack. A
 //! [`DenseSystem`] is indexed once: column `i` belongs to the `i`-th
-//! variable in name order, and every later step works on `Vec<i64>` rows.
+//! variable in name order, and every row is `n + 2` integers in one flat
+//! buffer (the coefficients, the projection target `T`, the constant)
+//! with its relation in a parallel list. A caller with many related
+//! questions appends rows and truncates them again instead of copying the
+//! system, as `deps` does per access pair, per level and per distance.
+//!
 //! [`DenseSystem::satisfiable`], [`DenseSystem::bounds_of`] and
-//! [`eliminate`] share one combine/normalize step; a distance bound is
-//! *projected* (one elimination pass that keeps the target as a column),
-//! not searched for by repeated feasibility probes.
+//! [`eliminate`] share one pass (substitute, split, pick, combine) that
+//! runs in the system's scratch: the current and next row buffers, the
+//! lower/upper/rest index lists and the per-column sign counts are kept
+//! between passes, so a warm solve allocates nothing. Row order follows
+//! the pass exactly (`swap_remove` when an equality is used up, kept rows
+//! before combined ones), and so do the substitution and elimination
+//! choices. A distance bound is *projected* (one elimination pass that
+//! keeps the target as a column), not searched for by repeated
+//! feasibility probes.
 //!
 //! All systems arising from the evaluation programs are small (≤ ~20
 //! constraints, ≤ ~10 variables), so the classic doubly-exponential worst
@@ -28,17 +39,40 @@ use crate::set::{Constraint, ConstraintSystem, Rel};
 /// pathological regions.
 pub const ELIMINATE_BUDGET: usize = 4096;
 
-/// One constraint: a coefficient per variable in name order, then the
-/// coefficient of the projection target `T` (zero outside
-/// [`DenseSystem::bounds_of`]), then the constant.
-type Row = Vec<i64>;
-
 /// A constraint system with its variables indexed once.
 #[derive(Debug, Clone)]
 pub struct DenseSystem {
     /// Sorted; a row's column `i` is the coefficient of `vars[i]`.
     vars: Vec<String>,
-    rows: Vec<(Rel, Row)>,
+    /// The relation of each row.
+    rels: Vec<Rel>,
+    /// `rels.len()` rows of [`DenseSystem::width`] integers: a coefficient
+    /// per variable in name order, then the coefficient of the projection
+    /// target `T` (zero outside [`DenseSystem::bounds_of`]), then the
+    /// constant.
+    rows: Vec<i64>,
+    scratch: Scratch,
+}
+
+/// The buffers of one elimination pass, kept between passes.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// The relation of each row of `cur` until the equalities are split.
+    rels: Vec<Rel>,
+    /// The pass's rows; after a pass that leaves rows, the inequalities
+    /// over `T` alone.
+    cur: Vec<i64>,
+    /// Where a split or a combine step writes its rows.
+    next: Vec<i64>,
+    /// The equality being substituted away.
+    eq: Vec<i64>,
+    /// Rows of `cur` by the sign of the column being eliminated.
+    lower: Vec<usize>,
+    upper: Vec<usize>,
+    rest: Vec<usize>,
+    /// Per column: rows with a positive / a negative coefficient.
+    pos: Vec<usize>,
+    neg: Vec<usize>,
 }
 
 /// What one elimination pass leaves behind.
@@ -46,8 +80,8 @@ enum Solved {
     Empty,
     /// The constraint budget was exceeded.
     GaveUp,
-    /// Inequalities over `T` alone.
-    Rows(Vec<Row>),
+    /// Inequalities over `T` alone, in the scratch's `cur`.
+    Rows,
 }
 
 impl DenseSystem {
@@ -58,7 +92,9 @@ impl DenseSystem {
         vars.dedup();
         DenseSystem {
             vars,
+            rels: Vec::new(),
             rows: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -70,71 +106,97 @@ impl DenseSystem {
         dense
     }
 
-    fn column(&self, name: &str) -> Option<usize> {
+    /// The column of a variable: its position in name order.
+    pub fn column(&self, name: &str) -> Option<usize> {
         self.vars.binary_search_by(|v| v.as_str().cmp(name)).ok()
     }
 
-    fn row_of(&self, e: &AffineExpr) -> Row {
-        let n = self.vars.len();
-        let mut row = vec![0; n + 2];
-        for (name, &c) in &e.coeffs {
-            let col = self.column(name);
-            row[col.expect("constraint over a variable the system was not indexed with")] = c;
-        }
-        row[n + 1] = e.konst;
-        row
+    /// Integers per row: one per variable, `T`, the constant.
+    pub fn width(&self) -> usize {
+        self.vars.len() + 2
     }
 
-    fn expr_of(&self, row: &Row) -> AffineExpr {
-        let mut e = AffineExpr::constant(row[self.vars.len() + 1]);
-        for (name, &c) in self.vars.iter().zip(row) {
-            if c != 0 {
-                e.coeffs.insert(name.clone(), c);
-            }
-        }
-        e
+    /// Rows in the system.
+    pub fn len(&self) -> usize {
+        self.rels.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.rels.is_empty()
+    }
+
+    /// Drop every row past the first `len`.
+    pub fn truncate(&mut self, len: usize) {
+        self.rels.truncate(len);
+        self.rows.truncate(len * self.width());
     }
 
     /// Add a constraint over the indexed variables.
     pub fn push(&mut self, c: &Constraint) {
-        self.rows.push((c.rel, self.row_of(&c.expr)));
+        let n = self.vars.len();
+        let start = self.rows.len();
+        self.rows.resize(start + n + 2, 0);
+        for (name, &k) in &c.expr.coeffs {
+            let col = self
+                .column(name)
+                .expect("constraint over a variable the system was not indexed with");
+            self.rows[start + col] = k;
+        }
+        self.rows[start + n + 1] = c.expr.konst;
+        self.rels.push(c.rel);
+    }
+
+    /// Add a row of [`DenseSystem::width`] integers.
+    pub fn push_row(&mut self, rel: Rel, row: impl IntoIterator<Item = i64>) {
+        let start = self.rows.len();
+        self.rows.extend(row);
+        assert_eq!(
+            self.rows.len() - start,
+            self.width(),
+            "row of the wrong width"
+        );
+        self.rels.push(rel);
     }
 
     /// Decide whether the system has a rational solution (conservative
     /// integer answer; see module docs). One elimination pass, counted in
     /// `solves`.
-    pub fn satisfiable(&self, solves: &mut usize) -> bool {
+    pub fn satisfiable(&mut self, solves: &mut usize) -> bool {
+        let n = self.vars.len();
         !matches!(
-            solve(self.rows.clone(), self.vars.len(), solves),
+            self.scratch.solve(&self.rels, &self.rows, n, solves),
             Solved::Empty
         )
     }
 
-    /// Conservative integer bounds `(min, max)` of `target` subject to the
-    /// system, clamped to the window `[-limit, limit]`: `None` means
-    /// unbounded in that direction or at/beyond the window's edge. A
-    /// system the pass finds empty, or one that exceeds the constraint
-    /// budget, yields `(None, None)`.
+    /// Conservative integer bounds `(min, max)` of `target`, a row of
+    /// [`DenseSystem::width`] integers (its `T` coefficient is ignored),
+    /// subject to the system, clamped to the window `[-limit, limit]`:
+    /// `None` means unbounded in that direction or at/beyond the window's
+    /// edge. A system the pass finds empty, or one that exceeds the
+    /// constraint budget, yields `(None, None)`.
     ///
     /// One elimination pass, counted in `solves`: a fresh variable
-    /// `T = target` joins the system, every other variable is projected
-    /// out, and the rows left bound `T`.
+    /// `T = target` joins the system as the row `T - target = 0`, every
+    /// other variable is projected out, and the rows left bound `T`. The
+    /// row is removed again afterwards.
     pub fn bounds_of(
-        &self,
-        target: &AffineExpr,
+        &mut self,
+        target: &[i64],
         limit: i64,
         solves: &mut usize,
     ) -> (Option<i64>, Option<i64>) {
         let n = self.vars.len();
-        let mut rows = self.rows.clone();
-        let mut t = negated(&self.row_of(target));
-        t[n] = 1;
-        rows.push((Rel::Eq, t));
-        let Solved::Rows(rows) = solve(rows, n, solves) else {
+        self.push_row(Rel::Eq, target.iter().map(|c| -c));
+        let last = self.rows.len() - 2;
+        self.rows[last] = 1;
+        let solved = self.scratch.solve(&self.rels, &self.rows, n, solves);
+        self.truncate(self.len() - 1);
+        let Solved::Rows = solved else {
             return (None, None);
         };
         let (mut min, mut max) = (i64::MIN, i64::MAX);
-        for r in &rows {
+        for r in self.scratch.cur.chunks_exact(n + 2) {
             // a·T + k >= 0: T >= ceil(-k / a) for a > 0, T <= floor(k / -a) otherwise.
             let (a, k) = (r[n], r[n + 1]);
             if a > 0 {
@@ -153,137 +215,195 @@ impl DenseSystem {
     }
 }
 
-/// One full pass: substitute equalities away, then eliminate every
-/// program variable (columns `0..n`), keeping column `n`.
-fn solve(mut rows: Vec<(Rel, Row)>, n: usize, solves: &mut usize) -> Solved {
-    *solves += 1;
+impl Scratch {
+    /// One full pass over `rows` (width `n + 2`): substitute equalities
+    /// away, then eliminate every program variable (columns `0..n`),
+    /// keeping column `n`.
+    fn solve(&mut self, rels: &[Rel], rows: &[i64], n: usize, solves: &mut usize) -> Solved {
+        *solves += 1;
+        let w = n + 2;
+        self.rels.clear();
+        self.rels.extend_from_slice(rels);
+        self.cur.clear();
+        self.cur.extend_from_slice(rows);
 
-    // Step 1: use equalities with a ±1 coefficient to substitute variables
-    // exactly (keeps everything integral), and apply the GCD test to the
-    // rest.
-    'substitute: loop {
-        for idx in 0..rows.len() {
-            if rows[idx].0 != Rel::Eq {
-                continue;
-            }
-            let eq = &rows[idx].1;
-            let g = coeff_gcd(eq, n);
-            if g == 0 {
-                if eq[n + 1] != 0 {
+        // Step 1: use equalities with a ±1 coefficient to substitute
+        // variables exactly (keeps everything integral), and apply the GCD
+        // test to the rest.
+        'substitute: loop {
+            for idx in 0..self.rels.len() {
+                if self.rels[idx] != Rel::Eq {
+                    continue;
+                }
+                let eq = &self.cur[idx * w..(idx + 1) * w];
+                let g = coeff_gcd(eq, n);
+                if g == 0 {
+                    if eq[n + 1] != 0 {
+                        return Solved::Empty;
+                    }
+                    self.swap_remove(idx, w);
+                    continue 'substitute;
+                }
+                // GCD test: gcd of coefficients must divide the constant.
+                if eq[n + 1] % g != 0 {
                     return Solved::Empty;
                 }
-                rows.swap_remove(idx);
-                continue 'substitute;
-            }
-            // GCD test: gcd of coefficients must divide the constant.
-            if eq[n + 1] % g != 0 {
-                return Solved::Empty;
-            }
-            // First unit-coefficient variable in name order: x = ∓(rest).
-            if let Some(p) = eq[..n].iter().position(|c| c.abs() == 1) {
-                let (_, eq) = rows.swap_remove(idx);
-                for (_, row) in &mut rows {
-                    let f = row[p] * eq[p];
-                    if f != 0 {
-                        for (x, e) in row.iter_mut().zip(&eq) {
-                            *x -= f * e;
+                // First unit-coefficient variable in name order: x = ∓(rest).
+                if let Some(p) = eq[..n].iter().position(|c| c.abs() == 1) {
+                    self.eq.clear();
+                    self.eq.extend_from_slice(eq);
+                    self.swap_remove(idx, w);
+                    let eq = &self.eq;
+                    for row in self.cur.chunks_exact_mut(w) {
+                        let f = row[p] * eq[p];
+                        if f != 0 {
+                            for (x, e) in row.iter_mut().zip(eq) {
+                                *x -= f * e;
+                            }
                         }
                     }
+                    continue 'substitute;
                 }
-                continue 'substitute;
+            }
+            break;
+        }
+
+        // Step 2: split any remaining equalities into two inequalities.
+        self.next.clear();
+        for (rel, row) in self.rels.iter().zip(self.cur.chunks_exact(w)) {
+            self.next.extend_from_slice(row);
+            if *rel == Rel::Eq {
+                self.next.extend(row.iter().map(|c| -c));
             }
         }
-        break;
+        std::mem::swap(&mut self.cur, &mut self.next);
+
+        // Step 3: classic FM elimination of every remaining variable.
+        loop {
+            self.drop_tautologies(n);
+            if self.cur.chunks_exact(w).any(|r| is_constant(r, n)) {
+                return Solved::Empty;
+            }
+            let Some(var) = self.pick_variable(n) else {
+                return Solved::Rows;
+            };
+            if self.combine(var, n, 0).is_err() {
+                return Solved::GaveUp;
+            }
+        }
     }
 
-    // Step 2: split any remaining equalities into two inequalities.
-    let mut ineqs: Vec<Row> = Vec::with_capacity(rows.len());
-    for (rel, row) in rows {
-        let negated = (rel == Rel::Eq).then(|| negated(&row));
-        ineqs.push(row);
-        ineqs.extend(negated);
+    /// Remove row `idx` of `cur` by moving the last row into its place.
+    fn swap_remove(&mut self, idx: usize, w: usize) {
+        self.rels.swap_remove(idx);
+        let last = self.cur.len() - w;
+        self.cur.copy_within(last.., idx * w);
+        self.cur.truncate(last);
     }
 
-    // Step 3: classic FM elimination of every remaining variable.
-    loop {
-        ineqs.retain(|r| !is_constant(r, n) || r[n + 1] < 0);
-        if ineqs.iter().any(|r| is_constant(r, n)) {
-            return Solved::Empty;
+    /// Keep, in order, every row of `cur` that mentions a variable or is a
+    /// constant contradiction.
+    fn drop_tautologies(&mut self, n: usize) {
+        let w = n + 2;
+        let mut kept = 0;
+        for r in 0..self.cur.len() / w {
+            let row = &self.cur[r * w..(r + 1) * w];
+            if !is_constant(row, n) || row[n + 1] < 0 {
+                self.cur.copy_within(r * w..(r + 1) * w, kept * w);
+                kept += 1;
+            }
         }
-        let Some(var) = pick_variable(&ineqs, n) else {
-            return Solved::Rows(ineqs);
-        };
-        match combine(ineqs, var, n, 0) {
-            Ok(next) => ineqs = next,
-            Err(_) => return Solved::GaveUp,
+        self.cur.truncate(kept * w);
+    }
+
+    /// Pick the variable whose elimination produces the fewest new
+    /// constraints, the first in name order among equals.
+    fn pick_variable(&mut self, n: usize) -> Option<usize> {
+        let (pos, neg) = (&mut self.pos, &mut self.neg);
+        pos.clear();
+        pos.resize(n, 0);
+        neg.clear();
+        neg.resize(n, 0);
+        for r in self.cur.chunks_exact(n + 2) {
+            for (i, &c) in r[..n].iter().enumerate() {
+                if c > 0 {
+                    pos[i] += 1;
+                } else if c < 0 {
+                    neg[i] += 1;
+                }
+            }
         }
+        (0..n)
+            .filter(|&i| pos[i] + neg[i] > 0)
+            .min_by_key(|&i| pos[i] * neg[i])
+    }
+
+    /// The combine step every caller shares: eliminate column `var` from
+    /// the inequalities in `cur`. Rows that do not mention it stay, in
+    /// order; then every lower bound `a·var + L >= 0` (a > 0) meets every
+    /// upper bound `-b·var + U >= 0` (b > 0) as `b·L + a·U >= 0`, divided
+    /// by its coefficient GCD with the constant floored (sound for `>= 0`
+    /// over the integers, and tighter), tautologies dropped.
+    /// `Err((lower, upper))` when the result plus `kept` rows the caller
+    /// holds aside would exceed [`ELIMINATE_BUDGET`].
+    fn combine(&mut self, var: usize, n: usize, kept: usize) -> Result<(), (usize, usize)> {
+        let w = n + 2;
+        let Scratch {
+            cur,
+            next,
+            lower,
+            upper,
+            rest,
+            ..
+        } = self;
+        lower.clear();
+        upper.clear();
+        rest.clear();
+        for (r, row) in cur.chunks_exact(w).enumerate() {
+            match row[var] {
+                0 => rest.push(r),
+                c if c > 0 => lower.push(r),
+                _ => upper.push(r),
+            }
+        }
+        if lower.len() * upper.len() + rest.len() + kept > ELIMINATE_BUDGET {
+            return Err((lower.len(), upper.len()));
+        }
+        next.clear();
+        for &r in rest.iter() {
+            next.extend_from_slice(&cur[r * w..(r + 1) * w]);
+        }
+        for &l in lower.iter() {
+            let l = &cur[l * w..(l + 1) * w];
+            for &u in upper.iter() {
+                let u = &cur[u * w..(u + 1) * w];
+                let (a, b) = (l[var], -u[var]);
+                let start = next.len();
+                next.extend(l.iter().zip(u).map(|(x, y)| b * x + a * y));
+                let row = &mut next[start..];
+                let g = coeff_gcd(row, n);
+                if g > 1 {
+                    row[..=n].iter_mut().for_each(|c| *c /= g);
+                    row[n + 1] = row[n + 1].div_euclid(g);
+                }
+                if g == 0 && row[n + 1] >= 0 {
+                    next.truncate(start);
+                }
+            }
+        }
+        std::mem::swap(cur, next);
+        Ok(())
     }
 }
 
 /// GCD of a row's coefficients (`T` included, constant excluded); 0 for a
 /// constant row.
-fn coeff_gcd(row: &Row, n: usize) -> i64 {
+fn coeff_gcd(row: &[i64], n: usize) -> i64 {
     row[..=n].iter().fold(0, |acc, &c| gcd(acc, c))
 }
 
-fn is_constant(row: &Row, n: usize) -> bool {
+fn is_constant(row: &[i64], n: usize) -> bool {
     row[..=n].iter().all(|&c| c == 0)
-}
-
-/// Pick the variable whose elimination produces the fewest new
-/// constraints, the first in name order among equals.
-fn pick_variable(ineqs: &[Row], n: usize) -> Option<usize> {
-    let mut pos = vec![0usize; n];
-    let mut neg = vec![0usize; n];
-    for r in ineqs {
-        for (i, &c) in r[..n].iter().enumerate() {
-            if c > 0 {
-                pos[i] += 1;
-            } else if c < 0 {
-                neg[i] += 1;
-            }
-        }
-    }
-    (0..n)
-        .filter(|&i| pos[i] + neg[i] > 0)
-        .min_by_key(|&i| pos[i] * neg[i])
-}
-
-/// The combine step every caller shares: eliminate column `var` from
-/// `ineqs`. Rows that do not mention it stay, in order; then every lower
-/// bound `a·var + L >= 0` (a > 0) meets every upper bound
-/// `-b·var + U >= 0` (b > 0) as `b·L + a·U >= 0`, divided by its
-/// coefficient GCD with the constant floored (sound for `>= 0` over the
-/// integers, and tighter), tautologies dropped. `Err((lower, upper))`
-/// when the result plus `kept` rows the caller holds aside would exceed
-/// [`ELIMINATE_BUDGET`].
-fn combine(ineqs: Vec<Row>, var: usize, n: usize, kept: usize) -> Result<Vec<Row>, (usize, usize)> {
-    let (mut lower, mut upper, mut rest) = (Vec::new(), Vec::new(), Vec::new());
-    for r in ineqs {
-        match r[var] {
-            0 => rest.push(r),
-            c if c > 0 => lower.push(r),
-            _ => upper.push(r),
-        }
-    }
-    if lower.len() * upper.len() + rest.len() + kept > ELIMINATE_BUDGET {
-        return Err((lower.len(), upper.len()));
-    }
-    for l in &lower {
-        for u in &upper {
-            let (a, b) = (l[var], -u[var]);
-            let mut row: Row = l.iter().zip(u).map(|(x, y)| b * x + a * y).collect();
-            let g = coeff_gcd(&row, n);
-            if g > 1 {
-                row[..=n].iter_mut().for_each(|c| *c /= g);
-                row[n + 1] = row[n + 1].div_euclid(g);
-            }
-            if g != 0 || row[n + 1] < 0 {
-                rest.push(row);
-            }
-        }
-    }
-    Ok(rest)
 }
 
 /// Project a variable out of a system (FM elimination keeping the
@@ -292,37 +412,43 @@ fn combine(ineqs: Vec<Row>, var: usize, n: usize, kept: usize) -> Result<Vec<Row
 /// pairs so a single code path handles both. Returns `Err` when the
 /// combine step would exceed [`ELIMINATE_BUDGET`] constraints.
 pub fn eliminate(sys: &ConstraintSystem, var: &str) -> Result<ConstraintSystem, String> {
-    let dense = DenseSystem::index(sys);
+    let mut dense = DenseSystem::index(sys);
     let Some(col) = dense.column(var) else {
         return Ok(sys.clone());
     };
-    let n = dense.vars.len();
+    let (n, w) = (dense.vars.len(), dense.width());
     let mut out = ConstraintSystem::new();
-    let mut ineqs: Vec<Row> = Vec::new();
-    for (c, (rel, row)) in sys.constraints.iter().zip(dense.rows.iter()) {
+    let scratch = &mut dense.scratch;
+    scratch.cur.clear();
+    let rows = dense.rels.iter().zip(dense.rows.chunks_exact(w));
+    for (c, (rel, row)) in sys.constraints.iter().zip(rows) {
         if row[col] == 0 {
             out.push(c.clone());
             continue;
         }
-        ineqs.push(row.clone());
+        scratch.cur.extend_from_slice(row);
         if *rel == Rel::Eq {
-            ineqs.push(negated(row));
+            scratch.cur.extend(row.iter().map(|c| -c));
         }
     }
-    let combined = combine(ineqs, col, n, out.len()).map_err(|(lower, upper)| {
-        format!(
-            "Fourier-Motzkin budget exceeded eliminating `{var}`: \
+    scratch
+        .combine(col, n, out.len())
+        .map_err(|(lower, upper)| {
+            format!(
+                "Fourier-Motzkin budget exceeded eliminating `{var}`: \
              {lower} lower x {upper} upper bounds (cap {ELIMINATE_BUDGET})"
-        )
-    })?;
-    for row in &combined {
-        out.push(Constraint::ge0(dense.expr_of(row)));
+            )
+        })?;
+    for row in scratch.cur.chunks_exact(w) {
+        let mut e = AffineExpr::constant(row[n + 1]);
+        for (name, &c) in dense.vars.iter().zip(row) {
+            if c != 0 {
+                e.coeffs.insert(name.clone(), c);
+            }
+        }
+        out.push(Constraint::ge0(e));
     }
     Ok(out)
-}
-
-fn negated(row: &Row) -> Row {
-    row.iter().map(|c| -c).collect()
 }
 
 fn gcd(a: i64, b: i64) -> i64 {
@@ -337,22 +463,39 @@ fn gcd(a: i64, b: i64) -> i64 {
 
 #[cfg(test)]
 impl DenseSystem {
+    /// The row of an affine expression over the indexed variables.
+    pub(crate) fn row_of(&self, e: &AffineExpr) -> Vec<i64> {
+        let mut row = vec![0; self.width()];
+        for (name, &c) in &e.coeffs {
+            row[self.column(name).expect("an indexed variable")] = c;
+        }
+        row[self.width() - 1] = e.konst;
+        row
+    }
+
     /// The oracle [`DenseSystem::bounds_of`] is tested against: binary
     /// search on the monotone predicates "a point with `target <= k`
     /// exists" / "`target >= k` exists", one full solve per probe.
+    /// `target` is a row; its `T` coefficient must be zero.
     pub(crate) fn bounds_by_bisection(
         &self,
-        target: &AffineExpr,
+        target: &[i64],
         limit: i64,
     ) -> (Option<i64>, Option<i64>) {
-        let feasible = |c: Constraint| {
+        let konst = self.width() - 1;
+        // `sign·target + k >= 0`.
+        let feasible = |sign: i64, k: i64| {
             let mut s = self.clone();
-            s.push(&c);
+            let row = target.iter().enumerate();
+            s.push_row(
+                Rel::Ge,
+                row.map(|(i, c)| sign * c + if i == konst { k } else { 0 }),
+            );
             s.satisfiable(&mut 0)
         };
-        let feasible_le = |k: i64| feasible(Constraint::le(target, &AffineExpr::constant(k)));
-        let feasible_ge = |k: i64| feasible(Constraint::ge(target, &AffineExpr::constant(k)));
-        if !self.satisfiable(&mut 0) {
+        let feasible_le = |k: i64| feasible(-1, k);
+        let feasible_ge = |k: i64| feasible(1, -k);
+        if !self.clone().satisfiable(&mut 0) {
             return (None, None);
         }
         let min = if feasible_le(-limit) {
@@ -400,7 +543,8 @@ mod tests {
         target: &AffineExpr,
         limit: i64,
     ) -> (Option<i64>, Option<i64>) {
-        DenseSystem::index(sys).bounds_of(target, limit, &mut 0)
+        let mut dense = DenseSystem::index(sys);
+        dense.bounds_of(&dense.row_of(target), limit, &mut 0)
     }
 
     fn v(n: &str) -> AffineExpr {
@@ -640,8 +784,9 @@ mod tests {
             // A narrow window now and then, so the clamp is compared too.
             let limit = if next().is_multiple_of(4) { 4 } else { 64 };
             for l in 0..depth {
-                let projected = sys.bounds_of(&dist(l), limit, &mut 0);
-                let bisected = sys.bounds_by_bisection(&dist(l), limit);
+                let target = sys.row_of(&dist(l));
+                let projected = sys.bounds_of(&target, limit, &mut 0);
+                let bisected = sys.bounds_by_bisection(&target, limit);
                 assert_eq!(projected, bisected, "{sys:?} window {limit}");
                 compared += 1;
             }
@@ -663,7 +808,7 @@ mod tests {
             let mut dense = DenseSystem::new(names(nv));
             sys.constraints.iter().for_each(|c| dense.push(c));
             let target = v("x1").sub(&v("x0"));
-            let (min, max) = dense.bounds_of(&target, 64, &mut 0);
+            let (min, max) = dense.bounds_of(&dense.row_of(&target), 64, &mut 0);
             for point in sys.enumerate_points(&names(nv), -6, 6) {
                 let t = target.eval(&point).expect("full assignment");
                 assert!(min.is_none_or(|m| m <= t), "{sys}: {t} < min {min:?}");
@@ -680,13 +825,12 @@ mod tests {
             .and(Constraint::ge(&v("i"), &k(-70)))
             .and(Constraint::le(&v("i"), &k(64)));
         let mut solves = 0;
-        let bounds = DenseSystem::index(&sys).bounds_of(&v("i"), 64, &mut solves);
+        let mut dense = DenseSystem::index(&sys);
+        let i = dense.row_of(&v("i"));
+        let bounds = dense.bounds_of(&i, 64, &mut solves);
         // -70 is below the window and 64 on its edge: both unknown.
         assert_eq!(bounds, (None, None));
-        assert_eq!(
-            bounds,
-            DenseSystem::index(&sys).bounds_by_bisection(&v("i"), 64)
-        );
+        assert_eq!(bounds, dense.bounds_by_bisection(&i, 64));
         assert_eq!(solves, 1);
         assert_eq!(bounds_of(&sys, &v("i"), 100), (Some(-70), Some(64)));
     }

@@ -75,19 +75,6 @@ impl Scop {
         sys
     }
 
-    /// The same domain with every iterator renamed through `f` (parameters
-    /// keep their names — they are shared between instances).
-    pub fn domain_renamed(&self, f: &dyn Fn(&str) -> String) -> ConstraintSystem {
-        let iters: BTreeSet<&str> = self.loops.iter().map(|l| l.name.as_str()).collect();
-        self.domain().rename(&|name| {
-            if iters.contains(name) {
-                f(name)
-            } else {
-                name.to_string()
-            }
-        })
-    }
-
     /// Total number of iteration points when all bounds are constant.
     pub fn constant_trip_count(&self) -> Option<u64> {
         let mut total = 1u64;
@@ -155,7 +142,7 @@ mod tests {
     }
 
     #[test]
-    fn renamed_domain_keeps_params() {
+    fn parametric_domain_has_no_constant_trip_count() {
         let scop = Scop {
             loops: vec![LoopDim {
                 name: "i".into(),
@@ -165,11 +152,9 @@ mod tests {
             stmts: vec![dummy_stmt()],
             params: ["n".to_string()].into_iter().collect(),
         };
-        let renamed = scop.domain_renamed(&|n| format!("{n}_src"));
-        let vars = renamed.vars();
-        assert!(vars.contains("i_src"));
+        let vars = scop.domain().vars();
+        assert!(vars.contains("i"));
         assert!(vars.contains("n"));
-        assert!(!vars.contains("i"));
         assert_eq!(scop.constant_trip_count(), None);
     }
 

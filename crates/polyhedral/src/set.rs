@@ -121,20 +121,6 @@ impl ConstraintSystem {
         crate::fourier_motzkin::DenseSystem::index(self).satisfiable(&mut 0)
     }
 
-    /// Rename every dimension.
-    pub fn rename(&self, f: &dyn Fn(&str) -> String) -> ConstraintSystem {
-        ConstraintSystem {
-            constraints: self
-                .constraints
-                .iter()
-                .map(|c| Constraint {
-                    expr: c.expr.rename(f),
-                    rel: c.rel,
-                })
-                .collect(),
-        }
-    }
-
     /// Exhaustively enumerate the integer points of this system within the
     /// given bounding box (inclusive). Exponential — test helper only, used
     /// by property tests to cross-check Fourier–Motzkin.

@@ -25,7 +25,8 @@ use std::process::Command;
 
 /// Every value-level operator on the operand kinds C defines it for —
 /// `int`, a `long` past 2⁴⁷, `double`, pointers into one array — one
-/// result per line.
+/// result per line, and `printf`'s integer conversions and length
+/// modifiers (`fmt`).
 const OPERATOR_TABLE: &str = r#"#include <stdio.h>
 #include <stdlib.h>
 
@@ -53,6 +54,7 @@ int main() {
     printf("pcmp  %d %d %d %d %d %d\n", p < e, p > e, p <= e, p >= e, p == e, p != e);
     printf("pself %d %d %d %d\n", p < p, p <= p, p == p, e > p);
     printf("deref %d %d %d\n", *p, *(e - 1), p[1]);
+    printf("fmt   %x %d|%o|%X|%u|%hd %hhd %hu|%lx %lu %lo\n", 255, i, 8, 255, m, 70000, 200, m, w, -x, x);
     i++; --j; w++; f++; p++; e--;
     printf("step  %d %d %ld %f %d %d\n", i, j, w, f, (int)(p - a), (int)(e - a));
     free(a);

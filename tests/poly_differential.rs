@@ -451,56 +451,6 @@ fn blind_spot_programs_agree_across_the_differential_class() {
     }
 }
 
-/// One member of the generated blind-spot family: a pure call reads the
-/// array `a` at `offset` from its iterator, and `a` is written either by
-/// the nest before the call's (`producer`) or by the call's own nest,
-/// after the call. The read reaches `a` through the call's argument,
-/// through the global the callee reads, or through an alias the writes
-/// go through.
-fn blind_spot_member(seed: &mut u64, producer: bool, offset: i64, reach: &str) -> String {
-    let mut next = |lo: u64, span: u64| {
-        *seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        lo + (*seed >> 33) % span
-    };
-    let (n, k, c) = (next(200, 200), next(2, 7), next(1, 4));
-    let call = match reach {
-        "argument" | "alias" => "f((pure int*)a, i)",
-        _ => "g(i)",
-    };
-    let w = if reach == "alias" { "p" } else { "a" };
-    let nests = if producer {
-        format!(
-            "    for (int i = 1; i <= {n}; i++) {w}[i] = a[i] + i;\n\
-             \x20   for (int i = 1; i <= {n}; i++) b[i] = {call};\n"
-        )
-    } else {
-        format!(
-            "    for (int i = 1; i <= {n}; i++) {{\n\
-             \x20       b[i] = {call};\n\
-             \x20       {w}[i] = b[i] % 1000 + i;\n\
-             \x20   }}\n"
-        )
-    };
-    format!(
-        "int a[{len}];\n\
-         int b[{len}];\n\
-         pure int f(pure int* v, int i) {{ return v[i + {offset}] * {k} + 1; }}\n\
-         pure int g(int i) {{ return a[i + {offset}] * {k} + 1; }}\n\
-         int main() {{\n\
-         \x20   int* p = a;\n\
-         \x20   for (int i = 0; i < {len}; i++) a[i] = i * {c};\n\
-         {nests}\
-         \x20   int s = 0;\n\
-         \x20   for (int i = 1; i <= {n}; i++) s = (s * 31 + b[i]) % 1000003;\n\
-         \x20   printf(\"%d\\n\", s);\n\
-         \x20   return s % 256;\n\
-         }}\n",
-        len = n + 2,
-    )
-}
-
 /// A small generated family around the blind spot, seeded and
 /// deterministic: a producer nest and its consumer, or one nest that
 /// reads and then writes; a pure call reading at offset −1, 0 or +1; the
@@ -510,27 +460,21 @@ fn blind_spot_member(seed: &mut u64, producer: bool, offset: i64, reach: &str) -
 /// at offset +1 printed another number at one thread.)
 #[test]
 fn generated_blind_spot_family_matches_no_poly() {
-    let mut seed = 0x5eed_u64;
-    for producer in [true, false] {
-        for offset in [-1i64, 0, 1] {
-            for reach in ["argument", "global", "alias"] {
-                let src = blind_spot_member(&mut seed, producer, offset, reach);
-                let (poly, nopoly) = compile_pair(&src);
-                for threads in [1usize, 4] {
-                    let opts = InterpOptions {
-                        threads,
-                        ..Default::default()
-                    };
-                    let fast = poly.program().run(opts).expect("poly runs");
-                    let literal = nopoly.program().run(opts).expect("literal runs");
-                    assert_eq!(
-                        (&fast.output, fast.exit_code),
-                        (&literal.output, literal.exit_code),
-                        "{threads} threads:\n{src}\npoly text:\n{}",
-                        poly.text
-                    );
-                }
-            }
+    for src in blind_spot_family() {
+        let (poly, nopoly) = compile_pair(&src);
+        for threads in [1usize, 4] {
+            let opts = InterpOptions {
+                threads,
+                ..Default::default()
+            };
+            let fast = poly.program().run(opts).expect("poly runs");
+            let literal = nopoly.program().run(opts).expect("literal runs");
+            assert_eq!(
+                (&fast.output, fast.exit_code),
+                (&literal.output, literal.exit_code),
+                "{threads} threads:\n{src}\npoly text:\n{}",
+                poly.text
+            );
         }
     }
 }
