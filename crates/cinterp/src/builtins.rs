@@ -120,14 +120,143 @@ pub fn call_builtin(
     .map_err(|e| RuntimeError::from_mem(e, span))
 }
 
+/// The widest field and the longest precision one conversion pads to: the
+/// program chooses them (`%*d` reads one from its arguments), so they are
+/// bounded before anything is written. C11 7.21.6.1 asks an
+/// implementation to produce at least 4 095 characters per conversion.
+const MAX_FIELD: usize = 1 << 16;
+
+/// Flags, field width and precision of one `printf` conversion.
+#[derive(Default)]
+struct Field {
+    /// `-`: pad on the right.
+    left: bool,
+    /// `0`: pad a number with zeros after its sign or prefix.
+    zero: bool,
+    /// `+`: a non-negative signed number shows `+`.
+    plus: bool,
+    /// ` `: a non-negative signed number shows a space.
+    space: bool,
+    /// `#`: `0x`/`0X` in front of a non-zero `%x`/`%X`, a leading `0` on
+    /// `%o`, trailing zeros kept by `%g`.
+    alt: bool,
+    width: usize,
+    precision: Option<usize>,
+}
+
+impl Field {
+    fn sign(&self, negative: bool) -> &'static str {
+        match (negative, self.plus, self.space) {
+            (true, _, _) => "-",
+            (false, true, _) => "+",
+            (false, false, true) => " ",
+            _ => "",
+        }
+    }
+
+    /// Write `prefix` (a sign, `0x`) and `body` padded to the width:
+    /// spaces after them under `-`, zeros between them under `0` when
+    /// `zeros` (a finite number without an integer precision), spaces in
+    /// front otherwise.
+    fn pad(&self, out: &mut String, prefix: &str, body: &str, zeros: bool) {
+        let fill = self
+            .width
+            .saturating_sub(prefix.chars().count() + body.chars().count());
+        let spaces = |out: &mut String| out.extend(std::iter::repeat_n(' ', fill));
+        if self.left {
+            out.push_str(prefix);
+            out.push_str(body);
+            spaces(out);
+        } else if self.zero && zeros {
+            out.push_str(prefix);
+            out.extend(std::iter::repeat_n('0', fill));
+            out.push_str(body);
+        } else {
+            spaces(out);
+            out.push_str(prefix);
+            out.push_str(body);
+        }
+    }
+
+    /// An integer's digits under the precision: at least that many
+    /// digits, and none for zero at precision 0.
+    fn digits(&self, mut digits: String) -> String {
+        match self.precision {
+            Some(0) if digits == "0" => String::new(),
+            Some(p) if digits.len() < p => {
+                digits.insert_str(0, &"0".repeat(p - digits.len()));
+                digits
+            }
+            _ => digits,
+        }
+    }
+}
+
+/// `x` (finite, not negative) rounded to one digit, `.` and `p` more
+/// digits, times a power of ten: that mantissa's text and the exponent.
+fn scientific(x: f64, p: usize) -> (String, i32) {
+    let s = format!("{x:.p$e}");
+    let (mantissa, exp) = s
+        .split_once('e')
+        .expect("`{:e}` writes the mantissa, then `e`, then a decimal exponent");
+    (
+        mantissa.to_string(),
+        exp.parse().expect("a decimal exponent"),
+    )
+}
+
+/// C's exponent suffix: `e` (or `E`), the sign and at least two digits.
+fn exponent(exp: i32, upper: bool) -> String {
+    let e = if upper { 'E' } else { 'e' };
+    let sign = if exp < 0 { '-' } else { '+' };
+    format!("{e}{sign}{:02}", exp.unsigned_abs())
+}
+
+/// `x` (finite, not negative) in C's `%g` style at precision `p`: `%e`
+/// style when the exponent is below −4 or at least `p` (0 counts as 1),
+/// `%f` style otherwise, then trailing zeros and a trailing point
+/// removed unless `keep_zeros` (`#`).
+fn general_style(x: f64, p: usize, upper: bool, keep_zeros: bool) -> String {
+    let p = p.max(1);
+    let (mantissa, exp) = scientific(x, p - 1);
+    let (mut digits, suffix) = if exp < -4 || exp >= p as i32 {
+        (mantissa, exponent(exp, upper))
+    } else {
+        (
+            format!("{x:.*}", (p as i32 - 1 - exp) as usize),
+            String::new(),
+        )
+    };
+    if !keep_zeros && digits.contains('.') {
+        digits.truncate(digits.trim_end_matches('0').trim_end_matches('.').len());
+    }
+    digits + &suffix
+}
+
+/// The digits at the front of `chars` as a number (0 when there are
+/// none), each also appended to `spec`.
+fn decimal(chars: &mut std::iter::Peekable<std::str::Chars>, spec: &mut String) -> usize {
+    let mut n = 0usize;
+    while let Some(d) = chars.next_if(char::is_ascii_digit) {
+        spec.push(d);
+        n = n
+            .saturating_mul(10)
+            .saturating_add(d as usize - '0' as usize);
+    }
+    n
+}
+
 /// Render a `printf` call given the format string and evaluated arguments.
-/// Supports `%d %i %u %x %X %o %f %F %e %E %g %G %c %s %%` with optional
-/// width/precision digits (only the precision is applied) and the `hh`,
-/// `h`, `l`, `ll` and `z` length modifiers. An integer is read as C reads
-/// it: `%u %x %X %o` take its low 32 bits as an `unsigned int`, 64 under
-/// `l`/`ll`/`z`, 16 under `h` and 8 under `hh`; `%hd` and `%hhd` take its
-/// low 16 or 8 bits as signed. Any other conversion prints as written and
-/// still consumes its argument, so the conversions after it read theirs.
+/// Supports `%d %i %u %x %X %o %f %F %e %E %g %G %c %s %%` with C's flags
+/// (`-`, `0`, `+`, space, `#`), field width and precision (either may be
+/// `*`, read from the arguments), and the `hh`, `h`, `l`, `ll` and `z`
+/// length modifiers. An integer is read as C reads it: `%u %x %X %o`
+/// take its low 32 bits as an `unsigned int`, 64 under `l`/`ll`/`z`, 16
+/// under `h` and 8 under `hh`; `%hd` and `%hhd` take its low 16 or 8 bits
+/// as signed. Floats print as glibc prints them: `%e` with at least two
+/// exponent digits, `%g` by C's rule, `inf` and `nan` with their sign.
+/// Any other conversion prints as written and still consumes its
+/// argument, so the conversions after it read theirs.
 pub fn format_printf(fmt: &str, args: &[Scalar], mem: &Memory) -> String {
     let mut out = String::with_capacity(fmt.len() + 16);
     let mut chars = fmt.chars().peekable();
@@ -142,21 +271,49 @@ pub fn format_printf(fmt: &str, args: &[Scalar], mem: &Memory) -> String {
             out.push(c);
             continue;
         }
-        // Collect flags/width/precision/length.
+        // Flags, width, precision and length, also kept as written.
         let mut spec = String::new();
-        let conv = loop {
-            match chars.next() {
-                Some(d @ ('0'..='9' | '.' | '-' | '+' | 'h' | 'l' | 'z')) => spec.push(d),
-                Some(conv) => break Some(conv),
-                None => break None,
+        let mut f = Field::default();
+        while let Some(&d @ ('-' | '+' | ' ' | '0' | '#')) = chars.peek() {
+            match d {
+                '-' => f.left = true,
+                '+' => f.plus = true,
+                ' ' => f.space = true,
+                '0' => f.zero = true,
+                _ => f.alt = true,
             }
-        };
-        let Some(conv) = conv else {
+            spec.push(d);
+            chars.next();
+        }
+        if chars.next_if_eq(&'*').is_some() {
+            spec.push('*');
+            // A negative width is the `-` flag.
+            let n = take().as_i64();
+            f.left |= n < 0;
+            f.width = n.unsigned_abs() as usize;
+        } else {
+            f.width = decimal(&mut chars, &mut spec);
+        }
+        if chars.next_if_eq(&'.').is_some() {
+            spec.push('.');
+            f.precision = if chars.next_if_eq(&'*').is_some() {
+                spec.push('*');
+                // A negative precision is no precision.
+                usize::try_from(take().as_i64()).ok()
+            } else {
+                Some(decimal(&mut chars, &mut spec))
+            };
+        }
+        while let Some(d) = chars.next_if(|c| matches!(c, 'h' | 'l' | 'z')) {
+            spec.push(d);
+        }
+        f.width = f.width.min(MAX_FIELD);
+        f.precision = f.precision.map(|p| p.min(MAX_FIELD));
+        let Some(conv) = chars.next() else {
             out.push('%');
             out.push_str(&spec);
             break;
         };
-        let precision = spec.split('.').nth(1).and_then(|p| p.parse::<usize>().ok());
         let bits = match (spec.matches('h').count(), spec.contains(['l', 'z'])) {
             (_, true) => 64,
             (0, _) => 32,
@@ -173,38 +330,76 @@ pub fn format_printf(fmt: &str, args: &[Scalar], mem: &Memory) -> String {
                 } else {
                     v
                 };
-                out.push_str(&v.to_string());
+                let body = f.digits(v.unsigned_abs().to_string());
+                f.pad(&mut out, f.sign(v < 0), &body, f.precision.is_none());
             }
-            'u' => out.push_str(&unsigned(take()).to_string()),
-            'x' => out.push_str(&format!("{:x}", unsigned(take()))),
-            'X' => out.push_str(&format!("{:X}", unsigned(take()))),
-            'o' => out.push_str(&format!("{:o}", unsigned(take()))),
-            'f' | 'F' => {
-                let p = precision.unwrap_or(6);
-                out.push_str(&format!("{:.*}", p, take().as_f64()));
+            'u' | 'x' | 'X' | 'o' => {
+                let v = unsigned(take());
+                let body = f.digits(match conv {
+                    'u' => v.to_string(),
+                    'x' => format!("{v:x}"),
+                    'X' => format!("{v:X}"),
+                    _ => format!("{v:o}"),
+                });
+                let prefix = match conv {
+                    'x' if f.alt && v != 0 => "0x",
+                    'X' if f.alt && v != 0 => "0X",
+                    'o' if f.alt && !body.starts_with('0') => "0",
+                    _ => "",
+                };
+                f.pad(&mut out, prefix, &body, f.precision.is_none());
             }
-            'e' | 'E' => {
-                let p = precision.unwrap_or(6);
-                out.push_str(&format!("{:.*e}", p, take().as_f64()));
+            'f' | 'F' | 'e' | 'E' | 'g' | 'G' => {
+                let x = take().as_f64();
+                let upper = conv.is_ascii_uppercase();
+                let p = f.precision.unwrap_or(6);
+                let body = if !x.is_finite() {
+                    let s = if x.is_nan() { "nan" } else { "inf" };
+                    if upper {
+                        s.to_ascii_uppercase()
+                    } else {
+                        s.to_string()
+                    }
+                } else {
+                    match conv {
+                        'f' | 'F' => format!("{:.p$}", x.abs()),
+                        'e' | 'E' => {
+                            let (mantissa, exp) = scientific(x.abs(), p);
+                            mantissa + &exponent(exp, upper)
+                        }
+                        _ => general_style(x.abs(), p, upper, f.alt),
+                    }
+                };
+                f.pad(&mut out, f.sign(x.is_sign_negative()), &body, x.is_finite());
             }
-            'g' | 'G' => out.push_str(&format!("{}", take().as_f64())),
             'c' => {
                 let v = take().as_i64();
-                out.push(char::from_u32(v as u32).unwrap_or('?'));
+                let body = char::from_u32(v as u32).unwrap_or('?').to_string();
+                f.pad(&mut out, "", &body, false);
             }
-            's' => match take() {
-                Scalar::P(mut p) => {
-                    // C strings are stored one char per slot.
-                    while let Ok(Scalar::I(ch)) = mem.load(p) {
-                        if ch == 0 {
-                            break;
+            's' => {
+                let mut body = String::new();
+                match take() {
+                    Scalar::P(mut p) => {
+                        // C strings are stored one char per slot; the
+                        // precision bounds how many are read.
+                        let mut read = 0;
+                        while f.precision.is_none_or(|n| read < n) {
+                            read += 1;
+                            let Ok(Scalar::I(ch)) = mem.load(p) else {
+                                break;
+                            };
+                            if ch == 0 {
+                                break;
+                            }
+                            body.push(char::from_u32(ch as u32).unwrap_or('?'));
+                            p = p.offset(1);
                         }
-                        out.push(char::from_u32(ch as u32).unwrap_or('?'));
-                        p = p.offset(1);
                     }
+                    _ => body.push_str("(null)"),
                 }
-                _ => out.push_str("(null)"),
-            },
+                f.pad(&mut out, "", &body, false);
+            }
             other => {
                 take();
                 out.push('%');
@@ -349,6 +544,131 @@ mod tests {
         // argument, not the first.
         assert_eq!(printf("%p|%d", &[64, 3]), "%p|3");
         assert_eq!(printf("%5k %d", &[1, 2]), "%5k 2");
+        assert_eq!(printf("%-*.*k %d", &[4, 2, 1, 2]), "%-*.*k 2");
+    }
+
+    /// A C string in `mem`, one char per slot, as the engines store one.
+    fn c_string(mem: &Memory, s: &str) -> Scalar {
+        let p = mem.try_alloc_zeroed(s.len() + 1).expect("room");
+        for (i, ch) in s.chars().enumerate() {
+            mem.store(p.offset(i as i64), Scalar::I(ch as i64))
+                .expect("in bounds");
+        }
+        Scalar::P(p)
+    }
+
+    #[test]
+    fn printf_widths_and_flags_pad_as_c_does() {
+        // Each expectation is what `gcc -O2` prints for the same call.
+        let mem = Memory::new();
+        let (ab, cd) = (c_string(&mem, "ab"), c_string(&mem, "cd"));
+        let args = [
+            Scalar::I(42),
+            Scalar::I(7),
+            Scalar::F(1e20),
+            Scalar::I(3),
+            Scalar::F(1.23456),
+            Scalar::F(0.0001),
+            ab,
+            cd,
+        ];
+        assert_eq!(
+            format_printf(
+                "[%5d] [%-4d|] [%g] [%05d] [%8.3f] [%g] [%s|%6s]",
+                &args,
+                &mem
+            ),
+            "[   42] [7   |] [1e+20] [00003] [   1.235] [0.0001] [ab|    cd]"
+        );
+        assert_eq!(
+            printf(
+                "[%+d] [% d] [%+5d] [%-+5d|] [%05d] [%-05d|] [%.3d] [%.0d] [%5.3d]",
+                &[5, 5, -5, 5, -42, 42, 7, 0, -7]
+            ),
+            "[+5] [ 5] [   -5] [+5   |] [-0042] [42   |] [007] [] [ -007]"
+        );
+        assert_eq!(
+            printf(
+                "[%#x] [%#X] [%#o] [%#o] [%08x] [%-6x|] [%#08x] [%x]",
+                &[255, 255, 8, 0, 255, 255, 255, 0]
+            ),
+            "[0xff] [0XFF] [010] [0] [000000ff] [ff    |] [0x0000ff] [0]"
+        );
+        // `*` reads the width from the arguments; a negative one is `-`.
+        assert_eq!(
+            printf("[%*d] [%-*d|] [%*d]", &[6, 1, 4, 2, -5, 9]),
+            "[     1] [2   |] [9    ]"
+        );
+        // A width the program computes is bounded before it is written.
+        assert_eq!(printf("%*d", &[1 << 40, 7]).len(), MAX_FIELD);
+        assert_eq!(printf("%.999999999999d", &[7]).len(), MAX_FIELD);
+        let hello = c_string(&mem, "hello");
+        let xyz = c_string(&mem, "xyz");
+        let args = [hello, xyz, Scalar::I(65), Scalar::I(66)];
+        assert_eq!(
+            format_printf("[%.2s] [%5.1s] [%c] [%-3c|]", &args, &mem),
+            "[he] [    x] [A] [B  |]"
+        );
+    }
+
+    fn printf_f(fmt: &str, args: &[f64]) -> String {
+        let args: Vec<Scalar> = args.iter().map(|&v| Scalar::F(v)).collect();
+        format_printf(fmt, &args, &Memory::new())
+    }
+
+    #[test]
+    fn printf_floats_follow_cs_e_and_g_rules() {
+        // Each expectation is what `gcc -O2` prints for the same call.
+        assert_eq!(
+            printf_f(
+                "[%g] [%g] [%g] [%g] [%g] [%g] [%g] [%g]",
+                &[1e5, 1e6, 123456789.0, 0.00001, 1.5, 0.0, -2.5, 1e-300]
+            ),
+            "[100000] [1e+06] [1.23457e+08] [1e-05] [1.5] [0] [-2.5] [1e-300]"
+        );
+        assert_eq!(
+            printf_f(
+                "[%.0g] [%.1g] [%.3g] [%#g] [%G] [%10.4g] [%-10.2g|] [%010g]",
+                &[123.0, 0.05, 1.23456, 1.0, 1e-10, 1.23456, 0.000123456, -1.5]
+            ),
+            "[1e+02] [0.05] [1.23] [1.00000] [1E-10] [     1.235] [0.00012   |] [-0000001.5]"
+        );
+        // Rounding decides the style: 999999.5 rounds to 1e+06.
+        assert_eq!(
+            printf_f("[%g] [%g] [%.3g]", &[999999.5, 0.00009999995, 99.95]),
+            "[1e+06] [0.0001] [100]"
+        );
+        assert_eq!(
+            printf_f(
+                "[%e] [%.2e] [%E] [%12.3e] [%.0e] [%e]",
+                &[12345.0, 0.000123, 1e100, -6.02e23, 5.0, 0.0]
+            ),
+            "[1.234500e+04] [1.23e-04] [1.000000E+100] [  -6.020e+23] [5e+00] [0.000000e+00]"
+        );
+        assert_eq!(
+            printf_f(
+                "[%+.2f] [% .1f] [%08.2f] [%-8.2f|] [%f] [%+f]",
+                &[2.5, 2.25, -1.23456, 1.0, -0.0, 0.0]
+            ),
+            "[+2.50] [ 2.2] [-0001.23] [1.00    |] [-0.000000] [+0.000000]"
+        );
+        // Not a number pads with spaces, never zeros, and keeps its sign.
+        let nan = f64::NAN;
+        assert_eq!(
+            printf_f(
+                "[%f] [%6.1f] [%e] [%F] [%06f] [%-6g|] [%+f]",
+                &[
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    -nan.abs(),
+                    f64::INFINITY,
+                    f64::INFINITY,
+                    nan.abs(),
+                    f64::INFINITY
+                ]
+            ),
+            "[inf] [  -inf] [-nan] [INF] [   inf] [nan   |] [+inf]"
+        );
     }
 
     /// Run `src` on the VM, the resolved engine and the legacy oracle.

@@ -281,7 +281,12 @@ mod tests {
                             assert_eq!(seen.expect(&cell).1, format!("{}\n", at.index), "{cell}")
                         }
                         Ok((v, _)) => {
-                            let shown = format!("{} {:.6}\n", v.as_i64(), v.as_f64());
+                            // Rendered as C renders it (`nan`, `-nan`).
+                            let shown = crate::builtins::format_printf(
+                                "%d %f\n",
+                                &[v, v],
+                                &crate::value::Memory::new(),
+                            );
                             assert_eq!(seen.expect(&cell).1, shown, "{cell}");
                         }
                         Err(msg) => assert_eq!(seen.expect_err(&cell), msg, "{cell}"),

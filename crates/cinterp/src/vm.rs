@@ -59,7 +59,7 @@ use crate::builtins::{call_builtin, format_printf};
 use crate::bytecode::{
     binop_decode, coerce_decode, BFunc, BRegion, BSpawn, BytecodeProgram, Insn, Op,
 };
-use crate::cache::{ClockCache, MemoKey, MemoMap};
+use crate::cache::{ClockCache, MemoKey};
 use crate::interp::{
     check_call_depth, next_fuel_block, InterpOptions, RunResult, RuntimeError, Trap,
 };
@@ -178,27 +178,29 @@ fn mem_error(e: crate::value::MemError, span: Span) -> RuntimeError {
 /// `freeze` must clone) stays small even on memo-heavy workloads.
 pub(crate) const SHARD_CAPACITY: usize = MEMO_CAPACITY / 4;
 
+/// The memo table type of the VM: every shard and every snapshot.
+type Memo = ClockCache<MemoKey, Scalar>;
+
 /// Per-worker view of the pure-call memo cache: a read-only frozen
-/// snapshot shared by `Arc` plus a private bounded write shard
-/// ([`ClockCache`], so a long run recycles cold entries instead of
-/// refusing new ones). Lookups probe the shard then the snapshot — no
-/// lock either way. At a parallel-region join the parent absorbs every
-/// worker's shard; entering a region freezes the parent's merged view
-/// for the children.
+/// snapshot shared by `Arc` plus a private bounded write shard, both
+/// [`ClockCache`]s (so a long run recycles cold entries instead of
+/// refusing new ones, and an entry is stored once, in its slot, in either
+/// of them). Lookups probe the shard, then [`ClockCache::peek`] the
+/// snapshot — no lock either way, and no write to the shared one. At a
+/// parallel-region join the parent absorbs every worker's shard (see
+/// [`MemoShard::absorb`]); a future hands its shard back by move.
+/// Entering a region freezes the parent's merged view for the children.
 pub(crate) struct MemoShard {
-    frozen: Arc<MemoMap<MemoKey, Scalar>>,
-    local: ClockCache<MemoKey, Scalar>,
+    frozen: Arc<Memo>,
+    local: Memo,
 }
 
 impl MemoShard {
     fn new() -> Self {
-        MemoShard {
-            frozen: Arc::new(MemoMap::default()),
-            local: ClockCache::new(SHARD_CAPACITY),
-        }
+        Self::with_frozen(Arc::new(ClockCache::new(MEMO_CAPACITY)))
     }
 
-    fn with_frozen(frozen: Arc<MemoMap<MemoKey, Scalar>>) -> Self {
+    fn with_frozen(frozen: Arc<Memo>) -> Self {
         MemoShard {
             frozen,
             local: ClockCache::new(SHARD_CAPACITY),
@@ -210,7 +212,7 @@ impl MemoShard {
         if let Some(v) = self.local.get(key) {
             return Some(v);
         }
-        self.frozen.get(key).copied()
+        self.frozen.peek(key)
     }
 
     /// Insert a result; returns `true` when a cold entry was evicted to
@@ -222,23 +224,19 @@ impl MemoShard {
         self.local.insert(key, v)
     }
 
-    /// The local shard's resident entries, cloned out for a region-join
-    /// or future-join merge into another shard.
-    fn local_entries(&self) -> Vec<(MemoKey, Scalar)> {
-        self.local.iter().map(|(k, v)| (*k, *v)).collect()
-    }
-
     /// Merged read-only snapshot handed to parallel children (region
     /// workers and spawned futures). The local shard is *promoted* into
     /// the shared `Arc` — but only once it has grown past a fraction of
-    /// the frozen map, so spawn-heavy workloads don't clone the whole
-    /// map per spawn site: a child may miss the most recent handful of
+    /// the frozen table, so spawn-heavy workloads don't clone the whole
+    /// table per spawn site: a child may miss the most recent handful of
     /// inserts, which is already true of sibling shards (memo contents
     /// are best-effort; the differential projection excludes memo
-    /// counts). Amortized, each entry is cloned O(1) times. The frozen
-    /// map is capped at [`MEMO_CAPACITY`]: promotion past the cap drops
-    /// the excess (best-effort, like sibling-shard invisibility).
-    fn freeze(&mut self) -> Arc<MemoMap<MemoKey, Scalar>> {
+    /// counts). Amortized, each entry is cloned O(1) times, and a clone
+    /// is two flat vectors (slots and index). The frozen table holds at
+    /// most [`MEMO_CAPACITY`] entries: promotion past the cap drops the
+    /// excess (best-effort, like sibling-shard invisibility), so it never
+    /// evicts and its reference bits are never read.
+    fn freeze(&mut self) -> Arc<Memo> {
         if self.local.len() * 4 > self.frozen.len() + 64 {
             let mut merged = (*self.frozen).clone();
             for (k, v) in self.local.iter() {
@@ -253,17 +251,24 @@ impl MemoShard {
         Arc::clone(&self.frozen)
     }
 
-    /// Fold a worker's shard back in at region join; returns the number
-    /// of entries evicted to make room.
-    fn absorb(&mut self, other: Vec<(MemoKey, Scalar)>) -> u64 {
+    /// Fold a worker's shard back in at a region or future join; returns
+    /// the number of entries evicted to make room. Into an empty view
+    /// (nothing local, nothing frozen) the worker's table is adopted as
+    /// it is, [`ClockCache::refilled`]: what inserting its entries one by
+    /// one would build. Otherwise its entries are read where they lie.
+    fn absorb(&mut self, other: Memo) -> u64 {
+        if self.local.len() == 0 && self.frozen.len() == 0 {
+            self.local = other.refilled();
+            return 0;
+        }
         let mut evicted = 0;
-        for (k, v) in other {
+        for (k, v) in other.iter() {
             // Keep an existing entry (or-insert semantics: the local
             // value is at least as fresh as the worker's).
-            if self.local.get(&k).is_some() || self.frozen.contains_key(&k) {
+            if self.local.get(k).is_some() || self.frozen.peek(k).is_some() {
                 continue;
             }
-            if self.local.insert(k, v) {
+            if self.local.insert(*k, *v) {
                 evicted += 1;
             }
         }
@@ -371,13 +376,14 @@ impl Drop for PendingFutures {
 }
 
 /// What a spawned pure call hands back at its join: the value (or the
-/// runtime error), the worker's private op tally, and its memo-shard
-/// inserts — merged into the awaiting VM exactly like a parallel-region
-/// worker's state is merged at region join.
+/// runtime error), the worker's private op tally, and its memo shard's
+/// write table, moved out of the child — merged into the awaiting VM
+/// exactly like a parallel-region worker's state is merged at region
+/// join.
 struct VmFutureOut {
     value: RtResult<Scalar>,
     tally: Tally,
-    memo_local: Option<Vec<(MemoKey, Scalar)>>,
+    memo_local: Option<Memo>,
 }
 
 /// Execute one spawned pure call on its own child VM (fresh arena,
@@ -389,7 +395,7 @@ struct VmFutureOut {
 fn run_future_task(
     prog: Arc<BytecodeProgram>,
     shared: VmShared,
-    frozen: Option<Arc<MemoMap<MemoKey, Scalar>>>,
+    frozen: Option<Arc<Memo>>,
     fid: u32,
     args: Vec<Scalar>,
     depth: usize,
@@ -412,7 +418,7 @@ fn run_future_task(
     VmFutureOut {
         value,
         tally: vm.tally,
-        memo_local: vm.memo.as_ref().map(|m| m.local_entries()),
+        memo_local: vm.memo.take().map(|m| m.local),
     }
 }
 
@@ -676,17 +682,19 @@ impl<'p> Vm<'p> {
             Coerce::None => v,
             Coerce::ToFloat => match v.as_inline_int() {
                 Some(i) => Packed::pack_f64(i as f64, &self.spill),
+                None if v.as_inline_float().is_some() => v,
                 None => self.coerce_slow(c, v),
             },
             Coerce::ToInt => match v.as_inline_float() {
                 Some(f) => Packed::pack_i64(f as i64, &self.spill),
+                None if v.as_inline_int().is_some() => v,
                 None => self.coerce_slow(c, v),
             },
         }
     }
 
-    /// Coercion of anything but the inline int → float and inline float
-    /// → int cases: spilled numbers convert, everything else passes.
+    /// Coercion of what is neither an inline int nor an inline float:
+    /// spilled numbers convert, everything else passes.
     #[inline(never)]
     fn coerce_slow(&self, c: Coerce, v: Packed) -> Packed {
         match c.convert(self.unpack(v)) {
@@ -1797,7 +1805,7 @@ struct VmFrame<'a, 'p> {
     f: &'a BFunc,
     frame: Vec<Packed>,
     spill_prefix: Vec<Scalar>,
-    frozen: Option<Arc<MemoMap<MemoKey, Scalar>>>,
+    frozen: Option<Arc<Memo>>,
     iter_slot: usize,
     body_start: usize,
 }
@@ -1863,8 +1871,8 @@ impl region::Worker for Vm<'_> {
                 .spill_bytes
                 .sample((w.spill.len() * std::mem::size_of::<Scalar>()) as u64);
         }
-        if let (Some(theirs), Some(mine)) = (&w.memo, &mut self.memo) {
-            let evicted = mine.absorb(theirs.local_entries());
+        if let (Some(theirs), Some(mine)) = (w.memo, &mut self.memo) {
+            let evicted = mine.absorb(theirs.local);
             if evicted > 0 {
                 instrument::instant("memo.evict", evicted);
             }
@@ -1942,7 +1950,7 @@ mod tests {
                 c.probe(&mut child, k % HOT);
             }
         }
-        c.evictions += parent.absorb(child.local_entries());
+        c.evictions += parent.absorb(child.local);
         for k in 0..HOT {
             c.probe(&mut parent, k);
         }

@@ -340,7 +340,11 @@ fn process_block(block: &mut Block, cx: Cx, report: &mut PolyccReport) {
             continue;
         }
         let user_omp = i.checked_sub(1).and_then(|h| omp_header(&block.stmts[h]));
-        let loop_stmt = block.stmts[i].clone();
+        // The nest is moved out, leaving an empty statement that the
+        // splice below replaces.
+        let span = block.stmts[i].span;
+        let loop_stmt =
+            std::mem::replace(&mut block.stmts[i], Stmt::new(StmtKind::Expr(None), span));
         let (stmts, consumed) = place_nest(loop_stmt, user_omp.as_deref(), cx, report);
         let from = if consumed { i - 1 } else { i };
         let count = stmts.len();

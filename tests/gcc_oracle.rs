@@ -25,8 +25,8 @@ use std::process::Command;
 
 /// Every value-level operator on the operand kinds C defines it for —
 /// `int`, a `long` past 2⁴⁷, `double`, pointers into one array — one
-/// result per line, and `printf`'s integer conversions and length
-/// modifiers (`fmt`).
+/// result per line, and `printf`'s integer conversions, length
+/// modifiers, flags, field widths and `%e`/`%g` (`fmt`).
 const OPERATOR_TABLE: &str = r#"#include <stdio.h>
 #include <stdlib.h>
 
@@ -55,6 +55,8 @@ int main() {
     printf("pself %d %d %d %d\n", p < p, p <= p, p == p, e > p);
     printf("deref %d %d %d\n", *p, *(e - 1), p[1]);
     printf("fmt   %x %d|%o|%X|%u|%hd %hhd %hu|%lx %lu %lo\n", 255, i, 8, 255, m, 70000, 200, m, w, -x, x);
+    printf("fmt   [%5d] [%-4d|] [%g] [%05d] [%8.3f] [%g] [%s|%6s]\n", 42, i, 1e20, j, 3.14159, 0.0001, "ab", "cd");
+    printf("fmt   [%+d] [% d] [%.3d] [%#x] [%-+6.1f|] [%.2s] [%*d] [%e] [%G] [%.3g]\n", i, m, j, 255, f, "hello", 4, m, w * 1.0, 1e-10, f / 3);
     i++; --j; w++; f++; p++; e--;
     printf("step  %d %d %ld %f %d %d\n", i, j, w, f, (int)(p - a), (int)(e - a));
     free(a);
