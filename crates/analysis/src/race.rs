@@ -1,9 +1,8 @@
 //! Static race detection for `#pragma omp parallel for` loops.
 //!
-//! Mirrors the interpreter's pragma/loop pairing exactly (a pragma that
-//! parses as `omp parallel for`, optionally followed by more pragmas,
-//! then a `for` statement), so every loop the engines would run in
-//! parallel gets a verdict, keyed by the `for` statement's [`LoopId`].
+//! Every `for` with an OpenMP header (`StmtKind::For { omp, .. }`, the
+//! field the engines run as a region) gets a verdict, keyed by its
+//! [`LoopId`].
 //!
 //! Per loop, the analysis is a two-tier ladder:
 //!
@@ -41,15 +40,13 @@
 use crate::{AnalysisReport, LoopReport, LoopVerdict};
 use cfront::ast::*;
 use cfront::diag::Code;
-use cfront::omp::{paired_omp_loops, Paired};
 use cfront::span::Span;
-use machine::{parse_omp_parallel_for_clauses, OmpClauses};
 use polyhedral::IterTypes;
 use purec_core::{AliasGroups, GlobalReads, Hazard, PureSet};
 use std::collections::HashSet;
 
-/// Judge every `omp parallel for` loop of one function body, in
-/// [`for_each_omp_loop`] order. Alias groups are computed once from the
+/// Judge every `omp parallel for` loop of one function body, a loop
+/// before the loops nested in it. Alias groups are computed once from the
 /// whole body so a `int* q = a;` at function scope is visible inside
 /// every nested loop; `types` is the function's integer-iterator table.
 pub fn analyze_function(
@@ -66,9 +63,16 @@ pub fn analyze_function(
         aliases: &AliasGroups::of_function(body),
         types,
     };
-    for_each_omp_loop(body, &mut |pragma, clauses, for_stmt| {
-        analyze_omp_loop(pragma.span, clauses, for_stmt, cx, report)
-    });
+    for stmt in &body.stmts {
+        stmt.walk(&mut |s| {
+            if let StmtKind::For {
+                omp: Some(header), ..
+            } = &s.kind
+            {
+                analyze_omp_loop(header, s, cx, report);
+            }
+        });
+    }
 }
 
 /// What holds for a whole function body.
@@ -82,49 +86,8 @@ struct Context<'a> {
     types: &'a IterTypes<'a>,
 }
 
-/// Call `f(pragma, clauses, for_stmt)` for every `omp parallel for` loop
-/// of a function body: every statement list is paired the way the
-/// interpreter's lowering pairs it ([`paired_omp_loops`]), and a loop
-/// comes before the loops nested in it.
-fn for_each_omp_loop<'a>(b: &'a Block, f: &mut dyn FnMut(&'a Stmt, &OmpClauses, &'a Stmt)) {
-    for item in paired_omp_loops(&b.stmts, parse_omp_parallel_for_clauses) {
-        match item {
-            Paired::OmpFor {
-                clauses,
-                pragma,
-                for_stmt,
-            } => {
-                f(pragma, &clauses, for_stmt);
-                recurse(for_stmt, f);
-            }
-            Paired::Plain(s) => recurse(s, f),
-        }
-    }
-}
-
-fn recurse<'a>(s: &'a Stmt, f: &mut dyn FnMut(&'a Stmt, &OmpClauses, &'a Stmt)) {
-    match &s.kind {
-        StmtKind::Block(b) => for_each_omp_loop(b, f),
-        StmtKind::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            recurse(then_branch, f);
-            if let Some(e) = else_branch {
-                recurse(e, f);
-            }
-        }
-        StmtKind::While { body, .. }
-        | StmtKind::DoWhile { body, .. }
-        | StmtKind::For { body, .. } => recurse(body, f),
-        _ => {}
-    }
-}
-
 fn analyze_omp_loop(
-    pragma_span: Span,
-    clauses: &OmpClauses,
+    header: &OmpFor,
     for_stmt: &Stmt,
     Context {
         pure_set,
@@ -136,18 +99,26 @@ fn analyze_omp_loop(
 ) {
     // Clause hygiene: the runtime silently ignores what it does not
     // understand, so surface that here.
-    for c in &clauses.unknown_clauses {
+    let (schedules, others): (Vec<_>, Vec<_>) = header
+        .other
+        .iter()
+        .partition(|c| c.name == "schedule" && c.args.is_some());
+    for c in others {
         report.diags.warning(
             Code::OmpUnknownClause,
-            pragma_span,
-            format!("unrecognized OpenMP clause '{c}' is ignored by the runtime"),
+            header.span,
+            format!(
+                "unrecognized OpenMP clause '{}' is ignored by the runtime",
+                c.name
+            ),
         );
     }
-    if let Some(k) = &clauses.unknown_schedule {
+    for c in schedules {
+        let kind = c.args.as_deref().unwrap_or_default().trim();
         report.diags.warning(
             Code::OmpUnknownSchedule,
-            pragma_span,
-            format!("unknown schedule kind '{k}' degrades to schedule(static)"),
+            header.span,
+            format!("unknown schedule kind '{kind}' degrades to schedule(static)"),
         );
     }
 
@@ -162,7 +133,7 @@ fn analyze_omp_loop(
 
     // Iteration-private names: clause list + every iterator assigned by a
     // `for` init in the nest + everything declared inside the body.
-    let mut privates: HashSet<String> = clauses.privates.iter().cloned().collect();
+    let mut privates: HashSet<String> = header.private.iter().cloned().collect();
     collect_nest_iterators(for_stmt, &mut privates);
     collect_body_decls(for_stmt, &mut privates);
 

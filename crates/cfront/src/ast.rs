@@ -628,13 +628,89 @@ pub enum StmtKind {
         /// transforms exactly these nests; lowering clears the flag. The
         /// printer shows it as `#pragma scop` / `#pragma endscop`.
         scop: bool,
+        /// The OpenMP header directly above the loop, when it has one: the
+        /// user's, or the one polycc's code generator put on the parallel
+        /// level it chose. Every engine runs the loop as a parallel region
+        /// and the race analyzer judges it; the printer writes it as the
+        /// `#pragma omp` line in front of the `for`.
+        omp: Option<OmpFor>,
     },
     Return(Option<Expr>),
     Break,
     Continue,
-    /// `#pragma ...` line kept in statement position (OpenMP, or any other
-    /// pragma, printed as written).
+    /// A `#pragma ...` line in statement position that heads no loop,
+    /// printed as written and run as an empty statement. An OpenMP loop
+    /// header directly above a `for` is that loop's `omp` field instead.
     Pragma(String),
+}
+
+/// The OpenMP header of a `for`: `#pragma omp parallel for` or
+/// `#pragma omp for` with its clauses. The parser builds it where the
+/// pragma sits directly above the loop, as GCC requires, and the printer
+/// writes it back; no other stage reads pragma text.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OmpFor {
+    /// `omp parallel for`, rather than `omp for`.
+    pub parallel: bool,
+    /// The `schedule` clause, when the runtime models it.
+    pub schedule: Option<ScheduleClause>,
+    /// The names of the `private(...)` clauses, in order.
+    pub private: Vec<String>,
+    /// Every clause the runtime does not model, as written:
+    /// `reduction(+:s)`, `collapse(2)`, `nowait`, `schedule(runtime)`.
+    pub other: Vec<OmpClause>,
+    /// The pragma line; clause diagnostics point here.
+    pub span: Span,
+}
+
+impl OmpFor {
+    /// A generated `omp parallel for` carrying `schedule` and no other
+    /// clause: every inner iterator is declared in its own for-init,
+    /// which makes it private already.
+    pub fn parallel_for(schedule: Option<ScheduleClause>) -> Self {
+        OmpFor {
+            parallel: true,
+            schedule,
+            private: Vec::new(),
+            other: Vec::new(),
+            span: Span::DUMMY,
+        }
+    }
+}
+
+/// `schedule(kind)` or `schedule(kind,chunk)`, as written: `static` with
+/// no chunk and `static, 1` are two clauses to GCC, whatever the runtime
+/// makes of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScheduleClause {
+    pub kind: ScheduleKind,
+    pub chunk: Option<u64>,
+}
+
+/// The schedule kinds the runtime models.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScheduleKind {
+    Static,
+    Dynamic,
+    Guided,
+}
+
+impl ScheduleKind {
+    pub fn name(self) -> &'static str {
+        match self {
+            ScheduleKind::Static => "static",
+            ScheduleKind::Dynamic => "dynamic",
+            ScheduleKind::Guided => "guided",
+        }
+    }
+}
+
+/// A clause kept as written: its name and the text between its
+/// parentheses, if it has any.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OmpClause {
+    pub name: String,
+    pub args: Option<String>,
 }
 
 impl Stmt {

@@ -1,12 +1,13 @@
-//! The OpenMP canonical loop header and pragma–loop pairing.
+//! The OpenMP canonical loop check.
 //!
 //! `#pragma omp parallel for` applies to a `for` in *canonical form*
 //! (OpenMP 5.0 §2.9.1), here with unit positive stride:
 //! `for (T i = lb; i < b; i++)`. polycc's extractor, the static race
 //! analyzer and the three engines all have to agree on which loops
-//! those are and on which pragma sits on which loop; this module is
-//! the one recogniser of each. What a consumer adds on top — affine
-//! bounds, slots, evaluation — is its own.
+//! those are; this module is the one recogniser. Which loop a header
+//! sits on is not a question: the parser makes the header a field of
+//! its `for` (`StmtKind::For { omp, .. }`). What a consumer adds on top
+//! — affine bounds, slots, evaluation — is its own.
 
 use crate::ast::*;
 
@@ -140,55 +141,6 @@ impl ForInit {
     }
 }
 
-/// The `for` that the run of pragmas starting at `from` sits on: skip
-/// pragmas, and answer the index of the statement after them when it is
-/// a `for`.
-pub fn for_after_pragmas(stmts: &[Stmt], from: usize) -> Option<usize> {
-    let mut j = from;
-    while j < stmts.len() && matches!(stmts[j].kind, StmtKind::Pragma(_)) {
-        j += 1;
-    }
-    (j < stmts.len() && matches!(stmts[j].kind, StmtKind::For { .. })).then_some(j)
-}
-
-/// One step of [`paired_omp_loops`].
-pub enum Paired<'a, T> {
-    /// A pragma that `parse` accepted, any further pragmas, then a `for`.
-    OmpFor {
-        clauses: T,
-        pragma: &'a Stmt,
-        for_stmt: &'a Stmt,
-    },
-    /// Any other statement — including an accepted pragma with no loop
-    /// under it, and the loop-less pragmas after it.
-    Plain(&'a Stmt),
-}
-
-/// Walk a statement list pairing each `omp parallel for` pragma with its
-/// loop. `parse` decides what counts as one and what it carries (the
-/// engines keep the schedule, the analyzer the whole clause list).
-pub fn paired_omp_loops<'a, T>(
-    stmts: &'a [Stmt],
-    parse: impl Fn(&str) -> Option<T> + 'a,
-) -> impl Iterator<Item = Paired<'a, T>> + 'a {
-    let mut i = 0;
-    std::iter::from_fn(move || {
-        let s = stmts.get(i)?;
-        if let StmtKind::Pragma(p) = &s.kind {
-            if let (Some(clauses), Some(j)) = (parse(p), for_after_pragmas(stmts, i + 1)) {
-                i = j + 1;
-                return Some(Paired::OmpFor {
-                    clauses,
-                    pragma: s,
-                    for_stmt: &stmts[j],
-                });
-            }
-        }
-        i += 1;
-        Some(Paired::Plain(s))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,55 +176,5 @@ mod tests {
         assert!(names("void f() { int i; for (i += 1; ; ) ; }").is_empty());
         assert!(names("void f(int* a) { for (a[0] = 0; ; ) ; }").is_empty());
         assert!(names("void f() { for (; ; ) ; }").is_empty());
-    }
-
-    #[test]
-    fn pragmas_pair_with_the_loop_under_the_run() {
-        let stmts = body_of(
-            "void f() {\n\
-             #pragma omp parallel for schedule(static)\n\
-             #pragma omp simd\n\
-             for (int i = 0; i < 4; i++) ;\n\
-             #pragma omp parallel for\n\
-             #pragma once\n\
-             int x;\n\
-             for (int j = 0; j < 4; j++) ;\n\
-             #pragma omp parallel for\n\
-             }",
-        );
-        assert_eq!(for_after_pragmas(&stmts, 0), Some(2));
-        assert_eq!(for_after_pragmas(&stmts, 2), Some(2));
-        assert_eq!(for_after_pragmas(&stmts, 3), None);
-        assert_eq!(for_after_pragmas(&stmts, 7), None);
-        let accept = |p: &str| p.strip_prefix("pragma omp parallel for").map(String::from);
-        let seen: Vec<String> = paired_omp_loops(&stmts, accept)
-            .map(|item| match item {
-                Paired::OmpFor {
-                    clauses, for_stmt, ..
-                } => format!(
-                    "omp[{}] {}",
-                    clauses.trim(),
-                    canonical_for(for_stmt).unwrap().iter
-                ),
-                Paired::Plain(s) => match &s.kind {
-                    StmtKind::Pragma(p) => p.clone(),
-                    StmtKind::For { .. } => "for".into(),
-                    _ => "stmt".into(),
-                },
-            })
-            .collect();
-        assert_eq!(
-            seen,
-            [
-                "omp[schedule(static)] i",
-                // No loop under this run: every pragma of it is a plain
-                // statement, and so is the unpaired loop further down.
-                "pragma omp parallel for",
-                "pragma once",
-                "stmt",
-                "for",
-                "pragma omp parallel for",
-            ]
-        );
     }
 }

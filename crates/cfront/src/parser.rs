@@ -689,10 +689,16 @@ impl Parser {
 
     fn parse_stmt(&mut self) -> Stmt {
         let start = self.span();
-        // Pragma in statement position.
+        // Pragma in statement position. An OpenMP loop header belongs to
+        // the `for` directly under it; anything else is a statement.
         if let TokenKind::Directive(d) = self.peek_kind() {
             let d = d.clone();
             self.bump();
+            if self.at_keyword(Keyword::For) {
+                if let Some(header) = omp_loop_header(&d, start) {
+                    return self.parse_for(Some(header));
+                }
+            }
             return Stmt::new(StmtKind::Pragma(d), start);
         }
 
@@ -709,7 +715,7 @@ impl Parser {
             TokenKind::Keyword(Keyword::If) => self.parse_if(),
             TokenKind::Keyword(Keyword::While) => self.parse_while(),
             TokenKind::Keyword(Keyword::Do) => self.parse_do_while(),
-            TokenKind::Keyword(Keyword::For) => self.parse_for(),
+            TokenKind::Keyword(Keyword::For) => self.parse_for(None),
             TokenKind::Keyword(Keyword::Return) => {
                 self.bump();
                 let value = if self.at_punct(Punct::Semi) {
@@ -814,7 +820,7 @@ impl Parser {
         Stmt::new(StmtKind::DoWhile { body, cond }, start.to(end))
     }
 
-    fn parse_for(&mut self) -> Stmt {
+    fn parse_for(&mut self, omp: Option<OmpFor>) -> Stmt {
         let start = self.span();
         self.bump(); // for
         self.expect_punct(Punct::LParen);
@@ -852,6 +858,7 @@ impl Parser {
                 id: LoopId::NONE,
                 affine: false,
                 scop: false,
+                omp,
             },
             start.to(end),
         )
@@ -1167,6 +1174,102 @@ impl Parser {
     }
 }
 
+/// Read `pragma omp parallel for …` / `pragma omp for …` (a directive's
+/// text) as a loop header; `None` for any other pragma. Clauses may be
+/// separated by commas and a name may stand apart from its `(`. A
+/// `schedule` the runtime models (`static`, `dynamic` or `guided`, with no
+/// chunk or an integer one) and the `private` lists are read; every other
+/// clause, a second `schedule` included, is kept as written.
+fn omp_loop_header(text: &str, span: Span) -> Option<OmpFor> {
+    /// The rest of `s` after the word `w`.
+    fn word<'a>(s: &'a str, w: &str) -> Option<&'a str> {
+        let rest = s.trim_start().strip_prefix(w)?;
+        (rest.is_empty() || rest.starts_with(char::is_whitespace)).then_some(rest)
+    }
+    let rest = word(text, "pragma").and_then(|r| word(r, "omp"))?;
+    let (parallel, mut rest) = match word(rest, "parallel") {
+        Some(r) => (true, word(r, "for")?),
+        None => (false, word(rest, "for")?),
+    };
+    let mut header = OmpFor {
+        parallel,
+        span,
+        ..OmpFor::parallel_for(None)
+    };
+    loop {
+        rest = rest.trim_start_matches(|c: char| c.is_whitespace() || c == ',');
+        if rest.is_empty() {
+            return Some(header);
+        }
+        let len = rest
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .unwrap_or(rest.len());
+        if len == 0 {
+            // Stray punctuation: skip it rather than stop.
+            rest = &rest[rest.chars().next().map_or(1, char::len_utf8)..];
+            continue;
+        }
+        let name = &rest[..len];
+        rest = &rest[len..];
+        let args = match rest.trim_start().strip_prefix('(') {
+            Some(open) => {
+                let (args, after) = balanced_args(open);
+                rest = after;
+                Some(args)
+            }
+            None => None,
+        };
+        if name == "schedule" && header.schedule.is_none() {
+            if let Some(schedule) = args.and_then(schedule_clause) {
+                header.schedule = Some(schedule);
+                continue;
+            }
+        }
+        match (name, args) {
+            ("private", Some(list)) => header.private.extend(
+                list.split(',')
+                    .map(str::trim)
+                    .filter(|v| !v.is_empty())
+                    .map(String::from),
+            ),
+            _ => header.other.push(OmpClause {
+                name: name.to_string(),
+                args: args.map(String::from),
+            }),
+        }
+    }
+}
+
+/// Split `text` (just after a clause's `(`) at its matching `)`: the
+/// arguments and what follows. An unclosed clause takes the rest.
+fn balanced_args(text: &str) -> (&str, &str) {
+    let mut depth = 0usize;
+    for (i, c) in text.char_indices() {
+        match c {
+            '(' => depth += 1,
+            ')' if depth == 0 => return (&text[..i], &text[i + 1..]),
+            ')' => depth -= 1,
+            _ => {}
+        }
+    }
+    (text, "")
+}
+
+/// `kind[, chunk]` as a schedule the runtime models.
+fn schedule_clause(args: &str) -> Option<ScheduleClause> {
+    let (kind, chunk) = match args.split_once(',') {
+        Some((kind, chunk)) => (kind, Some(chunk.trim().parse().ok()?)),
+        None => (args, None),
+    };
+    let kind = match kind.trim() {
+        "static" => ScheduleKind::Static,
+        "dynamic" => ScheduleKind::Dynamic,
+        "guided" => ScheduleKind::Guided,
+        _ => return None,
+    };
+    Some(ScheduleClause { kind, chunk })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1396,5 +1499,104 @@ mod tests {
             }
         }
         panic!("expected init list");
+    }
+
+    /// A statement's shape: loops with their headers, pragmas, blocks.
+    fn outline(s: &Stmt) -> String {
+        match &s.kind {
+            StmtKind::If { then_branch, .. } => format!("if({})", outline(then_branch)),
+            StmtKind::For { body, omp, .. } => {
+                let omp = if omp.is_some() { "omp " } else { "" };
+                format!("{omp}for({})", outline(body))
+            }
+            StmtKind::Block(b) => {
+                let stmts: Vec<String> = b.stmts.iter().map(outline).collect();
+                format!("{{{}}}", stmts.join(" "))
+            }
+            StmtKind::Pragma(p) => format!("#{p}"),
+            _ => "s".into(),
+        }
+    }
+
+    /// A header heads the `for` directly under it, wherever that `for`
+    /// stands: in a block, or as the braceless body of an `if` or a `for`.
+    /// With anything else under it (a statement, another pragma, the end
+    /// of its block) it is a statement of its own, and so is any other
+    /// pragma.
+    #[test]
+    fn a_header_attaches_to_the_for_directly_under_it() {
+        let unit = parse_ok(
+            "void f(int c) {\n\
+             if (c)\n#pragma omp parallel for\nfor (;;) ;\n\
+             for (;;)\n#pragma omp for schedule(static)\nfor (;;) ;\n\
+             #pragma omp parallel for\n#pragma omp simd\nfor (;;) ;\n\
+             #pragma omp parallel for\nc = 1;\n\
+             { c = 2;\n#pragma omp parallel for\n}\n\
+             #pragma omp parallel\nfor (;;) ;\n\
+             }",
+        );
+        let body = &unit
+            .find_function("f")
+            .unwrap()
+            .body
+            .as_ref()
+            .unwrap()
+            .stmts;
+        let shape: Vec<String> = body.iter().map(outline).collect();
+        assert_eq!(
+            shape.join(" "),
+            "if(omp for(s)) for(omp for(s)) \
+             #pragma omp parallel for #pragma omp simd for(s) \
+             #pragma omp parallel for s {s #pragma omp parallel for} \
+             #pragma omp parallel for(s)"
+        );
+    }
+
+    /// Each header as written, as the printer writes it back, and the
+    /// schedule the parser read from it (`-` for none the runtime
+    /// models). A printed header means to GCC what the user's meant: every
+    /// clause survives with its arguments, `schedule(static, 1)` stays
+    /// apart from `schedule(static)`, a schedule the runtime does not
+    /// model (or a second one) is kept as written, and printing is a fixed
+    /// point.
+    #[test]
+    fn a_header_reads_its_clauses_and_prints_back_to_what_it_means() {
+        const CASES: &str = "\
+            parallel for => parallel for | -
+            for schedule(static) => for schedule(static) | static
+            parallel for schedule(static, 1) => parallel for schedule(static,1) | static,1
+            parallel for schedule(static, 8) => parallel for schedule(static,8) | static,8
+            parallel for schedule(dynamic, 4) => parallel for schedule(dynamic,4) | dynamic,4
+            parallel for schedule(guided) => parallel for schedule(guided) | guided
+            parallel for private(t2t, t1, t2) schedule(dynamic,2) => \
+                parallel for private(t2t, t1, t2) schedule(dynamic,2) | dynamic,2
+            parallel for schedule(dynamic,1) private (x) => \
+                parallel for private(x) schedule(dynamic,1) | dynamic,1
+            parallel for schedule(runtime) => parallel for schedule(runtime) | -
+            parallel for schedule(dynamic, n) schedule(auto) => \
+                parallel for schedule(dynamic, n) schedule(auto) | -
+            parallel for schedule(guided,2) schedule(static) => \
+                parallel for schedule(guided,2) schedule(static) | guided,2
+            parallel for reduction(+:sum) collapse(2), nowait if(f(x)) => \
+                parallel for reduction(+:sum) collapse(2) nowait if(f(x)) | -";
+        for case in CASES.lines() {
+            let (written, rest) = case.trim().split_once(" => ").unwrap();
+            let (printed, schedule) = rest.split_once(" | ").unwrap();
+            let unit = parse_ok(&format!(
+                "void f() {{\n#pragma omp {written}\nfor (;;) ;\n}}"
+            ));
+            let f = unit.find_function("f").unwrap();
+            let StmtKind::For { omp: Some(h), .. } = &f.body.as_ref().unwrap().stmts[0].kind else {
+                panic!("{written}: no header");
+            };
+            let read = h.schedule.map_or("-".to_string(), |s| {
+                s.kind.name().to_string() + &s.chunk.map_or(String::new(), |c| format!(",{c}"))
+            });
+            assert_eq!(read, schedule, "{written}");
+            let once = crate::printer::print_unit(&unit);
+            let line = format!("\n#pragma omp {printed}\n    for (");
+            assert!(once.contains(&line), "{written}:\n{once}");
+            assert_eq!(crate::printer::print_unit(&parse_ok(&once)), once);
+        }
     }
 }

@@ -281,8 +281,12 @@ impl Printer {
                 step,
                 body,
                 scop,
+                omp,
                 ..
             } => {
+                if let Some(header) = omp {
+                    self.omp_header(header);
+                }
                 // PC-CC's mark, in the paper's notation.
                 if *scop {
                     self.out.push_str("#pragma scop\n");
@@ -338,6 +342,31 @@ impl Printer {
                 self.out.push('\n');
             }
         }
+    }
+
+    /// A loop's OpenMP header, the one writer of its text. Pragmas are
+    /// column-0 in C.
+    fn omp_header(&mut self, h: &OmpFor) {
+        let mut line = String::from(if h.parallel {
+            "#pragma omp parallel for"
+        } else {
+            "#pragma omp for"
+        });
+        if !h.private.is_empty() {
+            line += &format!(" private({})", h.private.join(", "));
+        }
+        if let Some(ScheduleClause { kind, chunk }) = h.schedule {
+            let chunk = chunk.map_or(String::new(), |c| format!(",{c}"));
+            line += &format!(" schedule({}{chunk})", kind.name());
+        }
+        for OmpClause { name, args } in &h.other {
+            line += &format!(" {name}");
+            if let Some(args) = args {
+                line += &format!("({args})");
+            }
+        }
+        self.out.push_str(&line);
+        self.out.push('\n');
     }
 
     /// A body statement of if/for/while: blocks print inline, single

@@ -1,5 +1,5 @@
 //! Mutable AST visitors used by the transformation stages (call substitution,
-//! `pure` lowering, pragma insertion), plus a read-only symbol-collection
+//! `pure` lowering, bound hoisting), plus a read-only symbol-collection
 //! pass feeding the [`crate::intern::Interner`].
 
 use crate::ast::*;

@@ -40,8 +40,7 @@ use crate::walk::{Flow, WalkCtx};
 use cfront::ast::*;
 use cfront::omp::HeaderError;
 #[cfg(any(test, feature = "legacy-oracle"))]
-use cfront::omp::{canonical_for, paired_omp_loops, CanonicalFor, Paired};
-use machine::OmpSchedule;
+use cfront::omp::{canonical_for, CanonicalFor};
 #[cfg(any(test, feature = "legacy-oracle"))]
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
@@ -1026,8 +1025,7 @@ impl Interp {
                 }
                 self.frames.push(frame);
                 let body = f.body.as_ref().expect("definition");
-                // Route through exec_block so `#pragma omp parallel for`
-                // regions at function top level are recognised.
+                // The body's statements, with no step for the body itself.
                 let flow = self.exec_block(body);
                 self.frames.pop();
                 match flow? {
@@ -1045,6 +1043,14 @@ impl Interp {
     // -- statements -------------------------------------------------------------
 
     fn exec(&mut self, stmt: &Stmt) -> RtResult<Flow> {
+        // A parallel region takes no step of its own, on every engine.
+        if let StmtKind::For {
+            omp: Some(header), ..
+        } = &stmt.kind
+        {
+            self.exec_parallel_for(stmt, header)?;
+            return Ok(Flow::Normal);
+        }
         self.cx.step(stmt.span)?;
         match &stmt.kind {
             StmtKind::Decl(d) => {
@@ -1144,17 +1150,11 @@ impl Interp {
         }
     }
 
-    /// Execute a block, recognising `#pragma omp parallel for` regions.
     fn exec_block(&mut self, b: &Block) -> RtResult<Flow> {
-        for item in paired_omp_loops(&b.stmts, parse_omp_parallel_for) {
-            match item {
-                Paired::OmpFor {
-                    clauses, for_stmt, ..
-                } => self.exec_parallel_for(for_stmt, clauses)?,
-                Paired::Plain(s) => match self.exec(s)? {
-                    Flow::Normal => {}
-                    other => return Ok(other),
-                },
+        for s in &b.stmts {
+            match self.exec(s)? {
+                Flow::Normal => {}
+                other => return Ok(other),
             }
         }
         Ok(Flow::Normal)
@@ -1162,7 +1162,7 @@ impl Interp {
 
     /// Launch an `omp parallel for` region ([`region::launch`]); its
     /// workers are walkers started from an [`LFrame`].
-    fn exec_parallel_for(&mut self, for_stmt: &Stmt, schedule: OmpSchedule) -> RtResult<()> {
+    fn exec_parallel_for(&mut self, for_stmt: &Stmt, header: &OmpFor) -> RtResult<()> {
         let CanonicalFor {
             iter,
             lb,
@@ -1175,7 +1175,7 @@ impl Interp {
         let launch = Launch {
             lb: self.eval(lb)?.as_i64(),
             ub: self.eval(bound)?.as_i64() - i64::from(!inclusive),
-            schedule,
+            schedule: region::schedule(header),
             verdict: loop_verdict(&self.s.prog.verdicts, for_stmt),
             span: for_stmt.span,
             body_span: body.span,
@@ -1250,19 +1250,11 @@ pub(crate) fn omp_header_message(e: HeaderError) -> &'static str {
     }
 }
 
-/// Parse `pragma omp parallel for [private(...)] [schedule(kind[,chunk])]`.
-/// Returns the schedule when this is a parallel-for pragma. Thin wrapper
-/// over [`machine::parse_omp_parallel_for_clauses`] — the engines only
-/// need the schedule; the static analyzer consumes the full clause list
-/// (privates, unknown clauses) and warns about what the runtime ignores.
-pub(crate) fn parse_omp_parallel_for(text: &str) -> Option<OmpSchedule> {
-    machine::parse_omp_parallel_for_clauses(text).map(|c| c.schedule)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cfront::parser::parse;
+    use machine::OmpSchedule;
 
     fn run_src(src: &str) -> RunResult {
         let r = parse(src);
@@ -1456,25 +1448,33 @@ mod tests {
     }
 
     #[test]
-    fn parse_omp_pragma_variants() {
-        assert_eq!(
-            parse_omp_parallel_for("pragma omp parallel for private(t2)"),
-            Some(OmpSchedule::Static)
-        );
-        assert_eq!(
-            parse_omp_parallel_for("pragma omp parallel for private (x) schedule(dynamic,1)"),
-            Some(OmpSchedule::Dynamic(1))
-        );
-        assert_eq!(
-            parse_omp_parallel_for("pragma omp parallel for schedule(static)"),
-            Some(OmpSchedule::Static)
-        );
-        assert_eq!(
-            parse_omp_parallel_for("pragma omp parallel for schedule(static, 4)"),
-            Some(OmpSchedule::StaticChunk(4))
-        );
-        assert_eq!(parse_omp_parallel_for("pragma omp simd"), None);
-        assert_eq!(parse_omp_parallel_for("pragma GCC ivdep"), None);
+    fn a_header_runs_on_the_runtimes_schedule() {
+        use OmpSchedule::*;
+        for (clauses, want) in [
+            ("private(t2)", Static),
+            ("private (x) schedule(dynamic,1)", Dynamic(1)),
+            ("schedule(static)", Static),
+            ("schedule(static, 1)", Static),
+            ("schedule(static, 4)", StaticChunk(4)),
+            ("schedule(dynamic)", Dynamic(1)),
+            ("schedule(guided)", Guided(1)),
+            ("schedule(guided, 3)", Guided(3)),
+            ("schedule(runtime)", Static),
+        ] {
+            let src = format!("void f() {{\n#pragma omp parallel for {clauses}\nfor (;;) ;\n}}");
+            let unit = parse(&src).unit;
+            let body = &unit
+                .find_function("f")
+                .unwrap()
+                .body
+                .as_ref()
+                .unwrap()
+                .stmts;
+            let StmtKind::For { omp: Some(h), .. } = &body[0].kind else {
+                panic!("{clauses}: no header");
+            };
+            assert_eq!(region::schedule(h), want, "{clauses}");
+        }
     }
 }
 

@@ -37,8 +37,10 @@
 //! differential tests compare. They do not differ in *meaning*: what an
 //! operator, a unary minus, `++`/`--` and a conversion compute is one
 //! table ([`ops`]) that all three and the optimizer's constant folder
-//! call; which `for` an `omp parallel for` pragma sits on and whether its
-//! header is canonical is `cfront::omp`'s answer; how a region launches
+//! call; a loop runs as a region when its `for` carries an OpenMP header
+//! (`StmtKind::For { omp, .. }`, mapped to the runtime's schedule by one
+//! function, [`region::schedule`]), and whether that loop is canonical
+//! is `cfront::omp`'s answer; how a region launches
 //! is one protocol ([`region`]); and what a thread of either tree-walking
 //! oracle carries besides its frames — step limit, fuel, counted and
 //! tracked memory access — is one context ([`walk`]).

@@ -23,7 +23,7 @@
 
 use crate::interp::{InterpOptions, RuntimeError};
 use crate::value::{Counters, Memory, RaceAccumulator, TrackSets};
-use cfront::ast::LoopVerdict;
+use cfront::ast::{LoopVerdict, OmpFor, ScheduleClause, ScheduleKind};
 use cfront::span::Span;
 use machine::omprt::instrument;
 use machine::{parallel_for_state_pooled, OmpSchedule};
@@ -47,6 +47,23 @@ pub(crate) struct Launch {
     /// Dispatches one iteration takes at most, when bounded (the VM's
     /// `BRegion::work`). `None` forks the region whatever its size.
     pub(crate) work: Option<u32>,
+}
+
+/// The runtime's schedule for a loop's OpenMP header, on every engine. A
+/// header with no schedule the runtime models runs `static`, and so does
+/// `schedule(static, 1)`.
+pub(crate) fn schedule(header: &OmpFor) -> OmpSchedule {
+    let Some(ScheduleClause { kind, chunk }) = header.schedule else {
+        return OmpSchedule::Static;
+    };
+    match kind {
+        ScheduleKind::Static => match chunk {
+            Some(c) if c > 1 => OmpSchedule::StaticChunk(c),
+            _ => OmpSchedule::Static,
+        },
+        ScheduleKind::Dynamic => OmpSchedule::Dynamic(chunk.unwrap_or(1)),
+        ScheduleKind::Guided => OmpSchedule::Guided(chunk.unwrap_or(1).max(1)),
+    }
 }
 
 /// One thread of an engine: the launching one, and each region worker.

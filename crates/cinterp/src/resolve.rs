@@ -24,10 +24,10 @@
 //!   aliasing between same-named fields of different structs.
 //! * **Pre-resolved literals** — string literals and `printf` format
 //!   strings are captured at lower time; `sizeof` folds to a constant.
-//! * **Lower-time OpenMP recognition** — `#pragma omp parallel for`
-//!   regions are matched against the following loop once, so the parallel
-//!   driver starts from pre-parsed bounds instead of re-inspecting the
-//!   AST.
+//! * **Lower-time OpenMP regions** — a loop with an OpenMP header
+//!   (`StmtKind::For { omp, .. }`) has its header checked once, so the
+//!   parallel driver starts from pre-parsed bounds instead of
+//!   re-inspecting the AST.
 //!
 //! # What a const call costs: three outcomes, one record
 //!
@@ -83,8 +83,8 @@ use crate::builtins::{call_builtin, format_printf};
 use crate::cache::{ClockCache, MemoKey, MEMO_KEY_WORDS};
 use crate::effects::Summary;
 use crate::interp::{
-    check_call_depth, loop_verdict, omp_header_message, parse_omp_parallel_for, InterpOptions,
-    RunResult, RuntimeError, VerdictMap,
+    check_call_depth, loop_verdict, omp_header_message, InterpOptions, RunResult, RuntimeError,
+    VerdictMap,
 };
 use crate::ops::{self, Coerce};
 use crate::region::{self, Launch};
@@ -92,7 +92,7 @@ use crate::value::{Counters, FuelBudget, Memory, Ptr, Scalar, TrackSets};
 use crate::walk::{Flow, WalkCtx};
 use cfront::ast::*;
 use cfront::intern::{Interner, Symbol};
-use cfront::omp::{canonical_for, paired_omp_loops, CanonicalFor, Paired};
+use cfront::omp::{canonical_for, CanonicalFor};
 use cfront::span::Span;
 use machine::OmpSchedule;
 use machine::{global_pool, PureFuture, ThreadPool};
@@ -252,7 +252,7 @@ pub(crate) enum RStmtKind {
     Return(Option<RExpr>),
     Break,
     Continue,
-    /// `#pragma omp parallel for` + loop, pre-matched at lower time.
+    /// A loop with an OpenMP header, its header checked at lower time.
     OmpFor(Box<ROmpFor>),
     /// Pragma/empty statement — executes as a step-counted no-op.
     Nop,
@@ -761,6 +761,9 @@ impl<'a> Lowerer<'a> {
                 cond: self.lower_expr(cond),
             },
             StmtKind::For {
+                omp: Some(header), ..
+            } => return self.lower_omp_for(s, header),
+            StmtKind::For {
                 init,
                 cond,
                 step,
@@ -798,25 +801,14 @@ impl<'a> Lowerer<'a> {
         RStmt { kind, span: s.span }
     }
 
-    /// Lower a block's statements, pairing each `#pragma omp parallel
-    /// for` with its loop ([`paired_omp_loops`]: the tree-walker and the
-    /// static analyzer walk the same pairs).
     fn lower_block_stmts(&mut self, b: &Block) -> Vec<RStmt> {
         self.scopes.push(HashMap::new());
-        let mut out = Vec::with_capacity(b.stmts.len());
-        for item in paired_omp_loops(&b.stmts, parse_omp_parallel_for) {
-            out.push(match item {
-                Paired::OmpFor {
-                    clauses, for_stmt, ..
-                } => self.lower_omp_for(for_stmt, clauses),
-                Paired::Plain(s) => self.lower_stmt(s),
-            });
-        }
+        let out = b.stmts.iter().map(|s| self.lower_stmt(s)).collect();
         self.scopes.pop();
         out
     }
 
-    fn lower_omp_for(&mut self, for_stmt: &Stmt, schedule: OmpSchedule) -> RStmt {
+    fn lower_omp_for(&mut self, for_stmt: &Stmt, omp: &OmpFor) -> RStmt {
         let verdict = loop_verdict(self.verdicts, for_stmt);
         // The header's shape is checked once, at lower time; a loop that
         // is not canonical is an error when (and if) it is reached.
@@ -825,7 +817,7 @@ impl<'a> Lowerer<'a> {
             .map(|h| self.lower_omp_header(h));
         RStmt {
             kind: RStmtKind::OmpFor(Box::new(ROmpFor {
-                schedule,
+                schedule: region::schedule(omp),
                 header,
                 verdict,
                 span: for_stmt.span,

@@ -1,8 +1,8 @@
 //! Loop code generation from a transformed iteration space — the ClooG
-//! stage of the PluTo stack, plus the pragma insertion the paper's chain
-//! relies on (`#pragma omp parallel for`, Listing 8; the listing's
-//! `private(...)` clause is implied by declaring each iterator in its
-//! own for-init).
+//! stage of the PluTo stack, plus the OpenMP header the paper's chain
+//! relies on (`#pragma omp parallel for`, Listing 8: the parallel level's
+//! `omp` field; the listing's `private(...)` clause is implied by
+//! declaring each iterator in its own for-init).
 //!
 //! Bounds are derived by successive Fourier–Motzkin projection of the
 //! t-space domain: for each new iterator (outermost first) the constraints
@@ -26,11 +26,11 @@ use std::collections::HashMap;
 /// Generated code plus the iterator adaptation map for call reinsertion.
 #[derive(Debug)]
 pub struct Generated {
-    /// Replacement statements (pragmas + the transformed nest).
+    /// Replacement statements: the transformed nest.
     pub stmts: Vec<Stmt>,
     /// Original iterator name → expression over the new iterators.
     pub iter_map: HashMap<String, Expr>,
-    /// Did we actually parallelize (emit an omp pragma)?
+    /// Did a level of the nest get an OpenMP header?
     pub parallelized: bool,
     /// Was the nest tiled?
     pub tiled: bool,
@@ -49,11 +49,13 @@ fn tile_iter(k: usize) -> String {
     format!("t{}t", k + 1)
 }
 
-/// Generate the transformed loop nest.
+/// Generate the transformed loop nest; its OpenMP header, if it gets one,
+/// carries `schedule`.
 pub fn generate(
     scop: &Scop,
     transform: &Transform,
     opts: PolyccOptions,
+    schedule: Option<ScheduleClause>,
 ) -> Result<Generated, Diagnostics> {
     let n = scop.depth();
     let mut diags = Diagnostics::new();
@@ -292,43 +294,30 @@ pub fn generate(
                 id: LoopId::NONE,
                 affine: true,
                 scop: false,
+                // No `private(...)`: every inner iterator is declared in
+                // its own for-init, which makes it private already — and
+                // naming a variable not yet declared is an error to a C
+                // compiler.
+                omp: (Some(lvl) == omp_level).then(|| OmpFor::parallel_for(schedule)),
             },
             Span::DUMMY,
         );
 
-        if Some(lvl) != omp_level {
-            current = for_stmt;
-            continue;
-        }
-        // The pragma and its loop become a block so they stay adjacent
-        // when nested under an outer loop. No `private(...)`: every inner
-        // iterator is declared in its own for-init, which makes it private
-        // already — and naming a variable not yet declared is an error to
-        // a C compiler.
-        let wrapped = vec![
+        current = if lvl > 0 && Some(lvl) == omp_level {
+            // A parallel level under an outer loop stands in a block of
+            // its own: every engine steps the block and the text prints its
+            // braces, and both the dispatch counts and the text of such
+            // nests are pinned.
             Stmt::new(
-                StmtKind::Pragma("pragma omp parallel for".to_string()),
+                StmtKind::Block(Block {
+                    stmts: vec![for_stmt],
+                    span: Span::DUMMY,
+                }),
                 Span::DUMMY,
-            ),
-            for_stmt,
-        ];
-        if lvl == 0 {
-            // Top level: return the sequence directly.
-            return Ok(Generated {
-                stmts: wrapped,
-                iter_map,
-                parallelized: true,
-                tiled,
-                needs_helpers,
-            });
-        }
-        current = Stmt::new(
-            StmtKind::Block(Block {
-                stmts: wrapped,
-                span: Span::DUMMY,
-            }),
-            Span::DUMMY,
-        );
+            )
+        } else {
+            for_stmt
+        };
     }
 
     Ok(Generated {
@@ -459,7 +448,7 @@ mod tests {
         );
         let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
-        let g = generate(&scop, &t, PolyccOptions::default()).expect("codegen");
+        let g = generate(&scop, &t, PolyccOptions::default(), None).expect("codegen");
         let out = print_all(&g);
         assert!(g.parallelized);
         // The pragma sits on the t1 loop; t2 is private by being declared
@@ -487,7 +476,7 @@ mod tests {
         let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
         assert!(t.skewed);
-        let g = generate(&scop, &t, PolyccOptions::default()).expect("codegen");
+        let g = generate(&scop, &t, PolyccOptions::default(), None).expect("codegen");
         let out = print_all(&g);
         // t1 = i ∈ [1,63]; t2 = i + j ∈ [t1+1, t1+62].
         assert!(out.contains("for (int t1 = 1; t1 <= 63; t1++)"), "{out}");
@@ -519,6 +508,7 @@ mod tests {
                 tile: Some(32),
                 omp: true,
             },
+            None,
         )
         .expect("codegen");
         assert!(g.tiled);
@@ -548,7 +538,7 @@ mod tests {
             tile: Some(tile),
             omp: true,
         };
-        let g = generate(&scop, &t, opts).expect("codegen");
+        let g = generate(&scop, &t, opts, None).expect("codegen");
         let out = print_all(&g);
         (g, out)
     }
@@ -604,7 +594,7 @@ mod tests {
         );
         let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
-        let g = generate(&scop, &t, PolyccOptions::default()).expect("codegen");
+        let g = generate(&scop, &t, PolyccOptions::default(), None).expect("codegen");
         assert!(!g.parallelized);
         let out = print_all(&g);
         assert!(!out.contains("omp parallel"), "{out}");
@@ -616,7 +606,7 @@ mod tests {
         let scop = scop_of("void f(int n, float* a) { for (int i = 0; i < n; i++) a[i] = 0; }");
         let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
-        let g = generate(&scop, &t, PolyccOptions::default()).expect("codegen");
+        let g = generate(&scop, &t, PolyccOptions::default(), None).expect("codegen");
         let out = print_all(&g);
         assert!(out.contains("t1 <= n - 1"), "{out}");
     }
@@ -632,7 +622,7 @@ mod tests {
         let deps = analyze(&scop).deps;
         let t = compute_schedule(&scop, &deps);
         for tile in [None, Some(16)] {
-            let g = generate(&scop, &t, PolyccOptions { tile, omp: true }).expect("codegen");
+            let g = generate(&scop, &t, PolyccOptions { tile, omp: true }, None).expect("codegen");
             let src = format!("void wrapper() {{\n{}\n}}", print_all(&g));
             let r = parse(&src);
             assert!(
@@ -692,6 +682,7 @@ mod codegen_proptests {
                 &scop,
                 &t,
                 PolyccOptions { tile, omp: true },
+                None,
             )
             .expect("codegen");
             // The generated code must reparse as valid C.

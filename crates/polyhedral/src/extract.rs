@@ -72,10 +72,12 @@ pub fn extract_scop(for_stmt: &Stmt, types: &IterTypes) -> Result<Scop, Diagnost
 }
 
 /// If `body` is exactly one nested `for` (directly or as the only statement
-/// of a block), return it.
+/// of a block), return it. A loop with an OpenMP header of its own is the
+/// user's parallel loop, not a level of this nest: it stays a statement
+/// of the body, which no nest models.
 fn unwrap_single_for(body: &Stmt) -> Option<&Stmt> {
     match &body.kind {
-        StmtKind::For { .. } => Some(body),
+        StmtKind::For { omp: None, .. } => Some(body),
         StmtKind::Block(b) => {
             let non_empty: Vec<&Stmt> = b
                 .stmts
@@ -83,7 +85,7 @@ fn unwrap_single_for(body: &Stmt) -> Option<&Stmt> {
                 .filter(|s| !matches!(s.kind, StmtKind::Expr(None)))
                 .collect();
             match non_empty.as_slice() {
-                [single] if matches!(single.kind, StmtKind::For { .. }) => Some(single),
+                [single] if matches!(single.kind, StmtKind::For { omp: None, .. }) => Some(single),
                 _ => None,
             }
         }

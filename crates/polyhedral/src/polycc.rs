@@ -2,8 +2,9 @@
 //! distribution's `polycc` script does): find the loop nests PC-CC flagged
 //! as SCoPs (`StmtKind::For { scop: true, .. }`, wherever they sit), then
 //! model, analyze, schedule, and replace them with transformed, annotated
-//! loop nests. A user `omp parallel for` directly above a flagged nest
-//! belongs to it. polycc judges no nest's candidacy itself: an unflagged
+//! loop nests. A flagged nest's own OpenMP header (the user's, a field
+//! of the loop) moves to the parallel level polycc generates. polycc
+//! judges no nest's candidacy itself: an unflagged
 //! loop, a user `#pragma scop` line included, is left as it is. PC-CC
 //! flags only nests the per-name model can be trusted on
 //! (`purec_core::nest_hazards`: no pure call reads what the nest writes,
@@ -23,7 +24,6 @@ use crate::extract::{extract_scop, IterTypes};
 use crate::schedule::{compute_schedule, Transform};
 use cfront::ast::*;
 use cfront::diag::Diagnostics;
-use cfront::omp::for_after_pragmas;
 use cfront::printer::print_expr;
 use cfront::visit::visit_exprs_mut_pruned;
 use std::collections::{HashMap, HashSet};
@@ -36,8 +36,8 @@ pub struct PolyccOptions {
     /// honoured when it lies in `2..=`[`Self::MAX_TILE`]. A band none of
     /// whose dimensions spans more than one tile is left untiled.
     pub tile: Option<i64>,
-    /// Emit `#pragma omp parallel for` on the outermost parallel loop that
-    /// has work for more than one thread.
+    /// Give the outermost parallel loop that has work for more than one
+    /// thread an `omp parallel for` header.
     pub omp: bool,
 }
 
@@ -238,98 +238,50 @@ struct Cx<'a> {
     types: &'a IterTypes<'a>,
 }
 
-/// Is this pragma text a user `#pragma omp parallel for` header?
-fn is_omp_parallel_for(text: &str) -> bool {
-    let t = text.trim();
-    t.starts_with("pragma omp parallel for") || t.starts_with("pragma omp for")
-}
-
-/// The `schedule(...)` clause substring of an omp pragma, if present.
-fn schedule_clause(text: &str) -> Option<&str> {
-    let start = text.find("schedule(")?;
-    let rest = &text[start..];
-    let end = rest.find(')')?;
-    Some(&rest[..=end])
-}
-
-/// Append the user's `schedule(...)` clause to the first generated
-/// `omp parallel for` pragma in the replacement (searching nested blocks:
-/// the parallel level of a tiled nest may not be the outermost one).
-fn carry_schedule(stmts: &mut [Stmt], user_pragma: &str) {
-    let Some(clause) = schedule_clause(user_pragma) else {
-        return;
+/// Transform the SCoP-flagged nest `loop_stmt`: `Some` replacement
+/// statements, or `None` when the loop stays (its children possibly
+/// transformed in place). The user's OpenMP header on the nest moves to
+/// the replacement's parallel level, carrying its schedule, so the output
+/// never holds two headers for one loop; a nest the user asserted
+/// parallel whose replacement stayed sequential keeps its literal loop
+/// and header, so parallelism is never silently lost.
+fn place_nest(loop_stmt: &mut Stmt, cx: Cx, report: &mut PolyccReport) -> Option<Vec<Stmt>> {
+    let StmtKind::For { omp, .. } = &mut loop_stmt.kind else {
+        return None;
     };
-    fn visit(stmts: &mut [Stmt], clause: &str) -> bool {
-        for s in stmts {
-            let inner = match &mut s.kind {
-                StmtKind::Pragma(p) if is_omp_parallel_for(p) => {
-                    p.push(' ');
-                    p.push_str(clause);
-                    return true;
-                }
-                StmtKind::Block(b) => &mut b.stmts[..],
-                StmtKind::For { body, .. } => std::slice::from_mut(&mut **body),
-                _ => continue,
-            };
-            if visit(inner, clause) {
-                return true;
-            }
-        }
-        false
-    }
-    visit(stmts, clause);
-}
-
-/// The text of `s` if it is a user `omp parallel for` header.
-fn omp_header(s: &Stmt) -> Option<String> {
-    match &s.kind {
-        StmtKind::Pragma(p) if is_omp_parallel_for(p) => Some(p.clone()),
-        _ => None,
-    }
-}
-
-/// What replaces the nest `loop_stmt`, and whether it consumed the user's
-/// `omp parallel for` header `user_omp` directly above it. A parallelized
-/// replacement takes the header's place, carrying its schedule clause, so
-/// the output never holds two pragmas in front of one loop; a
-/// replacement the user asserted parallel that stayed sequential is
-/// dropped for the literal nest, so parallelism is never silently lost.
-fn place_nest(
-    mut loop_stmt: Stmt,
-    user_omp: Option<&str>,
-    cx: Cx,
-    report: &mut PolyccReport,
-) -> (Vec<Stmt>, bool) {
+    let Some(user) = omp.take() else {
+        return transform_nest(loop_stmt, None, cx, report);
+    };
     let snapshot = (report.regions.len(), report.needs_helpers);
-    let Some(mut stmts) = transform_nest(&mut loop_stmt, cx, report) else {
-        // Children may have been transformed in place.
-        return (vec![loop_stmt], false);
-    };
-    let Some(pragma) = user_omp else {
-        return (stmts, false);
-    };
-    let parallelized = matches!(
-        report.regions.last(),
-        Some(RegionOutcome::Transformed {
-            parallelized: true,
-            ..
-        })
-    );
-    if parallelized {
-        carry_schedule(&mut stmts, pragma);
-        return (stmts, true);
+    match transform_nest(loop_stmt, user.schedule, cx, report) {
+        Some(stmts)
+            if matches!(
+                report.regions.last(),
+                Some(RegionOutcome::Transformed {
+                    parallelized: true,
+                    ..
+                })
+            ) =>
+        {
+            return Some(stmts)
+        }
+        Some(_) => {
+            report.regions.truncate(snapshot.0);
+            report.needs_helpers = snapshot.1;
+            report.regions.push(RegionOutcome::Skipped {
+                reason: "user-parallel nest not auto-parallelized; kept literal".into(),
+            });
+            descend(loop_stmt, cx, report);
+        }
+        None => {}
     }
-    report.regions.truncate(snapshot.0);
-    report.needs_helpers = snapshot.1;
-    report.regions.push(RegionOutcome::Skipped {
-        reason: "user-parallel nest not auto-parallelized; kept literal".into(),
-    });
-    descend(&mut loop_stmt, cx, report);
-    (vec![loop_stmt], false)
+    if let StmtKind::For { omp, .. } = &mut loop_stmt.kind {
+        *omp = Some(user);
+    }
+    None
 }
 
-/// Replace every SCoP-flagged nest of a block with transformed code (a
-/// user `omp parallel for` header directly above the nest belongs to it),
+/// Replace every SCoP-flagged nest of a block with transformed code,
 /// then bound-hoist the resulting nests.
 fn process_block(block: &mut Block, cx: Cx, report: &mut PolyccReport) {
     let mut i = 0;
@@ -339,17 +291,14 @@ fn process_block(block: &mut Block, cx: Cx, report: &mut PolyccReport) {
             i += 1;
             continue;
         }
-        let user_omp = i.checked_sub(1).and_then(|h| omp_header(&block.stmts[h]));
-        // The nest is moved out, leaving an empty statement that the
-        // splice below replaces.
-        let span = block.stmts[i].span;
-        let loop_stmt =
-            std::mem::replace(&mut block.stmts[i], Stmt::new(StmtKind::Expr(None), span));
-        let (stmts, consumed) = place_nest(loop_stmt, user_omp.as_deref(), cx, report);
-        let from = if consumed { i - 1 } else { i };
-        let count = stmts.len();
-        block.stmts.splice(from..=i, stmts);
-        i = from + count;
+        match place_nest(&mut block.stmts[i], cx, report) {
+            Some(stmts) => {
+                let count = stmts.len();
+                block.stmts.splice(i..=i, stmts);
+                i += count;
+            }
+            None => i += 1,
+        }
     }
     finish_block(&mut block.stmts, report);
 }
@@ -389,7 +338,7 @@ fn process_body(body: &mut Stmt, cx: Cx, report: &mut PolyccReport) {
     if !matches!(body.kind, StmtKind::For { scop: true, .. }) {
         return descend(body, cx, report);
     }
-    if let Some(mut stmts) = transform_nest(body, cx, report) {
+    if let Some(mut stmts) = place_nest(body, cx, report) {
         finish_block(&mut stmts, report);
         let span = body.span;
         *body = Stmt::new(StmtKind::Block(Block { stmts, span }), span);
@@ -399,7 +348,12 @@ fn process_body(body: &mut Stmt, cx: Cx, report: &mut PolyccReport) {
 /// Transform one marked nest. Returns the replacement statements, or `None`
 /// to keep the original loop (possibly with transformed children, already
 /// rewritten in-place through `loop_stmt`).
-fn transform_nest(loop_stmt: &mut Stmt, cx: Cx, report: &mut PolyccReport) -> Option<Vec<Stmt>> {
+fn transform_nest(
+    loop_stmt: &mut Stmt,
+    schedule: Option<ScheduleClause>,
+    cx: Cx,
+    report: &mut PolyccReport,
+) -> Option<Vec<Stmt>> {
     let Cx { opts, types } = cx;
     // The mark is consumed: a nest kept as it is leaves polycc unflagged.
     if let StmtKind::For { scop, .. } = &mut loop_stmt.kind {
@@ -410,7 +364,7 @@ fn transform_nest(loop_stmt: &mut Stmt, cx: Cx, report: &mut PolyccReport) -> Op
             let DepAnalysis { deps, fm_solves } = analyze(&scop);
             report.fm_solves += fm_solves;
             let transform = compute_schedule(&scop, &deps);
-            match generate(&scop, &transform, opts) {
+            match generate(&scop, &transform, opts, schedule) {
                 Ok(Generated {
                     stmts,
                     iter_map,
@@ -563,31 +517,25 @@ fn int_decl(name: &str, init: Expr, span: cfront::span::Span) -> Stmt {
 /// `int __pc_ubK = __pc_min(...); for (t <= __pc_ubK)`, evaluated once per
 /// entry of the enclosing loop level instead of once per iteration — and
 /// the resulting `iter <= local` condition is what the VM's affine opcode
-/// fast path requires.
+/// fast path requires. A nest's declarations go just before it.
 fn hoist_bounds(stmts: &mut Vec<Stmt>, report: &mut PolyccReport) {
     let mut i = 0;
     while i < stmts.len() {
-        // A transformed nest: the run of generated pragmas (the `omp
-        // parallel for` header, if any) and the `affine` loop they sit on.
-        let Some(j) = for_after_pragmas(stmts, i)
-            .filter(|&j| matches!(stmts[j].kind, StmtKind::For { affine: true, .. }))
-        else {
+        if !matches!(stmts[i].kind, StmtKind::For { affine: true, .. }) {
             i += 1;
             continue;
-        };
-        let mut decls = Vec::new();
-        hoist_for(&mut stmts[j], &mut decls, report);
-        let n = decls.len();
-        for (off, d) in decls.into_iter().enumerate() {
-            stmts.insert(i + off, d);
         }
-        i = j + 1 + n;
+        let mut decls = Vec::new();
+        hoist_for(&mut stmts[i], &mut decls, report);
+        let n = decls.len();
+        stmts.splice(i..i, decls);
+        i += n + 1;
     }
 }
 
-/// Hoist this For's own bound into `decls` (emitted before the nest /
-/// pragma run), then recurse into the body, where inner bounds land just
-/// inside the enclosing loop (their outer iterators are in scope there).
+/// Hoist this For's own bound into `decls` (emitted before the loop),
+/// then recurse into the body, where inner bounds land just inside the
+/// enclosing loop (their outer iterators are in scope there).
 fn hoist_for(stmt: &mut Stmt, decls: &mut Vec<Stmt>, report: &mut PolyccReport) {
     let mut replacement: Option<(Expr, String)> = None;
     if let StmtKind::For {
@@ -623,28 +571,13 @@ fn hoist_for(stmt: &mut Stmt, decls: &mut Vec<Stmt>, report: &mut PolyccReport) 
     }
 }
 
-/// Recurse into a loop body: a nested For (bare or behind pragmas in a
-/// block) gets its hoisted decls inserted in that block, before any
-/// pragma run, so pragma–loop adjacency is preserved.
+/// Recurse into a loop body of a transformed nest, where every loop is
+/// `affine`: a nested For in a block gets its hoisted decls inserted in
+/// that block, just before it; a bare one becomes a block of its decls
+/// and itself.
 fn hoist_in_body(body: &mut Stmt, span: cfront::span::Span, report: &mut PolyccReport) {
     match &mut body.kind {
-        StmtKind::Block(b) => {
-            let mut i = 0;
-            while i < b.stmts.len() {
-                // A run of pragmas directly above a For belongs to it.
-                let Some(j) = for_after_pragmas(&b.stmts, i) else {
-                    i += 1;
-                    continue;
-                };
-                let mut decls = Vec::new();
-                hoist_for(&mut b.stmts[j], &mut decls, report);
-                let n = decls.len();
-                for (off, d) in decls.into_iter().enumerate() {
-                    b.stmts.insert(i + off, d);
-                }
-                i = j + n + 1;
-            }
-        }
+        StmtKind::Block(b) => hoist_bounds(&mut b.stmts, report),
         StmtKind::For { .. } => {
             let mut decls = Vec::new();
             hoist_for(body, &mut decls, report);
@@ -1095,9 +1028,9 @@ int main() {
 
     #[test]
     fn user_omp_pragma_is_consumed_and_schedule_carried() {
-        // A user `omp parallel for` header above a flagged nest belongs to
-        // the nest: the replacement must not keep it as a duplicate, and its
-        // schedule clause must carry over to the generated pragma.
+        // A user `omp parallel for` header on a flagged nest moves to the
+        // replacement: it must not stay as a duplicate, and its schedule
+        // goes with it, as a value the printer spells `kind,chunk`.
         let src = "\
 int main() {
     float a[64];
@@ -1115,15 +1048,46 @@ int main() {
             1,
             "user pragma must be consumed, not duplicated: {out}"
         );
-        assert!(out.contains("schedule(dynamic, 4)"), "{out}");
+        assert!(out.contains("schedule(dynamic,4)"), "{out}");
+    }
+
+    #[test]
+    fn a_user_header_polycc_cannot_honour_keeps_its_literal_loop() {
+        // The nest carries a dependence (and under `omp: false` polycc
+        // emits no header at all), so the replacement would run
+        // sequentially: the user's loop and header stay as written and the
+        // region is reported skipped, so no parallelism is lost silently.
+        let src = "\
+int main() {
+    float a[64];
+#pragma omp parallel for schedule(dynamic,2)
+    for (int i = 1; i < 64; i++) a[i] = a[i - 1] + 1.0;
+    return 0;
+}
+";
+        for omp in [true, false] {
+            let (unit, report) = run(src, PolyccOptions { tile: None, omp });
+            assert!(
+                matches!(report.regions[..], [RegionOutcome::Skipped { .. }]),
+                "{:?}",
+                report.regions
+            );
+            let out = print_unit(&unit);
+            assert!(
+                out.contains(
+                    "#pragma omp parallel for schedule(dynamic,2)\n    for (int i = 1; i < 64; i++)"
+                ),
+                "{out}"
+            );
+        }
     }
 
     #[test]
     fn user_omp_pragma_inside_a_sequential_loop_is_consumed_too() {
-        // The outer `r` loop cannot be modelled (its body holds a pragma),
-        // so the inner nest is transformed as a child: its user header goes the
-        // same way as one above a top-level nest. Two pragmas in front of
-        // one `for` is text GCC rejects.
+        // The outer `r` loop cannot be modelled (its body is a loop with a
+        // header of its own), so the inner nest is transformed as a child:
+        // its user header goes the same way as one on a top-level nest.
+        // Two pragmas in front of one `for` is text GCC rejects.
         let src = "\
 int main() {
     float a[64];

@@ -104,6 +104,49 @@ fn dataflow_lints_fire_with_exact_spans() {
     assert_eq!(outcome.diags.len(), 3);
 }
 
+/// A clause the runtime does not model is named on the loop's pragma
+/// line: each unknown clause, then the schedule that degrades to static.
+#[test]
+fn clauses_the_runtime_ignores_are_named_on_the_pragma_line() {
+    let source = "int a[64];\n\
+                  int main() {\n\
+                  #pragma omp parallel for reduction(+:s) schedule(runtime) nowait\n\
+                  for (int i = 0; i < 64; i++) a[i] = i;\n\
+                  return 0;\n\
+                  }\n";
+    let outcome = check_source(source, &CheckOptions::default());
+    let map = LineMap::new(&outcome.text);
+    let seen: Vec<(usize, String, &str)> = outcome
+        .diags
+        .items()
+        .iter()
+        .map(|d| {
+            let line = map.line_col(d.span.start).line as usize;
+            (line, d.code.to_string(), d.message.as_str())
+        })
+        .collect();
+    assert_eq!(
+        seen,
+        [
+            (
+                3,
+                "OmpUnknownClause".to_string(),
+                "unrecognized OpenMP clause 'reduction' is ignored by the runtime"
+            ),
+            (
+                3,
+                "OmpUnknownClause".to_string(),
+                "unrecognized OpenMP clause 'nowait' is ignored by the runtime"
+            ),
+            (
+                3,
+                "OmpUnknownSchedule".to_string(),
+                "unknown schedule kind 'runtime' degrades to schedule(static)"
+            ),
+        ]
+    );
+}
+
 #[test]
 fn clean_file_produces_zero_diagnostics() {
     let outcome = run_corpus_file("clean.c", false);

@@ -241,8 +241,9 @@ fn fm_solves_per_compile_are_pinned() {
 
 /// The chain judges each loop before polycc hoists invariant rows into
 /// `__pc_rowK` pointers, so every parallel loop it emits for the schedule
-/// corpus, the four applications, `heavy_unit(9)` and the blind-spot
-/// programs is `Independent`, and no diagnostic names a
+/// corpus, the four applications, `heavy_unit(9)`, the blind-spot
+/// programs and the braceless parallel bodies is `Independent`, and no
+/// diagnostic names a
 /// compiler-generated identifier. The pinned pragma counts say, from the
 /// text, that no nest with a hazard of the model got one, and every
 /// pragma heads a loop with work for two threads. (Judged on the
@@ -287,6 +288,11 @@ fn every_emitted_parallel_loop_is_independent() {
         BLIND_SPOT
             .iter()
             .map(|&(name, src, _, loops)| (name.to_string(), src.to_string(), loops)),
+    );
+    corpus.extend(
+        BRACELESS_OMP
+            .iter()
+            .map(|&(name, src, _)| (name.to_string(), src.to_string(), 1)),
     );
     for (name, src, loops) in corpus {
         let name = name.as_str();

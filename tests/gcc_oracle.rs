@@ -14,7 +14,9 @@
 //! a loop with work for two threads. The four applications' `--no-poly`
 //! text builds under the same flags: PC-CC's SCoP marks do not reach it.
 //! The blind-spot programs, where the model cannot see what a pure call
-//! reads, must print the literal build's output from the emitted text.
+//! reads, must print the literal build's output from the emitted text,
+//! and a user parallel loop that is the braceless body of an `if` or a
+//! `for` must stay there, in the text and on every engine.
 //!
 //! Without a `cc` on `PATH` the test prints why and passes (CI and the
 //! verify skill require the compiler). No time is read.
@@ -323,6 +325,66 @@ fn blind_spot_text_agrees_with_the_literal_build_under_cc() {
             let exe = cc(&chain.text, &format!("gcc_oracle_{stem}_{build}"), false);
             let code = i64::from(recorded.trim().parse::<i32>().expect("a number") % 256);
             assert_native_matches(&exe, &format!("{name}, {build} text"), recorded, code);
+        }
+    }
+}
+
+/// A user `omp parallel for` loop that is the braceless body of an `if`
+/// or a `for` ([`BRACELESS_OMP`]) stays inside it: the default and the
+/// `--no-poly` text build under `-Werror=unknown-pragmas` with one header
+/// on that loop, and the native build, the original source and the VM,
+/// resolved and legacy engines at 1, 2 and 4 threads all print GCC's
+/// output.
+#[test]
+fn braceless_parallel_bodies_agree_with_gcc() {
+    if Command::new("cc").arg("--version").output().is_err() {
+        println!("gcc_oracle: no `cc` on PATH, nothing compared");
+        return;
+    }
+    let no_poly = ChainOptions {
+        no_poly: true,
+        ..Default::default()
+    };
+    for (name, source, recorded) in BRACELESS_OMP {
+        let stem = name.trim_end_matches(".c").replace('/', "_");
+        let original = cc(source, &format!("gcc_oracle_{stem}_original"), true);
+        assert_native_matches(&original, &format!("{name}, original"), recorded, 0);
+        for (build, opts) in [
+            ("emitted", ChainOptions::default()),
+            ("no_poly", no_poly.clone()),
+        ] {
+            let what = format!("{name}, {build}");
+            let chain = compile(source, opts)
+                .unwrap_or_else(|d| panic!("{what}: {}", d.render_all(source)));
+            assert_eq!(
+                chain.text.matches("#pragma omp").count(),
+                1,
+                "{what}:\n{}",
+                chain.text
+            );
+            assert_omp_pragmas_head_loops(&what, &chain.text);
+            let exe = cc(&chain.text, &format!("gcc_oracle_{stem}_{build}"), false);
+            assert_native_matches(&exe, &what, recorded, 0);
+            let prog = chain.program();
+            for threads in [1, 2, 4] {
+                let opts = InterpOptions {
+                    threads,
+                    ..Default::default()
+                };
+                for (engine, run) in [
+                    ("vm", prog.run(opts)),
+                    ("resolved", prog.run_resolved(opts)),
+                    ("legacy", prog.run_legacy(opts)),
+                ] {
+                    let cell = format!("{what}, {engine}, {threads} threads");
+                    let run = run.unwrap_or_else(|e| panic!("{cell}: {e}"));
+                    assert_eq!(
+                        (run.output.as_str(), run.exit_code),
+                        (recorded, 0),
+                        "{cell}"
+                    );
+                }
+            }
         }
     }
 }

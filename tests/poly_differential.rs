@@ -451,6 +451,16 @@ fn blind_spot_programs_agree_across_the_differential_class() {
     }
 }
 
+/// A user parallel loop that is the braceless body of an `if` or a `for`
+/// ([`BRACELESS_OMP`]) runs inside it on the whole differential class and
+/// prints GCC's output everywhere.
+#[test]
+fn braceless_parallel_bodies_agree_across_the_differential_class() {
+    for (name, src, stdout) in BRACELESS_OMP {
+        assert_whole_class(name, src, stdout);
+    }
+}
+
 /// A small generated family around the blind spot, seeded and
 /// deterministic: a producer nest and its consumer, or one nest that
 /// reads and then writes; a pure call reading at offset −1, 0 or +1; the

@@ -1,8 +1,10 @@
 // Shared through `include!` by the tests that walk the checked-in
 // programs (`analysis_golden`, `chain_integration`, `effects_golden`), by
 // those that run the blind-spot programs (`gcc_oracle`,
-// `poly_differential`, `deps_golden`), and by those that read the pragmas
-// of emitted text (`chain_integration`, `gcc_oracle`).
+// `poly_differential`, `deps_golden`) and the braceless-body ones
+// (`gcc_oracle`, `poly_differential`, `chain_integration`), and by those
+// that read the pragmas of emitted text (`chain_integration`,
+// `gcc_oracle`).
 
 /// Every `.c` file under `examples/`, recursively, as `(path relative to
 /// examples/, source)`, sorted by path.
@@ -103,6 +105,53 @@ int main() {
 ",
         "4950\n",
         1,
+    ),
+];
+
+/// A user `omp parallel for` loop that is the braceless body of an `if`
+/// or of a `for`: `(name, source, stdout under GCC 12, -O2, with or
+/// without -fopenmp)`. While the header was a statement of its own, it
+/// became the body, and the loop ran outside its `if` or `for`: every
+/// engine printed `103 107` and `1 1`, and the emitted text stacked two
+/// headers over the loop, which GCC rejects.
+#[allow(dead_code)]
+const BRACELESS_OMP: [(&str, &str, &str); 2] = [
+    (
+        "braceless_omp/if_body.c",
+        "#include <stdio.h>
+int a[100];
+int main() {
+    int c = 0;
+    if (c)
+#pragma omp parallel for
+        for (int i = 0; i < 100; i++)
+            a[i] = 1;
+    int s = 0;
+    for (int i = 0; i < 100; i++)
+        s = s + a[i];
+    printf(\"%d %d\\n\", 3 + s, 7 + s);
+    return 0;
+}
+",
+        "3 7\n",
+    ),
+    (
+        "braceless_omp/for_body.c",
+        "#include <stdio.h>
+int a[100];
+int main() {
+    int n = 0;
+    for (int t = 0; t < 3; t++)
+#pragma omp parallel for
+        for (int i = 0; i < 100; i++)
+            a[i] = a[i] + 1;
+    for (int i = 0; i < 100; i++)
+        n = n + a[i];
+    printf(\"%d %d\\n\", a[0], n / 100);
+    return 0;
+}
+",
+        "3 3\n",
     ),
 ];
 
