@@ -98,28 +98,37 @@ fn analyze_omp_loop(
     report: &mut AnalysisReport,
 ) {
     // Clause hygiene: the runtime silently ignores what it does not
-    // understand, so surface that here.
-    let (schedules, others): (Vec<_>, Vec<_>) = header
+    // model, so surface that here, each clause with the parser's reason:
+    // the unknown clauses first, then the schedules.
+    let (clauses, schedules): (Vec<_>, Vec<_>) = header
         .other
         .iter()
-        .partition(|c| c.name == "schedule" && c.args.is_some());
-    for c in others {
-        report.diags.warning(
-            Code::OmpUnknownClause,
-            header.span,
-            format!(
-                "unrecognized OpenMP clause '{}' is ignored by the runtime",
-                c.name
+        .partition(|c| c.unmodelled == Unmodelled::Clause);
+    for c in clauses.into_iter().chain(schedules) {
+        let args = c.args.as_deref().unwrap_or_default();
+        let (kind, chunk) = args.split_once(',').unwrap_or((args, ""));
+        let (code, message) = match c.unmodelled {
+            Unmodelled::Clause => (
+                Code::OmpUnknownClause,
+                format!("unrecognized OpenMP clause '{}' is ignored by the runtime", c.name),
             ),
-        );
-    }
-    for c in schedules {
-        let kind = c.args.as_deref().unwrap_or_default().trim();
-        report.diags.warning(
-            Code::OmpUnknownSchedule,
-            header.span,
-            format!("unknown schedule kind '{kind}' degrades to schedule(static)"),
-        );
+            Unmodelled::ScheduleKind => (
+                Code::OmpUnknownSchedule,
+                format!("unknown schedule kind '{}' degrades to schedule(static)", kind.trim()),
+            ),
+            Unmodelled::ScheduleChunk => (
+                Code::OmpUnknownSchedule,
+                format!(
+                    "schedule chunk '{}' is not an integer constant; the loop runs schedule(static)",
+                    chunk.trim()
+                ),
+            ),
+            Unmodelled::DuplicateSchedule => (
+                Code::OmpUnknownSchedule,
+                format!("second schedule clause 'schedule({args})' is ignored: the loop's first schedule decides"),
+            ),
+        };
+        report.diags.warning(code, header.span, message);
     }
 
     let mut verdict = LoopVerdict::Independent;

@@ -632,8 +632,9 @@ pub enum StmtKind {
         /// user's, or the one polycc's code generator put on the parallel
         /// level it chose. Every engine runs the loop as a parallel region
         /// and the race analyzer judges it; the printer writes it as the
-        /// `#pragma omp` line in front of the `for`.
-        omp: Option<OmpFor>,
+        /// `#pragma omp` line in front of the `for`. Boxed: few loops have
+        /// one, and every statement is as large as this variant.
+        omp: Option<Box<OmpFor>>,
     },
     Return(Option<Expr>),
     Break,
@@ -656,8 +657,9 @@ pub struct OmpFor {
     pub schedule: Option<ScheduleClause>,
     /// The names of the `private(...)` clauses, in order.
     pub private: Vec<String>,
-    /// Every clause the runtime does not model, as written:
-    /// `reduction(+:s)`, `collapse(2)`, `nowait`, `schedule(runtime)`.
+    /// Every clause the runtime does not model, as written, with the
+    /// reason: `reduction(+:s)`, `collapse(2)`, `nowait`,
+    /// `schedule(runtime)`.
     pub other: Vec<OmpClause>,
     /// The pragma line; clause diagnostics point here.
     pub span: Span,
@@ -706,11 +708,27 @@ impl ScheduleKind {
 }
 
 /// A clause kept as written: its name and the text between its
-/// parentheses, if it has any.
+/// parentheses, if it has any, and why the runtime does not model it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OmpClause {
     pub name: String,
     pub args: Option<String>,
+    pub unmodelled: Unmodelled,
+}
+
+/// Why the runtime does not model a clause, as the parser found it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unmodelled {
+    /// A clause the runtime has no notion of: `reduction`, `nowait`.
+    Clause,
+    /// The loop's `schedule` names a kind other than `static`, `dynamic`
+    /// or `guided` (`runtime`, `auto`); the loop runs `static`.
+    ScheduleKind,
+    /// The loop's `schedule` has a chunk that is not an integer constant;
+    /// the loop runs `static`.
+    ScheduleChunk,
+    /// A `schedule` after the loop's first one; the first decides.
+    DuplicateSchedule,
 }
 
 impl Stmt {

@@ -71,30 +71,29 @@ impl<'a> Lexer<'a> {
                         self.pos += 1;
                     }
                 }
-                b'/' if self.peek2() == b'*' => {
-                    let start = self.pos;
-                    self.pos += 2;
-                    let mut closed = false;
-                    while self.pos + 1 < self.bytes.len() {
-                        if self.peek() == b'*' && self.peek2() == b'/' {
-                            self.pos += 2;
-                            closed = true;
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    if !closed {
-                        self.pos = self.bytes.len();
-                        self.diags.error(
-                            Code::LexUnterminated,
-                            Span::new(start as u32, self.pos as u32),
-                            "unterminated block comment",
-                        );
-                    }
-                }
+                b'/' if self.peek2() == b'*' => self.skip_block_comment(),
                 _ => break,
             }
         }
+    }
+
+    /// Skip the `/* … */` comment at the cursor.
+    fn skip_block_comment(&mut self) {
+        let start = self.pos;
+        self.pos += 2;
+        while self.pos + 1 < self.bytes.len() {
+            if self.peek() == b'*' && self.peek2() == b'/' {
+                self.pos += 2;
+                return;
+            }
+            self.pos += 1;
+        }
+        self.pos = self.bytes.len();
+        self.diags.error(
+            Code::LexUnterminated,
+            Span::new(start as u32, self.pos as u32),
+            "unterminated block comment",
+        );
     }
 
     fn next_token(&mut self) -> Token {
@@ -123,24 +122,49 @@ impl<'a> Lexer<'a> {
     }
 
     fn lex_directive(&mut self) -> TokenKind {
-        // Consume to end of line, honouring backslash continuations.
+        // Consume to end of line, honouring backslash continuations. A
+        // comment becomes one space, as in translation phase 3, so a
+        // trailing `// note` is no part of the directive and a `/* … */`
+        // may carry it onto the next line; a comment opener inside a
+        // string or character literal is text.
         self.bump(); // '#'
-        let start = self.pos;
-        let mut text = String::new();
+        let mut text = Vec::new();
+        let mut quote = None;
         while self.pos < self.bytes.len() {
             let b = self.peek();
             if b == b'\\' && self.peek2() == b'\n' {
                 self.pos += 2;
-                text.push(' ');
+                text.push(b' ');
                 continue;
             }
             if b == b'\n' {
                 break;
             }
-            text.push(self.bump() as char);
+            match quote {
+                Some(q) => {
+                    if b == q {
+                        quote = None;
+                    } else if b == b'\\' && self.pos + 1 < self.bytes.len() {
+                        text.push(self.bump());
+                    }
+                }
+                None if b == b'"' || b == b'\'' => quote = Some(b),
+                None if b == b'/' && self.peek2() == b'/' => {
+                    while self.pos < self.bytes.len() && self.peek() != b'\n' {
+                        self.pos += 1;
+                    }
+                    break;
+                }
+                None if b == b'/' && self.peek2() == b'*' => {
+                    self.skip_block_comment();
+                    text.push(b' ');
+                    continue;
+                }
+                None => {}
+            }
+            text.push(self.bump());
         }
-        let _ = start;
-        TokenKind::Directive(text.trim().to_string())
+        TokenKind::Directive(String::from_utf8_lossy(&text).trim().to_string())
     }
 
     fn lex_ident_or_keyword(&mut self) -> TokenKind {
@@ -549,11 +573,27 @@ mod tests {
         assert_eq!(idents, vec!["a", "b"]);
     }
 
+    /// A directive is its line; a comment in it is a space (one may run
+    /// onto the next line), and one that opens inside a string literal is
+    /// text.
     #[test]
     fn directives_capture_line() {
-        let ks = kinds("#pragma GCC ivdep\nint a;\n#pragma omp barrier");
+        let ks = kinds(
+            "#pragma GCC ivdep\nint a;\n#pragma omp barrier\n\
+             #pragma omp for /* private(a)\n */ nowait // rows\nint b;\n\
+             #pragma message(\"a // b /* c\") // d",
+        );
         assert_eq!(ks[0], TokenKind::Directive("pragma GCC ivdep".into()));
         assert_eq!(ks[4], TokenKind::Directive("pragma omp barrier".into()));
+        assert_eq!(
+            ks[5],
+            TokenKind::Directive("pragma omp for   nowait".into())
+        );
+        assert_eq!(ks[6], TokenKind::Keyword(Keyword::Int));
+        assert_eq!(
+            ks[9],
+            TokenKind::Directive("pragma message(\"a // b /* c\")".into())
+        );
     }
 
     #[test]

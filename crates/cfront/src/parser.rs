@@ -820,7 +820,7 @@ impl Parser {
         Stmt::new(StmtKind::DoWhile { body, cond }, start.to(end))
     }
 
-    fn parse_for(&mut self, omp: Option<OmpFor>) -> Stmt {
+    fn parse_for(&mut self, omp: Option<Box<OmpFor>>) -> Stmt {
         let start = self.span();
         self.bump(); // for
         self.expect_punct(Punct::LParen);
@@ -1176,11 +1176,12 @@ impl Parser {
 
 /// Read `pragma omp parallel for …` / `pragma omp for …` (a directive's
 /// text) as a loop header; `None` for any other pragma. Clauses may be
-/// separated by commas and a name may stand apart from its `(`. A
-/// `schedule` the runtime models (`static`, `dynamic` or `guided`, with no
-/// chunk or an integer one) and the `private` lists are read; every other
-/// clause, a second `schedule` included, is kept as written.
-fn omp_loop_header(text: &str, span: Span) -> Option<OmpFor> {
+/// separated by commas and a name may stand apart from its `(`. The first
+/// `schedule` decides the loop's schedule: the runtime models `static`,
+/// `dynamic` and `guided` with no chunk or an integer one. The `private`
+/// lists are read; every other clause is kept as written, with the reason
+/// the runtime does not model it.
+fn omp_loop_header(text: &str, span: Span) -> Option<Box<OmpFor>> {
     /// The rest of `s` after the word `w`.
     fn word<'a>(s: &'a str, w: &str) -> Option<&'a str> {
         let rest = s.trim_start().strip_prefix(w)?;
@@ -1196,10 +1197,11 @@ fn omp_loop_header(text: &str, span: Span) -> Option<OmpFor> {
         span,
         ..OmpFor::parallel_for(None)
     };
+    let mut scheduled = false;
     loop {
         rest = rest.trim_start_matches(|c: char| c.is_whitespace() || c == ',');
         if rest.is_empty() {
-            return Some(header);
+            return Some(Box::new(header));
         }
         let len = rest
             .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
@@ -1219,24 +1221,34 @@ fn omp_loop_header(text: &str, span: Span) -> Option<OmpFor> {
             }
             None => None,
         };
-        if name == "schedule" && header.schedule.is_none() {
-            if let Some(schedule) = args.and_then(schedule_clause) {
-                header.schedule = Some(schedule);
+        let unmodelled = match (name, args) {
+            ("schedule", Some(_)) if scheduled => Unmodelled::DuplicateSchedule,
+            ("schedule", Some(args)) => {
+                scheduled = true;
+                match schedule_clause(args) {
+                    Ok(schedule) => {
+                        header.schedule = Some(schedule);
+                        continue;
+                    }
+                    Err(why) => why,
+                }
+            }
+            ("private", Some(list)) => {
+                header.private.extend(
+                    list.split(',')
+                        .map(str::trim)
+                        .filter(|v| !v.is_empty())
+                        .map(String::from),
+                );
                 continue;
             }
-        }
-        match (name, args) {
-            ("private", Some(list)) => header.private.extend(
-                list.split(',')
-                    .map(str::trim)
-                    .filter(|v| !v.is_empty())
-                    .map(String::from),
-            ),
-            _ => header.other.push(OmpClause {
-                name: name.to_string(),
-                args: args.map(String::from),
-            }),
-        }
+            _ => Unmodelled::Clause,
+        };
+        header.other.push(OmpClause {
+            name: name.to_string(),
+            args: args.map(String::from),
+            unmodelled,
+        });
     }
 }
 
@@ -1255,19 +1267,22 @@ fn balanced_args(text: &str) -> (&str, &str) {
     (text, "")
 }
 
-/// `kind[, chunk]` as a schedule the runtime models.
-fn schedule_clause(args: &str) -> Option<ScheduleClause> {
+/// `kind[, chunk]` as a schedule the runtime models, or why it is not one.
+fn schedule_clause(args: &str) -> Result<ScheduleClause, Unmodelled> {
     let (kind, chunk) = match args.split_once(',') {
-        Some((kind, chunk)) => (kind, Some(chunk.trim().parse().ok()?)),
+        Some((kind, chunk)) => (kind, Some(chunk)),
         None => (args, None),
     };
     let kind = match kind.trim() {
         "static" => ScheduleKind::Static,
         "dynamic" => ScheduleKind::Dynamic,
         "guided" => ScheduleKind::Guided,
-        _ => return None,
+        _ => return Err(Unmodelled::ScheduleKind),
     };
-    Some(ScheduleClause { kind, chunk })
+    let chunk = chunk
+        .map(|c| c.trim().parse().map_err(|_| Unmodelled::ScheduleChunk))
+        .transpose()?;
+    Ok(ScheduleClause { kind, chunk })
 }
 
 #[cfg(test)]
@@ -1557,8 +1572,8 @@ mod tests {
     /// models). A printed header means to GCC what the user's meant: every
     /// clause survives with its arguments, `schedule(static, 1)` stays
     /// apart from `schedule(static)`, a schedule the runtime does not
-    /// model (or a second one) is kept as written, and printing is a fixed
-    /// point.
+    /// model (or any after the first, which decides) is kept as written, a
+    /// comment on the line is no clause, and printing is a fixed point.
     #[test]
     fn a_header_reads_its_clauses_and_prints_back_to_what_it_means() {
         const CASES: &str = "\
@@ -1577,8 +1592,13 @@ mod tests {
                 parallel for schedule(dynamic, n) schedule(auto) | -
             parallel for schedule(guided,2) schedule(static) => \
                 parallel for schedule(guided,2) schedule(static) | guided,2
+            parallel for schedule(runtime) schedule(guided, 2) => \
+                parallel for schedule(runtime) schedule(guided, 2) | -
             parallel for reduction(+:sum) collapse(2), nowait if(f(x)) => \
-                parallel for reduction(+:sum) collapse(2) nowait if(f(x)) | -";
+                parallel for reduction(+:sum) collapse(2) nowait if(f(x)) | -
+            parallel for // rows => parallel for | -
+            parallel for /* schedule(dynamic, 4) */ private(i) // schedule(guided) => \
+                parallel for private(i) | -";
         for case in CASES.lines() {
             let (written, rest) = case.trim().split_once(" => ").unwrap();
             let (printed, schedule) = rest.split_once(" | ").unwrap();

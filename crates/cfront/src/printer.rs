@@ -359,7 +359,7 @@ impl Printer {
             let chunk = chunk.map_or(String::new(), |c| format!(",{c}"));
             line += &format!(" schedule({}{chunk})", kind.name());
         }
-        for OmpClause { name, args } in &h.other {
+        for OmpClause { name, args, .. } in &h.other {
             line += &format!(" {name}");
             if let Some(args) = args {
                 line += &format!("({args})");

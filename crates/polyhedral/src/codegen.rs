@@ -298,7 +298,7 @@ pub fn generate(
                 // its own for-init, which makes it private already — and
                 // naming a variable not yet declared is an error to a C
                 // compiler.
-                omp: (Some(lvl) == omp_level).then(|| OmpFor::parallel_for(schedule)),
+                omp: (Some(lvl) == omp_level).then(|| Box::new(OmpFor::parallel_for(schedule))),
             },
             Span::DUMMY,
         );

@@ -517,7 +517,9 @@ fn int_decl(name: &str, init: Expr, span: cfront::span::Span) -> Stmt {
 /// `int __pc_ubK = __pc_min(...); for (t <= __pc_ubK)`, evaluated once per
 /// entry of the enclosing loop level instead of once per iteration — and
 /// the resulting `iter <= local` condition is what the VM's affine opcode
-/// fast path requires. A nest's declarations go just before it.
+/// fast path requires. A nest's declarations go just before it, above
+/// the run of pragmas directly over it: `#pragma GCC ivdep` and its kin
+/// must head their loop as GCC reads it.
 fn hoist_bounds(stmts: &mut Vec<Stmt>, report: &mut PolyccReport) {
     let mut i = 0;
     while i < stmts.len() {
@@ -527,8 +529,12 @@ fn hoist_bounds(stmts: &mut Vec<Stmt>, report: &mut PolyccReport) {
         }
         let mut decls = Vec::new();
         hoist_for(&mut stmts[i], &mut decls, report);
+        let at = stmts[..i]
+            .iter()
+            .rposition(|s| !matches!(s.kind, StmtKind::Pragma(_)))
+            .map_or(0, |p| p + 1);
         let n = decls.len();
-        stmts.splice(i..i, decls);
+        stmts.splice(at..at, decls);
         i += n + 1;
     }
 }

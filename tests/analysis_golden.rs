@@ -105,13 +105,18 @@ fn dataflow_lints_fire_with_exact_spans() {
 }
 
 /// A clause the runtime does not model is named on the loop's pragma
-/// line: each unknown clause, then the schedule that degrades to static.
+/// line, with the reason the parser found: each unknown clause, then the
+/// schedules (an unknown kind, a chunk that is no constant, a second
+/// `schedule`).
 #[test]
 fn clauses_the_runtime_ignores_are_named_on_the_pragma_line() {
     let source = "int a[64];\n\
                   int main() {\n\
                   #pragma omp parallel for reduction(+:s) schedule(runtime) nowait\n\
                   for (int i = 0; i < 64; i++) a[i] = i;\n\
+                  int n = 4;\n\
+                  #pragma omp parallel for schedule(dynamic, n) schedule(static)\n\
+                  for (int i = 0; i < 64; i++) a[i] = i + n;\n\
                   return 0;\n\
                   }\n";
     let outcome = check_source(source, &CheckOptions::default());
@@ -142,6 +147,17 @@ fn clauses_the_runtime_ignores_are_named_on_the_pragma_line() {
                 3,
                 "OmpUnknownSchedule".to_string(),
                 "unknown schedule kind 'runtime' degrades to schedule(static)"
+            ),
+            (
+                6,
+                "OmpUnknownSchedule".to_string(),
+                "schedule chunk 'n' is not an integer constant; the loop runs schedule(static)"
+            ),
+            (
+                6,
+                "OmpUnknownSchedule".to_string(),
+                "second schedule clause 'schedule(static)' is ignored: \
+                 the loop's first schedule decides"
             ),
         ]
     );

@@ -389,4 +389,95 @@ fn braceless_parallel_bodies_agree_with_gcc() {
     }
 }
 
+/// The pragma lines a user writes over a loop reach the text in a shape
+/// GCC builds: a comment on a header line is no clause (`// rows` once
+/// printed as a clause named `rows`), and a hoisted bound goes above a
+/// run of non-OpenMP pragmas rather than between them and their `for`
+/// ("for, while or do statement expected"). `(name, source, stdout, a
+/// run of lines the default and the `--no-poly` text both carry, right
+/// above a `for`)`; the text is checked without `cc` too.
+#[test]
+fn user_pragmas_over_a_loop_build_under_gcc() {
+    const PROGRAMS: [(&str, &str, &str, &[&str]); 2] = [
+        (
+            "commented_header",
+            "#include <stdio.h>
+int a[64];
+int main() {
+#pragma omp parallel for /* schedule(dynamic, 4) */ schedule(static) // rows
+    for (int i = 0; i < 64; i++)
+        a[i] = 2 * i;
+    int s = 0;
+    for (int i = 0; i < 64; i++)
+        s = s + a[i];
+    printf(\"%d\\n\", s);
+    return 0;
+}
+",
+            "4032\n",
+            &["#pragma omp parallel for schedule(static)"],
+        ),
+        (
+            "unroll_over_a_carried_nest",
+            "#include <stdio.h>
+int a[256];
+int main() {
+    int n = 256;
+    for (int i = 0; i < 64; i++)
+        a[i] = i;
+#pragma GCC ivdep
+#pragma GCC unroll 4
+    for (int i = 64; i < n; i++)
+        a[i] = a[i - 64] + 1;
+    printf(\"%d %d\\n\", a[n - 1], a[100]);
+    return 0;
+}
+",
+            "66 37\n",
+            &["#pragma GCC ivdep", "#pragma GCC unroll 4"],
+        ),
+    ];
+    let have_cc = Command::new("cc").arg("--version").output().is_ok();
+    if !have_cc {
+        println!("gcc_oracle: no `cc` on PATH, only the text is checked");
+    }
+    let no_poly = ChainOptions {
+        no_poly: true,
+        ..Default::default()
+    };
+    for (name, source, recorded, pragmas) in PROGRAMS {
+        for (build, opts) in [
+            ("emitted", ChainOptions::default()),
+            ("no_poly", no_poly.clone()),
+        ] {
+            let what = format!("{name}, {build}");
+            let chain = compile(source, opts)
+                .unwrap_or_else(|d| panic!("{what}: {}", d.render_all(source)));
+            let lines: Vec<&str> = chain.text.lines().map(str::trim).collect();
+            let at = lines
+                .windows(pragmas.len())
+                .position(|w| w == pragmas)
+                .unwrap_or_else(|| panic!("{what}: no {pragmas:?}:\n{}", chain.text));
+            assert!(
+                lines[at + pragmas.len()].starts_with("for ("),
+                "{what}:\n{}",
+                chain.text
+            );
+            assert_omp_pragmas_head_loops(&what, &chain.text);
+            if have_cc {
+                let exe = cc(&chain.text, &format!("gcc_oracle_{name}_{build}"), false);
+                assert_native_matches(&exe, &what, recorded, 0);
+            }
+            let run = chain
+                .program()
+                .run(InterpOptions {
+                    threads: 2,
+                    ..Default::default()
+                })
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(run.output, recorded, "{what}");
+        }
+    }
+}
+
 include!("support/corpus.rs");
