@@ -123,10 +123,6 @@ fn analyze_omp_loop(
                     chunk.trim()
                 ),
             ),
-            Unmodelled::DuplicateSchedule => (
-                Code::OmpUnknownSchedule,
-                format!("second schedule clause 'schedule({args})' is ignored: the loop's first schedule decides"),
-            ),
         };
         report.diags.warning(code, header.span, message);
     }

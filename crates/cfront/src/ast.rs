@@ -727,8 +727,6 @@ pub enum Unmodelled {
     /// The loop's `schedule` has a chunk that is not an integer constant;
     /// the loop runs `static`.
     ScheduleChunk,
-    /// A `schedule` after the loop's first one; the first decides.
-    DuplicateSchedule,
 }
 
 impl Stmt {

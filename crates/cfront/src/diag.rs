@@ -70,6 +70,9 @@ pub enum Code {
     OmpUnknownClause,
     /// `schedule(...)` kind the runtime silently degrades to static.
     OmpUnknownSchedule,
+    /// A second `schedule` clause on one loop header (GCC: "too many
+    /// 'schedule' clauses").
+    OmpDuplicateSchedule,
     // Purity inference (`purec check --infer-pure`).
     /// Unannotated function that passes the PC-CC rules as-is.
     PureInferrable,

@@ -695,7 +695,7 @@ impl Parser {
             let d = d.clone();
             self.bump();
             if self.at_keyword(Keyword::For) {
-                if let Some(header) = omp_loop_header(&d, start) {
+                if let Some(header) = omp_loop_header(&d, start, &mut self.diags) {
                     return self.parse_for(Some(header));
                 }
             }
@@ -1176,12 +1176,14 @@ impl Parser {
 
 /// Read `pragma omp parallel for …` / `pragma omp for …` (a directive's
 /// text) as a loop header; `None` for any other pragma. Clauses may be
-/// separated by commas and a name may stand apart from its `(`. The first
+/// separated by commas and a name may stand apart from its `(`. The
 /// `schedule` decides the loop's schedule: the runtime models `static`,
-/// `dynamic` and `guided` with no chunk or an integer one. The `private`
-/// lists are read; every other clause is kept as written, with the reason
-/// the runtime does not model it.
-fn omp_loop_header(text: &str, span: Span) -> Option<Box<OmpFor>> {
+/// `dynamic` and `guided` with no chunk or an integer one. A second
+/// `schedule` is an error, as it is to GCC ("too many 'schedule'
+/// clauses"), and is dropped. The `private` lists are read; every other
+/// clause is kept as written, with the reason the runtime does not model
+/// it.
+fn omp_loop_header(text: &str, span: Span, diags: &mut Diagnostics) -> Option<Box<OmpFor>> {
     /// The rest of `s` after the word `w`.
     fn word<'a>(s: &'a str, w: &str) -> Option<&'a str> {
         let rest = s.trim_start().strip_prefix(w)?;
@@ -1222,7 +1224,16 @@ fn omp_loop_header(text: &str, span: Span) -> Option<Box<OmpFor>> {
             None => None,
         };
         let unmodelled = match (name, args) {
-            ("schedule", Some(_)) if scheduled => Unmodelled::DuplicateSchedule,
+            ("schedule", Some(args)) if scheduled => {
+                diags.error(
+                    Code::OmpDuplicateSchedule,
+                    span,
+                    format!(
+                        "too many 'schedule' clauses: a second 'schedule({args})' after the first"
+                    ),
+                );
+                continue;
+            }
             ("schedule", Some(args)) => {
                 scheduled = true;
                 match schedule_clause(args) {
@@ -1567,13 +1578,38 @@ mod tests {
         );
     }
 
+    /// A header with two `schedule` clauses is an error at the pragma, as
+    /// it is to GCC; the first clause stays the loop's schedule.
+    #[test]
+    fn a_second_schedule_clause_is_an_error() {
+        let src = "void f() {\n#pragma omp parallel for schedule(dynamic, 4) schedule(static)\n\
+                   for (;;) ;\n}";
+        let r = parse(src);
+        let errors: Vec<_> = r
+            .diags
+            .items()
+            .iter()
+            .map(|d| (d.code, d.span.start))
+            .collect();
+        assert_eq!(errors, [(Code::OmpDuplicateSchedule, 11)]);
+        let f = r.unit.find_function("f").unwrap();
+        let StmtKind::For { omp: Some(h), .. } = &f.body.as_ref().unwrap().stmts[0].kind else {
+            panic!("no header");
+        };
+        assert_eq!(
+            h.schedule.map(|s| (s.kind.name(), s.chunk)),
+            Some(("dynamic", Some(4)))
+        );
+        assert!(h.other.is_empty(), "{:?}", h.other);
+    }
+
     /// Each header as written, as the printer writes it back, and the
     /// schedule the parser read from it (`-` for none the runtime
     /// models). A printed header means to GCC what the user's meant: every
     /// clause survives with its arguments, `schedule(static, 1)` stays
     /// apart from `schedule(static)`, a schedule the runtime does not
-    /// model (or any after the first, which decides) is kept as written, a
-    /// comment on the line is no clause, and printing is a fixed point.
+    /// model is kept as written, a comment on the line is no clause, and
+    /// printing is a fixed point.
     #[test]
     fn a_header_reads_its_clauses_and_prints_back_to_what_it_means() {
         const CASES: &str = "\
@@ -1588,12 +1624,7 @@ mod tests {
             parallel for schedule(dynamic,1) private (x) => \
                 parallel for private(x) schedule(dynamic,1) | dynamic,1
             parallel for schedule(runtime) => parallel for schedule(runtime) | -
-            parallel for schedule(dynamic, n) schedule(auto) => \
-                parallel for schedule(dynamic, n) schedule(auto) | -
-            parallel for schedule(guided,2) schedule(static) => \
-                parallel for schedule(guided,2) schedule(static) | guided,2
-            parallel for schedule(runtime) schedule(guided, 2) => \
-                parallel for schedule(runtime) schedule(guided, 2) | -
+            parallel for schedule(dynamic, n) => parallel for schedule(dynamic, n) | -
             parallel for reduction(+:sum) collapse(2), nowait if(f(x)) => \
                 parallel for reduction(+:sum) collapse(2) nowait if(f(x)) | -
             parallel for // rows => parallel for | -

@@ -45,7 +45,7 @@
 //! oracle carries besides its frames — step limit, fuel, counted and
 //! tracked memory access — is one context ([`walk`]).
 //! Agreement between the engines therefore says nothing about `ops`
-//! itself; `tests/gcc_oracle.rs` checks that against a C compiler.
+//! itself; the GCC legs of `tests/matrix.rs` check that against a C compiler.
 //!
 //! Purity verdicts from `purec_core` flow through
 //! [`Program::with_pure_set`] into resolved lowering, where [`effects`]

@@ -291,6 +291,19 @@ fn process_block(block: &mut Block, cx: Cx, report: &mut PolyccReport) {
             i += 1;
             continue;
         }
+        if let Some(StmtKind::Pragma(hint)) = i.checked_sub(1).map(|p| &block.stmts[p].kind) {
+            // `#pragma GCC ivdep` and its kin must head their loop as GCC
+            // reads it, so a header or a hoisted bound cannot go between
+            // them: the nest stays as written.
+            report.regions.push(RegionOutcome::Skipped {
+                reason: format!("under `#{hint}`, kept as written"),
+            });
+            if let StmtKind::For { scop, .. } = &mut block.stmts[i].kind {
+                *scop = false;
+            }
+            i += 1;
+            continue;
+        }
         match place_nest(&mut block.stmts[i], cx, report) {
             Some(stmts) => {
                 let count = stmts.len();
@@ -517,9 +530,9 @@ fn int_decl(name: &str, init: Expr, span: cfront::span::Span) -> Stmt {
 /// `int __pc_ubK = __pc_min(...); for (t <= __pc_ubK)`, evaluated once per
 /// entry of the enclosing loop level instead of once per iteration — and
 /// the resulting `iter <= local` condition is what the VM's affine opcode
-/// fast path requires. A nest's declarations go just before it, above
-/// the run of pragmas directly over it: `#pragma GCC ivdep` and its kin
-/// must head their loop as GCC reads it.
+/// fast path requires. A nest's declarations go just before it (no
+/// pragma heads a transformed nest: [`process_block`] keeps those as
+/// written).
 fn hoist_bounds(stmts: &mut Vec<Stmt>, report: &mut PolyccReport) {
     let mut i = 0;
     while i < stmts.len() {
@@ -529,12 +542,8 @@ fn hoist_bounds(stmts: &mut Vec<Stmt>, report: &mut PolyccReport) {
         }
         let mut decls = Vec::new();
         hoist_for(&mut stmts[i], &mut decls, report);
-        let at = stmts[..i]
-            .iter()
-            .rposition(|s| !matches!(s.kind, StmtKind::Pragma(_)))
-            .map_or(0, |p| p + 1);
         let n = decls.len();
-        stmts.splice(at..at, decls);
+        stmts.splice(i..i, decls);
         i += n + 1;
     }
 }
@@ -891,6 +900,32 @@ int main() {
         let maps = report.placeholder_iter_maps();
         let m = &maps["tmpConst_dot_0"];
         assert_eq!(cfront::printer::print_expr(&m["i"]), "t1");
+    }
+
+    /// A loop hint heads its `for` as GCC reads it: a nest under one is
+    /// kept as written, and `--dump-schedule` says why.
+    #[test]
+    fn a_nest_under_a_loop_hint_is_kept_as_written() {
+        for hint in ["GCC ivdep", "GCC unroll 4", "omp simd"] {
+            let src = format!(
+                "int a[64];\nint main() {{\n    int n = 64;\n#pragma {hint}\n\
+                 \x20   for (int i = 0; i < n; i++) a[i] = 2 * i;\n    return a[7];\n}}\n"
+            );
+            let (unit, report) = run(&src, PolyccOptions::default());
+            assert_eq!(report.transformed_count(), 0, "{hint}");
+            let reason = format!("under `#pragma {hint}`, kept as written");
+            assert!(
+                matches!(&report.regions[..], [RegionOutcome::Skipped { reason: r }] if *r == reason),
+                "{hint}: {:?}",
+                report.regions
+            );
+            let out = print_unit(&unit);
+            let written = format!("#pragma {hint}\n    for (int i = 0; i < n; i++)");
+            assert!(
+                out.contains(&written) && !out.contains("omp parallel"),
+                "{out}"
+            );
+        }
     }
 
     #[test]

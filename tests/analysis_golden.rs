@@ -6,7 +6,9 @@
 //! and pins each new stable code to a concrete program shape.
 
 use analysis::LoopVerdict;
+use cfront::diag::Code;
 use cfront::span::LineMap;
+use purec::chain::{compile, ChainOptions};
 use purec::check::{check_source, CheckOptions};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -106,8 +108,9 @@ fn dataflow_lints_fire_with_exact_spans() {
 
 /// A clause the runtime does not model is named on the loop's pragma
 /// line, with the reason the parser found: each unknown clause, then the
-/// schedules (an unknown kind, a chunk that is no constant, a second
-/// `schedule`).
+/// schedules (an unknown kind, a chunk that is no constant). A second
+/// `schedule` is no warning but the parser's error, as it is GCC's, at
+/// the same position for `check` and for the compile.
 #[test]
 fn clauses_the_runtime_ignores_are_named_on_the_pragma_line() {
     let source = "int a[64];\n\
@@ -115,7 +118,7 @@ fn clauses_the_runtime_ignores_are_named_on_the_pragma_line() {
                   #pragma omp parallel for reduction(+:s) schedule(runtime) nowait\n\
                   for (int i = 0; i < 64; i++) a[i] = i;\n\
                   int n = 4;\n\
-                  #pragma omp parallel for schedule(dynamic, n) schedule(static)\n\
+                  #pragma omp parallel for schedule(dynamic, n)\n\
                   for (int i = 0; i < 64; i++) a[i] = i + n;\n\
                   return 0;\n\
                   }\n";
@@ -153,14 +156,32 @@ fn clauses_the_runtime_ignores_are_named_on_the_pragma_line() {
                 "OmpUnknownSchedule".to_string(),
                 "schedule chunk 'n' is not an integer constant; the loop runs schedule(static)"
             ),
-            (
-                6,
-                "OmpUnknownSchedule".to_string(),
-                "second schedule clause 'schedule(static)' is ignored: \
-                 the loop's first schedule decides"
-            ),
         ]
     );
+    let twice = source.replace(
+        "schedule(dynamic, n)",
+        "schedule(dynamic, n) schedule(static)",
+    );
+    let outcome = check_source(&twice, &CheckOptions::default());
+    let errors: Vec<_> = outcome
+        .diags
+        .items()
+        .iter()
+        .map(|d| (d.code, d.span, d.message.as_str()))
+        .collect();
+    let span = errors.first().map(|e| e.1).expect("an error");
+    assert_eq!(map.line_col(span.start).line, 6);
+    assert_eq!(
+        errors,
+        [(
+            Code::OmpDuplicateSchedule,
+            span,
+            "too many 'schedule' clauses: a second 'schedule(static)' after the first"
+        )]
+    );
+    let compiled = compile(&twice, ChainOptions::default()).expect_err("rejected");
+    let spans: Vec<_> = compiled.items().iter().map(|d| (d.code, d.span)).collect();
+    assert_eq!(spans, [(Code::OmpDuplicateSchedule, span)]);
 }
 
 #[test]

@@ -1,92 +1,20 @@
-//! Integration tests spanning the whole workspace: for every evaluation
-//! application, the transformed program must compute exactly what the
-//! original computes — sequentially and on the parallel runtime — and the
-//! interpreter output must match the native Rust reference.
+//! Integration tests spanning the whole workspace: what the chain emits
+//! for the evaluation applications and the corpus — standard C, parallel
+//! loops it can prove independent, pragmas that head their loops, and a
+//! text that reparses to the unit the engines run. (That the transformed
+//! programs compute what the originals compute, on every engine and
+//! under GCC, is `tests/matrix.rs`.)
+
+#[path = "support/matrix.rs"]
+mod matrix;
 
 use pure_c::prelude::*;
-use purec_core::finish;
-use std::collections::HashMap;
 
-/// Interpret the ORIGINAL program (PC-CC lowering only, no polyhedral
-/// transformation, no parallel pragmas).
-fn run_original(src: &str) -> String {
-    let out = run_pc_cc(src, PcCcOptions::default()).expect("PC-CC");
-    let finished = finish(out.unit, &out.subst, &HashMap::new(), &out.system_includes);
-    let program = Program::new(&finished.unit);
-    program
-        .run(InterpOptions::default())
-        .expect("original runs")
-        .output
-}
-
-/// Interpret the fully transformed program with `threads` workers.
-fn run_transformed(src: &str, threads: usize) -> String {
-    let (_, result) = compile_and_run(
-        src,
-        ChainOptions::default(),
-        InterpOptions {
-            threads,
-            ..Default::default()
-        },
-    )
-    .expect("transformed runs");
-    result.output
-}
-
-#[test]
-fn matmul_original_equals_transformed_across_threads() {
-    let src = apps::matmul::c_source(16);
-    let original = run_original(&src);
-    assert_eq!(
-        original,
-        format!("checksum={:.1}\n", apps::matmul::c_source_checksum(16)),
-        "interpreter must match the native Rust reference"
-    );
-    for threads in [1, 2, 8] {
-        assert_eq!(
-            run_transformed(&src, threads),
-            original,
-            "threads={threads}"
-        );
-    }
-}
-
-#[test]
-fn heat_original_equals_transformed() {
-    let src = apps::heat::c_source(14, 4);
-    let original = run_original(&src);
-    for threads in [1, 4] {
-        assert_eq!(
-            run_transformed(&src, threads),
-            original,
-            "threads={threads}"
-        );
-    }
-}
-
-#[test]
-fn satellite_original_equals_transformed() {
-    let src = apps::satellite::c_source(8, 8);
-    let original = run_original(&src);
-    for threads in [1, 4] {
-        assert_eq!(
-            run_transformed(&src, threads),
-            original,
-            "threads={threads}"
-        );
-    }
-}
-
-#[test]
-fn lama_original_equals_transformed() {
-    let src = apps::lama::c_source(64, 7);
-    let original = run_original(&src);
-    for threads in [1, 8] {
-        assert_eq!(
-            run_transformed(&src, threads),
-            original,
-            "threads={threads}"
-        );
+/// Every `#pragma omp` line of `text` heads a loop with work for two
+/// threads.
+fn assert_omp_pragmas_head_loops(what: &str, text: &str) {
+    if let Err(why) = matrix::omp_pragmas_head_loops(text) {
+        panic!("{what}: {why}:\n{text}");
     }
 }
 
@@ -137,6 +65,59 @@ fn race_check_passes_for_all_transformed_apps() {
             "race check must pass: {:?}",
             result.err().map(|e| e.to_string())
         );
+    }
+}
+
+/// The pragma lines a user writes over a loop reach the default and the
+/// `--no-poly` text as GCC reads them: a header's comment is no clause,
+/// a run of loop hints stays right above its `for` ([`USER_PRAGMAS`]), a
+/// header nested in a sequential loop keeps its clause ([`NESTED_OMP`]); a
+/// braceless parallel body keeps its one header ([`BRACELESS_OMP`]); and
+/// the literal build adds no header to the blind-spot programs.
+#[test]
+fn user_pragmas_reach_both_texts_over_their_loops() {
+    let no_poly = ChainOptions {
+        no_poly: true,
+        ..Default::default()
+    };
+    for (build, opts) in [("default", ChainOptions::default()), ("no-poly", no_poly)] {
+        let text = |name: &str, src: &str| {
+            compile(src, opts.clone())
+                .unwrap_or_else(|d| panic!("{name}, {build}: {}", d.render_all(src)))
+                .text
+        };
+        let nested: (&str, &str, &str, &[&str]) = (
+            "nested_omp.c",
+            NESTED_OMP,
+            "",
+            &["#pragma omp parallel for schedule(dynamic,4)"],
+        );
+        for (name, src, _, pragmas) in USER_PRAGMAS.into_iter().chain([nested]) {
+            let text = text(name, src);
+            let lines: Vec<&str> = text.lines().map(str::trim).collect();
+            let at = lines
+                .windows(pragmas.len())
+                .position(|w| w == pragmas)
+                .unwrap_or_else(|| panic!("{name}, {build}: no {pragmas:?}:\n{text}"));
+            assert!(
+                lines[at + pragmas.len()].starts_with("for ("),
+                "{name}, {build}:\n{text}"
+            );
+        }
+        for (name, src, _) in BRACELESS_OMP {
+            let text = text(name, src);
+            assert_eq!(
+                text.matches("#pragma omp").count(),
+                1,
+                "{name}, {build}:\n{text}"
+            );
+        }
+        if build == "no-poly" {
+            for (name, src, ..) in BLIND_SPOT {
+                let text = text(name, src);
+                assert!(!text.contains("#pragma omp"), "{name}, {build}:\n{text}");
+            }
+        }
     }
 }
 

@@ -9,8 +9,9 @@
 //! (GCC rejects that file): `#pragma omp simd` stands between the header
 //! and the loop, so the `--no-poly` build runs the loop sequentially
 //! (while a header paired with the first `for` after a run of pragmas,
-//! that build launched a region), and the default build's one region is
-//! polycc's own header.
+//! that build launched a region), and polycc keeps a nest under a loop
+//! pragma as written, so the default build launches none either (it once
+//! put a header of its own between `#pragma omp simd` and the loop).
 
 use pure_c::prelude::*;
 use purec::check::{check_source, CheckOptions};
@@ -137,15 +138,14 @@ int main() {
 }
 ",
         stdout: "28\n",
-        regions: (1, 0),
+        regions: (0, 0),
         text: (
             "int main(void) {
     int s = 0;
 #pragma omp parallel for
 #pragma omp simd
-#pragma omp parallel for
-    for (int t1 = 0; t1 <= 7; t1++)
-        a[t1] = t1;
+    for (int i = 0; i < 8; i++)
+        a[i] = i;
     for (int t1 = 0; t1 <= 7; t1++)
         s = s + a[t1];
     printf(\"%d\\n\", s);

@@ -1,22 +1,19 @@
-//! Differential tests for the schedule-aware execution path: programs
-//! compiled through the polyhedral stage (transformed nests, hoisted
-//! bounds and row pointers) must be
-//! observably identical to the same source compiled with `--no-poly`
-//! (every nest literal), and — within the poly build — the bytecode VM,
-//! the resolved-IR engine and the legacy tree-walking oracle must agree
-//! bit-for-bit on executed-op counters.
-//!
-//! The compensation contract across poly/no-poly: exit code, output,
-//! flops and stores are equal; loads may *shrink* (row-pointer hoisting
-//! loads an invariant row once per outer iteration instead of once per
-//! inner one) but never grow; control-flow bookkeeping (int_ops,
-//! branches) may differ because the transformed nest executes a
-//! different loop skeleton. Fuel: poly fuel ≤ literal fuel + 3 × the
-//! hoisted-bound declarations (`int __pc_ubK = …;`) the poly build
-//! executes, each three dispatches the literal build does not run
-//! (`tests/resource_limits.rs` pins the four apps against it). Both
-//! builds run every canonical `for` on the same fused back edge, so the
-//! gap is what the transform buys.
+//! The polyhedral stage against the literal build on generated programs
+//! (through the differential matrix, `tests/support/matrix.rs`), and the
+//! pins only this file makes: the compensation contract across
+//! poly/no-poly — exit code, output, flops and stores are equal; loads
+//! may *shrink* (row-pointer hoisting loads an invariant row once per
+//! outer iteration instead of once per inner one) but never grow;
+//! control-flow bookkeeping (int_ops, branches) may differ because the
+//! transformed nest executes a different loop skeleton. Fuel: poly fuel ≤
+//! literal fuel + 3 × the hoisted-bound declarations (`int __pc_ubK =
+//! …;`) the poly build executes, each three dispatches the literal build
+//! does not run (`tests/resource_limits.rs` pins the four apps against
+//! it). Both builds run every canonical `for` on the same fused back
+//! edge, so the gap is what the transform buys.
+
+#[path = "support/matrix.rs"]
+mod matrix;
 
 use proptest::prelude::*;
 use pure_c::prelude::*;
@@ -67,28 +64,23 @@ fn poly_source(n: usize, c1: i64, c2: i64, m: usize, sched: usize) -> String {
     )
 }
 
-fn compile_pair(src: &str) -> (purec::ChainOutput, purec::ChainOutput) {
-    let poly = compile(src, ChainOptions::default()).expect("poly chain compiles");
-    let nopoly = compile(
-        src,
-        ChainOptions {
-            no_poly: true,
-            ..Default::default()
-        },
-    )
-    .expect("no-poly chain compiles");
-    (poly, nopoly)
+/// `src` with the polyhedral stage off.
+fn literal(src: &str) -> purec::ChainOutput {
+    let no_poly = ChainOptions {
+        no_poly: true,
+        ..Default::default()
+    };
+    compile(src, no_poly).expect("no-poly chain compiles")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// poly == no-poly == resolved == legacy: on generated programs with
+    /// poly == no-poly == resolved == legacy: generated programs with
     /// implicit-SCoP parallel nests, pure-call spawns and all four omp
-    /// schedules, the poly and literal builds agree on exit code, output
-    /// and data counters — and within the poly build, all three engines
-    /// agree on every executed-op counter — sequentially and with 4
-    /// threads.
+    /// schedules meet every engine leg of the matrix, and the poly and
+    /// literal builds agree on the data counters (flops, loads, stores),
+    /// sequentially and with 4 threads.
     #[test]
     fn poly_matches_no_poly_and_oracles(
         n in 16usize..48,
@@ -98,49 +90,21 @@ proptest! {
         sched in 0usize..5,
     ) {
         let src = poly_source(n, c1, c2, m, sched);
-        let (poly, nopoly) = compile_pair(&src);
+        let poly = compile(&src, ChainOptions::default()).expect("poly chain compiles");
         prop_assert!(
             poly.regions_transformed >= 1,
             "the affine nest must be transformed:\n{}",
             poly.text
         );
-        prop_assert_eq!(nopoly.regions_transformed, 0);
-        let pp = poly.program();
-        let pn = nopoly.program();
+        prop_assert_eq!(literal(&src).regions_transformed, 0);
+        let report = matrix::check(&matrix::Entry::generated(&src));
+        prop_assert!(report.failures.is_empty(), "{}\n{}", report, src);
         for threads in [1usize, 4] {
-            let opts = InterpOptions { threads, memo: false, ..Default::default() };
-            let vm_p = pp.run(opts).expect("poly VM runs");
-            let vm_n = pn.run(opts).expect("no-poly VM runs");
-            // Across builds: observables and data counters.
-            prop_assert_eq!(vm_p.exit_code, vm_n.exit_code, "threads={}", threads);
-            prop_assert_eq!(&vm_p.output, &vm_n.output, "threads={}", threads);
-            prop_assert_eq!(vm_p.counters.flops, vm_n.counters.flops, "threads={}", threads);
-            prop_assert_eq!(vm_p.counters.loads, vm_n.counters.loads, "threads={}", threads);
-            prop_assert_eq!(vm_p.counters.stores, vm_n.counters.stores, "threads={}", threads);
-            // Within the poly build: all three tiers bit-identical.
-            let res_p = pp.run_resolved(opts).expect("poly resolved runs");
-            prop_assert_eq!(res_p.exit_code, vm_p.exit_code, "threads={}", threads);
-            prop_assert_eq!(&res_p.output, &vm_p.output, "threads={}", threads);
+            let vm = |poly| report.work[&matrix::Leg::Run(matrix::Engine::Vm(2), poly, threads)].counters;
+            let (p, l) = (vm(true), vm(false));
             prop_assert_eq!(
-                res_p.counters.without_memo(),
-                vm_p.counters.without_memo(),
-                "threads={}",
-                threads
-            );
-            let leg_p = pp.run_legacy(opts).expect("poly legacy runs");
-            prop_assert_eq!(leg_p.exit_code, vm_p.exit_code, "threads={}", threads);
-            prop_assert_eq!(&leg_p.output, &vm_p.output, "threads={}", threads);
-            prop_assert_eq!(
-                leg_p.counters.without_memo(),
-                vm_p.counters.without_memo(),
-                "threads={}",
-                threads
-            );
-            // And the no-poly build's tiers agree with each other too.
-            let res_n = pn.run_resolved(opts).expect("no-poly resolved runs");
-            prop_assert_eq!(
-                res_n.counters.without_memo(),
-                vm_n.counters.without_memo(),
+                (p.flops, p.loads, p.stores),
+                (l.flops, l.loads, l.stores),
                 "threads={}",
                 threads
             );
@@ -169,14 +133,7 @@ proptest! {
              }}"
         );
         let poly = compile(&src, ChainOptions::default()).expect("chain compiles");
-        let nopoly = compile(
-            &src,
-            ChainOptions {
-                no_poly: true,
-                ..Default::default()
-            },
-        )
-        .expect("no-poly chain compiles");
+        let nopoly = literal(&src);
         prop_assert!(
             poly.regions_transformed >= 1,
             "bare-body nest must be transformed:\n{}",
@@ -203,14 +160,14 @@ proptest! {
         fuel in 1u64..6000,
     ) {
         let src = poly_source(n, c1, c2, 4, 0);
-        let (poly, nopoly) = compile_pair(&src);
+        let poly = compile(&src, ChainOptions::default()).expect("poly chain compiles");
         prop_assert!(poly.regions_transformed >= 1);
         let at = |prog: &Program| prog.run(InterpOptions {
             fuel: Some(fuel),
             memo: false,
             ..Default::default()
         });
-        let literal = at(&nopoly.program());
+        let literal = at(&literal(&src).program());
         let fast = at(&poly.program());
         match (&literal, &fast) {
             // Literal finished within budget -> poly must finish too.
@@ -234,7 +191,8 @@ proptest! {
     #[test]
     fn poly_preserves_resource_traps(cap in 1u64..64) {
         let src = poly_source(24, 3, 5, 4, 0);
-        let (poly, nopoly) = compile_pair(&src);
+        let poly = compile(&src, ChainOptions::default()).expect("poly chain compiles");
+        let nopoly = literal(&src);
         prop_assert!(poly.regions_transformed >= 1);
         let cases = [
             InterpOptions {
@@ -262,9 +220,10 @@ proptest! {
 }
 
 /// The paper's two figure applications end-to-end: matmul (fig. 3) and
-/// heat (fig. 7) produce bit-identical output under the poly and literal
-/// builds, sequentially and with 4 threads, with the transformed build
-/// burning strictly fewer dispatches.
+/// heat (fig. 7) under the poly and literal builds, sequentially and with
+/// 4 threads: the same output, flops and stores, no more loads, and fewer
+/// branches for the transformed build, whose three engines agree on every
+/// executed-op counter.
 #[test]
 fn matmul_and_heat_poly_match_no_poly() {
     for src in [
@@ -272,7 +231,8 @@ fn matmul_and_heat_poly_match_no_poly() {
         apps::matmul::c_source_inline(24),
         apps::heat::c_source(16, 3),
     ] {
-        let (poly, nopoly) = compile_pair(&src);
+        let poly = compile(&src, ChainOptions::default()).expect("poly chain compiles");
+        let nopoly = literal(&src);
         assert!(poly.regions_transformed >= 1, "{}", poly.text);
         let pp = poly.program();
         let pn = nopoly.program();
@@ -332,7 +292,8 @@ fn matmul_and_heat_poly_match_no_poly() {
 #[test]
 fn row_pointer_table_nest_stays_sequential_and_matches_literal() {
     let src = include_str!("../examples/schedules/rowptr.c").replace("N 64", "N 200000");
-    let (poly, nopoly) = compile_pair(&src);
+    let poly = compile(&src, ChainOptions::default()).expect("poly chain compiles");
+    let nopoly = literal(&src);
     assert!(
         poly.schedules[2].contains("sequential"),
         "{:?}",
@@ -355,17 +316,13 @@ fn row_pointer_table_nest_stays_sequential_and_matches_literal() {
     }
 }
 
-/// Iterating pointers beside their indexed twin
-/// (`examples/analysis/pointer_walk.c`): `for (p = a; p < a + n; p++)
-/// *q++ = sq(*p)` with the end tested by `<`, `<=` and `!=` prints the
-/// twin's digest on all three engines, poly and literal, at 1 and 4
-/// threads. (`<` on two pointers compared "truthiness", so the walk ran
-/// zero times on every engine alike; and polycc took `p` for an integer
-/// iterator and emitted `for (int t1 = a; …) … *t1`.)
+/// Pointer walks stay as written (`examples/analysis/pointer_walk.c`,
+/// whose stdout the matrix checks on every leg): polycc once took `p`
+/// for an integer iterator and emitted `for (int t1 = a; …) … *t1`.
 #[test]
 fn pointer_walks_match_their_indexed_twin_on_every_engine() {
     let src = include_str!("../examples/analysis/pointer_walk.c");
-    let (poly, nopoly) = compile_pair(src);
+    let poly = compile(src, ChainOptions::default()).expect("poly chain compiles");
     for walk in [
         "for (p = a; p < a + n; p++)",
         "for (p = a; p <= a + n - 1; p++)",
@@ -378,114 +335,20 @@ fn pointer_walks_match_their_indexed_twin_on_every_engine() {
         );
     }
     assert!(!poly.text.contains("int t1 = a"), "{}", poly.text);
-    let digest = "95515";
-    let expected = ["indexed", "lt     ", "le     ", "ne     "]
-        .map(|form| format!("{form} {digest}\n"))
-        .concat();
-    for (build, out) in [("poly", &poly), ("literal", &nopoly)] {
-        let prog = out.program();
-        for threads in [1usize, 4] {
-            // The legacy oracle has no memo cache: a hit on `sq` would
-            // skip the multiply it counts.
-            let opts = InterpOptions {
-                threads,
-                memo: false,
-                ..Default::default()
-            };
-            let cell = format!("{build}, {threads} threads");
-            let vm = prog.run(opts).unwrap_or_else(|e| panic!("{cell}: {e}"));
-            assert_eq!(vm.output, expected, "{cell}");
-            assert_eq!(vm.exit_code, 0, "{cell}");
-            for (engine, run) in [
-                ("resolved", prog.run_resolved(opts)),
-                ("legacy", prog.run_legacy(opts)),
-            ] {
-                let run = run.unwrap_or_else(|e| panic!("{cell}, {engine}: {e}"));
-                assert_eq!(run.output, expected, "{cell}, {engine}");
-                assert_eq!(
-                    run.counters.without_memo(),
-                    vm.counters.without_memo(),
-                    "{cell}, {engine}"
-                );
-            }
-        }
-    }
-}
-
-/// Every run of the differential class on one program: the three engines,
-/// the optimizer on and off, the poly and literal builds, one thread and
-/// four. Each must print `stdout`.
-fn assert_whole_class(name: &str, src: &str, stdout: &str) {
-    let (poly, nopoly) = compile_pair(src);
-    for (build, out) in [("poly", &poly), ("literal", &nopoly)] {
-        let prog = out.program();
-        for threads in [1usize, 4] {
-            for opt_level in [0u8, 2] {
-                let opts = InterpOptions {
-                    threads,
-                    opt_level,
-                    ..Default::default()
-                };
-                for (engine, run) in [
-                    ("vm", prog.run(opts)),
-                    ("resolved", prog.run_resolved(opts)),
-                    ("legacy", prog.run_legacy(opts)),
-                ] {
-                    let cell =
-                        format!("{name}: {build}, {engine}, {threads} threads, O{opt_level}");
-                    let run = run.unwrap_or_else(|e| panic!("{cell}: {e}"));
-                    assert_eq!(run.output, stdout, "{cell}:\n{}", out.text);
-                }
-            }
-        }
-    }
-}
-
-/// The programs the model once compiled wrong because it could not see
-/// what a pure call reads ([`BLIND_SPOT`]) run the whole differential
-/// class and print their recorded output everywhere.
-#[test]
-fn blind_spot_programs_agree_across_the_differential_class() {
-    for (name, src, stdout, _) in BLIND_SPOT {
-        assert_whole_class(name, src, stdout);
-    }
-}
-
-/// A user parallel loop that is the braceless body of an `if` or a `for`
-/// ([`BRACELESS_OMP`]) runs inside it on the whole differential class and
-/// prints GCC's output everywhere.
-#[test]
-fn braceless_parallel_bodies_agree_across_the_differential_class() {
-    for (name, src, stdout) in BRACELESS_OMP {
-        assert_whole_class(name, src, stdout);
-    }
 }
 
 /// A small generated family around the blind spot, seeded and
 /// deterministic: a producer nest and its consumer, or one nest that
 /// reads and then writes; a pure call reading at offset −1, 0 or +1; the
 /// read reaching its array through an argument, a global or an alias.
-/// Each of the 18 members prints the literal build's output under poly,
-/// at one thread and at four. (With fusion, the three producer members
-/// at offset +1 printed another number at one thread.)
+/// Each of the 18 members meets every engine leg of the matrix. (With
+/// fusion, the three producer members at offset +1 printed another
+/// number at one thread.)
 #[test]
 fn generated_blind_spot_family_matches_no_poly() {
     for src in blind_spot_family() {
-        let (poly, nopoly) = compile_pair(&src);
-        for threads in [1usize, 4] {
-            let opts = InterpOptions {
-                threads,
-                ..Default::default()
-            };
-            let fast = poly.program().run(opts).expect("poly runs");
-            let literal = nopoly.program().run(opts).expect("literal runs");
-            assert_eq!(
-                (&fast.output, fast.exit_code),
-                (&literal.output, literal.exit_code),
-                "{threads} threads:\n{src}\npoly text:\n{}",
-                poly.text
-            );
-        }
+        let report = matrix::check(&matrix::Entry::generated(&src));
+        assert!(report.failures.is_empty(), "{report}\n{src}");
     }
 }
 

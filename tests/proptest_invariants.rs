@@ -3,8 +3,32 @@
 //! force, omprt schedule partitioning, parallel-equals-sequential
 //! execution, and purity-verdict stability under reformatting.
 
+#[path = "support/matrix.rs"]
+mod matrix;
+
+use matrix::{Entry, Expect};
 use proptest::prelude::*;
 use pure_c::prelude::*;
+
+/// `entry` meets every leg it runs, and no leg rejected the program.
+fn meets(entry: Entry) -> matrix::Report {
+    let report = matrix::check(&entry);
+    prop_assert!(report.failures.is_empty(), "{}\n{}", report, entry.source);
+    let rejected = report
+        .seen
+        .values()
+        .any(|s| matches!(s, matrix::Observed::Rejected(_)));
+    prop_assert!(!rejected, "rejected:\n{}", entry.source);
+    report
+}
+
+/// The engines' default options with the memo off, as an entry has them.
+fn unlimited_interp() -> InterpOptions {
+    InterpOptions {
+        memo: false,
+        ..Default::default()
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Printer ∘ parser round trips
@@ -635,10 +659,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Wide values are in the differential class: on programs that live
-    /// on both sides of the ±2⁴⁷ inline boundary the VM (raw and
-    /// optimized), the resolved engine and the legacy oracle agree on
-    /// exit code, output and executed-op counters, sequentially and on 4
-    /// threads.
+    /// on both sides of the ±2⁴⁷ inline boundary every engine leg of the
+    /// matrix (the VM raw and optimized, the resolved engine, the legacy
+    /// oracle) agrees on exit code, output and executed-op counters,
+    /// sequentially and on 4 threads, and so does the VM at level 1.
     #[test]
     fn wide_values_match_across_engines_and_levels(
         d in -3i64..4,
@@ -649,36 +673,24 @@ proptest! {
         sched in 0usize..5,
     ) {
         let src = wide_value_source(d, neg, n, sh, inc, sched);
-        let parsed = parse(&src);
-        prop_assert!(!parsed.diags.has_errors(), "{}", parsed.diags.render_all(&src));
-        let prog = Program::new(&parsed.unit);
+        let report = meets(Entry::generated(&src).raw(&[]));
+        let prog = Program::new(&parse(&src).unit);
         for threads in [1usize, 4] {
-            let at = |opt_level: u8| InterpOptions { threads, opt_level, ..Default::default() };
-            let legacy = prog.run_legacy(at(2)).expect("legacy runs");
-            let resolved = prog.run_resolved(at(2)).expect("resolved runs");
-            prop_assert_eq!(resolved.exit_code, legacy.exit_code, "threads={}", threads);
-            prop_assert_eq!(&resolved.output, &legacy.output, "threads={}", threads);
-            prop_assert_eq!(resolved.counters.without_memo(), legacy.counters.without_memo(), "threads={}", threads);
-            for level in [0u8, 1, 2] {
-                let vm = prog.run(at(level)).expect("VM runs");
-                prop_assert_eq!(vm.exit_code, resolved.exit_code, "threads={} level={}", threads, level);
-                prop_assert_eq!(&vm.output, &resolved.output, "threads={} level={}", threads, level);
-                prop_assert_eq!(
-                    vm.counters.without_memo(),
-                    resolved.counters.without_memo(),
-                    "threads={} level={}",
-                    threads,
-                    level
-                );
-            }
+            let folded = prog
+                .run(InterpOptions { threads, opt_level: 1, ..Default::default() })
+                .expect("level-1 VM runs");
+            let leg = matrix::Leg::Run(matrix::Engine::Vm(0), true, threads);
+            prop_assert_eq!(&report.seen[&leg], &matrix::Observed::Exit(folded.output, folded.exit_code & 0xFF));
+            prop_assert_eq!(report.work[&leg].counters, folded.counters.without_memo(), "threads={}", threads);
         }
     }
 
-    /// The three execution tiers are bit-identical — exit code, captured
-    /// output and executed-op counters (modulo memo bookkeeping) — on
-    /// generated programs, sequentially and with 4 threads, across
-    /// `static`, `static,c`, `dynamic,c` and `guided,c` schedules:
-    /// bytecode VM == resolved-IR engine == legacy tree-walking oracle.
+    /// The three execution tiers are bit-identical on generated programs, on
+    /// every engine leg of the differential matrix — exit code, captured
+    /// output, executed-op counters (modulo memo bookkeeping) and heap
+    /// totals — sequentially and with 4 threads, across `static`,
+    /// `static,c`, `dynamic,c` and `guided,c` schedules: bytecode VM ==
+    /// resolved-IR engine == legacy tree-walking oracle.
     #[test]
     fn bytecode_and_resolved_match_legacy_oracle(
         n in 4usize..48,
@@ -689,41 +701,14 @@ proptest! {
         sched in 0usize..5,
     ) {
         let src = differential_source(n, c1, c2, op1, op2, sched);
-        let parsed = parse(&src);
-        prop_assert!(!parsed.diags.has_errors(), "{}", parsed.diags.render_all(&src));
-        let prog = Program::new(&parsed.unit);
-        for threads in [1usize, 4] {
-            let opts = InterpOptions { threads, ..Default::default() };
-            let vm = prog.run(opts).expect("bytecode VM runs");
-            let resolved = prog.run_resolved(opts).expect("resolved engine runs");
-            let legacy = prog.run_legacy(opts).expect("legacy engine runs");
-            // VM vs resolved oracle.
-            prop_assert_eq!(vm.exit_code, resolved.exit_code, "threads={}", threads);
-            prop_assert_eq!(&vm.output, &resolved.output, "threads={}", threads);
-            prop_assert_eq!(
-                vm.counters.without_memo(),
-                resolved.counters.without_memo(),
-                "threads={}",
-                threads
-            );
-            // Resolved vs legacy oracle.
-            prop_assert_eq!(resolved.exit_code, legacy.exit_code, "threads={}", threads);
-            prop_assert_eq!(&resolved.output, &legacy.output, "threads={}", threads);
-            prop_assert_eq!(
-                resolved.counters.without_memo(),
-                legacy.counters.without_memo(),
-                "threads={}",
-                threads
-            );
-        }
+        meets(Entry::generated(&src).raw(&[]));
     }
 
     /// Dangling pointers fail alike everywhere: use after free, double
     /// free and interior free — with the block freed sequentially or by
-    /// one iteration *inside* a region and misused after the join, when
-    /// its storage is already reclaimed — give the same error text on
-    /// the VM, the resolved engine and the legacy oracle, sequentially
-    /// and on 4 threads.
+    /// one iteration *inside* a region and misused after the join, when its
+    /// storage is already reclaimed — give the same error, text and span, on
+    /// every engine leg of the matrix, sequentially and on 4 threads.
     #[test]
     fn dangling_pointers_fail_alike_on_every_engine(
         n in 4usize..40,
@@ -762,25 +747,19 @@ proptest! {
                  return acc + a[0];\n\
              }}"
         );
-        let parsed = parse(&src);
-        prop_assert!(!parsed.diags.has_errors(), "{}", parsed.diags.render_all(&src));
-        let prog = Program::new(&parsed.unit);
-        for threads in [1usize, 4] {
-            let opts = InterpOptions { threads, ..Default::default() };
-            let vm = prog.run(opts).expect_err("VM rejects the misuse");
-            let resolved = prog.run_resolved(opts).expect_err("resolved rejects the misuse");
-            let legacy = prog.run_legacy(opts).expect_err("legacy rejects the misuse");
-            prop_assert!(vm.message.ends_with(want), "threads={}: {}", threads, vm.message);
-            prop_assert_eq!(&vm.message, &resolved.message, "threads={}", threads);
-            prop_assert_eq!(&vm.message, &legacy.message, "threads={}", threads);
-            prop_assert_eq!(vm.trap, None, "a program bug is not a governance trap");
-        }
+        let report = meets(Entry::generated(&src).raw(&[]));
+        let leg = matrix::Leg::Run(matrix::Engine::Vm(2), true, 1);
+        let matrix::Observed::Error(message, _, trap) = &report.seen[&leg] else {
+            panic!("the misuse ran: {:?}", report.seen[&leg]);
+        };
+        prop_assert!(message.ends_with(want), "{}", message);
+        prop_assert_eq!(*trap, None, "a program bug is not a governance trap");
     }
 
     /// Nested parallel regions on the shared pool (a worker joining an
     /// inner generation helps instead of blocking): VM == resolved ==
-    /// legacy on observable behaviour, for independently drawn outer and
-    /// inner schedules.
+    /// legacy on every engine leg of the matrix, for independently drawn
+    /// outer and inner schedules.
     #[test]
     fn pooled_nested_regions_match_oracles(
         outer in 2usize..8,
@@ -790,31 +769,7 @@ proptest! {
         si in 0usize..5,
     ) {
         let src = nested_region_source(outer, inner, c, so, si);
-        let parsed = parse(&src);
-        prop_assert!(!parsed.diags.has_errors(), "{}", parsed.diags.render_all(&src));
-        let prog = Program::new(&parsed.unit);
-        for threads in [1usize, 4] {
-            let opts = InterpOptions { threads, ..Default::default() };
-            let vm = prog.run(opts).expect("VM runs");
-            let resolved = prog.run_resolved(opts).expect("resolved runs");
-            let legacy = prog.run_legacy(opts).expect("legacy runs");
-            prop_assert_eq!(vm.exit_code, resolved.exit_code, "threads={}", threads);
-            prop_assert_eq!(&vm.output, &resolved.output, "threads={}", threads);
-            prop_assert_eq!(
-                vm.counters.without_memo(),
-                resolved.counters.without_memo(),
-                "threads={}",
-                threads
-            );
-            prop_assert_eq!(resolved.exit_code, legacy.exit_code, "threads={}", threads);
-            prop_assert_eq!(&resolved.output, &legacy.output, "threads={}", threads);
-            prop_assert_eq!(
-                resolved.counters.without_memo(),
-                legacy.counters.without_memo(),
-                "threads={}",
-                threads
-            );
-        }
+        meets(Entry::generated(&src).raw(&[]));
     }
 
     /// Pure-call futures differential: on a generated program whose
@@ -1123,13 +1078,13 @@ proptest! {
         }
     }
 
-    /// Generated leaves through the differential class, memo **on**: the
-    /// default bytecode (every called leaf inlined), the raw bytecode and
-    /// both oracles (which inline nothing) agree on exit code, output,
-    /// error text and executed-op counters, at 1 and 4 threads. A leaf is
-    /// never memoized, so — no function here being const ∧ heavy — no
-    /// engine probes the cache and the "modulo cache hits" caveat is not
-    /// needed: the counters are compared whole.
+    /// Generated leaves through the differential class: the default
+    /// bytecode (every called leaf inlined), the raw bytecode and both
+    /// oracles (which inline nothing) agree on every engine leg of the
+    /// matrix — exit code, output, error text and span, executed-op
+    /// counters — at 1 and 4 threads. A leaf is never memoized: with the
+    /// memo on, no engine probes the cache (no function here is const ∧
+    /// heavy), and the VM shows what it shows with the memo off.
     #[test]
     fn generated_leaves_match_across_levels_and_oracles(seed in any::<u64>()) {
         let src = leaf_program(seed);
@@ -1148,42 +1103,21 @@ proptest! {
         prop_assert!(prog.resolved().spawn_heavy_functions().is_empty());
         let inlined = prog.bytecode_at(2).inlined_functions().len();
         prop_assert!(inlined >= 2, "{} inlined in\n{}", inlined, src);
+        let names: Vec<&str> = pure.iter().map(String::as_str).collect();
+        let report = meets(Entry::generated(&src).raw(&names));
         for threads in [1usize, 4] {
-            let at = |opt_level: u8| InterpOptions { threads, opt_level, ..Default::default() };
-            let legacy = prog.run_legacy(at(2));
-            for (engine, run) in [
-                ("vm", prog.run(at(2))),
-                ("vm raw", prog.run(at(0))),
-                ("resolved", prog.run_resolved(at(2))),
-            ] {
-                match (&run, &legacy) {
-                    (Ok(run), Ok(legacy)) => {
-                        prop_assert_eq!(run.exit_code, legacy.exit_code, "{} threads={}\n{}", engine, threads, src);
-                        prop_assert_eq!(&run.output, &legacy.output, "{} threads={}\n{}", engine, threads, src);
-                        prop_assert_eq!(run.counters.memo_hits + run.counters.memo_misses, 0);
-                        prop_assert_eq!(
-                            run.counters.without_memo(),
-                            legacy.counters.without_memo(),
-                            "{} threads={}\n{}",
-                            engine,
-                            threads,
-                            src
-                        );
-                    }
-                    (Err(run), Err(legacy)) => {
-                        prop_assert_eq!(&run.message, &legacy.message, "{} threads={}\n{}", engine, threads, src);
-                        prop_assert_eq!(&run.message, "integer division by zero");
-                    }
-                    _ => prop_assert!(
-                        false,
-                        "{} threads={}: {:?} against the oracle's {:?}\n{}",
-                        engine,
-                        threads,
-                        run.as_ref().map(|r| r.exit_code),
-                        legacy.as_ref().map(|r| r.exit_code),
-                        src
-                    ),
+            let memo = prog.run(InterpOptions { threads, ..Default::default() });
+            let memo = memo.map(|r| (r.output, r.exit_code & 0xFF, r.counters.memo_hits + r.counters.memo_misses));
+            let leg = matrix::Leg::Run(matrix::Engine::Vm(2), true, threads);
+            match (&report.seen[&leg], memo) {
+                (matrix::Observed::Exit(out, code), Ok(memo)) => {
+                    prop_assert_eq!((out, *code, 0), (&memo.0, memo.1, memo.2), "threads={}\n{}", threads, src)
                 }
+                (matrix::Observed::Error(msg, ..), Err(e)) => {
+                    prop_assert_eq!(msg, &e.message);
+                    prop_assert_eq!(msg.as_str(), "integer division by zero");
+                }
+                (seen, memo) => prop_assert!(false, "threads={}: {:?} with the memo off, {:?} on\n{}", threads, seen, memo.map(|m| m.1), src),
             }
         }
     }
@@ -1228,11 +1162,11 @@ proptest! {
 
     /// Resource governance is observably free when the limits never
     /// fire: with fuel, memory and call-depth caps set far above what
-    /// the generated program needs, every engine produces bit-identical
-    /// exit code, output and executed-op counters (modulo memo
-    /// bookkeeping) to its unlimited run — and the tiers still agree
-    /// with each other — sequentially and with 4 threads, across all
-    /// schedules.
+    /// the generated program needs, every engine leg of the matrix shows
+    /// and does exactly what it does unlimited (exit code, output,
+    /// executed-op counters modulo memo bookkeeping, heap totals) — and the
+    /// tiers still agree with each other — sequentially and with 4
+    /// threads, across all schedules.
     #[test]
     fn generous_limits_do_not_change_observables(
         n in 4usize..40,
@@ -1243,126 +1177,61 @@ proptest! {
         sched in 0usize..5,
     ) {
         let src = differential_source(n, c1, c2, op1, op2, sched);
-        let parsed = parse(&src);
-        prop_assert!(!parsed.diags.has_errors(), "{}", parsed.diags.render_all(&src));
-        let prog = Program::new(&parsed.unit);
-        for threads in [1usize, 4] {
-            let unlimited = InterpOptions { threads, ..Default::default() };
-            let governed = InterpOptions {
-                fuel: Some(1 << 40),
-                max_memory_bytes: Some(1 << 40),
-                max_call_depth: Some(1 << 16),
-                ..unlimited
-            };
-            let vm_u = prog.run(unlimited).expect("VM unlimited");
-            let vm_g = prog.run(governed).expect("VM governed");
-            prop_assert_eq!(vm_g.exit_code, vm_u.exit_code, "threads={}", threads);
-            prop_assert_eq!(&vm_g.output, &vm_u.output, "threads={}", threads);
-            prop_assert_eq!(
-                vm_g.counters.without_memo(),
-                vm_u.counters.without_memo(),
-                "threads={}",
-                threads
-            );
-            let res_g = prog.run_resolved(governed).expect("resolved governed");
-            prop_assert_eq!(res_g.exit_code, vm_u.exit_code, "threads={}", threads);
-            prop_assert_eq!(&res_g.output, &vm_u.output, "threads={}", threads);
-            prop_assert_eq!(
-                res_g.counters.without_memo(),
-                vm_u.counters.without_memo(),
-                "threads={}",
-                threads
-            );
-            let legacy_g = prog.run_legacy(governed).expect("legacy governed");
-            prop_assert_eq!(legacy_g.exit_code, vm_u.exit_code, "threads={}", threads);
-            prop_assert_eq!(&legacy_g.output, &vm_u.output, "threads={}", threads);
-            prop_assert_eq!(
-                legacy_g.counters.without_memo(),
-                vm_u.counters.without_memo(),
-                "threads={}",
-                threads
-            );
-            // The tier-3.5 optimizer (on by default above) changes none of
-            // this: the governed raw-bytecode run agrees with the governed
-            // optimized run on every observable.
-            let vm_g0 = prog
-                .run(InterpOptions { opt_level: 0, ..governed })
-                .expect("VM governed, optimizer off");
-            prop_assert_eq!(vm_g0.exit_code, vm_u.exit_code, "threads={}", threads);
-            prop_assert_eq!(&vm_g0.output, &vm_u.output, "threads={}", threads);
-            prop_assert_eq!(
-                vm_g0.counters.without_memo(),
-                vm_u.counters.without_memo(),
-                "threads={}",
-                threads
-            );
-        }
+        let unlimited = meets(Entry::generated(&src).raw(&[]));
+        let governed = InterpOptions {
+            fuel: Some(1 << 40),
+            max_memory_bytes: Some(1 << 40),
+            max_call_depth: Some(1 << 16),
+            ..unlimited_interp()
+        };
+        let governed = meets(Entry::generated(&src).raw(&[]).interp(governed));
+        prop_assert_eq!(governed.seen, unlimited.seen);
+        prop_assert_eq!(governed.work, unlimited.work);
     }
 }
 
-/// What a run shows: exit code, stdout, executed-op counters (modulo the
-/// bookkeeping) and the heap's totals — or the error's message, span and
-/// trap kind.
-type Observed = Result<
-    (i64, String, cinterp::CounterSnapshot, u64, u64),
-    (String, cfront::span::Span, Option<Trap>),
->;
-
-fn observe(run: Result<cinterp::RunResult, cinterp::RuntimeError>) -> Observed {
-    run.map(|r| {
-        let heap = (r.heap.frees, r.heap.peak_live_bytes);
-        (
-            r.exit_code,
-            r.output,
-            r.counters.without_memo(),
-            heap.0,
-            heap.1,
-        )
-    })
-    .map_err(|e| (e.message, e.span, e.trap))
-}
-
 /// A region too small to repay a fork runs on the caller — and shows
-/// nothing of it: the VM at 1, 2 and 4 threads and the resolved engine
-/// (which forks every region) at the same counts agree on every
-/// observable, traps included. Each program is run with its trigger off
-/// (where the VM must report the region inline) and on. A resource
-/// trap is compared by its kind and span: its message reports the heap
-/// at the trap (the bytes in use), which depends on which of the
-/// region's frees landed first.
+/// nothing of it. Each program below is an entry of the differential
+/// matrix, run as parsed (no chain, so every region's verdict is
+/// `Unknown`): on every engine leg (the VM at 1 and 4 threads runs the
+/// region inline or forks it, the oracles fork every launch) it shows the
+/// same exit code, stdout, executed operations and heap totals, or the
+/// same trap. Each is run with its trigger off (where the VM must report
+/// the region inline) and on. A resource trap is compared by its kind and
+/// place: its message reports the heap at the trap (the bytes in use),
+/// which depends on which of the region's frees landed first.
 #[test]
 fn an_inline_region_is_observably_the_region() {
-    let verdict = |o: &Observed| match o {
-        Err((_, span, trap @ Some(_))) => Err((String::new(), *span, *trap)),
-        other => other.clone(),
+    // The VM's regions forked and run inline, on one thread.
+    let decisions = |src: &str, opts: InterpOptions| {
+        let prog = Program::new(&parse(src).unit);
+        let run = prog.run(InterpOptions { threads: 1, ..opts });
+        run.map(|r| (r.counters.regions_forked, r.counters.regions_inline))
     };
-    let check = |what: &str, src: &str, opts: InterpOptions| -> Observed {
-        let parsed = parse(src);
-        assert!(
-            !parsed.diags.has_errors(),
-            "{}",
-            parsed.diags.render_all(src)
+    let check = |what: &str, src: &str, opts: InterpOptions, expect: Expect| {
+        let entry = Entry::new(what, src, expect).raw(&[]).interp(opts).skip(
+            matrix::gcc_legs,
+            "the options under test (caps, the race check) are the interpreter's",
         );
-        let prog = Program::new(&parsed.unit);
-        let vm1 = prog.run(InterpOptions { threads: 1, ..opts });
-        if let Ok(r) = &vm1 {
-            assert!(r.counters.regions_inline > 0, "{what}: nothing ran inline");
+        let report = matrix::check(&entry);
+        assert!(report.failures.is_empty(), "{report}");
+        // On one thread the VM runs the region inline, and the legs then
+        // compare the inline run with the forked ones.
+        if let Ok((_, inline)) = decisions(src, opts) {
+            assert!(inline > 0, "{what}: nothing ran inline");
         }
-        let want = observe(vm1);
-        for threads in [1usize, 2, 4] {
-            let at = InterpOptions { threads, ..opts };
-            let vm = verdict(&observe(prog.run(at)));
-            assert_eq!(vm, verdict(&want), "{what}: vm, threads={threads}");
-            let resolved = verdict(&observe(prog.run_resolved(at)));
-            assert_eq!(
-                resolved,
-                verdict(&want),
-                "{what}: resolved, threads={threads}"
-            );
-        }
-        want
+        report
     };
-    let plain = InterpOptions::default();
+    let vm1 = matrix::Leg::Run(matrix::Engine::Vm(2), true, 1);
+    let plain = InterpOptions {
+        memo: false,
+        ..Default::default()
+    };
+    let trap = |trap, message, at| Expect::Trap {
+        trap,
+        message,
+        at: Some(at),
+    };
 
     // A division by zero at iteration 37 of 64.
     let div = |k: i64| {
@@ -1376,12 +1245,9 @@ fn an_inline_region_is_observably_the_region() {
              }}\n"
         )
     };
-    assert!(check("div", &div(70), plain).is_ok());
-    let (msg, _, trap) = check("div by zero", &div(37), plain).unwrap_err();
-    assert!(
-        msg.contains("integer division by zero") && trap.is_none(),
-        "{msg}"
-    );
+    check("div", &div(70), plain, Expect::Agree);
+    let by_zero = trap(None, "integer division by zero", "6400 / (i - 37)");
+    check("div by zero", &div(37), plain, by_zero);
 
     // A `malloc` past `--max-memory` inside the region; a `free` there is
     // reclaimed at the join, so the region's peak is all 16 blocks.
@@ -1400,14 +1266,20 @@ fn an_inline_region_is_observably_the_region() {
         max_memory_bytes: Some(cap),
         ..plain
     };
-    let (code, _, _, frees, peak) = check("scratch", scratch, capped(1 << 20)).unwrap();
-    assert_eq!((code, frees, peak), (25, 16, 128 + 16 * 1024));
-    let (msg, _, trap) = check("scratch capped", scratch, capped(8 * 1024)).unwrap_err();
-    assert_eq!(trap, Some(Trap::MemoryLimit), "{msg}");
+    let fits = check("scratch", scratch, capped(1 << 20), Expect::Agree);
+    let work = fits.work[&vm1];
+    assert_eq!(fits.seen[&vm1], matrix::Observed::Exit(String::new(), 25));
+    assert_eq!((work.frees, work.peak_live_bytes), (16, 128 + 16 * 1024));
+    let over = trap(
+        Some(Trap::MemoryLimit),
+        "memory limit exceeded",
+        "malloc(1024)",
+    );
+    check("scratch capped", scratch, capped(8 * 1024), over);
 
-    // `--race-check` on an Unknown verdict (no analysis ran): the dynamic
-    // check runs the region's first iterations, up to the cap, and
-    // catches the race; the region runs the rest.
+    // `--race-check` on an Unknown verdict: the dynamic check runs the
+    // region's first iterations, up to the cap, and catches the race;
+    // the region runs the rest.
     let race = |rhs: &str| {
         format!(
             "int main() {{\n\
@@ -1429,24 +1301,33 @@ fn an_inline_region_is_observably_the_region() {
     // iterations' frees wait for the region's join too) — with every
     // iteration under the cap, and with a cap that leaves most of them
     // to the region.
-    let unchecked = check("race-free", &race("a[i] + 1"), plain);
-    assert_eq!(unchecked.as_ref().map(|r| r.0), Ok(32));
-    let scratch_unchecked = check("scratch", scratch, capped(1 << 20));
+    let unchecked = check("race-free", &race("a[i] + 1"), plain, Expect::Agree);
+    assert_eq!(
+        unchecked.seen[&vm1],
+        matrix::Observed::Exit(String::new(), 32)
+    );
+    let scratch_unchecked = fits;
     for cap in [None, Some(4)] {
         let opts = InterpOptions {
             race_check_cap: cap,
             ..checked
         };
-        assert_eq!(check("race-free", &race("a[i] + 1"), opts), unchecked);
+        let run = check("race-free checked", &race("a[i] + 1"), opts, Expect::Agree);
+        assert_eq!(
+            (run.seen, run.work),
+            (unchecked.seen.clone(), unchecked.work.clone())
+        );
         let opts = InterpOptions {
             race_check: true,
             race_check_cap: cap,
             ..capped(1 << 20)
         };
-        assert_eq!(check("scratch checked", scratch, opts), scratch_unchecked);
+        let run = check("scratch checked", scratch, opts, Expect::Agree);
+        let want = (&scratch_unchecked.seen, &scratch_unchecked.work);
+        assert_eq!((&run.seen, &run.work), want, "cap {cap:?}");
     }
-    let (msg, _, _) = check("racy", &race("a[(i + 1) % 32] + 1"), checked).unwrap_err();
-    assert!(msg.contains("race detected"), "{msg}");
+    let racy = trap(None, "race detected", "a[i] = a[(i + 1) % 32] + 1");
+    check("racy", &race("a[(i + 1) % 32] + 1"), checked, racy);
 
     // A tiny region inside a forked one (its body holds the region): 8
     // inline launches under one fork, and a trap from the inner one.
@@ -1466,13 +1347,10 @@ fn an_inline_region_is_observably_the_region() {
              }}\n"
         )
     };
-    assert!(check("nested", &nested(99), plain).is_ok());
-    let parsed = parse(&nested(99));
-    let vm = Program::new(&parsed.unit).run(plain).expect("nested runs");
-    let decisions = (vm.counters.regions_forked, vm.counters.regions_inline);
-    assert_eq!(decisions, (1, 8));
-    let (msg, _, _) = check("nested trap", &nested(45), plain).unwrap_err();
-    assert!(msg.contains("integer division by zero"), "{msg}");
+    check("nested", &nested(99), plain, Expect::Agree);
+    assert_eq!(decisions(&nested(99), plain).expect("nested runs"), (1, 8));
+    let by_zero = trap(None, "integer division by zero", "640 / (i * 8 + j - 45)");
+    check("nested trap", &nested(45), plain, by_zero);
 }
 
 /// A scalar global is shared memory too: every engine's dynamic race
@@ -1750,11 +1628,12 @@ proptest! {
 
     /// The optimizer is observably the identity: on generated programs
     /// (scalars, floats, arrays, structs, globals, calls, a parallel
-    /// region across all schedules) every optimization level produces
-    /// the exit code, output and executed-op counters of the raw
-    /// bytecode — which in turn match the resolved and legacy oracles —
-    /// sequentially and with 4 threads. Only the `insns_folded` /
-    /// `insns_fused` bookkeeping (zeroed by `without_memo`) may differ.
+    /// region across all schedules) the VM's optimized and raw legs of the
+    /// matrix match each other and the resolved and legacy oracles on exit
+    /// code, output and executed-op counters, sequentially and with 4
+    /// threads, and so does level 1. Only the `insns_folded` /
+    /// `insns_fused` bookkeeping (zeroed by `without_memo`) may differ, and
+    /// the raw bytecode folds and fuses nothing.
     #[test]
     fn optimizer_levels_match_raw_and_oracles(
         n in 4usize..40,
@@ -1765,48 +1644,16 @@ proptest! {
         sched in 0usize..5,
     ) {
         let src = differential_source(n, c1, c2, op1, op2, sched);
-        let parsed = parse(&src);
-        prop_assert!(!parsed.diags.has_errors(), "{}", parsed.diags.render_all(&src));
-        let prog = Program::new(&parsed.unit);
+        let report = meets(Entry::generated(&src).raw(&[]));
+        let prog = Program::new(&parse(&src).unit);
         for threads in [1usize, 4] {
-            let at = |opt_level: u8| InterpOptions {
-                threads,
-                opt_level,
-                ..Default::default()
-            };
+            let at = |opt_level: u8| InterpOptions { threads, opt_level, ..Default::default() };
             let raw = prog.run(at(0)).expect("raw VM runs");
-            for level in [1u8, 2] {
-                let o = prog.run(at(level)).expect("optimized VM runs");
-                prop_assert_eq!(o.exit_code, raw.exit_code, "threads={} level={}", threads, level);
-                prop_assert_eq!(&o.output, &raw.output, "threads={} level={}", threads, level);
-                prop_assert_eq!(
-                    o.counters.without_memo(),
-                    raw.counters.without_memo(),
-                    "threads={} level={}",
-                    threads,
-                    level
-                );
-            }
-            prop_assert_eq!(raw.counters.insns_folded, 0);
-            prop_assert_eq!(raw.counters.insns_fused, 0);
-            let resolved = prog.run_resolved(at(2)).expect("resolved runs");
-            prop_assert_eq!(resolved.exit_code, raw.exit_code, "threads={}", threads);
-            prop_assert_eq!(&resolved.output, &raw.output, "threads={}", threads);
-            prop_assert_eq!(
-                resolved.counters.without_memo(),
-                raw.counters.without_memo(),
-                "threads={}",
-                threads
-            );
-            let legacy = prog.run_legacy(at(2)).expect("legacy runs");
-            prop_assert_eq!(legacy.exit_code, raw.exit_code, "threads={}", threads);
-            prop_assert_eq!(&legacy.output, &raw.output, "threads={}", threads);
-            prop_assert_eq!(
-                legacy.counters.without_memo(),
-                raw.counters.without_memo(),
-                "threads={}",
-                threads
-            );
+            let folded = prog.run(at(1)).expect("level-1 VM runs");
+            let leg = matrix::Leg::Run(matrix::Engine::Vm(0), true, threads);
+            prop_assert_eq!(&report.seen[&leg], &matrix::Observed::Exit(folded.output, folded.exit_code & 0xFF));
+            prop_assert_eq!(report.work[&leg].counters, folded.counters.without_memo(), "threads={}", threads);
+            prop_assert_eq!((raw.counters.insns_folded, raw.counters.insns_fused), (0, 0));
         }
     }
 

@@ -2,9 +2,16 @@
 //! call-depth limits must convert runaway executions into structured
 //! [`cinterp::Trap`]s on every engine — including from inside parallel
 //! regions and with pure-call futures in flight — and must leave the
-//! process-wide worker pool fully reusable afterwards.
+//! process-wide worker pool fully reusable afterwards. (A spin, an
+//! allocation bomb and a deep recursion trap on every leg of
+//! `tests/matrix.rs`.) The exact dispatch counts of the `--fuel` ruler
+//! are pinned here.
+
+#[path = "support/matrix.rs"]
+mod matrix;
 
 use cinterp::Trap;
+use matrix::{Entry, Expect};
 use pure_c::prelude::*;
 
 fn program(src: &str) -> Program {
@@ -15,53 +22,6 @@ fn program(src: &str) -> Program {
         parsed.diags.render_all(src)
     );
     Program::new(&parsed.unit)
-}
-
-const INFINITE_LOOP: &str = "int main() { int i = 0; while (1) { i = i + 1; } return i; }";
-
-const ALLOC_BOMB: &str = "\
-int main() {
-    int acc = 0;
-    for (int i = 0; i < 1000000; i++) {
-        int* p = (int*) malloc(4096 * sizeof(int));
-        p[0] = i;
-        acc += p[0];
-    }
-    return acc % 100;
-}";
-
-const DEEP_RECURSION: &str = "\
-int rec(int n) {
-    if (n <= 0) return 0;
-    return 1 + rec(n - 1);
-}
-int main() { return rec(1000000); }";
-
-/// Run `src` on all three engines with `opts`, asserting each traps with
-/// `want` and mentions `msg_frag` in its error message.
-fn assert_traps_everywhere(src: &str, opts: InterpOptions, want: Trap, msg_frag: &str) {
-    let prog = program(src);
-    for (name, res) in [
-        ("vm", prog.run(opts)),
-        ("resolved", prog.run_resolved(opts)),
-        ("legacy", prog.run_legacy(opts)),
-    ] {
-        let err = res.expect_err("the limit must fire");
-        assert_eq!(err.trap, Some(want), "{name}: wrong trap: {err}");
-        assert!(
-            err.to_string().contains(msg_frag),
-            "{name}: error message {err:?} lacks {msg_frag:?}"
-        );
-    }
-}
-
-#[test]
-fn infinite_loop_traps_on_fuel_in_every_engine() {
-    let opts = InterpOptions {
-        fuel: Some(10_000),
-        ..Default::default()
-    };
-    assert_traps_everywhere(INFINITE_LOOP, opts, Trap::FuelExhausted, "fuel exhausted");
 }
 
 /// The meter brackets real work: a 20 000-iteration loop traps under a
@@ -490,15 +450,6 @@ fn optimizer_books_balance_over_the_corpus() {
     }
 }
 
-#[test]
-fn alloc_bomb_traps_on_memory_limit_in_every_engine() {
-    let opts = InterpOptions {
-        max_memory_bytes: Some(1 << 20),
-        ..Default::default()
-    };
-    assert_traps_everywhere(ALLOC_BOMB, opts, Trap::MemoryLimit, "memory limit exceeded");
-}
-
 /// `free` refunds the budget: 50 000 balanced `malloc(256)`/`free` pairs
 /// (12.8 MB cumulative, 256 bytes live) run to their own exit code under
 /// a 100 kB cap on every engine.
@@ -573,54 +524,18 @@ int main() {
     }
 }
 
-/// A would-be 1M-deep recursion becomes a clean `DepthLimit` trap — not
-/// a Rust stack overflow aborting the process. The tree-walking engines
-/// recurse on the Rust stack (double-digit KB per interpreted call in
-/// debug builds), so the cap test runs on a thread with a generous
-/// native stack: the trap must come from the governor, not from the
-/// host stack giving out first.
-#[test]
-fn deep_recursion_traps_on_depth_limit_in_every_engine() {
-    std::thread::Builder::new()
-        .stack_size(256 << 20)
-        .spawn(|| {
-            let opts = InterpOptions {
-                max_call_depth: Some(2_000),
-                ..Default::default()
-            };
-            assert_traps_everywhere(
-                DEEP_RECURSION,
-                opts,
-                Trap::DepthLimit,
-                "call depth limit exceeded",
-            );
-        })
-        .expect("spawn big-stack thread")
-        .join()
-        .expect("depth-limit thread must not panic");
-}
-
 /// Without an explicit cap the legacy 512-frame guard still fires with
 /// its historical message — and no trap classification.
 #[test]
 fn default_depth_guard_is_unchanged() {
-    std::thread::Builder::new()
-        .stack_size(256 << 20)
-        .spawn(|| {
-            let prog = program(DEEP_RECURSION);
-            for res in [
-                prog.run(InterpOptions::default()),
-                prog.run_resolved(InterpOptions::default()),
-                prog.run_legacy(InterpOptions::default()),
-            ] {
-                let err = res.expect_err("the default guard must fire");
-                assert_eq!(err.trap, None, "default guard is not a governance trap");
-                assert!(err.to_string().contains("call stack overflow"), "{err}");
-            }
-        })
-        .expect("spawn big-stack thread")
-        .join()
-        .expect("default-guard thread must not panic");
+    let expect = Expect::Trap {
+        trap: None,
+        message: "call stack overflow",
+        at: Some("rec(n - 1)"),
+    };
+    let entry = Entry::new("deep recursion", DEEP_RECURSION, expect).raw(&[]);
+    let report = matrix::check(&entry.skip(matrix::gcc_legs, "the guard is the interpreter's"));
+    assert!(report.failures.is_empty(), "{report}");
 }
 
 const PARALLEL_SPIN: &str = "\
@@ -800,20 +715,17 @@ int main() {
 /// them classifies a *successful* run as trapped.
 #[test]
 fn traps_do_not_leak_into_successful_runs() {
-    let prog = program(PARALLEL_CLEAN);
-    let opts = InterpOptions {
-        threads: 2,
+    let governed = InterpOptions {
         fuel: Some(100_000_000),
         max_memory_bytes: Some(1 << 30),
         max_call_depth: Some(10_000),
+        memo: false,
         ..Default::default()
     };
-    let vm = prog.run(opts).expect("governed run succeeds");
-    let resolved = prog.run_resolved(opts).expect("governed resolved run");
-    let legacy = prog.run_legacy(opts).expect("governed legacy run");
-    assert_eq!(vm.output, "acc=408\n");
-    assert_eq!(resolved.output, vm.output);
-    assert_eq!(legacy.output, vm.output);
-    assert_eq!(vm.exit_code, resolved.exit_code);
-    assert_eq!(vm.exit_code, legacy.exit_code);
+    let entry = Entry::output("parallel clean", PARALLEL_CLEAN, "acc=408\n", 408 % 113);
+    let entry = entry.raw(&[]).interp(governed);
+    let report = matrix::check(&entry.skip(matrix::gcc_legs, "the limits are the interpreter's"));
+    assert!(report.failures.is_empty(), "{report}");
 }
+
+include!("support/corpus.rs");
