@@ -1,12 +1,16 @@
 //! Integration tests spanning the whole workspace: what the chain emits
 //! for the evaluation applications and the corpus — standard C, parallel
 //! loops it can prove independent, pragmas that head their loops, and a
-//! text that reparses to the unit the engines run. (That the transformed
-//! programs compute what the originals compute, on every engine and
-//! under GCC, is `tests/matrix.rs`.)
+//! text that reparses to the unit the engines run; and, as slices of the
+//! differential matrix (`tests/support/entries.rs`), that each app's
+//! transformed build computes what its original computes, on every
+//! engine and under GCC.
 
 #[path = "support/matrix.rs"]
 mod matrix;
+
+#[path = "support/entries.rs"]
+mod entries;
 
 use pure_c::prelude::*;
 
@@ -119,6 +123,44 @@ fn user_pragmas_reach_both_texts_over_their_loops() {
             }
         }
     }
+}
+
+/// matmul(16) prints the checksum the native Rust kernel computes
+/// (`apps::matmul::c_source_checksum`) on the poly and the literal
+/// build of every engine at 1 and 4 threads, and under GCC from its
+/// default text and its `-Dpure=` original at 1, 2 and 4 threads.
+#[test]
+fn matmul_original_equals_transformed_across_threads() {
+    matrix::run(entries::slice(
+        "chain_integration::matmul_original_equals_transformed_across_threads",
+    ));
+}
+
+/// heat(32, 10): the transformed build and the original agree, as for
+/// matmul.
+#[test]
+fn heat_original_equals_transformed() {
+    matrix::run(entries::slice(
+        "chain_integration::heat_original_equals_transformed",
+    ));
+}
+
+/// satellite(16, 16): the transformed build and the original agree, as
+/// for matmul.
+#[test]
+fn satellite_original_equals_transformed() {
+    matrix::run(entries::slice(
+        "chain_integration::satellite_original_equals_transformed",
+    ));
+}
+
+/// lama(256, 9): the transformed build and the original agree, as for
+/// matmul.
+#[test]
+fn lama_original_equals_transformed() {
+    matrix::run(entries::slice(
+        "chain_integration::lama_original_equals_transformed",
+    ));
 }
 
 #[test]

@@ -15,6 +15,9 @@
 #[path = "support/matrix.rs"]
 mod matrix;
 
+#[path = "support/entries.rs"]
+mod entries;
+
 use proptest::prelude::*;
 use pure_c::prelude::*;
 
@@ -335,6 +338,26 @@ fn pointer_walks_match_their_indexed_twin_on_every_engine() {
         );
     }
     assert!(!poly.text.contains("int t1 = a"), "{}", poly.text);
+}
+
+/// The [`BLIND_SPOT`] programs on every engine leg of the matrix: the
+/// poly build prints what the literal build prints (their GCC legs are
+/// `gcc_oracle`'s).
+#[test]
+fn blind_spot_programs_agree_across_the_differential_class() {
+    matrix::run(entries::slice(
+        "poly_differential::blind_spot_programs_agree_across_the_differential_class",
+    ));
+}
+
+/// The [`BRACELESS_OMP`] programs on every engine leg of the matrix: a
+/// braceless `omp parallel for` body stays inside its `if`/`for` on the
+/// poly and the literal build.
+#[test]
+fn braceless_parallel_bodies_agree_across_the_differential_class() {
+    matrix::run(entries::slice(
+        "poly_differential::braceless_parallel_bodies_agree_across_the_differential_class",
+    ));
 }
 
 /// A small generated family around the blind spot, seeded and

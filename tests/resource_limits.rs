@@ -2,13 +2,16 @@
 //! call-depth limits must convert runaway executions into structured
 //! [`cinterp::Trap`]s on every engine — including from inside parallel
 //! regions and with pure-call futures in flight — and must leave the
-//! process-wide worker pool fully reusable afterwards. (A spin, an
-//! allocation bomb and a deep recursion trap on every leg of
-//! `tests/matrix.rs`.) The exact dispatch counts of the `--fuel` ruler
-//! are pinned here.
+//! process-wide worker pool fully reusable afterwards. A spin, an
+//! allocation bomb and a deep recursion trap on every leg of the
+//! differential matrix (their slices of `tests/support/entries.rs`). The
+//! exact dispatch counts of the `--fuel` ruler are pinned here.
 
 #[path = "support/matrix.rs"]
 mod matrix;
+
+#[path = "support/entries.rs"]
+mod entries;
 
 use cinterp::Trap;
 use matrix::{Entry, Expect};
@@ -522,6 +525,34 @@ int main() {
             }
         }
     }
+}
+
+/// [`INFINITE_LOOP`] under a 10 000-dispatch budget traps on fuel on
+/// every engine leg.
+#[test]
+fn infinite_loop_traps_on_fuel_in_every_engine() {
+    matrix::run(entries::slice(
+        "resource_limits::infinite_loop_traps_on_fuel_in_every_engine",
+    ));
+}
+
+/// [`ALLOC_BOMB`] under a 1 MiB cap traps on memory on every engine leg
+/// (the VM's legs at the statement after the allocation: a known
+/// divergence).
+#[test]
+fn alloc_bomb_traps_on_memory_limit_in_every_engine() {
+    matrix::run(entries::slice(
+        "resource_limits::alloc_bomb_traps_on_memory_limit_in_every_engine",
+    ));
+}
+
+/// [`DEEP_RECURSION`] under a 2 000-call cap traps on depth, at the
+/// recursive call, on every engine leg.
+#[test]
+fn deep_recursion_traps_on_depth_limit_in_every_engine() {
+    matrix::run(entries::slice(
+        "resource_limits::deep_recursion_traps_on_depth_limit_in_every_engine",
+    ));
 }
 
 /// Without an explicit cap the legacy 512-frame guard still fires with

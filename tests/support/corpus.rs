@@ -3,8 +3,11 @@
 // `matrix`), by those that run the blind-spot programs (`matrix`,
 // `poly_differential`, `deps_golden`) and the braceless-body ones
 // (`matrix`, `chain_integration`), and by `resource_limits` and
-// `crates/purec/tests/cli.rs`, which read the trap and CI programs.
-// Every constant here is an entry of `tests/matrix.rs`.
+// `crates/purec/tests/cli.rs`, which read the trap and CI programs; and
+// by every test that runs a slice of the matrix (`matrix`, `gcc_oracle`,
+// `chain_integration`, `poly_differential`, `resource_limits`), whose
+// `tests/support/entries.rs` reads it. Every constant here is an entry
+// there.
 
 /// Every `.c` file under `examples/`, recursively, as `(path relative to
 /// examples/, source)`, sorted by path.

@@ -142,6 +142,8 @@ pub enum Expect {
 #[derive(Clone)]
 pub struct Exemption {
     pub legs: fn(&Leg) -> bool,
+    /// The exemption covers the legs `legs` does not select.
+    pub outside: bool,
     pub reason: &'static str,
     /// A known divergence: the ROADMAP item whose change removes it, and
     /// what the exempted legs show today. They must go on showing it; a
@@ -222,9 +224,35 @@ impl Entry {
         let today = None;
         self.exempt.push(Exemption {
             legs,
+            outside: false,
             reason,
             today,
         });
+        self
+    }
+
+    /// Only `legs` run here: another test runs the others, `reason`
+    /// says which. Ahead of every other exemption, a known divergence's
+    /// too.
+    pub fn only(self, legs: fn(&Leg) -> bool, reason: &'static str) -> Entry {
+        self.ahead(legs, true, reason)
+    }
+
+    /// `legs` run in the test `test` names, not here; ahead of every
+    /// other exemption.
+    pub fn elsewhere(self, legs: fn(&Leg) -> bool, test: &'static str) -> Entry {
+        self.ahead(legs, false, test)
+    }
+
+    fn ahead(mut self, legs: fn(&Leg) -> bool, outside: bool, reason: &'static str) -> Entry {
+        let today = None;
+        let first = Exemption {
+            legs,
+            outside,
+            reason,
+            today,
+        };
+        self.exempt.insert(0, first);
         self
     }
 
@@ -240,6 +268,7 @@ impl Entry {
         let today = Some((item, today));
         self.exempt.push(Exemption {
             legs,
+            outside: false,
             reason,
             today,
         });
@@ -247,10 +276,10 @@ impl Entry {
     }
 
     fn exemption(&self, leg: &Leg) -> Option<&Exemption> {
-        self.exempt.iter().find(|e| (e.legs)(leg))
+        self.exempt.iter().find(|e| (e.legs)(leg) != e.outside)
     }
 
-    fn skips(&self, leg: &Leg) -> bool {
+    pub fn skips(&self, leg: &Leg) -> bool {
         self.exemption(leg).is_some_and(|e| e.today.is_none())
     }
 }
