@@ -1,8 +1,8 @@
 //! Integration tests spanning the whole workspace: what the chain emits
 //! for the evaluation applications and the corpus — standard C, parallel
 //! loops it can prove independent, pragmas that head their loops, and a
-//! text that reparses to the unit the engines run; and, as slices of the
-//! differential matrix (`tests/support/entries.rs`), that each app's
+//! text that reparses to the unit the engines run; and, on the legs of
+//! the differential matrix (`tests/support/entries.rs`), that each app's
 //! transformed build computes what its original computes, on every
 //! engine and under GCC.
 
@@ -125,42 +125,61 @@ fn user_pragmas_reach_both_texts_over_their_loops() {
     }
 }
 
+/// An app's original against its transformed build: every engine leg
+/// (poly and literal, 1 and 4 threads, traced) and GCC on the default
+/// text and the `-Dpure=` original. The `--no-poly` and tiled texts are
+/// `gcc_oracle`'s legs.
+fn original_and_transformed(leg: &matrix::Leg) -> bool {
+    use matrix::{Leg, Text};
+    !matches!(leg, Leg::Gcc(Text::NoPoly | Text::Tile8 | Text::Tile32, _))
+}
+
+/// The transformed build on thread counts no engine leg of the matrix
+/// runs prints what every leg prints.
+fn at_threads(entry: &matrix::Entry, counts: &[usize]) {
+    for &threads in counts {
+        let opts = InterpOptions {
+            threads,
+            ..Default::default()
+        };
+        let (_, run) = compile_and_run(&entry.source, ChainOptions::default(), opts)
+            .expect("transformed runs");
+        let seen = matrix::Expect::Output(run.output, run.exit_code);
+        assert_eq!(seen, entry.expect, "{}: {threads} threads", entry.name);
+    }
+}
+
 /// matmul(16) prints the checksum the native Rust kernel computes
 /// (`apps::matmul::c_source_checksum`) on the poly and the literal
-/// build of every engine at 1 and 4 threads, and under GCC from its
-/// default text and its `-Dpure=` original at 1, 2 and 4 threads.
+/// build of every engine at 1 and 4 threads (the VM's transformed build
+/// at 2 and 8 too), and under GCC from its default text and its `-Dpure=`
+/// original at 1, 2 and 4 threads.
 #[test]
 fn matmul_original_equals_transformed_across_threads() {
-    matrix::run(entries::slice(
-        "chain_integration::matmul_original_equals_transformed_across_threads",
-    ));
+    at_threads(&entries::matmul(), &[2, 8]);
+    matrix::run(vec![entries::matmul()], original_and_transformed);
 }
 
 /// heat(32, 10): the transformed build and the original agree, as for
 /// matmul.
 #[test]
 fn heat_original_equals_transformed() {
-    matrix::run(entries::slice(
-        "chain_integration::heat_original_equals_transformed",
-    ));
+    matrix::run(vec![entries::heat()], original_and_transformed);
 }
 
 /// satellite(16, 16): the transformed build and the original agree, as
 /// for matmul.
 #[test]
 fn satellite_original_equals_transformed() {
-    matrix::run(entries::slice(
-        "chain_integration::satellite_original_equals_transformed",
-    ));
+    matrix::run(vec![entries::satellite()], original_and_transformed);
 }
 
 /// lama(256, 9): the transformed build and the original agree, as for
-/// matmul.
+/// matmul, on 8 threads too.
 #[test]
 fn lama_original_equals_transformed() {
-    matrix::run(entries::slice(
-        "chain_integration::lama_original_equals_transformed",
-    ));
+    at_threads(&entries::lama(), &[8]);
+    matrix::run(vec![entries::lama()], original_and_transformed);
 }
 
 #[test]

@@ -1,483 +1,76 @@
-//! GCC, the oracle the paper used. The chain is a source-to-source
-//! compiler whose product goes to a C compiler; the three engines share
-//! one definition of what an operator means (`cinterp::ops`), so their
-//! agreeing with each other says nothing about that meaning. This does:
-//! for the four demo applications, the pointer-walk program, an operator
-//! table and a user region nested in a sequential loop, the **emitted text**
-//! builds with `cc -std=c11 -O1 -fopenmp -Werror=unknown-pragmas` (it
-//! holds no pragma GCC does not know), prints the VM's stdout and returns
-//! its exit code at `OMP_NUM_THREADS` 1, 2 and 4 — and so does the
-//! **original source** with the keyword defined away (paper Sect. 3:
-//! dropping `pure` leaves standard C). The four applications and the four
-//! schedule programs build untiled, at `--tile 8` and at `--tile 32` (so
-//! the `__pc_*` helpers are built too), every pragma of that text heading
-//! a loop with work for two threads. The four applications' `--no-poly`
-//! text builds under the same flags: PC-CC's SCoP marks do not reach it.
-//! The blind-spot programs, where the model cannot see what a pure call
-//! reads, must print the literal build's output from the emitted text,
-//! and a user parallel loop that is the braceless body of an `if` or a
-//! `for` must stay there, in the text and on every engine.
-//!
-//! Without a `cc` on `PATH` the test prints why and passes (CI and the
-//! verify skill require the compiler). No time is read.
+//! GCC, the compiler the paper hands its output to, as the oracle: the
+//! GCC legs of some groups of the differential matrix
+//! (`tests/support/entries.rs`). Each builds a text with `cc -std=c11
+//! -O1 -fopenmp -Werror=unknown-pragmas` and runs it at
+//! `OMP_NUM_THREADS` 1, 2 and 4 against the stdout and exit code every
+//! engine leg meets. Without `cc` on the host the GCC legs do not run and
+//! these tests check nothing but the texts' pragmas.
 
+#[path = "support/matrix.rs"]
+mod matrix;
+
+#[path = "support/entries.rs"]
+mod entries;
+
+use matrix::{gcc_legs, Leg, Text};
 use pure_c::prelude::*;
-use std::path::{Path, PathBuf};
-use std::process::Command;
 
-/// Every value-level operator on the operand kinds C defines it for —
-/// `int`, a `long` past 2⁴⁷, `double`, pointers into one array — one
-/// result per line, and `printf`'s integer conversions, length
-/// modifiers, flags, field widths and `%e`/`%g` (`fmt`).
-const OPERATOR_TABLE: &str = r#"#include <stdio.h>
-#include <stdlib.h>
-
-int main() {
-    int i = 7; int j = 3; int m = -7;
-    long w = 562949953421317; long x = 281474976710665;
-    double f = 2.5; double g = 0.5;
-    int* a = (int*) malloc(8 * sizeof(int));
-    for (int k = 0; k < 8; k++) a[k] = k * k;
-    int* p = a + 2; int* e = a + 5;
-
-    printf("int   %d %d %d %d %d\n", i + j, i - j, i * j, i / j, i % j);
-    printf("neg   %d %d %d %d\n", m / j, m % j, m >> 1, -m);
-    printf("bits  %d %d %d %d %d %d\n", i << j, i >> 1, i & j, i ^ j, i | j, ~i);
-    printf("cmp   %d %d %d %d %d %d\n", i < j, i > j, i <= j, i >= j, i == j, i != j);
-    printf("logic %d %d %d %d %d\n", i && j, i && 0, 0 || j, 0 || 0, !i);
-    printf("wide  %ld %ld %ld %ld %ld\n", w + x, w - x, w * 3, w / x, w % x);
-    printf("wbits %ld %ld %ld %ld %ld\n", w >> 3, x << 2, w & x, w ^ x, w | x);
-    printf("wcmp  %d %d %d %d %d %d\n", w < x, w > x, w <= x, w >= x, w == x, w != x);
-    printf("mixed %ld %ld %d %d\n", w + i, w * j, w > i, i == w);
-    printf("float %f %f %f %f %f\n", f + g, f - g, f * g, f / g, -f);
-    printf("fcmp  %d %d %d %d %d %d\n", f < g, f > g, f <= g, f >= g, f == g, f != g);
-    printf("fint  %f %f %f %d %d\n", f + i, i - f, j / g, i > f, f && 0);
-    printf("ptr   %d %d %d %d\n", (int)(p + 2 - a), (int)(2 + p - a), (int)(p - 1 - a), (int)(e - p));
-    printf("pcmp  %d %d %d %d %d %d\n", p < e, p > e, p <= e, p >= e, p == e, p != e);
-    printf("pself %d %d %d %d\n", p < p, p <= p, p == p, e > p);
-    printf("deref %d %d %d\n", *p, *(e - 1), p[1]);
-    printf("fmt   %x %d|%o|%X|%u|%hd %hhd %hu|%lx %lu %lo\n", 255, i, 8, 255, m, 70000, 200, m, w, -x, x);
-    printf("fmt   [%5d] [%-4d|] [%g] [%05d] [%8.3f] [%g] [%s|%6s]\n", 42, i, 1e20, j, 3.14159, 0.0001, "ab", "cd");
-    printf("fmt   [%+d] [% d] [%.3d] [%#x] [%-+6.1f|] [%.2s] [%*d] [%e] [%G] [%.3g]\n", i, m, j, 255, f, "hello", 4, m, w * 1.0, 1e-10, f / 3);
-    i++; --j; w++; f++; p++; e--;
-    printf("step  %d %d %ld %f %d %d\n", i, j, w, f, (int)(p - a), (int)(e - a));
-    free(a);
-    return (i + j) % 7;
-}
-"#;
-
-/// A user `omp parallel for` nested in a sequential loop: the chain must
-/// emit one pragma in front of the loop, with the user's clause, or GCC
-/// stops at "for statement expected before '#pragma'".
-const NESTED_OMP: &str = r#"#include <stdio.h>
-#include <stdlib.h>
-
-int main() {
-    double* a = (double*) malloc(64 * sizeof(double));
-    for (int i = 0; i < 64; i++) a[i] = i;
-    for (int r = 0; r < 10; r++) {
-#pragma omp parallel for schedule(dynamic,4)
-        for (int i = 0; i < 64; i++) a[i] = a[i] + 1.0;
-    }
-    double acc = 0;
-    for (int i = 0; i < 64; i++) acc = acc + a[i];
-    printf("acc=%.1f\n", acc);
-    return 0;
-}
-"#;
-
-fn scratch(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_TARGET_TMPDIR")).join(name)
-}
-
-/// Build `source` with the compiler the paper handed its output to.
-fn cc(source: &str, name: &str, define_pure_away: bool) -> PathBuf {
-    let (c_file, exe) = (scratch(&format!("{name}.c")), scratch(name));
-    std::fs::write(&c_file, source).expect("write the C file");
-    let mut cmd = Command::new("cc");
-    cmd.args(["-std=c11", "-O1", "-fopenmp"]);
-    cmd.arg(if define_pure_away {
-        "-Dpure="
-    } else {
-        "-Werror=unknown-pragmas"
-    });
-    let out = cmd
-        .arg(&c_file)
-        .arg("-o")
-        .arg(&exe)
-        .arg("-lm")
-        .output()
-        .expect("cc starts");
-    assert!(
-        out.status.success(),
-        "cc rejected {name}:\n{}\n{source}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    exe
-}
-
-/// Run a native build at 1, 2 and 4 OpenMP threads against the VM's
-/// observables.
-fn assert_native_matches(exe: &Path, what: &str, stdout: &str, exit_code: i64) {
-    for threads in ["1", "2", "4"] {
-        let out = Command::new(exe)
-            .env("OMP_NUM_THREADS", threads)
-            // 65 tiny regions spin-waiting at each join on a busy host
-            // cost seconds; the answer does not depend on the policy.
-            .env("OMP_WAIT_POLICY", "passive")
-            .output()
-            .expect("the native build starts");
-        let cell = format!("{what}, OMP_NUM_THREADS={threads}");
-        assert_eq!(String::from_utf8_lossy(&out.stdout), stdout, "{cell}");
-        assert_eq!(out.status.code(), Some((exit_code & 0xFF) as i32), "{cell}");
-    }
-}
-
+/// [`OPERATOR_TABLE`] and [`NESTED_OMP`] on every leg: the default text
+/// and the `-Dpure=` original under GCC print what the engines print.
 #[test]
 fn emitted_text_and_original_source_agree_with_the_vm_under_cc() {
-    if Command::new("cc").arg("--version").output().is_err() {
-        println!("gcc_oracle: no `cc` on PATH, nothing compared");
-        return;
-    }
-    let pointer_walk = include_str!("../examples/analysis/pointer_walk.c");
-    let programs: [(&str, String, Option<&str>); 7] = [
-        (
-            "matmul",
-            apps::matmul::c_source(64),
-            Some("checksum=-1514496.0\n"),
-        ),
-        ("heat", apps::heat::c_source(32, 10), Some("heat=235.007\n")),
-        (
-            "satellite",
-            apps::satellite::c_source(16, 16),
-            Some("aod=77.091\n"),
-        ),
-        ("lama", apps::lama::c_source(256, 9), Some("spmv=855.050\n")),
-        ("pointer_walk", pointer_walk.to_string(), None),
-        ("operator_table", OPERATOR_TABLE.to_string(), None),
-        ("nested_omp", NESTED_OMP.to_string(), Some("acc=2656.0\n")),
-    ];
-    for (name, source, recorded) in programs {
-        let chain = compile(&source, ChainOptions::default())
-            .unwrap_or_else(|d| panic!("{name}: {}", d.render_all(&source)));
-        let vm = chain
-            .program()
-            .run(InterpOptions {
-                threads: 2,
-                ..Default::default()
-            })
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        if let Some(recorded) = recorded {
-            assert_eq!(vm.output, recorded, "{name}");
-        }
-        let emitted = cc(&chain.text, &format!("gcc_oracle_{name}_emitted"), false);
-        assert_native_matches(
-            &emitted,
-            &format!("{name}, emitted text"),
-            &vm.output,
-            vm.exit_code,
-        );
-        let original = cc(&source, &format!("gcc_oracle_{name}_original"), true);
-        assert_native_matches(
-            &original,
-            &format!("{name}, original source"),
-            &vm.output,
-            vm.exit_code,
-        );
-    }
+    let entries = vec![entries::operator_table(), entries::nested_omp()];
+    matrix::run(entries, |_| true);
 }
 
-/// Tiling is a schedule option, and GCC checks each one: the emitted text
-/// of the four applications and of every `examples/schedules/` program,
-/// untiled, at `--tile 8` and at `--tile 32`, builds under
-/// `-Werror=unknown-pragmas` and prints what the VM prints for it, and
-/// each of its pragmas heads a loop with work for two threads.
+/// The `--tile 8` and `--tile 32` builds of the four apps and the
+/// `schedules/` examples print what their untiled runs print on the VM
+/// at two threads (no engine leg runs a tiled build), and the apps'
+/// tiled texts do under GCC, with every pragma heading its loop. (The
+/// examples' tiled texts are `tests/matrix.rs`'s.)
 #[test]
 fn every_tiling_builds_and_agrees_with_the_vm_under_cc() {
-    if Command::new("cc").arg("--version").output().is_err() {
-        println!("gcc_oracle: no `cc` on PATH, nothing compared");
-        return;
-    }
-    let mut programs = vec![
-        ("matmul".to_string(), apps::matmul::c_source(64)),
-        ("heat".to_string(), apps::heat::c_source(32, 10)),
-        ("satellite".to_string(), apps::satellite::c_source(16, 16)),
-        ("lama".to_string(), apps::lama::c_source(256, 9)),
-    ];
-    programs.extend(
-        example_programs()
-            .into_iter()
-            .filter(|(name, _)| name.starts_with("schedules")),
-    );
-    assert_eq!(programs.len(), 8, "the four schedule programs");
-    for (name, source) in &programs {
-        for tile in [None, Some(8), Some(32)] {
+    let mut entries = entries::examples();
+    entries.retain(|e| e.name.starts_with("schedules/"));
+    entries.extend(entries::apps());
+    for entry in &entries {
+        for tile in [8, 32] {
             let mut opts = ChainOptions::default();
-            opts.polycc.tile = tile;
-            let what = format!("{name}, tile {tile:?}");
-            let chain = compile(source, opts)
-                .unwrap_or_else(|d| panic!("{what}: {}", d.render_all(source)));
-            assert_omp_pragmas_head_loops(&what, &chain.text);
-            let vm = chain
-                .program()
-                .run(InterpOptions {
-                    threads: 2,
-                    ..Default::default()
-                })
-                .unwrap_or_else(|e| panic!("{what}: {e}"));
-            let stem = name.trim_end_matches(".c").replace('/', "_");
-            let tile = tile.map_or("untiled".to_string(), |b| format!("tile{b}"));
-            let exe = cc(&chain.text, &format!("gcc_oracle_{stem}_{tile}"), false);
-            assert_native_matches(&exe, &what, &vm.output, vm.exit_code);
-        }
-    }
-}
-
-/// The literal build is standard C too: the four applications compiled
-/// with `no_poly` carry none of PC-CC's SCoP marks, build with
-/// `-Werror=unknown-pragmas`, and print what the VM prints for them.
-#[test]
-fn no_poly_text_builds_clean_and_agrees_with_the_vm_under_cc() {
-    if Command::new("cc").arg("--version").output().is_err() {
-        println!("gcc_oracle: no `cc` on PATH, nothing compared");
-        return;
-    }
-    let programs = [
-        (
-            "matmul",
-            apps::matmul::c_source(64),
-            "checksum=-1514496.0\n",
-        ),
-        ("heat", apps::heat::c_source(32, 10), "heat=235.007\n"),
-        (
-            "satellite",
-            apps::satellite::c_source(16, 16),
-            "aod=77.091\n",
-        ),
-        ("lama", apps::lama::c_source(256, 9), "spmv=855.050\n"),
-    ];
-    let no_poly = ChainOptions {
-        no_poly: true,
-        ..Default::default()
-    };
-    for (name, source, recorded) in programs {
-        let chain = compile(&source, no_poly.clone())
-            .unwrap_or_else(|d| panic!("{name}: {}", d.render_all(&source)));
-        let vm = chain
-            .program()
-            .run(InterpOptions {
+            opts.polycc.tile = Some(tile);
+            let two = InterpOptions {
                 threads: 2,
                 ..Default::default()
-            })
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(vm.output, recorded, "{name}");
-        let exe = cc(&chain.text, &format!("gcc_oracle_{name}_no_poly"), false);
-        assert_native_matches(
-            &exe,
-            &format!("{name}, no-poly text"),
-            &vm.output,
-            vm.exit_code,
-        );
-    }
-}
-
-/// The programs the polyhedral model once compiled wrong, because it
-/// could not see what a pure call reads ([`BLIND_SPOT`]). Each one's
-/// emitted text, built by GCC, prints the VM's output and the `--no-poly`
-/// build's output at every thread count. Its `omp parallel for` count is
-/// pinned, so a nest with a hazard carries no pragma the source did not
-/// have.
-#[test]
-fn blind_spot_text_agrees_with_the_literal_build_under_cc() {
-    if Command::new("cc").arg("--version").output().is_err() {
-        println!("gcc_oracle: no `cc` on PATH, nothing compared");
-        return;
-    }
-    let no_poly = ChainOptions {
-        no_poly: true,
-        ..Default::default()
-    };
-    for (name, source, recorded, loops) in BLIND_SPOT {
-        let stem = name.trim_end_matches(".c").replace('/', "_");
-        for (build, opts) in [
-            ("emitted", ChainOptions::default()),
-            ("no_poly", no_poly.clone()),
-        ] {
-            let chain = compile(source, opts)
-                .unwrap_or_else(|d| panic!("{name}: {}", d.render_all(source)));
-            let pragmas = chain.text.matches("#pragma omp parallel for").count();
-            assert_eq!(
-                pragmas,
-                if build == "emitted" { loops } else { 0 },
-                "{name}, {build}:\n{}",
-                chain.text
-            );
-            for threads in [1, 4] {
-                let vm = chain
-                    .program()
-                    .run(InterpOptions {
-                        threads,
-                        ..Default::default()
-                    })
-                    .unwrap_or_else(|e| panic!("{name}, {build}: {e}"));
-                assert_eq!(vm.output, recorded, "{name}, {build}, {threads} threads");
-            }
-            let exe = cc(&chain.text, &format!("gcc_oracle_{stem}_{build}"), false);
-            let code = i64::from(recorded.trim().parse::<i32>().expect("a number") % 256);
-            assert_native_matches(&exe, &format!("{name}, {build} text"), recorded, code);
+            };
+            let (_, run) = compile_and_run(&entry.source, opts, two).expect("tiled build runs");
+            let seen = matrix::Expect::Output(run.output, run.exit_code);
+            assert_eq!(seen, entry.expect, "{}, tile {tile}", entry.name);
         }
     }
+    let tiled = |leg: &Leg| matches!(leg, Leg::Gcc(Text::Tile8 | Text::Tile32, _));
+    matrix::run(entries::apps(), tiled);
 }
 
-/// A user `omp parallel for` loop that is the braceless body of an `if`
-/// or a `for` ([`BRACELESS_OMP`]) stays inside it: the default and the
-/// `--no-poly` text build under `-Werror=unknown-pragmas` with one header
-/// on that loop, and the native build, the original source and the VM,
-/// resolved and legacy engines at 1, 2 and 4 threads all print GCC's
+/// The literal (`--no-poly`) text of the four apps is standard C too:
+/// it builds under `-Werror=unknown-pragmas` and prints the recorded
 /// output.
 #[test]
-fn braceless_parallel_bodies_agree_with_gcc() {
-    if Command::new("cc").arg("--version").output().is_err() {
-        println!("gcc_oracle: no `cc` on PATH, nothing compared");
-        return;
-    }
-    let no_poly = ChainOptions {
-        no_poly: true,
-        ..Default::default()
-    };
-    for (name, source, recorded) in BRACELESS_OMP {
-        let stem = name.trim_end_matches(".c").replace('/', "_");
-        let original = cc(source, &format!("gcc_oracle_{stem}_original"), true);
-        assert_native_matches(&original, &format!("{name}, original"), recorded, 0);
-        for (build, opts) in [
-            ("emitted", ChainOptions::default()),
-            ("no_poly", no_poly.clone()),
-        ] {
-            let what = format!("{name}, {build}");
-            let chain = compile(source, opts)
-                .unwrap_or_else(|d| panic!("{what}: {}", d.render_all(source)));
-            assert_eq!(
-                chain.text.matches("#pragma omp").count(),
-                1,
-                "{what}:\n{}",
-                chain.text
-            );
-            assert_omp_pragmas_head_loops(&what, &chain.text);
-            let exe = cc(&chain.text, &format!("gcc_oracle_{stem}_{build}"), false);
-            assert_native_matches(&exe, &what, recorded, 0);
-            let prog = chain.program();
-            for threads in [1, 2, 4] {
-                let opts = InterpOptions {
-                    threads,
-                    ..Default::default()
-                };
-                for (engine, run) in [
-                    ("vm", prog.run(opts)),
-                    ("resolved", prog.run_resolved(opts)),
-                    ("legacy", prog.run_legacy(opts)),
-                ] {
-                    let cell = format!("{what}, {engine}, {threads} threads");
-                    let run = run.unwrap_or_else(|e| panic!("{cell}: {e}"));
-                    assert_eq!(
-                        (run.output.as_str(), run.exit_code),
-                        (recorded, 0),
-                        "{cell}"
-                    );
-                }
-            }
-        }
-    }
+fn no_poly_text_builds_clean_and_agrees_with_the_vm_under_cc() {
+    let no_poly = |leg: &Leg| matches!(leg, Leg::Gcc(Text::NoPoly, _));
+    matrix::run(entries::apps(), no_poly);
 }
 
-/// The pragma lines a user writes over a loop reach the text in a shape
-/// GCC builds: a comment on a header line is no clause (`// rows` once
-/// printed as a clause named `rows`), and a hoisted bound goes above a
-/// run of non-OpenMP pragmas rather than between them and their `for`
-/// ("for, while or do statement expected"). `(name, source, stdout, a
-/// run of lines the default and the `--no-poly` text both carry, right
-/// above a `for`)`; the text is checked without `cc` too.
+/// The [`BLIND_SPOT`] programs' texts (default, `--no-poly`, original)
+/// under GCC print what their literal build prints.
 #[test]
-fn user_pragmas_over_a_loop_build_under_gcc() {
-    const PROGRAMS: [(&str, &str, &str, &[&str]); 2] = [
-        (
-            "commented_header",
-            "#include <stdio.h>
-int a[64];
-int main() {
-#pragma omp parallel for /* schedule(dynamic, 4) */ schedule(static) // rows
-    for (int i = 0; i < 64; i++)
-        a[i] = 2 * i;
-    int s = 0;
-    for (int i = 0; i < 64; i++)
-        s = s + a[i];
-    printf(\"%d\\n\", s);
-    return 0;
+fn blind_spot_text_agrees_with_the_literal_build_under_cc() {
+    matrix::run(entries::blind_spot(), gcc_legs);
 }
-",
-            "4032\n",
-            &["#pragma omp parallel for schedule(static)"],
-        ),
-        (
-            "unroll_over_a_carried_nest",
-            "#include <stdio.h>
-int a[256];
-int main() {
-    int n = 256;
-    for (int i = 0; i < 64; i++)
-        a[i] = i;
-#pragma GCC ivdep
-#pragma GCC unroll 4
-    for (int i = 64; i < n; i++)
-        a[i] = a[i - 64] + 1;
-    printf(\"%d %d\\n\", a[n - 1], a[100]);
-    return 0;
-}
-",
-            "66 37\n",
-            &["#pragma GCC ivdep", "#pragma GCC unroll 4"],
-        ),
-    ];
-    let have_cc = Command::new("cc").arg("--version").output().is_ok();
-    if !have_cc {
-        println!("gcc_oracle: no `cc` on PATH, only the text is checked");
-    }
-    let no_poly = ChainOptions {
-        no_poly: true,
-        ..Default::default()
-    };
-    for (name, source, recorded, pragmas) in PROGRAMS {
-        for (build, opts) in [
-            ("emitted", ChainOptions::default()),
-            ("no_poly", no_poly.clone()),
-        ] {
-            let what = format!("{name}, {build}");
-            let chain = compile(source, opts)
-                .unwrap_or_else(|d| panic!("{what}: {}", d.render_all(source)));
-            let lines: Vec<&str> = chain.text.lines().map(str::trim).collect();
-            let at = lines
-                .windows(pragmas.len())
-                .position(|w| w == pragmas)
-                .unwrap_or_else(|| panic!("{what}: no {pragmas:?}:\n{}", chain.text));
-            assert!(
-                lines[at + pragmas.len()].starts_with("for ("),
-                "{what}:\n{}",
-                chain.text
-            );
-            assert_omp_pragmas_head_loops(&what, &chain.text);
-            if have_cc {
-                let exe = cc(&chain.text, &format!("gcc_oracle_{name}_{build}"), false);
-                assert_native_matches(&exe, &what, recorded, 0);
-            }
-            let run = chain
-                .program()
-                .run(InterpOptions {
-                    threads: 2,
-                    ..Default::default()
-                })
-                .unwrap_or_else(|e| panic!("{what}: {e}"));
-            assert_eq!(run.output, recorded, "{what}");
-        }
-    }
+
+/// A braceless `omp parallel for` body ([`BRACELESS_OMP`]) stays inside
+/// its `if`/`for` in the text GCC builds.
+#[test]
+fn braceless_parallel_bodies_agree_with_gcc() {
+    matrix::run(entries::braceless(), gcc_legs);
 }
 
 include!("support/corpus.rs");

@@ -345,9 +345,7 @@ fn pointer_walks_match_their_indexed_twin_on_every_engine() {
 /// `gcc_oracle`'s).
 #[test]
 fn blind_spot_programs_agree_across_the_differential_class() {
-    matrix::run(entries::slice(
-        "poly_differential::blind_spot_programs_agree_across_the_differential_class",
-    ));
+    matrix::run(entries::blind_spot(), matrix::engine_legs);
 }
 
 /// The [`BRACELESS_OMP`] programs on every engine leg of the matrix: a
@@ -355,9 +353,7 @@ fn blind_spot_programs_agree_across_the_differential_class() {
 /// poly and the literal build.
 #[test]
 fn braceless_parallel_bodies_agree_across_the_differential_class() {
-    matrix::run(entries::slice(
-        "poly_differential::braceless_parallel_bodies_agree_across_the_differential_class",
-    ));
+    matrix::run(entries::braceless(), matrix::engine_legs);
 }
 
 /// A small generated family around the blind spot, seeded and

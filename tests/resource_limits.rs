@@ -4,7 +4,7 @@
 //! regions and with pure-call futures in flight — and must leave the
 //! process-wide worker pool fully reusable afterwards. A spin, an
 //! allocation bomb and a deep recursion trap on every leg of the
-//! differential matrix (their slices of `tests/support/entries.rs`). The
+//! differential matrix (their entries in `tests/support/entries.rs`). The
 //! exact dispatch counts of the `--fuel` ruler are pinned here.
 
 #[path = "support/matrix.rs"]
@@ -531,9 +531,7 @@ int main() {
 /// every engine leg.
 #[test]
 fn infinite_loop_traps_on_fuel_in_every_engine() {
-    matrix::run(entries::slice(
-        "resource_limits::infinite_loop_traps_on_fuel_in_every_engine",
-    ));
+    matrix::run(vec![entries::infinite_loop()], |_| true);
 }
 
 /// [`ALLOC_BOMB`] under a 1 MiB cap traps on memory on every engine leg
@@ -541,18 +539,14 @@ fn infinite_loop_traps_on_fuel_in_every_engine() {
 /// divergence).
 #[test]
 fn alloc_bomb_traps_on_memory_limit_in_every_engine() {
-    matrix::run(entries::slice(
-        "resource_limits::alloc_bomb_traps_on_memory_limit_in_every_engine",
-    ));
+    matrix::run(vec![entries::alloc_bomb()], |_| true);
 }
 
 /// [`DEEP_RECURSION`] under a 2 000-call cap traps on depth, at the
 /// recursive call, on every engine leg.
 #[test]
 fn deep_recursion_traps_on_depth_limit_in_every_engine() {
-    matrix::run(entries::slice(
-        "resource_limits::deep_recursion_traps_on_depth_limit_in_every_engine",
-    ));
+    matrix::run(vec![entries::deep_recursion()], |_| true);
 }
 
 /// Without an explicit cap the legacy 512-frame guard still fires with

@@ -4,7 +4,7 @@
 // `poly_differential`, `deps_golden`) and the braceless-body ones
 // (`matrix`, `chain_integration`), and by `resource_limits` and
 // `crates/purec/tests/cli.rs`, which read the trap and CI programs; and
-// by every test that runs a slice of the matrix (`matrix`, `gcc_oracle`,
+// by every test that runs entries of the matrix (`matrix`, `gcc_oracle`,
 // `chain_integration`, `poly_differential`, `resource_limits`), whose
 // `tests/support/entries.rs` reads it. Every constant here is an entry
 // there.

@@ -1,172 +1,24 @@
 //! The entries of the differential matrix (`tests/support/matrix.rs`):
 //! the checked-in examples, the constants of `tests/support/corpus.rs`
-//! and the paper's four applications. [`SLICES`] are the parts of it a
-//! test of their own runs (the app runs in `chain_integration`, the GCC
-//! builds in `gcc_oracle`, the blind-spot and braceless programs' engine
-//! legs in `poly_differential`, the trap programs in `resource_limits`);
-//! `tests/matrix.rs` runs the [`rest`]. Together they run every leg of
-//! every entry once.
+//! and the paper's four applications, in groups. Each group's legs run
+//! in one test: [`examples`] and [`rest`] in `tests/matrix.rs`; the
+//! [`apps`] in `chain_integration` (one test an app) but for their
+//! `--no-poly` and tiled GCC legs, which are `gcc_oracle`'s;
+//! [`operator_table`] and [`nested_omp`] in `gcc_oracle`; the
+//! [`blind_spot`] and [`braceless`] programs' engine legs in
+//! `poly_differential` and their GCC legs in `gcc_oracle`; the three
+//! trap programs in `resource_limits`.
 //!
 //! A module of the test that includes it, beside `mod matrix` and after
 //! `include!("support/corpus.rs")`, whose constants it reads.
 
-#![allow(dead_code)] // each includer runs its own slices
+#![allow(dead_code)] // each includer runs its own groups
 
 use super::*;
 use cfront::diag::Code;
 use matrix::{engine_legs, gcc_legs, gcc_parallel_legs, legacy_legs};
 use matrix::{Engine, Entry, Expect, Leg, Text};
 use pure_c::prelude::*;
-
-/// A part of the matrix that a test of its own runs: the test, the
-/// entries it takes (by name) and the legs of theirs it runs.
-pub struct Slice {
-    pub test: &'static str,
-    pub entries: fn(&str) -> bool,
-    pub legs: fn(&Leg) -> bool,
-}
-
-fn app(name: &str) -> bool {
-    name.starts_with("app/")
-}
-
-fn blind_spot(name: &str) -> bool {
-    BLIND_SPOT.iter().any(|b| b.0 == name)
-}
-
-fn braceless(name: &str) -> bool {
-    BRACELESS_OMP.iter().any(|b| b.0 == name)
-}
-
-fn tiled(leg: &Leg) -> bool {
-    matches!(leg, Leg::Gcc(Text::Tile8 | Text::Tile32, _))
-}
-
-/// An app's original against its transformed build: every engine leg
-/// (poly and literal, 1 and 4 threads, traced) and GCC on the default
-/// text and the `-Dpure=` original; its `--no-poly` and tiled texts are
-/// `gcc_oracle`'s.
-fn original_and_transformed(leg: &Leg) -> bool {
-    !matches!(leg, Leg::Gcc(Text::NoPoly | Text::Tile8 | Text::Tile32, _))
-}
-
-pub const SLICES: [Slice; 14] = [
-    Slice {
-        test: "chain_integration::matmul_original_equals_transformed_across_threads",
-        entries: |n| n == "app/matmul(16)",
-        legs: original_and_transformed,
-    },
-    Slice {
-        test: "chain_integration::heat_original_equals_transformed",
-        entries: |n| n == "app/heat(32,10)",
-        legs: original_and_transformed,
-    },
-    Slice {
-        test: "chain_integration::satellite_original_equals_transformed",
-        entries: |n| n == "app/satellite(16,16)",
-        legs: original_and_transformed,
-    },
-    Slice {
-        test: "chain_integration::lama_original_equals_transformed",
-        entries: |n| n == "app/lama(256,9)",
-        legs: original_and_transformed,
-    },
-    Slice {
-        test: "gcc_oracle::emitted_text_and_original_source_agree_with_the_vm_under_cc",
-        entries: |n| {
-            matches!(
-                n,
-                "analysis/pointer_walk.c" | "operator_table.c" | "nested_omp.c"
-            )
-        },
-        legs: |_| true,
-    },
-    Slice {
-        test: "gcc_oracle::every_tiling_builds_and_agrees_with_the_vm_under_cc",
-        entries: |n| app(n) || n.starts_with("schedules/"),
-        legs: tiled,
-    },
-    Slice {
-        test: "gcc_oracle::no_poly_text_builds_clean_and_agrees_with_the_vm_under_cc",
-        entries: app,
-        legs: |leg| matches!(leg, Leg::Gcc(Text::NoPoly, _)),
-    },
-    Slice {
-        test: "gcc_oracle::blind_spot_text_agrees_with_the_literal_build_under_cc",
-        entries: blind_spot,
-        legs: gcc_legs,
-    },
-    Slice {
-        test: "gcc_oracle::braceless_parallel_bodies_agree_with_gcc",
-        entries: braceless,
-        legs: gcc_legs,
-    },
-    Slice {
-        test: "poly_differential::blind_spot_programs_agree_across_the_differential_class",
-        entries: blind_spot,
-        legs: |leg| !gcc_legs(leg),
-    },
-    Slice {
-        test: "poly_differential::braceless_parallel_bodies_agree_across_the_differential_class",
-        entries: braceless,
-        legs: |leg| !gcc_legs(leg),
-    },
-    Slice {
-        test: "resource_limits::infinite_loop_traps_on_fuel_in_every_engine",
-        entries: |n| n == "limits/infinite_loop.c",
-        legs: |_| true,
-    },
-    Slice {
-        test: "resource_limits::alloc_bomb_traps_on_memory_limit_in_every_engine",
-        entries: |n| n == "limits/alloc_bomb.c",
-        legs: |_| true,
-    },
-    Slice {
-        test: "resource_limits::deep_recursion_traps_on_depth_limit_in_every_engine",
-        entries: |n| n == "limits/deep_recursion.c",
-        legs: |_| true,
-    },
-];
-
-/// The entries and legs the slice `test` runs.
-pub fn slice(test: &str) -> Vec<Entry> {
-    let s = SLICES
-        .iter()
-        .find(|s| s.test == test)
-        .unwrap_or_else(|| panic!("{test}: not a slice of the matrix"));
-    let reason = "another test of the matrix runs these legs";
-    let entries: Vec<Entry> = all()
-        .into_iter()
-        .filter(|e| (s.entries)(&e.name))
-        .map(|e| e.only(s.legs, reason))
-        .collect();
-    assert!(!entries.is_empty(), "{test}: no entry of the matrix");
-    entries
-}
-
-/// Every leg of every entry that no slice runs. A leg two slices run
-/// is a failure here.
-pub fn rest() -> Vec<Entry> {
-    let mut rest = Vec::new();
-    for mut entry in all() {
-        let mine: Vec<&Slice> = SLICES.iter().filter(|s| (s.entries)(&entry.name)).collect();
-        for leg in Leg::all() {
-            let twice: Vec<&str> = mine
-                .iter()
-                .filter(|s| (s.legs)(&leg))
-                .map(|s| s.test)
-                .collect();
-            assert!(twice.len() < 2, "{}: {leg}: run by {twice:?}", entry.name);
-        }
-        for s in mine {
-            entry = entry.elsewhere(s.legs, s.test);
-        }
-        if !Leg::all().iter().all(|leg| entry.skips(leg)) {
-            rest.push(entry);
-        }
-    }
-    rest
-}
 
 /// What each checked-in example prints and returns, on every leg.
 /// `spin.c`, `analysis/purity_holes.c` and the examples of
@@ -290,50 +142,80 @@ fn divergence(&(name, _, (stdout, code), item, today): &Divergence, source: Stri
     )
 }
 
-/// Every entry of the matrix, each on every leg it meets.
-pub fn all() -> Vec<Entry> {
-    let mut entries: Vec<Entry> = example_programs()
+/// Every checked-in example.
+pub fn examples() -> Vec<Entry> {
+    example_programs()
         .into_iter()
         .map(|(name, source)| example_entry(&name, source))
-        .collect();
+        .collect()
+}
+
+pub fn apps() -> Vec<Entry> {
+    vec![matmul(), heat(), satellite(), lama()]
+}
+
+/// matmul(16) prints the checksum the native Rust kernel computes.
+pub fn matmul() -> Entry {
+    let checksum = format!("checksum={:.1}\n", apps::matmul::c_source_checksum(16));
+    Entry::output("app/matmul(16)", apps::matmul::c_source(16), &checksum, 0)
+}
+
+pub fn heat() -> Entry {
+    let source = apps::heat::c_source(32, 10);
+    Entry::output("app/heat(32,10)", source, "heat=235.007\n", 0).skip(
+        legacy_legs,
+        "cost: the legacy legs take 1.4 s of the entry's 2.9 s; \
+         schedules/fig07_heat.c is the same stencil on every leg",
+    )
+}
+
+pub fn satellite() -> Entry {
+    let source = apps::satellite::c_source(16, 16);
+    Entry::output("app/satellite(16,16)", source, "aod=77.091\n", 0)
+}
+
+pub fn lama() -> Entry {
+    Entry::output(
+        "app/lama(256,9)",
+        apps::lama::c_source(256, 9),
+        "spmv=855.050\n",
+        0,
+    )
+}
+
+pub fn blind_spot() -> Vec<Entry> {
+    let entry = |&(name, source, stdout, _): &(&str, &str, &str, _)| {
+        let code = stdout.trim().parse::<i64>().expect("a number");
+        untiled(Entry::output(name, source, stdout, code))
+    };
+    BLIND_SPOT.iter().map(entry).collect()
+}
+
+pub fn braceless() -> Vec<Entry> {
+    let entry = |&(name, source, stdout): &(&str, &str, &str)| {
+        untiled(Entry::output(name, source, stdout, 0))
+    };
+    BRACELESS_OMP.iter().map(entry).collect()
+}
+
+pub fn operator_table() -> Entry {
+    let stdout = OPERATOR_TABLE_STDOUT;
+    untiled(Entry::output("operator_table.c", OPERATOR_TABLE, stdout, 3))
+}
+
+pub fn nested_omp() -> Entry {
+    untiled(Entry::output("nested_omp.c", NESTED_OMP, "acc=2656.0\n", 0))
+}
+
+/// The entries no other group holds: the known divergences that are no
+/// example, the user-pragma and loop-hint programs, the two-`schedule`
+/// header and CI's programs.
+pub fn rest() -> Vec<Entry> {
+    let mut entries = Vec::new();
     for d in &KNOWN_DIVERGENCES {
         if let Some(source) = d.1 {
             entries.push(untiled(divergence(d, source.to_string())));
         }
-    }
-    let checksum = format!("checksum={:.1}\n", apps::matmul::c_source_checksum(16));
-    entries.extend([
-        Entry::output("app/matmul(16)", apps::matmul::c_source(16), &checksum, 0),
-        Entry::output(
-            "app/heat(32,10)",
-            apps::heat::c_source(32, 10),
-            "heat=235.007\n",
-            0,
-        )
-        .skip(
-            legacy_legs,
-            "cost: the legacy legs take 1.4 s of the entry's 2.9 s; \
-             schedules/fig07_heat.c is the same stencil on every leg",
-        ),
-        Entry::output(
-            "app/satellite(16,16)",
-            apps::satellite::c_source(16, 16),
-            "aod=77.091\n",
-            0,
-        ),
-        Entry::output(
-            "app/lama(256,9)",
-            apps::lama::c_source(256, 9),
-            "spmv=855.050\n",
-            0,
-        ),
-    ]);
-    for (name, source, stdout, _) in BLIND_SPOT {
-        let code = stdout.trim().parse::<i64>().expect("a number");
-        entries.push(untiled(Entry::output(name, source, stdout, code)));
-    }
-    for (name, source, stdout) in BRACELESS_OMP {
-        entries.push(untiled(Entry::output(name, source, stdout, 0)));
     }
     for (name, source, stdout, _) in USER_PRAGMAS {
         entries.push(untiled(Entry::output(name, source, stdout, 0)));
@@ -344,13 +226,6 @@ pub fn all() -> Vec<Entry> {
     let memo = InterpOptions::default();
     let two_schedules = Expect::Rejected(vec![Code::OmpDuplicateSchedule]);
     entries.extend([
-        untiled(Entry::output(
-            "operator_table.c",
-            OPERATOR_TABLE,
-            OPERATOR_TABLE_STDOUT,
-            3,
-        )),
-        untiled(Entry::output("nested_omp.c", NESTED_OMP, "acc=2656.0\n", 0)),
         Entry::new("two_schedules.c", TWO_SCHEDULES, two_schedules),
         Entry::output("ci/fib_fut.c", FIB_FUT, "fib=17711\n", 0)
             .interp(memo)
@@ -388,52 +263,56 @@ pub fn all() -> Vec<Entry> {
         ),
         Entry::output("ci/poly_literal.c", POLY_LITERAL, "3008\n", 0),
     ]);
+    entries
+}
+
+/// [`INFINITE_LOOP`] under a 10 000-dispatch budget.
+pub fn infinite_loop() -> Entry {
     let fuel = limits(InterpOptions {
         fuel: Some(10_000),
         ..Default::default()
     });
+    let spins = trap(Trap::FuelExhausted, "fuel exhausted", None);
+    Entry::new("limits/infinite_loop.c", INFINITE_LOOP, spins)
+        .interp(fuel)
+        .skip(gcc_legs, "spins forever natively")
+}
+
+/// [`ALLOC_BOMB`] under a 1 MiB cap.
+pub fn alloc_bomb() -> Entry {
     let memory = limits(InterpOptions {
         max_memory_bytes: Some(1 << 20),
         ..Default::default()
     });
+    let out_of = |at| trap(Trap::MemoryLimit, "memory limit exceeded", Some(at));
+    Entry::new("limits/alloc_bomb.c", ALLOC_BOMB, out_of("malloc(4096"))
+        .interp(memory)
+        .diverges(
+            |leg| matches!(leg, Leg::Run(Engine::Vm(_), ..) | Leg::Traced),
+            "V",
+            "the VM puts the trap at the statement after the allocation",
+            out_of("p[0] = i"),
+        )
+        .skip(gcc_legs, "allocates 16 GB natively")
+}
+
+/// [`DEEP_RECURSION`] under a 2 000-call cap.
+pub fn deep_recursion() -> Entry {
     let depth = limits(InterpOptions {
         max_call_depth: Some(2_000),
         ..Default::default()
     });
-    let out_of = |at| trap(Trap::MemoryLimit, "memory limit exceeded", Some(at));
-    entries.extend([
-        Entry::new(
-            "limits/infinite_loop.c",
-            INFINITE_LOOP,
-            trap(Trap::FuelExhausted, "fuel exhausted", None),
-        )
-        .interp(fuel)
-        .skip(gcc_legs, "spins forever natively"),
-        Entry::new("limits/alloc_bomb.c", ALLOC_BOMB, out_of("malloc(4096"))
-            .interp(memory)
-            .diverges(
-                |leg| matches!(leg, Leg::Run(Engine::Vm(_), ..) | Leg::Traced),
-                "V",
-                "the VM puts the trap at the statement after the allocation",
-                out_of("p[0] = i"),
-            )
-            .skip(gcc_legs, "allocates 16 GB natively"),
-        Entry::new(
-            "limits/deep_recursion.c",
-            DEEP_RECURSION,
-            trap(
-                Trap::DepthLimit,
-                "call depth limit exceeded",
-                Some("rec(n - 1)"),
-            ),
-        )
+    let too_deep = trap(
+        Trap::DepthLimit,
+        "call depth limit exceeded",
+        Some("rec(n - 1)"),
+    );
+    Entry::new("limits/deep_recursion.c", DEEP_RECURSION, too_deep)
         .interp(depth)
         .skip(
             gcc_legs,
             "a call depth limit is the interpreter's: natively the stack decides",
-        ),
-    ]);
-    entries
+        )
 }
 
 /// What [`OPERATOR_TABLE`] prints under GCC 12 and on every engine.

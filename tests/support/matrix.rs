@@ -16,16 +16,17 @@
 //! Within one build and thread count the engines must also agree on the
 //! executed-op counters (`without_memo`) and the heap's totals, and the
 //! traced run on the untraced one's; every `#pragma omp` of a text GCC
-//! builds must head a loop. [`run`] checks every entry, prints the
-//! program × leg table (`cargo test --test matrix -- --nocapture` shows
-//! it) and panics once with every failure, each naming its program and
-//! its leg; [`check`] does one entry and returns its report.
+//! builds must head a loop. [`run`] checks entries on the legs a test
+//! takes, prints the program × leg table (`cargo test --test matrix --
+//! --nocapture` shows it) and panics once with every failure, each
+//! naming its program and its leg; [`check`] does one entry on every leg
+//! and returns its report.
 
 #![allow(dead_code)] // each includer uses its own part
 
 use cfront::diag::Code;
 use cfront::span::Span;
-use cinterp::CounterSnapshot;
+use cinterp::{CounterSnapshot, RunResult, RuntimeError};
 use pure_c::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -131,19 +132,20 @@ pub enum Expect {
         message: &'static str,
         at: Option<&'static str>,
     },
-    /// The chain refuses the program with (at least) these codes, and so
-    /// does GCC.
+    /// The chain refuses the program with (at least) these codes, and
+    /// GCC refuses the original source. A GCC leg on a text the chain
+    /// refuses has nothing to build and does not run.
     Rejected(Vec<Code>),
-    /// Whatever the first leg that runs shows (generated programs).
-    Agree,
+    /// What the first leg that runs shows, on every leg (generated
+    /// programs): the same stdout and exit code, or, unless `exits`, the
+    /// same error. A rejection agrees with nothing.
+    Agree { exits: bool },
 }
 
 /// Legs an entry does not meet, and why.
 #[derive(Clone)]
 pub struct Exemption {
     pub legs: fn(&Leg) -> bool,
-    /// The exemption covers the legs `legs` does not select.
-    pub outside: bool,
     pub reason: &'static str,
     /// A known divergence: the ROADMAP item whose change removes it, and
     /// what the exempted legs show today. They must go on showing it; a
@@ -156,9 +158,6 @@ pub struct Exemption {
 pub struct Entry {
     pub name: String,
     pub source: String,
-    /// The chain's options for the default build; the other builds add
-    /// `no_poly` or a tile edge to them.
-    pub chain: ChainOptions,
     /// `Some(pure)`: the engines run the program as parsed, with no
     /// chain, taking the functions `pure` names as verified pure: no
     /// polycc, no race verdicts (every region is `Unknown`), and the
@@ -178,7 +177,6 @@ impl Entry {
         Entry {
             name: name.into(),
             source: source.into(),
-            chain: ChainOptions::default(),
             raw: None,
             interp: InterpOptions {
                 memo: false,
@@ -194,7 +192,8 @@ impl Entry {
         Entry::new(name, source, Expect::Output(stdout.into(), exit_code))
     }
 
-    /// A generated program: every leg shows what the first one shows.
+    /// A generated program: every leg ends as the first one does, with
+    /// the same stdout and exit code.
     /// GCC's legs do not run, for cost: a proptest makes hundreds of
     /// cases, and four or five GCC builds take 0.4 s a case. Nor does the
     /// traced leg: a trace session is the process's, so it would trace
@@ -204,9 +203,16 @@ impl Entry {
     pub fn generated(source: &str) -> Entry {
         let reason = "cost: 0.4 s a generated case; tests/matrix.rs builds the corpus";
         let traced = "a trace session would trace every test of the binary";
-        Entry::new("generated", source, Expect::Agree)
+        Entry::new("generated", source, Expect::Agree { exits: true })
             .skip(gcc_legs, reason)
             .skip(|leg| *leg == Leg::Traced, traced)
+    }
+
+    /// A generated program that may stop with an error: every leg then
+    /// stops with the same one.
+    pub fn or_error(self) -> Entry {
+        let expect = Expect::Agree { exits: false };
+        Entry { expect, ..self }
     }
 
     pub fn interp(self, interp: InterpOptions) -> Entry {
@@ -224,35 +230,9 @@ impl Entry {
         let today = None;
         self.exempt.push(Exemption {
             legs,
-            outside: false,
             reason,
             today,
         });
-        self
-    }
-
-    /// Only `legs` run here: another test runs the others, `reason`
-    /// says which. Ahead of every other exemption, a known divergence's
-    /// too.
-    pub fn only(self, legs: fn(&Leg) -> bool, reason: &'static str) -> Entry {
-        self.ahead(legs, true, reason)
-    }
-
-    /// `legs` run in the test `test` names, not here; ahead of every
-    /// other exemption.
-    pub fn elsewhere(self, legs: fn(&Leg) -> bool, test: &'static str) -> Entry {
-        self.ahead(legs, false, test)
-    }
-
-    fn ahead(mut self, legs: fn(&Leg) -> bool, outside: bool, reason: &'static str) -> Entry {
-        let today = None;
-        let first = Exemption {
-            legs,
-            outside,
-            reason,
-            today,
-        };
-        self.exempt.insert(0, first);
         self
     }
 
@@ -268,7 +248,6 @@ impl Entry {
         let today = Some((item, today));
         self.exempt.push(Exemption {
             legs,
-            outside: false,
             reason,
             today,
         });
@@ -276,10 +255,10 @@ impl Entry {
     }
 
     fn exemption(&self, leg: &Leg) -> Option<&Exemption> {
-        self.exempt.iter().find(|e| (e.legs)(leg) != e.outside)
+        self.exempt.iter().find(|e| (e.legs)(leg))
     }
 
-    pub fn skips(&self, leg: &Leg) -> bool {
+    fn skips(&self, leg: &Leg) -> bool {
         self.exemption(leg).is_some_and(|e| e.today.is_none())
     }
 }
@@ -307,8 +286,9 @@ pub struct Work {
 }
 
 /// One entry's outcome: a mark per leg in [`Leg::all`] order (`.` meets
-/// the expectation, `X` fails, `-` exempt, `k` a known divergence still
-/// showing what it showed, blank: a GCC leg without `cc`), what each leg
+/// the expectation, `X` fails, `-` exempt or a GCC leg with no text to
+/// build, `k` a known divergence still showing what it showed, blank: a
+/// leg the test does not take, or a GCC leg without `cc`), what each leg
 /// that ran showed and did, and every failure.
 pub struct Report {
     pub name: String,
@@ -333,7 +313,7 @@ pub fn have_cc() -> bool {
 
 /// Does `seen` meet `want` for a program whose source is `source`?
 /// Under [`Expect::Agree`], `first` is what the first leg showed.
-fn meets(want: &Expect, seen: &Observed, source: &str, first: &Observed) -> bool {
+pub fn meets(want: &Expect, seen: &Observed, source: &str, first: &Observed) -> bool {
     match (want, seen) {
         (Expect::Output(stdout, code), Observed::Exit(out, exit)) => {
             (out, *exit) == (stdout, code & 0xFF)
@@ -343,23 +323,25 @@ fn meets(want: &Expect, seen: &Observed, source: &str, first: &Observed) -> bool
                 && msg.contains(message)
                 && at.is_none_or(|at| source.find(at) == Some(span.start as usize))
         }
+        // GCC's refusal has no codes.
         (Expect::Rejected(codes), Observed::Rejected(seen)) => {
             seen.is_empty() || codes.iter().all(|c| seen.contains(c))
         }
         // An error agrees by its message, its trap kind and where it
         // points (its span's start), as an `Expect::Trap` would.
-        (Expect::Agree, Observed::Error(msg, span, trap)) => {
+        (Expect::Agree { exits: false }, Observed::Error(msg, span, trap)) => {
             matches!(first, Observed::Error(m, s, t) if (m, s.start, t) == (msg, span.start, trap))
         }
-        (Expect::Agree, _) => first == seen,
+        (Expect::Agree { .. }, Observed::Exit(..)) => first == seen,
         _ => false,
     }
 }
 
-/// Every entry on every leg, one entry per worker at a time: prints the
-/// table and panics with every failure. One worker more than the host
-/// has CPUs, since a worker waits on GCC's processes part of the time.
-pub fn run(entries: Vec<Entry>) {
+/// Every entry on the legs `legs` selects, one entry per worker at a
+/// time: prints the table and panics with every failure. One worker more
+/// than the host has CPUs, since a worker waits on GCC's processes part
+/// of the time.
+pub fn run(entries: Vec<Entry>, legs: fn(&Leg) -> bool) {
     let workers = std::thread::available_parallelism().map_or(3, |n| (n.get() + 1).clamp(2, 5));
     let next = AtomicUsize::new(0);
     let reports: Mutex<HashMap<usize, Report>> = Mutex::new(HashMap::new());
@@ -368,7 +350,7 @@ pub fn run(entries: Vec<Entry>) {
             s.spawn(|| loop {
                 let k = next.fetch_add(1, Ordering::Relaxed);
                 let Some(entry) = entries.get(k) else { break };
-                let report = check(entry);
+                let report = check_legs(entry, legs);
                 reports.lock().expect("reports").insert(k, report);
             });
         }
@@ -385,7 +367,10 @@ pub fn run(entries: Vec<Entry>) {
     let ruler: String = (0..Leg::all().len())
         .map(|k| (b'0' + (k % 10) as u8) as char)
         .collect();
-    println!("cells: . meets the expectation, X fails, - exempt, k known divergence, blank: no cc");
+    println!(
+        "cells: . meets the expectation, X fails, - exempt or no text to build, \
+         k known divergence, blank: not this test's leg, or no cc"
+    );
     println!("{:width$}  {ruler}", "");
     for r in &reports {
         println!(
@@ -408,19 +393,25 @@ pub fn run(entries: Vec<Entry>) {
     );
 }
 
-/// One entry on every leg, on a thread with the stack `purec` gives its
-/// program: the tree-walking engines recurse on the native stack.
+/// One entry on every leg.
 pub fn check(entry: &Entry) -> Report {
+    check_legs(entry, |_| true)
+}
+
+/// One entry on the legs `legs` selects, on a thread with the stack
+/// `purec` gives its program: the tree-walking engines recurse on the
+/// native stack.
+fn check_legs(entry: &Entry, legs: fn(&Leg) -> bool) -> Report {
     std::thread::scope(|s| {
         let worker = std::thread::Builder::new().stack_size(machine::STACK_SIZE);
-        let run = worker.spawn_scoped(s, || check_here(entry));
+        let run = worker.spawn_scoped(s, || check_here(entry, legs));
         run.expect("spawn a matrix thread")
             .join()
             .expect("the matrix thread")
     })
 }
 
-fn check_here(entry: &Entry) -> Report {
+fn check_here(entry: &Entry, legs: fn(&Leg) -> bool) -> Report {
     let started = Instant::now();
     let mut report = Report {
         name: entry.name.clone(),
@@ -435,12 +426,12 @@ fn check_here(entry: &Entry) -> Report {
     let name = &entry.name;
     for leg in Leg::all() {
         let exemption = entry.exemption(&leg);
-        if entry.skips(&leg) {
-            report.marks.push('-');
+        if !legs(&leg) || matches!(leg, Leg::Gcc(..)) && !have_cc() {
+            report.marks.push(' ');
             continue;
         }
-        if matches!(leg, Leg::Gcc(..)) && !have_cc() {
-            report.marks.push(' ');
+        if entry.skips(&leg) || made.nothing_to_build(leg) {
+            report.marks.push('-');
             continue;
         }
         let (seen, work) = made.observe(leg, &report);
@@ -474,7 +465,8 @@ fn check_here(entry: &Entry) -> Report {
     }
     // The texts GCC builds for this entry (on a host with `cc` or not).
     for text in [Text::Default, Text::NoPoly, Text::Tile8, Text::Tile32] {
-        if [1, 2, 4].iter().all(|t| entry.skips(&Leg::Gcc(text, *t))) {
+        let builds = |t: &usize| legs(&Leg::Gcc(text, *t)) && !entry.skips(&Leg::Gcc(text, *t));
+        if ![1, 2, 4].iter().any(builds) {
             continue;
         }
         if let Ok(out) = made.build(text) {
@@ -515,6 +507,23 @@ fn agree_on_work(report: &mut Report) {
     }
 }
 
+/// What an engine run showed, and did when it ended normally.
+pub fn observed(run: Result<RunResult, RuntimeError>) -> (Observed, Option<Work>) {
+    match run {
+        Ok(r) => {
+            let (frees, peak_live_bytes) = (r.heap.frees, r.heap.peak_live_bytes);
+            let counters = r.counters.without_memo();
+            let work = Work {
+                counters,
+                frees,
+                peak_live_bytes,
+            };
+            (Observed::Exit(r.output, r.exit_code & 0xFF), Some(work))
+        }
+        Err(e) => (Observed::Error(e.message, e.span, e.trap), None),
+    }
+}
+
 /// What one entry's legs share, each made once: the chain's builds, the
 /// engines' programs, GCC's builds and their runs.
 struct Made<'a> {
@@ -544,7 +553,7 @@ impl<'a> Made<'a> {
     fn build(&mut self, text: Text) -> &Result<purec::ChainOutput, Vec<Code>> {
         let entry = self.entry;
         self.builds.entry(text).or_insert_with(|| {
-            let mut opts = entry.chain.clone();
+            let mut opts = ChainOptions::default();
             match text {
                 Text::NoPoly => opts.no_poly = true,
                 Text::Tile8 => opts.polycc.tile = Some(8),
@@ -553,6 +562,16 @@ impl<'a> Made<'a> {
             }
             compile(&entry.source, opts).map_err(|d| d.items().iter().map(|d| d.code).collect())
         })
+    }
+
+    /// A GCC leg on a text the chain refuses, as the entry expects.
+    fn nothing_to_build(&mut self, leg: Leg) -> bool {
+        match leg {
+            Leg::Gcc(Text::Original, _) | Leg::Run(..) | Leg::Traced => false,
+            Leg::Gcc(text, _) => {
+                matches!(self.entry.expect, Expect::Rejected(_)) && self.build(text).is_err()
+            }
+        }
     }
 
     fn literal_is_poly(&mut self) -> bool {
@@ -627,19 +646,7 @@ impl<'a> Made<'a> {
             (_, Engine::Resolved) => prog.run_resolved(opts),
             (_, Engine::Legacy) => prog.run_legacy(opts),
         };
-        match run {
-            Ok(r) => {
-                let (frees, peak_live_bytes) = (r.heap.frees, r.heap.peak_live_bytes);
-                let counters = r.counters.without_memo();
-                let work = Work {
-                    counters,
-                    frees,
-                    peak_live_bytes,
-                };
-                (Observed::Exit(r.output, r.exit_code & 0xFF), Some(work))
-            }
-            Err(e) => (Observed::Error(e.message, e.span, e.trap), None),
-        }
+        observed(run)
     }
 
     /// GCC's build of `text` run at `threads`; one build and one run per
@@ -649,7 +656,7 @@ impl<'a> Made<'a> {
             Text::Original => self.entry.source.clone(),
             _ => match self.build(text) {
                 Ok(out) => out.text.clone(),
-                Err(_) => return Observed::Rejected(Vec::new()),
+                Err(codes) => return Observed::Rejected(codes.clone()),
             },
         };
         let key = (source, threads);
